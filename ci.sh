@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate for this repo.
 #
-#   ./ci.sh          format check, vet, build, race tests, short kernel bench
+#   ./ci.sh          format check, vet, build, race tests, bench module, short kernel bench
 #
 # The quick kernel/codec/delta benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run, not to refresh the
@@ -34,6 +34,13 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+# bench/ is a module of its own (replace calibre => ../) that root
+# build/vet/test do not see; it imports calibre/internal/..., so an
+# internal API change that stops the frozen benchmark compiling would
+# otherwise stay invisible until the benchmark pipeline runs it.
+echo "== bench module (vet + test) =="
+(cd bench && go vet ./... && go test ./...)
 
 echo "== examples (build + vet) =="
 go build ./examples/...

@@ -108,12 +108,18 @@ var ErrStatefulResume = errors.New("fl: method carries cross-round state not cap
 // a SimState snapshot: true unless its trainer, aggregator or
 // personalizer declares cross-round state via Stateful.
 func Resumable(m *Method) bool {
-	for _, c := range []any{m.Trainer, m.Aggregator, m.Personalizer} {
-		if s, ok := c.(Stateful); ok && s.CarriesRoundState() {
-			return false
+	return statefulPart(m.Trainer, m.Aggregator, m.Personalizer) == nil
+}
+
+// statefulPart returns the first of parts that declares cross-round state
+// via Stateful, or nil.
+func statefulPart(parts ...any) any {
+	for _, p := range parts {
+		if s, ok := p.(Stateful); ok && s.CarriesRoundState() {
+			return p
 		}
 	}
-	return true
+	return nil
 }
 
 // CheckpointDue reports whether a checkpoint should be taken after

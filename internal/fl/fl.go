@@ -1,9 +1,24 @@
-// Package fl is the federated-learning runtime: the round loop, client
-// sampling, local-update dispatch and server-side aggregation. It is
-// method-agnostic — a personalized-FL method plugs in a Trainer (what a
-// client does with the global parameter vector), an Aggregator (how the
-// server merges updates) and a Personalizer (what runs in the paper's
-// personalization stage).
+// Package fl is the federated-learning runtime. It is method-agnostic — a
+// personalized-FL method plugs in a Trainer (what a client does with the
+// global parameter vector), an Aggregator (how the server merges updates)
+// and a Personalizer (what runs in the paper's personalization stage) —
+// and it implements a federation round exactly once:
+//
+//   - RunRounds (round.go) is the round core: lifecycle (InitGlobal,
+//     RNG-replay resume, checkpoints, OnRound), the per-round ledger
+//     (Round: uplink accounting, ingress validation, canonical-order
+//     streaming aggregation, quorum checks) and the single place a round
+//     becomes RoundStats, an obs.RoundSample, health verdicts and trace
+//     events.
+//   - A Transport supplies the two things that differ between runtimes:
+//     Draw (how a round's RNG draws become participants) and Collect (how
+//     their updates reach the ledger). Simulator is the in-process
+//     transport; internal/flnet's server is the TCP one.
+//
+// Because both runtimes are transports over the same core, and derive
+// every client RNG through ClientRNG, a (method, seed, config) triple
+// yields the same global model, history and per-client accuracies
+// whichever runtime ran it.
 package fl
 
 import (
@@ -259,18 +274,12 @@ func (r RoundStats) String() string {
 	return b.String()
 }
 
-// Sampler selects the participating clients for a round.
-type Sampler interface {
-	Sample(rng *rand.Rand, numClients, perRound int) []int
-}
-
 // UniformSampler draws perRound distinct clients uniformly (the paper's
 // "10 clients randomly selected per round").
 type UniformSampler struct{}
 
-var _ Sampler = UniformSampler{}
-
-// Sample implements Sampler.
+// Sample returns perRound distinct indices in [0, numClients), ascending
+// (all of them, consuming no draws, when perRound ≥ numClients).
 func (UniformSampler) Sample(rng *rand.Rand, numClients, perRound int) []int {
 	if perRound >= numClients {
 		out := make([]int, numClients)
@@ -285,27 +294,34 @@ func (UniformSampler) Sample(rng *rand.Rand, numClients, perRound int) []int {
 	return out
 }
 
-// clientRNG derives a deterministic per-(round, client) RNG so results do
-// not depend on goroutine scheduling.
-func clientRNG(seed int64, round, clientID int) *rand.Rand {
+// PersonalizeRound is the pseudo-round whose ClientRNG stream the
+// personalization stage draws from: far past any training round, so
+// adding rounds never shifts a client's personalization RNG.
+const PersonalizeRound = 1 << 20
+
+// ClientRNG derives the deterministic per-(round, client) RNG every
+// runtime hands to a client's local update (and, at PersonalizeRound, to
+// its personalization), so results depend neither on goroutine scheduling
+// nor on which runtime ran the client.
+func ClientRNG(seed int64, round, clientID int) *rand.Rand {
 	return rand.New(rand.NewSource(seed ^ int64(round)*1_000_003 ^ int64(clientID)*7_777_777))
 }
 
-// runParallel executes fn for every id in ids on at most parallelism
-// goroutines, collecting results in input order. The first error cancels
+// runParallel executes fn for every index in [0, n) on at most parallelism
+// goroutines, collecting results in index order. The first error cancels
 // outstanding work.
-func runParallel[T any](ctx context.Context, parallelism int, ids []int, fn func(ctx context.Context, id int) (T, error)) ([]T, error) {
+func runParallel[T any](ctx context.Context, parallelism, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if parallelism < 1 {
 		parallelism = 1
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make([]T, len(ids))
-	errs := make([]error, len(ids))
+	results := make([]T, n)
+	errs := make([]error, n)
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
-	for i, id := range ids {
+	for i := 0; i < n; i++ {
 		// Stop dispatching once the context is canceled (first error or
 		// parent cancellation); already-spawned goroutines drain on their
 		// own ctx check.
@@ -314,7 +330,7 @@ func runParallel[T any](ctx context.Context, parallelism int, ids []int, fn func
 		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(slot, id int) {
+		go func(slot int) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			// Panic isolation: a panicking trainer/personalizer becomes a
@@ -329,14 +345,14 @@ func runParallel[T any](ctx context.Context, parallelism int, ids []int, fn func
 				errs[slot] = ctx.Err()
 				return
 			}
-			res, err := fn(ctx, id)
+			res, err := fn(ctx, slot)
 			if err != nil {
 				errs[slot] = err
 				cancel()
 				return
 			}
 			results[slot] = res
-		}(i, id)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {

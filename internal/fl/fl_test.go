@@ -359,12 +359,12 @@ func TestPersonalizeAll(t *testing.T) {
 }
 
 func TestClientRNGDeterminism(t *testing.T) {
-	a := clientRNG(1, 2, 3).Float64()
-	b := clientRNG(1, 2, 3).Float64()
+	a := ClientRNG(1, 2, 3).Float64()
+	b := ClientRNG(1, 2, 3).Float64()
 	if a != b {
-		t.Fatal("clientRNG must be deterministic")
+		t.Fatal("ClientRNG must be deterministic")
 	}
-	c := clientRNG(1, 2, 4).Float64()
+	c := ClientRNG(1, 2, 4).Float64()
 	if a == c {
 		t.Fatal("different clients should get different streams")
 	}

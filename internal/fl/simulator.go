@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"calibre/internal/health"
@@ -43,8 +42,6 @@ type SimConfig struct {
 	// exercise and continuously verify the wire path, and it is what
 	// calibre-bench -exp delta measures.
 	DeltaUpdates bool
-	// Sampler defaults to UniformSampler.
-	Sampler Sampler
 	// DropoutRate simulates client failures/stragglers: each sampled
 	// client independently drops out of the round with this probability
 	// (its update is simply missing, as in production FL). At least
@@ -141,16 +138,23 @@ func (c *SimConfig) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// round fills the round core's configuration from the simulator's.
+func (c *SimConfig) round(m *Method) RoundConfig {
+	return RoundConfig{
+		Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
+		Quorum: c.Quorum, Straggler: c.Straggler, Trace: c.Trace, Adversary: c.Adversary,
+		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal,
+		OnRound: c.OnRound, Obs: c.Obs, Recorder: c.Recorder, Health: c.Health, OnAlert: c.OnAlert,
+		OnCheckpoint: c.OnCheckpoint, CheckpointEvery: c.CheckpointEvery, ResumeFrom: c.ResumeFrom,
+	}
+}
+
 // Simulator drives federated training of one method over a fixed client
-// population.
+// population: the in-process Transport of the round core (RunRounds).
 type Simulator struct {
 	Config  SimConfig
 	Method  *Method
 	Clients []*partition.Client
-
-	// trace is the seeded availability generator Run derives from
-	// Config.Trace; nil when the flat DropoutRate (or nothing) governs.
-	trace *TraceGen
 }
 
 // NewSimulator validates and assembles a simulator.
@@ -158,51 +162,18 @@ func NewSimulator(cfg SimConfig, method *Method, clients []*partition.Client) (*
 	if err := method.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Rounds < 1 {
-		return nil, fmt.Errorf("fl: rounds must be ≥1, got %d", cfg.Rounds)
+	if err := cfg.round(method).Validate(method.Trainer, method.Aggregator, method.Personalizer); err != nil {
+		return nil, err
 	}
-	if cfg.ClientsPerRound < 1 {
-		return nil, fmt.Errorf("fl: clientsPerRound must be ≥1, got %d", cfg.ClientsPerRound)
-	}
-	if len(clients) == 0 {
+	switch {
+	case len(clients) == 0:
 		return nil, fmt.Errorf("fl: no clients")
-	}
-	if cfg.Sampler == nil {
-		cfg.Sampler = UniformSampler{}
-	}
-	if cfg.DropoutRate < 0 || cfg.DropoutRate >= 1 {
+	case cfg.DropoutRate < 0 || cfg.DropoutRate >= 1:
 		return nil, fmt.Errorf("fl: dropout rate must be in [0,1), got %v", cfg.DropoutRate)
-	}
-	if cfg.Trace != nil {
-		if cfg.DropoutRate > 0 {
-			return nil, fmt.Errorf("fl: Trace and DropoutRate are mutually exclusive")
-		}
-		if err := cfg.Trace.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if err := cfg.Adversary.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Quorum < 0 {
-		return nil, fmt.Errorf("fl: quorum must be ≥0, got %d", cfg.Quorum)
-	}
-	if cfg.Quorum > cfg.ClientsPerRound {
-		return nil, fmt.Errorf("fl: quorum %d exceeds clientsPerRound %d", cfg.Quorum, cfg.ClientsPerRound)
-	}
-	if cfg.Quorum > len(clients) {
+	case cfg.Trace != nil && cfg.DropoutRate > 0:
+		return nil, fmt.Errorf("fl: Trace and DropoutRate are mutually exclusive")
+	case cfg.Quorum > len(clients):
 		return nil, fmt.Errorf("fl: quorum %d exceeds client population %d", cfg.Quorum, len(clients))
-	}
-	if _, err := ParseStragglerPolicy(cfg.Straggler.String()); err != nil {
-		return nil, err
-	}
-	if cfg.ResumeFrom != nil {
-		if !Resumable(method) {
-			return nil, fmt.Errorf("fl: resume %s: %w", method.Name, ErrStatefulResume)
-		}
-		if err := cfg.ResumeFrom.Validate(cfg.Rounds); err != nil {
-			return nil, fmt.Errorf("fl: resume: %w", err)
-		}
 	}
 	return &Simulator{Config: cfg, Method: method, Clients: clients}, nil
 }
@@ -239,424 +210,122 @@ func applyDropout(rng *rand.Rand, ids []int, probOf func(id int) float64, quorum
 	return kept
 }
 
-// drawRound consumes one round's worth of master-RNG draws — client
-// sampling and dropout — and derives the next sampleable population
-// (shrunk under StragglerDrop). Both the live round loop and the resume
-// replay path go through it, which is what makes a resumed run's RNG
-// stream bit-identical to an uninterrupted one.
-func (s *Simulator) drawRound(rng *rand.Rand, round int, alive []int) (sampled, ids, nextAlive []int) {
-	picks := s.Config.Sampler.Sample(rng, len(alive), s.Config.ClientsPerRound)
-	sampled = make([]int, len(picks))
-	for i, p := range picks {
-		sampled[i] = alive[p]
-	}
-	var probOf func(id int) float64
-	switch {
-	case s.trace != nil:
-		probOf = func(id int) float64 { return s.trace.DropProb(round, id) }
-	case s.Config.DropoutRate > 0:
-		probOf = func(int) float64 { return s.Config.DropoutRate }
-	}
-	ids = applyDropout(rng, sampled, probOf, s.Config.Quorum)
-	nextAlive = alive
-	if len(ids) != len(sampled) && s.Config.Straggler == StragglerDrop {
-		nextAlive = diffSorted(alive, diffSorted(sampled, ids))
-	}
-	return sampled, ids, nextAlive
-}
-
 // Run executes the training stage and returns the final global vector and
 // per-round statistics.
 func (s *Simulator) Run(ctx context.Context) (param.Vector, []RoundStats, error) {
-	if s.Config.KernelWorkers > 0 {
-		tensor.SetWorkers(s.Config.KernelWorkers)
+	cfg := &s.Config
+	if cfg.KernelWorkers > 0 {
+		tensor.SetWorkers(cfg.KernelWorkers)
 	}
-	masterRNG := rand.New(rand.NewSource(s.Config.Seed))
-	s.trace = s.Config.Trace.Generator(s.Config.Seed)
-	rec, reg := s.Config.Recorder, s.Config.Obs
-	mon := s.Config.Health
-	healthOn := mon != nil
-	// The norm of each accepted update against the round's global feeds
-	// both the health detectors and (so post-mortem replays can run the
-	// same detectors) the trace's client_update events.
-	normOn := healthOn || rec != nil
-	// measure gates every clock read: a bare run draws no timestamps at
-	// all. Span timestamps come from the recorder's clock when one is
-	// attached (injected clocks make the trace bytes deterministic) and
-	// from the wall clock when only the metrics registry wants durations.
-	measure := rec != nil || reg != nil
-	now := func() int64 { return 0 }
-	if rec != nil {
-		now = rec.Now
-	} else if reg != nil {
-		clockStart := time.Now()
-		now = func() int64 { return time.Since(clockStart).Nanoseconds() }
+	t := &simTransport{
+		Simulator: s,
+		trace:     cfg.Trace.Generator(cfg.Seed),
+		// The adversary wraps the trainer rather than mutating the method, so
+		// a hostile run never leaks attack state into a shared Method value.
+		trainer: cfg.Adversary.WrapTrainer(s.Method.Trainer, cfg.Seed, len(s.Clients)),
+		alive:   make([]int, len(s.Clients)),
+		decode:  make([]param.Vector, cfg.ClientsPerRound),
 	}
-	// The adversary wraps the trainer rather than mutating the method, so a
-	// hostile run never leaks attack state into a shared Method value. The
-	// compromised set is fixed for the whole run.
-	trainer := s.Config.Adversary.WrapTrainer(s.Method.Trainer, s.Config.Seed, len(s.Clients))
-	malicious := make(map[int]bool)
-	for _, id := range s.Config.Adversary.Malicious(s.Config.Seed, len(s.Clients)) {
-		malicious[id] = true
+	for i := range t.alive {
+		t.alive[i] = i
 	}
-	robust, _ := s.Method.Aggregator.(RobustAggregator)
-	global, err := s.Method.InitGlobal(masterRNG)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fl: init global: %w", err)
+	if cfg.DeltaUpdates {
+		t.delta = make([]param.Delta, cfg.ClientsPerRound)
 	}
-	// alive tracks the sampleable population; StragglerDrop shrinks it.
-	alive := make([]int, len(s.Clients))
-	for i := range alive {
-		alive[i] = i
+	return RunRounds(ctx, cfg.round(s.Method), t)
+}
+
+// simTransport is one Run's in-process Transport state.
+type simTransport struct {
+	*Simulator
+	trace   *TraceGen // seeded availability generator; nil under flat DropoutRate
+	trainer Trainer
+	// alive is the sampleable population; StragglerDrop shrinks it.
+	alive []int
+	// Per-slot wire-path scratch, reused across rounds: each slot owns one
+	// Delta (encoder output, DiffInto reuses its Bits) and one decode buffer
+	// (the aggregation plane's read-only contract guarantees nothing retains
+	// a decoded vector past the round). Slots are worker-exclusive within a
+	// round and rounds are sequential, so the reuse is race-free.
+	delta  []param.Delta
+	decode []param.Vector
+}
+
+func (t *simTransport) Runtime() string { return "sim" }
+func (t *simTransport) Population() int { return len(t.Clients) }
+
+// Draw consumes one round's worth of master-RNG draws — client sampling
+// and dropout (with quorum rescue) — and shrinks the sampleable
+// population under StragglerDrop. Live rounds and the resume replay both
+// go through it, which is what makes a resumed run's RNG stream
+// bit-identical to an uninterrupted one; the recorded pool sizes double as
+// an integrity check against resuming under a drifted configuration.
+func (t *simTransport) Draw(rng *rand.Rand, round, replayPool int) (sampled, live []int, pool int, err error) {
+	pool = len(t.alive)
+	if replayPool >= 0 && replayPool != pool {
+		return nil, nil, pool, fmt.Errorf("replaying a pool of %d clients, checkpoint recorded %d (configuration drift?)", pool, replayPool)
 	}
-	history := make([]RoundStats, 0, s.Config.Rounds)
-	var eligibleCounts []int
-	var histRound, histTurn, histEncode *obs.Histogram
-	if reg != nil {
-		histRound = reg.Histogram(obs.HistRoundLatency)
-		histTurn = reg.Histogram(obs.HistClientTurnaround)
-		histEncode = reg.Histogram(obs.HistUplinkEncode)
+	picks := UniformSampler{}.Sample(rng, pool, t.Config.ClientsPerRound)
+	sampled = make([]int, len(picks))
+	for i, p := range picks {
+		sampled[i] = t.alive[p]
 	}
-	// Per-slot wire-path scratch, reused across rounds: each responding
-	// client slot owns one Delta (encoder output, DiffInto reuses its Bits)
-	// and one decode buffer (ResolveInto reuses it; the aggregation plane's
-	// read-only contract guarantees nothing retains the decoded vector past
-	// the round). Slots are worker-exclusive within a round and rounds are
-	// sequential, so the reuse is race-free.
-	var deltaScratch []*param.Delta
-	var decodeScratch []param.Vector
-	startRound := 0
-	if st := s.Config.ResumeFrom; st != nil {
-		if len(st.Global) != len(global) {
-			return nil, nil, fmt.Errorf("fl: resume: checkpoint has %d params, method initializes %d", len(st.Global), len(global))
-		}
-		// Replay the completed rounds' sampling and dropout draws so the
-		// master RNG and the sampleable population are exactly where the
-		// checkpointed run left them. The recorded pool sizes double as an
-		// integrity check against resuming under a drifted configuration.
-		for r := 0; r < st.Round; r++ {
-			if len(alive) != st.EligibleCounts[r] {
-				return nil, nil, fmt.Errorf("fl: resume: round %d replays a pool of %d clients, checkpoint recorded %d (configuration drift?)",
-					r, len(alive), st.EligibleCounts[r])
-			}
-			_, _, alive = s.drawRound(masterRNG, r, alive)
-		}
-		global = st.Global.Clone()
-		history = append(history, st.History...)
-		eligibleCounts = append(eligibleCounts, st.EligibleCounts...)
-		startRound = st.Round
-		rec.Emit(trace.Event{Kind: trace.KindResume, TS: now(), Runtime: "sim",
-			Round: startRound, Client: -1, N: len(alive)})
-		if healthOn {
-			// Warm-start the detectors from the checkpointed history so a
-			// resumed run re-derives the same federation-level verdicts an
-			// uninterrupted one would (re-announcing past alerts).
-			for _, h := range st.History {
-				s.deliverAlerts(mon.ObserveRound(HealthSample("sim", h)), reg)
-			}
-		}
+	var probOf func(id int) float64
+	switch {
+	case t.trace != nil:
+		probOf = func(id int) float64 { return t.trace.DropProb(round, id) }
+	case t.Config.DropoutRate > 0:
+		probOf = func(int) float64 { return t.Config.DropoutRate }
 	}
-	for round := startRound; round < s.Config.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
+	live = applyDropout(rng, sampled, probOf, t.Config.Quorum)
+	if len(live) != len(sampled) && t.Config.Straggler == StragglerDrop {
+		t.alive = diffSorted(t.alive, diffSorted(sampled, live))
+	}
+	return sampled, live, pool, nil
+}
+
+// Collect trains every pending slot's client on at most Parallelism
+// goroutines. Any trainer error aborts the run (a failing in-process
+// trainer is a bug, not a straggler) and RoundDeadline is a hard timeout.
+func (t *simTransport) Collect(ctx context.Context, r *Round) error {
+	if t.Config.RoundDeadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, t.Config.RoundDeadline)
+		defer cancel()
+	}
+	_, err := runParallel(ctx, t.Config.parallelism(), len(r.Participants()), func(ctx context.Context, slot int) (struct{}, error) {
+		if !r.Pending(slot) {
+			return struct{}{}, nil // dropped by the availability draw
 		}
-		eligibleCount := len(alive)
-		sampled, ids, nextAlive := s.drawRound(masterRNG, round, alive)
-		// Guard the K-of-N contract loudly rather than letting applyDropout
-		// clamp the floor: a round that cannot keep Quorum survivors fails.
-		// (Unreachable in normal operation — validation bounds Quorum by
-		// both ClientsPerRound and the population, and StragglerDrop only
-		// evicts dropped clients, leaving ≥ Quorum survivors alive.)
-		if s.Config.Quorum > 0 && len(sampled) < s.Config.Quorum {
-			return nil, nil, fmt.Errorf("fl: round %d: only %d sampled clients for quorum %d: %w",
-				round, len(sampled), s.Config.Quorum, ErrQuorumNotMet)
+		id := r.Participants()[slot]
+		r.Begin(slot)
+		u, err := t.trainer.Train(ctx, ClientRNG(t.Config.Seed, r.Num, id), t.Clients[id], r.Global, r.Num)
+		if err != nil {
+			return struct{}{}, fmt.Errorf("fl: client %d round %d: %w", id, r.Num, err)
 		}
-		roundCtx, cancelRound := ctx, context.CancelFunc(func() {})
-		if s.Config.RoundDeadline > 0 {
-			roundCtx, cancelRound = context.WithTimeout(ctx, s.Config.RoundDeadline)
-		}
-		round := round
-		roundStart := time.Now()
-		// Span bookkeeping. Workers never Emit — they record timestamps
-		// into slot-indexed arrays and the round loop emits every event in
-		// canonical order afterwards, so the trace file's record order is
-		// independent of goroutine scheduling.
-		var tsRound int64
-		var spanEnd, spanDur, encodeNS, wireEach []int64
-		var wireDelta []bool
-		var normEach []float64
-		var slot map[int]int
-		if measure {
-			tsRound = now()
-			spanEnd = make([]int64, len(ids))
-			spanDur = make([]int64, len(ids))
-			encodeNS = make([]int64, len(ids))
-			wireEach = make([]int64, len(ids))
-			wireDelta = make([]bool, len(ids))
-		}
-		if normOn {
-			normEach = make([]float64, len(ids))
-		}
-		if measure || normOn || s.Config.DeltaUpdates {
-			slot = make(map[int]int, len(ids))
-			for i, id := range ids {
-				slot[id] = i
-			}
-		}
-		if s.Config.DeltaUpdates {
-			for len(deltaScratch) < len(ids) {
-				deltaScratch = append(deltaScratch, &param.Delta{})
-				decodeScratch = append(decodeScratch, nil)
-			}
-		}
-		if rec != nil {
-			rec.Emit(trace.Event{Kind: trace.KindRoundStart, TS: tsRound, Runtime: "sim",
-				Round: round, Client: -1, N: len(sampled)})
-			for _, id := range ids {
-				rec.Emit(trace.Event{Kind: trace.KindClientDispatch, TS: now(), Runtime: "sim",
-					Round: round, Client: id})
-			}
-			if dropped := diffSorted(sampled, ids); len(dropped) > 0 {
-				reason := trace.DropStraggler
-				if s.trace != nil {
-					reason = trace.DropTrace
-				}
-				for _, id := range dropped {
-					rec.Emit(trace.Event{Kind: trace.KindClientDrop, TS: now(), Runtime: "sim",
-						Round: round, Client: id, Reason: reason})
-				}
-			}
-		}
-		var wireBytes, denseBytes atomic.Int64
-		updates, err := runParallel(roundCtx, s.Config.parallelism(), ids, func(ctx context.Context, id int) (*Update, error) {
-			ix, t0 := 0, int64(0)
-			if slot != nil {
-				ix = slot[id]
-			}
-			if measure {
-				t0 = now()
-			}
-			rng := clientRNG(s.Config.Seed, round, id)
-			u, err := trainer.Train(ctx, rng, s.Clients[id], global, round)
+		// Route the payload through the wire representation: encode against
+		// the round's global, then let the ledger reconstruct it
+		// (bit-identically) like a server would. A wrong-length payload
+		// skips the encode so it still surfaces as the typed ErrUpdateSize
+		// at ingress, exactly like the dense path.
+		if t.delta != nil && u.Delta == nil && len(u.Params) == len(r.Global) {
+			e0 := r.Now()
+			err := param.DiffInto(&t.delta[slot], r.Global, u.Params)
+			r.Encoded(r.Now() - e0)
 			if err != nil {
-				return nil, fmt.Errorf("fl: client %d round %d: %w", id, round, err)
+				return struct{}{}, fmt.Errorf("fl: client %d round %d: %w", id, r.Num, err)
 			}
-			// Route the payload through the wire representation: encode
-			// against the round's global, then let the ingress Resolve
-			// below reconstruct it (bit-identically) like a server would.
-			// A wrong-length payload skips the encode so it still surfaces
-			// as the typed ErrUpdateSize from Resolve, exactly like the
-			// dense path.
-			if s.Config.DeltaUpdates && u.Delta == nil && len(u.Params) == len(global) {
-				var e0 int64
-				if measure {
-					e0 = now()
-				}
-				d := deltaScratch[ix]
-				derr := param.DiffInto(d, global, u.Params)
-				if measure {
-					encodeNS[ix] = now() - e0
-				}
-				if derr != nil {
-					return nil, fmt.Errorf("fl: client %d round %d: %w", id, round, derr)
-				}
-				u.Delta, u.Params = d, nil
-			}
-			// Uplink accounting must happen before Resolve clears the delta:
-			// actual wire bytes vs. the dense baseline the codec saves
-			// against. The simulator always encodes (to exercise the codec),
-			// but a real sender ships dense when the delta does not compress
-			// (flnet's wireUpdate fallback), so the wire cost is capped at
-			// the dense size.
-			if u.Delta != nil {
-				w := int64(min(u.Delta.Size(), u.Delta.DenseSize()))
-				wireBytes.Add(w)
-				denseBytes.Add(int64(u.Delta.DenseSize()))
-				if measure {
-					wireEach[ix], wireDelta[ix] = w, true
-				}
-			} else {
-				w := int64(8 * len(u.Params))
-				wireBytes.Add(w)
-				denseBytes.Add(w)
-				if measure {
-					wireEach[ix] = w
-				}
-			}
-			// Ingress validation: a wrong-sized payload from an in-process
-			// trainer is a bug, surfaced as a typed ErrUpdateSize instead of
-			// an index panic inside the aggregator. Delta decodes land in the
-			// slot's scratch buffer, which the slot adopts for the next round
-			// once the decode hands it to u.Params.
-			wasDelta := u.Delta != nil
-			var scratch param.Vector
-			if wasDelta && deltaScratch != nil {
-				scratch = decodeScratch[ix]
-			}
-			if err := u.ResolveInto(global, scratch); err != nil {
-				return nil, fmt.Errorf("fl: round %d: %w", round, err)
-			}
-			if wasDelta && deltaScratch != nil {
-				decodeScratch[ix] = u.Params
-			}
-			if normOn {
-				// The update norm against the pre-aggregation global — the
-				// health plane's adversary signal. A serial left-to-right
-				// reduction, so the value is identical at any worker count.
-				normEach[ix] = param.L2Dist(u.Params, global)
-			}
-			if measure {
-				spanEnd[ix] = now()
-				spanDur[ix] = spanEnd[ix] - t0
-			}
-			return u, nil
-		})
-		cancelRound()
-		if err != nil {
-			return nil, nil, err
+			u.Delta, u.Params = &t.delta[slot], nil
 		}
-		sink := NewRoundSink(s.Method.Aggregator, global)
-		for _, u := range updates {
-			if err := sink.Ingest(u); err != nil {
-				return nil, nil, fmt.Errorf("fl: aggregate round %d: %w", round, err)
-			}
+		// A wrong-sized payload from an in-process trainer is a bug,
+		// surfaced as a typed ErrUpdateSize instead of an index panic
+		// inside the aggregator.
+		if t.decode[slot], err = r.Arrive(slot, u, t.decode[slot]); err != nil {
+			return struct{}{}, fmt.Errorf("fl: round %d: %w", r.Num, err)
 		}
-		global, err = sink.Finish()
-		if err != nil {
-			return nil, nil, fmt.Errorf("fl: aggregate round %d: %w", round, err)
-		}
-		stats := RoundStats{Round: round, Participants: sampled}
-		if len(ids) != len(sampled) {
-			stats.Responders = ids
-			stats.Stragglers = diffSorted(sampled, ids)
-		}
-		for _, id := range ids {
-			if malicious[id] {
-				stats.AdversarialUpdates++
-			}
-		}
-		if robust != nil {
-			stats.RejectedUpdates = robust.Rejected(len(updates))
-		}
-		alive = nextAlive
-		for _, u := range updates {
-			stats.MeanLoss += u.TrainLoss
-		}
-		stats.MeanLoss /= float64(len(updates))
-		history = append(history, stats)
-		eligibleCounts = append(eligibleCounts, eligibleCount)
-		if measure {
-			for i, id := range ids {
-				wire := "dense"
-				if wireDelta[i] {
-					wire = "delta"
-				}
-				ev := trace.Event{Kind: trace.KindClientUpdate, TS: spanEnd[i], Runtime: "sim",
-					Round: round, Client: id, Wire: wire, Bytes: wireEach[i],
-					Dur: spanDur[i], Loss: updates[i].TrainLoss}
-				if normOn {
-					ev.Norm = normEach[i]
-				}
-				rec.Emit(ev)
-				histTurn.Observe(spanDur[i])
-				if wireDelta[i] {
-					histEncode.Observe(encodeNS[i])
-				}
-			}
-			tsEnd := now()
-			histRound.Observe(tsEnd - tsRound)
-			rec.Emit(trace.Event{Kind: trace.KindRoundEnd, TS: tsEnd, Runtime: "sim",
-				Round: round, Client: -1, N: len(ids), Dur: tsEnd - tsRound, Loss: stats.MeanLoss})
-		}
-		if reg != nil || healthOn {
-			sample := obs.RoundSample{
-				Runtime:            "sim",
-				Round:              round,
-				Participants:       len(sampled),
-				Responders:         len(ids),
-				Stragglers:         len(sampled) - len(ids),
-				AdversarialUpdates: stats.AdversarialUpdates,
-				RejectedUpdates:    stats.RejectedUpdates,
-				MeanLoss:           stats.MeanLoss,
-				UplinkWireBytes:    wireBytes.Load(),
-				UplinkDenseBytes:   denseBytes.Load(),
-				DurationMS:         time.Since(roundStart).Milliseconds(),
-			}
-			if healthOn {
-				clients := make([]obs.ClientSample, len(ids))
-				for i, id := range ids {
-					clients[i] = obs.ClientSample{ID: id, Loss: updates[i].TrainLoss, Norm: normEach[i]}
-				}
-				sample.Clients = clients
-				sample.StragglerIDs = stats.Stragglers
-			}
-			reg.ObserveRound(sample)
-			reg.AddParticipation(ids)
-			if healthOn {
-				s.deliverAlerts(mon.ObserveRound(sample), reg)
-			}
-		}
-		if s.Config.OnCheckpoint != nil && CheckpointDue(round+1, s.Config.CheckpointEvery, s.Config.Rounds) {
-			st := &SimState{Round: round + 1, Global: global, History: history, EligibleCounts: eligibleCounts}
-			if err := s.Config.OnCheckpoint(st.Clone()); err != nil {
-				return nil, nil, fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
-			}
-			rec.Emit(trace.Event{Kind: trace.KindCheckpointSave, TS: now(), Runtime: "sim",
-				Round: round, Client: -1})
-		}
-		if s.Config.OnRound != nil {
-			s.Config.OnRound(stats)
-		}
-	}
-	return global, history, nil
-}
-
-// deliverAlerts fans one round's health alerts out to the OnAlert hook
-// and folds them into the metrics plane's alert counters and suspect
-// gauge (all nil-safe).
-func (s *Simulator) deliverAlerts(alerts []health.Alert, reg *obs.Registry) {
-	crit := 0
-	for _, a := range alerts {
-		if a.Severity == health.SevCrit {
-			crit++
-		}
-		if s.Config.OnAlert != nil {
-			s.Config.OnAlert(a)
-		}
-	}
-	if len(alerts) > 0 {
-		reg.Counter(obs.CounterHealthAlerts).Add(int64(len(alerts)))
-		if crit > 0 {
-			reg.Counter(obs.CounterHealthCritical).Add(int64(crit))
-		}
-	}
-	reg.Gauge(obs.GaugeHealthSuspects).Set(int64(s.Config.Health.SuspectCount()))
-}
-
-// HealthSample converts one checkpointed round's stats into the
-// federation-level observation the detectors consume on resume (both the
-// simulator and the flnet server warm-start through it). The per-client
-// loss/norm detail is not part of SimState, so warm-started detectors
-// carry the loss/fairness/quorum series but not per-client outlier
-// windows — replay a trace through calibre-doctor for those.
-func HealthSample(runtime string, h RoundStats) obs.RoundSample {
-	s := obs.RoundSample{
-		Runtime:            runtime,
-		Round:              h.Round,
-		Participants:       len(h.Participants),
-		Responders:         len(h.Participants),
-		Stragglers:         len(h.Stragglers),
-		LateUpdates:        h.LateUpdates,
-		DeadlineExpired:    h.DeadlineExpired,
-		AdversarialUpdates: h.AdversarialUpdates,
-		RejectedUpdates:    h.RejectedUpdates,
-		MeanLoss:           h.MeanLoss,
-	}
-	if h.Responders != nil {
-		s.Responders = len(h.Responders)
-	}
-	return s
+		return struct{}{}, nil
+	})
+	return err
 }
 
 // diffSorted returns the elements of a (ascending) not present in b
@@ -683,14 +352,8 @@ func PersonalizeAll(ctx context.Context, seed int64, method *Method, clients []*
 	if parallelism < 1 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	ids := make([]int, len(clients))
-	for i := range ids {
-		ids[i] = i
-	}
-	return runParallel(ctx, parallelism, ids, func(ctx context.Context, id int) (float64, error) {
-		// Personalization happens after training; derive RNGs from a
-		// distinct stream so adding rounds does not shift them.
-		rng := clientRNG(seed, 1<<20, clients[id].ID)
+	return runParallel(ctx, parallelism, len(clients), func(ctx context.Context, id int) (float64, error) {
+		rng := ClientRNG(seed, PersonalizeRound, clients[id].ID)
 		acc, err := method.Personalizer.Personalize(ctx, rng, clients[id], global)
 		if err != nil {
 			return 0, fmt.Errorf("fl: personalize client %d: %w", clients[id].ID, err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
@@ -154,7 +153,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 					}
 				}
 			}
-			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(env.Round)*1_000_003 ^ int64(cfg.ClientID)*7_777_777))
+			rng := fl.ClientRNG(cfg.Seed, env.Round, cfg.ClientID)
 			update, terr := cfg.Trainer.Train(ctx, rng, cfg.Data, env.Global, env.Round)
 			if terr != nil {
 				_ = c.send(&Envelope{Type: MsgError, ClientID: cfg.ClientID, Err: terr.Error()})
@@ -164,7 +163,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 				return err
 			}
 		case MsgPersonalize:
-			rng := rand.New(rand.NewSource(cfg.Seed ^ (1 << 20) ^ int64(cfg.ClientID)*7_777_777))
+			rng := fl.ClientRNG(cfg.Seed, fl.PersonalizeRound, cfg.ClientID)
 			acc, perr := cfg.Personalizer.Personalize(ctx, rng, cfg.Data, env.Global)
 			if perr != nil {
 				_ = c.send(&Envelope{Type: MsgError, ClientID: cfg.ClientID, Err: perr.Error()})

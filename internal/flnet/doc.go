@@ -62,6 +62,18 @@
 //
 // # Round lifecycle
 //
+// The server does not own a round loop: rounds are run by the round core
+// in internal/fl (fl.RunRounds), which owns the lifecycle (InitGlobal,
+// resume, checkpoints, OnRound), the round ledger (uplink accounting,
+// ingress validation, canonical-order aggregation, quorum checks) and
+// every RoundStats, obs.RoundSample and trace event. This package is the
+// core's TCP fl.Transport — the roundEngine's Draw (sample from the
+// roster clients with no in-flight request; one availability draw each)
+// and Collect (dispatch, the event loop below, eviction, deadline) —
+// wrapped in the join and personalize stages. The same core drives the
+// in-process fl.Simulator, which is why both runtimes produce the same
+// numbers for the same (method, seed, config).
+//
 // A federation passes through these states:
 //
 //	joining    Clients dial in and handshake (join / join-ack). Training
@@ -75,9 +87,14 @@
 //	           (joined, not evicted, no in-flight request) and sends each
 //	           a train message with the current global vector.
 //
-//	collect    Updates are folded into a running aggregate (fl.UpdateSink)
-//	           in canonical participant order as they become contiguous —
-//	           payloads are buffered only while reordering demands it.
+//	collect    Each reply is handed to the round ledger (fl.Round.Arrive),
+//	           which folds updates into a running aggregate
+//	           (fl.UpdateSink) in canonical participant order as they
+//	           become contiguous — payloads are buffered only while
+//	           reordering demands it. A client that fails, misbehaves or
+//	           ships a payload the ledger rejects is evicted — roster
+//	           entry, in-flight mark and decode buffer released together
+//	           — and its slot dropped.
 //	           The round closes when either
 //	             (a) every participant replied, or
 //	             (b) RoundDeadline expired with ≥ Quorum updates.
@@ -108,7 +125,7 @@
 // aggregation configured, a run in which every participant replies within
 // the deadline is still bit-identical to the synchronous path: sampling
 // consumes the master RNG identically, and ingestion order is canonical
-// participant order regardless of arrival order (see fl.UpdateSink). When
+// participant order regardless of arrival order (see fl.Round.Advance). When
 // stragglers do occur, the aggregate depends only on *which* clients
 // responded, never on arrival timing.
 //
@@ -120,8 +137,9 @@
 // RoundStats history and the per-round sampling-pool sizes — after every
 // CheckpointEvery-th round, before OnRound fires. A killed server is
 // restarted with ResumeFrom pointing at the latest snapshot: it waits for
-// NumClients to (re)join, replays its sampling draws against the recorded
-// pool sizes to restore the master RNG, and continues from the
+// NumClients to (re)join, replays its sampling draws — through the same
+// Draw function live rounds use — against the recorded pool sizes to
+// restore the master RNG, and continues from the
 // checkpointed round. Clients need no persistent state — local updates
 // are pure functions of (seed, round, client, global) — so a resumed
 // federation in which every participant responds is bit-identical to one

@@ -123,43 +123,31 @@ type ServerConfig struct {
 	ResumeFrom *fl.SimState
 }
 
+// round fills the round core's configuration from the server's.
+func (c *ServerConfig) round() fl.RoundConfig {
+	return fl.RoundConfig{
+		Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
+		Quorum: c.Quorum, Straggler: c.Straggler, Trace: c.Trace, Adversary: c.Adversary,
+		Aggregator: c.Aggregator, InitGlobal: c.InitGlobal,
+		OnRound: c.OnRound, Obs: c.Obs, Recorder: c.Recorder, Health: c.Health, OnAlert: c.OnAlert,
+		OnCheckpoint: c.OnCheckpoint, CheckpointEvery: c.CheckpointEvery, ResumeFrom: c.ResumeFrom,
+	}
+}
+
 func (c *ServerConfig) validate() error {
 	switch {
 	case c.NumClients < 1:
 		return errors.New("flnet: server needs ≥1 client")
-	case c.Rounds < 1:
-		return errors.New("flnet: rounds must be ≥1")
-	case c.ClientsPerRound < 1:
-		return errors.New("flnet: clientsPerRound must be ≥1")
 	case c.Aggregator == nil:
 		return errors.New("flnet: missing aggregator")
 	case c.InitGlobal == nil:
 		return errors.New("flnet: missing InitGlobal")
-	case c.Quorum < 0:
-		return errors.New("flnet: quorum must be ≥0")
-	case c.Quorum > c.ClientsPerRound:
-		return fmt.Errorf("flnet: quorum %d exceeds clientsPerRound %d", c.Quorum, c.ClientsPerRound)
 	case c.RoundDeadline < 0:
 		return errors.New("flnet: round deadline must be ≥0")
 	}
-	if _, err := fl.ParseStragglerPolicy(c.Straggler.String()); err != nil {
-		return err
-	}
-	if err := c.Trace.Validate(); err != nil {
-		return err
-	}
-	if err := c.Adversary.Validate(); err != nil {
-		return err
-	}
-	if c.ResumeFrom != nil {
-		if s, ok := c.Aggregator.(fl.Stateful); ok && s.CarriesRoundState() {
-			return fmt.Errorf("flnet: resume: aggregator %T: %w", c.Aggregator, fl.ErrStatefulResume)
-		}
-		if err := c.ResumeFrom.Validate(c.Rounds); err != nil {
-			return fmt.Errorf("flnet: resume: %w", err)
-		}
-	}
-	return nil
+	// Only the aggregator's cross-round state is visible here; see
+	// ResumeFrom for the trainer side.
+	return c.round().Validate(c.Aggregator)
 }
 
 // Result is the outcome of a completed federation.
@@ -259,89 +247,11 @@ func (s *Server) Run(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewSource(s.cfg.Seed))
-	global, err := s.cfg.InitGlobal(rng)
+	eng := newRoundEngine(s)
+	global, history, err := fl.RunRounds(ctx, s.cfg.round(), eng)
 	if err != nil {
-		return nil, fmt.Errorf("flnet: init global: %w", err)
+		return nil, err
 	}
-
-	eng := &roundEngine{s: s, busy: make(map[int]int), decodeBuf: make(map[int]param.Vector), trace: s.cfg.Trace.Generator(s.cfg.Seed)}
-	eng.rec = s.cfg.Recorder
-	eng.now = func() int64 { return 0 }
-	switch {
-	case eng.rec != nil:
-		eng.now = eng.rec.Now
-	case s.cfg.Obs != nil:
-		clockStart := time.Now()
-		eng.now = func() int64 { return time.Since(clockStart).Nanoseconds() }
-	}
-	if reg := s.cfg.Obs; reg != nil {
-		eng.histRound = reg.Histogram(obs.HistRoundLatency)
-		eng.histTurn = reg.Histogram(obs.HistClientTurnaround)
-	}
-	if s.cfg.Adversary != nil {
-		eng.malicious = make(map[int]bool)
-		for _, id := range s.cfg.Adversary.Malicious(s.cfg.Seed, s.cfg.NumClients) {
-			eng.malicious[id] = true
-		}
-	}
-	history := make([]fl.RoundStats, 0, s.cfg.Rounds)
-	startRound := 0
-	if st := s.cfg.ResumeFrom; st != nil {
-		if len(st.Global) != len(global) {
-			return nil, fmt.Errorf("flnet: resume: checkpoint has %d params, InitGlobal produces %d", len(st.Global), len(global))
-		}
-		// Replay the completed rounds' sampling draws against the recorded
-		// pool sizes so the master RNG is exactly where the checkpointed
-		// run left it; then continue from the snapshot's state.
-		for r := 0; r < st.Round; r++ {
-			picks := fl.UniformSampler{}.Sample(rng, st.EligibleCounts[r], s.cfg.ClientsPerRound)
-			// A traced round burned exactly one availability draw per
-			// participant (no rescue draws by construction), so the replay
-			// can reconstruct the stream from the pool sizes alone.
-			if eng.trace != nil {
-				for range picks {
-					rng.Float64()
-				}
-			}
-		}
-		global = st.Global.Clone()
-		history = append(history, st.History...)
-		eng.eligibleCounts = append(eng.eligibleCounts, st.EligibleCounts...)
-		startRound = st.Round
-		eng.rec.Emit(trace.Event{Kind: trace.KindResume, TS: eng.now(), Runtime: "server",
-			Round: startRound, Client: -1, N: len(s.Joined())})
-		// Warm-start the health monitor from the checkpointed history so
-		// its trend detectors carry the pre-crash loss/quorum series.
-		if mon := s.cfg.Health; mon != nil {
-			for _, h := range st.History {
-				s.deliverAlerts(mon.ObserveRound(fl.HealthSample("server", h)))
-			}
-		}
-	}
-	for round := startRound; round < s.cfg.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("flnet: round %d: %w", round, err)
-		}
-		stats, next, err := eng.runRound(ctx, rng, round, global)
-		if err != nil {
-			return nil, err
-		}
-		global = next
-		history = append(history, stats)
-		if s.cfg.OnCheckpoint != nil && fl.CheckpointDue(round+1, s.cfg.CheckpointEvery, s.cfg.Rounds) {
-			st := &fl.SimState{Round: round + 1, Global: global, History: history, EligibleCounts: eng.eligibleCounts}
-			if err := s.cfg.OnCheckpoint(st.Clone()); err != nil {
-				return nil, fmt.Errorf("flnet: checkpoint after round %d: %w", round, err)
-			}
-			eng.rec.Emit(trace.Event{Kind: trace.KindCheckpointSave, TS: eng.now(), Runtime: "server",
-				Round: round, Client: -1})
-		}
-		if s.cfg.OnRound != nil {
-			s.cfg.OnRound(stats)
-		}
-	}
-
 	if err := eng.drainStragglers(ctx); err != nil {
 		return nil, err
 	}
@@ -506,9 +416,10 @@ func (s *Server) closeAll() {
 	}
 }
 
-// roundEngine is the asynchronous round state machine. It is single-
-// goroutine (driven by Server.Run); all concurrency lives in the per-client
-// workers feeding s.events.
+// roundEngine is the asynchronous round state machine: the round core's
+// TCP Transport. It is single-goroutine (driven by Server.Run through
+// fl.RunRounds); all concurrency lives in the per-client workers feeding
+// s.events.
 type roundEngine struct {
 	s *Server
 	// busy maps a client ID to the round of its in-flight train request.
@@ -521,195 +432,95 @@ type roundEngine struct {
 	// again, and the aggregation plane neither mutates nor retains update
 	// payloads (see fl/aggregate.go).
 	decodeBuf map[int]param.Vector
-	// eligibleCounts records each round's sampling-pool size (resume-
-	// prefix included) — the replay data a restarted server needs to
-	// reconstruct its RNG stream, carried into every checkpoint.
-	eligibleCounts []int
+	// slotOf maps the current round's participants to their ledger slots.
+	slotOf map[int]int
 	// trace is the seeded availability generator (nil without cfg.Trace).
 	trace *fl.TraceGen
-	// malicious is the accounting-only compromise set from cfg.Adversary.
-	malicious map[int]bool
-	// rec and now are the flight-recorder handle and span clock (see
-	// ServerConfig.Recorder); histRound/histTurn the latency histograms.
-	// The engine is single-goroutine, so emission order is state-machine
-	// order by construction.
-	rec                 *trace.Recorder
-	now                 func() int64
-	histRound, histTurn *obs.Histogram
 }
 
-// deliverAlerts fans one round's health alerts out to the OnAlert hook
-// and folds them into the metrics plane's alert counters and suspect
-// gauge (all nil-safe). Called from the round-engine goroutine only.
-func (s *Server) deliverAlerts(alerts []health.Alert) {
-	reg := s.cfg.Obs
-	crit := 0
-	for _, a := range alerts {
-		if a.Severity == health.SevCrit {
-			crit++
-		}
-		if s.cfg.OnAlert != nil {
-			s.cfg.OnAlert(a)
-		}
-	}
-	if len(alerts) > 0 {
-		reg.Counter(obs.CounterHealthAlerts).Add(int64(len(alerts)))
-		if crit > 0 {
-			reg.Counter(obs.CounterHealthCritical).Add(int64(crit))
-		}
-	}
-	reg.Gauge(obs.GaugeHealthSuspects).Set(int64(s.cfg.Health.SuspectCount()))
+func newRoundEngine(s *Server) *roundEngine {
+	return &roundEngine{s: s, busy: make(map[int]int), decodeBuf: make(map[int]param.Vector),
+		slotOf: make(map[int]int), trace: s.cfg.Trace.Generator(s.cfg.Seed)}
 }
 
-// eligible returns the sorted roster IDs with no in-flight request.
-func (e *roundEngine) eligible() []int {
-	all := e.s.Joined()
-	ids := all[:0]
-	for _, id := range all {
-		if _, b := e.busy[id]; !b {
-			ids = append(ids, id)
-		}
-	}
-	return ids
+func (e *roundEngine) Runtime() string { return "server" }
+func (e *roundEngine) Population() int { return e.s.cfg.NumClients }
+
+// evict is the engine's one eviction path: the client leaves the roster
+// (closing its connection) and releases its busy entry and decode buffer
+// — a full parameter vector — with it.
+func (e *roundEngine) evict(id int) {
+	delete(e.busy, id)
+	delete(e.decodeBuf, id)
+	e.s.evict(id)
 }
 
-// runRound dispatches one training round and collects updates until the
-// round closes: either every participant replied, or the deadline expired
-// with at least a quorum of updates. Updates are streamed into the
-// aggregate in canonical participant order as they become contiguous, so
-// payloads are not buffered beyond reordering needs.
-func (e *roundEngine) runRound(ctx context.Context, rng *rand.Rand, round int, global param.Vector) (fl.RoundStats, param.Vector, error) {
-	s := e.s
-	stats := fl.RoundStats{Round: round}
-	roundStart := time.Now()
-	// Uplink accounting (engine is single-goroutine, plain ints suffice):
-	// bytes as received on the wire vs. the dense-encoding baseline.
-	var wireBytes, denseBytes int64
-
-	eligible := e.eligible()
-	if len(eligible) == 0 {
-		return stats, nil, fmt.Errorf("flnet: round %d: no eligible clients", round)
-	}
-	e.eligibleCounts = append(e.eligibleCounts, len(eligible))
-	picks := fl.UniformSampler{}.Sample(rng, len(eligible), s.cfg.ClientsPerRound)
-	participants := make([]int, len(picks))
-	for i, p := range picks {
-		participants[i] = eligible[p]
-	}
-	stats.Participants = participants
-	if e.now == nil {
-		e.now = func() int64 { return 0 }
-	}
-	tsRound := e.now()
-	e.rec.Emit(trace.Event{Kind: trace.KindRoundStart, TS: tsRound, Runtime: "server",
-		Round: round, Client: -1, N: len(participants)})
-
-	// Guard the K-of-N contract: a round that cannot possibly reach the
-	// configured quorum must fail rather than silently aggregate fewer
-	// updates. (Unreachable in normal operation — every successful round
-	// frees at least Quorum responders, and Quorum ≤ ClientsPerRound is
-	// validated — but cheap insurance against invariant drift.)
-	if s.cfg.Quorum > 0 && len(participants) < s.cfg.Quorum {
-		return stats, nil, fmt.Errorf("flnet: round %d: only %d eligible participants for quorum %d: %w",
-			round, len(participants), s.cfg.Quorum, fl.ErrQuorumNotMet)
-	}
-	// Trace pre-dispatch drops: exactly one seeded draw per participant in
-	// slot order, never a rescue draw, so a resumed server can burn the
-	// identical stream knowing only the recorded pool sizes. A dropped
-	// participant becomes a straggler without ever seeing the request
-	// (evicted under StragglerDrop); a round left below max(1, Quorum)
-	// available clients fails rather than clamping.
-	skipped := make([]bool, len(participants)) // straggler or failed slots
-	nTraceDrops := 0
-	if e.trace != nil {
-		for slot, id := range participants {
-			if rng.Float64() < e.trace.DropProb(round, id) {
-				skipped[slot] = true
-				nTraceDrops++
-				stats.Stragglers = append(stats.Stragglers, id)
-				e.rec.Emit(trace.Event{Kind: trace.KindClientDrop, TS: e.now(), Runtime: "server",
-					Round: round, Client: id, Reason: trace.DropTrace})
-				if s.cfg.Straggler == fl.StragglerDrop {
-					s.evict(id)
-				}
+// Draw samples round's participants from the roster clients with no
+// in-flight request and applies the availability trace pre-dispatch:
+// exactly one seeded draw per participant in slot order, never a rescue
+// draw, so a resumed server can burn the identical stream knowing only the
+// recorded pool sizes — which is what replayPool ≥ 0 does, with slot
+// indices standing in for the (unknowable, unneeded) client IDs. A
+// dropped participant becomes a straggler without ever seeing the request
+// and is evicted under StragglerDrop.
+func (e *roundEngine) Draw(rng *rand.Rand, round, replayPool int) (sampled, live []int, pool int, err error) {
+	replay := replayPool >= 0
+	pool = replayPool
+	var eligible []int // sorted roster IDs with no in-flight request
+	if !replay {
+		roster := e.s.Joined()
+		eligible = roster[:0]
+		for _, id := range roster {
+			if _, b := e.busy[id]; !b {
+				eligible = append(eligible, id)
 			}
 		}
-		floor := s.cfg.Quorum
-		if floor < 1 {
-			floor = 1
-		}
-		if len(participants)-nTraceDrops < floor {
-			return stats, nil, fmt.Errorf("flnet: round %d: availability trace dropped %d of %d participants; need %d: %w",
-				round, nTraceDrops, len(participants), floor, fl.ErrQuorumNotMet)
+		if pool = len(eligible); pool == 0 {
+			return nil, nil, 0, errors.New("flnet: no eligible clients")
 		}
 	}
-	quorum := s.cfg.Quorum
-	if quorum == 0 {
-		quorum = len(participants) - nTraceDrops
+	sampled = fl.UniformSampler{}.Sample(rng, pool, e.s.cfg.ClientsPerRound)
+	if !replay {
+		for i, p := range sampled {
+			sampled[i] = eligible[p]
+		}
 	}
+	live = sampled
+	if e.trace != nil {
+		live = make([]int, 0, len(sampled))
+		for _, id := range sampled {
+			if u := rng.Float64(); replay || u >= e.trace.DropProb(round, id) {
+				live = append(live, id)
+			} else if e.s.cfg.Straggler == fl.StragglerDrop {
+				e.evict(id)
+			}
+		}
+	}
+	return sampled, live, pool, nil
+}
 
+// Collect dispatches the round's train requests and feeds the ledger
+// until the round closes: either every participant replied, or the
+// deadline expired with at least a quorum of updates. Updates stream into
+// the aggregate in canonical participant order as they become
+// contiguous (Round.Advance), so payloads are not buffered beyond
+// reordering needs.
+func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
+	s := e.s
 	// Dispatch. Workers are idle (we only sample non-busy clients), so the
 	// 1-slot request channels never block.
-	slotOf := make(map[int]int, len(participants))
-	dispatchTS := make([]int64, len(participants))
-	for slot, id := range participants {
-		slotOf[id] = slot
-		if skipped[slot] {
+	clear(e.slotOf)
+	for slot, id := range r.Participants() {
+		e.slotOf[id] = slot
+		if !r.Pending(slot) {
 			continue
 		}
 		h := s.handle(id)
 		if h == nil {
-			return stats, nil, fmt.Errorf("flnet: round %d: client %d vanished before dispatch", round, id)
+			return fmt.Errorf("flnet: round %d: client %d vanished before dispatch", r.Num, id)
 		}
-		dispatchTS[slot] = e.now()
-		e.rec.Emit(trace.Event{Kind: trace.KindClientDispatch, TS: dispatchTS[slot], Runtime: "server",
-			Round: round, Client: id})
-		h.req <- &Envelope{Type: MsgTrain, Round: round, Global: global, ClientID: id}
-		e.busy[id] = round
-	}
-
-	// Collect.
-	sink := fl.NewRoundSink(s.cfg.Aggregator, global)
-	var (
-		pending   = make(map[int]*fl.Update) // slot → update awaiting its turn
-		arrived   = make([]bool, len(participants))
-		cursor    = 0
-		nArrived  = 0
-		nSkipped  = nTraceDrops
-		lossSum   float64
-		nIngested = 0
-	)
-	// Per-slot loss/norm capture for the health plane (and the trace's
-	// norm stamp). Norms are measured at ingress against this round's
-	// pre-aggregation global — the update the client actually shipped —
-	// before the aggregate can dilute the attack signal.
-	healthOn := s.cfg.Health != nil
-	normOn := healthOn || e.rec != nil
-	var lossEach, normEach []float64
-	var rejectedIDs []int
-	if normOn {
-		normEach = make([]float64, len(participants))
-		lossEach = make([]float64, len(participants))
-	}
-	ingest := func() error {
-		for cursor < len(participants) {
-			if skipped[cursor] {
-				cursor++
-				continue
-			}
-			u, ok := pending[cursor]
-			if !ok {
-				break
-			}
-			if err := sink.Ingest(u); err != nil {
-				return fmt.Errorf("flnet: aggregate round %d: %w", round, err)
-			}
-			lossSum += u.TrainLoss
-			nIngested++
-			delete(pending, cursor)
-			cursor++
-		}
-		return nil
+		h.req <- &Envelope{Type: MsgTrain, Round: r.Num, Global: r.Global, ClientID: id}
+		e.busy[id] = r.Num
 	}
 	var deadlineC <-chan time.Time
 	if s.cfg.RoundDeadline > 0 {
@@ -717,219 +528,79 @@ func (e *roundEngine) runRound(ctx context.Context, rng *rand.Rand, round int, g
 		defer timer.Stop()
 		deadlineC = timer.C
 	}
-
-	// skipParticipant handles every way a client fails out of the round
-	// (transport error, client-reported error, protocol violation): it is
-	// evicted, and — when the failure belongs to this round rather than a
-	// requeued straggler's stale reply — its slot is skipped, with the
-	// round failing if the quorum became unreachable. A non-nil return is
-	// fatal to the federation.
-	skipParticipant := func(id, reqRound int, cause string) error {
-		delete(e.busy, id)
-		delete(e.decodeBuf, id)
-		s.evict(id)
-		slot, inRound := slotOf[id]
-		if !inRound || reqRound != round || arrived[slot] || skipped[slot] {
-			return nil // stale misbehavior: evicted, round unaffected
-		}
-		skipped[slot] = true
-		nSkipped++
-		stats.Stragglers = append(stats.Stragglers, id)
-		// Attribute the drop: an ingress rejection from a client in the
-		// seeded compromise set is the attack surfacing, not an accident.
-		reason := trace.DropRejected
-		if e.malicious[id] {
-			reason = trace.DropAdversarial
-		}
-		rejectedIDs = append(rejectedIDs, id)
-		e.rec.Emit(trace.Event{Kind: trace.KindClientDrop, TS: e.now(), Runtime: "server",
-			Round: round, Client: id, Reason: reason, Note: cause})
-		if len(participants)-nSkipped < quorum {
-			return fmt.Errorf("flnet: round %d: client %d %s; need %d of %d participants: %w",
-				round, id, cause, quorum, len(participants), fl.ErrQuorumNotMet)
-		}
-		return ingest()
-	}
-
-	for nArrived+nSkipped < len(participants) {
+	for r.Open() {
 		select {
 		case <-ctx.Done():
-			return stats, nil, fmt.Errorf("flnet: round %d: %w", round, ctx.Err())
-
+			return fmt.Errorf("flnet: round %d: %w", r.Num, ctx.Err())
 		case ev := <-s.events:
-			reqRound, wasBusy := e.busy[ev.id]
-			if !wasBusy {
-				continue // event from an already-evicted client
+			if err := e.onEvent(r, ev); err != nil {
+				return err
 			}
-			var err error
-			switch {
-			case ev.err != nil:
-				err = skipParticipant(ev.id, reqRound, fmt.Sprintf("failed (%v)", ev.err))
-			case ev.env.Type == MsgTrainResult:
-				delete(e.busy, ev.id) // idle again, whatever round it was for
-				if reqRound != round {
-					// A straggler's stale reply drained during this round's
-					// window: discard it, the client re-enters the pool.
-					stats.LateUpdates++
-					continue
-				}
-				u := ev.env.Update
-				if u == nil {
-					err = skipParticipant(ev.id, reqRound, "sent train-result without an update")
-					break
-				}
-				// Account wire bytes before Resolve clears the delta; the
-				// payload did cross the uplink whether or not it validates.
-				wire, wireCost := "dense", int64(8*len(u.Params))
-				if u.Delta != nil {
-					wire, wireCost = "delta", int64(u.Delta.Size())
-					wireBytes += wireCost
-					denseBytes += int64(u.Delta.DenseSize())
-				} else {
-					wireBytes += wireCost
-					denseBytes += wireCost
-				}
-				// Ingress validation: materialize a delta payload against
-				// this round's global and length-check everything before the
-				// update can reach the aggregate. A client shipping a
-				// wrong-sized or corrupt payload is evicted like any other
-				// failed participant (typed fl.ErrUpdateSize in the cause)
-				// instead of panicking the aggregator; the round survives
-				// whenever the configured quorum still can.
-				wasDelta := u.Delta != nil
-				if rerr := u.ResolveInto(global, e.decodeBuf[ev.id]); rerr != nil {
-					err = skipParticipant(ev.id, reqRound, fmt.Sprintf("rejected (%v)", rerr))
-					break
-				}
-				if wasDelta {
-					// Adopt the decoded vector as the client's buffer for its
-					// next round (first decode allocates, later ones reuse).
-					e.decodeBuf[ev.id] = u.Params
-				}
-				slot := slotOf[ev.id]
-				pending[slot] = u
-				arrived[slot] = true
-				nArrived++
-				if normOn {
-					normEach[slot] = param.L2Dist(u.Params, global)
-					lossEach[slot] = u.TrainLoss
-				}
-				tsDone := e.now()
-				e.histTurn.Observe(tsDone - dispatchTS[slot])
-				ev2 := trace.Event{Kind: trace.KindClientUpdate, TS: tsDone, Runtime: "server",
-					Round: round, Client: ev.id, Wire: wire, Bytes: wireCost,
-					Dur: tsDone - dispatchTS[slot], Loss: u.TrainLoss}
-				if normOn {
-					ev2.Norm = normEach[slot]
-				}
-				e.rec.Emit(ev2)
-				err = ingest()
-			case ev.env.Type == MsgError:
-				err = skipParticipant(ev.id, reqRound, fmt.Sprintf("reported %q", ev.env.Err))
-			default:
-				err = skipParticipant(ev.id, reqRound, fmt.Sprintf("sent %s, want train-result", ev.env.Type))
-			}
-			if err != nil {
-				return stats, nil, err
-			}
-
 		case <-deadlineC:
-			if nArrived < quorum {
-				return stats, nil, fmt.Errorf("flnet: round %d deadline (%s) with %d/%d updates: %w",
-					round, s.cfg.RoundDeadline, nArrived, quorum, fl.ErrQuorumNotMet)
+			// Quorum met: everyone unresolved becomes a straggler. Under
+			// requeue the client stays busy until its stale reply drains
+			// through a later round's collection window.
+			expired, err := r.Expire()
+			if err != nil {
+				return err
 			}
-			// Quorum met: everyone unresolved becomes a straggler.
-			stats.DeadlineExpired = true
-			for slot, id := range participants {
-				if arrived[slot] || skipped[slot] {
-					continue
+			if s.cfg.Straggler == fl.StragglerDrop {
+				for _, id := range expired {
+					e.evict(id)
 				}
-				skipped[slot] = true
-				nSkipped++
-				stats.Stragglers = append(stats.Stragglers, id)
-				e.rec.Emit(trace.Event{Kind: trace.KindClientDrop, TS: e.now(), Runtime: "server",
-					Round: round, Client: id, Reason: trace.DropStraggler})
-				if s.cfg.Straggler == fl.StragglerDrop {
-					delete(e.busy, id)
-					s.evict(id)
-				}
-				// Under requeue the client stays busy until its stale
-				// reply drains through a later round's collection window.
 			}
 		}
 	}
+	return nil
+}
 
-	if err := ingest(); err != nil {
-		return stats, nil, err
+// onEvent books one client worker's report against the round. A non-nil
+// return is fatal to the federation.
+func (e *roundEngine) onEvent(r *fl.Round, ev event) error {
+	reqRound, wasBusy := e.busy[ev.id]
+	switch {
+	case !wasBusy:
+		return nil // event from an already-evicted client
+	case ev.err != nil:
+		return e.fail(r, ev.id, reqRound, fmt.Sprintf("failed (%v)", ev.err))
+	case ev.env.Type == MsgError:
+		return e.fail(r, ev.id, reqRound, fmt.Sprintf("reported %q", ev.env.Err))
+	case ev.env.Type != MsgTrainResult:
+		return e.fail(r, ev.id, reqRound, fmt.Sprintf("sent %s, want train-result", ev.env.Type))
 	}
-	next, err := sink.Finish()
+	delete(e.busy, ev.id) // idle again, whatever round it was for
+	if reqRound != r.Num {
+		// A straggler's stale reply drained during this round's window:
+		// discard it, the client re-enters the pool.
+		r.Late()
+		return nil
+	}
+	if ev.env.Update == nil {
+		return e.fail(r, ev.id, reqRound, "sent train-result without an update")
+	}
+	// Ingress validation happens in Arrive: a client shipping a wrong-sized
+	// or corrupt payload is evicted like any other failed participant
+	// (typed fl.ErrUpdateSize in the cause) instead of panicking the
+	// aggregator; the round survives whenever the configured quorum can.
+	buf, err := r.Arrive(e.slotOf[ev.id], ev.env.Update, e.decodeBuf[ev.id])
 	if err != nil {
-		return stats, nil, fmt.Errorf("flnet: aggregate round %d: %w", round, err)
+		return e.fail(r, ev.id, reqRound, fmt.Sprintf("rejected (%v)", err))
 	}
-	if nIngested > 0 {
-		stats.MeanLoss = lossSum / float64(nIngested)
+	e.decodeBuf[ev.id] = buf
+	return r.Advance()
+}
+
+// fail handles every way a client fails out of a round (transport error,
+// client-reported error, protocol violation, rejected payload): it is
+// evicted, and — when the failure belongs to this round rather than to a
+// requeued straggler's stale request — its slot is dropped.
+func (e *roundEngine) fail(r *fl.Round, id, reqRound int, cause string) error {
+	e.evict(id)
+	slot, inRound := e.slotOf[id]
+	if !inRound || reqRound != r.Num || !r.Pending(slot) {
+		return nil // stale misbehavior: evicted, round unaffected
 	}
-	if nSkipped > 0 {
-		responders := make([]int, 0, nArrived)
-		for slot, id := range participants {
-			if arrived[slot] {
-				responders = append(responders, id)
-			}
-		}
-		stats.Responders = responders
-		sort.Ints(stats.Stragglers)
-	}
-	for slot, id := range participants {
-		if arrived[slot] && e.malicious[id] {
-			stats.AdversarialUpdates++
-		}
-	}
-	if ra, ok := s.cfg.Aggregator.(fl.RobustAggregator); ok {
-		stats.RejectedUpdates = ra.Rejected(nIngested)
-	}
-	if reg := s.cfg.Obs; reg != nil || healthOn {
-		respIDs := participants
-		if nSkipped > 0 {
-			respIDs = stats.Responders
-		}
-		sample := obs.RoundSample{
-			Runtime:            "server",
-			Round:              round,
-			Participants:       len(participants),
-			Responders:         nArrived,
-			Stragglers:         nSkipped,
-			LateUpdates:        stats.LateUpdates,
-			DeadlineExpired:    stats.DeadlineExpired,
-			AdversarialUpdates: stats.AdversarialUpdates,
-			RejectedUpdates:    stats.RejectedUpdates,
-			MeanLoss:           stats.MeanLoss,
-			UplinkWireBytes:    wireBytes,
-			UplinkDenseBytes:   denseBytes,
-			DurationMS:         time.Since(roundStart).Milliseconds(),
-		}
-		if healthOn {
-			clients := make([]obs.ClientSample, 0, nArrived)
-			for slot, id := range participants {
-				if arrived[slot] {
-					clients = append(clients, obs.ClientSample{ID: id, Loss: lossEach[slot], Norm: normEach[slot]})
-				}
-			}
-			sort.Ints(rejectedIDs)
-			sample.Clients = clients
-			sample.StragglerIDs = stats.Stragglers
-			sample.RejectedIDs = rejectedIDs
-		}
-		reg.ObserveRound(sample)
-		reg.AddParticipation(respIDs)
-		if healthOn {
-			s.deliverAlerts(s.cfg.Health.ObserveRound(sample))
-		}
-	}
-	tsEnd := e.now()
-	e.histRound.Observe(tsEnd - tsRound)
-	e.rec.Emit(trace.Event{Kind: trace.KindRoundEnd, TS: tsEnd, Runtime: "server",
-		Round: round, Client: -1, N: nArrived, Dur: tsEnd - tsRound, Loss: stats.MeanLoss})
-	return stats, next, nil
+	return r.Drop(slot, cause)
 }
 
 // drainStragglers waits for requeued stragglers' stale replies (bounded by
@@ -952,12 +623,11 @@ func (e *roundEngine) drainStragglers(ctx context.Context) error {
 			}
 			delete(e.busy, ev.id)
 			if ev.err != nil {
-				s.evict(ev.id)
+				e.evict(ev.id)
 			}
 		case <-grace.C:
 			for id := range e.busy {
-				delete(e.busy, id)
-				s.evict(id)
+				e.evict(id)
 			}
 		}
 	}
