@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate for this repo.
 #
-#   ./ci.sh          format check, vet, build, race tests, bench module, short kernel bench
+#   ./ci.sh          format check, vet, build, shuffled race tests, bench module, short kernel bench
 #
 # The quick kernel/codec/delta benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run, not to refresh the
@@ -32,8 +32,10 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== go test -race =="
-go test -race ./...
+# -shuffle=on: no test may depend on state a neighbour left behind (the
+# kernel oracle tests resize the shared worker pool and restore it).
+echo "== go test -race -shuffle=on =="
+go test -race -shuffle=on ./...
 
 # bench/ is a module of its own (replace calibre => ../) that root
 # build/vet/test do not see; it imports calibre/internal/..., so an
@@ -64,6 +66,8 @@ go run ./tools/allocsmoke
 echo "== health smoke =="
 go run ./tools/healthsmoke
 
+# The harness re-reads the file it wrote and exits non-zero if it does not
+# parse or a serial-path shape reports allocs_op > 0.
 echo "== kernel bench (quick) =="
 go run ./cmd/calibre-bench -exp kernels -quick -out "$(mktemp -d)"
 

@@ -222,5 +222,34 @@ func runKernelBench(outDir string, quick bool) error {
 		return err
 	}
 	fmt.Printf("[wrote %s]\n", path)
+	return checkKernelBenchFile(path)
+}
+
+// serialPathShape is the harness shape below the kernels' pooling
+// threshold: its products run on the calling goroutine and must not
+// allocate.
+const serialPathShape = "64x64x64"
+
+// checkKernelBenchFile re-reads what the harness just wrote, so that a run
+// (ci.sh's quick one included) fails when the file does not parse or when a
+// serial-path kernel has started allocating — the regression the training
+// hot path cannot afford, since it calls these kernels at shapes this small.
+func checkKernelBenchFile(path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var file KernelBenchFile
+	if err := json.Unmarshal(raw, &file); err != nil {
+		return fmt.Errorf("%s does not parse: %w", path, err)
+	}
+	if file.Schema != KernelBenchSchema || len(file.Records) == 0 {
+		return fmt.Errorf("%s: schema %q with %d records, want %q and at least one", path, file.Schema, len(file.Records), KernelBenchSchema)
+	}
+	for _, r := range file.Records {
+		if r.Shape == serialPathShape && r.AllocsOp > 0 {
+			return fmt.Errorf("%s: %s at serial-path shape %s allocates %d times per call, want 0", path, r.Op, r.Shape, r.AllocsOp)
+		}
+	}
 	return nil
 }

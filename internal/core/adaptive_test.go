@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"calibre/internal/eval"
+	"calibre/internal/kmeans"
 	"calibre/internal/nn"
 	"calibre/internal/ssl"
 	"calibre/internal/tensor"
@@ -180,5 +183,76 @@ func TestWarmupDelaysRegularizer(t *testing.T) {
 	}
 	if uCal2.TrainLoss == uPfl2.TrainLoss {
 		t.Fatal("post-warm-up round should include the regularizer")
+	}
+}
+
+// naiveSelectK is SelectK as first written — every candidate clustered and
+// then scored by a full kmeans.Silhouette over x — kept as the oracle for
+// the shared-distance version.
+func naiveSelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64) {
+	if n := x.Rows(); maxK > n {
+		maxK = n
+	}
+	if maxK < 2 {
+		maxK = 2
+	}
+	var best *kmeans.Result
+	bestScore := math.Inf(-1)
+	seen := map[int]bool{}
+	for _, k := range []int{2, 3, 4, 6, 8, maxK} {
+		if k > maxK || seen[k] {
+			continue
+		}
+		seen[k] = true
+		res, err := kmeans.Run(rng, x, kmeans.Config{K: k})
+		if err != nil {
+			panic(err)
+		}
+		if score := kmeans.Silhouette(x, res.Assign); score > bestScore {
+			bestScore, best = score, res
+		}
+	}
+	return best, bestScore
+}
+
+// TestSelectKMatchesNaive: computing the batch's distances once changes
+// nothing observable — same winner (assignment, centers, inertia), same
+// score, same RNG state afterwards — at the per-step and the per-client
+// problem size, for grids that end on, between and below the fixed
+// candidates, with the distance buffer on the heap and in an arena.
+func TestSelectKMatchesNaive(t *testing.T) {
+	arena := tensor.NewArena()
+	for _, shape := range []struct{ k, per, d int }{{4, 8, 24}, {5, 25, 48}} { // n = 32, n = 125
+		x, _ := blobs(rand.New(rand.NewSource(41)), shape.k, shape.per, shape.d, 3, 1)
+		for _, maxK := range []int{10, 8, 5, 3, 2, 1, 1000} {
+			for _, a := range []*tensor.Arena{nil, arena} {
+				seed := int64(100*maxK + shape.d)
+				wantRNG, gotRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want, wantScore := naiveSelectK(wantRNG, x, maxK)
+				got, gotScore, err := selectK(a, gotRNG, x, maxK)
+				if err != nil {
+					t.Fatalf("selectK(n=%d, maxK=%d): %v", x.Rows(), maxK, err)
+				}
+				if math.Float64bits(gotScore) != math.Float64bits(wantScore) ||
+					math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+					t.Fatalf("n=%d maxK=%d arena=%v: score %v inertia %v, want %v %v",
+						x.Rows(), maxK, a != nil, gotScore, got.Inertia, wantScore, want.Inertia)
+				}
+				if !reflect.DeepEqual(got.Assign, want.Assign) {
+					t.Fatalf("n=%d maxK=%d arena=%v: assignment differs", x.Rows(), maxK, a != nil)
+				}
+				for i, w := range want.Centers.Data() {
+					if math.Float64bits(got.Centers.Data()[i]) != math.Float64bits(w) {
+						t.Fatalf("n=%d maxK=%d arena=%v: center element %d differs", x.Rows(), maxK, a != nil, i)
+					}
+				}
+				if gotRNG.Int63() != wantRNG.Int63() {
+					t.Fatalf("n=%d maxK=%d arena=%v: RNG consumed differently", x.Rows(), maxK, a != nil)
+				}
+			}
+		}
+	}
+	if out := arena.Stats().Outstanding; out != 0 {
+		t.Fatalf("%d distance buffers never returned to the arena", out)
 	}
 }

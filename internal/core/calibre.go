@@ -103,6 +103,15 @@ func (o Options) Validate() error {
 // local data spans two classes gets two prototypes, not ten fragmented
 // ones — fragmentation would push same-class samples apart.
 func SelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error) {
+	res, _, err := selectK(nil, rng, x, maxK)
+	return res, err
+}
+
+// selectK is SelectK that also returns the winner's silhouette score. The
+// score depends on x only through its pairwise distances, so they are
+// computed once — into a buffer borrowed from arena (nil: the heap) — and
+// every candidate is scored from them.
+func selectK(arena *tensor.Arena, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64, error) {
 	n := x.Rows()
 	if maxK > n {
 		maxK = n
@@ -110,29 +119,31 @@ func SelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error)
 	if maxK < 2 {
 		maxK = 2
 	}
-	candidates := []int{2, 3, 4, 6, 8, maxK}
+	dist := kmeans.PairDistances(arena, x)
+	defer arena.Put(dist)
 	var best *kmeans.Result
 	bestScore := math.Inf(-1)
-	seen := make(map[int]bool, len(candidates))
-	for _, k := range candidates {
-		if k < 2 || k > maxK || seen[k] {
+	// The grid ascends up to its last entry, so maxK repeats a grid value
+	// exactly when that value was the last one tried.
+	tried := 0
+	for _, k := range [...]int{2, 3, 4, 6, 8, maxK} {
+		if k > maxK || k == tried {
 			continue
 		}
-		seen[k] = true
+		tried = k
 		res, err := kmeans.Run(rng, x, kmeans.Config{K: k})
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		score := kmeans.Silhouette(x, res.Assign)
-		if score > bestScore {
+		if score := kmeans.SilhouetteFrom(dist, res.Assign); score > bestScore {
 			bestScore = score
 			best = res
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("core: no viable cluster count up to %d", maxK)
+		return nil, 0, fmt.Errorf("core: no viable cluster count up to %d", maxK)
 	}
-	return best, nil
+	return best, bestScore, nil
 }
 
 // Regularizer computes the Calibre loss terms for one step.
@@ -193,6 +204,7 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 		}
 	}
 	var res *kmeans.Result
+	var score float64 // SelectK's silhouette of res on pairMean
 	var err error
 	if r.Opts.FixedK {
 		k := r.Opts.NumClusters
@@ -201,7 +213,7 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 		}
 		res, err = kmeans.Run(ctx.RNG, pairMean, kmeans.Config{K: k})
 	} else {
-		res, err = SelectK(ctx.RNG, pairMean, r.Opts.NumClusters)
+		res, score, err = selectK(ctx.Arena, ctx.RNG, pairMean, r.Opts.NumClusters)
 	}
 	if err != nil {
 		return nil
@@ -214,7 +226,10 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 	// batch-adaptive, per the paper's design intent.
 	gate := 1.0
 	if !r.Opts.NoQualityGate {
-		gate = kmeans.Silhouette(pairMean, res.Assign)
+		gate = score
+		if r.Opts.FixedK {
+			gate = kmeans.Silhouette(pairMean, res.Assign)
+		}
 		if gate <= 0 {
 			return nil
 		}
@@ -316,10 +331,16 @@ func confidentMembers(x, centers *tensor.Tensor, assign []int, keepFrac float64)
 // mean distance to the assigned prototype (paper §IV-B). Used as the
 // aggregation weight signal.
 func Divergence(rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error) {
+	return divergence(nil, rng, encodings, k)
+}
+
+// divergence is Divergence with SelectK's distance buffer borrowed from
+// arena (nil: the heap).
+func divergence(arena *tensor.Arena, rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error) {
 	if encodings.Rows() == 0 {
 		return 0, fmt.Errorf("core: no encodings for divergence")
 	}
-	res, err := SelectK(rng, encodings, k)
+	res, _, err := selectK(arena, rng, encodings, k)
 	if err != nil {
 		return 0, fmt.Errorf("core: divergence clustering: %w", err)
 	}

@@ -194,9 +194,50 @@ func updateCenters(rng *rand.Rand, x, centers *tensor.Tensor, assign []int, coun
 // distance and b the smallest mean distance to another cluster. Values near
 // +1 indicate crisp, well-separated clusters; near 0, overlapping ones.
 // Points in singleton clusters contribute 0. Returns 0 when fewer than two
-// clusters are populated.
+// clusters are populated. It panics when labels does not hold exactly one
+// label per row of x.
 func Silhouette(x *tensor.Tensor, labels []int) float64 {
 	n := x.Rows()
+	if len(labels) != n {
+		panic(fmt.Sprintf("kmeans: Silhouette needs one label per point, got %d labels for %d points", len(labels), n))
+	}
+	return SilhouetteFrom(PairDistances(nil, x), labels)
+}
+
+// PairDistances returns the Euclidean distance between every two rows of x,
+// for SilhouetteFrom: callers that score several labelings of one point set
+// (core.SelectK) compute the distances once. The buffer is borrowed from
+// arena (nil: the heap) and is the caller's to arena.Put. Only the strict
+// lower triangle is stored — pair (i, j), i > j, at i(i−1)/2 + j — because
+// (a−b)² and (b−a)² are the same float, so distance (j, i) is bit-identical
+// to distance (i, j).
+func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
+	n := x.Rows()
+	dist := arena.Get(n * (n - 1) / 2)
+	at := 0
+	for i := 1; i < n; i++ {
+		xi := x.Row(i)
+		for j := 0; j < i; j++ {
+			dist[at] = math.Sqrt(tensor.SqDist(xi, x.Row(j)))
+			at++
+		}
+	}
+	return dist
+}
+
+// SilhouetteFrom is Silhouette over the PairDistances of the labeled point
+// set: same value, bit for bit.
+func SilhouetteFrom(dist []float64, labels []int) float64 {
+	n := len(labels)
+	if len(dist) != n*(n-1)/2 {
+		panic(fmt.Sprintf("kmeans: SilhouetteFrom needs the %d pair distances of %d points, got %d", n*(n-1)/2, n, len(dist)))
+	}
+	between := func(i, j int) float64 {
+		if i < j {
+			i, j = j, i
+		}
+		return dist[i*(i-1)/2+j]
+	}
 	if n == 0 {
 		return 0
 	}
@@ -215,7 +256,7 @@ func Silhouette(x *tensor.Tensor, labels []int) float64 {
 	}
 	idx := make([]int, n)
 	g := 0
-	if span := maxL - minL + 1; span <= 4*n+16 {
+	if span := maxL - minL + 1; span > 0 && span <= 4*n+16 {
 		lut := make([]int, span)
 		for i := range lut {
 			lut[i] = -1
@@ -253,7 +294,7 @@ func Silhouette(x *tensor.Tensor, labels []int) float64 {
 		}
 		for _, j := range own {
 			if j != i {
-				a += dist(x, i, j)
+				a += between(i, j)
 			}
 		}
 		a /= float64(len(own) - 1)
@@ -264,7 +305,7 @@ func Silhouette(x *tensor.Tensor, labels []int) float64 {
 			}
 			var m float64
 			for _, j := range members {
-				m += dist(x, i, j)
+				m += between(i, j)
 			}
 			m /= float64(len(members))
 			if m < b {
@@ -276,10 +317,6 @@ func Silhouette(x *tensor.Tensor, labels []int) float64 {
 		}
 	}
 	return total / float64(n)
-}
-
-func dist(x *tensor.Tensor, i, j int) float64 {
-	return math.Sqrt(tensor.SqDist(x.Row(i), x.Row(j)))
 }
 
 // MeanDistanceToAssigned returns the average Euclidean distance between each

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -219,5 +220,109 @@ func TestInertiaConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// naiveSilhouette is the definition SilhouetteFrom must reproduce bit for
+// bit: every distance computed where it is used, groups in order of first
+// appearance, members in ascending index order.
+func naiveSilhouette(x *tensor.Tensor, labels []int) float64 {
+	n := x.Rows()
+	var order []int // distinct labels, by first appearance
+	members := map[int][]int{}
+	for i, l := range labels {
+		if _, ok := members[l]; !ok {
+			order = append(order, l)
+		}
+		members[l] = append(members[l], i)
+	}
+	if len(order) < 2 {
+		return 0
+	}
+	dist := func(i, j int) float64 { return math.Sqrt(tensor.SqDist(x.Row(i), x.Row(j))) }
+	var total float64
+	for i := 0; i < n; i++ {
+		own := members[labels[i]]
+		if len(own) <= 1 {
+			continue
+		}
+		var a float64
+		for _, j := range own {
+			if j != i {
+				a += dist(i, j)
+			}
+		}
+		a /= float64(len(own) - 1)
+		b := math.Inf(1)
+		for _, l := range order {
+			if l == labels[i] {
+				continue
+			}
+			var m float64
+			for _, j := range members[l] {
+				m += dist(i, j)
+			}
+			m /= float64(len(members[l]))
+			if m < b {
+				b = m
+			}
+		}
+		if denom := math.Max(a, b); denom > 0 {
+			total += (b - a) / denom
+		}
+	}
+	return total / float64(n)
+}
+
+// TestSilhouetteSharedDistancesBitIdentical: scoring from distances computed
+// once (heap or arena buffer) equals computing every distance in place, for
+// dense labels and for sparse, negative and huge ones (the map fallback).
+func TestSilhouetteSharedDistancesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	arena := tensor.NewArena()
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(60)
+		x := tensor.RandN(rng, 1, n, 1+rng.Intn(24))
+		k := 1 + rng.Intn(6)
+		values := []int{0, 1, 2, 3, 4, 5}
+		if trial%2 == 1 {
+			values = []int{-7, 3, 1 << 40, -(1 << 50), 12, math.MaxInt}
+		}
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = values[rng.Intn(k)]
+		}
+		want := naiveSilhouette(x, labels)
+		if got := Silhouette(x, labels); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Silhouette = %v, naive = %v", trial, got, want)
+		}
+		dist := PairDistances(arena, x)
+		got := SilhouetteFrom(dist, labels)
+		arena.Put(dist)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: SilhouetteFrom = %v, naive = %v", trial, got, want)
+		}
+	}
+	if out := arena.Stats().Outstanding; out != 0 {
+		t.Fatalf("%d distance buffers never returned", out)
+	}
+}
+
+// TestSilhouetteRejectsLabelCountMismatch: too few labels used to die on a
+// bare index error deep in the grouping loop, too many silently scored a
+// prefix; both are now refused at entry, naming the two lengths.
+func TestSilhouetteRejectsLabelCountMismatch(t *testing.T) {
+	x := tensor.RandN(rand.New(rand.NewSource(32)), 1, 4, 2)
+	for _, labels := range [][]int{nil, {0, 1}, {0, 1, 0, 1, 0}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("kmeans: Silhouette needs one label per point, got %d labels for 4 points", len(labels))
+				if msg != want {
+					t.Fatalf("%d labels: panic %q, want %q", len(labels), msg, want)
+				}
+			}()
+			Silhouette(x, labels)
+		}()
 	}
 }

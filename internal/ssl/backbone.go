@@ -98,6 +98,11 @@ type StepContext struct {
 	View1, View2 *tensor.Tensor // augmented input views (N×inputDim)
 	Z1, Z2       *nn.Node       // encoder outputs (N×featDim)
 	H1, H2       *nn.Node       // projector outputs (N×projDim)
+
+	// Arena, when non-nil, is the arena behind the step's tape: a loss hook
+	// may borrow scratch from it for the duration of its call (Get … Put).
+	// A nil arena degrades to the heap, like every *tensor.Arena.
+	Arena *tensor.Arena
 }
 
 // NewStepContext performs the shared forward passes for a pair of views.

@@ -7,6 +7,7 @@ import (
 
 	"calibre/internal/data"
 	"calibre/internal/nn"
+	"calibre/internal/tensor"
 )
 
 // Standard hyperparameters shared by the experiments (paper §V-A).
@@ -102,9 +103,11 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 	opt := nn.NewSGD(t, cfg.LR, cfg.Momentum, 0)
 	stepsPerEpoch := (len(rows) + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, len(rows), cfg.BatchSize)
+	var arena *tensor.Arena
 	var tape *nn.Tape
 	if !cfg.NoArena {
-		tape = nn.NewTape(t.Arena())
+		arena = t.Arena()
+		tape = nn.NewTape(arena)
 	}
 	var totalLoss float64
 	var steps int
@@ -120,6 +123,7 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 			}
 			v1, v2 := cfg.Augment.TwoViews(rng, batchRows)
 			ctx := NewStepContextOn(tape, rng, t.Backbone, v1, v2)
+			ctx.Arena = arena
 			loss := t.Method.Loss(ctx)
 			if hook != nil {
 				loss = hook(ctx, loss)

@@ -2,40 +2,65 @@ package tensor
 
 import "fmt"
 
-// The MatMul family is the hot path of every SSL forward/backward pass, so
-// it comes in three layers:
+// The MatMul family is the hot path of every SSL forward/backward pass.
+// All three products run on two micro-kernels, each restricted to a
+// contiguous range of output rows:
 //
-//  1. Serial reference kernels (MatMulSerialInto and friends): the naive
-//     ikj loops. They define the bit-for-bit semantics of every kernel.
-//  2. Cache-blocked tile kernels (matMul*Range): the same accumulation
-//     order as the references, restricted to a contiguous range of output
-//     rows and tiled over blockI×blockK so the working set stays in cache.
-//  3. Parallel dispatch (MatMulInto and friends): splits the output rows
-//     across the shared worker pool (see pool.go). Small problems take the
-//     serial reference directly, so tiny matrices never pay goroutine or
-//     tiling overhead.
+//  1. mulRowsRange, the fused row kernel behind a·b and aᵀ·b. Both products
+//     are, per output row, orow += Σ_p coef_p·b[p,:] with coef_p = a[i,p]
+//     resp. a[p,i], and both skip coef_p == 0 (ReLU activations make a
+//     sparse, and 0·Inf must never be formed). The kernel compresses the
+//     non-zero coefficients of a block of blockK values of p once — one
+//     data-dependent branch per (i,p), amortised over n — and then streams
+//     orow with four b rows fused per pass,
+//     orow[j] = (((orow[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) + c3·b3[j],
+//     which is the same left-to-right chain of roundings as four separate
+//     orow[j] += c·b[j] sweeps but loads and stores orow once instead of
+//     four times.
+//  2. matMulTransBRange, a 2×4 register tile behind a·bᵀ. Rows of both
+//     operands are contiguous, so two a rows meet four b rows in eight
+//     independent accumulators, each a plain dot product over ascending p.
+//
+// The serial entries (MatMulSerialInto and friends) are those kernels over
+// the full row range; the public entries (MatMulInto and friends) split the
+// rows across the shared worker pool (see pool.go) once a product is large
+// enough to amortise dispatch.
 //
 // Determinism guarantee: every output element is produced by exactly one
-// goroutine, accumulating over the inner dimension in ascending order with
-// a single accumulator — the same order as the serial references. Parallel
-// and serial kernels therefore return bit-identical results for any worker
-// count, which the property tests in matmul_test.go assert exactly (0 ULP).
+// goroutine, in a single accumulator, summing over the inner dimension in
+// ascending order and skipping exactly the terms whose coefficient is zero
+// — the order of the naive triple loops, which live on in matmul_oracle_test.go
+// as the oracle. Fusing, tiling and row splitting only change which
+// elements are in flight together, never the order of one element's
+// roundings, so results are bit-identical for any worker count and to the
+// naive loops (0 ULP, special values included), which the property and
+// fuzz tests assert exactly.
 
 const (
-	// serialFLOPs is the m·k·n product below which the serial reference
-	// kernel is used directly. 64×64×64 (= 1<<18) lands on the serial
-	// path; 128³ and up go parallel. Compared in int64 so the product
-	// cannot wrap on 32-bit architectures.
-	serialFLOPs int64 = 1 << 18
+	// serialFLOPs is the m·k·n product up to which a product runs on the
+	// calling goroutine alone. Measured with the kernels below on two
+	// cores (fastest of N, serial against a two-way split): waking a pool
+	// worker costs some tens of microseconds, so up to ≈ 1.2M
+	// multiply-adds (≈ 250 µs serial) the split only breaks even
+	// (0.92–1.04×) and from 128³ up it pays (1.35–1.5×, 1.7–1.9× at the
+	// wide model's 32×1024×256). The constant sits at the low edge of the
+	// break-even band — twice the value the scalar kernels had, which ran
+	// at half the speed. The federation's small-batch products (32 rows by
+	// at most 96×48) stay serial and allocation-free. Compared in int64 so
+	// the product cannot wrap on 32-bit architectures.
+	serialFLOPs int64 = 1 << 19
 
-	// blockI×blockK is the tile shape: blockK rows of b (or a for the
-	// transposed variants) are streamed against blockI output rows, so a
-	// tile of roughly blockK·n floats is reused blockI times while hot.
-	blockI = 64
+	// blockK is how many values of the inner index p the row kernel
+	// compresses per pass: blockK rows of b stay hot while every output
+	// row of the range consumes them, and the non-zero coefficients of one
+	// pass live in a fixed-size stack buffer.
 	blockK = 64
 
 	// minRowsPerTask bounds how finely parallelRows may split the output,
-	// keeping per-task work large enough to amortize dispatch.
+	// keeping per-task work large enough to amortize dispatch (and whole
+	// 2-row tiles in every task of the a·bᵀ kernel). Re-measured with
+	// serialFLOPs: 4, 8 and 16 are indistinguishable at the 32-row batches
+	// every workload trains on.
 	minRowsPerTask = 8
 )
 
@@ -54,200 +79,176 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
+// serialSized reports whether an m×k×n product with m output rows should run
+// on the calling goroutine alone instead of being split across the pool.
+func serialSized(m, k, n int) bool {
+	return int64(m)*int64(k)*int64(n) <= serialFLOPs || m < 2*minRowsPerTask || Workers() == 1
+}
+
 // MatMulInto computes out = a·b assuming shapes are already compatible.
 // It is the allocation-free core used by MatMul and by the autograd backward
 // passes. out must not alias a or b. Results are bit-identical to
 // MatMulSerialInto for any worker-pool size.
 func MatMulInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if int64(m)*int64(k)*int64(n) <= serialFLOPs || m < 2*minRowsPerTask || Workers() == 1 {
-		MatMulSerialInto(out, a, b)
+	m := a.shape[0]
+	if serialSized(m, a.shape[1], b.shape[1]) {
+		matMulRange(out, a, b, 0, m)
 		return
 	}
-	parallelRows(m, minRowsPerTask, func(lo, hi int) {
-		matMulRange(out, a, b, lo, hi)
-	})
+	parallelRows(m, minRowsPerTask, func(lo, hi int) { matMulRange(out, a, b, lo, hi) })
 }
 
 // MatMulTransAInto computes out = aᵀ·b where a is (k×m), b is (k×n),
 // out is (m×n). Used by Linear backward for weight gradients. Results are
 // bit-identical to MatMulTransASerialInto for any worker-pool size.
 func MatMulTransAInto(out, a, b *Tensor) {
-	k, m := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if int64(k)*int64(m)*int64(n) <= serialFLOPs || m < 2*minRowsPerTask || Workers() == 1 {
-		MatMulTransASerialInto(out, a, b)
+	m := a.shape[1]
+	if serialSized(m, a.shape[0], b.shape[1]) {
+		matMulTransARange(out, a, b, 0, m)
 		return
 	}
-	parallelRows(m, minRowsPerTask, func(lo, hi int) {
-		matMulTransARange(out, a, b, lo, hi)
-	})
+	parallelRows(m, minRowsPerTask, func(lo, hi int) { matMulTransARange(out, a, b, lo, hi) })
 }
 
 // MatMulTransBInto computes out = a·bᵀ where a is (m×k), b is (n×k),
 // out is (m×n). Used by Linear backward for input gradients. Results are
 // bit-identical to MatMulTransBSerialInto for any worker-pool size.
 func MatMulTransBInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	if int64(m)*int64(k)*int64(n) <= serialFLOPs || m < 2*minRowsPerTask || Workers() == 1 {
-		MatMulTransBSerialInto(out, a, b)
+	m := a.shape[0]
+	if serialSized(m, a.shape[1], b.shape[0]) {
+		matMulTransBRange(out, a, b, 0, m)
 		return
 	}
-	parallelRows(m, minRowsPerTask, func(lo, hi int) {
-		matMulTransBRange(out, a, b, lo, hi)
-	})
+	parallelRows(m, minRowsPerTask, func(lo, hi int) { matMulTransBRange(out, a, b, lo, hi) })
 }
 
-// --- Serial references ------------------------------------------------------
-
-// MatMulSerialInto is the single-threaded reference for MatMulInto. It is
-// exported so benchmarks and property tests can compare the parallel kernels
+// MatMulSerialInto is MatMulInto on the calling goroutine alone. It is
+// exported so benchmarks and property tests can compare the pooled path
 // against it; production code should call MatMulInto.
-func MatMulSerialInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	out.Zero()
-	// ikj loop order: stream through b rows for cache friendliness.
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b.data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
+func MatMulSerialInto(out, a, b *Tensor) { matMulRange(out, a, b, 0, a.shape[0]) }
 
-// MatMulTransASerialInto is the single-threaded reference for
-// MatMulTransAInto.
-func MatMulTransASerialInto(out, a, b *Tensor) {
-	k, m := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	out.Zero()
-	for p := 0; p < k; p++ {
-		arow := a.data[p*m : (p+1)*m]
-		brow := b.data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			orow := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-}
+// MatMulTransASerialInto is MatMulTransAInto on the calling goroutine alone.
+func MatMulTransASerialInto(out, a, b *Tensor) { matMulTransARange(out, a, b, 0, a.shape[1]) }
 
-// MatMulTransBSerialInto is the single-threaded reference for
-// MatMulTransBInto.
-func MatMulTransBSerialInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			var s float64
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
-		}
-	}
-}
+// MatMulTransBSerialInto is MatMulTransBInto on the calling goroutine alone.
+func MatMulTransBSerialInto(out, a, b *Tensor) { matMulTransBRange(out, a, b, 0, a.shape[0]) }
 
-// --- Cache-blocked tile kernels ---------------------------------------------
-
-// matMulRange computes rows [lo, hi) of out = a·b, tiled blockI×blockK.
-// For each output element the inner dimension is accumulated in ascending
-// order (tiles ascend, and p ascends within a tile), matching the serial
-// reference bit for bit.
+// matMulRange computes rows [lo, hi) of out = a·b: coefficient (i, p) is
+// a[i·k + p].
 func matMulRange(out, a, b *Tensor, lo, hi int) {
 	k := a.shape[1]
-	n := b.shape[1]
-	for i0 := lo; i0 < hi; i0 += blockI {
-		i1 := min(i0+blockI, hi)
-		for i := i0; i < i1; i++ {
-			clear(out.data[i*n : (i+1)*n])
-		}
-		for p0 := 0; p0 < k; p0 += blockK {
-			p1 := min(p0+blockK, k)
-			for i := i0; i < i1; i++ {
-				arow := a.data[i*k : (i+1)*k]
-				orow := out.data[i*n : (i+1)*n]
-				for p := p0; p < p1; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := b.data[p*n : (p+1)*n]
-					for j := 0; j < n; j++ {
-						orow[j] += av * brow[j]
-					}
-				}
-			}
-		}
-	}
+	mulRowsRange(out.data, a.data, b.data, k, b.shape[1], k, 1, lo, hi)
 }
 
-// matMulTransARange computes rows [lo, hi) of out = aᵀ·b (a is k×m).
+// matMulTransARange computes rows [lo, hi) of out = aᵀ·b (a is k×m):
+// coefficient (i, p) is a[p·m + i].
 func matMulTransARange(out, a, b *Tensor, lo, hi int) {
 	k, m := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	for i := lo; i < hi; i++ {
-		clear(out.data[i*n : (i+1)*n])
-	}
-	for i0 := lo; i0 < hi; i0 += blockI {
-		i1 := min(i0+blockI, hi)
-		for p0 := 0; p0 < k; p0 += blockK {
-			p1 := min(p0+blockK, k)
-			for p := p0; p < p1; p++ {
-				arow := a.data[p*m : (p+1)*m]
-				brow := b.data[p*n : (p+1)*n]
-				for i := i0; i < i1; i++ {
-					av := arow[i]
-					if av == 0 {
-						continue
-					}
-					orow := out.data[i*n : (i+1)*n]
-					for j := 0; j < n; j++ {
-						orow[j] += av * brow[j]
-					}
+	mulRowsRange(out.data, a.data, b.data, k, b.shape[1], 1, m, lo, hi)
+}
+
+// mulRowsRange is the fused row kernel: for every output row i in [lo, hi),
+// out[i,:] = Σ_p coef(i,p)·b[p,:] over ascending p, skipping zero
+// coefficients, where coef(i,p) = a[i·strideI + p·strideP] and b is k×n.
+// p advances in blocks of blockK so that a block of b rows is reused by the
+// whole row range while hot; within a block each row's non-zero
+// coefficients are compressed once and then applied four b rows per pass
+// over orow. Every orow[j] still receives its terms one at a time, in
+// ascending p, through a single accumulator.
+func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
+	clear(out[lo*n : hi*n])
+	var (
+		coef [blockK]float64
+		brow [blockK]int // offset of the coefficient's b row
+	)
+	for p0 := 0; p0 < k; p0 += blockK {
+		p1 := min(p0+blockK, k)
+		for i := lo; i < hi; i++ {
+			nz := 0
+			for p, at := p0, i*strideI+p0*strideP; p < p1; p, at = p+1, at+strideP {
+				if c := a[at]; c != 0 {
+					coef[nz], brow[nz] = c, p*n
+					nz++
+				}
+			}
+			orow := out[i*n : (i+1)*n]
+			q := 0
+			for ; q+4 <= nz; q += 4 {
+				c0, c1, c2, c3 := coef[q], coef[q+1], coef[q+2], coef[q+3]
+				b0 := b[brow[q]:][:len(orow)]
+				b1 := b[brow[q+1]:][:len(orow)]
+				b2 := b[brow[q+2]:][:len(orow)]
+				b3 := b[brow[q+3]:][:len(orow)]
+				for j := range orow {
+					orow[j] = (((orow[j] + c0*b0[j]) + c1*b1[j]) + c2*b2[j]) + c3*b3[j]
+				}
+			}
+			for ; q < nz; q++ {
+				c0 := coef[q]
+				b0 := b[brow[q]:][:len(orow)]
+				for j := range orow {
+					orow[j] += c0 * b0[j]
 				}
 			}
 		}
 	}
 }
 
-// matMulTransBRange computes rows [lo, hi) of out = a·bᵀ (b is n×k). Each
-// dot product keeps a single accumulator over ascending p, exactly like the
-// serial reference; tiling only reorders which (i, j) cells are visited.
-func matMulTransBRange(out, a, b *Tensor, lo, hi int) {
-	k := a.shape[1]
-	n := b.shape[0]
-	for i0 := lo; i0 < hi; i0 += blockI {
-		i1 := min(i0+blockI, hi)
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			for i := i0; i < i1; i++ {
-				arow := a.data[i*k : (i+1)*k]
-				var s float64
-				for p := 0; p < k; p++ {
-					s += arow[p] * brow[p]
-				}
-				out.data[i*n+j] = s
+// matMulTransBRange is the a·bᵀ register tile: rows [lo, hi) of
+// out[i,j] = Σ_p a[i,p]·b[j,p] with a m×k and b n×k. Two a rows meet four
+// b rows in eight accumulators, so every loaded value feeds two or four
+// multiply-adds; each accumulator is one output element's plain dot product
+// over ascending p (no zero skip — this product never had one). A trailing
+// odd row and a trailing <4 columns fall to dotRow, the same dot product
+// one element at a time.
+func matMulTransBRange(outT, aT, bT *Tensor, lo, hi int) {
+	out, a, b := outT.data, aT.data, bT.data
+	k, n := aT.shape[1], bT.shape[0]
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		a0 := a[i*k : (i+1)*k]
+		a1 := a[(i+1)*k:][:len(a0)]
+		o0 := out[i*n : (i+1)*n]
+		o1 := out[(i+1)*n : (i+2)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k:][:len(a0)]
+			b1 := b[(j+1)*k:][:len(a0)]
+			b2 := b[(j+2)*k:][:len(a0)]
+			b3 := b[(j+3)*k:][:len(a0)]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
 			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
 		}
+		dotRow(o0, a0, b, j)
+		dotRow(o1, a1, b, j)
+	}
+	if i < hi {
+		dotRow(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, 0)
+	}
+}
+
+// dotRow fills orow[j0:] with the dot products of arow and rows j0… of b
+// (row length len(arow)): the scalar tail of matMulTransBRange.
+func dotRow(orow, arow, b []float64, j0 int) {
+	for j := j0; j < len(orow); j++ {
+		brow := b[j*len(arow):][:len(arow)]
+		var s float64
+		for p, x := range arow {
+			s += x * brow[p]
+		}
+		orow[j] = s
 	}
 }

@@ -104,15 +104,15 @@ func TestParallelKernelsMatchSerialBitwise(t *testing.T) {
 }
 
 // TestParallelKernelsRaggedTileEdges pins down shapes that straddle the
-// blockI/blockK tile boundaries (one less, exact, one more), where an
+// blockK block boundaries (one less, exact, one more), where an
 // off-by-one in the range math would corrupt edge rows or columns.
 func TestParallelKernelsRaggedTileEdges(t *testing.T) {
 	forceWorkers(t, 3)
 	rng := rand.New(rand.NewSource(12))
-	sizes := []int{1, 7, blockI - 1, blockI, blockI + 1, 2*blockK + 17}
+	sizes := []int{1, 7, blockK - 1, blockK, blockK + 1, 2*blockK + 17}
 	for _, m := range sizes {
 		for _, k := range sizes {
-			for _, n := range []int{1, blockI - 1, blockI + 1} {
+			for _, n := range []int{1, blockK - 1, blockK + 1} {
 				a := randMat(rng, m, k)
 				b := randMat(rng, k, n)
 				want, got := New(m, n), New(m, n)

@@ -10,23 +10,24 @@
 //
 // # Parallel kernels
 //
-// The MatMul family (MatMulInto, MatMulTransAInto, MatMulTransBInto) is
-// cache-blocked and goroutine-parallel: large products are tiled and their
-// output rows split across a package-level worker pool (see matmul.go and
+// The MatMul family (MatMulInto, MatMulTransAInto, MatMulTransBInto) runs
+// on two order-preserving micro-kernels — a fused row kernel for a·b and
+// aᵀ·b, a 2×4 register tile for a·bᵀ (see matmul.go) — and splits the
+// output rows of large products across a package-level worker pool (see
 // pool.go). The pool is shared by every kernel call in the process and is
 // sized by GOMAXPROCS, overridable with SetWorkers or the
 // CALIBRE_KERNEL_WORKERS environment variable — so caller-level concurrency
 // (for example internal/fl training many clients at once) composes with
 // kernel parallelism without oversubscribing the CPU. Products below a size
-// threshold run the serial reference kernels directly.
+// threshold run on the calling goroutine alone.
 //
 // # Determinism
 //
-// Parallel kernels are bit-for-bit identical to the serial references
-// (MatMulSerialInto and friends) for any worker count: each output element
-// is produced by exactly one goroutine, reducing over the inner dimension
-// in the same fixed order as the serial code. Changing worker counts never
-// changes results. (Across different architectures the usual Go caveat
+// Pooled kernels are bit-for-bit identical to the serial entries
+// (MatMulSerialInto and friends) for any worker count, and both to the
+// naive triple loops: each output element is produced by exactly one
+// goroutine, in one accumulator, reducing over the inner dimension in
+// ascending order. Changing worker counts never changes results. (Across different architectures the usual Go caveat
 // applies — the compiler may fuse multiply-adds, so bit-identity is
 // guaranteed per build, not between, say, amd64 and arm64 binaries.)
 package tensor
