@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate for this repo.
 #
-#   ./ci.sh          format check, vet, build, shuffled race tests, bench module, short kernel bench
+#   ./ci.sh          format check, vet, build, shuffled race tests, portable-kernel tests,
+#                    cross builds, bench module, short kernel bench
 #
 # The quick kernel/codec/delta benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run, not to refresh the
@@ -37,6 +38,22 @@ go build ./...
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
+# The row primitives of internal/tensor have an AVX2 assembly body and a
+# portable Go body that must agree bit for bit. On an AVX2 host the default
+# build tests both (the tests flip the package's switch); the purego tag
+# builds the package without the assembly, so the portable path is also held
+# to the oracle as the only path, and nn's bit-identity tests run on it.
+echo "== go test -tags purego (portable kernels) =="
+go test -tags purego ./internal/tensor/... ./internal/nn/...
+
+# The fallback must compile where the assembly does not exist. (go vet's
+# asmdecl check, in the vet step above, holds the amd64 assembly to its Go
+# declarations.)
+echo "== cross builds without the assembly =="
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor/
+GOARCH=386 go build ./internal/tensor/
+
 # bench/ is a module of its own (replace calibre => ../) that root
 # build/vet/test do not see; it imports calibre/internal/..., so an
 # internal API change that stops the frozen benchmark compiling would
@@ -67,7 +84,8 @@ echo "== health smoke =="
 go run ./tools/healthsmoke
 
 # The harness re-reads the file it wrote and exits non-zero if it does not
-# parse or a serial-path shape reports allocs_op > 0.
+# parse, does not record kernel_impl, or a serial-path shape reports
+# allocs_op > 0.
 echo "== kernel bench (quick) =="
 go run ./cmd/calibre-bench -exp kernels -quick -out "$(mktemp -d)"
 

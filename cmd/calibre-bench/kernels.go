@@ -33,11 +33,15 @@ const KernelBenchSchema = "calibre/bench-kernels/v1"
 
 // KernelBenchFile is the top-level layout of BENCH_kernels.json.
 type KernelBenchFile struct {
-	Schema     string              `json:"schema"`
-	GOOS       string              `json:"goos"`
-	GOARCH     string              `json:"goarch"`
-	GOMaxProcs int                 `json:"gomaxprocs"`
-	Workers    int                 `json:"workers"`
+	Schema     string `json:"schema"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMaxProcs int    `json:"gomaxprocs"`
+	Workers    int    `json:"workers"`
+	// KernelImpl is which implementation of tensor's row primitives the
+	// measured process ran: "avx2" (the amd64 assembly) or "generic" (the
+	// portable loops). Timings from the two are not comparable.
+	KernelImpl string              `json:"kernel_impl"`
 	Note       string              `json:"note,omitempty"`
 	Records    []KernelBenchRecord `json:"records"`
 }
@@ -194,6 +198,7 @@ func runKernelBench(outDir string, quick bool) error {
 		GOARCH:     runtime.GOARCH,
 		GOMaxProcs: runtime.GOMAXPROCS(0),
 		Workers:    workers,
+		KernelImpl: tensor.KernelImpl(),
 	}
 	if file.GOMaxProcs == 1 {
 		file.Note = "recorded on a single-core host: pool workers time-slice one core, so speedup_vs_serial reflects overhead, not parallelism"
@@ -204,7 +209,7 @@ func runKernelBench(outDir string, quick bool) error {
 		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds", flRound),
 	)
 
-	fmt.Printf("kernel bench: %s/%s gomaxprocs=%d workers=%d\n", file.GOOS, file.GOARCH, file.GOMaxProcs, file.Workers)
+	fmt.Printf("kernel bench: %s/%s gomaxprocs=%d workers=%d kernel_impl=%s\n", file.GOOS, file.GOARCH, file.GOMaxProcs, file.Workers, file.KernelImpl)
 	fmt.Printf("%-14s %-24s %12s %12s %8s %8s\n", "op", "shape", "ns/op", "serial", "allocs", "speedup")
 	for _, r := range file.Records {
 		fmt.Printf("%-14s %-24s %12d %12d %8d %7.2fx\n", r.Op, r.Shape, r.NsOp, r.SerialNsOp, r.AllocsOp, r.SpeedupVsSerial)
@@ -231,8 +236,9 @@ func runKernelBench(outDir string, quick bool) error {
 const serialPathShape = "64x64x64"
 
 // checkKernelBenchFile re-reads what the harness just wrote, so that a run
-// (ci.sh's quick one included) fails when the file does not parse or when a
-// serial-path kernel has started allocating — the regression the training
+// (ci.sh's quick one included) fails when the file does not parse, does not
+// name the kernel implementation it timed, or when a serial-path kernel has
+// started allocating — the regression the training
 // hot path cannot afford, since it calls these kernels at shapes this small.
 func checkKernelBenchFile(path string) error {
 	raw, err := os.ReadFile(path)
@@ -245,6 +251,9 @@ func checkKernelBenchFile(path string) error {
 	}
 	if file.Schema != KernelBenchSchema || len(file.Records) == 0 {
 		return fmt.Errorf("%s: schema %q with %d records, want %q and at least one", path, file.Schema, len(file.Records), KernelBenchSchema)
+	}
+	if file.KernelImpl != "avx2" && file.KernelImpl != "generic" {
+		return fmt.Errorf("%s: kernel_impl is %q, want \"avx2\" or \"generic\": the file must say which row primitives it timed", path, file.KernelImpl)
 	}
 	for _, r := range file.Records {
 		if r.Shape == serialPathShape && r.AllocsOp > 0 {

@@ -540,3 +540,33 @@ func TestHotpathHarnessEmitsGoldenSchema(t *testing.T) {
 	}
 	warnEnvMismatch(t, filepath.Join(dir, "BENCH_hotpath.json"), filepath.Join("..", "..", "BENCH_hotpath.json"))
 }
+
+// TestKernelBenchFileNamesItsImplementation pins the kernel_impl field: the
+// re-read the harness ends on rejects a file that does not say which row
+// primitives it timed, and the committed BENCH_kernels.json passes it.
+func TestKernelBenchFileNamesItsImplementation(t *testing.T) {
+	committed := filepath.Join("..", "..", "BENCH_kernels.json")
+	if err := checkKernelBenchFile(committed); err != nil {
+		t.Fatalf("committed file: %v", err)
+	}
+	raw, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "kernel_impl")
+	stripped, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_kernels.json")
+	if err := os.WriteFile(path, stripped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkKernelBenchFile(path); err == nil || !strings.Contains(err.Error(), "kernel_impl") {
+		t.Fatalf("file without kernel_impl: err = %v, want a kernel_impl error", err)
+	}
+}

@@ -27,6 +27,10 @@ type File struct {
 	// Workers is the kernel-pool size; 0 when the harness does not record
 	// one (codec, sweep).
 	Workers int
+	// KernelImpl is which implementation of tensor's row primitives the
+	// harness timed ("avx2" or "generic"); empty when the harness does not
+	// record one.
+	KernelImpl string
 	// Note carries the harness's environment caveat, when present (e.g.
 	// the single-core recording note).
 	Note string
@@ -58,6 +62,7 @@ func Read(path string) (*File, error) {
 	f.GOOS = str("goos")
 	f.GOARCH = str("goarch")
 	f.Note = str("note")
+	f.KernelImpl = str("kernel_impl")
 	_ = json.Unmarshal(fields["gomaxprocs"], &f.GOMaxProcs)
 	_ = json.Unmarshal(fields["workers"], &f.Workers)
 	if f.Schema == "" || f.GOMaxProcs < 1 {
@@ -78,6 +83,9 @@ func (f *File) Env() string {
 	s := fmt.Sprintf("%s/%s gomaxprocs=%d", f.GOOS, f.GOARCH, f.GOMaxProcs)
 	if f.Workers > 0 {
 		s += fmt.Sprintf(" workers=%d", f.Workers)
+	}
+	if f.KernelImpl != "" {
+		s += " kernel_impl=" + f.KernelImpl
 	}
 	return s
 }
@@ -108,6 +116,9 @@ func EnvMismatch(a, b *File) []string {
 	}
 	if a.Workers > 0 && b.Workers > 0 && a.Workers != b.Workers {
 		warns = append(warns, fmt.Sprintf("kernel pool workers %d vs %d", a.Workers, b.Workers))
+	}
+	if a.KernelImpl != "" && b.KernelImpl != "" && a.KernelImpl != b.KernelImpl {
+		warns = append(warns, fmt.Sprintf("row primitives %s vs %s — kernel timings are not comparable", a.KernelImpl, b.KernelImpl))
 	}
 	return warns
 }

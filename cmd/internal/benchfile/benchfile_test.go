@@ -58,4 +58,12 @@ func TestEnvMismatch(t *testing.T) {
 	if warns := EnvMismatch(a, b); len(warns) != 2 {
 		t.Fatalf("want schema + gomaxprocs warnings, got %v", warns)
 	}
+	a.KernelImpl, b.KernelImpl = "avx2", ""
+	if warns := EnvMismatch(a, b); len(warns) != 2 {
+		t.Fatalf("an envelope that records no kernel_impl must not warn about it, got %v", warns)
+	}
+	b.KernelImpl = "generic"
+	if warns := EnvMismatch(a, b); len(warns) != 3 {
+		t.Fatalf("want schema + gomaxprocs + kernel_impl warnings, got %v", warns)
+	}
 }

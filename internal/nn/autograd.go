@@ -255,16 +255,16 @@ func MatMul(a, b *Node) *Node {
 		panic(fmt.Sprintf("nn: MatMul shape %v · %v", a.Value.Shape(), b.Value.Shape()))
 	}
 	tp := tapeOf(a, b)
-	v := tp.alloc(a.Value.Rows(), b.Value.Cols())
+	v := tp.allocUninit(a.Value.Rows(), b.Value.Cols())
 	tensor.MatMulInto(v, a.Value, b.Value)
 	return newOp(v, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			tmp := tp.allocLike(a.Value)
+			tmp := tp.allocLikeUninit(a.Value)
 			tensor.MatMulTransBInto(tmp, g, b.Value) // g·bᵀ
 			mustAddScaled(a.Grad(), tmp, 1)
 		}
 		if b.requiresGrad {
-			tmp := tp.allocLike(b.Value)
+			tmp := tp.allocLikeUninit(b.Value)
 			tensor.MatMulTransAInto(tmp, a.Value, g) // aᵀ·g
 			mustAddScaled(b.Grad(), tmp, 1)
 		}
@@ -280,16 +280,16 @@ func MatMulTransB(a, b *Node) *Node {
 		panic(fmt.Sprintf("nn: MatMulTransB inner dims %d vs %d", a.Value.Cols(), b.Value.Cols()))
 	}
 	tp := tapeOf(a, b)
-	v := tp.alloc(m, n)
+	v := tp.allocUninit(m, n)
 	tensor.MatMulTransBInto(v, a.Value, b.Value)
 	return newOp(v, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			tmp := tp.allocLike(a.Value)
+			tmp := tp.allocLikeUninit(a.Value)
 			tensor.MatMulInto(tmp, g, b.Value) // g·b
 			mustAddScaled(a.Grad(), tmp, 1)
 		}
 		if b.requiresGrad {
-			tmp := tp.allocLike(b.Value)
+			tmp := tp.allocLikeUninit(b.Value)
 			tensor.MatMulTransAInto(tmp, g, a.Value) // gᵀ·a
 			mustAddScaled(b.Grad(), tmp, 1)
 		}

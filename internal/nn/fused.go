@@ -50,7 +50,7 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 		panic(fmt.Sprintf("nn: LinearAct bias has %d elements, want %d", bias.Value.Len(), n))
 	}
 	tp := tapeOf(x, w, bias)
-	y := tp.alloc(m, n)
+	y := tp.allocUninit(m, n)
 	tensor.MatMulInto(y, x.Value, w.Value)
 	yd := y.Data()
 	bd := bias.Value.Data()
@@ -80,7 +80,8 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 		if act != ActNone {
 			// ReLU's pre-activation sign is recoverable from the output
 			// (y>0 ⇔ pre>0) and Tanh's derivative uses the output, so no
-			// pre-activation tensor needs to be kept.
+			// pre-activation tensor needs to be kept. Zeroed, not uninit:
+			// the ReLU branch writes gPre only where y > 0.
 			gPre = tp.alloc(m, n)
 			pd, gd := gPre.Data(), g.Data()
 			switch act {
@@ -107,12 +108,12 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 			}
 		}
 		if x.requiresGrad {
-			tmp := tp.allocLike(x.Value)
+			tmp := tp.allocLikeUninit(x.Value)
 			tensor.MatMulTransBInto(tmp, gPre, w.Value) // gPre·Wᵀ
 			mustAddScaled(x.Grad(), tmp, 1)
 		}
 		if w.requiresGrad {
-			tmp := tp.allocLike(w.Value)
+			tmp := tp.allocLikeUninit(w.Value)
 			tensor.MatMulTransAInto(tmp, x.Value, gPre) // xᵀ·gPre
 			mustAddScaled(w.Grad(), tmp, 1)
 		}

@@ -60,11 +60,7 @@ func (tp *Tape) alloc(shape ...int) *tensor.Tensor {
 	if tp == nil {
 		return tensor.New(shape...)
 	}
-	t := tp.arena.GetTensor(shape...)
-	if tp.arena != nil {
-		tp.taken = append(tp.taken, t)
-	}
-	return t
+	return tp.track(tp.arena.GetTensor(shape...))
 }
 
 // allocLike borrows a zeroed tensor with t's shape, tracked for Reset.
@@ -72,11 +68,35 @@ func (tp *Tape) allocLike(t *tensor.Tensor) *tensor.Tensor {
 	if tp == nil {
 		return tensor.NewLike(t)
 	}
-	out := tp.arena.GetTensorLike(t)
-	if tp.arena != nil {
-		tp.taken = append(tp.taken, out)
+	return tp.track(tp.arena.GetTensorLike(t))
+}
+
+// allocUninit is alloc without the zeroing, for a tensor whose every element
+// the caller overwrites before reading any: the output of a tensor.MatMul*Into
+// product. Anything written only in part (a masked gradient, an accumulator)
+// needs alloc.
+func (tp *Tape) allocUninit(shape ...int) *tensor.Tensor {
+	if tp == nil {
+		return tensor.New(shape...)
 	}
-	return out
+	return tp.track(tp.arena.GetTensorUninit(shape...))
+}
+
+// allocLikeUninit is allocLike without the zeroing; see allocUninit.
+func (tp *Tape) allocLikeUninit(t *tensor.Tensor) *tensor.Tensor {
+	if tp == nil {
+		return tensor.NewLike(t)
+	}
+	return tp.track(tp.arena.GetTensorLikeUninit(t))
+}
+
+// track records an arena borrow for Reset (a tape over a nil arena has
+// nothing to return).
+func (tp *Tape) track(t *tensor.Tensor) *tensor.Tensor {
+	if tp.arena != nil {
+		tp.taken = append(tp.taken, t)
+	}
+	return t
 }
 
 // Reset returns every tensor allocated through this tape to the arena and

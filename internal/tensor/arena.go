@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -12,6 +13,10 @@ import (
 //
 // Semantics are identical to make([]float64, n): Get always returns a zeroed
 // buffer, so code paths are bit-identical whether or not an arena is in use.
+// The Uninit forms skip the zeroing for a borrower that overwrites every
+// element before reading any — a matmul output, which the kernel clears or
+// fills itself — and are interchangeable with the zeroed forms for exactly
+// those borrowers.
 //
 // Ownership rules:
 //
@@ -53,27 +58,55 @@ func NewArena() *Arena {
 // Get borrows a zeroed buffer of length n, reusing a previously Put buffer
 // of the same length when one is free. On a nil arena it is plain make.
 func (a *Arena) Get(n int) []float64 {
+	buf, recycled := a.take(n)
+	if recycled {
+		clear(buf) // outside a.mu: borrowers sharing an arena do not queue behind a memset
+	}
+	return buf
+}
+
+// GetUninit is Get without the zeroing: a recycled buffer comes back with
+// whatever its last borrower left in it. Only for a borrower that writes
+// every element before reading any (a fresh make is still zeroed, so such a
+// borrower cannot tell the two apart).
+func (a *Arena) GetUninit(n int) []float64 {
+	buf, recycled := a.take(n)
+	if recycled && poisonUninit {
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+	return buf
+}
+
+// poisonUninit makes GetUninit fill every recycled buffer with NaN, so that
+// a borrower which reads before it writes changes a run's result instead of
+// silently depending on stale contents. Only tests set it.
+var poisonUninit bool
+
+// take removes a buffer of length n from the free list, or makes one, and
+// records the borrow; recycled reports which. On a nil arena it is plain
+// make.
+func (a *Arena) take(n int) (buf []float64, recycled bool) {
 	if a == nil {
-		return make([]float64, n)
+		return make([]float64, n), false
 	}
 	if n == 0 {
-		return nil
+		return nil, false
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.Gets++
-	var buf []float64
 	if list := a.free[n]; len(list) > 0 {
-		buf = list[len(list)-1]
+		buf, recycled = list[len(list)-1], true
 		a.free[n] = list[:len(list)-1]
 		a.stats.Hits++
-		clear(buf)
 	} else {
 		buf = make([]float64, n)
 	}
 	a.borrowed[&buf[0]] = n
 	a.stats.Outstanding++
-	return buf
+	return buf, recycled
 }
 
 // Put returns a buffer previously obtained from Get. It panics if buf was
@@ -105,6 +138,21 @@ func (a *Arena) GetTensor(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
 	}
+	return a.wrap(append([]int(nil), shape...), a.Get(numElements(shape)))
+}
+
+// GetTensorUninit is GetTensor over GetUninit: same borrow, unspecified
+// contents.
+func (a *Arena) GetTensorUninit(shape ...int) *Tensor {
+	if a == nil {
+		return New(shape...)
+	}
+	return a.wrap(append([]int(nil), shape...), a.GetUninit(numElements(shape)))
+}
+
+// numElements is the element count of shape; it panics on a negative
+// dimension.
+func numElements(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -112,7 +160,7 @@ func (a *Arena) GetTensor(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	return a.wrap(append([]int(nil), shape...), a.Get(n))
+	return n
 }
 
 // GetTensorLike borrows a zeroed tensor with t's shape. The shape slice is
@@ -124,6 +172,15 @@ func (a *Arena) GetTensorLike(t *Tensor) *Tensor {
 		return NewLike(t)
 	}
 	return a.wrap(t.shape, a.Get(len(t.data)))
+}
+
+// GetTensorLikeUninit is GetTensorLike over GetUninit: same borrow,
+// unspecified contents.
+func (a *Arena) GetTensorLikeUninit(t *Tensor) *Tensor {
+	if a == nil {
+		return NewLike(t)
+	}
+	return a.wrap(t.shape, a.GetUninit(len(t.data)))
 }
 
 // wrap binds shape and data to a recycled tensor header when one is free.

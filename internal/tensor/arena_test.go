@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -139,4 +140,83 @@ func TestArenaConcurrent(t *testing.T) {
 	if st.Gets != 8*200 || st.Puts != 8*200 {
 		t.Fatalf("stats = %+v, want 1600 gets/puts", st)
 	}
+}
+
+// TestArenaGetUninit pins the uninitialised borrow: a fresh buffer is zero
+// (it is a make), a recycled one keeps its last borrower's contents — or is
+// all NaN under the poison hook — and it is the same borrow as Get for the
+// counters, the tensor forms and the misuse checks.
+func TestArenaGetUninit(t *testing.T) {
+	a := NewArena()
+	buf := a.GetUninit(5)
+	for i, v := range buf {
+		if v != 0 {
+			t.Fatalf("fresh GetUninit buffer has %v at %d", v, i)
+		}
+		buf[i] = float64(i + 1)
+	}
+	a.Put(buf)
+	again := a.GetUninit(5)
+	if &again[0] != &buf[0] || again[4] != 5 {
+		t.Fatalf("recycled GetUninit buffer = %v, want the buffer just returned, contents kept", again)
+	}
+	a.Put(again)
+	zeroed := a.Get(5)
+	if zeroed[4] != 0 {
+		t.Fatalf("Get after GetUninit not zeroed: %v", zeroed)
+	}
+	a.Put(zeroed)
+
+	PoisonUninit(t)
+	poisoned := a.GetTensorLikeUninit(New(5))
+	for i, v := range poisoned.Data() {
+		if !math.IsNaN(v) {
+			t.Fatalf("poisoned GetUninit buffer has %v at %d", v, i)
+		}
+	}
+	a.PutTensor(poisoned)
+	shaped := a.GetTensorUninit(1, 5)
+	if shaped.Rows() != 1 || shaped.Cols() != 5 || !math.IsNaN(shaped.At(0, 0)) {
+		t.Fatalf("GetTensorUninit(1, 5) = %v", shaped)
+	}
+	a.PutTensor(shaped)
+
+	if st := a.Stats(); st.Gets != 5 || st.Hits != 4 || st.Outstanding != 0 {
+		t.Fatalf("stats = %+v, want 5 gets, 4 hits, none outstanding", st)
+	}
+	var nilArena *Arena
+	if got := nilArena.GetUninit(3); len(got) != 3 || nilArena.GetTensorUninit(2, 2).Len() != 4 || nilArena.GetTensorLikeUninit(New(3)).Len() != 3 {
+		t.Fatal("nil arena Uninit forms are not plain make")
+	}
+	if got := a.GetUninit(0); got != nil {
+		t.Fatalf("GetUninit(0) = %v, want nil", got)
+	}
+}
+
+// TestArenaConcurrentGetIsZeroed shares one arena between goroutines that
+// dirty and return buffers of one length while others borrow them: Get
+// zeroes a recycled buffer after it has left the free list and a.mu, and
+// every borrower must still see zeros (and, under -race, no conflicting
+// access).
+func TestArenaConcurrentGetIsZeroed(t *testing.T) {
+	a := NewArena()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				buf := a.Get(64)
+				for j, v := range buf {
+					if v != 0 {
+						t.Errorf("Get returned %v at %d", v, j)
+						return
+					}
+					buf[j] = 1
+				}
+				a.Put(buf)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -4,7 +4,8 @@ import "fmt"
 
 // The MatMul family is the hot path of every SSL forward/backward pass.
 // All three products run on two micro-kernels, each restricted to a
-// contiguous range of output rows:
+// contiguous range of output rows, and each a Go loop nest around the row
+// primitives of rowprim.go:
 //
 //  1. mulRowsRange, the fused row kernel behind a·b and aᵀ·b. Both products
 //     are, per output row, orow += Σ_p coef_p·b[p,:] with coef_p = a[i,p]
@@ -12,14 +13,21 @@ import "fmt"
 //     sparse, and 0·Inf must never be formed). The kernel compresses the
 //     non-zero coefficients of a block of blockK values of p once — one
 //     data-dependent branch per (i,p), amortised over n — and then streams
-//     orow with four b rows fused per pass,
+//     orow with four b rows fused per pass (axpyRows),
 //     orow[j] = (((orow[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) + c3·b3[j],
 //     which is the same left-to-right chain of roundings as four separate
-//     orow[j] += c·b[j] sweeps but loads and stores orow once instead of
-//     four times.
-//  2. matMulTransBRange, a 2×4 register tile behind a·bᵀ. Rows of both
-//     operands are contiguous, so two a rows meet four b rows in eight
-//     independent accumulators, each a plain dot product over ascending p.
+//     orow[j] += c·b[j] sweeps (what a remainder under four gets) but
+//     loads and stores orow once instead of four times.
+//  2. matMulTransBRange, a 4×4 tile behind a·bᵀ. Rows of both operands are
+//     contiguous, so four a rows meet four b rows in sixteen accumulators
+//     (dotTile), each a plain dot product over ascending p.
+//
+// What is Go and what is not: blocking, coefficient compression, tiling,
+// row splitting and the clear are here, once, for every platform. Only the
+// innermost loops over j (axpyRows) and p (dotTile) are primitives, with
+// a portable Go body and, on amd64 with AVX2, an assembly body that runs
+// the same multiply-then-add per element four elements at a time — see
+// rowprim.go for why that is bit-identical and how the choice is made.
 //
 // The serial entries (MatMulSerialInto and friends) are those kernels over
 // the full row range; the public entries (MatMulInto and friends) split the
@@ -27,28 +35,31 @@ import "fmt"
 // enough to amortise dispatch.
 //
 // Determinism guarantee: every output element is produced by exactly one
-// goroutine, in a single accumulator, summing over the inner dimension in
-// ascending order and skipping exactly the terms whose coefficient is zero
-// — the order of the naive triple loops, which live on in matmul_oracle_test.go
-// as the oracle. Fusing, tiling and row splitting only change which
-// elements are in flight together, never the order of one element's
-// roundings, so results are bit-identical for any worker count and to the
-// naive loops (0 ULP, special values included), which the property and
-// fuzz tests assert exactly.
+// goroutine, in a single accumulator (one vector lane, in the assembly),
+// summing over the inner dimension in ascending order and skipping exactly
+// the terms whose coefficient is zero — the order of the naive triple
+// loops, which live on in matmul_oracle_test.go as the oracle. Fusing,
+// tiling, vectorising and row splitting only change which elements are in
+// flight together, never the order of one element's roundings, so results
+// are bit-identical for any worker count, for either implementation of the
+// primitives, and to the naive loops (0 ULP, special values included),
+// which the property and fuzz tests assert exactly.
 
 const (
 	// serialFLOPs is the m·k·n product up to which a product runs on the
-	// calling goroutine alone. Measured with the kernels below on two
+	// calling goroutine alone. Measured with the AVX2 primitives on two
 	// cores (fastest of N, serial against a two-way split): waking a pool
-	// worker costs some tens of microseconds, so up to ≈ 1.2M
-	// multiply-adds (≈ 250 µs serial) the split only breaks even
-	// (0.92–1.04×) and from 128³ up it pays (1.35–1.5×, 1.7–1.9× at the
-	// wide model's 32×1024×256). The constant sits at the low edge of the
-	// break-even band — twice the value the scalar kernels had, which ran
-	// at half the speed. The federation's small-batch products (32 rows by
-	// at most 96×48) stay serial and allocation-free. Compared in int64 so
-	// the product cannot wrap on 32-bit architectures.
-	serialFLOPs int64 = 1 << 19
+	// worker costs some tens of microseconds, which the vector kernels
+	// cover about three times as much arithmetic in as the scalar ones did.
+	// From 0.9M to 1.3M multiply-adds the split loses (0.81–1.07×), at 1.4M
+	// it breaks even (0.98–1.07×), and it pays from 2.1M up (1.03–1.3× at
+	// 128³ and 32×256×256, 1.4–1.6× at the wide model's 32×1024×256,
+	// 1.7–1.9× at 256³). The constant sits at the low edge of that band —
+	// three times the value the scalar kernels had. The federation's
+	// small-batch products (32 rows by at most 96×48) stay serial and
+	// allocation-free. Compared in int64 so the product cannot wrap on
+	// 32-bit architectures.
+	serialFLOPs int64 = 3 << 19
 
 	// blockK is how many values of the inner index p the row kernel
 	// compresses per pass: blockK rows of b stay hot while every output
@@ -58,7 +69,7 @@ const (
 
 	// minRowsPerTask bounds how finely parallelRows may split the output,
 	// keeping per-task work large enough to amortize dispatch (and whole
-	// 2-row tiles in every task of the a·bᵀ kernel). Re-measured with
+	// 4-row tiles in every task of the a·bᵀ kernel). Re-measured with
 	// serialFLOPs: 4, 8 and 16 are indistinguishable at the 32-row batches
 	// every workload trains on.
 	minRowsPerTask = 8
@@ -152,9 +163,9 @@ func matMulTransARange(out, a, b *Tensor, lo, hi int) {
 // coefficients, where coef(i,p) = a[i·strideI + p·strideP] and b is k×n.
 // p advances in blocks of blockK so that a block of b rows is reused by the
 // whole row range while hot; within a block each row's non-zero
-// coefficients are compressed once and then applied four b rows per pass
-// over orow. Every orow[j] still receives its terms one at a time, in
-// ascending p, through a single accumulator.
+// coefficients are compressed once and then applied by axpyRows, four b
+// rows per pass over the output row. Every out[i,j] still receives its
+// terms one at a time, in ascending p, through a single accumulator.
 func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
 	clear(out[lo*n : hi*n])
 	var (
@@ -171,71 +182,32 @@ func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
 					nz++
 				}
 			}
-			orow := out[i*n : (i+1)*n]
-			q := 0
-			for ; q+4 <= nz; q += 4 {
-				c0, c1, c2, c3 := coef[q], coef[q+1], coef[q+2], coef[q+3]
-				b0 := b[brow[q]:][:len(orow)]
-				b1 := b[brow[q+1]:][:len(orow)]
-				b2 := b[brow[q+2]:][:len(orow)]
-				b3 := b[brow[q+3]:][:len(orow)]
-				for j := range orow {
-					orow[j] = (((orow[j] + c0*b0[j]) + c1*b1[j]) + c2*b2[j]) + c3*b3[j]
-				}
-			}
-			for ; q < nz; q++ {
-				c0 := coef[q]
-				b0 := b[brow[q]:][:len(orow)]
-				for j := range orow {
-					orow[j] += c0 * b0[j]
-				}
-			}
+			axpyRows(out[i*n:(i+1)*n], b, brow[:nz], coef[:nz])
 		}
 	}
 }
 
-// matMulTransBRange is the a·bᵀ register tile: rows [lo, hi) of
-// out[i,j] = Σ_p a[i,p]·b[j,p] with a m×k and b n×k. Two a rows meet four
-// b rows in eight accumulators, so every loaded value feeds two or four
-// multiply-adds; each accumulator is one output element's plain dot product
-// over ascending p (no zero skip — this product never had one). A trailing
-// odd row and a trailing <4 columns fall to dotRow, the same dot product
-// one element at a time.
+// matMulTransBRange is the a·bᵀ kernel: rows [lo, hi) of
+// out[i,j] = Σ_p a[i,p]·b[j,p] with a m×k and b n×k. Rows of both operands
+// are contiguous, so four a rows meet four b rows in one dotTile, sixteen
+// accumulators that are each one output element's plain dot product over
+// ascending p (no zero skip — this product never had one). Trailing rows
+// and trailing <4 columns fall to dotRow, the same dot product one element
+// at a time.
 func matMulTransBRange(outT, aT, bT *Tensor, lo, hi int) {
 	out, a, b := outT.data, aT.data, bT.data
 	k, n := aT.shape[1], bT.shape[0]
 	i := lo
-	for ; i+2 <= hi; i += 2 {
-		a0 := a[i*k : (i+1)*k]
-		a1 := a[(i+1)*k:][:len(a0)]
-		o0 := out[i*n : (i+1)*n]
-		o1 := out[(i+1)*n : (i+2)*n]
+	for ; i+4 <= hi; i += 4 {
 		j := 0
 		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k:][:len(a0)]
-			b1 := b[(j+1)*k:][:len(a0)]
-			b2 := b[(j+2)*k:][:len(a0)]
-			b3 := b[(j+3)*k:][:len(a0)]
-			var s00, s01, s02, s03, s10, s11, s12, s13 float64
-			for p, x0 := range a0 {
-				x1 := a1[p]
-				y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
-				s00 += x0 * y0
-				s01 += x0 * y1
-				s02 += x0 * y2
-				s03 += x0 * y3
-				s10 += x1 * y0
-				s11 += x1 * y1
-				s12 += x1 * y2
-				s13 += x1 * y3
-			}
-			o0[j], o0[j+1], o0[j+2], o0[j+3] = s00, s01, s02, s03
-			o1[j], o1[j+1], o1[j+2], o1[j+3] = s10, s11, s12, s13
+			dotTile(out[i*n+j:(i+3)*n+j+4], n, a[i*k:(i+4)*k], b[j*k:(j+4)*k], k)
 		}
-		dotRow(o0, a0, b, j)
-		dotRow(o1, a1, b, j)
+		for r := i; r < i+4 && j < n; r++ {
+			dotRow(out[r*n:(r+1)*n], a[r*k:(r+1)*k], b, j)
+		}
 	}
-	if i < hi {
+	for ; i < hi; i++ {
 		dotRow(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, 0)
 	}
 }

@@ -106,9 +106,12 @@ func specialMat(rng *rand.Rand, m, n, zeroPct int) *Tensor {
 // sameBits is bitwise equality, except that any NaN equals any NaN: which
 // of two NaN payloads an addition keeps depends on the operand order the
 // compiler picks for the instruction, not on the order of summation.
-func sameBits(want, got *Tensor) error {
-	for i, w := range want.data {
-		g := got.data[i]
+func sameBits(want, got *Tensor) error { return sameRow(want.data, got.data) }
+
+// sameRow is sameBits for plain slices.
+func sameRow(want, got []float64) error {
+	for i, w := range want {
+		g := got[i]
 		if math.Float64bits(w) != math.Float64bits(g) && !(math.IsNaN(w) && math.IsNaN(g)) {
 			return fmt.Errorf("element %d: want %v (%#x), got %v (%#x)", i, w, math.Float64bits(w), g, math.Float64bits(g))
 		}
@@ -158,39 +161,43 @@ func checkAgainstNaive(rng *rand.Rand, m, k, n, zeroPct int) error {
 	return nil
 }
 
-// TestKernelsMatchNaive pins the fused row kernel and the a·bᵀ tile to the
-// naive loops at every pool size, on the shapes that exercise their edges:
-// dimensions that are not multiples of the 4-row fusion or the 2×4 tile,
+// TestKernelsMatchNaive pins the fused row kernel and the a·bᵀ tile, under
+// every implementation of the row primitives (eachImpl), to the naive loops
+// at every pool size, on the shapes that exercise their edges:
+// dimensions that are not multiples of the 4-row fusion or the 4×4 tile,
 // m = 1, n < 4, k past one and two coefficient blocks, and the federation's
 // own shapes dense and ReLU-sparse.
 func TestKernelsMatchNaive(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1}, {1, 5, 3}, {2, 3, 1}, {3, 7, 2}, {5, 9, 5}, {7, 13, 11},
 		{1, 2*blockK + 3, 7}, {3, blockK, 4}, {6, blockK + 1, 9}, {9, 3*blockK - 1, 3},
-		{17, 31, 33}, {33, 70, 37}, {48, 200, 60}, // the last is above serialFLOPs: pooled
+		{17, 31, 33}, {33, 70, 37}, {48, 200, 60},
+		{48, 300, 120}, // above serialFLOPs: the public entry goes through the pool
 		{32, 32, 96}, {32, 96, 48}, {32, 48, 24},
 	}
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			forceWorkers(t, workers)
-			rng := rand.New(rand.NewSource(int64(20 + workers)))
-			for _, s := range shapes {
-				for _, zeroPct := range []int{0, 50, 95} {
-					if err := checkAgainstNaive(rng, s.m, s.k, s.n, zeroPct); err != nil {
-						t.Fatal(err)
+			eachImpl(t, func(impl string) {
+				rng := rand.New(rand.NewSource(int64(20 + workers)))
+				for _, s := range shapes {
+					for _, zeroPct := range []int{0, 50, 95} {
+						if err := checkAgainstNaive(rng, s.m, s.k, s.n, zeroPct); err != nil {
+							t.Fatalf("%s: %v", impl, err)
+						}
 					}
 				}
-			}
-			prop := func(mSeed, kSeed, nSeed uint16, zeroSeed uint8) bool {
-				err := checkAgainstNaive(rng, 1+int(mSeed)%41, 1+int(kSeed)%150, 1+int(nSeed)%41, int(zeroSeed)%101)
-				if err != nil {
-					t.Log(err)
+				prop := func(mSeed, kSeed, nSeed uint16, zeroSeed uint8) bool {
+					err := checkAgainstNaive(rng, 1+int(mSeed)%41, 1+int(kSeed)%150, 1+int(nSeed)%41, int(zeroSeed)%101)
+					if err != nil {
+						t.Log(err)
+					}
+					return err == nil
 				}
-				return err == nil
-			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-				t.Fatal(err)
-			}
+				if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+					t.Fatalf("%s: %v", impl, err)
+				}
+			})
 		})
 	}
 }
@@ -200,12 +207,14 @@ func TestKernelsMatchNaive(t *testing.T) {
 // spans sixteen coefficient blocks and whose products go through the pool.
 func TestKernelsMatchNaiveWide(t *testing.T) {
 	forceWorkers(t, 2)
-	rng := rand.New(rand.NewSource(23))
-	for _, zeroPct := range []int{0, 50} {
-		if err := checkAgainstNaive(rng, 32, 1024, 256, zeroPct); err != nil {
-			t.Fatal(err)
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(23))
+		for _, zeroPct := range []int{0, 50} {
+			if err := checkAgainstNaive(rng, 32, 1024, 256, zeroPct); err != nil {
+				t.Fatalf("%s: %v", impl, err)
+			}
 		}
-	}
+	})
 }
 
 // FuzzMatMulMatchesNaive lets the fuzzer pick shape, sparsity, operand seed
@@ -214,13 +223,15 @@ func FuzzMatMulMatchesNaive(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), int64(1), uint8(1))
 	f.Add(uint8(3), uint8(200), uint8(5), uint8(50), int64(2), uint8(2))
 	f.Add(uint8(33), uint8(129), uint8(38), uint8(90), int64(3), uint8(4))
-	f.Add(uint8(62), uint8(255), uint8(63), uint8(30), int64(4), uint8(1)) // above serialFLOPs: pooled
+	f.Add(uint8(62), uint8(255), uint8(63), uint8(30), int64(4), uint8(1)) // about the largest product the fuzzer can reach
 	f.Fuzz(func(t *testing.T, m, k, n, zeroPct uint8, seed int64, workers uint8) {
 		forceWorkers(t, 1+int(workers)%4)
-		rng := rand.New(rand.NewSource(seed))
-		if err := checkAgainstNaive(rng, 1+int(m)%64, 1+int(k), 1+int(n)%64, int(zeroPct)%101); err != nil {
-			t.Fatal(err)
-		}
+		eachImpl(t, func(impl string) {
+			rng := rand.New(rand.NewSource(seed))
+			if err := checkAgainstNaive(rng, 1+int(m)%64, 1+int(k), 1+int(n)%64, int(zeroPct)%101); err != nil {
+				t.Fatalf("%s: %v", impl, err)
+			}
+		})
 	})
 }
 

@@ -169,7 +169,10 @@ func TestPublicKernelsMatchSerial(t *testing.T) {
 func TestSharedPoolConcurrentUse(t *testing.T) {
 	forceWorkers(t, 3)
 	rng := rand.New(rand.NewSource(14))
-	const m, k, n = 96, 80, 72 // above serialFLOPs: exercises the pool
+	const m, k, n = 96, 160, 128
+	if serialSized(m, k, n) {
+		t.Fatalf("%d×%d×%d is no longer above serialFLOPs: this test would not exercise the pool", m, k, n)
+	}
 	a := randMat(rng, m, k)
 	b := randMat(rng, k, n)
 	want := New(m, n)
@@ -205,7 +208,7 @@ func TestSharedPoolConcurrentUse(t *testing.T) {
 func TestSetWorkersWhileBusy(t *testing.T) {
 	forceWorkers(t, 2)
 	rng := rand.New(rand.NewSource(15))
-	const m, k, n = 96, 80, 72
+	const m, k, n = 96, 160, 128 // above serialFLOPs, like TestSharedPoolConcurrentUse
 	a := randMat(rng, m, k)
 	b := randMat(rng, k, n)
 	want := New(m, n)

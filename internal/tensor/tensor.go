@@ -8,14 +8,27 @@
 // Into, write into a caller-provided destination to avoid allocation in hot
 // loops.
 //
-// # Parallel kernels
+// # Kernels
 //
 // The MatMul family (MatMulInto, MatMulTransAInto, MatMulTransBInto) runs
 // on two order-preserving micro-kernels — a fused row kernel for a·b and
-// aᵀ·b, a 2×4 register tile for a·bᵀ (see matmul.go) — and splits the
-// output rows of large products across a package-level worker pool (see
-// pool.go). The pool is shared by every kernel call in the process and is
-// sized by GOMAXPROCS, overridable with SetWorkers or the
+// aᵀ·b, a 4×4 tile of dot products for a·bᵀ (see matmul.go). Their
+// blocking, zero-skipping and tiling are Go; their innermost loops are the
+// two row primitives of rowprim.go, axpyRows (add scaled rows to a row,
+// also the body of AddScaled) and dotTile. Each primitive has a portable Go
+// loop and, on amd64, an AVX2 assembly loop (rowprim_amd64.s) that does the
+// same multiply-then-add per element, four elements per instruction —
+// never a fused multiply-add, which would drop the product's rounding. The
+// package picks once, at initialisation, from CPUID and XGETBV (AVX2
+// present, YMM state saved by the OS); other architectures, the purego
+// build tag and CPUs without AVX2 run the portable loops. There is nothing
+// to configure: KernelImpl reports which one runs, and a test that needs
+// the portable loops on an AVX2 host flips the unexported useAVX2 switch
+// (eachImpl in rowprim_test.go) or builds with -tags purego.
+//
+// Large products split their output rows across a package-level worker
+// pool (see pool.go). The pool is shared by every kernel call in the
+// process and is sized by GOMAXPROCS, overridable with SetWorkers or the
 // CALIBRE_KERNEL_WORKERS environment variable — so caller-level concurrency
 // (for example internal/fl training many clients at once) composes with
 // kernel parallelism without oversubscribing the CPU. Products below a size
@@ -24,12 +37,15 @@
 // # Determinism
 //
 // Pooled kernels are bit-for-bit identical to the serial entries
-// (MatMulSerialInto and friends) for any worker count, and both to the
-// naive triple loops: each output element is produced by exactly one
-// goroutine, in one accumulator, reducing over the inner dimension in
-// ascending order. Changing worker counts never changes results. (Across different architectures the usual Go caveat
-// applies — the compiler may fuse multiply-adds, so bit-identity is
-// guaranteed per build, not between, say, amd64 and arm64 binaries.)
+// (MatMulSerialInto and friends) for any worker count, the assembly
+// primitives to the portable ones, and all of them to the naive triple
+// loops: each output element is produced by exactly one goroutine, in one
+// accumulator (one vector lane), reducing over the inner dimension in
+// ascending order. Changing worker counts, or the CPU a binary runs on,
+// never changes results. (Across different architectures the usual Go
+// caveat applies — the compiler may fuse multiply-adds in the portable
+// loops, so bit-identity is guaranteed per build, not between, say, amd64
+// and arm64 binaries.)
 package tensor
 
 import (
@@ -275,9 +291,7 @@ func AddScaled(dst, src *Tensor, s float64) error {
 	if !SameShape(dst, src) {
 		return fmt.Errorf("%w: AddScaled %v vs %v", ErrShape, dst.shape, src.shape)
 	}
-	for i := range dst.data {
-		dst.data[i] += s * src.data[i]
-	}
+	axpyRows(dst.data, src.data, []int{0}, []float64{s})
 	return nil
 }
 
