@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate for this repo.
 #
-#   ./ci.sh          format check, vet, build, shuffled race tests, portable-kernel tests,
-#                    cross builds, bench module, short kernel bench
+#   ./ci.sh          format check, vet, build, shuffled race tests, wire flake pass,
+#                    portable-kernel tests, cross builds, bench module, wire fuzz smoke,
+#                    short kernel bench
 #
 # The quick kernel/codec/delta benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run, not to refresh the
@@ -37,6 +38,12 @@ go build ./...
 # kernel oracle tests resize the shared worker pool and restore it).
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
+
+# The wire tests are the timing-sensitive ones (real sockets, deadlines,
+# stragglers, evictions): three more shuffled passes over them, and over
+# the codec under them, so a flake shows up here and not in a later PR.
+echo "== flake pass: go test -count=3 -shuffle=on (flnet, param) =="
+go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/
 
 # The row primitives of internal/tensor have an AVX2 assembly body and a
 # portable Go body that must agree bit for bit. On an AVX2 host the default
@@ -82,6 +89,12 @@ go run ./tools/allocsmoke
 
 echo "== health smoke =="
 go run ./tools/healthsmoke
+
+# A few seconds of fuzzing over what a fresh connection may receive
+# (preamble, gob headers, vector frames), from the committed corpus in
+# internal/flnet/testdata/fuzz: a smoke run, not a campaign.
+echo "== wire decoder fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzWireDecoder$' -fuzztime 5s ./internal/flnet/
 
 # The harness re-reads the file it wrote and exits non-zero if it does not
 # parse, does not record kernel_impl, or a serial-path shape reports

@@ -2,16 +2,16 @@ package main
 
 // The delta harness (-exp delta) is the reproducible perf gate for the
 // update plane: it measures (a) per-message wire bytes for XOR-delta
-// compressed train results against the v1 full-vector gob encoding, on
-// synthetic update patterns and on a real method's training trajectory,
-// and (b) serial versus shard-parallel aggregation timings, and emits
-// BENCH_delta.json so both trajectories are tracked in-repo. The JSON
-// schema is validated by the cmd smoke tests.
+// compressed train results against the dense form of the same message —
+// both as flnet's v3 wire frames them (a gob header; dense vectors as raw
+// 8-byte-per-element frames) — on synthetic update patterns and on a real
+// method's training trajectory, and (b) serial versus shard-parallel
+// aggregation timings, and emits BENCH_delta.json so both trajectories
+// are tracked in-repo. The JSON schema is validated by the cmd smoke
+// tests.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -29,7 +29,9 @@ import (
 )
 
 // DeltaBenchSchema identifies the BENCH_delta.json layout.
-const DeltaBenchSchema = "calibre/bench-delta/v1"
+// v2: sizes are v3 wire messages (v1 measured the dense baseline as a gob
+// []float64, ≈9 bytes per element, which nothing sends any more).
+const DeltaBenchSchema = "calibre/bench-delta/v2"
 
 // DeltaBenchFile is the top-level layout of BENCH_delta.json.
 type DeltaBenchFile struct {
@@ -45,15 +47,15 @@ type DeltaBenchFile struct {
 }
 
 // DeltaWireRecord measures one synthetic update pattern through the wire:
-// steady-state gob bytes per train-result message, dense vs delta, plus
+// steady-state bytes per train-result message, dense vs delta, plus
 // codec throughput. ShipsDelta reports the sender-side fallback decision
 // (a delta no smaller than the dense form ships dense), and WireBytes is
-// what the v2 protocol actually puts on the wire after it.
+// what the protocol actually puts on the wire after it.
 type DeltaWireRecord struct {
 	Pattern     string  `json:"pattern"`
 	Elems       int     `json:"elems"`
-	DenseBytes  int     `json:"dense_gob_bytes_msg"`
-	DeltaBytes  int     `json:"delta_gob_bytes_msg"`
+	DenseBytes  int     `json:"dense_bytes_msg"`
+	DeltaBytes  int     `json:"delta_bytes_msg"`
 	DeltaBits   int     `json:"delta_payload_bytes"`
 	ShipsDelta  bool    `json:"ships_delta"`
 	WireBytes   int     `json:"wire_bytes_msg"`
@@ -64,13 +66,13 @@ type DeltaWireRecord struct {
 }
 
 // DeltaRoundRecord is one round of a real method's federation: total
-// uplink bytes with v1 dense gob versus the v2 delta wire.
+// uplink bytes shipping every update dense versus the delta wire.
 type DeltaRoundRecord struct {
 	Method     string  `json:"method"`
 	Round      int     `json:"round"`
 	Updates    int     `json:"updates"`
 	Elems      int     `json:"elems"`
-	DenseBytes int64   `json:"dense_gob_bytes_round"`
+	DenseBytes int64   `json:"dense_bytes_round"`
 	WireBytes  int64   `json:"wire_bytes_round"`
 	Ratio      float64 `json:"dense_over_wire"`
 }
@@ -86,41 +88,35 @@ type DeltaAggRecord struct {
 	Speedup    float64 `json:"speedup_vs_serial"`
 }
 
-// gobSteadyBytes reports the steady-state gob size of one envelope on a
-// long-lived connection: the second encode on the same stream, after the
-// type descriptors have traveled once — exactly what each per-round
-// train-result costs in flnet.
-func gobSteadyBytes(env *flnet.Envelope) int {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(env); err != nil {
+// steadyBytes reports the steady-state size of one envelope on a
+// long-lived connection, after the type descriptors have traveled once —
+// exactly what each per-round train-result costs in flnet.
+func steadyBytes(env *flnet.Envelope) int {
+	n, err := flnet.WireSize(env)
+	if err != nil {
 		panic(err)
 	}
-	n1 := buf.Len()
-	if err := enc.Encode(env); err != nil {
-		panic(err)
-	}
-	return buf.Len() - n1
+	return n
 }
 
 func trainResultEnvelope(u *fl.Update) *flnet.Envelope {
 	return &flnet.Envelope{Type: flnet.MsgTrainResult, ClientID: u.ClientID, Round: 1, Update: u}
 }
 
-// wireBytesFor measures what a v2 client ships for update u against ref:
-// the delta form when it is smaller, the dense form otherwise.
-func wireBytesFor(ref, v param.Vector) (dense, deltaGob, wire int, d *param.Delta) {
-	dense = gobSteadyBytes(trainResultEnvelope(&fl.Update{ClientID: 1, Params: v, NumSamples: 10}))
+// wireBytesFor measures what a client ships for update u against ref: the
+// delta form when it is smaller, the dense form otherwise.
+func wireBytesFor(ref, v param.Vector) (dense, deltaMsg, wire int, d *param.Delta) {
+	dense = steadyBytes(trainResultEnvelope(&fl.Update{ClientID: 1, Params: v, NumSamples: 10}))
 	d, err := param.Diff(ref, v)
 	if err != nil {
 		panic(err)
 	}
-	deltaGob = gobSteadyBytes(trainResultEnvelope(&fl.Update{ClientID: 1, Delta: d, NumSamples: 10}))
+	deltaMsg = steadyBytes(trainResultEnvelope(&fl.Update{ClientID: 1, Delta: d, NumSamples: 10}))
 	wire = dense
 	if d.Size() < d.DenseSize() {
-		wire = deltaGob
+		wire = deltaMsg
 	}
-	return dense, deltaGob, wire, d
+	return dense, deltaMsg, wire, d
 }
 
 // wirePatterns builds the synthetic update shapes the wire sees in
@@ -167,7 +163,7 @@ func wirePatterns(n int) []struct {
 func benchWire(minTime time.Duration, n int) []DeltaWireRecord {
 	var out []DeltaWireRecord
 	for _, p := range wirePatterns(n) {
-		dense, deltaGob, wire, d := wireBytesFor(p.ref, p.v)
+		dense, deltaMsg, wire, d := wireBytesFor(p.ref, p.v)
 		encNs, _ := measure(minTime, func() {
 			if _, err := param.Diff(p.ref, p.v); err != nil {
 				panic(err)
@@ -186,7 +182,7 @@ func benchWire(minTime time.Duration, n int) []DeltaWireRecord {
 			Pattern:     p.name,
 			Elems:       n,
 			DenseBytes:  dense,
-			DeltaBytes:  deltaGob,
+			DeltaBytes:  deltaMsg,
 			DeltaBits:   d.Size(),
 			ShipsDelta:  d.Size() < d.DenseSize(),
 			WireBytes:   wire,
@@ -200,8 +196,8 @@ func benchWire(minTime time.Duration, n int) []DeltaWireRecord {
 }
 
 // meteringAggregator wraps a method's aggregator and meters each round's
-// uplink: dense gob bytes versus the v2 delta wire (with its dense
-// fallback), on the real updates the method produces.
+// uplink: dense messages versus the delta wire (with its dense fallback),
+// on the real updates the method produces.
 type meteringAggregator struct {
 	inner  fl.Aggregator
 	method string
@@ -328,7 +324,7 @@ func runDeltaBench(outDir string, quick bool) error {
 	file.Aggregate = benchAggregation(minTime, workers, 65_536, 10)
 	file.Aggregate = append(file.Aggregate, benchAggregation(minTime, workers, 524_288, 10)...)
 
-	fmt.Printf("delta bench: %s/%s gomaxprocs=%d workers=%d (XOR-delta wire vs dense gob; sharded vs serial aggregation)\n",
+	fmt.Printf("delta bench: %s/%s gomaxprocs=%d workers=%d (XOR-delta wire vs dense frames; sharded vs serial aggregation)\n",
 		file.GOOS, file.GOARCH, file.GOMaxProcs, file.Workers)
 	fmt.Printf("%-18s %8s %12s %12s %7s %7s %12s %12s\n", "pattern", "elems", "dense B/msg", "wire B/msg", "ratio", "delta?", "enc ns/op", "dec ns/op")
 	for _, r := range file.Wire {

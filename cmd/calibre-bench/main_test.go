@@ -127,7 +127,7 @@ func TestKernelHarnessEmitsGoldenSchema(t *testing.T) {
 // quick scale and validates BENCH_delta.json structurally, against the
 // committed golden file, and against the acceptance criteria the update
 // plane ships under: compressible patterns (and the real training
-// trajectory) must beat the dense gob wire on bytes per round, and the
+// trajectory) must beat the dense wire on bytes per round, and the
 // worst-case pattern must fall back to dense rather than expand. Sizes
 // are deterministic; timings are host-dependent and only sanity-checked.
 func TestDeltaHarnessEmitsGoldenSchema(t *testing.T) {

@@ -175,7 +175,10 @@ func (u *Update) ResolveInto(global, scratch param.Vector) error {
 //
 // Implementations may keep per-client state across rounds (momentum
 // encoders, personalized models, control variates); they must be safe for
-// concurrent calls on distinct clients.
+// concurrent calls on distinct clients. global is read-only and only
+// valid during the call: a networked client receives each round's vector
+// into one reused buffer, so an implementation that needs the global
+// later copies it.
 type Trainer interface {
 	Train(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*Update, error)
 }
@@ -189,7 +192,8 @@ type Aggregator interface {
 }
 
 // Personalizer runs the personalization stage for one client given the
-// final global vector, returning the client's local test accuracy.
+// final global vector, returning the client's local test accuracy. global
+// is lent for the call, as for Trainer.
 type Personalizer interface {
 	Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error)
 }

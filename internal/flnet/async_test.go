@@ -2,7 +2,6 @@ package flnet
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -319,12 +318,12 @@ func TestLateJoinerEntersFederation(t *testing.T) {
 	}
 }
 
-// rawClient speaks the gob wire protocol by hand so tests can misbehave in
-// controlled ways.
+// rawClient speaks the wire protocol by hand so tests can misbehave in
+// controlled ways: conn's message codec over a socket the test owns (and
+// can write arbitrary bytes to, or close, at any point).
 type rawClient struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	c    *conn
 }
 
 func dialRaw(t *testing.T, addr string) *rawClient {
@@ -339,23 +338,23 @@ func dialRaw(t *testing.T, addr string) *rawClient {
 	if err := readPreamble(conn, 5*time.Second); err != nil {
 		t.Fatalf("raw preamble read: %v", err)
 	}
-	return &rawClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &rawClient{conn: conn, c: newConn(conn, 10*time.Second, MaxFrameBytes)}
 }
 
 func (r *rawClient) send(t *testing.T, e *Envelope) {
 	t.Helper()
-	if err := r.enc.Encode(e); err != nil {
+	if err := r.c.send(e); err != nil {
 		t.Fatalf("raw send: %v", err)
 	}
 }
 
 func (r *rawClient) recv(t *testing.T) *Envelope {
 	t.Helper()
-	var e Envelope
-	if err := r.dec.Decode(&e); err != nil {
+	e, err := r.c.recv()
+	if err != nil {
 		t.Fatalf("raw recv: %v", err)
 	}
-	return &e
+	return e
 }
 
 // TestTruncatedJoinStreamTolerated: connections that send a truncated gob

@@ -60,13 +60,14 @@ func (c *ClientConfig) validate() error {
 // reference both sides hold) and ships the compressed form — unless the
 // delta would not actually be smaller (fully random updates XOR to
 // high-entropy words that varint-encode above 8 bytes), in which case the
-// dense form goes out: compression is an optimization, and the v2
-// protocol accepts either on every train-result. The trainer's update is
-// never mutated; a delta send uses a shallow copy.
+// dense form goes out: compression is an optimization, and the protocol
+// accepts either on every train-result. The comparison is against what
+// dense costs on the v3 wire, a raw frame of 8 bytes per element. The
+// trainer's update is never mutated; a delta send uses a shallow copy.
 //
 // scratch, when non-nil, receives the encoding (reusing its Bits buffer
-// across rounds). Safe because conn.send gob-serializes the envelope before
-// returning, so the buffer is free again by the next round's encode.
+// across rounds). Safe because conn.send has written the whole message
+// before returning, so the buffer is free again by the next round's encode.
 func wireUpdate(u *fl.Update, global param.Vector, useDelta bool, scratch *param.Delta) *fl.Update {
 	if !useDelta || u.Params == nil || u.Delta != nil {
 		return u
@@ -112,7 +113,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 		_ = raw.Close()
 		return fmt.Errorf("handshake with %s: %w", cfg.Addr, err)
 	}
-	c := newConn(raw, cfg.IOTimeout)
+	c := newConn(raw, cfg.IOTimeout, MaxFrameBytes)
 	defer c.close()
 
 	if err := c.send(&Envelope{Type: MsgJoin, ClientID: cfg.ClientID}); err != nil {
@@ -138,6 +139,9 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("flnet: client %d: %w", cfg.ClientID, err)
 		}
+		// env.Global lives in the connection's receive buffer, which the next
+		// recv overwrites: trainers and personalizers read the global during
+		// their call and keep no reference to it (fl.Trainer).
 		env, err := c.recv()
 		if err != nil {
 			return err

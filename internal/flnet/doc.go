@@ -1,6 +1,7 @@
 // Package flnet runs federated learning over a real network: a server
 // process orchestrates rounds over TCP connections to client processes,
-// exchanging gob-encoded parameter vectors. It mirrors the in-process
+// exchanging gob-encoded envelopes and raw-framed parameter vectors. It
+// mirrors the in-process
 // simulator in internal/fl (same Trainer/Aggregator/Personalizer contracts)
 // so any method can be run distributed without modification. The
 // cmd/calibre-server and cmd/calibre-client binaries are thin wrappers
@@ -17,7 +18,7 @@
 // before any gob traffic, so an incompatible build fails with a clear
 // error instead of a gob decode failure mid-handshake.
 //
-// The current ProtocolVersion is 2: payloads are typed param.Vector
+// Since ProtocolVersion 2 payloads are typed param.Vector
 // values, and train-result updates may travel as lossless XOR-deltas
 // against the round's global vector (fl.Update.Delta) instead of dense
 // params. The server advertises its preferred uplink encoding in the
@@ -33,23 +34,42 @@
 // default all-must-reply discipline it fails loudly with
 // fl.ErrQuorumNotMet (the typed fl.ErrUpdateSize in its cause) — the
 // strict synchronous contract would otherwise silently aggregate fewer
-// updates. Version 1 spoke dense []float64 payloads only and is refused
-// at the preamble.
+// updates. Version 1 spoke dense []float64 payloads only; version 2
+// carried every vector inside the gob stream, one reflected element at a
+// time and nine bytes each. Both are refused at the preamble.
 //
-// After the preamble, every message on the wire is one Envelope,
-// gob-encoded onto the raw TCP stream. gob's self-describing stream
-// provides the framing: type
-// descriptors travel once per connection, each subsequent Encode emits one
-// length-delimited value, and a Decode that hits a truncated or corrupt
-// stream fails cleanly instead of desynchronizing. The Envelope.Type field
-// discriminates which of the remaining fields are meaningful:
+// The current ProtocolVersion is 3. After the preamble, every message on
+// the wire is one Envelope: a gob-encoded header — the Envelope with its
+// parameter vectors taken out — followed by those vectors as raw frames.
+// gob's self-describing stream frames the header: type descriptors travel
+// once per connection, each subsequent Encode emits one length-delimited
+// value, and a Decode that hits a truncated or corrupt stream fails
+// cleanly instead of desynchronizing. A frame is a little-endian uint64
+// byte length and that many bytes of little-endian IEEE-754 doubles (what
+// internal/store writes to disk), in the fixed order Global,
+// Update.Params, Update.ControlDelta; which of them follow a header is
+// announced by one bit each above the message type in the header's Type
+// field, so a message without vectors — every delta train-result, whose
+// payload is bytes already — is exactly its version-2 form. The receiver
+// checks a frame's declared length before allocating anything for it: it
+// must be a whole number of float64s, equal the model size once that is
+// known (the server knows it from the global it sent; a client from the
+// first global it received) and stay under MaxFrameBytes until then, else
+// the message fails with the typed ErrBadFrame — as does a header that
+// carries vector elements inside gob or announces frames its content
+// does not allow. Vectors are decoded into per-connection buffers reused
+// from round to round, and the server frames a round's global once,
+// however many participants it is sent to.
+//
+// The Envelope.Type field discriminates which of the remaining fields are
+// meaningful:
 //
 //	Type                Direction        Fields used
 //	join                client → server  ClientID
 //	join-ack            server → client  ClientID, Updates (advertised encoding)
-//	train               server → client  Round, Global
-//	train-result        client → server  ClientID, Round, Update (dense Params or Delta)
-//	personalize         server → client  Global
+//	train               server → client  Round, Global (frame)
+//	train-result        client → server  ClientID, Round, Update (Delta, or a Params frame)
+//	personalize         server → client  Global (frame)
 //	personalize-result  client → server  ClientID, Accuracy
 //	shutdown            server → client  —
 //	error               either           Err (also ClientID from clients)

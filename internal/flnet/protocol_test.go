@@ -3,9 +3,9 @@ package flnet
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -167,9 +167,10 @@ func TestServerRejectsIncompatibleClient(t *testing.T) {
 	}
 }
 
-// TestEnvelopeGobRoundTrip pins the wire format: an Envelope carrying a
-// full Update must survive encode/decode over a real connection.
-func TestEnvelopeGobRoundTrip(t *testing.T) {
+// TestEnvelopeWireRoundTrip pins the message codec: an Envelope carrying
+// a full Update survives send/recv over a real connection, vectors
+// bit for bit.
+func TestEnvelopeWireRoundTrip(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
@@ -189,25 +190,26 @@ func TestEnvelopeGobRoundTrip(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- gob.NewEncoder(client).Encode(want)
+		done <- newConn(client, time.Second, 0).send(want)
 	}()
-	var got Envelope
-	if err := gob.NewDecoder(server).Decode(&got); err != nil {
-		t.Fatalf("decode: %v", err)
+	got, err := newConn(server, time.Second, MaxFrameBytes).recv()
+	if err != nil {
+		t.Fatalf("recv: %v", err)
 	}
 	if err := <-done; err != nil {
-		t.Fatalf("encode: %v", err)
+		t.Fatalf("send: %v", err)
 	}
 	if got.Type != want.Type || got.ClientID != 7 || got.Round != 3 {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if got.Update == nil || got.Update.Divergence != 0.42 || len(got.Update.Params) != 3 {
+	if got.Update == nil || got.Update.Divergence != 0.42 || got.Update.NumSamples != 120 || got.Update.TrainLoss != 3.14 {
 		t.Fatalf("update mismatch: %+v", got.Update)
 	}
-	for i, v := range want.Update.ControlDelta {
-		if got.Update.ControlDelta[i] != v {
-			t.Fatal("control delta mismatch")
-		}
+	if !sameBits(got.Update.Params, want.Update.Params) || !sameBits(got.Update.ControlDelta, want.Update.ControlDelta) {
+		t.Fatalf("vectors mismatch: %+v", got.Update)
+	}
+	if want.Update.Params == nil || want.Update.ControlDelta == nil || want.Type != MsgTrainResult {
+		t.Fatal("send mutated the caller's envelope")
 	}
 }
 
@@ -230,7 +232,7 @@ func TestConnDeadlineFires(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	c := newConn(raw, 100*time.Millisecond)
+	c := newConn(raw, 100*time.Millisecond, MaxFrameBytes)
 	defer c.close()
 	start := time.Now()
 	if _, err := c.recv(); err == nil {
@@ -239,4 +241,17 @@ func TestConnDeadlineFires(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("deadline took %v to fire", elapsed)
 	}
+}
+
+// sameBits reports bit-identity of two vectors.
+func sameBits(a, b param.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -168,7 +168,20 @@ type Result struct {
 type clientHandle struct {
 	id  int
 	c   *conn
-	req chan *Envelope
+	req chan request
+}
+
+// request is one engine-to-client message: the envelope, and the global
+// it carries as the frame every recipient shares.
+type request struct {
+	env    *Envelope
+	global *sharedFrame
+}
+
+// post hands h's worker env with f as its Global.
+func (f *sharedFrame) post(h *clientHandle, env *Envelope) {
+	f.refs.Add(1)
+	h.req <- request{env: env, global: f}
 }
 
 // event is what a client worker reports back to the round engine: a reply
@@ -290,13 +303,15 @@ func (s *Server) handleJoin(raw net.Conn) {
 		_ = raw.Close()
 		return
 	}
-	c := newConn(raw, s.cfg.IOTimeout)
+	// No frame is legal on this connection until a request has told the
+	// worker the model size.
+	c := newConn(raw, s.cfg.IOTimeout, 0)
 	env, err := c.recv()
 	if err != nil || env.Type != MsgJoin {
 		_ = c.close()
 		return
 	}
-	h := &clientHandle{id: env.ClientID, c: c, req: make(chan *Envelope, 1)}
+	h := &clientHandle{id: env.ClientID, c: c, req: make(chan request, 1)}
 	s.mu.Lock()
 	if s.closing {
 		// The federation is tearing down; a join registered now would
@@ -333,16 +348,21 @@ func (s *Server) handleJoin(raw net.Conn) {
 // for shutdown) one receive, delivered to the event stream.
 func (s *Server) serveClient(h *clientHandle) {
 	for {
-		var req *Envelope
+		var req request
 		select {
 		case req = <-h.req:
 		case <-s.done:
 			return
 		}
-		if err := h.c.send(req); err != nil {
+		frame := req.global.buf
+		err := h.c.sendShared(req.env, frame)
+		req.global.refs.Add(-1) // the engine may overwrite the buffer from here on
+		if err != nil {
 			s.report(event{id: h.id, err: err})
 			return
 		}
+		// The reply's vectors must have the size of the model just sent.
+		h.c.elems = (len(frame) - frameHeader) / 8
 		resp, err := h.c.recv()
 		if err != nil {
 			s.report(event{id: h.id, err: err})
@@ -434,6 +454,10 @@ type roundEngine struct {
 	decodeBuf map[int]param.Vector
 	// slotOf maps the current round's participants to their ledger slots.
 	slotOf map[int]int
+	// frame is the last global framed for the wire (see share), shares how
+	// many were.
+	frame  *sharedFrame
+	shares int
 	// trace is the seeded availability generator (nil without cfg.Trace).
 	trace *fl.TraceGen
 }
@@ -441,6 +465,22 @@ type roundEngine struct {
 func newRoundEngine(s *Server) *roundEngine {
 	return &roundEngine{s: s, busy: make(map[int]int), decodeBuf: make(map[int]param.Vector),
 		slotOf: make(map[int]int), trace: s.cfg.Trace.Generator(s.cfg.Seed)}
+}
+
+// share frames global for the wire: once per round (and once for the
+// personalization stage) whatever the number of recipients, into the
+// buffer the previous round used.
+func (e *roundEngine) share(global param.Vector) *sharedFrame {
+	f := e.frame
+	if f == nil || f.refs.Load() != 0 {
+		// A send of the previous frame is still in flight (a straggler on a
+		// slow socket): leave that buffer to it.
+		f = &sharedFrame{}
+		e.frame = f
+	}
+	f.buf = appendFrame(f.buf[:0], global)
+	e.shares++
+	return f
 }
 
 func (e *roundEngine) Runtime() string { return "server" }
@@ -510,6 +550,7 @@ func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 	// Dispatch. Workers are idle (we only sample non-busy clients), so the
 	// 1-slot request channels never block.
 	clear(e.slotOf)
+	global := e.share(r.Global)
 	for slot, id := range r.Participants() {
 		e.slotOf[id] = slot
 		if !r.Pending(slot) {
@@ -519,7 +560,7 @@ func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 		if h == nil {
 			return fmt.Errorf("flnet: round %d: client %d vanished before dispatch", r.Num, id)
 		}
-		h.req <- &Envelope{Type: MsgTrain, Round: r.Num, Global: r.Global, ClientID: id}
+		global.post(h, &Envelope{Type: MsgTrain, Round: r.Num, ClientID: id})
 		e.busy[id] = r.Num
 	}
 	var deadlineC <-chan time.Time
@@ -640,12 +681,13 @@ func (e *roundEngine) personalizeAll(ctx context.Context, global param.Vector) (
 	ids := s.Joined()
 	accs := make(map[int]float64, len(ids))
 	outstanding := make(map[int]bool, len(ids))
+	frame := e.share(global)
 	for _, id := range ids {
 		h := s.handle(id)
 		if h == nil {
 			continue
 		}
-		h.req <- &Envelope{Type: MsgPersonalize, Global: global, ClientID: id}
+		frame.post(h, &Envelope{Type: MsgPersonalize, ClientID: id})
 		outstanding[id] = true
 	}
 	for len(outstanding) > 0 {

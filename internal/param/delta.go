@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // Typed delta-codec errors. Apply never panics and never allocates more
@@ -79,15 +81,22 @@ func Diff(ref, v Vector) (*Delta, error) {
 // capacity so steady-state round loops encode without allocating. dst's
 // previous contents are discarded; on error dst is left unusable and must
 // not be applied.
+//
+// Literal words take a word-at-a-time path (putWord56) whenever the XOR
+// word fits 56 bits and eight bytes of buffer remain; the byte loop covers
+// 9–10-byte words and the last bytes of the buffer. Either way the bytes
+// are the canonical minimal varints, so the encoding is unchanged. The
+// buffer grows only when the next write would not fit, and then by what
+// the rest of the literal run is expected to need (eight bytes a word:
+// a training step's words are 7–8 bytes), so a fresh encode sizes itself
+// in one or two steps instead of doubling up from nothing.
 func DiffInto(dst *Delta, ref, v Vector) error {
 	if len(ref) != len(v) {
 		return fmt.Errorf("%w: reference has %d elements, vector has %d", ErrLenMismatch, len(ref), len(v))
 	}
-	bits := dst.Bits[:0]
-	if cap(bits) == 0 {
-		bits = make([]byte, 0, 16+len(v))
-	}
 	dst.Len = len(v)
+	buf := dst.Bits[:cap(dst.Bits)] // written up to pos; the rest is room
+	pos := 0
 	i := 0
 	for i < len(v) {
 		zeros := i
@@ -99,14 +108,86 @@ func DiffInto(dst *Delta, ref, v Vector) error {
 		for i < len(v) && math.Float64bits(v[i]) != math.Float64bits(ref[i]) {
 			i++
 		}
-		bits = binary.AppendUvarint(bits, uint64(zeroRun))
-		bits = binary.AppendUvarint(bits, uint64(i-lits))
+		hdr := uvarintLen(uint64(zeroRun)) + uvarintLen(uint64(i-lits))
+		buf = reserve(buf, pos, hdr, hdr+8*(i-lits)+8)
+		pos += binary.PutUvarint(buf[pos:], uint64(zeroRun))
+		pos += binary.PutUvarint(buf[pos:], uint64(i-lits))
 		for j := lits; j < i; j++ {
-			bits = binary.AppendUvarint(bits, math.Float64bits(v[j])^math.Float64bits(ref[j]))
+			w := math.Float64bits(v[j]) ^ math.Float64bits(ref[j])
+			if w < 1<<56 && pos+8 <= len(buf) {
+				pos += putWord56(buf[pos:], w)
+				continue
+			}
+			n := uvarintLen(w)
+			buf = reserve(buf, pos, n, n+8*(i-j))
+			pos += binary.PutUvarint(buf[pos:], w)
 		}
 	}
-	dst.Bits = bits
+	dst.Bits = buf[:pos]
 	return nil
+}
+
+// reserve returns buf with at least need bytes of room after pos, growing
+// it to want bytes of room (keeping buf[:pos]) only when need does not fit.
+func reserve(buf []byte, pos, need, want int) []byte {
+	if len(buf)-pos >= need {
+		return buf
+	}
+	buf = slices.Grow(buf[:pos], want)
+	return buf[:cap(buf)]
+}
+
+// uvarintLen is the length of x's minimal LEB128 form.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+const (
+	low7  = 0x7f7f7f7f7f7f7f7f // the payload bits of eight varint bytes
+	cont8 = 0x8080808080808080 // their continuation bits
+)
+
+// putWord56 writes the minimal varint of w (non-zero, below 2^56, so at
+// most eight bytes) with one 8-byte store and returns its length; b must
+// hold eight bytes, of which those past the returned length are scratch.
+// The seven-bit groups are spread to one per byte in three mask-shift
+// steps (28|28 bits to the 32-bit halves, 14|14 to the 16-bit quarters,
+// 7|7 to the bytes), then every byte but the last gets its continuation
+// bit.
+func putWord56(b []byte, w uint64) int {
+	n := uvarintLen(w)
+	x := w&0x0fffffff | w&0x00fffffff0000000<<4
+	x = x&0x00003fff00003fff | x&0x0fffc0000fffc000<<2
+	x = x&0x007f007f007f007f | x&0x3f803f803f803f80<<1
+	binary.LittleEndian.PutUint64(b, x|cont8&(1<<(8*(n-1))-1))
+	return n
+}
+
+// word56 is putWord56's inverse on the eight bytes x holds in
+// little-endian order: it returns the length of the varint they start
+// with and that varint's bytes, or n = 0 when it is anything but a
+// canonical non-zero word of one to eight bytes (longer, non-minimal,
+// zero) — for the byte loop to decode, or reject with its typed error.
+// pack7 turns the bytes into the word.
+func word56(x uint64) (n int, word uint64) {
+	stop := ^x & cont8 // the bytes that end a varint
+	if stop == 0 {
+		return 0, 0
+	}
+	n = bits.TrailingZeros64(stop)>>3 + 1
+	x &= ^uint64(0) >> (64 - 8*n)
+	if x>>(8*(n-1)) == 0 {
+		// The top group is zero: a non-minimal form, or the zero word.
+		return 0, 0
+	}
+	return n, x
+}
+
+// pack7 closes the gaps between the seven-bit groups of eight varint
+// bytes, undoing putWord56's three steps.
+func pack7(x uint64) uint64 {
+	x &= low7
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	return x&0x000000000fffffff | x&0x0fffffff00000000>>4
 }
 
 // deltaDecoder is a bounds-checked cursor over a delta payload that
@@ -224,13 +305,22 @@ func (d *Delta) ApplyInto(scratch, ref Vector) (Vector, error) {
 		}
 		copy(out[i:i+zeros], ref[i:i+zeros])
 		i += zeros
-		for j := 0; j < lits; j++ {
+		for end := i + lits; i < end; i++ {
+			// Word at a time while eight bytes remain and they start with a
+			// canonical word of at most eight; dec.word takes everything
+			// else, and is what rejects it.
+			if dec.off+8 <= len(dec.bits) {
+				if n, x := word56(binary.LittleEndian.Uint64(dec.bits[dec.off:])); n > 0 {
+					dec.off += n
+					out[i] = math.Float64frombits(math.Float64bits(ref[i]) ^ pack7(x))
+					continue
+				}
+			}
 			w, err := dec.word()
 			if err != nil {
 				return nil, err
 			}
 			out[i] = math.Float64frombits(math.Float64bits(ref[i]) ^ w)
-			i++
 		}
 	}
 	if err := dec.finish(); err != nil {

@@ -89,12 +89,18 @@ func encodeSnapshotWith(s *Snapshot, extra int, writeState func(e *encoder)) ([]
 	return e.finish(), nil
 }
 
+// fullStateSize and deltaStateSize are the payload sizes of the two state
+// sections — the only bytes in which a full and an incremental blob of the
+// same snapshot differ, so comparing them compares the blobs.
+func fullStateSize(elems int) int       { return 8 + 8 + 8*elems }
+func deltaStateSize(d *param.Delta) int { return 8 + 8 + 8 + len(d.Bits) }
+
 // EncodeSnapshot serializes a snapshot into one self-checking blob.
 // Encoding is deterministic: the same snapshot always produces
 // byte-identical output. The parameter vector and history are pure binary
 // (floats as exact IEEE-754 bits — NaN and ±Inf payloads survive).
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	return encodeSnapshotWith(s, 8*len(s.State.Global), func(e *encoder) {
+	return encodeSnapshotWith(s, fullStateSize(len(s.State.Global)), func(e *encoder) {
 		sec := e.begin(secState)
 		e.i64(int64(s.State.Round))
 		appendVectorPayload(e, s.State.Global)
@@ -113,14 +119,20 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 // DecodeSnapshot refuses the blob with ErrIncremental, Store.Open
 // resolves it.
 func EncodeSnapshotDelta(s *Snapshot, refVersion int, refGlobal param.Vector) ([]byte, error) {
+	var d param.Delta
+	if err := param.DiffInto(&d, refGlobal, param.Vector(s.State.Global)); err != nil {
+		return nil, fmt.Errorf("store: incremental snapshot vs v%d: %w", refVersion, err)
+	}
+	return encodeSnapshotDelta(s, refVersion, &d)
+}
+
+// encodeSnapshotDelta is EncodeSnapshotDelta for a global already diffed
+// against version refVersion's.
+func encodeSnapshotDelta(s *Snapshot, refVersion int, d *param.Delta) ([]byte, error) {
 	if refVersion < 1 {
 		return nil, fmt.Errorf("store: incremental snapshot needs a positive reference version, got %d", refVersion)
 	}
-	d, err := param.Diff(refGlobal, param.Vector(s.State.Global))
-	if err != nil {
-		return nil, fmt.Errorf("store: incremental snapshot vs v%d: %w", refVersion, err)
-	}
-	return encodeSnapshotWith(s, 24+len(d.Bits), func(e *encoder) {
+	return encodeSnapshotWith(s, deltaStateSize(d), func(e *encoder) {
 		sec := e.begin(secDeltaState)
 		appendDeltaStatePayload(e, s.State.Round, refVersion, d)
 		e.end(sec)

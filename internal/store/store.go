@@ -59,6 +59,10 @@ type Store struct {
 	// its chain depth), so steady-state incremental saves need no disk
 	// reads to find their reference.
 	last *saveRef
+	// diff is the delta encoder's buffer, kept between incremental saves;
+	// diffMu is held while one of them encodes from it.
+	diffMu sync.Mutex
+	diff   param.Delta
 }
 
 // saveRef is a candidate reference for the next incremental save.
@@ -182,20 +186,17 @@ func (s *Store) pickReference(next *Snapshot) *saveRef {
 // SetIncremental the blob is a delta against the previous version
 // whenever a usable reference exists (full-snapshot fallback otherwise).
 func (s *Store) Save(snap *Snapshot) (int, error) {
-	data, err := EncodeSnapshot(snap)
-	if err != nil {
-		return 0, err
-	}
+	var data []byte
 	depth := 0 // chain depth of the blob being written
 	if ref := s.pickReference(snap); ref != nil {
-		// Keep the delta only when it is actually smaller — a global that
-		// shifted substantially can XOR to high-entropy words whose varint
-		// form exceeds 8 bytes per element, and a delta that beats no
-		// storage would still add chain-resolution cost and fragility.
-		// This mirrors the wire path's dense fallback: worst-case storage
-		// is full-snapshot parity.
-		if b, derr := EncodeSnapshotDelta(snap, ref.version, ref.global); derr == nil && len(b) < len(data) {
-			data, depth = b, ref.depth+1
+		if data = s.encodeIncremental(snap, ref); data != nil {
+			depth = ref.depth + 1
+		}
+	}
+	if data == nil {
+		var err error
+		if data, err = EncodeSnapshot(snap); err != nil {
+			return 0, err
 		}
 	}
 	versions, err := s.Versions()
@@ -244,6 +245,29 @@ func (s *Store) Save(snap *Snapshot) (int, error) {
 	}
 	s.mu.Unlock()
 	return version, nil
+}
+
+// encodeIncremental encodes snap as a delta against ref, or returns nil
+// when the full snapshot is what should be written: the delta is kept only
+// when it is actually smaller — a global that shifted substantially can
+// XOR to high-entropy words whose varint form exceeds 8 bytes per element,
+// and a delta that beats no storage would still add chain-resolution cost
+// and fragility. This mirrors the wire path's dense fallback: worst-case
+// storage is full-snapshot parity. Which blob is smaller follows from the
+// delta's size alone, so only the winner is ever encoded.
+func (s *Store) encodeIncremental(snap *Snapshot, ref *saveRef) []byte {
+	s.diffMu.Lock()
+	defer s.diffMu.Unlock()
+	d := &s.diff
+	global := param.Vector(snap.State.Global)
+	if err := param.DiffInto(d, ref.global, global); err != nil || deltaStateSize(d) >= fullStateSize(len(global)) {
+		return nil
+	}
+	data, err := encodeSnapshotDelta(snap, ref.version, d)
+	if err != nil {
+		return nil // the full encode reports it
+	}
+	return data
 }
 
 // publishRetries bounds how many occupied versions publish will step over
