@@ -49,9 +49,11 @@ go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/
 # portable Go body that must agree bit for bit. On an AVX2 host the default
 # build tests both (the tests flip the package's switch); the purego tag
 # builds the package without the assembly, so the portable path is also held
-# to the oracle as the only path, and nn's bit-identity tests run on it.
+# to the oracle as the only path, nn's bit-identity tests run on it, and the
+# golden ledger of internal/baselines (every registry method's final bits)
+# and model's pinned loops must come out the same from the portable kernels.
 echo "== go test -tags purego (portable kernels) =="
-go test -tags purego ./internal/tensor/... ./internal/nn/...
+go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/model/... ./internal/baselines/...
 
 # The fallback must compile where the assembly does not exist. (go vet's
 # asmdecl check, in the vet step above, holds the amd64 assembly to its Go

@@ -9,10 +9,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"calibre/internal/data"
+	"calibre/internal/fl"
 	"calibre/internal/model"
+	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/partition"
 	"calibre/internal/ssl"
@@ -65,43 +66,20 @@ func DefaultConfig(arch ssl.Arch, numClasses int) Config {
 // supBase manages per-client supervised models with a stable parameter
 // layout. It underlies every supervised baseline.
 type supBase struct {
-	cfg Config
-
-	mu     sync.Mutex
-	states map[int]*model.SupModel
+	cfg    Config
+	states fl.ClientStates[*model.SupModel]
 }
 
-func newSupBase(cfg Config) *supBase {
-	return &supBase{cfg: cfg, states: make(map[int]*model.SupModel)}
-}
+func newSupBase(cfg Config) *supBase { return &supBase{cfg: cfg} }
 
-// state returns the client's persistent model, creating it on first use.
-// The boolean reports whether the client was already known (false = novel).
-//
-// Exactly one draw is consumed from rng in BOTH branches (it seeds the
-// construction RNG when the model is actually built), so the caller's
-// downstream RNG stream never depends on whether this process has seen
-// the client before. That invariance is what lets a checkpoint-resumed
-// process — whose caches start cold — train bit-identically to one that
-// was never restarted.
+// state returns the client's persistent model, creating it on first use
+// (one rng draw either way, see fl.ClientStates). The boolean reports whether
+// the client was already known (false = novel).
 func (b *supBase) state(rng *rand.Rand, id int) (*model.SupModel, bool) {
-	initSeed := rng.Int63()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if m, ok := b.states[id]; ok {
-		return m, true
-	}
-	m := model.NewSupModel(rand.New(rand.NewSource(initSeed)), b.cfg.Arch, b.cfg.NumClasses)
-	b.states[id] = m
-	return m, false
-}
-
-// peek returns the client's model without creating one.
-func (b *supBase) peek(id int) (*model.SupModel, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m, ok := b.states[id]
-	return m, ok
+	m, known, _ := b.states.Get(rng, id, func(initRNG *rand.Rand) (*model.SupModel, error) {
+		return b.newModel(initRNG), nil
+	})
+	return m, known
 }
 
 func (b *supBase) newModel(rng *rand.Rand) *model.SupModel {
@@ -110,41 +88,18 @@ func (b *supBase) newModel(rng *rand.Rand) *model.SupModel {
 
 // initGlobal builds the initial flattened global vector.
 func (b *supBase) initGlobal(rng *rand.Rand) (param.Vector, error) {
-	return flatten(b.newModel(rng)), nil
+	return nn.Flatten(b.newModel(rng)), nil
 }
 
-func flatten(m *model.SupModel) []float64 {
-	out := make([]float64, 0)
-	for _, p := range m.Params() {
-		out = append(out, p.Value.Data()...)
-	}
-	return out
-}
-
-func load(m *model.SupModel, vec []float64) error {
-	off := 0
-	for _, p := range m.Params() {
-		d := p.Value.Data()
-		if off+len(d) > len(vec) {
-			return fmt.Errorf("baselines: vector too short: %d < %d", len(vec), off+len(d))
-		}
-		copy(d, vec[off:off+len(d)])
-		off += len(d)
-	}
-	if off != len(vec) {
-		return fmt.Errorf("baselines: vector length %d, model needs %d", len(vec), off)
-	}
-	return nil
-}
-
-// loadMasked copies only the vector positions where mask is true.
+// loadMasked copies only the vector positions where mask is true; vec and
+// mask must both cover the model exactly.
 func loadMasked(m *model.SupModel, vec []float64, mask []bool) error {
+	if want := nn.ParamCount(m); len(vec) != want || len(mask) != want {
+		return fmt.Errorf("baselines: vector length %d and mask length %d, model needs %d", len(vec), len(mask), want)
+	}
 	off := 0
 	for _, p := range m.Params() {
 		d := p.Value.Data()
-		if off+len(d) > len(vec) {
-			return fmt.Errorf("baselines: vector too short: %d < %d", len(vec), off+len(d))
-		}
 		for i := range d {
 			if mask[off+i] {
 				d[i] = vec[off+i]

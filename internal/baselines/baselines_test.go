@@ -365,7 +365,7 @@ func TestFedEMAMergesDivergenceAware(t *testing.T) {
 	if _, err := f.Train(context.Background(), rng, clients[0], global, 0); err != nil {
 		t.Fatalf("Train r0: %v", err)
 	}
-	st := f.states[clients[0].ID]
+	st, _ := f.states.Peek(clients[0].ID)
 	localAfterR0 := nn.Flatten(st)
 	// Round 1 with a very different global: the merged start point must lie
 	// strictly between local and the new global.
@@ -463,6 +463,49 @@ func TestRegistryResumeClassification(t *testing.T) {
 		}
 		if got, want := !fl.Resumable(m), stateful[name]; got != want {
 			t.Errorf("%s: carries round state = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// loadMasked refuses a vector or a mask that does not cover the model
+// exactly (a long vector used to be accepted, a short mask to panic) and
+// otherwise writes exactly the masked positions.
+func TestLoadMasked(t *testing.T) {
+	m := model.NewSupModel(rand.New(rand.NewSource(31)), testArch(), 10)
+	n := nn.ParamCount(m)
+	before := nn.Flatten(m)
+	for _, tc := range []struct {
+		name      string
+		vec, mask int
+		ok        bool
+	}{
+		{"short vector", n - 1, n, false},
+		{"long vector", n + 1, n, false},
+		{"short mask", n, n - 1, false},
+		{"long mask", n, n + 1, false},
+		{"nothing", 0, 0, false},
+		{"exact", n, n, true},
+	} {
+		vec := make([]float64, tc.vec)
+		for i := range vec {
+			vec[i] = float64(i) + 0.5
+		}
+		mask := make([]bool, tc.mask)
+		for i := range mask {
+			mask[i] = i%3 == 0
+		}
+		err := loadMasked(m, vec, mask)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
+		}
+		for i, v := range nn.Flatten(m) {
+			want := before[i]
+			if tc.ok && mask[i] {
+				want = vec[i]
+			}
+			if v != want {
+				t.Fatalf("%s: parameter %d = %v, want %v", tc.name, i, v, want)
+			}
 		}
 	}
 }

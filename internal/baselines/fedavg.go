@@ -7,6 +7,7 @@ import (
 
 	"calibre/internal/fl"
 	"calibre/internal/model"
+	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/partition"
 	"calibre/internal/tensor"
@@ -57,7 +58,7 @@ func (f *fedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 		return nil, err
 	}
 	m, _ := f.state(rng, client.ID)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return nil, err
 	}
 	loss, err := model.TrainSupervised(rng, m, client.Train, f.cfg.Train)
@@ -66,7 +67,7 @@ func (f *fedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 	}
 	return &fl.Update{
 		ClientID:   client.ID,
-		Params:     flatten(m),
+		Params:     nn.Flatten(m),
 		NumSamples: client.Train.Len(),
 		TrainLoss:  loss,
 	}, nil
@@ -77,7 +78,7 @@ func (f *fedAvg) Personalize(ctx context.Context, rng *rand.Rand, client *partit
 		return 0, err
 	}
 	m := f.newModel(rng)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return 0, err
 	}
 	if !f.fineTune {
@@ -119,7 +120,7 @@ func (f *perFedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition
 		return nil, err
 	}
 	m, _ := f.state(rng, client.ID)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return nil, err
 	}
 	// Inner loop at half the outer learning rate, mimicking the meta
@@ -130,7 +131,7 @@ func (f *perFedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition
 	if err != nil {
 		return nil, fmt.Errorf("baselines: perfedavg client %d: %w", client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: nn.Flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
 
 func (f *perFedAvg) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {
@@ -138,7 +139,7 @@ func (f *perFedAvg) Personalize(ctx context.Context, rng *rand.Rand, client *par
 		return 0, err
 	}
 	m := f.newModel(rng)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return 0, err
 	}
 	cfg := f.cfg.Train

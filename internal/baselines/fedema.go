@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"calibre/internal/core"
 	"calibre/internal/fl"
@@ -31,9 +30,7 @@ type fedEMA struct {
 	train  ssl.TrainConfig
 
 	factory ssl.Factory
-
-	mu     sync.Mutex
-	states map[int]*ssl.Trainable
+	states  fl.ClientStates[*ssl.Trainable]
 }
 
 var (
@@ -64,7 +61,6 @@ func NewFedEMA(cfg Config) *fl.Method {
 		lambda:  lambda,
 		train:   trainCfg,
 		factory: ssl.NewBYOL(ssl.DefaultEMAMomentum),
-		states:  make(map[int]*ssl.Trainable),
 	}
 	return &fl.Method{
 		Name:         "fedema",
@@ -76,42 +72,22 @@ func NewFedEMA(cfg Config) *fl.Method {
 }
 
 func (f *fedEMA) initGlobal(rng *rand.Rand) (param.Vector, error) {
-	backbone := ssl.NewBackbone(rng, f.arch)
-	method, err := f.factory(rng, backbone)
+	st, err := ssl.NewTrainable(rng, f.arch, f.factory)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: fedema init: %w", err)
 	}
-	return nn.Flatten(&ssl.Trainable{Backbone: backbone, Method: method}), nil
-}
-
-// state burns exactly one rng draw in both branches (see supBase.state):
-// the caller's stream stays invariant to cache warmth, which checkpoint
-// resume relies on.
-func (f *fedEMA) state(rng *rand.Rand, id int) (*ssl.Trainable, bool, error) {
-	initSeed := rng.Int63()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if st, ok := f.states[id]; ok {
-		return st, true, nil
-	}
-	initRNG := rand.New(rand.NewSource(initSeed))
-	backbone := ssl.NewBackbone(initRNG, f.arch)
-	method, err := f.factory(initRNG, backbone)
-	if err != nil {
-		return nil, false, fmt.Errorf("baselines: fedema client state: %w", err)
-	}
-	st := &ssl.Trainable{Backbone: backbone, Method: method}
-	f.states[id] = st
-	return st, false, nil
+	return nn.Flatten(st), nil
 }
 
 func (f *fedEMA) Train(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*fl.Update, error) {
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	st, known, err := f.state(rng, client.ID)
+	st, known, err := f.states.Get(rng, client.ID, func(initRNG *rand.Rand) (*ssl.Trainable, error) {
+		return ssl.NewTrainable(initRNG, f.arch, f.factory)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("baselines: fedema client state: %w", err)
 	}
 	if !known {
 		// First participation: adopt the global model outright.

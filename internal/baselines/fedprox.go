@@ -7,6 +7,7 @@ import (
 
 	"calibre/internal/fl"
 	"calibre/internal/model"
+	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/partition"
 )
@@ -48,7 +49,7 @@ func (f *fedProx) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 		return nil, err
 	}
 	m, _ := f.state(rng, client.ID)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return nil, err
 	}
 	cfg := f.cfg.Train
@@ -60,7 +61,7 @@ func (f *fedProx) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 	}
 	return &fl.Update{
 		ClientID:   client.ID,
-		Params:     flatten(m),
+		Params:     nn.Flatten(m),
 		NumSamples: client.Train.Len(),
 		TrainLoss:  loss,
 	}, nil
@@ -71,7 +72,7 @@ func (f *fedProx) Personalize(ctx context.Context, rng *rand.Rand, client *parti
 		return 0, err
 	}
 	m := f.newModel(rng)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return 0, err
 	}
 	return f.fineTuneHead(rng, m, client)

@@ -40,7 +40,6 @@ func TestGoldenLedger(t *testing.T) {
 	// The group returns once its parallel subtests have all finished.
 	t.Run("methods", func(t *testing.T) {
 		for i, name := range names {
-			i, name := i, name
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				m, err := experiments.BuildMethod(env, name)

@@ -7,6 +7,7 @@ import (
 
 	"calibre/internal/fl"
 	"calibre/internal/model"
+	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/partition"
 )
@@ -100,7 +101,7 @@ func (p *partial) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 	if !known {
 		// First contact: adopt the full global vector so the private half
 		// starts from the shared initialization (standard in these methods).
-		if err := load(m, global); err != nil {
+		if err := nn.Unflatten(m, global); err != nil {
 			return nil, err
 		}
 	} else if err := loadMasked(m, global, p.sharedMask(m)); err != nil {
@@ -130,7 +131,7 @@ func (p *partial) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %s client %d: %w", p.name, client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: nn.Flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
 
 func (p *partial) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {
@@ -140,16 +141,16 @@ func (p *partial) Personalize(ctx context.Context, rng *rand.Rand, client *parti
 	if p.babu {
 		// FedBABU: global encoder + freshly trained head (linear probe).
 		m := p.newModel(rng)
-		if err := load(m, global); err != nil {
+		if err := nn.Unflatten(m, global); err != nil {
 			return 0, err
 		}
 		return p.probeAccuracy(rng, m, client)
 	}
-	m, known := p.peek(client.ID)
+	m, known := p.states.Peek(client.ID)
 	if !known {
 		// Novel client: start from the global vector entirely.
 		m = p.newModel(rng)
-		if err := load(m, global); err != nil {
+		if err := nn.Unflatten(m, global); err != nil {
 			return 0, err
 		}
 	} else if err := loadMasked(m, global, p.sharedMask(m)); err != nil {

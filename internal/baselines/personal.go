@@ -72,20 +72,20 @@ func (a *apfl) Train(ctx context.Context, rng *rand.Rand, client *partition.Clie
 		return nil, err
 	}
 	m, _ := a.state(rng, client.ID)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return nil, err
 	}
 	loss, err := model.TrainSupervised(rng, m, client.Train, a.cfg.Train)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: apfl client %d: %w", client.ID, err)
 	}
-	w := flatten(m)
+	w := nn.Flatten(m)
 
 	// Personal branch: one local pass updating v from the mixed point.
 	v := a.personalVec(client.ID, global)
 	mixed := nn.VecLerp(w, v, a.alpha) // α·v + (1-α)·w
 	pm := a.newModel(rng)
-	if err := load(pm, mixed); err != nil {
+	if err := nn.Unflatten(pm, mixed); err != nil {
 		return nil, err
 	}
 	pCfg := a.cfg.Train
@@ -94,7 +94,7 @@ func (a *apfl) Train(ctx context.Context, rng *rand.Rand, client *partition.Clie
 		return nil, fmt.Errorf("baselines: apfl personal branch: %w", err)
 	}
 	a.mu.Lock()
-	a.personal[client.ID] = flatten(pm)
+	a.personal[client.ID] = nn.Flatten(pm)
 	a.mu.Unlock()
 
 	return &fl.Update{ClientID: client.ID, Params: w, NumSamples: client.Train.Len(), TrainLoss: loss}, nil
@@ -107,7 +107,7 @@ func (a *apfl) Personalize(ctx context.Context, rng *rand.Rand, client *partitio
 	v := a.personalVec(client.ID, global)
 	mixed := nn.VecLerp(global, v, a.alpha)
 	m := a.newModel(rng)
-	if err := load(m, mixed); err != nil {
+	if err := nn.Unflatten(m, mixed); err != nil {
 		return 0, err
 	}
 	// Light head refresh so novel clients (whose v is the global model) are
@@ -168,7 +168,7 @@ func (d *ditto) personalVec(id int, init []float64) []float64 {
 func (d *ditto) trainPersonal(rng *rand.Rand, client *partition.Client, global param.Vector, epochs int) (*model.SupModel, error) {
 	v := d.personalVec(client.ID, global)
 	pm := d.newModel(rng)
-	if err := load(pm, v); err != nil {
+	if err := nn.Unflatten(pm, v); err != nil {
 		return nil, err
 	}
 	cfg := d.cfg.Train
@@ -179,7 +179,7 @@ func (d *ditto) trainPersonal(rng *rand.Rand, client *partition.Client, global p
 		return nil, fmt.Errorf("baselines: ditto personal: %w", err)
 	}
 	d.mu.Lock()
-	d.personal[client.ID] = flatten(pm)
+	d.personal[client.ID] = nn.Flatten(pm)
 	d.mu.Unlock()
 	return pm, nil
 }
@@ -189,7 +189,7 @@ func (d *ditto) Train(ctx context.Context, rng *rand.Rand, client *partition.Cli
 		return nil, err
 	}
 	m, _ := d.state(rng, client.ID)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return nil, err
 	}
 	loss, err := model.TrainSupervised(rng, m, client.Train, d.cfg.Train)
@@ -199,7 +199,7 @@ func (d *ditto) Train(ctx context.Context, rng *rand.Rand, client *partition.Cli
 	if _, err := d.trainPersonal(rng, client, global, d.cfg.Train.Epochs); err != nil {
 		return nil, err
 	}
-	return &fl.Update{ClientID: client.ID, Params: flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: nn.Flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
 
 func (d *ditto) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

@@ -89,7 +89,7 @@ func (s *scaffold) Train(ctx context.Context, rng *rand.Rand, client *partition.
 		return nil, err
 	}
 	m, _ := s.state(rng, client.ID)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return nil, err
 	}
 	ci := s.control(client.ID, len(global))
@@ -102,7 +102,7 @@ func (s *scaffold) Train(ctx context.Context, rng *rand.Rand, client *partition.
 	if err != nil {
 		return nil, fmt.Errorf("baselines: scaffold client %d: %w", client.ID, err)
 	}
-	local := flatten(m)
+	local := nn.Flatten(m)
 	// Option II control refresh.
 	stepsPerEpoch := (client.Train.Len() + cfg.BatchSize - 1) / cfg.BatchSize
 	k := cfg.Epochs * stepsPerEpoch
@@ -133,7 +133,7 @@ func (s *scaffold) Personalize(ctx context.Context, rng *rand.Rand, client *part
 		return 0, err
 	}
 	m := s.newModel(rng)
-	if err := load(m, global); err != nil {
+	if err := nn.Unflatten(m, global); err != nil {
 		return 0, err
 	}
 	if !s.fineTune {

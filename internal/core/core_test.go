@@ -319,7 +319,7 @@ func TestSSLTrainerStatePersistsAcrossRounds(t *testing.T) {
 	if _, err := trainer.Train(context.Background(), rng, clients[0], global, 0); err != nil {
 		t.Fatalf("Train r0: %v", err)
 	}
-	st := trainer.states[clients[0].ID]
+	st, _ := trainer.states.Peek(clients[0].ID)
 	queueAfterR0 := st.Method.(*ssl.MoCoV2).QueueLen()
 	if queueAfterR0 == 0 {
 		t.Fatal("MoCo queue should have grown in round 0")
@@ -327,7 +327,7 @@ func TestSSLTrainerStatePersistsAcrossRounds(t *testing.T) {
 	if _, err := trainer.Train(context.Background(), rng, clients[0], global, 1); err != nil {
 		t.Fatalf("Train r1: %v", err)
 	}
-	if trainer.states[clients[0].ID] != st {
+	if again, _ := trainer.states.Peek(clients[0].ID); again != st {
 		t.Fatal("client state must persist across rounds")
 	}
 }

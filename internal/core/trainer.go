@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"calibre/internal/fl"
 	"calibre/internal/model"
@@ -36,8 +35,7 @@ type SSLTrainer struct {
 	// (STL-10's advantage for SSL methods).
 	UseUnlabeled bool
 
-	mu     sync.Mutex
-	states map[int]*ssl.Trainable
+	states fl.ClientStates[*ssl.Trainable]
 }
 
 var (
@@ -54,37 +52,11 @@ var (
 // weights. A factory that cannot even construct is reported stateful so
 // resume fails closed (the real error surfaces on the training path).
 func (t *SSLTrainer) CarriesRoundState() bool {
-	rng := rand.New(rand.NewSource(0))
-	method, err := t.Factory(rng, ssl.NewBackbone(rng, t.Arch))
+	probe, err := ssl.NewTrainable(rand.New(rand.NewSource(0)), t.Arch, t.Factory)
 	if err != nil {
 		return true
 	}
-	return method.CarriesLocalState()
-}
-
-// clientState burns exactly one rng draw in both branches (it seeds the
-// construction RNG on first use), so the caller's downstream stream never
-// depends on whether this process has seen the client before — the
-// invariance checkpoint resume relies on (see baselines.supBase.state).
-func (t *SSLTrainer) clientState(rng *rand.Rand, id int) (*ssl.Trainable, error) {
-	initSeed := rng.Int63()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.states == nil {
-		t.states = make(map[int]*ssl.Trainable)
-	}
-	if st, ok := t.states[id]; ok {
-		return st, nil
-	}
-	initRNG := rand.New(rand.NewSource(initSeed))
-	backbone := ssl.NewBackbone(initRNG, t.Arch)
-	method, err := t.Factory(initRNG, backbone)
-	if err != nil {
-		return nil, fmt.Errorf("core: method init for client %d: %w", id, err)
-	}
-	st := &ssl.Trainable{Backbone: backbone, Method: method}
-	t.states[id] = st
-	return st, nil
+	return probe.Method.CarriesLocalState()
 }
 
 // Train implements fl.Trainer.
@@ -92,9 +64,11 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	st, err := t.clientState(rng, client.ID)
+	st, _, err := t.states.Get(rng, client.ID, func(initRNG *rand.Rand) (*ssl.Trainable, error) {
+		return ssl.NewTrainable(initRNG, t.Arch, t.Factory)
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: method init for client %d: %w", client.ID, err)
 	}
 	if err := nn.Unflatten(st, global); err != nil {
 		return nil, fmt.Errorf("core: load global into client %d: %w", client.ID, err)
@@ -150,12 +124,11 @@ func batchOf(rows [][]float64) *tensor.Tensor {
 // InitGlobal builds the initial flattened global vector for this trainer's
 // architecture + method (every client shares the layout).
 func (t *SSLTrainer) InitGlobal(rng *rand.Rand) (param.Vector, error) {
-	backbone := ssl.NewBackbone(rng, t.Arch)
-	method, err := t.Factory(rng, backbone)
+	st, err := ssl.NewTrainable(rng, t.Arch, t.Factory)
 	if err != nil {
 		return nil, fmt.Errorf("core: init global: %w", err)
 	}
-	return nn.Flatten(&ssl.Trainable{Backbone: backbone, Method: method}), nil
+	return nn.Flatten(st), nil
 }
 
 // LinearProbe is the personalization stage shared by all two-stage SSL
@@ -176,16 +149,14 @@ func (p *LinearProbe) Personalize(ctx context.Context, rng *rand.Rand, client *p
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	backbone := ssl.NewBackbone(rng, p.Arch)
-	method, err := p.Factory(rng, backbone)
+	st, err := ssl.NewTrainable(rng, p.Arch, p.Factory)
 	if err != nil {
 		return 0, fmt.Errorf("core: probe init: %w", err)
 	}
-	st := &ssl.Trainable{Backbone: backbone, Method: method}
 	if err := nn.Unflatten(st, global); err != nil {
 		return 0, fmt.Errorf("core: probe load global: %w", err)
 	}
-	return model.LinearProbeAccuracy(rng, backbone.EncodeValue, client.Train, client.Test, p.NumClasses, p.Head)
+	return model.LinearProbeAccuracy(rng, st.Backbone.EncodeValue, client.Train, client.Test, p.NumClasses, p.Head)
 }
 
 // Config assembles a complete Calibre or pFL-SSL method.

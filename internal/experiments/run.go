@@ -206,16 +206,14 @@ func EncoderFor(env *Environment, methodName string, global param.Vector) (model
 }
 
 func sslEncoder(rng *rand.Rand, env *Environment, factory ssl.Factory, global param.Vector) (model.FeatureFn, error) {
-	backbone := ssl.NewBackbone(rng, env.Arch)
-	method, err := factory(rng, backbone)
+	st, err := ssl.NewTrainable(rng, env.Arch, factory)
 	if err != nil {
 		return nil, err
 	}
-	st := &ssl.Trainable{Backbone: backbone, Method: method}
 	if err := nn.Unflatten(st, global); err != nil {
 		return nil, fmt.Errorf("experiments: load SSL encoder: %w", err)
 	}
-	return backbone.EncodeValue, nil
+	return st.Backbone.EncodeValue, nil
 }
 
 // ClientFeatures encodes (up to maxPerClient of) each selected client's

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"calibre/internal/param"
 )
@@ -168,6 +169,7 @@ type ScaffoldAggregator struct {
 	ServerLR   float64
 	NumClients int // total client population C (control update is scaled by m/C)
 
+	mu      sync.Mutex   // guards control's lazy allocation: a round's clients ask for it concurrently
 	control param.Vector // server control variate c
 }
 
@@ -183,6 +185,8 @@ func (s *ScaffoldAggregator) CarriesRoundState() bool { return true }
 
 // Control returns the server control variate (allocated on first use).
 func (s *ScaffoldAggregator) Control(dim int) param.Vector {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.control == nil {
 		s.control = make(param.Vector, dim)
 	}

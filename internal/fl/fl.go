@@ -382,3 +382,46 @@ func runParallel[T any](ctx context.Context, parallelism, n int, fn func(ctx con
 	}
 	return results, nil
 }
+
+// ClientStates keeps a trainer's long-lived per-client values (a client's
+// model, its SSL trainable) across rounds. The zero value is ready to use
+// and safe for concurrent use.
+//
+// Get consumes exactly ONE draw from rng whether or not the client is
+// already cached: the draw seeds the RNG handed to build, which runs only on
+// first use. The caller's downstream stream therefore never depends on
+// whether this process has seen the client before — the invariance that
+// lets a checkpoint-resumed process, whose caches start cold, train
+// bit-identically to one that was never restarted.
+type ClientStates[T any] struct {
+	mu sync.Mutex
+	m  map[int]T
+}
+
+// Get returns client id's value, building it on first use; the boolean
+// reports whether it was already cached (false = first contact).
+func (c *ClientStates[T]) Get(rng *rand.Rand, id int, build func(*rand.Rand) (T, error)) (T, bool, error) {
+	initSeed := rng.Int63()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[id]; ok {
+		return v, true, nil
+	}
+	v, err := build(rand.New(rand.NewSource(initSeed)))
+	if err != nil {
+		return v, false, err
+	}
+	if c.m == nil {
+		c.m = make(map[int]T)
+	}
+	c.m[id] = v
+	return v, false, nil
+}
+
+// Peek returns client id's value without building one.
+func (c *ClientStates[T]) Peek(id int) (T, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[id]
+	return v, ok
+}

@@ -1,8 +1,9 @@
 // Package model provides the supervised model used by the FL baselines
 // (encoder + linear classification head, mirroring the paper's "ResNet-18
-// with its fully-connected layers replaced by a linear classifier") and the
-// local training loops shared across methods, including the linear-probe
-// head training that implements the paper's personalization stage.
+// with its fully-connected layers replaced by a linear classifier") and its
+// two local trainers, both loss builders over nn.StepLoop: supervised
+// training of the model, and the linear-probe head training that implements
+// the paper's personalization stage.
 package model
 
 import (
@@ -22,6 +23,8 @@ type SupModel struct {
 	NumClasses int
 	Encoder    *nn.Sequential
 	Head       *nn.Linear
+
+	arena *tensor.Arena // lazily created; backs TrainSupervised's step tapes
 }
 
 var _ nn.Module = (*SupModel)(nil)
@@ -69,8 +72,13 @@ func (m *SupModel) HeadMask() []bool {
 }
 
 // Forward computes class logits for a constant input batch.
-func (m *SupModel) Forward(x *tensor.Tensor) *nn.Node {
-	return m.Head.Forward(m.Encoder.Forward(nn.Input(x)))
+func (m *SupModel) Forward(x *tensor.Tensor) *nn.Node { return m.ForwardOn(nil, x) }
+
+// ForwardOn is Forward with the graph's buffers drawn from tp's arena (a nil
+// tape allocates on the heap). The logits — and everything derived from
+// them — become invalid at the tape's next Reset.
+func (m *SupModel) ForwardOn(tp *nn.Tape, x *tensor.Tensor) *nn.Node {
+	return m.Head.Forward(m.Encoder.Forward(nn.InputOn(tp, x)))
 }
 
 // Accuracy evaluates classification accuracy on a dataset.
@@ -132,13 +140,26 @@ func DefaultSupTrainConfig() SupTrainConfig {
 }
 
 // TrainSupervised runs local supervised training of m on ds and returns the
-// mean cross-entropy per step.
+// mean cross-entropy per step. Step buffers come from an arena that lives as
+// long as m does, so a client model trained round after round reuses them.
 func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrainConfig) (float64, error) {
 	if ds.Len() == 0 {
 		return 0, nil
 	}
 	if cfg.Epochs < 1 || cfg.BatchSize < 1 {
 		return 0, fmt.Errorf("model: bad train config %+v", cfg)
+	}
+	params := m.Params()
+	prox := cfg.ProxTarget
+	if cfg.ProxMu <= 0 {
+		prox = nil
+	}
+	want := nn.ParamCount(m)
+	if prox != nil && len(prox) != want {
+		return 0, fmt.Errorf("model: ProxTarget has %d values, the model %d parameters", len(prox), want)
+	}
+	if cfg.GradCorrection != nil && len(cfg.GradCorrection) != want {
+		return 0, fmt.Errorf("model: GradCorrection has %d values, the model %d parameters", len(cfg.GradCorrection), want)
 	}
 	var trainable []*nn.Param
 	if !cfg.FreezeEncoder {
@@ -150,51 +171,48 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 	if len(trainable) == 0 {
 		return 0, fmt.Errorf("model: nothing to train (both parts frozen)")
 	}
-	opt := nn.NewSGD(paramSubset{trainable}, cfg.LR, cfg.Momentum, 0)
-
+	if m.arena == nil {
+		m.arena = tensor.NewArena()
+	}
+	tape := nn.NewTape(m.arena)
 	stepsPerEpoch := (ds.Len() + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, ds.Len(), cfg.BatchSize)
-	var total float64
-	var steps int
-	for e := 0; e < cfg.Epochs; e++ {
-		for s := 0; s < stepsPerEpoch; s++ {
+	loop := nn.StepLoop{
+		Tape:     tape,
+		Opt:      nn.NewSGD(paramSubset{trainable}, cfg.LR, cfg.Momentum, 0),
+		Params:   params,
+		ClipNorm: cfg.ClipNorm,
+		Loss: func() *nn.Node {
 			idx, ok := batcher.Next()
 			if !ok {
-				// Degenerate single-sample dataset: train full-batch.
-				idx = []int{0}
-				if ds.Len() == 0 {
-					break
+				idx = []int{0} // a one-sample dataset trains full-batch
+			}
+			return nn.CrossEntropy(m.ForwardOn(tape, data.Batch(ds.Rows(idx))), ds.Labels(idx))
+		},
+	}
+	if prox != nil || cfg.GradCorrection != nil {
+		// grad += mu·(w − target), then grad += correction, in place.
+		loop.AdjustGrads = func() {
+			off := 0
+			for _, p := range params {
+				g, w := p.Grad.Data(), p.Value.Data()
+				if prox != nil {
+					for i, t := range prox[off : off+len(g)] {
+						g[i] += cfg.ProxMu * (w[i] - t)
+					}
 				}
-			}
-			x := data.Batch(ds.Rows(idx))
-			y := ds.Labels(idx)
-			loss := nn.CrossEntropy(m.Forward(x), y)
-			nn.ZeroGrads(m)
-			if err := nn.Backward(loss); err != nil {
-				return 0, fmt.Errorf("model: backward: %w", err)
-			}
-			if cfg.ProxMu > 0 && cfg.ProxTarget != nil {
-				// grad += mu (w - w_target)
-				diff := nn.VecSub(nn.Flatten(m), cfg.ProxTarget)
-				if err := nn.AddToGrads(m, diff, cfg.ProxMu); err != nil {
-					return 0, fmt.Errorf("model: proximal term: %w", err)
+				if cfg.GradCorrection != nil {
+					for i, c := range cfg.GradCorrection[off : off+len(g)] {
+						g[i] += c
+					}
 				}
+				off += len(g)
 			}
-			if cfg.GradCorrection != nil {
-				if err := nn.AddToGrads(m, cfg.GradCorrection, 1); err != nil {
-					return 0, fmt.Errorf("model: grad correction: %w", err)
-				}
-			}
-			if cfg.ClipNorm > 0 {
-				opt.ClipGradNorm(cfg.ClipNorm)
-			}
-			opt.Step()
-			total += loss.Value.At(0, 0)
-			steps++
 		}
 	}
-	if steps == 0 {
-		return 0, nil
+	loss, err := loop.Run(cfg.Epochs * stepsPerEpoch)
+	if err != nil {
+		return 0, fmt.Errorf("model: %w", err)
 	}
-	return total / float64(steps), nil
+	return loss, nil
 }

@@ -194,7 +194,76 @@ func TestTrainSupervisedEdgeCases(t *testing.T) {
 	if _, err := TrainSupervised(rng, m, ds, bad); err == nil {
 		t.Fatal("epochs=0 should error")
 	}
+	// A proximal target or gradient correction that does not cover the
+	// model exactly is refused before the first step: a short one used to
+	// panic on an index, a long one was silently truncated.
+	n := nn.ParamCount(m)
+	before := nn.Flatten(m)
+	for _, length := range []int{0, n - 1, n + 1} {
+		prox := DefaultSupTrainConfig()
+		prox.ProxMu, prox.ProxTarget = 0.1, make([]float64, length)
+		if _, err := TrainSupervised(rng, m, ds, prox); err == nil {
+			t.Errorf("a ProxTarget of %d values for %d parameters should error", length, n)
+		}
+		corr := DefaultSupTrainConfig()
+		corr.GradCorrection = make([]float64, length)
+		if _, err := TrainSupervised(rng, m, ds, corr); err == nil {
+			t.Errorf("a GradCorrection of %d values for %d parameters should error", length, n)
+		}
+	}
+	for i, v := range nn.Flatten(m) {
+		if v != before[i] {
+			t.Fatal("a refused configuration must not have trained the model")
+		}
+	}
 }
+
+// TestTrainingStepsStayOnTheTape bounds what a warmed supervised step and a
+// probe step allocate: on the tape what remains is the batch assembly and
+// the ops' closures (20 and 12 allocations). A step whose graph falls back
+// to the heap pays for every node, value, gradient and scratch buffer too
+// (72 and 33 before these loops ran on a tape) and fails the ceilings.
+func TestTrainingStepsStayOnTheTape(t *testing.T) {
+	ds := testDataset(t, 4)
+	m := NewSupModel(rand.New(rand.NewSource(21)), testArch(), 10)
+	cfg := DefaultSupTrainConfig()
+	cfg.Epochs, cfg.BatchSize = 1, 16
+	train := func(epochs int) func() {
+		c := cfg
+		c.Epochs = epochs
+		return func() {
+			if _, err := TrainSupervised(rand.New(rand.NewSource(22)), m, ds, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stepsPerEpoch := (ds.Len() + cfg.BatchSize - 1) / cfg.BatchSize
+	train(1)() // warm the model's arena
+	perStep := (testing.AllocsPerRun(5, train(5)) - testing.AllocsPerRun(5, train(1))) / float64(4*stepsPerEpoch)
+	if perStep > supStepAllocCeiling {
+		t.Errorf("a warmed TrainSupervised step makes %.1f allocations, ceiling %d", perStep, supStepAllocCeiling)
+	}
+
+	feats := m.Features(ds)
+	probe := func(epochs int) func() {
+		hc := DefaultHeadConfig()
+		hc.Epochs, hc.BatchSize = epochs, 16
+		return func() {
+			if _, err := TrainLinearHead(rand.New(rand.NewSource(23)), feats, ds.Y, 10, hc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perStep = (testing.AllocsPerRun(5, probe(6)) - testing.AllocsPerRun(5, probe(2))) / float64(4*stepsPerEpoch)
+	if perStep > probeStepAllocCeiling {
+		t.Errorf("a warmed TrainLinearHead step makes %.1f allocations, ceiling %d", perStep, probeStepAllocCeiling)
+	}
+}
+
+const (
+	supStepAllocCeiling   = 28
+	probeStepAllocCeiling = 18
+)
 
 func TestAccuracyEmptyDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))

@@ -38,39 +38,33 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 		return nil, fmt.Errorf("model: bad head config %+v", cfg)
 	}
 	head := nn.NewLinear(rng, feats.Cols(), numClasses, "probe")
-	opt := nn.NewSGD(head, cfg.LR, cfg.Momentum, 0)
+	tape := nn.NewTape(tensor.NewArena())
 	stepsPerEpoch := (n + cfg.BatchSize - 1) / cfg.BatchSize
+	// Unlike data.Batcher, the cursor keeps an epoch's 1-row tail.
 	perm := rng.Perm(n)
 	cur := 0
-	nextBatch := func() []int {
-		if cur >= n {
-			perm = rng.Perm(n)
-			cur = 0
-		}
-		end := cur + cfg.BatchSize
-		if end > n {
-			end = n
-		}
-		b := perm[cur:end]
-		cur = end
-		return b
-	}
-	for e := 0; e < cfg.Epochs; e++ {
-		for s := 0; s < stepsPerEpoch; s++ {
-			idx := nextBatch()
+	loop := nn.StepLoop{
+		Tape:   tape,
+		Opt:    nn.NewSGD(head, cfg.LR, cfg.Momentum, 0),
+		Params: head.Params(),
+		Loss: func() *nn.Node {
+			if cur >= n {
+				perm = rng.Perm(n)
+				cur = 0
+			}
+			idx := perm[cur:min(cur+cfg.BatchSize, n)]
+			cur += len(idx)
 			x := tensor.New(len(idx), feats.Cols())
 			y := make([]int, len(idx))
 			for i, j := range idx {
 				x.SetRow(i, feats.Row(j))
 				y[i] = labels[j]
 			}
-			loss := nn.CrossEntropy(head.Forward(nn.Input(x)), y)
-			opt.ZeroGrad()
-			if err := nn.Backward(loss); err != nil {
-				return nil, fmt.Errorf("model: head backward: %w", err)
-			}
-			opt.Step()
-		}
+			return nn.CrossEntropy(head.Forward(nn.InputOn(tape, x)), y)
+		},
+	}
+	if _, err := loop.Run(cfg.Epochs * stepsPerEpoch); err != nil {
+		return nil, fmt.Errorf("model: head: %w", err)
 	}
 	return head, nil
 }

@@ -7,6 +7,9 @@
 // backward closure; calling Backward on a scalar loss node topologically
 // sorts the reachable graph and accumulates gradients into the participating
 // Params. Nodes derived only from constants (Input, Detach) are skipped.
+// StepLoop sequences a whole training step around Backward — loss, gradient
+// clearing, clipping, the optimizer, the allocation tape's reset — and is
+// what every local trainer in the repository runs.
 //
 // The matrix-product ops (MatMul, MatMulTransB and the Linear layer's
 // forward/backward passes, plus the VICReg covariance ops) run on

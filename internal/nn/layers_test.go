@@ -165,28 +165,6 @@ func TestEMAUpdate(t *testing.T) {
 	}
 }
 
-func TestAddToGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := MLP(rng, "m", 2, 2)
-	ZeroGrads(m)
-	vec := make([]float64, ParamCount(m))
-	for i := range vec {
-		vec[i] = float64(i)
-	}
-	if err := AddToGrads(m, vec, 2); err != nil {
-		t.Fatalf("AddToGrads: %v", err)
-	}
-	g := FlattenGrads(m)
-	for i := range g {
-		if g[i] != 2*float64(i) {
-			t.Fatalf("grad[%d] = %v", i, g[i])
-		}
-	}
-	if err := AddToGrads(m, vec[:1], 1); err == nil {
-		t.Fatal("AddToGrads with wrong length should error")
-	}
-}
-
 func TestVecHelpers(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}

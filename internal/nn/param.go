@@ -124,25 +124,6 @@ func FlattenGrads(m Module) []float64 {
 	return out
 }
 
-// AddToGrads adds vec (Flatten layout) into the parameter gradients. Used
-// by methods that inject parameter-space correction terms (SCAFFOLD control
-// variates, Ditto's proximal term).
-func AddToGrads(m Module, vec []float64, scale float64) error {
-	want := ParamCount(m)
-	if len(vec) != want {
-		return fmt.Errorf("nn: AddToGrads length %d, model has %d parameters", len(vec), want)
-	}
-	off := 0
-	for _, p := range m.Params() {
-		g := p.Grad.Data()
-		for i := range g {
-			g[i] += scale * vec[off+i]
-		}
-		off += len(g)
-	}
-	return nil
-}
-
 // CopyParams copies src's parameter values into dst. The two modules must
 // have identical parameter layouts.
 func CopyParams(dst, src Module) error {

@@ -11,7 +11,7 @@ import "calibre/internal/tensor"
 // arena instead of the Go heap. Reset returns them all; after Reset no node
 // of the step's graph may be used again. Values that must outlive the step
 // (the scalar loss, momentum-encoder keys, …) must be read or deep-copied
-// before Reset — see internal/ssl for the one call site that manages this
+// before Reset — StepLoop.Run is the one call site that manages this
 // lifecycle.
 //
 // A nil *Tape is valid everywhere and degrades to plain heap allocation, as

@@ -168,6 +168,17 @@ type Trainable struct {
 
 var _ nn.Module = (*Trainable)(nil)
 
+// NewTrainable builds a freshly initialized backbone and binds a method from
+// factory to it, drawing both from rng in that order.
+func NewTrainable(rng *rand.Rand, arch Arch, factory Factory) (*Trainable, error) {
+	b := NewBackbone(rng, arch)
+	m, err := factory(rng, b)
+	if err != nil {
+		return nil, err
+	}
+	return &Trainable{Backbone: b, Method: m}, nil
+}
+
 // Arena returns the trainable's buffer arena, creating it on first use. The
 // arena persists for the trainable's lifetime (for a federated client: across
 // rounds), which is what makes step buffers actually get reused. Callers that

@@ -100,7 +100,6 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 	if cfg.Epochs < 1 || cfg.BatchSize < 2 {
 		return 0, fmt.Errorf("ssl: bad train config %+v", cfg)
 	}
-	opt := nn.NewSGD(t, cfg.LR, cfg.Momentum, 0)
 	stepsPerEpoch := (len(rows) + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, len(rows), cfg.BatchSize)
 	var arena *tensor.Arena
@@ -109,14 +108,13 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 		arena = t.Arena()
 		tape = nn.NewTape(arena)
 	}
-	var totalLoss float64
-	var steps int
-	for e := 0; e < cfg.Epochs; e++ {
-		for s := 0; s < stepsPerEpoch; s++ {
-			idx, ok := batcher.Next()
-			if !ok {
-				break
-			}
+	loop := nn.StepLoop{
+		Tape:     tape,
+		Opt:      nn.NewSGD(t, cfg.LR, cfg.Momentum, 0),
+		Params:   t.Params(),
+		ClipNorm: cfg.ClipNorm,
+		Loss: func() *nn.Node {
+			idx, _ := batcher.Next() // two rows or more: there is always a batch
 			batchRows := make([][]float64, len(idx))
 			for i, j := range idx {
 				batchRows[i] = rows[j]
@@ -128,26 +126,15 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 			if hook != nil {
 				loss = hook(ctx, loss)
 			}
-			opt.ZeroGrad()
-			if err := nn.Backward(loss); err != nil {
-				tape.Reset()
-				return 0, fmt.Errorf("ssl: backward: %w", err)
-			}
-			if cfg.ClipNorm > 0 {
-				opt.ClipGradNorm(cfg.ClipNorm)
-			}
-			opt.Step()
-			t.Method.AfterStep(t.Backbone)
-			totalLoss += loss.Value.At(0, 0)
-			steps++
-			// The step's graph is dead: loss has been read, gradients applied
-			// and method state updated (methods deep-copy anything they keep,
-			// e.g. MoCo's key queue). Recycle every buffer the step borrowed.
-			tape.Reset()
-		}
+			return loss
+		},
+		// Methods deep-copy anything they keep past the step (MoCo's key
+		// queue, say): the loop recycles the step's buffers right after.
+		AfterStep: func() { t.Method.AfterStep(t.Backbone) },
 	}
-	if steps == 0 {
-		return 0, nil
+	loss, err := loop.Run(cfg.Epochs * stepsPerEpoch)
+	if err != nil {
+		return 0, fmt.Errorf("ssl: %w", err)
 	}
-	return totalLoss / float64(steps), nil
+	return loss, nil
 }

@@ -106,3 +106,38 @@ func TestPoisonedUninitFederationBitIdentical(t *testing.T) {
 	}
 	sameVector(t, "final global", run(true), run(false))
 }
+
+// TestPoisonedUninitSupervisedBitIdentical is the supervised leg: the
+// baselines always train on a per-model arena and the probe on a call-local
+// one (there is no arena-off switch to compare against), so three rounds and
+// the personalization stage run once as they are and once under the poison.
+// fedavg covers the plain step, ditto the proximal pull (its personal models
+// show only in the accuracies), scaffold the control-variate correction.
+func TestPoisonedUninitSupervisedBitIdentical(t *testing.T) {
+	for _, method := range []string{"fedavg", "ditto", "scaffold"} {
+		t.Run(method, func(t *testing.T) {
+			run := func() []float64 {
+				setting, ok := experiments.Settings()["cifar10-q(2,500)"]
+				if !ok {
+					t.Fatal("setting cifar10-q(2,500) missing")
+				}
+				env, err := experiments.BuildEnvironment(setting, experiments.Scale("smoke"), 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := experiments.BuildMethod(env, method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := experiments.RunBuiltMethodWith(context.Background(), env, m, func(cfg *fl.SimConfig) { cfg.Rounds = 3 })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return append(append([]float64{}, out.Global...), out.Participants.Accs...)
+			}
+			want := run()
+			tensor.PoisonUninit(t)
+			sameVector(t, "final global and accuracies", want, run())
+		})
+	}
+}
