@@ -3,19 +3,16 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire flake pass,
 #                    portable-kernel tests, cross builds, bench module, wire fuzz smoke,
-#                    short kernel bench
+#                    short kernel and sweep benches
 #
-# The quick kernel/codec/delta benches write their BENCH_*.json to temp
+# The quick kernel and sweep benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run, not to refresh the
-# committed numbers. When kernels, the checkpoint codec or the update
-# plane change, regenerate the tracked files with a full measurement:
+# committed numbers. When the kernels or the sweep scheduler change,
+# regenerate the tracked files with a full measurement:
 #   go run ./cmd/calibre-bench -exp kernels -out .
-#   go run ./cmd/calibre-bench -exp codec -out .
-#   go run ./cmd/calibre-bench -exp delta -out .
 #   go run ./cmd/calibre-bench -exp sweep -out .
-#   go run ./cmd/calibre-bench -exp trace -out .
-#   go run ./cmd/calibre-bench -exp hotpath -out .
-#   go run ./cmd/calibre-bench -exp health -out .
+# What a federation round costs, and where, is bench/'s question:
+#   go run -C bench . --workload sim-calibre
 # (see README.md "Benchmark harness").
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -104,22 +101,7 @@ go test -run '^$' -fuzz '^FuzzWireDecoder$' -fuzztime 5s ./internal/flnet/
 echo "== kernel bench (quick) =="
 go run ./cmd/calibre-bench -exp kernels -quick -out "$(mktemp -d)"
 
-echo "== codec bench (quick) =="
-go run ./cmd/calibre-bench -exp codec -quick -out "$(mktemp -d)"
-
-echo "== delta bench (quick) =="
-go run ./cmd/calibre-bench -exp delta -quick -out "$(mktemp -d)"
-
 echo "== sweep bench (quick) =="
 go run ./cmd/calibre-bench -exp sweep -quick -out "$(mktemp -d)"
-
-echo "== trace bench (quick) =="
-go run ./cmd/calibre-bench -exp trace -quick -out "$(mktemp -d)"
-
-echo "== hotpath bench (quick) =="
-go run ./cmd/calibre-bench -exp hotpath -quick -out "$(mktemp -d)"
-
-echo "== health bench (quick) =="
-go run ./cmd/calibre-bench -exp health -quick -out "$(mktemp -d)"
 
 echo "CI gate passed."

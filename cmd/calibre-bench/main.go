@@ -30,10 +30,19 @@ func main() {
 	}
 }
 
+// perfHarnesses are the two -exp modes that time something instead of
+// reproducing a figure: the kernels' serial-vs-pool scaling curve and the
+// sweep scheduler's worker scaling. What a federation round costs, and
+// where, is bench/'s question (go run -C bench .), not this command's.
+var perfHarnesses = map[string]func(outDir string, quick bool) error{
+	"kernels": runKernelBench,
+	"sweep":   runSweepBench,
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("calibre-bench", flag.ContinueOnError)
 	var (
-		exp   = fs.String("exp", "fig3", "experiment id (fig1..fig8, table1, 'kernels', 'codec', 'delta', 'sweep', 'trace', 'hotpath', 'health', or 'all')")
+		exp   = fs.String("exp", "fig3", "experiment id (fig1..fig8, table1, 'kernels', 'sweep', or 'all')")
 		scale = fs.String("scale", "smoke", "scale preset: smoke | ci | paper")
 		seed  = fs.Int64("seed", 42, "master seed")
 		out   = fs.String("out", "", "directory for CSV/JSON outputs (optional)")
@@ -45,34 +54,19 @@ func run(args []string) error {
 	}
 	if *list {
 		fmt.Println("experiments:", experiments.IDs())
-		fmt.Println("perf harnesses: kernels, codec, delta, sweep, trace, hotpath, health (run with -exp; not part of -exp all)")
+		fmt.Println("perf harnesses: kernels, sweep (run with -exp; not part of -exp all; whole-federation cost: go run -C bench .)")
 		fmt.Println("settings:")
 		for name := range experiments.Settings() {
 			fmt.Println("  ", name)
 		}
 		return nil
 	}
-	if *exp == "kernels" || *exp == "codec" || *exp == "delta" || *exp == "sweep" || *exp == "trace" || *exp == "hotpath" || *exp == "health" {
+	if bench, ok := perfHarnesses[*exp]; ok {
 		dir := *out
 		if dir == "" {
 			dir = "."
 		}
-		switch *exp {
-		case "kernels":
-			return runKernelBench(dir, *quick)
-		case "codec":
-			return runCodecBench(dir, *quick)
-		case "sweep":
-			return runSweepBench(dir, *quick)
-		case "trace":
-			return runTraceBench(dir, *quick)
-		case "hotpath":
-			return runHotpathBench(dir, *quick)
-		case "health":
-			return runHealthBench(dir, *quick)
-		default:
-			return runDeltaBench(dir, *quick)
-		}
+		return bench(dir, *quick)
 	}
 	ids := []string{*exp}
 	if *exp == "all" {

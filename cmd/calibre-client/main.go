@@ -32,7 +32,6 @@ func run(args []string) error {
 		scale      = fs.String("scale", "smoke", "scale preset (must match the server)")
 		seed       = fs.Int64("seed", 42, "master seed (must match the server)")
 		simLatency = fs.Duration("sim-latency", 0, "artificial delay before each local update (straggler fault injection)")
-		dense      = fs.Bool("dense-updates", false, "ship full dense vectors instead of compressed deltas, whatever the server advertises")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,7 +66,6 @@ func run(args []string) error {
 		Personalizer: m.Personalizer,
 		Seed:         *seed,
 		SimLatency:   lat,
-		DenseUpdates: *dense,
 	}); err != nil {
 		return err
 	}

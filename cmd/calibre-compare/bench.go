@@ -13,9 +13,10 @@ import (
 // are matched by their string-valued fields (the identity axes: op,
 // shape, pattern, state, …) within each shared section, and every shared
 // numeric field is diffed. Both recording environments are printed, and
-// environment mismatches — above all gomaxprocs, where the committed
-// single-core baselines make multi-core timings incomparable — warn
-// loudly on stderr rather than being silently averaged into the diff.
+// environment mismatches — above all gomaxprocs, where a different core
+// count than the committed two-core baselines' makes timings incomparable
+// — warn loudly on stderr rather than being silently averaged into the
+// diff.
 func diffBench(pathA, pathB string) error {
 	a, err := benchfile.Read(pathA)
 	if err != nil {

@@ -20,9 +20,9 @@
 // With -bench, it diffs two calibre-bench envelopes (BENCH_*.json)
 // record by record. Both files' recording environments are printed with
 // the diff, and an explicit warning is emitted when they differ — most
-// importantly on gomaxprocs, since the committed baselines were recorded
-// single-core and their timings read as regressions against any
-// multi-core run:
+// importantly on gomaxprocs, since timings and parallel speedups from
+// hosts with different core counts (the committed baselines are two-core
+// recordings) read as phantom regressions or gains:
 //
 //	calibre-compare -bench BENCH_kernels.json /tmp/new/BENCH_kernels.json
 package main

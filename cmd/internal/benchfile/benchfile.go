@@ -1,14 +1,14 @@
 // Package benchfile reads the BENCH_*.json envelopes calibre-bench emits,
-// schema-generically: every harness (kernels, codec, delta, sweep) shares
-// the host-environment header but carries its own record shapes, so
+// schema-generically: both harnesses (kernels, sweep) share the
+// host-environment header but carry their own record shapes, so
 // cross-file tooling — calibre-compare's -bench diff, the golden tests —
 // decodes the header into typed fields and every array-of-objects section
 // into generic records.
 //
 // The header matters more than it looks: the committed baselines were
-// recorded at gomaxprocs=1 (see the ROADMAP caveat — parallel speedups
-// read as ≈1× there), so comparing timings across files from different
-// environments is noise. EnvMismatch makes that mistake loud.
+// recorded at gomaxprocs=2, and a parallel speedup reads as ≈1× on one
+// core, so comparing timings across files from different environments is
+// noise. EnvMismatch makes that mistake loud.
 package benchfile
 
 import (
@@ -25,7 +25,7 @@ type File struct {
 	GOARCH     string
 	GOMaxProcs int
 	// Workers is the kernel-pool size; 0 when the harness does not record
-	// one (codec, sweep).
+	// one (sweep).
 	Workers int
 	// KernelImpl is which implementation of tensor's row primitives the
 	// harness timed ("avx2" or "generic"); empty when the harness does not
@@ -34,9 +34,8 @@ type File struct {
 	// Note carries the harness's environment caveat, when present (e.g.
 	// the single-core recording note).
 	Note string
-	// Sections maps each top-level array-of-objects field ("records",
-	// "wire", "rounds", …) to its rows as generic maps. JSON numbers
-	// decode as float64.
+	// Sections maps each top-level array-of-objects field ("records", …)
+	// to its rows as generic maps. JSON numbers decode as float64.
 	Sections map[string][]map[string]any
 }
 
@@ -112,7 +111,7 @@ func EnvMismatch(a, b *File) []string {
 		warns = append(warns, fmt.Sprintf("different platforms: %s/%s vs %s/%s", a.GOOS, a.GOARCH, b.GOOS, b.GOARCH))
 	}
 	if a.GOMaxProcs != b.GOMaxProcs {
-		warns = append(warns, fmt.Sprintf("gomaxprocs %d vs %d — timings and speedups are not comparable (the committed baselines were recorded single-core, where parallel speedups read as ≈1×)", a.GOMaxProcs, b.GOMaxProcs))
+		warns = append(warns, fmt.Sprintf("gomaxprocs %d vs %d — timings and speedups are not comparable (the committed baselines were recorded on two cores; on one, parallel speedups read as ≈1×)", a.GOMaxProcs, b.GOMaxProcs))
 	}
 	if a.Workers > 0 && b.Workers > 0 && a.Workers != b.Workers {
 		warns = append(warns, fmt.Sprintf("kernel pool workers %d vs %d", a.Workers, b.Workers))

@@ -39,8 +39,7 @@ type SimConfig struct {
 	// aggregate the reconstruction) — exactly the representation a
 	// networked flnet federation ships. Reconstruction is bit-identical,
 	// so results do not change; the knob exists so in-process simulations
-	// exercise and continuously verify the wire path, and it is what
-	// calibre-bench -exp delta measures.
+	// exercise and continuously verify the wire path.
 	DeltaUpdates bool
 	// DropoutRate simulates client failures/stragglers: each sampled
 	// client independently drops out of the round with this probability

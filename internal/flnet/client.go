@@ -35,10 +35,6 @@ type ClientConfig struct {
 	// quorum/deadline/straggler handling in tests, demos and chaos runs.
 	// Non-positive durations mean no delay for that round.
 	SimLatency func(round int) time.Duration
-	// DenseUpdates forces full dense parameter vectors on the uplink even
-	// when the server advertises delta encoding — an escape hatch for
-	// debugging and for measuring the compression against raw traffic.
-	DenseUpdates bool
 }
 
 func (c *ClientConfig) validate() error {
@@ -132,7 +128,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 	// The server advertises its preferred update encoding at join-ack;
 	// delta compression additionally needs the trainer to produce dense
 	// params to diff (all in-tree trainers do).
-	useDelta := ack.Updates == WireDelta && !cfg.DenseUpdates
+	useDelta := ack.Updates == WireDelta
 	encScratch := &param.Delta{} // uplink encoder buffer, reused every round
 
 	for {

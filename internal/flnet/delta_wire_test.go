@@ -28,7 +28,7 @@ func (driftTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Clie
 
 // runWireFederation runs a full federation with the given wire settings
 // and returns the final result.
-func runWireFederation(t *testing.T, n, rounds int, wire UpdateWire, denseClients bool, trainer fl.Trainer) *Result {
+func runWireFederation(t *testing.T, n, rounds int, wire UpdateWire, trainer fl.Trainer) *Result {
 	t.Helper()
 	clients := netClients(t, n)
 	srv, err := NewServer(ServerConfig{
@@ -57,7 +57,6 @@ func runWireFederation(t *testing.T, n, rounds int, wire UpdateWire, denseClient
 			err := RunClient(ctx, ClientConfig{
 				Addr: srv.Addr().String(), ClientID: id, Data: clients[id],
 				Trainer: trainer, Personalizer: idPersonalizer{}, Seed: 7,
-				DenseUpdates: denseClients,
 			})
 			if err != nil {
 				t.Errorf("client %d: %v", id, err)
@@ -74,26 +73,20 @@ func runWireFederation(t *testing.T, n, rounds int, wire UpdateWire, denseClient
 
 // TestDeltaWireBitIdenticalToDense pins the v2 compression contract: a
 // federation shipping XOR-delta updates produces a bit-identical global
-// (and histories) to one shipping dense vectors, for both the advertised
-// modes and the client-side dense override.
+// (and histories) to one shipping dense vectors.
 func TestDeltaWireBitIdenticalToDense(t *testing.T) {
-	base := runWireFederation(t, 3, 3, WireDense, false, driftTrainer{})
-	for name, res := range map[string]*Result{
-		"delta-advertised":      runWireFederation(t, 3, 3, WireDelta, false, driftTrainer{}),
-		"client-forced-dense":   runWireFederation(t, 3, 3, WireDelta, true, driftTrainer{}),
-		"dense-mode-forced-too": runWireFederation(t, 3, 3, WireDense, true, driftTrainer{}),
-	} {
-		if len(res.Global) != len(base.Global) {
-			t.Fatalf("%s: global length %d vs %d", name, len(res.Global), len(base.Global))
+	base := runWireFederation(t, 3, 3, WireDense, driftTrainer{})
+	res := runWireFederation(t, 3, 3, WireDelta, driftTrainer{})
+	if len(res.Global) != len(base.Global) {
+		t.Fatalf("global length %d vs %d", len(res.Global), len(base.Global))
+	}
+	for i := range base.Global {
+		if math.Float64bits(res.Global[i]) != math.Float64bits(base.Global[i]) {
+			t.Fatalf("global element %d differs from the dense run", i)
 		}
-		for i := range base.Global {
-			if math.Float64bits(res.Global[i]) != math.Float64bits(base.Global[i]) {
-				t.Fatalf("%s: global element %d differs from the dense run", name, i)
-			}
-		}
-		if len(res.History) != len(base.History) {
-			t.Fatalf("%s: history length differs", name)
-		}
+	}
+	if len(res.History) != len(base.History) {
+		t.Fatal("history length differs")
 	}
 }
 

@@ -23,8 +23,8 @@
 // against the round's global vector (fl.Update.Delta) instead of dense
 // params. The server advertises its preferred uplink encoding in the
 // join-ack envelope (Updates field, ServerConfig.UpdateWire); clients
-// comply unless forced dense (ClientConfig.DenseUpdates), and fall back
-// to dense per update whenever the delta would not be smaller. Either
+// comply, and fall back to dense per update whenever the delta would not
+// be smaller. Either
 // form is legal on every train-result: the server materializes deltas at
 // ingress (fl.Update.Resolve) before aggregation, bit-identically, and a
 // client whose payload fails validation (wrong length, corrupt delta) is

@@ -131,9 +131,9 @@ func (m MsgType) String() string {
 
 // UpdateWire selects how clients ship their train-result payloads: the
 // server advertises its preference in the join-ack envelope, and clients
-// comply unless forced dense (ClientConfig.DenseUpdates). Whatever the
-// advertisement, the server accepts both forms on every train-result —
-// delta encoding is an optimization, never a correctness requirement.
+// comply. Whatever the advertisement, the server accepts both forms on
+// every train-result — delta encoding is an optimization, never a
+// correctness requirement.
 type UpdateWire int
 
 const (
@@ -434,27 +434,3 @@ func (c *conn) readFrame(k int) (param.Vector, error) {
 }
 
 func (c *conn) close() error { return c.raw.Close() }
-
-// countConn is a net.Conn that only counts what is written to it.
-type countConn struct {
-	net.Conn
-	n int
-}
-
-func (c *countConn) Write(p []byte) (int, error) { c.n += len(p); return len(p), nil }
-
-// WireSize reports the bytes sending e costs on an established
-// connection: its gob header — without the type descriptors that travel
-// once, with a connection's first message — plus its vector frames.
-func WireSize(e *Envelope) (int, error) {
-	var sink countConn
-	c := newConn(&sink, 0, 0)
-	if err := c.send(e); err != nil {
-		return 0, err
-	}
-	first := sink.n
-	if err := c.send(e); err != nil {
-		return 0, err
-	}
-	return sink.n - first, nil
-}

@@ -3,26 +3,16 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"calibre/internal/tensor"
 )
 
-// fusedEnabled gates the fused Linear forward/backward kernels. On by
-// default; the unfused three-node path is kept as the bit-identity reference
-// for property tests and for the hotpath benchmark baseline.
-var fusedEnabled atomic.Bool
-
-func init() { fusedEnabled.Store(true) }
-
-// SetFused toggles the fused Linear kernels process-wide and returns the
-// previous setting. Fused and unfused paths are bit-identical (see the
-// determinism table in ARCHITECTURE.md); the toggle exists so tests can pin
-// that equivalence and benchmarks can measure the allocation win.
-func SetFused(on bool) bool { return fusedEnabled.Swap(on) }
-
-// Fused reports whether the fused Linear kernels are active.
-func Fused() bool { return fusedEnabled.Load() }
+// fused gates the fused Linear forward/backward kernels. It is true in
+// every shipped configuration and nothing outside this package can change
+// it; the unfused three-node path is kept as the bit-identity reference the
+// tests in fused_test.go compare against, and they flip the switch
+// in-package for its duration (as tensor's tests do with useAVX2).
+var fused = true
 
 // LinearAct is the fused affine+activation kernel: one graph node computing
 // act(x·W + b) where x is (m×k), w is (k×n) and bias holds n elements.

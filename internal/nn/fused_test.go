@@ -40,7 +40,7 @@ func runNet(t *testing.T, net *Sequential, x *tensor.Tensor) (loss float64, valu
 // values, loss, and parameter gradients — 0 ULP, at every kernel worker
 // count.
 func TestFusedBitIdenticalToUnfused(t *testing.T) {
-	defer SetFused(SetFused(true))
+	defer func() { fused = true }()
 	defer tensor.SetWorkers(tensor.Workers())
 
 	net := fusedTestNet(41)
@@ -49,9 +49,9 @@ func TestFusedBitIdenticalToUnfused(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		tensor.SetWorkers(workers)
 
-		SetFused(false)
+		fused = false
 		wantLoss, wantVal, wantGrads := runNet(t, net, x)
-		SetFused(true)
+		fused = true
 		gotLoss, gotVal, gotGrads := runNet(t, net, x)
 
 		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
@@ -74,7 +74,6 @@ func TestFusedBitIdenticalToUnfused(t *testing.T) {
 // Sequential's peephole) for each activation kind, including the gradient
 // flowing to a taped input node.
 func TestLinearActMatchesUnfusedChain(t *testing.T) {
-	defer SetFused(SetFused(true))
 	rng := rand.New(rand.NewSource(5))
 	w := randParam(rng, "w", 6, 3)
 	b := randParam(rng, "b", 1, 3)
@@ -150,7 +149,6 @@ func TestLinearActShapePanics(t *testing.T) {
 // on: every buffer a taped graph allocates is tracked, Reset returns them
 // all, and the next step's graph is served from the free list.
 func TestTapeLifecycle(t *testing.T) {
-	defer SetFused(SetFused(true))
 	arena := tensor.NewArena()
 	tp := NewTape(arena)
 	net := fusedTestNet(51)
@@ -207,18 +205,4 @@ func TestTapeLifecycle(t *testing.T) {
 		t.Fatalf("heap tape tracked %d tensors, want 0", heapTape.Live())
 	}
 	heapTape.Reset()
-}
-
-func TestSetFusedToggle(t *testing.T) {
-	orig := Fused()
-	defer SetFused(orig)
-	if prev := SetFused(false); prev != orig {
-		t.Fatalf("SetFused returned %v, want %v", prev, orig)
-	}
-	if Fused() {
-		t.Fatal("Fused() true after SetFused(false)")
-	}
-	if prev := SetFused(true); prev {
-		t.Fatal("SetFused returned true, want false")
-	}
 }

@@ -36,7 +36,7 @@ func NewLinear(rng *rand.Rand, in, out int, name string) *Linear {
 // kernels enabled (the default) this records a single LinearAct node;
 // otherwise the reference MatMul+AddBias pair. Both paths are bit-identical.
 func (l *Linear) Forward(x *Node) *Node {
-	if Fused() {
+	if fused {
 		return LinearAct(x, l.W.Node(), l.B.Node(), ActNone)
 	}
 	return AddBias(MatMul(x, l.W.Node()), l.B.Node())
@@ -97,7 +97,7 @@ var _ Layer = (*Sequential)(nil)
 // one node and one output buffer instead of three.
 func (s *Sequential) Forward(x *Node) *Node {
 	for i := 0; i < len(s.Layers); i++ {
-		if lin, ok := s.Layers[i].(*Linear); ok && Fused() {
+		if lin, ok := s.Layers[i].(*Linear); ok && fused {
 			act := ActNone
 			if i+1 < len(s.Layers) {
 				if a, ok := s.Layers[i+1].(*Activation); ok {

@@ -137,6 +137,27 @@ func TestDeltaCompression(t *testing.T) {
 	if d.Size() >= d.DenseSize() {
 		t.Errorf("close vector encodes to %d bytes, dense is %d", d.Size(), d.DenseSize())
 	}
+
+	// An SGD step at a realistic learning rate moves every weight in its
+	// low mantissa bits only: less to save than above, but still a saving.
+	sgd := ref.Clone()
+	for i := range sgd {
+		sgd[i] += 1e-3 * rng.NormFloat64()
+	}
+	d = roundTrip(t, ref, sgd)
+	if d.Size() >= d.DenseSize() {
+		t.Errorf("SGD-step vector encodes to %d bytes, dense is %d", d.Size(), d.DenseSize())
+	}
+
+	// A partial exchange (only the first tenth trained) is one long zero run.
+	head := ref.Clone()
+	for i := 0; i < n/10; i++ {
+		head[i] += 1e-3 * rng.NormFloat64()
+	}
+	d = roundTrip(t, ref, head)
+	if d.Size() >= d.DenseSize()/5 {
+		t.Errorf("10%%-head vector encodes to %d bytes, dense is %d", d.Size(), d.DenseSize())
+	}
 }
 
 func TestDiffLenMismatch(t *testing.T) {

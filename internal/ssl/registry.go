@@ -67,9 +67,11 @@ type TrainConfig struct {
 	Augment   data.Augmenter
 
 	// NoArena disables the per-trainable buffer arena, making every training
-	// step allocate fresh tensors. Arena-on and arena-off runs are
-	// bit-identical (pinned by tests); the switch exists for benchmarking the
-	// allocation win and as an escape hatch.
+	// step allocate fresh tensors. Nothing ships with it set: it is the
+	// reference leg of the tests that pin arena-on and arena-off runs
+	// bit-identical (ssl's arena_identity_test.go) and that poison recycled
+	// buffers under ssl.Train and core's trainer (tensor's
+	// arena_poison_test.go).
 	NoArena bool
 }
 

@@ -128,25 +128,63 @@ func testSnapshot() *Snapshot {
 	}
 }
 
+// randomSnapshot is a checkpoint's usual shape: n weights drawn N(0,1)
+// (full-entropy mantissas, the payload no general-purpose encoder shrinks)
+// under a 10-round, 10-participant history.
+func randomSnapshot(n int) *Snapshot {
+	rng := rand.New(rand.NewSource(42))
+	snap := &Snapshot{
+		Meta:  Meta{Seed: 42, Fingerprint: Fingerprint("codec", "size"), Runtime: "simulator"},
+		State: fl.SimState{Round: 10, Global: make([]float64, n)},
+	}
+	for i := range snap.State.Global {
+		snap.State.Global[i] = rng.NormFloat64()
+	}
+	for r := 0; r < 10; r++ {
+		ids := make([]int, 10)
+		for i := range ids {
+			ids[i] = rng.Intn(100)
+		}
+		snap.State.History = append(snap.State.History, fl.RoundStats{Round: r, Participants: ids, MeanLoss: rng.Float64()})
+		snap.State.EligibleCounts = append(snap.State.EligibleCounts, 100)
+	}
+	return snap
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
-	snap := testSnapshot()
-	blob, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatalf("EncodeSnapshot: %v", err)
-	}
-	got, err := DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatalf("snapshot round trip differs:\n%+v\nvs\n%+v", got, snap)
-	}
-	again, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if !bytes.Equal(blob, again) {
-		t.Fatal("snapshot encoding is not deterministic")
+	for _, c := range []struct {
+		name string
+		snap *Snapshot
+		// maxBytes, when set, is the size ceiling: a float costs its 8 raw
+		// bytes and everything else (header, metadata, history, counts,
+		// CRC) stays under 2 KiB here. encoding/gob, the format this codec
+		// replaced, needs ≈9.15 bytes per such float and does not fit.
+		maxBytes int
+	}{
+		{name: "every-field", snap: testSnapshot()},
+		{name: "random-4k", snap: randomSnapshot(4096), maxBytes: 8*4096 + 2048},
+	} {
+		blob, err := EncodeSnapshot(c.snap)
+		if err != nil {
+			t.Fatalf("%s: EncodeSnapshot: %v", c.name, err)
+		}
+		if c.maxBytes > 0 && len(blob) > c.maxBytes {
+			t.Errorf("%s: encodes to %d bytes, ceiling %d", c.name, len(blob), c.maxBytes)
+		}
+		got, err := DecodeSnapshot(blob)
+		if err != nil {
+			t.Fatalf("%s: DecodeSnapshot: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, c.snap) {
+			t.Fatalf("%s: snapshot round trip differs:\n%+v\nvs\n%+v", c.name, got, c.snap)
+		}
+		again, err := EncodeSnapshot(c.snap)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", c.name, err)
+		}
+		if !bytes.Equal(blob, again) {
+			t.Fatalf("%s: snapshot encoding is not deterministic", c.name)
+		}
 	}
 }
 

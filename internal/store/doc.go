@@ -21,10 +21,10 @@
 //
 // Floats are raw little-endian IEEE-754 bits (8 bytes each, NaN payloads
 // and ±Inf included), which makes encoding both byte-deterministic and
-// lossless to 0 ULP — and measurably smaller and faster than
-// encoding/gob, which spends ~9 bytes per random float64 plus reflection
-// time (see `calibre-bench -exp codec` and the committed
-// BENCH_codec.json). A snapshot carries four sections: JSON metadata
+// lossless to 0 ULP — and smaller and faster than encoding/gob, which
+// spends ~9 bytes per random float64 plus reflection time (bench/'s
+// store.encode_us / store.decode_us / store.save_ms time it at the
+// workloads' model sizes). A snapshot carries four sections: JSON metadata
 // (seed, config fingerprint, producing runtime), the round + global
 // vector, the binary-encoded RoundStats history, and the per-round
 // sampling-pool sizes the server replays its RNG against.
