@@ -2,8 +2,8 @@
 # ci.sh — the full verification gate for this repo.
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire flake pass,
-#                    portable-kernel tests, cross builds, bench module, wire fuzz smoke,
-#                    short kernel and sweep benches
+#                    portable-kernel tests, cross builds, bench module, doc gate,
+#                    real-process smoke, wire fuzz smoke, short kernel and sweep benches
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run, not to refresh the
@@ -74,20 +74,11 @@ go vet ./examples/...
 echo "== doc gate =="
 go run ./tools/docgate
 
-echo "== metrics smoke =="
-go run ./tools/metricssmoke
-
-echo "== hostile smoke =="
-go run ./tools/hostilesmoke
-
-echo "== trace smoke =="
-go run ./tools/tracesmoke
-
-echo "== alloc smoke =="
-go run ./tools/allocsmoke
-
-echo "== health smoke =="
-go run ./tools/healthsmoke
+# What only real processes can show: one hostile, traced, metrics-serving
+# sweep through run -> SIGINT -> resume on binaries built once, plus the
+# allocation ceiling of the training hot path.
+echo "== smoke =="
+go run ./tools/smoke
 
 # A few seconds of fuzzing over what a fresh connection may receive
 # (preamble, gob headers, vector frames), from the committed corpus in

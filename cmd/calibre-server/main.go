@@ -68,7 +68,6 @@ func run(args []string) error {
 		ckptEvery  = fs.Int("checkpoint-every", 1, "rounds between checkpoints when -checkpoint-dir is set")
 		ckptDelta  = fs.Bool("checkpoint-incremental", false, "encode checkpoints as lossless deltas against the previous version (full-snapshot fallback; see calibre-ckpt list)")
 		resume     = fs.Bool("resume", false, "resume from the latest matching checkpoint in -checkpoint-dir (fresh start when none exists)")
-		wire       = fs.String("update-wire", "delta", "client update encoding advertised at join: delta (compressed, lossless) | dense")
 		aggSpec    = fs.String("aggregator", "", "robust aggregator override: mean | median | trimmed(frac) | krum(f); empty keeps the method's own")
 		traceSpec  = fs.String("trace", "", "seeded availability trace, e.g. diurnal(0.1,0.6,8) | flash(0,0.8,2,2) | markov(0,0.3,0.5); empty means always available")
 		metrics    = fs.String("metrics-addr", "", "serve live metrics on this host:port (/metrics JSON, /metrics/prom text); port 0 picks a free one")
@@ -84,10 +83,6 @@ func run(args []string) error {
 		return errors.New("-resume requires -checkpoint-dir")
 	}
 	policy, err := fl.ParseStragglerPolicy(*straggler)
-	if err != nil {
-		return err
-	}
-	updateWire, err := flnet.ParseUpdateWire(*wire)
 	if err != nil {
 		return err
 	}
@@ -133,7 +128,6 @@ func run(args []string) error {
 		Quorum:          *quorum,
 		RoundDeadline:   *deadline,
 		Straggler:       policy,
-		UpdateWire:      updateWire,
 		Trace:           avail,
 		OnRound: func(stats fl.RoundStats) {
 			fmt.Println(stats)
@@ -175,12 +169,12 @@ func run(args []string) error {
 			})
 		if *resume {
 			snap, v, err := ckpt.Resume(fp)
-			switch {
-			case errors.Is(err, store.ErrNoCheckpoint):
-				fmt.Printf("no checkpoint in %s; starting fresh\n", *ckptDir)
-			case err != nil:
+			if err != nil {
 				return err
-			default:
+			}
+			if snap == nil {
+				fmt.Printf("no checkpoint in %s; starting fresh\n", *ckptDir)
+			} else {
 				cfg.ResumeFrom = &snap.State
 				fmt.Printf("resuming from checkpoint v%d (round %d/%d)\n", v, snap.State.Round, *rounds)
 			}

@@ -229,6 +229,13 @@ func TestServerCheckpointResumeFederation(t *testing.T) {
 			t.Fatalf("resumed output missing %q:\n%s", needle, out)
 		}
 	}
+	// A budget below the checkpoint's round is refused before listening.
+	err = run([]string{"-addr", "127.0.0.1:0", "-clients", "2", "-rounds", "1", "-per-round", "2",
+		"-method", "fedavg-ft", "-setting", setting, "-scale", "smoke", "-seed", "7",
+		"-checkpoint-dir", ckptDir, "-resume"})
+	if err == nil || !strings.Contains(err.Error(), "round budget") {
+		t.Fatalf("resume beyond the round budget: %v", err)
+	}
 }
 
 func TestServerRejectsBadFlags(t *testing.T) {

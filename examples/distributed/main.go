@@ -161,6 +161,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if snap == nil {
+		log.Fatal("phase 1 left no checkpoint to resume from")
+	}
 	fmt.Printf("resuming from checkpoint v%d (round %d/%d)\n", version, snap.State.Round, rounds)
 	phase2, cancel2 := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel2()

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"calibre/internal/data"
 	"calibre/internal/eval"
 	"calibre/internal/kmeans"
 	"calibre/internal/nn"
@@ -69,8 +70,8 @@ func TestSelectKSmallBatchClamps(t *testing.T) {
 func TestConfidentMembersFiltersBoundary(t *testing.T) {
 	// Two centers at ±5; points at the centers are confident, a point at 0
 	// is not.
-	centers := tensor.MustFromSlice([]float64{-5, 5}, 2, 1)
-	x := tensor.MustFromSlice([]float64{-5, -4.8, 0.1, 4.9, 5}, 5, 1)
+	centers := data.Batch([][]float64{{-5}, {5}})
+	x := data.Batch([][]float64{{-5}, {-4.8}, {0.1}, {4.9}, {5}})
 	assign := []int{0, 0, 1, 1, 1}
 	kept := confidentMembers(x, centers, assign, 0.8)
 	for _, i := range kept {
@@ -91,8 +92,8 @@ func TestConfidentMembersFiltersBoundary(t *testing.T) {
 }
 
 func TestConfidentMembersMinimumTwo(t *testing.T) {
-	centers := tensor.MustFromSlice([]float64{-1, 1}, 2, 1)
-	x := tensor.MustFromSlice([]float64{-1, 1, 0}, 3, 1)
+	centers := data.Batch([][]float64{{-1}, {1}})
+	x := data.Batch([][]float64{{-1}, {1}, {0}})
 	kept := confidentMembers(x, centers, []int{0, 1, 0}, 0.01)
 	if len(kept) < 2 {
 		t.Fatalf("must keep at least 2, got %v", kept)
@@ -123,7 +124,7 @@ func structuredStepCtx(t *testing.T, seed int64) *ssl.StepContext {
 		v1.SetRow(i, a)
 		v2.SetRow(i, bb)
 	}
-	return ssl.NewStepContext(rng, b, v1, v2)
+	return ssl.NewStepContextOn(nil, rng, b, v1, v2)
 }
 
 func TestRegularizerGatePassesOnStructuredData(t *testing.T) {

@@ -97,11 +97,7 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 			k = 10
 		}
 		enc := st.Backbone.EncodeValue(batchOf(client.Train.X))
-		var arena *tensor.Arena
-		if !t.Cfg.NoArena {
-			arena = st.Arena()
-		}
-		div, err := divergence(arena, rng, enc, k)
+		div, err := divergence(st.Arena(), rng, enc, k)
 		if err != nil {
 			return nil, fmt.Errorf("core: divergence for client %d: %w", client.ID, err)
 		}

@@ -37,16 +37,9 @@ func DefaultAugmenter() Augmenter {
 	return Augmenter{NoiseStd: 0.35, DropProb: 0.15, ScaleJitter: 0.2}
 }
 
-// View returns one augmented copy of x.
-func (a Augmenter) View(rng *rand.Rand, x []float64) []float64 {
-	out := make([]float64, len(x))
-	a.viewInto(rng, x, out)
-	return out
-}
-
-// viewInto is View writing into caller-owned storage (every element of out
-// is overwritten), so the per-step TwoViews path allocates no row buffers.
-// It draws from rng in exactly View's order.
+// viewInto writes one augmented copy of x into caller-owned storage (every
+// element of out is overwritten), so the per-step TwoViews path allocates
+// no row buffers.
 func (a Augmenter) viewInto(rng *rand.Rand, x, out []float64) {
 	scale := 1.0
 	if a.ScaleJitter > 0 {

@@ -33,7 +33,7 @@ func TestStyleAugmentationPerturbsStyleSubspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := Augmenter{StyleDirs: g.StyleAugmenter().StyleDirs, StyleStd: 1} // style-only augmenter
 	x := make([]float64, CIFAR10Spec().Dim)
-	v := a.View(rng, x) // view of the zero vector = pure style perturbation
+	v := viewOf(a, rng, x) // view of the zero vector = pure style perturbation
 	if tensor.Norm2(v) == 0 {
 		t.Fatal("style augmentation should perturb the sample")
 	}
@@ -67,7 +67,7 @@ func TestStyleAugmenterDimMismatchIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := Augmenter{StyleDirs: tensor.New(2, 8), StyleStd: 1}
 	x := []float64{1, 2, 3} // dim 3 ≠ 8: style term must be skipped, not panic
-	v := a.View(rng, x)
+	v := viewOf(a, rng, x)
 	for i := range x {
 		if v[i] != x[i] {
 			t.Fatal("mismatched style dirs should leave the sample unchanged")

@@ -45,6 +45,13 @@ func TestNewGeneratorRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// viewOf returns one augmented copy of x.
+func viewOf(a Augmenter, rng *rand.Rand, x []float64) []float64 {
+	out := make([]float64, len(x))
+	a.viewInto(rng, x, out)
+	return out
+}
+
 func TestGenerateLabeledShapeAndBalance(t *testing.T) {
 	g := newGen(t, CIFAR10Spec(), 7)
 	rng := rand.New(rand.NewSource(1))
@@ -52,13 +59,13 @@ func TestGenerateLabeledShapeAndBalance(t *testing.T) {
 	if d.Len() != 200 {
 		t.Fatalf("Len = %d, want 200", d.Len())
 	}
-	for _, c := range d.ClassCounts() {
-		if c != 20 {
-			t.Fatalf("ClassCounts = %v, want 20 each", d.ClassCounts())
+	for c, idx := range d.ClassIndices() {
+		if len(idx) != 20 {
+			t.Fatalf("class %d has %d samples, want 20 each", c, len(idx))
 		}
 	}
-	if len(d.X[0]) != g.Spec().Dim {
-		t.Fatalf("sample dim = %d, want %d", len(d.X[0]), g.Spec().Dim)
+	if len(d.X[0]) != g.spec.Dim {
+		t.Fatalf("sample dim = %d, want %d", len(d.X[0]), g.spec.Dim)
 	}
 }
 
@@ -74,9 +81,9 @@ func TestGenerateUnlabeled(t *testing.T) {
 			t.Fatalf("unlabeled sample has label %d", y)
 		}
 	}
-	// ClassCounts must ignore unlabeled samples.
-	for _, c := range d.ClassCounts() {
-		if c != 0 {
+	// ClassIndices must ignore unlabeled samples.
+	for _, idx := range d.ClassIndices() {
+		if len(idx) != 0 {
 			t.Fatal("unlabeled samples must not count toward classes")
 		}
 	}
@@ -184,27 +191,6 @@ func TestSplitFractions(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	g := newGen(t, CIFAR10Spec(), 1)
-	rng := rand.New(rand.NewSource(6))
-	a := g.GenerateLabeled(rng, 2)
-	b := g.GenerateUnlabeled(rng, 7)
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if m.Len() != a.Len()+b.Len() {
-		t.Fatalf("Merge len = %d", m.Len())
-	}
-	if _, err := Merge(); err == nil {
-		t.Fatal("Merge of nothing should error")
-	}
-	other := &Dataset{Name: "x", NumClasses: 3, Dim: 2, X: [][]float64{{1, 2}}, Y: []int{0}}
-	if _, err := Merge(a, other); err == nil {
-		t.Fatal("Merge with mismatched schema should error")
-	}
-}
-
 func TestBatcherCoversEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := NewBatcher(rng, 10, 4)
@@ -251,12 +237,12 @@ func TestAugmenterPreservesDim(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	v := a.View(rng, x)
+	v := viewOf(a, rng, x)
 	if len(v) != len(x) {
 		t.Fatalf("view dim = %d", len(v))
 	}
 	// Two views should differ from each other and from the original.
-	v2 := a.View(rng, x)
+	v2 := viewOf(a, rng, x)
 	same := true
 	for i := range v {
 		if v[i] != v2[i] {
@@ -273,7 +259,7 @@ func TestAugmenterZeroIsIdentityNoiseless(t *testing.T) {
 	a := Augmenter{}
 	rng := rand.New(rand.NewSource(11))
 	x := []float64{1, -2, 3}
-	v := a.View(rng, x)
+	v := viewOf(a, rng, x)
 	for i := range x {
 		if v[i] != x[i] {
 			t.Fatalf("zero augmenter should be identity: %v", v)
@@ -305,7 +291,7 @@ func TestAugmentationPreservesSignalProperty(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64() * 2
 		}
-		v := a.View(rng, x)
+		v := viewOf(a, rng, x)
 		return tensor.CosineSim(x, v) > 0.4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -336,13 +322,6 @@ func TestSTL10UnlabeledAdvantageShape(t *testing.T) {
 	}
 	if unlabeled.Dim != labeled.Dim {
 		t.Fatal("pools must share dimension")
-	}
-	m, err := Merge(labeled, unlabeled)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if m.Len() != 600 {
-		t.Fatalf("merged len = %d", m.Len())
 	}
 }
 

@@ -9,10 +9,7 @@
 // structure that self-supervised objectives (SimCLR, BYOL, ...) exploit.
 package data
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Unlabeled marks a sample with no class annotation (STL-10's unlabeled
 // split).
@@ -59,18 +56,6 @@ func (d *Dataset) Split(rng *rand.Rand, trainFrac float64) (train, test *Dataset
 	return d.Subset(idx[:cut]), d.Subset(idx[cut:])
 }
 
-// ClassCounts returns how many samples carry each label (unlabeled samples
-// are not counted).
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, y := range d.Y {
-		if y >= 0 && y < d.NumClasses {
-			counts[y]++
-		}
-	}
-	return counts
-}
-
 // ClassIndices returns, for each class, the indices of its samples.
 func (d *Dataset) ClassIndices() [][]int {
 	out := make([][]int, d.NumClasses)
@@ -80,24 +65,6 @@ func (d *Dataset) ClassIndices() [][]int {
 		}
 	}
 	return out
-}
-
-// Merge concatenates datasets with identical schema into one.
-func Merge(parts ...*Dataset) (*Dataset, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("data: Merge of no datasets")
-	}
-	first := parts[0]
-	out := &Dataset{Name: first.Name, NumClasses: first.NumClasses, Dim: first.Dim}
-	for _, p := range parts {
-		if p.Dim != first.Dim || p.NumClasses != first.NumClasses {
-			return nil, fmt.Errorf("data: Merge schema mismatch (%d/%d classes, %d/%d dim)",
-				p.NumClasses, first.NumClasses, p.Dim, first.Dim)
-		}
-		out.X = append(out.X, p.X...)
-		out.Y = append(out.Y, p.Y...)
-	}
-	return out, nil
 }
 
 // Batcher yields shuffled mini-batch index slices over a dataset.

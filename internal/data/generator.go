@@ -90,9 +90,6 @@ func NewGenerator(spec Spec, seed int64) (*Generator, error) {
 	return g, nil
 }
 
-// Spec returns the generator's spec.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // StyleAugmenter returns the default augmentation pipeline extended with
 // this generator's style directions, the synthetic analogue of image
 // augmentations that perturb appearance but preserve identity. The jitter

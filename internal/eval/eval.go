@@ -1,6 +1,6 @@
 // Package eval computes the paper's evaluation quantities: per-client
 // accuracy summaries (mean = overall performance, variance = fairness),
-// representation-quality metrics (silhouette, cluster purity) used to
+// representation-quality metrics (cluster purity, intra/inter distance ratio) used to
 // quantify the t-SNE figures, and method comparisons.
 package eval
 
@@ -9,7 +9,6 @@ import (
 	"math"
 	"sort"
 
-	"calibre/internal/kmeans"
 	"calibre/internal/tensor"
 )
 
@@ -90,22 +89,6 @@ func RankByMean(results []MethodResult) []MethodResult {
 		return out[i].Summary.Mean > out[j].Summary.Mean
 	})
 	return out
-}
-
-// RankByFairness sorts results by accuracy variance, fairest (lowest) first.
-func RankByFairness(results []MethodResult) []MethodResult {
-	out := append([]MethodResult(nil), results...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Summary.Variance < out[j].Summary.Variance
-	})
-	return out
-}
-
-// Silhouette scores how crisply the labeled representation clusters are
-// separated (the quantitative proxy for the paper's t-SNE figures).
-// It delegates to kmeans.Silhouette.
-func Silhouette(feats *tensor.Tensor, labels []int) float64 {
-	return kmeans.Silhouette(feats, labels)
 }
 
 // ClusterPurity measures how well unsupervised clusters align with true

@@ -66,35 +66,6 @@ func writeResultsTable(b *strings.Builder, label string, results []eval.MethodRe
 	}
 }
 
-// BestByMean returns the method with the highest participant mean accuracy
-// in a setting report.
-func (sr SettingReport) BestByMean() (eval.MethodResult, bool) {
-	if len(sr.Results) == 0 {
-		return eval.MethodResult{}, false
-	}
-	return eval.RankByMean(sr.Results)[0], true
-}
-
-// Find returns a method's result in this setting.
-func (sr SettingReport) Find(method string) (eval.MethodResult, bool) {
-	for _, r := range sr.Results {
-		if r.Method == method {
-			return r, true
-		}
-	}
-	return eval.MethodResult{}, false
-}
-
-// FindNovel returns a method's novel-client result in this setting.
-func (sr SettingReport) FindNovel(method string) (eval.MethodResult, bool) {
-	for _, r := range sr.Novel {
-		if r.Method == method {
-			return r, true
-		}
-	}
-	return eval.MethodResult{}, false
-}
-
 // WriteEmbeddingsCSV dumps t-SNE points as CSV: method,x,y,label,client.
 // This is the plotting input for regenerating the paper's figures.
 func WriteEmbeddingsCSV(w io.Writer, embeddings []EmbeddingResult) error {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -112,25 +111,15 @@ func RunMethodResumable(ctx context.Context, env *Environment, name string, ckpt
 	preset.Rounds = 0
 	fp := store.Fingerprint("simulator", name, env.Setting.Name,
 		fmt.Sprint(env.Seed), fmt.Sprintf("%+v", preset), fmt.Sprint(len(env.Participants)))
-	var resumeFrom *fl.SimState
-	snap, version, err := ckpt.Resume(fp)
-	switch {
-	case errors.Is(err, store.ErrNoCheckpoint):
-		// Empty store: a fresh run that starts checkpointing.
-	case err != nil:
+	snap, _, err := ckpt.Resume(fp)
+	if err != nil {
 		return nil, err
-	case snap.State.Round > env.Preset.Rounds:
-		// Refuse loudly (like the server path) rather than silently
-		// discarding checkpointed training and appending from-scratch
-		// snapshots to the same store.
-		return nil, fmt.Errorf("experiments: checkpoint v%d is at round %d, beyond the %d-round budget (raise Rounds or use a fresh store)",
-			version, snap.State.Round, env.Preset.Rounds)
-	default:
-		resumeFrom = &snap.State
 	}
 	return runBuilt(ctx, env, m, func(cfg *fl.SimConfig) {
 		cfg.CheckpointEvery = every
-		cfg.ResumeFrom = resumeFrom
+		if snap != nil {
+			cfg.ResumeFrom = &snap.State
+		}
 		cfg.OnCheckpoint = ckpt.SaveHook(store.Meta{Seed: env.Seed, Fingerprint: fp, Runtime: "simulator"}, nil)
 	})
 }

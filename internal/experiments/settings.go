@@ -157,14 +157,6 @@ type Environment struct {
 	Novel        []*partition.Client
 }
 
-// AllClients returns participants followed by novel clients.
-func (e *Environment) AllClients() []*partition.Client {
-	out := make([]*partition.Client, 0, len(e.Participants)+len(e.Novel))
-	out = append(out, e.Participants...)
-	out = append(out, e.Novel...)
-	return out
-}
-
 // SamplesPerClient returns the scaled per-client sample count.
 func (s Setting) SamplesPerClient(p Preset) int {
 	n := int(math.Round(float64(s.PaperSamples) * p.SampleFrac))

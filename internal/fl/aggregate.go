@@ -19,7 +19,7 @@ import (
 
 // checkUpdateSizes validates every payload length up front (wrapping
 // ErrUpdateSize) so the sharded loops below can index without bounds
-// surprises even when a caller skips the runtimes' ingress Resolve.
+// surprises even when a caller skips the runtimes' ingress ResolveInto.
 func checkUpdateSizes(global param.Vector, updates []*Update) error {
 	for _, u := range updates {
 		if len(u.Params) != len(global) {
@@ -35,38 +35,16 @@ type WeightedAverage struct{}
 
 var _ Aggregator = WeightedAverage{}
 
-// Aggregate implements Aggregator.
-func (WeightedAverage) Aggregate(global param.Vector, updates []*Update) (param.Vector, error) {
-	if len(updates) == 0 {
-		return nil, ErrNoUpdates
-	}
-	if err := checkUpdateSizes(global, updates); err != nil {
-		return nil, err
-	}
-	weights := make([]float64, len(updates))
-	var total float64
-	for i, u := range updates {
-		w := float64(u.NumSamples)
-		if w <= 0 {
-			w = 1
+// Aggregate implements Aggregator: the batch form of the streaming sink
+// the round core drives (stream.go), fed in slice order.
+func (a WeightedAverage) Aggregate(global param.Vector, updates []*Update) (param.Vector, error) {
+	sink := a.NewSink(global)
+	for _, u := range updates {
+		if err := sink.Ingest(u); err != nil {
+			return nil, err
 		}
-		weights[i] = w
-		total += w
 	}
-	inv := 1 / total
-	out := make(param.Vector, len(global))
-	param.Shard(len(global), func(lo, hi int) {
-		for k, u := range updates {
-			w, p := weights[k], u.Params
-			for i := lo; i < hi; i++ {
-				out[i] += w * p[i]
-			}
-		}
-		for i := lo; i < hi; i++ {
-			out[i] *= inv
-		}
-	})
-	return out, nil
+	return sink.Finish()
 }
 
 // DivergenceWeighted is Calibre's aggregation rule: each client's weight is

@@ -109,7 +109,7 @@ func ParseStragglerPolicy(s string) (StragglerPolicy, error) {
 // Update is a client's result for one round of local training. Its
 // payload is delta-capable: exactly one of Params (dense) or Delta
 // (compressed against the round's global vector) is set in transit, and
-// Resolve materializes Params before aggregation.
+// ResolveInto materializes Params before aggregation.
 type Update struct {
 	ClientID   int
 	Params     param.Vector // full updated parameter vector (dense form)
@@ -119,7 +119,7 @@ type Update struct {
 	// Delta, when non-nil, carries the update as a lossless XOR-delta
 	// against the round's global vector instead of a dense Params — the
 	// compressed wire form flnet ships. Aggregators never see it: the
-	// runtimes call Resolve at ingress, which reconstructs Params
+	// runtimes call ResolveInto at ingress, which reconstructs Params
 	// bit-identically and clears Delta.
 	Delta *param.Delta
 
@@ -133,22 +133,19 @@ type Update struct {
 	ControlDelta param.Vector
 }
 
-// Resolve materializes and validates the update's payload against the
+// ResolveInto materializes and validates the update's payload against the
 // round's global vector: a delta-carrying update gets its dense Params
 // reconstructed bit-exactly (and Delta cleared), and a dense update is
 // length-checked. Every mismatch — missing payload, ambiguous payload
 // (both forms set), wrong length, corrupt delta — wraps ErrUpdateSize, so
 // ingress layers can reject the sender with one typed check.
-func (u *Update) Resolve(global param.Vector) error {
-	return u.ResolveInto(global, nil)
-}
-
-// ResolveInto is Resolve decoding a delta payload into scratch (see
-// param.Delta.ApplyInto) so ingress loops can reuse one decode buffer per
-// client slot. The reuse contract is the aggregation plane's read-only
-// guarantee (see aggregate.go): nothing downstream mutates or retains
-// u.Params past the round, so the buffer may be handed back to the same
-// slot next round. scratch may be nil (allocate fresh, exactly Resolve).
+//
+// A delta payload is decoded into scratch (see param.Delta.ApplyInto) so
+// ingress loops can reuse one decode buffer per client slot. The reuse
+// contract is the aggregation plane's read-only guarantee (see
+// aggregate.go): nothing downstream mutates or retains u.Params past the
+// round, so the buffer may be handed back to the same slot next round.
+// scratch may be nil (allocate fresh).
 func (u *Update) ResolveInto(global, scratch param.Vector) error {
 	switch {
 	case u.Delta != nil && u.Params != nil:

@@ -3,6 +3,7 @@ package fl
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -33,6 +34,28 @@ func (healthTrainer) Train(ctx context.Context, _ *rand.Rand, c *partition.Clien
 	}
 	return &Update{ClientID: c.ID, Params: params, NumSamples: c.Train.Len(),
 		TrainLoss: 1 / float64(round+1)}, nil
+}
+
+// pullTrainer pulls the global toward 1 at an ID-keyed rate and reports the
+// global's mean distance from it as loss. Honest federations converge; a
+// sign-flip attacker's reflected update pushes the global outward, so the
+// poisoned aggregate's loss grows while compromised norms sit scale× outside
+// the honest spread.
+type pullTrainer struct{}
+
+func (pullTrainer) Train(ctx context.Context, _ *rand.Rand, c *partition.Client, global param.Vector, round int) (*Update, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	eta := 0.1 + 0.005*float64(c.ID)
+	params := make(param.Vector, len(global))
+	var loss float64
+	for i, v := range global {
+		params[i] = v + eta*(1-v)
+		loss += math.Abs(1 - v)
+	}
+	return &Update{ClientID: c.ID, Params: params, NumSamples: c.Train.Len(),
+		TrainLoss: loss / float64(len(global))}, nil
 }
 
 // scheduleTrainer reports a fixed per-round loss (shared by every client)
@@ -159,6 +182,32 @@ func TestHealthSuspectsMatchMaliciousSet(t *testing.T) {
 	hd := honest.Diagnosis()
 	if len(hd.Alerts) != 0 || len(hd.Suspects) != 0 || hd.Critical != 0 {
 		t.Errorf("honest federation raised alerts: %+v", hd)
+	}
+
+	// When the loss tracks the global (pullTrainer), the trend detectors
+	// see the attack too: the same exact suspect set, and beside it a
+	// loss-divergence alert as the poisoned aggregate drifts outward.
+	drift := health.NewMonitor(nil)
+	dcfg := hostileHealthConfig(12)
+	dcfg.Adversary.Scale = 9
+	dcfg.Health = drift
+	sim, err := NewSimulator(dcfg, fakeMethod(pullTrainer{}), clients)
+	if err != nil {
+		t.Fatalf("NewSimulator: %v", err)
+	}
+	if _, _, err := sim.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	dd := drift.Diagnosis()
+	if !reflect.DeepEqual(dd.Suspects, want) {
+		t.Errorf("suspects = %v, want exactly the compromised set %v", dd.Suspects, want)
+	}
+	diverged := false
+	for _, a := range dd.Alerts {
+		diverged = diverged || a.Rule == "loss-divergence"
+	}
+	if !diverged {
+		t.Errorf("poisoned aggregate raised no loss-divergence alert: %+v", dd.Alerts)
 	}
 }
 

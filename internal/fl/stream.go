@@ -67,8 +67,9 @@ func (b *bufferSink) Finish() (param.Vector, error) {
 
 // weightedAverageSink streams FedAvg aggregation: it keeps only the running
 // weighted sum and total weight. Each Ingest folds its update over shard
-// ranges (param.Shard) with the same per-element float operations, in the
-// same order, as WeightedAverage.Aggregate's batch sweep.
+// ranges (param.Shard): sharding is by element range, so every output
+// element sees the float operations of a serial sweep over the updates, in
+// ingestion order.
 type weightedAverageSink struct {
 	sum   param.Vector
 	total float64

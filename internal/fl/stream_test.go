@@ -3,6 +3,7 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -24,10 +25,33 @@ func randomUpdates(rng *rand.Rand, n, dim int) []*Update {
 	return updates
 }
 
+// serialWeightedAverage is FedAvg as one serial sweep: the reference the
+// sharded streaming sink must reproduce bit for bit.
+func serialWeightedAverage(dim int, updates []*Update) []float64 {
+	out := make([]float64, dim)
+	var total float64
+	for _, u := range updates {
+		w := float64(u.NumSamples)
+		if w <= 0 {
+			w = 1
+		}
+		total += w
+		for i, p := range u.Params {
+			out[i] += w * p
+		}
+	}
+	inv := 1 / total
+	for i := range out {
+		out[i] *= inv
+	}
+	return out
+}
+
 // TestWeightedAverageSinkMatchesBatchBitwise is the streaming-aggregation
-// determinism gate: folding updates one at a time (in canonical order) must
-// produce the exact float operations of the batch path, hence bit-identical
-// output.
+// determinism gate: folding updates one at a time (in canonical order),
+// each over shard ranges, must produce the exact float operations of a
+// serial batch sweep, hence bit-identical output — and batch Aggregate is
+// that sink.
 func TestWeightedAverageSinkMatchesBatchBitwise(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -36,8 +60,8 @@ func TestWeightedAverageSinkMatchesBatchBitwise(t *testing.T) {
 		global := make([]float64, dim)
 		updates := randomUpdates(rng, n, dim)
 
-		batch, err := WeightedAverage{}.Aggregate(global, updates)
-		if err != nil {
+		batch := serialWeightedAverage(dim, updates)
+		if viaAggregate, err := (WeightedAverage{}).Aggregate(global, updates); err != nil || !reflect.DeepEqual([]float64(viaAggregate), batch) {
 			return false
 		}
 		sink := NewRoundSink(WeightedAverage{}, global)

@@ -170,13 +170,13 @@ func TestUpdateResolve(t *testing.T) {
 	for i := 0; i < len(v); i += 7 {
 		v[i] += 0.25
 	}
-	d, err := param.Diff(global, v)
-	if err != nil {
+	d := &param.Delta{}
+	if err := param.DiffInto(d, global, v); err != nil {
 		t.Fatal(err)
 	}
 
 	u := &Update{ClientID: 3, Delta: d}
-	if err := u.Resolve(global); err != nil {
+	if err := u.ResolveInto(global, nil); err != nil {
 		t.Fatalf("Resolve delta: %v", err)
 	}
 	if u.Delta != nil {
@@ -197,7 +197,7 @@ func TestUpdateResolve(t *testing.T) {
 		"corrupt-delta": {ClientID: 1, Delta: &param.Delta{Len: 100, Bits: []byte{0xff}}},
 		"bad-control":   {ClientID: 1, Params: v.Clone(), ControlDelta: make(param.Vector, 5)},
 	} {
-		if err := bad.Resolve(global); !errors.Is(err, ErrUpdateSize) {
+		if err := bad.ResolveInto(global, nil); !errors.Is(err, ErrUpdateSize) {
 			t.Errorf("%s: Resolve returned %v, want ErrUpdateSize", name, err)
 		}
 	}

@@ -51,21 +51,21 @@ func (c *ClientConfig) validate() error {
 	return nil
 }
 
-// wireUpdate chooses the uplink form of one train result. Under delta
-// encoding it diffs the dense params against the round's global (the
-// reference both sides hold) and ships the compressed form — unless the
-// delta would not actually be smaller (fully random updates XOR to
-// high-entropy words that varint-encode above 8 bytes), in which case the
-// dense form goes out: compression is an optimization, and the protocol
-// accepts either on every train-result. The comparison is against what
+// wireUpdate chooses the uplink form of one train result: it diffs the
+// dense params against the round's global (the reference both sides
+// hold) and ships the compressed form — unless the delta would not
+// actually be smaller (fully random updates XOR to high-entropy words
+// that varint-encode above 8 bytes), in which case the dense form goes
+// out: compression is an optimization, and the protocol accepts either
+// on every train-result. The comparison is against what
 // dense costs on the v3 wire, a raw frame of 8 bytes per element. The
 // trainer's update is never mutated; a delta send uses a shallow copy.
 //
 // scratch, when non-nil, receives the encoding (reusing its Bits buffer
 // across rounds). Safe because conn.send has written the whole message
 // before returning, so the buffer is free again by the next round's encode.
-func wireUpdate(u *fl.Update, global param.Vector, useDelta bool, scratch *param.Delta) *fl.Update {
-	if !useDelta || u.Params == nil || u.Delta != nil {
+func wireUpdate(u *fl.Update, global param.Vector, scratch *param.Delta) *fl.Update {
+	if u.Params == nil || u.Delta != nil {
 		return u
 	}
 	if scratch == nil {
@@ -125,10 +125,6 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 	if ack.Type != MsgJoinAck {
 		return fmt.Errorf("flnet: expected join-ack, got %s", ack.Type)
 	}
-	// The server advertises its preferred update encoding at join-ack;
-	// delta compression additionally needs the trainer to produce dense
-	// params to diff (all in-tree trainers do).
-	useDelta := ack.Updates == WireDelta
 	encScratch := &param.Delta{} // uplink encoder buffer, reused every round
 
 	for {
@@ -159,7 +155,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 				_ = c.send(&Envelope{Type: MsgError, ClientID: cfg.ClientID, Err: terr.Error()})
 				return fmt.Errorf("flnet: client %d train: %w", cfg.ClientID, terr)
 			}
-			if err := c.send(&Envelope{Type: MsgTrainResult, ClientID: cfg.ClientID, Round: env.Round, Update: wireUpdate(update, env.Global, useDelta, encScratch)}); err != nil {
+			if err := c.send(&Envelope{Type: MsgTrainResult, ClientID: cfg.ClientID, Round: env.Round, Update: wireUpdate(update, env.Global, encScratch)}); err != nil {
 				return err
 			}
 		case MsgPersonalize:

@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"calibre/internal/fl"
+	"calibre/internal/obs"
 	"calibre/internal/param"
 	"calibre/internal/partition"
 )
@@ -26,23 +28,39 @@ func (driftTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Clie
 	return &fl.Update{ClientID: c.ID, Params: params, NumSamples: c.Train.Len()}, nil
 }
 
-// runWireFederation runs a full federation with the given wire settings
-// and returns the final result.
-func runWireFederation(t *testing.T, n, rounds int, wire UpdateWire, trainer fl.Trainer) *Result {
+// noiseTrainer ships finite full-entropy params: their XOR against any
+// global varint-encodes above 8 bytes a word, so wireUpdate sends every
+// one of them dense.
+type noiseTrainer struct{}
+
+func (noiseTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*fl.Update, error) {
+	params := make(param.Vector, len(global))
+	for i := range params {
+		params[i] = math.Float64frombits(rng.Uint64()>>2 | 1)
+	}
+	return &fl.Update{ClientID: c.ID, Params: params, NumSamples: c.Train.Len()}, nil
+}
+
+func wireInitGlobal(rng *rand.Rand) (param.Vector, error) {
+	v := make(param.Vector, 64)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v, nil
+}
+
+// runWireFederation runs a full federation over loopback and returns the
+// final result plus the uplink's (wire, dense) byte totals.
+func runWireFederation(t *testing.T, n, rounds int, trainer fl.Trainer) (res *Result, wire, dense int64) {
 	t.Helper()
 	clients := netClients(t, n)
+	reg := obs.NewRegistry()
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: n, Rounds: rounds, ClientsPerRound: n, Seed: 7,
 		Aggregator: fl.WeightedAverage{},
-		InitGlobal: func(rng *rand.Rand) (param.Vector, error) {
-			v := make(param.Vector, 64)
-			for i := range v {
-				v[i] = rng.NormFloat64()
-			}
-			return v, nil
-		},
+		InitGlobal: wireInitGlobal,
 		IOTimeout:  20 * time.Second,
-		UpdateWire: wire,
+		Obs:        reg,
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -63,30 +81,57 @@ func runWireFederation(t *testing.T, n, rounds int, wire UpdateWire, trainer fl.
 			}
 		}(i)
 	}
-	res, err := srv.Run(ctx)
+	res, err = srv.Run(ctx)
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
 	wg.Wait()
-	return res
+	counters := reg.Snapshot().Counters
+	return res, counters[obs.CounterUplinkWireBytes], counters[obs.CounterUplinkDenseBytes]
 }
 
-// TestDeltaWireBitIdenticalToDense pins the v2 compression contract: a
-// federation shipping XOR-delta updates produces a bit-identical global
-// (and histories) to one shipping dense vectors.
+// TestDeltaWireBitIdenticalToDense pins the compression contract from
+// both sides of wireUpdate's choice: a federation whose updates all ship
+// as XOR-deltas and one whose updates all fall back to dense frames each
+// produce the global and history the simulator — which has no wire —
+// computes for the same trainer.
 func TestDeltaWireBitIdenticalToDense(t *testing.T) {
-	base := runWireFederation(t, 3, 3, WireDense, driftTrainer{})
-	res := runWireFederation(t, 3, 3, WireDelta, driftTrainer{})
-	if len(res.Global) != len(base.Global) {
-		t.Fatalf("global length %d vs %d", len(res.Global), len(base.Global))
-	}
-	for i := range base.Global {
-		if math.Float64bits(res.Global[i]) != math.Float64bits(base.Global[i]) {
-			t.Fatalf("global element %d differs from the dense run", i)
-		}
-	}
-	if len(res.History) != len(base.History) {
-		t.Fatal("history length differs")
+	for _, tc := range []struct {
+		name    string
+		trainer fl.Trainer
+		dense   bool
+	}{
+		{"delta-uplink", driftTrainer{}, false},
+		{"dense-uplink", noiseTrainer{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, wire, dense := runWireFederation(t, 3, 3, tc.trainer)
+			if dense == 0 || (wire == dense) != tc.dense || wire > dense {
+				t.Fatalf("uplink shipped %d bytes, dense form %d: want dense=%v", wire, dense, tc.dense)
+			}
+			sim, err := fl.NewSimulator(fl.SimConfig{Rounds: 3, ClientsPerRound: 3, Seed: 7}, &fl.Method{
+				Name: tc.name, Trainer: tc.trainer, Aggregator: fl.WeightedAverage{},
+				Personalizer: idPersonalizer{}, InitGlobal: wireInitGlobal,
+			}, netClients(t, 3))
+			if err != nil {
+				t.Fatalf("NewSimulator: %v", err)
+			}
+			global, history, err := sim.Run(context.Background())
+			if err != nil {
+				t.Fatalf("sim Run: %v", err)
+			}
+			if len(res.Global) != len(global) {
+				t.Fatalf("global length %d vs %d", len(res.Global), len(global))
+			}
+			for i := range global {
+				if math.Float64bits(res.Global[i]) != math.Float64bits(global[i]) {
+					t.Fatalf("global element %d differs from the simulator's", i)
+				}
+			}
+			if !reflect.DeepEqual(res.History, history) {
+				t.Fatalf("history differs from the simulator's:\nnet %+v\nsim %+v", res.History, history)
+			}
+		})
 	}
 }
 
@@ -163,7 +208,7 @@ func TestWireUpdateFallsBackToDense(t *testing.T) {
 		random[i] = math.Float64frombits(rng.Uint64() | 1) // high-entropy, never equal
 	}
 	u := &fl.Update{ClientID: 0, Params: random, NumSamples: 1}
-	if w := wireUpdate(u, global, true, nil); w.Delta != nil {
+	if w := wireUpdate(u, global, nil); w.Delta != nil {
 		t.Fatalf("high-entropy update was delta-encoded to %d bytes (dense %d)", w.Delta.Size(), 8*len(random))
 	}
 	// An SGD-like update compresses and therefore ships as a delta.
@@ -172,7 +217,7 @@ func TestWireUpdateFallsBackToDense(t *testing.T) {
 		closeBy[i] += 1e-9 * closeBy[i]
 	}
 	u = &fl.Update{ClientID: 0, Params: closeBy, NumSamples: 1}
-	w := wireUpdate(u, global, true, &param.Delta{})
+	w := wireUpdate(u, global, &param.Delta{})
 	if w.Delta == nil {
 		t.Fatal("compressible update was not delta-encoded")
 	}

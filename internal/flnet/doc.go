@@ -21,12 +21,12 @@
 // Since ProtocolVersion 2 payloads are typed param.Vector
 // values, and train-result updates may travel as lossless XOR-deltas
 // against the round's global vector (fl.Update.Delta) instead of dense
-// params. The server advertises its preferred uplink encoding in the
-// join-ack envelope (Updates field, ServerConfig.UpdateWire); clients
-// comply, and fall back to dense per update whenever the delta would not
-// be smaller. Either
+// params. Which form an update takes is the sender's choice, made per
+// update and not negotiated: a client diffs every result against the
+// global it was sent and ships the delta unless the dense frame would be
+// no larger (wireUpdate). Either
 // form is legal on every train-result: the server materializes deltas at
-// ingress (fl.Update.Resolve) before aggregation, bit-identically, and a
+// ingress (fl.Update.ResolveInto) before aggregation, bit-identically, and a
 // client whose payload fails validation (wrong length, corrupt delta) is
 // evicted from the federation instead of panicking the aggregator. The
 // round then proceeds like any other client failure: with a K<N quorum

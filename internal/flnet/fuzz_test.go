@@ -33,8 +33,8 @@ func wireSeeds(t testing.TB) []wireSeed {
 	}
 	v3 := preamble(ProtocolVersion)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	d, err := param.Diff(param.Vector{1, 2, 3}, param.Vector{1, 2.5, 3})
-	if err != nil {
+	d := &param.Delta{}
+	if err := param.DiffInto(d, param.Vector{1, 2, 3}, param.Vector{1, 2.5, 3}); err != nil {
 		t.Fatal(err)
 	}
 	dense := &Envelope{Type: MsgTrainResult, ClientID: 1, Round: 1, Update: &fl.Update{ClientID: 1,

@@ -36,9 +36,8 @@ const (
 	//	1  gob envelopes with dense []float64 payloads everywhere
 	//	2  typed param.Vector payloads; train-result updates may carry a
 	//	   lossless XOR-delta against the round's global instead of dense
-	//	   params, with the server advertising its preference in join-ack
-	//	   (Envelope.Updates); dense remains legal at any time (fallback
-	//	   for incompressible updates)
+	//	   params; which form a result takes is the sender's choice per
+	//	   update (dense whenever the delta would not be smaller)
 	//	3  parameter vectors (the downlink global, dense update params,
 	//	   SCAFFOLD control deltas) leave the gob stream: the envelope is a
 	//	   gob header announcing raw little-endian frames that follow it,
@@ -129,46 +128,6 @@ func (m MsgType) String() string {
 	}
 }
 
-// UpdateWire selects how clients ship their train-result payloads: the
-// server advertises its preference in the join-ack envelope, and clients
-// comply. Whatever the advertisement, the server accepts both forms on
-// every train-result — delta encoding is an optimization, never a
-// correctness requirement.
-type UpdateWire int
-
-const (
-	// WireDelta (the default) ships updates as lossless XOR-deltas against
-	// the round's global vector, falling back to dense per update when the
-	// delta would not be smaller.
-	WireDelta UpdateWire = iota
-	// WireDense ships full dense parameter vectors, protocol v1 style.
-	WireDense
-)
-
-// String renders the wire mode for logs and flags.
-func (w UpdateWire) String() string {
-	switch w {
-	case WireDelta:
-		return "delta"
-	case WireDense:
-		return "dense"
-	default:
-		return fmt.Sprintf("updatewire(%d)", int(w))
-	}
-}
-
-// ParseUpdateWire parses the CLI spelling of an update wire mode.
-func ParseUpdateWire(s string) (UpdateWire, error) {
-	switch s {
-	case "delta", "":
-		return WireDelta, nil
-	case "dense":
-		return WireDense, nil
-	default:
-		return 0, fmt.Errorf("flnet: unknown update wire mode %q (want delta or dense)", s)
-	}
-}
-
 // Envelope is the single wire message; fields are populated according to
 // Type. On the wire it is a small gob header followed by one raw frame per
 // parameter vector it carries (see conn): gob's self-describing stream
@@ -182,9 +141,6 @@ type Envelope struct {
 	Update   *fl.Update   `json:",omitempty"`
 	Accuracy float64
 	Err      string
-	// Updates is the server's advertised update encoding, meaningful on
-	// join-ack only.
-	Updates UpdateWire
 }
 
 // Vector frames. A v3 message is the gob-encoded Envelope with every

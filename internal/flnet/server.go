@@ -34,12 +34,6 @@ type ServerConfig struct {
 	InitGlobal func(rng *rand.Rand) (param.Vector, error)
 	// IOTimeout bounds each network operation (default 2 minutes).
 	IOTimeout time.Duration
-	// UpdateWire is the update encoding advertised to clients at join-ack:
-	// WireDelta (default) asks for lossless XOR-delta compressed updates,
-	// WireDense for full vectors. The server accepts both forms regardless
-	// — the knob shapes traffic, not correctness — and reconstruction is
-	// bit-exact, so results are identical either way.
-	UpdateWire UpdateWire
 
 	// Quorum is the minimum number of client updates needed to close a
 	// round at its deadline (K in K-of-N aggregation). 0 means every
@@ -328,7 +322,7 @@ func (s *Server) handleJoin(raw net.Conn) {
 	}
 	s.clients[env.ClientID] = h
 	s.mu.Unlock()
-	if err := c.send(&Envelope{Type: MsgJoinAck, ClientID: env.ClientID, Updates: s.cfg.UpdateWire}); err != nil {
+	if err := c.send(&Envelope{Type: MsgJoinAck, ClientID: env.ClientID}); err != nil {
 		s.evict(env.ClientID)
 		// The engine may already have dispatched to this roster entry (it
 		// becomes eligible the moment it is inserted); with no worker ever

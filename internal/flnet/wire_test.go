@@ -164,8 +164,8 @@ func TestRecvReusesVectorBuffers(t *testing.T) {
 // envelope — the frame bits cost nothing, so the delta uplink's bytes are
 // what they were.
 func TestDeltaTrainResultIsItsV2Form(t *testing.T) {
-	d, err := param.Diff(param.Vector{1, 2, 3}, param.Vector{1, 2.5, 3})
-	if err != nil {
+	d := &param.Delta{}
+	if err := param.DiffInto(d, param.Vector{1, 2, 3}, param.Vector{1, 2.5, 3}); err != nil {
 		t.Fatal(err)
 	}
 	env := &Envelope{Type: MsgTrainResult, ClientID: 1, Round: 2, Update: &fl.Update{ClientID: 1, Delta: d, NumSamples: 5}}
@@ -268,7 +268,7 @@ func TestWireUpdateShipsDeltaIffSmaller(t *testing.T) {
 		{[]int{10, 10}, false}, // 134
 	} {
 		u := update(tc.last...)
-		w := wireUpdate(u, global, true, nil)
+		w := wireUpdate(u, global, nil)
 		var d param.Delta
 		if err := param.DiffInto(&d, global, u.Params); err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestWireUpdateShipsDeltaIffSmaller(t *testing.T) {
 			t.Fatal(err)
 		}
 		asDelta, asDense := size(&fl.Update{Delta: &d, NumSamples: 1}), size(u)
-		shipped := size(wireUpdate(u, global, true, nil))
+		shipped := size(wireUpdate(u, global, nil))
 		if shipped != min(asDelta, asDense) {
 			t.Fatalf("last words %v: shipped %d bytes; delta form %d, dense form %d", last, shipped, asDelta, asDense)
 		}

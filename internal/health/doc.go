@@ -37,8 +37,9 @@
 // so two runs producing the same round stream yield bit-identical
 // diagnoses regardless of KernelWorkers, scheduling or host, and a
 // Monitor never perturbs the run it watches (instrumented ≡ bare,
-// pinned the same way as obs and trace). The healthsmoke CI gate
-// asserts all of this end to end.
+// pinned the same way as obs and trace): internal/fl's
+// TestHealthVerdictsDeterministicAcrossWorkers and
+// TestHealthMonitorDoesNotPerturbRun hold both halves.
 //
 // # Wiring
 //

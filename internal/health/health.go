@@ -202,14 +202,6 @@ func NewMonitor(cfg *Config) *Monitor {
 	}
 }
 
-// Config returns the monitor's normalized configuration.
-func (m *Monitor) Config() Config {
-	if m == nil {
-		return Config{}
-	}
-	return m.cfg
-}
-
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // ObserveRound feeds one completed round through every enabled detector

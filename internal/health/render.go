@@ -10,8 +10,8 @@ import (
 // WriteText renders the diagnosis as the deterministic plain-text report
 // calibre-doctor prints: alert list in raise order, suspect set, then
 // the client table ranked least-healthy first. No wall-clock facts
-// appear, so equal diagnoses render byte-equal — the property the
-// healthsmoke gate compares across runs and worker counts.
+// appear, so equal diagnoses render byte-equal (calibre-doctor's
+// TestDoctorReplayMatchesLiveMonitor compares the text).
 func (d Diagnosis) WriteText(w io.Writer) error {
 	if len(d.Alerts) == 0 && d.Critical == 0 {
 		if _, err := fmt.Fprintf(w, "rounds observed: %d\nno alerts — federation healthy\n", d.Rounds); err != nil {

@@ -11,15 +11,18 @@ import (
 // events, the per-round obs.RoundSample stream the producing runtime fed
 // its live monitor. Feeding the result through a fresh Monitor with the
 // same Config reproduces the live diagnosis — that is calibre-doctor's
-// replay mode, and the property the healthsmoke gate pins.
+// replay mode, pinned by fl's TestHealthRingReplayMatchesLive and
+// calibre-doctor's TestDoctorReplayMatchesLiveMonitor.
 //
 // The mapping inverts what the runtimes emit (see internal/fl and
 // internal/flnet):
 //
 //   - round_start opens a round; N is the sampled-participant count.
-//   - client_update contributes one ClientSample (Loss, Norm). Events
-//     arrive in network-arrival order on a real server, so samples are
-//     reordered into dispatch order — the order the live sample used.
+//   - client_update contributes one ClientSample (Loss, Norm). The round
+//     core emits them in slot order for both runtimes (fl.Round.Advance),
+//     which is dispatch order — the order the live sample used; the
+//     stable sort at round_end only moves samples in a trace whose
+//     events were written in some other order.
 //   - client_drop lands the client in StragglerIDs; reasons rejected and
 //     adversarial are ingress rejections and additionally land it in
 //     RejectedIDs (sorted, as at ingress).
@@ -79,9 +82,9 @@ func ReplaySamples(events []trace.Event) []obs.RoundSample {
 			open = false
 			sample.Responders = e.N
 			sample.MeanLoss = e.Loss
-			// The live sample lists responders in dispatch order; update
-			// events land in arrival order. Undo the network's shuffle
-			// (ties — no dispatch record — keep arrival order).
+			// The live sample lists responders in dispatch order, and so
+			// does a trace the round core wrote; restore it for any other
+			// (ties — no dispatch record — keep file order).
 			d, a := dispatch, arrival
 			sort.SliceStable(sample.Clients, func(i, j int) bool {
 				di, iOK := d[sample.Clients[i].ID]

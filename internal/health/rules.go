@@ -128,11 +128,6 @@ func (c *Config) normalize() {
 	}
 }
 
-// Enabled reports whether any rule is on.
-func (c Config) Enabled() bool {
-	return c.NonFinite || c.Divergence || c.Plateau || c.Fairness || c.NormZ || c.Quorum
-}
-
 func fnum(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // Rules renders the enabled rules as the canonical spec string —

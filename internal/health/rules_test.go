@@ -96,14 +96,11 @@ func TestParseRulesErrors(t *testing.T) {
 }
 
 func TestEnabled(t *testing.T) {
-	if (Config{}).Enabled() {
-		t.Fatal("zero config reports enabled")
-	}
-	if !(Config{Quorum: true}).Enabled() {
-		t.Fatal("quorum-only config reports disabled")
-	}
 	if got := (Config{}).Rules(); got != "" {
 		t.Fatalf("zero config Rules() = %q, want empty", got)
+	}
+	if got := (Config{Quorum: true}).Rules(); !strings.HasPrefix(got, "quorum(") {
+		t.Fatalf("quorum-only config Rules() = %q", got)
 	}
 }
 

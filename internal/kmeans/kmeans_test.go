@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"calibre/internal/data"
 	"calibre/internal/tensor"
 )
 
@@ -165,7 +166,7 @@ func TestSilhouetteEdgeCases(t *testing.T) {
 		t.Fatal("single cluster should score 0")
 	}
 	// Singletons contribute zero but don't crash.
-	x := tensor.MustFromSlice([]float64{0, 0, 10, 10, 20, 20}, 3, 2)
+	x := data.Batch([][]float64{{0, 0}, {10, 10}, {20, 20}})
 	s := Silhouette(x, []int{0, 1, 2})
 	if s != 0 {
 		t.Fatalf("all-singleton clustering should score 0, got %v", s)
@@ -191,8 +192,8 @@ func TestSilhouetteRangeProperty(t *testing.T) {
 }
 
 func TestMeanDistanceToAssigned(t *testing.T) {
-	x := tensor.MustFromSlice([]float64{0, 0, 2, 0}, 2, 2)
-	centers := tensor.MustFromSlice([]float64{0, 0, 3, 0}, 2, 2)
+	x := data.Batch([][]float64{{0, 0}, {2, 0}})
+	centers := data.Batch([][]float64{{0, 0}, {3, 0}})
 	got := MeanDistanceToAssigned(x, centers, []int{0, 1})
 	if math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("mean distance = %v, want 0.5", got)

@@ -90,11 +90,6 @@ func (m *SupModel) Accuracy(ds *data.Dataset) float64 {
 	return nn.Accuracy(logits, ds.Y)
 }
 
-// Features returns the encoder output for a dataset (no gradients kept).
-func (m *SupModel) Features(ds *data.Dataset) *tensor.Tensor {
-	return m.EncodeValue(data.Batch(ds.X))
-}
-
 // EncodeValue runs the encoder on a raw batch, returning the feature
 // matrix. It satisfies FeatureFn for linear-probe personalization.
 func (m *SupModel) EncodeValue(x *tensor.Tensor) *tensor.Tensor {

@@ -244,7 +244,7 @@ func TestTrainingStepsStayOnTheTape(t *testing.T) {
 		t.Errorf("a warmed TrainSupervised step makes %.1f allocations, ceiling %d", perStep, supStepAllocCeiling)
 	}
 
-	feats := m.Features(ds)
+	feats := m.EncodeValue(data.Batch(ds.X))
 	probe := func(epochs int) func() {
 		hc := DefaultHeadConfig()
 		hc.Epochs, hc.BatchSize = epochs, 16

@@ -6,7 +6,7 @@
 // The engine is define-by-run: every operation on *Node values records a
 // backward closure; calling Backward on a scalar loss node topologically
 // sorts the reachable graph and accumulates gradients into the participating
-// Params. Nodes derived only from constants (Input, Detach) are skipped.
+// Params. Nodes derived only from constants (Input) are skipped.
 // StepLoop sequences a whole training step around Backward — loss, gradient
 // clearing, clipping, the optimizer, the allocation tape's reset — and is
 // what every local trainer in the repository runs.
@@ -54,18 +54,6 @@ func InputOn(tp *Tape, t *tensor.Tensor) *Node {
 	n.tape = tp
 	return n
 }
-
-// Detach returns a constant node holding n's value, cutting the gradient
-// path (stop-gradient). The allocation tape, if any, carries over.
-func Detach(n *Node) *Node {
-	d := n.tape.node()
-	d.Value = n.Value
-	d.tape = n.tape
-	return d
-}
-
-// RequiresGrad reports whether gradients flow through this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
 
 // Grad returns the node's accumulated gradient tensor, allocating it on
 // first use. For param nodes this aliases the Param's gradient.
@@ -228,28 +216,6 @@ func Scale(a *Node, c float64) *Node {
 			mustAddScaled(a.Grad(), g, c)
 		}
 	}, a)
-}
-
-// MulElem returns the Hadamard product a∘b.
-func MulElem(a, b *Node) *Node {
-	v := tapeOf(a, b).allocLike(a.Value)
-	if err := tensor.MulInto(v, a.Value, b.Value); err != nil {
-		panic(err)
-	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if a.requiresGrad {
-			ga, bd, gd := a.Grad().Data(), b.Value.Data(), g.Data()
-			for i := range ga {
-				ga[i] += gd[i] * bd[i]
-			}
-		}
-		if b.requiresGrad {
-			gb, ad, gd := b.Grad().Data(), a.Value.Data(), g.Data()
-			for i := range gb {
-				gb[i] += gd[i] * ad[i]
-			}
-		}
-	}, a, b)
 }
 
 // MatMul returns a·b for 2-D nodes.

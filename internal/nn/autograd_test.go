@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"calibre/internal/data"
 	"calibre/internal/tensor"
 )
 
@@ -64,7 +65,7 @@ func TestBackwardRequiresScalar(t *testing.T) {
 }
 
 func TestBackwardNoGradPath(t *testing.T) {
-	x := Input(tensor.MustFromSlice([]float64{1, 2, 3, 4}, 2, 2))
+	x := Input(data.Batch([][]float64{{1, 2}, {3, 4}}))
 	l := Mean(x)
 	if err := Backward(l); err != nil {
 		t.Fatalf("Backward on constant graph should be a no-op, got %v", err)
@@ -106,8 +107,7 @@ func TestGradAddSubScaleMul(t *testing.T) {
 	gradCheck(t, []*Param{a, b}, func() *Node {
 		sum := Add(a.Node(), b.Node())
 		diff := Sub(a.Node(), b.Node())
-		prod := MulElem(sum, diff) // (a+b)∘(a-b)
-		return Mean(Scale(prod, 2.5))
+		return Add(Scale(SumSquares(sum), 2.5), Mean(diff))
 	}, 1e-5)
 }
 
@@ -131,7 +131,7 @@ func TestGradL2NormalizeRows(t *testing.T) {
 	a := randParam(rng, "a", 4, 5)
 	w := tensor.RandN(rng, 1, 4, 5)
 	gradCheck(t, []*Param{a}, func() *Node {
-		return Mean(MulElem(L2NormalizeRows(a.Node()), Input(w)))
+		return Mean(RowDotConst(L2NormalizeRows(a.Node()), w))
 	}, 1e-5)
 }
 
@@ -162,14 +162,14 @@ func TestGradConcatRowsCols(t *testing.T) {
 	b := randParam(rng, "b", 4, 3)
 	w := tensor.RandN(rng, 1, 6, 3)
 	gradCheck(t, []*Param{a, b}, func() *Node {
-		return Mean(MulElem(ConcatRows(a.Node(), b.Node()), Input(w)))
+		return Mean(RowDotConst(ConcatRows(a.Node(), b.Node()), w))
 	}, 1e-5)
 
 	c := randParam(rng, "c", 3, 2)
 	d := randParam(rng, "d", 3, 4)
 	w2 := tensor.RandN(rng, 1, 3, 6)
 	gradCheck(t, []*Param{c, d}, func() *Node {
-		return Mean(MulElem(ConcatCols(c.Node(), d.Node()), Input(w2)))
+		return Mean(RowDotConst(ConcatCols(c.Node(), d.Node()), w2))
 	}, 1e-5)
 }
 
@@ -179,7 +179,7 @@ func TestGradGatherRows(t *testing.T) {
 	idx := []int{0, 2, 2, 4} // duplicate index exercises accumulation
 	w := tensor.RandN(rng, 1, 4, 3)
 	gradCheck(t, []*Param{a}, func() *Node {
-		return Mean(MulElem(GatherRows(a.Node(), idx), Input(w)))
+		return Mean(RowDotConst(GatherRows(a.Node(), idx), w))
 	}, 1e-5)
 }
 
@@ -189,7 +189,7 @@ func TestGradGroupMean(t *testing.T) {
 	groups := [][]int{{0, 1, 2}, {3}, {}, {4, 5}}
 	w := tensor.RandN(rng, 1, 4, 4)
 	gradCheck(t, []*Param{a}, func() *Node {
-		return Mean(MulElem(GroupMean(a.Node(), groups), Input(w)))
+		return Mean(RowDotConst(GroupMean(a.Node(), groups), w))
 	}, 1e-5)
 }
 
@@ -220,21 +220,6 @@ func TestGradMeanSumSquares(t *testing.T) {
 	gradCheck(t, []*Param{a}, func() *Node {
 		return Add(Mean(a.Node()), Scale(SumSquares(a.Node()), 0.1))
 	}, 1e-5)
-}
-
-func TestDetachBlocksGradient(t *testing.T) {
-	a := NewParam("a", 2, 2)
-	a.Value.Fill(1)
-	l := Mean(MulElem(a.Node(), Detach(a.Node())))
-	if err := Backward(l); err != nil {
-		t.Fatalf("Backward: %v", err)
-	}
-	// With detach, d/da mean(a∘const(a)) = const(a)/4 = 0.25 each.
-	for _, g := range a.Grad.Data() {
-		if !almost(g, 0.25, 1e-12) {
-			t.Fatalf("detached grad = %v, want 0.25", g)
-		}
-	}
 }
 
 func TestParamSharedAcrossTwoForwards(t *testing.T) {
@@ -380,26 +365,13 @@ func TestGradPairNTXent(t *testing.T) {
 	}, 1e-4)
 }
 
-func TestMSELoss(t *testing.T) {
-	x := NewParam("x", 1, 2)
-	x.Value.SetRow(0, []float64{1, 3})
-	tgt := tensor.MustFromSlice([]float64{0, 1}, 1, 2)
-	l := MSELoss(x.Node(), tgt)
-	if !almost(l.Value.At(0, 0), (1.0+4.0)/2, 1e-12) {
-		t.Fatalf("MSE = %v, want 2.5", l.Value.At(0, 0))
-	}
-	gradCheck(t, []*Param{x}, func() *Node {
-		return MSELoss(x.Node(), tgt)
-	}, 1e-6)
-}
-
 func TestAccuracy(t *testing.T) {
-	logits := tensor.MustFromSlice([]float64{
-		2, 1, 0,
-		0, 5, 1,
-		1, 0, 9,
-		3, 2, 1,
-	}, 4, 3)
+	logits := data.Batch([][]float64{
+		{2, 1, 0},
+		{0, 5, 1},
+		{1, 0, 9},
+		{3, 2, 1},
+	})
 	got := Accuracy(logits, []int{0, 1, 2, 2})
 	if !almost(got, 0.75, 1e-12) {
 		t.Fatalf("Accuracy = %v, want 0.75", got)

@@ -31,7 +31,10 @@ func runNet(t *testing.T, net *Sequential, x *tensor.Tensor) (loss float64, valu
 	if err := Backward(l); err != nil {
 		t.Fatalf("Backward: %v", err)
 	}
-	return l.Value.At(0, 0), append([]float64(nil), out.Value.Data()...), FlattenGrads(net)
+	for _, p := range net.Params() {
+		grads = append(grads, p.Grad.Data()...)
+	}
+	return l.Value.At(0, 0), append([]float64(nil), out.Value.Data()...), grads
 }
 
 // TestFusedBitIdenticalToUnfused is the determinism pin for the fused
@@ -166,15 +169,15 @@ func TestTapeLifecycle(t *testing.T) {
 	}
 
 	l1 := step()
-	if tp.Live() == 0 {
+	if len(tp.taken) == 0 {
 		t.Fatal("taped graph tracked no tensors")
 	}
 	if arena.Stats().Outstanding == 0 {
 		t.Fatal("taped graph borrowed nothing from the arena")
 	}
 	tp.Reset()
-	if tp.Live() != 0 {
-		t.Fatalf("Live() = %d after Reset", tp.Live())
+	if len(tp.taken) != 0 {
+		t.Fatalf("%d tensors tracked after Reset", len(tp.taken))
 	}
 	if out := arena.Stats().Outstanding; out != 0 {
 		t.Fatalf("arena outstanding = %d after Reset", out)
@@ -196,13 +199,10 @@ func TestTapeLifecycle(t *testing.T) {
 	// Nil tapes and tapes over nil arenas degrade to plain allocation.
 	var nilTape *Tape
 	nilTape.Reset()
-	if nilTape.Live() != 0 {
-		t.Fatal("nil tape Live() != 0")
-	}
 	heapTape := NewTape(nil)
 	loss := SumSquares(net.Forward(InputOn(heapTape, x)))
-	if loss == nil || heapTape.Live() != 0 {
-		t.Fatalf("heap tape tracked %d tensors, want 0", heapTape.Live())
+	if loss == nil || len(heapTape.taken) != 0 {
+		t.Fatalf("heap tape tracked %d tensors, want 0", len(heapTape.taken))
 	}
 	heapTape.Reset()
 }

@@ -45,12 +45,6 @@ func (l *Linear) Forward(x *Node) *Node {
 // Params returns [W, B].
 func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
 
-// In returns the input dimension.
-func (l *Linear) In() int { return l.W.Value.Rows() }
-
-// Out returns the output dimension.
-func (l *Linear) Out() int { return l.W.Value.Cols() }
-
 // Activation is a parameter-free layer applying a pointwise nonlinearity.
 type Activation struct {
 	Kind ActKind
@@ -144,16 +138,4 @@ func MLP(rng *rand.Rand, name string, dims ...int) *Sequential {
 // receive gradients if Backward is called on a downstream loss).
 func ForwardTensor(l Layer, x *tensor.Tensor) *Node {
 	return l.Forward(Input(x))
-}
-
-// Predict runs l on x and returns the argmax class per row. Intended for
-// classifier heads at evaluation time.
-func Predict(l Layer, x *tensor.Tensor) []int {
-	out := ForwardTensor(l, x).Value
-	m := out.Rows()
-	preds := make([]int, m)
-	for i := 0; i < m; i++ {
-		preds[i] = tensor.ArgMax(out.Row(i))
-	}
-	return preds
 }

@@ -11,9 +11,6 @@ import (
 func TestLinearShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, 5, 3, "fc")
-	if l.In() != 5 || l.Out() != 3 {
-		t.Fatalf("In/Out = %d/%d", l.In(), l.Out())
-	}
 	x := tensor.RandN(rng, 1, 7, 5)
 	y := ForwardTensor(l, x)
 	if y.Value.Rows() != 7 || y.Value.Cols() != 3 {
@@ -76,19 +73,6 @@ func TestMLPGradient(t *testing.T) {
 	gradCheck(t, m.Params(), func() *Node {
 		return CrossEntropy(ForwardTensor(m, x), targets)
 	}, 1e-4)
-}
-
-func TestPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	l := NewLinear(rng, 2, 2, "head")
-	l.W.Value.SetRow(0, []float64{1, 0})
-	l.W.Value.SetRow(1, []float64{0, 1})
-	l.B.Value.Zero()
-	x := tensor.MustFromSlice([]float64{5, 1, 1, 5}, 2, 2)
-	preds := Predict(l, x)
-	if preds[0] != 0 || preds[1] != 1 {
-		t.Fatalf("Predict = %v", preds)
-	}
 }
 
 func TestFlattenUnflattenRoundTrip(t *testing.T) {
@@ -168,19 +152,8 @@ func TestEMAUpdate(t *testing.T) {
 func TestVecHelpers(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
-	if got := VecAdd(a, b); got[0] != 4 || got[1] != 7 {
-		t.Fatalf("VecAdd = %v", got)
-	}
 	if got := VecSub(b, a); got[0] != 2 || got[1] != 3 {
 		t.Fatalf("VecSub = %v", got)
-	}
-	if got := VecScale(a, 3); got[0] != 3 || got[1] != 6 {
-		t.Fatalf("VecScale = %v", got)
-	}
-	dst := []float64{1, 1}
-	VecAxpy(dst, a, 2)
-	if dst[0] != 3 || dst[1] != 5 {
-		t.Fatalf("VecAxpy = %v", dst)
 	}
 	if got := VecLerp(a, b, 0.5); got[0] != 2 || got[1] != 3.5 {
 		t.Fatalf("VecLerp = %v", got)
@@ -204,7 +177,7 @@ func TestSGDConvergesOnLinearRegression(t *testing.T) {
 	}
 	for epoch := 0; epoch < 200; epoch++ {
 		opt.ZeroGrad()
-		loss := MSELoss(ForwardTensor(l, x), y)
+		loss := Scale(SumSquares(Sub(ForwardTensor(l, x), Input(y))), 1.0/16)
 		if err := Backward(loss); err != nil {
 			t.Fatalf("Backward: %v", err)
 		}
@@ -283,11 +256,5 @@ func TestParamInitializers(t *testing.T) {
 	want := math.Sqrt(2.0 / 50)
 	if math.Abs(std-want)/want > 0.15 {
 		t.Fatalf("He std = %v, want ≈%v", std, want)
-	}
-	p.InitUniform(rng, 0.3)
-	for _, v := range p.Value.Data() {
-		if v < -0.3 || v > 0.3 {
-			t.Fatalf("uniform init out of range: %v", v)
-		}
 	}
 }

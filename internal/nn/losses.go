@@ -205,15 +205,6 @@ func PrototypeCE(z, protos *Node, assign []int, tau float64) *Node {
 	return CrossEntropy(logits, assign)
 }
 
-// MSELoss returns mean squared error between x and a constant target.
-func MSELoss(x *Node, target *tensor.Tensor) *Node {
-	if !tensor.SameShape(x.Value, target) {
-		panic(fmt.Sprintf("nn: MSELoss shape %v vs %v", x.Value.Shape(), target.Shape()))
-	}
-	diff := Sub(x, Input(target))
-	return Scale(SumSquares(diff), 1/float64(x.Value.Len()))
-}
-
 // Accuracy returns the fraction of rows of logits whose argmax equals the
 // target label.
 func Accuracy(logits *tensor.Tensor, targets []int) float64 {

@@ -27,11 +27,6 @@ func NewParam(name string, shape ...int) *Param {
 	}
 }
 
-// NewParamFrom wraps an existing tensor as a parameter.
-func NewParamFrom(name string, t *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: t, Grad: tensor.NewLike(t)}
-}
-
 // Node returns a graph leaf bound to the parameter: gradients reaching the
 // node accumulate directly into p.Grad. Calling Node multiple times within
 // one graph (e.g. an encoder applied to two augmented views) is supported —
@@ -57,14 +52,6 @@ func (p *Param) InitHe(rng *rand.Rand, fanIn int) {
 	}
 }
 
-// InitUniform fills p with U(-a, a), the classic Glorot-uniform bound when
-// a = sqrt(6/(fanIn+fanOut)).
-func (p *Param) InitUniform(rng *rand.Rand, a float64) {
-	for i, d := 0, p.Value.Data(); i < len(d); i++ {
-		d[i] = (rng.Float64()*2 - 1) * a
-	}
-}
-
 // Module is anything that owns parameters.
 type Module interface {
 	// Params returns the module's parameters in a stable order.
@@ -78,13 +65,6 @@ func ParamCount(m Module) int {
 		n += p.Value.Len()
 	}
 	return n
-}
-
-// ZeroGrads clears every parameter gradient of m.
-func ZeroGrads(m Module) {
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
 }
 
 // Flatten copies all parameter values of m into a single vector, in
@@ -112,16 +92,6 @@ func Unflatten(m Module, vec []float64) error {
 		off += len(d)
 	}
 	return nil
-}
-
-// FlattenGrads copies all parameter gradients into one vector (same layout
-// as Flatten).
-func FlattenGrads(m Module) []float64 {
-	out := make([]float64, 0, ParamCount(m))
-	for _, p := range m.Params() {
-		out = append(out, p.Grad.Data()...)
-	}
-	return out
 }
 
 // CopyParams copies src's parameter values into dst. The two modules must
@@ -161,15 +131,6 @@ func EMAUpdate(target, online Module, m float64) error {
 
 // VecOps: small helpers on flat parameter vectors (the FL wire format).
 
-// VecAdd returns a+b.
-func VecAdd(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // VecSub returns a-b.
 func VecSub(a, b []float64) []float64 {
 	out := make([]float64, len(a))
@@ -177,22 +138,6 @@ func VecSub(a, b []float64) []float64 {
 		out[i] = a[i] - b[i]
 	}
 	return out
-}
-
-// VecScale returns a*s.
-func VecScale(a []float64, s float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] * s
-	}
-	return out
-}
-
-// VecAxpy computes dst += s*a in place.
-func VecAxpy(dst, a []float64, s float64) {
-	for i := range dst {
-		dst[i] += s * a[i]
-	}
 }
 
 // VecLerp returns (1-t)*a + t*b.

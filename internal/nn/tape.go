@@ -117,11 +117,3 @@ func (tp *Tape) Reset() {
 	}
 	tp.nodes = tp.nodes[:0]
 }
-
-// Live returns the number of tensors currently tracked by the tape.
-func (tp *Tape) Live() int {
-	if tp == nil {
-		return 0
-	}
-	return len(tp.taken)
-}

@@ -89,8 +89,7 @@ const roundWindow = 256
 // clientWindow is the default bound on the per-client participation
 // table: an LRU over client IDs, so a million-client federation keeps
 // the hottest ~4096 participants visible at constant memory instead of
-// growing one map entry per client ever seen. NewRegistryWithClients
-// overrides it.
+// growing one map entry per client ever seen.
 const clientWindow = 4096
 
 // histBounds are the shared fixed latency bucket upper bounds in
@@ -291,19 +290,6 @@ func NewRegistryWithRing(n int) *Registry {
 		n = roundWindow
 	}
 	return newRegistry(n, clientWindow)
-}
-
-// NewRegistryWithClients returns an empty registry whose per-client
-// participation table keeps the n most-recently-seen clients (n < 1
-// falls back to the 4096 default). When a federation exceeds the bound,
-// the least-recently-participating client's row is evicted — aggregate
-// counters are unaffected, only the per-client breakdown forgets cold
-// clients.
-func NewRegistryWithClients(n int) *Registry {
-	if n < 1 {
-		n = clientWindow
-	}
-	return newRegistry(roundWindow, n)
 }
 
 func newRegistry(ring, clients int) *Registry {

@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 func TestParticipationLRUBound(t *testing.T) {
-	r := NewRegistryWithClients(3)
+	r := newRegistry(roundWindow, 3)
 	r.AddParticipation([]int{1, 2, 3})
 	r.AddParticipation([]int{1, 2, 3})
 	snap := r.Snapshot()
@@ -52,12 +52,5 @@ func TestParticipationDefaultBound(t *testing.T) {
 	}
 	if snap.Participation["4999"] != 1 {
 		t.Fatal("newest client missing")
-	}
-}
-
-func TestNewRegistryWithClientsFallback(t *testing.T) {
-	r := NewRegistryWithClients(0)
-	if r.clientsCap != 4096 {
-		t.Fatalf("clientsCap = %d, want default", r.clientsCap)
 	}
 }

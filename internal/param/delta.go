@@ -24,7 +24,7 @@ var (
 
 // Delta is the lossless encoded difference between a Vector and a
 // reference Vector (see the package comment for the format). The zero
-// value is not meaningful; build one with Diff.
+// value is not meaningful; build one with DiffInto.
 type Delta struct {
 	// Len is the element count of the vectors the delta relates.
 	Len int
@@ -41,46 +41,11 @@ func (d *Delta) Size() int { return len(d.Bits) }
 // for: 8 bytes per element.
 func (d *Delta) DenseSize() int { return 8 * d.Len }
 
-// Changed returns how many elements differ from the reference. A
-// non-canonical payload yields ErrCorrupt exactly as Apply would.
-func (d *Delta) Changed() (int, error) {
-	if d.Len < 0 {
-		return 0, fmt.Errorf("%w: negative length %d", ErrCorrupt, d.Len)
-	}
-	dec := newDeltaDecoder(d)
-	changed := 0
-	for dec.remaining > 0 {
-		_, lits, err := dec.block()
-		if err != nil {
-			return 0, err
-		}
-		changed += lits
-		for i := 0; i < lits; i++ {
-			if _, err := dec.word(); err != nil {
-				return 0, err
-			}
-		}
-	}
-	if err := dec.finish(); err != nil {
-		return 0, err
-	}
-	return changed, nil
-}
-
-// Diff encodes v against ref. The two vectors must have the same length;
-// reconstruction via Apply(ref) is bit-identical to v.
-func Diff(ref, v Vector) (*Delta, error) {
-	d := &Delta{}
-	if err := DiffInto(d, ref, v); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// DiffInto is Diff writing into a caller-owned Delta, reusing dst.Bits'
-// capacity so steady-state round loops encode without allocating. dst's
-// previous contents are discarded; on error dst is left unusable and must
-// not be applied.
+// DiffInto encodes v against ref into a caller-owned Delta. The two
+// vectors must have the same length; reconstruction via Apply(ref) is
+// bit-identical to v. dst.Bits' capacity is reused, so steady-state round
+// loops encode without allocating. dst's previous contents are discarded;
+// on error dst is left unusable and must not be applied.
 //
 // Literal words take a word-at-a-time path (putWord56) whenever the XOR
 // word fits 56 bits and eight bytes of buffer remain; the byte loop covers
@@ -276,7 +241,7 @@ func (dec *deltaDecoder) finish() error {
 }
 
 // Apply reconstructs the vector d encodes against ref — bit-identical to
-// the vector originally passed to Diff. ref is never modified. Length
+// the vector originally passed to DiffInto. ref is never modified. Length
 // mismatches yield ErrLenMismatch; any non-canonical payload yields
 // ErrCorrupt.
 func (d *Delta) Apply(ref Vector) (Vector, error) {

@@ -29,7 +29,7 @@ func TestDiffIntoReusesBits(t *testing.T) {
 		if err := DiffInto(scratch, ref, v); err != nil {
 			t.Fatalf("round %d: DiffInto: %v", round, err)
 		}
-		fresh, err := Diff(ref, v)
+		fresh, err := diff(ref, v)
 		if err != nil {
 			t.Fatalf("round %d: Diff: %v", round, err)
 		}
@@ -58,7 +58,7 @@ func TestDiffIntoReusesBits(t *testing.T) {
 func TestApplyIntoReusesScratch(t *testing.T) {
 	ref := Vector{1, 2, 3, 4, 5}
 	v := Vector{1, 2.5, 3, 4, 5.5}
-	d, err := Diff(ref, v)
+	d, err := diff(ref, v)
 	if err != nil {
 		t.Fatalf("Diff: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestApplyIntoReusesScratch(t *testing.T) {
 	// Nil scratch behaves exactly like Apply, including for empty vectors:
 	// a decoded empty vector is non-nil so callers can distinguish it from
 	// the nil-vector error case.
-	empty, err := Diff(Vector{}, Vector{})
+	empty, err := diff(Vector{}, Vector{})
 	if err != nil {
 		t.Fatalf("Diff empty: %v", err)
 	}

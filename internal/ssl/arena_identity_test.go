@@ -8,12 +8,12 @@ import (
 	"calibre/internal/nn"
 )
 
-// TestTrainArenaBitIdentical is the end-to-end determinism pin for the
-// allocation-free hot path: a full local training run with the buffer
-// arena enabled produces bit-identical parameters and loss to an
-// arena-free run. The method roster covers the cross-step escape paths —
-// MoCo's key queue, BYOL's momentum target, SwAV's prototype params —
-// that must deep-copy out of the tape's buffers before Reset.
+// TestTrainArenaBitIdentical pins what a cached federated client relies on:
+// a local training run on an arena full of another run's recycled buffers
+// produces bit-identical parameters and loss to a run on a cold arena. The
+// method roster covers the cross-step escape paths — MoCo's key queue,
+// BYOL's momentum target, SwAV's prototype params — that must deep-copy out
+// of the tape's buffers before Reset.
 func TestTrainArenaBitIdentical(t *testing.T) {
 	for _, method := range []string{"simclr", "mocov2", "byol", "swav"} {
 		t.Run(method, func(t *testing.T) {
@@ -21,32 +21,40 @@ func TestTrainArenaBitIdentical(t *testing.T) {
 			cfg.Epochs = 2
 			cfg.BatchSize = 4
 
-			run := func(noArena bool) (float64, []float64) {
+			build := func() *Trainable {
 				b := testBackbone(t, 61)
-				tr := &Trainable{Backbone: b, Method: buildMethod(t, method, b)}
-				rng := rand.New(rand.NewSource(62))
-				rows := testRows(rand.New(rand.NewSource(63)), 10, 16)
-				c := cfg
-				c.NoArena = noArena
-				loss, err := Train(rng, tr, rows, c, nil)
+				return &Trainable{Backbone: b, Method: buildMethod(t, method, b)}
+			}
+			run := func(warm bool) (float64, []float64) {
+				tr := build()
+				if warm {
+					prev := build()
+					if _, err := Train(rand.New(rand.NewSource(7)), prev, testRows(rand.New(rand.NewSource(8)), 12, 16), cfg, nil); err != nil {
+						t.Fatalf("warm-up Train: %v", err)
+					}
+					tr.arena = prev.Arena()
+				}
+				loss, err := Train(rand.New(rand.NewSource(62)), tr, testRows(rand.New(rand.NewSource(63)), 10, 16), cfg, nil)
 				if err != nil {
-					t.Fatalf("Train(noArena=%v): %v", noArena, err)
+					t.Fatalf("Train(warm=%v): %v", warm, err)
+				}
+				if warm && tr.Arena().Stats().Hits == 0 {
+					t.Fatal("the warm arena never handed out a recycled buffer")
 				}
 				return loss, nn.Flatten(tr)
 			}
 
-			baseLoss, baseParams := run(true)
-			arenaLoss, arenaParams := run(false)
-
-			if math.Float64bits(arenaLoss) != math.Float64bits(baseLoss) {
-				t.Fatalf("loss differs: arena %v, fresh %v", arenaLoss, baseLoss)
+			coldLoss, coldParams := run(false)
+			warmLoss, warmParams := run(true)
+			if math.Float64bits(warmLoss) != math.Float64bits(coldLoss) {
+				t.Fatalf("loss differs: warm arena %v, cold %v", warmLoss, coldLoss)
 			}
-			if len(arenaParams) != len(baseParams) {
-				t.Fatalf("param count differs: %d vs %d", len(arenaParams), len(baseParams))
+			if len(warmParams) != len(coldParams) {
+				t.Fatalf("param count differs: %d vs %d", len(warmParams), len(coldParams))
 			}
-			for i := range baseParams {
-				if math.Float64bits(arenaParams[i]) != math.Float64bits(baseParams[i]) {
-					t.Fatalf("param %d differs: arena %v, fresh %v", i, arenaParams[i], baseParams[i])
+			for i := range coldParams {
+				if math.Float64bits(warmParams[i]) != math.Float64bits(coldParams[i]) {
+					t.Fatalf("param %d differs: warm arena %v, cold %v", i, warmParams[i], coldParams[i])
 				}
 			}
 		})

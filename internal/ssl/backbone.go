@@ -105,14 +105,10 @@ type StepContext struct {
 	Arena *tensor.Arena
 }
 
-// NewStepContext performs the shared forward passes for a pair of views.
-func NewStepContext(rng *rand.Rand, b *Backbone, view1, view2 *tensor.Tensor) *StepContext {
-	return NewStepContextOn(nil, rng, b, view1, view2)
-}
-
-// NewStepContextOn is NewStepContext with the step's graph allocated on tp
-// (see nn.Tape). The whole context is step-scoped: after the caller resets
-// the tape, none of its nodes may be touched again.
+// NewStepContextOn performs the shared forward passes for a pair of views,
+// with the step's graph allocated on tp (see nn.Tape; nil allocates on the
+// heap). The whole context is step-scoped: after the caller resets the
+// tape, none of its nodes may be touched again.
 func NewStepContextOn(tp *nn.Tape, rng *rand.Rand, b *Backbone, view1, view2 *tensor.Tensor) *StepContext {
 	z1 := b.EncodeOn(tp, view1)
 	z2 := b.EncodeOn(tp, view2)

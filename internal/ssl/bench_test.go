@@ -38,7 +38,7 @@ func benchmarkMethodStep(b *testing.B, name string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v1, v2 := aug.TwoViews(rng, rows)
-		ctx := NewStepContext(rng, backbone, v1, v2)
+		ctx := NewStepContextOn(nil, rng, backbone, v1, v2)
 		loss := method.Loss(ctx)
 		opt.ZeroGrad()
 		if err := nn.Backward(loss); err != nil {
@@ -89,7 +89,7 @@ func BenchmarkSimCLRStepLargeBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v1, v2 := aug.TwoViews(rng, rows)
-				ctx := NewStepContext(rng, backbone, v1, v2)
+				ctx := NewStepContextOn(nil, rng, backbone, v1, v2)
 				loss := method.Loss(ctx)
 				opt.ZeroGrad()
 				if err := nn.Backward(loss); err != nil {

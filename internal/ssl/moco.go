@@ -104,6 +104,3 @@ func (m *MoCoV2) ExtraParams() []*nn.Param { return nil }
 // FIFO key queue evolve across rounds and are never federated or
 // checkpointed, so MoCo-based methods cannot be bit-identically resumed.
 func (m *MoCoV2) CarriesLocalState() bool { return true }
-
-// QueueLen reports the current number of queued negative keys (for tests).
-func (m *MoCoV2) QueueLen() int { return len(m.queue) }

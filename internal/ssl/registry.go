@@ -7,7 +7,6 @@ import (
 
 	"calibre/internal/data"
 	"calibre/internal/nn"
-	"calibre/internal/tensor"
 )
 
 // Standard hyperparameters shared by the experiments (paper §V-A).
@@ -65,14 +64,6 @@ type TrainConfig struct {
 	Momentum  float64
 	ClipNorm  float64 // 0 disables clipping
 	Augment   data.Augmenter
-
-	// NoArena disables the per-trainable buffer arena, making every training
-	// step allocate fresh tensors. Nothing ships with it set: it is the
-	// reference leg of the tests that pin arena-on and arena-off runs
-	// bit-identical (ssl's arena_identity_test.go) and that poison recycled
-	// buffers under ssl.Train and core's trainer (tensor's
-	// arena_poison_test.go).
-	NoArena bool
 }
 
 // DefaultTrainConfig returns the local-update hyperparameters used by the
@@ -104,12 +95,8 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 	}
 	stepsPerEpoch := (len(rows) + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, len(rows), cfg.BatchSize)
-	var arena *tensor.Arena
-	var tape *nn.Tape
-	if !cfg.NoArena {
-		arena = t.Arena()
-		tape = nn.NewTape(arena)
-	}
+	arena := t.Arena()
+	tape := nn.NewTape(arena)
 	loop := nn.StepLoop{
 		Tape:     tape,
 		Opt:      nn.NewSGD(t, cfg.LR, cfg.Momentum, 0),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"calibre/internal/kmeans"
 	"calibre/internal/nn"
 	"calibre/internal/tensor"
 )
@@ -114,23 +113,3 @@ func (s *SMoG) ExtraParams() []*nn.Param { return []*nn.Param{s.centers} }
 // federated via ExtraParams (overwritten by each incoming global), so no
 // method-local state survives across rounds.
 func (s *SMoG) CarriesLocalState() bool { return false }
-
-// Centers returns the current group-center matrix (for tests).
-func (s *SMoG) Centers() *tensor.Tensor { return s.centers.Value }
-
-// ResetCentersFromData re-seeds the group centers by clustering the given
-// projections. Used when a client first receives a backbone whose centers
-// have collapsed.
-func (s *SMoG) ResetCentersFromData(rng *rand.Rand, feats *tensor.Tensor) error {
-	res, err := kmeans.Run(rng, feats, kmeans.Config{K: s.centers.Value.Rows()})
-	if err != nil {
-		return fmt.Errorf("ssl: smog reseed: %w", err)
-	}
-	k := s.centers.Value.Rows()
-	for g := 0; g < k && g < res.Centers.Rows(); g++ {
-		s.centers.Value.SetRow(g, res.Centers.Row(g))
-	}
-	normed := tensor.L2NormalizeRows(s.centers.Value, 1e-12)
-	copy(s.centers.Value.Data(), normed.Data())
-	return nil
-}

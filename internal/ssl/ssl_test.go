@@ -104,7 +104,7 @@ func TestAllMethodsLossAndGradients(t *testing.T) {
 			rows := testRows(rng, 8, 16)
 			aug := data.DefaultAugmenter()
 			v1, v2 := aug.TwoViews(rng, rows)
-			ctx := NewStepContext(rng, b, v1, v2)
+			ctx := NewStepContextOn(nil, rng, b, v1, v2)
 			loss := m.Loss(ctx)
 			if loss.Value.Len() != 1 {
 				t.Fatalf("loss must be scalar, got %v", loss.Value.Shape())
@@ -114,7 +114,9 @@ func TestAllMethodsLossAndGradients(t *testing.T) {
 				t.Fatalf("loss = %v", lv)
 			}
 			tr := &Trainable{Backbone: b, Method: m}
-			nn.ZeroGrads(tr)
+			for _, p := range tr.Params() {
+				p.ZeroGrad()
+			}
 			if err := nn.Backward(loss); err != nil {
 				t.Fatalf("Backward: %v", err)
 			}
@@ -205,15 +207,15 @@ func TestMoCoQueueGrowsAndCaps(t *testing.T) {
 	for step := 0; step < 5; step++ {
 		rows := testRows(rng, 8, 16)
 		v1, v2 := aug.TwoViews(rng, rows)
-		ctx := NewStepContext(rng, b, v1, v2)
+		ctx := NewStepContextOn(nil, rng, b, v1, v2)
 		loss := m.Loss(ctx)
 		if err := nn.Backward(loss); err != nil {
 			t.Fatalf("Backward: %v", err)
 		}
 		m.AfterStep(b)
 	}
-	if m.QueueLen() != 20 {
-		t.Fatalf("queue len = %d, want capped at 20", m.QueueLen())
+	if len(m.queue) != 20 {
+		t.Fatalf("queue len = %d, want capped at 20", len(m.queue))
 	}
 }
 
@@ -236,8 +238,8 @@ func TestSwAVPrototypesNormalizedAfterStep(t *testing.T) {
 	m := buildMethod(t, "swav", b).(*SwAV)
 	m.prototypes.Value.Fill(3)
 	m.AfterStep(b)
-	for i := 0; i < m.Prototypes().Rows(); i++ {
-		if n := tensor.Norm2(m.Prototypes().Row(i)); math.Abs(n-1) > 1e-9 {
+	for i := 0; i < m.prototypes.Value.Rows(); i++ {
+		if n := tensor.Norm2(m.prototypes.Value.Row(i)); math.Abs(n-1) > 1e-9 {
 			t.Fatalf("prototype %d norm = %v", i, n)
 		}
 	}
@@ -284,26 +286,11 @@ func TestSMoGCentersStayNormalized(t *testing.T) {
 	aug := data.DefaultAugmenter()
 	rows := testRows(rng, 16, 16)
 	v1, v2 := aug.TwoViews(rng, rows)
-	ctx := NewStepContext(rng, b, v1, v2)
+	ctx := NewStepContextOn(nil, rng, b, v1, v2)
 	_ = m.Loss(ctx)
-	for i := 0; i < m.Centers().Rows(); i++ {
-		if n := tensor.Norm2(m.Centers().Row(i)); math.Abs(n-1) > 1e-9 {
+	for i := 0; i < m.centers.Value.Rows(); i++ {
+		if n := tensor.Norm2(m.centers.Value.Row(i)); math.Abs(n-1) > 1e-9 {
 			t.Fatalf("center %d norm = %v", i, n)
-		}
-	}
-}
-
-func TestSMoGResetCentersFromData(t *testing.T) {
-	b := testBackbone(t, 62)
-	m := buildMethod(t, "smog", b).(*SMoG)
-	rng := rand.New(rand.NewSource(11))
-	feats := tensor.RandN(rng, 1, 40, 8)
-	if err := m.ResetCentersFromData(rng, feats); err != nil {
-		t.Fatalf("ResetCentersFromData: %v", err)
-	}
-	for i := 0; i < m.Centers().Rows(); i++ {
-		if n := tensor.Norm2(m.Centers().Row(i)); math.Abs(n-1) > 1e-6 {
-			t.Fatalf("center %d norm = %v after reseed", i, n)
 		}
 	}
 }

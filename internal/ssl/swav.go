@@ -65,9 +65,6 @@ func (s *SwAV) ExtraParams() []*nn.Param { return []*nn.Param{s.prototypes} }
 // ExtraParams, leaving no method-local cross-round state.
 func (s *SwAV) CarriesLocalState() bool { return false }
 
-// Prototypes returns the prototype matrix (for tests and diagnostics).
-func (s *SwAV) Prototypes() *tensor.Tensor { return s.prototypes.Value }
-
 // Sinkhorn computes the SwAV soft assignment matrix from a score matrix
 // (n×K): Q ∝ exp(scores/eps) balanced so columns (prototypes) receive equal
 // mass, with rows renormalized to distributions at the end.

@@ -8,11 +8,9 @@ import (
 	"math"
 
 	"calibre/internal/param"
-	"calibre/internal/tensor"
 )
 
-// Codec framing constants. Every blob the codec produces — a snapshot, a
-// bare parameter vector or a set of model tensors — shares the same frame:
+// Codec framing constants. Every blob the codec produces is one frame:
 //
 //	offset  size  field
 //	0       4     magic "CLBS"
@@ -33,22 +31,17 @@ const (
 	headerSize    = 12
 	trailerSize   = 4
 	secHeaderSize = 1 + 8
-	// maxTensorDims bounds tensor rank so a hostile blob cannot declare
-	// absurd shapes.
-	maxTensorDims = 8
 )
 
-// Section kinds. A frame carries one or more sections; which kinds are
-// legal depends on the entry point (DecodeSnapshot vs DecodeVector vs
-// DecodeTensors).
+// Section kinds of a snapshot frame. The numbers are the on-disk format:
+// 2 and 5 belonged to standalone vector and tensor blobs and stay
+// unassigned.
 const (
-	secMeta       byte = iota + 1 // JSON-encoded Meta
-	secVector                     // int64 count + count little-endian float64s
-	secHistory                    // binary-encoded []fl.RoundStats
-	secCounts                     // int64 count + count little-endian int64s
-	secTensor                     // uint32 ndims + dims (int64) + float64 payload
-	secState                      // int64 round + vector payload (snapshot global)
-	secDeltaState                 // int64 round + int64 refVersion + delta payload (incremental global)
+	secMeta       byte = 1 // JSON-encoded Meta
+	secHistory    byte = 3 // binary-encoded []fl.RoundStats
+	secCounts     byte = 4 // int64 count + count little-endian int64s
+	secState      byte = 6 // int64 round + vector payload (snapshot global)
+	secDeltaState byte = 7 // int64 round + int64 refVersion + delta payload (incremental global)
 )
 
 // Typed decode errors. All of them wrap into the error returned to the
@@ -301,6 +294,8 @@ func (r *reader) intVec() ([]int, error) {
 
 // --- Vectors ----------------------------------------------------------------
 
+// A vector payload is an int64 count followed by that many little-endian
+// float64s.
 func appendVectorPayload(e *encoder, v []float64) {
 	e.i64(int64(len(v)))
 	e.floats(v)
@@ -320,38 +315,6 @@ func readVectorPayload(p []byte) ([]float64, error) {
 		return nil, nil
 	}
 	return r.floats(int(n))
-}
-
-// EncodeVector frames a bare parameter vector — a model state in
-// nn.Flatten layout — as a standalone blob.
-func EncodeVector(v []float64) []byte {
-	e := newEncoder(secHeaderSize + 8 + 8*len(v))
-	s := e.begin(secVector)
-	appendVectorPayload(e, v)
-	e.end(s)
-	return e.finish()
-}
-
-// DecodeVector decodes a blob produced by EncodeVector.
-func DecodeVector(data []byte) ([]float64, error) {
-	f, err := parseFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	if f.sections != 1 {
-		return nil, fmt.Errorf("%w: vector blob has %d sections, want 1", ErrMalformed, f.sections)
-	}
-	kind, p, err := f.next()
-	if err != nil {
-		return nil, err
-	}
-	if kind != secVector {
-		return nil, fmt.Errorf("%w: section kind %d, want vector", ErrMalformed, kind)
-	}
-	if err := f.finish(); err != nil {
-		return nil, err
-	}
-	return readVectorPayload(p)
 }
 
 // --- Delta state ------------------------------------------------------------
@@ -402,94 +365,4 @@ func readDeltaStatePayload(p []byte) (*deltaRef, error) {
 		refVersion: int(refVersion),
 		delta:      &param.Delta{Len: int(n), Bits: p[r.off:]},
 	}, nil
-}
-
-// --- Tensors ----------------------------------------------------------------
-
-func appendTensorPayload(e *encoder, t *tensor.Tensor) {
-	nd := t.Dims()
-	e.u32(uint32(nd))
-	for i := 0; i < nd; i++ {
-		e.i64(int64(t.Dim(i)))
-	}
-	e.floats(t.Data())
-}
-
-func readTensorPayload(p []byte) (*tensor.Tensor, error) {
-	r := &reader{p: p}
-	ndims, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if ndims > maxTensorDims {
-		return nil, fmt.Errorf("%w: tensor declares %d dimensions, max %d", ErrMalformed, ndims, maxTensorDims)
-	}
-	shape := make([]int, ndims)
-	elems := 1
-	for i := range shape {
-		d, err := r.i64()
-		if err != nil {
-			return nil, err
-		}
-		if d < 0 || (d > 0 && elems > (1<<53)/int(d)) {
-			return nil, fmt.Errorf("%w: tensor dimension %d", ErrMalformed, d)
-		}
-		shape[i] = int(d)
-		elems *= int(d)
-	}
-	if int64(elems)*8 != int64(r.remaining()) {
-		return nil, fmt.Errorf("%w: tensor shape %v implies %d elements, payload holds %d bytes", ErrMalformed, shape, elems, r.remaining())
-	}
-	data, err := r.floats(elems)
-	if err != nil {
-		return nil, err
-	}
-	t, err := tensor.FromSlice(data, shape...)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	return t, nil
-}
-
-// EncodeTensors frames a model's parameter tensors (for example every
-// nn.Param value, in Params order) as one blob, shapes included.
-func EncodeTensors(ts []*tensor.Tensor) []byte {
-	capacity := 0
-	for _, t := range ts {
-		capacity += secHeaderSize + 4 + 8*t.Dims() + 8*t.Len()
-	}
-	e := newEncoder(capacity)
-	for _, t := range ts {
-		s := e.begin(secTensor)
-		appendTensorPayload(e, t)
-		e.end(s)
-	}
-	return e.finish()
-}
-
-// DecodeTensors decodes a blob produced by EncodeTensors.
-func DecodeTensors(data []byte) ([]*tensor.Tensor, error) {
-	f, err := parseFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*tensor.Tensor, 0, f.sections)
-	for i := 0; i < f.sections; i++ {
-		kind, p, err := f.next()
-		if err != nil {
-			return nil, err
-		}
-		if kind != secTensor {
-			return nil, fmt.Errorf("%w: section kind %d, want tensor", ErrMalformed, kind)
-		}
-		t, err := readTensorPayload(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	if err := f.finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

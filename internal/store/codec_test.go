@@ -12,7 +12,6 @@ import (
 	"testing/quick"
 
 	"calibre/internal/fl"
-	"calibre/internal/tensor"
 )
 
 // specialFloats are the payloads a lossless codec must not disturb: NaN
@@ -40,6 +39,20 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// globalRoundTrip sends v through a snapshot's state section, the one
+// place the codec carries a parameter vector.
+func globalRoundTrip(v []float64) ([]float64, error) {
+	blob, err := EncodeSnapshot(&Snapshot{State: fl.SimState{Global: v}})
+	if err != nil {
+		return nil, err
+	}
+	got, err := DecodeSnapshot(blob)
+	if err != nil {
+		return nil, err
+	}
+	return got.State.Global, nil
+}
+
 func TestVectorRoundTripBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := make([]float64, 0, 512)
@@ -47,16 +60,12 @@ func TestVectorRoundTripBitExact(t *testing.T) {
 	for len(v) < cap(v) {
 		v = append(v, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
 	}
-	blob := EncodeVector(v)
-	got, err := DecodeVector(blob)
+	got, err := globalRoundTrip(v)
 	if err != nil {
-		t.Fatalf("DecodeVector: %v", err)
+		t.Fatalf("round trip: %v", err)
 	}
 	if !bitsEqual(got, v) {
 		t.Fatal("vector round trip is not 0-ULP identical")
-	}
-	if again := EncodeVector(v); !bytes.Equal(blob, again) {
-		t.Fatal("encoding the same vector twice is not byte-identical")
 	}
 }
 
@@ -64,47 +73,11 @@ func TestVectorRoundTripBitExact(t *testing.T) {
 // vectors (testing/quick fills them with adversarial bit patterns).
 func TestVectorRoundTripProperty(t *testing.T) {
 	prop := func(v []float64) bool {
-		got, err := DecodeVector(EncodeVector(v))
-		if err != nil {
-			return false
-		}
-		return bitsEqual(got, v)
+		got, err := globalRoundTrip(v)
+		return err == nil && bitsEqual(got, v)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTensorsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ts := []*tensor.Tensor{
-		tensor.New(), // 0-dim scalar holder (1 element)
-		tensor.RandN(rng, 1, 7),
-		tensor.RandN(rng, 1, 3, 5),
-		tensor.RandN(rng, 1, 2, 3, 4),
-		tensor.New(0, 4), // zero-element tensor with shape
-	}
-	ts[1].Data()[0] = math.NaN()
-	ts[2].Data()[3] = math.Inf(-1)
-
-	blob := EncodeTensors(ts)
-	got, err := DecodeTensors(blob)
-	if err != nil {
-		t.Fatalf("DecodeTensors: %v", err)
-	}
-	if len(got) != len(ts) {
-		t.Fatalf("decoded %d tensors, want %d", len(got), len(ts))
-	}
-	for i := range ts {
-		if !reflect.DeepEqual(got[i].Shape(), ts[i].Shape()) {
-			t.Fatalf("tensor %d shape %v, want %v", i, got[i].Shape(), ts[i].Shape())
-		}
-		if !bitsEqual(got[i].Data(), ts[i].Data()) {
-			t.Fatalf("tensor %d payload not bit-identical", i)
-		}
-	}
-	if again := EncodeTensors(ts); !bytes.Equal(blob, again) {
-		t.Fatal("tensor encoding is not deterministic")
 	}
 }
 
@@ -255,45 +228,46 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 }
 
+// hugeVectorBlob is a tiny snapshot whose state section declares a
+// gigantic global vector.
+func hugeVectorBlob() []byte {
+	e := newEncoder(64)
+	s := e.begin(secMeta)
+	e.buf = append(e.buf, "{}"...)
+	e.end(s)
+	s = e.begin(secState)
+	e.i64(0)       // round
+	e.i64(1 << 55) // claims ~2^58 bytes of floats
+	e.end(s)
+	return e.finish()
+}
+
 // TestDecodeNeverOverAllocates: a tiny blob declaring a gigantic vector
 // must fail on the length check, not attempt the allocation.
 func TestDecodeNeverOverAllocates(t *testing.T) {
-	e := newEncoder(32)
-	s := e.begin(secVector)
-	e.i64(1 << 55) // claims ~2^58 bytes of floats
-	e.end(s)
-	blob := e.finish()
-	if _, err := DecodeVector(blob); !errors.Is(err, ErrMalformed) {
+	if _, err := DecodeSnapshot(hugeVectorBlob()); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
-	}
-
-	// Same for a tensor with a huge declared shape.
-	e = newEncoder(64)
-	s = e.begin(secTensor)
-	e.u32(2)
-	e.i64(1 << 31)
-	e.i64(1 << 31)
-	e.end(s)
-	blob = e.finish()
-	if _, err := DecodeTensors(blob); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("tensor err = %v, want ErrMalformed", err)
 	}
 }
 
+// retiredKindBlob is a well-formed frame whose one section has a kind the
+// format no longer assigns: 2 and 5 belonged to standalone vector and
+// tensor blobs.
+func retiredKindBlob(kind byte) []byte {
+	e := newEncoder(32)
+	s := e.begin(kind)
+	e.i64(0)
+	e.end(s)
+	return e.finish()
+}
+
+// TestDecodeWrongEntryPoint: a frame carrying a retired section kind is
+// not a snapshot.
 func TestDecodeWrongEntryPoint(t *testing.T) {
-	snap, err := EncodeSnapshot(testSnapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeVector(snap); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("DecodeVector(snapshot) = %v, want ErrMalformed", err)
-	}
-	if _, err := DecodeTensors(snap); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("DecodeTensors(snapshot) = %v, want ErrMalformed", err)
-	}
-	vec := EncodeVector([]float64{1, 2})
-	if _, err := DecodeSnapshot(vec); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("DecodeSnapshot(vector) = %v, want ErrMalformed", err)
+	for _, kind := range []byte{2, 5} {
+		if _, err := DecodeSnapshot(retiredKindBlob(kind)); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("DecodeSnapshot(section kind %d) = %v, want ErrMalformed", kind, err)
+		}
 	}
 }
 
@@ -318,18 +292,6 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 	if _, err := DecodeSnapshot(spliceBeforeTrailer(snap, junk)); !errors.Is(err, ErrMalformed) {
 		t.Errorf("snapshot: err = %v, want ErrMalformed", err)
-	}
-	vec := EncodeVector([]float64{1, 2})
-	if _, err := DecodeVector(spliceBeforeTrailer(vec, junk)); !errors.Is(err, ErrMalformed) {
-		t.Errorf("vector: err = %v, want ErrMalformed", err)
-	}
-	tn, err := tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	if err != nil {
-		t.Fatalf("FromSlice: %v", err)
-	}
-	blob := EncodeTensors([]*tensor.Tensor{tn})
-	if _, err := DecodeTensors(spliceBeforeTrailer(blob, junk)); !errors.Is(err, ErrMalformed) {
-		t.Errorf("tensors: err = %v, want ErrMalformed", err)
 	}
 }
 

@@ -76,7 +76,7 @@
 // A resuming runtime moves through:
 //
 //	load      Store.Resume(fingerprint) → latest good Snapshot (skipping
-//	          torn files), or ErrNoCheckpoint → start fresh.
+//	          torn files), or a nil Snapshot → start fresh.
 //	validate  fl.SimState.Validate: round within budget, history and
 //	          pool counts consistent, non-empty global vector; the
 //	          parameter dimension must match what the method initializes.

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"calibre/internal/fl"
-	"calibre/internal/tensor"
+	"calibre/internal/param"
 )
 
 // fuzzSeeds builds the committed seed corpus programmatically: valid blobs
@@ -26,14 +26,14 @@ func fuzzSeeds() [][]byte {
 			EligibleCounts: []int{2, 2},
 		},
 	})
-	vec := EncodeVector([]float64{-0.0, 1e300})
-	tens := EncodeTensors([]*tensor.Tensor{tensor.New(2, 3), tensor.New()})
-	inc, _ := EncodeSnapshotDelta(&Snapshot{
+	var d param.Delta
+	_ = param.DiffInto(&d, param.Vector{1, 2, 3}, param.Vector{1, math.NaN(), math.Inf(-1)})
+	inc, _ := encodeSnapshotDelta(&Snapshot{
 		Meta:  Meta{Seed: 7, Fingerprint: "abc", Runtime: "simulator"},
-		State: fl.SimState{Round: 3, Global: []float64{1, math.NaN(), math.Inf(-1)}, History: []fl.RoundStats{{Round: 2}}, EligibleCounts: []int{2}},
-	}, 2, []float64{1, 2, 3})
+		State: fl.SimState{Round: 3, History: []fl.RoundStats{{Round: 2}}, EligibleCounts: []int{2}},
+	}, 2, &d)
 
-	seeds := [][]byte{snap, vec, tens, inc, nil, []byte(Magic)}
+	seeds := [][]byte{snap, inc, hugeVectorBlob(), retiredKindBlob(2), retiredKindBlob(5), nil, []byte(Magic)}
 	// Truncations at interesting boundaries.
 	for _, cut := range []int{headerSize, headerSize + secHeaderSize, len(snap) / 2, len(snap) - 1} {
 		if cut < len(snap) {
@@ -53,13 +53,12 @@ func fuzzSeeds() [][]byte {
 		mutate(snap, func(b []byte) { b[len(b)-1] ^= 0xff }),
 		mutate(snap, func(b []byte) { binary.LittleEndian.PutUint64(b[headerSize+1:], 1<<60); reseal(b) }),
 		mutate(snap, func(b []byte) { binary.LittleEndian.PutUint32(b[8:12], 1<<31-1); reseal(b) }),
-		mutate(vec, func(b []byte) { binary.LittleEndian.PutUint64(b[headerSize+secHeaderSize:], 1<<55); reseal(b) }),
 	)
 	return seeds
 }
 
 // FuzzDecode is the decoder-hardening gate: arbitrary bytes must never
-// panic or over-allocate in any decode entry point — truncated input,
+// panic or over-allocate in DecodeSnapshot — truncated input,
 // corrupted CRCs, wrong versions and huge declared lengths all return
 // errors. To keep the fuzzer from stalling at the checksum, every input is
 // also retried with its magic/version/CRC fixed up so mutations reach the
@@ -72,12 +71,6 @@ func FuzzDecode(f *testing.F) {
 		decodeAll := func(b []byte) {
 			if s, err := DecodeSnapshot(b); (s == nil) == (err == nil) {
 				t.Fatalf("DecodeSnapshot: snapshot=%v err=%v", s, err)
-			}
-			if v, err := DecodeVector(b); err != nil && v != nil {
-				t.Fatalf("DecodeVector returned both value and error")
-			}
-			if ts, err := DecodeTensors(b); err != nil && ts != nil {
-				t.Fatalf("DecodeTensors returned both value and error")
 			}
 		}
 		decodeAll(data)

@@ -45,7 +45,8 @@ func driftSnap(rng *rand.Rand, base param.Vector, fp string, r int) *store.Snaps
 }
 
 func TestIncrementalSnapshotsResolveBitIdentical(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestIncrementalSnapshotsResolveBitIdentical(t *testing.T) {
 
 	// A fresh handle (cold cache, like a restarted process) keeps chaining
 	// off the on-disk state rather than writing a full snapshot.
-	st2, err := store.Open(st.Dir())
+	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package store_test
+package store
 
 import (
 	"bytes"
@@ -10,7 +10,6 @@ import (
 
 	"calibre/internal/fl"
 	"calibre/internal/param"
-	"calibre/internal/store"
 )
 
 // TestSaveWritesTheSmallerEncoding pins what an incremental Save puts on
@@ -54,13 +53,14 @@ func TestSaveWritesTheSmallerEncoding(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := store.Open(t.TempDir())
+			dir := t.TempDir()
+			st, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st.SetIncremental(true)
-			snap := func(round int, g param.Vector) *store.Snapshot {
-				return &store.Snapshot{Meta: store.Meta{Seed: 1, Fingerprint: "fp"},
+			snap := func(round int, g param.Vector) *Snapshot {
+				return &Snapshot{Meta: Meta{Seed: 1, Fingerprint: "fp"},
 					State: fl.SimState{Round: round, Global: g}}
 			}
 			if _, err := st.Save(snap(1, tc.ref)); err != nil {
@@ -71,11 +71,15 @@ func TestSaveWritesTheSmallerEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := store.EncodeSnapshot(next)
+			full, err := EncodeSnapshot(next)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := store.EncodeSnapshotDelta(next, 1, tc.ref)
+			var d param.Delta
+			if err := param.DiffInto(&d, tc.ref, tc.next); err != nil {
+				t.Fatal(err)
+			}
+			want, err := encodeSnapshotDelta(next, 1, &d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +89,7 @@ func TestSaveWritesTheSmallerEncoding(t *testing.T) {
 			if !tc.incremental {
 				want = full
 			}
-			got, err := os.ReadFile(filepath.Join(st.Dir(), "ckpt-00000002.calibre"))
+			got, err := os.ReadFile(filepath.Join(dir, fileFor(2)))
 			if err != nil || v != 2 {
 				t.Fatalf("read version %d: %v", v, err)
 			}

@@ -108,26 +108,15 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 	})
 }
 
-// EncodeSnapshotDelta serializes a snapshot incrementally: its global
-// vector is stored as the lossless XOR-delta against refGlobal, the
-// (resolved) global of on-disk version refVersion — typically a small
-// fraction of the full vector's 8 bytes per element, since consecutive
-// checkpoints of a converging federation differ slightly. Metadata,
-// history and pool counts are still stored in full (they are a sliver of
-// the model payload), so everything except the global vector decodes
-// without touching the reference. Decoding requires the reference chain:
-// DecodeSnapshot refuses the blob with ErrIncremental, Store.Open
-// resolves it.
-func EncodeSnapshotDelta(s *Snapshot, refVersion int, refGlobal param.Vector) ([]byte, error) {
-	var d param.Delta
-	if err := param.DiffInto(&d, refGlobal, param.Vector(s.State.Global)); err != nil {
-		return nil, fmt.Errorf("store: incremental snapshot vs v%d: %w", refVersion, err)
-	}
-	return encodeSnapshotDelta(s, refVersion, &d)
-}
-
-// encodeSnapshotDelta is EncodeSnapshotDelta for a global already diffed
-// against version refVersion's.
+// encodeSnapshotDelta serializes a snapshot incrementally: its global
+// vector is stored as d, the lossless XOR-delta against the (resolved)
+// global of on-disk version refVersion — typically a small fraction of the
+// full vector's 8 bytes per element, since consecutive checkpoints of a
+// converging federation differ slightly. Metadata, history and pool counts
+// are still stored in full (they are a sliver of the model payload), so
+// everything except the global vector decodes without touching the
+// reference. Decoding requires the reference chain: DecodeSnapshot refuses
+// the blob with ErrIncremental, Store.Open resolves it.
 func encodeSnapshotDelta(s *Snapshot, refVersion int, d *param.Delta) ([]byte, error) {
 	if refVersion < 1 {
 		return nil, fmt.Errorf("store: incremental snapshot needs a positive reference version, got %d", refVersion)
@@ -319,7 +308,7 @@ func decodeSnapshot(data []byte) (*Snapshot, *deltaRef, error) {
 // panics and never allocates more than the input size implies; corrupt or
 // hostile input yields a typed error (ErrBadMagic, ErrVersion,
 // ErrChecksum, ErrTruncated, ErrMalformed). An incremental blob
-// (EncodeSnapshotDelta) is structurally valid but unresolvable without
+// (what an incremental Store.Save writes) is structurally valid but unresolvable without
 // its reference chain and yields ErrIncremental — open it through a
 // Store instead.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {

@@ -19,7 +19,7 @@ import (
 
 // Store-level typed errors.
 var (
-	// ErrNoCheckpoint is returned by Latest and Resume when the directory
+	// ErrNoCheckpoint is returned by Latest when the directory
 	// holds no decodable snapshot.
 	ErrNoCheckpoint = errors.New("store: no usable checkpoint")
 	// ErrFingerprintMismatch is returned by Resume when the latest
@@ -82,9 +82,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the directory the store operates on.
-func (s *Store) Dir() string { return s.dir }
 
 func fileFor(version int) string {
 	return fmt.Sprintf("%s%08d%s", filePrefix, version, fileExt)
@@ -398,12 +395,18 @@ func (s *Store) Latest() (*Snapshot, int, error) {
 	return nil, 0, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.dir)
 }
 
-// Resume is Latest plus a configuration guard: when fingerprint is
-// non-empty it must equal the snapshot's, otherwise the caller would be
-// resuming someone else's federation and the result would silently
-// diverge. The mismatch is ErrFingerprintMismatch, a typed error.
+// Resume is what a restarting process asks: the latest good snapshot, or
+// (nil, 0, nil) when the store holds none and the run starts fresh. When
+// fingerprint is non-empty it must equal the snapshot's, otherwise the
+// caller would be resuming someone else's federation and the result
+// would silently diverge. The mismatch is ErrFingerprintMismatch, a
+// typed error. A snapshot beyond the caller's round budget is refused
+// where the state is consumed (fl.SimState.Validate).
 func (s *Store) Resume(fingerprint string) (*Snapshot, int, error) {
 	snap, version, err := s.Latest()
+	if errors.Is(err, ErrNoCheckpoint) {
+		return nil, 0, nil
+	}
 	if err != nil {
 		return nil, 0, err
 	}

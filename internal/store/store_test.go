@@ -11,7 +11,8 @@ import (
 )
 
 func TestStoreSaveOpenLatest(t *testing.T) {
-	st, err := Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -53,7 +54,7 @@ func TestStoreSaveOpenLatest(t *testing.T) {
 	}
 
 	// No temp litter after successful saves.
-	entries, _ := os.ReadDir(st.Dir())
+	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), ".tmp-") {
 			t.Fatalf("temp file %s left behind", e.Name())
@@ -65,7 +66,8 @@ func TestStoreSaveOpenLatest(t *testing.T) {
 // newest file (a kill mid-write) must fall back to the previous good
 // snapshot, and a fully garbage file must be skipped the same way.
 func TestLatestSkipsTornWrite(t *testing.T) {
-	st, err := Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -78,7 +80,7 @@ func TestLatestSkipsTornWrite(t *testing.T) {
 		t.Fatalf("Save: %v", err)
 	}
 	// Tear the newest file in half.
-	path := filepath.Join(st.Dir(), fileFor(2))
+	path := filepath.Join(dir, fileFor(2))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
@@ -111,6 +113,9 @@ func TestResumeFingerprintGuard(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
+	}
+	if got, v, err := st.Resume("any"); got != nil || v != 0 || err != nil {
+		t.Fatalf("Resume on an empty store = %v, v%d, %v; want a fresh start", got, v, err)
 	}
 	snap := testSnapshot()
 	snap.Meta.Fingerprint = Fingerprint("sim", "calibre-simclr", "cifar10-q(2,500)", "42")

@@ -279,6 +279,23 @@ func TestPerCellCheckpointResume(t *testing.T) {
 	if clean.Cells[0].Participants != res.Cells[0].Participants {
 		t.Fatalf("resumed cell diverged:\n%+v\nvs\n%+v", res.Cells[0].Participants, clean.Cells[0].Participants)
 	}
+
+	// A snapshot past the cell's round budget is refused by the round
+	// core, and the cell reports the refusal instead of retraining.
+	snap.State.Round = 9
+	if _, err := ck.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	res, err = Run(context.Background(), g, Config{Dir: dir, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Cells[0]; c.Status == StatusOK || !strings.Contains(c.Error, "round budget") {
+		t.Fatalf("checkpoint beyond the round budget: %+v", c)
+	}
 }
 
 // TestStatefulMethodRefusesCheckpointCleanly: methods carrying

@@ -482,17 +482,12 @@ func (s *sweeper) runCell(ctx context.Context, c Cell) (res CellResult) {
 				return res
 			}
 			cellFP := c.Fingerprint()
-			snap, version, err := ck.Resume(cellFP)
-			switch {
-			case errors.Is(err, store.ErrNoCheckpoint):
-				// Fresh cell that starts checkpointing.
-			case err != nil:
+			snap, _, err := ck.Resume(cellFP)
+			if err != nil {
 				res.Error = err.Error()
 				return res
-			case snap.State.Round > env.Preset.Rounds:
-				res.Error = fmt.Sprintf("checkpoint v%d is at round %d, beyond the %d-round budget", version, snap.State.Round, env.Preset.Rounds)
-				return res
-			default:
+			}
+			if snap != nil {
 				resumeFrom = &snap.State
 			}
 			onCheckpoint = ck.SaveHook(store.Meta{Seed: env.Seed, Fingerprint: cellFP, Runtime: "sweep"}, nil)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"calibre/internal/core"
 	"calibre/internal/experiments"
 	"calibre/internal/fl"
 	"calibre/internal/nn"
@@ -14,33 +13,35 @@ import (
 	"calibre/internal/tensor"
 )
 
-// The tests below pin where Arena.GetUninit may be used: with every recycled
-// uninitialised buffer poisoned with NaN, training on the arena must end on
-// the bits of training without it. A consumer that reads an element it did
-// not write first (or writes only part of its buffer, as LinearAct's ReLU
-// gradient does — which is why that one keeps the zeroed alloc) would turn
-// the poison into NaN parameters here.
+// The tests below pin where Arena.GetUninit may be used: every trainer
+// steps on an arena (there is no arena-off switch to compare against), so
+// each workload runs once as it is and once with every recycled
+// uninitialised buffer poisoned with NaN, and must end on the same bits. A
+// consumer that reads an element it did not write first (or writes only part
+// of its buffer, as LinearAct's ReLU gradient does — which is why that one
+// keeps the zeroed alloc) would turn the poison into NaN parameters here.
+// What those bits are is the golden ledger's business (internal/baselines).
 
 func sameVector(t *testing.T, what string, want, got []float64) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: %d values without the arena, %d with it", what, len(want), len(got))
+		t.Fatalf("%s: %d values as is, %d under the poison", what, len(want), len(got))
 	}
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("%s: element %d is %v without the arena, %v on a poisoned arena", what, i, want[i], got[i])
+			t.Fatalf("%s: element %d is %v as is, %v on a poisoned arena", what, i, want[i], got[i])
 		}
 	}
 }
 
-// TestPoisonedUninitTrainBitIdentical is ssl's TestTrainArenaBitIdentical
-// under the poison: a local SSL update per method, arena-off against
-// arena-on.
+// TestPoisonedUninitTrainBitIdentical is a local SSL update per method. The
+// roster covers the cross-step escape paths — MoCo's key queue, BYOL's
+// momentum target, SwAV's prototype params — that must deep-copy out of the
+// tape's buffers before Reset.
 func TestPoisonedUninitTrainBitIdentical(t *testing.T) {
-	tensor.PoisonUninit(t)
 	for _, method := range []string{"simclr", "mocov2", "byol", "swav"} {
 		t.Run(method, func(t *testing.T) {
-			run := func(noArena bool) (float64, []float64) {
+			run := func() []float64 {
 				b := ssl.NewBackbone(rand.New(rand.NewSource(61)), ssl.Arch{InputDim: 16, HiddenDim: 24, FeatDim: 12, ProjDim: 8})
 				factory, err := ssl.Lookup(method)
 				if err != nil {
@@ -57,30 +58,28 @@ func TestPoisonedUninitTrainBitIdentical(t *testing.T) {
 					batch[i] = rows.Row(i)
 				}
 				cfg := ssl.DefaultTrainConfig()
-				cfg.Epochs, cfg.BatchSize, cfg.NoArena = 2, 4, noArena
+				cfg.Epochs, cfg.BatchSize = 2, 4
 				loss, err := ssl.Train(rand.New(rand.NewSource(62)), tr, batch, cfg, nil)
 				if err != nil {
-					t.Fatalf("Train(noArena=%v): %v", noArena, err)
+					t.Fatalf("Train: %v", err)
 				}
-				if !noArena && tr.Arena().Stats().Hits == 0 {
+				if tr.Arena().Stats().Hits == 0 {
 					t.Fatal("the arena never recycled a buffer: the poison was not exercised")
 				}
-				return loss, nn.Flatten(tr)
+				return append(nn.Flatten(tr), loss)
 			}
-			wantLoss, want := run(true)
-			gotLoss, got := run(false)
-			sameVector(t, "loss", []float64{wantLoss}, []float64{gotLoss})
-			sameVector(t, "parameters", want, got)
+			want := run()
+			tensor.PoisonUninit(t)
+			sameVector(t, "parameters and loss", want, run())
 		})
 	}
 }
 
 // TestPoisonedUninitFederationBitIdentical runs a three-round calibre-simclr
-// federation (prototype regulariser, divergence and all) on poisoned arenas
-// and without arenas; the final global vectors must be the same bits.
+// federation (prototype regulariser, divergence and all); the final global
+// vectors must be the same bits.
 func TestPoisonedUninitFederationBitIdentical(t *testing.T) {
-	tensor.PoisonUninit(t)
-	run := func(noArena bool) []float64 {
+	run := func() []float64 {
 		setting, ok := experiments.Settings()["cifar10-q(2,500)"]
 		if !ok {
 			t.Fatal("setting cifar10-q(2,500) missing")
@@ -93,7 +92,6 @@ func TestPoisonedUninitFederationBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Trainer.(*core.SSLTrainer).Cfg.NoArena = noArena
 		sim, err := fl.NewSimulator(fl.SimConfig{Rounds: 3, ClientsPerRound: 4, Seed: 42}, m, env.Participants)
 		if err != nil {
 			t.Fatal(err)
@@ -104,13 +102,14 @@ func TestPoisonedUninitFederationBitIdentical(t *testing.T) {
 		}
 		return global
 	}
-	sameVector(t, "final global", run(true), run(false))
+	want := run()
+	tensor.PoisonUninit(t)
+	sameVector(t, "final global", want, run())
 }
 
 // TestPoisonedUninitSupervisedBitIdentical is the supervised leg: the
-// baselines always train on a per-model arena and the probe on a call-local
-// one (there is no arena-off switch to compare against), so three rounds and
-// the personalization stage run once as they are and once under the poison.
+// baselines train on a per-model arena and the probe on a call-local one;
+// three rounds and the personalization stage.
 // fedavg covers the plain step, ditto the proximal pull (its personal models
 // show only in the accuracies), scaffold the control-variate correction.
 func TestPoisonedUninitSupervisedBitIdentical(t *testing.T) {

@@ -82,8 +82,8 @@ func New(shape ...int) *Tensor {
 }
 
 // NewLike returns a zero-filled tensor with t's shape. The shape slice is
-// shared with t — shapes are immutable after construction (Reshape allocates
-// a fresh one), so sharing is safe and avoids the per-tensor shape copy.
+// shared with t — shapes are immutable after construction, so sharing is
+// safe and avoids the per-tensor shape copy.
 func NewLike(t *Tensor) *Tensor {
 	return &Tensor{shape: t.shape, data: make([]float64, len(t.data))}
 }
@@ -105,24 +105,11 @@ func FromSlice(data []float64, shape ...int) (*Tensor, error) {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}, nil
 }
 
-// MustFromSlice is FromSlice but panics on error. Intended for tests and
-// literals where the shape is statically correct.
-func MustFromSlice(data []float64, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 
 // Dims returns the number of dimensions.
 func (t *Tensor) Dims() int { return len(t.shape) }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.data) }
@@ -135,19 +122,6 @@ func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.data, t.data)
 	return c
-}
-
-// Reshape returns a view of t with a new shape covering the same backing
-// data. The element count must match.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
-		return nil, fmt.Errorf("%w: cannot reshape %v (%d elems) to %v (%d elems)", ErrShape, t.shape, len(t.data), shape, n)
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}, nil
 }
 
 // At returns the element at the given (row-major) indices of a 2-D tensor.
@@ -230,15 +204,6 @@ func RandN(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform fills a new tensor with samples from U(lo, hi).
-func RandUniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + rng.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // --- Elementwise ----------------------------------------------------------
 
 // Add returns a + b elementwise.
@@ -265,18 +230,6 @@ func Sub(a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// Mul returns the elementwise (Hadamard) product a * b.
-func Mul(a, b *Tensor) (*Tensor, error) {
-	if !SameShape(a, b) {
-		return nil, fmt.Errorf("%w: Mul %v vs %v", ErrShape, a.shape, b.shape)
-	}
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
-	}
-	return out, nil
-}
-
 // Scale returns a*s elementwise.
 func Scale(a *Tensor, s float64) *Tensor {
 	out := New(a.shape...)
@@ -293,15 +246,6 @@ func AddScaled(dst, src *Tensor, s float64) error {
 	}
 	axpyRows(dst.data, src.data, []int{0}, []float64{s})
 	return nil
-}
-
-// Apply returns f applied elementwise to a.
-func Apply(a *Tensor, f func(float64) float64) *Tensor {
-	out := New(a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i])
-	}
-	return out
 }
 
 // --- Into variants ----------------------------------------------------------
@@ -329,17 +273,6 @@ func SubInto(dst, a, b *Tensor) error {
 	}
 	for i := range a.data {
 		dst.data[i] = a.data[i] - b.data[i]
-	}
-	return nil
-}
-
-// MulInto computes the elementwise product dst = a * b. Shapes must match.
-func MulInto(dst, a, b *Tensor) error {
-	if !SameShape(a, b) || !SameShape(dst, a) {
-		return fmt.Errorf("%w: MulInto %v = %v * %v", ErrShape, dst.shape, a.shape, b.shape)
-	}
-	for i := range a.data {
-		dst.data[i] = a.data[i] * b.data[i]
 	}
 	return nil
 }
@@ -384,39 +317,6 @@ func Transpose(a *Tensor) (*Tensor, error) {
 		}
 	}
 	return out, nil
-}
-
-// AddRowVec adds vector v (length n) to every row of a (m×n), returning a
-// new tensor. This is broadcast bias addition.
-func AddRowVec(a *Tensor, v []float64) (*Tensor, error) {
-	if a.Dims() != 2 || a.shape[1] != len(v) {
-		return nil, fmt.Errorf("%w: AddRowVec %v vs vec(%d)", ErrShape, a.shape, len(v))
-	}
-	out := New(a.shape...)
-	m, n := a.shape[0], a.shape[1]
-	for i := 0; i < m; i++ {
-		arow := a.data[i*n : (i+1)*n]
-		orow := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			orow[j] = arow[j] + v[j]
-		}
-	}
-	return out, nil
-}
-
-// TransposeInto writes the transpose of 2-D tensor a into dst (shape n×m for
-// an m×n operand). dst must not alias a.
-func TransposeInto(dst, a *Tensor) error {
-	if a.Dims() != 2 || dst.Dims() != 2 || dst.shape[0] != a.shape[1] || dst.shape[1] != a.shape[0] {
-		return fmt.Errorf("%w: TransposeInto %v = (%v)^T", ErrShape, dst.shape, a.shape)
-	}
-	m, n := a.shape[0], a.shape[1]
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return nil
 }
 
 // AddRowVecInto computes dst = a + v broadcast over rows (bias addition)
@@ -485,21 +385,6 @@ func (t *Tensor) ColMeans() []float64 {
 	inv := 1.0 / float64(m)
 	for j := range out {
 		out[j] *= inv
-	}
-	return out
-}
-
-// RowSums returns the per-row sum of a 2-D tensor.
-func (t *Tensor) RowSums() []float64 {
-	m, n := t.shape[0], t.shape[1]
-	out := make([]float64, m)
-	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		var s float64
-		for _, v := range row {
-			s += v
-		}
-		out[i] = s
 	}
 	return out
 }
@@ -578,30 +463,6 @@ func CosineSim(a, b []float64) float64 {
 		return 0
 	}
 	return Dot(a, b) / (na * nb)
-}
-
-// Softmax writes the softmax of src into dst (they may alias). It is
-// numerically stabilized by max subtraction.
-func Softmax(dst, src []float64) {
-	if len(src) == 0 {
-		return
-	}
-	m := src[0]
-	for _, v := range src[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	var sum float64
-	for i, v := range src {
-		e := math.Exp(v - m)
-		dst[i] = e
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range dst {
-		dst[i] *= inv
-	}
 }
 
 // LogSumExp returns log(Σ exp(v_i)), stabilized.

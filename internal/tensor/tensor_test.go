@@ -12,6 +12,14 @@ const tol = 1e-9
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < tol }
 
+func mustFromSlice(data []float64, shape ...int) *Tensor {
+	t, err := FromSlice(data, shape...)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestNewShapeAndLen(t *testing.T) {
 	tt := New(3, 4)
 	if got := tt.Len(); got != 12 {
@@ -22,7 +30,7 @@ func TestNewShapeAndLen(t *testing.T) {
 	}
 	sh := tt.Shape()
 	sh[0] = 99 // must not alias internal shape
-	if tt.Dim(0) != 3 {
+	if tt.Rows() != 3 {
 		t.Fatal("Shape() must return a copy")
 	}
 }
@@ -69,7 +77,7 @@ func TestAtSetRow(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	a := mustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := a.Clone()
 	b.Set(0, 0, 100)
 	if a.At(0, 0) != 1 {
@@ -77,23 +85,9 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestReshape(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b, err := a.Reshape(3, 2)
-	if err != nil {
-		t.Fatalf("Reshape: %v", err)
-	}
-	if b.At(2, 1) != 6 {
-		t.Fatalf("reshaped At(2,1) = %v, want 6", b.At(2, 1))
-	}
-	if _, err := a.Reshape(4, 2); !errors.Is(err, ErrShape) {
-		t.Fatalf("bad reshape err = %v, want ErrShape", err)
-	}
-}
-
 func TestAddSubMulScale(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := MustFromSlice([]float64{5, 6, 7, 8}, 2, 2)
+	a := mustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	b := mustFromSlice([]float64{5, 6, 7, 8}, 2, 2)
 	sum, err := Add(a, b)
 	if err != nil {
 		t.Fatalf("Add: %v", err)
@@ -108,13 +102,6 @@ func TestAddSubMulScale(t *testing.T) {
 	if diff.At(0, 0) != 4 {
 		t.Fatalf("Sub = %v", diff.Data())
 	}
-	prod, err := Mul(a, b)
-	if err != nil {
-		t.Fatalf("Mul: %v", err)
-	}
-	if prod.At(1, 0) != 21 {
-		t.Fatalf("Mul = %v", prod.Data())
-	}
 	sc := Scale(a, 2)
 	if sc.At(0, 1) != 4 {
 		t.Fatalf("Scale = %v", sc.Data())
@@ -125,8 +112,8 @@ func TestAddSubMulScale(t *testing.T) {
 }
 
 func TestAddScaled(t *testing.T) {
-	a := MustFromSlice([]float64{1, 1}, 1, 2)
-	b := MustFromSlice([]float64{2, 3}, 1, 2)
+	a := mustFromSlice([]float64{1, 1}, 1, 2)
+	b := mustFromSlice([]float64{2, 3}, 1, 2)
 	if err := AddScaled(a, b, 0.5); err != nil {
 		t.Fatalf("AddScaled: %v", err)
 	}
@@ -139,8 +126,8 @@ func TestAddScaled(t *testing.T) {
 }
 
 func TestMatMulKnown(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := MustFromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
+	a := mustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := mustFromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
 	c, err := MatMul(a, b)
 	if err != nil {
 		t.Fatalf("MatMul: %v", err)
@@ -202,7 +189,7 @@ func TestMatMulTransVariants(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	a := mustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	at, err := Transpose(a)
 	if err != nil {
 		t.Fatalf("Transpose: %v", err)
@@ -213,21 +200,19 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestAddRowVec(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	out, err := AddRowVec(a, []float64{10, 20})
-	if err != nil {
-		t.Fatalf("AddRowVec: %v", err)
+	a := mustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	out := dirty(2, 2)
+	if err := AddRowVecInto(out, a, []float64{10, 20}); err != nil {
+		t.Fatalf("AddRowVecInto: %v", err)
 	}
-	if out.At(0, 0) != 11 || out.At(1, 1) != 24 {
-		t.Fatalf("AddRowVec = %v", out.Data())
-	}
-	if _, err := AddRowVec(a, []float64{1}); !errors.Is(err, ErrShape) {
-		t.Fatalf("AddRowVec shape err = %v", err)
+	bitsEqual(t, "AddRowVecInto", out, mustFromSlice([]float64{11, 22, 13, 24}, 2, 2))
+	if err := AddRowVecInto(out, a, []float64{1}); !errors.Is(err, ErrShape) {
+		t.Fatalf("AddRowVecInto shape err = %v", err)
 	}
 }
 
 func TestReductions(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	a := mustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	if a.Sum() != 21 {
 		t.Fatalf("Sum = %v", a.Sum())
 	}
@@ -241,17 +226,13 @@ func TestReductions(t *testing.T) {
 	if !almostEq(cm[0], 2.5) || !almostEq(cm[2], 4.5) {
 		t.Fatalf("ColMeans = %v", cm)
 	}
-	rs := a.RowSums()
-	if rs[0] != 6 || rs[1] != 15 {
-		t.Fatalf("RowSums = %v", rs)
-	}
 	if New(0, 3).Mean() != 0 {
 		t.Fatal("Mean of empty tensor should be 0")
 	}
 }
 
 func TestL2NormalizeRows(t *testing.T) {
-	a := MustFromSlice([]float64{3, 4, 0, 0}, 2, 2)
+	a := mustFromSlice([]float64{3, 4, 0, 0}, 2, 2)
 	out := L2NormalizeRows(a, 1e-12)
 	if !almostEq(out.At(0, 0), 0.6) || !almostEq(out.At(0, 1), 0.8) {
 		t.Fatalf("normalized row0 = %v", out.Row(0))
@@ -282,31 +263,6 @@ func TestVectorHelpers(t *testing.T) {
 	}
 	if CosineSim(a, []float64{0, 0, 0}) != 0 {
 		t.Fatal("CosineSim with zero vector must be 0")
-	}
-}
-
-func TestSoftmaxProperties(t *testing.T) {
-	src := []float64{1, 2, 3}
-	dst := make([]float64, 3)
-	Softmax(dst, src)
-	var sum float64
-	for _, v := range dst {
-		if v <= 0 {
-			t.Fatalf("softmax output must be positive: %v", dst)
-		}
-		sum += v
-	}
-	if !almostEq(sum, 1) {
-		t.Fatalf("softmax sum = %v", sum)
-	}
-	if !(dst[2] > dst[1] && dst[1] > dst[0]) {
-		t.Fatalf("softmax must be monotone: %v", dst)
-	}
-	// Stability with large values.
-	big := []float64{1000, 1001, 1002}
-	Softmax(dst, big)
-	if math.IsNaN(dst[0]) || math.IsInf(dst[2], 0) {
-		t.Fatalf("softmax unstable: %v", dst)
 	}
 }
 
@@ -369,12 +325,6 @@ func TestRandN(t *testing.T) {
 	if std < 1.5 || std > 2.5 {
 		t.Fatalf("RandN std = %v, want ≈2", std)
 	}
-	u := RandUniform(rng, -1, 1, 100, 1)
-	for _, v := range u.Data() {
-		if v < -1 || v >= 1 {
-			t.Fatalf("RandUniform out of range: %v", v)
-		}
-	}
 }
 
 // Property: matmul distributes over addition, (A+B)·C = A·C + B·C.
@@ -426,36 +376,8 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	}
 }
 
-// Property: softmax output is invariant to constant shifts of the input.
-func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(8)
-		src := make([]float64, n)
-		shifted := make([]float64, n)
-		c := r.NormFloat64() * 10
-		for i := range src {
-			src[i] = r.NormFloat64() * 3
-			shifted[i] = src[i] + c
-		}
-		d1 := make([]float64, n)
-		d2 := make([]float64, n)
-		Softmax(d1, src)
-		Softmax(d2, shifted)
-		for i := range d1 {
-			if math.Abs(d1[i]-d2[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStringRendering(t *testing.T) {
-	small := MustFromSlice([]float64{1, 2}, 1, 2)
+	small := mustFromSlice([]float64{1, 2}, 1, 2)
 	if s := small.String(); s == "" {
 		t.Fatal("String() should render")
 	}
