@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate for this repo.
 #
-#   ./ci.sh          format check, vet, build, shuffled race tests, wire flake pass,
+#   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
 #                    real-process smoke, wire fuzz smoke, short kernel and sweep benches
 #
@@ -37,10 +37,11 @@ echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
 # The wire tests are the timing-sensitive ones (real sockets, deadlines,
-# stragglers, evictions): three more shuffled passes over them, and over
-# the codec under them, so a flake shows up here and not in a later PR.
-echo "== flake pass: go test -count=3 -shuffle=on (flnet, param) =="
-go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/
+# stragglers, evictions), and the checkpoint path is concurrent (the save
+# runs behind the next round): three more shuffled passes over them, and
+# over the codec under them, so a flake shows up here and not in a later PR.
+echo "== flake pass: go test -count=3 -shuffle=on (flnet, param, fl, store) =="
+go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ ./internal/store/
 
 # The row primitives of internal/tensor have an AVX2 assembly body and a
 # portable Go body that must agree bit for bit. On an AVX2 host the default

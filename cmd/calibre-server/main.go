@@ -240,9 +240,9 @@ func run(args []string) error {
 	res, err := srv.Run(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
-			// Checkpoints for completed rounds are already flushed (the
-			// save hook runs before OnRound); stop() restores default
-			// signal handling so a second ^C force-kills.
+			// Checkpoints for completed rounds are already flushed (Run
+			// waits for the write-behind save before it returns); stop()
+			// restores default signal handling so a second ^C force-kills.
 			stop()
 			if *ckptDir != "" {
 				fmt.Fprintf(os.Stderr, "interrupted; completed rounds are checkpointed — restart with `calibre-server -resume -checkpoint-dir %s ...` to continue\n", *ckptDir)

@@ -70,6 +70,28 @@ func TestSummarySynthetic(t *testing.T) {
 	}
 }
 
+// TestSummaryCheckpointStall: the durable line answers "were rounds bounded
+// by their checkpoints?" — saves, and how long the loop was blocked on them.
+func TestSummaryCheckpointStall(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	sink, err := trace.OpenFile(path, trace.FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New(sink, trace.Config{Clock: trace.StepClock(1)})
+	rec.Emit(trace.Event{Kind: trace.KindResume, TS: rec.Now(), Runtime: "server", Round: 3, Client: -1})
+	for round, stall := range []int64{1_000_000, 0, 3_000_000} {
+		rec.Emit(trace.Event{Kind: trace.KindCheckpointSave, TS: rec.Now(), Runtime: "server", Round: round, Client: -1, Dur: stall})
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := "durable:  3 checkpoint saves (loop stalled 4.0ms total, max 3.0ms), 1 resumes"
+	if out := runCLI(t, "summary", path); !strings.Contains(out, want) {
+		t.Errorf("summary missing %q:\n%s", want, out)
+	}
+}
+
 func TestTimelineSynthetic(t *testing.T) {
 	path := writeSyntheticTrace(t)
 	out := runCLI(t, "timeline", path, "-width", "20")

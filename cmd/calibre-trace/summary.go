@@ -21,6 +21,8 @@ type traceStats struct {
 	uplink    int64
 	drops     map[trace.DropReason]int
 	saves     int
+	stall     int64 // Σ checkpoint_save dur: time round loops were blocked on checkpoints
+	maxStall  int64
 	resumes   int
 	cellSpans int
 }
@@ -52,6 +54,8 @@ func (s *traceStats) add(e trace.Event) {
 		s.drops[e.Reason]++
 	case trace.KindCheckpointSave:
 		s.saves++
+		s.stall += e.Dur
+		s.maxStall = max(s.maxStall, e.Dur)
 	case trace.KindResume:
 		s.resumes++
 	case trace.KindCellStart:
@@ -128,7 +132,8 @@ func (s *traceStats) write(w io.Writer, indent string) {
 		fmt.Fprintf(w, "%sdrops:    %d  (%s)\n", indent, total, strings.Join(parts, ", "))
 	}
 	if s.saves > 0 || s.resumes > 0 {
-		fmt.Fprintf(w, "%sdurable:  %d checkpoint saves, %d resumes\n", indent, s.saves, s.resumes)
+		fmt.Fprintf(w, "%sdurable:  %d checkpoint saves (loop stalled %s total, max %s), %d resumes\n",
+			indent, s.saves, formatNS(s.stall), formatNS(s.maxStall), s.resumes)
 	}
 }
 

@@ -64,8 +64,11 @@ func runPhase(ctx context.Context, env *calibre.Environment, method *calibre.Met
 		Quorum:        numClients - 1,
 		RoundDeadline: 10 * time.Second,
 		Straggler:     calibre.StragglerRequeue,
-		// Durability: every completed round lands in the checkpoint store
-		// (atomic versioned snapshot files) before OnRound fires.
+		// Durability: every completed round is handed to the checkpoint store
+		// before OnRound fires and written (atomic versioned snapshot files)
+		// behind the next round; Run — killed or finished — returns only
+		// once the last accepted round is on disk, which is what phase 2
+		// resumes from.
 		CheckpointEvery: 1,
 		OnCheckpoint: ckpt.SaveHook(
 			calibre.SnapshotMeta{Seed: seed, Fingerprint: fingerprint, Runtime: "server"},

@@ -14,6 +14,13 @@ import (
 // accept it back through their ResumeFrom knobs; internal/store persists
 // it durably with the versioned binary codec.
 //
+// A state delivered to OnCheckpoint is an immutable view, not a copy: Global
+// is the closed round's aggregate (no Aggregator touches a vector it has
+// returned) and History / EligibleCounts are capacity-capped prefixes of the
+// loop's own slices, so the hand-off costs the same at round 10 and round
+// 1000. A hook may retain it for as long as it likes and must not write
+// through it.
+//
 // The master RNG is deliberately not part of the state. Both runtimes
 // consume it only for client sampling and dropout draws, so the resume
 // path restores it exactly by replaying those draws: the simulator re-runs
@@ -38,28 +45,56 @@ type SimState struct {
 	// recorded counts as an integrity cross-check; the networked server
 	// replays Sample with them directly.
 	EligibleCounts []int
+
+	// behind is the delivering loop's checkpoint slot, set only for the
+	// duration of an OnCheckpoint call (see Defer).
+	behind *writeBehind
 }
 
-// Clone returns a deep copy, so a checkpoint sink can retain the state
-// after the round loop moves on.
-func (st *SimState) Clone() *SimState {
-	if st == nil {
-		return nil
+// Defer hands the slow, durable part of a checkpoint hook back to the
+// round loop that delivered st: the loop runs write on its one checkpoint
+// goroutine once OnRound has returned for the same round, behind the next
+// round's dispatch and training, waits for it before the next checkpoint
+// hook call and before RunRounds returns, and aborts the run with write's
+// error at that wait. write may read st (it is an immutable view) but must
+// not expect the loop's goroutine. Valid only during the hook call; on a
+// state that did not come from a round loop write runs inline and Defer
+// returns its error.
+func (st *SimState) Defer(write func() error) error {
+	if st.behind == nil {
+		return write()
 	}
-	c := &SimState{Round: st.Round}
-	c.Global = st.Global.Clone()
-	c.History = append([]RoundStats(nil), st.History...)
-	for i, h := range c.History {
-		c.History[i].Participants = append([]int(nil), h.Participants...)
-		if h.Responders != nil {
-			c.History[i].Responders = append([]int(nil), h.Responders...)
-		}
-		if h.Stragglers != nil {
-			c.History[i].Stragglers = append([]int(nil), h.Stragglers...)
-		}
+	st.behind.pending = append(st.behind.pending, write)
+	return nil
+}
+
+// writeBehind is a round loop's one checkpoint slot: what the hook being
+// called has handed back through SimState.Defer, and the single write in
+// flight. Everything but the write itself stays on the loop goroutine.
+type writeBehind struct {
+	pending []func() error // handed back by the current hook call, not started
+	round   int            // the closed round the pending / in-flight write saves
+	stall   int64          // span-clock time the loop has been blocked on it so far
+	done    chan error     // non-nil while a write is in flight
+}
+
+// start runs the accepted writes, in order, on the checkpoint goroutine.
+// The loop calls it after OnRound, so an observer never overlaps a write.
+func (b *writeBehind) start() {
+	if len(b.pending) == 0 {
+		return
 	}
-	c.EligibleCounts = append([]int(nil), st.EligibleCounts...)
-	return c
+	writes, done := b.pending, make(chan error, 1)
+	b.pending, b.done = nil, done
+	go func() {
+		for _, write := range writes {
+			if err := write(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
 }
 
 // Validate checks the state's internal consistency against a round budget

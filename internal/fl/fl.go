@@ -182,8 +182,11 @@ type Trainer interface {
 
 // Aggregator merges one round's updates into the next global vector.
 // Implementations must treat global and every update payload as
-// read-only: updates are shared with RoundStats and checkpoint paths, so
-// mutating them would silently corrupt resume bit-identity.
+// read-only, and must return a vector they never touch again — freshly
+// allocated, not a buffer reused from an earlier round: a closed round's
+// global is shared as is with the next round's clients, with RoundStats
+// observers and with the checkpoint being written behind the next round,
+// so writing to any of them would silently corrupt resume bit-identity.
 type Aggregator interface {
 	Aggregate(global param.Vector, updates []*Update) (param.Vector, error)
 }

@@ -3,8 +3,11 @@ package fl
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"calibre/internal/param"
 	"calibre/internal/trace"
@@ -198,5 +201,56 @@ func TestTraceResumeEvent(t *testing.T) {
 	}
 	if rounds != 2 {
 		t.Fatalf("resumed trace holds %d round spans, want 2", rounds)
+	}
+}
+
+// TestTraceCheckpointSaveFollowsDurability pins where checkpoint_save sits
+// in the stream: right after its round for a hook that saved inline, and
+// for a deferring hook where the loop learns the outcome — at the next due
+// checkpoint's wait, or at the drain when Run ends — always on the loop
+// goroutine (the injected single-goroutine clock would race otherwise), with
+// Dur = the time the loop was blocked on it, at the same bytes every run.
+func TestTraceCheckpointSaveFollowsDurability(t *testing.T) {
+	clients := testClients(t, 6)
+	run := func(hook func(*SimState) error) (string, []byte) {
+		t.Helper()
+		var sink bytes.Buffer
+		cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 3, Parallelism: 1, OnCheckpoint: hook,
+			Recorder: trace.New(&sink, trace.Config{Clock: trace.StepClock(1)})}
+		sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sim.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Recorder.Flush()
+		events, err := trace.ReadAll(bytes.NewReader(sink.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []string
+		for _, e := range events {
+			switch e.Kind {
+			case trace.KindRoundEnd:
+				order = append(order, fmt.Sprintf("end%d", e.Round))
+			case trace.KindCheckpointSave:
+				order = append(order, fmt.Sprintf("save%d", e.Round))
+				if e.Dur <= 0 {
+					t.Errorf("checkpoint_save without the loop's stall: %+v", e)
+				}
+			}
+		}
+		return strings.Join(order, " "), sink.Bytes()
+	}
+	if got, _ := run(func(*SimState) error { return nil }); got != "end0 save0 end1 save1 end2 save2" {
+		t.Errorf("inline hook: %s", got)
+	}
+	got, bytes1 := run((&behindHook{}).hook)
+	if got != "end0 end1 save0 end2 save1 save2" {
+		t.Errorf("deferring hook: %s", got)
+	}
+	if _, bytes2 := run((&behindHook{delay: 2 * time.Millisecond}).hook); !bytes.Equal(bytes1, bytes2) {
+		t.Errorf("trace bytes depend on how long the write took:\n%s\nvs\n%s", bytes1, bytes2)
 	}
 }

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -117,6 +118,7 @@ type roundCore struct {
 	normOn              bool
 	histRound, histTurn *obs.Histogram
 	round               Round
+	behind              writeBehind
 }
 
 // RunRounds is the round core: it runs cfg's federation over tr and
@@ -124,7 +126,15 @@ type roundCore struct {
 // runtimes are thin transports over it, so a (seed, method, config)
 // triple yields the same numbers, the same RoundStats, the same
 // obs.RoundSample stream and the same trace events whichever one ran it.
-func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (param.Vector, []RoundStats, error) {
+//
+// A due checkpoint costs its round a hand-off: OnCheckpoint is called
+// inside the round, before OnRound, and whatever it hands back through
+// SimState.Defer runs behind the next round on one checkpoint goroutine,
+// started after OnRound returns. At most one write is in flight — the next
+// due checkpoint waits for it first, and so does every return from
+// RunRounds, so an accepted checkpoint is durable (or its error reported)
+// before the caller sees the run end and no goroutine outlives it.
+func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param.Vector, history []RoundStats, err error) {
 	rec, reg := cfg.Recorder, cfg.Obs
 	c := &roundCore{cfg: cfg, runtime: tr.Runtime(), now: func() int64 { return 0 },
 		normOn:    cfg.Health != nil || rec != nil,
@@ -142,16 +152,21 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (param.Vector
 		c.malicious[id] = true
 	}
 	c.round.c = c
+	defer func() {
+		if werr := c.awaitCheckpoint(); werr != nil {
+			global, history, err = nil, nil, errors.Join(err, werr)
+		}
+	}()
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	global, err := cfg.InitGlobal(rng)
-	if err != nil {
+	if global, err = cfg.InitGlobal(rng); err != nil {
 		return nil, nil, fmt.Errorf("fl: init global: %w", err)
 	}
-	history := make([]RoundStats, 0, cfg.Rounds)
+	history = make([]RoundStats, 0, cfg.Rounds)
 	// pools[r] is the size of round r's sampling pool — the replay data a
-	// resumed run needs, carried into every checkpoint.
-	var pools []int
+	// resumed run needs, carried into every checkpoint. Like history it is
+	// sized once: a checkpoint shares both as prefixes.
+	pools := make([]int, 0, cfg.Rounds)
 	start := 0
 	if st := cfg.ResumeFrom; st != nil {
 		if len(st.Global) != len(global) {
@@ -206,17 +221,64 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (param.Vector
 		history = append(history, stats)
 		pools = append(pools, pool)
 		if cfg.OnCheckpoint != nil && CheckpointDue(round+1, cfg.CheckpointEvery, cfg.Rounds) {
-			st := &SimState{Round: round + 1, Global: global, History: history, EligibleCounts: pools}
-			if err := cfg.OnCheckpoint(st.Clone()); err != nil {
-				return nil, nil, fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
+			n := round + 1
+			st := &SimState{Round: n, Global: global, History: history[:n:n], EligibleCounts: pools[:n:n]}
+			if err := c.checkpoint(round, st); err != nil {
+				return nil, nil, err
 			}
-			rec.Emit(c.event(trace.KindCheckpointSave, round, -1))
 		}
 		if cfg.OnRound != nil {
 			cfg.OnRound(stats)
 		}
+		c.behind.start()
 	}
 	return global, history, nil
+}
+
+// checkpoint waits out the write in flight (back-pressure: one at a time),
+// then calls the hook with st. A hook that deferred nothing has saved.
+func (c *roundCore) checkpoint(round int, st *SimState) error {
+	if err := c.awaitCheckpoint(); err != nil {
+		return err
+	}
+	b := &c.behind
+	st.behind = b
+	t0 := c.now()
+	err := c.cfg.OnCheckpoint(st)
+	st.behind = nil
+	if err != nil {
+		b.pending = nil
+		return fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
+	}
+	e := c.event(trace.KindCheckpointSave, round, -1)
+	e.Dur = e.TS - t0
+	if len(b.pending) == 0 {
+		c.cfg.Recorder.Emit(e)
+		return nil
+	}
+	b.round, b.stall = round, e.Dur
+	return nil
+}
+
+// awaitCheckpoint blocks until the write in flight, if any, has returned,
+// and is where the loop learns its outcome: a checkpoint_save event whose
+// Dur is the time the loop was blocked on that checkpoint (hand-off plus
+// this wait), or the error that aborts the run.
+func (c *roundCore) awaitCheckpoint() error {
+	b := &c.behind
+	if b.done == nil {
+		return nil
+	}
+	t0 := c.now()
+	err := <-b.done
+	b.done = nil
+	if err != nil {
+		return fmt.Errorf("fl: checkpoint after round %d: %w", b.round, err)
+	}
+	e := c.event(trace.KindCheckpointSave, b.round, -1)
+	e.Dur = b.stall + e.TS - t0
+	c.cfg.Recorder.Emit(e)
+	return nil
 }
 
 // event starts a trace event stamped with the span clock and the

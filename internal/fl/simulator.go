@@ -109,12 +109,16 @@ type SimConfig struct {
 	// is nil.
 	OnAlert func(health.Alert)
 
-	// OnCheckpoint, if set, receives a deep-copied SimState after every
-	// CheckpointEvery-th completed round and after the final round. It
-	// fires before OnRound for the same round, so a callback that stops
-	// the run still finds that round's state persisted. A checkpoint
-	// error aborts the run: durability was requested, so failing loudly
-	// beats training on without it.
+	// OnCheckpoint, if set, receives the SimState (an immutable view, see
+	// SimState) after every CheckpointEvery-th completed round and after
+	// the final round, before OnRound for the same round. A hook that
+	// saves inline has persisted the round when it returns; a hook that
+	// hands its write back (SimState.Defer, as store.SaveHook does) has it
+	// persisted by the next due checkpoint and, whatever ends the run, by
+	// the time Run returns — so a callback that stops the run still finds
+	// that round's state on disk afterwards. A checkpoint error, from the
+	// hook or from its deferred write, aborts the run: durability was
+	// requested, so failing loudly beats training on without it.
 	OnCheckpoint func(*SimState) error
 	// CheckpointEvery is the round stride between checkpoints; ≤0 means
 	// every round. Ignored unless OnCheckpoint is set.

@@ -152,10 +152,14 @@
 // # Durability
 //
 // With ServerConfig.OnCheckpoint set (cmd/calibre-server wires it to an
-// internal/store.Store via -checkpoint-dir), the server emits a deep
-// copy of its complete round state — round counter, global vector,
-// RoundStats history and the per-round sampling-pool sizes — after every
-// CheckpointEvery-th round, before OnRound fires. A killed server is
+// internal/store.Store via -checkpoint-dir), the server hands the hook an
+// immutable view of its complete round state — round counter, global
+// vector, RoundStats history and the per-round sampling-pool sizes — after
+// every CheckpointEvery-th round, before OnRound fires. The store's hook
+// is write-behind: the save itself runs behind the next round's dispatch
+// and collection, the next due checkpoint waits for it, and Run does not
+// return — finished, cancelled or failed — before the last accepted
+// checkpoint is durable (or its error reported). A killed server is
 // restarted with ResumeFrom pointing at the latest snapshot: it waits for
 // NumClients to (re)join, replays its sampling draws — through the same
 // Draw function live rounds use — against the recorded pool sizes to

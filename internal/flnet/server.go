@@ -93,10 +93,14 @@ type ServerConfig struct {
 	// TestTraceDoesNotPerturbNetRun).
 	Recorder *trace.Recorder
 
-	// OnCheckpoint, if set, receives a deep-copied fl.SimState after every
-	// CheckpointEvery-th completed round and after the final round, before
-	// OnRound fires — so a crash at any point finds the latest due round
-	// persisted. A checkpoint error aborts the federation. The state
+	// OnCheckpoint, if set, receives the fl.SimState (an immutable view)
+	// after every CheckpointEvery-th completed round and after the final
+	// round, before OnRound fires. A hook that saves inline has the round
+	// persisted when it returns; store.SaveHook hands its write back to the
+	// round loop (fl.SimState.Defer), which runs it behind the next round
+	// and waits for it at the next due checkpoint and before Run returns —
+	// a crash can lose exactly the version in flight. A checkpoint error,
+	// from the hook or its deferred write, aborts the federation. The state
 	// records the per-round sampling-pool sizes, which is what lets a
 	// restarted server replay its RNG draws exactly even though join
 	// timing and straggler business shaped the pool.

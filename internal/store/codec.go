@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"calibre/internal/param"
 )
@@ -74,8 +75,10 @@ type encoder struct {
 	sections uint32
 }
 
-func newEncoder(capacity int) *encoder {
-	e := &encoder{buf: make([]byte, 0, capacity+headerSize+trailerSize)}
+// newEncoder starts a frame in buf's storage, grown to hold capacity
+// payload bytes; a Store passes the buffer of its previous save.
+func newEncoder(buf []byte, capacity int) *encoder {
+	e := &encoder{buf: slices.Grow(buf[:0], capacity+headerSize+trailerSize)}
 	e.buf = append(e.buf, Magic...)
 	e.buf = binary.LittleEndian.AppendUint16(e.buf, Version)
 	e.buf = binary.LittleEndian.AppendUint16(e.buf, 0) // flags, reserved
@@ -103,9 +106,14 @@ func (e *encoder) f64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
+// floats writes into a slice sized once, like the wire's frame writer: one
+// append per element costs a bounds-and-capacity check per float.
 func (e *encoder) floats(v []float64) {
-	for _, x := range v {
-		e.f64(x)
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(v))[:at+8*len(v)]
+	body := e.buf[at:]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(x))
 	}
 }
 

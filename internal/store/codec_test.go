@@ -231,7 +231,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 // hugeVectorBlob is a tiny snapshot whose state section declares a
 // gigantic global vector.
 func hugeVectorBlob() []byte {
-	e := newEncoder(64)
+	e := newEncoder(nil, 64)
 	s := e.begin(secMeta)
 	e.buf = append(e.buf, "{}"...)
 	e.end(s)
@@ -254,7 +254,7 @@ func TestDecodeNeverOverAllocates(t *testing.T) {
 // format no longer assigns: 2 and 5 belonged to standalone vector and
 // tensor blobs.
 func retiredKindBlob(kind byte) []byte {
-	e := newEncoder(32)
+	e := newEncoder(nil, 32)
 	s := e.begin(kind)
 	e.i64(0)
 	e.end(s)
@@ -300,7 +300,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 // drop data) must be malformed, matching the meta/state guards.
 func TestDecodeSnapshotRejectsDuplicateSections(t *testing.T) {
 	build := func(dup byte) []byte {
-		e := newEncoder(64)
+		e := newEncoder(nil, 64)
 		sec := e.begin(secMeta)
 		e.buf = append(e.buf, []byte(`{"seed":1}`)...)
 		e.end(sec)

@@ -71,6 +71,20 @@
 // resume methods carrying cross-round state a snapshot does not capture
 // (fl.ErrStatefulResume).
 //
+// Save is synchronous: when it returns the version is durable. SaveHook,
+// the adapter to the runtimes' OnCheckpoint hooks, is write-behind: the
+// hook call hands the save to the round loop (fl.SimState.Defer), which
+// runs it on one checkpoint goroutine behind the next round, waits for it
+// before the next checkpoint and before Run returns, and fails the run
+// with its error. So onSaved — not the hook call returning, and not the
+// round's OnRound — is what says a version is on disk; a kill -9 can lose
+// exactly the one version in flight, and Latest falls back to the one
+// before it. A steady-state save allocates nothing model-sized: the
+// state is a shared view, the delta and frame buffers are kept between
+// saves, the hook path keeps the handed-off global as the next delta
+// reference instead of copying it, and only a handle's first save lists
+// the directory (later ones start publishing above its own last version).
+//
 // # Resume state machine
 //
 // A resuming runtime moves through:

@@ -28,7 +28,7 @@ func fuzzSeeds() [][]byte {
 	})
 	var d param.Delta
 	_ = param.DiffInto(&d, param.Vector{1, 2, 3}, param.Vector{1, math.NaN(), math.Inf(-1)})
-	inc, _ := encodeSnapshotDelta(&Snapshot{
+	inc, _ := encodeSnapshotDelta(nil, &Snapshot{
 		Meta:  Meta{Seed: 7, Fingerprint: "abc", Runtime: "simulator"},
 		State: fl.SimState{Round: 3, History: []fl.RoundStats{{Round: 2}}, EligibleCounts: []int{2}},
 	}, 2, &d)

@@ -79,7 +79,7 @@ func TestSaveWritesTheSmallerEncoding(t *testing.T) {
 			if err := param.DiffInto(&d, tc.ref, tc.next); err != nil {
 				t.Fatal(err)
 			}
-			want, err := encodeSnapshotDelta(next, 1, &d)
+			want, err := encodeSnapshotDelta(nil, next, 1, &d)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,9 +40,10 @@ const (
 	histDeadlineExpired byte = 1 << iota
 )
 
-// encodeSnapshotWith writes the common snapshot frame, delegating the
-// state section (full vector vs incremental delta) to writeState.
-func encodeSnapshotWith(s *Snapshot, extra int, writeState func(e *encoder)) ([]byte, error) {
+// encodeSnapshotWith writes the common snapshot frame into buf's storage
+// (nil allocates), delegating the state section (full vector vs
+// incremental delta) to writeState.
+func encodeSnapshotWith(buf []byte, s *Snapshot, extra int, writeState func(e *encoder)) ([]byte, error) {
 	meta, err := json.Marshal(s.Meta)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode meta: %w", err)
@@ -52,7 +53,7 @@ func encodeSnapshotWith(s *Snapshot, extra int, writeState func(e *encoder)) ([]
 	for _, h := range st.History {
 		capacity += 56 + 8*(len(h.Participants)+len(h.Responders)+len(h.Stragglers))
 	}
-	e := newEncoder(capacity)
+	e := newEncoder(buf, capacity)
 
 	sec := e.begin(secMeta)
 	e.buf = append(e.buf, meta...)
@@ -100,7 +101,12 @@ func deltaStateSize(d *param.Delta) int { return 8 + 8 + 8 + len(d.Bits) }
 // byte-identical output. The parameter vector and history are pure binary
 // (floats as exact IEEE-754 bits — NaN and ±Inf payloads survive).
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	return encodeSnapshotWith(s, fullStateSize(len(s.State.Global)), func(e *encoder) {
+	return encodeSnapshot(nil, s)
+}
+
+// encodeSnapshot is EncodeSnapshot into buf's storage.
+func encodeSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
+	return encodeSnapshotWith(buf, s, fullStateSize(len(s.State.Global)), func(e *encoder) {
 		sec := e.begin(secState)
 		e.i64(int64(s.State.Round))
 		appendVectorPayload(e, s.State.Global)
@@ -117,11 +123,11 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 // everything except the global vector decodes without touching the
 // reference. Decoding requires the reference chain: DecodeSnapshot refuses
 // the blob with ErrIncremental, Store.Open resolves it.
-func encodeSnapshotDelta(s *Snapshot, refVersion int, d *param.Delta) ([]byte, error) {
+func encodeSnapshotDelta(buf []byte, s *Snapshot, refVersion int, d *param.Delta) ([]byte, error) {
 	if refVersion < 1 {
 		return nil, fmt.Errorf("store: incremental snapshot needs a positive reference version, got %d", refVersion)
 	}
-	return encodeSnapshotWith(s, deltaStateSize(d), func(e *encoder) {
+	return encodeSnapshotWith(buf, s, deltaStateSize(d), func(e *encoder) {
 		sec := e.begin(secDeltaState)
 		appendDeltaStatePayload(e, s.State.Round, refVersion, d)
 		e.end(sec)

@@ -53,16 +53,22 @@ const (
 type Store struct {
 	dir string
 
+	// mu serializes this handle's saves (other handles and processes are
+	// kept apart by publish) and guards everything below.
 	mu          sync.Mutex
 	incremental bool
+	// published is the highest version this handle has written: the next
+	// save starts publishing right above it instead of listing the
+	// directory. 0 until the first save, which lists once.
+	published int
 	// last caches the most recently saved version's resolved global (and
 	// its chain depth), so steady-state incremental saves need no disk
 	// reads to find their reference.
 	last *saveRef
-	// diff is the delta encoder's buffer, kept between incremental saves;
-	// diffMu is held while one of them encodes from it.
-	diffMu sync.Mutex
-	diff   param.Delta
+	// diff and enc are the delta encoder's and the frame encoder's buffers,
+	// kept between saves.
+	diff param.Delta
+	enc  []byte
 }
 
 // saveRef is a candidate reference for the next incremental save.
@@ -150,9 +156,8 @@ func (s *Store) SetIncremental(on bool) {
 // pickReference chooses the reference for an incremental save, or nil
 // when the next save must be full: incremental encoding off, no usable
 // previous version, a dimension change, or a chain already at its limit.
+// The caller holds s.mu.
 func (s *Store) pickReference(next *Snapshot) *saveRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.incremental {
 		return nil
 	}
@@ -182,7 +187,17 @@ func (s *Store) pickReference(next *Snapshot) *saveRef {
 // next free version with a no-replace primitive (see publish). Under
 // SetIncremental the blob is a delta against the previous version
 // whenever a usable reference exists (full-snapshot fallback otherwise).
+// When Save returns the version is durable; snap stays the caller's.
 func (s *Store) Save(snap *Snapshot) (int, error) {
+	return s.save(snap, false)
+}
+
+// save is Save. keep says the caller gives up snap's global vector —
+// nothing will write to it again — so the store may hold on to it as the
+// next incremental save's reference instead of copying it.
+func (s *Store) save(snap *Snapshot, keep bool) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var data []byte
 	depth := 0 // chain depth of the blob being written
 	if ref := s.pickReference(snap); ref != nil {
@@ -192,17 +207,23 @@ func (s *Store) Save(snap *Snapshot) (int, error) {
 	}
 	if data == nil {
 		var err error
-		if data, err = EncodeSnapshot(snap); err != nil {
+		if data, err = encodeSnapshot(s.enc, snap); err != nil {
 			return 0, err
 		}
 	}
-	versions, err := s.Versions()
-	if err != nil {
-		return 0, err
-	}
-	next := 1
-	if len(versions) > 0 {
-		next = versions[len(versions)-1] + 1
+	s.enc = data[:0]
+	// Only a handle's first save lists the directory; after that its own
+	// last version is where the search for a free one starts, and publish
+	// steps over whatever other savers put there meanwhile.
+	next := s.published + 1
+	if s.published == 0 {
+		versions, err := s.Versions()
+		if err != nil {
+			return 0, err
+		}
+		if len(versions) > 0 {
+			next = versions[len(versions)-1] + 1
+		}
 	}
 	tmp, err := os.CreateTemp(s.dir, ".tmp-"+filePrefix+"*")
 	if err != nil {
@@ -230,17 +251,20 @@ func (s *Store) Save(snap *Snapshot) (int, error) {
 		_ = d.Sync()
 		_ = d.Close()
 	}
+	s.published = version
 	// Remember what just landed so the next incremental save can reference
-	// it without touching the disk. The copy keeps the cache independent
-	// of whatever the caller does with its state afterwards; when
-	// incremental encoding is off the cache would never be read, so skip
-	// the model-sized clone entirely (SetIncremental(true) later simply
-	// cold-starts from Latest).
-	s.mu.Lock()
+	// it without touching the disk. Save's caller may do anything with its
+	// state afterwards, so the cache takes a copy unless the caller gave
+	// the vector up; when incremental encoding is off the cache would never
+	// be read, so skip the model-sized clone entirely (SetIncremental(true)
+	// later simply cold-starts from Latest).
 	if s.incremental {
-		s.last = &saveRef{version: version, global: param.Vector(snap.State.Global).Clone(), depth: depth}
+		global := param.Vector(snap.State.Global)
+		if !keep {
+			global = global.Clone()
+		}
+		s.last = &saveRef{version: version, global: global, depth: depth}
 	}
-	s.mu.Unlock()
 	return version, nil
 }
 
@@ -251,16 +275,15 @@ func (s *Store) Save(snap *Snapshot) (int, error) {
 // and a delta that beats no storage would still add chain-resolution cost
 // and fragility. This mirrors the wire path's dense fallback: worst-case
 // storage is full-snapshot parity. Which blob is smaller follows from the
-// delta's size alone, so only the winner is ever encoded.
+// delta's size alone, so only the winner is ever encoded. The caller holds
+// s.mu.
 func (s *Store) encodeIncremental(snap *Snapshot, ref *saveRef) []byte {
-	s.diffMu.Lock()
-	defer s.diffMu.Unlock()
 	d := &s.diff
 	global := param.Vector(snap.State.Global)
 	if err := param.DiffInto(d, ref.global, global); err != nil || deltaStateSize(d) >= fullStateSize(len(global)) {
 		return nil
 	}
-	data, err := encodeSnapshotDelta(snap, ref.version, d)
+	data, err := encodeSnapshotDelta(s.enc, snap, ref.version, d)
 	if err != nil {
 		return nil // the full encode reports it
 	}
@@ -518,15 +541,24 @@ func (s *Store) Stat(version int) (Entry, error) {
 
 // SaveHook adapts the store to the runtimes' OnCheckpoint signature
 // (fl.SimConfig.OnCheckpoint / flnet.ServerConfig.OnCheckpoint): each call
-// persists the delivered state under meta as the next version. onSaved,
-// when non-nil, observes successful saves — CLI layers log from it.
+// persists the delivered state under meta as the next version. It is the
+// deferring hook: the call itself only hands the save to the round loop
+// (fl.SimState.Defer), which runs it behind the next round and waits for
+// it before the next checkpoint and before Run returns. onSaved, when
+// non-nil, observes successful saves — CLI layers log from it. It fires
+// once the version is durable, on the goroutine that saved it, which is
+// not the round loop's.
 func (s *Store) SaveHook(meta Meta, onSaved func(version int, state *fl.SimState)) func(*fl.SimState) error {
 	return func(state *fl.SimState) error {
-		v, err := s.Save(&Snapshot{Meta: meta, State: *state})
-		if err == nil && onSaved != nil {
-			onSaved(v, state)
-		}
-		return err
+		return state.Defer(func() error {
+			// The delivered state is an immutable view, so its global can
+			// serve as the next save's delta reference as is.
+			v, err := s.save(&Snapshot{Meta: meta, State: *state}, true)
+			if err == nil && onSaved != nil {
+				onSaved(v, state)
+			}
+			return err
+		})
 	}
 }
 

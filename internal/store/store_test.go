@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -250,5 +253,62 @@ func TestConcurrentSavesNeverClobber(t *testing.T) {
 	}
 	if len(seeds) != savers*each {
 		t.Fatalf("%d distinct snapshots survive, want %d (a save was clobbered)", len(seeds), savers*each)
+	}
+}
+
+// TestSaveNumbersFromItsOwnLastVersion: only a handle's first save lists the
+// directory. After that it starts right above the version it wrote last and
+// lets the no-replace publish step over what other savers put there, so a
+// save costs the same in a directory of ten versions and of ten thousand.
+func TestSaveNumbersFromItsOwnLastVersion(t *testing.T) {
+	dir := t.TempDir()
+	mine, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(s *Store, want int) {
+		t.Helper()
+		if v, err := s.Save(testSnapshot()); err != nil || v != want {
+			t.Fatalf("Save = (v%d, %v), want v%d", v, err, want)
+		}
+	}
+	save(mine, 1)
+	other, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save(other, 2) // cold start: lists, lands above v1
+	save(other, 3)
+	save(mine, 4) // starts at v2, steps over the other saver's two
+	// A version far ahead is found by a listing and by nothing else.
+	if err := os.WriteFile(filepath.Join(dir, fileFor(100)), []byte("someone else's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	save(mine, 5)
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save(fresh, 101)
+}
+
+// TestEncoderFloatsMatchesPerElementAppend: the sized-once vector writer
+// produces the bytes the per-element one did, wherever in the buffer it
+// starts and whether or not the buffer has room.
+func TestEncoderFloatsMatchesPerElementAppend(t *testing.T) {
+	v := []float64{0, math.Copysign(0, -1), 1, -1.5, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+		math.MaxFloat64, math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000123)}
+	for _, room := range []int{0, 8, 8 * len(v), 1024} {
+		for _, n := range []int{0, 1, len(v)} {
+			e := &encoder{buf: append(make([]byte, 0, 3+room), "abc"...)}
+			e.floats(v[:n])
+			want := []byte("abc")
+			for _, x := range v[:n] {
+				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(x))
+			}
+			if !bytes.Equal(e.buf, want) {
+				t.Fatalf("room %d, %d floats: %x, want %x", room, n, e.buf, want)
+			}
+		}
 	}
 }

@@ -204,7 +204,11 @@ func TestPerCellCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 
 	// Simulate a kill mid-cell: run the cell's federation directly, with
-	// the sweep's per-cell store wiring, canceling after two checkpoints.
+	// the sweep's per-cell store wiring, canceling inside the second
+	// checkpoint hand-off. The hook only hands the save to the round loop,
+	// so at the cancel version 2 is not written yet — what makes round 2 the
+	// resume point is that the loop drains the accepted write before Run
+	// returns: onSaved has reported both versions by then, in order.
 	settings := experiments.Settings()
 	env, err := experiments.BuildEnvironment(settings[cell.Setting], cell.Scale, cell.EnvSeed())
 	if err != nil {
@@ -220,21 +224,27 @@ func TestPerCellCheckpointResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	saves := 0
+	var durable []int // onSaved runs on the checkpoint goroutine; read after Run
+	save := ck.SaveHook(store.Meta{Seed: env.Seed, Fingerprint: cell.Fingerprint(), Runtime: "sweep"},
+		func(v int, st *fl.SimState) { durable = append(durable, st.Round) })
+	handoffs := 0
 	_, err = experiments.RunBuiltMethodWith(ctx, env, m, func(cfg *fl.SimConfig) {
 		cfg.CheckpointEvery = 1
 		cfg.OnCheckpoint = func(st *fl.SimState) error {
-			if err := ck.SaveHook(store.Meta{Seed: env.Seed, Fingerprint: cell.Fingerprint(), Runtime: "sweep"}, nil)(st); err != nil {
+			if err := save(st); err != nil {
 				return err
 			}
-			if saves++; saves == 2 {
+			if handoffs++; handoffs == 2 {
 				cancel()
 			}
 			return nil
 		}
 	})
-	if err == nil {
-		t.Fatal("mid-cell kill did not abort the federation")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-cell kill: err = %v, want context.Canceled", err)
+	}
+	if len(durable) != 2 || durable[0] != 1 || durable[1] != 2 {
+		t.Fatalf("versions durable when Run returned: rounds %v, want [1 2]", durable)
 	}
 	snap, _, err := ck.Latest()
 	if err != nil {

@@ -28,8 +28,13 @@ const (
 	// KindClientDrop records a participant that contributed nothing to the
 	// round, attributed by Reason.
 	KindClientDrop Kind = "client_drop"
-	// KindCheckpointSave / KindResume are the durability boundary: a round
-	// snapshot persisted, and a run continuing from one (Round = the first
+	// KindCheckpointSave / KindResume are the durability boundary.
+	// checkpoint_save is emitted when the round loop learns that Round's
+	// snapshot is persisted — straight after the hook for one that saved
+	// inline, at the next due checkpoint's wait or the end-of-run drain for
+	// a write-behind save — and Dur is how long the loop was blocked on it
+	// (hook call plus wait; what a hidden save costs is its hand-off).
+	// resume marks a run continuing from a snapshot (Round = the first
 	// round the continuation executes).
 	KindCheckpointSave Kind = "checkpoint_save"
 	KindResume         Kind = "resume"
