@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire fuzz smoke, short kernel and sweep benches
+#                    real-process smoke, wire + matmul fuzz smokes, short kernel and sweep benches
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run, not to refresh the
@@ -47,11 +47,12 @@ go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ 
 # portable Go body that must agree bit for bit. On an AVX2 host the default
 # build tests both (the tests flip the package's switch); the purego tag
 # builds the package without the assembly, so the portable path is also held
-# to the oracle as the only path, nn's bit-identity tests run on it, and the
+# to the oracle as the only path, nn's bit-identity tests run on it, kmeans'
+# and core's distance loops are held to their naive references on it, and the
 # golden ledger of internal/baselines (every registry method's final bits)
 # and model's pinned loops must come out the same from the portable kernels.
 echo "== go test -tags purego (portable kernels) =="
-go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/model/... ./internal/baselines/...
+go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/kmeans/... ./internal/core/... ./internal/model/... ./internal/baselines/...
 
 # The fallback must compile where the assembly does not exist. (go vet's
 # asmdecl check, in the vet step above, holds the amd64 assembly to its Go
@@ -86,6 +87,12 @@ go run ./tools/smoke
 # internal/flnet/testdata/fuzz: a smoke run, not a campaign.
 echo "== wire decoder fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzWireDecoder$' -fuzztime 5s ./internal/flnet/
+
+# The same for the matmul kernels against the naive loops: shapes, sparsity
+# and operands the committed corpus in internal/tensor/testdata/fuzz does
+# not hold, on both implementations of the row primitives.
+echo "== matmul oracle fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzMatMulMatchesNaive$' -fuzztime 5s ./internal/tensor/
 
 # The harness re-reads the file it wrote and exits non-zero if it does not
 # parse, does not record kernel_impl, or a serial-path shape reports

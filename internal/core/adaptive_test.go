@@ -100,6 +100,34 @@ func TestConfidentMembersMinimumTwo(t *testing.T) {
 	}
 }
 
+// TestAssignmentMarginsMatchNaive holds the confidence filter's margins, on
+// the batch shape the regulariser clusters (32 × 48, every K SelectK tries,
+// and a K past one stack chunk of centres), to one SqDist per (point,
+// centre) pair, bit for bit; confidentMembers only sorts them.
+func TestAssignmentMarginsMatchNaive(t *testing.T) {
+	for _, k := range []int{2, 3, 4, 6, 8, 10, 21} {
+		rng := rand.New(rand.NewSource(int64(70 + k)))
+		x := tensor.RandN(rng, 1, 32, 48)
+		res, err := kmeans.Run(rng, x, kmeans.Config{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := assignmentMargins(x, res.Centers, res.Assign)
+		for i, own := range res.Assign {
+			runner := math.Inf(1)
+			for c := 0; c < k; c++ {
+				if d := tensor.SqDist(x.Row(i), res.Centers.Row(c)); c != own && d < runner {
+					runner = d
+				}
+			}
+			want := runner - tensor.SqDist(x.Row(i), res.Centers.Row(own))
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("K=%d: margin of point %d is %v, reference %v", k, i, got[i], want)
+			}
+		}
+	}
+}
+
 // structuredStepCtx builds a step context whose inputs have clear cluster
 // structure, so the silhouette gate passes.
 func structuredStepCtx(t *testing.T, seed int64) *ssl.StepContext {

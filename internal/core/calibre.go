@@ -298,21 +298,7 @@ func confidentMembers(x, centers *tensor.Tensor, assign []int, keepFrac float64)
 	if keepFrac <= 0 || keepFrac >= 1 || centers.Rows() < 2 {
 		return all
 	}
-	margins := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		own := tensor.SqDist(row, centers.Row(assign[i]))
-		runner := math.Inf(1)
-		for c := 0; c < centers.Rows(); c++ {
-			if c == assign[i] {
-				continue
-			}
-			if d := tensor.SqDist(row, centers.Row(c)); d < runner {
-				runner = d
-			}
-		}
-		margins[i] = runner - own
-	}
+	margins := assignmentMargins(x, centers, assign)
 	sort.Slice(all, func(a, b int) bool { return margins[all[a]] > margins[all[b]] })
 	keep := int(math.Ceil(keepFrac * float64(n)))
 	if keep < 2 {
@@ -324,6 +310,30 @@ func confidentMembers(x, centers *tensor.Tensor, assign []int, keepFrac float64)
 	kept := append([]int(nil), all[:keep]...)
 	sort.Ints(kept)
 	return kept
+}
+
+// assignmentMargins returns, per point, the squared distance to the nearest
+// centre other than its own minus the squared distance to its own.
+func assignmentMargins(x, centers *tensor.Tensor, assign []int) []float64 {
+	k, d, cd := centers.Rows(), centers.Cols(), centers.Data()
+	margins := make([]float64, x.Rows())
+	var toCenters [16]float64 // one point's distances to the centres, a stack chunk at a time
+	for i := range margins {
+		own, runner := 0.0, math.Inf(1)
+		for lo := 0; lo < k; lo += len(toCenters) {
+			chunk := toCenters[:min(len(toCenters), k-lo)]
+			tensor.SqDistRows(chunk, x.Row(i), cd[lo*d:(lo+len(chunk))*d])
+			for c, dist := range chunk {
+				if lo+c == assign[i] {
+					own = dist
+				} else if dist < runner {
+					runner = dist
+				}
+			}
+		}
+		margins[i] = runner - own
+	}
+	return margins
 }
 
 // Divergence computes a client's local divergence rate: cluster the

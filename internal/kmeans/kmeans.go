@@ -35,7 +35,7 @@ type Config struct {
 // Run clusters the rows of x (n×d). K is clamped to n when the batch is
 // smaller than the requested number of clusters; it must be ≥1.
 func Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
-	n, d := x.Rows(), x.Cols()
+	n := x.Rows()
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("kmeans: K must be ≥1, got %d", cfg.K)
 	}
@@ -55,14 +55,17 @@ func Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
 		tol = 1e-4
 	}
 
-	centers := seedPlusPlus(rng, x, k)
+	// One buffer serves the seeding (every point's distance to its nearest
+	// centre) and then the assignments (one point's distance to k ≤ n centres).
+	scratch := make([]float64, n)
+	centers := seedPlusPlus(rng, x, k, scratch)
 	assign := make([]int, n)
 	counts := make([]int, k) // reused across Lloyd iterations
 	prev := math.Inf(1)
 	var inertia float64
 	var iters int
 	for iters = 1; iters <= maxIters; iters++ {
-		inertia = assignPoints(x, centers, assign)
+		inertia = assignPoints(x, centers, assign, scratch)
 		updateCenters(rng, x, centers, assign, counts)
 		if prev-inertia <= tol*math.Max(prev, 1) {
 			break
@@ -70,8 +73,7 @@ func Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
 		prev = inertia
 	}
 	// Final assignment against the last centers.
-	inertia = assignPoints(x, centers, assign)
-	_ = d
+	inertia = assignPoints(x, centers, assign, scratch)
 	return &Result{Centers: centers, Assign: assign, Groups: groupMembers(assign, k, counts), Inertia: inertia, Iters: iters}, nil
 }
 
@@ -101,15 +103,15 @@ func groupMembers(assign []int, k int, counts []int) [][]int {
 }
 
 // seedPlusPlus picks k initial centers with the k-means++ D² weighting.
-func seedPlusPlus(rng *rand.Rand, x *tensor.Tensor, k int) *tensor.Tensor {
+// scratch holds n values. Distances run from the centre to the points, the
+// rows that lie consecutively; (c−x)² and (x−c)² are the same float.
+func seedPlusPlus(rng *rand.Rand, x *tensor.Tensor, k int, scratch []float64) *tensor.Tensor {
 	n, d := x.Rows(), x.Cols()
 	centers := tensor.New(k, d)
 	first := rng.Intn(n)
 	centers.SetRow(0, x.Row(first))
-	dist := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dist[i] = tensor.SqDist(x.Row(i), centers.Row(0))
-	}
+	dist, xd := scratch[:n], x.Data()
+	tensor.SqDistRows(dist, centers.Row(0), xd)
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, v := range dist {
@@ -130,24 +132,31 @@ func seedPlusPlus(rng *rand.Rand, x *tensor.Tensor, k int) *tensor.Tensor {
 			}
 		}
 		centers.SetRow(c, x.Row(pick))
-		for i := 0; i < n; i++ {
-			if nd := tensor.SqDist(x.Row(i), centers.Row(c)); nd < dist[i] {
-				dist[i] = nd
+		var next [16]float64 // distances to the new centre, a stack chunk at a time
+		for lo := 0; lo < n; lo += len(next) {
+			chunk := next[:min(len(next), n-lo)]
+			tensor.SqDistRows(chunk, centers.Row(c), xd[lo*d:(lo+len(chunk))*d])
+			for i, nd := range chunk {
+				if nd < dist[lo+i] {
+					dist[lo+i] = nd
+				}
 			}
 		}
 	}
 	return centers
 }
 
-func assignPoints(x, centers *tensor.Tensor, assign []int) float64 {
+// assignPoints assigns every point to its nearest centre (the lowest index
+// among equals) and returns the inertia. scratch holds at least k values.
+func assignPoints(x, centers *tensor.Tensor, assign []int, scratch []float64) float64 {
 	n := x.Rows()
-	k := centers.Rows()
+	toCenters := scratch[:centers.Rows()]
 	var inertia float64
 	for i := 0; i < n; i++ {
-		row := x.Row(i)
+		tensor.SqDistRows(toCenters, x.Row(i), centers.Data())
 		best, bestD := 0, math.Inf(1)
-		for c := 0; c < k; c++ {
-			if d := tensor.SqDist(row, centers.Row(c)); d < bestD {
+		for c, d := range toCenters {
+			if d < bestD {
 				best, bestD = c, d
 			}
 		}
@@ -215,12 +224,13 @@ func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
 	n := x.Rows()
 	dist := arena.Get(n * (n - 1) / 2)
 	at := 0
+	d, xd := x.Cols(), x.Data()
 	for i := 1; i < n; i++ {
-		xi := x.Row(i)
-		for j := 0; j < i; j++ {
-			dist[at] = math.Sqrt(tensor.SqDist(xi, x.Row(j)))
-			at++
-		}
+		tensor.SqDistRows(dist[at:at+i], x.Row(i), xd[:i*d])
+		at += i
+	}
+	for p, sq := range dist {
+		dist[p] = math.Sqrt(sq)
 	}
 	return dist
 }

@@ -137,7 +137,7 @@ func TestInertiaDecreasesVsRandomAssign(t *testing.T) {
 	// Random centers give much worse inertia.
 	randCenters := tensor.RandN(rng, 5, 4, 6)
 	assign := make([]int, x.Rows())
-	randInertia := assignPoints(x, randCenters, assign)
+	randInertia := assignPoints(x, randCenters, assign, make([]float64, randCenters.Rows()))
 	if res.Inertia >= randInertia {
 		t.Fatalf("kmeans inertia %v should beat random %v", res.Inertia, randInertia)
 	}
@@ -325,5 +325,125 @@ func TestSilhouetteRejectsLabelCountMismatch(t *testing.T) {
 			}()
 			Silhouette(x, labels)
 		}()
+	}
+}
+
+// naiveRun is Run with every distance computed where it is used, one SqDist
+// per (point, centre) pair in the point-minus-centre orientation: the
+// definition the SqDistRows call sites must reproduce bit for bit, rng draws
+// included. Only the centroid update is shared with Run.
+func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, assign []int, inertia float64) {
+	n := x.Rows()
+	centers = tensor.New(k, x.Cols())
+	centers.SetRow(0, x.Row(rng.Intn(n)))
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = tensor.SqDist(x.Row(i), centers.Row(0))
+	}
+	for c := 1; c < k; c++ {
+		var total float64
+		for _, v := range dist {
+			total += v
+		}
+		pick := 0
+		if total <= 0 {
+			pick = rng.Intn(n)
+		} else {
+			u, acc := rng.Float64()*total, 0.0
+			for i, v := range dist {
+				if acc += v; u <= acc {
+					pick = i
+					break
+				}
+			}
+		}
+		centers.SetRow(c, x.Row(pick))
+		for i := range dist {
+			if nd := tensor.SqDist(x.Row(i), centers.Row(c)); nd < dist[i] {
+				dist[i] = nd
+			}
+		}
+	}
+	assign = make([]int, n)
+	assignAll := func() float64 {
+		var inertia float64
+		for i := 0; i < n; i++ {
+			best, bestD := 0, math.Inf(1)
+			for c := 0; c < k; c++ {
+				if d := tensor.SqDist(x.Row(i), centers.Row(c)); d < bestD {
+					best, bestD = c, d
+				}
+			}
+			assign[i] = best
+			inertia += bestD
+		}
+		return inertia
+	}
+	counts, prev := make([]int, k), math.Inf(1)
+	for iters := 1; iters <= 25; iters++ {
+		inertia = assignAll()
+		updateCenters(rng, x, centers, assign, counts)
+		if prev-inertia <= 1e-4*math.Max(prev, 1) {
+			break
+		}
+		prev = inertia
+	}
+	return centers, assign, assignAll()
+}
+
+// TestDistancesMatchNaiveReference pins the three users of
+// tensor.SqDistRows in this package to per-pair SqDist loops on the shapes
+// the federation clusters (32 points of 48 features, every K SelectK tries)
+// and on 37 points of 5, which end on a partial seeding chunk: Run's
+// centres, assignment, inertia and rng consumption (seeding measures from
+// the centre to the points, the reference from the point to the centre),
+// and every PairDistances entry. Some batches repeat points, so that
+// equidistant centres, zero D² mass and emptied clusters occur.
+func TestDistancesMatchNaiveReference(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		n, d := 32, 48
+		if seed >= 6 {
+			n, d = 37, 5
+		}
+		x := tensor.RandN(rand.New(rand.NewSource(40+seed)), 1, n, d)
+		if seed%2 == 1 {
+			for i := 1; i < n; i++ {
+				if i%int(2+seed) != 0 {
+					x.SetRow(i, x.Row(i%3))
+				}
+			}
+		}
+		for _, k := range []int{2, 3, 4, 6, 8, 10} {
+			rng, refRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			res, err := Run(rng, x, Config{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			centers, assign, inertia := naiveRun(refRNG, x, k)
+			if math.Float64bits(res.Inertia) != math.Float64bits(inertia) {
+				t.Fatalf("seed %d K=%d: inertia %v, reference %v", seed, k, res.Inertia, inertia)
+			}
+			for i, a := range assign {
+				if res.Assign[i] != a {
+					t.Fatalf("seed %d K=%d: point %d assigned to %d, reference %d", seed, k, i, res.Assign[i], a)
+				}
+			}
+			for i, c := range centers.Data() {
+				if got := res.Centers.Data()[i]; math.Float64bits(got) != math.Float64bits(c) {
+					t.Fatalf("seed %d K=%d: centre element %d is %v, reference %v", seed, k, i, got, c)
+				}
+			}
+			if rng.Int63() != refRNG.Int63() {
+				t.Fatalf("seed %d K=%d: Run consumed a different number of rng draws", seed, k)
+			}
+		}
+		dist := PairDistances(nil, x)
+		for i, at := 1, 0; i < n; i++ {
+			for j := 0; j < i; j, at = j+1, at+1 {
+				if want := math.Sqrt(tensor.SqDist(x.Row(i), x.Row(j))); math.Float64bits(dist[at]) != math.Float64bits(want) {
+					t.Fatalf("seed %d: distance (%d,%d) is %v, reference %v", seed, i, j, dist[at], want)
+				}
+			}
+		}
 	}
 }

@@ -293,14 +293,15 @@ func AddBias(x, bias *Node) *Node {
 
 // --- Activations ------------------------------------------------------------
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise. A NaN stays a NaN, as in LinearAct:
+// a poisoned activation must reach the finite-value checks, not turn into 0.
 func ReLU(x *Node) *Node {
 	v := x.tape.allocLike(x.Value)
 	mustApplyInto(v, x.Value, func(f float64) float64 {
-		if f > 0 {
-			return f
+		if f <= 0 {
+			return 0
 		}
-		return 0
+		return f
 	})
 	return newOp(v, func(g *tensor.Tensor) {
 		if !x.requiresGrad {

@@ -30,6 +30,40 @@ func BenchmarkMLPForward(b *testing.B) {
 	}
 }
 
+// BenchmarkLinearActReLUSparse is one hidden layer's forward and backward
+// pass at the federation's shape (batch 32, 96 → 48) with the sparsity ReLU
+// gives it: half the inputs are exact zeros (the product's coefficient
+// compaction) and half the pre-activations are negative (the activation
+// and its gradient mask), each a coin flip per element.
+func BenchmarkLinearActReLUSparse(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	lin := NewLinear(rng, 96, 48, "bench")
+	// A training step never sees a batch twice; one repeated input would
+	// let the branch predictor learn its sign pattern.
+	xs := make([]*tensor.Tensor, 16)
+	for i := range xs {
+		xs[i] = tensor.RandN(rng, 1, 32, 96)
+		for j, v := range xs[i].Data() {
+			if v < 0 {
+				xs[i].Data()[j] = 0
+			}
+		}
+	}
+	arena := tensor.NewArena()
+	tp := NewTape(arena)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lin.W.ZeroGrad()
+		lin.B.ZeroGrad()
+		loss := SumSquares(LinearAct(InputOn(tp, xs[i%len(xs)]), lin.W.Node(), lin.B.Node(), ActReLU))
+		if err := Backward(loss); err != nil {
+			b.Fatal(err)
+		}
+		tp.Reset()
+	}
+}
+
 func BenchmarkMLPTrainStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := MLP(rng, "bench", 64, 96, 48, 10)

@@ -18,8 +18,9 @@ var fused = true
 // act(x·W + b) where x is (m×k), w is (k×n) and bias holds n elements.
 // ActNone skips the activation. The unfused equivalent records three nodes
 // (MatMul, AddBias, ReLU/Tanh) with two intermediate tensors; the fused node
-// computes bias-add and activation in place on the MatMul output and runs a
-// single backward closure:
+// computes bias-add and activation in place on the MatMul output, in one
+// sweep with no branch on an element's sign, and runs a single backward
+// closure (gPre and the bias gradient again in one such sweep):
 //
 //	gPre    = g ∘ act'(y)     (activation gradient, from the output y)
 //	b.grad += column-sums of gPre
@@ -43,57 +44,58 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 	y := tp.allocUninit(m, n)
 	tensor.MatMulInto(y, x.Value, w.Value)
 	yd := y.Data()
-	bd := bias.Value.Data()
+	bd := bias.Value.Data()[:n]
+	// Bias and activation in one sweep, each row while it is still hot.
 	for i := 0; i < m; i++ {
-		row := yd[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] += bd[j]
-		}
-	}
-	switch act {
-	case ActNone:
-	case ActReLU:
-		for i := range yd {
-			if yd[i] <= 0 {
-				yd[i] = 0
+		row := yd[i*n:][:n]
+		switch act {
+		case ActNone:
+			for j, b := range bd {
+				row[j] += b
 			}
+		case ActReLU:
+			for j, b := range bd {
+				row[j] = relu(row[j] + b)
+			}
+		case ActTanh:
+			for j, b := range bd {
+				row[j] = math.Tanh(row[j] + b)
+			}
+		default:
+			panic(fmt.Sprintf("nn: unknown activation kind %d", act))
 		}
-	case ActTanh:
-		for i := range yd {
-			yd[i] = math.Tanh(yd[i])
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation kind %d", act))
 	}
 	return newOp(y, func(g *tensor.Tensor) {
-		gPre := g
+		// ReLU's pre-activation sign is recoverable from the output
+		// (y>0 ⇔ pre>0) and Tanh's derivative uses the output, so no
+		// pre-activation tensor needs to be kept. One sweep writes every
+		// element of gPre (hence uninit) and adds it to the bias gradient,
+		// rows ascending: the order AddBias's backward sums them in. A bias
+		// that takes no gradient still gets a (dead) one — no shipped layer
+		// has such a bias, and a second sweep shape for it is not worth it.
+		gPre, gd := g, g.Data()
 		if act != ActNone {
-			// ReLU's pre-activation sign is recoverable from the output
-			// (y>0 ⇔ pre>0) and Tanh's derivative uses the output, so no
-			// pre-activation tensor needs to be kept. Zeroed, not uninit:
-			// the ReLU branch writes gPre only where y > 0.
-			gPre = tp.alloc(m, n)
-			pd, gd := gPre.Data(), g.Data()
+			gPre = tp.allocUninit(m, n)
+		}
+		pd, gb := gPre.Data(), bias.Grad().Data()[:n]
+		for i := 0; i < m; i++ {
+			prow, grow, yrow := pd[i*n:][:n], gd[i*n:][:n], yd[i*n:][:n]
 			switch act {
+			case ActNone:
+				for j, v := range grow {
+					gb[j] += v
+				}
 			case ActReLU:
-				for i := range pd {
-					if yd[i] > 0 {
-						pd[i] = gd[i]
-					}
+				for j, v := range grow {
+					v = math.Float64frombits(math.Float64bits(v) & positiveMask(yrow[j]))
+					prow[j] = v
+					gb[j] += v
 				}
 			case ActTanh:
-				for i := range pd {
-					pd[i] = gd[i] * (1 - yd[i]*yd[i])
-				}
-			}
-		}
-		if bias.requiresGrad {
-			gb := bias.Grad().Data()
-			pd := gPre.Data()
-			for i := 0; i < m; i++ {
-				row := pd[i*n : (i+1)*n]
-				for j := 0; j < n; j++ {
-					gb[j] += row[j]
+				for j, v := range grow {
+					v *= 1 - yrow[j]*yrow[j]
+					prow[j] = v
+					gb[j] += v
 				}
 			}
 		}
@@ -108,4 +110,33 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 			mustAddScaled(w.Grad(), tmp, 1)
 		}
 	}, x, w, bias)
+}
+
+// ReLU on the bit pattern. The activation's sign is a coin flip per
+// element, so `if v <= 0` and `if y > 0` mispredict half the time in the two
+// hottest scalar sweeps of a training step; the integer forms below decide
+// exactly what those comparisons decide, special values included
+// (TestReLUSpecialValues holds them to the plain ifs).
+
+const (
+	signBit = 1 << 63
+	infBits = 0x7FF << 52 // +Inf; anything above it, sign aside, is a NaN
+)
+
+// relu returns +0 where v <= 0 (negatives, −Inf, both zeros) and v itself
+// elsewhere — NaN of either sign included, so a poisoned pre-activation
+// stays visible.
+func relu(v float64) float64 {
+	u := math.Float64bits(v)
+	// Top bit of drop: sign set, and infBits−|v| did not wrap (not a NaN).
+	drop := u &^ (infBits - u&^signBit)
+	return math.Float64frombits(u &^ uint64(int64(drop)>>63))
+}
+
+// positiveMask is all ones where y > 0 and zero elsewhere (±0, negatives,
+// NaN): y > 0 ⇔ 1 ≤ bits(y) ≤ infBits, and the top bit of u, u−1 or
+// infBits−u is set exactly when u is negative, zero or past +Inf.
+func positiveMask(y float64) uint64 {
+	u := math.Float64bits(y)
+	return ^uint64(int64(u|(u-1)|(infBits-u)) >> 63)
 }

@@ -206,3 +206,88 @@ func TestTapeLifecycle(t *testing.T) {
 	}
 	heapTape.Reset()
 }
+
+// reluTable are the values ReLU's three formulations must agree on: both
+// zeros, both infinities, NaN of either sign, the smallest denormals, the
+// largest finite magnitudes and two ordinary numbers.
+var reluTable = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1.5, -1.5,
+}
+
+func wantBits(t *testing.T, what string, want, got float64) {
+	t.Helper()
+	if math.Float64bits(want) != math.Float64bits(got) {
+		t.Fatalf("%s: got %v (%#x), want %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestReLUSpecialValues holds the fused forward, the fused backward mask and
+// the unfused chain to the plain `if` formulation, bit for bit, on
+// reluTable: v <= 0 gives +0 and anything else — NaN included — passes
+// through; a gradient passes where the output is > 0 and is +0 elsewhere
+// (±0, NaN). First the two bit-mask helpers on every value (a −0
+// pre-activation cannot come out of a product, whose sums start at +0, so
+// only here is it seen), then both graph paths with the table as
+// pre-activations and, rotated through every offset, as upstream gradient.
+func TestReLUSpecialValues(t *testing.T) {
+	plainReLU := func(v float64) float64 {
+		if v <= 0 {
+			return 0
+		}
+		return v
+	}
+	plainMask := func(g, y float64) float64 {
+		if y > 0 {
+			return g
+		}
+		return 0
+	}
+	for _, v := range reluTable {
+		wantBits(t, "relu", plainReLU(v), relu(v))
+		for _, g := range reluTable {
+			wantBits(t, "masked gradient", plainMask(g, v), math.Float64frombits(math.Float64bits(g)&positiveMask(v)))
+		}
+	}
+
+	n := len(reluTable)
+	x := tensor.New(1, 1)
+	x.Data()[0] = 1
+	w, b := NewParam("w", 1, n), NewParam("b", 1, n)
+	copy(w.Value.Data(), reluTable)
+	for j := range b.Value.Data() {
+		b.Value.Data()[j] = math.Copysign(0, -1) // v + (−0) is v
+	}
+	for shift := 0; shift < n; shift++ {
+		g := tensor.New(1, n)
+		y, bGrad := make([]float64, n), make([]float64, n)
+		for j, v := range reluTable {
+			g.Data()[j] = reluTable[(j+shift)%n]
+			y[j] = plainReLU(0 + 1*v + b.Value.Data()[j])
+			bGrad[j] += plainMask(g.Data()[j], y[j])
+		}
+		check := func(path string, out *Node) {
+			for j := range y {
+				wantBits(t, path+" forward", y[j], out.Value.Data()[j])
+				wantBits(t, path+" bias gradient", bGrad[j], b.Grad.Data()[j])
+				wantBits(t, path+" weight gradient", bGrad[j], w.Grad.Data()[j]) // xᵀ·gPre with x = [1]
+			}
+		}
+
+		w.ZeroGrad()
+		b.ZeroGrad()
+		out := LinearAct(Input(x), w.Node(), b.Node(), ActReLU)
+		out.back(g)
+		check("fused", out)
+
+		w.ZeroGrad()
+		b.ZeroGrad()
+		prod := MatMul(Input(x), w.Node())
+		pre := AddBias(prod, b.Node())
+		out = ReLU(pre)
+		out.back(g)
+		pre.back(pre.Grad())
+		prod.back(prod.Grad())
+		check("unfused", out)
+	}
+}

@@ -73,8 +73,8 @@ func (tp *Tape) allocLike(t *tensor.Tensor) *tensor.Tensor {
 
 // allocUninit is alloc without the zeroing, for a tensor whose every element
 // the caller overwrites before reading any: the output of a tensor.MatMul*Into
-// product. Anything written only in part (a masked gradient, an accumulator)
-// needs alloc.
+// product, LinearAct's activation gradient. Anything written only in part or
+// added into (an accumulator) needs alloc.
 func (tp *Tape) allocUninit(shape ...int) *tensor.Tensor {
 	if tp == nil {
 		return tensor.New(shape...)

@@ -18,8 +18,9 @@ import (
 // each workload runs once as it is and once with every recycled
 // uninitialised buffer poisoned with NaN, and must end on the same bits. A
 // consumer that reads an element it did not write first (or writes only part
-// of its buffer, as LinearAct's ReLU gradient does — which is why that one
-// keeps the zeroed alloc) would turn the poison into NaN parameters here.
+// of its buffer — LinearAct's ReLU gradient writes the masked-out elements
+// too, as +0, which is what lets it borrow uninitialised) would turn the
+// poison into NaN parameters here.
 // What those bits are is the golden ledger's business (internal/baselines).
 
 func sameVector(t *testing.T, what string, want, got []float64) {

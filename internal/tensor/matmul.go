@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The MatMul family is the hot path of every SSL forward/backward pass.
 // All three products run on two micro-kernels, each restricted to a
@@ -11,9 +14,11 @@ import "fmt"
 //     are, per output row, orow += Σ_p coef_p·b[p,:] with coef_p = a[i,p]
 //     resp. a[p,i], and both skip coef_p == 0 (ReLU activations make a
 //     sparse, and 0·Inf must never be formed). The kernel compresses the
-//     non-zero coefficients of a block of blockK values of p once — one
-//     data-dependent branch per (i,p), amortised over n — and then streams
-//     orow with four b rows fused per pass (axpyRows),
+//     non-zero coefficients of a block of blockK values of p once, without
+//     a branch (behind a ReLU the zero test is a coin flip, and as a
+//     mispredicted branch per (i,p) it cost as much as the arithmetic it
+//     guards), and then streams orow with four b rows fused per pass
+//     (axpyRows),
 //     orow[j] = (((orow[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) + c3·b3[j],
 //     which is the same left-to-right chain of roundings as four separate
 //     orow[j] += c·b[j] sweeps (what a remainder under four gets) but
@@ -177,10 +182,13 @@ func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			nz := 0
 			for p, at := p0, i*strideI+p0*strideP; p < p1; p, at = p+1, at+strideP {
-				if c := a[at]; c != 0 {
-					coef[nz], brow[nz] = c, p*n
-					nz++
-				}
+				// Store unconditionally, keep the slot only if c != 0: shifting
+				// the sign bit out leaves zero for exactly ±0, and u|−u has its
+				// top bit set for every other pattern (NaN and Inf included).
+				c := a[at]
+				coef[nz], brow[nz] = c, p*n
+				u := math.Float64bits(c) << 1
+				nz += int((u | -u) >> 63)
 			}
 			axpyRows(out[i*n:(i+1)*n], b, brow[:nz], coef[:nz])
 		}

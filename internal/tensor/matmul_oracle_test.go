@@ -128,6 +128,16 @@ func checkAgainstNaive(rng *rand.Rand, m, k, n, zeroPct int) error {
 	at := specialMat(rng, k, m, zeroPct)
 	b := specialMat(rng, k, n, zeroPct)
 	bt := specialMat(rng, n, k, zeroPct)
+	if err := checkOperands(a, at, b, bt); err != nil {
+		return fmt.Errorf("zeros=%d%%: %w", zeroPct, err)
+	}
+	return nil
+}
+
+// checkOperands is the comparison of checkAgainstNaive on given operands:
+// a·b, atᵀ·b and a·btᵀ with a m×k, at k×m, b k×n and bt n×k.
+func checkOperands(a, at, b, bt *Tensor) error {
+	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	want, got := New(m, n), New(m, n)
 	for _, prod := range []struct {
 		name          string
@@ -154,7 +164,7 @@ func checkAgainstNaive(rng *rand.Rand, m, k, n, zeroPct int) error {
 			}
 			path.run()
 			if err := sameBits(want, got); err != nil {
-				return fmt.Errorf("%s %s at m=%d k=%d n=%d zeros=%d%%: %w", prod.name, path.name, m, k, n, zeroPct, err)
+				return fmt.Errorf("%s %s at m=%d k=%d n=%d: %w", prod.name, path.name, m, k, n, err)
 			}
 		}
 	}
@@ -202,6 +212,52 @@ func TestKernelsMatchNaive(t *testing.T) {
 	}
 }
 
+// TestCompactionEdgesMatchNaive drives the row kernel's coefficient
+// compaction where random operands rarely go, with the same coefficients
+// on the a·b path and (transposed) on the strided aᵀ·b path: rows without a
+// single zero, so that a block keeps all blockK coefficients and nz reaches
+// the buffer's length, at k on both sides of one block and into a third;
+// all-zero rows, which keep none; and rows that hold −0, NaN and ±Inf as
+// coefficients next to kept and skipped neighbours — −0 must be skipped
+// (0·Inf must not be formed with the Infs in b), NaN and ±Inf kept.
+func TestCompactionEdgesMatchNaive(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	coefSpecials := []float64{negZero, math.NaN(), math.Inf(1), math.Inf(-1), 0}
+	forceWorkers(t, 2)
+	for _, k := range []int{blockK - 1, blockK, blockK + 1, 2*blockK + 3} {
+		for _, n := range []int{1, 5, 8} {
+			rng := rand.New(rand.NewSource(int64(29 + k)))
+			const m = 9
+			a := New(m, k)
+			for i, v := range RandN(rng, 1, m, k).data {
+				a.data[i] = v + math.Copysign(0.5, v) // never zero
+			}
+			clear(a.data[1*k : 2*k]) // a row that keeps nothing
+			for p := 0; p < k; p++ {
+				a.data[2*k+p] = negZero // nor does this one
+				// Rows 3–6: one special coefficient per four, sliding so that
+				// each kind lands on a block's first and last slot in some row.
+				a.data[(3+p%4)*k+p] = coefSpecials[(p/4)%len(coefSpecials)]
+			}
+			at := New(k, m)
+			for i := 0; i < m; i++ {
+				for p := 0; p < k; p++ {
+					at.data[p*m+i] = a.data[i*k+p]
+				}
+			}
+			b, bt := RandN(rng, 1, k, n), RandN(rng, 1, n, k)
+			for p := 0; p < k; p += 3 {
+				b.data[p*n+p%n] = specials[p%len(specials)]
+			}
+			eachImpl(t, func(impl string) {
+				if err := checkOperands(a, at, b, bt); err != nil {
+					t.Fatalf("%s: %v", impl, err)
+				}
+			})
+		}
+	}
+}
+
 // TestKernelsMatchNaiveWide runs the one shape family the small cases
 // cannot reach: the wide model's 32×1024×256 layer, whose inner dimension
 // spans sixteen coefficient blocks and whose products go through the pool.
@@ -224,6 +280,12 @@ func FuzzMatMulMatchesNaive(f *testing.F) {
 	f.Add(uint8(3), uint8(200), uint8(5), uint8(50), int64(2), uint8(2))
 	f.Add(uint8(33), uint8(129), uint8(38), uint8(90), int64(3), uint8(4))
 	f.Add(uint8(62), uint8(255), uint8(63), uint8(30), int64(4), uint8(1)) // about the largest product the fuzzer can reach
+	// k = blockK−1, blockK, blockK+1 and 2·blockK+3 with no drawn zeros: rows
+	// whose blocks keep every coefficient.
+	f.Add(uint8(8), uint8(blockK-2), uint8(6), uint8(0), int64(5), uint8(0))
+	f.Add(uint8(8), uint8(blockK-1), uint8(6), uint8(0), int64(6), uint8(1))
+	f.Add(uint8(8), uint8(blockK), uint8(6), uint8(0), int64(7), uint8(2))
+	f.Add(uint8(8), uint8(2*blockK+2), uint8(6), uint8(0), int64(8), uint8(3))
 	f.Fuzz(func(t *testing.T, m, k, n, zeroPct uint8, seed int64, workers uint8) {
 		forceWorkers(t, 1+int(workers)%4)
 		eachImpl(t, func(impl string) {
@@ -263,28 +325,34 @@ func BenchmarkFederationShapes(b *testing.B) {
 		{"32x1024x256-dense", 32, 1024, 256, false},
 	} {
 		rng := rand.New(rand.NewSource(4))
-		x := RandN(rng, 1, s.m, s.k)
-		if s.sparseActs {
-			reluSparse(x)
+		// A training step never multiplies the same activations twice: with
+		// one repeated x the branch predictor learns where its zeros are,
+		// and a zero test that is a coin flip in training times as free.
+		xs := make([]*Tensor, 16)
+		for i := range xs {
+			xs[i] = RandN(rng, 1, s.m, s.k)
+			if s.sparseActs {
+				reluSparse(xs[i])
+			}
 		}
 		w := RandN(rng, 1, s.k, s.n)
 		dy := RandN(rng, 1, s.m, s.n)
 		y, dw, dx := New(s.m, s.n), New(s.k, s.n), New(s.m, s.k)
 		for _, prod := range []struct {
 			name string
-			run  func()
+			run  func(x *Tensor)
 		}{
-			{"matmul", func() { MatMulInto(y, x, w) }},
-			{"transa", func() { MatMulTransAInto(dw, x, dy) }},
-			{"transb", func() { MatMulTransBInto(dx, dy, w) }},
-			{"naive-matmul", func() { naiveMatMul(y, x, w) }},
-			{"naive-transa", func() { naiveMatMulTransA(dw, x, dy) }},
-			{"naive-transb", func() { naiveMatMulTransB(dx, dy, w) }},
+			{"matmul", func(x *Tensor) { MatMulInto(y, x, w) }},
+			{"transa", func(x *Tensor) { MatMulTransAInto(dw, x, dy) }},
+			{"transb", func(*Tensor) { MatMulTransBInto(dx, dy, w) }},
+			{"naive-matmul", func(x *Tensor) { naiveMatMul(y, x, w) }},
+			{"naive-transa", func(x *Tensor) { naiveMatMulTransA(dw, x, dy) }},
+			{"naive-transb", func(*Tensor) { naiveMatMulTransB(dx, dy, w) }},
 		} {
 			b.Run(s.name+"/"+prod.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					prod.run()
+					prod.run(xs[i%len(xs)])
 				}
 			})
 		}

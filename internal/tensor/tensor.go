@@ -455,6 +455,35 @@ func SqDist(a, b []float64) float64 {
 	return s
 }
 
+// SqDistRows writes dst[r] = SqDist(a, r-th row of rows), where rows holds
+// len(dst) consecutive vectors of len(a) elements, bit for bit: every row's
+// sum is still Σ (a[i]−row[i])² over ascending i in an accumulator of its
+// own. Four rows go through one pass over a, so four independent additions
+// are in flight where a single SqDist waits out each one's latency. It
+// panics when len(rows) != len(dst)·len(a).
+func SqDistRows(dst, a, rows []float64) {
+	d := len(a)
+	if len(rows) != len(dst)*d {
+		panic(fmt.Sprintf("tensor: SqDistRows got %d values for %d rows of %d", len(rows), len(dst), d))
+	}
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		b0, b1, b2, b3 := rows[r*d:][:d], rows[(r+1)*d:][:d], rows[(r+2)*d:][:d], rows[(r+3)*d:][:d]
+		var s0, s1, s2, s3 float64
+		for i, x := range a {
+			d0, d1, d2, d3 := x-b0[i], x-b1[i], x-b2[i], x-b3[i]
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(dst); r++ {
+		dst[r] = SqDist(a, rows[r*d:(r+1)*d])
+	}
+}
+
 // CosineSim returns the cosine similarity of a and b (0 when either is a
 // zero vector).
 func CosineSim(a, b []float64) float64 {

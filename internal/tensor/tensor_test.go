@@ -266,6 +266,37 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
+// TestSqDistRowsMatchesSqDist holds the four-rows-per-pass primitive to one
+// SqDist per row, bit for bit, on both sides of the four-row pass and its
+// remainder, at vector lengths from empty up, with special values in the
+// vector and the rows (Inf−Inf, NaN, overflowing squares), and checks that
+// nothing past dst's length is written.
+func TestSqDistRowsMatchesSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for rows := 0; rows <= 9; rows++ {
+		for d := 0; d <= 9; d++ {
+			for rep := 0; rep < 20; rep++ {
+				a, b := primVals(rng, d), primVals(rng, rows*d)
+				got := primVals(rng, rows+2)
+				want := append([]float64(nil), got...)
+				for r := 0; r < rows; r++ {
+					want[r] = SqDist(a, b[r*d:(r+1)*d])
+				}
+				SqDistRows(got[:rows], a, b)
+				if err := sameRow(want, got); err != nil {
+					t.Fatalf("%d rows of %d: %v", rows, d, err)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SqDistRows took 5 values for 2 rows of 3")
+		}
+	}()
+	SqDistRows(make([]float64, 2), make([]float64, 3), make([]float64, 5))
+}
+
 func TestLogSumExp(t *testing.T) {
 	v := []float64{0, 0}
 	if !almostEq(LogSumExp(v), math.Log(2)) {
