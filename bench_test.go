@@ -1,12 +1,12 @@
 package calibre
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (DESIGN.md §3). Each benchmark regenerates its
+// evaluation section (indexed in README.md "Experiments"). Each benchmark regenerates its
 // artifact end to end — dataset synthesis, non-i.i.d. partitioning,
 // federated training of every method in the figure, the personalization
 // stage, and (for the t-SNE figures) representation metrics + 2-D
 // embeddings. Benchmarks run at smoke scale so `go test -bench=.` stays
-// tractable; use `go run ./cmd/calibre-bench -scale ci|paper` for the
+// tractable; use `go run ./cmd/calibre fig -scale ci|paper` for the
 // larger reproductions.
 
 import (
@@ -71,5 +71,5 @@ func BenchmarkFig8STL10Embeddings(b *testing.B) { benchmarkExperiment(b, "fig8")
 
 // BenchmarkDesignAblation evaluates this reproduction's own design choices
 // (adaptive K, silhouette quality gate, confidence filter, warm-up; see
-// DESIGN.md §1.1) by switching each off in turn.
+// ARCHITECTURE.md "Design choices") by switching each off in turn.
 func BenchmarkDesignAblation(b *testing.B) { benchmarkExperiment(b, "design") }

@@ -18,19 +18,16 @@
 //	fmt.Println(out.Participants.Summary) // mean ± std accuracy across clients
 //
 // Every table and figure of the paper is reproducible via RunExperiment
-// ("fig1".."fig8", "table1"); see EXPERIMENTS.md for the recorded shapes.
+// ("fig1".."fig8", "table1"); see README.md "Experiments" for the index.
 package calibre
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
-	"sort"
 
 	"calibre/internal/baselines"
-	"calibre/internal/core"
 	"calibre/internal/data"
 	"calibre/internal/eval"
 	"calibre/internal/experiments"
@@ -41,7 +38,6 @@ import (
 	"calibre/internal/param"
 	"calibre/internal/partition"
 	"calibre/internal/ssl"
-	"calibre/internal/store"
 	"calibre/internal/sweep"
 )
 
@@ -50,6 +46,17 @@ import (
 type (
 	// Scale selects experiment size: ScaleSmoke, ScaleCI or ScalePaper.
 	Scale = experiments.Scale
+	// Scenario is one fully specified federation — method, setting, scale,
+	// seed and the federation knobs — in the vocabulary the sweep grids,
+	// the manifests and the `calibre` command line share; its Build method
+	// assembles the World every runtime runs.
+	Scenario = experiments.Scenario
+	// World is a built Scenario: environment, method (aggregator override
+	// applied) and the parsed straggler/adversary/availability knobs.
+	World = experiments.World
+	// Checkpoints says where and how a run snapshots its round state; see
+	// AttachCheckpoints.
+	Checkpoints = experiments.Checkpoints
 	// Environment is a materialized experiment world (data + clients).
 	Environment = experiments.Environment
 	// MethodOutcome is a method's accuracy results on an environment.
@@ -88,28 +95,13 @@ type (
 	// MethodResult pairs a method with its summary and raw accuracies.
 	MethodResult = eval.MethodResult
 
-	// CalibreOptions exposes the paper's hyperparameters (α, τ, K, the
-	// L_n/L_p switches and the aggregation temperature).
-	CalibreOptions = core.Options
-
 	// ServerConfig / ClientConfig / FederationResult run FL over TCP.
 	ServerConfig     = flnet.ServerConfig
 	ClientConfig     = flnet.ClientConfig
 	FederationResult = flnet.Result
 	// Server orchestrates a TCP federation.
 	Server = flnet.Server
-	// StragglerPolicy picks the fate of clients that miss a round
-	// deadline under quorum (K-of-N) aggregation.
-	StragglerPolicy = fl.StragglerPolicy
 
-	// CheckpointStore is a durable directory of versioned federation
-	// snapshots (atomic writes, CRC-validated binary codec, crash
-	// fallback to the previous good version).
-	CheckpointStore = store.Store
-	// Snapshot is one durable checkpoint: metadata plus round state.
-	Snapshot = store.Snapshot
-	// SnapshotMeta describes which federation a snapshot belongs to.
-	SnapshotMeta = store.Meta
 	// SimState is a federation's complete resumable round state; both the
 	// simulator (SimConfig) and the TCP server (ServerConfig) emit it via
 	// OnCheckpoint and accept it back via ResumeFrom.
@@ -122,8 +114,6 @@ type (
 	// timeouts, the resumable manifest directory and per-cell durable
 	// checkpoints.
 	SweepConfig = sweep.Config
-	// SweepCell is one fully specified scenario of a grid.
-	SweepCell = sweep.Cell
 	// SweepCellResult is one cell's typed outcome.
 	SweepCellResult = sweep.CellResult
 	// SweepResult is a completed sweep: every cell outcome in canonical
@@ -180,13 +170,6 @@ const (
 	MetricUplinkDenseBytes = obs.CounterUplinkDenseBytes
 )
 
-// Straggler policies for asynchronous federations (ServerConfig.Straggler):
-// requeue keeps deadline-missers in the federation, drop evicts them.
-const (
-	StragglerRequeue = fl.StragglerRequeue
-	StragglerDrop    = fl.StragglerDrop
-)
-
 // Experiment scales.
 const (
 	ScaleSmoke = experiments.ScaleSmoke
@@ -204,23 +187,12 @@ func RunExperiment(ctx context.Context, id string, scale Scale, seed int64) (*Re
 }
 
 // SettingNames lists the paper's dataset/partition settings.
-func SettingNames() []string {
-	m := experiments.Settings()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func SettingNames() []string { return experiments.SettingNames() }
 
-// NewEnvironment builds the experiment world for a named setting.
+// NewEnvironment builds the experiment world for a named setting; an
+// unknown name is an error that lists the valid ones.
 func NewEnvironment(setting string, scale Scale, seed int64) (*Environment, error) {
-	s, ok := experiments.Settings()[setting]
-	if !ok {
-		return nil, fmt.Errorf("calibre: unknown setting %q (have %v)", setting, SettingNames())
-	}
-	return experiments.BuildEnvironment(s, scale, seed)
+	return Scenario{Setting: setting, Scale: scale, Seed: seed}.Environment()
 }
 
 // MethodNames lists every runnable method: the paper's baselines, the
@@ -244,26 +216,27 @@ func RunCustom(ctx context.Context, env *Environment, m *Method) (*MethodOutcome
 	return experiments.RunBuiltMethod(ctx, env, m)
 }
 
-// OpenCheckpointStore opens (creating if needed) a durable checkpoint
-// directory for crash-recoverable training; see RunResumable and
-// ServerConfig.OnCheckpoint/ResumeFrom.
-func OpenCheckpointStore(dir string) (*CheckpointStore, error) { return store.Open(dir) }
-
 // RunResumable is Run with durability: round state is snapshotted into dir
 // every `every` rounds (≤0 means every round), and a rerun after a crash
 // resumes from the latest snapshot, bit-identical to a run that never
 // stopped. Snapshots are fingerprint-bound to the (method, setting, seed,
-// population) combination; inspect them with the calibre-ckpt CLI.
-// Methods carrying cross-round client state a snapshot cannot capture
-// (fedema, fedper/fedrep/fedbabu/lg-fedavg, scaffold, apfl, ditto, and
-// the byol/mocov2 SSL flavors) are refused with fl.ErrStatefulResume —
-// use Run for those.
+// population) combination; inspect them with `calibre ckpt`. Methods
+// carrying cross-round client state a snapshot cannot capture (fedema,
+// fedper/fedrep/fedbabu/lg-fedavg, scaffold, apfl, ditto, and the
+// byol/mocov2 SSL flavors) are refused with fl.ErrStatefulResume — use Run
+// for those.
 func RunResumable(ctx context.Context, env *Environment, methodName, dir string, every int) (*MethodOutcome, error) {
-	ckpt, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.RunMethodResumable(ctx, env, methodName, ckpt, every)
+	return experiments.RunMethodResumable(ctx, env, methodName, dir, every)
+}
+
+// AttachCheckpoints opens the checkpoint directory c names (atomic
+// versioned snapshot files, CRC-validated, crash fallback to the previous
+// good version) and returns the wiring for a federation of m: the
+// OnCheckpoint hook and stride to set on a ServerConfig, and — with
+// c.Resume — the ResumeFrom state of the latest matching snapshot. It is
+// what RunResumable, every sweep cell and `calibre serve` use.
+func AttachCheckpoints(m *Method, c Checkpoints) (*experiments.Attached, error) {
+	return experiments.AttachCheckpoints(m, c)
 }
 
 // RunSweep executes a declarative scenario grid — every (method,
@@ -273,7 +246,7 @@ func RunResumable(ctx context.Context, env *Environment, methodName, dir string,
 // cfg.Resume (skipping finished cells, byte-identical final report), and
 // cfg.CheckpointEvery threads per-cell round checkpoints through the
 // resume machinery. Results are bit-identical at any cfg.Workers count.
-// The calibre-sweep CLI wraps this (plan/run/resume/report).
+// `calibre sweep` wraps this (plan/run/resume/report).
 func RunSweep(ctx context.Context, grid *SweepGrid, cfg SweepConfig) (*SweepResult, error) {
 	return sweep.Run(ctx, grid, cfg)
 }
@@ -326,24 +299,24 @@ func ParseHealthRules(spec string) (HealthConfig, error) { return health.ParseRu
 // SimConfig.Health or ServerConfig.Health (for sweeps, set the config on
 // SweepConfig.Health instead — one fresh monitor per cell), read the
 // verdict with its Diagnosis method, or serve it alongside the metrics
-// endpoints (calibre-server -health, calibre-sweep run -health). The
-// calibre-doctor CLI reaches the same verdict live over /metrics or
-// offline from a flight-recorder trace.
+// endpoints (calibre serve -health, calibre sweep run -health). `calibre
+// doctor` reaches the same verdict live over /metrics or offline from a
+// flight-recorder trace.
 func NewHealthMonitor(cfg *HealthConfig) *HealthMonitor { return health.NewMonitor(cfg) }
 
 // ServeMetrics binds addr (port 0 picks a free one) and serves the
 // registry read-only over HTTP — /metrics as a JSON MetricsSnapshot,
-// /metrics/prom as Prometheus text — exactly what the calibre-server and
-// calibre-sweep `-metrics-addr` flags do, and what `calibre-sweep watch`
-// polls. Tear down with the returned server's Shutdown.
+// /metrics/prom as Prometheus text — exactly what the `-metrics-addr` flag
+// of `calibre serve` and `calibre sweep run` does, and what `calibre sweep
+// watch` polls. Tear down with the returned server's Shutdown.
 func ServeMetrics(addr string, reg *MetricsRegistry) (*http.Server, net.Addr, error) {
 	return obs.Serve(addr, reg)
 }
 
-// NewServer starts a TCP federation server (see cmd/calibre-server).
+// NewServer starts a TCP federation server (see `calibre serve`).
 func NewServer(cfg ServerConfig) (*Server, error) { return flnet.NewServer(cfg) }
 
-// RunClient joins a TCP federation as one client (see cmd/calibre-client).
+// RunClient joins a TCP federation as one client (see `calibre join`).
 func RunClient(ctx context.Context, cfg ClientConfig) error { return flnet.RunClient(ctx, cfg) }
 
 // NewSyntheticDataset generates a labeled synthetic dataset from a spec

@@ -9,8 +9,8 @@
 # dirs — they exist to prove the harnesses run, not to refresh the
 # committed numbers. When the kernels or the sweep scheduler change,
 # regenerate the tracked files with a full measurement:
-#   go run ./cmd/calibre-bench -exp kernels -out .
-#   go run ./cmd/calibre-bench -exp sweep -out .
+#   go run ./cmd/calibre perf kernels -out .
+#   go run ./cmd/calibre perf sweep -out .
 # What a federation round costs, and where, is bench/'s question:
 #   go run -C bench . --workload sim-calibre
 # (see README.md "Benchmark harness").
@@ -30,6 +30,12 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+# One command line: cmd/ holds exactly one main package.
+if [ "$(ls cmd)" != "calibre" ]; then
+    echo "cmd/ must contain exactly one directory, calibre; found:" >&2
+    ls cmd >&2
+    exit 1
+fi
 
 # -shuffle=on: no test may depend on state a neighbour left behind (the
 # kernel oracle tests resize the shared worker pool and restore it).
@@ -97,10 +103,14 @@ go test -run '^$' -fuzz '^FuzzMatMulMatchesNaive$' -fuzztime 5s ./internal/tenso
 # The harness re-reads the file it wrote and exits non-zero if it does not
 # parse, does not record kernel_impl, or a serial-path shape reports
 # allocs_op > 0.
+# Both harnesses run from one build of the binary.
+bin="$(mktemp -d)/calibre"
+go build -o "$bin" ./cmd/calibre
+
 echo "== kernel bench (quick) =="
-go run ./cmd/calibre-bench -exp kernels -quick -out "$(mktemp -d)"
+"$bin" perf kernels -quick -out "$(mktemp -d)"
 
 echo "== sweep bench (quick) =="
-go run ./cmd/calibre-bench -exp sweep -quick -out "$(mktemp -d)"
+"$bin" perf sweep -quick -out "$(mktemp -d)"
 
 echo "CI gate passed."

@@ -1,0 +1,202 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"calibre/internal/sweep"
+)
+
+func TestCompareSmoke(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"compare", "-scale", "smoke", "-seed", "7", "fedavg-ft"})
+	})
+	if !strings.Contains(out, "fedavg-ft") || !strings.Contains(out, "mean=") {
+		t.Fatalf("output not parseable:\n%s", out)
+	}
+}
+
+func TestCompareAblationVariantSmoke(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"compare", "-scale", "smoke", "-seed", "7", "calibre-simclr[base]"})
+	})
+	if !strings.Contains(out, "calibre-simclr[base]") {
+		t.Fatalf("output not parseable:\n%s", out)
+	}
+}
+
+// TestCompareDiffSweeps runs the issue's flagship diff: the same grid
+// once with the dense update wire and once with the XOR-delta wire, then
+// diffs the two sweep CSVs method-by-method. The delta wire is lossless,
+// so every drift column must be exactly zero.
+func TestCompareDiffSweeps(t *testing.T) {
+	writeCells := func(delta bool) string {
+		t.Helper()
+		g := &sweep.Grid{
+			Methods:      []string{"fedavg", "fedavg-ft"},
+			Settings:     []string{"cifar10-q(2,500)"},
+			Seeds:        []int64{1},
+			DeltaUpdates: []bool{delta},
+		}
+		res, err := sweep.Run(context.Background(), g, sweep.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "sweep-cells.csv")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := sweep.NewReport(res).WriteCellsCSV(f); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	dense, deltaCSV := writeCells(false), writeCells(true)
+
+	// The lossless-wire guarantee, asserted exactly: parse both CSVs and
+	// require bitwise-equal summaries per (method, seed) — the printed
+	// "+0.0000" columns round and could hide sub-precision drift.
+	parse := func(path string) map[string]sweep.CellRow {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		rows, err := sweep.ReadCellsCSV(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]sweep.CellRow, len(rows))
+		for _, r := range rows {
+			out[fmt.Sprintf("%s|%s|%d", r.Method, r.Setting, r.Seed)] = r
+		}
+		return out
+	}
+	a, b := parse(dense), parse(deltaCSV)
+	if len(a) != 2 || len(b) != 2 {
+		t.Fatalf("expected 2 cells per sweep, got %d and %d", len(a), len(b))
+	}
+	for k, ra := range a {
+		rb, ok := b[k]
+		if !ok {
+			t.Fatalf("cell %s missing from the delta sweep", k)
+		}
+		if ra.Mean != rb.Mean || ra.Variance != rb.Variance || ra.Std != rb.Std || ra.Bottom10 != rb.Bottom10 {
+			t.Fatalf("delta wire drifted on %s:\n%+v\nvs\n%+v", k, ra, rb)
+		}
+	}
+
+	// Dense vs delta wire: the cells differ in the wire axis (and thus in
+	// full key), but the A/B join matches them per (method, env).
+	out := captureStdout(t, func() error {
+		return run([]string{"diff", "sweep", dense, deltaCSV})
+	})
+	if !strings.Contains(out, "sweep diff:") || !strings.Contains(out, "fedavg-ft") {
+		t.Fatalf("diff output not parseable:\n%s", out)
+	}
+	if !strings.Contains(out, "+0.0000") || !strings.Contains(out, "+0.00000") {
+		t.Fatalf("dense vs delta should show zero drift:\n%s", out)
+	}
+	if strings.Contains(out, "only in") {
+		t.Fatalf("all cells should be matched by the A/B join:\n%s", out)
+	}
+}
+
+func TestCompareRejectsBadInput(t *testing.T) {
+	if err := run([]string{"compare", "-scale", "smoke"}); err == nil {
+		t.Fatal("no methods accepted")
+	}
+	if err := run([]string{"compare", "-setting", "nope", "fedavg-ft"}); err == nil {
+		t.Fatal("unknown setting accepted")
+	}
+	if err := run([]string{"compare", "-scale", "smoke", "calibre-simclr[bogus]"}); err == nil {
+		t.Fatal("unknown regularizer combo accepted")
+	}
+}
+
+// TestCompareBenchDiff diffs two synthetic `calibre perf` envelopes and
+// pins the satellite fix: a gomaxprocs mismatch must produce an explicit
+// warning instead of a silent timings comparison, and both files'
+// environments must ride along in the output.
+func TestCompareBenchDiff(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, gomaxprocs, nsOp int) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		body := fmt.Sprintf(`{"schema":"calibre/bench-kernels/v1","goos":"linux","goarch":"amd64","gomaxprocs":%d,"workers":1,"records":[{"op":"matmul","shape":"64x64x64","ns_op":%d,"allocs_op":0}]}`, gomaxprocs, nsOp)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a := write("a.json", 1, 1000)
+	b := write("b.json", 8, 500)
+
+	oldErr := os.Stderr
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stderr = w
+	errCh := make(chan string)
+	go func() {
+		buf, _ := io.ReadAll(r)
+		errCh <- string(buf)
+	}()
+	out := captureStdout(t, func() error {
+		return run([]string{"diff", "bench", a, b})
+	})
+	w.Close()
+	os.Stderr = oldErr
+	stderr := <-errCh
+
+	if !strings.Contains(out, "gomaxprocs=1") || !strings.Contains(out, "gomaxprocs=8") {
+		t.Fatalf("both environments must be printed with the diff:\n%s", out)
+	}
+	if !strings.Contains(out, "ns_op 1000 → 500 (-50.0%)") {
+		t.Fatalf("record diff missing:\n%s", out)
+	}
+	if !strings.Contains(stderr, "warning:") || !strings.Contains(stderr, "gomaxprocs 1 vs 8") {
+		t.Fatalf("gomaxprocs mismatch must warn on stderr, got:\n%s", stderr)
+	}
+
+	// Identical environments: no warning.
+	c := write("c.json", 1, 900)
+	os.Stderr, _ = os.Open(os.DevNull)
+	r2, w2, _ := os.Pipe()
+	os.Stderr = w2
+	errCh2 := make(chan string)
+	go func() {
+		buf, _ := io.ReadAll(r2)
+		errCh2 <- string(buf)
+	}()
+	captureStdout(t, func() error {
+		return run([]string{"diff", "bench", a, c})
+	})
+	w2.Close()
+	os.Stderr = oldErr
+	if s := <-errCh2; strings.Contains(s, "warning:") {
+		t.Fatalf("identical environments should not warn:\n%s", s)
+	}
+}
+
+func TestCompareBenchRejectsNonEnvelope(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"foo":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"diff", "bench", bad, bad}); err == nil {
+		t.Fatal("non-envelope JSON accepted")
+	}
+	if err := run([]string{"diff", "bench", bad}); err == nil {
+		t.Fatal("single argument accepted")
+	}
+}

@@ -91,7 +91,7 @@ func (f *fedAvg) Personalize(ctx context.Context, rng *rand.Rand, client *partit
 // standard first-order variant: federated training is Reptile-style (local
 // multi-step SGD, server averaging — the inner loop), and personalization
 // performs test-time adaptation of the whole model on the client's local
-// data. See DESIGN.md §1 for the substitution note.
+// data. See ARCHITECTURE.md "Synthetic substitutions".
 type perFedAvg struct {
 	*supBase
 	adaptEpochs int

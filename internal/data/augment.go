@@ -8,7 +8,7 @@ import (
 
 // Augmenter produces stochastic views of a sample for self-supervised
 // learning. The transforms correspond to the image augmentations used by
-// SimCLR-family methods (see DESIGN.md §1):
+// SimCLR-family methods (see ARCHITECTURE.md "Synthetic substitutions"):
 //
 //   - additive Gaussian noise   ↔ color jitter / blur
 //   - coordinate dropout        ↔ random cropping (occludes observation dims)

@@ -1,6 +1,6 @@
 // Package data provides the synthetic datasets standing in for CIFAR-10,
-// CIFAR-100 and STL-10 (see DESIGN.md §1), plus the SSL augmentation
-// pipeline.
+// CIFAR-100 and STL-10 (see ARCHITECTURE.md "Synthetic substitutions"),
+// plus the SSL augmentation pipeline.
 //
 // Each sample is produced by a latent-factor model: a class-determined core
 // vector plus nuisance "style" factors, both pushed through fixed random

@@ -8,8 +8,9 @@ import (
 	"calibre/internal/tensor"
 )
 
-// Spec describes a synthetic dataset family. See DESIGN.md §1 for how the
-// parameters map onto the image datasets used in the paper.
+// Spec describes a synthetic dataset family. ARCHITECTURE.md "Synthetic
+// substitutions" says how the parameters map onto the image datasets used
+// in the paper.
 type Spec struct {
 	Name       string
 	NumClasses int

@@ -136,7 +136,8 @@ func Run(ctx context.Context, id string, scale Scale, seed int64) (*Report, erro
 }
 
 // DesignVariant builds a Calibre (SimCLR) method with one reproduction
-// design choice toggled off (see DESIGN.md §1.1). Supported variants:
+// design choice toggled off (see ARCHITECTURE.md "Design choices").
+// Supported variants:
 // "full", "fixed-k", "no-gate", "no-filter", "no-warmup".
 func DesignVariant(env *Environment, variant string) (*fl.Method, error) {
 	cfg := core.DefaultConfig(env.Arch, "simclr", env.NumClasses)
@@ -165,7 +166,7 @@ func DesignVariant(env *Environment, variant string) (*fl.Method, error) {
 }
 
 // runDesignAblation evaluates the reproduction-specific design choices
-// documented in DESIGN.md §1.1 by switching each off in turn.
+// listed in ARCHITECTURE.md "Design choices" by switching each off in turn.
 func runDesignAblation(ctx context.Context, scale Scale, seed int64) (*Report, error) {
 	env, err := BuildEnvironment(settingCIFAR10Q(), scale, seed)
 	if err != nil {

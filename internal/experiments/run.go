@@ -14,7 +14,6 @@ import (
 	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/ssl"
-	"calibre/internal/store"
 	"calibre/internal/tensor"
 )
 
@@ -40,7 +39,7 @@ func baselineConfig(env *Environment) baselines.Config {
 
 // warmupFor scales Calibre's regularizer warm-up to the round budget: a
 // quarter of the rounds, capped at the default 10 (so the ci and paper
-// scales match the recorded EXPERIMENTS.md settings and short smoke runs
+// scales match the settings recorded in README "Experiments" and short smoke runs
 // still reach the calibration phase).
 func warmupFor(p Preset) int {
 	w := p.Rounds / 4
@@ -65,68 +64,46 @@ func RunMethod(ctx context.Context, env *Environment, name string) (*MethodOutco
 	if err != nil {
 		return nil, err
 	}
-	return RunBuiltMethod(ctx, env, m)
+	return RunBuiltMethodWith(ctx, env, m, nil)
 }
 
 // RunBuiltMethod is RunMethod for an externally constructed method (used by
 // the Table I ablation, which toggles Calibre's regularizers directly).
 func RunBuiltMethod(ctx context.Context, env *Environment, m *fl.Method) (*MethodOutcome, error) {
-	return runBuilt(ctx, env, m, nil)
-}
-
-// RunBuiltMethodWith is RunBuiltMethod with access to the simulator
-// configuration: mutate (may be nil) runs after the preset-derived fields
-// are filled and can adjust any knob — parallelism budgets, the delta
-// wire, quorum/dropout/straggler policies, checkpoint wiring. The sweep
-// engine drives every cell through this entry point.
-func RunBuiltMethodWith(ctx context.Context, env *Environment, m *fl.Method, mutate func(*fl.SimConfig)) (*MethodOutcome, error) {
-	return runBuilt(ctx, env, m, mutate)
+	return RunBuiltMethodWith(ctx, env, m, nil)
 }
 
 // RunMethodResumable is RunMethod with durable round snapshots: round
-// state is checkpointed into ckpt every `every` rounds (≤0 means every
-// round) and, when the store already holds a matching snapshot, training
+// state is checkpointed into dir every `every` rounds (≤0 means every
+// round) and, when dir already holds a matching snapshot, training
 // resumes from it instead of starting over — the crash-recovery path for
-// long simulator runs. The snapshot fingerprint binds the store to this
-// (method, setting, scale, seed, population) combination; resuming under a
-// different configuration fails with store.ErrFingerprintMismatch.
-// Methods carrying cross-round state a snapshot cannot capture (FedEMA,
-// the partial-personalization family, SCAFFOLD, APFL, Ditto, and the
-// BYOL/MoCo SSL flavors with their momentum state) are refused upfront
-// with fl.ErrStatefulResume — their checkpoints could never be resumed,
-// so writing them would only waste the crash-recovery budget. Run such
-// methods with RunMethod instead.
-func RunMethodResumable(ctx context.Context, env *Environment, name string, ckpt *store.Store, every int) (*MethodOutcome, error) {
+// long simulator runs. The snapshot fingerprint binds the directory to
+// this (method, setting, seed, preset, population) combination; resuming
+// under a different configuration fails with store.ErrFingerprintMismatch.
+// Methods carrying cross-round state are refused upfront (see
+// fl.ErrStatefulResume); run those with RunMethod.
+func RunMethodResumable(ctx context.Context, env *Environment, name, dir string, every int) (*MethodOutcome, error) {
 	m, err := BuildMethod(env, name)
 	if err != nil {
 		return nil, err
 	}
-	if !fl.Resumable(m) {
-		return nil, fmt.Errorf("experiments: %s: %w (use RunMethod)", name, fl.ErrStatefulResume)
-	}
-	// The fingerprint covers every training-affecting knob — the whole
-	// preset except Rounds (which resume legitimately extends) — so a
-	// checkpoint can never silently continue under a drifted configuration.
-	preset := env.Preset
-	preset.Rounds = 0
-	fp := store.Fingerprint("simulator", name, env.Setting.Name,
-		fmt.Sprint(env.Seed), fmt.Sprintf("%+v", preset), fmt.Sprint(len(env.Participants)))
-	snap, _, err := ckpt.Resume(fp)
-	if err != nil {
-		return nil, err
-	}
-	return runBuilt(ctx, env, m, func(cfg *fl.SimConfig) {
-		cfg.CheckpointEvery = every
-		if snap != nil {
-			cfg.ResumeFrom = &snap.State
-		}
-		cfg.OnCheckpoint = ckpt.SaveHook(store.Meta{Seed: env.Seed, Fingerprint: fp, Runtime: "simulator"}, nil)
+	ck, err := AttachCheckpoints(m, Checkpoints{
+		Dir: dir, Every: every, Resume: true,
+		Seed: env.Seed, Fingerprint: simulatorFingerprint(env, name), Runtime: "simulator",
 	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return RunBuiltMethodWith(ctx, env, m, ck.ConfigureSim)
 }
 
-// runBuilt drives the simulator and both personalization stages; mutate,
-// when non-nil, adjusts the simulator config (checkpoint wiring).
-func runBuilt(ctx context.Context, env *Environment, m *fl.Method, mutate func(*fl.SimConfig)) (*MethodOutcome, error) {
+// RunBuiltMethodWith drives the simulator and both personalization stages
+// for an already built method — the one runner every other Run* and every
+// sweep cell goes through. mutate (may be nil) runs after the
+// preset-derived fields are filled and can adjust any knob: parallelism
+// budgets, the delta wire, quorum/dropout/straggler policies, checkpoint
+// wiring.
+func RunBuiltMethodWith(ctx context.Context, env *Environment, m *fl.Method, mutate func(*fl.SimConfig)) (*MethodOutcome, error) {
 	cfg := fl.SimConfig{
 		Rounds:          env.Preset.Rounds,
 		ClientsPerRound: env.Preset.ClientsPerRound,

@@ -2,8 +2,8 @@
 // evaluation section. Each experiment is identified by the paper's label
 // (fig1..fig8, table1) and can run at three scales (smoke/ci/paper); the
 // paper scale matches §V-A's setup (100 clients + 50 novel, 200 rounds, 10
-// clients per round), while smaller scales keep CI fast. See DESIGN.md §3
-// for the experiment index and §5 for the scale table.
+// clients per round), while smaller scales keep CI fast. README.md
+// "Experiments" has the experiment index and the scale table.
 package experiments
 
 import (
@@ -94,8 +94,8 @@ type Setting struct {
 	PaperUnlabeled int
 	// TrainLabelNoise is the fraction of training labels flipped to a
 	// random other class (annotation noise; test labels stay clean). See
-	// DESIGN.md §1: this is part of the synthetic stand-in for real image
-	// datasets' intrinsic label hardness.
+	// ARCHITECTURE.md "Synthetic substitutions": this is part of the
+	// synthetic stand-in for real image datasets' intrinsic label hardness.
 	TrainLabelNoise float64
 }
 
@@ -123,8 +123,8 @@ func settingCIFAR100D() Setting {
 	return Setting{Name: "cifar100-d(0.3,500)", Spec: data.CIFAR100Spec(), Kind: PartDirichlet, DirichletAlpha: 0.3, PaperSamples: 500}
 }
 
-// Settings returns a named setting; see DESIGN.md §3 for which figures use
-// which.
+// Settings returns the named settings; README.md "Experiments" says which
+// figures use which.
 func Settings() map[string]Setting {
 	out := map[string]Setting{}
 	for _, s := range []Setting{

@@ -256,7 +256,7 @@ type RoundStats struct {
 }
 
 // String renders the round on one log line, including straggler accounting
-// when present; cmd/calibre-server and examples use it for OnRound output.
+// when present; `calibre serve` and examples use it for OnRound output.
 func (r RoundStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "round %d: participants=%v mean-loss=%.4f", r.Round, r.Participants, r.MeanLoss)

@@ -254,7 +254,7 @@ func TestHealthVerdictsDeterministicAcrossWorkers(t *testing.T) {
 // warm-started from the checkpoint's history, so its loss-trend verdicts
 // — including alerts that only fire after the cut — match a monitor that
 // watched the whole run live. Per-client windows are not part of
-// SimState (replay a trace through calibre-doctor for those), so the
+// SimState (replay a trace through `calibre doctor` for those), so the
 // test disables the per-client rules.
 func TestHealthWarmStartResume(t *testing.T) {
 	const total, cut = 8, 4
@@ -325,7 +325,7 @@ func TestHealthWarmStartResume(t *testing.T) {
 	}
 }
 
-// TestHealthRingReplayMatchesLive pins the calibre-doctor equivalence:
+// TestHealthRingReplayMatchesLive pins the `calibre doctor` equivalence:
 // replaying the obs round ring (which carries per-client detail whenever
 // a monitor was attached) through a fresh monitor reproduces the live
 // monitor's diagnosis exactly.

@@ -191,7 +191,7 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 		// resumed run re-derives the federation-level verdicts an
 		// uninterrupted one would (re-announcing past alerts). Per-client
 		// loss/norm detail is not part of SimState — replay a trace
-		// through calibre-doctor for per-client outlier windows.
+		// through `calibre doctor` for per-client outlier windows.
 		if cfg.Health != nil {
 			for _, h := range st.History {
 				c.diagnose(c.sample(h))

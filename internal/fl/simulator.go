@@ -101,7 +101,7 @@ type SimConfig struct {
 	// bare one (pinned by TestHealthDoesNotPerturbRun). On resume the
 	// monitor is warm-started by replaying the checkpoint's per-round
 	// history (federation-level series only; per-client norm windows are
-	// not part of SimState — replay a trace through calibre-doctor for
+	// not part of SimState — replay a trace through `calibre doctor` for
 	// full-fidelity post-mortems).
 	Health *health.Monitor
 	// OnAlert, if set, receives every alert Health raises, from the

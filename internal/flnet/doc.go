@@ -4,7 +4,7 @@
 // mirrors the in-process
 // simulator in internal/fl (same Trainer/Aggregator/Personalizer contracts)
 // so any method can be run distributed without modification. The
-// cmd/calibre-server and cmd/calibre-client binaries are thin wrappers
+// `calibre serve` and `calibre join` commands (cmd/calibre) are thin wrappers
 // around this package.
 //
 // # Wire protocol
@@ -151,7 +151,7 @@
 //
 // # Durability
 //
-// With ServerConfig.OnCheckpoint set (cmd/calibre-server wires it to an
+// With ServerConfig.OnCheckpoint set (`calibre serve` wires it to an
 // internal/store.Store via -checkpoint-dir), the server hands the hook an
 // immutable view of its complete round state — round counter, global
 // vector, RoundStats history and the per-round sampling-pool sizes — after

@@ -110,7 +110,7 @@ func TestServerHealthSuspectsOverTCP(t *testing.T) {
 	}
 
 	// The round ring now carries per-client detail: replaying it through
-	// a fresh monitor (the calibre-doctor live path) reproduces the
+	// a fresh monitor (the `calibre doctor` live path) reproduces the
 	// verdict.
 	replay := health.NewMonitor(nil)
 	for _, s := range snap.Rounds {

@@ -116,7 +116,7 @@ type ServerConfig struct {
 	// method is stateless across rounds. An Aggregator declaring
 	// fl.Stateful is refused at validation (fl.ErrStatefulResume);
 	// trainer-side state lives in the client processes where this server
-	// cannot see it, so the CLI layer (calibre-server), which builds the
+	// cannot see it, so the CLI layer (`calibre serve`), which builds the
 	// full method, refuses stateful methods before configuring resume.
 	ResumeFrom *fl.SimState
 }

@@ -47,6 +47,6 @@
 // (fl.SimConfig.Health, flnet.ServerConfig.Health, sweep.Config.Health)
 // and feed it one obs.RoundSample per completed round; Handler mounts
 // /healthz (JSON) and /healthz/prom next to the /metrics endpoints; and
-// cmd/calibre-doctor runs the same detectors against a live /metrics
-// endpoint or a recorded calibre-trace file.
+// `calibre doctor` runs the same detectors against a live /metrics
+// endpoint or a recorded flight-recorder trace.
 package health

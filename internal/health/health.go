@@ -106,7 +106,7 @@ type ClientScore struct {
 }
 
 // Diagnosis is the monitor's full verdict at one instant — what /healthz
-// serves and calibre-doctor renders.
+// serves and `calibre doctor` renders.
 type Diagnosis struct {
 	// Rounds is the number of round samples observed.
 	Rounds int `json:"rounds"`

@@ -8,9 +8,9 @@ import (
 )
 
 // WriteText renders the diagnosis as the deterministic plain-text report
-// calibre-doctor prints: alert list in raise order, suspect set, then
+// `calibre doctor` prints: alert list in raise order, suspect set, then
 // the client table ranked least-healthy first. No wall-clock facts
-// appear, so equal diagnoses render byte-equal (calibre-doctor's
+// appear, so equal diagnoses render byte-equal (cmd/calibre's
 // TestDoctorReplayMatchesLiveMonitor compares the text).
 func (d Diagnosis) WriteText(w io.Writer) error {
 	if len(d.Alerts) == 0 && d.Critical == 0 {

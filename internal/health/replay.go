@@ -10,9 +10,9 @@ import (
 // ReplaySamples reconstructs, from one federation's flight-recorder
 // events, the per-round obs.RoundSample stream the producing runtime fed
 // its live monitor. Feeding the result through a fresh Monitor with the
-// same Config reproduces the live diagnosis — that is calibre-doctor's
+// same Config reproduces the live diagnosis — that is `calibre doctor replay`'s
 // replay mode, pinned by fl's TestHealthRingReplayMatchesLive and
-// calibre-doctor's TestDoctorReplayMatchesLiveMonitor.
+// cmd/calibre's TestDoctorReplayMatchesLiveMonitor.
 //
 // The mapping inverts what the runtimes emit (see internal/fl and
 // internal/flnet):

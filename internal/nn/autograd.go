@@ -1,7 +1,8 @@
 // Package nn provides a small reverse-mode automatic-differentiation engine,
 // neural-network layers, loss functions, and optimizers built on
 // internal/tensor. It is the training substrate standing in for the deep
-// learning framework used by the Calibre paper (see DESIGN.md §1).
+// learning framework used by the Calibre paper (see ARCHITECTURE.md
+// "Synthetic substitutions").
 //
 // The engine is define-by-run: every operation on *Node values records a
 // backward closure; calling Backward on a scalar loss node topologically

@@ -47,8 +47,8 @@
 //	               snapshot (deterministic ordering, golden-tested)
 //
 // Serve binds a listener and serves Handler in the background; the
-// calibre-server and calibre-sweep binaries expose it behind their
-// -metrics-addr flags, and `calibre-sweep watch` polls the JSON view to
+// `calibre serve` and `calibre sweep run` expose it behind their
+// -metrics-addr flag, and `calibre sweep watch` polls the JSON view to
 // render live cell/round progress. ServePprof serves the net/http/pprof
 // profiling suite on a separate listener (-pprof-addr on the same
 // binaries), kept apart from the metrics surface on purpose.

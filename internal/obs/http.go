@@ -32,7 +32,7 @@ func Handler(reg *Registry) http.Handler {
 // Serve binds addr (host:port; port 0 picks a free one) and serves
 // Handler(reg) in a background goroutine. The returned server supports
 // graceful teardown via Shutdown; the returned address is the bound
-// listener address, which callers print so scrapers and `calibre-sweep
+// listener address, which callers print so scrapers and `calibre sweep
 // watch` know where to point.
 func Serve(addr string, reg *Registry) (*http.Server, net.Addr, error) {
 	return ServeHandler(addr, Handler(reg))
@@ -58,7 +58,7 @@ func ServeHandler(addr string, h http.Handler) (*http.Server, net.Addr, error) {
 // background goroutine. It registers the handlers on a private mux — the
 // pprof import's http.DefaultServeMux side effect is not relied on — so
 // the profiling surface only exists on this listener, never on the
-// metrics one. The calibre-server and calibre-sweep binaries expose it
+// metrics one. `calibre serve` and `calibre sweep run` expose it
 // behind -pprof-addr.
 func ServePprof(addr string) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)

@@ -9,7 +9,7 @@ import (
 )
 
 // Canonical counter names the runtimes feed. Keeping them as constants
-// means the JSON endpoint, the Prometheus encoder and `calibre-sweep
+// means the JSON endpoint, the Prometheus encoder and `calibre sweep
 // watch` agree on spelling without a shared schema file.
 const (
 	// CounterRounds counts completed federated rounds (simulator and

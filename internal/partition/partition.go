@@ -28,7 +28,7 @@ const TrainFrac = 0.8
 
 // classPool cycles through the sample indices of one class, reshuffling at
 // wrap-around so small global datasets can still serve many clients
-// (documented sample reuse; see DESIGN.md §1).
+// (documented sample reuse; see ARCHITECTURE.md "Synthetic substitutions").
 type classPool struct {
 	rng *rand.Rand
 	idx []int

@@ -19,7 +19,8 @@ import (
 
 // Arch fixes the backbone architecture. The paper uses a ResNet-18 encoder
 // with 512-d features; this reproduction uses an MLP encoder on synthetic
-// observations (DESIGN.md §1) with configurable widths.
+// observations (ARCHITECTURE.md "Synthetic substitutions") with configurable
+// widths.
 type Arch struct {
 	InputDim  int
 	HiddenDim int

@@ -3,7 +3,7 @@
 // checkpoint store that makes multi-hour federations survive process
 // crashes. The fl.Simulator and the flnet TCP server checkpoint their
 // round state through it and resume bit-identically after a restart; the
-// calibre-ckpt CLI inspects, diffs and exports what it writes.
+// `calibre ckpt` inspects, diffs and exports what it writes.
 //
 // # Blob format
 //
@@ -55,7 +55,7 @@
 // ErrIncremental since it cannot see the chain. A broken link (deleted or
 // corrupt reference) makes every snapshot above it unreadable, and Latest
 // falls back below it, which the chain bound keeps to at most
-// deltaChainLimit lost rounds. calibre-ckpt list/inspect/diff report each
+// deltaChainLimit lost rounds. `calibre ckpt` list/inspect/diff report each
 // version's encoding, reference and chain depth.
 //
 // # Checkpoint directory

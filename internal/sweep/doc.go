@@ -28,7 +28,7 @@
 //	          method and Pareto-front extraction (mean vs variance),
 //	          emitted as CSV and markdown.
 //
-// The cmd/calibre-sweep CLI exposes plan, run, resume and report over
+// `calibre sweep` exposes plan, run, resume and report over
 // this package; calibre.RunSweep is the facade entry point. See the
 // "Sweep engine" section of ARCHITECTURE.md for the full diagram and the
 // two-level worker-budget rule.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 
 	"calibre/internal/baselines"
@@ -75,81 +74,9 @@ type Grid struct {
 }
 
 // Cell is one fully specified scenario: a single (method, environment,
-// federation-knob) combination the scheduler runs as one unit.
-type Cell struct {
-	Method    string            `json:"method"`
-	Setting   string            `json:"setting"`
-	Scale     experiments.Scale `json:"scale"`
-	Seed      int64             `json:"seed"`
-	Delta     bool              `json:"delta_updates,omitempty"`
-	Quorum    int               `json:"quorum,omitempty"`
-	Dropout   float64           `json:"dropout,omitempty"`
-	Straggler string            `json:"straggler"`
-	// Aggregator is the canonical aggregator override spec ("mean",
-	// "median", "trimmed(0.2)", "krum(1)").
-	Aggregator string `json:"aggregator,omitempty"`
-	// Adversary is the canonical attack spec ("" = honest) and AdvFrac the
-	// compromised fraction; either being inert zeroes both.
-	Adversary string  `json:"adversary,omitempty"`
-	AdvFrac   float64 `json:"adversary_frac,omitempty"`
-	// Availability is the canonical availability-trace spec ("" = flat
-	// Dropout governs).
-	Availability string `json:"availability,omitempty"`
-}
-
-// Key is the cell's canonical identity: a fixed-order rendering of every
-// axis value. It keys the manifest, derives the RNG seed and the
-// checkpoint fingerprint, and sorts the report — which is what makes
-// sweep output independent of scheduler interleaving.
-func (c Cell) Key() string {
-	return fmt.Sprintf("method=%s|%s", c.Method, c.scenarioAndEnv())
-}
-
-// scenarioAndEnv renders everything but the method.
-func (c Cell) scenarioAndEnv() string {
-	return fmt.Sprintf("setting=%s|scale=%s|seed=%d|%s", c.Setting, c.Scale, c.Seed, c.knobs())
-}
-
-func (c Cell) knobs() string {
-	agg := c.Aggregator
-	if agg == "" {
-		agg = "mean"
-	}
-	return fmt.Sprintf("delta=%t|quorum=%d|dropout=%g|straggler=%s|agg=%s|adv=%s|advfrac=%g|avail=%s",
-		c.Delta, c.Quorum, c.Dropout, c.Straggler, agg, c.Adversary, c.AdvFrac, c.Availability)
-}
-
-// EnvKey identifies the federation world the cell runs in: setting, scale
-// and replicate seed. The method and the federation knobs are excluded,
-// so every method in a scenario trains on the identical generated data
-// and partition, which is what keeps method comparisons apples-to-apples.
-func (c Cell) EnvKey() string {
-	return fmt.Sprintf("setting=%s|scale=%s|seed=%d", c.Setting, c.Scale, c.Seed)
-}
-
-// EnvSeed derives the cell's master RNG seed from a hash of EnvKey. A
-// hash — rather than the raw seed axis value — decorrelates scenarios
-// that share a replicate index and makes the seed a pure function of the
-// cell's identity, independent of execution order.
-func (c Cell) EnvSeed() int64 {
-	h := fnv.New64a()
-	h.Write([]byte(c.EnvKey()))
-	return int64(h.Sum64() & (1<<63 - 1))
-}
-
-// Scenario is the cross-seed grouping key: the cell's identity minus
-// method and seed. Cells sharing a Scenario differ only in replicate
-// seed and method, so the report aggregates over seeds within it and
-// compares methods across it.
-func (c Cell) Scenario() string {
-	return fmt.Sprintf("setting=%s|scale=%s|%s", c.Setting, c.Scale, c.knobs())
-}
-
-// Fingerprint condenses the cell identity for per-cell checkpoint stores,
-// using the same digest as snapshot fingerprints.
-func (c Cell) Fingerprint() string {
-	return store.Fingerprint("sweep-cell", c.Key())
-}
+// federation-knob) combination the scheduler runs as one unit. Its Seed
+// is the replicate index; the world is generated from Cell.EnvSeed.
+type Cell = experiments.Scenario
 
 // normalized returns a copy with optional axes defaulted.
 func (g *Grid) normalized() Grid {

@@ -112,6 +112,18 @@ func TestGridFingerprint(t *testing.T) {
 	if fp3 == fp1 {
 		t.Fatal("seed change did not move the fingerprint")
 	}
+	// Manifests written before Cell became experiments.Scenario record the
+	// value that tree computed for this one-cell hostile grid; resuming them
+	// needs it unchanged.
+	pinned := &Grid{
+		Methods: []string{"fedavg-ft"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{7},
+		DeltaUpdates: []bool{true}, Quorums: []int{2}, Stragglers: []string{"drop"},
+		Aggregators: []string{"median"}, Adversaries: []string{"sign-flip(3)"},
+		AdversaryFracs: []float64{0.3}, Availability: []string{"diurnal(0.1,0.6,8)"},
+	}
+	if fp, err := pinned.Fingerprint(); err != nil || fp != "8052709825a30e56" {
+		t.Fatalf("pinned grid fingerprint = %s, %v; want 8052709825a30e56", fp, err)
+	}
 }
 
 func TestGridValidation(t *testing.T) {

@@ -162,7 +162,7 @@ func NewReport(res *Result) *Report {
 func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // cellsHeader is the sweep cells CSV schema, also consumed by
-// ReadCellsCSV (and calibre-compare -diff).
+// ReadCellsCSV (and `calibre diff sweep`).
 var cellsHeader = []string{
 	"key", "method", "setting", "scale", "seed", "delta_updates", "quorum",
 	"dropout", "straggler", "aggregator", "adversary", "adversary_frac",
@@ -358,7 +358,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 }
 
 // CellRow is one parsed row of a sweep cells CSV — what
-// calibre-compare's sweep diff operates on.
+// `calibre diff sweep` operates on.
 type CellRow struct {
 	Key, Method, Setting, Scale, Status string
 	Seed                                int64

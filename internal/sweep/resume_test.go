@@ -160,11 +160,11 @@ func TestFailedCellsRetriedOnResume(t *testing.T) {
 	g := &Grid{Methods: []string{"fedavg"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1, 2}}
 	dir := t.TempDir()
 	poison := Cell{Method: "fedavg", Setting: "cifar10-q(2,500)", Scale: experiments.ScaleSmoke, Seed: 2, Straggler: "requeue"}.EnvSeed()
-	blowUp := func(s experiments.Setting, sc experiments.Scale, seed int64) (*experiments.Environment, error) {
-		if seed == poison {
+	blowUp := func(w experiments.Scenario) (*experiments.Environment, error) {
+		if w.Seed == poison {
 			panic("flaky infrastructure")
 		}
-		return experiments.BuildEnvironment(s, sc, seed)
+		return w.Environment()
 	}
 	res, err := Run(context.Background(), g, Config{Dir: dir, buildEnv: blowUp})
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"calibre/internal/fl"
 	"calibre/internal/health"
 	"calibre/internal/obs"
-	"calibre/internal/store"
 	"calibre/internal/tensor"
 	"calibre/internal/trace"
 )
@@ -84,7 +83,7 @@ type Config struct {
 	// in-flight cell gauges, done/failed/restored counters, and — because
 	// the registry is threaded into every cell's simulation — the round
 	// and uplink counters accumulating across cells. This is what
-	// `calibre-sweep watch` renders.
+	// `calibre sweep watch` renders.
 	Obs *obs.Registry
 	// Recorder, if non-nil, receives flight-recorder events: each cell is
 	// bracketed by cell_start/cell_end spans, and the cell's simulation
@@ -97,13 +96,13 @@ type Config struct {
 	// detector config to every cell's simulation. Verdicts land on the
 	// cell's CellResult (HealthAlerts/HealthCritical/Suspects) and the
 	// alert counters accumulate on Obs sweep-wide — the health line
-	// `calibre-sweep watch` renders. Purely observational: a monitored
+	// `calibre sweep watch` renders. Purely observational: a monitored
 	// sweep's cells are bit-identical to a bare sweep's.
 	Health *health.Config
 
 	// buildEnv stubs environment construction in tests; nil means
-	// experiments.BuildEnvironment.
-	buildEnv func(experiments.Setting, experiments.Scale, int64) (*experiments.Environment, error)
+	// experiments.Scenario.Environment.
+	buildEnv func(experiments.Scenario) (*experiments.Environment, error)
 }
 
 // CellResult is one cell's typed outcome — the manifest and report row.
@@ -161,9 +160,8 @@ type Result struct {
 
 // sweeper carries one Run's resolved state.
 type sweeper struct {
-	cfg      Config
-	settings map[string]experiments.Setting
-	simPar   int
+	cfg    Config
+	simPar int
 }
 
 // Run executes the grid under cfg. It returns when every pending cell
@@ -189,7 +187,7 @@ func Run(ctx context.Context, g *Grid, cfg Config) (*Result, error) {
 	if cfg.KernelWorkers > 0 {
 		tensor.SetWorkers(cfg.KernelWorkers)
 	}
-	s := &sweeper{cfg: cfg, settings: experiments.Settings()}
+	s := &sweeper{cfg: cfg}
 
 	outcomes := make(map[string]CellResult, len(cells))
 	var notes []string
@@ -348,7 +346,7 @@ func Run(ctx context.Context, g *Grid, cfg Config) (*Result, error) {
 }
 
 // Load rebuilds a Result from a sweep directory's manifest without
-// running anything — the `calibre-sweep report` path. Cells the manifest
+// running anything — the `calibre sweep report` path. Cells the manifest
 // does not cover are listed as Pending.
 func Load(g *Grid, dir string) (*Result, error) {
 	cells, err := g.Expand()
@@ -419,92 +417,54 @@ func (s *sweeper) runCell(ctx context.Context, c Cell) (res CellResult) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.CellTimeout)
 		defer cancel()
 	}
-	setting, ok := s.settings[c.Setting]
-	if !ok {
-		res.Error = fmt.Sprintf("unknown setting %q", c.Setting)
-		return res
-	}
+	// The world is a pure function of the cell's identity: the cell as a
+	// scenario, seeded with the hash of its environment key.
+	world := c.Seeded()
 	buildEnv := s.cfg.buildEnv
 	if buildEnv == nil {
-		buildEnv = experiments.BuildEnvironment
+		buildEnv = experiments.Scenario.Environment
 	}
-	env, err := buildEnv(setting, c.Scale, c.EnvSeed())
+	env, err := buildEnv(world)
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
-	m, err := experiments.BuildMethod(env, c.Method)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	straggler, err := fl.ParseStragglerPolicy(c.Straggler)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	// Hostile knobs: the aggregator override replaces the method's own
-	// aggregator (the method is built per cell, so no sharing hazard); the
-	// adversary and availability trace thread into the simulator config.
-	if c.Aggregator != "" && c.Aggregator != "mean" {
-		agg, err := fl.ParseAggregator(c.Aggregator)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		m.Aggregator = agg
-	}
-	adversary, err := fl.ParseAdversary(c.Adversary)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	if adversary != nil {
-		adversary.Frac = c.AdvFrac
-	}
-	avail, err := fl.ParseTrace(c.Availability)
+	built, err := world.BuildOn(env)
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
 
-	var resumeFrom *fl.SimState
-	var onCheckpoint func(*fl.SimState) error
+	var ckpt *experiments.Attached
 	if s.cfg.Dir != "" && s.cfg.CheckpointEvery > 0 {
-		if !fl.Resumable(m) {
+		ckpt, err = experiments.AttachCheckpoints(built.Method, experiments.Checkpoints{
+			Dir:   filepath.Join(s.cfg.Dir, "cells", c.Fingerprint()),
+			Every: s.cfg.CheckpointEvery, Resume: true,
+			Seed: env.Seed, Fingerprint: c.Fingerprint(), Runtime: "sweep",
+		})
+		switch {
+		case errors.Is(err, fl.ErrStatefulResume):
 			// Stateful methods cannot be checkpoint-resumed bit-identically;
-			// refuse the checkpoint cleanly and run the cell without one.
+			// run the cell without checkpoints.
 			res.Note = fmt.Sprintf("per-cell checkpointing skipped: %v", fl.ErrStatefulResume)
-		} else {
-			ck, err := store.Open(filepath.Join(s.cfg.Dir, "cells", c.Fingerprint()))
-			if err != nil {
-				res.Error = err.Error()
-				return res
-			}
-			cellFP := c.Fingerprint()
-			snap, _, err := ck.Resume(cellFP)
-			if err != nil {
-				res.Error = err.Error()
-				return res
-			}
-			if snap != nil {
-				resumeFrom = &snap.State
-			}
-			onCheckpoint = ck.SaveHook(store.Meta{Seed: env.Seed, Fingerprint: cellFP, Runtime: "sweep"}, nil)
+		case err != nil:
+			res.Error = err.Error()
+			return res
+		default:
 			res.Checkpointed = true
 		}
 	}
 
-	out, err := experiments.RunBuiltMethodWith(ctx, env, m, func(cfg *fl.SimConfig) {
+	out, err := experiments.RunBuiltMethodWith(ctx, env, built.Method, func(cfg *fl.SimConfig) {
 		cfg.Parallelism = s.simPar
 		cfg.DeltaUpdates = c.Delta
 		cfg.Quorum = c.Quorum
 		cfg.DropoutRate = c.Dropout
-		cfg.Straggler = straggler
-		cfg.Adversary = adversary
-		cfg.Trace = avail
+		cfg.Straggler = built.Straggler
+		cfg.Adversary = built.Adversary
+		cfg.Trace = built.Availability
 		// One registry across all cells: round/uplink counters accumulate
-		// sweep-wide, which is the live view `calibre-sweep watch` polls.
+		// sweep-wide, which is the live view `calibre sweep watch` polls.
 		cfg.Obs = s.cfg.Obs
 		// The cell-scoped view stamps the cell key onto the simulator's
 		// round and client spans.
@@ -512,10 +472,8 @@ func (s *sweeper) runCell(ctx context.Context, c Cell) (res CellResult) {
 		// Each cell gets its own monitor (detector state is per-
 		// federation); the sim folds its alerts into the shared registry.
 		cfg.Health = mon
-		if onCheckpoint != nil {
-			cfg.OnCheckpoint = onCheckpoint
-			cfg.CheckpointEvery = s.cfg.CheckpointEvery
-			cfg.ResumeFrom = resumeFrom
+		if ckpt != nil {
+			ckpt.ConfigureSim(cfg)
 		}
 	})
 	if err != nil {

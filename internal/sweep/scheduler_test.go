@@ -90,11 +90,11 @@ func TestSchedulerPanicIsolation(t *testing.T) {
 	poison := Cell{Method: "fedavg", Setting: "cifar10-q(2,500)", Scale: experiments.ScaleSmoke, Seed: 2, Straggler: "requeue"}.EnvSeed()
 	cfg := Config{
 		Workers: 2,
-		buildEnv: func(s experiments.Setting, sc experiments.Scale, seed int64) (*experiments.Environment, error) {
-			if seed == poison {
+		buildEnv: func(w experiments.Scenario) (*experiments.Environment, error) {
+			if w.Seed == poison {
 				panic("injected environment panic")
 			}
-			return experiments.BuildEnvironment(s, sc, seed)
+			return w.Environment()
 		},
 	}
 	res, err := Run(context.Background(), g, cfg)
@@ -124,8 +124,8 @@ func TestSchedulerPanicIsolation(t *testing.T) {
 func TestSchedulerClientGoroutinePanicIsolated(t *testing.T) {
 	g := &Grid{Methods: []string{"fedavg"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1}}
 	cfg := Config{
-		buildEnv: func(s experiments.Setting, sc experiments.Scale, seed int64) (*experiments.Environment, error) {
-			env, err := experiments.BuildEnvironment(s, sc, seed)
+		buildEnv: func(w experiments.Scenario) (*experiments.Environment, error) {
+			env, err := w.Environment()
 			if err != nil {
 				return nil, err
 			}

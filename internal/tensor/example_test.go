@@ -10,15 +10,17 @@ import (
 // cache-blocked and (for large products) parallel, but its results are
 // bit-identical to the serial reference for any worker count.
 func ExampleMatMul() {
-	a, _ := tensor.FromSlice([]float64{
+	a := tensor.New(2, 3)
+	copy(a.Data(), []float64{
 		1, 2, 3,
 		4, 5, 6,
-	}, 2, 3)
-	b, _ := tensor.FromSlice([]float64{
+	})
+	b := tensor.New(3, 2)
+	copy(b.Data(), []float64{
 		7, 8,
 		9, 10,
 		11, 12,
-	}, 3, 2)
+	})
 	c, err := tensor.MatMul(a, b)
 	if err != nil {
 		fmt.Println(err)

@@ -88,23 +88,6 @@ func NewLike(t *Tensor) *Tensor {
 	return &Tensor{shape: t.shape, data: make([]float64, len(t.data))}
 }
 
-// FromSlice wraps data in a tensor with the given shape. The slice is used
-// directly (not copied); it must have exactly as many elements as the shape
-// implies.
-func FromSlice(data []float64, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			return nil, fmt.Errorf("%w: negative dimension %d", ErrShape, d)
-		}
-		n *= d
-	}
-	if len(data) != n {
-		return nil, fmt.Errorf("%w: data length %d does not match shape %v (need %d)", ErrShape, len(data), shape, n)
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: data}, nil
-}
-
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
 

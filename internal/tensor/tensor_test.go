@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,10 +13,11 @@ const tol = 1e-9
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < tol }
 
+// mustFromSlice builds a tensor of the given shape holding data.
 func mustFromSlice(data []float64, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
+	t := New(shape...)
+	if copy(t.Data(), data) != len(data) || len(t.Data()) != len(data) {
+		panic(fmt.Sprintf("%d values for shape %v", len(data), shape))
 	}
 	return t
 }
@@ -42,19 +44,6 @@ func TestNewPanicsOnNegativeDim(t *testing.T) {
 		}
 	}()
 	New(-1, 2)
-}
-
-func TestFromSliceValidation(t *testing.T) {
-	if _, err := FromSlice([]float64{1, 2, 3}, 2, 2); !errors.Is(err, ErrShape) {
-		t.Fatalf("err = %v, want ErrShape", err)
-	}
-	got, err := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	if err != nil {
-		t.Fatalf("FromSlice: %v", err)
-	}
-	if got.At(1, 0) != 3 {
-		t.Fatalf("At(1,0) = %v, want 3", got.At(1, 0))
-	}
 }
 
 func TestAtSetRow(t *testing.T) {

@@ -37,7 +37,7 @@ var (
 	ErrCorrupt = errors.New("trace: corrupt record")
 	// ErrTruncated reports a record cut off by end-of-file — the
 	// expected shape of the final record after a crash. Readers that
-	// tolerate torn tails (calibre-trace does) treat it as a clean stop.
+	// tolerate torn tails (`calibre trace` does) treat it as a clean stop.
 	ErrTruncated = errors.New("trace: truncated record")
 )
 

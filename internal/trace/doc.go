@@ -22,6 +22,6 @@
 //
 // Traces are read back with Reader/ReadAll, which tolerate the torn tail
 // a crash leaves (ErrTruncated) and refuse structural damage
-// (ErrCorrupt). The cmd/calibre-trace CLI builds summaries, ASCII
+// (ErrCorrupt). `calibre trace` builds summaries, ASCII
 // timelines, and filtered views on top of this package.
 package trace

@@ -6,7 +6,7 @@ import (
 )
 
 // Kind names a flight-recorder event. The set is closed: every producer in
-// the runtimes emits one of these, and the offline tooling (calibre-trace)
+// the runtimes emits one of these, and the offline tooling (`calibre trace`)
 // switches on them.
 type Kind string
 
@@ -87,7 +87,7 @@ type Event struct {
 	// Norm is the L2 norm of the client's update against the round's
 	// pre-aggregation global model. Runtimes stamp it on client_update
 	// events when a health.Monitor is attached, which is what lets
-	// calibre-doctor replay a trace through the update-norm detectors.
+	// `calibre doctor` replay a trace through the update-norm detectors.
 	Norm float64 `json:"norm,omitempty"`
 	Note string  `json:"note,omitempty"`
 }

@@ -1,7 +1,7 @@
 // Command smoke is the CI gate for what only real processes can show, run
-// by ci.sh. It builds calibre-sweep and calibre-trace once and drives one
-// hostile, traced, metrics-serving sweep (sign-flip attackers over mean and
-// median aggregation) twice: to completion, and through a SIGINT at the
+// by ci.sh. It builds the calibre binary once and drives one hostile,
+// traced, metrics-serving sweep (sign-flip attackers over mean and median
+// aggregation) twice: to completion, and through a SIGINT at the
 // `plan:` line followed by `resume`.
 //
 //   - While the first run's cells execute, /metrics answers with decodable
@@ -10,7 +10,7 @@
 //   - The signal lands (the interrupted sweep exits non-zero), and the
 //     resumed sweep's report, cell CSV and method CSV are byte-identical to
 //     the uninterrupted run's; the report carries the hostile-fairness table.
-//   - calibre-trace parses both traces — the one appended across the kill
+//   - `calibre trace` parses both traces — the one appended across the kill
 //     may end a record short — and the uninterrupted trace holds one cell
 //     span per manifest cell and one round span per round the manifest ran.
 //
@@ -88,16 +88,11 @@ func run() error {
 	if err := os.WriteFile(gridPath, []byte(grid), 0o644); err != nil {
 		return err
 	}
-	// Real binaries: SIGINT must land on the sweep itself, not on a
-	// `go run` wrapper, and the trace CLI is part of what is verified.
-	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-		"./cmd/calibre-sweep", "./cmd/calibre-trace").CombinedOutput(); err != nil {
+	// A real binary: SIGINT must land on the sweep itself, not on a
+	// `go run` wrapper, and the trace subcommand is part of what is verified.
+	s := &smoke{bin: filepath.Join(dir, "calibre"), grid: gridPath}
+	if out, err := exec.Command("go", "build", "-o", s.bin, "./cmd/calibre").CombinedOutput(); err != nil {
 		return fmt.Errorf("build: %v\n%s", err, out)
-	}
-	s := &smoke{
-		sweepBin: filepath.Join(dir, "calibre-sweep"),
-		traceBin: filepath.Join(dir, "calibre-trace"),
-		grid:     gridPath,
 	}
 	fullDir, fullTrace := filepath.Join(dir, "full"), filepath.Join(dir, "full.jsonl")
 	if err := s.runScraped(fullDir, fullTrace); err != nil {
@@ -113,14 +108,14 @@ func run() error {
 	return allocCeiling()
 }
 
-type smoke struct{ sweepBin, traceBin, grid string }
+type smoke struct{ bin, grid string }
 
 // start launches the sweep with its stdout delivered line by line; the
 // channel closes at EOF, after which Wait may be called.
 func (s *smoke) start(verb, out, tracePath string, extra ...string) (*exec.Cmd, <-chan string, error) {
-	args := append([]string{verb, "-grid", s.grid, "-out", out, "-trace-out", tracePath,
+	args := append([]string{"sweep", verb, "-grid", s.grid, "-out", out, "-trace-out", tracePath,
 		"-metrics-addr", "127.0.0.1:0"}, extra...)
-	cmd := exec.Command(s.sweepBin, args...)
+	cmd := exec.Command(s.bin, args...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -207,23 +202,23 @@ func (s *smoke) runScraped(out, tracePath string) error {
 	return nil
 }
 
-// grepCount runs `calibre-trace grep <trace> -kind <kind> -count`.
+// grepCount runs `calibre trace grep <trace> -kind <kind> -count`.
 func (s *smoke) grepCount(tracePath, kind string) (int, error) {
-	out, err := exec.Command(s.traceBin, "grep", tracePath, "-kind", kind, "-count").CombinedOutput()
+	out, err := exec.Command(s.bin, "trace", "grep", tracePath, "-kind", kind, "-count").CombinedOutput()
 	if err != nil {
-		return 0, fmt.Errorf("calibre-trace grep -kind %s: %v\n%s", kind, err, out)
+		return 0, fmt.Errorf("calibre trace grep -kind %s: %v\n%s", kind, err, out)
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(string(out)))
 	if err != nil {
-		return 0, fmt.Errorf("calibre-trace grep -kind %s printed %q, not a count", kind, out)
+		return 0, fmt.Errorf("calibre trace grep -kind %s printed %q, not a count", kind, out)
 	}
 	return n, nil
 }
 
 func (s *smoke) summary(tracePath string) error {
-	out, err := exec.Command(s.traceBin, "summary", tracePath).CombinedOutput()
+	out, err := exec.Command(s.bin, "trace", "summary", tracePath).CombinedOutput()
 	if err != nil || !bytes.Contains(out, []byte("rounds:")) {
-		return fmt.Errorf("calibre-trace summary %s: %v\n%s", tracePath, err, out)
+		return fmt.Errorf("calibre trace summary %s: %v\n%s", tracePath, err, out)
 	}
 	return nil
 }
@@ -323,22 +318,16 @@ func (s *smoke) killResume(fullDir, out, tracePath string, wantRounds int) error
 // per-client arenas, then meters a second run.
 func allocCeiling() error {
 	const rounds, seed = 2, 42
-	setting, ok := experiments.Settings()["cifar10-q(2,500)"]
-	if !ok {
-		return fmt.Errorf("setting cifar10-q(2,500) missing")
-	}
-	env, err := experiments.BuildEnvironment(setting, experiments.ScaleSmoke, seed)
-	if err != nil {
-		return err
-	}
-	m, err := experiments.BuildMethod(env, "calibre-simclr")
+	world, err := experiments.Scenario{
+		Method: "calibre-simclr", Setting: "cifar10-q(2,500)", Scale: experiments.ScaleSmoke, Seed: seed,
+	}.Build()
 	if err != nil {
 		return err
 	}
 	runSim := func() error {
 		sim, err := fl.NewSimulator(fl.SimConfig{
 			Rounds: rounds, ClientsPerRound: 4, Seed: seed, DeltaUpdates: true,
-		}, m, env.Participants)
+		}, world.Method, world.Env.Participants)
 		if err != nil {
 			return err
 		}
