@@ -3,10 +3,12 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul fuzz smokes, short kernel and sweep benches
+#                    real-process smoke, wire + matmul fuzz smokes, short kernel and sweep benches,
+#                    allocs_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
-# dirs — they exist to prove the harnesses run, not to refresh the
+# dirs — they exist to prove the harnesses run (and that no record's
+# allocation count rose), not to refresh the
 # committed numbers. When the kernels or the sweep scheduler change,
 # regenerate the tracked files with a full measurement:
 #   go run ./cmd/calibre perf kernels -out .
@@ -54,11 +56,12 @@ go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ 
 # build tests both (the tests flip the package's switch); the purego tag
 # builds the package without the assembly, so the portable path is also held
 # to the oracle as the only path, nn's bit-identity tests run on it, kmeans'
-# and core's distance loops are held to their naive references on it, and the
+# and core's distance loops are held to their naive references on it, ssl's
+# and core's borrowed-vs-heap step identities hold on it, and the
 # golden ledger of internal/baselines (every registry method's final bits)
 # and model's pinned loops must come out the same from the portable kernels.
 echo "== go test -tags purego (portable kernels) =="
-go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/kmeans/... ./internal/core/... ./internal/model/... ./internal/baselines/...
+go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/kmeans/... ./internal/ssl/... ./internal/core/... ./internal/model/... ./internal/baselines/...
 
 # The fallback must compile where the assembly does not exist. (go vet's
 # asmdecl check, in the vet step above, holds the amd64 assembly to its Go
@@ -107,8 +110,15 @@ go test -run '^$' -fuzz '^FuzzMatMulMatchesNaive$' -fuzztime 5s ./internal/tenso
 bin="$(mktemp -d)/calibre"
 go build -o "$bin" ./cmd/calibre
 
-echo "== kernel bench (quick) =="
-"$bin" perf kernels -quick -out "$(mktemp -d)"
+# An allocation count repeats from run to run, so unlike the timings it is
+# held to the committed file: the gate fails if allocs_op rose on any record
+# the quick run shares with BENCH_kernels.json (a training step or a round
+# that lost its arena, its tape scratch or its recycled tensor headers);
+# wall-time fields and environment mismatches only warn.
+echo "== kernel bench (quick) + allocs_op gate =="
+kernels="$(mktemp -d)"
+"$bin" perf kernels -quick -out "$kernels"
+"$bin" diff bench -fail allocs_op BENCH_kernels.json "$kernels/BENCH_kernels.json" >/dev/null
 
 echo "== sweep bench (quick) =="
 "$bin" perf sweep -quick -out "$(mktemp -d)"

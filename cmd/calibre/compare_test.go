@@ -187,6 +187,50 @@ func TestCompareBenchDiff(t *testing.T) {
 	}
 }
 
+// TestCompareBenchFailGate: `diff bench -fail FIELD` is a CI gate — zero
+// exit while FIELD holds or falls on every shared record, whatever the
+// wall-time fields and the environments do; an error naming the records
+// where it rose; and an error when nothing shared carries the field (a
+// gate that cannot fail is a typo).
+func TestCompareBenchFailGate(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, gomaxprocs, nsOp, allocs int) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		body := fmt.Sprintf(`{"schema":"calibre/bench-kernels/v1","goos":"linux","goarch":"amd64","gomaxprocs":%d,"workers":1,"records":[
+			{"op":"matmul","shape":"64x64x64","ns_op":%d,"allocs_op":0},
+			{"op":"mlp-train-step","shape":"b128","ns_op":%d,"allocs_op":%d}]}`, gomaxprocs, nsOp, 10*nsOp, allocs)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	committed := write("committed.json", 2, 1000, 69)
+	slowerLeaner := write("b.json", 1, 5000, 60) // timings and gomaxprocs only warn
+	regressed := write("c.json", 2, 900, 80)
+	gate := func(a, b, field string) error {
+		var err error
+		captureStdout(t, func() error {
+			err = run([]string{"diff", "bench", "-fail", field, a, b})
+			return nil
+		})
+		return err
+	}
+	if err := gate(committed, slowerLeaner, "allocs_op"); err != nil {
+		t.Fatalf("allocs_op fell, ns_op rose: the gate must pass, got %v", err)
+	}
+	if err := gate(committed, committed, "allocs_op"); err != nil {
+		t.Fatalf("identical files must pass, got %v", err)
+	}
+	err := gate(committed, regressed, "allocs_op")
+	if err == nil || !strings.Contains(err.Error(), "op=mlp-train-step shape=b128: 69 → 80") || strings.Contains(err.Error(), "matmul") {
+		t.Fatalf("allocs_op 69 → 80 must fail naming that record only, got %v", err)
+	}
+	if err := gate(committed, regressed, "allocs"); err == nil || !strings.Contains(err.Error(), "no shared record carries") {
+		t.Fatalf("a field no record carries must be refused, got %v", err)
+	}
+}
+
 func TestCompareBenchRejectsNonEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")

@@ -19,7 +19,26 @@ import (
 // count than the committed two-core baselines' makes timings and parallel
 // speedups read as phantom regressions or gains — warn loudly on stderr
 // rather than being silently averaged into the diff.
-func diffBench(pathA, pathB string) error {
+//
+// With -fail FIELD the diff is a gate: it exits non-zero when FIELD is
+// higher in B than in A on any shared record. ci.sh runs it with
+// `-fail allocs_op` from the committed BENCH_kernels.json to the quick run's:
+// an allocation count repeats from run to run and host to host, so a rise is
+// a regression, where wall-time fields and environment mismatches can only
+// ever be warnings.
+func diffBenchCmd(args []string) error {
+	fs := newFlagSet("diff bench")
+	failField := fs.String("fail", "", "exit non-zero if this numeric `field` (e.g. allocs_op) rose from A to B on any shared record")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 2 {
+		return fmt.Errorf("want exactly two file paths, got %d args", fs.NArg())
+	}
+	return diffBench(fs.Arg(0), fs.Arg(1), *failField)
+}
+
+func diffBench(pathA, pathB, failField string) error {
 	a, err := readBenchFile(pathA)
 	if err != nil {
 		return err
@@ -34,6 +53,8 @@ func diffBench(pathA, pathB string) error {
 		fmt.Fprintln(os.Stderr, "warning:", w)
 	}
 	shared := 0
+	var rose []string // records whose failField is higher in B
+	gated := 0        // shared records that carry failField
 	for _, name := range a.SectionNames() {
 		rowsB, ok := b.Sections[name]
 		if !ok {
@@ -57,6 +78,12 @@ func diffBench(pathA, pathB string) error {
 			var parts []string
 			for _, f := range numericFields(ra, rb) {
 				va, vb := ra[f].(float64), rb[f].(float64)
+				if f == failField {
+					gated++
+					if vb > va {
+						rose = append(rose, fmt.Sprintf("%s: %g → %g", k, va, vb))
+					}
+				}
 				switch {
 				case va == vb:
 				case va != 0:
@@ -73,6 +100,12 @@ func diffBench(pathA, pathB string) error {
 	}
 	if shared == 0 {
 		return fmt.Errorf("the two files share no records (different harnesses? A is %s, B is %s)", a.Schema, b.Schema)
+	}
+	if failField != "" && gated == 0 {
+		return fmt.Errorf("-fail %s: no shared record carries that field in both files", failField)
+	}
+	if len(rose) > 0 {
+		return fmt.Errorf("%s rose on %d of the %d shared records that carry it:\n  %s", failField, len(rose), gated, strings.Join(rose, "\n  "))
 	}
 	return nil
 }

@@ -7,7 +7,7 @@
 //	calibre fig     -exp fig3 -scale ci -seed 42 [-out DIR]    reproduce a paper figure or table (-list names them)
 //	calibre perf    kernels|sweep [-quick] [-out DIR]          time the matmul kernels / the sweep scheduler
 //	calibre compare [-setting S -scale … -seed N] METHOD...     mean/variance of chosen methods on one setting
-//	calibre diff    sweep A.csv B.csv | bench A.json B.json    diff two sweep cell CSVs / two BENCH_*.json files
+//	calibre diff    sweep A.csv B.csv | bench [-fail F] A.json B.json   diff two sweep cell CSVs / two BENCH_*.json files
 //	calibre sweep   plan|run|resume|report|watch …             declarative scenario grids, resumable
 //	calibre serve   -clients N -rounds R -method M …           the server of a networked federation (TCP)
 //	calibre join    -addr HOST:PORT -id I -method M …          one client of it
@@ -55,7 +55,7 @@ var commands = []command{
 	{name: "compare", summary: "mean/variance of chosen methods on one setting", run: runCompare},
 	{name: "diff", summary: "diff two result files", sub: []command{
 		{name: "sweep", summary: "two sweep-cells.csv files, method by method", run: diffCmd(diffSweeps)},
-		{name: "bench", summary: "two BENCH_*.json envelopes, record by record", run: diffCmd(diffBench)},
+		{name: "bench", summary: "two BENCH_*.json envelopes, record by record", run: diffBenchCmd},
 	}},
 	{name: "sweep", summary: "declarative scenario grids", sub: []command{
 		{name: "plan", summary: "print the expanded grid", run: sweepCmd("plan")},

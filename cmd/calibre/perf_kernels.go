@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -57,7 +58,10 @@ type KernelBenchRecord struct {
 }
 
 // measure reports fn's steady-state ns/op (timing at least minTime) and
-// allocations per call.
+// allocations per call: the fewest of five calls, since what a call
+// allocates has a floor and the runtime around it (a GC cycle emptying a
+// pool) only ever adds — `calibre diff bench -fail allocs_op` holds the
+// count to the committed one.
 func measure(minTime time.Duration, fn func()) (nsOp, allocsOp int64) {
 	fn() // warm up: pool spin-up, caches
 	var iters int64
@@ -68,7 +72,11 @@ func measure(minTime time.Duration, fn func()) (nsOp, allocsOp int64) {
 		iters++
 		elapsed = time.Since(start)
 	}
-	return int64(elapsed) / iters, int64(testing.AllocsPerRun(1, fn))
+	allocsOp = math.MaxInt64
+	for i := 0; i < 5; i++ {
+		allocsOp = min(allocsOp, int64(testing.AllocsPerRun(1, fn)))
+	}
+	return int64(elapsed) / iters, allocsOp
 }
 
 type kernelOp struct {

@@ -73,7 +73,7 @@ func TestConfidentMembersFiltersBoundary(t *testing.T) {
 	centers := data.Batch([][]float64{{-5}, {5}})
 	x := data.Batch([][]float64{{-5}, {-4.8}, {0.1}, {4.9}, {5}})
 	assign := []int{0, 0, 1, 1, 1}
-	kept := confidentMembers(x, centers, assign, 0.8)
+	kept := confidentMembers(nil, x, centers, assign, 0.8)
 	for _, i := range kept {
 		if i == 2 {
 			t.Fatal("the boundary point must be filtered out")
@@ -83,10 +83,10 @@ func TestConfidentMembersFiltersBoundary(t *testing.T) {
 		t.Fatalf("kept = %v, want 4 members", kept)
 	}
 	// keepFrac ≤ 0 or ≥ 1 keeps everyone.
-	if got := confidentMembers(x, centers, assign, 0); len(got) != 5 {
+	if got := confidentMembers(nil, x, centers, assign, 0); len(got) != 5 {
 		t.Fatalf("keepFrac=0 should keep all, got %v", got)
 	}
-	if got := confidentMembers(x, centers, assign, 1); len(got) != 5 {
+	if got := confidentMembers(nil, x, centers, assign, 1); len(got) != 5 {
 		t.Fatalf("keepFrac=1 should keep all, got %v", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestConfidentMembersFiltersBoundary(t *testing.T) {
 func TestConfidentMembersMinimumTwo(t *testing.T) {
 	centers := data.Batch([][]float64{{-1}, {1}})
 	x := data.Batch([][]float64{{-1}, {1}, {0}})
-	kept := confidentMembers(x, centers, []int{0, 1, 0}, 0.01)
+	kept := confidentMembers(nil, x, centers, []int{0, 1, 0}, 0.01)
 	if len(kept) < 2 {
 		t.Fatalf("must keep at least 2, got %v", kept)
 	}
@@ -112,7 +112,8 @@ func TestAssignmentMarginsMatchNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := assignmentMargins(x, res.Centers, res.Assign)
+		got := make([]float64, x.Rows())
+		assignmentMargins(got, x, res.Centers, res.Assign)
 		for i, own := range res.Assign {
 			runner := math.Inf(1)
 			for c := 0; c < k; c++ {
@@ -162,7 +163,7 @@ func TestRegularizerGatePassesOnStructuredData(t *testing.T) {
 	}
 	ctx := structuredStepCtx(t, 3)
 	base := nn.PairNTXent(ctx.H1, ctx.H2, 0.5)
-	total := reg.Apply(ctx, base)
+	total := apply(t, reg, ctx, base)
 	if total == base {
 		t.Fatal("structured batch should produce regularizer terms")
 	}
@@ -248,24 +249,31 @@ func naiveSelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, f
 // nothing observable — same winner (assignment, centers, inertia), same
 // score, same RNG state afterwards — at the per-step and the per-client
 // problem size, for grids that end on, between and below the fixed
-// candidates, with the distance buffer on the heap and in an arena.
+// candidates, with the distance buffer on the heap and in an arena, and with
+// the candidates clustered on the heap and in one workspace that every case
+// before has left its results in: the winner (K = 4 or 5 here, with larger
+// candidates run after it) must come back intact from the held slot.
 func TestSelectKMatchesNaive(t *testing.T) {
-	arena := tensor.NewArena()
+	arena, ws := tensor.NewArena(), new(kmeans.Workspace)
 	for _, shape := range []struct{ k, per, d int }{{4, 8, 24}, {5, 25, 48}} { // n = 32, n = 125
 		x, _ := blobs(rand.New(rand.NewSource(41)), shape.k, shape.per, shape.d, 3, 1)
 		for _, maxK := range []int{10, 8, 5, 3, 2, 1, 1000} {
-			for _, a := range []*tensor.Arena{nil, arena} {
+			for _, mem := range []struct {
+				a  *tensor.Arena
+				ws *kmeans.Workspace
+			}{{nil, nil}, {arena, nil}, {arena, ws}, {nil, ws}} {
+				a := mem.a
 				seed := int64(100*maxK + shape.d)
 				wantRNG, gotRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				want, wantScore := naiveSelectK(wantRNG, x, maxK)
-				got, gotScore, err := selectK(a, gotRNG, x, maxK)
+				got, gotScore, err := selectK(a, mem.ws, gotRNG, x, maxK)
 				if err != nil {
 					t.Fatalf("selectK(n=%d, maxK=%d): %v", x.Rows(), maxK, err)
 				}
 				if math.Float64bits(gotScore) != math.Float64bits(wantScore) ||
 					math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
-					t.Fatalf("n=%d maxK=%d arena=%v: score %v inertia %v, want %v %v",
-						x.Rows(), maxK, a != nil, gotScore, got.Inertia, wantScore, want.Inertia)
+					t.Fatalf("n=%d maxK=%d arena=%v workspace=%v: score %v inertia %v, want %v %v",
+						x.Rows(), maxK, a != nil, mem.ws != nil, gotScore, got.Inertia, wantScore, want.Inertia)
 				}
 				if !reflect.DeepEqual(got.Assign, want.Assign) {
 					t.Fatalf("n=%d maxK=%d arena=%v: assignment differs", x.Rows(), maxK, a != nil)

@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"calibre/internal/kmeans"
 	"calibre/internal/nn"
@@ -103,15 +103,17 @@ func (o Options) Validate() error {
 // local data spans two classes gets two prototypes, not ten fragmented
 // ones — fragmentation would push same-class samples apart.
 func SelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error) {
-	res, _, err := selectK(nil, rng, x, maxK)
+	res, _, err := selectK(nil, nil, rng, x, maxK)
 	return res, err
 }
 
 // selectK is SelectK that also returns the winner's silhouette score. The
 // score depends on x only through its pairwise distances, so they are
 // computed once — into a buffer borrowed from arena (nil: the heap) — and
-// every candidate is scored from them.
-func selectK(arena *tensor.Arena, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64, error) {
+// every candidate is scored from them. The candidates are clustered in ws
+// (nil: each on the heap), which holds the best so far while the later ones
+// run; the result is valid until the next clustering in ws.
+func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64, error) {
 	n := x.Rows()
 	if maxK > n {
 		maxK = n
@@ -131,13 +133,14 @@ func selectK(arena *tensor.Arena, rng *rand.Rand, x *tensor.Tensor, maxK int) (*
 			continue
 		}
 		tried = k
-		res, err := kmeans.Run(rng, x, kmeans.Config{K: k})
+		res, err := ws.Run(rng, x, kmeans.Config{K: k})
 		if err != nil {
 			return nil, 0, err
 		}
 		if score := kmeans.SilhouetteFrom(dist, res.Assign); score > bestScore {
 			bestScore = score
 			best = res
+			ws.Hold()
 		}
 	}
 	if best == nil {
@@ -160,27 +163,34 @@ func NewRegularizer(opts Options) (*Regularizer, error) {
 }
 
 // Apply returns methodLoss + α(L_p + L_n) for the step. When the batch is
-// too small or clustering degenerates (fewer than two clusters populated in
-// both views), the unavailable terms are skipped — the base SSL loss always
-// remains.
-func (r *Regularizer) Apply(ctx *ssl.StepContext, methodLoss *nn.Node) *nn.Node {
+// too small, the clustering is not trusted (silhouette ≤ 0) or it
+// degenerates (fewer than two clusters keep a confident member), the terms
+// are skipped — the base SSL loss always remains. An error is a clustering
+// that could not run at all, and fails the step.
+func (r *Regularizer) Apply(ctx *ssl.StepContext, methodLoss *nn.Node) (*nn.Node, error) {
 	if r.Opts.Alpha == 0 || (!r.Opts.UseLn && !r.Opts.UseLp) {
-		return methodLoss
+		return methodLoss, nil
 	}
-	reg := r.lossTerms(ctx)
+	reg, err := r.lossTerms(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("core: pseudo-label clustering: %w", err)
+	}
 	if reg == nil {
-		return methodLoss
+		return methodLoss, nil
 	}
-	return nn.Add(methodLoss, nn.Scale(reg, r.Opts.Alpha))
+	return nn.Add(methodLoss, nn.Scale(reg, r.Opts.Alpha)), nil
 }
 
 // lossTerms builds L_n + L_p (whichever are enabled and computable);
-// returns nil when neither could be formed.
-func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
+// returns nil when neither could be formed. Everything it builds is the
+// step's: tensors and index tables borrowed from ctx.Tape, the clustering
+// in ctx.KMeans.
+func (r *Regularizer) lossTerms(ctx *ssl.StepContext) (*nn.Node, error) {
 	n := ctx.Z1.Value.Rows()
 	if n < 2 {
-		return nil
+		return nil, nil
 	}
+	tp := ctx.Tape
 	// Pseudo-labels: KMeans over the batch representations (Algorithm 1
 	// line 13), without gradient. Three refinements keep the pseudo-labels
 	// client-adaptive and content-aligned:
@@ -192,9 +202,10 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 	//   - clustering uses the L2-normalized projector outputs h — the
 	//     space the SSL objective makes augmentation-invariant — so the
 	//     clusters track content rather than residual style magnitude.
-	h1n := tensor.L2NormalizeRows(ctx.H1.Value, 1e-12)
-	h2n := tensor.L2NormalizeRows(ctx.H2.Value, 1e-12)
-	pairMean := tensor.New(n, h1n.Cols())
+	d := ctx.H1.Value.Cols()
+	h1n, h2n, pairMean := tp.Tensor(n, d), tp.Tensor(n, d), tp.Tensor(n, d)
+	mustNormalizeRows(h1n, ctx.H1.Value)
+	mustNormalizeRows(h2n, ctx.H2.Value)
 	for i := 0; i < n; i++ {
 		a := h1n.Row(i)
 		b := h2n.Row(i)
@@ -207,16 +218,12 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 	var score float64 // SelectK's silhouette of res on pairMean
 	var err error
 	if r.Opts.FixedK {
-		k := r.Opts.NumClusters
-		if k > pairMean.Rows() {
-			k = pairMean.Rows()
-		}
-		res, err = kmeans.Run(ctx.RNG, pairMean, kmeans.Config{K: k})
+		res, err = ctx.KMeans.Run(ctx.RNG, pairMean, kmeans.Config{K: min(r.Opts.NumClusters, n)})
 	} else {
-		res, score, err = selectK(ctx.Arena, ctx.RNG, pairMean, r.Opts.NumClusters)
+		res, score, err = selectK(ctx.Arena, ctx.KMeans, ctx.RNG, pairMean, r.Opts.NumClusters)
 	}
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	// Quality gate: the regularizers are scaled by the clustering's
 	// silhouette score. Genuine class structure produces separated modes
@@ -228,26 +235,40 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 	if !r.Opts.NoQualityGate {
 		gate = score
 		if r.Opts.FixedK {
-			gate = kmeans.Silhouette(pairMean, res.Assign)
+			dist := kmeans.PairDistances(ctx.Arena, pairMean)
+			gate = kmeans.SilhouetteFrom(dist, res.Assign)
+			ctx.Arena.Put(dist)
 		}
 		if gate <= 0 {
-			return nil
+			return nil, nil
 		}
 	}
-	confident := confidentMembers(pairMean, res.Centers, res.Assign, r.Opts.KeepFrac)
+	confident := confidentMembers(tp, pairMean, res.Centers, res.Assign, r.Opts.KeepFrac)
+	// Pair indices per cluster (shared by the two views), clusters that
+	// kept no confident member dropped: rows holds the members cluster by
+	// cluster, assign their cluster's index among the kept ones.
 	k := res.Centers.Rows()
-	groups := make([][]int, k) // pair indices per cluster (shared by views)
+	sizes := tp.Ints(k)
+	for _, i := range confident {
+		sizes[res.Assign[i]]++
+	}
+	groups, rows := tp.IntRows(k), tp.Ints(len(confident))
+	off := 0
+	for c, size := range sizes {
+		groups[c] = rows[off : off : off+size]
+		off += size
+	}
 	for _, i := range confident {
 		groups[res.Assign[i]] = append(groups[res.Assign[i]], i)
 	}
-	var keptE [][]int
+	keptE := groups[:0]
 	for _, g := range groups {
 		if len(g) > 0 {
 			keptE = append(keptE, g)
 		}
 	}
 	if len(keptE) < 2 {
-		return nil // prototype losses need ≥2 distinguishable clusters
+		return nil, nil // prototype losses need ≥2 distinguishable clusters
 	}
 	keptO := keptE // pair-level clusters: identical membership per view
 
@@ -256,12 +277,12 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 		// L_n: prototypes from view o's encodings; view e's encodings are
 		// classified against them (prototypical cross-entropy).
 		protos := nn.GroupMean(ctx.Z2, keptO)
-		var rows []int
-		var assign []int
-		for newID := range keptE {
-			for _, i := range keptE[newID] {
-				rows = append(rows, i)
-				assign = append(assign, newID)
+		assign := tp.Ints(len(rows))
+		at := 0
+		for newID, g := range keptE {
+			for range g {
+				assign[at] = newID
+				at++
 			}
 		}
 		zE := nn.GatherRows(ctx.Z1, rows)
@@ -281,25 +302,45 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) *nn.Node {
 		}
 	}
 	if total == nil {
-		return nil
+		return nil, nil
 	}
-	return nn.Scale(total, gate)
+	return nn.Scale(total, gate), nil
 }
 
-// confidentMembers returns the indices of the keepFrac fraction of points
-// with the largest assignment margin (distance to runner-up center minus
-// distance to own center). keepFrac ≤ 0 or ≥ 1 keeps everyone.
-func confidentMembers(x, centers *tensor.Tensor, assign []int, keepFrac float64) []int {
+func mustNormalizeRows(dst, src *tensor.Tensor) {
+	if err := tensor.L2NormalizeRowsInto(dst, src, 1e-12); err != nil {
+		panic(err) // unreachable: dst was built with src's shape
+	}
+}
+
+// confidentMembers returns, ascending, the indices of the keepFrac fraction
+// of points with the largest assignment margin (distance to runner-up center
+// minus distance to own center). keepFrac ≤ 0 or ≥ 1 keeps everyone. The
+// result and the scratch behind it are borrowed from tp.
+func confidentMembers(tp *nn.Tape, x, centers *tensor.Tensor, assign []int, keepFrac float64) []int {
 	n := x.Rows()
-	all := make([]int, n)
+	all := tp.Ints(n)
 	for i := range all {
 		all[i] = i
 	}
 	if keepFrac <= 0 || keepFrac >= 1 || centers.Rows() < 2 {
 		return all
 	}
-	margins := assignmentMargins(x, centers, assign)
-	sort.Slice(all, func(a, b int) bool { return margins[all[a]] > margins[all[b]] })
+	margins := tp.Tensor(1, n).Data()
+	assignmentMargins(margins, x, centers, assign)
+	// Not a stable sort: which of several points of one margin make the cut
+	// is pdqsort's choice. sort.Slice — which produced the pinned ledger, and
+	// allocates — makes the same one from the same comparisons;
+	// TestConfidentMembersKeepsSortSliceSet holds this line to it.
+	slices.SortFunc(all, func(a, b int) int {
+		switch {
+		case margins[a] > margins[b]:
+			return -1
+		case margins[a] < margins[b]:
+			return 1
+		}
+		return 0
+	})
 	keep := int(math.Ceil(keepFrac * float64(n)))
 	if keep < 2 {
 		keep = 2
@@ -307,16 +348,15 @@ func confidentMembers(x, centers *tensor.Tensor, assign []int, keepFrac float64)
 	if keep > n {
 		keep = n
 	}
-	kept := append([]int(nil), all[:keep]...)
-	sort.Ints(kept)
+	kept := all[:keep]
+	slices.Sort(kept)
 	return kept
 }
 
-// assignmentMargins returns, per point, the squared distance to the nearest
+// assignmentMargins writes, per point, the squared distance to the nearest
 // centre other than its own minus the squared distance to its own.
-func assignmentMargins(x, centers *tensor.Tensor, assign []int) []float64 {
+func assignmentMargins(margins []float64, x, centers *tensor.Tensor, assign []int) {
 	k, d, cd := centers.Rows(), centers.Cols(), centers.Data()
-	margins := make([]float64, x.Rows())
 	var toCenters [16]float64 // one point's distances to the centres, a stack chunk at a time
 	for i := range margins {
 		own, runner := 0.0, math.Inf(1)
@@ -333,7 +373,6 @@ func assignmentMargins(x, centers *tensor.Tensor, assign []int) []float64 {
 		}
 		margins[i] = runner - own
 	}
-	return margins
 }
 
 // Divergence computes a client's local divergence rate: cluster the
@@ -341,16 +380,16 @@ func assignmentMargins(x, centers *tensor.Tensor, assign []int) []float64 {
 // mean distance to the assigned prototype (paper §IV-B). Used as the
 // aggregation weight signal.
 func Divergence(rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error) {
-	return divergence(nil, rng, encodings, k)
+	return divergence(nil, nil, rng, encodings, k)
 }
 
 // divergence is Divergence with SelectK's distance buffer borrowed from
-// arena (nil: the heap).
-func divergence(arena *tensor.Arena, rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error) {
+// arena and its clusterings run in ws (nil: the heap).
+func divergence(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error) {
 	if encodings.Rows() == 0 {
 		return 0, fmt.Errorf("core: no encodings for divergence")
 	}
-	res, _, err := selectK(arena, rng, encodings, k)
+	res, _, err := selectK(arena, ws, rng, encodings, k)
 	if err != nil {
 		return 0, fmt.Errorf("core: divergence clustering: %w", err)
 	}

@@ -77,6 +77,16 @@ func stepCtx(t *testing.T, seed int64, batch int) *ssl.StepContext {
 	return ssl.NewStepContextOn(nil, rng, b, v1, v2)
 }
 
+// apply is reg.Apply, failing the test on an error.
+func apply(t *testing.T, reg *Regularizer, ctx *ssl.StepContext, base *nn.Node) *nn.Node {
+	t.Helper()
+	total, err := reg.Apply(ctx, base)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	return total
+}
+
 func TestRegularizerAddsTerms(t *testing.T) {
 	reg, err := NewRegularizer(DefaultOptions())
 	if err != nil {
@@ -84,7 +94,7 @@ func TestRegularizerAddsTerms(t *testing.T) {
 	}
 	ctx := stepCtx(t, 1, 16)
 	base := nn.PairNTXent(ctx.H1, ctx.H2, 0.5)
-	total := reg.Apply(ctx, base)
+	total := apply(t, reg, ctx, base)
 	bv, tv := base.Value.At(0, 0), total.Value.At(0, 0)
 	if tv == bv {
 		t.Fatal("regularizer should change the loss")
@@ -119,7 +129,7 @@ func TestRegularizerAlphaZeroIsIdentity(t *testing.T) {
 	}
 	ctx := stepCtx(t, 2, 8)
 	base := nn.PairNTXent(ctx.H1, ctx.H2, 0.5)
-	if got := reg.Apply(ctx, base); got != base {
+	if got := apply(t, reg, ctx, base); got != base {
 		t.Fatal("alpha=0 must return the base loss unchanged")
 	}
 }
@@ -133,7 +143,7 @@ func TestRegularizerBothTermsDisabledIsIdentity(t *testing.T) {
 	}
 	ctx := stepCtx(t, 3, 8)
 	base := nn.PairNTXent(ctx.H1, ctx.H2, 0.5)
-	if got := reg.Apply(ctx, base); got != base {
+	if got := apply(t, reg, ctx, base); got != base {
 		t.Fatal("disabled regularizers must be identity")
 	}
 }
@@ -153,7 +163,7 @@ func TestRegularizerSingleTermVariants(t *testing.T) {
 			}
 			ctx := stepCtx(t, 4, 16)
 			base := nn.PairNTXent(ctx.H1, ctx.H2, 0.5)
-			total := reg.Apply(ctx, base)
+			total := apply(t, reg, ctx, base)
 			if total.Value.At(0, 0) == base.Value.At(0, 0) {
 				t.Fatal("single-term regularizer should still change the loss")
 			}
@@ -168,7 +178,7 @@ func TestRegularizerTinyBatchFallsBack(t *testing.T) {
 	}
 	ctx := stepCtx(t, 5, 2) // 2 samples can't form 2 two-view clusters reliably
 	base := nn.PairNTXent(ctx.H1, ctx.H2, 0.5)
-	total := reg.Apply(ctx, base)
+	total := apply(t, reg, ctx, base)
 	if v := total.Value.At(0, 0); math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Fatalf("tiny batch loss = %v", v)
 	}

@@ -35,7 +35,15 @@ type SSLTrainer struct {
 	// (STL-10's advantage for SSL methods).
 	UseUnlabeled bool
 
-	states fl.ClientStates[*ssl.Trainable]
+	states fl.ClientStates[*clientState]
+}
+
+// clientState is what a client keeps from round to round: its trainable
+// (with the arena and clustering workspace behind its training steps) and
+// the row table its local SSL loop draws batches from.
+type clientState struct {
+	*ssl.Trainable
+	rows [][]float64 // the client's labelled rows, then (UseUnlabeled) its unlabelled pool
 }
 
 var (
@@ -64,8 +72,16 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	st, _, err := t.states.Get(rng, client.ID, func(initRNG *rand.Rand) (*ssl.Trainable, error) {
-		return ssl.NewTrainable(initRNG, t.Arch, t.Factory)
+	st, _, err := t.states.Get(rng, client.ID, func(initRNG *rand.Rand) (*clientState, error) {
+		tr, err := ssl.NewTrainable(initRNG, t.Arch, t.Factory)
+		if err != nil {
+			return nil, err
+		}
+		rows := client.Train.X
+		if t.UseUnlabeled && client.Unlabeled != nil {
+			rows = append(append([][]float64{}, rows...), client.Unlabeled.X...)
+		}
+		return &clientState{Trainable: tr, rows: rows}, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: method init for client %d: %w", client.ID, err)
@@ -73,22 +89,18 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	if err := nn.Unflatten(st, global); err != nil {
 		return nil, fmt.Errorf("core: load global into client %d: %w", client.ID, err)
 	}
-	rows := client.Train.X
-	if t.UseUnlabeled && client.Unlabeled != nil {
-		rows = append(append([][]float64{}, rows...), client.Unlabeled.X...)
-	}
 	var hook ssl.LossHook
 	if t.Reg != nil && round >= t.Reg.Opts.WarmupRounds {
 		hook = t.Reg.Apply
 	}
-	loss, err := ssl.Train(rng, st, rows, t.Cfg, hook)
+	loss, err := ssl.Train(rng, st.Trainable, st.rows, t.Cfg, hook)
 	if err != nil {
 		return nil, fmt.Errorf("core: local SSL update for client %d: %w", client.ID, err)
 	}
 	update := &fl.Update{
 		ClientID:   client.ID,
 		Params:     nn.Flatten(st),
-		NumSamples: len(rows),
+		NumSamples: len(st.rows),
 		TrainLoss:  loss,
 	}
 	if t.ComputeDivergence {
@@ -97,7 +109,7 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 			k = 10
 		}
 		enc := st.Backbone.EncodeValue(batchOf(client.Train.X))
-		div, err := divergence(st.Arena(), rng, enc, k)
+		div, err := divergence(st.Arena(), st.KMeans(), rng, enc, k)
 		if err != nil {
 			return nil, fmt.Errorf("core: divergence for client %d: %w", client.ID, err)
 		}

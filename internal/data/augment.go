@@ -38,8 +38,7 @@ func DefaultAugmenter() Augmenter {
 }
 
 // viewInto writes one augmented copy of x into caller-owned storage (every
-// element of out is overwritten), so the per-step TwoViews path allocates
-// no row buffers.
+// element of out is overwritten).
 func (a Augmenter) viewInto(rng *rand.Rand, x, out []float64) {
 	scale := 1.0
 	if a.ScaleJitter > 0 {
@@ -81,6 +80,17 @@ func (a Augmenter) TwoViews(rng *rand.Rand, rows [][]float64) (v1, v2 *tensor.Te
 		a.viewInto(rng, x, v2.Row(i))
 	}
 	return v1, v2
+}
+
+// TwoViewsInto is TwoViews of the rows a batch's indices pick, written into
+// the caller's (len(idx) × dim) tensors: row i of both derives from
+// rows[idx[i]], with the draws TwoViews makes, in its order. The training
+// loop's form: no row table, no view tensors of its own.
+func (a Augmenter) TwoViewsInto(rng *rand.Rand, v1, v2 *tensor.Tensor, rows [][]float64, idx []int) {
+	for i, j := range idx {
+		a.viewInto(rng, rows[j], v1.Row(i))
+		a.viewInto(rng, rows[j], v2.Row(i))
+	}
 }
 
 // Batch assembles the given rows into a tensor without augmentation.

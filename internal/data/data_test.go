@@ -281,6 +281,40 @@ func TestTwoViewsShape(t *testing.T) {
 	}
 }
 
+// TestTwoViewsIntoMatchesTwoViews: the training loop's form — views of the
+// rows a batch's indices pick, written into the caller's tensors (stale
+// contents and all) — is TwoViews of those rows gathered into a table: same
+// values by bits, same draws.
+func TestTwoViewsIntoMatchesTwoViews(t *testing.T) {
+	a := DefaultAugmenter()
+	a.StyleDirs, a.StyleStd = tensor.RandN(rand.New(rand.NewSource(40)), 1, 2, 6), 0.3
+	rows := make([][]float64, 9)
+	for i := range rows {
+		rows[i] = tensor.RandN(rand.New(rand.NewSource(int64(41+i))), 1, 1, 6).Data()
+	}
+	idx := []int{7, 2, 2, 0, 8}
+	gathered := make([][]float64, len(idx))
+	for i, j := range idx {
+		gathered[i] = rows[j]
+	}
+	wantRNG, gotRNG := rand.New(rand.NewSource(50)), rand.New(rand.NewSource(50))
+	w1, w2 := a.TwoViews(wantRNG, gathered)
+	g1, g2 := tensor.New(len(idx), 6), tensor.New(len(idx), 6)
+	g1.Fill(math.NaN())
+	g2.Fill(math.NaN())
+	a.TwoViewsInto(gotRNG, g1, g2, rows, idx)
+	for v, pair := range [][2]*tensor.Tensor{{g1, w1}, {g2, w2}} {
+		for i, w := range pair[1].Data() {
+			if math.Float64bits(pair[0].Data()[i]) != math.Float64bits(w) {
+				t.Fatalf("view %d element %d: %v, TwoViews gives %v", v+1, i, pair[0].Data()[i], w)
+			}
+		}
+	}
+	if gotRNG.Int63() != wantRNG.Int63() {
+		t.Fatal("TwoViewsInto consumed different draws")
+	}
+}
+
 // Property: augmented views keep correlation with the original sample —
 // the class signal survives augmentation.
 func TestAugmentationPreservesSignalProperty(t *testing.T) {

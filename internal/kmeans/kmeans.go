@@ -33,14 +33,68 @@ type Config struct {
 }
 
 // Run clusters the rows of x (n×d). K is clamped to n when the batch is
-// smaller than the requested number of clusters; it must be ≥1.
+// smaller than the requested number of clusters; it must be ≥1. The result
+// is the caller's: Run is Workspace.Run on a workspace of its own.
 func Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
-	n := x.Rows()
+	return new(Workspace).Run(rng, x, cfg)
+}
+
+// Workspace owns everything a Run builds — seeding and assignment scratch,
+// centres, assignments, member lists, the Result itself — and reuses it from
+// call to call, so clustering inside a training step (Calibre's pseudo-labels:
+// up to six Runs per step) allocates nothing once the workspace has seen the
+// step's shapes. A result lives in one of two slots: Run writes the current
+// one, Hold swaps it with the held one. The zero value is ready to use; a
+// nil *Workspace works too and builds every result fresh. Not safe for
+// concurrent use: one per training client, next to its arena.
+type Workspace struct {
+	scratch []float64
+	counts  []int
+	slots   [2]slot
+	cur     int // the slot the next Run writes; the other one is held
+}
+
+// slot is one result and the storage behind it.
+type slot struct {
+	res     Result
+	members []int            // backing of res.Groups
+	centers []*tensor.Tensor // one per (K, d) seen: a handful per client
+}
+
+// centersFor returns the slot's K×d centre matrix, contents unspecified.
+func (s *slot) centersFor(k, d int) *tensor.Tensor {
+	for _, c := range s.centers {
+		if c.Rows() == k && c.Cols() == d {
+			return c
+		}
+	}
+	c := tensor.New(k, d)
+	s.centers = append(s.centers, c)
+	return c
+}
+
+// grow returns buf resliced to n elements, reallocated only when its
+// capacity does not reach; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Run is the package's Run into the workspace's current slot: same result,
+// bit for bit, same draws from rng. The result is valid until the next Run
+// on w, or — after Hold — until the Run that follows the next Hold.
+func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
+	n, d := x.Rows(), x.Cols()
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("kmeans: K must be ≥1, got %d", cfg.K)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("kmeans: empty input")
+	}
+	if w == nil {
+		w = new(Workspace)
 	}
 	k := cfg.K
 	if k > n {
@@ -57,57 +111,66 @@ func Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
 
 	// One buffer serves the seeding (every point's distance to its nearest
 	// centre) and then the assignments (one point's distance to k ≤ n centres).
-	scratch := make([]float64, n)
-	centers := seedPlusPlus(rng, x, k, scratch)
-	assign := make([]int, n)
-	counts := make([]int, k) // reused across Lloyd iterations
+	w.scratch, w.counts = grow(w.scratch, n), grow(w.counts, k)
+	s := &w.slots[w.cur]
+	centers := s.centersFor(k, d)
+	seedPlusPlus(rng, x, centers, w.scratch)
+	s.res.Assign = grow(s.res.Assign, n)
+	assign := s.res.Assign
 	prev := math.Inf(1)
 	var inertia float64
 	var iters int
 	for iters = 1; iters <= maxIters; iters++ {
-		inertia = assignPoints(x, centers, assign, scratch)
-		updateCenters(rng, x, centers, assign, counts)
+		inertia = assignPoints(x, centers, assign, w.scratch)
+		updateCenters(rng, x, centers, assign, w.counts)
 		if prev-inertia <= tol*math.Max(prev, 1) {
 			break
 		}
 		prev = inertia
 	}
 	// Final assignment against the last centers.
-	inertia = assignPoints(x, centers, assign, scratch)
-	return &Result{Centers: centers, Assign: assign, Groups: groupMembers(assign, k, counts), Inertia: inertia, Iters: iters}, nil
+	inertia = assignPoints(x, centers, assign, w.scratch)
+	s.members, s.res.Groups = grow(s.members, n), grow(s.res.Groups, k)
+	groupMembers(s.res.Groups, s.members, assign, w.counts)
+	s.res.Centers, s.res.Inertia, s.res.Iters = centers, inertia, iters
+	return &s.res, nil
 }
 
-// groupMembers inverts an assignment into per-cluster member lists, all
-// sub-slices of one backing array (this runs inside training steps, so it
-// avoids the per-append allocations of the naive construction). counts is
-// scratch of length ≥ k and is overwritten.
-func groupMembers(assign []int, k int, counts []int) [][]int {
-	counts = counts[:k]
-	for c := range counts {
-		counts[c] = 0
+// Hold makes the last Run's result outlive the Runs that follow, in place of
+// whichever result was held before (which the next Run overwrites): how a
+// search over several clusterings keeps its best so far. No-op on a nil
+// workspace, whose results are all the caller's.
+func (w *Workspace) Hold() {
+	if w != nil {
+		w.cur ^= 1
 	}
+}
+
+// groupMembers inverts an assignment into per-cluster member lists
+// groups[c] — len(groups) clusters, ascending members — all sub-slices of
+// backing, which holds len(assign) values. counts is scratch of len(groups)
+// values; all three are overwritten.
+func groupMembers(groups [][]int, backing, assign, counts []int) {
+	clear(counts)
 	for _, a := range assign {
 		counts[a]++
 	}
-	backing := make([]int, len(assign))
-	groups := make([][]int, k)
 	off := 0
-	for c := 0; c < k; c++ {
+	for c := range groups {
 		groups[c] = backing[off : off : off+counts[c]]
 		off += counts[c]
 	}
 	for i, a := range assign {
 		groups[a] = append(groups[a], i)
 	}
-	return groups
 }
 
-// seedPlusPlus picks k initial centers with the k-means++ D² weighting.
-// scratch holds n values. Distances run from the centre to the points, the
-// rows that lie consecutively; (c−x)² and (x−c)² are the same float.
-func seedPlusPlus(rng *rand.Rand, x *tensor.Tensor, k int, scratch []float64) *tensor.Tensor {
-	n, d := x.Rows(), x.Cols()
-	centers := tensor.New(k, d)
+// seedPlusPlus picks the initial centers — every row of centers — with the
+// k-means++ D² weighting. scratch holds n values. Distances run from the
+// centre to the points, the rows that lie consecutively; (c−x)² and (x−c)²
+// are the same float.
+func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64) {
+	n, d, k := x.Rows(), x.Cols(), centers.Rows()
 	first := rng.Intn(n)
 	centers.SetRow(0, x.Row(first))
 	dist, xd := scratch[:n], x.Data()
@@ -143,7 +206,6 @@ func seedPlusPlus(rng *rand.Rand, x *tensor.Tensor, k int, scratch []float64) *t
 			}
 		}
 	}
-	return centers
 }
 
 // assignPoints assigns every point to its nearest centre (the lowest index
@@ -236,89 +298,78 @@ func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
 }
 
 // SilhouetteFrom is Silhouette over the PairDistances of the labeled point
-// set: same value, bit for bit.
+// set: same value, bit for bit. It allocates nothing for labels spanning at
+// most silhouetteStackGroups values (a k-means assignment of K ≤ 32).
 func SilhouetteFrom(dist []float64, labels []int) float64 {
 	n := len(labels)
 	if len(dist) != n*(n-1)/2 {
 		panic(fmt.Sprintf("kmeans: SilhouetteFrom needs the %d pair distances of %d points, got %d", n*(n-1)/2, n, len(dist)))
 	}
-	between := func(i, j int) float64 {
-		if i < j {
-			i, j = j, i
-		}
-		return dist[i*(i-1)/2+j]
-	}
 	if n == 0 {
 		return 0
 	}
-	// Remap labels to dense group indices [0,g). This runs inside Calibre's
-	// per-step regularizer, so the common case (small non-negative labels)
-	// uses a lookup table and one backing array instead of a map of
-	// growing slices; arbitrary label values fall back to a map.
+	// Groups are indexed by label − minL; label values too spread out for a
+	// table are first renumbered densely through a map.
 	minL, maxL := labels[0], labels[0]
 	for _, l := range labels {
-		if l < minL {
-			minL = l
-		}
-		if l > maxL {
-			maxL = l
-		}
+		minL, maxL = min(minL, l), max(maxL, l)
 	}
-	idx := make([]int, n)
-	g := 0
-	if span := maxL - minL + 1; span > 0 && span <= 4*n+16 {
-		lut := make([]int, span)
-		for i := range lut {
-			lut[i] = -1
-		}
+	span := maxL - minL + 1
+	if span <= 0 || span > 4*n+16 {
+		dense, ids := make([]int, n), make(map[int]int, n)
 		for i, l := range labels {
-			if lut[l-minL] < 0 {
-				lut[l-minL] = g
-				g++
-			}
-			idx[i] = lut[l-minL]
-		}
-	} else {
-		lut := make(map[int]int, n)
-		for i, l := range labels {
-			j, ok := lut[l]
+			id, ok := ids[l]
 			if !ok {
-				j = g
-				lut[l] = j
-				g++
+				id = len(ids)
+				ids[l] = id
 			}
-			idx[i] = j
+			dense[i] = id
 		}
+		labels, minL, span = dense, 0, len(ids)
 	}
-	if g < 2 {
+	var sizesBuf [silhouetteStackGroups]int
+	var sumsBuf [silhouetteStackGroups]float64
+	sizes, sums := sizesBuf[:], sumsBuf[:]
+	if span > silhouetteStackGroups {
+		sizes, sums = make([]int, span), make([]float64, span)
+	}
+	sizes, sums = sizes[:span], sums[:span]
+	populated := 0
+	for _, l := range labels {
+		if sizes[l-minL] == 0 {
+			populated++
+		}
+		sizes[l-minL]++
+	}
+	if populated < 2 {
 		return 0
 	}
-	groups := groupMembers(idx, g, make([]int, g))
 	var total float64
-	for i := 0; i < n; i++ {
-		li := idx[i]
-		var a float64
-		own := groups[li]
-		if len(own) <= 1 {
+	for i, l := range labels {
+		own := l - minL
+		if sizes[own] <= 1 {
 			continue // silhouette defined as 0 for singletons
 		}
-		for _, j := range own {
-			if j != i {
-				a += between(i, j)
-			}
+		// One pass over the other points, ascending: sums[g] is point i's
+		// total distance to group g, each group's own addition chain in
+		// member order. Pair (i, j) is stored at hi(hi−1)/2 + lo.
+		clear(sums)
+		row := dist[i*(i-1)/2:]
+		for j, lj := range labels[:i] {
+			sums[lj-minL] += row[j]
 		}
-		a /= float64(len(own) - 1)
+		at := i*(i+1)/2 + i // pair (i+1, i)
+		for j := i + 1; j < n; j++ {
+			sums[labels[j]-minL] += dist[at]
+			at += j
+		}
+		a := sums[own] / float64(sizes[own]-1)
 		b := math.Inf(1)
-		for l, members := range groups {
-			if l == li {
+		for g, size := range sizes {
+			if g == own || size == 0 {
 				continue
 			}
-			var m float64
-			for _, j := range members {
-				m += between(i, j)
-			}
-			m /= float64(len(members))
-			if m < b {
+			if m := sums[g] / float64(size); m < b {
 				b = m
 			}
 		}
@@ -328,6 +379,10 @@ func SilhouetteFrom(dist []float64, labels []int) float64 {
 	}
 	return total / float64(n)
 }
+
+// silhouetteStackGroups is the label span SilhouetteFrom serves from its
+// stack frame.
+const silhouetteStackGroups = 32
 
 // MeanDistanceToAssigned returns the average Euclidean distance between each
 // point and its assigned center. Calibre uses this quantity as the client's

@@ -276,22 +276,33 @@ func naiveSilhouette(x *tensor.Tensor, labels []int) float64 {
 }
 
 // TestSilhouetteSharedDistancesBitIdentical: scoring from distances computed
-// once (heap or arena buffer) equals computing every distance in place, for
-// dense labels and for sparse, negative and huge ones (the map fallback).
+// once (heap or arena buffer), one pass per point, equals computing every
+// distance in place group by group — for dense labels (the table on the
+// stack), for small negative ones with gaps, for a span past the stack
+// table, and for sparse, negative and huge ones (the map fallback); with one
+// group only (k = 1), and with singleton groups among the others.
 func TestSilhouetteSharedDistancesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	arena := tensor.NewArena()
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.Intn(60)
 		x := tensor.RandN(rng, 1, n, 1+rng.Intn(24))
 		k := 1 + rng.Intn(6)
 		values := []int{0, 1, 2, 3, 4, 5}
-		if trial%2 == 1 {
+		switch trial % 4 {
+		case 1:
 			values = []int{-7, 3, 1 << 40, -(1 << 50), 12, math.MaxInt}
+		case 2:
+			values = []int{-9, -3, -8, 0, 4, -1}
+		case 3:
+			values = []int{40, 2, 75, 3, 0, 41}
 		}
 		labels := make([]int, n)
 		for i := range labels {
 			labels[i] = values[rng.Intn(k)]
+		}
+		if trial%3 == 0 && k > 1 { // two groups of one point each
+			labels[0], labels[n-1] = values[0]+100, values[0]+101
 		}
 		want := naiveSilhouette(x, labels)
 		if got := Silhouette(x, labels); math.Float64bits(got) != math.Float64bits(want) {

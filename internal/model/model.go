@@ -177,12 +177,12 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 		Opt:      nn.NewSGD(paramSubset{trainable}, cfg.LR, cfg.Momentum, 0),
 		Params:   params,
 		ClipNorm: cfg.ClipNorm,
-		Loss: func() *nn.Node {
+		Loss: func() (*nn.Node, error) {
 			idx, ok := batcher.Next()
 			if !ok {
 				idx = []int{0} // a one-sample dataset trains full-batch
 			}
-			return nn.CrossEntropy(m.ForwardOn(tape, data.Batch(ds.Rows(idx))), ds.Labels(idx))
+			return nn.CrossEntropy(m.ForwardOn(tape, data.Batch(ds.Rows(idx))), ds.Labels(idx)), nil
 		},
 	}
 	if prox != nil || cfg.GradCorrection != nil {

@@ -47,7 +47,7 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 		Tape:   tape,
 		Opt:    nn.NewSGD(head, cfg.LR, cfg.Momentum, 0),
 		Params: head.Params(),
-		Loss: func() *nn.Node {
+		Loss: func() (*nn.Node, error) {
 			if cur >= n {
 				perm = rng.Perm(n)
 				cur = 0
@@ -60,7 +60,7 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 				x.SetRow(i, feats.Row(j))
 				y[i] = labels[j]
 			}
-			return nn.CrossEntropy(head.Forward(nn.InputOn(tape, x)), y)
+			return nn.CrossEntropy(head.Forward(nn.InputOn(tape, x)), y), nil
 		},
 	}
 	if _, err := loop.Run(cfg.Epochs * stepsPerEpoch); err != nil {

@@ -32,8 +32,11 @@ type Node struct {
 	// Value is the forward result. It must not be mutated after creation.
 	Value *tensor.Tensor
 
-	grad         *tensor.Tensor
-	parents      []*Node
+	grad    *tensor.Tensor
+	parents []*Node
+	// inline backs parents: no op has more than three, so a node and its
+	// parent list are one object (one slab slot, on a tape).
+	inline       [3]*Node
 	back         func(grad *tensor.Tensor)
 	tape         *Tape
 	requiresGrad bool
@@ -90,7 +93,7 @@ func newOp(value *tensor.Tensor, back func(g *tensor.Tensor), parents ...*Node) 
 	tp := tapeOf(parents...)
 	n := tp.node()
 	n.Value = value
-	n.parents = parents
+	n.parents = append(n.inline[:0], parents...)
 	n.tape = tp
 	n.requiresGrad = anyRequiresGrad(parents...)
 	if n.requiresGrad {
@@ -437,7 +440,8 @@ func GatherRows(x *Node, idx []int) *Node {
 	for i, r := range idx {
 		copy(v.Row(i), x.Value.Row(r))
 	}
-	rows := append([]int(nil), idx...)
+	rows := x.tape.Ints(len(idx))
+	copy(rows, idx)
 	return newOp(v, func(g *tensor.Tensor) {
 		if !x.requiresGrad {
 			return
@@ -476,9 +480,10 @@ func GroupMean(x *Node, groups [][]int) *Node {
 			row[j] *= inv
 		}
 	}
-	captured := make([][]int, len(groups))
+	captured := x.tape.IntRows(len(groups))
 	for k, grp := range groups {
-		captured[k] = append([]int(nil), grp...)
+		captured[k] = x.tape.Ints(len(grp))
+		copy(captured[k], grp)
 	}
 	return newOp(v, func(g *tensor.Tensor) {
 		if !x.requiresGrad {

@@ -258,3 +258,42 @@ func TestParamInitializers(t *testing.T) {
 		t.Fatalf("He std = %v, want ≈%v", std, want)
 	}
 }
+
+// TestTapeScratchLendsUntilReset: Ints and IntRows hand out zeroed,
+// non-overlapping slices for the step; a step that outgrows the buffer is
+// served from the heap, Reset sizes the buffer to it, and from then on the
+// same step allocates nothing. A nil tape is plain make.
+func TestTapeScratchLendsUntilReset(t *testing.T) {
+	tp := NewTape(tensor.NewArena())
+	step := func() {
+		a, b := tp.Ints(5), tp.Ints(7)
+		rows := tp.IntRows(3)
+		for i := range a {
+			a[i] = 1
+		}
+		for i := range b {
+			if b[i] != 0 {
+				t.Fatalf("scratch not zeroed, or overlapping: %v", b)
+			}
+			b[i] = 2
+		}
+		for _, r := range rows {
+			if r != nil {
+				t.Fatalf("IntRows not nil rows: %v", rows)
+			}
+		}
+		rows[0], rows[2] = a, b
+		if len(a) != 5 || cap(a) != 5 || a[4] != 1 || len(tp.Tensor(2, 3).Data()) != 6 {
+			t.Fatalf("lent slices: a=%v cap %d", a, cap(a))
+		}
+		tp.Reset()
+	}
+	step() // outgrows the empty buffers; Reset sizes them
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Fatalf("a repeated step's scratch makes %v allocations, want 0", allocs)
+	}
+	var none *Tape
+	if got := none.Ints(3); len(got) != 3 || len(none.IntRows(2)) != 2 || none.Tensor(1, 2).Len() != 2 {
+		t.Fatal("nil tape must lend from the heap")
+	}
+}

@@ -59,7 +59,8 @@ func MaskedCrossEntropy(logits *Node, targets []int, exclude [][]int) *Node {
 	loss /= float64(m)
 	v := logits.tape.alloc(1, 1)
 	v.Set(0, 0, loss)
-	tgt := append([]int(nil), targets...)
+	tgt := logits.tape.Ints(m)
+	copy(tgt, targets)
 	return newOp(v, func(g *tensor.Tensor) {
 		if !logits.requiresGrad {
 			return
@@ -131,7 +132,7 @@ func NegCosineConst(x *Node, t *tensor.Tensor) *Node {
 		panic(fmt.Sprintf("nn: NegCosineConst target shape %v vs %v", t.Shape(), x.Value.Shape()))
 	}
 	var loss float64
-	coss := make([]float64, m)
+	coss := x.tape.alloc(m, 1).Data()
 	for i := 0; i < m; i++ {
 		coss[i] = tensor.CosineSim(x.Value.Row(i), t.Row(i))
 		loss += 1 - coss[i]
@@ -175,9 +176,9 @@ func NTXent(h *Node, tau float64) *Node {
 	n := total / 2
 	z := L2NormalizeRows(h)
 	sim := Scale(MatMulTransB(z, z), 1/tau)
-	targets := make([]int, total)
-	exclude := make([][]int, total)
-	selfIdx := make([]int, total) // shared backing for the per-row masks
+	targets := h.tape.Ints(total)
+	exclude := h.tape.IntRows(total)
+	selfIdx := h.tape.Ints(total) // shared backing for the per-row masks
 	for i := 0; i < total; i++ {
 		targets[i] = (i + n) % total
 		selfIdx[i] = i

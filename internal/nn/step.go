@@ -27,10 +27,11 @@ type StepLoop struct {
 	// disables clipping.
 	ClipNorm float64
 
-	// Loss draws the step's batch and builds its scalar loss. The graph —
-	// the returned node included — dies when the step ends: whatever must
-	// survive it (a method's key queue, say) is deep-copied in AfterStep.
-	Loss func() *Node
+	// Loss draws the step's batch and builds its scalar loss; an error ends
+	// the run. The graph — the returned node included — dies when the step
+	// ends: whatever must survive it (a method's key queue, say) is
+	// deep-copied in AfterStep.
+	Loss func() (*Node, error)
 	// AdjustGrads, when non-nil, edits the accumulated gradients in place
 	// before clipping (a proximal pull, a control-variate correction).
 	AdjustGrads func()
@@ -46,11 +47,14 @@ func (l *StepLoop) Run(steps int) (float64, error) {
 	}
 	var total float64
 	for s := 0; s < steps; s++ {
-		loss := l.Loss()
-		for _, p := range l.Params {
-			p.ZeroGrad()
+		loss, err := l.Loss()
+		if err == nil {
+			for _, p := range l.Params {
+				p.ZeroGrad()
+			}
+			err = Backward(loss)
 		}
-		if err := Backward(loss); err != nil {
+		if err != nil {
 			l.Tape.Reset()
 			return 0, fmt.Errorf("training step %d: %w", s, err)
 		}

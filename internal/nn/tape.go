@@ -4,7 +4,10 @@ import "calibre/internal/tensor"
 
 // Tape tracks every tensor a computation graph allocates — op outputs,
 // lazily-created gradients, and backward scratch — so they can all be
-// returned to a tensor.Arena in one call when the step is over.
+// returned to a tensor.Arena in one call when the step is over. It also
+// lends the step its index scratch (Ints, IntRows) and whatever tensors the
+// step builds outside the graph (Tensor: the augmented views, a loss hook's
+// work matrices), on the same terms: valid until Reset.
 //
 // A tape enters a graph through InputOn: every op output derived (directly
 // or transitively) from a taped input draws its buffers from the tape's
@@ -26,6 +29,11 @@ type Tape struct {
 	// headers from here instead of the heap, and Reset reclaims the slots.
 	// Like taped tensors, slab nodes must not be used after Reset.
 	nodes []Node
+
+	// Index scratch lent until Reset: op captures (targets, masks, group
+	// tables) and a loss hook's pseudo-label bookkeeping.
+	ints    scratch[int]
+	intRows scratch[[]int]
 
 	// Backward scratch, reused across steps by topoSort.
 	visited map[*Node]bool
@@ -54,6 +62,55 @@ func (tp *Tape) node() *Node {
 	*n = Node{}
 	return n
 }
+
+// scratch lends slices of one buffer until reset. A step that asks for more
+// than the buffer holds gets the excess from the heap, and reset then grows
+// the buffer to what the step took in all — so the steps after the largest
+// one so far allocate nothing.
+type scratch[T any] struct {
+	buf  []T
+	used int // lent since the last reset, including what did not fit
+}
+
+func (s *scratch[T]) take(n int) []T {
+	lo := s.used
+	s.used += n
+	if s.used > len(s.buf) {
+		return make([]T, n)
+	}
+	out := s.buf[lo:s.used:s.used]
+	clear(out)
+	return out
+}
+
+func (s *scratch[T]) reset() {
+	if s.used > len(s.buf) {
+		s.buf = make([]T, s.used)
+	}
+	s.used = 0
+}
+
+// Ints lends a zeroed []int of length n until Reset. Nil-safe: a nil tape
+// is plain make.
+func (tp *Tape) Ints(n int) []int {
+	if tp == nil {
+		return make([]int, n)
+	}
+	return tp.ints.take(n)
+}
+
+// IntRows lends a [][]int of n nil rows until Reset. Nil-safe: a nil tape
+// is plain make.
+func (tp *Tape) IntRows(n int) [][]int {
+	if tp == nil {
+		return make([][]int, n)
+	}
+	return tp.intRows.take(n)
+}
+
+// Tensor lends a zeroed tensor of the given shape until Reset, for what a
+// step builds outside the graph. Nil-safe: a nil tape is tensor.New.
+func (tp *Tape) Tensor(shape ...int) *tensor.Tensor { return tp.alloc(shape...) }
 
 // alloc borrows a zeroed tensor of the given shape, tracked for Reset.
 func (tp *Tape) alloc(shape ...int) *tensor.Tensor {
@@ -99,8 +156,8 @@ func (tp *Tape) track(t *tensor.Tensor) *tensor.Tensor {
 	return t
 }
 
-// Reset returns every tensor allocated through this tape to the arena and
-// empties the tape for the next step. Nil-safe.
+// Reset returns every tensor allocated through this tape to the arena, takes
+// back the scratch it lent and empties the tape for the next step. Nil-safe.
 func (tp *Tape) Reset() {
 	if tp == nil {
 		return
@@ -116,4 +173,6 @@ func (tp *Tape) Reset() {
 		tp.nodes[i] = Node{}
 	}
 	tp.nodes = tp.nodes[:0]
+	tp.ints.reset()
+	tp.intRows.reset()
 }

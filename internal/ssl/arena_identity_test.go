@@ -3,20 +3,46 @@ package ssl
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"calibre/internal/kmeans"
 	"calibre/internal/nn"
 )
+
+// clusterHook stands in for core's regularizer, which this package cannot
+// import (internal/core's identity tests run the real one): it clusters the
+// step's projections in the client's k-means workspace, keeps the member
+// lists in tape scratch, and adds a prototype term built from them.
+func clusterHook(ctx *StepContext, loss *nn.Node) (*nn.Node, error) {
+	res, err := ctx.KMeans.Run(ctx.RNG, ctx.H1.Value, kmeans.Config{K: 2})
+	if err != nil {
+		return nil, err
+	}
+	groups := ctx.Tape.IntRows(len(res.Groups))
+	for c, g := range res.Groups {
+		groups[c] = ctx.Tape.Ints(len(g))
+		copy(groups[c], g)
+	}
+	return nn.Add(loss, nn.Scale(nn.Mean(nn.GroupMean(ctx.Z1, groups)), 0.1)), nil
+}
 
 // TestTrainArenaBitIdentical pins what a cached federated client relies on:
 // a local training run on an arena full of another run's recycled buffers
 // produces bit-identical parameters and loss to a run on a cold arena. The
 // method roster covers the cross-step escape paths — MoCo's key queue,
 // BYOL's momentum target, SwAV's prototype params — that must deep-copy out
-// of the tape's buffers before Reset.
+// of the tape's buffers before Reset. Every method also runs with a loss
+// hook installed, whose step borrows index scratch from the tape and
+// clusters in the k-means workspace the warm run inherits with the arena.
 func TestTrainArenaBitIdentical(t *testing.T) {
-	for _, method := range []string{"simclr", "mocov2", "byol", "swav"} {
+	for _, method := range []string{"simclr", "mocov2", "byol", "swav", "simclr+hook", "mocov2+hook"} {
 		t.Run(method, func(t *testing.T) {
+			method, hooked := strings.CutSuffix(method, "+hook")
+			var hook LossHook
+			if hooked {
+				hook = clusterHook
+			}
 			cfg := DefaultTrainConfig()
 			cfg.Epochs = 2
 			cfg.BatchSize = 4
@@ -29,12 +55,12 @@ func TestTrainArenaBitIdentical(t *testing.T) {
 				tr := build()
 				if warm {
 					prev := build()
-					if _, err := Train(rand.New(rand.NewSource(7)), prev, testRows(rand.New(rand.NewSource(8)), 12, 16), cfg, nil); err != nil {
+					if _, err := Train(rand.New(rand.NewSource(7)), prev, testRows(rand.New(rand.NewSource(8)), 12, 16), cfg, hook); err != nil {
 						t.Fatalf("warm-up Train: %v", err)
 					}
-					tr.arena = prev.Arena()
+					tr.arena, tr.tape, tr.kmeans = prev.Arena(), prev.tape, prev.kmeans
 				}
-				loss, err := Train(rand.New(rand.NewSource(62)), tr, testRows(rand.New(rand.NewSource(63)), 10, 16), cfg, nil)
+				loss, err := Train(rand.New(rand.NewSource(62)), tr, testRows(rand.New(rand.NewSource(63)), 10, 16), cfg, hook)
 				if err != nil {
 					t.Fatalf("Train(warm=%v): %v", warm, err)
 				}

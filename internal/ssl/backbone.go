@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"calibre/internal/kmeans"
 	"calibre/internal/nn"
 	"calibre/internal/tensor"
 )
@@ -100,10 +101,14 @@ type StepContext struct {
 	Z1, Z2       *nn.Node       // encoder outputs (N×featDim)
 	H1, H2       *nn.Node       // projector outputs (N×projDim)
 
-	// Arena, when non-nil, is the arena behind the step's tape: a loss hook
-	// may borrow scratch from it for the duration of its call (Get … Put).
-	// A nil arena degrades to the heap, like every *tensor.Arena.
-	Arena *tensor.Arena
+	// Tape is the tape the step's graph is on: a loss hook borrows what it
+	// builds for the step from it (Tensor, Ints, IntRows), until the step's
+	// Reset. Arena, the arena behind the tape, lends scratch for the duration
+	// of a call (Get … Put), and KMeans is the training client's clustering
+	// workspace. All three may be nil and then degrade to the heap.
+	Tape   *nn.Tape
+	Arena  *tensor.Arena
+	KMeans *kmeans.Workspace
 }
 
 // NewStepContextOn performs the shared forward passes for a pair of views,
@@ -111,18 +116,16 @@ type StepContext struct {
 // heap). The whole context is step-scoped: after the caller resets the
 // tape, none of its nodes may be touched again.
 func NewStepContextOn(tp *nn.Tape, rng *rand.Rand, b *Backbone, view1, view2 *tensor.Tensor) *StepContext {
-	z1 := b.EncodeOn(tp, view1)
-	z2 := b.EncodeOn(tp, view2)
-	return &StepContext{
-		RNG:      rng,
-		Backbone: b,
-		View1:    view1,
-		View2:    view2,
-		Z1:       z1,
-		Z2:       z2,
-		H1:       b.Project(z1),
-		H2:       b.Project(z2),
-	}
+	ctx := &StepContext{RNG: rng, Backbone: b, Tape: tp}
+	ctx.forward(view1, view2)
+	return ctx
+}
+
+// forward runs the step's shared forward passes on the context's tape.
+func (ctx *StepContext) forward(view1, view2 *tensor.Tensor) {
+	ctx.View1, ctx.View2 = view1, view2
+	ctx.Z1, ctx.Z2 = ctx.Backbone.EncodeOn(ctx.Tape, view1), ctx.Backbone.EncodeOn(ctx.Tape, view2)
+	ctx.H1, ctx.H2 = ctx.Backbone.Project(ctx.Z1), ctx.Backbone.Project(ctx.Z2)
 }
 
 // Method is a self-supervised objective over a pair of augmented views.
@@ -160,7 +163,9 @@ type Trainable struct {
 	Backbone *Backbone
 	Method   Method
 
-	arena *tensor.Arena // lazily created; backs training-step tapes
+	arena  *tensor.Arena    // lazily created; backs the training-step tape
+	tape   *nn.Tape         // lazily created over arena; Train's steps run on it
+	kmeans kmeans.Workspace // a loss hook's clusterings, reused like the arena's buffers
 }
 
 var _ nn.Module = (*Trainable)(nil)
@@ -178,15 +183,29 @@ func NewTrainable(rng *rand.Rand, arch Arch, factory Factory) (*Trainable, error
 
 // Arena returns the trainable's buffer arena, creating it on first use. The
 // arena persists for the trainable's lifetime (for a federated client: across
-// rounds), which is what makes step buffers actually get reused. Callers that
-// train the same Trainable from multiple goroutines may share the arena (it
-// is mutex-guarded) but must not share training steps.
+// rounds), which is what makes step buffers actually get reused. The arena is
+// mutex-guarded and may be shared; Train itself is not safe for concurrent
+// use on one Trainable (one parameter set, one step tape, one workspace).
 func (t *Trainable) Arena() *tensor.Arena {
 	if t.arena == nil {
 		t.arena = tensor.NewArena()
 	}
 	return t.arena
 }
+
+// stepTape returns the tape Train's steps run on, over the trainable's
+// arena and kept like it: its node slab, sort scratch and index scratch stay
+// sized to the client's step from one local update to the next.
+func (t *Trainable) stepTape() *nn.Tape {
+	if t.tape == nil {
+		t.tape = nn.NewTape(t.Arena())
+	}
+	return t.tape
+}
+
+// KMeans returns the trainable's clustering workspace, which persists like
+// its arena and, like a tape, serves one training step at a time.
+func (t *Trainable) KMeans() *kmeans.Workspace { return &t.kmeans }
 
 // Params returns backbone params followed by method extras, in stable order.
 func (t *Trainable) Params() []*nn.Param {

@@ -80,8 +80,9 @@ func DefaultTrainConfig() TrainConfig {
 }
 
 // LossHook lets callers (Calibre) extend the per-step loss. It receives the
-// step context and the method's own loss node and returns the total loss.
-type LossHook func(ctx *StepContext, methodLoss *nn.Node) *nn.Node
+// step context and the method's own loss node and returns the total loss;
+// an error fails the step, and Train with it.
+type LossHook func(ctx *StepContext, methodLoss *nn.Node) (*nn.Node, error)
 
 // Train runs the local SSL loop over rows (a client's raw samples), mutating
 // the trainable's parameters in place. hook may be nil. It returns the mean
@@ -95,27 +96,26 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 	}
 	stepsPerEpoch := (len(rows) + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, len(rows), cfg.BatchSize)
-	arena := t.Arena()
-	tape := nn.NewTape(arena)
+	tape := t.stepTape()
+	// One context serves every step: like the views and the graph, what it
+	// holds dies at the step's Reset.
+	ctx := &StepContext{RNG: rng, Backbone: t.Backbone, Tape: tape, Arena: t.Arena(), KMeans: t.KMeans()}
+	dim := len(rows[0])
 	loop := nn.StepLoop{
 		Tape:     tape,
 		Opt:      nn.NewSGD(t, cfg.LR, cfg.Momentum, 0),
 		Params:   t.Params(),
 		ClipNorm: cfg.ClipNorm,
-		Loss: func() *nn.Node {
+		Loss: func() (*nn.Node, error) {
 			idx, _ := batcher.Next() // two rows or more: there is always a batch
-			batchRows := make([][]float64, len(idx))
-			for i, j := range idx {
-				batchRows[i] = rows[j]
-			}
-			v1, v2 := cfg.Augment.TwoViews(rng, batchRows)
-			ctx := NewStepContextOn(tape, rng, t.Backbone, v1, v2)
-			ctx.Arena = arena
+			v1, v2 := tape.Tensor(len(idx), dim), tape.Tensor(len(idx), dim)
+			cfg.Augment.TwoViewsInto(rng, v1, v2, rows, idx)
+			ctx.forward(v1, v2)
 			loss := t.Method.Loss(ctx)
 			if hook != nil {
-				loss = hook(ctx, loss)
+				return hook(ctx, loss)
 			}
-			return loss
+			return loss, nil
 		},
 		// Methods deep-copy anything they keep past the step (MoCo's key
 		// queue, say): the loop recycles the step's buffers right after.

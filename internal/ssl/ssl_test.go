@@ -362,12 +362,12 @@ func TestTrainHookIsApplied(t *testing.T) {
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 1
 	var called int
-	_, err := Train(rng, tr, rows, cfg, func(ctx *StepContext, l *nn.Node) *nn.Node {
+	_, err := Train(rng, tr, rows, cfg, func(ctx *StepContext, l *nn.Node) (*nn.Node, error) {
 		called++
 		if ctx.Z1 == nil || ctx.H2 == nil {
 			t.Fatal("hook must see forward results")
 		}
-		return l
+		return l, nil
 	})
 	if err != nil {
 		t.Fatalf("Train: %v", err)

@@ -138,7 +138,7 @@ func (a *Arena) GetTensor(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
 	}
-	return a.wrap(append([]int(nil), shape...), a.Get(numElements(shape)))
+	return a.wrap(shape, a.Get(numElements(shape)))
 }
 
 // GetTensorUninit is GetTensor over GetUninit: same borrow, unspecified
@@ -147,7 +147,7 @@ func (a *Arena) GetTensorUninit(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
 	}
-	return a.wrap(append([]int(nil), shape...), a.GetUninit(numElements(shape)))
+	return a.wrap(shape, a.GetUninit(numElements(shape)))
 }
 
 // numElements is the element count of shape; it panics on a negative
@@ -163,10 +163,7 @@ func numElements(shape []int) int {
 	return n
 }
 
-// GetTensorLike borrows a zeroed tensor with t's shape. The shape slice is
-// shared with t (shapes are immutable after construction), so on a free-list
-// hit the borrow allocates nothing at all — header and data are both
-// recycled.
+// GetTensorLike borrows a zeroed tensor with t's shape.
 func (a *Arena) GetTensorLike(t *Tensor) *Tensor {
 	if a == nil {
 		return NewLike(t)
@@ -183,9 +180,10 @@ func (a *Arena) GetTensorLikeUninit(t *Tensor) *Tensor {
 	return a.wrap(t.shape, a.GetUninit(len(t.data)))
 }
 
-// wrap binds shape and data to a recycled tensor header when one is free.
-// Shape slices are never mutated (they may be shared with live tensors);
-// only the header struct is reused.
+// wrap binds data and a copy of shape to a recycled tensor header when one
+// is free. Every header owns its shape's backing (Tensor.dims), so on a
+// free-list hit a borrow allocates nothing at all: header, shape and data
+// are all recycled, and shape is not retained.
 func (a *Arena) wrap(shape []int, data []float64) *Tensor {
 	a.mu.Lock()
 	if n := len(a.hdrs); n > 0 {
@@ -193,11 +191,10 @@ func (a *Arena) wrap(shape []int, data []float64) *Tensor {
 		a.hdrs[n-1] = nil
 		a.hdrs = a.hdrs[:n-1]
 		a.mu.Unlock()
-		t.shape, t.data = shape, data
-		return t
+		return t.bind(shape, data)
 	}
 	a.mu.Unlock()
-	return &Tensor{shape: shape, data: data}
+	return newHeader(shape, data)
 }
 
 // PutTensor returns a tensor borrowed with GetTensor/GetTensorLike. The

@@ -111,6 +111,39 @@ func TestArenaTensorRoundTrip(t *testing.T) {
 	a.PutTensor(nil) // nil tensor is a no-op
 }
 
+// TestArenaTensorBorrowsAllocateNothing: a header owns its shape's backing,
+// so once an arena holds a free header and a free buffer of the size, a
+// borrow of any two-dimensional shape — by dimensions or like another
+// tensor — allocates nothing, and the shape it is rebound to is its own:
+// recycling the tensor it was borrowed "like" does not reach it.
+func TestArenaTensorBorrowsAllocateNothing(t *testing.T) {
+	a := NewArena()
+	like := New(2, 6)
+	a.PutTensor(a.GetTensor(3, 4)) // one free header, one free 12-element buffer
+	allocs := testing.AllocsPerRun(20, func() {
+		a.PutTensor(a.GetTensor(4, 3))
+		a.PutTensor(a.GetTensorUninit(6, 2))
+		a.PutTensor(a.GetTensorLike(like))
+		a.PutTensor(a.GetTensorLikeUninit(like))
+	})
+	if allocs != 0 {
+		t.Fatalf("four warmed tensor borrows make %v allocations, want 0", allocs)
+	}
+
+	src := a.GetTensor(2, 6)
+	dup := a.GetTensorLike(src)
+	a.PutTensor(src)
+	other := a.GetTensor(12, 1) // src's header, rebound
+	if dup.Rows() != 2 || dup.Cols() != 6 || other.Rows() != 12 || NewLike(other).Cols() != 1 {
+		t.Fatalf("shapes after recycling: dup %v, other %v", dup.Shape(), other.Shape())
+	}
+	a.PutTensor(dup)
+	a.PutTensor(other)
+	if three := a.GetTensor(2, 3, 2); three.Dims() != 3 || three.Len() != 12 {
+		t.Fatalf("a three-dimensional borrow on a recycled header has shape %v", three.Shape())
+	}
+}
+
 // TestArenaConcurrent hammers one shared arena from several goroutines;
 // under -race this pins the mutex discipline workers rely on when they
 // share an arena (but never a tape).

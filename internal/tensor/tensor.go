@@ -65,6 +65,23 @@ var ErrShape = errors.New("tensor: shape mismatch")
 type Tensor struct {
 	shape []int
 	data  []float64
+	// dims backs shape for tensors of up to two dimensions — every tensor the
+	// training path builds — so a header and its shape are one object, and an
+	// arena can rebind a recycled header to a new shape without allocating.
+	// A Tensor therefore must not be copied by value.
+	dims [2]int
+}
+
+// newHeader returns a tensor header over data that owns a copy of shape.
+func newHeader(shape []int, data []float64) *Tensor {
+	return new(Tensor).bind(shape, data)
+}
+
+// bind points the header at data and at its own copy of shape (in dims when
+// it fits), and returns it.
+func (t *Tensor) bind(shape []int, data []float64) *Tensor {
+	t.shape, t.data = append(t.dims[:0], shape...), data
+	return t
 }
 
 // New returns a zero-filled tensor with the given shape.
@@ -78,14 +95,12 @@ func New(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	return newHeader(shape, make([]float64, n))
 }
 
-// NewLike returns a zero-filled tensor with t's shape. The shape slice is
-// shared with t — shapes are immutable after construction, so sharing is
-// safe and avoids the per-tensor shape copy.
+// NewLike returns a zero-filled tensor with t's shape.
 func NewLike(t *Tensor) *Tensor {
-	return &Tensor{shape: t.shape, data: make([]float64, len(t.data))}
+	return newHeader(t.shape, make([]float64, len(t.data)))
 }
 
 // Shape returns a copy of the tensor's shape.
