@@ -4,7 +4,7 @@
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
 #                    real-process smoke, wire + matmul fuzz smokes, short kernel and sweep benches,
-#                    allocs_op of the kernel bench held to the committed BENCH_kernels.json
+#                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
 # dirs — they exist to prove the harnesses run (and that no record's
@@ -113,12 +113,15 @@ go build -o "$bin" ./cmd/calibre
 # An allocation count repeats from run to run, so unlike the timings it is
 # held to the committed file: the gate fails if allocs_op rose on any record
 # the quick run shares with BENCH_kernels.json (a training step or a round
-# that lost its arena, its tape scratch or its recycled tensor headers);
+# that lost its arena, its tape scratch or its recycled tensor headers), or
+# bytes_op on the step and round records that carry it (a model-sized vector
+# copied or rebuilt per call is one object and many bytes);
 # wall-time fields and environment mismatches only warn.
-echo "== kernel bench (quick) + allocs_op gate =="
+echo "== kernel bench (quick) + allocs_op and bytes_op gates =="
 kernels="$(mktemp -d)"
 "$bin" perf kernels -quick -out "$kernels"
 "$bin" diff bench -fail allocs_op BENCH_kernels.json "$kernels/BENCH_kernels.json" >/dev/null
+"$bin" diff bench -fail bytes_op BENCH_kernels.json "$kernels/BENCH_kernels.json" >/dev/null
 
 echo "== sweep bench (quick) =="
 "$bin" perf sweep -quick -out "$(mktemp -d)"

@@ -94,6 +94,16 @@ func TestKernelHarnessEmitsGoldenSchema(t *testing.T) {
 			t.Fatalf("record has negative allocs: %+v", r)
 		}
 	}
+	// The bytes_op gate of ci.sh needs the field on the step and round
+	// records of both files; a kernel record carries none.
+	carriesBytes := func(file string, records []KernelBenchRecord) {
+		for _, r := range records {
+			if whole := r.Op == "mlp-train-step" || r.Op == "fl-round"; whole != (r.BytesOp > 0) {
+				t.Errorf("%s: bytes_op = %d on %s %s", file, r.BytesOp, r.Op, r.Shape)
+			}
+		}
+	}
+	carriesBytes("emitted", got.Records)
 
 	goldenRaw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_kernels.json"))
 	if err != nil {
@@ -106,6 +116,7 @@ func TestKernelHarnessEmitsGoldenSchema(t *testing.T) {
 	if golden.Schema != got.Schema {
 		t.Fatalf("golden schema %q != emitted %q", golden.Schema, got.Schema)
 	}
+	carriesBytes("committed", golden.Records)
 	key := func(r KernelBenchRecord) string { return r.Op + "|" + r.Shape }
 	want := make(map[string]bool, len(golden.Records))
 	for _, r := range golden.Records {

@@ -16,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"testing"
 	"time"
 
 	"calibre/internal/baselines"
@@ -49,20 +48,25 @@ type KernelBenchFile struct {
 
 // KernelBenchRecord is one (op, shape) measurement.
 type KernelBenchRecord struct {
-	Op              string  `json:"op"`
-	Shape           string  `json:"shape"`
-	NsOp            int64   `json:"ns_op"`
-	AllocsOp        int64   `json:"allocs_op"`
+	Op       string `json:"op"`
+	Shape    string `json:"shape"`
+	NsOp     int64  `json:"ns_op"`
+	AllocsOp int64  `json:"allocs_op"`
+	// BytesOp is what one call allocates, in bytes, on the records that are
+	// whole training steps or rounds (a kernel's is its handful of dispatch
+	// objects and is left out): the count that shows a model-sized vector
+	// copied or rebuilt per call, which allocs_op counts as one object.
+	BytesOp         int64   `json:"bytes_op,omitempty"`
 	SerialNsOp      int64   `json:"serial_ns_op"`
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 }
 
 // measure reports fn's steady-state ns/op (timing at least minTime) and
-// allocations per call: the fewest of five calls, since what a call
-// allocates has a floor and the runtime around it (a GC cycle emptying a
-// pool) only ever adds — `calibre diff bench -fail allocs_op` holds the
-// count to the committed one.
-func measure(minTime time.Duration, fn func()) (nsOp, allocsOp int64) {
+// what a call allocates, in objects and in bytes: the least of five calls,
+// since what a call allocates has a floor and the runtime around it (a GC
+// cycle emptying a pool) only ever adds — `calibre diff bench -fail
+// allocs_op` and `-fail bytes_op` hold the counts to the committed ones.
+func measure(minTime time.Duration, fn func()) (nsOp, allocsOp, bytesOp int64) {
 	fn() // warm up: pool spin-up, caches
 	var iters int64
 	start := time.Now()
@@ -72,11 +76,23 @@ func measure(minTime time.Duration, fn func()) (nsOp, allocsOp int64) {
 		iters++
 		elapsed = time.Since(start)
 	}
-	allocsOp = math.MaxInt64
+	allocsOp, bytesOp = math.MaxInt64, math.MaxInt64
 	for i := 0; i < 5; i++ {
-		allocsOp = min(allocsOp, int64(testing.AllocsPerRun(1, fn)))
+		objects, bytes := allocated(fn)
+		allocsOp, bytesOp = min(allocsOp, objects), min(bytesOp, bytes)
 	}
-	return int64(elapsed) / iters, allocsOp
+	return int64(elapsed) / iters, allocsOp, bytesOp
+}
+
+// allocated runs fn once and reports the heap objects and bytes the process
+// allocated meanwhile, on one P as testing.AllocsPerRun counts them.
+func allocated(fn func()) (objects, bytes int64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
 type kernelOp struct {
@@ -101,8 +117,8 @@ func benchKernels(minTime time.Duration, sizes []int) []KernelBenchRecord {
 			a := tensor.RandN(rng, 1, size, size)
 			b := tensor.RandN(rng, 1, size, size)
 			out := tensor.New(size, size)
-			serialNs, _ := measure(minTime, func() { op.serial(out, a, b) })
-			pooledNs, allocs := measure(minTime, func() { op.pooled(out, a, b) })
+			serialNs, _, _ := measure(minTime, func() { op.serial(out, a, b) })
+			pooledNs, allocs, _ := measure(minTime, func() { op.pooled(out, a, b) })
 			records = append(records, KernelBenchRecord{
 				Op:              op.name,
 				Shape:           fmt.Sprintf("%dx%dx%d", size, size, size),
@@ -120,15 +136,16 @@ func benchKernels(minTime time.Duration, sizes []int) []KernelBenchRecord {
 // pool, restoring the pool afterwards.
 func benchSerialVsPool(minTime time.Duration, workers int, op, shape string, mk func() func()) KernelBenchRecord {
 	tensor.SetWorkers(1)
-	serialNs, _ := measure(minTime, mk())
+	serialNs, _, _ := measure(minTime, mk())
 	tensor.SetWorkers(workers)
-	pooledNs, allocs := measure(minTime, mk())
+	pooledNs, allocs, bytes := measure(minTime, mk())
 	tensor.SetWorkers(0)
 	return KernelBenchRecord{
 		Op:              op,
 		Shape:           shape,
 		NsOp:            pooledNs,
 		AllocsOp:        allocs,
+		BytesOp:         bytes,
 		SerialNsOp:      serialNs,
 		SpeedupVsSerial: float64(serialNs) / float64(pooledNs),
 	}

@@ -94,18 +94,14 @@ func (b *supBase) initGlobal(rng *rand.Rand) (param.Vector, error) {
 // loadMasked copies only the vector positions where mask is true; vec and
 // mask must both cover the model exactly.
 func loadMasked(m *model.SupModel, vec []float64, mask []bool) error {
-	if want := nn.ParamCount(m); len(vec) != want || len(mask) != want {
-		return fmt.Errorf("baselines: vector length %d and mask length %d, model needs %d", len(vec), len(mask), want)
+	dst := nn.Values(m)
+	if len(vec) != len(dst) || len(mask) != len(dst) {
+		return fmt.Errorf("baselines: vector length %d and mask length %d, model needs %d", len(vec), len(mask), len(dst))
 	}
-	off := 0
-	for _, p := range m.Params() {
-		d := p.Value.Data()
-		for i := range d {
-			if mask[off+i] {
-				d[i] = vec[off+i]
-			}
+	for i, shared := range mask {
+		if shared {
+			dst[i] = vec[i]
 		}
-		off += len(d)
 	}
 	return nil
 }

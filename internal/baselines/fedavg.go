@@ -67,7 +67,7 @@ func (f *fedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 	}
 	return &fl.Update{
 		ClientID:   client.ID,
-		Params:     nn.Flatten(m),
+		Params:     nn.Values(m),
 		NumSamples: client.Train.Len(),
 		TrainLoss:  loss,
 	}, nil
@@ -131,7 +131,7 @@ func (f *perFedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition
 	if err != nil {
 		return nil, fmt.Errorf("baselines: perfedavg client %d: %w", client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: nn.Flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: nn.Values(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
 
 func (f *perFedAvg) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

@@ -95,13 +95,12 @@ func (f *fedEMA) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 			return nil, err
 		}
 	} else {
-		local := nn.Flatten(st)
-		div := nn.VecNorm2(nn.VecSub(global, local)) / math.Max(nn.VecNorm2(global), 1e-12)
+		local := nn.Values(st)
+		div := param.L2Dist(global, local) / math.Max(nn.VecNorm2(global), 1e-12)
 		mu := math.Min(f.lambda*div, 1)
-		// merged = μ·local + (1-μ)·global
-		merged := nn.VecLerp(global, local, mu)
-		if err := nn.Unflatten(st, merged); err != nil {
-			return nil, err
+		// local ← μ·local + (1-μ)·global, in the model itself
+		if err := nn.VecLerpInto(local, global, local, mu); err != nil {
+			return nil, fmt.Errorf("baselines: fedema client %d merge: %w", client.ID, err)
 		}
 	}
 	rows := client.Train.X
@@ -112,7 +111,7 @@ func (f *fedEMA) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 	if err != nil {
 		return nil, fmt.Errorf("baselines: fedema client %d: %w", client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: nn.Flatten(st), NumSamples: len(rows), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: nn.Values(st), NumSamples: len(rows), TrainLoss: loss}, nil
 }
 
 func (f *fedEMA) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

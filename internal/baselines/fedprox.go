@@ -61,7 +61,7 @@ func (f *fedProx) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 	}
 	return &fl.Update{
 		ClientID:   client.ID,
-		Params:     nn.Flatten(m),
+		Params:     nn.Values(m),
 		NumSamples: client.Train.Len(),
 		TrainLoss:  loss,
 	}, nil

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"calibre/internal/fl"
-	"calibre/internal/nn"
+	"calibre/internal/param"
 )
 
 func TestFedProxRegistered(t *testing.T) {
@@ -48,8 +48,8 @@ func TestFedProxStaysCloserToGlobalThanFedAvg(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fedavg train: %v", err)
 	}
-	dProx := nn.VecNorm2(nn.VecSub(uProx.Params, global))
-	dAvg := nn.VecNorm2(nn.VecSub(uAvg.Params, global))
+	dProx := param.L2Dist(uProx.Params, global)
+	dAvg := param.L2Dist(uAvg.Params, global)
 	if dProx >= dAvg {
 		t.Fatalf("fedprox drift %v should be < fedavg drift %v", dProx, dAvg)
 	}

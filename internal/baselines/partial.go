@@ -131,7 +131,7 @@ func (p *partial) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %s client %d: %w", p.name, client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: nn.Flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: nn.Values(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
 
 func (p *partial) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

@@ -79,23 +79,21 @@ func (a *apfl) Train(ctx context.Context, rng *rand.Rand, client *partition.Clie
 	if err != nil {
 		return nil, fmt.Errorf("baselines: apfl client %d: %w", client.ID, err)
 	}
-	w := nn.Flatten(m)
+	w := nn.Values(m)
 
-	// Personal branch: one local pass updating v from the mixed point.
+	// Personal branch: one local pass updating v from the mixed point
+	// α·v + (1-α)·w, then v takes the result.
 	v := a.personalVec(client.ID, global)
-	mixed := nn.VecLerp(w, v, a.alpha) // α·v + (1-α)·w
 	pm := a.newModel(rng)
-	if err := nn.Unflatten(pm, mixed); err != nil {
-		return nil, err
+	if err := nn.VecLerpInto(nn.Values(pm), w, v, a.alpha); err != nil {
+		return nil, fmt.Errorf("baselines: apfl personal branch: %w", err)
 	}
 	pCfg := a.cfg.Train
 	pCfg.Epochs = 1
 	if _, err := model.TrainSupervised(rng, pm, client.Train, pCfg); err != nil {
 		return nil, fmt.Errorf("baselines: apfl personal branch: %w", err)
 	}
-	a.mu.Lock()
-	a.personal[client.ID] = nn.Flatten(pm)
-	a.mu.Unlock()
+	copy(v, nn.Values(pm))
 
 	return &fl.Update{ClientID: client.ID, Params: w, NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
@@ -105,10 +103,9 @@ func (a *apfl) Personalize(ctx context.Context, rng *rand.Rand, client *partitio
 		return 0, err
 	}
 	v := a.personalVec(client.ID, global)
-	mixed := nn.VecLerp(global, v, a.alpha)
 	m := a.newModel(rng)
-	if err := nn.Unflatten(m, mixed); err != nil {
-		return 0, err
+	if err := nn.VecLerpInto(nn.Values(m), global, v, a.alpha); err != nil {
+		return 0, fmt.Errorf("baselines: apfl mixture: %w", err)
 	}
 	// Light head refresh so novel clients (whose v is the global model) are
 	// adapted too.
@@ -178,9 +175,7 @@ func (d *ditto) trainPersonal(rng *rand.Rand, client *partition.Client, global p
 	if _, err := model.TrainSupervised(rng, pm, client.Train, cfg); err != nil {
 		return nil, fmt.Errorf("baselines: ditto personal: %w", err)
 	}
-	d.mu.Lock()
-	d.personal[client.ID] = nn.Flatten(pm)
-	d.mu.Unlock()
+	copy(v, nn.Values(pm))
 	return pm, nil
 }
 
@@ -199,7 +194,7 @@ func (d *ditto) Train(ctx context.Context, rng *rand.Rand, client *partition.Cli
 	if _, err := d.trainPersonal(rng, client, global, d.cfg.Train.Epochs); err != nil {
 		return nil, err
 	}
-	return &fl.Update{ClientID: client.ID, Params: nn.Flatten(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: nn.Values(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
 
 func (d *ditto) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

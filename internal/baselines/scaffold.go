@@ -94,31 +94,31 @@ func (s *scaffold) Train(ctx context.Context, rng *rand.Rand, client *partition.
 	}
 	ci := s.control(client.ID, len(global))
 	serverC := s.agg.Control(len(global))
-	// Correction (c - c_i) is added to every local gradient step.
-	correction := nn.VecSub(serverC, ci)
+	// Correction (c - c_i) is added to every local gradient step. It lives in
+	// the vector that leaves as the update's control delta afterwards.
+	delta := make([]float64, len(global))
+	if err := nn.VecSubInto(delta, serverC, ci); err != nil {
+		return nil, fmt.Errorf("baselines: scaffold client %d control variates: %w", client.ID, err)
+	}
 	cfg := s.cfg.Train
-	cfg.GradCorrection = correction
+	cfg.GradCorrection = delta
 	loss, err := model.TrainSupervised(rng, m, client.Train, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: scaffold client %d: %w", client.ID, err)
 	}
-	local := nn.Flatten(m)
-	// Option II control refresh.
+	local := nn.Values(m)
+	// Option II control refresh, c_i updated in the storage it owns.
 	stepsPerEpoch := (client.Train.Len() + cfg.BatchSize - 1) / cfg.BatchSize
 	k := cfg.Epochs * stepsPerEpoch
 	if k < 1 {
 		k = 1
 	}
 	scale := 1 / (float64(k) * cfg.LR)
-	newC := make([]float64, len(global))
-	delta := make([]float64, len(global))
-	for i := range newC {
-		newC[i] = ci[i] - serverC[i] + (global[i]-local[i])*scale
-		delta[i] = newC[i] - ci[i]
+	for i, c := range ci {
+		newC := c - serverC[i] + (global[i]-local[i])*scale
+		delta[i] = newC - c
+		ci[i] = newC
 	}
-	s.mu.Lock()
-	s.controls[client.ID] = newC
-	s.mu.Unlock()
 	return &fl.Update{
 		ClientID:     client.ID,
 		Params:       local,

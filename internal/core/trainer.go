@@ -99,7 +99,7 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	}
 	update := &fl.Update{
 		ClientID:   client.ID,
-		Params:     nn.Flatten(st),
+		Params:     nn.Values(st), // lent until the round closes (fl.Trainer)
 		NumSamples: len(st.rows),
 		TrainLoss:  loss,
 	}

@@ -176,6 +176,13 @@ func (u *Update) ResolveInto(global, scratch param.Vector) error {
 // valid during the call: a networked client receives each round's vector
 // into one reused buffer, so an implementation that needs the global
 // later copies it.
+//
+// The returned update's payload is lent the other way, until the round
+// closes: Params may be the client model's own value vector (nn.Values),
+// which the client's next Train overwrites. Whatever receives an update —
+// a transport, a sink, an aggregator, a wrapper around the trainer — reads
+// the payload and keeps nothing of it past the round (Round.Arrive), and
+// nothing trains that client again before then.
 type Trainer interface {
 	Train(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*Update, error)
 }

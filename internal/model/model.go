@@ -24,25 +24,41 @@ type SupModel struct {
 	Encoder    *nn.Sequential
 	Head       *nn.Linear
 
-	arena *tensor.Arena // lazily created; backs TrainSupervised's step tapes
+	params []*nn.Param // cached by Params
+	tape   *nn.Tape    // lazily created over an arena of its own; TrainSupervised's steps run on it
 }
 
 var _ nn.Module = (*SupModel)(nil)
 
-// NewSupModel builds a supervised model with fresh weights.
+// NewSupModel builds a supervised model with fresh weights, encoder then
+// head in one layout: nn.Values(m) is the model's flattened vector itself.
 func NewSupModel(rng *rand.Rand, arch ssl.Arch, numClasses int) *SupModel {
+	lay := nn.NewLayout(nn.MLPSize(arch.InputDim, arch.HiddenDim, arch.FeatDim) + nn.LinearSize(arch.FeatDim, numClasses))
 	return &SupModel{
 		Arch:       arch,
 		NumClasses: numClasses,
-		Encoder:    nn.MLP(rng, "enc", arch.InputDim, arch.HiddenDim, arch.FeatDim),
-		Head:       nn.NewLinear(rng, arch.FeatDim, numClasses, "head"),
+		Encoder:    lay.MLP(rng, "enc", arch.InputDim, arch.HiddenDim, arch.FeatDim),
+		Head:       lay.Linear(rng, arch.FeatDim, numClasses, "head"),
 	}
 }
 
 // Params returns encoder parameters followed by head parameters; the
 // boundary index is EncoderParamCount.
 func (m *SupModel) Params() []*nn.Param {
-	return append(m.Encoder.Params(), m.Head.Params()...)
+	if m.params == nil {
+		m.params = append(append(m.params, m.Encoder.Params()...), m.Head.Params()...)
+	}
+	return m.params
+}
+
+// stepTape returns the tape TrainSupervised's steps run on, over an arena
+// that lives as long as m does: a client model trained round after round
+// reuses its step buffers, node slab and sort scratch.
+func (m *SupModel) stepTape() *nn.Tape {
+	if m.tape == nil {
+		m.tape = nn.NewTape(tensor.NewArena())
+	}
+	return m.tape
 }
 
 // EncoderParamCount returns the number of scalar parameters in the encoder,
@@ -96,12 +112,6 @@ func (m *SupModel) EncodeValue(x *tensor.Tensor) *tensor.Tensor {
 	return m.Encoder.Forward(nn.Input(x)).Value
 }
 
-// paramSubset adapts a parameter slice to nn.Module so optimizers can be
-// scoped to part of a model (frozen-encoder / frozen-head training).
-type paramSubset struct{ params []*nn.Param }
-
-func (p paramSubset) Params() []*nn.Param { return p.params }
-
 // SupTrainConfig controls supervised local training.
 type SupTrainConfig struct {
 	Epochs    int
@@ -144,64 +154,54 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 	if cfg.Epochs < 1 || cfg.BatchSize < 1 {
 		return 0, fmt.Errorf("model: bad train config %+v", cfg)
 	}
-	params := m.Params()
 	prox := cfg.ProxTarget
 	if cfg.ProxMu <= 0 {
 		prox = nil
 	}
-	want := nn.ParamCount(m)
-	if prox != nil && len(prox) != want {
-		return 0, fmt.Errorf("model: ProxTarget has %d values, the model %d parameters", len(prox), want)
+	values, grads := nn.Values(m), nn.Grads(m)
+	if prox != nil && len(prox) != len(values) {
+		return 0, fmt.Errorf("model: ProxTarget has %d values, the model %d parameters", len(prox), len(values))
 	}
-	if cfg.GradCorrection != nil && len(cfg.GradCorrection) != want {
-		return 0, fmt.Errorf("model: GradCorrection has %d values, the model %d parameters", len(cfg.GradCorrection), want)
+	if cfg.GradCorrection != nil && len(cfg.GradCorrection) != len(values) {
+		return 0, fmt.Errorf("model: GradCorrection has %d values, the model %d parameters", len(cfg.GradCorrection), len(values))
 	}
-	var trainable []*nn.Param
-	if !cfg.FreezeEncoder {
-		trainable = append(trainable, m.Encoder.Params()...)
-	}
-	if !cfg.FreezeHead {
-		trainable = append(trainable, m.Head.Params()...)
-	}
-	if len(trainable) == 0 {
+	var trainable nn.Module
+	switch {
+	case cfg.FreezeEncoder && cfg.FreezeHead:
 		return 0, fmt.Errorf("model: nothing to train (both parts frozen)")
+	case cfg.FreezeEncoder:
+		trainable = m.Head
+	case cfg.FreezeHead:
+		trainable = m.Encoder
+	default:
+		trainable = m
 	}
-	if m.arena == nil {
-		m.arena = tensor.NewArena()
-	}
-	tape := nn.NewTape(m.arena)
+	tape := m.stepTape()
+	dim, row := len(ds.X[0]), func(j int) []float64 { return ds.X[j] }
 	stepsPerEpoch := (ds.Len() + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, ds.Len(), cfg.BatchSize)
 	loop := nn.StepLoop{
 		Tape:     tape,
-		Opt:      nn.NewSGD(paramSubset{trainable}, cfg.LR, cfg.Momentum, 0),
-		Params:   params,
+		Opt:      nn.NewSGD(trainable, cfg.LR, cfg.Momentum, 0),
+		Grads:    grads,
 		ClipNorm: cfg.ClipNorm,
 		Loss: func() (*nn.Node, error) {
 			idx, ok := batcher.Next()
 			if !ok {
 				idx = []int{0} // a one-sample dataset trains full-batch
 			}
-			return nn.CrossEntropy(m.ForwardOn(tape, data.Batch(ds.Rows(idx))), ds.Labels(idx)), nil
+			x, y := gatherBatch(tape, dim, row, ds.Y, idx)
+			return nn.CrossEntropy(m.ForwardOn(tape, x), y), nil
 		},
 	}
 	if prox != nil || cfg.GradCorrection != nil {
 		// grad += mu·(w − target), then grad += correction, in place.
 		loop.AdjustGrads = func() {
-			off := 0
-			for _, p := range params {
-				g, w := p.Grad.Data(), p.Value.Data()
-				if prox != nil {
-					for i, t := range prox[off : off+len(g)] {
-						g[i] += cfg.ProxMu * (w[i] - t)
-					}
-				}
-				if cfg.GradCorrection != nil {
-					for i, c := range cfg.GradCorrection[off : off+len(g)] {
-						g[i] += c
-					}
-				}
-				off += len(g)
+			for i, t := range prox {
+				grads[i] += cfg.ProxMu * (values[i] - t)
+			}
+			for i, c := range cfg.GradCorrection {
+				grads[i] += c
 			}
 		}
 	}
@@ -210,4 +210,18 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 		return 0, fmt.Errorf("model: %w", err)
 	}
 	return loss, nil
+}
+
+// gatherBatch assembles the batch idx picks — row(idx[i]) as row i of x,
+// labels[idx[i]] as y[i] — in a (len(idx) × dim) tensor and a label slice
+// borrowed from tape until its next Reset (a nil tape allocates them): what
+// data.Batch(ds.Rows(idx)) and ds.Labels(idx) hold, without the row table or
+// a heap copy.
+func gatherBatch(tape *nn.Tape, dim int, row func(int) []float64, labels, idx []int) (x *tensor.Tensor, y []int) {
+	x, y = tape.Tensor(len(idx), dim), tape.Ints(len(idx))
+	for i, j := range idx {
+		x.SetRow(i, row(j))
+		y[i] = labels[j]
+	}
+	return x, y
 }

@@ -40,13 +40,14 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 	head := nn.NewLinear(rng, feats.Cols(), numClasses, "probe")
 	tape := nn.NewTape(tensor.NewArena())
 	stepsPerEpoch := (n + cfg.BatchSize - 1) / cfg.BatchSize
+	dim, row := feats.Cols(), feats.Row
 	// Unlike data.Batcher, the cursor keeps an epoch's 1-row tail.
 	perm := rng.Perm(n)
 	cur := 0
 	loop := nn.StepLoop{
-		Tape:   tape,
-		Opt:    nn.NewSGD(head, cfg.LR, cfg.Momentum, 0),
-		Params: head.Params(),
+		Tape:  tape,
+		Opt:   nn.NewSGD(head, cfg.LR, cfg.Momentum, 0),
+		Grads: nn.Grads(head),
 		Loss: func() (*nn.Node, error) {
 			if cur >= n {
 				perm = rng.Perm(n)
@@ -54,12 +55,7 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 			}
 			idx := perm[cur:min(cur+cfg.BatchSize, n)]
 			cur += len(idx)
-			x := tensor.New(len(idx), feats.Cols())
-			y := make([]int, len(idx))
-			for i, j := range idx {
-				x.SetRow(i, feats.Row(j))
-				y[i] = labels[j]
-			}
+			x, y := gatherBatch(tape, dim, row, labels, idx)
 			return nn.CrossEntropy(head.Forward(nn.InputOn(tape, x)), y), nil
 		},
 	}

@@ -18,18 +18,30 @@ type Layer interface {
 type Linear struct {
 	W *Param
 	B *Param
+
+	params []*Param // [W, B], cached by Params
 }
 
 var _ Layer = (*Linear)(nil)
 
-// NewLinear builds a Linear layer with He-normal weights and zero bias.
+// LinearSize is the number of scalars a Linear layer of the given widths
+// takes from a Layout.
+func LinearSize(in, out int) int { return in*out + out }
+
+// NewLinear builds a Linear layer with He-normal weights and zero bias, in a
+// layout of its own.
 func NewLinear(rng *rand.Rand, in, out int, name string) *Linear {
-	l := &Linear{
-		W: NewParam(name+".W", in, out),
-		B: NewParam(name+".B", 1, out),
+	return NewLayout(LinearSize(in, out)).Linear(rng, in, out, name)
+}
+
+// Linear is NewLinear with the layer's parameters carved from l: W, then B.
+func (l *Layout) Linear(rng *rand.Rand, in, out int, name string) *Linear {
+	lin := &Linear{
+		W: l.NewParam(name+".W", in, out),
+		B: l.NewParam(name+".B", 1, out),
 	}
-	l.W.InitHe(rng, in)
-	return l
+	lin.W.InitHe(rng, in)
+	return lin
 }
 
 // Forward applies the affine map to a (batch×in) node. With the fused
@@ -43,7 +55,12 @@ func (l *Linear) Forward(x *Node) *Node {
 }
 
 // Params returns [W, B].
-func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }
+func (l *Linear) Params() []*Param {
+	if l.params == nil {
+		l.params = []*Param{l.W, l.B}
+	}
+	return l.params
+}
 
 // Activation is a parameter-free layer applying a pointwise nonlinearity.
 type Activation struct {
@@ -81,6 +98,8 @@ func (a *Activation) Params() []*Param { return nil }
 // Sequential chains layers.
 type Sequential struct {
 	Layers []Layer
+
+	params []*Param // cached by Params; Layers is fixed from then on
 }
 
 var _ Layer = (*Sequential)(nil)
@@ -109,23 +128,40 @@ func (s *Sequential) Forward(x *Node) *Node {
 
 // Params concatenates the parameters of all layers in order.
 func (s *Sequential) Params() []*Param {
-	var out []*Param
-	for _, l := range s.Layers {
-		out = append(out, l.Params()...)
+	if s.params == nil {
+		for _, l := range s.Layers {
+			s.params = append(s.params, l.Params()...)
+		}
 	}
-	return out
+	return s.params
+}
+
+// MLPSize is the number of scalars an MLP of the given dims takes from a
+// Layout.
+func MLPSize(dims ...int) int {
+	n := 0
+	for i := 0; i+1 < len(dims); i++ {
+		n += LinearSize(dims[i], dims[i+1])
+	}
+	return n
 }
 
 // MLP builds a multi-layer perceptron with ReLU between hidden layers and a
-// linear final layer. dims = [in, h1, ..., out]; it must contain at least
-// two entries.
+// linear final layer, in a layout of its own. dims = [in, h1, ..., out]; it
+// must contain at least two entries.
 func MLP(rng *rand.Rand, name string, dims ...int) *Sequential {
+	return NewLayout(MLPSize(dims...)).MLP(rng, name, dims...)
+}
+
+// MLP is the package's MLP with the layers' parameters carved from l, first
+// layer first.
+func (l *Layout) MLP(rng *rand.Rand, name string, dims ...int) *Sequential {
 	if len(dims) < 2 {
 		panic("nn: MLP needs at least [in, out] dims")
 	}
 	s := &Sequential{Layers: make([]Layer, 0, 2*len(dims)-3)}
 	for i := 0; i < len(dims)-1; i++ {
-		s.Layers = append(s.Layers, NewLinear(rng, dims[i], dims[i+1], fmt.Sprintf("%s.l%d", name, i)))
+		s.Layers = append(s.Layers, l.Linear(rng, dims[i], dims[i+1], fmt.Sprintf("%s.l%d", name, i)))
 		if i < len(dims)-2 {
 			s.Layers = append(s.Layers, &Activation{Kind: ActReLU})
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,11 +153,32 @@ func TestEMAUpdate(t *testing.T) {
 func TestVecHelpers(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}
-	if got := VecSub(b, a); got[0] != 2 || got[1] != 3 {
-		t.Fatalf("VecSub = %v", got)
+	got := make([]float64, 2)
+	if err := VecSubInto(got, b, a); err != nil || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("VecSubInto = %v, %v", got, err)
 	}
-	if got := VecLerp(a, b, 0.5); got[0] != 2 || got[1] != 3.5 {
-		t.Fatalf("VecLerp = %v", got)
+	if err := VecLerpInto(got, a, b, 0.5); err != nil || got[0] != 2 || got[1] != 3.5 {
+		t.Fatalf("VecLerpInto = %v, %v", got, err)
+	}
+	// The destination may be an operand.
+	if err := VecLerpInto(got, a, got, 0.5); err != nil || got[0] != 1.5 || got[1] != 2.75 {
+		t.Fatalf("VecLerpInto onto its operand = %v, %v", got, err)
+	}
+	// A short or a long operand is a typed error and leaves dst alone, where
+	// the allocating forms panicked or silently truncated.
+	for _, bad := range [][]float64{{1}, {1, 2, 3}} {
+		if err := VecSubInto(got, a, bad); !errors.Is(err, ErrVecLen) {
+			t.Fatalf("VecSubInto with a %d-element operand: %v, want ErrVecLen", len(bad), err)
+		}
+		if err := VecLerpInto(got, bad, b, 0.5); !errors.Is(err, ErrVecLen) {
+			t.Fatalf("VecLerpInto with a %d-element operand: %v, want ErrVecLen", len(bad), err)
+		}
+		if err := VecSubInto(bad, a, b); !errors.Is(err, ErrVecLen) {
+			t.Fatalf("VecSubInto into %d elements: %v, want ErrVecLen", len(bad), err)
+		}
+	}
+	if got[0] != 1.5 || got[1] != 2.75 {
+		t.Fatalf("a rejected call wrote its destination: %v", got)
 	}
 	if !almost(VecNorm2([]float64{3, 4}), 5, 1e-12) {
 		t.Fatal("VecNorm2")

@@ -18,11 +18,12 @@ type StepLoop struct {
 	// Tape is the allocation tape Loss builds its graph on; Run resets it
 	// at the end of every step. Nil trains on the heap.
 	Tape *Tape
-	// Opt updates the trainable parameters.
+	// Opt updates the trainable parameters. Its velocity is the local
+	// update's: Run releases it on return.
 	Opt *SGD
-	// Params is every parameter Loss can reach, trainable or frozen; their
-	// gradients are cleared before each Backward.
-	Params []*Param
+	// Grads is the gradient vector of every parameter Loss can reach,
+	// trainable or frozen (see Grads); it is cleared before each Backward.
+	Grads []float64
 	// ClipNorm bounds the global gradient norm of Opt's parameters; 0
 	// disables clipping.
 	ClipNorm float64
@@ -45,13 +46,12 @@ func (l *StepLoop) Run(steps int) (float64, error) {
 	if steps < 1 {
 		return 0, nil
 	}
+	defer l.Opt.Release()
 	var total float64
 	for s := 0; s < steps; s++ {
 		loss, err := l.Loss()
 		if err == nil {
-			for _, p := range l.Params {
-				p.ZeroGrad()
-			}
+			clear(l.Grads)
 			err = Backward(loss)
 		}
 		if err != nil {

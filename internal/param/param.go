@@ -31,8 +31,9 @@ package param
 
 import "math"
 
-// Vector is a model parameter vector in nn.Flatten layout. It is a named
-// slice type, so existing []float64 values convert freely; the name is the
+// Vector is a model parameter vector in nn.Values layout: a model's
+// parameters in Params() order, and for a laid-out model its storage. It is
+// a named slice type, so existing []float64 values convert freely; the name is the
 // update plane's contract marker: anything typed Vector may be carried as
 // a Delta on the wire or in an incremental snapshot.
 type Vector []float64

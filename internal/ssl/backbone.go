@@ -39,20 +39,27 @@ type Backbone struct {
 	Arch      Arch
 	Encoder   *nn.Sequential
 	Projector *nn.Sequential
+
+	params []*nn.Param // cached by Params
 }
 
-// NewBackbone builds a backbone with freshly initialized weights.
+// NewBackbone builds a backbone with freshly initialized weights, encoder
+// then projector in one layout.
 func NewBackbone(rng *rand.Rand, arch Arch) *Backbone {
+	lay := nn.NewLayout(nn.MLPSize(arch.InputDim, arch.HiddenDim, arch.FeatDim) + nn.MLPSize(arch.FeatDim, arch.FeatDim, arch.ProjDim))
 	return &Backbone{
 		Arch:      arch,
-		Encoder:   nn.MLP(rng, "enc", arch.InputDim, arch.HiddenDim, arch.FeatDim),
-		Projector: nn.MLP(rng, "proj", arch.FeatDim, arch.FeatDim, arch.ProjDim),
+		Encoder:   lay.MLP(rng, "enc", arch.InputDim, arch.HiddenDim, arch.FeatDim),
+		Projector: lay.MLP(rng, "proj", arch.FeatDim, arch.FeatDim, arch.ProjDim),
 	}
 }
 
 // Params returns encoder parameters followed by projector parameters.
 func (b *Backbone) Params() []*nn.Param {
-	return append(b.Encoder.Params(), b.Projector.Params()...)
+	if b.params == nil {
+		b.params = append(append(b.params, b.Encoder.Params()...), b.Projector.Params()...)
+	}
+	return b.params
 }
 
 // Encode runs the encoder on a constant input batch, returning the z node.
@@ -163,6 +170,7 @@ type Trainable struct {
 	Backbone *Backbone
 	Method   Method
 
+	params []*nn.Param      // cached by Params
 	arena  *tensor.Arena    // lazily created; backs the training-step tape
 	tape   *nn.Tape         // lazily created over arena; Train's steps run on it
 	kmeans kmeans.Workspace // a loss hook's clusterings, reused like the arena's buffers
@@ -171,14 +179,18 @@ type Trainable struct {
 var _ nn.Module = (*Trainable)(nil)
 
 // NewTrainable builds a freshly initialized backbone and binds a method from
-// factory to it, drawing both from rng in that order.
+// factory to it, drawing both from rng in that order. The backbone is built
+// in the trainable's layout; a method's extra parameters, which a Factory
+// builds apart, join it here (one copy of the model, at construction).
 func NewTrainable(rng *rand.Rand, arch Arch, factory Factory) (*Trainable, error) {
 	b := NewBackbone(rng, arch)
 	m, err := factory(rng, b)
 	if err != nil {
 		return nil, err
 	}
-	return &Trainable{Backbone: b, Method: m}, nil
+	t := &Trainable{Backbone: b, Method: m}
+	nn.Values(t)
+	return t, nil
 }
 
 // Arena returns the trainable's buffer arena, creating it on first use. The
@@ -209,5 +221,8 @@ func (t *Trainable) KMeans() *kmeans.Workspace { return &t.kmeans }
 
 // Params returns backbone params followed by method extras, in stable order.
 func (t *Trainable) Params() []*nn.Param {
-	return append(t.Backbone.Params(), t.Method.ExtraParams()...)
+	if t.params == nil {
+		t.params = append(append(t.params, t.Backbone.Params()...), t.Method.ExtraParams()...)
+	}
+	return t.params
 }

@@ -101,10 +101,13 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 	// holds dies at the step's Reset.
 	ctx := &StepContext{RNG: rng, Backbone: t.Backbone, Tape: tape, Arena: t.Arena(), KMeans: t.KMeans()}
 	dim := len(rows[0])
+	// Before the optimizer binds to the parameters' storage: a trainable
+	// assembled by hand is laid out here.
+	grads := nn.Grads(t)
 	loop := nn.StepLoop{
 		Tape:     tape,
 		Opt:      nn.NewSGD(t, cfg.LR, cfg.Momentum, 0),
-		Params:   t.Params(),
+		Grads:    grads,
 		ClipNorm: cfg.ClipNorm,
 		Loss: func() (*nn.Node, error) {
 			idx, _ := batcher.Next() // two rows or more: there is always a batch

@@ -98,6 +98,17 @@ func New(shape ...int) *Tensor {
 	return newHeader(shape, make([]float64, n))
 }
 
+// View returns a tensor of the given shape over data itself, not a copy:
+// writes through either are seen by both. It is how a layer's parameter
+// tensors come to be windows into one model-wide vector. It panics if data
+// does not hold exactly the shape's elements.
+func View(data []float64, shape ...int) *Tensor {
+	if n := numElements(shape); n != len(data) {
+		panic(fmt.Sprintf("tensor: View of %d elements as shape %v (%d elements)", len(data), shape, n))
+	}
+	return newHeader(shape, data)
+}
+
 // NewLike returns a zero-filled tensor with t's shape.
 func NewLike(t *Tensor) *Tensor {
 	return newHeader(t.shape, make([]float64, len(t.data)))
