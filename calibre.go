@@ -72,15 +72,12 @@ type (
 	Method = fl.Method
 	// RoundStats reports one federated round.
 	RoundStats = fl.RoundStats
-	// Update is a client's per-round result; its payload travels either
-	// dense (Params) or as a lossless XOR-delta (Delta).
+	// Update is a client's per-round result; Params is the whole updated
+	// vector, which is also what travels the wire.
 	Update = fl.Update
 	// Vector is the typed model parameter vector the update plane
 	// exchanges (internal/param).
 	Vector = param.Vector
-	// Delta is the lossless XOR-delta encoding of a Vector against a
-	// reference — the compressed wire and incremental-checkpoint form.
-	Delta = param.Delta
 
 	// Client is one participant's local data partition.
 	Client = partition.Client
@@ -127,7 +124,7 @@ type (
 
 	// MetricsRegistry is the live observability plane: attach one to
 	// SimConfig.Obs, ServerConfig.Obs or SweepConfig.Obs and every round
-	// is counted (responders, stragglers, uplink wire-vs-dense bytes,
+	// is counted (responders, stragglers, uplink bytes,
 	// per-client participation) without perturbing results — a run with a
 	// registry attached is bit-identical to one without. Snapshot is
 	// race-free and never blocks training; ServeMetrics exposes it over
@@ -165,9 +162,8 @@ type (
 // Counter names for MetricsSnapshot.Counters lookups (the full set is in
 // internal/obs).
 const (
-	MetricRounds           = obs.CounterRounds
-	MetricUplinkWireBytes  = obs.CounterUplinkWireBytes
-	MetricUplinkDenseBytes = obs.CounterUplinkDenseBytes
+	MetricRounds          = obs.CounterRounds
+	MetricUplinkWireBytes = obs.CounterUplinkWireBytes
 )
 
 // Experiment scales.

@@ -186,7 +186,7 @@ func TestMetricsFacade(t *testing.T) {
 	reg := NewMetricsRegistry()
 	reg.ObserveRound(MetricsRoundSample{
 		Runtime: "sim", Round: 0, Participants: 3, Responders: 3,
-		UplinkWireBytes: 64, UplinkDenseBytes: 256,
+		UplinkWireBytes: 64,
 	})
 	srv, addr, err := ServeMetrics("127.0.0.1:0", reg)
 	if err != nil {
@@ -209,7 +209,7 @@ func TestMetricsFacade(t *testing.T) {
 	if got := snap.Counters[MetricRounds]; got != 1 {
 		t.Fatalf("rounds_total = %d, want 1", got)
 	}
-	if snap.Counters[MetricUplinkWireBytes] != 64 || snap.Counters[MetricUplinkDenseBytes] != 256 {
+	if snap.Counters[MetricUplinkWireBytes] != 64 {
 		t.Fatalf("uplink counters = %v", snap.Counters)
 	}
 }

@@ -86,11 +86,11 @@ func diffCmd(diff func(pathA, pathB string) error) func([]string) error {
 // sweep-cells.csv) and prints the per-method drift in mean accuracy and
 // fairness variance, aggregated over the cells the two sweeps share:
 //
-//	calibre diff sweep dense/sweep-cells.csv delta/sweep-cells.csv
+//	calibre diff sweep mean/sweep-cells.csv median/sweep-cells.csv
 //
 // Cells are matched by (method, setting, scale, seed) — the A/B join for
-// sweeps that differ in a federation knob, like a dense-wire sweep against
-// a delta-wire sweep — falling back to the full cell key when that join is
+// sweeps that differ in a federation knob, like a mean-aggregated sweep
+// against a median-aggregated one — falling back to the full cell key when that join is
 // ambiguous (a sweep with several knob combinations per method and
 // environment).
 func diffSweeps(pathA, pathB string) error {

@@ -30,18 +30,18 @@ func TestCompareAblationVariantSmoke(t *testing.T) {
 	}
 }
 
-// TestCompareDiffSweeps runs the issue's flagship diff: the same grid
-// once with the dense update wire and once with the XOR-delta wire, then
-// diffs the two sweep CSVs method-by-method. The delta wire is lossless,
-// so every drift column must be exactly zero.
+// TestCompareDiffSweeps diffs two sweeps of one grid that differ in a
+// federation knob which cannot change a result — the straggler policy,
+// with nobody straggling — method by method: the cells differ in their
+// full key, the A/B join still pairs them, and every drift column is zero.
 func TestCompareDiffSweeps(t *testing.T) {
-	writeCells := func(delta bool) string {
+	writeCells := func(straggler string) string {
 		t.Helper()
 		g := &sweep.Grid{
-			Methods:      []string{"fedavg", "fedavg-ft"},
-			Settings:     []string{"cifar10-q(2,500)"},
-			Seeds:        []int64{1},
-			DeltaUpdates: []bool{delta},
+			Methods:    []string{"fedavg", "fedavg-ft"},
+			Settings:   []string{"cifar10-q(2,500)"},
+			Seeds:      []int64{1},
+			Stragglers: []string{straggler},
 		}
 		res, err := sweep.Run(context.Background(), g, sweep.Config{})
 		if err != nil {
@@ -58,51 +58,15 @@ func TestCompareDiffSweeps(t *testing.T) {
 		}
 		return path
 	}
-	dense, deltaCSV := writeCells(false), writeCells(true)
-
-	// The lossless-wire guarantee, asserted exactly: parse both CSVs and
-	// require bitwise-equal summaries per (method, seed) — the printed
-	// "+0.0000" columns round and could hide sub-precision drift.
-	parse := func(path string) map[string]sweep.CellRow {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		rows, err := sweep.ReadCellsCSV(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[string]sweep.CellRow, len(rows))
-		for _, r := range rows {
-			out[fmt.Sprintf("%s|%s|%d", r.Method, r.Setting, r.Seed)] = r
-		}
-		return out
-	}
-	a, b := parse(dense), parse(deltaCSV)
-	if len(a) != 2 || len(b) != 2 {
-		t.Fatalf("expected 2 cells per sweep, got %d and %d", len(a), len(b))
-	}
-	for k, ra := range a {
-		rb, ok := b[k]
-		if !ok {
-			t.Fatalf("cell %s missing from the delta sweep", k)
-		}
-		if ra.Mean != rb.Mean || ra.Variance != rb.Variance || ra.Std != rb.Std || ra.Bottom10 != rb.Bottom10 {
-			t.Fatalf("delta wire drifted on %s:\n%+v\nvs\n%+v", k, ra, rb)
-		}
-	}
-
-	// Dense vs delta wire: the cells differ in the wire axis (and thus in
-	// full key), but the A/B join matches them per (method, env).
+	requeue, drop := writeCells("requeue"), writeCells("drop")
 	out := captureStdout(t, func() error {
-		return run([]string{"diff", "sweep", dense, deltaCSV})
+		return run([]string{"diff", "sweep", requeue, drop})
 	})
 	if !strings.Contains(out, "sweep diff:") || !strings.Contains(out, "fedavg-ft") {
 		t.Fatalf("diff output not parseable:\n%s", out)
 	}
 	if !strings.Contains(out, "+0.0000") || !strings.Contains(out, "+0.00000") {
-		t.Fatalf("dense vs delta should show zero drift:\n%s", out)
+		t.Fatalf("the two sweeps should show zero drift:\n%s", out)
 	}
 	if strings.Contains(out, "only in") {
 		t.Fatalf("all cells should be matched by the A/B join:\n%s", out)

@@ -81,6 +81,9 @@ func TestServerSmokeFederation(t *testing.T) {
 				Personalizer: m.Personalizer,
 				Seed:         seed,
 				IOTimeout:    30 * time.Second,
+				// Hold round 1 open long enough for the scraper below to see
+				// round 0 counted, however fast two smoke rounds are.
+				SimLatency: func(round int) time.Duration { return time.Duration(round) * 100 * time.Millisecond },
 			})
 		}(i)
 	}

@@ -191,7 +191,7 @@ func TestWatchSmoke(t *testing.T) {
 	reg.Gauge(obs.GaugeHealthSuspects).Set(2)
 	reg.ObserveRound(obs.RoundSample{
 		Runtime: "sim", Round: 7, Participants: 4, Responders: 4,
-		MeanLoss: 0.5, UplinkWireBytes: 1 << 11, UplinkDenseBytes: 1 << 13,
+		MeanLoss: 0.5, UplinkWireBytes: 1 << 11,
 	})
 	srv, addr, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -204,7 +204,7 @@ func TestWatchSmoke(t *testing.T) {
 	})
 	for _, needle := range []string{
 		"cells 3/6 done", "2 in flight", "3 pending", "rounds 1",
-		"2.0KiB wire", "8.0KiB dense", "sim round 7: 4/4 responded, loss 0.5000",
+		"uplink 2.0KiB", "sim round 7: 4/4 responded, loss 0.5000",
 		"hostile: 5 adversarial, 2 rejected",
 		"health: 4 alerts (1 critical), 2 suspects",
 	} {

@@ -124,8 +124,7 @@ func renderWatchLine(s obs.Snapshot) string {
 			c[obs.CounterSweepCellsDone], planned, c[obs.CounterSweepCellsFailed],
 			g[obs.GaugeSweepCellsInFlight], g[obs.GaugeSweepCellsPending], line)
 	}
-	line += fmt.Sprintf(" · uplink %s wire / %s dense",
-		formatBytes(c[obs.CounterUplinkWireBytes]), formatBytes(c[obs.CounterUplinkDenseBytes]))
+	line += " · uplink " + formatBytes(c[obs.CounterUplinkWireBytes])
 	// Hostile-federation signal: only shown once an attack (or a robust
 	// aggregator rejection) actually fires, so benign sweeps stay terse.
 	if adv, rej := c[obs.CounterAdversarialUpdates], c[obs.CounterRejectedUpdates]; adv > 0 || rej > 0 {

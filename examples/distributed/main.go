@@ -189,12 +189,11 @@ func main() {
 	fmt.Println("federation summary:", calibre.Summarize(accs))
 
 	// What the metrics plane saw across both phases: every completed
-	// round, and how much uplink traffic the XOR-delta wire saved versus
-	// shipping dense vectors. With -metrics-addr / calibre.ServeMetrics
-	// the same numbers are scrapeable live at /metrics and /metrics/prom.
+	// round and the uplink traffic it cost. With -metrics-addr /
+	// calibre.ServeMetrics the same numbers are scrapeable live at /metrics
+	// and /metrics/prom.
 	ms := metrics.Snapshot()
-	fmt.Printf("metrics: %d rounds observed, uplink %d B on the wire vs %d B dense\n",
+	fmt.Printf("metrics: %d rounds observed, uplink %d B\n",
 		ms.Counters[calibre.MetricRounds],
-		ms.Counters[calibre.MetricUplinkWireBytes],
-		ms.Counters[calibre.MetricUplinkDenseBytes])
+		ms.Counters[calibre.MetricUplinkWireBytes])
 }

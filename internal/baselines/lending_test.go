@@ -150,8 +150,7 @@ func (s witnessSink) Finish() (param.Vector, error) {
 // client goroutines (the suite runs under -race), over everything that sits
 // between Train's return and the round's close: a streaming sink, a
 // buffering one, the robust aggregators, every adversary kind around the
-// trainer, the delta codec in the simulator's transport, SCAFFOLD's second
-// payload.
+// trainer, SCAFFOLD's second payload.
 func TestLentPayloadSurvivesTheRound(t *testing.T) {
 	clients := testClients(t, 6, 24)
 	type testCase struct {
@@ -170,8 +169,6 @@ func TestLentPayloadSurvivesTheRound(t *testing.T) {
 		{name: "median", method: "fedavg", agg: fl.CoordinateMedian{}},
 		{name: "trimmed mean", method: "fedavg", agg: fl.TrimmedMean{Frac: 0.25}},
 		{name: "krum", method: "fedavg", agg: fl.Krum{F: 1}},
-		{name: "delta updates", method: "fedavg", sim: func(c *fl.SimConfig) { c.DeltaUpdates = true }},
-		{name: "delta updates, buffering sink", method: "calibre-simclr", sim: func(c *fl.SimConfig) { c.DeltaUpdates = true }},
 	}
 	for _, kind := range []fl.AdversaryKind{fl.AdvSignFlip, fl.AdvNoise, fl.AdvCollude, fl.AdvLabelFlip} {
 		cases = append(cases, testCase{name: "adversary " + string(kind), method: "fedavg", sim: func(c *fl.SimConfig) {

@@ -101,7 +101,7 @@ func RunMethodResumable(ctx context.Context, env *Environment, name, dir string,
 // for an already built method — the one runner every other Run* and every
 // sweep cell goes through. mutate (may be nil) runs after the
 // preset-derived fields are filled and can adjust any knob: parallelism
-// budgets, the delta wire, quorum/dropout/straggler policies, checkpoint
+// budgets, quorum/dropout/straggler policies, checkpoint
 // wiring.
 func RunBuiltMethodWith(ctx context.Context, env *Environment, m *fl.Method, mutate func(*fl.SimConfig)) (*MethodOutcome, error) {
 	cfg := fl.SimConfig{

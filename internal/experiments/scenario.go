@@ -26,7 +26,6 @@ type Scenario struct {
 	// Seed seeds the generated world. In a sweep cell it is the replicate
 	// index instead, and the scheduler builds the world from EnvSeed.
 	Seed      int64   `json:"seed"`
-	Delta     bool    `json:"delta_updates,omitempty"`
 	Quorum    int     `json:"quorum,omitempty"`
 	Dropout   float64 `json:"dropout,omitempty"`
 	Straggler string  `json:"straggler"`
@@ -57,8 +56,14 @@ func (s Scenario) knobs() string {
 	if agg == "" {
 		agg = "mean"
 	}
-	return fmt.Sprintf("delta=%t|quorum=%d|dropout=%g|straggler=%s|agg=%s|adv=%s|advfrac=%g|avail=%s",
-		s.Delta, s.Quorum, s.Dropout, s.Straggler, agg, s.Adversary, s.AdvFrac, s.Availability)
+	// "delta=false" is what every scenario read on the update-wire axis this
+	// vocabulary used to carry. The axis is gone; the literal stays because
+	// it is in every cell key and so in everything derived from one — report
+	// headings, sweep-cell and grid fingerprints, manifests, per-cell
+	// checkpoint directories — and stores and manifests written by earlier
+	// builds must still resume.
+	return fmt.Sprintf("delta=false|quorum=%d|dropout=%g|straggler=%s|agg=%s|adv=%s|advfrac=%g|avail=%s",
+		s.Quorum, s.Dropout, s.Straggler, agg, s.Adversary, s.AdvFrac, s.Availability)
 }
 
 // EnvKey identifies the federation world: setting, scale and seed. The

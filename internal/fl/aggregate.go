@@ -19,7 +19,7 @@ import (
 
 // checkUpdateSizes validates every payload length up front (wrapping
 // ErrUpdateSize) so the sharded loops below can index without bounds
-// surprises even when a caller skips the runtimes' ingress ResolveInto.
+// surprises even when a caller skips the runtimes' ingress CheckSize.
 func checkUpdateSizes(global param.Vector, updates []*Update) error {
 	for _, u := range updates {
 		if len(u.Params) != len(global) {

@@ -39,12 +39,12 @@ import (
 // updates.
 var ErrNoUpdates = errors.New("fl: no client updates to aggregate")
 
-// ErrUpdateSize marks an update whose payload (dense Params, Delta or
-// ControlDelta) does not match the round's global vector. The runtimes
-// check it at ingress — the simulator fails the round (a wrong-sized
-// update from an in-process trainer is a bug), the networked server
-// rejects the offending client — so a bad payload can never index out of
-// bounds inside an aggregator.
+// ErrUpdateSize marks an update whose payload (Params or ControlDelta)
+// does not match the round's global vector. The runtimes check it at
+// ingress — the simulator fails the round (a wrong-sized update from an
+// in-process trainer is a bug), the networked server rejects the offending
+// client — so a bad payload can never index out of bounds inside an
+// aggregator.
 var ErrUpdateSize = errors.New("fl: update payload does not match the global vector size")
 
 // ErrQuorumNotMet is returned (wrapped) when a round's deadline expires
@@ -106,22 +106,12 @@ func ParseStragglerPolicy(s string) (StragglerPolicy, error) {
 	}
 }
 
-// Update is a client's result for one round of local training. Its
-// payload is delta-capable: exactly one of Params (dense) or Delta
-// (compressed against the round's global vector) is set in transit, and
-// ResolveInto materializes Params before aggregation.
+// Update is a client's result for one round of local training.
 type Update struct {
 	ClientID   int
-	Params     param.Vector // full updated parameter vector (dense form)
+	Params     param.Vector // full updated parameter vector
 	NumSamples int          // local training set size (aggregation weight)
 	TrainLoss  float64      // mean local objective value
-
-	// Delta, when non-nil, carries the update as a lossless XOR-delta
-	// against the round's global vector instead of a dense Params — the
-	// compressed wire form flnet ships. Aggregators never see it: the
-	// runtimes call ResolveInto at ingress, which reconstructs Params
-	// bit-identically and clears Delta.
-	Delta *param.Delta
 
 	// Divergence is Calibre's prototype divergence rate: the mean distance
 	// between local encodings and their assigned prototypes. Zero when the
@@ -133,36 +123,17 @@ type Update struct {
 	ControlDelta param.Vector
 }
 
-// ResolveInto materializes and validates the update's payload against the
-// round's global vector: a delta-carrying update gets its dense Params
-// reconstructed bit-exactly (and Delta cleared), and a dense update is
-// length-checked. Every mismatch — missing payload, ambiguous payload
-// (both forms set), wrong length, corrupt delta — wraps ErrUpdateSize, so
-// ingress layers can reject the sender with one typed check.
-//
-// A delta payload is decoded into scratch (see param.Delta.ApplyInto) so
-// ingress loops can reuse one decode buffer per client slot. The reuse
-// contract is the aggregation plane's read-only guarantee (see
-// aggregate.go): nothing downstream mutates or retains u.Params past the
-// round, so the buffer may be handed back to the same slot next round.
-// scratch may be nil (allocate fresh).
-func (u *Update) ResolveInto(global, scratch param.Vector) error {
+// CheckSize validates the update's payload against the round's global
+// vector. Every mismatch — missing payload, wrong length of Params or of
+// ControlDelta — wraps ErrUpdateSize, so ingress layers can reject the
+// sender with one typed check.
+func (u *Update) CheckSize(global param.Vector) error {
 	switch {
-	case u.Delta != nil && u.Params != nil:
-		return fmt.Errorf("%w: client %d sent both dense params and a delta", ErrUpdateSize, u.ClientID)
-	case u.Delta != nil:
-		v, err := u.Delta.ApplyInto(scratch, global)
-		if err != nil {
-			return fmt.Errorf("%w: client %d delta: %v", ErrUpdateSize, u.ClientID, err)
-		}
-		u.Params = v
-		u.Delta = nil
 	case u.Params == nil:
 		return fmt.Errorf("%w: client %d sent no payload", ErrUpdateSize, u.ClientID)
 	case len(u.Params) != len(global):
 		return fmt.Errorf("%w: client %d sent %d params, want %d", ErrUpdateSize, u.ClientID, len(u.Params), len(global))
-	}
-	if u.ControlDelta != nil && len(u.ControlDelta) != len(global) {
+	case u.ControlDelta != nil && len(u.ControlDelta) != len(global):
 		return fmt.Errorf("%w: client %d control delta has %d entries, want %d", ErrUpdateSize, u.ClientID, len(u.ControlDelta), len(global))
 	}
 	return nil

@@ -13,7 +13,7 @@ import (
 // metrics plane: a simulation with a live obs.Registry attached must
 // produce exactly the same global model and RoundStats history as one
 // without. The config deliberately exercises every instrumented path —
-// delta wire accounting, dropout/quorum straggler bookkeeping — so any
+// uplink accounting, dropout/quorum straggler bookkeeping — so any
 // instrumentation that leaks into an RNG draw or a result shows up here.
 func TestObsRegistryDoesNotPerturbRun(t *testing.T) {
 	clients := testClients(t, 8)
@@ -21,7 +21,7 @@ func TestObsRegistryDoesNotPerturbRun(t *testing.T) {
 		t.Helper()
 		cfg := SimConfig{
 			Rounds: 4, ClientsPerRound: 3, Seed: 99,
-			DeltaUpdates: true, DropoutRate: 0.3, Quorum: 1,
+			DropoutRate: 0.3, Quorum: 1,
 			Obs: reg,
 		}
 		sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
@@ -51,10 +51,12 @@ func TestObsRegistryDoesNotPerturbRun(t *testing.T) {
 	if got := snap.Counters[obs.CounterRounds]; got != 4 {
 		t.Errorf("rounds_total = %d, want 4", got)
 	}
-	wire := snap.Counters[obs.CounterUplinkWireBytes]
-	dense := snap.Counters[obs.CounterUplinkDenseBytes]
-	if wire <= 0 || dense <= 0 || wire > dense {
-		t.Errorf("uplink accounting wrong: wire=%d dense=%d (want 0 < wire ≤ dense)", wire, dense)
+	responders := 0
+	for _, rs := range snap.Rounds {
+		responders += rs.Responders
+	}
+	if wire, want := snap.Counters[obs.CounterUplinkWireBytes], int64(8*len(plainGlobal)*responders); wire != want {
+		t.Errorf("uplink accounting wrong: %d bytes, want %d (8 per parameter per responder)", wire, want)
 	}
 	if len(snap.Rounds) != 4 {
 		t.Errorf("round ring holds %d samples, want 4", len(snap.Rounds))

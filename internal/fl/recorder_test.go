@@ -24,7 +24,7 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 		t.Helper()
 		cfg := SimConfig{
 			Rounds: 4, ClientsPerRound: 3, Seed: 99,
-			DeltaUpdates: true, DropoutRate: 0.3, Quorum: 1,
+			DropoutRate: 0.3, Quorum: 1,
 			Parallelism: 1, // injected StepClock is single-goroutine only
 			Recorder:    rec,
 		}
@@ -75,7 +75,7 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 		}
 		switch e.Kind {
 		case trace.KindClientUpdate:
-			if e.Client < 0 || e.Wire != "delta" || e.Bytes <= 0 || e.Dur <= 0 {
+			if e.Client < 0 || e.Wire != "dense" || e.Bytes <= 0 || e.Dur <= 0 {
 				t.Errorf("implausible client_update: %+v", e)
 			}
 		case trace.KindClientDrop:

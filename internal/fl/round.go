@@ -342,17 +342,15 @@ type slot struct {
 	update      *Update // held only until the cursor streams it into the sink
 	loss, norm  float64
 	start, done int64 // span-clock turnaround endpoints
-	wire, dense int64 // uplink bytes as shipped vs. the dense baseline
-	delta       bool  // shipped as a delta
+	wire        int64 // uplink payload bytes
 }
 
 // Round is one round's ledger: slot-indexed storage (slot i belongs to
 // Participants()[i]) that a Transport feeds with outcomes and that the
 // core closes into RoundStats, an obs.RoundSample and the round's trace
-// events. Arrive, Begin, Pending, Now and Encoded may be called
-// concurrently (the first three for distinct slots); every other method
-// belongs to the goroutine running Collect. The storage is reused from
-// round to round.
+// events. Arrive, Begin and Pending may be called concurrently (for
+// distinct slots); every other method belongs to the goroutine running
+// Collect. The storage is reused from round to round.
 type Round struct {
 	c *roundCore
 	// Num is the round index and Global the round's pre-aggregation
@@ -444,43 +442,23 @@ func (r *Round) count(st slotState) int {
 	return n
 }
 
-// Now reads the span clock (constant in a bare run).
-func (r *Round) Now() int64 { return r.c.now() }
-
 // Begin restarts slot's turnaround clock, for a transport that queues
 // work behind a parallelism bound and should not bill the wait.
 func (r *Round) Begin(slot int) { r.slots[slot].start = r.c.now() }
 
-// Encoded books the span-clock time a transport spent delta-encoding an
-// update itself (a networked client's encode time is not visible here).
-func (r *Round) Encoded(ns int64) { r.c.cfg.Obs.Histogram(obs.HistUplinkEncode).Observe(ns) }
-
 // Arrive books the update that came back for slot: uplink accounting,
-// ingress validation and delta reconstruction into scratch (see
-// Update.ResolveInto), the update norm when someone wants it, and the
-// turnaround. It returns the decode buffer the caller should offer for
-// its next delta — scratch itself, or the decoded vector that replaced
-// it (the slot adopts it: nothing retains an update past its round). On
-// error the update is not accepted; whether that drops the slot or
-// aborts the run is the transport's call.
-func (r *Round) Arrive(slot int, u *Update, scratch param.Vector) (param.Vector, error) {
+// ingress validation (Update.CheckSize), the update norm when someone
+// wants it, and the turnaround. The slot borrows u and its payload until
+// the cursor has streamed it into the sink — nothing retains an update
+// past its round. On error the update is not accepted; whether that drops
+// the slot or aborts the run is the transport's call.
+func (r *Round) Arrive(slot int, u *Update) error {
 	s := &r.slots[slot]
-	// Account before Resolve clears the delta: the payload crossed the
-	// uplink whether or not it validates. A sender ships dense when the
-	// delta does not compress, so the wire cost is capped at dense size.
-	if u.Delta != nil {
-		s.delta = true
-		s.dense = int64(u.Delta.DenseSize())
-		s.wire = min(int64(u.Delta.Size()), s.dense)
-	} else {
-		s.wire = int64(8 * len(u.Params))
-		s.dense = s.wire
-	}
-	if err := u.ResolveInto(r.Global, scratch); err != nil {
-		return scratch, err
-	}
-	if s.delta {
-		scratch = u.Params
+	// Account before the check: the payload crossed the uplink whether or
+	// not it validates.
+	s.wire = int64(8 * len(u.Params))
+	if err := u.CheckSize(r.Global); err != nil {
+		return err
 	}
 	if r.c.normOn {
 		// Against the pre-aggregation global — the update the client
@@ -490,7 +468,7 @@ func (r *Round) Arrive(slot int, u *Update, scratch param.Vector) (param.Vector,
 	}
 	s.done = r.c.now()
 	s.update, s.loss, s.state = u, u.TrainLoss, slotArrived
-	return scratch, nil
+	return nil
 }
 
 // drop takes slot out of the round and leaves the client_drop event that
@@ -570,9 +548,6 @@ func (r *Round) Advance() error {
 		e := trace.Event{Kind: trace.KindClientUpdate, TS: s.done, Runtime: r.c.runtime, Round: r.Num,
 			Client: r.ids[r.cursor], Wire: "dense", Bytes: s.wire, Dur: s.done - s.start, Loss: s.loss, Norm: s.norm}
 		r.c.histTurn.Observe(e.Dur)
-		if s.delta {
-			e.Wire = "delta"
-		}
 		r.c.cfg.Recorder.Emit(e)
 	}
 	return nil
@@ -621,7 +596,6 @@ func (r *Round) close() (param.Vector, RoundStats, error) {
 		sample := c.sample(*stats)
 		for i := range r.slots {
 			sample.UplinkWireBytes += r.slots[i].wire
-			sample.UplinkDenseBytes += r.slots[i].dense
 		}
 		sample.DurationMS = time.Since(r.wallStart).Milliseconds()
 		if mon != nil {

@@ -54,7 +54,7 @@ func (s *scriptTransport) Collect(_ context.Context, r *Round) error {
 				p[i] = r.Global[i] + float64(id)
 			}
 			u := &Update{ClientID: id, Params: p, NumSamples: 1, TrainLoss: float64(id)}
-			if _, err = r.Arrive(op.slot, u, nil); err != nil {
+			if err = r.Arrive(op.slot, u); err != nil {
 				err = r.Drop(op.slot, "rejected")
 			} else {
 				err = r.Advance()
@@ -137,7 +137,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			name:       "shuffled arrivals stream in slot order",
 			script:     []scriptOp{{"arrive", 2}, {"arrive", 0}, {"arrive", 3}, {"arrive", 1}},
 			wantStats:  RoundStats{Participants: all, MeanLoss: 3.5, AdversarialUpdates: countMal(all...)},
-			wantSample: obs.RoundSample{Participants: 4, Responders: 4, UplinkWireBytes: 128, UplinkDenseBytes: 128, Clients: clientsOf(all...)},
+			wantSample: obs.RoundSample{Participants: 4, Responders: 4, UplinkWireBytes: 128, Clients: clientsOf(all...)},
 			wantEvents: []string{"round_start n=4", "client_dispatch 1", "client_dispatch 3", "client_dispatch 4", "client_dispatch 6",
 				"client_update 1", "client_update 3", "client_update 4", "client_update 6", "round_end n=4"},
 			wantOrder: all, wantGlobal: 3.5,
@@ -147,7 +147,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			script: []scriptOp{{"arrive", 3}, {"reject", 1}, {"arrive", 0}, {"arrive", 2}},
 			wantStats: RoundStats{Participants: all, Responders: []int{1, 4, 6}, Stragglers: []int{3},
 				MeanLoss: 11.0 / 3, AdversarialUpdates: countMal(1, 4, 6)},
-			wantSample: obs.RoundSample{Participants: 4, Responders: 3, Stragglers: 1, UplinkWireBytes: 96 + 24, UplinkDenseBytes: 96 + 24,
+			wantSample: obs.RoundSample{Participants: 4, Responders: 3, Stragglers: 1, UplinkWireBytes: 96 + 24,
 				Clients: clientsOf(1, 4, 6), StragglerIDs: []int{3}, RejectedIDs: []int{3}},
 			wantEvents: []string{"round_start n=4", "client_dispatch 1", "client_dispatch 3", "client_dispatch 4", "client_dispatch 6",
 				"client_drop 3 " + rejectReason(3) + " rejected", "client_update 1", "client_update 4", "client_update 6", "round_end n=3"},
@@ -164,7 +164,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			name:       "stale reply is counted, not aggregated",
 			script:     []scriptOp{{"late", 0}, {"arrive", 0}, {"arrive", 1}, {"arrive", 2}, {"arrive", 3}},
 			wantStats:  RoundStats{Participants: all, MeanLoss: 3.5, LateUpdates: 1, AdversarialUpdates: countMal(all...)},
-			wantSample: obs.RoundSample{Participants: 4, Responders: 4, LateUpdates: 1, UplinkWireBytes: 128, UplinkDenseBytes: 128, Clients: clientsOf(all...)},
+			wantSample: obs.RoundSample{Participants: 4, Responders: 4, LateUpdates: 1, UplinkWireBytes: 128, Clients: clientsOf(all...)},
 			wantEvents: []string{"round_start n=4", "client_dispatch 1", "client_dispatch 3", "client_dispatch 4", "client_dispatch 6",
 				"client_update 1", "client_update 3", "client_update 4", "client_update 6", "round_end n=4"},
 			wantOrder: all, wantGlobal: 3.5,
@@ -175,7 +175,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			wantStats: RoundStats{Participants: all, Responders: []int{1, 4}, Stragglers: []int{3, 6}, DeadlineExpired: true,
 				MeanLoss: 2.5, AdversarialUpdates: countMal(1, 4)},
 			wantSample: obs.RoundSample{Participants: 4, Responders: 2, Stragglers: 2, DeadlineExpired: true,
-				UplinkWireBytes: 64, UplinkDenseBytes: 64, Clients: clientsOf(1, 4), StragglerIDs: []int{3, 6}},
+				UplinkWireBytes: 64, Clients: clientsOf(1, 4), StragglerIDs: []int{3, 6}},
 			wantEvents: []string{"round_start n=4", "client_dispatch 1", "client_dispatch 3", "client_dispatch 4", "client_dispatch 6",
 				"client_update 1", "client_drop 3 straggler", "client_drop 6 straggler", "client_update 4", "round_end n=2"},
 			wantOrder: []int{1, 4}, wantGlobal: 2.5, wantExpire: []int{3, 6},
@@ -191,7 +191,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			script: []scriptOp{{"arrive", 3}, {"arrive", 2}, {"arrive", 0}},
 			wantStats: RoundStats{Participants: all, Responders: []int{1, 4, 6}, Stragglers: []int{3},
 				MeanLoss: 11.0 / 3, AdversarialUpdates: countMal(1, 4, 6)},
-			wantSample: obs.RoundSample{Participants: 4, Responders: 3, Stragglers: 1, UplinkWireBytes: 96, UplinkDenseBytes: 96,
+			wantSample: obs.RoundSample{Participants: 4, Responders: 3, Stragglers: 1, UplinkWireBytes: 96,
 				Clients: clientsOf(1, 4, 6), StragglerIDs: []int{3}},
 			wantEvents: []string{"round_start n=4", "client_drop 3 trace", "client_dispatch 1", "client_dispatch 4", "client_dispatch 6",
 				"client_update 1", "client_update 4", "client_update 6", "round_end n=3"},

@@ -34,13 +34,6 @@ type SimConfig struct {
 	// server-side aggregation sweeps (param.Shard), so this knob governs
 	// both local training and aggregation parallelism.
 	KernelWorkers int
-	// DeltaUpdates routes every client update through the lossless
-	// XOR-delta codec (encode against the round's global, reconstruct,
-	// aggregate the reconstruction) — exactly the representation a
-	// networked flnet federation ships. Reconstruction is bit-identical,
-	// so results do not change; the knob exists so in-process simulations
-	// exercise and continuously verify the wire path.
-	DeltaUpdates bool
 	// DropoutRate simulates client failures/stragglers: each sampled
 	// client independently drops out of the round with this probability
 	// (its update is simply missing, as in production FL). At least
@@ -227,13 +220,9 @@ func (s *Simulator) Run(ctx context.Context) (param.Vector, []RoundStats, error)
 		// a hostile run never leaks attack state into a shared Method value.
 		trainer: cfg.Adversary.WrapTrainer(s.Method.Trainer, cfg.Seed, len(s.Clients)),
 		alive:   make([]int, len(s.Clients)),
-		decode:  make([]param.Vector, cfg.ClientsPerRound),
 	}
 	for i := range t.alive {
 		t.alive[i] = i
-	}
-	if cfg.DeltaUpdates {
-		t.delta = make([]param.Delta, cfg.ClientsPerRound)
 	}
 	return RunRounds(ctx, cfg.round(s.Method), t)
 }
@@ -245,13 +234,6 @@ type simTransport struct {
 	trainer Trainer
 	// alive is the sampleable population; StragglerDrop shrinks it.
 	alive []int
-	// Per-slot wire-path scratch, reused across rounds: each slot owns one
-	// Delta (encoder output, DiffInto reuses its Bits) and one decode buffer
-	// (the aggregation plane's read-only contract guarantees nothing retains
-	// a decoded vector past the round). Slots are worker-exclusive within a
-	// round and rounds are sequential, so the reuse is race-free.
-	delta  []param.Delta
-	decode []param.Vector
 }
 
 func (t *simTransport) Runtime() string { return "sim" }
@@ -306,24 +288,10 @@ func (t *simTransport) Collect(ctx context.Context, r *Round) error {
 		if err != nil {
 			return struct{}{}, fmt.Errorf("fl: client %d round %d: %w", id, r.Num, err)
 		}
-		// Route the payload through the wire representation: encode against
-		// the round's global, then let the ledger reconstruct it
-		// (bit-identically) like a server would. A wrong-length payload
-		// skips the encode so it still surfaces as the typed ErrUpdateSize
-		// at ingress, exactly like the dense path.
-		if t.delta != nil && u.Delta == nil && len(u.Params) == len(r.Global) {
-			e0 := r.Now()
-			err := param.DiffInto(&t.delta[slot], r.Global, u.Params)
-			r.Encoded(r.Now() - e0)
-			if err != nil {
-				return struct{}{}, fmt.Errorf("fl: client %d round %d: %w", id, r.Num, err)
-			}
-			u.Delta, u.Params = &t.delta[slot], nil
-		}
 		// A wrong-sized payload from an in-process trainer is a bug,
 		// surfaced as a typed ErrUpdateSize instead of an index panic
 		// inside the aggregator.
-		if t.decode[slot], err = r.Arrive(slot, u, t.decode[slot]); err != nil {
+		if err := r.Arrive(slot, u); err != nil {
 			return struct{}{}, fmt.Errorf("fl: round %d: %w", r.Num, err)
 		}
 		return struct{}{}, nil

@@ -161,44 +161,29 @@ func TestAggregatorsShardedBitIdentical(t *testing.T) {
 	tensor.SetWorkers(0)
 }
 
-// TestUpdateResolve walks the ingress contract: dense pass-through, delta
-// reconstruction, and every malformed payload rejected with ErrUpdateSize.
+// TestUpdateResolve walks the ingress contract (Update.CheckSize): a
+// right-sized payload passes, with or without a control delta, and every
+// malformed one is rejected with ErrUpdateSize.
 func TestUpdateResolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	global := planeVector(rng, 100)
+	global := planeVector(rand.New(rand.NewSource(2)), 100)
 	v := global.Clone()
-	for i := 0; i < len(v); i += 7 {
-		v[i] += 0.25
-	}
-	d := &param.Delta{}
-	if err := param.DiffInto(d, global, v); err != nil {
-		t.Fatal(err)
-	}
-
-	u := &Update{ClientID: 3, Delta: d}
-	if err := u.ResolveInto(global, nil); err != nil {
-		t.Fatalf("Resolve delta: %v", err)
-	}
-	if u.Delta != nil {
-		t.Fatal("Resolve left Delta set")
-	}
-	for i := range v {
-		if math.Float64bits(u.Params[i]) != math.Float64bits(v[i]) {
-			t.Fatalf("reconstruction differs at %d", i)
+	for name, ok := range map[string]*Update{
+		"params":         {ClientID: 3, Params: v},
+		"params+control": {ClientID: 3, Params: v, ControlDelta: global.Clone()},
+	} {
+		if err := ok.CheckSize(global); err != nil {
+			t.Errorf("%s: CheckSize returned %v", name, err)
 		}
 	}
-
 	for name, bad := range map[string]*Update{
-		"no-payload":    {ClientID: 1},
-		"short-dense":   {ClientID: 1, Params: make(param.Vector, 99)},
-		"long-dense":    {ClientID: 1, Params: make(param.Vector, 101)},
-		"both-forms":    {ClientID: 1, Params: v.Clone(), Delta: d},
-		"wrong-delta":   {ClientID: 1, Delta: &param.Delta{Len: 7, Bits: []byte{7, 0}}},
-		"corrupt-delta": {ClientID: 1, Delta: &param.Delta{Len: 100, Bits: []byte{0xff}}},
-		"bad-control":   {ClientID: 1, Params: v.Clone(), ControlDelta: make(param.Vector, 5)},
+		"no-payload":   {ClientID: 1},
+		"control-only": {ClientID: 1, ControlDelta: global.Clone()},
+		"short":        {ClientID: 1, Params: make(param.Vector, 99)},
+		"long":         {ClientID: 1, Params: make(param.Vector, 101)},
+		"bad-control":  {ClientID: 1, Params: v, ControlDelta: make(param.Vector, 5)},
 	} {
-		if err := bad.ResolveInto(global, nil); !errors.Is(err, ErrUpdateSize) {
-			t.Errorf("%s: Resolve returned %v, want ErrUpdateSize", name, err)
+		if err := bad.CheckSize(global); !errors.Is(err, ErrUpdateSize) {
+			t.Errorf("%s: CheckSize returned %v, want ErrUpdateSize", name, err)
 		}
 	}
 }
@@ -241,49 +226,5 @@ func TestSimulatorRejectsWrongSizeUpdate(t *testing.T) {
 	}
 	if _, _, err := sim.Run(context.Background()); !errors.Is(err, ErrUpdateSize) {
 		t.Fatalf("Run returned %v, want ErrUpdateSize", err)
-	}
-}
-
-// addRoundTrainer nudges every element deterministically so consecutive
-// globals differ everywhere — the delta codec's hard case.
-type addRoundTrainer struct{}
-
-func (addRoundTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*Update, error) {
-	out := global.Clone()
-	for i := range out {
-		out[i] += 1e-3 * float64(c.ID+1) * float64(i%5)
-	}
-	return &Update{ClientID: c.ID, Params: out, NumSamples: c.ID + 1, TrainLoss: 0.5}, nil
-}
-
-// TestDeltaUpdatesBitIdentical pins SimConfig.DeltaUpdates: routing every
-// update through the XOR-delta wire representation leaves the federation
-// bit-identical to the dense path.
-func TestDeltaUpdatesBitIdentical(t *testing.T) {
-	run := func(delta bool) param.Vector {
-		method := &Method{
-			Name:         "delta-knob",
-			Trainer:      addRoundTrainer{},
-			Aggregator:   WeightedAverage{},
-			Personalizer: planePersonalizer{},
-			InitGlobal: func(rng *rand.Rand) (param.Vector, error) {
-				return planeVector(rng, 512), nil
-			},
-		}
-		sim, err := NewSimulator(SimConfig{Rounds: 4, ClientsPerRound: 3, Seed: 11, DeltaUpdates: delta}, method, planeClients(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		global, _, err := sim.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return global
-	}
-	dense, compressed := run(false), run(true)
-	for i := range dense {
-		if math.Float64bits(dense[i]) != math.Float64bits(compressed[i]) {
-			t.Fatalf("element %d differs between dense and delta paths", i)
-		}
 	}
 }

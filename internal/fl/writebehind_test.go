@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"calibre/internal/param"
+	"calibre/internal/partition"
 )
 
 // behindHook is a deferring checkpoint hook under test control: it books
@@ -305,6 +306,18 @@ func robustAndBenign(t *testing.T, n int) map[string]Aggregator {
 		aggs[spec] = a
 	}
 	return aggs
+}
+
+// addRoundTrainer nudges every element deterministically so consecutive
+// globals differ everywhere.
+type addRoundTrainer struct{}
+
+func (addRoundTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*Update, error) {
+	out := global.Clone()
+	for i := range out {
+		out[i] += 1e-3 * float64(c.ID+1) * float64(i%5)
+	}
+	return &Update{ClientID: c.ID, Params: out, NumSamples: c.ID + 1, TrainLoss: 0.5}, nil
 }
 
 // TestClosedRoundGlobalIsNeverTouchedAgain pins what lets a checkpoint

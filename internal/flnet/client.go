@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"calibre/internal/fl"
-	"calibre/internal/param"
 	"calibre/internal/partition"
 )
 
@@ -49,35 +48,6 @@ func (c *ClientConfig) validate() error {
 		return errors.New("flnet: client missing personalizer")
 	}
 	return nil
-}
-
-// wireUpdate chooses the uplink form of one train result: it diffs the
-// dense params against the round's global (the reference both sides
-// hold) and ships the compressed form — unless the delta would not
-// actually be smaller (fully random updates XOR to high-entropy words
-// that varint-encode above 8 bytes), in which case the dense form goes
-// out: compression is an optimization, and the protocol accepts either
-// on every train-result. The comparison is against what
-// dense costs on the v3 wire, a raw frame of 8 bytes per element. The
-// trainer's update is never mutated; a delta send uses a shallow copy.
-//
-// scratch, when non-nil, receives the encoding (reusing its Bits buffer
-// across rounds). Safe because conn.send has written the whole message
-// before returning, so the buffer is free again by the next round's encode.
-func wireUpdate(u *fl.Update, global param.Vector, scratch *param.Delta) *fl.Update {
-	if u.Params == nil || u.Delta != nil {
-		return u
-	}
-	if scratch == nil {
-		scratch = &param.Delta{}
-	}
-	if err := param.DiffInto(scratch, global, u.Params); err != nil || scratch.Size() >= scratch.DenseSize() {
-		return u
-	}
-	wu := *u
-	wu.Params = nil
-	wu.Delta = scratch
-	return &wu
 }
 
 // RunClient joins the federation and serves train/personalize requests
@@ -125,7 +95,6 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 	if ack.Type != MsgJoinAck {
 		return fmt.Errorf("flnet: expected join-ack, got %s", ack.Type)
 	}
-	encScratch := &param.Delta{} // uplink encoder buffer, reused every round
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -155,7 +124,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 				_ = c.send(&Envelope{Type: MsgError, ClientID: cfg.ClientID, Err: terr.Error()})
 				return fmt.Errorf("flnet: client %d train: %w", cfg.ClientID, terr)
 			}
-			if err := c.send(&Envelope{Type: MsgTrainResult, ClientID: cfg.ClientID, Round: env.Round, Update: wireUpdate(update, env.Global, encScratch)}); err != nil {
+			if err := c.send(&Envelope{Type: MsgTrainResult, ClientID: cfg.ClientID, Round: env.Round, Update: update}); err != nil {
 				return err
 			}
 		case MsgPersonalize:

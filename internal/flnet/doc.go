@@ -18,16 +18,10 @@
 // before any gob traffic, so an incompatible build fails with a clear
 // error instead of a gob decode failure mid-handshake.
 //
-// Since ProtocolVersion 2 payloads are typed param.Vector
-// values, and train-result updates may travel as lossless XOR-deltas
-// against the round's global vector (fl.Update.Delta) instead of dense
-// params. Which form an update takes is the sender's choice, made per
-// update and not negotiated: a client diffs every result against the
-// global it was sent and ships the delta unless the dense frame would be
-// no larger (wireUpdate). Either
-// form is legal on every train-result: the server materializes deltas at
-// ingress (fl.Update.ResolveInto) before aggregation, bit-identically, and a
-// client whose payload fails validation (wrong length, corrupt delta) is
+// A train-result carries the client's whole updated vector as one dense
+// frame (fl.Update.Params); there is no compressed form and nothing to
+// negotiate. The server validates it at ingress (fl.Update.CheckSize), and
+// a client whose payload fails validation (missing, wrong length) is
 // evicted from the federation instead of panicking the aggregator. The
 // round then proceeds like any other client failure: with a K<N quorum
 // configured it closes on the remaining responders, while under the
@@ -36,29 +30,38 @@
 // strict synchronous contract would otherwise silently aggregate fewer
 // updates. Version 1 spoke dense []float64 payloads only; version 2
 // carried every vector inside the gob stream, one reflected element at a
-// time and nine bytes each. Both are refused at the preamble.
+// time and nine bytes each; versions 2 and 3 let a client ship its update
+// as a lossless XOR-delta against the round's global inside the gob
+// header, which on trained updates saved a tenth of the bytes (trained
+// weights XOR to 7–8-byte words) for a fifth of a wide model's round in
+// encode and decode time — ARCHITECTURE.md "Update plane" has the
+// numbers. All three are refused at the preamble.
 //
-// The current ProtocolVersion is 3. After the preamble, every message on
+// The current ProtocolVersion is 4. After the preamble, every message on
 // the wire is one Envelope: a gob-encoded header — the Envelope with its
 // parameter vectors taken out — followed by those vectors as raw frames.
 // gob's self-describing stream frames the header: type descriptors travel
 // once per connection, each subsequent Encode emits one length-delimited
 // value, and a Decode that hits a truncated or corrupt stream fails
-// cleanly instead of desynchronizing. A frame is a little-endian uint64
+// cleanly instead of desynchronizing. No payload travels in a header, so
+// the receiver reads it under a constant byte budget (64 KiB a message):
+// a peer that declares or streams more fails with the typed ErrBadFrame
+// before any frame is looked at. A frame is a little-endian uint64
 // byte length and that many bytes of little-endian IEEE-754 doubles (what
 // internal/store writes to disk), in the fixed order Global,
 // Update.Params, Update.ControlDelta; which of them follow a header is
 // announced by one bit each above the message type in the header's Type
-// field, so a message without vectors — every delta train-result, whose
-// payload is bytes already — is exactly its version-2 form. The receiver
+// field, so a message without vectors is a bare gob envelope. The receiver
 // checks a frame's declared length before allocating anything for it: it
 // must be a whole number of float64s, equal the model size once that is
 // known (the server knows it from the global it sent; a client from the
 // first global it received) and stay under MaxFrameBytes until then, else
-// the message fails with the typed ErrBadFrame — as does a header that
+// the message fails with ErrBadFrame too — as does a header that
 // carries vector elements inside gob or announces frames its content
 // does not allow. Vectors are decoded into per-connection buffers reused
-// from round to round, and the server frames a round's global once,
+// from round to round — an update's vectors stay in its connection's
+// buffers until the round closes, which is before that client is sent
+// anything again — and the server frames a round's global once,
 // however many participants it is sent to.
 //
 // The Envelope.Type field discriminates which of the remaining fields are
@@ -66,9 +69,9 @@
 //
 //	Type                Direction        Fields used
 //	join                client → server  ClientID
-//	join-ack            server → client  ClientID, Updates (advertised encoding)
+//	join-ack            server → client  ClientID
 //	train               server → client  Round, Global (frame)
-//	train-result        client → server  ClientID, Round, Update (Delta, or a Params frame)
+//	train-result        client → server  ClientID, Round, Update (a Params frame; SCAFFOLD adds a ControlDelta frame)
 //	personalize         server → client  Global (frame)
 //	personalize-result  client → server  ClientID, Accuracy
 //	shutdown            server → client  —
@@ -113,8 +116,8 @@
 //	           become contiguous — payloads are buffered only while
 //	           reordering demands it. A client that fails, misbehaves or
 //	           ships a payload the ledger rejects is evicted — roster
-//	           entry, in-flight mark and decode buffer released together
-//	           — and its slot dropped.
+//	           entry and in-flight mark released together — and its slot
+//	           dropped.
 //	           The round closes when either
 //	             (a) every participant replied, or
 //	             (b) RoundDeadline expired with ≥ Quorum updates.

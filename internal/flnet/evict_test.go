@@ -14,10 +14,8 @@ import (
 // TestEvictionReleasesEngineState drives both ways the round engine
 // evicts a healthy client under StragglerDrop — the availability trace
 // dropping it pre-dispatch, and the round deadline expiring on it — and
-// checks each releases the client's roster entry, busy entry and delta
-// decode buffer together. The federation runs over real TCP with real
-// RunClient goroutines and compressible updates, so every evicted client
-// had a full-length decode buffer to leak.
+// checks each releases the client's roster entry and busy entry together.
+// The federation runs over real TCP with real RunClient goroutines.
 func TestEvictionReleasesEngineState(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -106,26 +104,20 @@ func TestEvictionReleasesEngineState(t *testing.T) {
 				t.Fatalf("RunRounds: %v", err)
 			}
 
-			leakCandidates := 0
+			evictedAfterUpdate := 0
 			for id := 0; id < tc.n; id++ {
 				if roster[id] {
 					continue
 				}
 				if responded[id] {
-					leakCandidates++
-				}
-				if _, ok := eng.decodeBuf[id]; ok {
-					t.Errorf("evicted client %d still owns a decode buffer", id)
+					evictedAfterUpdate++
 				}
 				if _, ok := eng.busy[id]; ok {
 					t.Errorf("evicted client %d is still marked busy", id)
 				}
 			}
-			if leakCandidates == 0 {
+			if evictedAfterUpdate == 0 {
 				t.Fatalf("no client was evicted after shipping an update (roster %v, responded %v): the test is vacuous, adjust the scenario", roster, responded)
-			}
-			if len(eng.decodeBuf) == 0 {
-				t.Fatal("no decode buffers at all: updates did not travel as deltas")
 			}
 		})
 	}

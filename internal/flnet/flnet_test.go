@@ -26,6 +26,18 @@ func (addOneTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Cli
 	return &fl.Update{ClientID: c.ID, Params: params, NumSamples: c.Train.Len()}, nil
 }
 
+// driftTrainer nudges every element by a client- and round-dependent
+// amount, so consecutive globals differ everywhere, as after SGD.
+type driftTrainer struct{}
+
+func (driftTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*fl.Update, error) {
+	params := global.Clone()
+	for i := range params {
+		params[i] += 1e-4 * float64(c.ID+1) * float64(round+i%3+1)
+	}
+	return &fl.Update{ClientID: c.ID, Params: params, NumSamples: c.Train.Len()}, nil
+}
+
 // gatedTrainer blocks each local update until release is closed, letting
 // tests hold a federation mid-round.
 type gatedTrainer struct{ release chan struct{} }
@@ -305,5 +317,67 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if !strings.HasPrefix(MsgType(99).String(), "msgtype(") {
 		t.Fatal("unknown type should render numerically")
+	}
+}
+
+// wrongSizeTrainer emits a payload that cannot belong to this federation.
+type wrongSizeTrainer struct{}
+
+func (wrongSizeTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*fl.Update, error) {
+	return &fl.Update{ClientID: c.ID, Params: make(param.Vector, len(global)+3), NumSamples: 1}, nil
+}
+
+// TestServerRejectsWrongSizeUpdate pins the ingress contract: a client
+// shipping a wrong-length payload is evicted while the round aggregates
+// the remaining updates — the round is degraded, never panicked.
+func TestServerRejectsWrongSizeUpdate(t *testing.T) {
+	n := 3
+	clients := netClients(t, n)
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumClients: n, Rounds: 1, ClientsPerRound: n, Seed: 7,
+		Quorum:        1,
+		RoundDeadline: 30 * time.Second,
+		Aggregator:    fl.WeightedAverage{},
+		InitGlobal: func(rng *rand.Rand) (param.Vector, error) {
+			return make(param.Vector, 8), nil
+		},
+		IOTimeout: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			var trainer fl.Trainer = addOneTrainer{}
+			if id == 1 {
+				trainer = wrongSizeTrainer{}
+			}
+			// The misbehaving client is evicted server-side, so its RunClient
+			// exits with a transport error; the others shut down cleanly.
+			_ = RunClient(ctx, ClientConfig{
+				Addr: srv.Addr().String(), ClientID: id, Data: clients[id],
+				Trainer: trainer, Personalizer: idPersonalizer{}, Seed: 7,
+			})
+		}(i)
+	}
+	res, err := srv.Run(ctx)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	wg.Wait()
+	h := res.History[0]
+	if len(h.Stragglers) != 1 || h.Stragglers[0] != 1 {
+		t.Fatalf("round 0 stragglers = %v, want [1]", h.Stragglers)
+	}
+	if _, ok := res.Accuracies[1]; ok {
+		t.Fatal("rejected client still personalized")
+	}
+	if len(res.Accuracies) != n-1 {
+		t.Fatalf("got %d accuracies, want %d", len(res.Accuracies), n-1)
 	}
 }

@@ -22,8 +22,8 @@ type wireSeed struct {
 }
 
 // wireSeeds are FuzzWireDecoder's seeds and TestWireDecoderSeeds' table:
-// one well-formed conversation, and each way a frame can be wrong. The
-// model has 3 parameters.
+// one well-formed conversation, and each way a header, a frame or a
+// preamble can be wrong. The model has 3 parameters.
 func wireSeeds(t testing.TB) []wireSeed {
 	preamble := func(version uint16) []byte {
 		b := make([]byte, preambleSize)
@@ -31,17 +31,12 @@ func wireSeeds(t testing.TB) []wireSeed {
 		binary.LittleEndian.PutUint16(b[4:6], version)
 		return b
 	}
-	v3 := preamble(ProtocolVersion)
+	pre := preamble(ProtocolVersion)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	d := &param.Delta{}
-	if err := param.DiffInto(d, param.Vector{1, 2, 3}, param.Vector{1, 2.5, 3}); err != nil {
-		t.Fatal(err)
-	}
 	dense := &Envelope{Type: MsgTrainResult, ClientID: 1, Round: 1, Update: &fl.Update{ClientID: 1,
 		Params: param.Vector{1, 2, 3}, ControlDelta: param.Vector{4, 5, 6}, NumSamples: 9}}
 	conversation := wireBytes(t,
 		&Envelope{Type: MsgJoin, ClientID: 1},
-		&Envelope{Type: MsgTrainResult, ClientID: 1, Update: &fl.Update{ClientID: 1, Delta: d, NumSamples: 9}},
 		dense,
 		&Envelope{Type: MsgTrain, Round: 2, Global: param.Vector{7, 8, 9}},
 		&Envelope{Type: MsgPersonalizeResult, ClientID: 1, Accuracy: 0.5})
@@ -50,19 +45,25 @@ func wireSeeds(t testing.TB) []wireSeed {
 		Update: &fl.Update{ClientID: 1, NumSamples: 9}})
 	oneDense := wireBytes(t, dense)
 	return []wireSeed{
-		{"conversation", cat(v3, conversation), io.EOF},
-		{"truncated-frame", cat(v3, oneDense[:len(oneDense)-5]), io.ErrUnexpectedEOF},
-		{"oversize-length", cat(v3, header, lengthPrefix(1<<40)), ErrBadFrame},
-		{"length-not-8n", cat(v3, header, lengthPrefix(20), make([]byte, 20)), ErrBadFrame},
-		{"wrong-model-size", cat(v3, header, lengthPrefix(32), make([]byte, 32)), ErrBadFrame},
-		{"trailing-garbage", cat(v3, oneDense, []byte("\x05garbage")), errAny},
-		{"unknown-frame-bits", cat(v3, wireBytes(t, &Envelope{Type: MsgTrain | 1<<numFrames<<frameShift})), ErrBadFrame},
-		{"update-frame-without-update", cat(v3, wireBytes(t, &Envelope{Type: MsgTrain | 1<<frameControl<<frameShift})), ErrBadFrame},
-		{"vector-in-gob-header", cat(v3, gobBytes(t, dense)), ErrBadFrame},
+		{"conversation", cat(pre, conversation), io.EOF},
+		{"truncated-frame", cat(pre, oneDense[:len(oneDense)-5]), io.ErrUnexpectedEOF},
+		{"oversize-length", cat(pre, header, lengthPrefix(1<<40)), ErrBadFrame},
+		{"length-not-8n", cat(pre, header, lengthPrefix(20), make([]byte, 20)), ErrBadFrame},
+		{"wrong-model-size", cat(pre, header, lengthPrefix(32), make([]byte, 32)), ErrBadFrame},
+		{"trailing-garbage", cat(pre, oneDense, []byte("\x05garbage")), errAny},
+		{"unknown-frame-bits", cat(pre, wireBytes(t, &Envelope{Type: MsgTrain | 1<<numFrames<<frameShift})), ErrBadFrame},
+		{"update-frame-without-update", cat(pre, wireBytes(t, &Envelope{Type: MsgTrain | 1<<frameControl<<frameShift})), ErrBadFrame},
+		{"vector-in-gob-header", cat(pre, gobBytes(t, dense)), ErrBadFrame},
 		{"v2-preamble", cat(preamble(2), gobBytes(t, dense)), ErrProtocolMismatch},
 		{"not-calibre", []byte("GET / HTTP/1.1\r\n\r\n"), ErrProtocolMismatch},
+		{"v3-preamble", cat(preamble(3), oneDense), ErrProtocolMismatch},
+		{"oversize-header", cat(pre, gobCount1MiB), ErrBadFrame},
 	}
 }
+
+// gobCount1MiB is gob's length prefix for a 1 MiB message: the negated
+// byte count, then the count big-endian.
+var gobCount1MiB = []byte{0xfd, 0x10, 0x00, 0x00}
 
 // errAny marks a seed that must fail without a particular error type
 // (garbage that reaches the gob decoder fails however gob says).

@@ -98,10 +98,8 @@ func TestObsSnapshotRaceDuringFederation(t *testing.T) {
 	if len(res.History) != rounds {
 		t.Fatalf("history has %d rounds, want %d", len(res.History), rounds)
 	}
-	wire := snap.Counters[obs.CounterUplinkWireBytes]
-	dense := snap.Counters[obs.CounterUplinkDenseBytes]
-	if wire <= 0 || dense <= 0 || wire > dense {
-		t.Fatalf("uplink accounting wrong: wire=%d dense=%d", wire, dense)
+	if wire, want := snap.Counters[obs.CounterUplinkWireBytes], int64(8*len(res.Global)*rounds*perRound); wire != want {
+		t.Fatalf("uplink accounting wrong: %d bytes, want %d (8 per parameter per update)", wire, want)
 	}
 	// Every round sampled perRound clients and all responded.
 	var part int64

@@ -43,7 +43,12 @@ const (
 	//	   gob header announcing raw little-endian frames that follow it,
 	//	   length-checked before allocation (ErrBadFrame); delta payloads
 	//	   and every message without a vector are unchanged
-	ProtocolVersion = 3
+	//	4  train-results are always a dense frame: fl.Update has no delta
+	//	   form any more (a v3 peer's delta would be a gob field this build
+	//	   silently drops, hence the bump), and with no payload bytes left
+	//	   in it the gob header is read under a constant byte budget
+	//	   (maxHeaderBytes)
+	ProtocolVersion = 4
 
 	preambleSize = 8
 )
@@ -143,15 +148,14 @@ type Envelope struct {
 	Err      string
 }
 
-// Vector frames. A v3 message is the gob-encoded Envelope with every
+// Vector frames. A message is the gob-encoded Envelope with every
 // param.Vector taken out, then those vectors in the order below, each as
 // a little-endian uint64 byte length followed by that many bytes of
 // little-endian IEEE-754 doubles — the representation internal/store
 // writes to disk. Which frames follow is announced in the header itself:
 // the wire form of Envelope.Type carries one bit per frame above the
-// message type (frameShift), so a message without vectors — every delta
-// train-result — is byte for byte its v2 form. Delta payloads are bytes
-// already and stay in the header.
+// message type (frameShift), so a message without vectors is a bare gob
+// envelope.
 const (
 	frameGlobal  = iota // Envelope.Global
 	frameParams         // Envelope.Update.Params
@@ -173,14 +177,22 @@ const (
 	// frameChunk is how many bytes of a frame are read and converted at a
 	// time, so receiving a vector needs no model-sized byte buffer.
 	frameChunk = 64 << 10
+
+	// maxHeaderBytes is the most one message's gob header may take off the
+	// wire — the first one on a connection carries gob's type descriptors,
+	// a few hundred bytes; the rest are tens of bytes plus an error string.
+	// No vector travels in a header, so the bound does not depend on the
+	// model.
+	maxHeaderBytes = 64 << 10
 )
 
-// ErrBadFrame is returned for a message whose vector frames cannot be
-// what a v3 peer sends: a declared length that is not a whole number of
-// float64s, exceeds MaxFrameBytes or disagrees with the model size the
-// receiver already knows, frame bits the header's content does not allow,
-// or vector elements inside the gob header. The length checks happen
-// before anything is allocated for the frame.
+// ErrBadFrame is returned for a message that cannot be what a peer of this
+// protocol sends: a gob header beyond maxHeaderBytes, a declared frame
+// length that is not a whole number of float64s, exceeds MaxFrameBytes or
+// disagrees with the model size the receiver already knows, frame bits the
+// header's content does not allow, or vector elements inside the gob
+// header. The length checks happen before anything is allocated for the
+// frame, and the header check before any frame is read.
 var ErrBadFrame = errors.New("flnet: bad vector frame")
 
 // appendFrame appends v's frame to dst.
@@ -203,16 +215,53 @@ type sharedFrame struct {
 	refs atomic.Int32
 }
 
-// conn wraps a net.Conn with the v3 message codec and deadline
+// headerReader is what the gob decoder reads a conn through: the conn's
+// buffered reader under a byte budget that recv refills per message, so a
+// peer can neither declare nor stream a header beyond maxHeaderBytes. gob
+// asks for a whole message in one Read, which lets an oversized one be
+// refused without consuming it. (gob itself sizes its message buffer from
+// the declared length first, in chunks of at most 10 MiB, whatever the
+// reader then says.) It is an io.ByteReader only so that gob does not wrap
+// it in a bufio.Reader of its own, which would read ahead into the frames.
+type headerReader struct {
+	br   *bufio.Reader
+	left int
+}
+
+var errHeaderBudget = fmt.Errorf("%w: gob header exceeds %d bytes", ErrBadFrame, maxHeaderBytes)
+
+func (h *headerReader) Read(p []byte) (int, error) {
+	if len(p) > h.left {
+		return 0, errHeaderBudget
+	}
+	n, err := h.br.Read(p)
+	h.left -= n
+	return n, err
+}
+
+func (h *headerReader) ReadByte() (byte, error) {
+	if h.left < 1 {
+		return 0, errHeaderBudget
+	}
+	b, err := h.br.ReadByte()
+	if err == nil {
+		h.left--
+	}
+	return b, err
+}
+
+// conn wraps a net.Conn with the message codec and deadline
 // management. One goroutine at a time may receive; an Envelope returned
 // by recv owns its vectors only until the next recv on the same conn,
 // which decodes into the same buffers.
 type conn struct {
 	raw net.Conn
-	br  *bufio.Reader // shared by the gob decoder and the frame reader
+	br  *bufio.Reader // shared by the gob decoder (through hdrIn) and the frame reader
 	bw  *bufio.Writer // coalesces a header with the head of its first frame
 	enc *gob.Encoder
 	dec *gob.Decoder
+	// hdrIn meters what dec reads; it belongs to the receiving goroutine.
+	hdrIn headerReader
 	// wmu serializes writers: sends are normally funneled through one
 	// goroutine per connection, but the join handshake and the final
 	// shutdown broadcast can overlap on a freshly admitted client, and
@@ -248,7 +297,8 @@ func newConn(raw net.Conn, ioTimeout time.Duration, maxBytes uint64) *conn {
 		br: bufio.NewReader(raw), bw: bufio.NewWriter(raw)}
 	// gob reads exactly one message at a time from a reader that is also
 	// an io.ByteReader, so the frames behind a header stay in br.
-	c.enc, c.dec = gob.NewEncoder(c.bw), gob.NewDecoder(c.br)
+	c.hdrIn.br = c.br
+	c.enc, c.dec = gob.NewEncoder(c.bw), gob.NewDecoder(&c.hdrIn)
 	return c
 }
 
@@ -316,6 +366,7 @@ func (c *conn) recv() (*Envelope, error) {
 		}
 	}
 	var e Envelope
+	c.hdrIn.left = maxHeaderBytes
 	if err := c.dec.Decode(&e); err != nil {
 		return nil, fmt.Errorf("flnet: recv: %w", err)
 	}

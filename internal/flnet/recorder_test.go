@@ -107,7 +107,7 @@ func TestTraceDoesNotPerturbNetRun(t *testing.T) {
 			}
 			lastStart = e.TS
 		case trace.KindClientUpdate:
-			if e.Client < 0 || e.Bytes <= 0 || e.Dur <= 0 || (e.Wire != "delta" && e.Wire != "dense") {
+			if e.Client < 0 || e.Bytes <= 0 || e.Dur <= 0 || e.Wire != "dense" {
 				t.Errorf("implausible client_update: %+v", e)
 			}
 		}

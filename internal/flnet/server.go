@@ -68,9 +68,8 @@ type ServerConfig struct {
 	OnRound func(fl.RoundStats)
 	// Obs, if non-nil, receives live observability for every completed
 	// round: an obs.RoundSample carrying the straggler/quorum accounting
-	// plus the uplink wire bytes actually received (delta-encoded size vs
-	// the dense baseline), and per-client participation. Nil-safe and
-	// side-effect-free on training.
+	// plus the uplink payload bytes received, and per-client participation.
+	// Nil-safe and side-effect-free on training.
 	Obs *obs.Registry
 	// Health, if non-nil, streams every completed round through the
 	// anomaly detectors: per-client losses and update norms (measured
@@ -85,12 +84,11 @@ type ServerConfig struct {
 	OnAlert func(health.Alert)
 	// Recorder, if non-nil, receives the flight-recorder event stream:
 	// round spans, per-client dispatch/update/drop events carrying client
-	// IDs, wire encoding (dense/delta) and payload bytes, checkpoint and
-	// resume marks. Every event is emitted from the single-goroutine
-	// round engine in state-machine order, so even an injected
-	// (non-thread-safe) trace.Clock is safe here. Purely observational:
-	// a traced federation is bit-identical to a bare one (pinned by
-	// TestTraceDoesNotPerturbNetRun).
+	// IDs and payload bytes, checkpoint and resume marks. Every event is
+	// emitted from the single-goroutine round engine in state-machine
+	// order, so even an injected (non-thread-safe) trace.Clock is safe
+	// here. Purely observational: a traced federation is bit-identical to a
+	// bare one (pinned by TestTraceDoesNotPerturbNetRun).
 	Recorder *trace.Recorder
 
 	// OnCheckpoint, if set, receives the fl.SimState (an immutable view)
@@ -444,12 +442,6 @@ type roundEngine struct {
 	// Busy clients are not eligible for sampling; a requeued straggler
 	// stays busy until its stale reply drains.
 	busy map[int]int
-	// decodeBuf holds one delta-decode buffer per client, reused across
-	// rounds. Safe because a client has at most one in-flight update, its
-	// previous decode is fully aggregated before the client is dispatched
-	// again, and the aggregation plane neither mutates nor retains update
-	// payloads (see fl/aggregate.go).
-	decodeBuf map[int]param.Vector
 	// slotOf maps the current round's participants to their ledger slots.
 	slotOf map[int]int
 	// frame is the last global framed for the wire (see share), shares how
@@ -461,8 +453,8 @@ type roundEngine struct {
 }
 
 func newRoundEngine(s *Server) *roundEngine {
-	return &roundEngine{s: s, busy: make(map[int]int), decodeBuf: make(map[int]param.Vector),
-		slotOf: make(map[int]int), trace: s.cfg.Trace.Generator(s.cfg.Seed)}
+	return &roundEngine{s: s, busy: make(map[int]int), slotOf: make(map[int]int),
+		trace: s.cfg.Trace.Generator(s.cfg.Seed)}
 }
 
 // share frames global for the wire: once per round (and once for the
@@ -485,11 +477,9 @@ func (e *roundEngine) Runtime() string { return "server" }
 func (e *roundEngine) Population() int { return e.s.cfg.NumClients }
 
 // evict is the engine's one eviction path: the client leaves the roster
-// (closing its connection) and releases its busy entry and decode buffer
-// — a full parameter vector — with it.
+// (closing its connection) and releases its busy entry with it.
 func (e *roundEngine) evict(id int) {
 	delete(e.busy, id)
-	delete(e.decodeBuf, id)
 	e.s.evict(id)
 }
 
@@ -618,14 +608,15 @@ func (e *roundEngine) onEvent(r *fl.Round, ev event) error {
 		return e.fail(r, ev.id, reqRound, "sent train-result without an update")
 	}
 	// Ingress validation happens in Arrive: a client shipping a wrong-sized
-	// or corrupt payload is evicted like any other failed participant
-	// (typed fl.ErrUpdateSize in the cause) instead of panicking the
-	// aggregator; the round survives whenever the configured quorum can.
-	buf, err := r.Arrive(e.slotOf[ev.id], ev.env.Update, e.decodeBuf[ev.id])
-	if err != nil {
+	// payload is evicted like any other failed participant (typed
+	// fl.ErrUpdateSize in the cause) instead of panicking the aggregator; the
+	// round survives whenever the configured quorum can. The update's
+	// vectors live in the client's connection buffers, which the next recv
+	// on that connection overwrites — after this round closed, because the
+	// client is not dispatched again before then.
+	if err := r.Arrive(e.slotOf[ev.id], ev.env.Update); err != nil {
 		return e.fail(r, ev.id, reqRound, fmt.Sprintf("rejected (%v)", err))
 	}
-	e.decodeBuf[ev.id] = buf
 	return r.Advance()
 }
 

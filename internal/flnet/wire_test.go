@@ -1,9 +1,10 @@
 package flnet
 
-// Tests for wire v3: vectors travel as raw frames behind a gob header, the
-// server frames a round's global once, and a peer that sends frames no v3
-// sender would is refused with ErrBadFrame before anything is allocated —
-// evicted by a server, fatal to a client — never a hang or a panic.
+// Tests for the message codec: vectors travel as raw frames behind a gob
+// header, the server frames a round's global once, and a peer that sends
+// headers or frames no peer of this protocol would is refused with
+// ErrBadFrame before anything is allocated for them — evicted by a server,
+// fatal to a client — never a hang or a panic.
 
 import (
 	"bytes"
@@ -11,10 +12,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,146 +163,77 @@ func TestRecvReusesVectorBuffers(t *testing.T) {
 	}
 }
 
-// TestDeltaTrainResultIsItsV2Form: a message without vectors is a bare gob
-// envelope — the frame bits cost nothing, so the delta uplink's bytes are
-// what they were.
-func TestDeltaTrainResultIsItsV2Form(t *testing.T) {
-	d := &param.Delta{}
-	if err := param.DiffInto(d, param.Vector{1, 2, 3}, param.Vector{1, 2.5, 3}); err != nil {
-		t.Fatal(err)
-	}
-	env := &Envelope{Type: MsgTrainResult, ClientID: 1, Round: 2, Update: &fl.Update{ClientID: 1, Delta: d, NumSamples: 5}}
-	if got, want := wireBytes(t, env), gobBytes(t, env); !bytes.Equal(got, want) {
-		t.Fatalf("v3 wrote %d bytes, plain gob %d", len(got), len(want))
-	}
-}
-
-// TestV2PeerRejected: both directions refuse a protocol-2 peer at the
-// preamble with the typed mismatch.
+// TestV2PeerRejected: both directions refuse a peer of an earlier protocol
+// — 2, whose vectors are gob fields, and 3, whose train-results may be
+// deltas — at the preamble with the typed mismatch.
 func TestV2PeerRejected(t *testing.T) {
-	v2 := make([]byte, preambleSize)
-	copy(v2, ProtocolMagic)
-	binary.LittleEndian.PutUint16(v2[4:6], 2)
+	for _, version := range []uint16{2, 3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			old := make([]byte, preambleSize)
+			copy(old, ProtocolMagic)
+			binary.LittleEndian.PutUint16(old[4:6], version)
 
-	// A v3 client dialing a v2 server.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		peer, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer peer.Close()
-		_, _ = peer.Write(v2)
-		_, _ = io.ReadFull(peer, make([]byte, preambleSize))
-	}()
-	err = RunClient(context.Background(), ClientConfig{
-		Addr: ln.Addr().String(), Data: netClients(t, 1)[0],
-		Trainer: addOneTrainer{}, Personalizer: idPersonalizer{}, IOTimeout: 2 * time.Second,
-	})
-	if !errors.Is(err, ErrProtocolMismatch) {
-		t.Fatalf("client against a v2 server: %v, want ErrProtocolMismatch", err)
-	}
-
-	// A v2 client dialing a v3 server: dropped after the preamble.
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 1, ClientsPerRound: 1,
-		Aggregator: fl.WeightedAverage{}, IOTimeout: 5 * time.Second,
-		InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 2), nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := startServer(ctx, srv)
-	peer, err := net.DialTimeout("tcp", srv.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	if _, err := peer.Write(v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := readPreamble(peer, 5*time.Second); err != nil {
-		t.Fatalf("server preamble: %v", err)
-	}
-	_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := peer.Read(make([]byte, 1)); err == nil {
-		t.Fatal("server kept talking to a v2 client")
-	}
-	if got := srv.Joined(); len(got) != 0 {
-		t.Fatalf("v2 client joined: %v", got)
-	}
-	cancel()
-	<-ch
-}
-
-// TestWireUpdateShipsDeltaIffSmaller walks the sender's choice across the
-// tie: the delta goes out exactly when its payload is fewer bytes than the
-// dense frame's 8 per element — and where the choice is clear-cut, the
-// chosen form is the smaller message on the socket.
-func TestWireUpdateShipsDeltaIffSmaller(t *testing.T) {
-	const n = 16
-	global := make(param.Vector, n) // zeros: an update's bits are its XOR words
-	// update has n literal words of 8 bytes, except the last two.
-	update := func(last ...int) *fl.Update {
-		v := make(param.Vector, n)
-		for i := range v {
-			w := 8
-			if k := i - (n - len(last)); k >= 0 {
-				w = last[k]
+			// This build's client dialing an old server.
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-			v[i] = math.Float64frombits(1 << min(7*w-1, 63))
-		}
-		return &fl.Update{Params: v, NumSamples: 1}
-	}
-	// Payload: 2 header bytes + the words; dense is 128.
-	for _, tc := range []struct {
-		last  []int
-		delta bool
-	}{
-		{[]int{7, 6}, true},    // 127 bytes
-		{[]int{7, 7}, false},   // 128: a tie ships dense
-		{[]int{8, 7}, false},   // 129
-		{[]int{1, 1}, true},    // 116
-		{[]int{10, 10}, false}, // 134
-	} {
-		u := update(tc.last...)
-		w := wireUpdate(u, global, nil)
-		var d param.Delta
-		if err := param.DiffInto(&d, global, u.Params); err != nil {
-			t.Fatal(err)
-		}
-		if smaller := d.Size() < 8*n; smaller != tc.delta {
-			t.Fatalf("last words %v: delta payload is %d bytes, the case is mislabeled", tc.last, d.Size())
-		}
-		if (w.Delta != nil) != tc.delta {
-			t.Fatalf("last words %v: delta payload %d bytes vs dense %d: shipped delta=%v", tc.last, d.Size(), 8*n, w.Delta != nil)
-		}
-	}
-	// Off the tie, what goes out is the smaller message.
-	size := func(u *fl.Update) int {
-		return len(wireBytes(t, &Envelope{Type: MsgJoin}, &Envelope{Type: MsgTrainResult, Update: u}))
-	}
-	for _, last := range [][]int{{1, 1}, {10, 10}} {
-		u := update(last...)
-		var d param.Delta
-		if err := param.DiffInto(&d, global, u.Params); err != nil {
-			t.Fatal(err)
-		}
-		asDelta, asDense := size(&fl.Update{Delta: &d, NumSamples: 1}), size(u)
-		shipped := size(wireUpdate(u, global, nil))
-		if shipped != min(asDelta, asDense) {
-			t.Fatalf("last words %v: shipped %d bytes; delta form %d, dense form %d", last, shipped, asDelta, asDense)
-		}
+			defer ln.Close()
+			go func() {
+				peer, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer peer.Close()
+				_, _ = peer.Write(old)
+				_, _ = io.ReadFull(peer, make([]byte, preambleSize))
+			}()
+			err = RunClient(context.Background(), ClientConfig{
+				Addr: ln.Addr().String(), Data: netClients(t, 1)[0],
+				Trainer: addOneTrainer{}, Personalizer: idPersonalizer{}, IOTimeout: 2 * time.Second,
+			})
+			if !errors.Is(err, ErrProtocolMismatch) {
+				t.Fatalf("client against a v%d server: %v, want ErrProtocolMismatch", version, err)
+			}
+
+			// An old client dialing this build's server: dropped after the
+			// preamble.
+			srv, err := NewServer(ServerConfig{
+				Addr: "127.0.0.1:0", NumClients: 1, Rounds: 1, ClientsPerRound: 1,
+				Aggregator: fl.WeightedAverage{}, IOTimeout: 5 * time.Second,
+				InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 2), nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			ch := startServer(ctx, srv)
+			peer, err := net.DialTimeout("tcp", srv.Addr().String(), 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			if _, err := peer.Write(old); err != nil {
+				t.Fatal(err)
+			}
+			if err := readPreamble(peer, 5*time.Second); err != nil {
+				t.Fatalf("server preamble: %v", err)
+			}
+			_ = peer.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := peer.Read(make([]byte, 1)); err == nil {
+				t.Fatalf("server kept talking to a v%d client", version)
+			}
+			if got := srv.Joined(); len(got) != 0 {
+				t.Fatalf("v%d client joined: %v", version, got)
+			}
+			cancel()
+			<-ch
+		})
 	}
 }
 
-// hostileReply is one way of answering a train request that no v3 client
-// would: the bytes written after the request arrives.
+// hostileReply is one way of answering a train request that no client of
+// this protocol would: the bytes written after the request arrives.
 type hostileReply struct {
 	name string
 	// write sends the reply on rc, for a model of n parameters.
@@ -327,7 +261,7 @@ func (r *rawClient) reply(frames int, u *fl.Update, raw ...[]byte) error {
 
 func lengthPrefix(n uint64) []byte { return binary.LittleEndian.AppendUint64(nil, n) }
 
-func hostileReplies() []hostileReply {
+func hostileReplies(t *testing.T) []hostileReply {
 	bare := func() *fl.Update { return &fl.Update{ClientID: 1, NumSamples: 1} }
 	return []hostileReply{
 		{name: "truncated-frame", write: func(rc *rawClient, n int) error {
@@ -354,6 +288,17 @@ func hostileReplies() []hostileReply {
 			u := bare()
 			u.Params = make(param.Vector, n)
 			return rc.reply(0, u)
+		}},
+		{name: "oversize-header-declared", write: func(rc *rawClient, n int) error {
+			// A gob length prefix beyond the header budget, and nothing behind it.
+			_, err := rc.conn.Write(gobCount1MiB)
+			return err
+		}},
+		{name: "oversize-header-streamed", write: func(rc *rawClient, n int) error {
+			// The server hangs up as soon as the budget is spent, which may
+			// well be mid-write.
+			_, _ = rc.conn.Write(manySmallGobMessages(t))
+			return nil
 		}},
 		{name: "trailing-garbage", accepted: true, write: func(rc *rawClient, n int) error {
 			u := bare()
@@ -436,7 +381,7 @@ func runBadFrameFederation(t *testing.T, reply hostileReply, quorum int) (*Resul
 // TestServerEvictsBadFramePeer: with a quorum of one, every hostile reply
 // costs the federation exactly the offending peer.
 func TestServerEvictsBadFramePeer(t *testing.T) {
-	for _, reply := range hostileReplies() {
+	for _, reply := range hostileReplies(t) {
 		t.Run(reply.name, func(t *testing.T) {
 			res, err := runBadFrameFederation(t, reply, 1)
 			if err != nil {
@@ -462,13 +407,62 @@ func TestServerEvictsBadFramePeer(t *testing.T) {
 // TestSyncRoundFailsTypedOnBadFrame: without a quorum to fall back on, the
 // same replies fail the round with the typed quorum error.
 func TestSyncRoundFailsTypedOnBadFrame(t *testing.T) {
-	for _, reply := range hostileReplies() {
+	for _, reply := range hostileReplies(t) {
 		t.Run(reply.name, func(t *testing.T) {
 			_, err := runBadFrameFederation(t, reply, 0)
 			if !errors.Is(err, fl.ErrQuorumNotMet) {
 				t.Fatalf("err = %v, want fl.ErrQuorumNotMet", err)
 			}
 		})
+	}
+}
+
+// manySmallGobMessages is a gob stream one Decode consumes whole although
+// no message in it is over the header budget, only their sum: the type
+// descriptors of a value with many long-named struct fields, one message
+// per field type.
+func manySmallGobMessages(t *testing.T) []byte {
+	t.Helper()
+	fields := make([]reflect.StructField, 2*maxHeaderBytes>>10)
+	for i := range fields {
+		long := fmt.Sprintf("F%d%s", i, strings.Repeat("x", 1<<10))
+		fields[i] = reflect.StructField{Name: fmt.Sprintf("F%d", i),
+			Type: reflect.StructOf([]reflect.StructField{{Name: long, Type: reflect.TypeOf(0)}})}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(reflect.New(reflect.StructOf(fields)).Interface()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHeaderBudget: a gob header beyond maxHeaderBytes — declared in one
+// length prefix, or streamed as many small messages — is refused with
+// ErrBadFrame without reading on into what follows it, and one just under
+// the budget is not.
+func TestHeaderBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		header []byte
+	}{
+		{"declared", gobCount1MiB},
+		{"streamed", manySmallGobMessages(t)},
+	} {
+		header := bytes.NewReader(tc.header)
+		frames := bytes.NewReader(make([]byte, 1<<20)) // what a hostile peer would have follow
+		_, err := newConn(streamConn{Reader: io.MultiReader(header, frames)}, 0, MaxFrameBytes).recv()
+		if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: recv returned %v, want ErrBadFrame", tc.name, err)
+		}
+		// The connection's bufio.Reader may have one buffer in hand.
+		if read := len(tc.header) - header.Len() + 1<<20 - frames.Len(); read > maxHeaderBytes+4096 {
+			t.Errorf("%s: %d bytes were read off the wire for a header budget of %d", tc.name, read, maxHeaderBytes)
+		}
+	}
+	long := &Envelope{Type: MsgError, Err: strings.Repeat("x", maxHeaderBytes-1024)}
+	got, err := newConn(streamConn{Reader: bytes.NewReader(wireBytes(t, long, long))}, 0, 0).recv()
+	if err != nil || got.Err != long.Err {
+		t.Fatalf("a %d-byte header was refused: %v", len(wireBytes(t, long)), err)
 	}
 }
 

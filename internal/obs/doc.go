@@ -11,10 +11,10 @@
 //   - named monotonic counters (rounds_total, uplink_wire_bytes_total, …)
 //   - named gauges (round, sweep_cells_in_flight, …)
 //   - named fixed-bucket latency histograms (round_latency_ns,
-//     client_turnaround_ns, uplink_encode_ns) with nine shared
-//     nanosecond buckets from 10µs to 100s plus +Inf
+//     client_turnaround_ns) with nine shared nanosecond buckets from 10µs
+//     to 100s plus +Inf
 //   - a bounded ring of per-round samples (RoundSample: straggler/quorum
-//     accounting from fl.RoundStats, uplink bytes dense-vs-delta, round
+//     accounting from fl.RoundStats, uplink bytes, round
 //     wall-clock), plus a per-client participation table
 //
 // The round ring keeps the most recent 256 samples by default — enough

@@ -52,7 +52,7 @@ func TestHistogramBoundaryValuesInclusive(t *testing.T) {
 
 func TestNilHistogramSafe(t *testing.T) {
 	var r *Registry
-	r.Histogram(HistUplinkEncode).Observe(5)
+	r.Histogram(HistClientTurnaround).Observe(5)
 	var h *Histogram
 	h.Observe(5)
 	if len(r.Snapshot().Histograms) != 0 {
@@ -62,25 +62,25 @@ func TestNilHistogramSafe(t *testing.T) {
 
 func TestHistogramPromRendering(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram(HistUplinkEncode).Observe(50_000)
-	r.Histogram(HistUplinkEncode).Observe(3_000_000)
+	r.Histogram(HistClientTurnaround).Observe(50_000)
+	r.Histogram(HistClientTurnaround).Observe(3_000_000)
 	var b strings.Builder
 	if err := r.Snapshot().WriteProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
-	want := `# TYPE calibre_uplink_encode_ns histogram
-calibre_uplink_encode_ns_bucket{le="10000"} 0
-calibre_uplink_encode_ns_bucket{le="100000"} 1
-calibre_uplink_encode_ns_bucket{le="1000000"} 1
-calibre_uplink_encode_ns_bucket{le="10000000"} 2
-calibre_uplink_encode_ns_bucket{le="100000000"} 2
-calibre_uplink_encode_ns_bucket{le="1000000000"} 2
-calibre_uplink_encode_ns_bucket{le="10000000000"} 2
-calibre_uplink_encode_ns_bucket{le="100000000000"} 2
-calibre_uplink_encode_ns_bucket{le="+Inf"} 2
-calibre_uplink_encode_ns_sum 3050000
-calibre_uplink_encode_ns_count 2
+	want := `# TYPE calibre_client_turnaround_ns histogram
+calibre_client_turnaround_ns_bucket{le="10000"} 0
+calibre_client_turnaround_ns_bucket{le="100000"} 1
+calibre_client_turnaround_ns_bucket{le="1000000"} 1
+calibre_client_turnaround_ns_bucket{le="10000000"} 2
+calibre_client_turnaround_ns_bucket{le="100000000"} 2
+calibre_client_turnaround_ns_bucket{le="1000000000"} 2
+calibre_client_turnaround_ns_bucket{le="10000000000"} 2
+calibre_client_turnaround_ns_bucket{le="100000000000"} 2
+calibre_client_turnaround_ns_bucket{le="+Inf"} 2
+calibre_client_turnaround_ns_sum 3050000
+calibre_client_turnaround_ns_count 2
 `
 	if !strings.Contains(got, want) {
 		t.Errorf("prom histogram block missing or wrong:\n--- got ---\n%s\n--- want fragment ---\n%s", got, want)

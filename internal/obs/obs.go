@@ -26,8 +26,8 @@ const (
 	// CounterDeadlineExpired counts rounds closed by their deadline with a
 	// quorum rather than by every participant replying.
 	CounterDeadlineExpired = "deadline_expired_total"
-	// CounterUplinkWireBytes is the actual uplink payload cost: delta
-	// bytes for delta-encoded updates, 8 bytes/element for dense ones.
+	// CounterUplinkWireBytes is the uplink payload cost: 8 bytes per
+	// parameter of every update that reached the round ledger.
 	CounterUplinkWireBytes = "uplink_wire_bytes_total"
 	// CounterAdversarialUpdates counts aggregated updates that came from
 	// clients under adversarial control (the seeded compromise trace).
@@ -35,9 +35,6 @@ const (
 	// CounterRejectedUpdates counts updates a robust aggregator excluded
 	// from the aggregate by construction (fl.RobustAggregator.Rejected).
 	CounterRejectedUpdates = "aggregator_rejected_updates_total"
-	// CounterUplinkDenseBytes is what the same updates would have cost
-	// shipped dense — the baseline the delta wire is saving against.
-	CounterUplinkDenseBytes = "uplink_dense_bytes_total"
 
 	// CounterSweepCellsDone / CounterSweepCellsFailed count sweep cells by
 	// outcome; CounterSweepCellsRestored counts cells a resume restored
@@ -69,16 +66,13 @@ const (
 	GaugeHealthSuspects = "health_suspect_clients"
 )
 
-// Canonical histogram names. All three record nanoseconds into the fixed
+// Canonical histogram names. Both record nanoseconds into the fixed
 // latency buckets (see histBounds).
 const (
 	// HistRoundLatency is wall-clock per completed round.
 	HistRoundLatency = "round_latency_ns"
 	// HistClientTurnaround is dispatch→accepted-update per client span.
 	HistClientTurnaround = "client_turnaround_ns"
-	// HistUplinkEncode is the cost of encoding one client's uplink update
-	// (delta diff or dense fallback).
-	HistUplinkEncode = "uplink_encode_ns"
 )
 
 // roundWindow is the default bound on the per-round sample ring: a
@@ -238,10 +232,8 @@ type RoundSample struct {
 	Clients      []ClientSample `json:"clients,omitempty"`
 	StragglerIDs []int          `json:"straggler_ids,omitempty"`
 	RejectedIDs  []int          `json:"rejected_ids,omitempty"`
-	// UplinkWireBytes is the actual uplink payload cost of the round;
-	// UplinkDenseBytes what the same updates would cost shipped dense.
-	UplinkWireBytes  int64 `json:"uplink_wire_bytes"`
-	UplinkDenseBytes int64 `json:"uplink_dense_bytes"`
+	// UplinkWireBytes is the uplink payload cost of the round.
+	UplinkWireBytes int64 `json:"uplink_wire_bytes"`
 	// DurationMS is the round's wall-clock time. Observability only —
 	// it never feeds back into training, which is what keeps
 	// instrumented runs bit-identical to uninstrumented ones.
@@ -381,7 +373,6 @@ func (r *Registry) ObserveRound(s RoundSample) {
 	r.counterLocked(CounterAdversarialUpdates).Add(int64(s.AdversarialUpdates))
 	r.counterLocked(CounterRejectedUpdates).Add(int64(s.RejectedUpdates))
 	r.counterLocked(CounterUplinkWireBytes).Add(s.UplinkWireBytes)
-	r.counterLocked(CounterUplinkDenseBytes).Add(s.UplinkDenseBytes)
 	r.gaugeLocked(GaugeRound).Set(int64(s.Round))
 }
 

@@ -29,25 +29,24 @@ func TestObserveRoundAggregates(t *testing.T) {
 	r := NewRegistry()
 	r.ObserveRound(RoundSample{
 		Runtime: "sim", Round: 0, Participants: 4, Responders: 3, Stragglers: 1,
-		UplinkWireBytes: 100, UplinkDenseBytes: 800, MeanLoss: 2.5,
+		UplinkWireBytes: 100, MeanLoss: 2.5,
 	})
 	r.ObserveRound(RoundSample{
 		Runtime: "sim", Round: 1, Participants: 4, Responders: 4,
 		LateUpdates: 1, DeadlineExpired: true,
-		UplinkWireBytes: 50, UplinkDenseBytes: 800, MeanLoss: 1.25,
+		UplinkWireBytes: 50, MeanLoss: 1.25,
 	})
 	r.AddParticipation([]int{0, 1, 2})
 	r.AddParticipation([]int{0, 1, 2, 3})
 
 	snap := r.Snapshot()
 	want := map[string]int64{
-		CounterRounds:           2,
-		CounterResponders:       7,
-		CounterStragglers:       1,
-		CounterLateUpdates:      1,
-		CounterDeadlineExpired:  1,
-		CounterUplinkWireBytes:  150,
-		CounterUplinkDenseBytes: 1600,
+		CounterRounds:          2,
+		CounterResponders:      7,
+		CounterStragglers:      1,
+		CounterLateUpdates:     1,
+		CounterDeadlineExpired: 1,
+		CounterUplinkWireBytes: 150,
 	}
 	for name, n := range want {
 		if got := snap.Counters[name]; got != n {
@@ -108,7 +107,7 @@ func TestPromGolden(t *testing.T) {
 	r := NewRegistry()
 	r.ObserveRound(RoundSample{
 		Runtime: "sim", Round: 0, Participants: 3, Responders: 2, Stragglers: 1,
-		UplinkWireBytes: 40, UplinkDenseBytes: 160, MeanLoss: 0.5,
+		UplinkWireBytes: 40, MeanLoss: 0.5,
 	})
 	r.AddParticipation([]int{10, 2, 2})
 	r.Gauge(GaugeSweepCellsInFlight).Set(1)
@@ -131,8 +130,6 @@ calibre_responders_total 2
 calibre_rounds_total 1
 # TYPE calibre_stragglers_total counter
 calibre_stragglers_total 1
-# TYPE calibre_uplink_dense_bytes_total counter
-calibre_uplink_dense_bytes_total 160
 # TYPE calibre_uplink_wire_bytes_total counter
 calibre_uplink_wire_bytes_total 40
 # TYPE calibre_round gauge

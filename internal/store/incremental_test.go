@@ -237,7 +237,6 @@ func TestSimulatorResumeIncrementalBitIdentical(t *testing.T) {
 		Seed:            4321,
 		DropoutRate:     0.3,
 		Quorum:          2,
-		DeltaUpdates:    true, // wire-representation fidelity mode on top
 	}
 
 	sim, err := fl.NewSimulator(cfg, sgdMethod(), clients)

@@ -19,7 +19,7 @@ const maxCells = 4096
 
 // Grid is the declarative scenario spec: every axis is a list, and the
 // sweep runs the full cross product. Zero-valued optional axes default to
-// a single neutral value (delta off, no quorum, no dropout, requeue), so
+// a single neutral value (no quorum, no dropout, requeue), so
 // the minimal grid is methods × settings × seeds. Grids load from JSON
 // via LoadGrid/ParseGrid or are built directly in Go.
 type Grid struct {
@@ -36,9 +36,6 @@ type Grid struct {
 	// Seeds are replicate indices. The actual RNG seed of a cell is a
 	// hash of (setting, scale, seed), not the raw value — see Cell.EnvSeed.
 	Seeds []int64 `json:"seeds"`
-	// DeltaUpdates toggles the lossless XOR-delta update wire; empty
-	// defaults to [false].
-	DeltaUpdates []bool `json:"delta_updates,omitempty"`
 	// Quorums are K-of-N aggregation floors; empty defaults to [0].
 	Quorums []int `json:"quorums,omitempty"`
 	// DropoutRates are per-round client dropout probabilities in [0,1);
@@ -83,9 +80,6 @@ func (g *Grid) normalized() Grid {
 	out := *g
 	if len(out.Scales) == 0 {
 		out.Scales = []experiments.Scale{experiments.ScaleSmoke}
-	}
-	if len(out.DeltaUpdates) == 0 {
-		out.DeltaUpdates = []bool{false}
 	}
 	if len(out.Quorums) == 0 {
 		out.Quorums = []int{0}
@@ -251,7 +245,6 @@ func (g *Grid) Validate() error {
 		{"settings", n.Settings},
 		{"stragglers", n.Stragglers},
 		{"scales", asStrings(n.Scales)},
-		{"delta_updates", asStrings(n.DeltaUpdates)},
 		{"quorums", asStrings(n.Quorums)},
 		{"dropout_rates", asStrings(n.DropoutRates)},
 		{"seeds", asStrings(n.Seeds)},
@@ -283,7 +276,7 @@ func (g *Grid) Validate() error {
 		}
 	}
 	total := len(n.Methods) * len(n.Settings) * len(n.Scales) * len(n.Seeds) *
-		len(n.DeltaUpdates) * len(n.Quorums) * len(n.DropoutRates) * len(n.Stragglers) *
+		len(n.Quorums) * len(n.DropoutRates) * len(n.Stragglers) *
 		len(aggs) * len(advs) * len(n.AdversaryFracs) * len(avails)
 	if total > maxCells {
 		return fmt.Errorf("sweep: grid expands to %d cells, above the %d-cell cap", total, maxCells)
@@ -292,7 +285,7 @@ func (g *Grid) Validate() error {
 }
 
 // Expand validates the grid and returns its cells in canonical axis order
-// (method, setting, scale, seed, delta, quorum, dropout, straggler,
+// (method, setting, scale, seed, quorum, dropout, straggler,
 // aggregator, adversary, adversary-frac, availability — outermost first).
 // An inert adversary pairing (empty spec or zero fraction) canonicalizes
 // to the honest cell, and the resulting duplicates collapse, so the
@@ -312,29 +305,27 @@ func (g *Grid) Expand() ([]Cell, error) {
 		for _, s := range n.Settings {
 			for _, sc := range n.Scales {
 				for _, seed := range n.Seeds {
-					for _, delta := range n.DeltaUpdates {
-						for _, q := range n.Quorums {
-							for _, d := range n.DropoutRates {
-								for _, st := range n.Stragglers {
-									for _, agg := range aggs {
-										for _, adv := range advs {
-											for _, frac := range n.AdversaryFracs {
-												for _, avail := range avails {
-													c := Cell{
-														Method: m, Setting: s, Scale: sc, Seed: seed,
-														Delta: delta, Quorum: q, Dropout: d, Straggler: st,
-														Aggregator: agg, Adversary: adv, AdvFrac: frac,
-														Availability: avail,
-													}
-													if c.Adversary == "" || c.AdvFrac == 0 {
-														c.Adversary, c.AdvFrac = "", 0
-													}
-													if seen[c.Key()] {
-														continue
-													}
-													seen[c.Key()] = true
-													cells = append(cells, c)
+					for _, q := range n.Quorums {
+						for _, d := range n.DropoutRates {
+							for _, st := range n.Stragglers {
+								for _, agg := range aggs {
+									for _, adv := range advs {
+										for _, frac := range n.AdversaryFracs {
+											for _, avail := range avails {
+												c := Cell{
+													Method: m, Setting: s, Scale: sc, Seed: seed,
+													Quorum: q, Dropout: d, Straggler: st,
+													Aggregator: agg, Adversary: adv, AdvFrac: frac,
+													Availability: avail,
 												}
+												if c.Adversary == "" || c.AdvFrac == 0 {
+													c.Adversary, c.AdvFrac = "", 0
+												}
+												if seen[c.Key()] {
+													continue
+												}
+												seen[c.Key()] = true
+												cells = append(cells, c)
 											}
 										}
 									}

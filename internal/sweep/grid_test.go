@@ -63,7 +63,6 @@ func TestEnvSeedSharedAcrossMethods(t *testing.T) {
 	base := Cell{Method: "fedavg", Setting: "cifar10-q(2,500)", Scale: experiments.ScaleSmoke, Seed: 1, Straggler: "requeue"}
 	sameWorld := base
 	sameWorld.Method = "calibre-simclr"
-	sameWorld.Delta = true
 	sameWorld.Quorum = 2
 	if base.EnvSeed() != sameWorld.EnvSeed() {
 		t.Fatal("method/knob change moved the environment seed")
@@ -112,17 +111,18 @@ func TestGridFingerprint(t *testing.T) {
 	if fp3 == fp1 {
 		t.Fatal("seed change did not move the fingerprint")
 	}
-	// Manifests written before Cell became experiments.Scenario record the
-	// value that tree computed for this one-cell hostile grid; resuming them
+	// Manifests written by earlier builds record the value those trees
+	// computed for this one-cell hostile grid (the last one that still had a
+	// delta_updates axis, with the axis left at its default); resuming them
 	// needs it unchanged.
 	pinned := &Grid{
 		Methods: []string{"fedavg-ft"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{7},
-		DeltaUpdates: []bool{true}, Quorums: []int{2}, Stragglers: []string{"drop"},
+		Quorums: []int{2}, Stragglers: []string{"drop"},
 		Aggregators: []string{"median"}, Adversaries: []string{"sign-flip(3)"},
 		AdversaryFracs: []float64{0.3}, Availability: []string{"diurnal(0.1,0.6,8)"},
 	}
-	if fp, err := pinned.Fingerprint(); err != nil || fp != "8052709825a30e56" {
-		t.Fatalf("pinned grid fingerprint = %s, %v; want 8052709825a30e56", fp, err)
+	if fp, err := pinned.Fingerprint(); err != nil || fp != "7121c84c3a3a4a63" {
+		t.Fatalf("pinned grid fingerprint = %s, %v; want 7121c84c3a3a4a63", fp, err)
 	}
 }
 
@@ -141,7 +141,6 @@ func TestGridValidation(t *testing.T) {
 		{"dup seeds", func(g *Grid) { g.Seeds = []int64{1, 1} }, "duplicate seed"},
 		{"dup methods", func(g *Grid) { g.Methods = []string{"fedavg", "fedavg", "fedavg-ft"} }, "duplicate methods"},
 		{"dup scales", func(g *Grid) { g.Scales = []experiments.Scale{"smoke", "smoke"} }, "duplicate scales"},
-		{"dup delta", func(g *Grid) { g.DeltaUpdates = []bool{true, true} }, "duplicate delta_updates"},
 		{"dup quorums", func(g *Grid) { g.Quorums = []int{2, 2} }, "duplicate quorums"},
 		{"dup dropout", func(g *Grid) { g.DropoutRates = []float64{0.1, 0.1} }, "duplicate dropout_rates"},
 		{"bad dropout", func(g *Grid) { g.DropoutRates = []float64{1.5} }, "dropout"},
@@ -175,11 +174,11 @@ func TestGridCellCap(t *testing.T) {
 
 func TestParseGridJSON(t *testing.T) {
 	data := []byte(`{
-		"name": "wire-ab",
+		"name": "quorum-ab",
 		"methods": ["fedavg-ft", "calibre-simclr"],
 		"settings": ["cifar10-q(2,500)"],
 		"seeds": [1, 2],
-		"delta_updates": [false, true],
+		"quorums": [0, 2],
 		"baseline": "fedavg-ft"
 	}`)
 	g, err := ParseGrid(data)
@@ -196,6 +195,11 @@ func TestParseGridJSON(t *testing.T) {
 	// Typos in axis names must not silently shrink a sweep.
 	if _, err := ParseGrid([]byte(`{"methods":["fedavg"],"settings":["cifar10-q(2,500)"],"seeds":[1],"seedz":[2]}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	// That includes the update-wire axis grids used to have: there is one
+	// uplink form, and a grid that still asks for two says so loudly.
+	if _, err := ParseGrid([]byte(`{"methods":["fedavg"],"settings":["cifar10-q(2,500)"],"seeds":[1],"delta_updates":[false]}`)); err == nil || !strings.Contains(err.Error(), "delta_updates") {
+		t.Fatalf("a grid with a delta_updates axis: %v, want an unknown-field error naming it", err)
 	}
 	if _, err := ParseGrid([]byte(`{"methods":[`)); err == nil {
 		t.Fatal("truncated JSON accepted")

@@ -164,8 +164,8 @@ func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // cellsHeader is the sweep cells CSV schema, also consumed by
 // ReadCellsCSV (and `calibre diff sweep`).
 var cellsHeader = []string{
-	"key", "method", "setting", "scale", "seed", "delta_updates", "quorum",
-	"dropout", "straggler", "aggregator", "adversary", "adversary_frac",
+	"key", "method", "setting", "scale", "seed", "quorum", "dropout",
+	"straggler", "aggregator", "adversary", "adversary_frac",
 	"availability", "status", "rounds", "final_loss",
 	"mean", "variance", "std", "bottom10",
 	"novel_n", "novel_mean", "novel_variance", "novel_bottom10", "error",
@@ -184,7 +184,7 @@ func (r *Report) WriteCellsCSV(w io.Writer) error {
 		}
 		row := []string{
 			c.Key, c.Cell.Method, c.Cell.Setting, string(c.Cell.Scale),
-			strconv.FormatInt(c.Cell.Seed, 10), strconv.FormatBool(c.Cell.Delta),
+			strconv.FormatInt(c.Cell.Seed, 10),
 			strconv.Itoa(c.Cell.Quorum), f(c.Cell.Dropout), c.Cell.Straggler,
 			agg, c.Cell.Adversary, f(c.Cell.AdvFrac), c.Cell.Availability,
 			c.Status, strconv.Itoa(c.Rounds), f(c.FinalLoss),

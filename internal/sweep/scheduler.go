@@ -457,7 +457,6 @@ func (s *sweeper) runCell(ctx context.Context, c Cell) (res CellResult) {
 
 	out, err := experiments.RunBuiltMethodWith(ctx, env, built.Method, func(cfg *fl.SimConfig) {
 		cfg.Parallelism = s.simPar
-		cfg.DeltaUpdates = c.Delta
 		cfg.Quorum = c.Quorum
 		cfg.DropoutRate = c.Dropout
 		cfg.Straggler = built.Straggler

@@ -65,15 +65,15 @@ const gridCells = 8
 var artifacts = []string{"sweep-report.md", "sweep-cells.csv", "sweep-methods.csv"}
 
 // allocBudgetPerRound is the committed ceiling on heap allocations per
-// federation round: ~50% headroom over the measured steady state (832;
-// the "ok" line prints it), so drift passes but a dropped arena, an unfused
-// layer, a per-round wire copy or a pseudo-label pipeline back on the heap
-// trips the gate. The smoke preset warms up for one round, so the two
-// metered rounds are one plain SSL round and one with Calibre's regularizer
-// on: both kinds of step are under the ceiling. (It stood at 4,800 over a
-// measured 3,224, of which ≈ 440 objects per regularized step were the
-// regularizer's own.)
-const allocBudgetPerRound = 1250
+// federation round: 50% headroom over the measured steady state (536,
+// 534–537 over four runs; the "ok" line prints it), so drift passes but a
+// dropped arena, an unfused layer, a per-round wire copy or a pseudo-label
+// pipeline back on the heap trips the gate. The smoke preset warms up for
+// one round, so the two metered rounds are one plain SSL round and one with
+// Calibre's regularizer on: both kinds of step are under the ceiling. (It
+// stood at 4,800 over a measured 3,224, of which ≈ 440 objects per
+// regularized step were the regularizer's own, then at 1,250 over 832.)
+const allocBudgetPerRound = 804
 
 func main() {
 	if err := run(); err != nil {
@@ -331,7 +331,7 @@ func allocCeiling() error {
 	}
 	runSim := func() error {
 		sim, err := fl.NewSimulator(fl.SimConfig{
-			Rounds: rounds, ClientsPerRound: 4, Seed: seed, DeltaUpdates: true,
+			Rounds: rounds, ClientsPerRound: 4, Seed: seed,
 		}, world.Method, world.Env.Participants)
 		if err != nil {
 			return err
