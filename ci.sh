@@ -32,6 +32,14 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+# One codec on the wire: internal/flnet's fixed header. gob (reflective,
+# self-describing, sized by what the peer declares) must not come back to
+# it unnoticed; `calibre ckpt export -format gob` keeps its gob, a file format.
+flnet_deps=$(go list -deps ./internal/flnet)
+if grep -qx 'encoding/gob' <<<"$flnet_deps"; then
+    echo "internal/flnet depends on encoding/gob" >&2
+    exit 1
+fi
 # One command line: cmd/ holds exactly one main package.
 if [ "$(ls cmd)" != "calibre" ]; then
     echo "cmd/ must contain exactly one directory, calibre; found:" >&2
@@ -92,7 +100,7 @@ echo "== smoke =="
 go run ./tools/smoke
 
 # A few seconds of fuzzing over what a fresh connection may receive
-# (preamble, gob headers, vector frames), from the committed corpus in
+# (preamble, headers, vector frames), from the committed corpus in
 # internal/flnet/testdata/fuzz: a smoke run, not a campaign.
 echo "== wire decoder fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzWireDecoder$' -fuzztime 5s ./internal/flnet/

@@ -17,8 +17,9 @@ import (
 	"calibre/internal/health"
 )
 
-// runServe runs the server side of a real networked federation (TCP +
-// gob); clients connect with `calibre join`.
+// runServe runs the server side of a real networked federation (TCP,
+// fixed-header messages and raw vector frames); clients connect with
+// `calibre join`.
 //
 // Server and clients derive the same deterministic experiment world from
 // (-setting, -scale, -seed), mirroring how each real deployment site would

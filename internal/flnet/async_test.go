@@ -357,7 +357,7 @@ func (r *rawClient) recv(t *testing.T) *Envelope {
 	return e
 }
 
-// TestTruncatedJoinStreamTolerated: connections that send a truncated gob
+// TestTruncatedJoinStreamTolerated: connections that send a truncated
 // message (or garbage) during the handshake are dropped without harming the
 // federation, which completes with the well-behaved client.
 func TestTruncatedJoinStreamTolerated(t *testing.T) {
@@ -375,8 +375,7 @@ func TestTruncatedJoinStreamTolerated(t *testing.T) {
 	defer cancel()
 	ch := startServer(ctx, srv)
 
-	// A truncated gob stream: a few bytes of what would be a join message,
-	// then a hard close mid-value.
+	// A truncated stream: a few bytes, then a hard close mid-preamble.
 	junk, err := net.DialTimeout("tcp", srv.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatalf("dial junk: %v", err)
@@ -386,7 +385,7 @@ func TestTruncatedJoinStreamTolerated(t *testing.T) {
 	}
 	_ = junk.Close()
 
-	// A structurally valid gob message of the wrong type is also rejected.
+	// A well-formed message of the wrong type is also rejected.
 	wrong := dialRaw(t, srv.Addr().String())
 	wrong.send(t, &Envelope{Type: MsgTrainResult, ClientID: 9})
 	_ = wrong.conn.Close()

@@ -68,9 +68,9 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 	if err != nil {
 		return fmt.Errorf("flnet: dial %s: %w", cfg.Addr, err)
 	}
-	// Preamble exchange before any gob traffic: a server from an
+	// Preamble exchange before any message: a server from an
 	// incompatible build yields a clean typed ErrProtocolMismatch here
-	// rather than a gob decode failure later.
+	// rather than a malformed message later.
 	if err := writePreamble(raw, cfg.IOTimeout); err != nil {
 		_ = raw.Close()
 		return err

@@ -1,6 +1,6 @@
 // Package flnet runs federated learning over a real network: a server
 // process orchestrates rounds over TCP connections to client processes,
-// exchanging gob-encoded envelopes and raw-framed parameter vectors. It
+// exchanging fixed-layout envelopes and raw-framed parameter vectors. It
 // mirrors the in-process
 // simulator in internal/fl (same Trainer/Aggregator/Personalizer contracts)
 // so any method can be run distributed without modification. The
@@ -15,8 +15,8 @@
 // the peer's. Both sides write first, so the exchange cannot deadlock. A
 // peer with the wrong magic or version is rejected with a typed
 // ErrProtocolMismatch (client side) or silently dropped (server side)
-// before any gob traffic, so an incompatible build fails with a clear
-// error instead of a gob decode failure mid-handshake.
+// before any message, so an incompatible build fails with a clear
+// error instead of a malformed message mid-handshake.
 //
 // A train-result carries the client's whole updated vector as one dense
 // frame (fl.Update.Params); there is no compressed form and nothing to
@@ -29,40 +29,54 @@
 // fl.ErrQuorumNotMet (the typed fl.ErrUpdateSize in its cause) — the
 // strict synchronous contract would otherwise silently aggregate fewer
 // updates. Version 1 spoke dense []float64 payloads only; version 2
-// carried every vector inside the gob stream, one reflected element at a
+// carried every vector inside a gob stream, one reflected element at a
 // time and nine bytes each; versions 2 and 3 let a client ship its update
 // as a lossless XOR-delta against the round's global inside the gob
 // header, which on trained updates saved a tenth of the bytes (trained
 // weights XOR to 7–8-byte words) for a fifth of a wide model's round in
 // encode and decode time — ARCHITECTURE.md "Update plane" has the
-// numbers. All three are refused at the preamble.
+// numbers; versions 3 and 4 still sent each message's scalars as a gob
+// header. All four are refused at the preamble.
 //
-// The current ProtocolVersion is 4. After the preamble, every message on
-// the wire is one Envelope: a gob-encoded header — the Envelope with its
-// parameter vectors taken out — followed by those vectors as raw frames.
-// gob's self-describing stream frames the header: type descriptors travel
-// once per connection, each subsequent Encode emits one length-delimited
-// value, and a Decode that hits a truncated or corrupt stream fails
-// cleanly instead of desynchronizing. No payload travels in a header, so
-// the receiver reads it under a constant byte budget (64 KiB a message):
-// a peer that declares or streams more fails with the typed ErrBadFrame
-// before any frame is looked at. A frame is a little-endian uint64
+// The current ProtocolVersion is 5. After the preamble, every message on
+// the wire is one Envelope: a fixed 64-byte header, the error string it
+// declares, then the parameter vectors it announces as raw frames. The
+// header is little-endian:
+//
+//	offset  size  field
+//	0       1     Type: 1 join … 8 error, in the order of the table below
+//	1       1     frames: bit 0 Global, bit 1 Update.Params, bit 2 Update.ControlDelta
+//	2       1     1 when Update is present, else 0
+//	3       1     reserved, 0
+//	4       4     errLen, at most 64 KiB: the bytes of Err that follow the header
+//	8       8     ClientID (int64)
+//	16      8     Round (int64)
+//	24      8     Accuracy (IEEE-754 double)
+//	32      8     Update.ClientID (int64)
+//	40      8     Update.NumSamples (int64)
+//	48      8     Update.TrainLoss (double)
+//	56      8     Update.Divergence (double)
+//
+// Every header the sender would not write is refused with the typed
+// ErrBadFrame before anything behind it is read or allocated: an unknown
+// type, a frame bit above bit 2, an update flag other than 0 or 1, a
+// nonzero reserved byte, update frames or nonzero update fields without
+// the flag, an integer the platform's int cannot hold, an errLen over
+// 64 KiB. The encoding is therefore canonical: a header the receiver
+// accepts is the one the sender writes for the envelope it decodes to.
+// A frame is a little-endian uint64
 // byte length and that many bytes of little-endian IEEE-754 doubles (what
 // internal/store writes to disk), in the fixed order Global,
-// Update.Params, Update.ControlDelta; which of them follow a header is
-// announced by one bit each above the message type in the header's Type
-// field, so a message without vectors is a bare gob envelope. The receiver
+// Update.Params, Update.ControlDelta. The receiver
 // checks a frame's declared length before allocating anything for it: it
 // must be a whole number of float64s, equal the model size once that is
 // known (the server knows it from the global it sent; a client from the
 // first global it received) and stay under MaxFrameBytes until then, else
-// the message fails with ErrBadFrame too — as does a header that
-// carries vector elements inside gob or announces frames its content
-// does not allow. Vectors are decoded into per-connection buffers reused
-// from round to round — an update's vectors stay in its connection's
-// buffers until the round closes, which is before that client is sent
-// anything again — and the server frames a round's global once,
-// however many participants it is sent to.
+// the message fails with ErrBadFrame too. A message is decoded into its
+// connection's own envelope and vectors, reused from message to message —
+// an update stays in its connection's buffers until the round closes,
+// which is before that client is sent anything again — and the server
+// frames a round's global once, however many participants it is sent to.
 //
 // The Envelope.Type field discriminates which of the remaining fields are
 // meaningful:

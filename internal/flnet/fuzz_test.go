@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 
 	"calibre/internal/fl"
@@ -39,46 +41,53 @@ func wireSeeds(t testing.TB) []wireSeed {
 		&Envelope{Type: MsgJoin, ClientID: 1},
 		dense,
 		&Envelope{Type: MsgTrain, Round: 2, Global: param.Vector{7, 8, 9}},
-		&Envelope{Type: MsgPersonalizeResult, ClientID: 1, Accuracy: 0.5})
+		&Envelope{Type: MsgPersonalizeResult, ClientID: 1, Accuracy: 0.5},
+		&Envelope{Type: MsgError, ClientID: 1, Err: "out of memory"})
 	// header announces a Params frame and stops there.
-	header := wireBytes(t, &Envelope{Type: MsgTrainResult | 1<<frameParams<<frameShift, ClientID: 1,
-		Update: &fl.Update{ClientID: 1, NumSamples: 9}})
+	header := trainResultHeader(1<<frameParams, &fl.Update{ClientID: 1, NumSamples: 9})
 	oneDense := wireBytes(t, dense)
+	wideEnd := error(io.EOF) // a ClientID of 2³²+1 fits a 64-bit int
+	if math.MaxInt == math.MaxInt32 {
+		wideEnd = ErrBadFrame
+	}
 	return []wireSeed{
 		{"conversation", cat(pre, conversation), io.EOF},
 		{"truncated-frame", cat(pre, oneDense[:len(oneDense)-5]), io.ErrUnexpectedEOF},
 		{"oversize-length", cat(pre, header, lengthPrefix(1<<40)), ErrBadFrame},
 		{"length-not-8n", cat(pre, header, lengthPrefix(20), make([]byte, 20)), ErrBadFrame},
 		{"wrong-model-size", cat(pre, header, lengthPrefix(32), make([]byte, 32)), ErrBadFrame},
-		{"trailing-garbage", cat(pre, oneDense, []byte("\x05garbage")), errAny},
-		{"unknown-frame-bits", cat(pre, wireBytes(t, &Envelope{Type: MsgTrain | 1<<numFrames<<frameShift})), ErrBadFrame},
-		{"update-frame-without-update", cat(pre, wireBytes(t, &Envelope{Type: MsgTrain | 1<<frameControl<<frameShift})), ErrBadFrame},
-		{"vector-in-gob-header", cat(pre, gobBytes(t, dense)), ErrBadFrame},
-		{"v2-preamble", cat(preamble(2), gobBytes(t, dense)), ErrProtocolMismatch},
+		{"trailing-garbage", cat(pre, oneDense, bytes.Repeat([]byte("garbage!"), headerSize/8)), ErrBadFrame},
+		{"unknown-frame-bits", cat(pre, patchedHeader(1, 1<<numFrames)), ErrBadFrame},
+		{"update-frame-without-update", cat(pre, trainResultHeader(1<<frameControl, nil)), ErrBadFrame},
+		{"unknown-type", cat(pre, patchedHeader(0, byte(MsgError+1))), ErrBadFrame},
+		{"v2-preamble", cat(preamble(2), oneDense), ErrProtocolMismatch},
 		{"not-calibre", []byte("GET / HTTP/1.1\r\n\r\n"), ErrProtocolMismatch},
 		{"v3-preamble", cat(preamble(3), oneDense), ErrProtocolMismatch},
-		{"oversize-header", cat(pre, gobCount1MiB), ErrBadFrame},
+		{"oversize-header", cat(pre, errorHeader(1<<30)), ErrBadFrame},
+		{"v4-preamble", cat(preamble(4), oneDense), ErrProtocolMismatch},
+		{"update-flag-not-0-or-1", cat(pre, patchedHeader(2, 2)), ErrBadFrame},
+		{"reserved-byte-set", cat(pre, patchedHeader(3, 1)), ErrBadFrame},
+		{"update-fields-without-update", cat(pre, patchedHeader(2, 0)), ErrBadFrame},
+		{"wide-int", cat(pre, patchedHeader(12, 1)), wideEnd},
 	}
 }
 
-// gobCount1MiB is gob's length prefix for a 1 MiB message: the negated
-// byte count, then the count big-endian.
-var gobCount1MiB = []byte{0xfd, 0x10, 0x00, 0x00}
-
-// errAny marks a seed that must fail without a particular error type
-// (garbage that reaches the gob decoder fails however gob says).
-var errAny = errors.New("any error")
+// wireEnds are the errors a stream may end in: its bytes running out,
+// cleanly or mid-message, or a typed refusal.
+var wireEnds = []error{io.EOF, io.ErrUnexpectedEOF, ErrBadFrame, ErrProtocolMismatch}
 
 // readWire reads stream as a connection would — preamble, then messages
 // until one fails — under the given frame limits, checking every message
 // it accepts, and returns the error that ended it.
 func readWire(t testing.TB, stream []byte, elems int, maxBytes uint64) error {
-	raw := streamConn{Reader: bytes.NewReader(stream)}
+	r := bytes.NewReader(stream)
+	raw := streamConn{Reader: r}
 	if err := readPreamble(raw, 0); err != nil {
 		return err
 	}
 	c := newConn(raw, 0, maxBytes)
 	c.elems = elems
+	at := preambleSize // where the next message starts
 	for {
 		e, err := c.recv()
 		if err != nil {
@@ -93,17 +102,24 @@ func readWire(t testing.TB, stream []byte, elems int, maxBytes uint64) error {
 				t.Fatalf("accepted a %d-element vector under limits elems=%d maxBytes=%d", len(v), elems, maxBytes)
 			}
 		}
-		// What recv accepts, send reproduces: decode is injective on
-		// vectors, and the header survives a second trip.
-		again, err := newConn(streamConn{Reader: bytes.NewReader(wireBytes(t, e))}, 0, MaxFrameBytes).recv()
-		if err != nil {
-			t.Fatalf("re-reading an accepted %s: %v", e.Type, err)
+		// What recv accepts is exactly what send writes: the encoding is
+		// canonical.
+		next := len(stream) - r.Len() - c.br.Buffered()
+		if sent := wireBytes(t, e); !bytes.Equal(sent, stream[at:next]) {
+			t.Fatalf("accepted %s re-encodes to\n %x\nnot the bytes it was read from\n %x", e.Type, sent, stream[at:next])
 		}
-		if again.Type != e.Type || again.ClientID != e.ClientID || again.Round != e.Round || !sameBits(again.Global, e.Global) ||
-			(again.Update == nil) != (e.Update == nil) ||
-			e.Update != nil && (!sameBits(again.Update.Params, e.Update.Params) || !sameBits(again.Update.ControlDelta, e.Update.ControlDelta)) {
-			t.Fatalf("accepted message does not survive send/recv:\n first %+v\n again %+v", e, again)
-		}
+		at = next
+	}
+}
+
+// checkEnd fails t unless err is one of wireEnds (want, when non-nil).
+func checkEnd(t testing.TB, name string, err, want error) {
+	t.Helper()
+	if want != nil && !errors.Is(err, want) {
+		t.Errorf("%s: ended in %v, want %v", name, err, want)
+	}
+	if !slices.ContainsFunc(wireEnds, func(end error) bool { return errors.Is(err, end) }) {
+		t.Errorf("%s: ended in %v, not one of %v", name, err, wireEnds)
 	}
 }
 
@@ -111,34 +127,25 @@ func readWire(t testing.TB, stream []byte, elems int, maxBytes uint64) error {
 // the model size, as a server's does.
 func TestWireDecoderSeeds(t *testing.T) {
 	for _, s := range wireSeeds(t) {
-		err := readWire(t, s.stream, 3, 0)
-		switch {
-		case err == nil:
-			t.Errorf("%s: stream never ended", s.name)
-		case s.err != errAny && !errors.Is(err, s.err):
-			t.Errorf("%s: ended in %v, want %v", s.name, err, s.err)
-		}
+		checkEnd(t, s.name, readWire(t, s.stream, 3, 0), s.err)
 	}
 }
 
 // FuzzWireDecoder is the hardening gate for the last decoder of untrusted
 // bytes without one: whatever arrives on a fresh connection — preamble,
-// gob headers, frames — reading it never panics, never accepts a vector
-// outside the receiver's limits (so never allocates one), and ends in an
-// error. Both receivers are exercised: one that knows the model size (the
-// server) and one that only has the protocol's cap (a client before its
-// first global; the cap is lowered so the fuzzer can reach it). Seeds
+// headers, frames — reading it never panics, never accepts a vector
+// outside the receiver's limits (so never allocates one), accepts only
+// messages that re-encode to the bytes they were read from, and ends in one
+// of wireEnds. Both receivers are exercised: one that knows the model size
+// (the server) and one that only has the protocol's cap (a client before
+// its first global; the cap is lowered so the fuzzer can reach it). Seeds
 // found by fuzzing live in testdata/fuzz/FuzzWireDecoder.
 func FuzzWireDecoder(f *testing.F) {
 	for _, s := range wireSeeds(f) {
 		f.Add(s.stream)
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		if err := readWire(t, stream, 3, 0); err == nil {
-			t.Fatal("stream never ended")
-		}
-		if err := readWire(t, stream, 0, 1<<10); err == nil {
-			t.Fatal("stream never ended")
-		}
+		checkEnd(t, "server", readWire(t, stream, 3, 0), nil)
+		checkEnd(t, "client", readWire(t, stream, 0, 1<<10), nil)
 	})
 }

@@ -26,7 +26,7 @@ import (
 // with its bits intact, in both directions. One method per route an update
 // can take: fedavg (streaming sink), scaffold (a ControlDelta frame beside
 // the Params frame), lg-fedavg (masked average) and calibre-simclr
-// (buffering sink, divergence weights in the gob header). The ledger's
+// (buffering sink, divergence weights in the header). The ledger's
 // novel-client columns are not compared: a server personalizes its
 // participants only.
 func TestGoldenLedgerOverTCP(t *testing.T) {

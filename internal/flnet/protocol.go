@@ -3,7 +3,6 @@ package flnet
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,13 +17,13 @@ import (
 	"calibre/internal/param"
 )
 
-// Wire preamble: before any gob traffic, each side of a fresh connection
+// Wire preamble: before any message, each side of a fresh connection
 // writes an 8-byte preamble — 4 magic bytes, a little-endian uint16
 // protocol version and 2 reserved zero bytes — and validates the peer's.
 // Both sides write first, then read, so the exchange cannot deadlock. An
 // incompatible peer (wrong build, or something that is not a calibre
 // process at all) is detected here and rejected with ErrProtocolMismatch
-// instead of surfacing as an inscrutable gob decode failure mid-handshake.
+// instead of surfacing as a malformed message mid-handshake.
 const (
 	// ProtocolMagic identifies the calibre federation wire protocol.
 	ProtocolMagic = "CALF"
@@ -47,8 +46,10 @@ const (
 	//	   form any more (a v3 peer's delta would be a gob field this build
 	//	   silently drops, hence the bump), and with no payload bytes left
 	//	   in it the gob header is read under a constant byte budget
-	//	   (maxHeaderBytes)
-	ProtocolVersion = 4
+	//	5  the gob header becomes a fixed 64-byte little-endian header
+	//	   (headerSize) followed by the error string it declares; the
+	//	   frames behind it are unchanged
+	ProtocolVersion = 5
 
 	preambleSize = 8
 )
@@ -109,62 +110,48 @@ const (
 	MsgError
 )
 
+var msgNames = [...]string{MsgJoin: "join", MsgJoinAck: "join-ack", MsgTrain: "train", MsgTrainResult: "train-result",
+	MsgPersonalize: "personalize", MsgPersonalizeResult: "personalize-result", MsgShutdown: "shutdown", MsgError: "error"}
+
+// known reports whether m is a message type of this protocol.
+func (m MsgType) known() bool { return m >= MsgJoin && m <= MsgError }
+
 // String renders the message type for logs and errors.
 func (m MsgType) String() string {
-	switch m {
-	case MsgJoin:
-		return "join"
-	case MsgJoinAck:
-		return "join-ack"
-	case MsgTrain:
-		return "train"
-	case MsgTrainResult:
-		return "train-result"
-	case MsgPersonalize:
-		return "personalize"
-	case MsgPersonalizeResult:
-		return "personalize-result"
-	case MsgShutdown:
-		return "shutdown"
-	case MsgError:
-		return "error"
-	default:
-		return fmt.Sprintf("msgtype(%d)", int(m))
+	if m.known() {
+		return msgNames[m]
 	}
+	return fmt.Sprintf("msgtype(%d)", int(m))
 }
 
 // Envelope is the single wire message; fields are populated according to
-// Type. On the wire it is a small gob header followed by one raw frame per
-// parameter vector it carries (see conn): gob's self-describing stream
-// keeps the header simple, and the vectors stay out of gob's per-element
-// path.
+// Type. On the wire it is a fixed header, the error string the header
+// declares, and one raw frame per parameter vector it carries (see conn).
 type Envelope struct {
 	Type     MsgType
 	ClientID int
 	Round    int
-	Global   param.Vector `json:",omitempty"`
-	Update   *fl.Update   `json:",omitempty"`
+	Global   param.Vector
+	Update   *fl.Update
 	Accuracy float64
 	Err      string
 }
 
-// Vector frames. A message is the gob-encoded Envelope with every
-// param.Vector taken out, then those vectors in the order below, each as
-// a little-endian uint64 byte length followed by that many bytes of
-// little-endian IEEE-754 doubles — the representation internal/store
-// writes to disk. Which frames follow is announced in the header itself:
-// the wire form of Envelope.Type carries one bit per frame above the
-// message type (frameShift), so a message without vectors is a bare gob
-// envelope.
+// A message is a headerSize-byte header (its layout is in the package
+// documentation), the error string the header declares, and the vectors
+// whose frame bits it sets, in the order below: each a little-endian
+// uint64 byte length followed by that many bytes of little-endian
+// IEEE-754 doubles — the representation internal/store writes to disk.
 const (
 	frameGlobal  = iota // Envelope.Global
 	frameParams         // Envelope.Update.Params
 	frameControl        // Envelope.Update.ControlDelta
 	numFrames
 
-	// frameShift is where the frame bits sit in the wire form of Type; the
-	// message types themselves stay below 1<<frameShift.
-	frameShift = 4
+	headerSize = 64
+
+	// maxErrBytes is the longest error string a header may declare.
+	maxErrBytes = 64 << 10
 
 	frameHeader = 8 // the byte-length prefix
 
@@ -177,23 +164,34 @@ const (
 	// frameChunk is how many bytes of a frame are read and converted at a
 	// time, so receiving a vector needs no model-sized byte buffer.
 	frameChunk = 64 << 10
-
-	// maxHeaderBytes is the most one message's gob header may take off the
-	// wire — the first one on a connection carries gob's type descriptors,
-	// a few hundred bytes; the rest are tens of bytes plus an error string.
-	// No vector travels in a header, so the bound does not depend on the
-	// model.
-	maxHeaderBytes = 64 << 10
 )
 
 // ErrBadFrame is returned for a message that cannot be what a peer of this
-// protocol sends: a gob header beyond maxHeaderBytes, a declared frame
+// protocol sends: a header send would not write (an unknown type or frame
+// bit, an update flag other than 0 or 1, the reserved byte set, update
+// frames or update fields without an update, an integer the platform's int
+// cannot hold, an error string beyond maxErrBytes), or a declared frame
 // length that is not a whole number of float64s, exceeds MaxFrameBytes or
-// disagrees with the model size the receiver already knows, frame bits the
-// header's content does not allow, or vector elements inside the gob
-// header. The length checks happen before anything is allocated for the
-// frame, and the header check before any frame is read.
-var ErrBadFrame = errors.New("flnet: bad vector frame")
+// disagrees with the model size the receiver already knows. The header is
+// checked before anything behind it is read, and a frame's length before
+// anything is allocated for the frame.
+var ErrBadFrame = errors.New("flnet: bad message frame")
+
+// appendHeader appends e's header, announcing frames, to dst.
+func appendHeader(dst []byte, e *Envelope, frames byte) []byte {
+	var u fl.Update
+	hasUpdate := byte(0)
+	if e.Update != nil {
+		u, hasUpdate = *e.Update, 1
+	}
+	dst = append(dst, byte(e.Type), frames, hasUpdate, 0)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.Err)))
+	for _, w := range [...]uint64{uint64(e.ClientID), uint64(e.Round), math.Float64bits(e.Accuracy),
+		uint64(u.ClientID), uint64(u.NumSamples), math.Float64bits(u.TrainLoss), math.Float64bits(u.Divergence)} {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
 
 // appendFrame appends v's frame to dst.
 func appendFrame(dst []byte, v param.Vector) []byte {
@@ -215,77 +213,41 @@ type sharedFrame struct {
 	refs atomic.Int32
 }
 
-// headerReader is what the gob decoder reads a conn through: the conn's
-// buffered reader under a byte budget that recv refills per message, so a
-// peer can neither declare nor stream a header beyond maxHeaderBytes. gob
-// asks for a whole message in one Read, which lets an oversized one be
-// refused without consuming it. (gob itself sizes its message buffer from
-// the declared length first, in chunks of at most 10 MiB, whatever the
-// reader then says.) It is an io.ByteReader only so that gob does not wrap
-// it in a bufio.Reader of its own, which would read ahead into the frames.
-type headerReader struct {
-	br   *bufio.Reader
-	left int
-}
-
-var errHeaderBudget = fmt.Errorf("%w: gob header exceeds %d bytes", ErrBadFrame, maxHeaderBytes)
-
-func (h *headerReader) Read(p []byte) (int, error) {
-	if len(p) > h.left {
-		return 0, errHeaderBudget
-	}
-	n, err := h.br.Read(p)
-	h.left -= n
-	return n, err
-}
-
-func (h *headerReader) ReadByte() (byte, error) {
-	if h.left < 1 {
-		return 0, errHeaderBudget
-	}
-	b, err := h.br.ReadByte()
-	if err == nil {
-		h.left--
-	}
-	return b, err
-}
-
 // conn wraps a net.Conn with the message codec and deadline
-// management. One goroutine at a time may receive; an Envelope returned
-// by recv owns its vectors only until the next recv on the same conn,
-// which decodes into the same buffers.
+// management. One goroutine at a time may receive; the Envelope recv
+// returns, its Update and their vectors are the conn's own and stay valid
+// only until the next recv on the same conn, which decodes into them again.
 type conn struct {
 	raw net.Conn
-	br  *bufio.Reader // shared by the gob decoder (through hdrIn) and the frame reader
+	br  *bufio.Reader
 	bw  *bufio.Writer // coalesces a header with the head of its first frame
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// hdrIn meters what dec reads; it belongs to the receiving goroutine.
-	hdrIn headerReader
 	// wmu serializes writers: sends are normally funneled through one
 	// goroutine per connection, but the join handshake and the final
-	// shutdown broadcast can overlap on a freshly admitted client, and
-	// neither gob encoders nor the scratch below are goroutine-safe.
+	// shutdown broadcast can overlap on a freshly admitted client, and the
+	// send scratch is not goroutine-safe.
 	wmu sync.Mutex
 	// ioTimeout bounds each send/receive; zero disables deadlines.
 	ioTimeout time.Duration
-
-	// Send scratch (under wmu): the header copy that goes through gob with
-	// its vectors removed, and the buffer their frames are built in.
-	hdr       Envelope
-	hdrUpdate fl.Update
-	wbuf      []byte
+	// wbuf (under wmu) is where a message is built, all of it but a
+	// shared global.
+	wbuf []byte
 
 	// elems, when positive, is the model size: every frame received must
 	// hold exactly that many elements. While it is zero a frame may
 	// declare up to maxBytes, and the first one accepted sets elems. Both
-	// belong to the receiving goroutine.
+	// belong to the receiving goroutine, as does the rest.
 	elems    int
 	maxBytes uint64
-	// rvec are the vectors recv decodes into, one per frame kind, reused
-	// while the size stays the same; rbuf is the chunk they are read by.
-	rvec [numFrames]param.Vector
-	rbuf []byte
+	// rhdr is the header recv reads, renv and rupdate what it decodes it
+	// into; rlen is a frame's length prefix, rvec are the vectors frames
+	// are decoded into, one per frame kind, reused while the size stays
+	// the same, and rbuf is the chunk they are read by.
+	rhdr    [headerSize]byte
+	rlen    [frameHeader]byte
+	renv    Envelope
+	rupdate fl.Update
+	rvec    [numFrames]param.Vector
+	rbuf    []byte
 }
 
 // newConn wraps raw. maxBytes bounds the frames the peer may send before
@@ -293,13 +255,8 @@ type conn struct {
 // size from its first global; 0 for the server, which sets elems itself
 // before it ever expects a vector.
 func newConn(raw net.Conn, ioTimeout time.Duration, maxBytes uint64) *conn {
-	c := &conn{raw: raw, ioTimeout: ioTimeout, maxBytes: maxBytes,
+	return &conn{raw: raw, ioTimeout: ioTimeout, maxBytes: maxBytes,
 		br: bufio.NewReader(raw), bw: bufio.NewWriter(raw)}
-	// gob reads exactly one message at a time from a reader that is also
-	// an io.ByteReader, so the frames behind a header stay in br.
-	c.hdrIn.br = c.br
-	c.enc, c.dec = gob.NewEncoder(c.bw), gob.NewDecoder(&c.hdrIn)
-	return c
 }
 
 func (c *conn) send(e *Envelope) error { return c.sendShared(e, nil) }
@@ -310,104 +267,126 @@ func (c *conn) send(e *Envelope) error { return c.sendShared(e, nil) }
 func (c *conn) sendShared(e *Envelope, global []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	if len(e.Err) > maxErrBytes {
+		return fmt.Errorf("flnet: send %s: %w: %d-byte error string, at most %d", e.Type, ErrBadFrame, len(e.Err), maxErrBytes)
+	}
 	if c.ioTimeout > 0 {
 		if err := c.raw.SetWriteDeadline(time.Now().Add(c.ioTimeout)); err != nil {
 			return fmt.Errorf("flnet: set write deadline: %w", err)
 		}
 	}
-	c.hdr = *e
-	c.hdr.Global = nil
-	c.wbuf = c.wbuf[:0]
-	frames := 0
-	if global == nil && e.Global != nil {
-		c.wbuf = appendFrame(c.wbuf, e.Global)
-		global = c.wbuf
+	// own are the vectors framed here, in frame order.
+	own := [numFrames]param.Vector{frameGlobal: e.Global}
+	if e.Update != nil {
+		own[frameParams], own[frameControl] = e.Update.Params, e.Update.ControlDelta
 	}
+	frames := byte(0)
 	if global != nil {
-		frames |= 1 << frameGlobal
+		own[frameGlobal], frames = nil, 1<<frameGlobal
 	}
-	own := len(c.wbuf) // the update's frames start here
-	if u := e.Update; u != nil && (u.Params != nil || u.ControlDelta != nil) {
-		c.hdrUpdate = *u
-		c.hdrUpdate.Params, c.hdrUpdate.ControlDelta = nil, nil
-		c.hdr.Update = &c.hdrUpdate
-		if u.Params != nil {
-			c.wbuf = appendFrame(c.wbuf, u.Params)
-			frames |= 1 << frameParams
-		}
-		if u.ControlDelta != nil {
-			c.wbuf = appendFrame(c.wbuf, u.ControlDelta)
-			frames |= 1 << frameControl
+	for k, v := range own {
+		if v != nil {
+			frames |= 1 << k
 		}
 	}
-	c.hdr.Type |= MsgType(frames << frameShift)
-	err := c.enc.Encode(&c.hdr)
-	if err == nil && global != nil {
-		_, err = c.bw.Write(global)
+	c.wbuf = append(appendHeader(c.wbuf[:0], e, frames), e.Err...)
+	head := len(c.wbuf) // a shared global goes here
+	for _, v := range own {
+		if v != nil {
+			c.wbuf = appendFrame(c.wbuf, v)
+		}
 	}
-	if err == nil && own < len(c.wbuf) {
-		_, err = c.bw.Write(c.wbuf[own:])
-	}
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	if err != nil {
+	// A bufio.Writer's first error sticks: Flush reports it.
+	_, _ = c.bw.Write(c.wbuf[:head])
+	_, _ = c.bw.Write(global)
+	_, _ = c.bw.Write(c.wbuf[head:])
+	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("flnet: send %s: %w", e.Type, err)
 	}
 	return nil
 }
 
-// recv reads one message. The vectors of the returned envelope alias the
-// conn's receive buffers (see conn).
+// recv reads one message. The returned envelope is the conn's own (see
+// conn).
 func (c *conn) recv() (*Envelope, error) {
 	if c.ioTimeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(c.ioTimeout)); err != nil {
 			return nil, fmt.Errorf("flnet: set read deadline: %w", err)
 		}
 	}
-	var e Envelope
-	c.hdrIn.left = maxHeaderBytes
-	if err := c.dec.Decode(&e); err != nil {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return nil, fmt.Errorf("flnet: recv: %w", err)
 	}
-	frames := uint(e.Type) >> frameShift
-	e.Type &= 1<<frameShift - 1
+	frames, errLen, err := c.decodeHeader()
+	if err != nil {
+		return nil, fmt.Errorf("flnet: recv %s: %w", MsgType(c.rhdr[0]), err)
+	}
+	e := &c.renv
+	if errLen > 0 {
+		b := make([]byte, errLen)
+		if _, err := io.ReadFull(c.br, b); err != nil {
+			return nil, fmt.Errorf("flnet: recv %s: error string: %w", e.Type, err)
+		}
+		e.Err = string(b)
+	}
+	// The update's frames are announced only with an update (decodeHeader).
+	for k, dst := range [numFrames]*param.Vector{&e.Global, &c.rupdate.Params, &c.rupdate.ControlDelta} {
+		if frames&(1<<k) != 0 {
+			if *dst, err = c.readFrame(k); err != nil {
+				return nil, fmt.Errorf("flnet: recv %s: %w", e.Type, err)
+			}
+		}
+	}
+	return e, nil
+}
+
+// decodeHeader decodes rhdr into renv (and rupdate), refusing every header
+// appendHeader would not write, and returns the frames and the error
+// string length it announces.
+func (c *conn) decodeHeader() (frames byte, errLen int, err error) {
+	h, le := &c.rhdr, binary.LittleEndian
+	frames, hasUpdate, n := h[1], h[2], le.Uint32(h[4:])
+	i64 := func(at int) int64 { return int64(le.Uint64(h[at:])) }
+	f64 := func(at int) float64 { return math.Float64frombits(le.Uint64(h[at:])) }
+	c.renv = Envelope{Type: MsgType(h[0]), ClientID: int(i64(8)), Round: int(i64(16)), Accuracy: f64(24)}
+	c.rupdate = fl.Update{ClientID: int(i64(32)), NumSamples: int(i64(40)), TrainLoss: f64(48), Divergence: f64(56)}
+	fits := int64(c.renv.ClientID) == i64(8) && int64(c.renv.Round) == i64(16) &&
+		int64(c.rupdate.ClientID) == i64(32) && int64(c.rupdate.NumSamples) == i64(40)
+	var why string
 	switch {
-	case e.Global != nil || e.Update != nil && (e.Update.Params != nil || e.Update.ControlDelta != nil):
-		return nil, fmt.Errorf("flnet: recv %s: %w: vector elements in the gob header", e.Type, ErrBadFrame)
+	case !c.renv.Type.known():
+		why = "unknown message type"
 	case frames >= 1<<numFrames:
-		return nil, fmt.Errorf("flnet: recv %s: %w: unknown frame bits %#x", e.Type, ErrBadFrame, frames)
-	case frames>>frameParams != 0 && e.Update == nil:
-		return nil, fmt.Errorf("flnet: recv %s: %w: update frames without an update", e.Type, ErrBadFrame)
+		why = fmt.Sprintf("unknown frame bits %#x", frames)
+	case hasUpdate > 1:
+		why = fmt.Sprintf("update flag %d", hasUpdate)
+	case h[3] != 0:
+		why = "reserved byte set"
+	case hasUpdate == 0 && frames>>frameParams != 0:
+		why = "update frames without an update"
+	case hasUpdate == 0 && [32]byte(h[32:]) != [32]byte{}:
+		why = "update fields without an update"
+	case !fits:
+		why = "integer field overflows int"
+	case n > maxErrBytes:
+		why = fmt.Sprintf("%d-byte error string, at most %d", n, maxErrBytes)
 	}
-	for k := 0; k < numFrames; k++ {
-		if frames&(1<<k) == 0 {
-			continue
-		}
-		v, err := c.readFrame(k)
-		if err != nil {
-			return nil, fmt.Errorf("flnet: recv %s: %w", e.Type, err)
-		}
-		switch k {
-		case frameGlobal:
-			e.Global = v
-		case frameParams:
-			e.Update.Params = v
-		case frameControl:
-			e.Update.ControlDelta = v
-		}
+	if why != "" {
+		return 0, 0, fmt.Errorf("%w: %s", ErrBadFrame, why)
 	}
-	return &e, nil
+	if hasUpdate == 1 {
+		c.renv.Update = &c.rupdate
+	}
+	return frames, int(n), nil
 }
 
 // readFrame reads frame k into the conn's vector for it, refusing a bad
 // length before anything is allocated.
 func (c *conn) readFrame(k int) (param.Vector, error) {
-	var prefix [frameHeader]byte
-	if _, err := io.ReadFull(c.br, prefix[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.rlen[:]); err != nil {
 		return nil, fmt.Errorf("frame length: %w", err)
 	}
-	n := binary.LittleEndian.Uint64(prefix[:])
+	n := binary.LittleEndian.Uint64(c.rlen[:])
 	switch {
 	case n%8 != 0:
 		return nil, fmt.Errorf("%w: %d bytes is not a whole number of float64s", ErrBadFrame, n)

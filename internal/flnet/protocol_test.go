@@ -73,7 +73,7 @@ func TestPreambleRejectsIncompatiblePeers(t *testing.T) {
 }
 
 // TestClientRejectsIncompatibleServer: a client dialing a server from an
-// incompatible build gets a clean typed error, not a gob failure.
+// incompatible build gets a clean typed error, not a decode failure.
 func TestClientRejectsIncompatibleServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

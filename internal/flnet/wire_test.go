@@ -1,6 +1,6 @@
 package flnet
 
-// Tests for the message codec: vectors travel as raw frames behind a gob
+// Tests for the message codec: vectors travel as raw frames behind a fixed
 // header, the server frames a round's global once, and a peer that sends
 // headers or frames no peer of this protocol would is refused with
 // ErrBadFrame before anything is allocated for them — evicted by a server,
@@ -10,13 +10,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -40,8 +39,7 @@ func (streamConn) SetDeadline(time.Time) error      { return nil }
 func (streamConn) SetReadDeadline(time.Time) error  { return nil }
 func (streamConn) SetWriteDeadline(time.Time) error { return nil }
 
-// wireBytes is what a fresh connection's first sends of the envelopes put
-// on the socket (the first carries gob's type descriptors).
+// wireBytes is what sending the envelopes puts on the socket.
 func wireBytes(t testing.TB, envs ...*Envelope) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -54,17 +52,26 @@ func wireBytes(t testing.TB, envs ...*Envelope) []byte {
 	return buf.Bytes()
 }
 
-// gobBytes is the same for a plain gob stream: the v2 wire.
-func gobBytes(t testing.TB, envs ...*Envelope) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for _, e := range envs {
-		if err := enc.Encode(e); err != nil {
-			t.Fatalf("gob: %v", err)
-		}
-	}
-	return buf.Bytes()
+// trainResultHeader is the header of a train-result from client 1 carrying
+// u (nil: no update) that announces frames, whatever u's vectors are.
+func trainResultHeader(frames byte, u *fl.Update) []byte {
+	return appendHeader(nil, &Envelope{Type: MsgTrainResult, ClientID: 1, Update: u}, frames)
+}
+
+// patchedHeader is the header of a train-result from client 1 with an
+// update and no frames, byte at set to v.
+func patchedHeader(at int, v byte) []byte {
+	h := trainResultHeader(0, &fl.Update{ClientID: 1, NumSamples: 1})
+	h[at] = v
+	return h
+}
+
+// errorHeader is the header of an error message from client 1 declaring an
+// n-byte error string.
+func errorHeader(n uint32) []byte {
+	h := appendHeader(nil, &Envelope{Type: MsgError, ClientID: 1}, 0)
+	binary.LittleEndian.PutUint32(h[4:], n)
+	return h
 }
 
 // TestGlobalFramedOncePerRound: however many clients a round (or the
@@ -164,10 +171,10 @@ func TestRecvReusesVectorBuffers(t *testing.T) {
 }
 
 // TestV2PeerRejected: both directions refuse a peer of an earlier protocol
-// — 2, whose vectors are gob fields, and 3, whose train-results may be
-// deltas — at the preamble with the typed mismatch.
+// — 2, whose vectors are gob fields, 3, whose train-results may be deltas,
+// and 4, whose headers are gob — at the preamble with the typed mismatch.
 func TestV2PeerRejected(t *testing.T) {
-	for _, version := range []uint16{2, 3} {
+	for _, version := range []uint16{2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			old := make([]byte, preambleSize)
 			copy(old, ProtocolMagic)
@@ -244,61 +251,46 @@ type hostileReply struct {
 	accepted bool
 }
 
-// reply writes a train-result header announcing frames (nil update: a
-// header without one), then raw bytes behind it.
-func (r *rawClient) reply(frames int, u *fl.Update, raw ...[]byte) error {
-	hdr := &Envelope{Type: MsgTrainResult | MsgType(frames<<frameShift), ClientID: 1, Update: u}
-	if err := r.c.enc.Encode(hdr); err != nil {
-		return err
-	}
-	for _, b := range raw {
-		if _, err := r.c.bw.Write(b); err != nil {
-			return err
-		}
-	}
-	return r.c.bw.Flush()
+// write puts raw bytes on rc's socket.
+func (r *rawClient) write(parts ...[]byte) error {
+	_, err := r.conn.Write(bytes.Join(parts, nil))
+	return err
 }
 
 func lengthPrefix(n uint64) []byte { return binary.LittleEndian.AppendUint64(nil, n) }
 
-func hostileReplies(t *testing.T) []hostileReply {
+func hostileReplies() []hostileReply {
 	bare := func() *fl.Update { return &fl.Update{ClientID: 1, NumSamples: 1} }
+	params := trainResultHeader(1<<frameParams, bare())
 	return []hostileReply{
 		{name: "truncated-frame", write: func(rc *rawClient, n int) error {
 			defer rc.conn.Close()
-			return rc.reply(1<<frameParams, bare(), lengthPrefix(uint64(8*n)), make([]byte, 4*n))
+			return rc.write(params, lengthPrefix(uint64(8*n)), make([]byte, 4*n))
 		}},
 		{name: "oversize-length", write: func(rc *rawClient, n int) error {
-			return rc.reply(1<<frameParams, bare(), lengthPrefix(1<<40))
+			return rc.write(params, lengthPrefix(1<<40))
 		}},
 		{name: "length-not-8n", write: func(rc *rawClient, n int) error {
-			return rc.reply(1<<frameParams, bare(), lengthPrefix(uint64(8*n-3)), make([]byte, 8*n-3))
+			return rc.write(params, lengthPrefix(uint64(8*n-3)), make([]byte, 8*n-3))
 		}},
 		{name: "wrong-model-size", write: func(rc *rawClient, n int) error {
-			return rc.reply(1<<frameParams, bare(), lengthPrefix(uint64(8*(n+1))), make([]byte, 8*(n+1)))
+			return rc.write(params, lengthPrefix(uint64(8*(n+1))), make([]byte, 8*(n+1)))
 		}},
 		{name: "unknown-frame-bits", write: func(rc *rawClient, n int) error {
-			return rc.reply(1<<numFrames, bare())
+			return rc.write(trainResultHeader(1<<numFrames, bare()))
 		}},
 		{name: "update-frame-without-update", write: func(rc *rawClient, n int) error {
-			return rc.reply(1<<frameParams, nil, lengthPrefix(uint64(8*n)), make([]byte, 8*n))
+			return rc.write(trainResultHeader(1<<frameParams, nil), lengthPrefix(uint64(8*n)), make([]byte, 8*n))
 		}},
-		{name: "vector-in-gob-header", write: func(rc *rawClient, n int) error {
-			// What a v2 client would send.
-			u := bare()
-			u.Params = make(param.Vector, n)
-			return rc.reply(0, u)
+		{name: "unknown-type", write: func(rc *rawClient, n int) error {
+			return rc.write(patchedHeader(0, byte(MsgError+1)))
 		}},
-		{name: "oversize-header-declared", write: func(rc *rawClient, n int) error {
-			// A gob length prefix beyond the header budget, and nothing behind it.
-			_, err := rc.conn.Write(gobCount1MiB)
-			return err
+		{name: "reserved-byte-set", write: func(rc *rawClient, n int) error {
+			return rc.write(patchedHeader(3, 1))
 		}},
-		{name: "oversize-header-streamed", write: func(rc *rawClient, n int) error {
-			// The server hangs up as soon as the budget is spent, which may
-			// well be mid-write.
-			_, _ = rc.conn.Write(manySmallGobMessages(t))
-			return nil
+		{name: "oversize-error", write: func(rc *rawClient, n int) error {
+			// A 1 GiB error string declared, and nothing behind it.
+			return rc.write(errorHeader(1 << 30))
 		}},
 		{name: "trailing-garbage", accepted: true, write: func(rc *rawClient, n int) error {
 			u := bare()
@@ -306,8 +298,7 @@ func hostileReplies(t *testing.T) []hostileReply {
 			if err := rc.c.send(&Envelope{Type: MsgTrainResult, ClientID: 1, Update: u}); err != nil {
 				return err
 			}
-			_, err := rc.conn.Write([]byte("\x00\xde\xad\xbe\xef garbage after a valid message"))
-			return err
+			return rc.write(bytes.Repeat([]byte("garbage!"), headerSize/8))
 		}},
 	}
 }
@@ -381,7 +372,7 @@ func runBadFrameFederation(t *testing.T, reply hostileReply, quorum int) (*Resul
 // TestServerEvictsBadFramePeer: with a quorum of one, every hostile reply
 // costs the federation exactly the offending peer.
 func TestServerEvictsBadFramePeer(t *testing.T) {
-	for _, reply := range hostileReplies(t) {
+	for _, reply := range hostileReplies() {
 		t.Run(reply.name, func(t *testing.T) {
 			res, err := runBadFrameFederation(t, reply, 1)
 			if err != nil {
@@ -407,7 +398,7 @@ func TestServerEvictsBadFramePeer(t *testing.T) {
 // TestSyncRoundFailsTypedOnBadFrame: without a quorum to fall back on, the
 // same replies fail the round with the typed quorum error.
 func TestSyncRoundFailsTypedOnBadFrame(t *testing.T) {
-	for _, reply := range hostileReplies(t) {
+	for _, reply := range hostileReplies() {
 		t.Run(reply.name, func(t *testing.T) {
 			_, err := runBadFrameFederation(t, reply, 0)
 			if !errors.Is(err, fl.ErrQuorumNotMet) {
@@ -417,52 +408,39 @@ func TestSyncRoundFailsTypedOnBadFrame(t *testing.T) {
 	}
 }
 
-// manySmallGobMessages is a gob stream one Decode consumes whole although
-// no message in it is over the header budget, only their sum: the type
-// descriptors of a value with many long-named struct fields, one message
-// per field type.
-func manySmallGobMessages(t *testing.T) []byte {
-	t.Helper()
-	fields := make([]reflect.StructField, 2*maxHeaderBytes>>10)
-	for i := range fields {
-		long := fmt.Sprintf("F%d%s", i, strings.Repeat("x", 1<<10))
-		fields[i] = reflect.StructField{Name: fmt.Sprintf("F%d", i),
-			Type: reflect.StructOf([]reflect.StructField{{Name: long, Type: reflect.TypeOf(0)}})}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(reflect.New(reflect.StructOf(fields)).Interface()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestHeaderBudget: a gob header beyond maxHeaderBytes — declared in one
-// length prefix, or streamed as many small messages — is refused with
-// ErrBadFrame without reading on into what follows it, and one just under
-// the budget is not.
+// TestHeaderBudget: a header declaring a 1 GiB error string, read the way
+// the server reads a connection that has not joined yet, is refused with
+// ErrBadFrame after its 64 bytes and with next to nothing allocated; error
+// strings up to maxErrBytes still travel, and a longer one is not sent.
 func TestHeaderBudget(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		header []byte
-	}{
-		{"declared", gobCount1MiB},
-		{"streamed", manySmallGobMessages(t)},
-	} {
-		header := bytes.NewReader(tc.header)
-		frames := bytes.NewReader(make([]byte, 1<<20)) // what a hostile peer would have follow
-		_, err := newConn(streamConn{Reader: io.MultiReader(header, frames)}, 0, MaxFrameBytes).recv()
-		if !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: recv returned %v, want ErrBadFrame", tc.name, err)
+	const runs = 16
+	stream := append(errorHeader(1<<30), make([]byte, 1<<20)...) // what a hostile peer would have follow
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		r := bytes.NewReader(stream)
+		c := newConn(streamConn{Reader: r}, 0, 0)
+		if _, err := c.recv(); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("recv returned %v, want ErrBadFrame", err)
 		}
-		// The connection's bufio.Reader may have one buffer in hand.
-		if read := len(tc.header) - header.Len() + 1<<20 - frames.Len(); read > maxHeaderBytes+4096 {
-			t.Errorf("%s: %d bytes were read off the wire for a header budget of %d", tc.name, read, maxHeaderBytes)
+		if read := len(stream) - r.Len() - c.br.Buffered(); read != headerSize {
+			t.Fatalf("%d bytes consumed, want the %d-byte header only", read, headerSize)
 		}
 	}
-	long := &Envelope{Type: MsgError, Err: strings.Repeat("x", maxHeaderBytes-1024)}
-	got, err := newConn(streamConn{Reader: bytes.NewReader(wireBytes(t, long, long))}, 0, 0).recv()
-	if err != nil || got.Err != long.Err {
-		t.Fatalf("a %d-byte header was refused: %v", len(wireBytes(t, long)), err)
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 64<<10 {
+		t.Fatalf("a connection refusing the header allocated %d bytes", perRun)
+	}
+	for _, n := range []int{maxErrBytes - 1, maxErrBytes} {
+		long := &Envelope{Type: MsgError, Err: strings.Repeat("x", n)}
+		got, err := newConn(streamConn{Reader: bytes.NewReader(wireBytes(t, long))}, 0, 0).recv()
+		if err != nil || got.Err != long.Err {
+			t.Fatalf("a %d-byte error string did not round-trip: %v", n, err)
+		}
+	}
+	tooLong := &Envelope{Type: MsgError, Err: strings.Repeat("x", maxErrBytes+1)}
+	if err := newConn(streamConn{Writer: io.Discard}, 0, 0).send(tooLong); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("sending a %d-byte error string: %v, want ErrBadFrame", len(tooLong.Err), err)
 	}
 }
 
@@ -500,9 +478,7 @@ func TestClientRefusesBadFrames(t *testing.T) {
 		})
 	}
 	err := serve(t, func(c *conn) {
-		_ = c.enc.Encode(&Envelope{Type: MsgTrain | 1<<frameGlobal<<frameShift})
-		_, _ = c.bw.Write(lengthPrefix(MaxFrameBytes + 8))
-		_ = c.bw.Flush()
+		_, _ = c.raw.Write(append(appendHeader(nil, &Envelope{Type: MsgTrain}, 1<<frameGlobal), lengthPrefix(MaxFrameBytes+8)...))
 	})
 	if !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversize global: %v, want ErrBadFrame", err)

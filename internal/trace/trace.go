@@ -22,8 +22,10 @@ const (
 	KindClientDispatch Kind = "client_dispatch"
 	// KindClientUpdate closes a client span: the participant's update was
 	// accepted. Dur is the dispatch→accept turnaround, Wire/Bytes the
-	// uplink encoding ("delta" or "dense") and payload cost, Loss the
-	// client's local training loss.
+	// uplink encoding and payload cost, Loss the client's local training
+	// loss. The round core stamps Wire "dense", the only uplink form;
+	// "delta" appears only in traces from builds that still had the
+	// XOR-delta uplink and in bench/'s frozen probe.
 	KindClientUpdate Kind = "client_update"
 	// KindClientDrop records a participant that contributed nothing to the
 	// round, attributed by Reason.
@@ -79,7 +81,7 @@ type Event struct {
 	Round   int        `json:"round"`
 	Client  int        `json:"client"`
 	Reason  DropReason `json:"reason,omitempty"`
-	Wire    string     `json:"wire,omitempty"` // "delta" | "dense"
+	Wire    string     `json:"wire,omitempty"` // "dense"; "delta" in older traces (see KindClientUpdate)
 	Bytes   int64      `json:"bytes,omitempty"`
 	Dur     int64      `json:"dur_ns,omitempty"`
 	N       int        `json:"n,omitempty"`
