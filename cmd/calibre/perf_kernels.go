@@ -2,7 +2,7 @@ package main
 
 // The kernel harness (calibre perf kernels) is the reproducible perf gate for the
 // linear-algebra core: it times the MatMul kernel family, an MLP train
-// step and an end-to-end federated round, serial (one pool worker) versus
+// step, an end-to-end federated round and a loopback TCP federation, serial (one pool worker) versus
 // the configured pool, and emits BENCH_kernels.json so the perf trajectory
 // is tracked in-repo from PR to PR. The JSON schema is validated by this
 // package's tests against the committed golden file.
@@ -16,12 +16,16 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"time"
 
 	"calibre/internal/baselines"
 	"calibre/internal/data"
 	"calibre/internal/fl"
+	"calibre/internal/flnet"
 	"calibre/internal/nn"
+	"calibre/internal/param"
 	"calibre/internal/partition"
 	"calibre/internal/ssl"
 	"calibre/internal/tensor"
@@ -66,6 +70,8 @@ type KernelBenchRecord struct {
 // since what a call allocates has a floor and the runtime around it (a GC
 // cycle emptying a pool) only ever adds — `calibre diff bench -fail
 // allocs_op` and `-fail bytes_op` hold the counts to the committed ones.
+// The five run with the collector off, so at most the first follows a GC:
+// a call allocating megabytes would otherwise follow one nearly every time.
 func measure(minTime time.Duration, fn func()) (nsOp, allocsOp, bytesOp int64) {
 	fn() // warm up: pool spin-up, caches
 	var iters int64
@@ -76,6 +82,7 @@ func measure(minTime time.Duration, fn func()) (nsOp, allocsOp, bytesOp int64) {
 		iters++
 		elapsed = time.Since(start)
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocsOp, bytesOp = math.MaxInt64, math.MaxInt64
 	for i := 0; i < 5; i++ {
 		objects, bytes := allocated(fn)
@@ -173,9 +180,8 @@ func mlpTrainStep() func() {
 	}
 }
 
-// flRound returns a closure running a tiny but complete federated
-// simulation: client sampling, parallel local FedAvg updates, aggregation.
-func flRound() func() {
+// benchClients builds the four small clients the round records federate.
+func benchClients() []*partition.Client {
 	rng := rand.New(rand.NewSource(4))
 	spec := data.CIFAR10Spec()
 	spec.Dim = 16
@@ -188,7 +194,13 @@ func flRound() func() {
 	if err != nil {
 		panic(err)
 	}
-	clients := partition.BuildClients(rng, ds, parts, nil)
+	return partition.BuildClients(rng, ds, parts, nil)
+}
+
+// flRound returns a closure running a tiny but complete federated
+// simulation: client sampling, parallel local FedAvg updates, aggregation.
+func flRound() func() {
+	clients := benchClients()
 	arch := ssl.Arch{InputDim: 16, HiddenDim: 24, FeatDim: 12, ProjDim: 8}
 	cfg := baselines.DefaultConfig(arch, 10)
 	cfg.Train.Epochs = 1
@@ -204,6 +216,64 @@ func flRound() func() {
 		}
 		if _, _, err := sim.Run(context.Background()); err != nil {
 			panic(err)
+		}
+	}
+}
+
+// flnetRoundParams is the flnet-round model size: more than three of the
+// wire's 64 KiB frame chunks, so a buffer the size of a frame shows in
+// bytes_op beside the chunk-sized ones.
+const flnetRoundParams = 3*8192 + 5
+
+// wireTrainer adds one to the global in a vector each client owns, so a
+// loopback federation of it allocates what the wire and the round engine do.
+type wireTrainer []param.Vector
+
+func (w wireTrainer) Train(_ context.Context, _ *rand.Rand, c *partition.Client, global param.Vector, _ int) (*fl.Update, error) {
+	p := w[c.ID]
+	for i, x := range global {
+		p[i] = x + 1
+	}
+	return &fl.Update{ClientID: c.ID, Params: p, NumSamples: 1}, nil
+}
+
+func (wireTrainer) Personalize(context.Context, *rand.Rand, *partition.Client, param.Vector) (float64, error) {
+	return 0, nil
+}
+
+// flnetRound returns a closure running a whole loopback TCP federation:
+// four clients join, two rounds of two, personalization and shutdown.
+func flnetRound() func() {
+	clients := benchClients()
+	trainer := make(wireTrainer, len(clients))
+	for _, c := range clients {
+		trainer[c.ID] = make(param.Vector, flnetRoundParams)
+	}
+	return func() {
+		srv, err := flnet.NewServer(flnet.ServerConfig{
+			Addr: "127.0.0.1:0", NumClients: len(clients), Rounds: 2, ClientsPerRound: 2, Seed: 7,
+			Aggregator: fl.WeightedAverage{},
+			InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, flnetRoundParams), nil },
+		})
+		if err != nil {
+			panic(err)
+		}
+		errs := make([]error, len(clients))
+		var wg sync.WaitGroup
+		for i, c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = flnet.RunClient(context.Background(), flnet.ClientConfig{Addr: srv.Addr().String(), ClientID: c.ID,
+					Data: c, Trainer: trainer, Personalizer: trainer, Seed: 7})
+			}()
+		}
+		_, err = srv.Run(context.Background())
+		wg.Wait()
+		for _, e := range append(errs, err) {
+			if e != nil {
+				panic(e)
+			}
 		}
 	}
 }
@@ -232,12 +302,13 @@ func runKernelBench(outDir string, quick bool) error {
 	file.Records = append(file.Records,
 		benchSerialVsPool(minTime, workers, "mlp-train-step", "batch128-256-256-128-10", mlpTrainStep),
 		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds", flRound),
+		benchSerialVsPool(minTime, workers, "flnet-round", fmt.Sprintf("tcp-4clients-2rounds-%dparams", flnetRoundParams), flnetRound),
 	)
 
 	fmt.Printf("kernel bench: %s/%s gomaxprocs=%d workers=%d kernel_impl=%s\n", file.GOOS, file.GOARCH, file.GOMaxProcs, file.Workers, file.KernelImpl)
-	fmt.Printf("%-14s %-24s %12s %12s %8s %8s\n", "op", "shape", "ns/op", "serial", "allocs", "speedup")
+	fmt.Printf("%-14s %-32s %12s %12s %8s %8s\n", "op", "shape", "ns/op", "serial", "allocs", "speedup")
 	for _, r := range file.Records {
-		fmt.Printf("%-14s %-24s %12d %12d %8d %7.2fx\n", r.Op, r.Shape, r.NsOp, r.SerialNsOp, r.AllocsOp, r.SpeedupVsSerial)
+		fmt.Printf("%-14s %-32s %12d %12d %8d %7.2fx\n", r.Op, r.Shape, r.NsOp, r.SerialNsOp, r.AllocsOp, r.SpeedupVsSerial)
 	}
 
 	path, err := writeBenchFile(outDir, "BENCH_kernels.json", &file)

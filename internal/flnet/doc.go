@@ -72,11 +72,16 @@
 // must be a whole number of float64s, equal the model size once that is
 // known (the server knows it from the global it sent; a client from the
 // first global it received) and stay under MaxFrameBytes until then, else
-// the message fails with ErrBadFrame too. A message is decoded into its
-// connection's own envelope and vectors, reused from message to message —
-// an update stays in its connection's buffers until the round closes,
-// which is before that client is sent anything again — and the server
-// frames a round's global once, however many participants it is sent to.
+// the message fails with ErrBadFrame too. Frames are read, and a vector the
+// sender owns is written, 64 KiB at a time, so neither end holds a
+// frame-sized byte buffer; the server frames a round's global once,
+// however many participants it is sent to. A message is decoded into its
+// connection's own envelope, reused from message to message. A client
+// decodes every global into one reused vector. The server decodes an
+// update into vectors its round engine lends with the train request and
+// takes back when the round that ingested them has closed (a requeued
+// straggler's stale reply: at once), so it holds one per update in flight,
+// not one per client.
 //
 // The Envelope.Type field discriminates which of the remaining fields are
 // meaningful:

@@ -161,8 +161,9 @@ const (
 	// known every frame must match it exactly.
 	MaxFrameBytes = 1 << 30
 
-	// frameChunk is how many bytes of a frame are read and converted at a
-	// time, so receiving a vector needs no model-sized byte buffer.
+	// frameChunk is how many bytes of a frame are converted and read or
+	// written at a time, so moving a vector needs no model-sized byte
+	// buffer at either end.
 	frameChunk = 64 << 10
 )
 
@@ -215,8 +216,8 @@ type sharedFrame struct {
 
 // conn wraps a net.Conn with the message codec and deadline
 // management. One goroutine at a time may receive; the Envelope recv
-// returns, its Update and their vectors are the conn's own and stay valid
-// only until the next recv on the same conn, which decodes into them again.
+// returns and its Update are the conn's own, valid until the next recv, and
+// their vectors are those in rvec when recv ran (see rvec).
 type conn struct {
 	raw net.Conn
 	br  *bufio.Reader
@@ -228,8 +229,10 @@ type conn struct {
 	wmu sync.Mutex
 	// ioTimeout bounds each send/receive; zero disables deadlines.
 	ioTimeout time.Duration
-	// wbuf (under wmu) is where a message is built, all of it but a
-	// shared global.
+	// whdr and wbuf (under wmu) are the send scratch: the header, and the
+	// chunk a vector the sender owns is encoded into, frameChunk bytes at a
+	// time (allocated by the first such send).
+	whdr [headerSize]byte
 	wbuf []byte
 
 	// elems, when positive, is the model size: every frame received must
@@ -239,9 +242,12 @@ type conn struct {
 	elems    int
 	maxBytes uint64
 	// rhdr is the header recv reads, renv and rupdate what it decodes it
-	// into; rlen is a frame's length prefix, rvec are the vectors frames
-	// are decoded into, one per frame kind, reused while the size stays
-	// the same, and rbuf is the chunk they are read by.
+	// into; rlen is a frame's length prefix and rbuf the chunk frames are
+	// read by. rvec are the vectors frames are decoded into, one per frame
+	// kind: a frame with no vector of its size there gets a new one, which
+	// stays for the next recv. A client's conn so reuses one global; the
+	// server installs the update vectors its round engine lends before
+	// every recv (Server.serveClient).
 	rhdr    [headerSize]byte
 	rlen    [frameHeader]byte
 	renv    Envelope
@@ -275,7 +281,7 @@ func (c *conn) sendShared(e *Envelope, global []byte) error {
 			return fmt.Errorf("flnet: set write deadline: %w", err)
 		}
 	}
-	// own are the vectors framed here, in frame order.
+	// own are the vectors encoded here, in frame order.
 	own := [numFrames]param.Vector{frameGlobal: e.Global}
 	if e.Update != nil {
 		own[frameParams], own[frameControl] = e.Update.Params, e.Update.ControlDelta
@@ -289,21 +295,41 @@ func (c *conn) sendShared(e *Envelope, global []byte) error {
 			frames |= 1 << k
 		}
 	}
-	c.wbuf = append(appendHeader(c.wbuf[:0], e, frames), e.Err...)
-	head := len(c.wbuf) // a shared global goes here
+	// A bufio.Writer's first error sticks: Flush reports it.
+	_, _ = c.bw.Write(appendHeader(c.whdr[:0], e, frames))
+	_, _ = c.bw.WriteString(e.Err)
+	_, _ = c.bw.Write(global)
 	for _, v := range own {
 		if v != nil {
-			c.wbuf = appendFrame(c.wbuf, v)
+			c.writeFrame(v)
 		}
 	}
-	// A bufio.Writer's first error sticks: Flush reports it.
-	_, _ = c.bw.Write(c.wbuf[:head])
-	_, _ = c.bw.Write(global)
-	_, _ = c.bw.Write(c.wbuf[head:])
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("flnet: send %s: %w", e.Type, err)
 	}
 	return nil
+}
+
+// writeFrame writes the bytes appendFrame(nil, v) holds through bw,
+// encoding v into wbuf a chunk at a time, so sending a vector needs no
+// model-sized byte buffer either.
+func (c *conn) writeFrame(v param.Vector) {
+	if c.wbuf == nil {
+		c.wbuf = make([]byte, 0, frameHeader+frameChunk)
+	}
+	buf := binary.LittleEndian.AppendUint64(c.wbuf[:0], uint64(8*len(v)))
+	for {
+		at, n := len(buf), min(len(v), (cap(buf)-len(buf))/8)
+		buf = buf[:at+8*n]
+		for i, x := range v[:n] {
+			binary.LittleEndian.PutUint64(buf[at+8*i:], math.Float64bits(x))
+		}
+		_, _ = c.bw.Write(buf)
+		if v = v[n:]; len(v) == 0 {
+			return
+		}
+		buf = buf[:0]
+	}
 }
 
 // recv reads one message. The returned envelope is the conn's own (see

@@ -167,17 +167,19 @@ type clientHandle struct {
 	req chan request
 }
 
-// request is one engine-to-client message: the envelope, and the global
-// it carries as the frame every recipient shares.
+// request is one engine-to-client message: the envelope, the global it
+// carries as the frame every recipient shares, and the vectors the reply's
+// update frames are to be decoded into (nil: the worker's conn allocates).
 type request struct {
 	env    *Envelope
 	global *sharedFrame
+	loan   [numFrames]param.Vector
 }
 
-// post hands h's worker env with f as its Global.
-func (f *sharedFrame) post(h *clientHandle, env *Envelope) {
+// post hands h's worker env with f as its Global and loan to receive into.
+func (f *sharedFrame) post(h *clientHandle, env *Envelope, loan [numFrames]param.Vector) {
 	f.refs.Add(1)
-	h.req <- request{env: env, global: f}
+	h.req <- request{env: env, global: f, loan: loan}
 }
 
 // event is what a client worker reports back to the round engine: a reply
@@ -357,8 +359,11 @@ func (s *Server) serveClient(h *clientHandle) {
 			s.report(event{id: h.id, err: err})
 			return
 		}
-		// The reply's vectors must have the size of the model just sent.
+		// The reply's vectors must have the size of the model just sent, and
+		// are decoded into the request's loan: the conn keeps no vector the
+		// engine may have lent to another client since.
 		h.c.elems = (len(frame) - frameHeader) / 8
+		h.c.rvec = req.loan
 		resp, err := h.c.recv()
 		if err != nil {
 			s.report(event{id: h.id, err: err})
@@ -377,19 +382,25 @@ func (s *Server) report(ev event) {
 
 // awaitQuorumJoin blocks until NumClients have joined (or ctx expires).
 func (s *Server) awaitQuorumJoin(ctx context.Context) error {
-	for {
-		if len(s.Joined()) >= s.cfg.NumClients {
-			return nil
-		}
+	// Paranoia poll: joins are edge-triggered with a 1-slot channel, so a
+	// burst can coalesce notifications.
+	poll := time.NewTicker(50 * time.Millisecond)
+	defer poll.Stop()
+	for s.rosterSize() < s.cfg.NumClients {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("flnet: waiting for %d clients: %w", s.cfg.NumClients, ctx.Err())
 		case <-s.joined:
-		case <-time.After(50 * time.Millisecond):
-			// Paranoia poll: joins are edge-triggered with a 1-slot
-			// channel, so a burst can coalesce notifications.
+		case <-poll.C:
 		}
 	}
+	return nil
+}
+
+func (s *Server) rosterSize() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.clients)
 }
 
 func (s *Server) handle(id int) *clientHandle {
@@ -448,6 +459,11 @@ type roundEngine struct {
 	// many were.
 	frame  *sharedFrame
 	shares int
+	// free are the update vectors no one holds, by frame kind, lent to the
+	// train requests Collect dispatches; held are those the open round
+	// ingested, free again once its sink has finished (the next Collect).
+	// The server so keeps a vector per update in flight, not per client.
+	free, held [numFrames][]param.Vector
 	// trace is the seeded availability generator (nil without cfg.Trace).
 	trace *fl.TraceGen
 }
@@ -471,6 +487,28 @@ func (e *roundEngine) share(global param.Vector) *sharedFrame {
 	f.buf = appendFrame(f.buf[:0], global)
 	e.shares++
 	return f
+}
+
+// lend takes a receive vector of each update frame kind off the free list
+// (nil for a kind the list has none of).
+func (e *roundEngine) lend() (loan [numFrames]param.Vector) {
+	for k, free := range e.free {
+		if n := len(free); n > 0 {
+			loan[k], free[n-1] = free[n-1], nil
+			e.free[k] = free[:n-1]
+		}
+	}
+	return loan
+}
+
+// keep files u's vectors, which a worker's conn received them into, under
+// pool.
+func keep(pool *[numFrames][]param.Vector, u *fl.Update) {
+	for k, v := range [numFrames]param.Vector{frameParams: u.Params, frameControl: u.ControlDelta} {
+		if v != nil {
+			pool[k] = append(pool[k], v)
+		}
+	}
 }
 
 func (e *roundEngine) Runtime() string { return "server" }
@@ -535,6 +573,13 @@ func (e *roundEngine) Draw(rng *rand.Rand, round, replayPool int) (sampled, live
 // reordering needs.
 func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 	s := e.s
+	// The previous round has closed, its sink finished: what it ingested
+	// can be lent again.
+	for k, held := range e.held {
+		e.free[k] = append(e.free[k], held...)
+		clear(held)
+		e.held[k] = held[:0]
+	}
 	// Dispatch. Workers are idle (we only sample non-busy clients), so the
 	// 1-slot request channels never block.
 	clear(e.slotOf)
@@ -548,7 +593,7 @@ func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 		if h == nil {
 			return fmt.Errorf("flnet: round %d: client %d vanished before dispatch", r.Num, id)
 		}
-		global.post(h, &Envelope{Type: MsgTrain, Round: r.Num, ClientID: id})
+		global.post(h, &Envelope{Type: MsgTrain, Round: r.Num, ClientID: id}, e.lend())
 		e.busy[id] = r.Num
 	}
 	var deadlineC <-chan time.Time
@@ -598,25 +643,33 @@ func (e *roundEngine) onEvent(r *fl.Round, ev event) error {
 		return e.fail(r, ev.id, reqRound, fmt.Sprintf("sent %s, want train-result", ev.env.Type))
 	}
 	delete(e.busy, ev.id) // idle again, whatever round it was for
+	u := ev.env.Update
 	if reqRound != r.Num {
 		// A straggler's stale reply drained during this round's window:
-		// discard it, the client re-enters the pool.
+		// discard it, the client re-enters the pool and its vectors the free
+		// list.
+		if u != nil {
+			keep(&e.free, u)
+		}
 		r.Late()
 		return nil
 	}
-	if ev.env.Update == nil {
+	if u == nil {
 		return e.fail(r, ev.id, reqRound, "sent train-result without an update")
 	}
 	// Ingress validation happens in Arrive: a client shipping a wrong-sized
 	// payload is evicted like any other failed participant (typed
 	// fl.ErrUpdateSize in the cause) instead of panicking the aggregator; the
-	// round survives whenever the configured quorum can. The update's
-	// vectors live in the client's connection buffers, which the next recv
-	// on that connection overwrites — after this round closed, because the
-	// client is not dispatched again before then.
-	if err := r.Arrive(e.slotOf[ev.id], ev.env.Update); err != nil {
+	// round survives whenever the configured quorum can. A failed client's
+	// vectors are left to the GC. An accepted update's were lent by this
+	// round's dispatch (or allocated by the worker's conn when the free list
+	// ran short): held until the next Collect lends them again. The update
+	// itself is the conn's, which the next recv overwrites — after this
+	// round closed, because the client is not dispatched again before then.
+	if err := r.Arrive(e.slotOf[ev.id], u); err != nil {
 		return e.fail(r, ev.id, reqRound, fmt.Sprintf("rejected (%v)", err))
 	}
+	keep(&e.held, u)
 	return r.Advance()
 }
 
@@ -676,7 +729,7 @@ func (e *roundEngine) personalizeAll(ctx context.Context, global param.Vector) (
 		if h == nil {
 			continue
 		}
-		frame.post(h, &Envelope{Type: MsgPersonalize, ClientID: id})
+		frame.post(h, &Envelope{Type: MsgPersonalize, ClientID: id}, [numFrames]param.Vector{})
 		outstanding[id] = true
 	}
 	for len(outstanding) > 0 {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -167,6 +168,74 @@ func TestRecvReusesVectorBuffers(t *testing.T) {
 	}
 	if !sameBits(b.Global, param.Vector{4, 5, 6}) || b.Round != 1 || b.Type != MsgTrain {
 		t.Fatalf("second message = %+v", b)
+	}
+}
+
+// TestStreamedFramesAtChunkBoundaries: send encodes a vector it owns a chunk
+// at a time; on either side of a chunk boundary the bytes are the header
+// and appendFrame's.
+func TestStreamedFramesAtChunkBoundaries(t *testing.T) {
+	per := frameChunk / 8 // elements in a chunk
+	for _, n := range []int{0, 1, per - 1, per, per + 1, 3*per + 5} {
+		v, w := make(param.Vector, n), make(param.Vector, n)
+		for i := range v {
+			v[i], w[i] = float64(i)+0.5, -float64(n-i)
+		}
+		for _, tc := range []struct {
+			e      *Envelope
+			frames byte
+			vecs   []param.Vector
+		}{
+			{&Envelope{Type: MsgTrain, Round: 3, Global: v}, 1 << frameGlobal, []param.Vector{v}},
+			{&Envelope{Type: MsgTrainResult, ClientID: 2, Update: &fl.Update{ClientID: 2, Params: v, ControlDelta: w, NumSamples: 7}},
+				1<<frameParams | 1<<frameControl, []param.Vector{v, w}},
+		} {
+			want := appendHeader(nil, tc.e, tc.frames)
+			for _, x := range tc.vecs {
+				want = appendFrame(want, x)
+			}
+			if got := wireBytes(t, tc.e); !bytes.Equal(got, want) {
+				t.Fatalf("%s of %d elements: %d bytes sent differ from the %d appendFrame builds", tc.e.Type, n, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestSendAllocatesOneChunk: sending an update many chunks long allocates
+// nothing on a warmed conn, and on a cold one no more than the chunk buffer,
+// whatever the model size. The counters are process-wide, and goroutines an
+// earlier test left winding down only add to them: the least of five tries
+// is what a send allocates.
+func TestSendAllocatesOneChunk(t *testing.T) {
+	for _, chunks := range []int{10, 40} {
+		e := &Envelope{Type: MsgTrainResult, Update: &fl.Update{Params: make(param.Vector, chunks*frameChunk/8)}}
+		c := newConn(streamConn{Writer: io.Discard}, 0, 0)
+		if err := c.send(e); err != nil {
+			t.Fatal(err)
+		}
+		allocs, perSend := math.Inf(1), uint64(math.MaxUint64)
+		for range 5 {
+			allocs = min(allocs, testing.AllocsPerRun(20, func() { _ = c.send(e) }))
+			const runs = 16
+			cold := make([]*conn, runs)
+			for i := range cold {
+				cold[i] = newConn(streamConn{Writer: io.Discard}, 0, 0)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, c := range cold {
+				_ = c.send(e)
+			}
+			runtime.ReadMemStats(&after)
+			perSend = min(perSend, (after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		if allocs != 0 {
+			t.Errorf("a %d-chunk update on a warmed conn: %v allocations per send, want 0", chunks, allocs)
+		}
+		// A large object is allocated in whole 8 KiB pages.
+		if most := uint64(frameHeader + frameChunk + 8<<10); perSend > most {
+			t.Errorf("a %d-chunk update on a cold conn allocated %d bytes, want at most %d", chunks, perSend, most)
+		}
 	}
 }
 
