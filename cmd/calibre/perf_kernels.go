@@ -199,24 +199,43 @@ func benchClients() []*partition.Client {
 
 // flRound returns a closure running a tiny but complete federated
 // simulation: client sampling, parallel local FedAvg updates, aggregation.
+// Every call federates one method, so from the second call on its clients
+// are ones it has trained before.
 func flRound() func() {
+	clients, method := benchClients(), flRoundMethod()
+	return func() { simulateRounds(method, clients) }
+}
+
+// flRoundNewClients is flRound with a new method on every call, so every
+// call meets clients it never trained, as each bench/ repetition does: what
+// a client keeps beyond its model — step buffers kept per client rather than
+// per running trainer, say — shows in its bytes_op, where flRound's warm
+// clients hide it.
+func flRoundNewClients() func() {
 	clients := benchClients()
+	return func() { simulateRounds(flRoundMethod(), clients) }
+}
+
+// flRoundMethod is the small FedAvg method the round records federate.
+func flRoundMethod() *fl.Method {
 	arch := ssl.Arch{InputDim: 16, HiddenDim: 24, FeatDim: 12, ProjDim: 8}
 	cfg := baselines.DefaultConfig(arch, 10)
 	cfg.Train.Epochs = 1
 	cfg.Train.BatchSize = 16
 	cfg.Head.Epochs = 1
-	method := baselines.NewFedAvg(cfg)
-	return func() {
-		sim, err := fl.NewSimulator(fl.SimConfig{
-			Rounds: 2, ClientsPerRound: 2, Seed: 7,
-		}, method, clients)
-		if err != nil {
-			panic(err)
-		}
-		if _, _, err := sim.Run(context.Background()); err != nil {
-			panic(err)
-		}
+	return baselines.NewFedAvg(cfg)
+}
+
+// simulateRounds runs two rounds of two clients of method in the simulator.
+func simulateRounds(method *fl.Method, clients []*partition.Client) {
+	sim, err := fl.NewSimulator(fl.SimConfig{
+		Rounds: 2, ClientsPerRound: 2, Seed: 7,
+	}, method, clients)
+	if err != nil {
+		panic(err)
+	}
+	if _, _, err := sim.Run(context.Background()); err != nil {
+		panic(err)
 	}
 }
 
@@ -302,6 +321,7 @@ func runKernelBench(outDir string, quick bool) error {
 	file.Records = append(file.Records,
 		benchSerialVsPool(minTime, workers, "mlp-train-step", "batch128-256-256-128-10", mlpTrainStep),
 		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds", flRound),
+		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds-new-clients", flRoundNewClients),
 		benchSerialVsPool(minTime, workers, "flnet-round", fmt.Sprintf("tcp-4clients-2rounds-%dparams", flnetRoundParams), flnetRound),
 	)
 

@@ -10,9 +10,11 @@ import (
 	"unsafe"
 
 	"calibre/internal/fl"
+	"calibre/internal/model"
 	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/partition"
+	"calibre/internal/tensor"
 )
 
 // The trainers of this package return their client model's own value vector
@@ -298,4 +300,112 @@ func TestWarmedRoundAllocatesLessThanTwoParameterVectors(t *testing.T) {
 			t.Errorf("%d clients a round: a warmed round allocates %d bytes, two parameter vectors are %d", perRound, least, 2*vector)
 		}
 	}
+}
+
+// TestNewClientsTrainInBorrowedStepBuffers: a client's step buffers are
+// borrowed for its local update, not kept with its model, so once one tape
+// per running trainer is warm, a round after the first that meets clients
+// never trained before allocates their models and less than one step arena
+// beyond a warmed round — with a tape kept per client model it allocated one
+// arena per new client.
+func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
+	clients := testClients(t, 8, 24)
+	cfg := testCfg()
+	cfg.Arch.HiddenDim, cfg.Arch.FeatDim = 256, 64 // a step arena that dwarfs a round's bookkeeping
+	clientBytes := allocatedBytes(func() { newSupBase(cfg).newModel(rand.New(rand.NewSource(1))) })
+	arenaBytes := stepArenaBytes(cfg, cfg.Train.BatchSize)
+
+	// At Parallelism 2 two local updates run at once. Warm two tapes and two
+	// velocities as two overlapping updates would, so that what the rounds
+	// meet does not depend on how closely the first round's two overlapped.
+	spare := newSupBase(cfg).newModel(rand.New(rand.NewSource(4)))
+	held, opt := nn.BorrowTape(), nn.NewSGD(spare, 0, 0.9, 0)
+	opt.Step()
+	warmUp := func(c *partition.Client) {
+		if _, err := model.TrainSupervised(rand.New(rand.NewSource(5)), newSupBase(cfg).newModel(rand.New(rand.NewSource(6))), c.Train, cfg.Train); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warmUp(clients[0])
+	held.Release()
+	opt.Release()
+	warmUp(clients[1]) // on the tape held until now
+
+	m := NewFedAvg(cfg)
+	var mu sync.Mutex
+	met := map[int]bool{}
+	var marks []uint64
+	newIn := map[int]int{} // round → clients it trained for the first time
+	wrapped := *m
+	wrapped.Trainer = trainerFunc(func(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*fl.Update, error) {
+		mu.Lock()
+		if !met[client.ID] {
+			met[client.ID] = true
+			newIn[round]++
+		}
+		mu.Unlock()
+		return m.Trainer.Train(ctx, rng, client, global, round)
+	})
+	sim, err := fl.NewSimulator(fl.SimConfig{
+		Rounds: 10, ClientsPerRound: 2, Seed: 23, Parallelism: 2,
+		OnRound: func(fl.RoundStats) {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			marks = append(marks, ms.TotalAlloc)
+		},
+	}, &wrapped, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sim.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	warmed := uint64(math.MaxUint64)
+	for r := 1; r < len(marks); r++ {
+		if newIn[r] == 0 {
+			warmed = min(warmed, marks[r]-marks[r-1])
+		}
+	}
+	checked := 0
+	for r := 1; r < len(marks); r++ {
+		if newIn[r] == 0 || warmed == math.MaxUint64 {
+			continue
+		}
+		checked++
+		got, models := marks[r]-marks[r-1], uint64(newIn[r])*clientBytes
+		t.Logf("round %d: %d new clients, %d bytes (warmed round %d, a client model %d, a step arena %d)", r, newIn[r], got, warmed, clientBytes, arenaBytes)
+		if got >= warmed+models+arenaBytes {
+			t.Errorf("round %d met %d new clients and allocated %d bytes: a warmed round's %d, their models' %d and %d more, a step arena is %d",
+				r, newIn[r], got, warmed, models, got-warmed-models, arenaBytes)
+		}
+	}
+	if checked == 0 {
+		t.Fatalf("no round after the first both met a new client and had a warmed round to compare with (new clients per round: %v)", newIn)
+	}
+}
+
+// allocatedBytes is what fn allocates on the heap.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// stepArenaBytes is what a supervised step of cfg's model at batch rows
+// allocates on a tape that never served, beyond what the same step allocates
+// on it once warm: the step buffers a local update fills.
+func stepArenaBytes(cfg Config, batch int) uint64 {
+	m := newSupBase(cfg).newModel(rand.New(rand.NewSource(2)))
+	tape := nn.NewTape(tensor.NewArena())
+	x, y := tensor.RandN(rand.New(rand.NewSource(3)), 1, batch, cfg.Arch.InputDim), make([]int, batch)
+	step := func() {
+		if err := nn.Backward(nn.CrossEntropy(m.ForwardOn(tape, x), y)); err != nil {
+			panic(err)
+		}
+		tape.Reset()
+	}
+	cold := allocatedBytes(step)
+	return cold - allocatedBytes(step)
 }

@@ -46,7 +46,7 @@ func TestCalibreStepAllocations(t *testing.T) {
 		}
 	}
 	stepsPerEpoch := (len(rows) + cfg.BatchSize - 1) / cfg.BatchSize
-	train(9)() // warm the client's arena, step scratch and k-means workspace
+	train(9)() // warm the pooled tape and the client's k-means workspace
 	perStep := (testing.AllocsPerRun(5, train(9)) - testing.AllocsPerRun(5, train(1))) / float64(8*stepsPerEpoch)
 	if perStep > calibreStepAllocCeiling {
 		t.Errorf("a warmed Calibre step makes %.1f allocations, ceiling %d", perStep, calibreStepAllocCeiling)

@@ -10,6 +10,7 @@ import (
 
 	"calibre/internal/data"
 	"calibre/internal/kmeans"
+	"calibre/internal/model"
 	"calibre/internal/nn"
 	"calibre/internal/ssl"
 	"calibre/internal/tensor"
@@ -96,28 +97,31 @@ func TestRegularizedStepTapeEqualsHeap(t *testing.T) {
 	}
 }
 
-// TestRegularizedTrainWarmEqualsCold: a client whose arena, tape scratch and
-// k-means workspace hold another local update's leftovers (other data, other
-// batch sizes, other cluster counts) trains bit-identically to a fresh one —
-// what a cached federated client relies on from its second round on.
+// TestRegularizedTrainWarmEqualsCold: a local update trains on the tape nn's
+// pool lends it, which holds whatever the last update to release it left,
+// and must come out bit-identical to one on a tape that never served. Warm
+// is the case the pool creates: the tape last ran another client's
+// supervised fedavg update and then a BYOL update with the regularizer on
+// (other models, other methods, other batch shapes and cluster counts), and
+// the client's own k-means workspace holds its previous round's clusterings.
 func TestRegularizedTrainWarmEqualsCold(t *testing.T) {
 	reg, err := NewRegularizer(DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := ssl.Lookup("simclr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ssl.DefaultTrainConfig()
-	cfg.Epochs, cfg.BatchSize = 2, 16
-	build := func() *ssl.Trainable {
+	build := func(method string) *ssl.Trainable {
+		factory, err := ssl.Lookup(method)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tr, err := ssl.NewTrainable(rand.New(rand.NewSource(95)), testArch(), factory)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tr
 	}
+	cfg := ssl.DefaultTrainConfig()
+	cfg.Epochs, cfg.BatchSize = 2, 16
 	rows := blobRows(96, 4, 10) // 40 rows: two full batches and a tail of 8
 	train := func(tr *ssl.Trainable) (float64, []float64) {
 		loss, err := ssl.Train(rand.New(rand.NewSource(97)), tr, rows, cfg, reg.Apply)
@@ -126,9 +130,13 @@ func TestRegularizedTrainWarmEqualsCold(t *testing.T) {
 		}
 		return loss, nn.Flatten(tr)
 	}
-	coldLoss, coldParams := train(build())
+	tape := coldPool(t)
+	coldLoss, coldParams := train(build("simclr"))
+	if nextTape() != tape {
+		t.Fatal("the cold update did not train on the tape the pool lent")
+	}
 
-	warm := build()
+	warm := build("simclr")
 	initial := nn.Flatten(warm)
 	other := cfg
 	other.BatchSize = 12
@@ -138,15 +146,65 @@ func TestRegularizedTrainWarmEqualsCold(t *testing.T) {
 	if err := nn.Unflatten(warm, initial); err != nil {
 		t.Fatal(err)
 	}
-	if warm.Arena().Stats().Hits == 0 {
-		t.Fatal("the warm-up never recycled a buffer")
+	x, y := blobs(rand.New(rand.NewSource(106)), 3, 9, 16, 3, 0.5)
+	ds := &data.Dataset{NumClasses: 3, Dim: 16, Y: y}
+	for i := 0; i < x.Rows(); i++ {
+		ds.X = append(ds.X, x.Row(i))
 	}
+	sup := model.DefaultSupTrainConfig()
+	sup.Epochs, sup.BatchSize = 1, 10
+	if _, err := model.TrainSupervised(rand.New(rand.NewSource(107)), model.NewSupModel(rand.New(rand.NewSource(108)), testArch(), 3), ds, sup); err != nil {
+		t.Fatal(err)
+	}
+	byol := cfg
+	byol.BatchSize = 7
+	if _, err := ssl.Train(rand.New(rand.NewSource(109)), build("byol"), blobRows(110, 3, 7), byol, reg.Apply); err != nil {
+		t.Fatal(err)
+	}
+	before := tape.Arena().Stats()
 	warmLoss, warmParams := train(warm)
+	after := tape.Arena().Stats()
+	if nextTape() != tape {
+		t.Fatal("the warm update did not train on the tape the pool lent")
+	}
+	if after.Hits == before.Hits {
+		t.Fatal("the warm tape never handed out a recycled buffer")
+	}
 	if math.Float64bits(warmLoss) != math.Float64bits(coldLoss) || !sameBits(warmParams, coldParams) {
 		t.Fatalf("warm client: loss %v, cold %v; parameters equal: %v", warmLoss, coldLoss, sameBits(warmParams, coldParams))
 	}
-	if out := warm.Arena().Stats().Outstanding; out != 0 {
-		t.Fatalf("%d arena buffers outstanding after Train", out)
+	if after.Outstanding != 0 {
+		t.Fatalf("%d arena buffers outstanding after Train", after.Outstanding)
+	}
+}
+
+// nextTape is the tape nn's pool lends next. The pool is last-in first-out
+// and this package's tests run one at a time, so it is the tape the next
+// local update trains on, and the one the last update gave back.
+func nextTape() *nn.Tape {
+	tp := nn.BorrowTape()
+	tp.Release()
+	return tp
+}
+
+// coldPool makes the tape nn's pool lends next one that has never served and
+// returns it: it borrows until the pool hands out a tape whose arena never
+// lent a buffer, gives that one back, and keeps the others out of the pool
+// until the test ends.
+func coldPool(t *testing.T) *nn.Tape {
+	var held []*nn.Tape
+	t.Cleanup(func() {
+		for _, tp := range held {
+			tp.Release()
+		}
+	})
+	for {
+		tp := nn.BorrowTape()
+		if tp.Arena().Stats().Gets == 0 {
+			tp.Release()
+			return tp
+		}
+		held = append(held, tp)
 	}
 }
 
@@ -261,7 +319,7 @@ func TestRegularizerClusteringErrorFailsTheStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := nn.Flatten(tr)
+	before, lent := nn.Flatten(tr), nextTape()
 	_, err = ssl.Train(rand.New(rand.NewSource(104)), tr, blobRows(105, 2, 8), shortTrainCfg(), reg.Apply)
 	if err == nil || !strings.Contains(err.Error(), "pseudo-label clustering") {
 		t.Fatalf("Train error = %v, want the regularizer's", err)
@@ -272,7 +330,9 @@ func TestRegularizerClusteringErrorFailsTheStep(t *testing.T) {
 	if !sameBits(nn.Flatten(tr), before) {
 		t.Fatal("a step that failed in its loss must not move the parameters")
 	}
-	if out := tr.Arena().Stats().Outstanding; out != 0 {
+	if tape := nextTape(); tape != lent {
+		t.Fatal("the failed Train did not give back the tape it borrowed")
+	} else if out := tape.Arena().Stats().Outstanding; out != 0 {
 		t.Fatalf("%d arena buffers outstanding after the failed Train", out)
 	}
 }

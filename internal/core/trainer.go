@@ -39,8 +39,9 @@ type SSLTrainer struct {
 }
 
 // clientState is what a client keeps from round to round: its trainable
-// (with the arena and clustering workspace behind its training steps) and
-// the row table its local SSL loop draws batches from.
+// (with the clustering workspace its training steps and divergence run in)
+// and the row table its local SSL loop draws batches from. Its step buffers
+// are not kept: each local update borrows a tape (nn.BorrowTape).
 type clientState struct {
 	*ssl.Trainable
 	rows [][]float64 // the client's labelled rows, then (UseUnlabeled) its unlabelled pool
@@ -109,7 +110,9 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 			k = 10
 		}
 		enc := st.Backbone.EncodeValue(batchOf(client.Train.X))
-		div, err := divergence(st.Arena(), st.KMeans(), rng, enc, k)
+		tape := nn.BorrowTape()
+		div, err := divergence(tape.Arena(), st.KMeans(), rng, enc, k)
+		tape.Release()
 		if err != nil {
 			return nil, fmt.Errorf("core: divergence for client %d: %w", client.ID, err)
 		}

@@ -117,7 +117,7 @@ func TestWriteBehindInlineHookUnchanged(t *testing.T) {
 	var got []int
 	cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 1,
 		OnCheckpoint: func(st *SimState) error { got = append(got, st.Round); return nil }}
-	before := runtime.NumGoroutine()
+	before := goroutinesBeforeRun(t)
 	runToCompletion(t, cfg)
 	if !reflect.DeepEqual(got, upTo(3)) {
 		t.Fatalf("inline hook saw rounds %v", got)
@@ -166,7 +166,7 @@ func TestWriteBehindDrainsOnEveryExit(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := goroutinesBeforeRun(t)
 			h := &behindHook{gate: make(chan struct{}), began: make(chan int, tc.rounds)} // a slot per write: none blocks on the test
 			tr := &fakeTrainer{}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -214,6 +214,15 @@ func TestWriteBehindDrainsOnEveryExit(t *testing.T) {
 
 // waitGoroutines gives exiting goroutines (parallel workers, the finished
 // checkpoint goroutine) a moment to be reaped.
+// goroutinesBeforeRun counts goroutines once what outlives every Run is up:
+// the kernel pool's workers, which the first kernel to run in parallel
+// starts, in a shuffled order possibly the test's own Run.
+func goroutinesBeforeRun(t *testing.T) int {
+	t.Helper()
+	runToCompletion(t, SimConfig{Rounds: 1, ClientsPerRound: 2, Seed: 1})
+	return runtime.NumGoroutine()
+}
+
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
 	for i := 0; i < 200 && runtime.NumGoroutine() > want; i++ {

@@ -46,7 +46,7 @@ func Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
 // step's shapes. A result lives in one of two slots: Run writes the current
 // one, Hold swaps it with the held one. The zero value is ready to use; a
 // nil *Workspace works too and builds every result fresh. Not safe for
-// concurrent use: one per training client, next to its arena.
+// concurrent use: one per training client, kept with its model.
 type Workspace struct {
 	scratch []float64
 	counts  []int

@@ -25,7 +25,6 @@ type SupModel struct {
 	Head       *nn.Linear
 
 	params []*nn.Param // cached by Params
-	tape   *nn.Tape    // lazily created over an arena of its own; TrainSupervised's steps run on it
 }
 
 var _ nn.Module = (*SupModel)(nil)
@@ -49,16 +48,6 @@ func (m *SupModel) Params() []*nn.Param {
 		m.params = append(append(m.params, m.Encoder.Params()...), m.Head.Params()...)
 	}
 	return m.params
-}
-
-// stepTape returns the tape TrainSupervised's steps run on, over an arena
-// that lives as long as m does: a client model trained round after round
-// reuses its step buffers, node slab and sort scratch.
-func (m *SupModel) stepTape() *nn.Tape {
-	if m.tape == nil {
-		m.tape = nn.NewTape(tensor.NewArena())
-	}
-	return m.tape
 }
 
 // EncoderParamCount returns the number of scalar parameters in the encoder,
@@ -145,8 +134,8 @@ func DefaultSupTrainConfig() SupTrainConfig {
 }
 
 // TrainSupervised runs local supervised training of m on ds and returns the
-// mean cross-entropy per step. Step buffers come from an arena that lives as
-// long as m does, so a client model trained round after round reuses them.
+// mean cross-entropy per step. Its steps run on a tape borrowed for the call
+// (nn.BorrowTape): m keeps no step buffers between local updates.
 func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrainConfig) (float64, error) {
 	if ds.Len() == 0 {
 		return 0, nil
@@ -176,7 +165,8 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 	default:
 		trainable = m
 	}
-	tape := m.stepTape()
+	tape := nn.BorrowTape()
+	defer tape.Release()
 	dim, row := len(ds.X[0]), func(j int) []float64 { return ds.X[j] }
 	stepsPerEpoch := (ds.Len() + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, ds.Len(), cfg.BatchSize)

@@ -244,7 +244,7 @@ func TestTrainingStepsStayOnTheTape(t *testing.T) {
 		}
 	}
 	stepsPerEpoch := (ds.Len() + cfg.BatchSize - 1) / cfg.BatchSize
-	train(1)() // warm the model's arena
+	train(1)() // warm the pooled tape
 	perStep := (testing.AllocsPerRun(5, train(5)) - testing.AllocsPerRun(5, train(1))) / float64(4*stepsPerEpoch)
 	if perStep > supStepAllocCeiling {
 		t.Errorf("a warmed TrainSupervised step makes %.1f allocations, ceiling %d", perStep, supStepAllocCeiling)
@@ -297,7 +297,7 @@ func TestLocalUpdateAllocatesLessThanOneParameterVector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	train() // warm the model's tape and the velocity pool
+	train() // warm the tape and velocity pools
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		least = min(least, allocatedBytes(train))

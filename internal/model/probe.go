@@ -38,7 +38,8 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 		return nil, fmt.Errorf("model: bad head config %+v", cfg)
 	}
 	head := nn.NewLinear(rng, feats.Cols(), numClasses, "probe")
-	tape := nn.NewTape(tensor.NewArena())
+	tape := nn.BorrowTape()
+	defer tape.Release()
 	stepsPerEpoch := (n + cfg.BatchSize - 1) / cfg.BatchSize
 	dim, row := feats.Cols(), feats.Row
 	// Unlike data.Batcher, the cursor keeps an epoch's 1-row tail.

@@ -126,7 +126,7 @@ func (s *SGD) ClipGradNorm(maxNorm float64) float64 {
 // velocities lends optimizers their momentum vectors. A velocity lives for
 // one local update, so what the process keeps is one vector per trainer
 // running at once — not one per client model, which is what a velocity kept
-// beside each model's arena would come to.
+// beside each model would come to. Step tapes are lent the same way (tapes).
 var velocities velocityPool
 
 type velocityPool struct {

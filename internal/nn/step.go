@@ -16,7 +16,8 @@ import "fmt"
 // training call, not per step: Run itself allocates nothing.
 type StepLoop struct {
 	// Tape is the allocation tape Loss builds its graph on; Run resets it
-	// at the end of every step. Nil trains on the heap.
+	// at the end of every step. Nil trains on the heap. The trainers borrow
+	// it for the call (BorrowTape) and release it after Run returns.
 	Tape *Tape
 	// Opt updates the trainable parameters. Its velocity is the local
 	// update's: Run releases it on return.

@@ -1,6 +1,10 @@
 package nn
 
-import "calibre/internal/tensor"
+import (
+	"sync"
+
+	"calibre/internal/tensor"
+)
 
 // Tape tracks every tensor a computation graph allocates — op outputs,
 // lazily-created gradients, and backward scratch — so they can all be
@@ -18,9 +22,12 @@ import "calibre/internal/tensor"
 // lifecycle.
 //
 // A nil *Tape is valid everywhere and degrades to plain heap allocation, as
-// does a Tape over a nil arena. A Tape is NOT safe for concurrent use; use
-// one per training worker (the arena underneath is mutex-guarded, so workers
-// may share an arena but never a tape).
+// does a Tape over a nil arena. A Tape is NOT safe for concurrent use: one
+// serves one training worker at a time. The trainers borrow theirs from a
+// process-wide pool for the length of one local update (BorrowTape, Release),
+// so the process keeps one tape, and the arena under it, per trainer running
+// at once — not one per client model it ever trained. A tape built with
+// NewTape belongs to its caller.
 type Tape struct {
 	arena *tensor.Arena
 	taken []*tensor.Tensor
@@ -44,6 +51,58 @@ type Tape struct {
 // NewTape returns a tape drawing from arena (which may be nil for plain
 // heap allocation).
 func NewTape(arena *tensor.Arena) *Tape { return &Tape{arena: arena} }
+
+// Arena returns the arena the tape draws from, which also lends a step's
+// callers scratch for the length of a call (Get … Put). Nil-safe: a nil tape
+// has a nil arena, which is the heap.
+func (tp *Tape) Arena() *tensor.Arena {
+	if tp == nil {
+		return nil
+	}
+	return tp.arena
+}
+
+// BorrowTape lends a tape over an arena of its own for one local update: the
+// one released last, whose buffers are the warmest, or a new one. Hand it
+// back with Release when the update is over. Which tape a trainer gets never
+// shows in its results: an arena's Get is make, and what it lends
+// uninitialised is only for borrowers that overwrite it whole.
+func BorrowTape() *Tape { return tapes.borrow() }
+
+// Release resets a tape BorrowTape lent and gives it back for another local
+// update to borrow; the tape must not be used after. It keeps the buffers of
+// every shape it has served.
+func (tp *Tape) Release() { tapes.giveBack(tp) }
+
+// tapes lends local updates their step tapes, as velocities lends their
+// momentum vectors: a tape lives for one local update, so the process keeps
+// one per trainer running at once.
+var tapes tapePool
+
+type tapePool struct {
+	mu   sync.Mutex
+	free []*Tape
+}
+
+func (p *tapePool) borrow() *Tape {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	last := len(p.free) - 1
+	if last < 0 {
+		return NewTape(tensor.NewArena())
+	}
+	tp := p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	return tp
+}
+
+func (p *tapePool) giveBack(tp *Tape) {
+	tp.Reset()
+	p.mu.Lock()
+	p.free = append(p.free, tp)
+	p.mu.Unlock()
+}
 
 // node returns a zeroed *Node drawn from the tape's slab, recycling slots
 // freed by the last Reset. After the first step has grown the slab, a

@@ -15,8 +15,8 @@ const simclrStepAllocCeiling = 18
 
 // TestTrainStepAllocations pins the steady-state allocation count of a bare
 // SimCLR training step at the experiments' batch size, as the difference of
-// a long and a short Train on a warmed arena (what a call allocates once —
-// batcher, tape, optimizer — cancels out).
+// a long and a short Train on a warmed tape (what a call allocates once —
+// batcher, optimizer — cancels out).
 func TestTrainStepAllocations(t *testing.T) {
 	b := testBackbone(t, 71)
 	tr := &Trainable{Backbone: b, Method: buildMethod(t, "simclr", b)}
@@ -33,7 +33,7 @@ func TestTrainStepAllocations(t *testing.T) {
 		}
 	}
 	stepsPerEpoch := (len(rows) + cfg.BatchSize - 1) / cfg.BatchSize
-	train(1)() // warm the trainable's arena
+	train(1)() // warm the pooled tape
 	perStep := (testing.AllocsPerRun(5, train(9)) - testing.AllocsPerRun(5, train(1))) / float64(8*stepsPerEpoch)
 	if perStep > simclrStepAllocCeiling {
 		t.Errorf("a warmed SimCLR step makes %.1f allocations, ceiling %d", perStep, simclrStepAllocCeiling)

@@ -8,6 +8,7 @@ import (
 
 	"calibre/internal/kmeans"
 	"calibre/internal/nn"
+	"calibre/internal/tensor"
 )
 
 // clusterHook stands in for core's regularizer, which this package cannot
@@ -27,14 +28,17 @@ func clusterHook(ctx *StepContext, loss *nn.Node) (*nn.Node, error) {
 	return nn.Add(loss, nn.Scale(nn.Mean(nn.GroupMean(ctx.Z1, groups)), 0.1)), nil
 }
 
-// TestTrainArenaBitIdentical pins what a cached federated client relies on:
-// a local training run on an arena full of another run's recycled buffers
-// produces bit-identical parameters and loss to a run on a cold arena. The
-// method roster covers the cross-step escape paths — MoCo's key queue,
-// BYOL's momentum target, SwAV's prototype params — that must deep-copy out
-// of the tape's buffers before Reset. Every method also runs with a loss
-// hook installed, whose step borrows index scratch from the tape and
-// clusters in the k-means workspace the warm run inherits with the arena.
+// TestTrainArenaBitIdentical pins what every local update relies on: Train
+// borrows a pooled tape whose arena, node slab and scratch hold whatever the
+// last update to release it left, and its parameters and loss must come out
+// bit-identical to a run on a tape that never served. Warm is the case the
+// pool creates: the tape last trained another client, with another method
+// and another batch shape, with the loss hook on, and the trainable's k-means
+// workspace holds that client's clusterings too. The method roster covers
+// the cross-step escape paths — MoCo's key queue, BYOL's momentum target,
+// SwAV's prototype params — that must deep-copy out of the tape's buffers
+// before Reset. Every method also runs with a loss hook installed, whose step
+// borrows index scratch from the tape and clusters in the k-means workspace.
 func TestTrainArenaBitIdentical(t *testing.T) {
 	for _, method := range []string{"simclr", "mocov2", "byol", "swav", "simclr+hook", "mocov2+hook"} {
 		t.Run(method, func(t *testing.T) {
@@ -46,26 +50,37 @@ func TestTrainArenaBitIdentical(t *testing.T) {
 			cfg := DefaultTrainConfig()
 			cfg.Epochs = 2
 			cfg.BatchSize = 4
+			other := "byol"
+			if method == other {
+				other = "simclr"
+			}
 
-			build := func() *Trainable {
+			build := func(method string) *Trainable {
 				b := testBackbone(t, 61)
 				return &Trainable{Backbone: b, Method: buildMethod(t, method, b)}
 			}
 			run := func(warm bool) (float64, []float64) {
-				tr := build()
+				tr, tape := build(method), nn.NewTape(tensor.NewArena())
 				if warm {
-					prev := build()
-					if _, err := Train(rand.New(rand.NewSource(7)), prev, testRows(rand.New(rand.NewSource(8)), 12, 16), cfg, hook); err != nil {
+					prev := build(other)
+					prevCfg := cfg
+					prevCfg.BatchSize = 5
+					if _, err := train(tape, rand.New(rand.NewSource(7)), prev, testRows(rand.New(rand.NewSource(8)), 12, 16), prevCfg, clusterHook); err != nil {
 						t.Fatalf("warm-up Train: %v", err)
 					}
-					tr.arena, tr.tape, tr.kmeans = prev.Arena(), prev.tape, prev.kmeans
+					tr.kmeans = prev.kmeans
 				}
-				loss, err := Train(rand.New(rand.NewSource(62)), tr, testRows(rand.New(rand.NewSource(63)), 10, 16), cfg, hook)
+				before := tape.Arena().Stats()
+				loss, err := train(tape, rand.New(rand.NewSource(62)), tr, testRows(rand.New(rand.NewSource(63)), 10, 16), cfg, hook)
 				if err != nil {
 					t.Fatalf("Train(warm=%v): %v", warm, err)
 				}
-				if warm && tr.Arena().Stats().Hits == 0 {
+				after := tape.Arena().Stats()
+				if warm && after.Hits == before.Hits {
 					t.Fatal("the warm arena never handed out a recycled buffer")
+				}
+				if after.Outstanding != 0 {
+					t.Fatalf("warm=%v: %d arena buffers outstanding after Train", warm, after.Outstanding)
 				}
 				return loss, nn.Flatten(tr)
 			}
@@ -87,21 +102,31 @@ func TestTrainArenaBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTrainArenaReusesBuffers pins that the arena actually carries buffers
-// across steps: after a multi-step run, the trainable's arena has recycled
-// at least one buffer and everything was returned.
+// TestTrainArenaReusesBuffers pins that Train trains on the tape the pool
+// lends and gives it back: the pool is last-in first-out and this package's
+// tests run one at a time, so the tape it lends next is the one Train will
+// borrow, and after a multi-step run that tape's arena has recycled at least
+// one buffer, has every buffer back, and is the one the pool lends again.
 func TestTrainArenaReusesBuffers(t *testing.T) {
 	b := testBackbone(t, 64)
 	tr := &Trainable{Backbone: b, Method: buildMethod(t, "simclr", b)}
 	cfg := DefaultTrainConfig()
 	cfg.Epochs = 2
 	cfg.BatchSize = 4
+	tape := nn.BorrowTape()
+	before := tape.Arena().Stats()
+	tape.Release()
 	if _, err := Train(rand.New(rand.NewSource(65)), tr, testRows(rand.New(rand.NewSource(66)), 10, 16), cfg, nil); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	st := tr.Arena().Stats()
-	if st.Hits == 0 {
-		t.Fatalf("arena never hit the free list: %+v", st)
+	again := nn.BorrowTape()
+	defer again.Release()
+	if again != tape {
+		t.Fatal("the pool lends a different tape after Train: Train did not give back the tape it borrowed")
+	}
+	st := tape.Arena().Stats()
+	if st.Hits == before.Hits {
+		t.Fatalf("arena never hit the free list during Train: %+v before, %+v after", before, st)
 	}
 	if st.Outstanding != 0 {
 		t.Fatalf("arena has %d buffers outstanding after Train", st.Outstanding)

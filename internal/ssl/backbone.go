@@ -171,9 +171,7 @@ type Trainable struct {
 	Method   Method
 
 	params []*nn.Param      // cached by Params
-	arena  *tensor.Arena    // lazily created; backs the training-step tape
-	tape   *nn.Tape         // lazily created over arena; Train's steps run on it
-	kmeans kmeans.Workspace // a loss hook's clusterings, reused like the arena's buffers
+	kmeans kmeans.Workspace // a loss hook's clusterings, sized by this client's rows
 }
 
 var _ nn.Module = (*Trainable)(nil)
@@ -193,30 +191,16 @@ func NewTrainable(rng *rand.Rand, arch Arch, factory Factory) (*Trainable, error
 	return t, nil
 }
 
-// Arena returns the trainable's buffer arena, creating it on first use. The
-// arena persists for the trainable's lifetime (for a federated client: across
-// rounds), which is what makes step buffers actually get reused. The arena is
-// mutex-guarded and may be shared; Train itself is not safe for concurrent
-// use on one Trainable (one parameter set, one step tape, one workspace).
-func (t *Trainable) Arena() *tensor.Arena {
-	if t.arena == nil {
-		t.arena = tensor.NewArena()
-	}
-	return t.arena
-}
+// Arena returns a new, empty arena, for a caller that drives training steps
+// by hand (nn.NewTape(t.Arena())). The trainable keeps none: Train borrows
+// its step tape, arena included, from nn's pool for the length of the call.
+// Train is not safe for concurrent use on one Trainable (one parameter set,
+// one clustering workspace).
+func (t *Trainable) Arena() *tensor.Arena { return tensor.NewArena() }
 
-// stepTape returns the tape Train's steps run on, over the trainable's
-// arena and kept like it: its node slab, sort scratch and index scratch stay
-// sized to the client's step from one local update to the next.
-func (t *Trainable) stepTape() *nn.Tape {
-	if t.tape == nil {
-		t.tape = nn.NewTape(t.Arena())
-	}
-	return t.tape
-}
-
-// KMeans returns the trainable's clustering workspace, which persists like
-// its arena and, like a tape, serves one training step at a time.
+// KMeans returns the trainable's clustering workspace, which persists across
+// its local updates (its clusterings are sized by the client's batches and
+// rows) and, like a tape, serves one training step at a time.
 func (t *Trainable) KMeans() *kmeans.Workspace { return &t.kmeans }
 
 // Params returns backbone params followed by method extras, in stable order.

@@ -86,8 +86,16 @@ type LossHook func(ctx *StepContext, methodLoss *nn.Node) (*nn.Node, error)
 
 // Train runs the local SSL loop over rows (a client's raw samples), mutating
 // the trainable's parameters in place. hook may be nil. It returns the mean
-// total loss per step.
+// total loss per step. Its steps run on a tape borrowed for the call
+// (nn.BorrowTape).
 func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook LossHook) (float64, error) {
+	tape := nn.BorrowTape()
+	defer tape.Release()
+	return train(tape, rng, t, rows, cfg, hook)
+}
+
+// train is Train on the given tape.
+func train(tape *nn.Tape, rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook LossHook) (float64, error) {
 	if len(rows) < 2 {
 		return 0, nil // not enough samples to form a contrastive batch
 	}
@@ -96,10 +104,9 @@ func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook
 	}
 	stepsPerEpoch := (len(rows) + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, len(rows), cfg.BatchSize)
-	tape := t.stepTape()
 	// One context serves every step: like the views and the graph, what it
 	// holds dies at the step's Reset.
-	ctx := &StepContext{RNG: rng, Backbone: t.Backbone, Tape: tape, Arena: t.Arena(), KMeans: t.KMeans()}
+	ctx := &StepContext{RNG: rng, Backbone: t.Backbone, Tape: tape, Arena: tape.Arena(), KMeans: t.KMeans()}
 	dim := len(rows[0])
 	// Before the optimizer binds to the parameters' storage: a trainable
 	// assembled by hand is laid out here.

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"calibre/internal/data"
 	"calibre/internal/experiments"
 	"calibre/internal/fl"
+	"calibre/internal/model"
 	"calibre/internal/nn"
 	"calibre/internal/ssl"
 	"calibre/internal/tensor"
@@ -29,13 +31,21 @@ func sameVector(t *testing.T, what string, want, got []float64) {
 		t.Fatalf("%s: %d values as is, %d under the poison", what, len(want), len(got))
 	}
 	for i := range want {
+		// The trainers' tapes are pooled for the whole process, so a run
+		// without the poison recycles what an earlier poisoned run left: a
+		// consumer reading before it writes shows there as NaN, on both runs.
+		if math.IsNaN(want[i]) {
+			t.Fatalf("%s: element %d is NaN as is", what, i)
+		}
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("%s: element %d is %v as is, %v on a poisoned arena", what, i, want[i], got[i])
 		}
 	}
 }
 
-// TestPoisonedUninitTrainBitIdentical is a local SSL update per method. The
+// TestPoisonedUninitTrainBitIdentical is a local SSL update per method, on
+// the tape nn's pool lends: one a supervised fedavg update used last, so its
+// arena holds buffers another client, model and shape left behind. The
 // roster covers the cross-step escape paths — MoCo's key queue, BYOL's
 // momentum target, SwAV's prototype params — that must deep-copy out of the
 // tape's buffers before Reset.
@@ -58,14 +68,20 @@ func TestPoisonedUninitTrainBitIdentical(t *testing.T) {
 				for i := range batch {
 					batch[i] = rows.Row(i)
 				}
+				supervisedUpdate(t)
+				// The pool is last-in first-out and this package's tests run
+				// one at a time: the tape it lends next is the one Train gets.
+				tape := nn.BorrowTape()
+				before := tape.Arena().Stats()
+				tape.Release()
 				cfg := ssl.DefaultTrainConfig()
 				cfg.Epochs, cfg.BatchSize = 2, 4
 				loss, err := ssl.Train(rand.New(rand.NewSource(62)), tr, batch, cfg, nil)
 				if err != nil {
 					t.Fatalf("Train: %v", err)
 				}
-				if tr.Arena().Stats().Hits == 0 {
-					t.Fatal("the arena never recycled a buffer: the poison was not exercised")
+				if after := tape.Arena().Stats(); after.Hits == before.Hits {
+					t.Fatal("the pooled arena never recycled a buffer: the poison was not exercised")
 				}
 				return append(nn.Flatten(tr), loss)
 			}
@@ -73,6 +89,24 @@ func TestPoisonedUninitTrainBitIdentical(t *testing.T) {
 			tensor.PoisonUninit(t)
 			sameVector(t, "parameters and loss", want, run())
 		})
+	}
+}
+
+// supervisedUpdate runs one local fedavg update of a fresh supervised model,
+// so the tape nn's pool lends next last served another client, model and
+// shape.
+func supervisedUpdate(t *testing.T) {
+	t.Helper()
+	x := tensor.RandN(rand.New(rand.NewSource(64)), 1, 14, 16)
+	ds := &data.Dataset{NumClasses: 3, Dim: 16}
+	for i := 0; i < x.Rows(); i++ {
+		ds.X, ds.Y = append(ds.X, x.Row(i)), append(ds.Y, i%3)
+	}
+	cfg := model.DefaultSupTrainConfig()
+	cfg.Epochs, cfg.BatchSize = 1, 5
+	m := model.NewSupModel(rand.New(rand.NewSource(65)), ssl.Arch{InputDim: 16, HiddenDim: 20, FeatDim: 12, ProjDim: 8}, 3)
+	if _, err := model.TrainSupervised(rand.New(rand.NewSource(66)), m, ds, cfg); err != nil {
+		t.Fatalf("TrainSupervised: %v", err)
 	}
 }
 
@@ -109,8 +143,8 @@ func TestPoisonedUninitFederationBitIdentical(t *testing.T) {
 }
 
 // TestPoisonedUninitSupervisedBitIdentical is the supervised leg: the
-// baselines train on a per-model arena and the probe on a call-local one;
-// three rounds and the personalization stage.
+// baselines and the probe train on pooled tapes; three rounds and the
+// personalization stage.
 // fedavg covers the plain step, ditto the proximal pull (its personal models
 // show only in the accuracies), scaffold the control-variate correction.
 func TestPoisonedUninitSupervisedBitIdentical(t *testing.T) {
