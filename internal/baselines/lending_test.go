@@ -302,24 +302,33 @@ func TestWarmedRoundAllocatesLessThanTwoParameterVectors(t *testing.T) {
 	}
 }
 
-// TestNewClientsTrainInBorrowedStepBuffers: a client's step buffers are
-// borrowed for its local update, not kept with its model, so once one tape
-// per running trainer is warm, a round after the first that meets clients
-// never trained before allocates their models and less than one step arena
-// beyond a warmed round — with a tape kept per client model it allocated one
-// arena per new client.
+// TestNewClientsTrainInBorrowedStepBuffers: a client's step buffers and
+// gradients are borrowed for its local update, not kept with its model, so a
+// new client's model is its values vector and little else, and once one tape
+// and one gradient vector per running trainer are warm, a round after the
+// first that meets clients never trained before allocates their models and
+// less than one step arena beyond a warmed round — with a tape kept per
+// client model it allocated one arena per new client, with gradients kept
+// per model a model was two vectors.
 func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 	clients := testClients(t, 8, 24)
 	cfg := testCfg()
 	cfg.Arch.HiddenDim, cfg.Arch.FeatDim = 256, 64 // a step arena that dwarfs a round's bookkeeping
-	clientBytes := allocatedBytes(func() { newSupBase(cfg).newModel(rand.New(rand.NewSource(1))) })
+	var vector uint64
+	clientBytes := allocatedBytes(func() { vector = uint64(8 * nn.ParamCount(newSupBase(cfg).newModel(rand.New(rand.NewSource(1))))) })
+	if clientBytes >= vector+vector/10 {
+		t.Fatalf("a new client's model allocates %d bytes, its values vector is %d: it keeps more than its values", clientBytes, vector)
+	}
 	arenaBytes := stepArenaBytes(cfg, cfg.Train.BatchSize)
 
-	// At Parallelism 2 two local updates run at once. Warm two tapes and two
-	// velocities as two overlapping updates would, so that what the rounds
-	// meet does not depend on how closely the first round's two overlapped.
+	// At Parallelism 2 two local updates run at once. Warm two tapes, two
+	// gradient vectors and two velocities as two overlapping updates would,
+	// so that what the rounds meet does not depend on how closely the first
+	// round's two overlapped.
 	spare := newSupBase(cfg).newModel(rand.New(rand.NewSource(4)))
-	held, opt := nn.BorrowTape(), nn.NewSGD(spare, 0, 0.9, 0)
+	held := nn.BorrowTape()
+	held.LendGrads(spare)
+	opt := nn.NewSGD(spare, 0, 0.9, 0)
 	opt.Step()
 	warmUp := func(c *partition.Client) {
 		if _, err := model.TrainSupervised(rand.New(rand.NewSource(5)), newSupBase(cfg).newModel(rand.New(rand.NewSource(6))), c.Train, cfg.Train); err != nil {
@@ -398,6 +407,7 @@ func allocatedBytes(fn func()) uint64 {
 // on it once warm: the step buffers a local update fills.
 func stepArenaBytes(cfg Config, batch int) uint64 {
 	m := newSupBase(cfg).newModel(rand.New(rand.NewSource(2)))
+	nn.NewSGD(m, 0, 0, 0) // gradient storage of its own, for a step outside a local update
 	tape := nn.NewTape(tensor.NewArena())
 	x, y := tensor.RandN(rand.New(rand.NewSource(3)), 1, batch, cfg.Arch.InputDim), make([]int, batch)
 	step := func() {

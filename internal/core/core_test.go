@@ -103,9 +103,7 @@ func TestRegularizerAddsTerms(t *testing.T) {
 		t.Fatalf("total loss = %v", tv)
 	}
 	// Gradient must flow through the regularized loss into the encoder.
-	for _, p := range ctx.Backbone.Encoder.Params() {
-		p.ZeroGrad()
-	}
+	nn.NewSGD(ctx.Backbone, 0, 0, 0) // zeroed gradient storage of its own
 	if err := nn.Backward(total); err != nil {
 		t.Fatalf("Backward: %v", err)
 	}

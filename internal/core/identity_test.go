@@ -55,6 +55,7 @@ func TestRegularizedStepTapeEqualsHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := ssl.NewBackbone(rand.New(rand.NewSource(91)), testArch())
+		nn.NewSGD(b, 0, 0, 0) // gradient storage of its own, for a step outside a local update
 		arena := tensor.NewArena()
 		tape, ws := nn.NewTape(arena), new(kmeans.Workspace)
 		for step, batch := range []int{24, 24, 9, 24} {
@@ -98,8 +99,9 @@ func TestRegularizedStepTapeEqualsHeap(t *testing.T) {
 }
 
 // TestRegularizedTrainWarmEqualsCold: a local update trains on the tape nn's
-// pool lends it, which holds whatever the last update to release it left,
-// and must come out bit-identical to one on a tape that never served. Warm
+// pool lends it, and into the gradient vector param's pool lends, which hold
+// whatever the last update to release them left, and must come out
+// bit-identical to one on a tape that never served. Warm
 // is the case the pool creates: the tape last ran another client's
 // supervised fedavg update and then a BYOL update with the regularizer on
 // (other models, other methods, other batch shapes and cluster counts), and

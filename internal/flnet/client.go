@@ -52,7 +52,9 @@ func (c *ClientConfig) validate() error {
 
 // RunClient joins the federation and serves train/personalize requests
 // until the server sends shutdown or ctx is canceled. It returns nil on a
-// clean shutdown.
+// clean shutdown. Each request's global is received into a vector borrowed
+// from param's pool, given back once the reply is sent: between requests
+// the client holds no global.
 func RunClient(ctx context.Context, cfg ClientConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -100,9 +102,10 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("flnet: client %d: %w", cfg.ClientID, err)
 		}
-		// env.Global lives in the connection's receive buffer, which the next
-		// recv overwrites: trainers and personalizers read the global during
-		// their call and keep no reference to it (fl.Trainer).
+		// env.Global is a vector the connection borrowed to receive it into,
+		// and gives back once the reply to the request is sent (the update
+		// may alias it until then): trainers and personalizers read the
+		// global during their call and keep no reference to it (fl.Trainer).
 		env, err := c.recv()
 		if err != nil {
 			return err
@@ -127,6 +130,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 			if err := c.send(&Envelope{Type: MsgTrainResult, ClientID: cfg.ClientID, Round: env.Round, Update: update}); err != nil {
 				return err
 			}
+			c.giveBackGlobal()
 		case MsgPersonalize:
 			rng := fl.ClientRNG(cfg.Seed, fl.PersonalizeRound, cfg.ClientID)
 			acc, perr := cfg.Personalizer.Personalize(ctx, rng, cfg.Data, env.Global)
@@ -137,6 +141,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 			if err := c.send(&Envelope{Type: MsgPersonalizeResult, ClientID: cfg.ClientID, Accuracy: acc}); err != nil {
 				return err
 			}
+			c.giveBackGlobal()
 		case MsgShutdown:
 			return nil
 		case MsgError:

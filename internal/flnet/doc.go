@@ -62,7 +62,8 @@
 // type, a frame bit above bit 2, an update flag other than 0 or 1, a
 // nonzero reserved byte, update frames or nonzero update fields without
 // the flag, an integer the platform's int cannot hold, an errLen over
-// 64 KiB. The encoding is therefore canonical: a header the receiver
+// 64 KiB, a train or personalize request without a Global frame or a Global
+// frame on any other message. The encoding is therefore canonical: a header the receiver
 // accepts is the one the sender writes for the envelope it decodes to.
 // A frame is a little-endian uint64
 // byte length and that many bytes of little-endian IEEE-754 doubles (what
@@ -77,7 +78,10 @@
 // frame-sized byte buffer; the server frames a round's global once,
 // however many participants it is sent to. A message is decoded into its
 // connection's own envelope, reused from message to message. A client
-// decodes every global into one reused vector. The server decodes an
+// decodes a global into a vector it borrows from param's process-wide pool
+// and gives back once its reply to the request is sent, so an idle client
+// holds none and a process of many clients holds one per request being
+// served. The server decodes an
 // update into vectors its round engine lends with the train request and
 // takes back when the round that ingested them has closed (a requeued
 // straggler's stale reply: at once), so it holds one per update in flight,

@@ -69,6 +69,9 @@ func wireSeeds(t testing.TB) []wireSeed {
 		{"reserved-byte-set", cat(pre, patchedHeader(3, 1)), ErrBadFrame},
 		{"update-fields-without-update", cat(pre, patchedHeader(2, 0)), ErrBadFrame},
 		{"wide-int", cat(pre, patchedHeader(12, 1)), wideEnd},
+		{"train-without-global", cat(pre, appendHeader(nil, &Envelope{Type: MsgTrain, Round: 2}, 0)), ErrBadFrame},
+		{"global-on-reply", cat(pre, appendHeader(nil, &Envelope{Type: MsgPersonalizeResult, ClientID: 1}, 1<<frameGlobal),
+			appendFrame(nil, param.Vector{7, 8, 9})), ErrBadFrame},
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"calibre/internal/baselines"
 	"calibre/internal/fl"
 	"calibre/internal/param"
+	"calibre/internal/partition"
 	"calibre/internal/ssl"
 )
 
@@ -107,6 +108,51 @@ func TestReceiveVectorsBoundedByUpdatesInFlight(t *testing.T) {
 				t.Errorf("updates arrived in %d distinct ControlDelta arrays, want 1 to %d", len(w.control), perRound+1)
 			}
 		})
+	}
+}
+
+// aliasingTrainer records the backing array of every global it is handed,
+// and trains in place: its update is the global itself, which the client
+// must not give back before the reply carrying it is sent.
+type aliasingTrainer struct {
+	mu      sync.Mutex
+	globals map[*float64]bool
+}
+
+func (a *aliasingTrainer) Train(_ context.Context, _ *rand.Rand, c *partition.Client, global param.Vector, round int) (*fl.Update, error) {
+	a.mu.Lock()
+	a.globals[&global[0]] = true
+	a.mu.Unlock()
+	for i := range global {
+		global[i] += 1e-4 * float64(c.ID+1) * float64(round+1)
+	}
+	return &fl.Update{ClientID: c.ID, Params: global, NumSamples: c.Train.Len()}, nil
+}
+
+// TestClientGlobalsPerRunningTrainer: a client receives each global into a
+// vector it borrows from param's pool and gives back once its reply is sent,
+// so eight in-process clients sampled two a round over twelve rounds train
+// on at most three arrays — one per request being served, plus one whose
+// give-back the next round's dispatch overtook — and the pool ends the run
+// holding no more than that beyond what it held before. A global kept per
+// connection is one array per client, and none of them in the pool.
+func TestClientGlobalsPerRunningTrainer(t *testing.T) {
+	const n, rounds, perRound = 8, 12, 2
+	trainer := &aliasingTrainer{globals: map[*float64]bool{}}
+	m := &fl.Method{Trainer: trainer, Personalizer: idPersonalizer{}, Aggregator: fl.WeightedAverage{},
+		InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 64), nil }}
+	before := param.Idle()
+	_, history := runLendingFederation(t, n, ServerConfig{Rounds: rounds, ClientsPerRound: perRound,
+		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal}, m, nil)
+	after := param.Idle()
+	if len(history) != rounds {
+		t.Fatalf("%d rounds ran, want %d", len(history), rounds)
+	}
+	if len(trainer.globals) > perRound+1 {
+		t.Errorf("clients trained on %d distinct global arrays, want at most %d", len(trainer.globals), perRound+1)
+	}
+	if grew := after - before; grew > perRound+1 {
+		t.Errorf("the pool holds %d more vectors after the run, want at most %d", grew, perRound+1)
 	}
 }
 

@@ -116,6 +116,10 @@ var msgNames = [...]string{MsgJoin: "join", MsgJoinAck: "join-ack", MsgTrain: "t
 // known reports whether m is a message type of this protocol.
 func (m MsgType) known() bool { return m >= MsgJoin && m <= MsgError }
 
+// request reports whether m is one of the server's requests, the messages
+// that carry a global and the only ones that may.
+func (m MsgType) request() bool { return m == MsgTrain || m == MsgPersonalize }
+
 // String renders the message type for logs and errors.
 func (m MsgType) String() string {
 	if m.known() {
@@ -171,7 +175,8 @@ const (
 // protocol sends: a header send would not write (an unknown type or frame
 // bit, an update flag other than 0 or 1, the reserved byte set, update
 // frames or update fields without an update, an integer the platform's int
-// cannot hold, an error string beyond maxErrBytes), or a declared frame
+// cannot hold, an error string beyond maxErrBytes), a request without its
+// global or a global on any other message, or a declared frame
 // length that is not a whole number of float64s, exceeds MaxFrameBytes or
 // disagrees with the model size the receiver already knows. The header is
 // checked before anything behind it is read, and a frame's length before
@@ -244,10 +249,12 @@ type conn struct {
 	// rhdr is the header recv reads, renv and rupdate what it decodes it
 	// into; rlen is a frame's length prefix and rbuf the chunk frames are
 	// read by. rvec are the vectors frames are decoded into, one per frame
-	// kind: a frame with no vector of its size there gets a new one, which
-	// stays for the next recv. A client's conn so reuses one global; the
-	// server installs the update vectors its round engine lends before
-	// every recv (Server.serveClient).
+	// kind: a frame with no vector of its size there gets one, which stays
+	// for the next recv. The server installs the update vectors its round
+	// engine lends before every recv (Server.serveClient), and a client
+	// borrows each global from param's pool and gives it back once it has
+	// answered the request (giveBackGlobal), so a client holds a global
+	// only while it serves a request.
 	rhdr    [headerSize]byte
 	rlen    [frameHeader]byte
 	renv    Envelope
@@ -392,6 +399,10 @@ func (c *conn) decodeHeader() (frames byte, errLen int, err error) {
 		why = "update frames without an update"
 	case hasUpdate == 0 && [32]byte(h[32:]) != [32]byte{}:
 		why = "update fields without an update"
+	case c.renv.Type.request() && frames&(1<<frameGlobal) == 0:
+		why = fmt.Sprintf("%s without a global", c.renv.Type)
+	case !c.renv.Type.request() && frames&(1<<frameGlobal) != 0:
+		why = fmt.Sprintf("a global on %s", c.renv.Type)
 	case !fits:
 		why = "integer field overflows int"
 	case n > maxErrBytes:
@@ -422,7 +433,12 @@ func (c *conn) readFrame(k int) (param.Vector, error) {
 		return nil, fmt.Errorf("%w: %d bytes declared, at most %d allowed here", ErrBadFrame, n, c.maxBytes)
 	}
 	v := c.rvec[k]
-	if v == nil || len(v) != int(n/8) {
+	switch {
+	case v != nil && len(v) == int(n/8):
+	case k == frameGlobal:
+		v = param.Borrow(int(n / 8))
+		c.rvec[k] = v
+	default:
 		v = make(param.Vector, n/8)
 		c.rvec[k] = v
 	}
@@ -443,6 +459,16 @@ func (c *conn) readFrame(k int) (param.Vector, error) {
 		}
 	}
 	return v, nil
+}
+
+// giveBackGlobal returns the vector the last global was decoded into to
+// param's pool, once nothing reads it any more: after the reply to its
+// request is sent, which may alias it.
+func (c *conn) giveBackGlobal() {
+	if v := c.rvec[frameGlobal]; v != nil {
+		c.rvec[frameGlobal] = nil
+		param.GiveBack(v)
+	}
 }
 
 func (c *conn) close() error { return c.raw.Close() }

@@ -147,12 +147,14 @@ func TestSharedFrameNotOverwrittenInFlight(t *testing.T) {
 	}
 }
 
-// TestRecvReusesVectorBuffers: a connection decodes each round's global
-// into the buffer the previous round's used.
+// TestRecvReusesVectorBuffers: a connection that still holds a global
+// decodes the next one into it; one that gave its global back borrows the
+// next from param's pool.
 func TestRecvReusesVectorBuffers(t *testing.T) {
 	stream := wireBytes(t,
 		&Envelope{Type: MsgTrain, Round: 0, Global: param.Vector{1, 2, 3}},
-		&Envelope{Type: MsgTrain, Round: 1, Global: param.Vector{4, 5, 6}})
+		&Envelope{Type: MsgTrain, Round: 1, Global: param.Vector{4, 5, 6}},
+		&Envelope{Type: MsgPersonalize, Global: param.Vector{7, 8, 9}})
 	c := newConn(streamConn{Reader: bytes.NewReader(stream)}, 0, MaxFrameBytes)
 	a, err := c.recv()
 	if err != nil {
@@ -168,6 +170,49 @@ func TestRecvReusesVectorBuffers(t *testing.T) {
 	}
 	if !sameBits(b.Global, param.Vector{4, 5, 6}) || b.Round != 1 || b.Type != MsgTrain {
 		t.Fatalf("second message = %+v", b)
+	}
+	c.giveBackGlobal()
+	idle := param.Idle()
+	if c.rvec[frameGlobal] != nil {
+		t.Fatal("a global given back is still the connection's")
+	}
+	p, err := c.recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now := param.Idle(); now != idle-1 || !sameBits(p.Global, param.Vector{7, 8, 9}) {
+		t.Fatalf("the third global = %v, the pool went from %d to %d vectors: want it borrowed", p.Global, idle, now)
+	}
+	c.giveBackGlobal()
+}
+
+// TestRequestWithoutGlobalRefused: a train or personalize request that
+// announces no global, and any other message that announces one, is refused
+// with ErrBadFrame from its header alone: nothing is borrowed for it and
+// the connection holds no global after it.
+func TestRequestWithoutGlobalRefused(t *testing.T) {
+	for _, tc := range []struct {
+		e      *Envelope
+		frames byte
+	}{
+		{&Envelope{Type: MsgTrain, Round: 3}, 0},
+		{&Envelope{Type: MsgPersonalize}, 0},
+		{&Envelope{Type: MsgJoinAck}, 1 << frameGlobal},
+		{&Envelope{Type: MsgTrainResult, ClientID: 1, Update: &fl.Update{ClientID: 1}}, 1<<frameGlobal | 1<<frameParams},
+	} {
+		stream := append(appendHeader(nil, tc.e, tc.frames), appendFrame(nil, param.Vector{1, 2, 3})...)
+		r := bytes.NewReader(stream)
+		c := newConn(streamConn{Reader: r}, 0, MaxFrameBytes)
+		idle := param.Idle()
+		if _, err := c.recv(); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s announcing frames %#x: recv returned %v, want ErrBadFrame", tc.e.Type, tc.frames, err)
+		}
+		if read := len(stream) - r.Len() - c.br.Buffered(); read != headerSize {
+			t.Fatalf("%s: %d bytes consumed, want the %d-byte header only", tc.e.Type, read, headerSize)
+		}
+		if now := param.Idle(); now != idle || c.rvec[frameGlobal] != nil {
+			t.Fatalf("%s: the pool went from %d to %d vectors and the connection holds %v", tc.e.Type, idle, now, c.rvec[frameGlobal])
+		}
 	}
 }
 
@@ -360,6 +405,10 @@ func hostileReplies() []hostileReply {
 		{name: "oversize-error", write: func(rc *rawClient, n int) error {
 			// A 1 GiB error string declared, and nothing behind it.
 			return rc.write(errorHeader(1 << 30))
+		}},
+		{name: "global-on-reply", write: func(rc *rawClient, n int) error {
+			h := appendHeader(nil, &Envelope{Type: MsgTrainResult, ClientID: 1, Update: bare()}, 1<<frameGlobal|1<<frameParams)
+			return rc.write(h, lengthPrefix(uint64(8*n)), make([]byte, 8*n), lengthPrefix(uint64(8*n)), make([]byte, 8*n))
 		}},
 		{name: "trailing-garbage", accepted: true, write: func(rc *rawClient, n int) error {
 			u := bare()

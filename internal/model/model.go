@@ -135,7 +135,8 @@ func DefaultSupTrainConfig() SupTrainConfig {
 
 // TrainSupervised runs local supervised training of m on ds and returns the
 // mean cross-entropy per step. Its steps run on a tape borrowed for the call
-// (nn.BorrowTape): m keeps no step buffers between local updates.
+// (nn.BorrowTape), which also lends m its gradients (Tape.LendGrads): m keeps
+// no step buffers and no gradients between local updates.
 func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrainConfig) (float64, error) {
 	if ds.Len() == 0 {
 		return 0, nil
@@ -147,7 +148,7 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 	if cfg.ProxMu <= 0 {
 		prox = nil
 	}
-	values, grads := nn.Values(m), nn.Grads(m)
+	values := nn.Values(m)
 	if prox != nil && len(prox) != len(values) {
 		return 0, fmt.Errorf("model: ProxTarget has %d values, the model %d parameters", len(prox), len(values))
 	}
@@ -167,6 +168,7 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 	}
 	tape := nn.BorrowTape()
 	defer tape.Release()
+	grads := tape.LendGrads(m)
 	dim, row := len(ds.X[0]), func(j int) []float64 { return ds.X[j] }
 	stepsPerEpoch := (ds.Len() + cfg.BatchSize - 1) / cfg.BatchSize
 	batcher := data.NewBatcher(rng, ds.Len(), cfg.BatchSize)

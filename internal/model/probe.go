@@ -40,6 +40,7 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 	head := nn.NewLinear(rng, feats.Cols(), numClasses, "probe")
 	tape := nn.BorrowTape()
 	defer tape.Release()
+	grads := tape.LendGrads(head)
 	stepsPerEpoch := (n + cfg.BatchSize - 1) / cfg.BatchSize
 	dim, row := feats.Cols(), feats.Row
 	// Unlike data.Batcher, the cursor keeps an epoch's 1-row tail.
@@ -48,7 +49,7 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 	loop := nn.StepLoop{
 		Tape:  tape,
 		Opt:   nn.NewSGD(head, cfg.LR, cfg.Momentum, 0),
-		Grads: nn.Grads(head),
+		Grads: grads,
 		Loss: func() (*nn.Node, error) {
 			if cur >= n {
 				perm = rng.Perm(n)

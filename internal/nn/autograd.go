@@ -21,6 +21,7 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -104,8 +105,9 @@ func newOp(value *tensor.Tensor, back func(g *tensor.Tensor), parents ...*Node) 
 
 // Backward runs reverse-mode differentiation from loss, which must hold a
 // single element (a scalar loss). Gradients accumulate into every Param
-// reachable from loss; call Params' ZeroGrad (or SGD.ZeroGrad) between
-// optimization steps.
+// reachable from loss, which must have gradient storage (Tape.LendGrads,
+// NewSGD); call Params' ZeroGrad (or SGD.ZeroGrad) between optimization
+// steps.
 func Backward(loss *Node) error {
 	if loss.Value.Len() != 1 {
 		return fmt.Errorf("nn: Backward requires a scalar loss, got shape %v", loss.Value.Shape())
@@ -114,6 +116,12 @@ func Backward(loss *Node) error {
 		return nil // loss does not depend on any parameter
 	}
 	order := topoSort(loss)
+	for _, n := range order {
+		// A parameter leaf: its gradient is the Param's.
+		if n.back == nil && n.grad != nil && n.grad.Len() != n.Value.Len() {
+			return errors.New("nn: Backward into a parameter with no gradient storage: lend the model's gradients (Tape.LendGrads) or build its optimizer (NewSGD) first")
+		}
+	}
 	loss.Grad().Data()[0] = 1
 	// Reverse topological order: each node's grad is complete before its
 	// backward closure distributes it to parents.

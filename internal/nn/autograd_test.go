@@ -15,6 +15,7 @@ import (
 func gradCheck(t *testing.T, params []*Param, loss func() *Node, tol float64) {
 	t.Helper()
 	build := func() *Node { return loss() }
+	lendGrads(t, params...)
 
 	// Analytic gradients.
 	for _, p := range params {
@@ -137,6 +138,7 @@ func TestGradL2NormalizeRows(t *testing.T) {
 
 func TestL2NormalizeZeroRowPassThrough(t *testing.T) {
 	p := NewParam("p", 2, 3)
+	lendGrads(t, p)
 	p.Value.SetRow(0, []float64{3, 4, 0})
 	// row 1 stays zero
 	out := L2NormalizeRows(p.Node())

@@ -51,6 +51,7 @@ func BenchmarkLinearActReLUSparse(b *testing.B) {
 	}
 	arena := tensor.NewArena()
 	tp := NewTape(arena)
+	lendGrads(b, lin.Params()...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -129,6 +130,7 @@ func BenchmarkNTXentForwardBackward(b *testing.B) {
 	for i, d := 0, h.Value.Data(); i < len(d); i++ {
 		d[i] = rng.NormFloat64()
 	}
+	lendGrads(b, h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -47,6 +47,7 @@ func TestFusedBitIdenticalToUnfused(t *testing.T) {
 	defer tensor.SetWorkers(tensor.Workers())
 
 	net := fusedTestNet(41)
+	lendGrads(t, net.Params()...)
 	x := tensor.RandN(rand.New(rand.NewSource(42)), 1, 7, 8)
 
 	for _, workers := range []int{1, 2, 4} {
@@ -81,6 +82,7 @@ func TestLinearActMatchesUnfusedChain(t *testing.T) {
 	w := randParam(rng, "w", 6, 3)
 	b := randParam(rng, "b", 1, 3)
 	x := tensor.RandN(rng, 1, 4, 6)
+	lendGrads(t, w, b)
 
 	unfused := func(xn *Node, act ActKind) *Node {
 		pre := AddBias(MatMul(xn, w.Node()), b.Node())
@@ -155,6 +157,7 @@ func TestTapeLifecycle(t *testing.T) {
 	arena := tensor.NewArena()
 	tp := NewTape(arena)
 	net := fusedTestNet(51)
+	lendGrads(t, net.Params()...)
 	x := tensor.RandN(rand.New(rand.NewSource(52)), 1, 5, 8)
 
 	step := func() float64 {
@@ -254,6 +257,7 @@ func TestReLUSpecialValues(t *testing.T) {
 	x := tensor.New(1, 1)
 	x.Data()[0] = 1
 	w, b := NewParam("w", 1, n), NewParam("b", 1, n)
+	lendGrads(t, w, b)
 	copy(w.Value.Data(), reluTable)
 	for j := range b.Value.Data() {
 		b.Value.Data()[j] = math.Copysign(0, -1) // v + (−0) is v

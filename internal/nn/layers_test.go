@@ -229,9 +229,9 @@ func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 
 func TestSGDClipGradNorm(t *testing.T) {
 	l := &Linear{W: NewParam("w", 2, 2), B: NewParam("b", 1, 2)}
+	opt := NewSGD(l, 0.1, 0, 0) // binds the gradients storage of their own
 	l.W.Grad.Fill(3)
 	l.B.Grad.Fill(4)
-	opt := NewSGD(l, 0.1, 0, 0)
 	pre := opt.ClipGradNorm(1.0)
 	if pre <= 1 {
 		t.Fatalf("pre-clip norm = %v, should exceed 1", pre)
@@ -256,8 +256,8 @@ func TestSGDClipGradNorm(t *testing.T) {
 
 func TestSGDZeroGrad(t *testing.T) {
 	l := &Linear{W: NewParam("w", 2, 2), B: NewParam("b", 1, 2)}
-	l.W.Grad.Fill(5)
 	opt := NewSGD(l, 0.1, 0, 0)
+	l.W.Grad.Fill(5)
 	opt.ZeroGrad()
 	for _, g := range l.W.Grad.Data() {
 		if g != 0 {

@@ -3,9 +3,11 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
+	"calibre/internal/param"
 	"calibre/internal/tensor"
 )
 
@@ -14,6 +16,18 @@ import (
 type handBuilt struct{ params []*Param }
 
 func (h handBuilt) Params() []*Param { return h.params }
+
+// lendGrads lends ps their gradients, cleared, as a local update does
+// (Tape.LendGrads), until the test ends: what a test that backpropagates
+// into parameters outside a trainer binds them to. Parameters built apart
+// are laid out into one values vector first.
+func lendGrads(t testing.TB, ps ...*Param) []float64 {
+	tp := NewTape(nil)
+	t.Cleanup(tp.returnGrads)
+	g := tp.LendGrads(handBuilt{ps})
+	clear(g)
+	return g
+}
 
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -28,13 +42,28 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestConstructedModuleIsOneVector: a module from the constructors is laid
-// out as it is built — Values and Grads are the parameters' own storage, in
-// Params() order, with the weights the per-layer constructors draw.
+// out as it is built — Values is the parameters' own storage, in Params()
+// order, with the weights the per-layer constructors draw — and has no
+// gradient storage until a local update lends it one vector, whose windows
+// are the parameters' gradients in the same order.
 func TestConstructedModuleIsOneVector(t *testing.T) {
 	m := MLP(rand.New(rand.NewSource(1)), "m", 5, 7, 3)
-	values, grads := Values(m), Grads(m)
-	if len(values) != MLPSize(5, 7, 3) || len(values) != ParamCount(m) || len(grads) != len(values) {
-		t.Fatalf("Values has %d elements, Grads %d, the model %d (MLPSize %d)", len(values), len(grads), ParamCount(m), MLPSize(5, 7, 3))
+	values := Values(m)
+	if len(values) != MLPSize(5, 7, 3) || len(values) != ParamCount(m) {
+		t.Fatalf("Values has %d elements, the model %d (MLPSize %d)", len(values), ParamCount(m), MLPSize(5, 7, 3))
+	}
+	for _, p := range m.Params() {
+		if p.Grad.Data() != nil || p.Grad.Rows() != p.Value.Rows() || p.Grad.Cols() != p.Value.Cols() {
+			t.Fatalf("parameter %s: gradient of shape %v with %d elements before any lend, want its value's shape and no storage",
+				p.Name, p.Grad.Shape(), p.Grad.Len())
+		}
+	}
+	if Grads(m) != nil {
+		t.Fatal("Grads of a model that was never lent gradients must be nil")
+	}
+	grads := lendGrads(t, m.Params()...)
+	if len(grads) != len(values) {
+		t.Fatalf("the lent gradient vector has %d elements, the model %d", len(grads), len(values))
 	}
 	off := 0
 	for _, p := range m.Params() {
@@ -60,17 +89,93 @@ func TestConstructedModuleIsOneVector(t *testing.T) {
 		t.Fatal("a write to Values did not reach the parameter")
 	}
 	m.Params()[3].Grad.Data()[1] = -7
-	if grads[len(grads)-2] != -7 {
-		t.Fatal("a write to a parameter's gradient did not reach Grads")
+	if grads[len(grads)-2] != -7 || Grads(m)[len(grads)-2] != -7 {
+		t.Fatal("a write to a parameter's gradient did not reach the lent vector")
 	}
 	if cap(values) != len(values) || cap(Values(m.Layers[0].(*Linear))) != LinearSize(5, 7) {
 		t.Fatal("a vector handed out must not be appendable into its neighbour")
 	}
 }
 
+// TestLayoutAllocatesNoGradients: building a model allocates its values
+// vector and no gradient vector, which the model would otherwise keep for
+// life; a local update lends one instead.
+func TestLayoutAllocatesNoGradients(t *testing.T) {
+	const in, hidden, out = 64, 256, 64
+	vector := uint64(8 * MLPSize(in, hidden, out))
+	var built *Sequential
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	built = MLP(rand.New(rand.NewSource(9)), "m", in, hidden, out)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= vector+vector/10 {
+		t.Fatalf("building a model of %d bytes of values allocated %d bytes: a gradient vector is kept beside it", vector, got)
+	}
+	if Grads(built) != nil {
+		t.Fatal("a built model has gradient storage")
+	}
+}
+
+// TestLentGradsPerRunningTrainer: local updates running at once are lent
+// distinct gradient vectors, each the storage of its own model's gradients
+// for the length of the update, and every one is back in the process's pool
+// once they have released their tapes, with the models left without
+// gradient storage. The pool serves every trainer of a process, so this is a
+// test to run under -race.
+func TestLentGradsPerRunningTrainer(t *testing.T) {
+	const lenders = 4
+	lent := make([][]float64, lenders)
+	models := make([]*Sequential, lenders)
+	var holding, done sync.WaitGroup
+	holding.Add(lenders)
+	done.Add(lenders)
+	release := make(chan struct{})
+	for i := range lent {
+		go func() {
+			defer done.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
+			m := MLP(rng, "lend", 6, 5, 3)
+			tp := BorrowTape()
+			g := tp.LendGrads(m)
+			models[i], lent[i] = m, g
+			clear(g)
+			loss := CrossEntropy(m.Forward(InputOn(tp, tensor.RandN(rng, 1, 4, 6))), tp.Ints(4))
+			if err := Backward(loss); err != nil {
+				t.Error(err)
+			}
+			if VecNorm2(g) == 0 {
+				t.Error("a backward pass left the lent vector untouched")
+			}
+			holding.Done()
+			<-release // every lender holds its gradients, written, at once
+			tp.Release()
+		}()
+	}
+	holding.Wait()
+	heldIdle := param.Idle()
+	close(release)
+	done.Wait()
+	afterIdle := param.Idle()
+
+	for i, g := range lent {
+		for j := range i {
+			if &g[0] == &lent[j][0] {
+				t.Fatalf("lenders %d and %d were lent one gradient vector", j, i)
+			}
+		}
+		if Grads(models[i]) != nil {
+			t.Fatalf("model %d keeps gradient storage after its update released it", i)
+		}
+	}
+	if afterIdle-heldIdle != lenders {
+		t.Fatalf("the pool holds %d more vectors after %d lenders released, want all %d back", afterIdle-heldIdle, lenders, lenders)
+	}
+}
+
 // TestHandBuiltModuleIsLaidOutOnFirstUse: parameters that were built apart
-// are moved into one layout, contents included, by the first whole-model
-// operation; later ones find them there.
+// are moved into one layout, values included, by the first whole-model
+// operation; later ones find them there. Their gradient headers stay, with
+// no storage until a lend binds them to windows of one vector.
 func TestHandBuiltModuleIsLaidOutOnFirstUse(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a, b := NewLinear(rng, 4, 3, "a"), NewLinear(rng, 3, 2, "b")
@@ -78,37 +183,39 @@ func TestHandBuiltModuleIsLaidOutOnFirstUse(t *testing.T) {
 	extra.InitHe(rng, 2)
 	m := handBuilt{append(append(a.Params(), b.Params()...), extra)}
 	var want []float64
-	for i, p := range m.Params() {
-		p.Grad.Fill(float64(i + 1))
+	for _, p := range m.Params() {
 		want = append(want, p.Value.Data()...)
 	}
-	node := a.W.Node()
+	node, grad := a.W.Node(), a.W.Grad
 
 	values := Values(m)
 	if !sameBits(values, want) {
 		t.Fatal("laying a module out changed its values")
 	}
 	off := 0
-	for i, p := range m.Params() {
+	for _, p := range m.Params() {
 		if &p.Value.Data()[0] != &values[off] {
 			t.Fatalf("parameter %s was not rebound into the layout", p.Name)
 		}
-		if p.Grad.At(0, 0) != float64(i+1) {
-			t.Fatalf("parameter %s lost its gradient in the move", p.Name)
+		if p.Grad.Data() != nil {
+			t.Fatalf("parameter %s gained gradient storage in the move", p.Name)
 		}
 		if p.Value.Rows()*p.Value.Cols() != p.Value.Len() {
 			t.Fatalf("parameter %s lost its shape: %v", p.Name, p.Value.Shape())
 		}
 		off += p.Value.Len()
 	}
-	if a.W.Node() == node || a.W.Node().Value != a.W.Value {
-		t.Fatal("the cached leaf must follow the parameter into the layout")
+	if a.W.Node() == node || a.W.Node().Value != a.W.Value || a.W.Grad != grad {
+		t.Fatal("the cached leaf must follow the parameter into the layout, the gradient header stay")
 	}
 	if again := Values(m); &again[0] != &values[0] {
 		t.Fatal("a second Values laid the module out again")
 	}
-	if g := Grads(m); g[0] != 1 || g[len(g)-1] != 5 {
-		t.Fatalf("Grads after the move: first %v last %v", g[0], g[len(g)-1])
+	// A lend repoints the gradient headers: the cached leaf stays valid.
+	leaf := a.W.Node()
+	g := lendGrads(t, m.Params()...)
+	if a.W.Node() != leaf || &Grads(m)[0] != &g[0] || len(Grads(m)) != len(values) {
+		t.Fatal("a lend must bind the gradients to one vector under the same headers")
 	}
 	// A part of the laid-out module is a run of it.
 	if sub := Values(b); &sub[0] != &values[LinearSize(4, 3)] {
@@ -146,7 +253,7 @@ func TestFlattenCopiesUnflattenLoads(t *testing.T) {
 func TestParamsAndOptimizerAllocations(t *testing.T) {
 	m := MLP(rand.New(rand.NewSource(4)), "m", 8, 8, 8, 4)
 	lin := m.Layers[0].(*Linear)
-	m.Params()
+	lendGrads(t, m.Params()...)
 	for name, fn := range map[string]func(){
 		"Linear.Params":     func() { lin.Params() },
 		"Sequential.Params": func() { m.Params() },
@@ -220,7 +327,7 @@ func TestSGDOverASubsetTouchesOnlyItsRanges(t *testing.T) {
 		m := MLP(rand.New(rand.NewSource(5)), "m", 6, 5, 4, 3)
 		ps := m.Params() // l0.W l0.B l1.W l1.B l2.W l2.B
 		rng := rand.New(rand.NewSource(6))
-		for i, g := 0, Grads(m); i < len(g); i++ {
+		for i, g := 0, lendGrads(t, ps...); i < len(g); i++ {
 			g[i] = rng.NormFloat64()
 		}
 		return m, handBuilt{[]*Param{ps[0], ps[1], ps[4], ps[5]}} // first and last layer
@@ -259,15 +366,19 @@ func TestSGDOverASubsetTouchesOnlyItsRanges(t *testing.T) {
 }
 
 // TestVelocityIsBorrowedZeroedAndShared: a released velocity serves the next
-// optimizer from zero, whatever it held; optimizers running at once never
-// share one (run under -race).
+// optimizer from zero, and a released gradient vector the next update as
+// if it were, whatever they held; updates running at once never share one
+// (run under -race).
 func TestVelocityIsBorrowedZeroedAndShared(t *testing.T) {
 	train := func(seed int64) []float64 {
 		m := MLP(rand.New(rand.NewSource(seed)), "m", 4, 6, 2)
 		x := tensor.RandN(rand.New(rand.NewSource(seed+1)), 1, 8, 4)
+		tp := BorrowTape()
+		defer tp.Release()
+		grads := tp.LendGrads(m)
 		loop := StepLoop{
 			Opt:   NewSGD(m, 0.1, 0.9, 0),
-			Grads: Grads(m),
+			Grads: grads,
 			Loss:  func() (*Node, error) { return CrossEntropy(ForwardTensor(m, x), []int{0, 1, 0, 1, 1, 0, 1, 0}), nil },
 		}
 		if _, err := loop.Run(4); err != nil {
@@ -278,7 +389,7 @@ func TestVelocityIsBorrowedZeroedAndShared(t *testing.T) {
 		}
 		return Flatten(m)
 	}
-	alone := train(7) // leaves a velocity full of momentum in the pool
+	alone := train(7) // leaves a velocity full of momentum and gradients in the pool
 	if !sameBits(train(7), alone) {
 		t.Fatal("a recycled velocity changed a run: it must come back zeroed")
 	}
@@ -297,6 +408,22 @@ func TestVelocityIsBorrowedZeroedAndShared(t *testing.T) {
 			t.Fatalf("concurrent run %d diverged: optimizers shared a velocity", i)
 		}
 	}
+}
+
+// TestSGDRefusesGradientsItsParametersLeft: an optimizer built before a
+// local update lent the gradients would step by storage no backward pass
+// writes; Step panics instead.
+func TestSGDRefusesGradientsItsParametersLeft(t *testing.T) {
+	m := MLP(rand.New(rand.NewSource(10)), "m", 3, 2)
+	opt := NewSGD(m, 0.1, 0, 0) // binds gradient storage of the model's own
+	opt.Step()
+	lendGrads(t, m.Params()...)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Step on gradients the parameters have left must panic")
+		}
+	}()
+	opt.Step()
 }
 
 // TestSGDRefusesStorageItsParametersLeft: an optimizer built over parts that

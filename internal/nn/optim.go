@@ -2,7 +2,8 @@ package nn
 
 import (
 	"math"
-	"sync"
+
+	"calibre/internal/param"
 )
 
 // SGD is stochastic gradient descent with optional classical momentum and
@@ -17,7 +18,7 @@ type SGD struct {
 	// encoder of one — so every pass below is a flat loop per run.
 	spans []span
 	// velocity is one vector over all spans, borrowed on the first momentum
-	// step and handed back by Release.
+	// step (param.Borrow) and handed back by Release.
 	velocity []float64
 }
 
@@ -31,10 +32,16 @@ type span struct {
 
 // NewSGD creates an SGD optimizer over m's parameters, which may be any
 // subset of a model's (a frozen encoder leaves the head's). It binds to the
-// parameters' storage as it is now and allocates none of its own.
+// parameters' storage as it is now: inside a local update, build it after
+// the update's gradients are lent (Tape.LendGrads). Parameters whose
+// gradients have no storage — a module stepped by hand, outside any local
+// update — get one vector of their own, which they keep; this is the only
+// storage NewSGD allocates.
 func NewSGD(m Module, lr, momentum, weightDecay float64) *SGD {
 	s := &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
-	for _, p := range m.Params() {
+	ps := m.Params()
+	ownGrads(ps)
+	for _, p := range ps {
 		v, g := p.Value.Data(), p.Grad.Data()
 		if len(v) == 0 {
 			continue
@@ -49,6 +56,28 @@ func NewSGD(m Module, lr, momentum, weightDecay float64) *SGD {
 	return s
 }
 
+// ownGrads binds the gradients of those parameters that have no storage to
+// consecutive windows of one new vector.
+func ownGrads(ps []*Param) {
+	n := 0
+	for _, p := range ps {
+		if p.Grad.Data() == nil {
+			n += p.Value.Len()
+		}
+	}
+	if n == 0 {
+		return
+	}
+	g := make([]float64, n)
+	for _, p := range ps {
+		if p.Grad.Data() == nil {
+			k := p.Value.Len()
+			p.Grad.Repoint(g[:k])
+			g = g[k:]
+		}
+	}
+}
+
 // Step applies one update using the currently accumulated gradients.
 func (s *SGD) Step() {
 	if s.Momentum != 0 && s.velocity == nil {
@@ -56,13 +85,17 @@ func (s *SGD) Step() {
 		for _, sp := range s.spans {
 			n += len(sp.value)
 		}
-		s.velocity = velocities.borrow(n)
+		s.velocity = param.Borrow(n)
+		clear(s.velocity)
 	}
 	off := 0
 	for _, sp := range s.spans {
 		v, g := sp.value, sp.grad[:len(sp.value)]
 		if &sp.head.Value.Data()[0] != &v[0] {
 			panic("nn: SGD.Step after its parameters were laid out again: build the optimizer once the model is laid out (Values)")
+		}
+		if hg := sp.head.Grad.Data(); len(hg) == 0 || &hg[0] != &g[0] {
+			panic("nn: SGD.Step on gradients its parameters no longer have: build the optimizer after the update's gradients are lent (Tape.LendGrads)")
 		}
 		if s.Momentum != 0 {
 			vel := s.velocity[off:][:len(v)]
@@ -87,7 +120,7 @@ func (s *SGD) Step() {
 // leaves its velocity to the garbage collector.
 func (s *SGD) Release() {
 	if s.velocity != nil {
-		velocities.giveBack(s.velocity)
+		param.GiveBack(s.velocity)
 		s.velocity = nil
 	}
 }
@@ -121,46 +154,4 @@ func (s *SGD) ClipGradNorm(maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// velocities lends optimizers their momentum vectors. A velocity lives for
-// one local update, so what the process keeps is one vector per trainer
-// running at once — not one per client model, which is what a velocity kept
-// beside each model would come to. Step tapes are lent the same way (tapes).
-var velocities velocityPool
-
-type velocityPool struct {
-	mu   sync.Mutex
-	free [][]float64
-}
-
-// borrow returns a zeroed vector of n elements: the smallest free one that
-// holds n, or a new one.
-func (p *velocityPool) borrow(n int) []float64 {
-	p.mu.Lock()
-	best := -1
-	for i, v := range p.free {
-		if cap(v) >= n && (best < 0 || cap(v) < cap(p.free[best])) {
-			best = i
-		}
-	}
-	var v []float64
-	if best >= 0 {
-		last := len(p.free) - 1
-		v, p.free[best], p.free[last] = p.free[best], p.free[last], nil
-		p.free = p.free[:last]
-	}
-	p.mu.Unlock()
-	if v == nil {
-		return make([]float64, n)
-	}
-	v = v[:n]
-	clear(v)
-	return v
-}
-
-func (p *velocityPool) giveBack(v []float64) {
-	p.mu.Lock()
-	p.free = append(p.free, v)
-	p.mu.Unlock()
 }

@@ -22,18 +22,12 @@ func trainStepGrads(t *testing.T, workers int) []float64 {
 	for i := range targets {
 		targets[i] = rng.Intn(10)
 	}
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
+	grads := lendGrads(t, m.Params()...)
 	loss := CrossEntropy(ForwardTensor(m, x), targets)
 	if err := Backward(loss); err != nil {
 		t.Fatal(err)
 	}
-	var grads []float64
-	for _, p := range m.Params() {
-		grads = append(grads, p.Grad.Data()...)
-	}
-	return grads
+	return append([]float64(nil), grads...)
 }
 
 // TestTrainStepDeterministicAcrossWorkerCounts asserts the end-to-end

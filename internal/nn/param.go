@@ -10,10 +10,13 @@ import (
 	"calibre/internal/tensor"
 )
 
-// Param is a trainable tensor with an accumulated gradient. Value and Grad
-// are views (tensor.View) into storage a Layout carved: a module built by
+// Param is a trainable tensor with an accumulated gradient. Value is a view
+// (tensor.View) into the values vector a Layout carved: a module built by
 // this repository's constructors has all its parameters' values in one
-// vector and all their gradients in another, in Params() order (see Values).
+// vector, in Params() order (see Values). Grad is a header of the same shape
+// whose storage is lent only while the parameter trains (Tape.LendGrads):
+// between local updates it has none, and its header — so the cached leaf
+// Node holds — stays the same across lends.
 type Param struct {
 	Name  string
 	Value *tensor.Tensor
@@ -22,25 +25,30 @@ type Param struct {
 	node *Node // cached leaf, rebuilt if Value/Grad are rebound
 }
 
-// Layout is the owner of a module's parameter storage while the module is
-// being built: one vector for values and one for gradients, sized up front,
-// from which the constructors carve their parameters one after the other —
-// so the finished module's Params() are consecutive windows into the two
-// vectors and loading, returning and stepping the whole model are flat
-// loops (Values, Grads, Unflatten, SGD). What a Layout holds is what is
-// still uncarved; the parameters keep the storage alive.
+// Layout is the owner of a module's parameter values while the module is
+// being built: one vector, sized up front, from which the constructors carve
+// their parameters one after the other — so the finished module's Params()
+// are consecutive windows into it and loading, returning and stepping the
+// whole model are flat loops (Values, Unflatten, SGD). What a Layout holds is
+// what is still uncarved; the parameters keep the storage alive.
+//
+// A layout carves no gradients. A local update binds a model's gradients to
+// one vector it borrows for its length (Tape.LendGrads), so the process keeps
+// gradient storage per trainer running, not per model. The only other
+// storage gradients get is what NewSGD binds to parameters that have none,
+// for a caller that steps a module by hand outside a local update.
 type Layout struct {
-	values, grads []float64
+	values []float64
 }
 
 // NewLayout returns a layout with room for n scalars, all zero. Size it with
 // LinearSize / MLPSize: a parameter that does not fit panics.
 func NewLayout(n int) *Layout {
-	return &Layout{values: make([]float64, n), grads: make([]float64, n)}
+	return &Layout{values: make([]float64, n)}
 }
 
-// NewParam carves the layout's next parameter, zero-valued. A nil layout
-// gives the parameter storage of its own.
+// NewParam carves the layout's next parameter, zero-valued and with no
+// gradient storage. A nil layout gives the parameter storage of its own.
 func (l *Layout) NewParam(name string, shape ...int) *Param {
 	n := 1
 	for _, d := range shape {
@@ -52,10 +60,10 @@ func (l *Layout) NewParam(name string, shape ...int) *Param {
 	if n > len(l.values) {
 		panic(fmt.Sprintf("nn: parameter %q of shape %v does not fit the %d scalars left in its layout", name, shape, len(l.values)))
 	}
-	// The views keep the capacity up to the end of the vector: that is what
-	// lets joined recognize the next parameter as their continuation.
-	p := &Param{Name: name, Value: tensor.View(l.values[:n], shape...), Grad: tensor.View(l.grads[:n], shape...)}
-	l.values, l.grads = l.values[n:], l.grads[n:]
+	// The view keeps the capacity up to the end of the vector: that is what
+	// lets joined recognize the next parameter as its continuation.
+	p := &Param{Name: name, Value: tensor.View(l.values[:n], shape...), Grad: tensor.Unbound(shape...)}
+	l.values = l.values[n:]
 	return p
 }
 
@@ -116,20 +124,27 @@ func ParamCount(m Module) int {
 // Layout is already such a vector and the call costs a walk over its
 // parameter list; one assembled by hand from separately built parts is laid
 // out on the first call — fresh storage, contents copied, every Param's
-// Value and Grad rebound to views of it — which invalidates what was derived
-// from the old tensors (an SGD built earlier).
-func Values(m Module) param.Vector { return flat(m.Params(), false) }
-
-// Grads is Values for the accumulated gradients.
-func Grads(m Module) param.Vector { return flat(m.Params(), true) }
-
-func flat(ps []*Param, grads bool) param.Vector {
-	v, ok := joined(ps, grads)
+// Value rebound to a view of it — which invalidates what was derived from
+// the old tensors (an SGD built earlier).
+func Values(m Module) param.Vector {
+	ps := m.Params()
+	v, ok := joined(ps, false)
 	if !ok {
 		layOut(ps)
-		if v, ok = joined(ps, grads); !ok {
+		if v, ok = joined(ps, false); !ok {
 			panic("nn: a module lists one parameter twice")
 		}
+	}
+	return v
+}
+
+// Grads returns the vector m's gradients are bound to, in Params() order: a
+// local update's (Tape.LendGrads), or what NewSGD bound. It is nil while they
+// have no storage, and it panics if they are not one vector.
+func Grads(m Module) param.Vector {
+	v, ok := joined(m.Params(), true)
+	if !ok {
+		panic("nn: the module's gradients are not bound to one vector")
 	}
 	return v
 }
@@ -162,18 +177,32 @@ func follows(run, next []float64) bool {
 	return cap(run)-len(run) >= len(next) && &run[:len(run)+1][len(run)] == &next[0]
 }
 
-// layOut moves the parameters, contents included, into one fresh Layout.
+// layOut moves the parameters' values, in order, into one fresh vector.
+// Their gradient headers stay as they are.
 func layOut(ps []*Param) {
 	n := 0
 	for _, p := range ps {
 		n += p.Value.Len()
 	}
-	l := NewLayout(n)
+	v := make([]float64, n)
 	for _, p := range ps {
-		q := l.NewParam(p.Name, p.Value.Shape()...)
-		copy(q.Value.Data(), p.Value.Data())
-		copy(q.Grad.Data(), p.Grad.Data())
-		p.Value, p.Grad = q.Value, q.Grad
+		n := p.Value.Len()
+		copy(v, p.Value.Data())
+		// Like a Layout's, the view keeps the capacity to the end of v.
+		p.Value = tensor.View(v[:n], p.Value.Shape()...)
+		v = v[n:]
+	}
+}
+
+// bindGrads points the parameters' gradients at consecutive windows of g,
+// in order. Each window keeps the capacity to the end of g, so the
+// gradients tile one vector (joined, NewSGD's runs).
+func bindGrads(ps []*Param, g []float64) {
+	off := 0
+	for _, p := range ps {
+		n := p.Value.Len()
+		p.Grad.Repoint(g[off : off+n])
+		off += n
 	}
 }
 

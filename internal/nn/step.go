@@ -17,13 +17,15 @@ import "fmt"
 type StepLoop struct {
 	// Tape is the allocation tape Loss builds its graph on; Run resets it
 	// at the end of every step. Nil trains on the heap. The trainers borrow
-	// it for the call (BorrowTape) and release it after Run returns.
+	// it for the call (BorrowTape), lend the model its gradients from it
+	// (LendGrads) and release it after Run returns.
 	Tape *Tape
 	// Opt updates the trainable parameters. Its velocity is the local
 	// update's: Run releases it on return.
 	Opt *SGD
 	// Grads is the gradient vector of every parameter Loss can reach,
-	// trainable or frozen (see Grads); it is cleared before each Backward.
+	// trainable or frozen (what Tape.LendGrads returns); it is cleared
+	// before each Backward, so it may be lent as a last borrower left it.
 	Grads []float64
 	// ClipNorm bounds the global gradient norm of Opt's parameters; 0
 	// disables clipping.

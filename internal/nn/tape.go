@@ -3,6 +3,7 @@ package nn
 import (
 	"sync"
 
+	"calibre/internal/param"
 	"calibre/internal/tensor"
 )
 
@@ -21,16 +22,23 @@ import (
 // before Reset — StepLoop.Run is the one call site that manages this
 // lifecycle.
 //
-// A nil *Tape is valid everywhere and degrades to plain heap allocation, as
-// does a Tape over a nil arena. A Tape is NOT safe for concurrent use: one
-// serves one training worker at a time. The trainers borrow theirs from a
-// process-wide pool for the length of one local update (BorrowTape, Release),
-// so the process keeps one tape, and the arena under it, per trainer running
-// at once — not one per client model it ever trained. A tape built with
-// NewTape belongs to its caller.
+// A nil *Tape is valid everywhere but LendGrads and degrades to plain heap
+// allocation, as does a Tape over a nil arena. A Tape is NOT safe for
+// concurrent use: one serves one training worker at a time. The trainers
+// borrow theirs from a process-wide pool for the length of one local update
+// (BorrowTape, Release), so the process keeps one tape, and the arena under
+// it, per trainer running at once — not one per client model it ever
+// trained. A tape built with NewTape belongs to its caller. The tape also
+// lends the update its model's gradients (LendGrads), which Release gives
+// back with it.
 type Tape struct {
 	arena *tensor.Arena
 	taken []*tensor.Tensor
+
+	// grads is the gradient vector LendGrads lent, bound to gradsOf's
+	// gradients until returnGrads.
+	grads   param.Vector
+	gradsOf []*Param
 
 	// nodes is a recycled Node slab: ops on a taped graph draw their Node
 	// headers from here instead of the heap, and Reset reclaims the slots.
@@ -69,14 +77,49 @@ func (tp *Tape) Arena() *tensor.Arena {
 // uninitialised is only for borrowers that overwrite it whole.
 func BorrowTape() *Tape { return tapes.borrow() }
 
-// Release resets a tape BorrowTape lent and gives it back for another local
-// update to borrow; the tape must not be used after. It keeps the buffers of
-// every shape it has served.
-func (tp *Tape) Release() { tapes.giveBack(tp) }
+// Release gives back the gradients the tape lent (LendGrads), then resets
+// the tape, which BorrowTape lent, and gives it back for another local update
+// to borrow; the tape must not be used after. It keeps the buffers of every
+// shape it has served.
+func (tp *Tape) Release() {
+	tp.returnGrads()
+	tapes.giveBack(tp)
+}
 
-// tapes lends local updates their step tapes, as velocities lends their
-// momentum vectors: a tape lives for one local update, so the process keeps
-// one per trainer running at once.
+// LendGrads binds m's gradients, in Params() order, to one vector borrowed
+// from the process's pool of parameter-sized vectors (param.Borrow), and
+// returns it: the local update's gradient storage, which Release unbinds and
+// gives back. So a model keeps no gradients between local updates, and the
+// process keeps one gradient vector per trainer running at once. The vector
+// comes as its last borrower left it; StepLoop.Run clears it before every
+// Backward. Lend before building the update's optimizer (NewSGD binds to the
+// gradients as they are then); a module assembled by hand is laid out first
+// (Values). A tape lends one module's gradients at a time: lending again
+// gives the last ones back first.
+func (tp *Tape) LendGrads(m Module) param.Vector {
+	tp.returnGrads()
+	n := len(Values(m))
+	tp.grads, tp.gradsOf = param.Borrow(n), m.Params()
+	bindGrads(tp.gradsOf, tp.grads)
+	return tp.grads
+}
+
+// returnGrads unbinds the gradients LendGrads bound and gives their vector
+// back, if the tape lent one.
+func (tp *Tape) returnGrads() {
+	if tp.grads == nil {
+		return
+	}
+	for _, p := range tp.gradsOf {
+		p.Grad.Repoint(nil)
+	}
+	param.GiveBack(tp.grads)
+	tp.grads, tp.gradsOf = nil, nil
+}
+
+// tapes lends local updates their step tapes, as param's pool lends their
+// gradients and momentum vectors: a tape lives for one local update, so the
+// process keeps one per trainer running at once.
 var tapes tapePool
 
 type tapePool struct {

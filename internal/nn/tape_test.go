@@ -31,6 +31,7 @@ func TestTapePoolLendsOneTapePerBorrower(t *testing.T) {
 			lent[i] = tp
 			rng := rand.New(rand.NewSource(int64(i)))
 			layer := NewLinear(rng, 6, 3, "pool")
+			NewSGD(layer, 0, 0, 0) // gradient storage of its own
 			loss := CrossEntropy(layer.Forward(InputOn(tp, tensor.RandN(rng, 1, 4, 6))), tp.Ints(4))
 			if err := Backward(loss); err != nil {
 				t.Error(err)

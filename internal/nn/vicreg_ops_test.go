@@ -24,6 +24,7 @@ func TestGradVarianceHinge(t *testing.T) {
 func TestVarianceHingeInactiveAboveGamma(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := NewParam("x", 20, 3)
+	lendGrads(t, x)
 	for i, d := 0, x.Value.Data(); i < len(d); i++ {
 		d[i] = rng.NormFloat64() * 10 // std ≈ 10 ≫ γ=1
 	}
@@ -54,6 +55,7 @@ func TestVarianceHingeCollapsedColumns(t *testing.T) {
 
 func TestVarianceHingeTinyBatch(t *testing.T) {
 	x := NewParam("x", 1, 3)
+	lendGrads(t, x)
 	l := VarianceHinge(x.Node(), 1.0, 1e-4)
 	if l.Value.At(0, 0) != 0 {
 		t.Fatal("n<2 variance hinge should be zero")

@@ -1,8 +1,10 @@
 // Package param is the update plane's typed parameter representation: the
 // Vector every layer of the runtime exchanges instead of bare []float64
 // slices, the lossless Delta encoding that makes per-round traffic scale
-// with what changed rather than with model size, and the Shard helper that
-// dispatches element-range reductions onto the shared tensor kernel pool.
+// with what changed rather than with model size, the Shard helper that
+// dispatches element-range reductions onto the shared tensor kernel pool,
+// and the process-wide pool that lends the vectors a client needs only while
+// it trains (Borrow, GiveBack).
 //
 // # Delta format
 //

@@ -80,10 +80,11 @@ func TestLiteralTrainableTrainsLikeAConstructedOne(t *testing.T) {
 }
 
 // TestLocalUpdateAllocatesLessThanOneParameterVector: a warmed Train call
-// holds the model in place and borrows its velocity, so what it allocates —
+// holds the model in place and borrows its gradients and velocity, so what
+// it allocates —
 // the batcher, the loop's closures, the ops' — stays under the size of one
-// parameter vector; a velocity or a flattened copy made per call is at
-// least that.
+// parameter vector; a gradient vector, a velocity or a flattened copy made
+// per call is at least that.
 func TestLocalUpdateAllocatesLessThanOneParameterVector(t *testing.T) {
 	tr, err := NewTrainable(rand.New(rand.NewSource(91)), Arch{InputDim: 16, HiddenDim: 128, FeatDim: 64, ProjDim: 32}, NewSimCLR(DefaultTau))
 	if err != nil {
@@ -95,7 +96,7 @@ func TestLocalUpdateAllocatesLessThanOneParameterVector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	train() // warm the trainable's tape and the velocity pool
+	train() // warm the pools: a tape, a gradient vector and a velocity
 	least := uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats

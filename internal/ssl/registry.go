@@ -87,14 +87,15 @@ type LossHook func(ctx *StepContext, methodLoss *nn.Node) (*nn.Node, error)
 // Train runs the local SSL loop over rows (a client's raw samples), mutating
 // the trainable's parameters in place. hook may be nil. It returns the mean
 // total loss per step. Its steps run on a tape borrowed for the call
-// (nn.BorrowTape).
+// (nn.BorrowTape), which also lends the trainable its gradients.
 func Train(rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook LossHook) (float64, error) {
 	tape := nn.BorrowTape()
 	defer tape.Release()
 	return train(tape, rng, t, rows, cfg, hook)
 }
 
-// train is Train on the given tape.
+// train is Train on the given tape, which lends the gradients
+// (Tape.LendGrads) and gives them back when released.
 func train(tape *nn.Tape, rng *rand.Rand, t *Trainable, rows [][]float64, cfg TrainConfig, hook LossHook) (float64, error) {
 	if len(rows) < 2 {
 		return 0, nil // not enough samples to form a contrastive batch
@@ -110,7 +111,7 @@ func train(tape *nn.Tape, rng *rand.Rand, t *Trainable, rows [][]float64, cfg Tr
 	dim := len(rows[0])
 	// Before the optimizer binds to the parameters' storage: a trainable
 	// assembled by hand is laid out here.
-	grads := nn.Grads(t)
+	grads := tape.LendGrads(t)
 	loop := nn.StepLoop{
 		Tape:     tape,
 		Opt:      nn.NewSGD(t, cfg.LR, cfg.Momentum, 0),

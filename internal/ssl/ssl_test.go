@@ -114,9 +114,9 @@ func TestAllMethodsLossAndGradients(t *testing.T) {
 				t.Fatalf("loss = %v", lv)
 			}
 			tr := &Trainable{Backbone: b, Method: m}
-			for _, p := range tr.Params() {
-				p.ZeroGrad()
-			}
+			tape := nn.BorrowTape() // lends the gradients, as a local update's does
+			defer tape.Release()
+			clear(tape.LendGrads(tr))
 			if err := nn.Backward(loss); err != nil {
 				t.Fatalf("Backward: %v", err)
 			}
@@ -202,6 +202,9 @@ func TestMoCoQueueGrowsAndCaps(t *testing.T) {
 		t.Fatalf("factory: %v", err)
 	}
 	m := mi.(*MoCoV2)
+	tape := nn.BorrowTape()
+	defer tape.Release()
+	tape.LendGrads(b)
 	rng := rand.New(rand.NewSource(8))
 	aug := data.DefaultAugmenter()
 	for step := 0; step < 5; step++ {

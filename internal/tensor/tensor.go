@@ -109,6 +109,20 @@ func View(data []float64, shape ...int) *Tensor {
 	return newHeader(shape, data)
 }
 
+// Unbound returns a tensor header of the given shape with no storage yet:
+// Data is nil and Len 0 until Repoint gives it some.
+func Unbound(shape ...int) *Tensor { return newHeader(shape, nil) }
+
+// Repoint points t at data, keeping its shape: the header — and whatever
+// holds it — stays the same while the storage under it changes. data must
+// hold exactly the shape's elements, or be nil to leave t with no storage.
+func (t *Tensor) Repoint(data []float64) {
+	if n := numElements(t.shape); data != nil && len(data) != n {
+		panic(fmt.Sprintf("tensor: Repoint of shape %v (%d elements) at %d elements", t.shape, n, len(data)))
+	}
+	t.data = data
+}
+
 // NewLike returns a zero-filled tensor with t's shape.
 func NewLike(t *Tensor) *Tensor {
 	return newHeader(t.shape, make([]float64, len(t.data)))

@@ -74,6 +74,31 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestRepointKeepsHeaderAndShape: an unbound header has its shape and no
+// storage; Repoint moves the same header onto storage of exactly that many
+// elements and off it again, and refuses any other length.
+func TestRepointKeepsHeaderAndShape(t *testing.T) {
+	h := Unbound(2, 3)
+	if h.Data() != nil || h.Len() != 0 || h.Rows() != 2 || h.Cols() != 3 {
+		t.Fatalf("unbound header: shape %v, %d elements", h.Shape(), h.Len())
+	}
+	buf := []float64{1, 2, 3, 4, 5, 6, 7}
+	h.Repoint(buf[1:7])
+	if h.At(1, 2) != 7 || &h.Data()[0] != &buf[1] {
+		t.Fatal("Repoint must view the storage it is given, in the header's shape")
+	}
+	h.Repoint(nil)
+	if h.Data() != nil || h.Rows() != 2 {
+		t.Fatal("Repoint(nil) must leave the header unbound, shape kept")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Repoint at storage of another length must panic")
+		}
+	}()
+	h.Repoint(buf)
+}
+
 func TestAddSubMulScale(t *testing.T) {
 	a := mustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := mustFromSlice([]float64{5, 6, 7, 8}, 2, 2)
