@@ -57,9 +57,11 @@ go test -race -shuffle=on ./...
 # runs behind the next round): three more shuffled passes over them, and
 # over the codec under them, so a flake shows up here and not in a later PR.
 # nn's process-wide pools (tapes; param's vectors behind its gradients and
-# velocities) are state one test leaves the next: they get the same passes.
-echo "== flake pass: go test -count=3 -shuffle=on (flnet, param, fl, store, nn) =="
-go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ ./internal/store/ ./internal/nn/
+# velocities) are state one test leaves the next, and so are the client
+# values baselines' stateless methods borrow from param's pool: they get the
+# same passes.
+echo "== flake pass: go test -count=3 -shuffle=on (flnet, param, fl, store, nn, baselines) =="
+go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ ./internal/store/ ./internal/nn/ ./internal/baselines/
 
 # The row primitives of internal/tensor have an AVX2 assembly body and a
 # portable Go body that must agree bit for bit. On an AVX2 host the default

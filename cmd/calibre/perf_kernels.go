@@ -208,9 +208,8 @@ func flRound() func() {
 
 // flRoundNewClients is flRound with a new method on every call, so every
 // call meets clients it never trained, as each bench/ repetition does: what
-// a client keeps beyond its model — step buffers kept per client rather than
-// per running trainer, say — shows in its bytes_op, where flRound's warm
-// clients hide it.
+// is kept per client rather than per running trainer — a model or its step
+// buffers, say — shows in its bytes_op, where flRound's warm clients hide it.
 func flRoundNewClients() func() {
 	clients := benchClients()
 	return func() { simulateRounds(flRoundMethod(), clients) }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"calibre/internal/data"
 	"calibre/internal/fl"
@@ -63,11 +64,17 @@ func DefaultConfig(arch ssl.Arch, numClasses int) Config {
 	}
 }
 
-// supBase manages per-client supervised models with a stable parameter
-// layout. It underlies every supervised baseline.
+// supBase manages the supervised models of every supervised baseline. A
+// stateful method keeps one model per client (state); a stateless one, whose
+// model the global overwrites whole before every local update, borrows one
+// for the update (lend), so the process keeps a model per trainer running
+// at once, not per client.
 type supBase struct {
 	cfg    Config
 	states fl.ClientStates[*model.SupModel]
+
+	mu   sync.Mutex
+	idle []*model.SupModel // lend's models no update is training, without values
 }
 
 func newSupBase(cfg Config) *supBase { return &supBase{cfg: cfg} }
@@ -80,6 +87,61 @@ func (b *supBase) state(rng *rand.Rand, id int) (*model.SupModel, bool) {
 		return b.newModel(initRNG), nil
 	})
 	return m, known
+}
+
+// lend returns a model holding global, for one local update of a stateless
+// method, and the vector its values are: borrowed from param's pool, to be
+// the update's Lent payload. It takes the one draw from rng that state takes
+// (fl.ClientStates.Get), so the update trains on the stream a model kept
+// per client would, and a model that was never that client's trains as
+// that client's would: the global overwrites all of it. Give the model back
+// with release once the update is over.
+func (b *supBase) lend(rng *rand.Rand, global param.Vector) (*model.SupModel, param.Vector, error) {
+	rng.Int63()
+	b.mu.Lock()
+	var m *model.SupModel
+	if n := len(b.idle); n > 0 {
+		m, b.idle[n-1] = b.idle[n-1], nil
+		b.idle = b.idle[:n-1]
+	}
+	b.mu.Unlock()
+	if m == nil {
+		m = b.newModel(rand.New(rand.NewSource(0))) // its values are never read: any seed does
+	}
+	if n := nn.ParamCount(m); len(global) != n {
+		b.release(m)
+		return nil, nil, fmt.Errorf("baselines: a global of %d values, the model has %d parameters", len(global), n)
+	}
+	v := param.Borrow(len(global))
+	copy(v, global)
+	nn.BindValues(m, v)
+	return m, v, nil
+}
+
+// release unbinds a lent model from its values, which the update carries
+// on, and keeps the model for the next update.
+func (b *supBase) release(m *model.SupModel) {
+	nn.BindValues(m, nil)
+	b.mu.Lock()
+	b.idle = append(b.idle, m)
+	b.mu.Unlock()
+}
+
+// trainLent is a stateless method's local update: supervised training under
+// cfg of a model lent for it, from global. The update's payload is the
+// vector the model trained in, Lent.
+func (b *supBase) trainLent(rng *rand.Rand, client *partition.Client, global param.Vector, cfg model.SupTrainConfig) (*fl.Update, error) {
+	m, v, err := b.lend(rng, global)
+	if err != nil {
+		return nil, err
+	}
+	loss, err := model.TrainSupervised(rng, m, client.Train, cfg)
+	b.release(m)
+	if err != nil {
+		param.GiveBack(v)
+		return nil, err
+	}
+	return &fl.Update{ClientID: client.ID, Params: v, NumSamples: client.Train.Len(), TrainLoss: loss, Lent: true}, nil
 }
 
 func (b *supBase) newModel(rng *rand.Rand) *model.SupModel {

@@ -57,20 +57,11 @@ func (f *fedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	m, _ := f.state(rng, client.ID)
-	if err := nn.Unflatten(m, global); err != nil {
-		return nil, err
-	}
-	loss, err := model.TrainSupervised(rng, m, client.Train, f.cfg.Train)
+	u, err := f.trainLent(rng, client, global, f.cfg.Train)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: fedavg client %d: %w", client.ID, err)
 	}
-	return &fl.Update{
-		ClientID:   client.ID,
-		Params:     nn.Values(m),
-		NumSamples: client.Train.Len(),
-		TrainLoss:  loss,
-	}, nil
+	return u, nil
 }
 
 func (f *fedAvg) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {
@@ -119,19 +110,15 @@ func (f *perFedAvg) Train(ctx context.Context, rng *rand.Rand, client *partition
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	m, _ := f.state(rng, client.ID)
-	if err := nn.Unflatten(m, global); err != nil {
-		return nil, err
-	}
 	// Inner loop at half the outer learning rate, mimicking the meta
 	// inner/outer step split.
 	cfg := f.cfg.Train
 	cfg.LR = f.adaptLR
-	loss, err := model.TrainSupervised(rng, m, client.Train, cfg)
+	u, err := f.trainLent(rng, client, global, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: perfedavg client %d: %w", client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: nn.Values(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return u, nil
 }
 
 func (f *perFedAvg) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {
@@ -193,13 +180,13 @@ func NewScriptConvergent(cfg Config) *fl.Method {
 	}
 }
 
-// Train is a no-op: Script never federates. It returns the global vector
-// unchanged so the simulator's aggregation is the identity.
+// Train is a no-op: Script never federates. Its payload is the global
+// itself (fl.Trainer), so the aggregation is the identity.
 func (s *script) Train(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*fl.Update, error) {
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	return &fl.Update{ClientID: client.ID, Params: append([]float64(nil), global...), NumSamples: client.Train.Len()}, nil
+	return &fl.Update{ClientID: client.ID, Params: global, NumSamples: client.Train.Len()}, nil
 }
 
 func (s *script) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"calibre/internal/fl"
-	"calibre/internal/model"
 	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/partition"
@@ -48,23 +47,14 @@ func (f *fedProx) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	m, _ := f.state(rng, client.ID)
-	if err := nn.Unflatten(m, global); err != nil {
-		return nil, err
-	}
 	cfg := f.cfg.Train
 	cfg.ProxMu = f.mu
 	cfg.ProxTarget = global
-	loss, err := model.TrainSupervised(rng, m, client.Train, cfg)
+	u, err := f.trainLent(rng, client, global, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: fedprox client %d: %w", client.ID, err)
 	}
-	return &fl.Update{
-		ClientID:   client.ID,
-		Params:     nn.Values(m),
-		NumSamples: client.Train.Len(),
-		TrainLoss:  loss,
-	}, nil
+	return u, nil
 }
 
 func (f *fedProx) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

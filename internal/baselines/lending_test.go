@@ -17,25 +17,40 @@ import (
 	"calibre/internal/tensor"
 )
 
-// The trainers of this package return their client model's own value vector
-// as the update's payload, lent until the round closes (fl.Trainer). witness
-// holds a federation to that contract from both ends: it wraps the method's
-// trainer to copy every payload the moment Train returns, and its aggregator
-// to compare each lent vector with its copy when the round closes — after
-// the transport, the adversary wrapper, the delta codec and the sink have all
-// had it — and to check that no global the round engine hands out is a
-// client's storage.
+// The trainers of this package return as the update's payload either their
+// client model's own value vector, which the client's next update
+// overwrites, or — the stateless methods — a vector borrowed from param's
+// pool for the update (fl.Update.Lent), which the round gives back for any
+// later borrower once it has closed: either way the payload is lent until
+// the round closes (fl.Trainer). So is the vector an adversary puts in its
+// place, borrowed too. witness holds a federation to that contract from both
+// ends: it wraps the trainer the round calls — the adversary's, when there is
+// one — to copy every payload the moment Train returns, and the aggregator to
+// compare each lent vector with its copy when the round closes — after the
+// transport and the sink have had it, and while the round's other trainers
+// borrow from the pool — and to check that no global the round engine hands
+// out is a client's storage.
 type witness struct {
 	t *testing.T
 
 	mu      sync.Mutex
-	lent    map[int]lentPayload // this round's payloads, by client
-	storage map[int][]float64   // each client's last payload vector
-	relent  int                 // payloads that were the vector the client lent before
+	lent    map[int]lentPayload       // this round's payloads, by client
+	storage map[int][]float64         // each client's last payload vector
+	arrays  map[*float64]bool         // every payload's array
+	pooled  map[*float64]param.Vector // the Lent payloads', by array
+	reused  int                       // payloads in an array an earlier payload was in
 	closes  int
 }
 
-type lentPayload struct{ vector, atReturn []float64 }
+func newWitness(t *testing.T) *witness {
+	return &witness{t: t, lent: map[int]lentPayload{}, storage: map[int][]float64{},
+		arrays: map[*float64]bool{}, pooled: map[*float64]param.Vector{}}
+}
+
+type lentPayload struct {
+	vector, atReturn []float64
+	pooled           bool // Lent: borrowed from param's pool
+}
 
 func overlap(a, b []float64) bool {
 	if len(a) == 0 || len(b) == 0 {
@@ -81,13 +96,18 @@ func (w *witness) notAClient(global param.Vector, what string) {
 	}
 }
 
-// roundCloses compares every payload lent this round with its copy.
+// roundCloses compares every payload lent this round with its copy, and
+// checks that no Lent one is back in param's pool yet: the round gives them
+// back after its sink has finished.
 func (w *witness) roundCloses() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for id, p := range w.lent {
 		if !bitsEqual(p.vector, p.atReturn) {
 			w.t.Errorf("client %d's payload changed between Train's return and the round's close", id)
+		}
+		if p.pooled && param.IsIdle(p.vector) {
+			w.t.Errorf("client %d's Lent payload was given back before the round closed", id)
 		}
 	}
 	clear(w.lent)
@@ -107,11 +127,16 @@ func (t witnessTrainer) Train(ctx context.Context, rng *rand.Rand, client *parti
 	}
 	t.w.mu.Lock()
 	defer t.w.mu.Unlock()
-	if old, ok := t.w.storage[client.ID]; ok && len(old) > 0 && &old[0] == &u.Params[0] {
-		t.w.relent++
+	array := &u.Params[0]
+	if t.w.arrays[array] {
+		t.w.reused++
+	}
+	t.w.arrays[array] = true
+	if u.Lent {
+		t.w.pooled[array] = u.Params
 	}
 	t.w.storage[client.ID] = u.Params
-	t.w.lent[client.ID] = lentPayload{u.Params, u.Params.Clone()}
+	t.w.lent[client.ID] = lentPayload{u.Params, u.Params.Clone(), u.Lent}
 	return u, nil
 }
 
@@ -152,14 +177,20 @@ func (s witnessSink) Finish() (param.Vector, error) {
 // client goroutines (the suite runs under -race), over everything that sits
 // between Train's return and the round's close: a streaming sink, a
 // buffering one, the robust aggregators, every adversary kind around the
-// trainer, SCAFFOLD's second payload.
+// trainer, SCAFFOLD's second payload. The payload arrays are reused — a
+// client's model, or param's pool — so a payload written before its round
+// closed would show. The pool's are all back in it after the run, and number
+// at most what the run holds at once — the round's payloads until it closes,
+// and the gradients and velocity of each running trainer, which share the
+// pool — fewer than the clients a run of a stateless method trains, each of
+// which kept a model of its own before.
 func TestLentPayloadSurvivesTheRound(t *testing.T) {
-	clients := testClients(t, 6, 24)
+	clients := testClients(t, 16, 24)
 	type testCase struct {
 		name   string
 		method string
 		agg    fl.Aggregator // replaces the method's when non-nil
-		sim    func(*fl.SimConfig)
+		adv    *fl.Adversary
 	}
 	cases := []testCase{
 		{name: "streaming sink (WeightedAverage)", method: "fedavg"},
@@ -173,9 +204,7 @@ func TestLentPayloadSurvivesTheRound(t *testing.T) {
 		{name: "krum", method: "fedavg", agg: fl.Krum{F: 1}},
 	}
 	for _, kind := range []fl.AdversaryKind{fl.AdvSignFlip, fl.AdvNoise, fl.AdvCollude, fl.AdvLabelFlip} {
-		cases = append(cases, testCase{name: "adversary " + string(kind), method: "fedavg", sim: func(c *fl.SimConfig) {
-			c.Adversary = &fl.Adversary{Kind: kind, Frac: 0.5}
-		}})
+		cases = append(cases, testCase{name: "adversary " + string(kind), method: "fedavg", adv: &fl.Adversary{Kind: kind, Frac: 0.5}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,11 +215,11 @@ func TestLentPayloadSurvivesTheRound(t *testing.T) {
 			if tc.agg != nil {
 				m.Aggregator = tc.agg
 			}
-			w := &witness{t: t, lent: map[int]lentPayload{}, storage: map[int][]float64{}}
-			cfg := fl.SimConfig{Rounds: 4, ClientsPerRound: 4, Seed: 17, Parallelism: 3}
-			if tc.sim != nil {
-				tc.sim(&cfg)
-			}
+			cfg := fl.SimConfig{Rounds: 6, ClientsPerRound: 4, Seed: 17, Parallelism: 2}
+			// The witness goes around the adversary, to see the payloads the
+			// round is handed.
+			m.Trainer = tc.adv.WrapTrainer(m.Trainer, cfg.Seed, len(clients))
+			w := newWitness(t)
 			sim, err := fl.NewSimulator(cfg, w.wrap(m), clients)
 			if err != nil {
 				t.Fatal(err)
@@ -203,8 +232,24 @@ func TestLentPayloadSurvivesTheRound(t *testing.T) {
 			if w.closes != cfg.Rounds {
 				t.Fatalf("the witness saw %d rounds close, the run had %d", w.closes, cfg.Rounds)
 			}
-			if w.relent == 0 {
-				t.Fatal("no client lent the same vector twice: the payloads are not client state and the test shows nothing")
+			if w.reused == 0 {
+				t.Fatal("no payload array carried two payloads: nothing could overwrite one and the test shows nothing")
+			}
+			if len(w.pooled) == 0 {
+				return
+			}
+			bound := cfg.ClientsPerRound + 2*cfg.Parallelism
+			t.Logf("%d clients trained, their Lent payloads in %d arrays", len(w.storage), len(w.pooled))
+			if len(w.storage) <= bound {
+				t.Fatalf("the run trained %d clients, not more than the %d arrays its Lent payloads may come in: it shows nothing", len(w.storage), bound)
+			}
+			if len(w.pooled) > bound {
+				t.Errorf("Lent payloads came in %d distinct arrays, want at most %d", len(w.pooled), bound)
+			}
+			for _, v := range w.pooled {
+				if !param.IsIdle(v) {
+					t.Errorf("a Lent payload array is not back in param's pool")
+				}
 			}
 		})
 	}
@@ -289,9 +334,9 @@ func TestWarmedRoundAllocatesLessThanTwoParameterVectors(t *testing.T) {
 		if _, _, err := sim.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		// With 8 clients, 2 a round, a late round may still meet a client
-		// for the first time and build its model: the cheapest of the last
-		// rounds is a warmed one.
+		// A late round may still be the first whose two updates overlap and
+		// build the method's second model: the cheapest of the last rounds is
+		// a warmed one.
 		least := uint64(math.MaxUint64)
 		for i := 3; i < len(marks); i++ {
 			least = min(least, marks[i]-marks[i-1])
@@ -302,45 +347,62 @@ func TestWarmedRoundAllocatesLessThanTwoParameterVectors(t *testing.T) {
 	}
 }
 
-// TestNewClientsTrainInBorrowedStepBuffers: a client's step buffers and
-// gradients are borrowed for its local update, not kept with its model, so a
-// new client's model is its values vector and little else, and once one tape
-// and one gradient vector per running trainer are warm, a round after the
-// first that meets clients never trained before allocates their models and
-// less than one step arena beyond a warmed round — with a tape kept per
-// client model it allocated one arena per new client, with gradients kept
-// per model a model was two vectors.
+// TestNewClientsTrainInBorrowedStepBuffers: a stateless client's model, step
+// buffers and gradients are borrowed for its local update, not kept per
+// client, so once what two running trainers hold is warm, a round after the
+// first that meets clients never trained before allocates less than half a
+// model beyond a warmed round, whatever the number of new clients — with a
+// model kept per client it allocated their models (a values vector each),
+// with a tape kept per client model one step arena, larger still, per new
+// client.
 func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 	clients := testClients(t, 8, 24)
 	cfg := testCfg()
 	cfg.Arch.HiddenDim, cfg.Arch.FeatDim = 256, 64 // a step arena that dwarfs a round's bookkeeping
 	var vector uint64
-	clientBytes := allocatedBytes(func() { vector = uint64(8 * nn.ParamCount(newSupBase(cfg).newModel(rand.New(rand.NewSource(1))))) })
-	if clientBytes >= vector+vector/10 {
-		t.Fatalf("a new client's model allocates %d bytes, its values vector is %d: it keeps more than its values", clientBytes, vector)
+	modelBytes := allocatedBytes(func() { vector = uint64(8 * nn.ParamCount(newSupBase(cfg).newModel(rand.New(rand.NewSource(1))))) })
+	if modelBytes >= vector+vector/10 {
+		t.Fatalf("a model allocates %d bytes, its values vector is %d: it keeps more than its values", modelBytes, vector)
 	}
 	arenaBytes := stepArenaBytes(cfg, cfg.Train.BatchSize)
 
-	// At Parallelism 2 two local updates run at once. Warm two tapes, two
-	// gradient vectors and two velocities as two overlapping updates would,
-	// so that what the rounds meet does not depend on how closely the first
-	// round's two overlapped.
-	spare := newSupBase(cfg).newModel(rand.New(rand.NewSource(4)))
+	// At Parallelism 2 two local updates run at once. Warm what two
+	// overlapping updates hold — two lent models and their values, two tapes,
+	// two gradient vectors and two velocities — so that what the rounds meet
+	// does not depend on how closely the first round's two overlapped.
+	m := NewFedAvg(cfg)
+	f := m.Trainer.(*fedAvg)
+	rng := rand.New(rand.NewSource(5))
+	global, err := m.InitGlobal(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, va, err := f.lend(rng, global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, vb, err := f.lend(rng, global)
+	if err != nil {
+		t.Fatal(err)
+	}
 	held := nn.BorrowTape()
-	held.LendGrads(spare)
-	opt := nn.NewSGD(spare, 0, 0.9, 0)
+	held.LendGrads(a)
+	opt := nn.NewSGD(a, 0, 0.9, 0)
 	opt.Step()
-	warmUp := func(c *partition.Client) {
-		if _, err := model.TrainSupervised(rand.New(rand.NewSource(5)), newSupBase(cfg).newModel(rand.New(rand.NewSource(6))), c.Train, cfg.Train); err != nil {
+	warmUp := func(m *model.SupModel, c *partition.Client) {
+		if _, err := model.TrainSupervised(rng, m, c.Train, cfg.Train); err != nil {
 			t.Fatal(err)
 		}
 	}
-	warmUp(clients[0])
+	warmUp(b, clients[0])
 	held.Release()
 	opt.Release()
-	warmUp(clients[1]) // on the tape held until now
+	warmUp(a, clients[1]) // on the tape held until now
+	f.release(a)
+	f.release(b)
+	param.GiveBack(va)
+	param.GiveBack(vb)
 
-	m := NewFedAvg(cfg)
 	var mu sync.Mutex
 	met := map[int]bool{}
 	var marks []uint64
@@ -381,11 +443,11 @@ func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 			continue
 		}
 		checked++
-		got, models := marks[r]-marks[r-1], uint64(newIn[r])*clientBytes
-		t.Logf("round %d: %d new clients, %d bytes (warmed round %d, a client model %d, a step arena %d)", r, newIn[r], got, warmed, clientBytes, arenaBytes)
-		if got >= warmed+models+arenaBytes {
-			t.Errorf("round %d met %d new clients and allocated %d bytes: a warmed round's %d, their models' %d and %d more, a step arena is %d",
-				r, newIn[r], got, warmed, models, got-warmed-models, arenaBytes)
+		got := marks[r] - marks[r-1]
+		t.Logf("round %d: %d new clients, %d bytes (warmed round %d, a model %d, a step arena %d)", r, newIn[r], got, warmed, modelBytes, arenaBytes)
+		if got >= warmed+modelBytes/2 {
+			t.Errorf("round %d met %d new clients and allocated %d bytes: a warmed round's %d and %d more, a model is %d",
+				r, newIn[r], got, warmed, got-warmed, modelBytes)
 		}
 	}
 	if checked == 0 {

@@ -193,13 +193,13 @@ func (t *adversaryTrainer) Train(ctx context.Context, rng *rand.Rand, client *pa
 		if len(u.Params) != len(global) {
 			return u, nil // let ingress validation reject it with the typed error
 		}
-		p := make(param.Vector, len(global))
+		p := param.Borrow(len(global))
 		s := t.cfg.scale()
 		for i := range p {
 			p[i] = global[i] - s*(u.Params[i]-global[i])
 		}
-		u.Params = p
-		u.ControlDelta = nil
+		u.GiveBack() // the honest payload, if it was Lent: p replaces it
+		u.Params, u.ControlDelta, u.Lent = p, nil, true
 		return u, nil
 	case AdvNoise:
 		arng := attackRNG(t.seed, round, client.ID)
@@ -216,9 +216,10 @@ func (t *adversaryTrainer) Train(ctx context.Context, rng *rand.Rand, client *pa
 	}
 }
 
-// noiseUpdate fabricates global + Scale·gaussian without training.
+// noiseUpdate fabricates global + Scale·gaussian without training, in a
+// vector it borrows (and overwrites whole).
 func (t *adversaryTrainer) noiseUpdate(client *partition.Client, global param.Vector, arng *rand.Rand) *Update {
-	p := make(param.Vector, len(global))
+	p := param.Borrow(len(global))
 	s := t.cfg.scale()
 	for i := range p {
 		p[i] = global[i] + s*arng.NormFloat64()
@@ -227,7 +228,7 @@ func (t *adversaryTrainer) noiseUpdate(client *partition.Client, global param.Ve
 	if client.Train != nil {
 		n = client.Train.Len()
 	}
-	return &Update{ClientID: client.ID, Params: p, NumSamples: n}
+	return &Update{ClientID: client.ID, Params: p, NumSamples: n, Lent: true}
 }
 
 // flipClient returns the client with its training labels flipped

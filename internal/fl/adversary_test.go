@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"calibre/internal/param"
+	"calibre/internal/partition"
 )
 
 // TestMaliciousDeterministic pins the compromised-set trace: a pure
@@ -102,6 +103,60 @@ func TestSignFlipReflectsUpdate(t *testing.T) {
 	}
 	if u.ControlDelta != nil {
 		t.Fatal("sign-flip must clear the control delta")
+	}
+}
+
+// lendingTrainer is fakeTrainer that, when lent is set, ships its update in
+// a vector it borrowed from param's pool, Lent; last is the payload it
+// shipped.
+type lendingTrainer struct {
+	fakeTrainer
+	lent bool
+	last param.Vector
+}
+
+func (l *lendingTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*Update, error) {
+	u, err := l.fakeTrainer.Train(ctx, rng, c, global, round)
+	if err != nil {
+		return nil, err
+	}
+	if l.lent {
+		p := param.Borrow(len(u.Params))
+		copy(p, u.Params)
+		u.Params, u.Lent = p, true
+	}
+	l.last = u.Params
+	return u, nil
+}
+
+// TestAdversaryPayloadsLent: every payload an attack ships is a vector it
+// borrowed from param's pool, Lent, for the round to give back. Sign-flip
+// gives back the honest payload it replaces when that was Lent, and leaves
+// one that was not — a client model's own values — to its trainer.
+func TestAdversaryPayloadsLent(t *testing.T) {
+	clients := testClients(t, 2)
+	global := param.Vector{1, -2, 0.5}
+	for _, kind := range []AdversaryKind{AdvSignFlip, AdvNoise, AdvCollude} {
+		for _, honestLent := range []bool{false, true} {
+			inner := &lendingTrainer{lent: honestLent}
+			a := &Adversary{Kind: kind, Frac: 1}
+			u, err := a.WrapTrainer(inner, 5, len(clients)).Train(context.Background(), rand.New(rand.NewSource(1)), clients[0], global, 2)
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if !u.Lent || len(u.Params) != len(global) {
+				t.Fatalf("%s over a Lent=%v update shipped %d params, Lent=%v: want a Lent vector of %d", kind, honestLent, len(u.Params), u.Lent, len(global))
+			}
+			if inner.last != nil {
+				if &inner.last[0] == &u.Params[0] {
+					t.Fatalf("%s shipped the honest payload's own vector", kind)
+				}
+				if param.IsIdle(inner.last) != honestLent {
+					t.Errorf("%s over a Lent=%v update: the honest payload back in the pool = %v, want %v", kind, honestLent, !honestLent, honestLent)
+				}
+			}
+			u.GiveBack()
+		}
 	}
 }
 

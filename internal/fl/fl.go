@@ -121,6 +121,27 @@ type Update struct {
 	// ControlDelta carries SCAFFOLD's client control-variate change; nil
 	// for other methods.
 	ControlDelta param.Vector
+
+	// Lent says every non-nil vector of the update was borrowed from param's
+	// pool (param.Borrow), and whoever consumes the update last gives them
+	// back (GiveBack): the round that accepted it, once its sink has
+	// finished (Round.Arrive); a networked client, once the reply carrying it
+	// is sent.
+	Lent bool
+}
+
+// GiveBack returns a Lent update's vectors to param's pool and leaves the
+// update without them; an update that is not Lent is left as it is.
+func (u *Update) GiveBack() {
+	if !u.Lent {
+		return
+	}
+	for _, v := range [...]param.Vector{u.Params, u.ControlDelta} {
+		if v != nil {
+			param.GiveBack(v)
+		}
+	}
+	u.Params, u.ControlDelta, u.Lent = nil, nil, false
 }
 
 // CheckSize validates the update's payload against the round's global
@@ -143,17 +164,27 @@ func (u *Update) CheckSize(global param.Vector) error {
 //
 // Implementations may keep per-client state across rounds (momentum
 // encoders, personalized models, control variates); they must be safe for
-// concurrent calls on distinct clients. global is read-only and only
-// valid during the call: a networked client receives each round's vector
-// into one reused buffer, so an implementation that needs the global
-// later copies it.
+// concurrent calls on distinct clients. global is read-only and lent for
+// the call: a networked client receives each round's vector into one it
+// borrows from param's pool for the request and gives back once the reply
+// is sent, so an implementation that needs the global later copies it.
 //
 // The returned update's payload is lent the other way, until the round
-// closes: Params may be the client model's own value vector (nn.Values),
-// which the client's next Train overwrites. Whatever receives an update —
-// a transport, a sink, an aggregator, a wrapper around the trainer — reads
-// the payload and keeps nothing of it past the round (Round.Arrive), and
-// nothing trains that client again before then.
+// closes, in one of three ways:
+//   - Lent: vectors borrowed from param's pool for this update (a
+//     stateless method trains a model it borrows for the call), which the
+//     last consumer gives back (Update.GiveBack);
+//   - the client model's own value vector (nn.Values), which the client's
+//     next Train overwrites;
+//   - global itself, for a trainer that does not train (script): the
+//     runtimes keep global alive until the round closes, and a networked
+//     client until its reply is sent.
+//
+// Whatever receives an update — a transport, a sink, an aggregator, a
+// wrapper around the trainer — reads the payload and keeps nothing of it
+// past the round (Round.Arrive), and nothing trains that client again
+// before then. A wrapper that replaces a Lent payload gives the replaced
+// vectors back.
 type Trainer interface {
 	Train(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*Update, error)
 }

@@ -339,7 +339,7 @@ const (
 // slot is one participant's entry in the round ledger.
 type slot struct {
 	state       slotState
-	update      *Update // held only until the cursor streams it into the sink
+	update      *Update // held until the round closes, which gives a Lent one back
 	loss, norm  float64
 	start, done int64 // span-clock turnaround endpoints
 	wire        int64 // uplink payload bytes
@@ -449,15 +449,18 @@ func (r *Round) Begin(slot int) { r.slots[slot].start = r.c.now() }
 // Arrive books the update that came back for slot: uplink accounting,
 // ingress validation (Update.CheckSize), the update norm when someone
 // wants it, and the turnaround. The slot borrows u and its payload until
-// the cursor has streamed it into the sink — nothing retains an update
-// past its round. On error the update is not accepted; whether that drops
-// the slot or aborts the run is the transport's call.
+// the round closes — nothing retains an update past its round — and the
+// round is the last consumer of a Lent one: it gives its vectors back once
+// the sink has finished (close), or at once if it refuses the update. On
+// error the update is not accepted; whether that drops the slot or aborts
+// the run is the transport's call.
 func (r *Round) Arrive(slot int, u *Update) error {
 	s := &r.slots[slot]
 	// Account before the check: the payload crossed the uplink whether or
 	// not it validates.
 	s.wire = int64(8 * len(u.Params))
 	if err := u.CheckSize(r.Global); err != nil {
+		u.GiveBack()
 		return err
 	}
 	if r.c.normOn {
@@ -503,8 +506,14 @@ func (r *Round) Drop(slot int, note string) error {
 }
 
 // Late books a stale reply from an earlier round's straggler that
-// drained during this round's collection window.
-func (r *Round) Late() { r.stats.LateUpdates++ }
+// drained during this round's collection window, and gives back the
+// vectors of its update, if it carried a Lent one: nothing reads it.
+func (r *Round) Late(u *Update) {
+	r.stats.LateUpdates++
+	if u != nil {
+		u.GiveBack()
+	}
+}
 
 // Expire closes the collection window at the round deadline: with the
 // quorum met, every pending slot becomes a straggler and their client
@@ -527,9 +536,9 @@ func (r *Round) Expire() ([]int, error) {
 
 // Advance streams every resolved update that has become contiguous into
 // the aggregate, in canonical slot order — the order that makes the
-// result independent of arrival timing — releasing each payload as it
-// goes. Transports whose updates trickle in call it after every arrival;
-// the round close always runs it to the end.
+// result independent of arrival timing. Transports whose updates trickle
+// in call it after every arrival; the round close always runs it to the
+// end.
 func (r *Round) Advance() error {
 	for ; r.cursor < len(r.slots); r.cursor++ {
 		s := &r.slots[r.cursor]
@@ -544,7 +553,6 @@ func (r *Round) Advance() error {
 		}
 		r.lossSum += s.loss
 		r.ingested++
-		s.update = nil
 		e := trace.Event{Kind: trace.KindClientUpdate, TS: s.done, Runtime: r.c.runtime, Round: r.Num,
 			Client: r.ids[r.cursor], Wire: "dense", Bytes: s.wire, Dur: s.done - s.start, Loss: s.loss, Norm: s.norm}
 		r.c.histTurn.Observe(e.Dur)
@@ -564,6 +572,13 @@ func (r *Round) close() (param.Vector, RoundStats, error) {
 	next, err := r.sink.Finish()
 	if err != nil {
 		return nil, r.stats, fmt.Errorf("fl: aggregate round %d: %w", r.Num, err)
+	}
+	// The aggregate is a vector of the aggregator's own (Aggregator): no
+	// one reads the round's payloads any more.
+	for i := range r.slots {
+		if u := r.slots[i].update; u != nil {
+			u.GiveBack()
+		}
 	}
 	stats := &r.stats
 	responders := r.ids

@@ -29,6 +29,7 @@ type scriptTransport struct {
 	sampled, live []int
 	script        []scriptOp
 	expired       []int
+	lent          []param.Vector // every payload it borrowed for an update
 }
 
 func (s *scriptTransport) Runtime() string { return "fake" }
@@ -43,24 +44,24 @@ func (s *scriptTransport) Collect(_ context.Context, r *Round) error {
 		var err error
 		switch id := r.Participants()[op.slot]; op.kind {
 		case "arrive", "reject":
-			// Client id ships global+id with loss id; a rejected payload is
-			// one element short.
+			// Client id ships global+id with loss id, in a vector borrowed
+			// for it; a rejected payload is one element short.
 			n := len(r.Global)
 			if op.kind == "reject" {
 				n--
 			}
-			p := make(param.Vector, n)
+			p := s.borrow(n)
 			for i := range p {
 				p[i] = r.Global[i] + float64(id)
 			}
-			u := &Update{ClientID: id, Params: p, NumSamples: 1, TrainLoss: float64(id)}
+			u := &Update{ClientID: id, Params: p, NumSamples: 1, TrainLoss: float64(id), Lent: true}
 			if err = r.Arrive(op.slot, u); err != nil {
 				err = r.Drop(op.slot, "rejected")
 			} else {
 				err = r.Advance()
 			}
 		case "late":
-			r.Late()
+			r.Late(&Update{ClientID: id, Params: s.borrow(len(r.Global)), Lent: true})
 		case "expire":
 			s.expired, err = r.Expire()
 		}
@@ -72,6 +73,12 @@ func (s *scriptTransport) Collect(_ context.Context, r *Round) error {
 		return errors.New("script left the round open")
 	}
 	return nil
+}
+
+func (s *scriptTransport) borrow(n int) param.Vector {
+	v := param.Borrow(n)
+	s.lent = append(s.lent, v)
+	return v
 }
 
 // orderAgg is a batch-only aggregator recording the order updates reached
@@ -288,6 +295,13 @@ func TestRoundCoreLedger(t *testing.T) {
 			}
 			if !reflect.DeepEqual(tr.expired, tc.wantExpire) {
 				t.Errorf("Expire returned %v, want %v", tr.expired, tc.wantExpire)
+			}
+			// The round consumed every update last — accepted (after its
+			// sink finished), refused or stale — and gave each payload back.
+			for _, v := range tr.lent {
+				if !param.IsIdle(v) {
+					t.Errorf("a %d-element payload the round took was not given back to param's pool", len(v))
+				}
 			}
 		})
 	}

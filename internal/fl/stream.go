@@ -9,8 +9,8 @@ import (
 // UpdateSink accumulates one round's client updates incrementally. It is
 // how the runtimes (the in-process Simulator and the flnet TCP server)
 // aggregate: updates are folded in one at a time and, for streaming-capable
-// aggregators, their payloads can be released immediately instead of being
-// buffered until the round closes.
+// aggregators, the sink keeps nothing of them but its running aggregate
+// instead of buffering them until the round closes.
 //
 // Determinism contract: callers must Ingest in the round's canonical
 // participant order (ascending client-slot order, exactly the order the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"calibre/internal/fl"
+	"calibre/internal/param"
 	"calibre/internal/partition"
 )
 
@@ -53,8 +54,9 @@ func (c *ClientConfig) validate() error {
 // RunClient joins the federation and serves train/personalize requests
 // until the server sends shutdown or ctx is canceled. It returns nil on a
 // clean shutdown. Each request's global is received into a vector borrowed
-// from param's pool, given back once the reply is sent: between requests
-// the client holds no global.
+// from param's pool, and given back once the reply is sent, with the
+// vectors of a Lent update (fl.Update.Lent): between requests the client
+// holds neither.
 func RunClient(ctx context.Context, cfg ClientConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -103,9 +105,9 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 			return fmt.Errorf("flnet: client %d: %w", cfg.ClientID, err)
 		}
 		// env.Global is a vector the connection borrowed to receive it into,
-		// and gives back once the reply to the request is sent (the update
-		// may alias it until then): trainers and personalizers read the
-		// global during their call and keep no reference to it (fl.Trainer).
+		// given back once the reply to the request is sent (the update may
+		// alias it until then): trainers and personalizers read the global
+		// during their call and keep no reference to it (fl.Trainer).
 		env, err := c.recv()
 		if err != nil {
 			return err
@@ -130,7 +132,8 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 			if err := c.send(&Envelope{Type: MsgTrainResult, ClientID: cfg.ClientID, Round: env.Round, Update: update}); err != nil {
 				return err
 			}
-			c.giveBackGlobal()
+			update.GiveBack()
+			param.GiveBack(env.Global)
 		case MsgPersonalize:
 			rng := fl.ClientRNG(cfg.Seed, fl.PersonalizeRound, cfg.ClientID)
 			acc, perr := cfg.Personalizer.Personalize(ctx, rng, cfg.Data, env.Global)
@@ -141,7 +144,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 			if err := c.send(&Envelope{Type: MsgPersonalizeResult, ClientID: cfg.ClientID, Accuracy: acc}); err != nil {
 				return err
 			}
-			c.giveBackGlobal()
+			param.GiveBack(env.Global)
 		case MsgShutdown:
 			return nil
 		case MsgError:

@@ -77,15 +77,15 @@
 // sender owns is written, 64 KiB at a time, so neither end holds a
 // frame-sized byte buffer; the server frames a round's global once,
 // however many participants it is sent to. A message is decoded into its
-// connection's own envelope, reused from message to message. A client
-// decodes a global into a vector it borrows from param's process-wide pool
-// and gives back once its reply to the request is sent, so an idle client
-// holds none and a process of many clients holds one per request being
-// served. The server decodes an
-// update into vectors its round engine lends with the train request and
-// takes back when the round that ingested them has closed (a requeued
-// straggler's stale reply: at once), so it holds one per update in flight,
-// not one per client.
+// connection's own envelope, reused from message to message, and every
+// vector into one borrowed from param's process-wide pool for whoever
+// consumes it last to give back (fl.Update.Lent). A client gives a global
+// back, with its update's vectors if they were borrowed too, once its reply
+// to the request is sent, so an idle client holds none and a process of many
+// clients holds one per request being served. The server's round gives an
+// update's vectors back when it has closed (a requeued straggler's stale
+// reply: at once), so the server holds one per update in flight, not one per
+// client.
 //
 // The Envelope.Type field discriminates which of the remaining fields are
 // meaningful:

@@ -221,8 +221,11 @@ type sharedFrame struct {
 
 // conn wraps a net.Conn with the message codec and deadline
 // management. One goroutine at a time may receive; the Envelope recv
-// returns and its Update are the conn's own, valid until the next recv, and
-// their vectors are those in rvec when recv ran (see rvec).
+// returns and its Update are the conn's own, valid until the next recv. Their
+// vectors are not: each is borrowed from param's pool for the receiver to
+// give back (the update is Lent) — a client once it has answered the request,
+// the server's round once it has closed — so a process holds a received
+// vector only while it is in use.
 type conn struct {
 	raw net.Conn
 	br  *bufio.Reader
@@ -248,18 +251,11 @@ type conn struct {
 	maxBytes uint64
 	// rhdr is the header recv reads, renv and rupdate what it decodes it
 	// into; rlen is a frame's length prefix and rbuf the chunk frames are
-	// read by. rvec are the vectors frames are decoded into, one per frame
-	// kind: a frame with no vector of its size there gets one, which stays
-	// for the next recv. The server installs the update vectors its round
-	// engine lends before every recv (Server.serveClient), and a client
-	// borrows each global from param's pool and gives it back once it has
-	// answered the request (giveBackGlobal), so a client holds a global
-	// only while it serves a request.
+	// read by.
 	rhdr    [headerSize]byte
 	rlen    [frameHeader]byte
 	renv    Envelope
 	rupdate fl.Update
-	rvec    [numFrames]param.Vector
 	rbuf    []byte
 }
 
@@ -365,7 +361,7 @@ func (c *conn) recv() (*Envelope, error) {
 	// The update's frames are announced only with an update (decodeHeader).
 	for k, dst := range [numFrames]*param.Vector{&e.Global, &c.rupdate.Params, &c.rupdate.ControlDelta} {
 		if frames&(1<<k) != 0 {
-			if *dst, err = c.readFrame(k); err != nil {
+			if *dst, err = c.readFrame(); err != nil {
 				return nil, fmt.Errorf("flnet: recv %s: %w", e.Type, err)
 			}
 		}
@@ -382,7 +378,7 @@ func (c *conn) decodeHeader() (frames byte, errLen int, err error) {
 	i64 := func(at int) int64 { return int64(le.Uint64(h[at:])) }
 	f64 := func(at int) float64 { return math.Float64frombits(le.Uint64(h[at:])) }
 	c.renv = Envelope{Type: MsgType(h[0]), ClientID: int(i64(8)), Round: int(i64(16)), Accuracy: f64(24)}
-	c.rupdate = fl.Update{ClientID: int(i64(32)), NumSamples: int(i64(40)), TrainLoss: f64(48), Divergence: f64(56)}
+	c.rupdate = fl.Update{ClientID: int(i64(32)), NumSamples: int(i64(40)), TrainLoss: f64(48), Divergence: f64(56), Lent: true}
 	fits := int64(c.renv.ClientID) == i64(8) && int64(c.renv.Round) == i64(16) &&
 		int64(c.rupdate.ClientID) == i64(32) && int64(c.rupdate.NumSamples) == i64(40)
 	var why string
@@ -417,9 +413,9 @@ func (c *conn) decodeHeader() (frames byte, errLen int, err error) {
 	return frames, int(n), nil
 }
 
-// readFrame reads frame k into the conn's vector for it, refusing a bad
-// length before anything is allocated.
-func (c *conn) readFrame(k int) (param.Vector, error) {
+// readFrame reads the next frame into a vector it borrows from param's pool,
+// refusing a bad length before anything is borrowed.
+func (c *conn) readFrame() (param.Vector, error) {
 	if _, err := io.ReadFull(c.br, c.rlen[:]); err != nil {
 		return nil, fmt.Errorf("frame length: %w", err)
 	}
@@ -432,16 +428,7 @@ func (c *conn) readFrame(k int) (param.Vector, error) {
 	case c.elems <= 0 && n > c.maxBytes:
 		return nil, fmt.Errorf("%w: %d bytes declared, at most %d allowed here", ErrBadFrame, n, c.maxBytes)
 	}
-	v := c.rvec[k]
-	switch {
-	case v != nil && len(v) == int(n/8):
-	case k == frameGlobal:
-		v = param.Borrow(int(n / 8))
-		c.rvec[k] = v
-	default:
-		v = make(param.Vector, n/8)
-		c.rvec[k] = v
-	}
+	v := param.Borrow(int(n / 8))
 	if c.elems == 0 {
 		c.elems = len(v) // a federation has one model size
 	}
@@ -459,16 +446,6 @@ func (c *conn) readFrame(k int) (param.Vector, error) {
 		}
 	}
 	return v, nil
-}
-
-// giveBackGlobal returns the vector the last global was decoded into to
-// param's pool, once nothing reads it any more: after the reply to its
-// request is sent, which may alias it.
-func (c *conn) giveBackGlobal() {
-	if v := c.rvec[frameGlobal]; v != nil {
-		c.rvec[frameGlobal] = nil
-		param.GiveBack(v)
-	}
 }
 
 func (c *conn) close() error { return c.raw.Close() }

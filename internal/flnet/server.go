@@ -167,19 +167,17 @@ type clientHandle struct {
 	req chan request
 }
 
-// request is one engine-to-client message: the envelope, the global it
-// carries as the frame every recipient shares, and the vectors the reply's
-// update frames are to be decoded into (nil: the worker's conn allocates).
+// request is one engine-to-client message: the envelope and the global it
+// carries as the frame every recipient shares.
 type request struct {
 	env    *Envelope
 	global *sharedFrame
-	loan   [numFrames]param.Vector
 }
 
-// post hands h's worker env with f as its Global and loan to receive into.
-func (f *sharedFrame) post(h *clientHandle, env *Envelope, loan [numFrames]param.Vector) {
+// post hands h's worker env with f as its Global.
+func (f *sharedFrame) post(h *clientHandle, env *Envelope) {
 	f.refs.Add(1)
-	h.req <- request{env: env, global: f, loan: loan}
+	h.req <- request{env: env, global: f}
 }
 
 // event is what a client worker reports back to the round engine: a reply
@@ -359,11 +357,8 @@ func (s *Server) serveClient(h *clientHandle) {
 			s.report(event{id: h.id, err: err})
 			return
 		}
-		// The reply's vectors must have the size of the model just sent, and
-		// are decoded into the request's loan: the conn keeps no vector the
-		// engine may have lent to another client since.
+		// The reply's vectors must have the size of the model just sent.
 		h.c.elems = (len(frame) - frameHeader) / 8
-		h.c.rvec = req.loan
 		resp, err := h.c.recv()
 		if err != nil {
 			s.report(event{id: h.id, err: err})
@@ -459,11 +454,6 @@ type roundEngine struct {
 	// many were.
 	frame  *sharedFrame
 	shares int
-	// free are the update vectors no one holds, by frame kind, lent to the
-	// train requests Collect dispatches; held are those the open round
-	// ingested, free again once its sink has finished (the next Collect).
-	// The server so keeps a vector per update in flight, not per client.
-	free, held [numFrames][]param.Vector
 	// trace is the seeded availability generator (nil without cfg.Trace).
 	trace *fl.TraceGen
 }
@@ -487,28 +477,6 @@ func (e *roundEngine) share(global param.Vector) *sharedFrame {
 	f.buf = appendFrame(f.buf[:0], global)
 	e.shares++
 	return f
-}
-
-// lend takes a receive vector of each update frame kind off the free list
-// (nil for a kind the list has none of).
-func (e *roundEngine) lend() (loan [numFrames]param.Vector) {
-	for k, free := range e.free {
-		if n := len(free); n > 0 {
-			loan[k], free[n-1] = free[n-1], nil
-			e.free[k] = free[:n-1]
-		}
-	}
-	return loan
-}
-
-// keep files u's vectors, which a worker's conn received them into, under
-// pool.
-func keep(pool *[numFrames][]param.Vector, u *fl.Update) {
-	for k, v := range [numFrames]param.Vector{frameParams: u.Params, frameControl: u.ControlDelta} {
-		if v != nil {
-			pool[k] = append(pool[k], v)
-		}
-	}
 }
 
 func (e *roundEngine) Runtime() string { return "server" }
@@ -569,17 +537,10 @@ func (e *roundEngine) Draw(rng *rand.Rand, round, replayPool int) (sampled, live
 // until the round closes: either every participant replied, or the
 // deadline expired with at least a quorum of updates. Updates stream into
 // the aggregate in canonical participant order as they become
-// contiguous (Round.Advance), so payloads are not buffered beyond
-// reordering needs.
+// contiguous (Round.Advance); the round gives their vectors back once it
+// has closed.
 func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 	s := e.s
-	// The previous round has closed, its sink finished: what it ingested
-	// can be lent again.
-	for k, held := range e.held {
-		e.free[k] = append(e.free[k], held...)
-		clear(held)
-		e.held[k] = held[:0]
-	}
 	// Dispatch. Workers are idle (we only sample non-busy clients), so the
 	// 1-slot request channels never block.
 	clear(e.slotOf)
@@ -593,7 +554,7 @@ func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 		if h == nil {
 			return fmt.Errorf("flnet: round %d: client %d vanished before dispatch", r.Num, id)
 		}
-		global.post(h, &Envelope{Type: MsgTrain, Round: r.Num, ClientID: id}, e.lend())
+		global.post(h, &Envelope{Type: MsgTrain, Round: r.Num, ClientID: id})
 		e.busy[id] = r.Num
 	}
 	var deadlineC <-chan time.Time
@@ -646,12 +607,9 @@ func (e *roundEngine) onEvent(r *fl.Round, ev event) error {
 	u := ev.env.Update
 	if reqRound != r.Num {
 		// A straggler's stale reply drained during this round's window:
-		// discard it, the client re-enters the pool and its vectors the free
-		// list.
-		if u != nil {
-			keep(&e.free, u)
-		}
-		r.Late()
+		// discard it (Late gives its vectors back), the client re-enters the
+		// pool.
+		r.Late(u)
 		return nil
 	}
 	if u == nil {
@@ -660,16 +618,14 @@ func (e *roundEngine) onEvent(r *fl.Round, ev event) error {
 	// Ingress validation happens in Arrive: a client shipping a wrong-sized
 	// payload is evicted like any other failed participant (typed
 	// fl.ErrUpdateSize in the cause) instead of panicking the aggregator; the
-	// round survives whenever the configured quorum can. A failed client's
-	// vectors are left to the GC. An accepted update's were lent by this
-	// round's dispatch (or allocated by the worker's conn when the free list
-	// ran short): held until the next Collect lends them again. The update
-	// itself is the conn's, which the next recv overwrites — after this
-	// round closed, because the client is not dispatched again before then.
+	// round survives whenever the configured quorum can. The update is Lent
+	// (its vectors borrowed by the worker's conn): the round gives them back
+	// once it has closed, or at once if it refused them. The update itself is
+	// the conn's, which the next recv overwrites — after this round closed,
+	// because the client is not dispatched again before then.
 	if err := r.Arrive(e.slotOf[ev.id], u); err != nil {
 		return e.fail(r, ev.id, reqRound, fmt.Sprintf("rejected (%v)", err))
 	}
-	keep(&e.held, u)
 	return r.Advance()
 }
 
@@ -707,6 +663,8 @@ func (e *roundEngine) drainStragglers(ctx context.Context) error {
 			delete(e.busy, ev.id)
 			if ev.err != nil {
 				e.evict(ev.id)
+			} else if u := ev.env.Update; u != nil {
+				u.GiveBack()
 			}
 		case <-grace.C:
 			for id := range e.busy {
@@ -729,7 +687,7 @@ func (e *roundEngine) personalizeAll(ctx context.Context, global param.Vector) (
 		if h == nil {
 			continue
 		}
-		frame.post(h, &Envelope{Type: MsgPersonalize, ClientID: id}, [numFrames]param.Vector{})
+		frame.post(h, &Envelope{Type: MsgPersonalize, ClientID: id})
 		outstanding[id] = true
 	}
 	for len(outstanding) > 0 {

@@ -147,9 +147,9 @@ func TestSharedFrameNotOverwrittenInFlight(t *testing.T) {
 	}
 }
 
-// TestRecvReusesVectorBuffers: a connection that still holds a global
-// decodes the next one into it; one that gave its global back borrows the
-// next from param's pool.
+// TestRecvReusesVectorBuffers: a connection decodes every vector into one
+// it borrows from param's pool, so a global its receiver has not given back
+// is never decoded into again, and one given back is the next one's.
 func TestRecvReusesVectorBuffers(t *testing.T) {
 	stream := wireBytes(t,
 		&Envelope{Type: MsgTrain, Round: 0, Global: param.Vector{1, 2, 3}},
@@ -160,36 +160,34 @@ func TestRecvReusesVectorBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := &a.Global[0]
+	first := a.Global
 	b, err := c.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &b.Global[0] != first {
-		t.Fatal("second global decoded into a fresh vector")
+	if &b.Global[0] == &first[0] || !sameBits(first, param.Vector{1, 2, 3}) {
+		t.Fatalf("the second global was decoded into the first, which was not given back: %v", first)
 	}
 	if !sameBits(b.Global, param.Vector{4, 5, 6}) || b.Round != 1 || b.Type != MsgTrain {
 		t.Fatalf("second message = %+v", b)
 	}
-	c.giveBackGlobal()
+	second := b.Global // b is the connection's envelope, which the next recv overwrites
+	param.GiveBack(first)
 	idle := param.Idle()
-	if c.rvec[frameGlobal] != nil {
-		t.Fatal("a global given back is still the connection's")
-	}
 	p, err := c.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now := param.Idle(); now != idle-1 || !sameBits(p.Global, param.Vector{7, 8, 9}) {
-		t.Fatalf("the third global = %v, the pool went from %d to %d vectors: want it borrowed", p.Global, idle, now)
+	if now := param.Idle(); now != idle-1 || &p.Global[0] != &first[0] || !sameBits(p.Global, param.Vector{7, 8, 9}) {
+		t.Fatalf("the third global = %v, the pool went from %d to %d vectors: want it decoded into the first, given back", p.Global, idle, now)
 	}
-	c.giveBackGlobal()
+	param.GiveBack(p.Global)
+	param.GiveBack(second)
 }
 
 // TestRequestWithoutGlobalRefused: a train or personalize request that
 // announces no global, and any other message that announces one, is refused
-// with ErrBadFrame from its header alone: nothing is borrowed for it and
-// the connection holds no global after it.
+// with ErrBadFrame from its header alone: nothing is borrowed for it.
 func TestRequestWithoutGlobalRefused(t *testing.T) {
 	for _, tc := range []struct {
 		e      *Envelope
@@ -210,8 +208,8 @@ func TestRequestWithoutGlobalRefused(t *testing.T) {
 		if read := len(stream) - r.Len() - c.br.Buffered(); read != headerSize {
 			t.Fatalf("%s: %d bytes consumed, want the %d-byte header only", tc.e.Type, read, headerSize)
 		}
-		if now := param.Idle(); now != idle || c.rvec[frameGlobal] != nil {
-			t.Fatalf("%s: the pool went from %d to %d vectors and the connection holds %v", tc.e.Type, idle, now, c.rvec[frameGlobal])
+		if now := param.Idle(); now != idle {
+			t.Fatalf("%s: the pool went from %d to %d vectors", tc.e.Type, idle, now)
 		}
 	}
 }

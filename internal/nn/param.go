@@ -107,11 +107,12 @@ type Module interface {
 	Params() []*Param
 }
 
-// ParamCount returns the total number of scalar parameters in m.
+// ParamCount returns the total number of scalar parameters in m, whether or
+// not their values have storage (BindValues).
 func ParamCount(m Module) int {
 	var n int
 	for _, p := range m.Params() {
-		n += p.Value.Len()
+		n += p.Value.Size()
 	}
 	return n
 }
@@ -194,14 +195,38 @@ func layOut(ps []*Param) {
 	}
 }
 
-// bindGrads points the parameters' gradients at consecutive windows of g,
-// in order. Each window keeps the capacity to the end of g, so the
-// gradients tile one vector (joined, NewSGD's runs).
-func bindGrads(ps []*Param, g []float64) {
+// BindValues points m's parameter values, in Params() order, at consecutive
+// windows of v, which holds ParamCount(m) scalars, or leaves them with no
+// storage when v is nil. The Value headers stay the same objects, so what
+// holds them — a parameter's cached leaf, a layer — sees the new storage,
+// and Values(m) is v. A trainer that needs a model only while it trains
+// binds a spare one to a vector it borrowed (param.Borrow) for the update,
+// as Tape.LendGrads binds its gradients, and unbinds it after. Build the
+// update's optimizer after binding.
+func BindValues(m Module, v []float64) {
+	if n := ParamCount(m); v != nil && len(v) != n {
+		panic(fmt.Sprintf("nn: BindValues of %d scalars to a module of %d parameters", len(v), n))
+	}
+	bind(m.Params(), v, false)
+}
+
+// bind points the parameters' values, or their gradients, at consecutive
+// windows of v, in order — at no storage when v is nil. Each window keeps
+// the capacity to the end of v, so they tile one vector (joined, NewSGD's
+// runs).
+func bind(ps []*Param, v []float64, grads bool) {
 	off := 0
 	for _, p := range ps {
-		n := p.Value.Len()
-		p.Grad.Repoint(g[off : off+n])
+		t := p.Value
+		if grads {
+			t = p.Grad
+		}
+		if v == nil {
+			t.Repoint(nil)
+			continue
+		}
+		n := t.Size()
+		t.Repoint(v[off : off+n])
 		off += n
 	}
 }

@@ -100,7 +100,7 @@ func (tp *Tape) LendGrads(m Module) param.Vector {
 	tp.returnGrads()
 	n := len(Values(m))
 	tp.grads, tp.gradsOf = param.Borrow(n), m.Params()
-	bindGrads(tp.gradsOf, tp.grads)
+	bind(tp.gradsOf, tp.grads, true)
 	return tp.grads
 }
 
@@ -110,9 +110,7 @@ func (tp *Tape) returnGrads() {
 	if tp.grads == nil {
 		return
 	}
-	for _, p := range tp.gradsOf {
-		p.Grad.Repoint(nil)
-	}
+	bind(tp.gradsOf, nil, true)
 	param.GiveBack(tp.grads)
 	tp.grads, tp.gradsOf = nil, nil
 }

@@ -28,6 +28,10 @@ func GiveBack(v Vector) { vectors.giveBack(v) }
 // process keeps for the trainers that are not running.
 func Idle() int { return vectors.idle() }
 
+// IsIdle reports whether v's array is free in the pool: given back and not
+// lent since. It is how a test sees that a vector came back.
+func IsIdle(v Vector) bool { return vectors.isIdle(v) }
+
 type pool struct {
 	mu   sync.Mutex
 	free []Vector // in the order given back
@@ -63,4 +67,13 @@ func (p *pool) idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.free)
+}
+
+func (p *pool) isIdle(v Vector) bool {
+	if cap(v) == 0 {
+		return false
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.ContainsFunc(p.free, func(f Vector) bool { return cap(f) > 0 && &f[:1][0] == &v[:1][0] })
 }

@@ -32,3 +32,22 @@ func TestPoolLendsBestFitWarmestFirst(t *testing.T) {
 		t.Fatalf("the pool still holds %d vectors", n)
 	}
 }
+
+// TestPoolIsIdle: a vector is idle from its give-back to its next borrow,
+// whatever window of its array the caller names, and a vector the pool never
+// held is not.
+func TestPoolIsIdle(t *testing.T) {
+	var p pool
+	v, other := make(Vector, 8), make(Vector, 8)
+	if p.isIdle(v) {
+		t.Fatal("a vector never given back is idle")
+	}
+	p.giveBack(v)
+	if !p.isIdle(v) || !p.isIdle(v[:0]) || p.isIdle(other) {
+		t.Fatal("after its give-back v must be idle, under any length, and other must not")
+	}
+	p.borrow(8)
+	if p.isIdle(v) || p.idle() != 0 {
+		t.Fatal("a vector lent again is still idle")
+	}
+}

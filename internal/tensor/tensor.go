@@ -137,6 +137,10 @@ func (t *Tensor) Dims() int { return len(t.shape) }
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.data) }
 
+// Size returns the number of elements t's shape holds: Len once t has
+// storage, and also while it has none (Unbound, Repoint(nil)).
+func (t *Tensor) Size() int { return numElements(t.shape) }
+
 // Data returns the backing slice. Mutating it mutates the tensor.
 func (t *Tensor) Data() []float64 { return t.data }
 
