@@ -81,7 +81,18 @@ go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/kmeans/.
 echo "== cross builds without the assembly =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor/
-GOARCH=386 go build ./internal/tensor/
+GOARCH=386 go build ./...
+# param.Bytes views a vector's memory as the little-endian bytes the wire and
+# the checkpoint files carry, which it is only on a little-endian
+# architecture: a big-endian build must stop, naming why.
+if s390x=$(GOARCH=s390x go build ./internal/param 2>&1); then
+    echo "GOARCH=s390x go build ./internal/param succeeded; it must be refused" >&2
+    exit 1
+elif ! grep -q 'paramBytesRequiresLittleEndianArchitecture' <<<"$s390x"; then
+    echo "GOARCH=s390x go build ./internal/param failed, but not on the little-endian requirement:" >&2
+    echo "$s390x" >&2
+    exit 1
+fi
 
 # bench/ is a module of its own (replace calibre => ../) that root
 # build/vet/test do not see; it imports calibre/internal/..., so an

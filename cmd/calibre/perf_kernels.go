@@ -238,9 +238,9 @@ func simulateRounds(method *fl.Method, clients []*partition.Client) {
 	}
 }
 
-// flnetRoundParams is the flnet-round model size: more than three of the
-// wire's 64 KiB frame chunks, so a buffer the size of a frame shows in
-// bytes_op beside the chunk-sized ones.
+// flnetRoundParams is the flnet-round model size: a frame of just over
+// 192 KiB, far beyond bufio's buffers, so a byte buffer the size of a frame
+// shows in bytes_op.
 const flnetRoundParams = 3*8192 + 5
 
 // wireTrainer adds one to the global in a vector each client owns, so a

@@ -196,6 +196,8 @@ type Trainer interface {
 // global is shared as is with the next round's clients, with RoundStats
 // observers and with the checkpoint being written behind the next round,
 // so writing to any of them would silently corrupt resume bit-identity.
+// internal/flnet sends the returned vector as it is, straight from its
+// memory, and a straggler's send may still be reading it rounds later.
 type Aggregator interface {
 	Aggregate(global param.Vector, updates []*Update) (param.Vector, error)
 }

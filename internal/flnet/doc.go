@@ -73,10 +73,14 @@
 // must be a whole number of float64s, equal the model size once that is
 // known (the server knows it from the global it sent; a client from the
 // first global it received) and stay under MaxFrameBytes until then, else
-// the message fails with ErrBadFrame too. Frames are read, and a vector the
-// sender owns is written, 64 KiB at a time, so neither end holds a
-// frame-sized byte buffer; the server frames a round's global once,
-// however many participants it is sent to. A message is decoded into its
+// the message fails with ErrBadFrame too. A frame's bytes are what its
+// vector holds in memory on the little-endian hosts this package builds
+// for (param.Bytes), so a frame is written from its vector's memory and
+// read into it, with no conversion and no byte buffer at either end. The
+// server sends a round's global as it is to every participant: the
+// fl.Aggregator contract keeps a closed round's global unchanged, so a
+// straggler's send may still be reading it when the next round dispatches.
+// A message is decoded into its
 // connection's own envelope, reused from message to message, and every
 // vector into one borrowed from param's process-wide pool for whoever
 // consumes it last to give back (fl.Update.Lent). A client gives a global

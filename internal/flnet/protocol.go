@@ -8,9 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"calibre/internal/fl"
@@ -145,7 +143,8 @@ type Envelope struct {
 // documentation), the error string the header declares, and the vectors
 // whose frame bits it sets, in the order below: each a little-endian
 // uint64 byte length followed by that many bytes of little-endian
-// IEEE-754 doubles — the representation internal/store writes to disk.
+// IEEE-754 doubles — the vector's own memory (param.Bytes), and the
+// representation internal/store writes to disk.
 const (
 	frameGlobal  = iota // Envelope.Global
 	frameParams         // Envelope.Update.Params
@@ -164,11 +163,6 @@ const (
 	// parameters, twelve times the paper's ResNet-18. Once the size is
 	// known every frame must match it exactly.
 	MaxFrameBytes = 1 << 30
-
-	// frameChunk is how many bytes of a frame are converted and read or
-	// written at a time, so moving a vector needs no model-sized byte
-	// buffer at either end.
-	frameChunk = 64 << 10
 )
 
 // ErrBadFrame is returned for a message that cannot be what a peer of this
@@ -199,26 +193,6 @@ func appendHeader(dst []byte, e *Envelope, frames byte) []byte {
 	return dst
 }
 
-// appendFrame appends v's frame to dst.
-func appendFrame(dst []byte, v param.Vector) []byte {
-	at := len(dst)
-	dst = slices.Grow(dst, frameHeader+8*len(v))[:at+frameHeader+8*len(v)]
-	binary.LittleEndian.PutUint64(dst[at:], uint64(8*len(v)))
-	body := dst[at+frameHeader:]
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(x))
-	}
-	return dst
-}
-
-// sharedFrame is one vector framed once and sent to many clients: the
-// server's round global. refs counts the sends that have not finished, so
-// the owner knows when the buffer is free to be overwritten.
-type sharedFrame struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
 // conn wraps a net.Conn with the message codec and deadline
 // management. One goroutine at a time may receive; the Envelope recv
 // returns and its Update are the conn's own, valid until the next recv. Their
@@ -237,11 +211,9 @@ type conn struct {
 	wmu sync.Mutex
 	// ioTimeout bounds each send/receive; zero disables deadlines.
 	ioTimeout time.Duration
-	// whdr and wbuf (under wmu) are the send scratch: the header, and the
-	// chunk a vector the sender owns is encoded into, frameChunk bytes at a
-	// time (allocated by the first such send).
+	// whdr (under wmu) is the send scratch: a message's header, then each
+	// of its frames' length prefixes.
 	whdr [headerSize]byte
-	wbuf []byte
 
 	// elems, when positive, is the model size: every frame received must
 	// hold exactly that many elements. While it is zero a frame may
@@ -250,13 +222,11 @@ type conn struct {
 	elems    int
 	maxBytes uint64
 	// rhdr is the header recv reads, renv and rupdate what it decodes it
-	// into; rlen is a frame's length prefix and rbuf the chunk frames are
-	// read by.
+	// into, and rlen a frame's length prefix.
 	rhdr    [headerSize]byte
 	rlen    [frameHeader]byte
 	renv    Envelope
 	rupdate fl.Update
-	rbuf    []byte
 }
 
 // newConn wraps raw. maxBytes bounds the frames the peer may send before
@@ -268,12 +238,10 @@ func newConn(raw net.Conn, ioTimeout time.Duration, maxBytes uint64) *conn {
 		br: bufio.NewReader(raw), bw: bufio.NewWriter(raw)}
 }
 
-func (c *conn) send(e *Envelope) error { return c.sendShared(e, nil) }
-
-// sendShared writes e with its Global taken from global, a frame built
-// beforehand (e.Global is then ignored), or from e.Global when global is
-// nil. The envelope and its vectors are only read.
-func (c *conn) sendShared(e *Envelope, global []byte) error {
+// send writes e. The envelope and its vectors are only read: each frame's
+// body is the vector's own memory (param.Bytes), written through bw as it
+// is, so a vector must not change until send returns.
+func (c *conn) send(e *Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if len(e.Err) > maxErrBytes {
@@ -284,55 +252,32 @@ func (c *conn) sendShared(e *Envelope, global []byte) error {
 			return fmt.Errorf("flnet: set write deadline: %w", err)
 		}
 	}
-	// own are the vectors encoded here, in frame order.
-	own := [numFrames]param.Vector{frameGlobal: e.Global}
+	// vecs are e's vectors in frame order.
+	vecs := [numFrames]param.Vector{frameGlobal: e.Global}
 	if e.Update != nil {
-		own[frameParams], own[frameControl] = e.Update.Params, e.Update.ControlDelta
+		vecs[frameParams], vecs[frameControl] = e.Update.Params, e.Update.ControlDelta
 	}
 	frames := byte(0)
-	if global != nil {
-		own[frameGlobal], frames = nil, 1<<frameGlobal
-	}
-	for k, v := range own {
+	for k, v := range vecs {
 		if v != nil {
 			frames |= 1 << k
 		}
 	}
-	// A bufio.Writer's first error sticks: Flush reports it.
+	// A bufio.Writer's first error sticks: Flush reports it. A frame body
+	// longer than what bw has free fills it, and the rest goes straight to
+	// the socket.
 	_, _ = c.bw.Write(appendHeader(c.whdr[:0], e, frames))
 	_, _ = c.bw.WriteString(e.Err)
-	_, _ = c.bw.Write(global)
-	for _, v := range own {
+	for _, v := range vecs {
 		if v != nil {
-			c.writeFrame(v)
+			_, _ = c.bw.Write(binary.LittleEndian.AppendUint64(c.whdr[:0], uint64(8*len(v))))
+			_, _ = c.bw.Write(param.Bytes(v))
 		}
 	}
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("flnet: send %s: %w", e.Type, err)
 	}
 	return nil
-}
-
-// writeFrame writes the bytes appendFrame(nil, v) holds through bw,
-// encoding v into wbuf a chunk at a time, so sending a vector needs no
-// model-sized byte buffer either.
-func (c *conn) writeFrame(v param.Vector) {
-	if c.wbuf == nil {
-		c.wbuf = make([]byte, 0, frameHeader+frameChunk)
-	}
-	buf := binary.LittleEndian.AppendUint64(c.wbuf[:0], uint64(8*len(v)))
-	for {
-		at, n := len(buf), min(len(v), (cap(buf)-len(buf))/8)
-		buf = buf[:at+8*n]
-		for i, x := range v[:n] {
-			binary.LittleEndian.PutUint64(buf[at+8*i:], math.Float64bits(x))
-		}
-		_, _ = c.bw.Write(buf)
-		if v = v[n:]; len(v) == 0 {
-			return
-		}
-		buf = buf[:0]
-	}
 }
 
 // recv reads one message. The returned envelope is the conn's own (see
@@ -413,8 +358,9 @@ func (c *conn) decodeHeader() (frames byte, errLen int, err error) {
 	return frames, int(n), nil
 }
 
-// readFrame reads the next frame into a vector it borrows from param's pool,
-// refusing a bad length before anything is borrowed.
+// readFrame reads the next frame's body straight into the bytes of a vector
+// it borrows from param's pool, refusing a bad length before anything is
+// borrowed.
 func (c *conn) readFrame() (param.Vector, error) {
 	if _, err := io.ReadFull(c.br, c.rlen[:]); err != nil {
 		return nil, fmt.Errorf("frame length: %w", err)
@@ -432,18 +378,8 @@ func (c *conn) readFrame() (param.Vector, error) {
 	if c.elems == 0 {
 		c.elems = len(v) // a federation has one model size
 	}
-	if c.rbuf == nil {
-		c.rbuf = make([]byte, frameChunk)
-	}
-	for done := 0; done < len(v); {
-		chunk := c.rbuf[:min(8*(len(v)-done), len(c.rbuf))]
-		if _, err := io.ReadFull(c.br, chunk); err != nil {
-			return nil, fmt.Errorf("frame body: %w", err)
-		}
-		for i := 0; i < len(chunk); i += 8 {
-			v[done] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:]))
-			done++
-		}
+	if _, err := io.ReadFull(c.br, param.Bytes(v)); err != nil {
+		return nil, fmt.Errorf("frame body: %w", err)
 	}
 	return v, nil
 }

@@ -160,24 +160,14 @@ type Result struct {
 // worker goroutine owns the connection: the engine pushes one request at a
 // time into req and the worker delivers the matching reply (or a transport
 // error) to the server's event stream. The engine never sends a second
-// request before the first resolves, so req never blocks.
+// request before the first resolves, so req never blocks. A request's
+// Global is the round's global itself, sent from its memory: the
+// fl.Aggregator contract keeps a closed round's global unchanged, so a
+// straggler's send may still be reading it rounds later.
 type clientHandle struct {
 	id  int
 	c   *conn
-	req chan request
-}
-
-// request is one engine-to-client message: the envelope and the global it
-// carries as the frame every recipient shares.
-type request struct {
-	env    *Envelope
-	global *sharedFrame
-}
-
-// post hands h's worker env with f as its Global.
-func (f *sharedFrame) post(h *clientHandle, env *Envelope) {
-	f.refs.Add(1)
-	h.req <- request{env: env, global: f}
+	req chan *Envelope
 }
 
 // event is what a client worker reports back to the round engine: a reply
@@ -307,7 +297,7 @@ func (s *Server) handleJoin(raw net.Conn) {
 		_ = c.close()
 		return
 	}
-	h := &clientHandle{id: env.ClientID, c: c, req: make(chan request, 1)}
+	h := &clientHandle{id: env.ClientID, c: c, req: make(chan *Envelope, 1)}
 	s.mu.Lock()
 	if s.closing {
 		// The federation is tearing down; a join registered now would
@@ -344,21 +334,18 @@ func (s *Server) handleJoin(raw net.Conn) {
 // for shutdown) one receive, delivered to the event stream.
 func (s *Server) serveClient(h *clientHandle) {
 	for {
-		var req request
+		var req *Envelope
 		select {
 		case req = <-h.req:
 		case <-s.done:
 			return
 		}
-		frame := req.global.buf
-		err := h.c.sendShared(req.env, frame)
-		req.global.refs.Add(-1) // the engine may overwrite the buffer from here on
-		if err != nil {
+		if err := h.c.send(req); err != nil {
 			s.report(event{id: h.id, err: err})
 			return
 		}
 		// The reply's vectors must have the size of the model just sent.
-		h.c.elems = (len(frame) - frameHeader) / 8
+		h.c.elems = len(req.Global)
 		resp, err := h.c.recv()
 		if err != nil {
 			s.report(event{id: h.id, err: err})
@@ -450,10 +437,6 @@ type roundEngine struct {
 	busy map[int]int
 	// slotOf maps the current round's participants to their ledger slots.
 	slotOf map[int]int
-	// frame is the last global framed for the wire (see share), shares how
-	// many were.
-	frame  *sharedFrame
-	shares int
 	// trace is the seeded availability generator (nil without cfg.Trace).
 	trace *fl.TraceGen
 }
@@ -461,22 +444,6 @@ type roundEngine struct {
 func newRoundEngine(s *Server) *roundEngine {
 	return &roundEngine{s: s, busy: make(map[int]int), slotOf: make(map[int]int),
 		trace: s.cfg.Trace.Generator(s.cfg.Seed)}
-}
-
-// share frames global for the wire: once per round (and once for the
-// personalization stage) whatever the number of recipients, into the
-// buffer the previous round used.
-func (e *roundEngine) share(global param.Vector) *sharedFrame {
-	f := e.frame
-	if f == nil || f.refs.Load() != 0 {
-		// A send of the previous frame is still in flight (a straggler on a
-		// slow socket): leave that buffer to it.
-		f = &sharedFrame{}
-		e.frame = f
-	}
-	f.buf = appendFrame(f.buf[:0], global)
-	e.shares++
-	return f
 }
 
 func (e *roundEngine) Runtime() string { return "server" }
@@ -544,7 +511,6 @@ func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 	// Dispatch. Workers are idle (we only sample non-busy clients), so the
 	// 1-slot request channels never block.
 	clear(e.slotOf)
-	global := e.share(r.Global)
 	for slot, id := range r.Participants() {
 		e.slotOf[id] = slot
 		if !r.Pending(slot) {
@@ -554,7 +520,7 @@ func (e *roundEngine) Collect(ctx context.Context, r *fl.Round) error {
 		if h == nil {
 			return fmt.Errorf("flnet: round %d: client %d vanished before dispatch", r.Num, id)
 		}
-		global.post(h, &Envelope{Type: MsgTrain, Round: r.Num, ClientID: id})
+		h.req <- &Envelope{Type: MsgTrain, Round: r.Num, ClientID: id, Global: r.Global}
 		e.busy[id] = r.Num
 	}
 	var deadlineC <-chan time.Time
@@ -681,13 +647,12 @@ func (e *roundEngine) personalizeAll(ctx context.Context, global param.Vector) (
 	ids := s.Joined()
 	accs := make(map[int]float64, len(ids))
 	outstanding := make(map[int]bool, len(ids))
-	frame := e.share(global)
 	for _, id := range ids {
 		h := s.handle(id)
 		if h == nil {
 			continue
 		}
-		frame.post(h, &Envelope{Type: MsgPersonalize, ClientID: id})
+		h.req <- &Envelope{Type: MsgPersonalize, ClientID: id, Global: global}
 		outstanding[id] = true
 	}
 	for len(outstanding) > 0 {

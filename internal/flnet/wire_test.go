@@ -1,7 +1,8 @@
 package flnet
 
 // Tests for the message codec: vectors travel as raw frames behind a fixed
-// header, the server frames a round's global once, and a peer that sends
+// header, written from and read into the vectors' own memory, the server
+// sends a round's global as it is, and a peer that sends
 // headers or frames no peer of this protocol would is refused with
 // ErrBadFrame before anything is allocated for them — evicted by a server,
 // fatal to a client — never a hang or a panic.
@@ -75,75 +76,94 @@ func errorHeader(n uint32) []byte {
 	return h
 }
 
-// TestGlobalFramedOncePerRound: however many clients a round (or the
-// personalization stage) sends the global to, it is encoded once.
-func TestGlobalFramedOncePerRound(t *testing.T) {
-	const n, rounds = 4, 3
-	clients := netClients(t, n)
+// appendFrame appends v's frame to dst one element at a time: the encoding
+// the protocol specifies, which send's view of a vector's memory must match.
+func appendFrame(dst []byte, v param.Vector) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(8*len(v)))
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// TestStragglerSendReadsClosedGlobal: the server sends a round's global from
+// the vector itself and keeps no count of the sends still reading it. A raw
+// peer that leaves its round-0 request unread until round 1 has been
+// dispatched and closed holds that send in flight the whole time (the frame
+// is larger than both sockets' buffers), and then still decodes round 0's
+// global bit for bit: nothing after the round wrote to the vector.
+func TestStragglerSendReadsClosedGlobal(t *testing.T) {
+	const n = 1 << 20 // an 8 MiB frame
+	first := make(param.Vector, n)
+	for i := range first {
+		first[i] = math.Sqrt(float64(i)) - 512
+	}
+	want := first.Clone()
+	closed := make(chan struct{}) // closed when round 1 has
+	rounds := 0
 	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: n, Rounds: rounds, ClientsPerRound: n, Seed: 7,
-		Aggregator: fl.WeightedAverage{}, IOTimeout: 20 * time.Second,
-		InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 64), nil },
+		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 2, ClientsPerRound: 2, Seed: 7,
+		Quorum: 1, RoundDeadline: 2 * time.Second, IOTimeout: 30 * time.Second,
+		Aggregator: fl.WeightedAverage{},
+		InitGlobal: func(*rand.Rand) (param.Vector, error) { return first, nil },
+		OnRound: func(fl.RoundStats) {
+			if rounds++; rounds == 2 {
+				close(closed)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	for id := 0; id < n; id++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = RunClient(ctx, ClientConfig{Addr: srv.Addr().String(), ClientID: id, Data: clients[id],
-				Trainer: driftTrainer{}, Personalizer: idPersonalizer{}, Seed: 7})
-		}()
-	}
-	// Server.Run, with the engine kept in hand.
-	go srv.acceptLoop()
-	if err := srv.awaitQuorumJoin(ctx); err != nil {
-		t.Fatal(err)
-	}
-	eng := newRoundEngine(srv)
-	global, history, err := fl.RunRounds(ctx, srv.cfg.round(), eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.shares != rounds {
-		t.Fatalf("%d rounds of %d participants framed the global %d times, want once a round", rounds, n, eng.shares)
-	}
-	accs, err := eng.personalizeAll(ctx, global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.shares != rounds+1 {
-		t.Fatalf("personalizing %d clients framed the global %d times, want once", n, eng.shares-rounds)
-	}
-	srv.shutdownAll()
-	srv.listener.Close()
-	srv.closeAll()
-	close(srv.done)
-	wg.Wait()
-	if len(accs) != n || len(history) != rounds {
-		t.Fatalf("federation incomplete: %d accuracies, %d rounds", len(accs), len(history))
-	}
-}
+	ch := startServer(ctx, srv)
 
-// TestSharedFrameNotOverwrittenInFlight: the engine reuses the previous
-// round's frame buffer only once every send of it has finished.
-func TestSharedFrameNotOverwrittenInFlight(t *testing.T) {
-	e := &roundEngine{}
-	first := e.share(param.Vector{1, 2})
-	first.refs.Add(1) // a worker is still writing it
-	second := e.share(param.Vector{3, 4})
-	if second == first {
-		t.Fatal("frame overwritten while a send was in flight")
+	rc := dialRaw(t, srv.Addr().String())
+	defer rc.conn.Close()
+	// A small receive buffer keeps the server's send of the frame blocked.
+	if err := rc.conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
 	}
-	if want := appendFrame(nil, param.Vector{1, 2}); !bytes.Equal(first.buf, want) {
-		t.Fatalf("in-flight frame changed: %x", first.buf)
+	rc.send(t, &Envelope{Type: MsgJoin, ClientID: 1})
+	if ack := rc.recv(t); ack.Type != MsgJoinAck {
+		t.Fatalf("ack = %v", ack.Type)
 	}
-	if third := e.share(param.Vector{5, 6}); third != second {
-		t.Fatal("idle frame buffer not reused")
+	data := netClients(t, 1)[0]
+	done := make(chan error, 1)
+	go func() {
+		done <- RunClient(ctx, ClientConfig{Addr: srv.Addr().String(), ClientID: 0, Data: data,
+			Trainer: addOneTrainer{}, Personalizer: idPersonalizer{}, Seed: 7, IOTimeout: 30 * time.Second})
+	}()
+
+	select {
+	case <-closed:
+	case out := <-ch:
+		t.Fatalf("the federation ended before round 1 closed: %v", out.err)
+	}
+	// The worker's send of the round-0 request still holds the write lock.
+	if h := srv.handle(1); h == nil || h.c.wmu.TryLock() {
+		t.Fatal("the round-0 send to the peer was not in flight when round 1 closed: the test shows nothing")
+	}
+	train := rc.recv(t)
+	if train.Type != MsgTrain || train.Round != 0 || !sameBits(train.Global, want) {
+		t.Fatalf("the peer read a %s for round %d whose global is not round 0's", train.Type, train.Round)
+	}
+	param.GiveBack(train.Global)
+	rc.conn.Close() // the server evicts the straggler and finishes without it
+
+	out := <-ch
+	if out.err != nil {
+		t.Fatalf("federation: %v", out.err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("client 0: %v", err)
+	}
+	if got := out.res.History[0].Stragglers; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("round 0 stragglers = %v, want the peer [1]", got)
+	}
+	if !sameBits(first, want) {
+		t.Fatal("round 0's global changed after the round closed")
 	}
 }
 
@@ -214,11 +234,12 @@ func TestRequestWithoutGlobalRefused(t *testing.T) {
 	}
 }
 
-// TestStreamedFramesAtChunkBoundaries: send encodes a vector it owns a chunk
-// at a time; on either side of a chunk boundary the bytes are the header
+// TestSentFramesMatchAppendFrame: send writes each vector from its memory,
+// through a buffered writer far smaller than the frame; whether the frame is
+// empty, one element, or on either side of 64 KiB, the bytes are the header
 // and appendFrame's.
-func TestStreamedFramesAtChunkBoundaries(t *testing.T) {
-	per := frameChunk / 8 // elements in a chunk
+func TestSentFramesMatchAppendFrame(t *testing.T) {
+	const per = 8192 // 64 KiB of elements
 	for _, n := range []int{0, 1, per - 1, per, per + 1, 3*per + 5} {
 		v, w := make(param.Vector, n), make(param.Vector, n)
 		for i := range v {
@@ -244,40 +265,38 @@ func TestStreamedFramesAtChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestSendAllocatesOneChunk: sending an update many chunks long allocates
-// nothing on a warmed conn, and on a cold one no more than the chunk buffer,
-// whatever the model size. The counters are process-wide, and goroutines an
-// earlier test left winding down only add to them: the least of five tries
-// is what a send allocates.
-func TestSendAllocatesOneChunk(t *testing.T) {
-	for _, chunks := range []int{10, 40} {
-		e := &Envelope{Type: MsgTrainResult, Update: &fl.Update{Params: make(param.Vector, chunks*frameChunk/8)}}
+// TestSendAllocatesNothing: sending an update allocates nothing, on a
+// warmed conn and on a cold one, whatever the model size: every frame is
+// written from its vector's memory. The counters are process-wide, and
+// goroutines an earlier test left winding down only add to them: the least
+// of five tries is what a send allocates.
+func TestSendAllocatesNothing(t *testing.T) {
+	for _, n := range []int{80 << 10, 320 << 10} {
+		e := &Envelope{Type: MsgTrainResult, Update: &fl.Update{Params: make(param.Vector, n)}}
 		c := newConn(streamConn{Writer: io.Discard}, 0, 0)
 		if err := c.send(e); err != nil {
 			t.Fatal(err)
 		}
-		allocs, perSend := math.Inf(1), uint64(math.MaxUint64)
+		warm, cold := math.Inf(1), uint64(math.MaxUint64)
 		for range 5 {
-			allocs = min(allocs, testing.AllocsPerRun(20, func() { _ = c.send(e) }))
-			const runs = 16
-			cold := make([]*conn, runs)
-			for i := range cold {
-				cold[i] = newConn(streamConn{Writer: io.Discard}, 0, 0)
+			warm = min(warm, testing.AllocsPerRun(20, func() { _ = c.send(e) }))
+			conns := make([]*conn, 16)
+			for i := range conns {
+				conns[i] = newConn(streamConn{Writer: io.Discard}, 0, 0)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			for _, c := range cold {
+			for _, c := range conns {
 				_ = c.send(e)
 			}
 			runtime.ReadMemStats(&after)
-			perSend = min(perSend, (after.TotalAlloc-before.TotalAlloc)/runs)
+			cold = min(cold, after.Mallocs-before.Mallocs)
 		}
-		if allocs != 0 {
-			t.Errorf("a %d-chunk update on a warmed conn: %v allocations per send, want 0", chunks, allocs)
+		if warm != 0 {
+			t.Errorf("a %d-element update on a warmed conn: %v allocations per send, want 0", n, warm)
 		}
-		// A large object is allocated in whole 8 KiB pages.
-		if most := uint64(frameHeader + frameChunk + 8<<10); perSend > most {
-			t.Errorf("a %d-chunk update on a cold conn allocated %d bytes, want at most %d", chunks, perSend, most)
+		if cold != 0 {
+			t.Errorf("a %d-element update on 16 cold conns: %d allocations, want 0", n, cold)
 		}
 	}
 }

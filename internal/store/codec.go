@@ -106,16 +106,9 @@ func (e *encoder) f64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-// floats writes into a slice sized once, like the wire's frame writer: one
-// append per element costs a bounds-and-capacity check per float.
-func (e *encoder) floats(v []float64) {
-	at := len(e.buf)
-	e.buf = slices.Grow(e.buf, 8*len(v))[:at+8*len(v)]
-	body := e.buf[at:]
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(x))
-	}
-}
+// floats appends v's memory as it is (param.Bytes): the float bits in the
+// blob's little-endian byte order.
+func (e *encoder) floats(v []float64) { e.buf = append(e.buf, param.Bytes(v)...) }
 
 // intVec writes a nil-ness flag, a length and the values; the decoder
 // restores nil vs empty exactly (RoundStats semantics distinguish them).
@@ -263,9 +256,7 @@ func (r *reader) floats(n int) ([]float64, error) {
 		return nil, err
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	copy(param.Bytes(out), b)
 	return out, nil
 }
 

@@ -102,20 +102,20 @@ func parseVersion(name string) (int, bool) {
 	if len(digits) == 0 {
 		return 0, false
 	}
-	v := 0
+	var v int64
 	for _, c := range digits {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		v = v*10 + int(c-'0')
+		v = v*10 + int64(c-'0')
 		if v > 1<<31 {
 			return 0, false
 		}
 	}
-	if v < 1 {
+	if v < 1 || int64(int(v)) != v { // the second: 1<<31 on a 32-bit platform
 		return 0, false
 	}
-	return v, true
+	return int(v), true
 }
 
 // Versions lists the snapshot versions present on disk, ascending. It does
