@@ -365,6 +365,13 @@ func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 		t.Fatalf("a model allocates %d bytes, its values vector is %d: it keeps more than its values", modelBytes, vector)
 	}
 	arenaBytes := stepArenaBytes(cfg, cfg.Train.BatchSize)
+	// The arena holds activations and their gradients, batch rows each: the
+	// weight gradients are written where they are kept. With a scratch buffer
+	// per weight gradient it held more than the model (335,592 bytes against
+	// 179,184).
+	if arenaBytes >= modelBytes {
+		t.Errorf("a step arena holds %d bytes, a model's values %d: the step keeps weight-shaped scratch", arenaBytes, modelBytes)
+	}
 
 	// At Parallelism 2 two local updates run at once. Warm what two
 	// overlapping updates hold — two lent models and their values, two tapes,
@@ -466,17 +473,23 @@ func allocatedBytes(fn func()) uint64 {
 
 // stepArenaBytes is what a supervised step of cfg's model at batch rows
 // allocates on a tape that never served, beyond what the same step allocates
-// on it once warm: the step buffers a local update fills.
+// on it once warm: the step buffers a local update fills. The step runs as
+// a trainer's does, through nn.StepLoop, which clears the gradients and so
+// lets each weight's gradient be written where it is kept.
 func stepArenaBytes(cfg Config, batch int) uint64 {
 	m := newSupBase(cfg).newModel(rand.New(rand.NewSource(2)))
-	nn.NewSGD(m, 0, 0, 0) // gradient storage of its own, for a step outside a local update
 	tape := nn.NewTape(tensor.NewArena())
 	x, y := tensor.RandN(rand.New(rand.NewSource(3)), 1, batch, cfg.Arch.InputDim), make([]int, batch)
+	loop := nn.StepLoop{
+		Tape: tape,
+		Opt:  nn.NewSGD(m, 0, 0, 0), // gradient storage of its own, for a step outside a local update
+		Loss: func() (*nn.Node, error) { return nn.CrossEntropy(m.ForwardOn(tape, x), y), nil },
+	}
+	loop.Grads = nn.Grads(m)
 	step := func() {
-		if err := nn.Backward(nn.CrossEntropy(m.ForwardOn(tape, x), y)); err != nil {
+		if _, err := loop.Run(1); err != nil {
 			panic(err)
 		}
-		tape.Reset()
 	}
 	cold := allocatedBytes(step)
 	return cold - allocatedBytes(step)

@@ -41,6 +41,10 @@ type Node struct {
 	back         func(grad *tensor.Tensor)
 	tape         *Tape
 	requiresGrad bool
+	// cleared marks a parameter leaf whose gradient holds +0 everywhere and
+	// has had nothing added to it yet in this backward pass (see backward);
+	// any Grad call takes the mark away.
+	cleared bool
 }
 
 // Input wraps a constant tensor as a graph leaf through which no gradient
@@ -63,10 +67,34 @@ func InputOn(tp *Tape, t *tensor.Tensor) *Node {
 // Grad returns the node's accumulated gradient tensor, allocating it on
 // first use. For param nodes this aliases the Param's gradient.
 func (n *Node) Grad() *tensor.Tensor {
+	n.cleared = false
 	if n.grad == nil {
 		n.grad = n.tape.allocLike(n.Value)
 	}
 	return n.grad
+}
+
+// addProduct adds the product that into computes from a and b — a matrix
+// product with n's value's shape — to n's gradient. When nothing has
+// contributed to that gradient yet in this backward pass, the product is
+// computed straight into it: an intermediate node's gradient is not yet
+// allocated, and a parameter leaf's is still all +0 (cleared). Otherwise
+// it goes through scratch and is added. Both forms give the same bits: the
+// kernels start every output element at +0 and only add terms to it, so no
+// product element is −0 and +0 + 1·t is t (NaN payloads included).
+func addProduct(tp *Tape, n *Node, into func(out, a, b *tensor.Tensor), a, b *tensor.Tensor) {
+	switch {
+	case n.grad == nil:
+		n.grad = tp.allocLikeUninit(n.Value)
+		into(n.grad, a, b)
+	case n.cleared:
+		n.cleared = false
+		into(n.grad, a, b)
+	default:
+		tmp := tp.allocLikeUninit(n.Value)
+		into(tmp, a, b)
+		mustAddScaled(n.grad, tmp, 1)
+	}
 }
 
 func anyRequiresGrad(nodes ...*Node) bool {
@@ -106,9 +134,20 @@ func newOp(value *tensor.Tensor, back func(g *tensor.Tensor), parents ...*Node) 
 // Backward runs reverse-mode differentiation from loss, which must hold a
 // single element (a scalar loss). Gradients accumulate into every Param
 // reachable from loss, which must have gradient storage (Tape.LendGrads,
-// NewSGD); call Params' ZeroGrad (or SGD.ZeroGrad) between optimization
-// steps.
-func Backward(loss *Node) error {
+// NewSGD): whatever they hold, the pass adds to. Call Params' ZeroGrad (or
+// SGD.ZeroGrad) between optimization steps. StepLoop.Run, which clears the
+// gradients itself, lets the pass write a matrix product straight into a
+// gradient nothing has added to yet instead (see backward).
+func Backward(loss *Node) error { return backward(loss, nil) }
+
+// backward is Backward for a pass in which the parameter gradients lying in
+// cleared — a vector the caller has just set to +0 everywhere — start empty:
+// the first matrix product a parameter leaf there receives is written into
+// its gradient, not added through scratch (addProduct). That saves each
+// weight gradient's scratch and its AddScaled sweep, and changes no bit.
+// A leaf is marked only for this pass and only until an op touches its
+// gradient in any other way (Grad).
+func backward(loss *Node, cleared []float64) error {
 	if loss.Value.Len() != 1 {
 		return fmt.Errorf("nn: Backward requires a scalar loss, got shape %v", loss.Value.Shape())
 	}
@@ -118,8 +157,11 @@ func Backward(loss *Node) error {
 	order := topoSort(loss)
 	for _, n := range order {
 		// A parameter leaf: its gradient is the Param's.
-		if n.back == nil && n.grad != nil && n.grad.Len() != n.Value.Len() {
-			return errors.New("nn: Backward into a parameter with no gradient storage: lend the model's gradients (Tape.LendGrads) or build its optimizer (NewSGD) first")
+		if n.back == nil && n.grad != nil {
+			if n.grad.Len() != n.Value.Len() {
+				return errors.New("nn: Backward into a parameter with no gradient storage: lend the model's gradients (Tape.LendGrads) or build its optimizer (NewSGD) first")
+			}
+			n.cleared = within(n.grad.Data(), cleared)
 		}
 	}
 	loss.Grad().Data()[0] = 1
@@ -240,14 +282,10 @@ func MatMul(a, b *Node) *Node {
 	tensor.MatMulInto(v, a.Value, b.Value)
 	return newOp(v, func(g *tensor.Tensor) {
 		if a.requiresGrad {
-			tmp := tp.allocLikeUninit(a.Value)
-			tensor.MatMulTransBInto(tmp, g, b.Value) // g·bᵀ
-			mustAddScaled(a.Grad(), tmp, 1)
+			addProduct(tp, a, tensor.MatMulTransBInto, g, b.Value) // g·bᵀ
 		}
 		if b.requiresGrad {
-			tmp := tp.allocLikeUninit(b.Value)
-			tensor.MatMulTransAInto(tmp, a.Value, g) // aᵀ·g
-			mustAddScaled(b.Grad(), tmp, 1)
+			addProduct(tp, b, tensor.MatMulTransAInto, a.Value, g) // aᵀ·g
 		}
 	}, a, b)
 }
@@ -264,15 +302,13 @@ func MatMulTransB(a, b *Node) *Node {
 	v := tp.allocUninit(m, n)
 	tensor.MatMulTransBInto(v, a.Value, b.Value)
 	return newOp(v, func(g *tensor.Tensor) {
+		// For MatMulTransB(z, z) the first branch writes z's gradient and
+		// the second adds to it.
 		if a.requiresGrad {
-			tmp := tp.allocLikeUninit(a.Value)
-			tensor.MatMulInto(tmp, g, b.Value) // g·b
-			mustAddScaled(a.Grad(), tmp, 1)
+			addProduct(tp, a, tensor.MatMulInto, g, b.Value) // g·b
 		}
 		if b.requiresGrad {
-			tmp := tp.allocLikeUninit(b.Value)
-			tensor.MatMulTransAInto(tmp, g, a.Value) // gᵀ·a
-			mustAddScaled(b.Grad(), tmp, 1)
+			addProduct(tp, b, tensor.MatMulTransAInto, g, a.Value) // gᵀ·a
 		}
 	}, a, b)
 }
@@ -577,6 +613,15 @@ func SumSquares(x *Node) *Node {
 			gx[i] += 2 * gv * xd[i]
 		}
 	}, x)
+}
+
+// within reports whether d is a window of v, as bind carves a vector into
+// windows: its elements are v's and its capacity ends where v's does. It
+// never mistakes storage outside v for v's (it may miss a window of a v
+// whose capacity was cut short, which only costs the direct write).
+func within(d, v []float64) bool {
+	off := cap(v) - cap(d)
+	return len(d) > 0 && off >= 0 && off+len(d) <= len(v) && &v[off] == &d[0]
 }
 
 func mustAddScaled(dst, src *tensor.Tensor, s float64) {

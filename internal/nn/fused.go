@@ -100,14 +100,10 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 			}
 		}
 		if x.requiresGrad {
-			tmp := tp.allocLikeUninit(x.Value)
-			tensor.MatMulTransBInto(tmp, gPre, w.Value) // gPre·Wᵀ
-			mustAddScaled(x.Grad(), tmp, 1)
+			addProduct(tp, x, tensor.MatMulTransBInto, gPre, w.Value) // gPre·Wᵀ
 		}
 		if w.requiresGrad {
-			tmp := tp.allocLikeUninit(w.Value)
-			tensor.MatMulTransAInto(tmp, x.Value, gPre) // xᵀ·gPre
-			mustAddScaled(w.Grad(), tmp, 1)
+			addProduct(tp, w, tensor.MatMulTransAInto, x.Value, gPre) // xᵀ·gPre
 		}
 	}, x, w, bias)
 }

@@ -26,6 +26,11 @@ type StepLoop struct {
 	// Grads is the gradient vector of every parameter Loss can reach,
 	// trainable or frozen (what Tape.LendGrads returns); it is cleared
 	// before each Backward, so it may be lent as a last borrower left it.
+	// Because Run clears it, the step's backward pass writes the first
+	// matrix-product contribution a parameter there receives (a weight's
+	// xᵀ·g) straight into its gradient and adds only the ones after it;
+	// every other op adds. A gradient outside Grads is only ever added to,
+	// as plain Backward does.
 	Grads []float64
 	// ClipNorm bounds the global gradient norm of Opt's parameters; 0
 	// disables clipping.
@@ -55,7 +60,7 @@ func (l *StepLoop) Run(steps int) (float64, error) {
 		loss, err := l.Loss()
 		if err == nil {
 			clear(l.Grads)
-			err = Backward(loss)
+			err = backward(loss, l.Grads)
 		}
 		if err != nil {
 			l.Tape.Reset()

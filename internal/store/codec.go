@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
 
@@ -70,9 +71,36 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // encoder builds one frame. Encoding is deterministic: the same state
 // always yields byte-identical output (sections are written in a fixed
 // order and floats as their exact IEEE-754 bits).
+//
+// An encoder that lends takes a frame's one model-sized payload — a
+// global's memory or a delta's bits — by reference instead of copying it
+// into buf: finish then returns the frame as pieces, which a save writes
+// one after the other, so the store keeps no model-sized buffer.
 type encoder struct {
 	buf      []byte
 	sections uint32
+	lends    bool
+	// lent is the payload taken by reference; it belongs at buf offset at.
+	lent []byte
+	at   int
+}
+
+// pieces is an encoded frame: buf[:at], then lent, then buf[at:]. A frame
+// built whole is all buf (lent is nil).
+type pieces struct {
+	buf  []byte
+	lent []byte
+	at   int
+}
+
+// writeTo writes the frame's pieces to w in order.
+func (p pieces) writeTo(w io.Writer) error {
+	for _, b := range [][]byte{p.buf[:p.at], p.lent, p.buf[p.at:]} {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // newEncoder starts a frame in buf's storage, grown to hold capacity
@@ -94,9 +122,14 @@ func (e *encoder) begin(kind byte) int {
 	return len(e.buf)
 }
 
-// end patches the section length opened at start.
+// end patches the section length opened at start, counting a payload the
+// section took by reference.
 func (e *encoder) end(start int) {
-	binary.LittleEndian.PutUint64(e.buf[start-8:start], uint64(len(e.buf)-start))
+	n := len(e.buf) - start
+	if e.lent != nil && e.at >= start {
+		n += len(e.lent)
+	}
+	binary.LittleEndian.PutUint64(e.buf[start-8:start], uint64(n))
 }
 
 func (e *encoder) u8(v byte)    { e.buf = append(e.buf, v) }
@@ -106,9 +139,19 @@ func (e *encoder) f64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-// floats appends v's memory as it is (param.Bytes): the float bits in the
-// blob's little-endian byte order.
-func (e *encoder) floats(v []float64) { e.buf = append(e.buf, param.Bytes(v)...) }
+// payload writes a frame's model-sized bytes: appended, or taken by
+// reference if the encoder lends. A frame has at most one.
+func (e *encoder) payload(b []byte) {
+	if e.lends {
+		e.lent, e.at = b, len(e.buf)
+		return
+	}
+	e.buf = append(e.buf, b...)
+}
+
+// floats writes v's memory as it is (param.Bytes), the float bits in the
+// blob's little-endian byte order, as the frame's payload.
+func (e *encoder) floats(v []float64) { e.payload(param.Bytes(v)) }
 
 // intVec writes a nil-ness flag, a length and the values; the decoder
 // restores nil vs empty exactly (RoundStats semantics distinguish them).
@@ -124,12 +167,15 @@ func (e *encoder) intVec(v []int) {
 	}
 }
 
-// finish patches the section count, appends the CRC trailer and returns
-// the completed frame.
-func (e *encoder) finish() []byte {
+// finish patches the section count, appends the CRC trailer — over the
+// pieces in frame order — and returns the completed frame.
+func (e *encoder) finish() pieces {
 	binary.LittleEndian.PutUint32(e.buf[8:12], e.sections)
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc32.Checksum(e.buf, crcTable))
-	return e.buf
+	crc := crc32.Update(0, crcTable, e.buf[:e.at])
+	crc = crc32.Update(crc, crcTable, e.lent)
+	crc = crc32.Update(crc, crcTable, e.buf[e.at:])
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, crc)
+	return pieces{buf: e.buf, lent: e.lent, at: e.at}
 }
 
 // --- Decoding ---------------------------------------------------------------
@@ -332,7 +378,7 @@ func appendDeltaStatePayload(e *encoder, round, refVersion int, d *param.Delta) 
 	e.i64(int64(round))
 	e.i64(int64(refVersion))
 	e.i64(int64(d.Len))
-	e.buf = append(e.buf, d.Bits...)
+	e.payload(d.Bits)
 }
 
 func readDeltaStatePayload(p []byte) (*deltaRef, error) {

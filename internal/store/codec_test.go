@@ -239,7 +239,7 @@ func hugeVectorBlob() []byte {
 	e.i64(0)       // round
 	e.i64(1 << 55) // claims ~2^58 bytes of floats
 	e.end(s)
-	return e.finish()
+	return e.finish().buf
 }
 
 // TestDecodeNeverOverAllocates: a tiny blob declaring a gigantic vector
@@ -258,7 +258,7 @@ func retiredKindBlob(kind byte) []byte {
 	s := e.begin(kind)
 	e.i64(0)
 	e.end(s)
-	return e.finish()
+	return e.finish().buf
 }
 
 // TestDecodeWrongEntryPoint: a frame carrying a retired section kind is
@@ -318,7 +318,7 @@ func TestDecodeSnapshotRejectsDuplicateSections(t *testing.T) {
 			}
 			e.end(sec)
 		}
-		return e.finish()
+		return e.finish().buf
 	}
 	for name, kind := range map[string]byte{"history": secHistory, "counts": secCounts} {
 		if _, err := DecodeSnapshot(build(kind)); !errors.Is(err, ErrMalformed) {

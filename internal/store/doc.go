@@ -79,11 +79,17 @@
 // with its error. So onSaved — not the hook call returning, and not the
 // round's OnRound — is what says a version is on disk; a kill -9 can lose
 // exactly the one version in flight, and Latest falls back to the one
-// before it. A steady-state save allocates nothing model-sized: the
-// state is a shared view, the delta and frame buffers are kept between
-// saves, the hook path keeps the handed-off global as the next delta
-// reference instead of copying it, and only a handle's first save lists
-// the directory (later ones start publishing above its own last version).
+// before it. A steady-state save allocates nothing model-sized, and keeps
+// no model-sized frame: a file is written from its vector's bytes, in
+// three pieces — header, metadata and the state section's prefix from the
+// encoder's small buffer, then the global's own memory (param.Bytes) or
+// the delta's bits, then history, counts and the CRC trailer, the CRC
+// taken over all three — so every file is byte for byte the frame
+// EncodeSnapshot builds whole. The state is a shared view, the delta and
+// small frame buffers are kept between saves, the hook path keeps the
+// handed-off global as the next delta reference instead of copying it, and
+// only a handle's first save lists the directory (later ones start
+// publishing above its own last version).
 //
 // # Resume state machine
 //

@@ -31,9 +31,9 @@ func fuzzSeeds() [][]byte {
 	inc, _ := encodeSnapshotDelta(nil, &Snapshot{
 		Meta:  Meta{Seed: 7, Fingerprint: "abc", Runtime: "simulator"},
 		State: fl.SimState{Round: 3, History: []fl.RoundStats{{Round: 2}}, EligibleCounts: []int{2}},
-	}, 2, &d)
+	}, 2, &d, false)
 
-	seeds := [][]byte{snap, inc, hugeVectorBlob(), retiredKindBlob(2), retiredKindBlob(5), nil, []byte(Magic)}
+	seeds := [][]byte{snap, inc.buf, hugeVectorBlob(), retiredKindBlob(2), retiredKindBlob(5), nil, []byte(Magic)}
 	// Truncations at interesting boundaries.
 	for _, cut := range []int{headerSize, headerSize + secHeaderSize, len(snap) / 2, len(snap) - 1} {
 		if cut < len(snap) {

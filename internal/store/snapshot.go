@@ -42,11 +42,12 @@ const (
 
 // encodeSnapshotWith writes the common snapshot frame into buf's storage
 // (nil allocates), delegating the state section (full vector vs
-// incremental delta) to writeState.
-func encodeSnapshotWith(buf []byte, s *Snapshot, extra int, writeState func(e *encoder)) ([]byte, error) {
+// incremental delta) to writeState, which writes extra bytes into buf. With
+// lend the state's model-sized payload is taken by reference (see encoder).
+func encodeSnapshotWith(buf []byte, s *Snapshot, extra int, lend bool, writeState func(e *encoder)) (pieces, error) {
 	meta, err := json.Marshal(s.Meta)
 	if err != nil {
-		return nil, fmt.Errorf("store: encode meta: %w", err)
+		return pieces{}, fmt.Errorf("store: encode meta: %w", err)
 	}
 	st := &s.State
 	capacity := len(meta) + 8 + extra + 8 + 8*len(st.EligibleCounts) + 64
@@ -54,6 +55,7 @@ func encodeSnapshotWith(buf []byte, s *Snapshot, extra int, writeState func(e *e
 		capacity += 56 + 8*(len(h.Participants)+len(h.Responders)+len(h.Stragglers))
 	}
 	e := newEncoder(buf, capacity)
+	e.lends = lend
 
 	sec := e.begin(secMeta)
 	e.buf = append(e.buf, meta...)
@@ -101,12 +103,19 @@ func deltaStateSize(d *param.Delta) int { return 8 + 8 + 8 + len(d.Bits) }
 // byte-identical output. The parameter vector and history are pure binary
 // (floats as exact IEEE-754 bits — NaN and ±Inf payloads survive).
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	return encodeSnapshot(nil, s)
+	p, err := encodeSnapshot(nil, s, false)
+	return p.buf, err
 }
 
-// encodeSnapshot is EncodeSnapshot into buf's storage.
-func encodeSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
-	return encodeSnapshotWith(buf, s, fullStateSize(len(s.State.Global)), func(e *encoder) {
+// encodeSnapshot is EncodeSnapshot into buf's storage. With lend the frame
+// takes the global's memory by reference (param.Bytes) instead of copying
+// it: what Store.Save writes a file from.
+func encodeSnapshot(buf []byte, s *Snapshot, lend bool) (pieces, error) {
+	extra := fullStateSize(len(s.State.Global))
+	if lend {
+		extra = fullStateSize(0)
+	}
+	return encodeSnapshotWith(buf, s, extra, lend, func(e *encoder) {
 		sec := e.begin(secState)
 		e.i64(int64(s.State.Round))
 		appendVectorPayload(e, s.State.Global)
@@ -122,12 +131,17 @@ func encodeSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
 // are still stored in full (they are a sliver of the model payload), so
 // everything except the global vector decodes without touching the
 // reference. Decoding requires the reference chain: DecodeSnapshot refuses
-// the blob with ErrIncremental, Store.Open resolves it.
-func encodeSnapshotDelta(buf []byte, s *Snapshot, refVersion int, d *param.Delta) ([]byte, error) {
+// the blob with ErrIncremental, Store.Open resolves it. With lend the frame
+// takes d's bits by reference.
+func encodeSnapshotDelta(buf []byte, s *Snapshot, refVersion int, d *param.Delta, lend bool) (pieces, error) {
 	if refVersion < 1 {
-		return nil, fmt.Errorf("store: incremental snapshot needs a positive reference version, got %d", refVersion)
+		return pieces{}, fmt.Errorf("store: incremental snapshot needs a positive reference version, got %d", refVersion)
 	}
-	return encodeSnapshotWith(buf, s, deltaStateSize(d), func(e *encoder) {
+	extra := deltaStateSize(d)
+	if lend {
+		extra -= len(d.Bits)
+	}
+	return encodeSnapshotWith(buf, s, extra, lend, func(e *encoder) {
 		sec := e.begin(secDeltaState)
 		appendDeltaStatePayload(e, s.State.Round, refVersion, d)
 		e.end(sec)

@@ -198,20 +198,23 @@ func (s *Store) Save(snap *Snapshot) (int, error) {
 func (s *Store) save(snap *Snapshot, keep bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var data []byte
+	// The frame takes the global (or the delta) by reference: the file is
+	// written from the vector's own bytes, and s.enc holds only the rest.
+	var frame pieces
+	ok := false
 	depth := 0 // chain depth of the blob being written
 	if ref := s.pickReference(snap); ref != nil {
-		if data = s.encodeIncremental(snap, ref); data != nil {
+		if frame, ok = s.encodeIncremental(snap, ref); ok {
 			depth = ref.depth + 1
 		}
 	}
-	if data == nil {
+	if !ok {
 		var err error
-		if data, err = encodeSnapshot(s.enc, snap); err != nil {
+		if frame, err = encodeSnapshot(s.enc, snap, true); err != nil {
 			return 0, err
 		}
 	}
-	s.enc = data[:0]
+	s.enc = frame.buf[:0]
 	// Only a handle's first save lists the directory; after that its own
 	// last version is where the search for a free one starts, and publish
 	// steps over whatever other savers put there meanwhile.
@@ -230,7 +233,7 @@ func (s *Store) save(snap *Snapshot, keep bool) (int, error) {
 		return 0, fmt.Errorf("store: create temp snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // drops the temp name; the published link survives
-	if _, err := tmp.Write(data); err != nil {
+	if err := frame.writeTo(tmp); err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("store: write snapshot: %w", err)
 	}
@@ -268,7 +271,7 @@ func (s *Store) save(snap *Snapshot, keep bool) (int, error) {
 	return version, nil
 }
 
-// encodeIncremental encodes snap as a delta against ref, or returns nil
+// encodeIncremental encodes snap as a delta against ref, or reports false
 // when the full snapshot is what should be written: the delta is kept only
 // when it is actually smaller — a global that shifted substantially can
 // XOR to high-entropy words whose varint form exceeds 8 bytes per element,
@@ -277,17 +280,14 @@ func (s *Store) save(snap *Snapshot, keep bool) (int, error) {
 // storage is full-snapshot parity. Which blob is smaller follows from the
 // delta's size alone, so only the winner is ever encoded. The caller holds
 // s.mu.
-func (s *Store) encodeIncremental(snap *Snapshot, ref *saveRef) []byte {
+func (s *Store) encodeIncremental(snap *Snapshot, ref *saveRef) (pieces, bool) {
 	d := &s.diff
 	global := param.Vector(snap.State.Global)
 	if err := param.DiffInto(d, ref.global, global); err != nil || deltaStateSize(d) >= fullStateSize(len(global)) {
-		return nil
+		return pieces{}, false
 	}
-	data, err := encodeSnapshotDelta(s.enc, snap, ref.version, d)
-	if err != nil {
-		return nil // the full encode reports it
-	}
-	return data
+	frame, err := encodeSnapshotDelta(s.enc, snap, ref.version, d, true)
+	return frame, err == nil // on an error the full encode reports it
 }
 
 // publishRetries bounds how many occupied versions publish will step over

@@ -111,7 +111,7 @@ func MatMulInto(out, a, b *Tensor) {
 		matMulRange(out, a, b, 0, m)
 		return
 	}
-	parallelRows(m, minRowsPerTask, func(lo, hi int) { matMulRange(out, a, b, lo, hi) })
+	parallelKernel(matMulRange, out, a, b, m)
 }
 
 // MatMulTransAInto computes out = aᵀ·b where a is (k×m), b is (k×n),
@@ -123,7 +123,7 @@ func MatMulTransAInto(out, a, b *Tensor) {
 		matMulTransARange(out, a, b, 0, m)
 		return
 	}
-	parallelRows(m, minRowsPerTask, func(lo, hi int) { matMulTransARange(out, a, b, lo, hi) })
+	parallelKernel(matMulTransARange, out, a, b, m)
 }
 
 // MatMulTransBInto computes out = a·bᵀ where a is (m×k), b is (n×k),
@@ -135,7 +135,7 @@ func MatMulTransBInto(out, a, b *Tensor) {
 		matMulTransBRange(out, a, b, 0, m)
 		return
 	}
-	parallelRows(m, minRowsPerTask, func(lo, hi int) { matMulTransBRange(out, a, b, lo, hi) })
+	parallelKernel(matMulTransBRange, out, a, b, m)
 }
 
 // MatMulSerialInto is MatMulInto on the calling goroutine alone. It is

@@ -300,3 +300,28 @@ func BenchmarkMatMulTransB256(b *testing.B) {
 		MatMulTransBInto(out, x, y)
 	}
 }
+
+// TestForkedKernelCallsAllocateNothing: a product split across the pool
+// hands the workers a reused job — the range kernel and its operands — and
+// each chunk's bounds by value, so once a job exists a forked call builds no
+// closure and no WaitGroup: it allocates nothing.
+func TestForkedKernelCallsAllocateNothing(t *testing.T) {
+	forceWorkers(t, 2)
+	rng := rand.New(rand.NewSource(12))
+	const m, k, n = 64, 160, 160
+	a, at, b, bt := randMat(rng, m, k), randMat(rng, k, m), randMat(rng, k, n), randMat(rng, n, k)
+	out := New(m, n)
+	if serialSized(m, k, n) {
+		t.Fatalf("a %dx%dx%d product runs serially: the test needs one the pool splits", m, k, n)
+	}
+	for name, call := range map[string]func(){
+		"MatMulInto":       func() { MatMulInto(out, a, b) },
+		"MatMulTransAInto": func() { MatMulTransAInto(out, at, b) },
+		"MatMulTransBInto": func() { MatMulTransBInto(out, a, bt) },
+	} {
+		call() // the first forked call makes the job the later ones reuse
+		if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
+			t.Errorf("a forked %s call allocates %v objects, want 0", name, allocs)
+		}
+	}
+}

@@ -32,15 +32,24 @@ var (
 
 type workerPool struct {
 	n     int
-	tasks chan func()
+	tasks chan task
+}
+
+// task is one chunk of a forked call: rows [lo, hi) of job j.
+type task struct {
+	j      *job
+	lo, hi int
 }
 
 func newWorkerPool(n int) *workerPool {
-	p := &workerPool{n: n, tasks: make(chan func(), 4*n)}
+	// A call submits at most n−1 tasks: the buffer lets a few callers at
+	// once hand over all their chunks without waiting for a worker.
+	p := &workerPool{n: n, tasks: make(chan task, 4*n)}
 	for i := 0; i < n; i++ {
 		go func() {
-			for f := range p.tasks {
-				f()
+			for t := range p.tasks {
+				t.j.run(t.lo, t.hi)
+				t.j.wg.Done()
 			}
 		}()
 	}
@@ -122,6 +131,45 @@ func ParallelRanges(n, minChunk int, fn func(lo, hi int)) {
 // every output element is produced by exactly one invocation, in the same
 // order as a serial sweep.
 func parallelRows(m, minChunk int, fn func(lo, hi int)) {
+	j := jobs.borrow()
+	j.fn = fn
+	j.split(m, minChunk)
+	jobs.giveBack(j)
+}
+
+// parallelKernel is parallelRows over a range kernel and its operands: the
+// pool runs kernel(out, a, b, lo, hi) on each chunk of [0, m), minRowsPerTask
+// rows or more, from a job it reuses, so a forked product allocates nothing.
+func parallelKernel(kernel func(out, a, b *Tensor, lo, hi int), out, a, b *Tensor, m int) {
+	j := jobs.borrow()
+	j.kernel, j.out, j.a, j.b = kernel, out, a, b
+	j.split(m, minRowsPerTask)
+	jobs.giveBack(j)
+}
+
+// job is one forked call, handed to the pool's workers with the bounds of
+// each chunk: a range kernel and its operands, or a range function. Jobs
+// are reused (jobs), so handing a kernel call to the pool builds no closure
+// and no WaitGroup.
+type job struct {
+	kernel    func(out, a, b *Tensor, lo, hi int)
+	out, a, b *Tensor
+	fn        func(lo, hi int)
+	wg        sync.WaitGroup
+}
+
+func (j *job) run(lo, hi int) {
+	if j.fn != nil {
+		j.fn(lo, hi)
+		return
+	}
+	j.kernel(j.out, j.a, j.b, lo, hi)
+}
+
+// split runs the job on [0, m) in at most Workers() contiguous chunks of at
+// least minChunk rows, the first on the calling goroutine and the rest on
+// the shared pool, and returns when every chunk is done.
+func (j *job) split(m, minChunk int) {
 	ensurePool()
 	poolMu.RLock()
 	defer poolMu.RUnlock()
@@ -130,11 +178,10 @@ func parallelRows(m, minChunk int, fn func(lo, hi int)) {
 		chunks = maxChunks
 	}
 	if chunks <= 1 {
-		fn(0, m)
+		j.run(0, m)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(chunks - 1)
+	j.wg.Add(chunks - 1)
 	base, rem := m/chunks, m%chunks
 	// Chunk c covers base rows, the first rem chunks one extra.
 	hi := 0
@@ -147,16 +194,43 @@ func parallelRows(m, minChunk int, fn func(lo, hi int)) {
 		if c == 0 {
 			continue // saved for the caller, run after all submissions
 		}
-		lo, hi := lo, hi
-		pool.tasks <- func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}
+		pool.tasks <- task{j, lo, hi}
 	}
 	first := base
 	if rem > 0 {
 		first++
 	}
-	fn(0, first)
-	wg.Wait()
+	j.run(0, first)
+	j.wg.Wait()
+}
+
+// jobs keeps the jobs callers have finished with, for the next forked call:
+// one per call in flight at once.
+var jobs jobPool
+
+type jobPool struct {
+	mu   sync.Mutex
+	free []*job
+}
+
+func (p *jobPool) borrow() *job {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	last := len(p.free) - 1
+	if last < 0 {
+		return new(job)
+	}
+	j := p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	return j
+}
+
+// giveBack drops the job's operands, so the pool keeps no tensor alive, and
+// keeps the job.
+func (p *jobPool) giveBack(j *job) {
+	j.kernel, j.out, j.a, j.b, j.fn = nil, nil, nil, nil, nil
+	p.mu.Lock()
+	p.free = append(p.free, j)
+	p.mu.Unlock()
 }
