@@ -40,6 +40,17 @@ if grep -qx 'encoding/gob' <<<"$flnet_deps"; then
     echo "internal/flnet depends on encoding/gob" >&2
     exit 1
 fi
+# The XOR-delta codec (param.Delta, param.DiffInto) has no caller left but
+# bench/'s probes, and Store.SetIncremental is a no-op only bench/run.go
+# still calls; both go when bench/ does. Nothing else may start calling
+# them meanwhile.
+delta_users=$(grep -rnE --include='*.go' --exclude='*_test.go' '\.SetIncremental\(|param\.(Delta|DiffInto)\b' . |
+    grep -vE '^\./(bench|internal/param)/|^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$delta_users" ]; then
+    echo "SetIncremental or the param delta codec has a new caller outside bench/:" >&2
+    echo "$delta_users" >&2
+    exit 1
+fi
 # One command line: cmd/ holds exactly one main package.
 if [ "$(ls cmd)" != "calibre" ]; then
     echo "cmd/ must contain exactly one directory, calibre; found:" >&2

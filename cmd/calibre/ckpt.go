@@ -67,44 +67,21 @@ func runList(args []string) error {
 		fmt.Println("no checkpoints")
 		return nil
 	}
-	fmt.Printf("%-8s %-7s %-8s %-10s %-14s %-16s %-10s %s\n", "version", "round", "params", "size", "encoding", "fingerprint", "runtime", "saved")
+	fmt.Printf("%-8s %-7s %-8s %-10s %-16s %-10s %s\n", "version", "round", "params", "size", "fingerprint", "runtime", "saved")
 	for _, e := range entries {
-		if e.Corrupt {
-			fmt.Printf("%-8d %-7s %-8s %-10d %-14s %-16s %-10s %s  [corrupt]\n", e.Version, "-", "-", e.Size, encodingOf(e), "-", "-",
-				e.ModTime.Format("2006-01-02 15:04:05"))
+		saved := e.ModTime.Format("2006-01-02 15:04:05")
+		if e.Err != nil {
+			mark := "[corrupt]"
+			if errors.Is(e.Err, store.ErrRetiredIncremental) {
+				mark = "[incremental, no longer read]"
+			}
+			fmt.Printf("%-8d %-7s %-8s %-10d %-16s %-10s %s  %s\n", e.Version, "-", "-", e.Size, "-", "-", saved, mark)
 			continue
 		}
-		fmt.Printf("%-8d %-7d %-8d %-10d %-14s %-16s %-10s %s\n", e.Version, e.Round, e.Params, e.Size,
-			encodingOf(e), e.Meta.Fingerprint, e.Meta.Runtime, e.ModTime.Format("2006-01-02 15:04:05"))
+		fmt.Printf("%-8d %-7d %-8d %-10d %-16s %-10s %s\n", e.Version, e.Round, e.Params, e.Size,
+			e.Meta.Fingerprint, e.Meta.Runtime, saved)
 	}
 	return nil
-}
-
-// encodingOf renders an entry's snapshot encoding for listings.
-func encodingOf(e store.Entry) string {
-	if !e.Incremental {
-		return "full"
-	}
-	return fmt.Sprintf("delta→v%d/%d", e.RefVersion, e.ChainDepth)
-}
-
-// describeEncoding summarizes a version's on-disk encoding and, for
-// incremental snapshots, the storage saving against a full re-encode of
-// the resolved state.
-func describeEncoding(st *store.Store, version int, snap *store.Snapshot) string {
-	e, err := st.Stat(version)
-	if err != nil {
-		return "unknown"
-	}
-	if !e.Incremental {
-		return fmt.Sprintf("full (%d bytes on disk)", e.Size)
-	}
-	full, err := store.EncodeSnapshot(snap)
-	if err != nil {
-		return fmt.Sprintf("incremental (ref v%d, chain depth %d, %d bytes on disk)", e.RefVersion, e.ChainDepth, e.Size)
-	}
-	return fmt.Sprintf("incremental (ref v%d, chain depth %d, %d bytes on disk vs %d full — %.1f%% saved)",
-		e.RefVersion, e.ChainDepth, e.Size, len(full), 100*(1-float64(e.Size)/float64(len(full))))
 }
 
 // vectorStats summarizes a parameter vector for inspection output.
@@ -141,7 +118,6 @@ func runInspect(args []string) error {
 	}
 	state := &snap.State
 	fmt.Printf("version:      %d\n", v)
-	fmt.Printf("encoding:     %s\n", describeEncoding(st, v, snap))
 	fmt.Printf("runtime:      %s\n", snap.Meta.Runtime)
 	fmt.Printf("seed:         %d\n", snap.Meta.Seed)
 	fmt.Printf("fingerprint:  %s\n", snap.Meta.Fingerprint)
@@ -183,8 +159,6 @@ func runDiff(args []string) error {
 	}
 	fmt.Printf("v%d (round %d) → v%d (round %d): %+d rounds\n",
 		*av, a.State.Round, *bv, b.State.Round, b.State.Round-a.State.Round)
-	fmt.Printf("v%d encoding: %s\n", *av, describeEncoding(st, *av, a))
-	fmt.Printf("v%d encoding: %s\n", *bv, describeEncoding(st, *bv, b))
 	if a.Meta.Fingerprint != b.Meta.Fingerprint {
 		fmt.Printf("fingerprints differ: %s vs %s (different federations!)\n", a.Meta.Fingerprint, b.Meta.Fingerprint)
 	}

@@ -67,63 +67,6 @@ func TestCkptListInspectDiff(t *testing.T) {
 	}
 }
 
-// seedIncrementalStore writes a full snapshot plus two delta-encoded ones.
-func seedIncrementalStore(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("store.Open: %v", err)
-	}
-	st.SetIncremental(true)
-	global := make([]float64, 512)
-	for round := 1; round <= 3; round++ {
-		global[round] = float64(round) // tiny per-round drift
-		state := fl.SimState{
-			Round:          round,
-			Global:         append([]float64(nil), global...),
-			History:        make([]fl.RoundStats, round),
-			EligibleCounts: make([]int, round),
-		}
-		for r := 0; r < round; r++ {
-			state.History[r] = fl.RoundStats{Round: r, Participants: []int{0}, MeanLoss: 0.25}
-			state.EligibleCounts[r] = 2
-		}
-		if _, err := st.Save(&store.Snapshot{Meta: store.Meta{Seed: 7, Runtime: "server"}, State: state}); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-	}
-	return dir
-}
-
-// TestCkptReportsIncremental pins the operator view of delta snapshots:
-// list shows the encoding and reference chain, inspect reports the
-// storage saving against a full re-encode, diff labels both sides.
-func TestCkptReportsIncremental(t *testing.T) {
-	dir := seedIncrementalStore(t)
-
-	out := captureStdout(t, func() error { return run([]string{"ckpt", "list", "-dir", dir}) })
-	for _, needle := range []string{"encoding", "full", "delta→v1/1", "delta→v2/2"} {
-		if !strings.Contains(out, needle) {
-			t.Fatalf("list output missing %q:\n%s", needle, out)
-		}
-	}
-
-	out = captureStdout(t, func() error { return run([]string{"ckpt", "inspect", "-dir", dir}) })
-	for _, needle := range []string{"encoding:     incremental (ref v2, chain depth 2,", "% saved)", "round:        3"} {
-		if !strings.Contains(out, needle) {
-			t.Fatalf("inspect output missing %q:\n%s", needle, out)
-		}
-	}
-
-	out = captureStdout(t, func() error { return run([]string{"ckpt", "diff", "-dir", dir, "-a", "1", "-b", "3"}) })
-	for _, needle := range []string{"v1 encoding: full", "v3 encoding: incremental (ref v2", "2 changed"} {
-		if !strings.Contains(out, needle) {
-			t.Fatalf("diff output missing %q:\n%s", needle, out)
-		}
-	}
-}
-
 func TestCkptExport(t *testing.T) {
 	dir := seedStore(t)
 

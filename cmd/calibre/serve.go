@@ -51,7 +51,6 @@ func runServe(args []string) error {
 		deadline  = fs.Duration("deadline", 0, "per-round collection deadline; 0 waits for all participants")
 		ckptDir   = fs.String("checkpoint-dir", "", "durable checkpoint directory; snapshots round state for crash recovery")
 		ckptEvery = fs.Int("checkpoint-every", 1, "rounds between checkpoints when -checkpoint-dir is set")
-		ckptDelta = fs.Bool("checkpoint-incremental", false, "encode checkpoints as lossless deltas against the previous version (full-snapshot fallback; see calibre ckpt list)")
 		resume    = fs.Bool("resume", false, "resume from the latest matching checkpoint in -checkpoint-dir (fresh start when none exists)")
 		planes    = addPlaneFlags(fs)
 	)
@@ -93,7 +92,7 @@ func runServe(args []string) error {
 	}
 	if *ckptDir != "" {
 		ckpt, err := experiments.AttachCheckpoints(world.Method, experiments.Checkpoints{
-			Dir: *ckptDir, Incremental: *ckptDelta, Every: *ckptEvery, Resume: *resume,
+			Dir: *ckptDir, Every: *ckptEvery, Resume: *resume,
 			Seed: sc.Seed, Fingerprint: world.ServerFingerprint(*clients, *perRound, *deadline), Runtime: "server",
 			OnSaved: func(v int, state *fl.SimState) {
 				fmt.Printf("checkpoint v%d saved at round %d\n", v, state.Round)

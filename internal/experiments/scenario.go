@@ -201,10 +201,6 @@ func simulatorFingerprint(env *Environment, method string) string {
 type Checkpoints struct {
 	// Dir is the checkpoint directory (internal/store), created on demand.
 	Dir string
-	// Incremental encodes snapshots as lossless deltas against the
-	// previous version. It changes only how they are stored, never what
-	// they resolve to, so it is safe to flip between restarts.
-	Incremental bool
 	// Every is the stride in rounds (≤0 means every round).
 	Every int
 	// Seed, Fingerprint and Runtime are the snapshots' store.Meta.
@@ -246,7 +242,6 @@ func AttachCheckpoints(m *fl.Method, c Checkpoints) (*Attached, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckpt.SetIncremental(c.Incremental)
 	if c.Resume {
 		snap, v, err := ckpt.Resume(c.Fingerprint)
 		if err != nil {

@@ -438,7 +438,6 @@ func TestServerKillAtEveryBoundaryResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.SetIncremental(true)
 		other, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -25,6 +25,11 @@ var (
 // Delta is the lossless encoded difference between a Vector and a
 // reference Vector (see the package comment for the format). The zero
 // value is not meaningful; build one with DiffInto.
+//
+// Neither the wire nor the checkpoint store uses it any more: its one
+// remaining caller is the benchmark harness, whose param.diff_us,
+// param.apply_us and param.delta_ratio probes (bench/probes.go) time
+// DiffInto and ApplyInto. It goes when those probes do.
 type Delta struct {
 	// Len is the element count of the vectors the delta relates.
 	Len int

@@ -1,7 +1,7 @@
 // Package param is the update plane's typed parameter representation: the
 // Vector every layer of the runtime exchanges instead of bare []float64
-// slices, the lossless Delta encoding that makes per-round traffic scale
-// with what changed rather than with model size, the Shard helper that
+// slices, the lossless Delta encoding (which only the benchmark harness's
+// codec probes still call; see Delta), the Shard helper that
 // dispatches element-range reductions onto the shared tensor kernel pool,
 // and the process-wide pool that lends the vectors a client needs only while
 // it trains (Borrow, GiveBack).
@@ -36,8 +36,7 @@ import "math"
 // Vector is a model parameter vector in nn.Values layout: a model's
 // parameters in Params() order, and for a laid-out model its storage. It is
 // a named slice type, so existing []float64 values convert freely; the name is the
-// update plane's contract marker: anything typed Vector may be carried as
-// a Delta on the wire or in an incremental snapshot.
+// update plane's contract marker.
 type Vector []float64
 
 // Clone returns an independent copy of v (nil stays nil).

@@ -37,13 +37,14 @@ const (
 
 // Section kinds of a snapshot frame. The numbers are the on-disk format:
 // 2 and 5 belonged to standalone vector and tensor blobs and stay
-// unassigned.
+// unassigned; 7 held an incremental snapshot's global and is refused with
+// ErrRetiredIncremental.
 const (
-	secMeta       byte = 1 // JSON-encoded Meta
-	secHistory    byte = 3 // binary-encoded []fl.RoundStats
-	secCounts     byte = 4 // int64 count + count little-endian int64s
-	secState      byte = 6 // int64 round + vector payload (snapshot global)
-	secDeltaState byte = 7 // int64 round + int64 refVersion + delta payload (incremental global)
+	secMeta        byte = 1 // JSON-encoded Meta
+	secHistory     byte = 3 // binary-encoded []fl.RoundStats
+	secCounts      byte = 4 // int64 count + count little-endian int64s
+	secState       byte = 6 // int64 round + vector payload (snapshot global)
+	secIncremental byte = 7 // retired: the global as an XOR-delta against an earlier version
 )
 
 // Typed decode errors. All of them wrap into the error returned to the
@@ -62,6 +63,10 @@ var (
 	// ErrMalformed marks structurally invalid sections: impossible
 	// lengths, unknown kinds, or payloads that do not add up.
 	ErrMalformed = errors.New("store: malformed section")
+	// ErrRetiredIncremental marks a snapshot carrying section kind 7: an
+	// incremental snapshot, whose global is an XOR-delta against an earlier
+	// version, as older builds wrote them. This build no longer reads one.
+	ErrRetiredIncremental = errors.New("store: section kind 7 is an incremental snapshot, which this build no longer reads")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -72,10 +77,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // always yields byte-identical output (sections are written in a fixed
 // order and floats as their exact IEEE-754 bits).
 //
-// An encoder that lends takes a frame's one model-sized payload — a
-// global's memory or a delta's bits — by reference instead of copying it
-// into buf: finish then returns the frame as pieces, which a save writes
-// one after the other, so the store keeps no model-sized buffer.
+// An encoder that lends takes a frame's one model-sized payload — the
+// global's memory — by reference instead of copying it into buf: finish
+// then returns the frame as pieces, which a save writes one after the
+// other, so the store keeps no model-sized buffer.
 type encoder struct {
 	buf      []byte
 	sections uint32
@@ -139,19 +144,17 @@ func (e *encoder) f64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-// payload writes a frame's model-sized bytes: appended, or taken by
-// reference if the encoder lends. A frame has at most one.
-func (e *encoder) payload(b []byte) {
+// floats writes v's memory as it is (param.Bytes), the float bits in the
+// blob's little-endian byte order, as the frame's model-sized payload:
+// appended, or taken by reference if the encoder lends. A frame has at
+// most one.
+func (e *encoder) floats(v []float64) {
 	if e.lends {
-		e.lent, e.at = b, len(e.buf)
+		e.lent, e.at = param.Bytes(v), len(e.buf)
 		return
 	}
-	e.buf = append(e.buf, b...)
+	e.buf = append(e.buf, param.Bytes(v)...)
 }
-
-// floats writes v's memory as it is (param.Bytes), the float bits in the
-// blob's little-endian byte order, as the frame's payload.
-func (e *encoder) floats(v []float64) { e.payload(param.Bytes(v)) }
 
 // intVec writes a nil-ness flag, a length and the values; the decoder
 // restores nil vs empty exactly (RoundStats semantics distinguish them).
@@ -360,54 +363,4 @@ func readVectorPayload(p []byte) ([]float64, error) {
 		return nil, nil
 	}
 	return r.floats(int(n))
-}
-
-// --- Delta state ------------------------------------------------------------
-
-// deltaRef is the decoded form of a secDeltaState section: the snapshot's
-// round plus the reference version and the XOR-delta of the global vector
-// against that version's (resolved) global. The delta payload itself is
-// validated by param's canonical decoder when it is applied.
-type deltaRef struct {
-	round      int
-	refVersion int
-	delta      *param.Delta
-}
-
-func appendDeltaStatePayload(e *encoder, round, refVersion int, d *param.Delta) {
-	e.i64(int64(round))
-	e.i64(int64(refVersion))
-	e.i64(int64(d.Len))
-	e.payload(d.Bits)
-}
-
-func readDeltaStatePayload(p []byte) (*deltaRef, error) {
-	r := &reader{p: p}
-	round, err := r.i64()
-	if err != nil {
-		return nil, err
-	}
-	refVersion, err := r.i64()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.i64()
-	if err != nil {
-		return nil, err
-	}
-	if refVersion < 1 || refVersion > 1<<31 {
-		return nil, fmt.Errorf("%w: incremental snapshot references version %d", ErrMalformed, refVersion)
-	}
-	// A tiny payload can legitimately describe a huge unchanged vector (a
-	// zero run is 2 bytes whatever its length), so the element count is
-	// only sanity-bounded here; Apply checks it against the resolved
-	// reference before allocating, so a hostile count cannot over-allocate.
-	if n < 0 || n > 1<<48 {
-		return nil, fmt.Errorf("%w: incremental snapshot declares %d delta elements", ErrMalformed, n)
-	}
-	return &deltaRef{
-		round:      int(round),
-		refVersion: int(refVersion),
-		delta:      &param.Delta{Len: int(n), Bits: p[r.off:]},
-	}, nil
 }

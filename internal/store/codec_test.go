@@ -252,7 +252,7 @@ func TestDecodeNeverOverAllocates(t *testing.T) {
 
 // retiredKindBlob is a well-formed frame whose one section has a kind the
 // format no longer assigns: 2 and 5 belonged to standalone vector and
-// tensor blobs.
+// tensor blobs, 7 to incremental snapshots.
 func retiredKindBlob(kind byte) []byte {
 	e := newEncoder(nil, 32)
 	s := e.begin(kind)
@@ -262,11 +262,11 @@ func retiredKindBlob(kind byte) []byte {
 }
 
 // TestDecodeWrongEntryPoint: a frame carrying a retired section kind is
-// not a snapshot.
+// not a snapshot; an incremental one says so by name.
 func TestDecodeWrongEntryPoint(t *testing.T) {
-	for _, kind := range []byte{2, 5} {
-		if _, err := DecodeSnapshot(retiredKindBlob(kind)); !errors.Is(err, ErrMalformed) {
-			t.Fatalf("DecodeSnapshot(section kind %d) = %v, want ErrMalformed", kind, err)
+	for kind, want := range map[byte]error{2: ErrMalformed, 5: ErrMalformed, 7: ErrRetiredIncremental} {
+		if _, err := DecodeSnapshot(retiredKindBlob(kind)); !errors.Is(err, want) {
+			t.Fatalf("DecodeSnapshot(section kind %d) = %v, want %v", kind, err, want)
 		}
 	}
 }

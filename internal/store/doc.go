@@ -7,8 +7,7 @@
 //
 // # Blob format
 //
-// Every blob — snapshot, bare parameter vector or model tensor set —
-// shares one self-checking frame:
+// A snapshot is one self-checking frame:
 //
 //	┌──────────┬──────────┬──────────┬───────────────┐
 //	│ "CLBS"   │ version  │ flags    │ section count │   12-byte header
@@ -36,27 +35,11 @@
 // errors (ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated,
 // ErrMalformed) — never a panic.
 //
-// # Incremental snapshots
-//
-// With Store.SetIncremental(true), Save replaces the full global-vector
-// section with a delta section: the round number, the version it
-// references, and the param package's lossless XOR-delta of this global
-// against the referenced version's — unchanged elements cost amortized
-// fractions of a byte and slightly-moved weights a few bytes, so
-// checkpoint storage scales with per-round drift instead of model size.
-// Metadata, history and pool counts stay full (they are a sliver of the
-// model payload). Chains are bounded: after deltaChainLimit links Save
-// writes the next full snapshot, and it also falls back to full whenever
-// no usable reference exists (fresh directory, unreadable latest version,
-// or a parameter-dimension change). Store.Open resolves chains
-// transparently and bit-exactly — XOR reconstruction is exact for every
-// bit pattern — so kill/resume bit-identity is preserved verbatim; the
-// standalone DecodeSnapshot refuses an incremental blob with
-// ErrIncremental since it cannot see the chain. A broken link (deleted or
-// corrupt reference) makes every snapshot above it unreadable, and Latest
-// falls back below it, which the chain bound keeps to at most
-// deltaChainLimit lost rounds. `calibre ckpt` list/inspect/diff report each
-// version's encoding, reference and chain depth.
+// Every snapshot is full: one file decodes on its own. Older builds could
+// also write incremental snapshots, whose global was an XOR-delta against
+// an earlier version (section kind 7); this build refuses one with
+// ErrRetiredIncremental, and Latest and Resume stop there rather than fall
+// back past an intact round to an older one.
 //
 // # Checkpoint directory
 //
@@ -79,17 +62,17 @@
 // with its error. So onSaved — not the hook call returning, and not the
 // round's OnRound — is what says a version is on disk; a kill -9 can lose
 // exactly the one version in flight, and Latest falls back to the one
-// before it. A steady-state save allocates nothing model-sized, and keeps
-// no model-sized frame: a file is written from its vector's bytes, in
-// three pieces — header, metadata and the state section's prefix from the
-// encoder's small buffer, then the global's own memory (param.Bytes) or
-// the delta's bits, then history, counts and the CRC trailer, the CRC
-// taken over all three — so every file is byte for byte the frame
-// EncodeSnapshot builds whole. The state is a shared view, the delta and
-// small frame buffers are kept between saves, the hook path keeps the
-// handed-off global as the next delta reference instead of copying it, and
-// only a handle's first save lists the directory (later ones start
-// publishing above its own last version).
+// before it. A steady-state save allocates nothing model-sized and keeps
+// nothing model-sized: a file is written from its vector's bytes, in three
+// pieces — header, metadata and the state section's prefix from the
+// encoder's small buffer, then the global's own memory (param.Bytes), then
+// history, counts and the CRC trailer, the CRC taken over all three — so
+// every file is byte for byte the frame EncodeSnapshot builds whole. The
+// state is a shared view that the save reads until it returns and does not
+// keep: the hook holds no reference to any round's global afterwards. The
+// small frame buffer is kept between saves, and only a handle's first save
+// lists the directory (later ones start publishing above its own last
+// version).
 //
 // # Resume state machine
 //

@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"calibre/internal/fl"
-	"calibre/internal/param"
 )
 
-// fuzzSeeds builds the committed seed corpus programmatically: valid blobs
-// of every flavor plus mutations targeting each decoder gate. go test runs
+// fuzzSeeds builds the committed seed corpus programmatically: a valid
+// snapshot, frames of every retired section kind, plus mutations targeting each decoder gate. go test runs
 // every seed as a regular test case; go test -fuzz=FuzzDecode mutates from
 // them (additional discovered seeds live in testdata/fuzz/).
 func fuzzSeeds() [][]byte {
@@ -26,14 +25,7 @@ func fuzzSeeds() [][]byte {
 			EligibleCounts: []int{2, 2},
 		},
 	})
-	var d param.Delta
-	_ = param.DiffInto(&d, param.Vector{1, 2, 3}, param.Vector{1, math.NaN(), math.Inf(-1)})
-	inc, _ := encodeSnapshotDelta(nil, &Snapshot{
-		Meta:  Meta{Seed: 7, Fingerprint: "abc", Runtime: "simulator"},
-		State: fl.SimState{Round: 3, History: []fl.RoundStats{{Round: 2}}, EligibleCounts: []int{2}},
-	}, 2, &d, false)
-
-	seeds := [][]byte{snap, inc.buf, hugeVectorBlob(), retiredKindBlob(2), retiredKindBlob(5), nil, []byte(Magic)}
+	seeds := [][]byte{snap, retiredKindBlob(7), hugeVectorBlob(), retiredKindBlob(2), retiredKindBlob(5), nil, []byte(Magic)}
 	// Truncations at interesting boundaries.
 	for _, cut := range []int{headerSize, headerSize + secHeaderSize, len(snap) / 2, len(snap) - 1} {
 		if cut < len(snap) {

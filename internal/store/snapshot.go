@@ -2,17 +2,10 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"calibre/internal/fl"
-	"calibre/internal/param"
 )
-
-// ErrIncremental is returned by DecodeSnapshot for an incremental blob:
-// its global vector is a delta against another version, so it can only be
-// resolved by a Store that can open the reference (Store.Open does).
-var ErrIncremental = errors.New("store: incremental snapshot needs its reference version resolved")
 
 // Meta describes the federation a snapshot belongs to. It travels inside
 // the blob (JSON section — it is tiny and string-heavy) so a checkpoint
@@ -40,17 +33,28 @@ const (
 	histDeadlineExpired byte = 1 << iota
 )
 
-// encodeSnapshotWith writes the common snapshot frame into buf's storage
-// (nil allocates), delegating the state section (full vector vs
-// incremental delta) to writeState, which writes extra bytes into buf. With
-// lend the state's model-sized payload is taken by reference (see encoder).
-func encodeSnapshotWith(buf []byte, s *Snapshot, extra int, lend bool, writeState func(e *encoder)) (pieces, error) {
+// EncodeSnapshot serializes a snapshot into one self-checking blob.
+// Encoding is deterministic: the same snapshot always produces
+// byte-identical output. The parameter vector and history are pure binary
+// (floats as exact IEEE-754 bits — NaN and ±Inf payloads survive).
+func EncodeSnapshot(s *Snapshot) ([]byte, error) {
+	p, err := encodeSnapshot(nil, s, false)
+	return p.buf, err
+}
+
+// encodeSnapshot is EncodeSnapshot into buf's storage (nil allocates). With
+// lend the frame takes the global's memory by reference (param.Bytes)
+// instead of copying it: what Store.Save writes a file from.
+func encodeSnapshot(buf []byte, s *Snapshot, lend bool) (pieces, error) {
 	meta, err := json.Marshal(s.Meta)
 	if err != nil {
 		return pieces{}, fmt.Errorf("store: encode meta: %w", err)
 	}
 	st := &s.State
-	capacity := len(meta) + 8 + extra + 8 + 8*len(st.EligibleCounts) + 64
+	capacity := len(meta) + 96 + 8*len(st.EligibleCounts)
+	if !lend {
+		capacity += 8 * len(st.Global)
+	}
 	for _, h := range st.History {
 		capacity += 56 + 8*(len(h.Participants)+len(h.Responders)+len(h.Stragglers))
 	}
@@ -61,7 +65,10 @@ func encodeSnapshotWith(buf []byte, s *Snapshot, extra int, lend bool, writeStat
 	e.buf = append(e.buf, meta...)
 	e.end(sec)
 
-	writeState(e)
+	sec = e.begin(secState)
+	e.i64(int64(st.Round))
+	appendVectorPayload(e, st.Global)
+	e.end(sec)
 
 	sec = e.begin(secHistory)
 	e.u32(uint32(len(st.History)))
@@ -90,62 +97,6 @@ func encodeSnapshotWith(buf []byte, s *Snapshot, extra int, lend bool, writeStat
 	e.end(sec)
 
 	return e.finish(), nil
-}
-
-// fullStateSize and deltaStateSize are the payload sizes of the two state
-// sections — the only bytes in which a full and an incremental blob of the
-// same snapshot differ, so comparing them compares the blobs.
-func fullStateSize(elems int) int       { return 8 + 8 + 8*elems }
-func deltaStateSize(d *param.Delta) int { return 8 + 8 + 8 + len(d.Bits) }
-
-// EncodeSnapshot serializes a snapshot into one self-checking blob.
-// Encoding is deterministic: the same snapshot always produces
-// byte-identical output. The parameter vector and history are pure binary
-// (floats as exact IEEE-754 bits — NaN and ±Inf payloads survive).
-func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	p, err := encodeSnapshot(nil, s, false)
-	return p.buf, err
-}
-
-// encodeSnapshot is EncodeSnapshot into buf's storage. With lend the frame
-// takes the global's memory by reference (param.Bytes) instead of copying
-// it: what Store.Save writes a file from.
-func encodeSnapshot(buf []byte, s *Snapshot, lend bool) (pieces, error) {
-	extra := fullStateSize(len(s.State.Global))
-	if lend {
-		extra = fullStateSize(0)
-	}
-	return encodeSnapshotWith(buf, s, extra, lend, func(e *encoder) {
-		sec := e.begin(secState)
-		e.i64(int64(s.State.Round))
-		appendVectorPayload(e, s.State.Global)
-		e.end(sec)
-	})
-}
-
-// encodeSnapshotDelta serializes a snapshot incrementally: its global
-// vector is stored as d, the lossless XOR-delta against the (resolved)
-// global of on-disk version refVersion — typically a small fraction of the
-// full vector's 8 bytes per element, since consecutive checkpoints of a
-// converging federation differ slightly. Metadata, history and pool counts
-// are still stored in full (they are a sliver of the model payload), so
-// everything except the global vector decodes without touching the
-// reference. Decoding requires the reference chain: DecodeSnapshot refuses
-// the blob with ErrIncremental, Store.Open resolves it. With lend the frame
-// takes d's bits by reference.
-func encodeSnapshotDelta(buf []byte, s *Snapshot, refVersion int, d *param.Delta, lend bool) (pieces, error) {
-	if refVersion < 1 {
-		return pieces{}, fmt.Errorf("store: incremental snapshot needs a positive reference version, got %d", refVersion)
-	}
-	extra := deltaStateSize(d)
-	if lend {
-		extra -= len(d.Bits)
-	}
-	return encodeSnapshotWith(buf, s, extra, lend, func(e *encoder) {
-		sec := e.begin(secDeltaState)
-		appendDeltaStatePayload(e, s.State.Round, refVersion, d)
-		e.end(sec)
-	})
 }
 
 func readHistoryPayload(p []byte) ([]fl.RoundStats, error) {
@@ -240,18 +191,18 @@ func readCountsPayload(p []byte) ([]int, error) {
 	return out, nil
 }
 
-// decodeSnapshot parses either snapshot flavor. For a full snapshot ref
-// is nil and State.Global is populated; for an incremental one ref holds
-// the round/reference/delta and State.Global stays nil until the caller
-// resolves the reference chain (Store.Open).
-func decodeSnapshot(data []byte) (*Snapshot, *deltaRef, error) {
+// DecodeSnapshot decodes a blob produced by EncodeSnapshot. It never
+// panics and never allocates more than the input size implies; corrupt or
+// hostile input yields a typed error (ErrBadMagic, ErrVersion,
+// ErrChecksum, ErrTruncated, ErrMalformed), and an incremental snapshot an
+// older build wrote yields ErrRetiredIncremental.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	f, err := parseFrame(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var (
 		s           Snapshot
-		ref         *deltaRef
 		haveMeta    bool
 		haveVector  bool
 		haveHistory bool
@@ -260,84 +211,59 @@ func decodeSnapshot(data []byte) (*Snapshot, *deltaRef, error) {
 	for i := 0; i < f.sections; i++ {
 		kind, p, err := f.next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		switch kind {
 		case secMeta:
 			if haveMeta {
-				return nil, nil, fmt.Errorf("%w: duplicate meta section", ErrMalformed)
+				return nil, fmt.Errorf("%w: duplicate meta section", ErrMalformed)
 			}
 			haveMeta = true
 			if err := json.Unmarshal(p, &s.Meta); err != nil {
-				return nil, nil, fmt.Errorf("%w: meta: %v", ErrMalformed, err)
+				return nil, fmt.Errorf("%w: meta: %v", ErrMalformed, err)
 			}
 		case secState:
 			if haveVector {
-				return nil, nil, fmt.Errorf("%w: duplicate state section", ErrMalformed)
+				return nil, fmt.Errorf("%w: duplicate state section", ErrMalformed)
 			}
 			haveVector = true
 			r := &reader{p: p}
 			round, err := r.i64()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			s.State.Round = int(round)
 			if s.State.Global, err = readVectorPayload(p[r.off:]); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-		case secDeltaState:
-			if haveVector {
-				return nil, nil, fmt.Errorf("%w: duplicate state section", ErrMalformed)
-			}
-			haveVector = true
-			if ref, err = readDeltaStatePayload(p); err != nil {
-				return nil, nil, err
-			}
-			s.State.Round = ref.round
+		case secIncremental:
+			return nil, ErrRetiredIncremental
 		case secHistory:
 			if haveHistory {
-				return nil, nil, fmt.Errorf("%w: duplicate history section", ErrMalformed)
+				return nil, fmt.Errorf("%w: duplicate history section", ErrMalformed)
 			}
 			haveHistory = true
 			if s.State.History, err = readHistoryPayload(p); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		case secCounts:
 			if haveCounts {
-				return nil, nil, fmt.Errorf("%w: duplicate counts section", ErrMalformed)
+				return nil, fmt.Errorf("%w: duplicate counts section", ErrMalformed)
 			}
 			haveCounts = true
 			if s.State.EligibleCounts, err = readCountsPayload(p); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		default:
-			return nil, nil, fmt.Errorf("%w: unknown section kind %d", ErrMalformed, kind)
+			return nil, fmt.Errorf("%w: unknown section kind %d", ErrMalformed, kind)
 		}
 	}
 	if err := f.finish(); err != nil {
-		return nil, nil, err
-	}
-	if !haveMeta || !haveVector {
-		return nil, nil, fmt.Errorf("%w: snapshot missing %s section", ErrMalformed,
-			map[bool]string{false: "meta", true: "state"}[haveMeta])
-	}
-	return &s, ref, nil
-}
-
-// DecodeSnapshot decodes a blob produced by EncodeSnapshot. It never
-// panics and never allocates more than the input size implies; corrupt or
-// hostile input yields a typed error (ErrBadMagic, ErrVersion,
-// ErrChecksum, ErrTruncated, ErrMalformed). An incremental blob
-// (what an incremental Store.Save writes) is structurally valid but unresolvable without
-// its reference chain and yields ErrIncremental — open it through a
-// Store instead.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	s, ref, err := decodeSnapshot(data)
-	if err != nil {
 		return nil, err
 	}
-	if ref != nil {
-		return nil, fmt.Errorf("%w (reference v%d)", ErrIncremental, ref.refVersion)
+	if !haveMeta || !haveVector {
+		return nil, fmt.Errorf("%w: snapshot missing %s section", ErrMalformed,
+			map[bool]string{false: "meta", true: "state"}[haveMeta])
 	}
-	return s, nil
+	return &s, nil
 }

@@ -104,11 +104,66 @@ func TestLatestSkipsTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("List: %v", err)
 	}
-	if len(list) != 2 || list[0].Corrupt || !list[1].Corrupt {
+	if len(list) != 2 || list[0].Err != nil || list[1].Err == nil {
 		t.Fatalf("List = %+v, want v1 good and v2 corrupt", list)
 	}
 	if list[0].Round != 3 || list[0].Params != 4 {
 		t.Fatalf("List[0] metadata = %+v", list[0])
+	}
+}
+
+// TestIncrementalVersionFailsTyped: a directory an older build checkpointed
+// incrementally holds CRC-valid files whose global is section kind 7.
+// Skipping one as corrupt would resume from an older round without saying
+// so; instead Open, Latest and Resume fail naming it, and List marks it.
+func TestIncrementalVersionFailsTyped(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	full := testSnapshot()
+	if _, err := st.Save(full); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	// Version 2 as an incremental save wrote it: metadata, then the round,
+	// the reference version, the element count and the delta's bits, then
+	// history and counts.
+	e := newEncoder(nil, 64)
+	sec := e.begin(secMeta)
+	e.buf = append(e.buf, `{"seed":-42,"fingerprint":"deadbeef01234567"}`...)
+	e.end(sec)
+	sec = e.begin(secIncremental)
+	e.i64(4)
+	e.i64(1)
+	e.i64(int64(len(full.State.Global)))
+	e.u8(0x08)
+	e.end(sec)
+	sec = e.begin(secHistory)
+	e.u32(0)
+	e.end(sec)
+	sec = e.begin(secCounts)
+	e.i64(0)
+	e.end(sec)
+	if err := os.WriteFile(filepath.Join(dir, fileFor(2)), e.finish().buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := st.Open(2); !errors.Is(err, ErrRetiredIncremental) || !strings.Contains(err.Error(), "section kind 7") {
+		t.Fatalf("Open(2) = %v, want ErrRetiredIncremental naming kind 7", err)
+	}
+	if _, v, err := st.Latest(); !errors.Is(err, ErrRetiredIncremental) {
+		t.Fatalf("Latest = v%d, %v; want ErrRetiredIncremental, not the older v1", v, err)
+	}
+	if snap, v, err := st.Resume(full.Meta.Fingerprint); !errors.Is(err, ErrRetiredIncremental) || snap != nil {
+		t.Fatalf("Resume = v%d, %v; want ErrRetiredIncremental, not the older v1", v, err)
+	}
+	list, err := st.List()
+	if err != nil {
+		t.Fatalf("List: %v", err)
+	}
+	if len(list) != 2 || list[0].Err != nil || !errors.Is(list[1].Err, ErrRetiredIncremental) {
+		t.Fatalf("List = %+v, want v1 good and v2 marked incremental", list)
 	}
 }
 
@@ -245,8 +300,8 @@ func TestConcurrentSavesNeverClobber(t *testing.T) {
 	}
 	seeds := make(map[int64]bool)
 	for _, e := range entries {
-		if e.Corrupt {
-			t.Errorf("version %d corrupt", e.Version)
+		if e.Err != nil {
+			t.Errorf("version %d: %v", e.Version, e.Err)
 			continue
 		}
 		seeds[e.Meta.Seed] = true

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,8 +20,38 @@ import (
 	"testing"
 
 	"calibre/internal/fl"
+	"calibre/internal/param"
+	"calibre/internal/partition"
 	"calibre/internal/store"
 )
+
+// sgdTrainer nudges every element of the global slightly, as a local
+// update of real training does.
+type sgdTrainer struct{}
+
+func (sgdTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*fl.Update, error) {
+	params := global.Clone()
+	for i := range params {
+		params[i] += 1e-4 * rng.NormFloat64()
+	}
+	return &fl.Update{ClientID: c.ID, Params: params, NumSamples: c.Train.Len(), TrainLoss: rng.Float64()}, nil
+}
+
+func sgdMethod() *fl.Method {
+	return &fl.Method{
+		Name:         "sgd-drift",
+		Trainer:      sgdTrainer{},
+		Aggregator:   fl.WeightedAverage{},
+		Personalizer: noopPersonalizer{},
+		InitGlobal: func(rng *rand.Rand) (param.Vector, error) {
+			out := make(param.Vector, 512)
+			for i := range out {
+				out[i] = rng.NormFloat64()
+			}
+			return out, nil
+		},
+	}
+}
 
 // TestSaveHookReportsOnlyDurableVersions: by the time onSaved fires, a
 // second handle on the directory (another process) opens that version; the
@@ -32,7 +63,6 @@ func TestSaveHookReportsOnlyDurableVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetIncremental(true)
 	other, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +186,6 @@ func TestKillAtEveryBoundaryResumesBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.SetIncremental(true)
 		ctx, cancel := context.WithCancel(context.Background())
 		cfgA := cfg
 		cfgA.OnCheckpoint = st.SaveHook(store.Meta{Seed: cfg.Seed, Fingerprint: fp, Runtime: "simulator"}, nil)
@@ -191,17 +220,15 @@ func TestKillAtEveryBoundaryResumesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSaveHookSteadyStateAllocatesNoVector: once the store's buffers are
-// warm, an incremental save through the hook allocates less than half a
-// vector — no clone of the state, no fresh encode buffer, no copy of the
-// global kept as the next reference.
+// TestSaveHookSteadyStateAllocatesNoVector: once the store's buffer is
+// warm, a save through the hook allocates less than half a vector — no
+// clone of the state, no fresh encode buffer, no copy of the global.
 func TestSaveHookSteadyStateAllocatesNoVector(t *testing.T) {
 	const n = 1 << 16 // 512 KiB of parameters
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetIncremental(true)
 	hook := st.SaveHook(store.Meta{Seed: 1, Runtime: "simulator"}, nil)
 	state := &fl.SimState{}
 	var ms runtime.MemStats
@@ -226,15 +253,15 @@ func TestSaveHookSteadyStateAllocatesNoVector(t *testing.T) {
 		}
 	}
 	if steady >= 8*n/2 {
-		t.Fatalf("a steady-state incremental save allocated %d B, half a vector is %d B", steady, 8*n/2)
+		t.Fatalf("a steady-state save allocated %d B, half a vector is %d B", steady, 8*n/2)
 	}
 	entries, err := st.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries[1:] {
-		if !e.Incremental || e.Corrupt {
-			t.Fatalf("v%d: incremental=%v corrupt=%v", e.Version, e.Incremental, e.Corrupt)
+	for _, e := range entries {
+		if e.Err != nil || e.Params != n {
+			t.Fatalf("v%d: %d params, %v", e.Version, e.Params, e.Err)
 		}
 	}
 }
