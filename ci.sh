@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul fuzz smokes, short kernel and sweep benches,
+#                    real-process smoke, wire + matmul + distance-tile fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -79,12 +79,14 @@ go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ 
 # build tests both (the tests flip the package's switch); the purego tag
 # builds the package without the assembly, so the portable path is also held
 # to the oracle as the only path, nn's bit-identity tests run on it, kmeans'
-# and core's distance loops are held to their naive references on it, ssl's
+# and core's distance loops are held to their naive references on it, data's
+# augmentation (whose style sweep is a tensor primitive) is held to its scalar
+# sweep on it, ssl's
 # and core's borrowed-vs-heap step identities hold on it, and the
 # golden ledger of internal/baselines (every registry method's final bits)
 # and model's pinned loops must come out the same from the portable kernels.
 echo "== go test -tags purego (portable kernels) =="
-go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/kmeans/... ./internal/ssl/... ./internal/core/... ./internal/model/... ./internal/baselines/...
+go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/kmeans/... ./internal/data/... ./internal/ssl/... ./internal/core/... ./internal/model/... ./internal/baselines/...
 
 # The fallback must compile where the assembly does not exist. (go vet's
 # asmdecl check, in the vet step above, holds the amd64 assembly to its Go
@@ -136,6 +138,11 @@ go test -run '^$' -fuzz '^FuzzWireDecoder$' -fuzztime 5s ./internal/flnet/
 # not hold, on both implementations of the row primitives.
 echo "== matmul oracle fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzMatMulMatchesNaive$' -fuzztime 5s ./internal/tensor/
+
+# And for the k-means distance tile against the scalar SqDist loop: row
+# lengths, offsets, repeated rows and special values beyond the corpus.
+echo "== distance tile fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzSqDistTileMatchesSqDist$' -fuzztime 5s ./internal/tensor/
 
 # The harness re-reads the file it wrote and exits non-zero if it does not
 # parse, does not record kernel_impl, or a serial-path shape reports

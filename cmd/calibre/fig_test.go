@@ -98,7 +98,7 @@ func TestKernelHarnessEmitsGoldenSchema(t *testing.T) {
 	// records of both files; a kernel record carries none.
 	carriesBytes := func(file string, records []KernelBenchRecord) {
 		for _, r := range records {
-			if whole := r.Op == "mlp-train-step" || r.Op == "fl-round" || r.Op == "flnet-round"; whole != (r.BytesOp > 0) {
+			if whole := r.Op == "mlp-train-step" || r.Op == "calibre-step" || r.Op == "fl-round" || r.Op == "flnet-round"; whole != (r.BytesOp > 0) {
 				t.Errorf("%s: bytes_op = %d on %s %s", file, r.BytesOp, r.Op, r.Shape)
 			}
 		}

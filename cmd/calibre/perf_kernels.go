@@ -1,8 +1,9 @@
 package main
 
 // The kernel harness (calibre perf kernels) is the reproducible perf gate for the
-// linear-algebra core: it times the MatMul kernel family, an MLP train
-// step, an end-to-end federated round and a loopback TCP federation, serial (one pool worker) versus
+// linear-algebra core: it times the MatMul kernel family, the k-means distance
+// primitives, an MLP train step, one Calibre local update, an end-to-end
+// federated round and a loopback TCP federation, serial (one pool worker) versus
 // the configured pool, and emits BENCH_kernels.json so the perf trajectory
 // is tracked in-repo from PR to PR. The JSON schema is validated by this
 // package's tests against the committed golden file.
@@ -22,6 +23,7 @@ import (
 
 	"calibre/internal/baselines"
 	"calibre/internal/data"
+	"calibre/internal/experiments"
 	"calibre/internal/fl"
 	"calibre/internal/flnet"
 	"calibre/internal/nn"
@@ -180,6 +182,93 @@ func mlpTrainStep() func() {
 	}
 }
 
+// sqDistBatch is the point set the sqdist records measure: the batch
+// Calibre clusters at the ci scale (32 pair means of the 48-wide projector
+// output), with ten centres, SelectK's largest K.
+const (
+	sqDistPoints  = 32
+	sqDistDim     = 48
+	sqDistCenters = 10
+)
+
+// benchSqDist times the two distance primitives k-means runs on, at
+// sqDistBatch: one assignment pass (every point against every centre, as
+// 4×4 tensor.SqDistTile tiles, the last one padded) and one seeding pass
+// (one centre against every point, tensor.SqDistRows). Neither splits
+// across the pool, so the serial and pooled timings are the same call.
+func benchSqDist(minTime time.Duration) []KernelBenchRecord {
+	rng := rand.New(rand.NewSource(6))
+	x := tensor.RandN(rng, 1, sqDistPoints, sqDistDim)
+	centers := tensor.RandN(rng, 1, sqDistCenters, sqDistDim)
+	dist := make([]float64, sqDistPoints)
+	var tile [16]float64
+	assign := func() {
+		var pts, cs [4][]float64
+		for i0 := 0; i0 < sqDistPoints; i0 += 4 {
+			for r := range pts {
+				pts[r] = x.Row(i0 + r)
+			}
+			for c0 := 0; c0 < sqDistCenters; c0 += 4 {
+				for j := range cs {
+					cs[j] = centers.Row(min(c0+j, sqDistCenters-1))
+				}
+				tensor.SqDistTile(&tile, &pts, &cs)
+			}
+		}
+	}
+	seed := func() { tensor.SqDistRows(dist, centers.Row(0), x.Data()) }
+	var records []KernelBenchRecord
+	for _, c := range []struct {
+		shape string
+		fn    func()
+	}{
+		{fmt.Sprintf("tile-%dpoints-%dcenters-%d", sqDistPoints, sqDistCenters, sqDistDim), assign},
+		{fmt.Sprintf("rows-1center-%dpoints-%d", sqDistPoints, sqDistDim), seed},
+	} {
+		ns, allocs, _ := measure(minTime, c.fn)
+		records = append(records, KernelBenchRecord{
+			Op: "sqdist", Shape: c.shape, NsOp: ns, AllocsOp: allocs, SerialNsOp: ns, SpeedupVsSerial: 1,
+		})
+	}
+	return records
+}
+
+// calibreStepSetting is the setting the calibre-step record trains in, the
+// one bench/'s workloads federate.
+const calibreStepSetting = "cifar10-q(2,500)"
+
+// calibreStep returns a closure running one Calibre local update —
+// calibre-simclr's core.SSLTrainer.Train for one client at the ci scale,
+// past the regularizer's warm-up, so that the call runs augmentation, the
+// SimCLR steps with k-means pseudo-labels and prototype losses, and the
+// divergence clustering. Every call trains the same client from the same
+// global with the same draws, so from the second call on the client's state
+// and the pooled step buffers are warm for exactly the work the call does,
+// as they are for a client sampled again in a federation, and allocs_op
+// repeats however many calls the timing made.
+func calibreStep() func() {
+	env, err := experiments.BuildEnvironment(experiments.Settings()[calibreStepSetting], experiments.ScaleCI, 42)
+	if err != nil {
+		panic(err)
+	}
+	method, err := experiments.BuildMethod(env, "calibre-simclr")
+	if err != nil {
+		panic(err)
+	}
+	global, err := method.InitGlobal(rand.New(rand.NewSource(8)))
+	if err != nil {
+		panic(err)
+	}
+	client, rng := env.Participants[0], rand.New(rand.NewSource(9))
+	const round = 1 << 20 // past any warm-up
+	return func() {
+		rng.Seed(9)
+		if _, err := method.Trainer.Train(context.Background(), rng, client, global, round); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // benchClients builds the four small clients the round records federate.
 func benchClients() []*partition.Client {
 	rng := rand.New(rand.NewSource(4))
@@ -317,8 +406,10 @@ func runKernelBench(outDir string, quick bool) error {
 		file.Note = "recorded on a single-core host: pool workers time-slice one core, so speedup_vs_serial reflects overhead, not parallelism"
 	}
 	file.Records = benchKernels(minTime, []int{64, 128, 256})
+	file.Records = append(file.Records, benchSqDist(minTime)...)
 	file.Records = append(file.Records,
 		benchSerialVsPool(minTime, workers, "mlp-train-step", "batch128-256-256-128-10", mlpTrainStep),
+		benchSerialVsPool(minTime, workers, "calibre-step", "calibre-simclr-ci-1client", calibreStep),
 		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds", flRound),
 		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds-new-clients", flRoundNewClients),
 		benchSerialVsPool(minTime, workers, "flnet-round", fmt.Sprintf("tcp-4clients-2rounds-%dparams", flnetRoundParams), flnetRound),

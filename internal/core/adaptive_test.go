@@ -100,30 +100,41 @@ func TestConfidentMembersMinimumTwo(t *testing.T) {
 	}
 }
 
-// TestAssignmentMarginsMatchNaive holds the confidence filter's margins, on
-// the batch shape the regulariser clusters (32 × 48, every K SelectK tries,
-// and a K past one stack chunk of centres), to one SqDist per (point,
-// centre) pair, bit for bit; confidentMembers only sorts them.
+// TestAssignmentMarginsMatchNaive holds the confidence filter's margins to
+// a test-local (point − centre)² loop per pair, bit for bit, on the batch
+// shape the regulariser clusters (32 × 48) and on point counts that end on
+// a partial tile (37 × 5, 3 × 7), for K on both sides of the four-centre
+// tile and past two of them; confidentMembers only sorts them.
 func TestAssignmentMarginsMatchNaive(t *testing.T) {
-	for _, k := range []int{2, 3, 4, 6, 8, 10, 21} {
-		rng := rand.New(rand.NewSource(int64(70 + k)))
-		x := tensor.RandN(rng, 1, 32, 48)
-		res, err := kmeans.Run(rng, x, kmeans.Config{K: k})
-		if err != nil {
-			t.Fatal(err)
+	sqDist := func(a, b []float64) float64 {
+		var s float64
+		for i := range a {
+			d := a[i] - b[i]
+			s += d * d
 		}
-		got := make([]float64, x.Rows())
-		assignmentMargins(got, x, res.Centers, res.Assign)
-		for i, own := range res.Assign {
-			runner := math.Inf(1)
-			for c := 0; c < k; c++ {
-				if d := tensor.SqDist(x.Row(i), res.Centers.Row(c)); c != own && d < runner {
-					runner = d
-				}
+		return s
+	}
+	for _, shape := range [][2]int{{32, 48}, {37, 5}, {3, 7}} {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 8, 10, 21} {
+			rng := rand.New(rand.NewSource(int64(70 + k)))
+			x := tensor.RandN(rng, 1, shape[0], shape[1])
+			res, err := kmeans.Run(rng, x, kmeans.Config{K: k})
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := runner - tensor.SqDist(x.Row(i), res.Centers.Row(own))
-			if math.Float64bits(got[i]) != math.Float64bits(want) {
-				t.Fatalf("K=%d: margin of point %d is %v, reference %v", k, i, got[i], want)
+			got := make([]float64, x.Rows())
+			assignmentMargins(got, x, res.Centers, res.Assign)
+			for i, own := range res.Assign {
+				runner := math.Inf(1)
+				for c := 0; c < res.Centers.Rows(); c++ {
+					if d := sqDist(x.Row(i), res.Centers.Row(c)); c != own && d < runner {
+						runner = d
+					}
+				}
+				want := runner - sqDist(x.Row(i), res.Centers.Row(own))
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%v K=%d: margin of point %d is %v, reference %v", shape, k, i, got[i], want)
+				}
 			}
 		}
 	}

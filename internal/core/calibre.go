@@ -354,24 +354,39 @@ func confidentMembers(tp *nn.Tape, x, centers *tensor.Tensor, assign []int, keep
 }
 
 // assignmentMargins writes, per point, the squared distance to the nearest
-// centre other than its own minus the squared distance to its own.
+// centre other than its own minus the squared distance to its own. Four
+// points meet four centres in one tensor.SqDistTile (a ragged edge repeats
+// its last row); each distance is SqDist(point, centre), bit for bit.
 func assignmentMargins(margins []float64, x, centers *tensor.Tensor, assign []int) {
-	k, d, cd := centers.Rows(), centers.Cols(), centers.Data()
-	var toCenters [16]float64 // one point's distances to the centres, a stack chunk at a time
-	for i := range margins {
-		own, runner := 0.0, math.Inf(1)
-		for lo := 0; lo < k; lo += len(toCenters) {
-			chunk := toCenters[:min(len(toCenters), k-lo)]
-			tensor.SqDistRows(chunk, x.Row(i), cd[lo*d:(lo+len(chunk))*d])
-			for c, dist := range chunk {
-				if lo+c == assign[i] {
-					own = dist
-				} else if dist < runner {
-					runner = dist
+	n, k := len(margins), centers.Rows()
+	var (
+		pts, cs [4][]float64
+		tile    [16]float64
+	)
+	for i0 := 0; i0 < n; i0 += 4 {
+		for r := range pts {
+			pts[r] = x.Row(min(i0+r, n-1))
+		}
+		var own [4]float64
+		runner := [4]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+		for c0 := 0; c0 < k; c0 += 4 {
+			for j := range cs {
+				cs[j] = centers.Row(min(c0+j, k-1))
+			}
+			tensor.SqDistTile(&tile, &pts, &cs)
+			for r := range min(4, n-i0) {
+				for j := range min(4, k-c0) {
+					if dist := tile[r*4+j]; c0+j == assign[i0+r] {
+						own[r] = dist
+					} else if dist < runner[r] {
+						runner[r] = dist
+					}
 				}
 			}
 		}
-		margins[i] = runner - own
+		for r := range min(4, n-i0) {
+			margins[i0+r] = runner[r] - own[r]
+		}
 	}
 }
 

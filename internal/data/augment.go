@@ -56,15 +56,24 @@ func (a Augmenter) viewInto(rng *rand.Rand, x, out []float64) {
 		out[i] = nv
 	}
 	if a.StyleDirs != nil && a.StyleStd > 0 && a.StyleDirs.Cols() == len(x) {
-		for s := 0; s < a.StyleDirs.Rows(); s++ {
-			delta := rng.NormFloat64() * a.StyleStd
-			dir := a.StyleDirs.Row(s)
-			for i := range out {
-				out[i] += delta * dir[i]
+		// The style deltas are drawn first, in direction order, then added
+		// as one multi-row sweep: out[i] receives delta_s·dir_s[i] for
+		// ascending s, the chain of roundings of one sweep per direction.
+		var deltas [styleChunk]float64
+		dirs := a.StyleDirs
+		for s0 := 0; s0 < dirs.Rows(); s0 += styleChunk {
+			chunk := deltas[:min(styleChunk, dirs.Rows()-s0)]
+			for s := range chunk {
+				chunk[s] = rng.NormFloat64() * a.StyleStd
 			}
+			tensor.AddScaledRows(out, dirs, s0, chunk)
 		}
 	}
 }
+
+// styleChunk is how many style deltas viewInto draws and adds at a time;
+// the generator's specs have 24 to 28 style directions.
+const styleChunk = 32
 
 // TwoViews returns two independently augmented view matrices for the given
 // rows. Row i of both outputs derives from rows[i].

@@ -115,3 +115,62 @@ func TestWarpZeroIsLinear(t *testing.T) {
 		t.Fatal("unwarped samples should exceed the tanh bound somewhere")
 	}
 }
+
+// scalarView is viewInto as it was before the style sweep went through
+// tensor.AddScaledRows: one delta drawn and one sweep over out per style
+// direction, in order. viewInto must reproduce it bit for bit, draws
+// included.
+func scalarView(a Augmenter, rng *rand.Rand, x, out []float64) {
+	scale := 1.0
+	if a.ScaleJitter > 0 {
+		scale = 1 + (rng.Float64()*2-1)*a.ScaleJitter
+	}
+	for i, v := range x {
+		if a.DropProb > 0 && rng.Float64() < a.DropProb {
+			out[i] = 0
+			continue
+		}
+		nv := v * scale
+		if a.NoiseStd > 0 {
+			nv += rng.NormFloat64() * a.NoiseStd
+		}
+		out[i] = nv
+	}
+	if a.StyleDirs != nil && a.StyleStd > 0 && a.StyleDirs.Cols() == len(x) {
+		for s := 0; s < a.StyleDirs.Rows(); s++ {
+			delta := rng.NormFloat64() * a.StyleStd
+			dir := a.StyleDirs.Row(s)
+			for i := range out {
+				out[i] += delta * dir[i]
+			}
+		}
+	}
+}
+
+// TestViewMatchesScalarStyleSweep holds viewInto to scalarView at style
+// direction counts on both sides of the four-row fusion and of styleChunk,
+// and at dimensions with and without a vector tail.
+func TestViewMatchesScalarStyleSweep(t *testing.T) {
+	for _, dim := range []int{1, 7, 16, 64} {
+		for _, styles := range []int{0, 1, 3, 5, 24, 28, styleChunk, styleChunk + 1, 2*styleChunk + 3} {
+			rng := rand.New(rand.NewSource(int64(dim*100 + styles)))
+			a := DefaultAugmenter()
+			a.StyleDirs, a.StyleStd = tensor.RandN(rng, 1, styles, dim), 0.7
+			x := tensor.RandN(rng, 1, 1, dim).Data()
+			got, want := make([]float64, dim), make([]float64, dim)
+			gotRNG, wantRNG := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+			for rep := 0; rep < 3; rep++ {
+				a.viewInto(gotRNG, x, got)
+				scalarView(a, wantRNG, x, want)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("dim %d, %d styles, view %d: element %d is %v, scalar sweep %v", dim, styles, rep, i, got[i], want[i])
+					}
+				}
+			}
+			if gotRNG.Int63() != wantRNG.Int63() {
+				t.Fatalf("dim %d, %d styles: viewInto drew a different number of values", dim, styles)
+			}
+		}
+	}
+}

@@ -36,17 +36,17 @@ func BenchmarkSilhouette64(b *testing.B) {
 
 // BenchmarkAssignPoints times one Lloyd assignment at the federation's
 // batch (32 points of 48 features) for every K SelectK tries: the loop
-// tensor.SqDistRows serves, four centres per pass.
+// tensor.SqDistTile serves, four points against four centres per tile.
 func BenchmarkAssignPoints(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.RandN(rng, 1, 32, 48)
-	assign, scratch := make([]int, 32), make([]float64, 32)
+	assign := make([]int, 32)
 	for _, k := range []int{2, 3, 4, 6, 8, 10} {
 		centers := tensor.RandN(rng, 1, k, 48)
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				assignPoints(x, centers, assign, scratch)
+				assignPoints(x, centers, assign)
 			}
 		})
 	}

@@ -109,8 +109,7 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 		tol = 1e-4
 	}
 
-	// One buffer serves the seeding (every point's distance to its nearest
-	// centre) and then the assignments (one point's distance to k ≤ n centres).
+	// The seeding's distances, every point's to its nearest centre.
 	w.scratch, w.counts = grow(w.scratch, n), grow(w.counts, k)
 	s := &w.slots[w.cur]
 	centers := s.centersFor(k, d)
@@ -121,7 +120,7 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 	var inertia float64
 	var iters int
 	for iters = 1; iters <= maxIters; iters++ {
-		inertia = assignPoints(x, centers, assign, w.scratch)
+		inertia = assignPoints(x, centers, assign)
 		updateCenters(rng, x, centers, assign, w.counts)
 		if prev-inertia <= tol*math.Max(prev, 1) {
 			break
@@ -129,7 +128,7 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 		prev = inertia
 	}
 	// Final assignment against the last centers.
-	inertia = assignPoints(x, centers, assign, w.scratch)
+	inertia = assignPoints(x, centers, assign)
 	s.members, s.res.Groups = grow(s.members, n), grow(s.res.Groups, k)
 	groupMembers(s.res.Groups, s.members, assign, w.counts)
 	s.res.Centers, s.res.Inertia, s.res.Iters = centers, inertia, iters
@@ -209,21 +208,40 @@ func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64) 
 }
 
 // assignPoints assigns every point to its nearest centre (the lowest index
-// among equals) and returns the inertia. scratch holds at least k values.
-func assignPoints(x, centers *tensor.Tensor, assign []int, scratch []float64) float64 {
-	n := x.Rows()
-	toCenters := scratch[:centers.Rows()]
-	var inertia float64
-	for i := 0; i < n; i++ {
-		tensor.SqDistRows(toCenters, x.Row(i), centers.Data())
-		best, bestD := 0, math.Inf(1)
-		for c, d := range toCenters {
-			if d < bestD {
-				best, bestD = c, d
+// among equals) and returns the inertia, summed in point order. Four points
+// meet four centres in one tensor.SqDistTile; a ragged edge on either side
+// repeats its last row, whose lanes are computed and ignored. Each distance
+// is SqDist(point, centre), bit for bit.
+func assignPoints(x, centers *tensor.Tensor, assign []int) float64 {
+	n, k := x.Rows(), centers.Rows()
+	var (
+		pts, cs [4][]float64
+		tile    [16]float64
+		inertia float64
+	)
+	for i0 := 0; i0 < n; i0 += 4 {
+		for r := range pts {
+			pts[r] = x.Row(min(i0+r, n-1))
+		}
+		var best [4]int
+		bestD := [4]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+		for c0 := 0; c0 < k; c0 += 4 {
+			for j := range cs {
+				cs[j] = centers.Row(min(c0+j, k-1))
+			}
+			tensor.SqDistTile(&tile, &pts, &cs)
+			for r := range best {
+				for j := range min(4, k-c0) {
+					if d := tile[r*4+j]; d < bestD[r] {
+						best[r], bestD[r] = c0+j, d
+					}
+				}
 			}
 		}
-		assign[i] = best
-		inertia += bestD
+		for r := range min(4, n-i0) {
+			assign[i0+r] = best[r]
+			inertia += bestD[r]
+		}
 	}
 	return inertia
 }
@@ -285,11 +303,32 @@ func Silhouette(x *tensor.Tensor, labels []int) float64 {
 func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
 	n := x.Rows()
 	dist := arena.Get(n * (n - 1) / 2)
-	at := 0
-	d, xd := x.Cols(), x.Data()
-	for i := 1; i < n; i++ {
-		tensor.SqDistRows(dist[at:at+i], x.Row(i), xd[:i*d])
-		at += i
+	// Rows i0…i0+3 meet rows j0…j0+3 in one tensor.SqDistTile, (x_i − x_j)²
+	// as SqDistRows summed it; starting at row 1 puts ten of the sixteen
+	// pairs of a block on the diagonal below it. Rows past the end repeat
+	// the last one and pairs with j ≥ i are dropped.
+	var (
+		a, b [4][]float64
+		tile [16]float64
+	)
+	for i0 := 1; i0 < n; i0 += 4 {
+		rows := min(4, n-i0)
+		for r := range a {
+			a[r] = x.Row(min(i0+r, n-1))
+		}
+		for j0 := 0; j0 < i0+rows-1; j0 += 4 {
+			for c := range b {
+				b[c] = x.Row(min(j0+c, n-1))
+			}
+			tensor.SqDistTile(&tile, &a, &b)
+			for r := range rows {
+				i := i0 + r
+				row := dist[i*(i-1)/2:][:i]
+				for c := range min(4, i-j0) {
+					row[j0+c] = tile[r*4+c]
+				}
+			}
+		}
 	}
 	for p, sq := range dist {
 		dist[p] = math.Sqrt(sq)

@@ -137,7 +137,7 @@ func TestInertiaDecreasesVsRandomAssign(t *testing.T) {
 	// Random centers give much worse inertia.
 	randCenters := tensor.RandN(rng, 5, 4, 6)
 	assign := make([]int, x.Rows())
-	randInertia := assignPoints(x, randCenters, assign, make([]float64, randCenters.Rows()))
+	randInertia := assignPoints(x, randCenters, assign)
 	if res.Inertia >= randInertia {
 		t.Fatalf("kmeans inertia %v should beat random %v", res.Inertia, randInertia)
 	}
@@ -339,17 +339,29 @@ func TestSilhouetteRejectsLabelCountMismatch(t *testing.T) {
 	}
 }
 
-// naiveRun is Run with every distance computed where it is used, one SqDist
-// per (point, centre) pair in the point-minus-centre orientation: the
-// definition the SqDistRows call sites must reproduce bit for bit, rng draws
-// included. Only the centroid update is shared with Run.
+// naiveSqDist is the squared distance as SqDist defines it, restated here
+// so that the references below do not run the code they check.
+func naiveSqDist(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
+
+// naiveRun is Run with every distance computed where it is used, one
+// naiveSqDist per (point, centre) pair in the point-minus-centre
+// orientation: the definition the distance tiles and rows must reproduce
+// bit for bit, rng draws included. Only the centroid update is shared with
+// Run.
 func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, assign []int, inertia float64) {
 	n := x.Rows()
 	centers = tensor.New(k, x.Cols())
 	centers.SetRow(0, x.Row(rng.Intn(n)))
 	dist := make([]float64, n)
 	for i := range dist {
-		dist[i] = tensor.SqDist(x.Row(i), centers.Row(0))
+		dist[i] = naiveSqDist(x.Row(i), centers.Row(0))
 	}
 	for c := 1; c < k; c++ {
 		var total float64
@@ -370,7 +382,7 @@ func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, 
 		}
 		centers.SetRow(c, x.Row(pick))
 		for i := range dist {
-			if nd := tensor.SqDist(x.Row(i), centers.Row(c)); nd < dist[i] {
+			if nd := naiveSqDist(x.Row(i), centers.Row(c)); nd < dist[i] {
 				dist[i] = nd
 			}
 		}
@@ -381,7 +393,7 @@ func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, 
 		for i := 0; i < n; i++ {
 			best, bestD := 0, math.Inf(1)
 			for c := 0; c < k; c++ {
-				if d := tensor.SqDist(x.Row(i), centers.Row(c)); d < bestD {
+				if d := naiveSqDist(x.Row(i), centers.Row(c)); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -402,18 +414,23 @@ func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, 
 	return centers, assign, assignAll()
 }
 
-// TestDistancesMatchNaiveReference pins the three users of
-// tensor.SqDistRows in this package to per-pair SqDist loops on the shapes
-// the federation clusters (32 points of 48 features, every K SelectK tries)
-// and on 37 points of 5, which end on a partial seeding chunk: Run's
-// centres, assignment, inertia and rng consumption (seeding measures from
-// the centre to the points, the reference from the point to the centre),
-// and every PairDistances entry. Some batches repeat points, so that
-// equidistant centres, zero D² mass and emptied clusters occur.
+// TestDistancesMatchNaiveReference pins the distance users of this package
+// — seeding, assignment and PairDistances — to per-pair naiveSqDist loops
+// on the shapes the federation clusters (32 points of 48 features) and on
+// point counts that are not a multiple of four (37 of 5, 30 of 7), which end
+// on partial tiles and a partial sixteen-point seeding chunk, for K on both
+// sides of the four-centre tile: Run's centres, assignment, inertia and
+// rng consumption (seeding measures from the centre to the points, the
+// reference from the point to the centre), and every PairDistances entry.
+// Some batches repeat points, so that equidistant centres, zero D² mass
+// and emptied clusters occur.
 func TestDistancesMatchNaiveReference(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 9; seed++ {
 		n, d := 32, 48
-		if seed >= 6 {
+		switch {
+		case seed >= 7:
+			n, d = 30, 7
+		case seed >= 5:
 			n, d = 37, 5
 		}
 		x := tensor.RandN(rand.New(rand.NewSource(40+seed)), 1, n, d)
@@ -424,7 +441,7 @@ func TestDistancesMatchNaiveReference(t *testing.T) {
 				}
 			}
 		}
-		for _, k := range []int{2, 3, 4, 6, 8, 10} {
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 8, 10} {
 			rng, refRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 			res, err := Run(rng, x, Config{K: k})
 			if err != nil {
@@ -448,12 +465,143 @@ func TestDistancesMatchNaiveReference(t *testing.T) {
 				t.Fatalf("seed %d K=%d: Run consumed a different number of rng draws", seed, k)
 			}
 		}
-		dist := PairDistances(nil, x)
-		for i, at := 1, 0; i < n; i++ {
-			for j := 0; j < i; j, at = j+1, at+1 {
-				if want := math.Sqrt(tensor.SqDist(x.Row(i), x.Row(j))); math.Float64bits(dist[at]) != math.Float64bits(want) {
-					t.Fatalf("seed %d: distance (%d,%d) is %v, reference %v", seed, i, j, dist[at], want)
+		checkPairDistances(t, fmt.Sprintf("seed %d", seed), x)
+	}
+}
+
+// checkPairDistances holds every PairDistances entry of x to the square
+// root of a naiveSqDist loop, bit for bit.
+func checkPairDistances(t *testing.T, what string, x *tensor.Tensor) {
+	t.Helper()
+	dist := PairDistances(nil, x)
+	if n := x.Rows(); len(dist) != n*(n-1)/2 {
+		t.Fatalf("%s: %d pair distances for %d points", what, len(dist), n)
+	}
+	for i, at := 1, 0; i < x.Rows(); i++ {
+		for j := 0; j < i; j, at = j+1, at+1 {
+			if want := math.Sqrt(naiveSqDist(x.Row(i), x.Row(j))); math.Float64bits(dist[at]) != math.Float64bits(want) {
+				t.Fatalf("%s: distance (%d,%d) is %v, reference %v", what, i, j, dist[at], want)
+			}
+		}
+	}
+}
+
+// TestPairDistancesEveryTileEdge runs PairDistances at every point count
+// from 0 to 21 — each way the four-row blocks and their diagonal can end —
+// and at the federation's 32 and 64, with infinities among the features so
+// that Inf−Inf reaches some pairs.
+func TestPairDistancesEveryTileEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, n := range append([]int{32, 64}, func() (ns []int) {
+		for n := range 22 {
+			ns = append(ns, n)
+		}
+		return ns
+	}()...) {
+		x := tensor.RandN(rng, 1, n, 6)
+		if n > 3 {
+			x.Set(1, 2, math.Inf(1))
+			x.Set(n-1, 2, math.Inf(1))
+		}
+		checkPairDistances(t, fmt.Sprintf("n=%d", n), x)
+	}
+}
+
+// TestAssignPointsMatchesNaiveLoop holds assignPoints to a per-point
+// naiveSqDist loop over the centres (lowest index among equals, inertia in
+// point order) for K ∈ {1, 2, 3, 5, 10} and point counts that are not a
+// multiple of four, with centres that repeat points and each other so that
+// ties and zero distances occur.
+func TestAssignPointsMatchesNaiveLoop(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 13, 30, 37} {
+		for _, k := range []int{1, 2, 3, 5, 10} {
+			for _, d := range []int{1, 5, 48} {
+				rng := rand.New(rand.NewSource(int64(1000*n + 10*k + d)))
+				x, centers := tensor.RandN(rng, 1, n, d), tensor.RandN(rng, 1, k, d)
+				centers.SetRow(k-1, x.Row(n-1))
+				if k > 2 {
+					centers.SetRow(1, centers.Row(k-2)) // a tie between centres 1 and k−2
 				}
+				assign := make([]int, n)
+				inertia := assignPoints(x, centers, assign)
+				var want float64
+				for i := range n {
+					best, bestD := 0, math.Inf(1)
+					for c := range k {
+						if dc := naiveSqDist(x.Row(i), centers.Row(c)); dc < bestD {
+							best, bestD = c, dc
+						}
+					}
+					if assign[i] != best {
+						t.Fatalf("n=%d K=%d d=%d: point %d assigned to %d, reference %d", n, k, d, i, assign[i], best)
+					}
+					want += bestD
+				}
+				if math.Float64bits(inertia) != math.Float64bits(want) {
+					t.Fatalf("n=%d K=%d d=%d: inertia %v, reference %v", n, k, d, inertia, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSeedPlusPlusMatchesNaiveLoop holds the k-means++ seeding to a
+// reference that measures every distance with naiveSqDist from the point
+// to the centre, for K ∈ {1, 2, 3, 5, 10} and point counts on both sides
+// of the sixteen-point chunks: the same centres, the same draws from rng,
+// and every point's distance to its nearest centre, bit for bit.
+func TestSeedPlusPlusMatchesNaiveLoop(t *testing.T) {
+	for _, n := range []int{1, 5, 15, 16, 17, 30, 33, 37, 64} {
+		for _, k := range []int{1, 2, 3, 5, 10} {
+			if k > n {
+				continue
+			}
+			x := tensor.RandN(rand.New(rand.NewSource(int64(n*16+k))), 1, n, 7)
+			rng, refRNG := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			centers, dist := tensor.New(k, 7), make([]float64, n)
+			seedPlusPlus(rng, x, centers, dist)
+
+			want, wantDist := tensor.New(k, 7), make([]float64, n)
+			want.SetRow(0, x.Row(refRNG.Intn(n)))
+			for i := range wantDist {
+				wantDist[i] = naiveSqDist(x.Row(i), want.Row(0))
+			}
+			for c := 1; c < k; c++ {
+				var total float64
+				for _, v := range wantDist {
+					total += v
+				}
+				pick := 0
+				if total <= 0 {
+					pick = refRNG.Intn(n)
+				} else {
+					u, acc := refRNG.Float64()*total, 0.0
+					for i, v := range wantDist {
+						if acc += v; u <= acc {
+							pick = i
+							break
+						}
+					}
+				}
+				want.SetRow(c, x.Row(pick))
+				for i := range wantDist {
+					if nd := naiveSqDist(x.Row(i), want.Row(c)); nd < wantDist[i] {
+						wantDist[i] = nd
+					}
+				}
+			}
+			for i, w := range want.Data() {
+				if math.Float64bits(centers.Data()[i]) != math.Float64bits(w) {
+					t.Fatalf("n=%d K=%d: centre element %d is %v, reference %v", n, k, i, centers.Data()[i], w)
+				}
+			}
+			for i, w := range wantDist {
+				if math.Float64bits(dist[i]) != math.Float64bits(w) {
+					t.Fatalf("n=%d K=%d: point %d is %v from its nearest centre, reference %v", n, k, i, dist[i], w)
+				}
+			}
+			if rng.Int63() != refRNG.Int63() {
+				t.Fatalf("n=%d K=%d: seeding consumed a different number of rng draws", n, k)
 			}
 		}
 	}

@@ -229,7 +229,9 @@ func wantBits(t *testing.T, what string, want, got float64) {
 // the unfused chain to the plain `if` formulation, bit for bit, on
 // reluTable: v <= 0 gives +0 and anything else — NaN included — passes
 // through; a gradient passes where the output is > 0 and is +0 elsewhere
-// (±0, NaN). First the two bit-mask helpers on every value (a −0
+// (±0, NaN). First the vector sweeps LinearAct runs —
+// tensor.AddRowVecReLU and tensor.ReLUGradInto, the implementation this
+// build selects — on every value and every (gradient, output) pair (a −0
 // pre-activation cannot come out of a product, whose sums start at +0, so
 // only here is it seen), then both graph paths with the table as
 // pre-activations and, rotated through every offset, as upstream gradient.
@@ -246,14 +248,34 @@ func TestReLUSpecialValues(t *testing.T) {
 		}
 		return 0
 	}
-	for _, v := range reluTable {
-		wantBits(t, "relu", plainReLU(v), relu(v))
-		for _, g := range reluTable {
-			wantBits(t, "masked gradient", plainMask(g, v), math.Float64frombits(math.Float64bits(g)&positiveMask(v)))
+	n := len(reluTable)
+	// Each value at every position of a row, so that it meets the vector
+	// body and the scalar tail; a −0 bias leaves it as it is.
+	pre, negZero := tensor.New(n, n), make([]float64, n)
+	for j := range negZero {
+		negZero[j] = math.Copysign(0, -1)
+	}
+	for i := range n {
+		for j := range n {
+			pre.Set(i, j, reluTable[(i+j)%n])
+		}
+	}
+	acts := pre.Clone()
+	tensor.AddRowVecReLU(acts, negZero)
+	for i, v := range pre.Data() {
+		wantBits(t, "AddRowVecReLU", plainReLU(v), acts.Data()[i])
+	}
+	for shift := range n {
+		g, masked := tensor.New(n, n), tensor.New(n, n)
+		for i := range g.Data() {
+			g.Data()[i] = reluTable[(i+shift)%n]
+		}
+		tensor.ReLUGradInto(masked, g, pre)
+		for i, v := range pre.Data() {
+			wantBits(t, "ReLUGradInto", plainMask(g.Data()[i], v), masked.Data()[i])
 		}
 	}
 
-	n := len(reluTable)
 	x := tensor.New(1, 1)
 	x.Data()[0] = 1
 	w, b := NewParam("w", 1, n), NewParam("b", 1, n)

@@ -204,8 +204,7 @@ func TestDeltaRejectsNonCanonical(t *testing.T) {
 }
 
 // TestDeltaEncodingDeterministic pins byte-determinism: the same pair
-// always yields the same payload (the store's incremental snapshots rely
-// on encode injectivity).
+// always yields the same payload.
 func TestDeltaEncodingDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ref := make(Vector, 500)

@@ -170,7 +170,8 @@ func matMulTransARange(out, a, b *Tensor, lo, hi int) {
 // whole row range while hot; within a block each row's non-zero
 // coefficients are compressed once and then applied by axpyRows, four b
 // rows per pass over the output row. Every out[i,j] still receives its
-// terms one at a time, in ascending p, through a single accumulator.
+// terms one at a time, in ascending p, through a single accumulator. The
+// offsets p·n ascend, as axpyRows requires.
 func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
 	clear(out[lo*n : hi*n])
 	var (

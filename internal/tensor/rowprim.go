@@ -1,9 +1,15 @@
 package tensor
 
+import "math"
+
 // The row primitives are the innermost loops of the matmul micro-kernels
-// (matmul.go) and of AddScaled: two loop bodies over contiguous float64
-// rows — axpyRows, which adds scaled rows to a row, and dotTile, a 4×4 tile
-// of dot products — each with two implementations that agree bit for bit.
+// (matmul.go), of AddScaled and AddScaledRows, of the distance tile behind
+// k-means and of the bias/ReLU sweeps of a fused layer: loop bodies over
+// contiguous float64 rows — axpyRows, which adds scaled rows to a row;
+// dotTile, a 4×4 tile of dot products; sqDistTile, a 4×4 tile of squared
+// distances; biasRows, a bias added to every row (then ReLU, if asked); and
+// reluMask, a gradient kept where an output is positive — each with two
+// implementations that agree bit for bit.
 //
 //   - The portable loops in this file are the scalar inner loops the kernels
 //     always had, and they are what runs on every build without the
@@ -22,7 +28,7 @@ package tensor
 // any one of them, so the assembly is held to the same oracle as the loops
 // it replaces (matmul_oracle_test.go, rowprim_test.go).
 //
-// axpyRows and dotTile (rowprim_amd64.go or rowprim_noasm.go) pick the
+// The wrappers in rowprim_amd64.go or rowprim_noasm.go pick the
 // implementation through useAVX2, which is set once when the package
 // initialises, from CPUID and XGETBV. There is no flag or environment
 // variable behind it; a test that wants the portable path on an AVX2 host
@@ -93,4 +99,94 @@ func dotTileGeneric(o []float64, ldo int, a, b []float64, k int) {
 		o0[0], o0[1], o0[2], o0[3] = s00, s01, s02, s03
 		o1[0], o1[1], o1[2], o1[3] = s10, s11, s12, s13
 	}
+}
+
+// sqDistTileGeneric is the squared-distance tile:
+// o[r·4 + j] = Σ_i (a[r][i] − b[j][i])² over ascending i, for four rows of a
+// against four rows of b, all of one length — SqDist's loop, one
+// accumulator per output, as two passes of a 2×4 register tile.
+func sqDistTileGeneric(o *[16]float64, a, b *[4][]float64) {
+	b0 := b[0]
+	b1, b2, b3 := b[1][:len(b0)], b[2][:len(b0)], b[3][:len(b0)]
+	for r := 0; r < 4; r += 2 {
+		a0, a1 := a[r][:len(b0)], a[r+1][:len(b0)]
+		var s00, s01, s02, s03, s10, s11, s12, s13 float64
+		for i, x0 := range a0 {
+			x1 := a1[i]
+			y0, y1, y2, y3 := b0[i], b1[i], b2[i], b3[i]
+			d00, d01, d02, d03 := x0-y0, x0-y1, x0-y2, x0-y3
+			d10, d11, d12, d13 := x1-y0, x1-y1, x1-y2, x1-y3
+			s00 += d00 * d00
+			s01 += d01 * d01
+			s02 += d02 * d02
+			s03 += d03 * d03
+			s10 += d10 * d10
+			s11 += d11 * d11
+			s12 += d12 * d12
+			s13 += d13 * d13
+		}
+		o[r*4], o[r*4+1], o[r*4+2], o[r*4+3] = s00, s01, s02, s03
+		o[r*4+4], o[r*4+5], o[r*4+6], o[r*4+7] = s10, s11, s12, s13
+	}
+}
+
+// biasRowsGeneric adds bias to every row of y (len(y) is a multiple of
+// len(bias)): y[i·n + j] += bias[j], then, when relu is set,
+// y[i·n + j] = reluBits(y[i·n + j]).
+func biasRowsGeneric(y, bias []float64, relu bool) {
+	if len(bias) == 0 {
+		return
+	}
+	for i := 0; i+len(bias) <= len(y); i += len(bias) {
+		row := y[i:][:len(bias)]
+		if relu {
+			for j, b := range bias {
+				row[j] = reluBits(row[j] + b)
+			}
+		} else {
+			for j, b := range bias {
+				row[j] += b
+			}
+		}
+	}
+}
+
+// reluMaskGeneric writes dst[i] = g[i] where y[i] > 0 and +0 elsewhere
+// (±0, negatives, NaN), for equally long dst, g and y.
+func reluMaskGeneric(dst, g, y []float64) {
+	g, y = g[:len(dst)], y[:len(dst)]
+	for i, v := range g {
+		dst[i] = math.Float64frombits(math.Float64bits(v) & positiveMask(y[i]))
+	}
+}
+
+// ReLU on the bit pattern. The activation's sign is a coin flip per
+// element, so `if v <= 0` and `if y > 0` mispredict half the time in the
+// portable sweeps of a training step; the integer forms below decide
+// exactly what those comparisons decide, special values included, as the
+// assembly's VCMPPD does (TestAddRowVecMatchesScalarLoops,
+// TestReLUGradMatchesScalarLoop and nn's TestReLUSpecialValues hold both to
+// the plain ifs).
+
+const (
+	signBit = 1 << 63
+	infBits = 0x7FF << 52 // +Inf; anything above it, sign aside, is a NaN
+)
+
+// reluBits returns +0 where v <= 0 (negatives, −Inf, both zeros) and v
+// itself elsewhere — NaN of either sign included, so a poisoned
+// pre-activation stays visible.
+func reluBits(v float64) float64 {
+	u := math.Float64bits(v)
+	// Top bit of drop: sign set, and infBits−|v| did not wrap (not a NaN).
+	drop := u &^ (infBits - u&^signBit)
+	return math.Float64frombits(u &^ uint64(int64(drop)>>63))
+}
+
+// positiveMask is all ones where y > 0 and zero elsewhere (±0, negatives,
+// NaN): y > 0 ⇔ 1 ≤ bits(y) ≤ infBits, and the top bit of u, u−1 or
+// infBits−u is set exactly when u is negative, zero or past +Inf.
+func positiveMask(y float64) uint64 {
+	u := math.Float64bits(y)
+	return ^uint64(int64(u|(u-1)|(infBits-u)) >> 63)
 }

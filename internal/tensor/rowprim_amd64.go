@@ -16,13 +16,24 @@ func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64)
 //go:noescape
 func dotTileAVX2(o []float64, ldo int, a, b []float64, k int)
 
+//go:noescape
+func sqDistTileAVX2(o *[16]float64, a, b *[4][]float64)
+
+//go:noescape
+func biasRowsAVX2(y, bias []float64, relu bool)
+
+//go:noescape
+func reluMaskAVX2(dst, g, y []float64)
+
 // axpyRows computes, for q = 0 … len(offs)-1 in order,
-// o[j] += coefs[q]·b[offs[q]+j] for every j < len(o).
+// o[j] += coefs[q]·b[offs[q]+j] for every j < len(o). The offsets must
+// ascend, as every caller passes them: the first is then the lowest and the
+// last row ends furthest into b, so checking those two covers every row.
 func axpyRows(o, b []float64, offs []int, coefs []float64) {
 	if useAVX2 {
-		_ = coefs[:len(offs)]
-		for _, off := range offs {
-			_ = b[off:][:len(o)] // the assembly trusts these extents
+		if len(offs) > 0 {
+			_ = coefs[:len(offs)]
+			_, _ = b[offs[0]:], b[offs[len(offs)-1]:][:len(o)] // the assembly trusts these extents
 		}
 		axpyRowsAVX2(o, b, offs, coefs)
 		return
@@ -40,4 +51,34 @@ func dotTile(o []float64, ldo int, a, b []float64, k int) {
 		return
 	}
 	dotTileGeneric(o, ldo, a, b, k)
+}
+
+// sqDistTile computes o[r·4 + j] = Σ_i (a[r][i] − b[j][i])² over ascending
+// i; the caller has checked that all eight rows have one length.
+func sqDistTile(o *[16]float64, a, b *[4][]float64) {
+	if useAVX2 {
+		sqDistTileAVX2(o, a, b)
+		return
+	}
+	sqDistTileGeneric(o, a, b)
+}
+
+// biasRows adds bias to every row of y and then, when relu is set, applies
+// ReLU; the caller has checked that len(y) is a multiple of len(bias).
+func biasRows(y, bias []float64, relu bool) {
+	if useAVX2 {
+		biasRowsAVX2(y, bias, relu)
+		return
+	}
+	biasRowsGeneric(y, bias, relu)
+}
+
+// reluMask writes dst[i] = g[i] where y[i] > 0 and +0 elsewhere; the caller
+// has checked that g and y are as long as dst.
+func reluMask(dst, g, y []float64) {
+	if useAVX2 {
+		reluMaskAVX2(dst, g, y)
+		return
+	}
+	reluMaskGeneric(dst, g, y)
 }

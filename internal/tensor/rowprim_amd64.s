@@ -275,3 +275,217 @@ dotStore:
 	VMOVUPD Y3, (DI)(R12*1)
 	VZEROUPPER
 	RET
+
+// SQSTEP adds one value of i to the four accumulators: bcol holds
+// b0[i], b1[i], b2[i], b3[i] and lane j of Y0…Y3 is the running squared
+// distance of a row 0…3 to b row j: (a − b), rounded, squared, rounded,
+// added, rounded.
+#define SQSTEP(off, bcol) \
+	VBROADCASTSD off(AX)(SI*1), Y8; \
+	VBROADCASTSD off(BX)(SI*1), Y9; \
+	VBROADCASTSD off(CX)(SI*1), Y10; \
+	VBROADCASTSD off(DX)(SI*1), Y11; \
+	VSUBPD       bcol, Y8, Y8; \
+	VSUBPD       bcol, Y9, Y9; \
+	VSUBPD       bcol, Y10, Y10; \
+	VSUBPD       bcol, Y11, Y11; \
+	VMULPD       Y8, Y8, Y8; \
+	VMULPD       Y9, Y9, Y9; \
+	VMULPD       Y10, Y10, Y10; \
+	VMULPD       Y11, Y11, Y11; \
+	VADDPD       Y8, Y0, Y0; \
+	VADDPD       Y9, Y1, Y1; \
+	VADDPD       Y10, Y2, Y2; \
+	VADDPD       Y11, Y3, Y3
+
+// func sqDistTileAVX2(o *[16]float64, a, b *[4][]float64)
+//
+// o[r·4 + j] = Σ_i (a[r][i] − b[j][i])² for r, j < 4: the dotTileAVX2 loop
+// with a subtraction before the product, each of the sixteen sums one
+// lane's own accumulator over ascending i, starting from +0. The caller has
+// checked that all eight rows have the length of a[0].
+TEXT ·sqDistTileAVX2(SB), NOSPLIT, $0-24
+	MOVQ   a+8(FP), R13
+	MOVQ   (R13), AX
+	MOVQ   8(R13), DI // row length
+	MOVQ   24(R13), BX
+	MOVQ   48(R13), CX
+	MOVQ   72(R13), DX
+	MOVQ   b+16(FP), R13
+	MOVQ   (R13), R8
+	MOVQ   24(R13), R9
+	MOVQ   48(R13), R10
+	MOVQ   72(R13), R11
+	XORQ   SI, SI
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+sq4:
+	CMPQ DI, $4
+	JLT  sq1
+	BCOLS2(0, Y4, Y5)
+	BCOLS2(16, Y6, Y7)
+	SQSTEP(0, Y4)
+	SQSTEP(8, Y5)
+	SQSTEP(16, Y6)
+	SQSTEP(24, Y7)
+	ADDQ $32, SI
+	SUBQ $4, DI
+	JMP  sq4
+
+sq1:
+	TESTQ       DI, DI
+	JZ          sqStore
+	VMOVSD      (R8)(SI*1), X12
+	VMOVHPD     (R9)(SI*1), X12, X12
+	VMOVSD      (R10)(SI*1), X13
+	VMOVHPD     (R11)(SI*1), X13, X13
+	VINSERTF128 $1, X13, Y12, Y4
+	SQSTEP(0, Y4)
+	ADDQ        $8, SI
+	DECQ        DI
+	JMP         sq1
+
+sqStore:
+	MOVQ    o+0(FP), DI
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func biasRowsAVX2(y, bias []float64, relu bool)
+//
+// y[i·n + j] += bias[j] for every row of y (n = len(bias); the caller has
+// checked that len(y) is a multiple of n), then, when relu is set, every
+// sum that is <= 0 becomes +0: VCMPPD's not-less-or-equal, unordered
+// predicate keeps positives and NaN of either sign, and the AND with its
+// mask turns negatives, −Inf and both zeros into all-zero bits.
+TEXT ·biasRowsAVX2(SB), NOSPLIT, $0-49
+	MOVQ    y_base+0(FP), DI
+	MOVQ    y_len+8(FP), R12 // elements left in y
+	MOVQ    bias_base+24(FP), BX
+	MOVQ    bias_len+32(FP), R13
+	MOVBQZX relu+48(FP), AX
+	VXORPD  Y15, Y15, Y15
+	TESTQ   R13, R13
+	JZ      biasDone
+
+biasRow:
+	CMPQ R12, R13
+	JLT  biasDone
+	MOVQ R13, CX  // elements left in the row
+	XORQ SI, SI   // byte offset into the row
+	TESTQ AX, AX
+	JNZ  relu4
+
+plain4:
+	CMPQ    CX, $4
+	JLT     plain1
+	VMOVUPD (DI)(SI*1), Y0
+	VADDPD  (BX)(SI*1), Y0, Y0
+	VMOVUPD Y0, (DI)(SI*1)
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     plain4
+
+plain1:
+	TESTQ  CX, CX
+	JZ     biasNext
+	VMOVSD (DI)(SI*1), X0
+	VADDSD (BX)(SI*1), X0, X0
+	VMOVSD X0, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    plain1
+
+relu4:
+	CMPQ    CX, $4
+	JLT     relu1
+	VMOVUPD (DI)(SI*1), Y0
+	VADDPD  (BX)(SI*1), Y0, Y0
+	VCMPPD  $0x16, Y15, Y0, Y1 // !(y <= 0): NLE_UQ
+	VANDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(SI*1)
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JMP     relu4
+
+relu1:
+	TESTQ  CX, CX
+	JZ     biasNext
+	VMOVSD (DI)(SI*1), X0
+	VADDSD (BX)(SI*1), X0, X0
+	VCMPSD $0x16, X15, X0, X1
+	VANDPD X1, X0, X0
+	VMOVSD X0, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    relu1
+
+biasNext:
+	ADDQ SI, DI
+	SUBQ R13, R12
+	JMP  biasRow
+
+biasDone:
+	VZEROUPPER
+	RET
+
+// func reluMaskAVX2(dst, g, y []float64)
+//
+// dst[i] = g[i] where y[i] > 0 and +0 elsewhere: VCMPPD's greater-than,
+// ordered predicate is false for ±0, negatives and NaN, and the AND with
+// its mask leaves g's bits or all-zero bits. The caller has checked that g
+// and y are at least as long as dst.
+TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-72
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   dst_len+8(FP), CX
+	MOVQ   g_base+24(FP), BX
+	MOVQ   y_base+48(FP), DX
+	XORQ   SI, SI
+	VXORPD Y15, Y15, Y15
+
+mask8:
+	CMPQ    CX, $8
+	JLT     mask4
+	VMOVUPD (DX)(SI*1), Y0
+	VMOVUPD 32(DX)(SI*1), Y1
+	VCMPPD  $0x1E, Y15, Y0, Y0 // y > 0: GT_OQ
+	VCMPPD  $0x1E, Y15, Y1, Y1
+	VANDPD  (BX)(SI*1), Y0, Y0
+	VANDPD  32(BX)(SI*1), Y1, Y1
+	VMOVUPD Y0, (DI)(SI*1)
+	VMOVUPD Y1, 32(DI)(SI*1)
+	ADDQ    $64, SI
+	SUBQ    $8, CX
+	JMP     mask8
+
+mask4:
+	CMPQ    CX, $4
+	JLT     mask1
+	VMOVUPD (DX)(SI*1), Y0
+	VCMPPD  $0x1E, Y15, Y0, Y0
+	VANDPD  (BX)(SI*1), Y0, Y0
+	VMOVUPD Y0, (DI)(SI*1)
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+
+mask1:
+	TESTQ  CX, CX
+	JZ     maskDone
+	VMOVSD (DX)(SI*1), X0
+	VCMPSD $0x1E, X15, X0, X0
+	VMOVSD (BX)(SI*1), X1
+	VANDPD X1, X0, X0
+	VMOVSD X0, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    mask1
+
+maskDone:
+	VZEROUPPER
+	RET

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -74,6 +75,7 @@ func TestAxpyRowsMatchesScalarLoops(t *testing.T) {
 						offs[q] = rng.Intn(len(b) - n + 1) // rows may overlap, repeat and end flush with b
 						coefs[q] = primValues[rng.Intn(len(primValues))]
 					}
+					slices.Sort(offs) // axpyRows requires ascending offsets
 					want := append([]float64(nil), oBacking...)
 					for q, at := range offs {
 						for j := 0; j < n; j++ {
@@ -167,4 +169,301 @@ func BenchmarkAxpyRows(b *testing.B) {
 			})
 		})
 	}
+}
+
+// sweepLengths are the row lengths the distance tile and the bias and mask
+// sweeps are held to the scalar loops at: empty, every length up to two
+// vectors and a tail, and both sides of 24, 48 and 96.
+var sweepLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 23, 24, 25, 47, 48, 49, 96, 97}
+
+// sweepValues are primValues plus quiet NaNs with payloads of either sign,
+// which the sweeps may carry through or replace (NaN ≡ NaN in sameRow).
+var sweepValues = append(append([]float64(nil), primValues...),
+	math.Float64frombits(0x7FF8_0000_0000_0123), math.Float64frombits(0xFFF8_0000_0000_0042), math.Copysign(math.NaN(), -1))
+
+// sweepVals draws n values, about a third of them from sweepValues.
+func sweepVals(rng *rand.Rand, n int) []float64 { return mixedVals(rng, n, 3) }
+
+// mixedVals draws n values, one in oneIn of them (none for oneIn = 0) from
+// sweepValues and the rest normal. A long sum meets an overflowing or NaN
+// special almost surely at one in three, which hides the order of its
+// additions; the distance tests also run on rarer and no specials, where
+// a reordered chain shows in the low bits.
+func mixedVals(rng *rand.Rand, n, oneIn int) []float64 {
+	vals := make([]float64, n)
+	for i := range vals {
+		if oneIn > 0 && rng.Intn(oneIn) == 0 {
+			vals[i] = sweepValues[rng.Intn(len(sweepValues))]
+		} else {
+			vals[i] = rng.NormFloat64()
+		}
+	}
+	return vals
+}
+
+// distanceMixes are the special-value rates mixedVals draws the distance
+// tests' operands at.
+var distanceMixes = []int{0, 16, 3}
+
+// naiveSqDist is SqDist's loop, restated here as the oracle.
+func naiveSqDist(a, b []float64) float64 {
+	var s float64
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
+
+// checkSqDistTile runs SqDistTile on a and b and holds every output to
+// naiveSqDist, NaN ≡ NaN.
+func checkSqDistTile(a, b *[4][]float64) error {
+	var got, want [16]float64
+	for r := range 4 {
+		for j := range 4 {
+			want[r*4+j] = naiveSqDist(a[r], b[j])
+		}
+		got[r*4] = math.NaN() // every output is written
+	}
+	SqDistTile(&got, a, b)
+	return sameRow(want[:], got[:])
+}
+
+// TestSqDistTileMatchesSqDist holds the distance tile, under every
+// implementation, to sixteen SqDist loops: every length of sweepLengths,
+// rows at element offsets 0–3 of one another, rows repeated on either side
+// (how k-means pads a ragged edge) and special values — ±0, ±Inf, NaN
+// payloads, denormals, 1e±300, whose squares overflow and underflow — at
+// every rate of distanceMixes.
+func TestSqDistTileMatchesSqDist(t *testing.T) {
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(34))
+		for _, d := range sweepLengths {
+			for i := 0; i < 4*len(distanceMixes); i++ {
+				off, mix := i%4, distanceMixes[i/4]
+				backing := mixedVals(rng, off+9*d+3, mix)
+				row := func(q int) []float64 { return backing[off+q*d+q%3:][:d] }
+				distinct := [2][4][]float64{{row(0), row(1), row(2), row(3)}, {row(4), row(5), row(6), row(7)}}
+				repeated := [4][]float64{row(8), row(8), row(2), row(8)}
+				for _, pair := range [][2]*[4][]float64{
+					{&distinct[0], &distinct[1]}, {&distinct[1], &distinct[0]},
+					{&distinct[0], &repeated}, {&repeated, &distinct[1]}, {&repeated, &repeated},
+				} {
+					if err := checkSqDistTile(pair[0], pair[1]); err != nil {
+						t.Fatalf("%s SqDistTile d=%d off=%d specials 1 in %d: %v", impl, d, off, mix, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSqDistTileRejectsRaggedRows checks that rows of different lengths
+// panic before any of them is read.
+func TestSqDistTileRejectsRaggedRows(t *testing.T) {
+	row := make([]float64, 5)
+	for q := range 8 {
+		a, b := [4][]float64{row, row, row, row}, [4][]float64{row, row, row, row}
+		if q < 4 {
+			a[q] = row[:4]
+		} else {
+			b[q-4] = row[:4]
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SqDistTile with row %d short: no panic", q)
+				}
+			}()
+			var o [16]float64
+			SqDistTile(&o, &a, &b)
+		}()
+	}
+}
+
+// FuzzSqDistTileMatchesSqDist is TestSqDistTileMatchesSqDist over drawn row
+// lengths, offsets, repetitions and values (the seed picks the special-value
+// rate too), on both implementations.
+func FuzzSqDistTileMatchesSqDist(f *testing.F) {
+	f.Add(uint8(0), uint8(0), int64(1), uint16(0))
+	f.Add(uint8(1), uint8(1), int64(2), uint16(0x1234))
+	f.Add(uint8(7), uint8(2), int64(3), uint16(0xffff))
+	f.Add(uint8(24), uint8(3), int64(4), uint16(0x0f0f))
+	f.Add(uint8(49), uint8(1), int64(5), uint16(0x8421))
+	f.Add(uint8(97), uint8(2), int64(6), uint16(0x7777))
+	f.Add(uint8(255), uint8(3), int64(7), uint16(0x0001))
+	f.Fuzz(func(t *testing.T, d, off uint8, seed int64, pick uint16) {
+		eachImpl(t, func(impl string) {
+			rng := rand.New(rand.NewSource(seed))
+			o := int(off) % 4
+			backing := mixedVals(rng, o+8*int(d), distanceMixes[uint64(seed)%uint64(len(distanceMixes))])
+			var a, b [4][]float64
+			for q := range 8 {
+				// Two bits of pick per row choose which of four stored rows it is.
+				row := backing[o+int(d)*(int(pick>>(2*(q%8)))&3+4*(q/4)):][:d]
+				if q < 4 {
+					a[q] = row
+				} else {
+					b[q-4] = row
+				}
+			}
+			if err := checkSqDistTile(&a, &b); err != nil {
+				t.Fatalf("%s SqDistTile d=%d off=%d pick=%#x: %v", impl, d, o, pick, err)
+			}
+		})
+	})
+}
+
+// TestAddRowVecMatchesScalarLoops holds AddRowVec and AddRowVecReLU, under
+// every implementation, to row[j] += v[j] and to the plain-if ReLU of that
+// sum — v <= 0 gives +0, anything else (NaN of either sign included) passes
+// through — at every length of sweepLengths, 0 to 5 rows, misaligned
+// operands and special values, and checks that nothing after y is written.
+func TestAddRowVecMatchesScalarLoops(t *testing.T) {
+	plainReLU := func(v float64) float64 {
+		if v <= 0 {
+			return 0
+		}
+		return v
+	}
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(35))
+		for _, n := range sweepLengths {
+			for rows := range 6 {
+				for off := 0; off < 4; off++ {
+					backing := sweepVals(rng, off+rows*n+4)
+					v := sweepVals(rng, (off+1)%4+n)[(off+1)%4:]
+					for _, relu := range []bool{false, true} {
+						want := append([]float64(nil), backing...)
+						for i := 0; i < rows; i++ {
+							for j := range v {
+								at := off + i*n + j
+								want[at] += v[j]
+								if relu {
+									want[at] = plainReLU(want[at])
+								}
+							}
+						}
+						got := append([]float64(nil), backing...)
+						y := View(got[off:off+rows*n], rows, n)
+						if relu {
+							AddRowVecReLU(y, v)
+						} else {
+							AddRowVec(y, v)
+						}
+						if err := sameRow(want, got); err != nil {
+							t.Fatalf("%s AddRowVec relu=%v n=%d rows=%d off=%d: %v", impl, relu, n, rows, off, err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestReLUGradMatchesScalarLoop holds ReLUGradInto, under every
+// implementation, to the plain if — g where y > 0, +0 elsewhere (±0,
+// negatives, NaN) — at every length of sweepLengths, misaligned operands,
+// special values in both operands, into a fresh destination and in place
+// over g.
+func TestReLUGradMatchesScalarLoop(t *testing.T) {
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(36))
+		for _, n := range sweepLengths {
+			for off := 0; off < 4; off++ {
+				g := sweepVals(rng, off+n)[off:]
+				y := sweepVals(rng, (off+2)%4+n)[(off+2)%4:]
+				dstBacking := sweepVals(rng, (off+3)%4+n+4)
+				want := append([]float64(nil), dstBacking...)
+				for i := range g {
+					want[(off+3)%4+i] = 0
+					if y[i] > 0 {
+						want[(off+3)%4+i] = g[i]
+					}
+				}
+				got := append([]float64(nil), dstBacking...)
+				ReLUGradInto(View(got[(off+3)%4:][:n], 1, n), View(g, 1, n), View(y, 1, n))
+				if err := sameRow(want, got); err != nil {
+					t.Fatalf("%s ReLUGradInto n=%d off=%d: %v", impl, n, off, err)
+				}
+				ReLUGradInto(View(g, 1, n), View(g, 1, n), View(y, 1, n))
+				if err := sameRow(want[(off+3)%4:][:n], g); err != nil {
+					t.Fatalf("%s ReLUGradInto in place n=%d off=%d: %v", impl, n, off, err)
+				}
+			}
+		}
+	})
+}
+
+// TestAddScaledRowsMatchesScalarLoops holds AddScaledRows and AddRows,
+// under every implementation, to one plain dst[j] += c·row[j] (resp.
+// dst[j] += row[j]) sweep per row, rows top to bottom: row lengths from
+// sweepLengths, row counts across the four-row fusion and the blockK-row
+// chunks, fewer coefficients than rows, misaligned operands and special
+// values.
+func TestAddScaledRowsMatchesScalarLoops(t *testing.T) {
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(37))
+		for _, n := range sweepLengths {
+			for _, m := range []int{0, 1, 3, 4, 5, 24, blockK, blockK + 1, 2*blockK + 5} {
+				for off := 0; off < 4; off++ {
+					rows := View(sweepVals(rng, off+m*n)[off:], m, n)
+					dstBacking := sweepVals(rng, (off+1)%4+n+4)
+					dst := func(b []float64) []float64 { return b[(off+1)%4:][:n] }
+					first := m / 5
+					coefs := sweepVals(rng, m)[first : m-m/3] // rows on either side of the ones used
+					want := append([]float64(nil), dstBacking...)
+					for q, c := range coefs {
+						for j := range dst(want) {
+							dst(want)[j] += c * rows.Row(first + q)[j]
+						}
+					}
+					got := append([]float64(nil), dstBacking...)
+					AddScaledRows(dst(got), rows, first, coefs)
+					if err := sameRow(want, got); err != nil {
+						t.Fatalf("%s AddScaledRows n=%d m=%d first=%d coefs=%d off=%d: %v", impl, n, m, first, len(coefs), off, err)
+					}
+
+					want = append(want[:0], dstBacking...)
+					for q := range m {
+						for j := range dst(want) {
+							dst(want)[j] += rows.Row(q)[j]
+						}
+					}
+					got = append(got[:0], dstBacking...)
+					AddRows(dst(got), rows)
+					if err := sameRow(want, got); err != nil {
+						t.Fatalf("%s AddRows n=%d m=%d off=%d: %v", impl, n, m, off, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestAddScaledRowsRejectsShortRows checks that a coefficient without a row
+// — a rows matrix shorter than first+len(coefs), a negative first row, or a
+// matrix of another width — panics instead of reading past the matrix.
+func TestAddScaledRowsRejectsShortRows(t *testing.T) {
+	rows := New(3, 5)
+	for _, c := range []struct {
+		dst, first, coefs int
+	}{{5, 0, 4}, {5, 1, 3}, {5, 3, 1}, {5, -1, 1}, {5, 0, 2*blockK + 1}, {4, 0, 3}, {6, 0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddScaledRows of %d coefficients from row %d of 3×5 into %d values: no panic", c.coefs, c.first, c.dst)
+				}
+			}()
+			AddScaledRows(make([]float64, c.dst), rows, c.first, make([]float64, c.coefs))
+		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddRows of a 3×5 matrix into 4 values: no panic")
+			}
+		}()
+		AddRows(make([]float64, 4), rows)
+	}()
 }

@@ -275,6 +275,88 @@ func AddScaled(dst, src *Tensor, s float64) error {
 	return nil
 }
 
+// AddScaledRows is AddScaled over consecutive rows of a matrix:
+// dst += coefs[q]·rows.Row(first+q) for q = 0 … len(coefs)−1 in order, each
+// dst[j] receiving its terms one at a time, left to right — the chain of
+// roundings of len(coefs) AddScaled sweeps, run as one axpyRows call (four
+// rows per pass over dst). It panics unless rows is a matrix of len(dst)
+// columns that has rows first … first+len(coefs)−1.
+func AddScaledRows(dst []float64, rows *Tensor, first int, coefs []float64) {
+	if rows.Dims() != 2 || rows.shape[1] != len(dst) || first < 0 || rows.shape[0]-first < len(coefs) {
+		panic(fmt.Sprintf("tensor: AddScaledRows of %d coefficients from row %d of a %v matrix into %d values", len(coefs), first, rows.shape, len(dst)))
+	}
+	addScaledRows(dst, rows.data[first*len(dst):], coefs)
+}
+
+// AddRows adds every row of rows to dst, top to bottom: dst[j] receives
+// rows[0][j], then rows[1][j], … one rounded addition at a time, which is
+// how a bias gradient sums a batch's rows. It is AddScaledRows with every
+// coefficient 1, the same floats because 1·v is v. It panics unless rows is
+// a matrix of len(dst) columns.
+func AddRows(dst []float64, rows *Tensor) {
+	if rows.Dims() != 2 || rows.shape[1] != len(dst) {
+		panic(fmt.Sprintf("tensor: AddRows of a %v matrix into %d values", rows.shape, len(dst)))
+	}
+	d := len(dst)
+	for q0 := 0; q0 < rows.shape[0]; q0 += blockK {
+		addScaledRows(dst, rows.data[q0*d:], unitCoefs[:min(blockK, rows.shape[0]-q0)])
+	}
+}
+
+// unitCoefs are AddRows' coefficients, blockK at a time.
+var unitCoefs = func() (c [blockK]float64) {
+	for q := range c {
+		c[q] = 1
+	}
+	return c
+}()
+
+// addScaledRows is AddScaledRows on the checked data of rows (row length
+// len(dst)), blockK rows per axpyRows call so that the offsets live on the
+// stack.
+func addScaledRows(dst, rows, coefs []float64) {
+	var offs [blockK]int
+	for q0 := 0; q0 < len(coefs); q0 += blockK {
+		chunk := coefs[q0:min(q0+blockK, len(coefs))]
+		for q := range chunk {
+			offs[q] = (q0 + q) * len(dst)
+		}
+		axpyRows(dst, rows, offs[:len(chunk)], chunk)
+	}
+}
+
+// AddRowVec adds v to every row of y in place: y[i,j] += v[j]. It panics
+// unless y is a matrix of len(v) columns.
+func AddRowVec(y *Tensor, v []float64) {
+	checkRowVec("AddRowVec", y, v)
+	biasRows(y.data, v, false)
+}
+
+// AddRowVecReLU is AddRowVec followed by ReLU, in one sweep:
+// y[i,j] = relu(y[i,j] + v[j]), where relu gives +0 for every value <= 0
+// (negatives, −Inf, both zeros) and passes every other value through — NaN
+// of either sign included, so a poisoned pre-activation stays visible.
+func AddRowVecReLU(y *Tensor, v []float64) {
+	checkRowVec("AddRowVecReLU", y, v)
+	biasRows(y.data, v, true)
+}
+
+func checkRowVec(op string, y *Tensor, v []float64) {
+	if y.Dims() != 2 || y.shape[1] != len(v) {
+		panic(fmt.Sprintf("tensor: %s of %d values onto %v", op, len(v), y.shape))
+	}
+}
+
+// ReLUGradInto is ReLU's gradient from its output: dst = g where y > 0 and
+// +0 elsewhere (±0, negatives, NaN). dst may alias g. It panics unless the
+// three shapes match.
+func ReLUGradInto(dst, g, y *Tensor) {
+	if !SameShape(dst, g) || !SameShape(dst, y) {
+		panic(fmt.Sprintf("tensor: ReLUGradInto %v from %v and %v", dst.shape, g.shape, y.shape))
+	}
+	reluMask(dst.data, g.data, y.data)
+}
+
 // --- Into variants ----------------------------------------------------------
 //
 // The Into forms write into a caller-provided destination (typically borrowed
@@ -509,6 +591,24 @@ func SqDistRows(dst, a, rows []float64) {
 	for ; r < len(dst); r++ {
 		dst[r] = SqDist(a, rows[r*d:(r+1)*d])
 	}
+}
+
+// SqDistTile writes o[r·4 + j] = SqDist(a[r], b[j]) for r, j < 4, bit for
+// bit: four rows against four rows, each of the sixteen sums Σ (a−b)² over
+// ascending i in an accumulator of its own. Sixteen independent chains are
+// in flight where SqDistRows' scalar passes have four, and on AVX2 each step
+// of i is four vector subtract-multiply-adds. A row may appear more than once on either
+// side, which is how callers pad a ragged edge. It panics unless all eight
+// rows have one length.
+func SqDistTile(o *[16]float64, a, b *[4][]float64) {
+	d := len(a[0])
+	for r := range 4 {
+		if len(a[r]) != d || len(b[r]) != d {
+			panic(fmt.Sprintf("tensor: SqDistTile rows of lengths %d, %d, %d, %d against %d, %d, %d, %d",
+				len(a[0]), len(a[1]), len(a[2]), len(a[3]), len(b[0]), len(b[1]), len(b[2]), len(b[3])))
+		}
+	}
+	sqDistTile(o, a, b)
 }
 
 // CosineSim returns the cosine similarity of a and b (0 when either is a

@@ -280,25 +280,27 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
-// TestSqDistRowsMatchesSqDist holds the four-rows-per-pass primitive to one
-// SqDist per row, bit for bit, on both sides of the four-row pass and its
-// remainder, at vector lengths from empty up, with special values in the
-// vector and the rows (Inf−Inf, NaN, overflowing squares), and checks that
-// nothing past dst's length is written.
+// TestSqDistRowsMatchesSqDist holds SqDistRows to one naive SqDist loop per
+// row, bit for bit: row counts on both sides of the four-row passes, every
+// length of sweepLengths, rows at element offsets 0–3 from the vector,
+// special values in the vector and the rows (Inf−Inf, NaN payloads,
+// overflowing squares) at every rate of distanceMixes, and nothing past
+// dst's length written.
 func TestSqDistRowsMatchesSqDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	for rows := 0; rows <= 9; rows++ {
-		for d := 0; d <= 9; d++ {
-			for rep := 0; rep < 20; rep++ {
-				a, b := primVals(rng, d), primVals(rng, rows*d)
-				got := primVals(rng, rows+2)
+	for _, rows := range []int{0, 1, 3, 4, 5, 8, 9, 20, 37} {
+		for _, d := range sweepLengths {
+			for i := 0; i < 4*len(distanceMixes); i++ {
+				off, mix := i%4, distanceMixes[i/4]
+				a, b := mixedVals(rng, d, mix), mixedVals(rng, off+rows*d, mix)[off:]
+				got := sweepVals(rng, rows+2)
 				want := append([]float64(nil), got...)
 				for r := 0; r < rows; r++ {
-					want[r] = SqDist(a, b[r*d:(r+1)*d])
+					want[r] = naiveSqDist(a, b[r*d:(r+1)*d])
 				}
 				SqDistRows(got[:rows], a, b)
 				if err := sameRow(want, got); err != nil {
-					t.Fatalf("%d rows of %d: %v", rows, d, err)
+					t.Fatalf("%d rows of %d at offset %d, specials 1 in %d: %v", rows, d, off, mix, err)
 				}
 			}
 		}
