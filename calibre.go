@@ -17,26 +17,24 @@
 //	out, _ := calibre.Run(context.Background(), env, "calibre-simclr")
 //	fmt.Println(out.Participants.Summary) // mean ± std accuracy across clients
 //
-// Every table and figure of the paper is reproducible via RunExperiment
-// ("fig1".."fig8", "table1"); see README.md "Experiments" for the index.
+// Run takes any method name the `calibre` command does, the Table I and
+// design-ablation variants included ("calibre-simclr[ln]",
+// "calibre-simclr{fixed-k}"). Every table and figure of the paper is
+// reproduced by `calibre fig -exp ID` ("fig1".."fig8", "table1",
+// "design"); see README.md "Experiments" for the index.
 package calibre
 
 import (
 	"context"
-	"math/rand"
 	"net"
 	"net/http"
 
-	"calibre/internal/baselines"
-	"calibre/internal/data"
 	"calibre/internal/eval"
 	"calibre/internal/experiments"
 	"calibre/internal/fl"
 	"calibre/internal/flnet"
 	"calibre/internal/health"
 	"calibre/internal/obs"
-	"calibre/internal/param"
-	"calibre/internal/partition"
 	"calibre/internal/ssl"
 	"calibre/internal/sweep"
 )
@@ -61,37 +59,13 @@ type (
 	Environment = experiments.Environment
 	// MethodOutcome is a method's accuracy results on an environment.
 	MethodOutcome = experiments.MethodOutcome
-	// Report is a full experiment report (one paper figure/table).
-	Report = experiments.Report
-	// EmbeddingResult quantifies representation geometry (t-SNE figures).
-	EmbeddingResult = experiments.EmbeddingResult
-	// Setting describes a dataset + non-i.i.d. partition combination.
-	Setting = experiments.Setting
-
 	// Method bundles a trainer, aggregator and personalizer.
 	Method = fl.Method
 	// RoundStats reports one federated round.
 	RoundStats = fl.RoundStats
-	// Update is a client's per-round result; Params is the whole updated
-	// vector, which is also what travels the wire.
-	Update = fl.Update
-	// Vector is the typed model parameter vector the update plane
-	// exchanges (internal/param).
-	Vector = param.Vector
-
-	// Client is one participant's local data partition.
-	Client = partition.Client
-	// Dataset is an in-memory (partially) labeled dataset.
-	Dataset = data.Dataset
-	// DataSpec parameterizes the synthetic dataset generator.
-	DataSpec = data.Spec
-
 	// Summary aggregates per-client accuracies (mean = performance,
 	// variance = fairness).
 	Summary = eval.Summary
-	// MethodResult pairs a method with its summary and raw accuracies.
-	MethodResult = eval.MethodResult
-
 	// ServerConfig / ClientConfig / FederationResult run FL over TCP.
 	ServerConfig     = flnet.ServerConfig
 	ClientConfig     = flnet.ClientConfig
@@ -130,18 +104,10 @@ type (
 	// race-free and never blocks training; ServeMetrics exposes it over
 	// HTTP.
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is one consistent point-in-time view of a
-	// MetricsRegistry (counters, gauges, recent round samples,
-	// participation table); its WriteProm renders Prometheus text.
-	MetricsSnapshot = obs.Snapshot
-	// MetricsRoundSample is one federated round as the metrics plane saw
-	// it.
-	MetricsRoundSample = obs.RoundSample
-
 	// HealthConfig selects and tunes the streaming anomaly detectors
 	// (loss divergence/plateau, NaN/Inf, fairness drift, per-client
 	// update-norm outliers, quorum erosion); build one with
-	// DefaultHealthConfig or ParseHealthRules.
+	// ParseHealthRules.
 	HealthConfig = health.Config
 	// HealthMonitor is the streaming detector engine: attach one to
 	// SimConfig.Health or ServerConfig.Health (sweeps instead take a
@@ -151,16 +117,12 @@ type (
 	// without, and detectors are pure functions of the round stream, so
 	// two identical runs yield bit-identical diagnoses.
 	HealthMonitor = health.Monitor
-	// HealthDiagnosis is a monitor's full verdict — alerts in raise
-	// order, suspected-adversary IDs, per-client scores ranked least
-	// healthy first. Render with WriteText or serve it via /healthz.
-	HealthDiagnosis = health.Diagnosis
 	// HealthAlert is one raised finding (rule, severity, round, client).
 	HealthAlert = health.Alert
 )
 
-// Counter names for MetricsSnapshot.Counters lookups (the full set is in
-// internal/obs).
+// Counter names for the Counters of a MetricsRegistry snapshot (the full
+// set is in internal/obs).
 const (
 	MetricRounds          = obs.CounterRounds
 	MetricUplinkWireBytes = obs.CounterUplinkWireBytes
@@ -173,43 +135,18 @@ const (
 	ScalePaper = experiments.ScalePaper
 )
 
-// ExperimentIDs lists the reproducible paper artifacts:
-// fig1..fig8 and table1.
-func ExperimentIDs() []string { return experiments.IDs() }
-
-// RunExperiment reproduces one paper figure/table end to end.
-func RunExperiment(ctx context.Context, id string, scale Scale, seed int64) (*Report, error) {
-	return experiments.Run(ctx, id, scale, seed)
-}
-
-// SettingNames lists the paper's dataset/partition settings.
-func SettingNames() []string { return experiments.SettingNames() }
-
 // NewEnvironment builds the experiment world for a named setting; an
 // unknown name is an error that lists the valid ones.
 func NewEnvironment(setting string, scale Scale, seed int64) (*Environment, error) {
 	return Scenario{Setting: setting, Scale: scale, Seed: seed}.Environment()
 }
 
-// MethodNames lists every runnable method: the paper's baselines, the
-// pFL-SSL family and all Calibre variants.
-func MethodNames() []string { return baselines.MethodNames() }
-
-// BuildMethod constructs a registered method for an environment.
-func BuildMethod(env *Environment, name string) (*Method, error) {
-	return experiments.BuildMethod(env, name)
-}
-
-// Run trains a registered method on the environment (training stage) and
-// personalizes all participating and novel clients (personalization stage).
+// Run trains a method, named as every command names it, on the environment
+// (training stage) and personalizes all participating and novel clients
+// (personalization stage). An unknown name is an error that lists the valid
+// ones.
 func Run(ctx context.Context, env *Environment, methodName string) (*MethodOutcome, error) {
 	return experiments.RunMethod(ctx, env, methodName)
-}
-
-// RunCustom is Run for an externally assembled *Method (e.g. a Calibre
-// ablation variant built with NewCalibreVariant).
-func RunCustom(ctx context.Context, env *Environment, m *Method) (*MethodOutcome, error) {
-	return experiments.RunBuiltMethod(ctx, env, m)
 }
 
 // RunResumable is Run with durability: round state is snapshotted into dir
@@ -247,30 +184,13 @@ func RunSweep(ctx context.Context, grid *SweepGrid, cfg SweepConfig) (*SweepResu
 	return sweep.Run(ctx, grid, cfg)
 }
 
-// LoadSweepGrid reads a declarative sweep grid from a JSON file.
-func LoadSweepGrid(path string) (*SweepGrid, error) { return sweep.LoadGrid(path) }
-
 // NewSweepReport aggregates a sweep result into its fairness-first
 // report (WriteMarkdown, WriteCellsCSV, WriteMethodsCSV).
 func NewSweepReport(res *SweepResult) *SweepReport { return sweep.NewReport(res) }
 
-// NewCalibreVariant builds a Calibre method with explicit regularizer
-// switches (the Table I ablation knobs) on any supported SSL flavor
-// (simclr, byol, simsiam, mocov2, swav, smog).
-func NewCalibreVariant(env *Environment, sslName string, useLn, useLp bool) (*Method, error) {
-	return experiments.AblationVariant(env, sslName, useLn, useLp)
-}
-
 // Summarize computes the mean/variance/std summary of per-client
 // accuracies.
 func Summarize(accs []float64) Summary { return eval.Summarize(accs) }
-
-// Improvement returns a's mean-accuracy margin over b in percentage points.
-func Improvement(a, b Summary) float64 { return eval.Improvement(a, b) }
-
-// VarianceReduction returns a's relative variance reduction vs b in
-// percent (positive = fairer).
-func VarianceReduction(a, b Summary) float64 { return eval.VarianceReduction(a, b) }
 
 // SSLMethodNames lists the supported self-supervised flavors.
 func SSLMethodNames() []string { return ssl.MethodNames() }
@@ -280,10 +200,6 @@ func SSLMethodNames() []string { return ssl.MethodNames() }
 // with ServeMetrics. All registry methods are nil-receiver-safe, so
 // instrumented code never needs to check whether metrics are enabled.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// DefaultHealthConfig enables every streaming anomaly detector at its
-// documented default thresholds (see internal/health).
-func DefaultHealthConfig() HealthConfig { return health.DefaultConfig() }
 
 // ParseHealthRules builds a HealthConfig from the textual rule spec the
 // CLIs take ("default", "all", or a list like
@@ -301,7 +217,7 @@ func ParseHealthRules(spec string) (HealthConfig, error) { return health.ParseRu
 func NewHealthMonitor(cfg *HealthConfig) *HealthMonitor { return health.NewMonitor(cfg) }
 
 // ServeMetrics binds addr (port 0 picks a free one) and serves the
-// registry read-only over HTTP — /metrics as a JSON MetricsSnapshot,
+// registry read-only over HTTP — /metrics as a JSON snapshot,
 // /metrics/prom as Prometheus text — exactly what the `-metrics-addr` flag
 // of `calibre serve` and `calibre sweep run` does, and what `calibre sweep
 // watch` polls. Tear down with the returned server's Shutdown.
@@ -314,23 +230,3 @@ func NewServer(cfg ServerConfig) (*Server, error) { return flnet.NewServer(cfg) 
 
 // RunClient joins a TCP federation as one client (see `calibre join`).
 func RunClient(ctx context.Context, cfg ClientConfig) error { return flnet.RunClient(ctx, cfg) }
-
-// NewSyntheticDataset generates a labeled synthetic dataset from a spec
-// (see CIFAR10Spec and friends) for library users who want raw data.
-func NewSyntheticDataset(spec DataSpec, seed int64, perClass int) (*Dataset, error) {
-	gen, err := data.NewGenerator(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	return gen.GenerateLabeled(rand.New(rand.NewSource(seed+1)), perClass), nil
-}
-
-// CIFAR10Spec returns the synthetic CIFAR-10 stand-in spec.
-func CIFAR10Spec() DataSpec { return data.CIFAR10Spec() }
-
-// CIFAR100Spec returns the synthetic CIFAR-100 stand-in spec.
-func CIFAR100Spec() DataSpec { return data.CIFAR100Spec() }
-
-// STL10Spec returns the synthetic STL-10 stand-in spec (pair it with an
-// unlabeled pool at partition time, as the experiment harness does).
-func STL10Spec() DataSpec { return data.STL10Spec() }

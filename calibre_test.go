@@ -8,26 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"calibre/internal/obs"
 )
-
-func TestExperimentIDs(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 10 { // fig1..fig8, table1, design
-		t.Fatalf("ExperimentIDs = %v", ids)
-	}
-}
-
-func TestSettingNamesSorted(t *testing.T) {
-	names := SettingNames()
-	if len(names) != 6 {
-		t.Fatalf("SettingNames = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
-}
 
 func TestNewEnvironmentUnknownSetting(t *testing.T) {
 	if _, err := NewEnvironment("nope", ScaleSmoke, 1); err == nil {
@@ -51,12 +34,9 @@ func TestPublicAPIFlow(t *testing.T) {
 	if out.Participants.Summary.Mean <= 0 {
 		t.Fatalf("mean accuracy = %v, want > 0", out.Participants.Summary.Mean)
 	}
-	// Facade metric helpers.
-	other := Summarize([]float64{0.1, 0.2})
-	if Improvement(out.Participants.Summary, other) == 0 && out.Participants.Summary.Mean != other.Mean {
-		t.Fatal("Improvement should reflect mean difference")
+	if got := Summarize(out.Participants.Accs); got != out.Participants.Summary {
+		t.Fatalf("Summarize(accs) = %+v, want the outcome's %+v", got, out.Participants.Summary)
 	}
-	_ = VarianceReduction(out.Participants.Summary, other)
 }
 
 func TestCalibreVariantThroughFacade(t *testing.T) {
@@ -65,16 +45,12 @@ func TestCalibreVariantThroughFacade(t *testing.T) {
 		t.Fatalf("NewEnvironment: %v", err)
 	}
 	env.Novel = nil
-	m, err := NewCalibreVariant(env, "simclr", true, false)
+	out, err := Run(context.Background(), env, "calibre-simclr[ln]")
 	if err != nil {
-		t.Fatalf("NewCalibreVariant: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if !strings.Contains(m.Name, "[ln]") {
-		t.Fatalf("variant name = %s", m.Name)
-	}
-	out, err := RunCustom(context.Background(), env, m)
-	if err != nil {
-		t.Fatalf("RunCustom: %v", err)
+	if out.Method != "calibre-simclr[ln]" || out.Participants.Method != out.Method {
+		t.Fatalf("outcome names %q / %q", out.Method, out.Participants.Method)
 	}
 	if out.Participants.Summary.N == 0 {
 		t.Fatal("no results")
@@ -82,26 +58,23 @@ func TestCalibreVariantThroughFacade(t *testing.T) {
 }
 
 func TestMethodAndSSLNames(t *testing.T) {
-	methods := MethodNames()
-	if len(methods) < 20 {
-		t.Fatalf("expected ≥20 methods, got %d", len(methods))
-	}
 	ssls := SSLMethodNames()
 	if len(ssls) != 7 { // the paper's six + the VICReg extension
 		t.Fatalf("SSL methods = %v", ssls)
 	}
-}
-
-func TestSyntheticDatasetFacade(t *testing.T) {
-	ds, err := NewSyntheticDataset(CIFAR10Spec(), 3, 5)
+	env, err := NewEnvironment("cifar10-q(2,500)", ScaleSmoke, 1)
 	if err != nil {
-		t.Fatalf("NewSyntheticDataset: %v", err)
+		t.Fatalf("NewEnvironment: %v", err)
 	}
-	if ds.Len() != 50 {
-		t.Fatalf("Len = %d", ds.Len())
+	// An unknown name lists the valid ones: every SSL flavour's Calibre.
+	_, err = Run(context.Background(), env, "nope")
+	if err == nil {
+		t.Fatal("unknown method accepted")
 	}
-	if CIFAR100Spec().NumClasses != 100 || STL10Spec().NumClasses != 10 {
-		t.Fatal("spec class counts")
+	for _, s := range ssls {
+		if !strings.Contains(err.Error(), "calibre-"+s) {
+			t.Fatalf("unknown-method error does not list calibre-%s: %v", s, err)
+		}
 	}
 }
 
@@ -111,10 +84,11 @@ func TestNetworkedFederationFacade(t *testing.T) {
 		t.Fatalf("NewEnvironment: %v", err)
 	}
 	clients := env.Participants[:2]
-	method, err := BuildMethod(env, "fedavg")
+	world, err := Scenario{Method: "fedavg"}.BuildOn(env)
 	if err != nil {
-		t.Fatalf("BuildMethod: %v", err)
+		t.Fatalf("BuildOn: %v", err)
 	}
+	method := world.Method
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 1, ClientsPerRound: 2, Seed: 1,
 		Aggregator: method.Aggregator, InitGlobal: method.InitGlobal,
@@ -177,14 +151,15 @@ func TestSweepFacade(t *testing.T) {
 	if !strings.Contains(b.String(), "# Sweep report: facade") {
 		t.Fatalf("report not rendered:\n%s", b.String())
 	}
-	if _, err := LoadSweepGrid("/nonexistent/grid.json"); err == nil {
-		t.Fatal("missing grid file accepted")
+	grid.Methods = []string{"fedavg", "calibre-simclr[bogus]"}
+	if _, err := RunSweep(context.Background(), grid, SweepConfig{Workers: 2}); err == nil {
+		t.Fatal("grid naming an unknown variant accepted")
 	}
 }
 
 func TestMetricsFacade(t *testing.T) {
 	reg := NewMetricsRegistry()
-	reg.ObserveRound(MetricsRoundSample{
+	reg.ObserveRound(obs.RoundSample{
 		Runtime: "sim", Round: 0, Participants: 3, Responders: 3,
 		UplinkWireBytes: 64,
 	})
@@ -202,7 +177,7 @@ func TestMetricsFacade(t *testing.T) {
 		t.Fatalf("scrape: %v", err)
 	}
 	defer resp.Body.Close()
-	var snap MetricsSnapshot
+	var snap obs.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -51,6 +51,16 @@ if [ -n "$delta_users" ]; then
     echo "$delta_users" >&2
     exit 1
 fi
+# One method vocabulary: what a method name builds is decided in
+# internal/baselines (Resolve), so every tool takes the same names. A Calibre
+# method assembled anywhere else would be a name only its own tool knows.
+calibre_assemblers=$(grep -rnE --include='*.go' --exclude='*_test.go' 'core\.(New|NewPFLSSL|DefaultConfig)\(' . |
+    grep -vE '^\./(bench|internal/core|internal/baselines)/|^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$calibre_assemblers" ]; then
+    echo "a Calibre method is assembled outside internal/baselines (build it by name: baselines.Build):" >&2
+    echo "$calibre_assemblers" >&2
+    exit 1
+fi
 # One command line: cmd/ holds exactly one main package.
 if [ "$(ls cmd)" != "calibre" ]; then
     echo "cmd/ must contain exactly one directory, calibre; found:" >&2

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"calibre/internal/eval"
@@ -20,9 +19,9 @@ import (
 //	calibre compare -setting 'cifar10-d(0.3,600)' -scale ci -seed 42 \
 //	    pfl-simclr calibre-simclr fedavg-ft fedbabu
 //
-// Variants with explicit Calibre regularizer switches are also accepted:
-// calibre-simclr[base], calibre-simclr[ln], calibre-simclr[lp],
-// calibre-simclr[ln+lp] (likewise for swav/smog/byol/simsiam/mocov2).
+// Any method name the other commands take is accepted, the Calibre
+// variants included: calibre-simclr[ln] (a Table I regularizer switch),
+// calibre-swav{fixed-k} (a design choice switched off).
 func runCompare(args []string) error {
 	fs := newFlagSet("compare")
 	var sc experiments.Scenario
@@ -48,7 +47,7 @@ func runCompare(args []string) error {
 	fmt.Printf("setting %s, scale %s, seed %d, %d participants\n\n", sc.Setting, sc.Scale, sc.Seed, len(env.Participants))
 	for _, name := range methods {
 		start := time.Now()
-		out, err := runOne(ctx, env, name)
+		out, err := experiments.RunMethod(ctx, env, name)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -199,31 +198,4 @@ func diffSweeps(pathA, pathB string) error {
 			name, m.cells, meanA, meanB, meanB-meanA, varB-varA, eval.VarianceReductionOf(varB, varA))
 	}
 	return nil
-}
-
-// runOne supports both registry names and Calibre ablation variants
-// ("calibre-<ssl>[<combo>]").
-func runOne(ctx context.Context, env *experiments.Environment, name string) (*experiments.MethodOutcome, error) {
-	if open := strings.Index(name, "["); open > 0 && strings.HasSuffix(name, "]") && strings.HasPrefix(name, "calibre-") {
-		sslName := name[len("calibre-"):open]
-		combo := name[open+1 : len(name)-1]
-		var useLn, useLp bool
-		switch combo {
-		case "base":
-		case "ln":
-			useLn = true
-		case "lp":
-			useLp = true
-		case "ln+lp":
-			useLn, useLp = true, true
-		default:
-			return nil, fmt.Errorf("unknown regularizer combo %q (base|ln|lp|ln+lp)", combo)
-		}
-		m, err := experiments.AblationVariant(env, sslName, useLn, useLp)
-		if err != nil {
-			return nil, err
-		}
-		return experiments.RunBuiltMethod(ctx, env, m)
-	}
-	return experiments.RunMethod(ctx, env, name)
 }

@@ -30,6 +30,16 @@ func TestCompareAblationVariantSmoke(t *testing.T) {
 	}
 }
 
+// A design-ablation name is a method name like any other.
+func TestCompareDesignVariantSmoke(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return run([]string{"compare", "-scale", "smoke", "-seed", "7", "calibre-simclr{full}"})
+	})
+	if !strings.Contains(out, "calibre-simclr{full}") || !strings.Contains(out, "mean=") {
+		t.Fatalf("output not parseable:\n%s", out)
+	}
+}
+
 // TestCompareDiffSweeps diffs two sweeps of one grid that differ in a
 // federation knob which cannot change a result — the straggler policy,
 // with nobody straggling — method by method: the cells differ in their
@@ -80,8 +90,10 @@ func TestCompareRejectsBadInput(t *testing.T) {
 	if err := run([]string{"compare", "-setting", "nope", "fedavg-ft"}); err == nil {
 		t.Fatal("unknown setting accepted")
 	}
-	if err := run([]string{"compare", "-scale", "smoke", "calibre-simclr[bogus]"}); err == nil {
-		t.Fatal("unknown regularizer combo accepted")
+	for _, name := range []string{"calibre-simclr[bogus]", "calibre-simclr{bogus}", "pfl-simclr[ln]"} {
+		if err := run([]string{"compare", "-scale", "smoke", name}); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

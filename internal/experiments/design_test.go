@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -12,15 +11,16 @@ func TestDesignVariantNames(t *testing.T) {
 		t.Fatalf("BuildEnvironment: %v", err)
 	}
 	for _, variant := range []string{"full", "fixed-k", "no-gate", "no-filter", "no-warmup"} {
-		m, err := DesignVariant(env, variant)
+		name := "calibre-simclr{" + variant + "}"
+		m, err := BuildMethod(env, name)
 		if err != nil {
-			t.Fatalf("DesignVariant(%s): %v", variant, err)
+			t.Fatalf("BuildMethod(%s): %v", name, err)
 		}
-		if !strings.Contains(m.Name, variant) {
-			t.Fatalf("variant name = %s", m.Name)
+		if m.Name != name {
+			t.Fatalf("variant name = %s, want %s", m.Name, name)
 		}
 	}
-	if _, err := DesignVariant(env, "bogus"); err == nil {
+	if _, err := BuildMethod(env, "calibre-simclr{bogus}"); err == nil {
 		t.Fatal("unknown variant should error")
 	}
 }

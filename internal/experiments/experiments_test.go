@@ -130,7 +130,7 @@ func TestEncoderForEveryLayout(t *testing.T) {
 		t.Fatalf("BuildEnvironment: %v", err)
 	}
 	env.Novel = nil
-	for _, name := range []string{"fedavg", "pfl-simclr", "calibre-swav", "fedema"} {
+	for _, name := range []string{"fedavg", "pfl-simclr", "calibre-swav", "fedema", "calibre-simclr[ln]", "calibre-byol{no-gate}"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			m, err := BuildMethod(env, name)
@@ -157,8 +157,10 @@ func TestEncoderForEveryLayout(t *testing.T) {
 			}
 		})
 	}
-	if _, err := EncoderFor(env, "pfl-doesnotexist", nil); err == nil {
-		t.Fatal("unknown SSL flavor should error")
+	for _, name := range []string{"pfl-doesnotexist", "pfl-simclr[ln]"} {
+		if _, err := EncoderFor(env, name, nil); err == nil {
+			t.Fatalf("EncoderFor(%s) accepted an unknown method", name)
+		}
 	}
 }
 
@@ -181,19 +183,37 @@ func TestAblationVariantNames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildEnvironment: %v", err)
 	}
-	m, err := AblationVariant(env, "simclr", true, false)
-	if err != nil {
-		t.Fatalf("AblationVariant: %v", err)
+	for _, name := range []string{"calibre-simclr[ln]", "calibre-swav[ln+lp]", "calibre-smog[base]"} {
+		m, err := BuildMethod(env, name)
+		if err != nil {
+			t.Fatalf("BuildMethod(%s): %v", name, err)
+		}
+		if m.Name != name {
+			t.Fatalf("name = %s, want %s", m.Name, name)
+		}
 	}
-	if m.Name != "calibre-simclr[ln]" {
-		t.Fatalf("name = %s", m.Name)
+	if _, err := BuildMethod(env, "calibre-simclr[ln+ln]"); err == nil {
+		t.Fatal("unknown regularizer combination accepted")
 	}
-	m, err = AblationVariant(env, "swav", true, true)
-	if err != nil {
-		t.Fatalf("AblationVariant: %v", err)
+}
+
+// IDs is the experiment index fig -list prints and Run accepts.
+func TestExperimentIDs(t *testing.T) {
+	ids := IDs()
+	if len(ids) != 10 { // fig1..fig8, table1, design
+		t.Fatalf("IDs = %v", ids)
 	}
-	if m.Name != "calibre-swav[ln+lp]" {
-		t.Fatalf("name = %s", m.Name)
+}
+
+func TestSettingNamesSorted(t *testing.T) {
+	names := SettingNames()
+	if len(names) != 6 {
+		t.Fatalf("SettingNames = %v", names)
+	}
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Fatalf("names not sorted: %v", names)
+		}
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"calibre/internal/core"
 	"calibre/internal/eval"
-	"calibre/internal/fl"
 	"calibre/internal/kmeans"
 	"calibre/internal/tensor"
 	"calibre/internal/tsne"
@@ -135,36 +133,6 @@ func Run(ctx context.Context, id string, scale Scale, seed int64) (*Report, erro
 	}
 }
 
-// DesignVariant builds a Calibre (SimCLR) method with one reproduction
-// design choice toggled off (see ARCHITECTURE.md "Design choices").
-// Supported variants:
-// "full", "fixed-k", "no-gate", "no-filter", "no-warmup".
-func DesignVariant(env *Environment, variant string) (*fl.Method, error) {
-	cfg := core.DefaultConfig(env.Arch, "simclr", env.NumClasses)
-	cfg.Train.Epochs = 2 * env.Preset.LocalEpochs
-	cfg.Train.Augment = env.Augment
-	cfg.Opts.WarmupRounds = warmupFor(env.Preset)
-	switch variant {
-	case "full":
-	case "fixed-k":
-		cfg.Opts.FixedK = true
-	case "no-gate":
-		cfg.Opts.NoQualityGate = true
-	case "no-filter":
-		cfg.Opts.KeepFrac = 0
-	case "no-warmup":
-		cfg.Opts.WarmupRounds = -1 // active from round 0
-	default:
-		return nil, fmt.Errorf("experiments: unknown design variant %q", variant)
-	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.Name = "calibre-simclr{" + variant + "}"
-	return m, nil
-}
-
 // runDesignAblation evaluates the reproduction-specific design choices
 // listed in ARCHITECTURE.md "Design choices" by switching each off in turn.
 func runDesignAblation(ctx context.Context, scale Scale, seed int64) (*Report, error) {
@@ -180,11 +148,7 @@ func runDesignAblation(ctx context.Context, scale Scale, seed int64) (*Report, e
 	}
 	sr := SettingReport{Setting: settingCIFAR10Q().Name}
 	for _, variant := range []string{"full", "fixed-k", "no-gate", "no-filter", "no-warmup"} {
-		m, err := DesignVariant(env, variant)
-		if err != nil {
-			return nil, err
-		}
-		out, err := RunBuiltMethod(ctx, env, m)
+		out, err := RunMethod(ctx, env, "calibre-simclr{"+variant+"}")
 		if err != nil {
 			return nil, err
 		}
@@ -354,14 +318,13 @@ func runTable1(ctx context.Context, scale Scale, seed int64) (*Report, error) {
 		Scale:            scale,
 		AblationVariants: variants,
 	}
-	for _, combo := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-		row := AblationRow{UseLn: combo[0], UseLp: combo[1], Results: make(map[string]eval.Summary, len(variants))}
+	for _, combo := range []struct {
+		suffix       string
+		useLn, useLp bool
+	}{{"[base]", false, false}, {"[ln]", true, false}, {"[lp]", false, true}, {"[ln+lp]", true, true}} {
+		row := AblationRow{UseLn: combo.useLn, UseLp: combo.useLp, Results: make(map[string]eval.Summary, len(variants))}
 		for _, v := range variants {
-			m, err := AblationVariant(env, v, combo[0], combo[1])
-			if err != nil {
-				return nil, err
-			}
-			out, err := RunBuiltMethod(ctx, env, m)
+			out, err := RunMethod(ctx, env, "calibre-"+v+combo.suffix)
 			if err != nil {
 				return nil, err
 			}

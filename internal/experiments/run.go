@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"calibre/internal/baselines"
-	"calibre/internal/core"
 	"calibre/internal/eval"
 	"calibre/internal/fl"
 	"calibre/internal/model"
@@ -64,12 +62,6 @@ func RunMethod(ctx context.Context, env *Environment, name string) (*MethodOutco
 	if err != nil {
 		return nil, err
 	}
-	return RunBuiltMethodWith(ctx, env, m, nil)
-}
-
-// RunBuiltMethod is RunMethod for an externally constructed method (used by
-// the Table I ablation, which toggles Calibre's regularizers directly).
-func RunBuiltMethod(ctx context.Context, env *Environment, m *fl.Method) (*MethodOutcome, error) {
 	return RunBuiltMethodWith(ctx, env, m, nil)
 }
 
@@ -151,24 +143,23 @@ func RunBuiltMethodWith(ctx context.Context, env *Environment, m *fl.Method, mut
 // The returned FeatureFn maps raw observation batches to representation
 // space; it powers the t-SNE figures and cluster-quality metrics.
 func EncoderFor(env *Environment, methodName string, global param.Vector) (model.FeatureFn, error) {
+	_, flavour, err := baselines.Resolve(methodName)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(env.Seed + 99))
-	switch {
-	case strings.HasPrefix(methodName, "pfl-"), strings.HasPrefix(methodName, "calibre-"):
-		sslName := methodName[strings.Index(methodName, "-")+1:]
-		factory, err := ssl.Lookup(sslName)
+	if flavour != "" {
+		factory, err := ssl.Lookup(flavour)
 		if err != nil {
 			return nil, err
 		}
 		return sslEncoder(rng, env, factory, global)
-	case methodName == "fedema":
-		return sslEncoder(rng, env, ssl.NewBYOL(ssl.DefaultEMAMomentum), global)
-	default:
-		m := model.NewSupModel(rng, env.Arch, env.NumClasses)
-		if err := nn.Unflatten(m, global); err != nil {
-			return nil, fmt.Errorf("experiments: load %s encoder: %w", methodName, err)
-		}
-		return m.EncodeValue, nil
 	}
+	m := model.NewSupModel(rng, env.Arch, env.NumClasses)
+	if err := nn.Unflatten(m, global); err != nil {
+		return nil, fmt.Errorf("experiments: load %s encoder: %w", methodName, err)
+	}
+	return m.EncodeValue, nil
 }
 
 func sslEncoder(rng *rand.Rand, env *Environment, factory ssl.Factory, global param.Vector) (model.FeatureFn, error) {
@@ -211,27 +202,4 @@ func ClientFeatures(env *Environment, fn model.FeatureFn, clientIdx []int, maxPe
 		batch.SetRow(i, r)
 	}
 	return fn(batch), labels, owners, nil
-}
-
-// AblationVariant builds a Calibre method with specific regularizer
-// switches for the Table I ablation.
-func AblationVariant(env *Environment, sslName string, useLn, useLp bool) (*fl.Method, error) {
-	cfg := core.DefaultConfig(env.Arch, sslName, env.NumClasses)
-	cfg.Train.Epochs = 2 * env.Preset.LocalEpochs // same SSL budget as the registry methods
-	cfg.Train.Augment = env.Augment
-	cfg.Opts.WarmupRounds = warmupFor(env.Preset)
-	cfg.Opts.UseLn = useLn
-	cfg.Opts.UseLp = useLp
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	suffix := map[[2]bool]string{
-		{false, false}: "base",
-		{true, false}:  "ln",
-		{false, true}:  "lp",
-		{true, true}:   "ln+lp",
-	}[[2]bool{useLn, useLp}]
-	m.Name = fmt.Sprintf("calibre-%s[%s]", sslName, suffix)
-	return m, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"time"
 
 	"calibre/internal/health"
 	"calibre/internal/obs"
@@ -58,11 +57,6 @@ type SimConfig struct {
 	// server's quorum knob: the networked server waits for K updates,
 	// the simulator guarantees K survivors.
 	Quorum int
-	// RoundDeadline bounds each round's wall-clock time; a round that
-	// exceeds it fails with context.DeadlineExceeded. 0 means unbounded.
-	// In the networked runtime the same knob instead closes the round
-	// with whatever quorum of updates has arrived.
-	RoundDeadline time.Duration
 	// Straggler decides the fate of dropped clients: StragglerRequeue
 	// (default) drops them for the round only, StragglerDrop evicts them
 	// from the population for the rest of the simulation.
@@ -270,14 +264,9 @@ func (t *simTransport) Draw(rng *rand.Rand, round, replayPool int) (sampled, liv
 }
 
 // Collect trains every pending slot's client on at most Parallelism
-// goroutines. Any trainer error aborts the run (a failing in-process
-// trainer is a bug, not a straggler) and RoundDeadline is a hard timeout.
+// goroutines. Any trainer error aborts the run: a failing in-process
+// trainer is a bug, not a straggler.
 func (t *simTransport) Collect(ctx context.Context, r *Round) error {
-	if t.Config.RoundDeadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t.Config.RoundDeadline)
-		defer cancel()
-	}
 	_, err := runParallel(ctx, t.Config.parallelism(), len(r.Participants()), func(ctx context.Context, slot int) (struct{}, error) {
 		if !r.Pending(slot) {
 			return struct{}{}, nil // dropped by the availability draw

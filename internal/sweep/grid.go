@@ -26,7 +26,8 @@ type Grid struct {
 	// Name labels the sweep in reports; it does not enter the
 	// fingerprint, so renaming a sweep does not orphan its manifest.
 	Name string `json:"name,omitempty"`
-	// Methods are registry method names (calibre.MethodNames).
+	// Methods are method names as every command takes them: registry
+	// names and the calibre-<ssl> variants ("calibre-simclr[ln]").
 	Methods []string `json:"methods"`
 	// Settings are experiment setting names (dataset + partition), e.g.
 	// "cifar10-q(2,500)" or "cifar10-d(0.3,600)".
@@ -170,13 +171,9 @@ func (g *Grid) Validate() error {
 	if len(n.Seeds) == 0 {
 		return fmt.Errorf("sweep: grid has no seeds")
 	}
-	known := make(map[string]bool)
-	for _, m := range baselines.MethodNames() {
-		known[m] = true
-	}
 	for _, m := range n.Methods {
-		if !known[m] {
-			return fmt.Errorf("sweep: unknown method %q (see calibre.MethodNames)", m)
+		if _, _, err := baselines.Resolve(m); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	if n.Baseline != "" {
@@ -191,7 +188,7 @@ func (g *Grid) Validate() error {
 	settings := experiments.Settings()
 	for _, s := range n.Settings {
 		if _, ok := settings[s]; !ok {
-			return fmt.Errorf("sweep: unknown setting %q (see calibre.SettingNames)", s)
+			return fmt.Errorf("sweep: unknown setting %q (have %v)", s, experiments.SettingNames())
 		}
 	}
 	minPerRound, minClients := -1, -1

@@ -136,7 +136,11 @@ func TestGridValidation(t *testing.T) {
 		{"no settings", func(g *Grid) { g.Settings = nil }, "no settings"},
 		{"no seeds", func(g *Grid) { g.Seeds = nil }, "no seeds"},
 		{"unknown method", func(g *Grid) { g.Methods = []string{"fedmagic"} }, "unknown method"},
-		{"unknown setting", func(g *Grid) { g.Settings = []string{"mnist"} }, "unknown setting"},
+		{"unknown setting", func(g *Grid) { g.Settings = []string{"mnist"} }, "cifar10-q(2,500)"},
+		{"variant of a pfl method", func(g *Grid) { g.Methods = []string{"pfl-simclr[ln]"} }, "[ln+lp]"},
+		{"variant of a supervised method", func(g *Grid) { g.Methods = []string{"fedavg[ln]"} }, "{fixed-k}"},
+		{"unknown variant", func(g *Grid) { g.Methods = []string{"calibre-simclr[bogus]"} }, "[base]"},
+		{"two variants", func(g *Grid) { g.Methods = []string{"calibre-simclr[ln]{fixed-k}"} }, "{no-warmup}"},
 		{"unknown scale", func(g *Grid) { g.Scales = []experiments.Scale{"galactic"} }, "unknown scale"},
 		{"dup seeds", func(g *Grid) { g.Seeds = []int64{1, 1} }, "duplicate seed"},
 		{"dup methods", func(g *Grid) { g.Methods = []string{"fedavg", "fedavg", "fedavg-ft"} }, "duplicate methods"},
@@ -159,6 +163,12 @@ func TestGridValidation(t *testing.T) {
 	}
 	if err := testGrid().Validate(); err != nil {
 		t.Fatalf("valid grid rejected: %v", err)
+	}
+	// A cell may name a Table I or design-ablation variant.
+	g := testGrid()
+	g.Methods = append(g.Methods, "calibre-simclr[ln]", "calibre-simclr{fixed-k}")
+	if err := g.Validate(); err != nil {
+		t.Fatalf("grid of Calibre variants rejected: %v", err)
 	}
 }
 
