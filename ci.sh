@@ -61,6 +61,19 @@ if [ -n "$calibre_assemblers" ]; then
     echo "$calibre_assemblers" >&2
     exit 1
 fi
+# One event stream: the round core only emits trace events, and
+# internal/health/fold.go is the one place they become obs.RoundSamples,
+# for the live planes and `calibre doctor replay` alike. A sample built
+# anywhere else would be a second account of a round that no replay
+# reproduces; the deleted hand-inverted replay must not come back either.
+sample_builders=$( { grep -rnE --include='*.go' --exclude='*_test.go' 'obs\.RoundSample\{' . |
+    grep -vE '^\./(bench/|internal/health/fold\.go:)|^[^:]+:[0-9]+:[[:space:]]*//';
+    grep -rnw --include='*.go' 'ReplaySamples' .; } || true)
+if [ -n "$sample_builders" ]; then
+    echo "an obs.RoundSample is built outside internal/health/fold.go (fold the round's trace events: health.Fold):" >&2
+    echo "$sample_builders" >&2
+    exit 1
+fi
 # One command line: cmd/ holds exactly one main package.
 if [ "$(ls cmd)" != "calibre" ]; then
     echo "cmd/ must contain exactly one directory, calibre; found:" >&2

@@ -23,12 +23,14 @@ import (
 //	calibre doctor live   -addr HOST:PORT [-health SPEC] [-interval D] [-timeout D] [-once] [-json]
 //
 // replay reads a flight-recorder trace (`calibre serve` / `calibre sweep
-// run` -trace-out; FILE may be "-" for stdin), reconstructs each
-// federation's round stream offline, and diagnoses it after the fact —
-// sweeps are split per cell. The verdict is a pure function of the trace
-// bytes: two replays of the same file render byte-identical reports, and
-// replaying a trace written by a monitored run reproduces that run's live
-// diagnosis.
+// run` -trace-out; FILE may be "-" for stdin), folds each federation's
+// events into its round stream through the fold the live planes run
+// (health.Fold), and diagnoses it after the fact — sweeps are split per
+// cell. The verdict is a pure function of the trace bytes: two replays of
+// the same file render byte-identical reports, and replaying a trace
+// written by a monitored run reproduces that run's live diagnosis — a
+// trace a killed run and its resumption appended to included, which
+// replays as the uninterrupted run.
 //
 // live polls a running federation's -metrics-addr endpoint (the /metrics
 // JSON snapshot), streams newly completed rounds through its own monitor,
@@ -89,16 +91,12 @@ func runReplay(args []string, w io.Writer) error {
 	keys := make([]string, 0, len(byCell))
 	diagnoses := make(map[string]health.Diagnosis, len(byCell))
 	for k, evs := range byCell {
-		samples := health.ReplaySamples(evs)
-		if len(samples) == 0 {
-			continue
-		}
 		mon := health.NewMonitor(&hc)
-		for _, s := range samples {
-			mon.ObserveRound(s)
+		(&health.Fold{Monitor: mon}).Replay(evs)
+		if d := mon.Diagnosis(); d.Rounds > 0 {
+			keys = append(keys, k)
+			diagnoses[k] = d
 		}
-		keys = append(keys, k)
-		diagnoses[k] = mon.Diagnosis()
 	}
 	if len(keys) == 0 {
 		return fmt.Errorf("replay: no completed rounds in %s", path)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -28,41 +29,49 @@ func runDoctor(t *testing.T, args ...string) string {
 // bytes — and therefore every replay — reproducible.
 func hostileTrace(t *testing.T, dir string) (string, health.Diagnosis) {
 	t.Helper()
+	path := filepath.Join(dir, "hostile.trace")
+	mon, err := runHostile(context.Background(), path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, mon.Diagnosis()
+}
+
+// runHostile runs hostileTrace's federation — a fresh method, a fresh
+// monitor, a recorder appending to path — with mutate applied last, and
+// returns the monitor with the run's error.
+func runHostile(ctx context.Context, path string, mutate func(*fl.Method, *fl.SimConfig) error) (*health.Monitor, error) {
 	setting, ok := experiments.Settings()["cifar10-q(2,500)"]
 	if !ok {
-		t.Fatal("setting cifar10-q(2,500) missing")
+		return nil, errors.New("setting cifar10-q(2,500) missing")
 	}
 	env, err := experiments.BuildEnvironment(setting, experiments.ScaleSmoke, 7)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	m, err := experiments.BuildMethod(env, "fedavg-ft")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	path := filepath.Join(dir, "hostile.trace")
 	sink, err := trace.OpenFile(path, trace.FileOptions{})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	rec := trace.New(sink, trace.Config{Clock: trace.StepClock(1)})
 	hc := health.DefaultConfig()
 	mon := health.NewMonitor(&hc)
-	_, err = experiments.RunBuiltMethodWith(context.Background(), env, m, func(cfg *fl.SimConfig) {
+	_, err = experiments.RunBuiltMethodWith(ctx, env, m, func(cfg *fl.SimConfig) {
 		cfg.Rounds = 8
 		cfg.ClientsPerRound = 5 // norm-z needs round cohorts of ≥4
 		cfg.Parallelism = 1     // single-goroutine regime for StepClock
 		cfg.Adversary = &fl.Adversary{Kind: fl.AdvSignFlip, Scale: 6, Frac: 0.3}
 		cfg.Recorder = rec
 		cfg.Health = mon
+		if mutate != nil {
+			err = mutate(m, cfg)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path, mon.Diagnosis()
+	return mon, errors.Join(err, rec.Close())
 }
 
 // TestDoctorReplayMatchesLiveMonitor is the replay-fidelity pin: the
@@ -95,6 +104,67 @@ func TestDoctorReplayMatchesLiveMonitor(t *testing.T) {
 	// Replay is deterministic: two invocations render identical bytes.
 	if again := runDoctor(t, "replay", path); again != got {
 		t.Error("two replays of the same trace differ")
+	}
+}
+
+// TestDoctorReplayKillResumeMatchesUninterrupted replays one trace file a
+// killed run and its resumption appended to — the killed run got two
+// rounds past its last durable checkpoint, which the resumption runs
+// again — and requires the uninterrupted run's live diagnosis, as a value
+// and as rendered text: the re-executed rounds are folded once.
+func TestDoctorReplayKillResumeMatchesUninterrupted(t *testing.T) {
+	dir := t.TempDir()
+	_, live := hostileTrace(t, dir)
+	path, ckptDir := filepath.Join(dir, "killed.trace"), filepath.Join(dir, "ckpt")
+	checkpoints := func(m *fl.Method, cfg *fl.SimConfig) error {
+		a, err := experiments.AttachCheckpoints(m, experiments.Checkpoints{
+			Dir: ckptDir, Every: 3, Resume: true, Seed: 7, Fingerprint: "doctor-kill-resume", Runtime: "simulator"})
+		if err == nil {
+			a.ConfigureSim(cfg)
+		}
+		return err
+	}
+
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	_, err := runHostile(ctx, path, func(m *fl.Method, cfg *fl.SimConfig) error {
+		cfg.OnRound = func(st fl.RoundStats) {
+			if st.Round == 4 { // the checkpoint after round index 2 is the last durable one
+				kill()
+			}
+		}
+		return checkpoints(m, cfg)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: %v, want context.Canceled", err)
+	}
+	var resumedFrom int
+	if _, err := runHostile(context.Background(), path, func(m *fl.Method, cfg *fl.SimConfig) error {
+		err := checkpoints(m, cfg)
+		if cfg.ResumeFrom != nil {
+			resumedFrom = cfg.ResumeFrom.Round
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if resumedFrom != 3 {
+		t.Fatalf("resumed from round %d, want 3: the replay would not re-execute rounds", resumedFrom)
+	}
+
+	var want bytes.Buffer
+	if err := live.WriteText(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got := runDoctor(t, "replay", path); got != want.String() {
+		t.Errorf("kill+resume replay text diverges from the uninterrupted run:\n--- live ---\n%s--- replay ---\n%s", want.String(), got)
+	}
+	var replayed health.Diagnosis
+	if err := json.Unmarshal([]byte(runDoctor(t, "replay", path, "-json")), &replayed); err != nil {
+		t.Fatalf("replay -json: %v", err)
+	}
+	if !reflect.DeepEqual(replayed, live) {
+		t.Errorf("kill+resume replay diagnosis = %+v\nwant uninterrupted %+v", replayed, live)
 	}
 }
 

@@ -51,6 +51,7 @@ func (s *traceStats) add(e trace.Event) {
 		s.uplink += e.Bytes
 	case trace.KindClientDrop:
 		s.drops[e.Reason]++
+		s.uplink += e.Bytes // a rejected upload still crossed the uplink
 	case trace.KindCheckpointSave:
 		s.saves++
 		s.stall += e.Dur

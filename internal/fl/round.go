@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"calibre/internal/health"
-	"calibre/internal/obs"
 	"calibre/internal/param"
 	"calibre/internal/trace"
 )
@@ -30,10 +29,11 @@ type RoundConfig struct {
 	Aggregator      Aggregator
 	InitGlobal      func(rng *rand.Rand) (param.Vector, error)
 	OnRound         func(RoundStats)
-	Obs             *obs.Registry
-	Recorder        *trace.Recorder
-	Health          *health.Monitor
-	OnAlert         func(health.Alert)
+	// Planes receives every trace event the round core produces — its
+	// only observability output; the recorder, the metrics registry, the
+	// health monitor and the alert hook all hang off it. The zero Fold is
+	// a bare run. RunRounds folds into its own copy.
+	Planes          health.Fold
 	OnCheckpoint    func(*SimState) error
 	CheckpointEvery int
 	ResumeFrom      *SimState
@@ -115,17 +115,17 @@ type roundCore struct {
 	// normOn: the norm of each accepted update against the round's global
 	// feeds the health detectors and (so post-mortem replays can run the
 	// same detectors) the trace's client_update events.
-	normOn              bool
-	histRound, histTurn *obs.Histogram
-	round               Round
-	behind              writeBehind
+	normOn bool
+	round  Round
+	behind writeBehind
 }
 
 // RunRounds is the round core: it runs cfg's federation over tr and
 // returns the final global vector and the per-round history. Both
 // runtimes are thin transports over it, so a (seed, method, config)
-// triple yields the same numbers, the same RoundStats, the same
-// obs.RoundSample stream and the same trace events whichever one ran it.
+// triple yields the same numbers, the same RoundStats and the same trace
+// events — and so the same obs.RoundSample stream, which cfg.Planes folds
+// from them — whichever one ran it.
 //
 // A due checkpoint costs its round a hand-off: OnCheckpoint is called
 // inside the round, before OnRound, and whatever it hands back through
@@ -135,16 +135,13 @@ type roundCore struct {
 // RunRounds, so an accepted checkpoint is durable (or its error reported)
 // before the caller sees the run end and no goroutine outlives it.
 func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param.Vector, history []RoundStats, err error) {
-	rec, reg := cfg.Recorder, cfg.Obs
-	c := &roundCore{cfg: cfg, runtime: tr.Runtime(), now: func() int64 { return 0 },
-		normOn:    cfg.Health != nil || rec != nil,
-		malicious: make(map[int]bool),
-		histRound: reg.Histogram(obs.HistRoundLatency), // nil-safe, like every obs handle
-		histTurn:  reg.Histogram(obs.HistClientTurnaround)}
+	c := &roundCore{cfg: cfg, runtime: tr.Runtime(), now: func() int64 { return 0 }, malicious: make(map[int]bool)}
+	p := &c.cfg.Planes
+	c.normOn = p.Monitor != nil || p.Recorder != nil
 	switch {
-	case rec != nil:
-		c.now = rec.Now
-	case reg != nil:
+	case p.Recorder != nil:
+		c.now = p.Recorder.Now
+	case p.Obs != nil:
 		clockStart := time.Now()
 		c.now = func() int64 { return time.Since(clockStart).Nanoseconds() }
 	}
@@ -186,17 +183,13 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 		start = st.Round
 		e := c.event(trace.KindResume, start, -1)
 		e.N = tr.Population()
-		rec.Emit(e)
+		p.Emit(e)
 		// Warm-start the detectors from the checkpointed history so a
 		// resumed run re-derives the federation-level verdicts an
 		// uninterrupted one would (re-announcing past alerts). Per-client
 		// loss/norm detail is not part of SimState — replay a trace
 		// through `calibre doctor` for per-client outlier windows.
-		if cfg.Health != nil {
-			for _, h := range st.History {
-				c.diagnose(c.sample(h))
-			}
-		}
+		p.Warm(c.historyEvents(st.History))
 	}
 	for round := start; round < cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -253,7 +246,7 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 	e := c.event(trace.KindCheckpointSave, round, -1)
 	e.Dur = e.TS - t0
 	if len(b.pending) == 0 {
-		c.cfg.Recorder.Emit(e)
+		c.cfg.Planes.Emit(e)
 		return nil
 	}
 	b.round, b.stall = round, e.Dur
@@ -277,7 +270,7 @@ func (c *roundCore) awaitCheckpoint() error {
 	}
 	e := c.event(trace.KindCheckpointSave, b.round, -1)
 	e.Dur = b.stall + e.TS - t0
-	c.cfg.Recorder.Emit(e)
+	c.cfg.Planes.Emit(e)
 	return nil
 }
 
@@ -287,45 +280,25 @@ func (c *roundCore) event(kind trace.Kind, round, client int) trace.Event {
 	return trace.Event{Kind: kind, TS: c.now(), Runtime: c.runtime, Round: round, Client: client}
 }
 
-// sample is the one RoundStats → obs.RoundSample mapping: the live round
-// close adds wire bytes, duration and per-client detail on top, and the
-// resume warm-start uses it as is.
-func (c *roundCore) sample(h RoundStats) obs.RoundSample {
-	return obs.RoundSample{
-		Runtime:            c.runtime,
-		Round:              h.Round,
-		Participants:       len(h.Participants),
-		Responders:         len(h.Participants) - len(h.Stragglers),
-		Stragglers:         len(h.Stragglers),
-		LateUpdates:        h.LateUpdates,
-		DeadlineExpired:    h.DeadlineExpired,
-		AdversarialUpdates: h.AdversarialUpdates,
-		RejectedUpdates:    h.RejectedUpdates,
-		MeanLoss:           h.MeanLoss,
-	}
-}
-
-// diagnose streams one round through the health detectors, fans the
-// alerts they raise out to the OnAlert hook and folds them into the
-// metrics plane's alert counters and suspect gauge (all nil-safe).
-func (c *roundCore) diagnose(sample obs.RoundSample) {
-	alerts := c.cfg.Health.ObserveRound(sample)
-	reg, crit := c.cfg.Obs, 0
-	for _, a := range alerts {
-		if a.Severity == health.SevCrit {
-			crit++
+// historyEvents is the event stream a resumed run's checkpointed rounds
+// imply, as far as the health detectors read it: each round's span with
+// its participant and responder counts and mean loss, and — when the
+// round's deadline expired — the straggler drop after a dispatch that
+// tells the fold so.
+func (c *roundCore) historyEvents(history []RoundStats) (evs []trace.Event) {
+	for _, h := range history {
+		e := trace.Event{Kind: trace.KindRoundStart, Runtime: c.runtime, Round: h.Round, Client: -1, N: len(h.Participants)}
+		evs = append(evs, e)
+		if h.DeadlineExpired {
+			e.Kind = trace.KindClientDispatch
+			evs = append(evs, e)
+			e.Kind, e.Reason = trace.KindClientDrop, trace.DropStraggler
+			evs = append(evs, e)
 		}
-		if c.cfg.OnAlert != nil {
-			c.cfg.OnAlert(a)
-		}
+		e.Kind, e.Reason, e.N, e.Loss = trace.KindRoundEnd, "", len(h.Participants)-len(h.Stragglers), h.MeanLoss
+		evs = append(evs, e)
 	}
-	if len(alerts) > 0 {
-		reg.Counter(obs.CounterHealthAlerts).Add(int64(len(alerts)))
-		if crit > 0 {
-			reg.Counter(obs.CounterHealthCritical).Add(int64(crit))
-		}
-	}
-	reg.Gauge(obs.GaugeHealthSuspects).Set(int64(c.cfg.Health.SuspectCount()))
+	return evs
 }
 
 type slotState uint8
@@ -347,10 +320,10 @@ type slot struct {
 
 // Round is one round's ledger: slot-indexed storage (slot i belongs to
 // Participants()[i]) that a Transport feeds with outcomes and that the
-// core closes into RoundStats, an obs.RoundSample and the round's trace
-// events. Arrive, Begin and Pending may be called concurrently (for
-// distinct slots); every other method belongs to the goroutine running
-// Collect. The storage is reused from round to round.
+// core closes into RoundStats and the round's trace events. Arrive, Begin
+// and Pending may be called concurrently (for distinct slots); every
+// other method belongs to the goroutine running Collect. The storage is
+// reused from round to round.
 type Round struct {
 	c *roundCore
 	// Num is the round index and Global the round's pre-aggregation
@@ -358,17 +331,15 @@ type Round struct {
 	Num    int
 	Global param.Vector
 
-	ids       []int
-	slots     []slot
-	sink      UpdateSink
-	cursor    int // next slot to stream into sink
-	quorum    int // arrivals the round needs to close
-	stats     RoundStats
-	rejected  []int
-	lossSum   float64
-	ingested  int
-	tsStart   int64
-	wallStart time.Time
+	ids      []int
+	slots    []slot
+	sink     UpdateSink
+	cursor   int // next slot to stream into sink
+	quorum   int // arrivals the round needs to close
+	stats    RoundStats
+	lossSum  float64
+	ingested int
+	tsStart  int64
 }
 
 // open resets the ledger for a new round, emits its opening events and
@@ -386,13 +357,12 @@ func (r *Round) open(num int, global param.Vector, sampled, live []int) error {
 	clear(r.slots)
 	r.Num, r.Global, r.ids, r.quorum = num, global, sampled, quorum
 	r.sink = NewRoundSink(c.cfg.Aggregator, global)
-	r.cursor, r.rejected, r.lossSum, r.ingested = 0, nil, 0, 0
+	r.cursor, r.lossSum, r.ingested = 0, 0, 0
 	r.stats = RoundStats{Round: num, Participants: sampled}
-	r.wallStart = time.Now()
 	e := c.event(trace.KindRoundStart, num, -1)
 	e.N = len(sampled)
 	r.tsStart = e.TS
-	c.cfg.Recorder.Emit(e)
+	c.cfg.Planes.Emit(e)
 	reason := trace.DropStraggler
 	if c.cfg.Trace != nil {
 		reason = trace.DropTrace
@@ -416,7 +386,7 @@ func (r *Round) open(num int, global param.Vector, sampled, live []int) error {
 		if r.slots[i].state == slotPending {
 			e := c.event(trace.KindClientDispatch, num, id)
 			r.slots[i].start = e.TS
-			c.cfg.Recorder.Emit(e)
+			c.cfg.Planes.Emit(e)
 		}
 	}
 	return nil
@@ -475,22 +445,19 @@ func (r *Round) Arrive(slot int, u *Update) error {
 }
 
 // drop takes slot out of the round and leaves the client_drop event that
-// explains it.
+// explains it, billing any upload Arrive refused.
 func (r *Round) drop(slot int, reason trace.DropReason, note string) {
 	id := r.ids[slot]
 	r.slots[slot].state = slotSkipped
 	r.stats.Stragglers = append(r.stats.Stragglers, id)
-	if reason == trace.DropRejected {
-		r.rejected = append(r.rejected, id)
-		// A rejection of a client in the seeded compromise set is the
-		// attack surfacing, not an accident.
-		if r.c.malicious[id] {
-			reason = trace.DropAdversarial
-		}
+	// A rejection of a client in the seeded compromise set is the attack
+	// surfacing, not an accident.
+	if reason == trace.DropRejected && r.c.malicious[id] {
+		reason = trace.DropAdversarial
 	}
 	e := r.c.event(trace.KindClientDrop, r.Num, id)
-	e.Reason, e.Note = reason, note
-	r.c.cfg.Recorder.Emit(e)
+	e.Reason, e.Note, e.Bytes = reason, note, r.slots[slot].wire
+	r.c.cfg.Planes.Emit(e)
 }
 
 // Drop takes a pending slot out of the round because its client failed,
@@ -505,11 +472,12 @@ func (r *Round) Drop(slot int, note string) error {
 	return r.Advance()
 }
 
-// Late books a stale reply from an earlier round's straggler that
-// drained during this round's collection window, and gives back the
+// Late books a stale reply from client, an earlier round's straggler
+// that drained during this round's collection window, and gives back the
 // vectors of its update, if it carried a Lent one: nothing reads it.
-func (r *Round) Late(u *Update) {
+func (r *Round) Late(client int, u *Update) {
 	r.stats.LateUpdates++
+	r.c.cfg.Planes.Emit(r.c.event(trace.KindClientLate, r.Num, client))
 	if u != nil {
 		u.GiveBack()
 	}
@@ -553,17 +521,14 @@ func (r *Round) Advance() error {
 		}
 		r.lossSum += s.loss
 		r.ingested++
-		e := trace.Event{Kind: trace.KindClientUpdate, TS: s.done, Runtime: r.c.runtime, Round: r.Num,
-			Client: r.ids[r.cursor], Wire: "dense", Bytes: s.wire, Dur: s.done - s.start, Loss: s.loss, Norm: s.norm}
-		r.c.histTurn.Observe(e.Dur)
-		r.c.cfg.Recorder.Emit(e)
+		r.c.cfg.Planes.Emit(trace.Event{Kind: trace.KindClientUpdate, TS: s.done, Runtime: r.c.runtime, Round: r.Num,
+			Client: r.ids[r.cursor], Wire: "dense", Bytes: s.wire, Dur: s.done - s.start, Loss: s.loss, Norm: s.norm})
 	}
 	return nil
 }
 
 // close finishes the aggregate and is the one place a round becomes
-// RoundStats, a round_end event, an obs.RoundSample and health verdicts
-// — in that order, for both runtimes.
+// RoundStats and a round_end event — for both runtimes.
 func (r *Round) close() (param.Vector, RoundStats, error) {
 	c := r.c
 	if err := r.Advance(); err != nil {
@@ -605,29 +570,7 @@ func (r *Round) close() (param.Vector, RoundStats, error) {
 	}
 	e := c.event(trace.KindRoundEnd, r.Num, -1)
 	e.N, e.Dur, e.Loss = r.ingested, e.TS-r.tsStart, stats.MeanLoss
-	c.histRound.Observe(e.Dur)
-	c.cfg.Recorder.Emit(e)
-	if mon := c.cfg.Health; c.cfg.Obs != nil || mon != nil {
-		sample := c.sample(*stats)
-		for i := range r.slots {
-			sample.UplinkWireBytes += r.slots[i].wire
-		}
-		sample.DurationMS = time.Since(r.wallStart).Milliseconds()
-		if mon != nil {
-			sample.Clients = make([]obs.ClientSample, 0, len(responders))
-			for i, id := range r.ids {
-				if s := &r.slots[i]; s.state == slotArrived {
-					sample.Clients = append(sample.Clients, obs.ClientSample{ID: id, Loss: s.loss, Norm: s.norm})
-				}
-			}
-			sort.Ints(r.rejected)
-			sample.StragglerIDs, sample.RejectedIDs = stats.Stragglers, r.rejected
-		}
-		c.cfg.Obs.ObserveRound(sample)
-		c.cfg.Obs.AddParticipation(responders)
-		if mon != nil {
-			c.diagnose(sample)
-		}
-	}
+	e.Adversarial, e.Rejected = stats.AdversarialUpdates, stats.RejectedUpdates
+	c.cfg.Planes.Emit(e)
 	return next, *stats, nil
 }

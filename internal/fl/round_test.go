@@ -61,7 +61,7 @@ func (s *scriptTransport) Collect(_ context.Context, r *Round) error {
 				err = r.Advance()
 			}
 		case "late":
-			r.Late(&Update{ClientID: id, Params: s.borrow(len(r.Global)), Lent: true})
+			r.Late(id, &Update{ClientID: id, Params: s.borrow(len(r.Global)), Lent: true})
 		case "expire":
 			s.expired, err = r.Expire()
 		}
@@ -95,7 +95,8 @@ func (a orderAgg) Aggregate(global param.Vector, updates []*Update) (param.Vecto
 // TestRoundCoreLedger drives the round core through a scripted transport
 // and pins, per scenario, the three things a round becomes — RoundStats,
 // the obs.RoundSample and the trace events — plus the canonical ingestion
-// order and the aggregate.
+// order and the aggregate. The recorded events, folded offline, must give
+// back exactly the samples the live registry observed.
 func TestRoundCoreLedger(t *testing.T) {
 	const seed = 5
 	adv := &Adversary{Kind: AdvSignFlip, Scale: 2, Frac: 0.5}
@@ -130,6 +131,7 @@ func TestRoundCoreLedger(t *testing.T) {
 		name       string
 		quorum     int
 		availTrace bool
+		metrics    bool // the registry alone: no recorder, no monitor
 		live       []int
 		script     []scriptOp
 		wantErr    error
@@ -173,7 +175,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			wantStats:  RoundStats{Participants: all, MeanLoss: 3.5, LateUpdates: 1, AdversarialUpdates: countMal(all...)},
 			wantSample: obs.RoundSample{Participants: 4, Responders: 4, LateUpdates: 1, UplinkWireBytes: 128, Clients: clientsOf(all...)},
 			wantEvents: []string{"round_start n=4", "client_dispatch 1", "client_dispatch 3", "client_dispatch 4", "client_dispatch 6",
-				"client_update 1", "client_update 3", "client_update 4", "client_update 6", "round_end n=4"},
+				"client_late 1", "client_update 1", "client_update 3", "client_update 4", "client_update 6", "round_end n=4"},
 			wantOrder: all, wantGlobal: 3.5,
 		},
 		{
@@ -204,6 +206,14 @@ func TestRoundCoreLedger(t *testing.T) {
 				"client_update 1", "client_update 4", "client_update 6", "round_end n=3"},
 			wantOrder: []int{1, 4, 6}, wantGlobal: 11.0 / 3,
 		},
+		{
+			name: "a metrics-only sample carries no per-client detail", quorum: 2, metrics: true,
+			script: []scriptOp{{"arrive", 3}, {"reject", 1}, {"arrive", 0}, {"arrive", 2}},
+			wantStats: RoundStats{Participants: all, Responders: []int{1, 4, 6}, Stragglers: []int{3},
+				MeanLoss: 11.0 / 3, AdversarialUpdates: countMal(1, 4, 6)},
+			wantSample: obs.RoundSample{Participants: 4, Responders: 3, Stragglers: 1, UplinkWireBytes: 96 + 24},
+			wantOrder:  []int{1, 4, 6}, wantGlobal: 11.0 / 3,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,7 +227,10 @@ func TestRoundCoreLedger(t *testing.T) {
 				Aggregator: orderAgg{&order},
 				InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 4), nil },
 				OnRound:    func(s RoundStats) { onRound = append(onRound, s) },
-				Obs:        reg, Recorder: rec, Health: health.NewMonitor(nil),
+				Planes:     health.Fold{Obs: reg, Recorder: rec, Monitor: health.NewMonitor(nil)},
+			}
+			if tc.metrics {
+				cfg.Planes = health.Fold{Obs: reg}
 			}
 			if tc.availTrace {
 				cfg.Trace = &TraceConfig{Kind: TraceDiurnal, Base: 0.5, Amp: 0.1, Period: 4}
@@ -255,6 +268,13 @@ func TestRoundCoreLedger(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, tc.wantEvents) {
 				t.Errorf("events:\n got %q\nwant %q", got, tc.wantEvents)
+			}
+			if !tc.metrics {
+				folded := obs.NewRegistryWithRing(4)
+				(&health.Fold{Obs: folded, Monitor: health.NewMonitor(nil)}).Replay(events)
+				if f, l := folded.Snapshot().Rounds, reg.Snapshot().Rounds; !reflect.DeepEqual(f, l) {
+					t.Errorf("folded trace:\n got %+v\nlive %+v", f, l)
+				}
 			}
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {

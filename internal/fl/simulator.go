@@ -64,10 +64,14 @@ type SimConfig struct {
 	// OnRound, if set, observes each completed round (single-goroutine).
 	OnRound func(RoundStats)
 	// Obs, if non-nil, receives live observability for every completed
-	// round (an obs.RoundSample plus per-client participation). Purely
-	// additive: a nil registry costs one branch per round, and an attached
-	// one never perturbs training — instrumented runs are bit-identical to
-	// uninstrumented ones (pinned by TestObsRegistryDoesNotPerturbRun).
+	// round (an obs.RoundSample plus per-client participation and the
+	// latency histograms). Obs, Recorder, Health and OnAlert are the four
+	// plane fields: Run hands them to the round core as one health.Fold,
+	// which folds the core's trace events into those samples — the same
+	// fold `calibre doctor replay` runs over a recorded trace. Purely
+	// additive: an attached registry never perturbs training —
+	// instrumented runs are bit-identical to uninstrumented ones (pinned
+	// by TestObsRegistryDoesNotPerturbRun).
 	Obs *obs.Registry
 	// Recorder, if non-nil, receives the flight-recorder event stream:
 	// round spans, per-client dispatch/update/drop events (with wire
@@ -85,11 +89,13 @@ type SimConfig struct {
 	// regression. Like Obs and Recorder it is nil-safe and purely
 	// observational — detectors read the round stream and never feed
 	// back into training, so an instrumented run is bit-identical to a
-	// bare one (pinned by TestHealthDoesNotPerturbRun). On resume the
-	// monitor is warm-started by replaying the checkpoint's per-round
-	// history (federation-level series only; per-client norm windows are
-	// not part of SimState — replay a trace through `calibre doctor` for
-	// full-fidelity post-mortems).
+	// bare one (pinned by TestHealthMonitorDoesNotPerturbRun). With Health
+	// set the round samples carry per-client detail (losses, update norms,
+	// straggler and rejected IDs), in Obs's ring too. On resume the
+	// monitor is warm-started from the checkpoint's per-round history
+	// (health.Fold.Warm: federation-level series only; per-client norm
+	// windows are not part of SimState — replay a trace through `calibre
+	// doctor` for full-fidelity post-mortems).
 	Health *health.Monitor
 	// OnAlert, if set, receives every alert Health raises, from the
 	// round loop in round order (single-goroutine). Ignored when Health
@@ -133,9 +139,9 @@ func (c *SimConfig) round(m *Method) RoundConfig {
 	return RoundConfig{
 		Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
 		Quorum: c.Quorum, Straggler: c.Straggler, Trace: c.Trace, Adversary: c.Adversary,
-		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal,
-		OnRound: c.OnRound, Obs: c.Obs, Recorder: c.Recorder, Health: c.Health, OnAlert: c.OnAlert,
+		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal, OnRound: c.OnRound,
 		OnCheckpoint: c.OnCheckpoint, CheckpointEvery: c.CheckpointEvery, ResumeFrom: c.ResumeFrom,
+		Planes: health.Fold{Recorder: c.Recorder, Obs: c.Obs, Monitor: c.Health, OnAlert: c.OnAlert},
 	}
 }
 

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"calibre/internal/health"
 	"calibre/internal/obs"
 	"calibre/internal/param"
+	"calibre/internal/trace"
 )
 
 // TestServerHealthSuspectsOverTCP is the health plane's network
@@ -19,12 +21,14 @@ import (
 // watched by a live health.Monitor on the server, must flag exactly the
 // seeded compromised set from ingress update norms — across goroutine
 // scheduling, wire encoding and arrival-order noise — while perturbing
-// nothing (the global matches a monitor-free run bit for bit).
+// nothing (the global matches a monitor-free run bit for bit). The trace
+// the server recorded meanwhile, replayed through health.Fold, must
+// reproduce the live monitor's diagnosis.
 func TestServerHealthSuspectsOverTCP(t *testing.T) {
 	const n, rounds, seed = 6, 4, 7
 	adv := &fl.Adversary{Kind: fl.AdvSignFlip, Scale: 6, Frac: 0.34}
 
-	run := func(mon *health.Monitor, onAlert func(health.Alert)) (*Result, obs.Snapshot) {
+	run := func(mon *health.Monitor, onAlert func(health.Alert), rec *trace.Recorder) (*Result, obs.Snapshot) {
 		t.Helper()
 		clients := netClients(t, n)
 		reg := obs.NewRegistry()
@@ -36,6 +40,7 @@ func TestServerHealthSuspectsOverTCP(t *testing.T) {
 			Obs:        reg,
 			Health:     mon,
 			OnAlert:    onAlert,
+			Recorder:   rec,
 			IOTimeout:  20 * time.Second,
 		})
 		if err != nil {
@@ -71,11 +76,13 @@ func TestServerHealthSuspectsOverTCP(t *testing.T) {
 		return res, reg.Snapshot()
 	}
 
-	bare, _ := run(nil, nil)
+	bare, _ := run(nil, nil, nil)
 
 	mon := health.NewMonitor(nil)
 	var alerts []health.Alert
-	res, snap := run(mon, func(a health.Alert) { alerts = append(alerts, a) })
+	var sink bytes.Buffer
+	rec := trace.New(&sink, trace.Config{})
+	res, snap := run(mon, func(a health.Alert) { alerts = append(alerts, a) }, rec)
 
 	if !reflect.DeepEqual(bare.Global, res.Global) {
 		t.Errorf("global drifted under health monitoring:\nwithout: %v\nwith:    %v", bare.Global, res.Global)
@@ -118,5 +125,19 @@ func TestServerHealthSuspectsOverTCP(t *testing.T) {
 	}
 	if got := replay.Diagnosis().Suspects; !reflect.DeepEqual(got, want) {
 		t.Errorf("ring replay suspects = %v, want %v", got, want)
+	}
+
+	// So does the recorded trace, folded offline (`calibre doctor replay`).
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ReadAll(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded := health.NewMonitor(nil)
+	(&health.Fold{Monitor: folded}).Replay(events)
+	if got := folded.Diagnosis(); !reflect.DeepEqual(got, diag) {
+		t.Errorf("trace replay diagnosis = %+v\nwant live %+v", got, diag)
 	}
 }

@@ -68,8 +68,12 @@ type ServerConfig struct {
 	OnRound func(fl.RoundStats)
 	// Obs, if non-nil, receives live observability for every completed
 	// round: an obs.RoundSample carrying the straggler/quorum accounting
-	// plus the uplink payload bytes received, and per-client participation.
-	// Nil-safe and side-effect-free on training.
+	// plus the uplink payload bytes received, per-client participation and
+	// the latency histograms. Obs, Health, OnAlert and Recorder are the
+	// four plane fields: Run hands them to the round core as one
+	// health.Fold, which folds the core's trace events into those samples
+	// — the same fold `calibre doctor replay` runs over the recorded
+	// trace. Nil-safe and side-effect-free on training.
 	Obs *obs.Registry
 	// Health, if non-nil, streams every completed round through the
 	// anomaly detectors: per-client losses and update norms (measured
@@ -83,11 +87,11 @@ type ServerConfig struct {
 	// from the round engine goroutine. Ignored when Health is nil.
 	OnAlert func(health.Alert)
 	// Recorder, if non-nil, receives the flight-recorder event stream:
-	// round spans, per-client dispatch/update/drop events carrying client
-	// IDs and payload bytes, checkpoint and resume marks. Every event is
-	// emitted from the single-goroutine round engine in state-machine
-	// order, so even an injected (non-thread-safe) trace.Clock is safe
-	// here. Purely observational: a traced federation is bit-identical to a
+	// round spans, per-client dispatch/update/drop/late events carrying
+	// client IDs and payload bytes, checkpoint and resume marks. Every
+	// event is emitted from the single-goroutine round engine in
+	// state-machine order, so even an injected (non-thread-safe)
+	// trace.Clock is safe here. Purely observational: a traced federation is bit-identical to a
 	// bare one (pinned by TestTraceDoesNotPerturbNetRun).
 	Recorder *trace.Recorder
 
@@ -124,9 +128,9 @@ func (c *ServerConfig) round() fl.RoundConfig {
 	return fl.RoundConfig{
 		Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
 		Quorum: c.Quorum, Straggler: c.Straggler, Trace: c.Trace, Adversary: c.Adversary,
-		Aggregator: c.Aggregator, InitGlobal: c.InitGlobal,
-		OnRound: c.OnRound, Obs: c.Obs, Recorder: c.Recorder, Health: c.Health, OnAlert: c.OnAlert,
+		Aggregator: c.Aggregator, InitGlobal: c.InitGlobal, OnRound: c.OnRound,
 		OnCheckpoint: c.OnCheckpoint, CheckpointEvery: c.CheckpointEvery, ResumeFrom: c.ResumeFrom,
+		Planes: health.Fold{Recorder: c.Recorder, Obs: c.Obs, Monitor: c.Health, OnAlert: c.OnAlert},
 	}
 }
 
@@ -575,7 +579,7 @@ func (e *roundEngine) onEvent(r *fl.Round, ev event) error {
 		// A straggler's stale reply drained during this round's window:
 		// discard it (Late gives its vectors back), the client re-enters the
 		// pool.
-		r.Late(u)
+		r.Late(ev.id, u)
 		return nil
 	}
 	if u == nil {

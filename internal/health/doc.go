@@ -45,8 +45,10 @@
 //
 // All three runtimes accept a *Monitor behind a nil-safe config field
 // (fl.SimConfig.Health, flnet.ServerConfig.Health, sweep.Config.Health)
-// and feed it one obs.RoundSample per completed round; Handler mounts
+// and feed it one obs.RoundSample per completed round through a Fold:
+// the one place a round's trace events become its sample, for the live
+// metrics registry and monitor and for Fold.Replay alike. Handler mounts
 // /healthz (JSON) and /healthz/prom next to the /metrics endpoints; and
 // `calibre doctor` runs the same detectors against a live /metrics
-// endpoint or a recorded flight-recorder trace.
+// endpoint or, through Fold.Replay, a recorded flight-recorder trace.
 package health

@@ -1,7 +1,9 @@
 // Package obs is the live observability plane for the federation
 // runtimes: a stdlib-only, snapshot-consistent metrics registry that both
-// the in-process simulator (fl), the TCP server (flnet) and the sweep
-// scheduler (sweep) feed while they run, exported over HTTP so a long
+// the in-process simulator (fl) and the TCP server (flnet) feed while
+// they run — through health.Fold, which folds the round core's trace
+// events into one RoundSample per round — and the sweep scheduler
+// (sweep) bumps with its cell counters, exported over HTTP so a long
 // federation is steerable while it executes instead of only post-mortem.
 //
 // # Registry

@@ -63,51 +63,47 @@ func appendEventJSON(dst []byte, e *Event) []byte {
 	dst = appendJSONString(dst, string(e.Kind))
 	dst = append(dst, `,"ts":`...)
 	dst = strconv.AppendInt(dst, e.TS, 10)
-	if e.Runtime != "" {
-		dst = append(dst, `,"rt":`...)
-		dst = appendJSONString(dst, e.Runtime)
-	}
-	if e.Cell != "" {
-		dst = append(dst, `,"cell":`...)
-		dst = appendJSONString(dst, e.Cell)
-	}
+	dst = appendString(dst, `,"rt":`, e.Runtime)
+	dst = appendString(dst, `,"cell":`, e.Cell)
 	dst = append(dst, `,"round":`...)
 	dst = strconv.AppendInt(dst, int64(e.Round), 10)
 	dst = append(dst, `,"client":`...)
 	dst = strconv.AppendInt(dst, int64(e.Client), 10)
-	if e.Reason != "" {
-		dst = append(dst, `,"reason":`...)
-		dst = appendJSONString(dst, string(e.Reason))
-	}
-	if e.Wire != "" {
-		dst = append(dst, `,"wire":`...)
-		dst = appendJSONString(dst, e.Wire)
-	}
-	if e.Bytes != 0 {
-		dst = append(dst, `,"bytes":`...)
-		dst = strconv.AppendInt(dst, e.Bytes, 10)
-	}
-	if e.Dur != 0 {
-		dst = append(dst, `,"dur_ns":`...)
-		dst = strconv.AppendInt(dst, e.Dur, 10)
-	}
-	if e.N != 0 {
-		dst = append(dst, `,"n":`...)
-		dst = strconv.AppendInt(dst, int64(e.N), 10)
-	}
-	if e.Loss != 0 && !math.IsNaN(e.Loss) && !math.IsInf(e.Loss, 0) {
-		dst = append(dst, `,"loss":`...)
-		dst = strconv.AppendFloat(dst, e.Loss, 'g', -1, 64)
-	}
-	if e.Norm != 0 && !math.IsNaN(e.Norm) && !math.IsInf(e.Norm, 0) {
-		dst = append(dst, `,"norm":`...)
-		dst = strconv.AppendFloat(dst, e.Norm, 'g', -1, 64)
-	}
-	if e.Note != "" {
-		dst = append(dst, `,"note":`...)
-		dst = appendJSONString(dst, e.Note)
-	}
+	dst = appendString(dst, `,"reason":`, string(e.Reason))
+	dst = appendString(dst, `,"wire":`, e.Wire)
+	dst = appendInt(dst, `,"bytes":`, e.Bytes)
+	dst = appendInt(dst, `,"dur_ns":`, e.Dur)
+	dst = appendInt(dst, `,"n":`, int64(e.N))
+	dst = appendInt(dst, `,"adv":`, int64(e.Adversarial))
+	dst = appendInt(dst, `,"rejected":`, int64(e.Rejected))
+	dst = appendFloat(dst, `,"loss":`, e.Loss)
+	dst = appendFloat(dst, `,"norm":`, e.Norm)
+	dst = appendString(dst, `,"note":`, e.Note)
 	return append(dst, '}')
+}
+
+// appendString, appendInt and appendFloat append one optional field —
+// key is its `,"name":` prefix — unless v is its zero value (a
+// non-finite float too, which JSON cannot carry).
+func appendString(dst []byte, key, v string) []byte {
+	if v == "" {
+		return dst
+	}
+	return appendJSONString(append(dst, key...), v)
+}
+
+func appendInt(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+func appendFloat(dst []byte, key string, v float64) []byte {
+	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return dst
+	}
+	return strconv.AppendFloat(append(dst, key...), v, 'g', -1, 64)
 }
 
 // appendJSONString appends s as a JSON string literal. Control characters,

@@ -3,9 +3,11 @@
 // which aggregate counters (package obs) cannot.
 //
 // Producers — fl.Simulator, flnet.Server, and the sweep scheduler — emit
-// typed Events (round spans, per-client dispatch/update/drop with an
+// typed Events (round spans, per-client dispatch/update/drop/late with an
 // attributed drop reason, checkpoint/resume marks, sweep cell spans)
-// through a Recorder. The Recorder buffers them in a preallocated bounded
+// through a Recorder. The round core's events are its only observability
+// output: health.Fold records them and folds them into the metrics and
+// health planes. The Recorder buffers them in a preallocated bounded
 // ring and drains the ring into an append-only Sink as length-prefixed
 // JSONL ("<len> <json>\n"), batching writes so the hot path is one short
 // critical section with no allocation. FileSink adds size-bounded file

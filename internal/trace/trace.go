@@ -14,7 +14,9 @@ const (
 	// KindRoundStart / KindRoundEnd bracket one federated round's span.
 	// round_start carries N = sampled participants; round_end carries
 	// N = aggregated responders, Dur = the span, Loss = the round's mean
-	// local training loss.
+	// local training loss, Adversarial = aggregated updates from the
+	// seeded compromise set and Rejected = updates the robust aggregator
+	// excluded (both absent from traces written before they existed).
 	KindRoundStart Kind = "round_start"
 	KindRoundEnd   Kind = "round_end"
 	// KindClientDispatch marks the moment a participant's train request is
@@ -28,8 +30,13 @@ const (
 	// XOR-delta uplink and in bench/'s frozen probe.
 	KindClientUpdate Kind = "client_update"
 	// KindClientDrop records a participant that contributed nothing to the
-	// round, attributed by Reason.
+	// round, attributed by Reason. Bytes is the upload an ingress
+	// rejection still billed to the uplink (zero when nothing arrived).
 	KindClientDrop Kind = "client_drop"
+	// KindClientLate records a stale reply from an earlier round's
+	// straggler that drained during this round's collection window: it is
+	// counted, never aggregated.
+	KindClientLate Kind = "client_late"
 	// KindCheckpointSave / KindResume are the durability boundary.
 	// checkpoint_save is emitted when the round loop learns that Round's
 	// snapshot is persisted — straight after the hook for one that saved
@@ -85,11 +92,16 @@ type Event struct {
 	Bytes   int64      `json:"bytes,omitempty"`
 	Dur     int64      `json:"dur_ns,omitempty"`
 	N       int        `json:"n,omitempty"`
-	Loss    float64    `json:"loss,omitempty"`
+	// Adversarial and Rejected are round_end's attack accounting (see
+	// KindRoundEnd).
+	Adversarial int     `json:"adv,omitempty"`
+	Rejected    int     `json:"rejected,omitempty"`
+	Loss        float64 `json:"loss,omitempty"`
 	// Norm is the L2 norm of the client's update against the round's
-	// pre-aggregation global model. Runtimes stamp it on client_update
-	// events when a health.Monitor is attached, which is what lets
-	// `calibre doctor` replay a trace through the update-norm detectors.
+	// pre-aggregation global model. The round core stamps it on
+	// client_update events when a health.Monitor or a Recorder is
+	// attached, which is what lets `calibre doctor` replay a trace
+	// through the update-norm detectors.
 	Norm float64 `json:"norm,omitempty"`
 	Note string  `json:"note,omitempty"`
 }

@@ -49,7 +49,10 @@ func TestRoundTrip(t *testing.T) {
 		{Kind: KindClientUpdate, TS: r.Now(), Runtime: "sim", Round: 0, Client: 7,
 			Wire: "delta", Bytes: 512, Dur: 90, Loss: 0.25, Norm: 1.75},
 		{Kind: KindClientDrop, TS: r.Now(), Runtime: "sim", Round: 0, Client: 8, Reason: DropStraggler},
-		{Kind: KindRoundEnd, TS: r.Now(), Runtime: "sim", Round: 0, Client: -1, N: 1, Dur: 40, Loss: 0.25},
+		{Kind: KindClientDrop, TS: r.Now(), Runtime: "sim", Round: 0, Client: 9, Reason: DropRejected, Bytes: 24},
+		{Kind: KindClientLate, TS: r.Now(), Runtime: "sim", Round: 0, Client: 5},
+		{Kind: KindRoundEnd, TS: r.Now(), Runtime: "sim", Round: 0, Client: -1, N: 1, Dur: 40, Loss: 0.25,
+			Adversarial: 1, Rejected: 2},
 		{Kind: KindCheckpointSave, TS: r.Now(), Runtime: "sim", Round: 0, Client: -1, Note: "round 0"},
 	}
 	for _, e := range in {
