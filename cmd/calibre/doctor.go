@@ -5,11 +5,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"calibre/internal/health"
 	"calibre/internal/obs"
+	"calibre/internal/sweep"
 	"calibre/internal/trace"
 )
 
@@ -35,7 +35,9 @@ import (
 // live polls a running federation's -metrics-addr endpoint (the /metrics
 // JSON snapshot), streams newly completed rounds through its own monitor,
 // prints alerts as they trip, and renders the final diagnosis when the
-// run ends (or immediately with -once). Per-client detectors (update-norm
+// run ends (or immediately with -once). It diagnoses one federation per
+// endpoint: a sweep's is refused, because every cell's rounds share its
+// ring under one runtime name. Per-client detectors (update-norm
 // outliers, per-client scores) need per-client detail in the metrics
 // ring, which producers include when running with -health; without it the
 // federation-level detectors (loss, quorum) still apply.
@@ -75,33 +77,27 @@ func runReplay(args []string, w io.Writer) error {
 		fmt.Fprintln(w, "note: trace ends mid-record (crash or live file); diagnosing the intact prefix")
 	}
 
-	// Split the event stream per federation: every event a sweep cell's
-	// simulation emits carries the cell key, a lone server/sim run none.
-	byCell := make(map[string][]trace.Event)
-	for _, e := range events {
-		byCell[e.Cell] = append(byCell[e.Cell], e)
-	}
-	if *cell != "" {
-		evs, ok := byCell[*cell]
-		if !ok {
-			return fmt.Errorf("replay: no events for cell %q in %s", *cell, path)
+	var keys []string // in trace.Runs' order: by cell key
+	diagnoses := make(map[string]health.Diagnosis)
+	found := false
+	for _, r := range trace.Runs(events) {
+		if *cell != "" && r.Cell != *cell {
+			continue
 		}
-		byCell = map[string][]trace.Event{*cell: evs}
-	}
-	keys := make([]string, 0, len(byCell))
-	diagnoses := make(map[string]health.Diagnosis, len(byCell))
-	for k, evs := range byCell {
+		found = true
 		mon := health.NewMonitor(&hc)
-		(&health.Fold{Monitor: mon}).Replay(evs)
+		(&health.Fold{Monitor: mon}).Replay(r.Events)
 		if d := mon.Diagnosis(); d.Rounds > 0 {
-			keys = append(keys, k)
-			diagnoses[k] = d
+			keys = append(keys, r.Cell)
+			diagnoses[r.Cell] = d
 		}
+	}
+	if !found && *cell != "" {
+		return fmt.Errorf("replay: no events for cell %q in %s", *cell, path)
 	}
 	if len(keys) == 0 {
 		return fmt.Errorf("replay: no completed rounds in %s", path)
 	}
-	sort.Strings(keys)
 	if *jsonOut {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -151,6 +147,11 @@ func runLive(args []string, w io.Writer) error {
 	// (runtime, round) identifies a completed round exactly once.
 	seen := make(map[string]bool)
 	gone, err := p.poll("live", func(snap obs.Snapshot) error {
+		if n := snap.Gauges[obs.GaugeSweepCellsPlanned]; n > 0 {
+			return fmt.Errorf("live: %s serves a sweep of %d cells, whose rounds share one metrics ring; "+
+				"diagnose a cell with `calibre doctor replay FILE -cell KEY` on the sweep's -trace-out, "+
+				"or read the per-cell verdicts in its %s", p.addr, n, sweep.ManifestName)
+		}
 		for _, rs := range snap.Rounds {
 			key := rs.Runtime + "\x00" + strconv.Itoa(rs.Round)
 			if seen[key] {

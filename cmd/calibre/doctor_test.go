@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"calibre/internal/fl"
 	"calibre/internal/health"
 	"calibre/internal/obs"
+	"calibre/internal/sweep"
 	"calibre/internal/trace"
 )
 
@@ -285,5 +288,30 @@ func TestDoctorReplayCellSplit(t *testing.T) {
 	only := runDoctor(t, "replay", path, "-cell", "cell-a")
 	if strings.Contains(only, "cell-b") || !strings.Contains(only, "no alerts — federation healthy") {
 		t.Fatalf("-cell did not isolate the healthy federation:\n%s", only)
+	}
+}
+
+// TestDoctorLiveRefusesSweep: a sweep's metrics ring holds every cell's
+// rounds under one runtime name, so live would diagnose the first cell's
+// rounds and skip the rest. It refuses, and names the per-cell readings.
+func TestDoctorLiveRefusesSweep(t *testing.T) {
+	reg := obs.NewRegistry()
+	g := &sweep.Grid{Methods: []string{"fedavg"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1, 2}}
+	if _, err := sweep.Run(context.Background(), g, sweep.Config{Workers: 1, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	rounds := reg.Snapshot().Rounds
+	for _, s := range rounds {
+		keys[s.Runtime+"/"+strconv.Itoa(s.Round)] = true
+	}
+	if len(keys) == len(rounds) {
+		t.Fatalf("the two cells' %d samples have distinct (runtime, round) keys: the test shows nothing", len(rounds))
+	}
+	srv := httptest.NewServer(obs.Handler(reg))
+	defer srv.Close()
+	err := run([]string{"doctor", "live", "-addr", strings.TrimPrefix(srv.URL, "http://"), "-once"})
+	if err == nil || !strings.Contains(err.Error(), "calibre doctor replay FILE -cell KEY") || !strings.Contains(err.Error(), sweep.ManifestName) {
+		t.Fatalf("doctor live against a sweep: %v, want a refusal naming doctor replay -cell and the manifest", err)
 	}
 }

@@ -20,6 +20,10 @@ import (
 //	calibre trace timeline FILE [-round N] [-cell KEY] [-width N]
 //	calibre trace grep     FILE [-kind K] [-round N] [-client N] [-reason R] [-cell KEY] [-count]
 //
+// summary and timeline read the events trace.Runs says stand: per sweep
+// cell, and a file a killed run and its resumption appended to as the
+// uninterrupted run. grep filters everything that was written.
+//
 // FILE may be "-" for stdin. A torn trailing record (a crash mid-write)
 // is tolerated everywhere: the decoded prefix is used and the truncation
 // is reported in the output, never as a hard error.

@@ -9,21 +9,21 @@ import (
 	"calibre/internal/trace"
 )
 
-// traceStats aggregates one trace (or one cell's slice of it).
+// traceStats aggregates the events of a trace that stand (or of one cell's
+// run).
 type traceStats struct {
-	events    int
-	runtimes  map[string]bool
-	rounds    []int64 // round_end durations, ns
-	turns     []int64 // client_update turnarounds, ns
-	updates   int
-	wire      map[string]int
-	uplink    int64
-	drops     map[trace.DropReason]int
-	saves     int
-	stall     int64 // Σ checkpoint_save dur: time round loops were blocked on checkpoints
-	maxStall  int64
-	resumes   int
-	cellSpans int
+	events   int
+	runtimes map[string]bool
+	rounds   []int64 // round_end durations, ns
+	turns    []int64 // client_update turnarounds, ns
+	updates  int
+	wire     map[string]int
+	uplink   int64
+	drops    map[trace.DropReason]int
+	saves    int
+	stall    int64 // Σ checkpoint_save dur: time round loops were blocked on checkpoints
+	maxStall int64
+	resumes  int
 }
 
 func newTraceStats() *traceStats {
@@ -34,32 +34,32 @@ func newTraceStats() *traceStats {
 	}
 }
 
-func (s *traceStats) add(e trace.Event) {
-	s.events++
-	if e.Runtime != "" {
-		s.runtimes[e.Runtime] = true
-	}
-	switch e.Kind {
-	case trace.KindRoundEnd:
-		s.rounds = append(s.rounds, e.Dur)
-	case trace.KindClientUpdate:
-		s.updates++
-		s.turns = append(s.turns, e.Dur)
-		if e.Wire != "" {
-			s.wire[e.Wire]++
+func (s *traceStats) add(events ...trace.Event) {
+	for _, e := range events {
+		s.events++
+		if e.Runtime != "" {
+			s.runtimes[e.Runtime] = true
 		}
-		s.uplink += e.Bytes
-	case trace.KindClientDrop:
-		s.drops[e.Reason]++
-		s.uplink += e.Bytes // a rejected upload still crossed the uplink
-	case trace.KindCheckpointSave:
-		s.saves++
-		s.stall += e.Dur
-		s.maxStall = max(s.maxStall, e.Dur)
-	case trace.KindResume:
-		s.resumes++
-	case trace.KindCellStart:
-		s.cellSpans++
+		switch e.Kind {
+		case trace.KindRoundEnd:
+			s.rounds = append(s.rounds, e.Dur)
+		case trace.KindClientUpdate:
+			s.updates++
+			s.turns = append(s.turns, e.Dur)
+			if e.Wire != "" {
+				s.wire[e.Wire]++
+			}
+			s.uplink += e.Bytes
+		case trace.KindClientDrop:
+			s.drops[e.Reason]++
+			s.uplink += e.Bytes // a rejected upload still crossed the uplink
+		case trace.KindCheckpointSave:
+			s.saves++
+			s.stall += e.Dur
+			s.maxStall = max(s.maxStall, e.Dur)
+		case trace.KindResume:
+			s.resumes++
+		}
 	}
 }
 
@@ -148,33 +148,29 @@ func runSummary(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	total := newTraceStats()
-	cells := map[string]*traceStats{}
-	var cellOrder []string
-	for _, e := range events {
-		total.add(e)
-		if e.Cell != "" {
-			cs, ok := cells[e.Cell]
-			if !ok {
-				cs = newTraceStats()
-				cells[e.Cell] = cs
-				cellOrder = append(cellOrder, e.Cell)
-			}
-			cs.add(e)
+	// The totals and each cell's block count the events that stand, so a
+	// killed+resumed trace reads as the uninterrupted run.
+	runs := trace.Runs(events)
+	total, cells := newTraceStats(), 0
+	for _, r := range runs {
+		total.add(r.Events...)
+		if r.Cell != "" {
+			cells++
 		}
 	}
 	total.write(w, "")
-	if len(cells) > 0 {
-		fmt.Fprintf(w, "cells:    %d\n", len(cells))
+	if cells > 0 {
+		fmt.Fprintf(w, "cells:    %d\n", cells)
 	}
 	if truncated {
 		fmt.Fprintln(w, "note:     trace ends mid-record (torn tail tolerated; the writer likely crashed)")
 	}
-	if *perCell {
-		sort.Strings(cellOrder)
-		for _, key := range cellOrder {
-			fmt.Fprintf(w, "\ncell %s\n", key)
-			cells[key].write(w, "  ")
+	for _, r := range runs {
+		if *perCell && r.Cell != "" {
+			cs := newTraceStats()
+			cs.add(r.Events...)
+			fmt.Fprintf(w, "\ncell %s\n", r.Cell)
+			cs.write(w, "  ")
 		}
 	}
 	return nil

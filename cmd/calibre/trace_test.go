@@ -2,15 +2,19 @@ package main
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"calibre/internal/data"
+	"calibre/internal/experiments"
 	"calibre/internal/fl"
 	"calibre/internal/flnet"
 	"calibre/internal/param"
@@ -254,4 +258,176 @@ type stubPersonalizer struct{}
 
 func (stubPersonalizer) Personalize(_ context.Context, _ *rand.Rand, c *partition.Client, _ param.Vector) (float64, error) {
 	return float64(c.ID) / 10, nil
+}
+
+// killResumeTrace writes the trace of runHostile's federation killed after
+// round 4, with a checkpoint every 3 rounds, and resumed into the same
+// file: rounds 3 and 4 are recorded twice, once per execution.
+func killResumeTrace(t *testing.T, dir string) string {
+	t.Helper()
+	path, ckptDir := filepath.Join(dir, "killed.trace"), filepath.Join(dir, "ckpt")
+	checkpoints := func(m *fl.Method, cfg *fl.SimConfig) error {
+		a, err := experiments.AttachCheckpoints(m, experiments.Checkpoints{
+			Dir: ckptDir, Every: 3, Resume: true, Seed: 7, Fingerprint: "trace-kill-resume", Runtime: "simulator"})
+		if err == nil {
+			a.ConfigureSim(cfg)
+		}
+		return err
+	}
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	if _, err := runHostile(ctx, path, func(m *fl.Method, cfg *fl.SimConfig) error {
+		cfg.OnRound = func(st fl.RoundStats) {
+			if st.Round == 4 {
+				kill()
+			}
+		}
+		return checkpoints(m, cfg)
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: %v, want context.Canceled", err)
+	}
+	if _, err := runHostile(context.Background(), path, checkpoints); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	return path
+}
+
+// withoutLines drops the lines of out that start with one of prefixes.
+func withoutLines(out string, prefixes ...string) string {
+	var keep []string
+	for _, line := range strings.Split(out, "\n") {
+		if !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(line, p) }) {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestTraceReadsKillResumeAsUninterrupted: `trace timeline` of a trace a
+// killed run and its resumption appended to is the uninterrupted run's,
+// byte for byte, and `trace summary` differs only in the events that
+// record the kill (the event count, the durable line). `trace grep`
+// still shows everything written.
+func TestTraceReadsKillResumeAsUninterrupted(t *testing.T) {
+	dir := t.TempDir()
+	full, _ := hostileTrace(t, dir)
+	killed := killResumeTrace(t, dir)
+	if n := runCLI(t, "grep", killed, "-kind", "round_end", "-count"); strings.TrimSpace(n) == "8" {
+		t.Fatal("the killed trace records no round twice: the test shows nothing")
+	}
+	for _, args := range [][]string{nil, {"-round", "3"}} {
+		got := runCLI(t, append([]string{"timeline", killed}, args...)...)
+		if want := runCLI(t, append([]string{"timeline", full}, args...)...); got != want {
+			t.Errorf("timeline %v of the kill+resume trace:\n%s\nwant the uninterrupted run's:\n%s", args, got, want)
+		}
+	}
+	got, want := runCLI(t, "summary", killed), runCLI(t, "summary", full)
+	if !strings.Contains(got, "1 resumes") {
+		t.Errorf("summary lost the resume:\n%s", got)
+	}
+	if g, w := withoutLines(got, "events:", "durable:"), withoutLines(want, "events:", "durable:"); g != w {
+		t.Errorf("summary of the kill+resume trace:\n%s\nwant the uninterrupted run's:\n%s", got, want)
+	}
+}
+
+// cellTraceEvents is one synthetic cell's trace, chunk by chunk: six
+// rounds of three sampled clients (two updates, one straggler). killed,
+// if set, runs rounds 2 and 3 first with a NaN loss and a torn round 4,
+// then resumes at round 2. Timestamps are a function of the round alone,
+// so a re-executed round is recorded exactly as its clean execution.
+func cellTraceEvents(killed bool) [][]trace.Event {
+	round := func(r int, loss float64) []trace.Event {
+		ts := int64(r) * 1_000_000
+		evs := []trace.Event{{Kind: trace.KindRoundStart, TS: ts, Runtime: "sim", Round: r, Client: -1, N: 3}}
+		for c := 0; c < 3; c++ {
+			evs = append(evs, trace.Event{Kind: trace.KindClientDispatch, TS: ts + 10, Runtime: "sim", Round: r, Client: c})
+		}
+		for c := 0; c < 2; c++ {
+			evs = append(evs, trace.Event{Kind: trace.KindClientUpdate, TS: ts + 400 + 100*int64(c), Runtime: "sim", Round: r, Client: c,
+				Wire: "dense", Bytes: 64, Dur: 300 + 100*int64(c), Loss: loss, Norm: 1 + float64(c)})
+		}
+		return append(evs,
+			trace.Event{Kind: trace.KindClientDrop, TS: ts + 700, Runtime: "sim", Round: r, Client: 2, Reason: trace.DropStraggler},
+			trace.Event{Kind: trace.KindRoundEnd, TS: ts + 800, Runtime: "sim", Round: r, Client: -1, N: 2, Dur: 800, Loss: loss})
+	}
+	var chunks [][]trace.Event
+	for r := 0; r < 6; r++ {
+		if killed && r == 2 {
+			chunks = append(chunks, round(2, math.NaN()), round(3, math.NaN()),
+				[]trace.Event{{Kind: trace.KindRoundStart, TS: 4_000_000, Runtime: "sim", Round: 4, Client: -1, N: 3}},
+				[]trace.Event{{Kind: trace.KindResume, TS: 4_000_100, Runtime: "sim", Round: 2, Client: -1}})
+		}
+		chunks = append(chunks, round(r, 1/float64(r+1)))
+	}
+	return chunks
+}
+
+// TestTraceCellsReadAlone: two cells whose rounds interleave in one file —
+// two Recorder.WithCell views emitting alternately, cell-b killed and
+// resumed — read per cell exactly as each cell's events alone:
+// `summary -cells`, `timeline -cell K` and `doctor replay -cell K`. The
+// resumed cell also reads as its uninterrupted run.
+func TestTraceCellsReadAlone(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, cells map[string][][]trace.Event) string {
+		path := filepath.Join(dir, name)
+		sink, err := trace.OpenFile(path, trace.FileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.New(sink, trace.Config{})
+		for i := 0; ; i++ {
+			emitted := false
+			for _, key := range []string{"cell-a", "cell-b"} {
+				if chunks := cells[key]; i < len(chunks) {
+					for _, e := range chunks[i] {
+						rec.WithCell(key).Emit(e)
+					}
+					emitted = true
+				}
+			}
+			if !emitted {
+				break
+			}
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	both := write("both.trace", map[string][][]trace.Event{"cell-a": cellTraceEvents(false), "cell-b": cellTraceEvents(true)})
+	alone := map[string]string{
+		"cell-a": write("a.trace", map[string][][]trace.Event{"cell-a": cellTraceEvents(false)}),
+		"cell-b": write("b.trace", map[string][][]trace.Event{"cell-b": cellTraceEvents(true)}),
+	}
+	clean := write("b-clean.trace", map[string][][]trace.Event{"cell-b": cellTraceEvents(false)})
+
+	block := func(path, cell string) string { // cell's block of `summary -cells`
+		_, rest, ok := strings.Cut(runCLI(t, "summary", path, "-cells"), "\ncell "+cell+"\n")
+		if !ok {
+			t.Fatalf("summary -cells of %s has no block for %s", path, cell)
+		}
+		b, _, _ := strings.Cut(rest, "\ncell ")
+		return b
+	}
+	for cell, path := range alone {
+		if got, want := block(both, cell), block(path, cell); got != want {
+			t.Errorf("summary -cells, %s interleaved:\n%s\nalone:\n%s", cell, got, want)
+		}
+		if got, want := runCLI(t, "timeline", both, "-cell", cell), runCLI(t, "timeline", path); got != want {
+			t.Errorf("timeline -cell %s interleaved:\n%s\nalone:\n%s", cell, got, want)
+		}
+		if got, want := runDoctor(t, "replay", both, "-cell", cell), runDoctor(t, "replay", path, "-cell", cell); got != want {
+			t.Errorf("doctor replay -cell %s interleaved:\n%s\nalone:\n%s", cell, got, want)
+		}
+	}
+	if got, want := runCLI(t, "timeline", both, "-cell", "cell-b"), runCLI(t, "timeline", clean); got != want {
+		t.Errorf("timeline of the resumed cell:\n%s\nwant its uninterrupted run's:\n%s", got, want)
+	}
+	if got, want := runDoctor(t, "replay", both, "-cell", "cell-b"), runDoctor(t, "replay", clean); got != want {
+		t.Errorf("doctor replay of the resumed cell:\n%s\nwant its uninterrupted run's:\n%s", got, want)
+	}
+	if got, want := withoutLines(block(both, "cell-b"), "  events:", "  durable:"), withoutLines(block(clean, "cell-b"), "  events:", "  durable:"); got != want {
+		t.Errorf("summary of the resumed cell:\n%s\nwant its uninterrupted run's:\n%s", got, want)
+	}
 }

@@ -11,7 +11,6 @@ import (
 // roundSpan is one reconstructed round: its bracketing events plus every
 // client event that landed inside it.
 type roundSpan struct {
-	cell    string
 	round   int
 	start   trace.Event
 	end     trace.Event
@@ -20,34 +19,29 @@ type roundSpan struct {
 	drops   []trace.Event
 }
 
-// collectRounds groups a decoded trace into round spans, in order of
-// round_start appearance. Events are matched to spans by (cell, round),
-// which is unambiguous even when concurrent sweep cells interleave.
-func collectRounds(events []trace.Event) []*roundSpan {
-	var order []*roundSpan
-	open := map[string]*roundSpan{}
-	key := func(cell string, round int) string { return fmt.Sprintf("%s\x00%d", cell, round) }
-	for _, e := range events {
-		switch e.Kind {
-		case trace.KindRoundStart:
-			rs := &roundSpan{cell: e.Cell, round: e.Round, start: e}
-			open[key(e.Cell, e.Round)] = rs
-			order = append(order, rs)
+// collectRounds groups one run's events into round spans, in order of
+// round_start. trace.Runs has dropped what a re-execution superseded, so a
+// run records each round once, and its events land after its round_start.
+func collectRounds(run trace.Run) []*roundSpan {
+	var spans []*roundSpan
+	for _, e := range run.Events {
+		if e.Kind == trace.KindRoundStart {
+			spans = append(spans, &roundSpan{round: e.Round, start: e})
+			continue
+		}
+		if len(spans) == 0 || spans[len(spans)-1].round != e.Round {
+			continue
+		}
+		switch rs := spans[len(spans)-1]; e.Kind {
 		case trace.KindRoundEnd:
-			if rs := open[key(e.Cell, e.Round)]; rs != nil {
-				rs.end, rs.ended = e, true
-			}
+			rs.end, rs.ended = e, true
 		case trace.KindClientUpdate:
-			if rs := open[key(e.Cell, e.Round)]; rs != nil {
-				rs.updates = append(rs.updates, e)
-			}
+			rs.updates = append(rs.updates, e)
 		case trace.KindClientDrop:
-			if rs := open[key(e.Cell, e.Round)]; rs != nil {
-				rs.drops = append(rs.drops, e)
-			}
+			rs.drops = append(rs.drops, e)
 		}
 	}
-	return order
+	return spans
 }
 
 // gantt renders one client span as an ASCII bar inside the round's time
@@ -89,49 +83,50 @@ func runTimeline(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rounds := collectRounds(events)
-	lastCell := ""
 	shown := 0
-	for _, rs := range rounds {
-		if *onlyRound >= 0 && rs.round != *onlyRound {
+	for _, run := range trace.Runs(events) {
+		if *onlyCell != "" && run.Cell != *onlyCell {
 			continue
 		}
-		if *onlyCell != "" && rs.cell != *onlyCell {
-			continue
-		}
-		shown++
-		if rs.cell != "" && rs.cell != lastCell {
-			fmt.Fprintf(w, "=== cell %s ===\n", rs.cell)
-			lastCell = rs.cell
-		}
-		header := fmt.Sprintf("round %d  sampled %d", rs.round, rs.start.N)
-		winStart, winEnd := rs.start.TS, rs.start.TS
-		if rs.ended {
-			winEnd = rs.end.TS
-			header += fmt.Sprintf("  aggregated %d  span %s  loss %.4g", rs.end.N, formatNS(rs.end.Dur), rs.end.Loss)
-		} else {
-			header += "  [round never closed — torn trace?]"
-			for _, u := range rs.updates {
-				if u.TS > winEnd {
-					winEnd = u.TS
+		cellHeader := run.Cell != ""
+		for _, rs := range collectRounds(run) {
+			if *onlyRound >= 0 && rs.round != *onlyRound {
+				continue
+			}
+			shown++
+			if cellHeader {
+				fmt.Fprintf(w, "=== cell %s ===\n", run.Cell)
+				cellHeader = false
+			}
+			header := fmt.Sprintf("round %d  sampled %d", rs.round, rs.start.N)
+			winStart, winEnd := rs.start.TS, rs.start.TS
+			if rs.ended {
+				winEnd = rs.end.TS
+				header += fmt.Sprintf("  aggregated %d  span %s  loss %.4g", rs.end.N, formatNS(rs.end.Dur), rs.end.Loss)
+			} else {
+				header += "  [round never closed — torn trace?]"
+				for _, u := range rs.updates {
+					if u.TS > winEnd {
+						winEnd = u.TS
+					}
 				}
 			}
-		}
-		fmt.Fprintln(w, header)
-		for _, u := range rs.updates {
-			barEnd := u.TS
-			barStart := barEnd - u.Dur
-			fmt.Fprintf(w, "  client %-4d |%s|  %s  %s %s\n",
-				u.Client, gantt(winStart, winEnd, barStart, barEnd, *width),
-				formatNS(u.Dur), u.Wire, formatBytes(u.Bytes))
-		}
-		for _, d := range rs.drops {
-			note := ""
-			if d.Note != "" {
-				note = "  (" + d.Note + ")"
+			fmt.Fprintln(w, header)
+			for _, u := range rs.updates {
+				barEnd := u.TS
+				barStart := barEnd - u.Dur
+				fmt.Fprintf(w, "  client %-4d |%s|  %s  %s %s\n",
+					u.Client, gantt(winStart, winEnd, barStart, barEnd, *width),
+					formatNS(u.Dur), u.Wire, formatBytes(u.Bytes))
 			}
-			fmt.Fprintf(w, "  client %-4d %s drop: %s%s\n",
-				d.Client, strings.Repeat("x", 4), d.Reason, note)
+			for _, d := range rs.drops {
+				note := ""
+				if d.Note != "" {
+					note = "  (" + d.Note + ")"
+				}
+				fmt.Fprintf(w, "  client %-4d %s drop: %s%s\n",
+					d.Client, strings.Repeat("x", 4), d.Reason, note)
+			}
 		}
 	}
 	if shown == 0 {

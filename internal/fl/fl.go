@@ -8,8 +8,9 @@
 //     RNG-replay resume, checkpoints, OnRound), the per-round ledger
 //     (Round: uplink accounting, ingress validation, canonical-order
 //     streaming aggregation, quorum checks) and the single place a round
-//     becomes RoundStats, an obs.RoundSample, health verdicts and trace
-//     events.
+//     becomes RoundStats and trace events. The events are its only
+//     observability output: health.Fold (RoundConfig.Planes) folds them
+//     into the obs.RoundSample and the health verdicts.
 //   - A Transport supplies the two things that differ between runtimes:
 //     Draw (how a round's RNG draws become participants) and Collect (how
 //     their updates reach the ledger). Simulator is the in-process

@@ -75,30 +75,16 @@ func (f *Fold) Emit(e trace.Event) {
 	}
 }
 
-// Replay folds one federation's recorded events — split a multi-cell
-// sweep trace by Event.Cell first. A torn trailing round (a crash
-// mid-write) is never observed, as the live planes never observed it. A
-// resume at round s, or a round_start for a round already recorded,
-// re-executes from s: the events of the rounds from s on that came
-// before it are discarded, so a trace a killed run and its resumption
-// appended to replays as the uninterrupted run.
+// Replay folds one federation's recorded events — one trace.Run's — as
+// the live planes folded them: only the events trace.Runs says stand, so
+// a trace a killed run and its resumption appended to replays as the
+// uninterrupted run. A torn trailing round (a crash mid-write) is never
+// observed, as the live planes never observed it.
 func (f *Fold) Replay(events []trace.Event) {
-	var run []trace.Event // the round events of the executions that stand
-	for _, e := range events {
-		switch e.Kind {
-		case trace.KindCheckpointSave, trace.KindCellStart, trace.KindCellEnd:
-			continue // not round-ordered: a write-behind save is marked rounds later
-		case trace.KindResume, trace.KindRoundStart:
-			n := len(run)
-			for n > 0 && run[n-1].Round >= e.Round {
-				n--
-			}
-			run = run[:n]
+	for _, r := range trace.Runs(events) {
+		for _, e := range r.Events {
+			f.fold(e)
 		}
-		run = append(run, e)
-	}
-	for _, e := range run {
-		f.fold(e)
 	}
 }
 

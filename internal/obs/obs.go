@@ -203,8 +203,9 @@ type ClientSample struct {
 // fl.RoundStats straggler accounting plus the wire-byte and wall-clock
 // facts the runtimes know at round close.
 type RoundSample struct {
-	// Runtime names the producer: "sim" (fl.Simulator), "server"
-	// (flnet.Server) or a sweep cell key prefix.
+	// Runtime names the producer: "sim" (fl.Simulator, a sweep cell's
+	// simulation included — a sweep's ring mixes its cells' rounds under
+	// it) or "server" (flnet.Server).
 	Runtime string `json:"runtime"`
 	// Round is the round index within its federation.
 	Round int `json:"round"`

@@ -14,6 +14,18 @@ import (
 	"calibre/internal/store"
 )
 
+// executed counts the cells a run executed rather than restored from its
+// manifest.
+func executed(res *Result) int {
+	n := 0
+	for _, c := range res.Cells {
+		if !c.FromManifest {
+			n++
+		}
+	}
+	return n
+}
+
 // TestKillResumeBitIdentical is the crash-recovery acceptance pin: a
 // sweep aborted mid-flight (the manifest-level analogue of a SIGKILL —
 // completed cells persisted, the in-flight one lost) resumes by skipping
@@ -56,17 +68,11 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	}
 
 	// Resume: completed cells must be skipped, the rest executed.
-	var started atomic.Int64
-	resumed, err := Run(context.Background(), g, Config{
-		Workers:     2,
-		Dir:         dir,
-		Resume:      true,
-		OnCellStart: func(Cell) { started.Add(1) },
-	})
+	resumed, err := Run(context.Background(), g, Config{Workers: 2, Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if got := int(started.Load()); got != 12-killed {
+	if got := executed(resumed); got != 12-killed {
 		t.Fatalf("resume executed %d cells, want %d (12 planned - %d completed)", got, 12-killed, killed)
 	}
 	restored := 0
@@ -83,13 +89,12 @@ func TestKillResumeBitIdentical(t *testing.T) {
 	}
 
 	// A second resume is a no-op: everything restored, nothing executed.
-	started.Store(0)
-	again, err := Run(context.Background(), g, Config{Dir: dir, Resume: true, OnCellStart: func(Cell) { started.Add(1) }})
+	again, err := Run(context.Background(), g, Config{Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatalf("second resume: %v", err)
 	}
-	if started.Load() != 0 {
-		t.Fatalf("fully-complete sweep re-executed %d cells", started.Load())
+	if n := executed(again); n != 0 {
+		t.Fatalf("fully-complete sweep re-executed %d cells", n)
 	}
 	if got := renderReport(t, again); got != cleanReport {
 		t.Fatal("no-op resume changed the report")
@@ -105,13 +110,12 @@ func TestCorruptManifestFallsBackToReplan(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(garbage), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var started atomic.Int64
-		res, err := Run(context.Background(), g, Config{Dir: dir, Resume: true, OnCellStart: func(Cell) { started.Add(1) }})
+		res, err := Run(context.Background(), g, Config{Dir: dir, Resume: true})
 		if err != nil {
 			t.Fatalf("resume over corrupt manifest %q: %v", garbage, err)
 		}
-		if started.Load() != 2 {
-			t.Fatalf("corrupt manifest %q: re-plan executed %d cells, want 2", garbage, started.Load())
+		if n := executed(res); n != 2 {
+			t.Fatalf("corrupt manifest %q: re-plan executed %d cells, want 2", garbage, n)
 		}
 		found := false
 		for _, n := range res.Notes {
@@ -173,13 +177,12 @@ func TestFailedCellsRetriedOnResume(t *testing.T) {
 	if len(NewReport(res).Failures) != 1 {
 		t.Fatalf("expected 1 failure, got %+v", res.Cells)
 	}
-	var started atomic.Int64
-	res, err = Run(context.Background(), g, Config{Dir: dir, Resume: true, OnCellStart: func(Cell) { started.Add(1) }})
+	res, err = Run(context.Background(), g, Config{Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if started.Load() != 1 {
-		t.Fatalf("resume executed %d cells, want exactly the failed one", started.Load())
+	if n := executed(res); n != 1 {
+		t.Fatalf("resume executed %d cells, want exactly the failed one", n)
 	}
 	for _, c := range res.Cells {
 		if c.Status != StatusOK {

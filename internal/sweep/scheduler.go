@@ -73,9 +73,6 @@ type Config struct {
 	// grid's planned cell count and the number of cells actually pending
 	// after manifest restoration (planned minus restored).
 	OnPlan func(planned, pending int)
-	// OnCellStart, if set, observes each cell as a worker picks it up.
-	// Callback invocations are serialized across workers.
-	OnCellStart func(Cell)
 	// OnCell, if set, observes each completed cell's outcome (serialized
 	// across workers, after the outcome is durably recorded).
 	OnCell func(CellResult)
@@ -259,7 +256,7 @@ func Run(ctx context.Context, g *Grid, cfg Config) (*Result, error) {
 	defer cancel()
 	var (
 		mu      sync.Mutex
-		cbMu    sync.Mutex // serializes OnCellStart/OnCell across workers
+		cbMu    sync.Mutex // serializes OnCell across workers
 		saveErr error
 		wg      sync.WaitGroup
 	)
@@ -276,11 +273,6 @@ func Run(ctx context.Context, g *Grid, cfg Config) (*Result, error) {
 			for c := range feed {
 				if ctx.Err() != nil {
 					continue // drain without running
-				}
-				if cfg.OnCellStart != nil {
-					cbMu.Lock()
-					cfg.OnCellStart(c)
-					cbMu.Unlock()
 				}
 				cfg.Obs.Gauge(obs.GaugeSweepCellsInFlight).Add(1)
 				res := s.runCell(ctx, c)

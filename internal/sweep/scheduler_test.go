@@ -172,19 +172,18 @@ func TestSchedulerBudgetSplit(t *testing.T) {
 	}
 }
 
-// TestSchedulerObservers checks OnCellStart/OnCell fire once per cell.
+// TestSchedulerObservers checks OnCell fires once per cell.
 func TestSchedulerObservers(t *testing.T) {
 	g := &Grid{Methods: []string{"fedavg"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1, 2}}
-	var started, done atomic.Int64
+	var done atomic.Int64
 	_, err := Run(context.Background(), g, Config{
-		Workers:     2,
-		OnCellStart: func(Cell) { started.Add(1) },
-		OnCell:      func(CellResult) { done.Add(1) },
+		Workers: 2,
+		OnCell:  func(CellResult) { done.Add(1) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if started.Load() != 2 || done.Load() != 2 {
-		t.Fatalf("observers fired %d/%d times, want 2/2", started.Load(), done.Load())
+	if done.Load() != 2 {
+		t.Fatalf("OnCell fired %d times, want 2", done.Load())
 	}
 }

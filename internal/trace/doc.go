@@ -24,6 +24,8 @@
 //
 // Traces are read back with Reader/ReadAll, which tolerate the torn tail
 // a crash leaves (ErrTruncated) and refuse structural damage
-// (ErrCorrupt). `calibre trace` builds summaries, ASCII
-// timelines, and filtered views on top of this package.
+// (ErrCorrupt). Runs decides which of a trace's events are the run: one
+// Run per federation (sweep cell), without what a resumption re-executed.
+// `calibre trace` builds summaries, ASCII timelines, and filtered views on
+// top of this package.
 package trace
