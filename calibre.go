@@ -153,10 +153,10 @@ func Run(ctx context.Context, env *Environment, methodName string) (*MethodOutco
 // every `every` rounds (≤0 means every round), and a rerun after a crash
 // resumes from the latest snapshot, bit-identical to a run that never
 // stopped. Snapshots are fingerprint-bound to the (method, setting, seed,
-// population) combination; inspect them with `calibre ckpt`. Methods
-// carrying cross-round client state a snapshot cannot capture (fedema,
-// fedper/fedrep/fedbabu/lg-fedavg, scaffold, apfl, ditto, and the
-// byol/mocov2 SSL flavors) are refused with fl.ErrStatefulResume — use Run
+// population) combination, and carry the method's client table, so methods
+// whose clients keep cross-round state resume too; inspect them with
+// `calibre ckpt`. scaffold and scaffold-ft, whose server control variate a
+// snapshot does not hold, are refused with fl.ErrStatefulResume — use Run
 // for those.
 func RunResumable(ctx context.Context, env *Environment, methodName, dir string, every int) (*MethodOutcome, error) {
 	return experiments.RunMethodResumable(ctx, env, methodName, dir, every)
@@ -167,7 +167,11 @@ func RunResumable(ctx context.Context, env *Environment, methodName, dir string,
 // good version) and returns the wiring for a federation of m: the
 // OnCheckpoint hook and stride to set on a ServerConfig, and — with
 // c.Resume — the ResumeFrom state of the latest matching snapshot. It is
-// what RunResumable, every sweep cell and `calibre serve` use.
+// what RunResumable, every sweep cell and `calibre serve` use. With
+// Runtime "server", a method with a client table (Method.Clients: ditto,
+// fedper, fedema, calibre-byol, …) keeps its rows in the client processes,
+// not in the server's snapshots, so Resume is refused with
+// fl.ErrStatefulResume, as it is for scaffold on any runtime.
 func AttachCheckpoints(m *Method, c Checkpoints) (*experiments.Attached, error) {
 	return experiments.AttachCheckpoints(m, c)
 }

@@ -3,12 +3,15 @@ package calibre
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"calibre/internal/fl"
 	"calibre/internal/obs"
 )
 
@@ -120,6 +123,38 @@ func TestNetworkedFederationFacade(t *testing.T) {
 	}
 	if len(res.Accuracies) != 2 {
 		t.Fatalf("accuracies = %v", res.Accuracies)
+	}
+}
+
+// TestAttachCheckpointsRefusesServerResumeOfClientRows: a networked
+// federation's client rows live in the client processes, so the server's
+// snapshots of ditto cannot resume it. The library wiring refuses, before
+// the directory is touched, and reports the snapshots as Stateful; the
+// simulator, whose snapshots carry the rows, resumes the same method.
+func TestAttachCheckpointsRefusesServerResumeOfClientRows(t *testing.T) {
+	env, err := NewEnvironment("cifar10-q(2,500)", ScaleSmoke, 11)
+	if err != nil {
+		t.Fatalf("NewEnvironment: %v", err)
+	}
+	world, err := Scenario{Method: "ditto"}.BuildOn(env)
+	if err != nil {
+		t.Fatalf("BuildOn: %v", err)
+	}
+	dir := t.TempDir()
+	_, err = AttachCheckpoints(world.Method, Checkpoints{Dir: dir, Resume: true, Fingerprint: "ditto", Runtime: "server"})
+	if !errors.Is(err, fl.ErrStatefulResume) {
+		t.Fatalf("server resume of ditto: err = %v, want fl.ErrStatefulResume", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("directory not left empty: entries=%v err=%v", entries, err)
+	}
+	a, err := AttachCheckpoints(world.Method, Checkpoints{Dir: dir, Fingerprint: "ditto", Runtime: "server"})
+	if err != nil || !a.Stateful {
+		t.Fatalf("server checkpoints of ditto: Stateful = %v, err = %v; want true, nil", a != nil && a.Stateful, err)
+	}
+	a, err = AttachCheckpoints(world.Method, Checkpoints{Dir: t.TempDir(), Resume: true, Fingerprint: "ditto", Runtime: "simulator"})
+	if err != nil || a.Stateful {
+		t.Fatalf("simulator resume of ditto: Stateful = %v, err = %v; want false, nil", a != nil && a.Stateful, err)
 	}
 }
 

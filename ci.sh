@@ -74,6 +74,17 @@ if [ -n "$sample_builders" ]; then
     echo "$sample_builders" >&2
     exit 1
 fi
+# Client state is data: a method keeps its clients' cross-round state in its
+# fl.ClientTable, which checkpoints carry. A per-client cache or a map of
+# per-client vectors in a trainer is state no snapshot sees, and a resumed
+# run would diverge from an uninterrupted one.
+client_state=$(grep -rnE --include='*.go' --exclude='*_test.go' 'ClientStates\[|CarriesLocalState|map\[int\](\[\]float64|param\.Vector)' \
+    internal/baselines internal/core internal/ssl | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$client_state" ]; then
+    echo "per-client state outside the method's client table (keep it in fl.ClientTable rows):" >&2
+    echo "$client_state" >&2
+    exit 1
+fi
 # One command line: cmd/ holds exactly one main package.
 if [ "$(ls cmd)" != "calibre" ]; then
     echo "cmd/ must contain exactly one directory, calibre; found:" >&2

@@ -125,6 +125,9 @@ func runInspect(args []string) error {
 	l2, minV, maxV, mean := vectorStats(state.Global)
 	fmt.Printf("params:       %d  (l2=%.6g min=%.6g max=%.6g mean=%.6g)\n", len(state.Global), l2, minV, maxV, mean)
 	fmt.Printf("pool sizes:   %v\n", state.EligibleCounts)
+	if len(state.Rows) > 0 {
+		fmt.Printf("client rows:  %d\n", len(state.Rows))
+	}
 	if *tail > 0 && len(state.History) > 0 {
 		from := len(state.History) - *tail
 		if from < 0 {

@@ -245,7 +245,8 @@ const calibreStepSetting = "cifar10-q(2,500)"
 // global with the same draws, so from the second call on the client's state
 // and the pooled step buffers are warm for exactly the work the call does,
 // as they are for a client sampled again in a federation, and allocs_op
-// repeats however many calls the timing made.
+// repeats however many calls the timing made. The update's payload is Lent:
+// the call gives it back, as the round it would arrive in does.
 func calibreStep() func() {
 	env, err := experiments.BuildEnvironment(experiments.Settings()[calibreStepSetting], experiments.ScaleCI, 42)
 	if err != nil {
@@ -263,9 +264,11 @@ func calibreStep() func() {
 	const round = 1 << 20 // past any warm-up
 	return func() {
 		rng.Seed(9)
-		if _, err := method.Trainer.Train(context.Background(), rng, client, global, round); err != nil {
+		u, err := method.Trainer.Train(context.Background(), rng, client, global, round)
+		if err != nil {
 			panic(err)
 		}
+		u.GiveBack()
 	}
 }
 

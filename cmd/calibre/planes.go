@@ -20,7 +20,6 @@ type planeFlags struct {
 	metricsAddr string
 	health      string
 	traceOut    string
-	traceRotate int64
 	pprofAddr   string
 }
 
@@ -29,7 +28,6 @@ func addPlaneFlags(fs *flag.FlagSet) *planeFlags {
 	fs.StringVar(&p.metricsAddr, "metrics-addr", "", "serve live metrics on this host:port (/metrics JSON, /metrics/prom text); port 0 picks a free one")
 	fs.StringVar(&p.health, "health", "", `streaming anomaly detection rules: "default", "all", or a spec like "non-finite,norm-z(3.5,2)" (see internal/health); serve prints alerts live and answers /healthz on -metrics-addr, sweep gives every cell its own monitor and records the verdicts on its manifest row; empty disables`)
 	fs.StringVar(&p.traceOut, "trace-out", "", "append flight-recorder events (length-prefixed JSONL) to this file; inspect with calibre trace")
-	fs.Int64Var(&p.traceRotate, "trace-rotate-bytes", 0, "rotate the -trace-out file when it would exceed this size (keeps 3 generations); 0 disables rotation")
 	fs.StringVar(&p.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this host:port; port 0 picks a free one")
 	return p
 }
@@ -70,13 +68,12 @@ func (p *planeFlags) attach(mon *health.Monitor) (reg *obs.Registry, rec *trace.
 		}
 	}
 	if p.traceOut != "" {
-		sink, err := trace.OpenFile(p.traceOut, trace.FileOptions{RotateBytes: p.traceRotate})
+		sink, err := trace.OpenFile(p.traceOut, trace.FileOptions{})
 		if err != nil {
 			return fail(err)
 		}
 		rec = trace.New(sink, trace.Config{})
-		// Close flushes the ring; a sink error (full disk, rotation
-		// failure) is sticky and surfaces here without having failed the
+		// Close flushes the ring; a sink error (a full disk) is sticky and surfaces here without having failed the
 		// run itself.
 		undo = append(undo, func() {
 			if err := rec.Close(); err != nil {

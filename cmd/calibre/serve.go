@@ -36,9 +36,11 @@ import (
 // (atomic versioned files, see internal/store) and a killed server can be
 // restarted with -resume to continue the federation from the latest
 // snapshot once its clients redial — bit-identically, when every
-// participant responds. -resume refuses methods that keep cross-round
-// client state beyond the global vector (fl.ErrStatefulResume). Inspect
-// snapshots with `calibre ckpt`.
+// participant responds. -resume refuses a method with a client table
+// (fl.Method.Clients) — its rows live in the `calibre join` processes, not
+// in the server's snapshots — and SCAFFOLD, whose server control variate a
+// snapshot does not hold (fl.ErrStatefulResume). Inspect snapshots with
+// `calibre ckpt`.
 func runServe(args []string) error {
 	fs := newFlagSet("serve")
 	var sc experiments.Scenario

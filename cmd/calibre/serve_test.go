@@ -3,14 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"calibre/internal/experiments"
+	"calibre/internal/fl"
 	"calibre/internal/flnet"
 	"calibre/internal/obs"
 )
@@ -237,6 +240,25 @@ func TestServerCheckpointResumeFederation(t *testing.T) {
 		"-checkpoint-dir", ckptDir, "-resume"})
 	if err == nil || !strings.Contains(err.Error(), "round budget") {
 		t.Fatalf("resume beyond the round budget: %v", err)
+	}
+}
+
+// TestServerRefusesResumeOfClientRows: ditto keeps each client's personal
+// model in its client table, which lives in the join processes, and
+// SCAFFOLD keeps its server control variate outside any snapshot; -resume
+// refuses both with fl.ErrStatefulResume before the directory is touched.
+func TestServerRefusesResumeOfClientRows(t *testing.T) {
+	for _, method := range []string{"ditto", "scaffold"} {
+		dir := t.TempDir()
+		err := run([]string{"serve", "-addr", "127.0.0.1:0", "-clients", "2", "-rounds", "2", "-per-round", "2",
+			"-method", method, "-setting", "cifar10-q(2,500)", "-scale", "smoke", "-seed", "7",
+			"-checkpoint-dir", dir, "-resume"})
+		if !errors.Is(err, fl.ErrStatefulResume) {
+			t.Errorf("%s: err = %v, want fl.ErrStatefulResume", method, err)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+			t.Errorf("%s: directory not left empty: entries=%v err=%v", method, entries, err)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"calibre/internal/data"
 	"calibre/internal/fl"
@@ -64,84 +63,66 @@ func DefaultConfig(arch ssl.Arch, numClasses int) Config {
 	}
 }
 
-// supBase manages the supervised models of every supervised baseline. A
-// stateful method keeps one model per client (state); a stateless one, whose
-// model the global overwrites whole before every local update, borrows one
-// for the update (lend), so the process keeps a model per trainer running
-// at once, not per client.
+// supBase manages the supervised models of every supervised baseline. No
+// model is kept per client: each local update takes a spare model bound to
+// the vector it trains in — a copy of the global borrowed for the update, or
+// the client's row of the method's client table — and gives it back after,
+// so the process keeps a model per trainer running at once. A method whose
+// clients carry cross-round state keeps it in clients, nil otherwise.
 type supBase struct {
-	cfg    Config
-	states fl.ClientStates[*model.SupModel]
-
-	mu   sync.Mutex
-	idle []*model.SupModel // lend's models no update is training, without values
+	cfg     Config
+	clients *fl.ClientTable
+	spares  nn.Spares[*model.SupModel]
 }
 
 func newSupBase(cfg Config) *supBase { return &supBase{cfg: cfg} }
 
-// state returns the client's persistent model, creating it on first use
-// (one rng draw either way, see fl.ClientStates). The boolean reports whether
-// the client was already known (false = novel).
-func (b *supBase) state(rng *rand.Rand, id int) (*model.SupModel, bool) {
-	m, known, _ := b.states.Get(rng, id, func(initRNG *rand.Rand) (*model.SupModel, error) {
-		return b.newModel(initRNG), nil
+// bind returns a spare model bound to values for one local update; give
+// it back (spares.Give) once the update is over.
+func (b *supBase) bind(values param.Vector) (*model.SupModel, error) {
+	return b.spares.Take(values, func() (*model.SupModel, error) {
+		return b.newModel(rand.New(rand.NewSource(0))), nil // its values are never read: any seed does
 	})
-	return m, known
 }
 
-// lend returns a model holding global, for one local update of a stateless
-// method, and the vector its values are: borrowed from param's pool, to be
-// the update's Lent payload. It takes the one draw from rng that state takes
-// (fl.ClientStates.Get), so the update trains on the stream a model kept
-// per client would, and a model that was never that client's trains as
-// that client's would: the global overwrites all of it. Give the model back
-// with release once the update is over.
-func (b *supBase) lend(rng *rand.Rand, global param.Vector) (*model.SupModel, param.Vector, error) {
-	rng.Int63()
-	b.mu.Lock()
-	var m *model.SupModel
-	if n := len(b.idle); n > 0 {
-		m, b.idle[n-1] = b.idle[n-1], nil
-		b.idle = b.idle[:n-1]
-	}
-	b.mu.Unlock()
-	if m == nil {
-		m = b.newModel(rand.New(rand.NewSource(0))) // its values are never read: any seed does
-	}
-	if n := nn.ParamCount(m); len(global) != n {
-		b.release(m)
-		return nil, nil, fmt.Errorf("baselines: a global of %d values, the model has %d parameters", len(global), n)
-	}
+// lendGlobal returns a model holding global, and the vector its values
+// are: borrowed from param's pool, to be the update's Lent payload. The
+// global overwrites all of the model, so a model that was never the
+// client's trains as the client's own would.
+func (b *supBase) lendGlobal(global param.Vector) (*model.SupModel, param.Vector, error) {
 	v := param.Borrow(len(global))
 	copy(v, global)
-	nn.BindValues(m, v)
+	m, err := b.bind(v)
+	if err != nil {
+		param.GiveBack(v)
+		return nil, nil, err
+	}
 	return m, v, nil
 }
 
-// release unbinds a lent model from its values, which the update carries
-// on, and keeps the model for the next update.
-func (b *supBase) release(m *model.SupModel) {
-	nn.BindValues(m, nil)
-	b.mu.Lock()
-	b.idle = append(b.idle, m)
-	b.mu.Unlock()
-}
-
 // trainLent is a stateless method's local update: supervised training under
-// cfg of a model lent for it, from global. The update's payload is the
-// vector the model trained in, Lent.
+// cfg of a model lent for it, from global. It takes the one draw from rng a
+// client's row takes (fl.ClientTable.Row), so the update trains on the
+// stream a method with rows would. The update's payload is the vector the
+// model trained in, Lent.
 func (b *supBase) trainLent(rng *rand.Rand, client *partition.Client, global param.Vector, cfg model.SupTrainConfig) (*fl.Update, error) {
-	m, v, err := b.lend(rng, global)
+	rng.Int63()
+	m, v, err := b.lendGlobal(global)
 	if err != nil {
 		return nil, err
 	}
 	loss, err := model.TrainSupervised(rng, m, client.Train, cfg)
-	b.release(m)
+	b.spares.Give(m)
 	if err != nil {
 		param.GiveBack(v)
 		return nil, err
 	}
 	return &fl.Update{ClientID: client.ID, Params: v, NumSamples: client.Train.Len(), TrainLoss: loss, Lent: true}, nil
+}
+
+// cloneOf builds a first-contact row holding global.
+func cloneOf(global param.Vector) func(*rand.Rand) (param.Vector, error) {
+	return func(*rand.Rand) (param.Vector, error) { return global.Clone(), nil }
 }
 
 func (b *supBase) newModel(rng *rand.Rand) *model.SupModel {
@@ -153,10 +134,9 @@ func (b *supBase) initGlobal(rng *rand.Rand) (param.Vector, error) {
 	return nn.Flatten(b.newModel(rng)), nil
 }
 
-// loadMasked copies only the vector positions where mask is true; vec and
-// mask must both cover the model exactly.
-func loadMasked(m *model.SupModel, vec []float64, mask []bool) error {
-	dst := nn.Values(m)
+// loadMasked copies into dst only the vector positions where mask is true;
+// vec and mask must both cover dst exactly.
+func loadMasked(dst, vec []float64, mask []bool) error {
 	if len(vec) != len(dst) || len(mask) != len(dst) {
 		return fmt.Errorf("baselines: vector length %d and mask length %d, model needs %d", len(vec), len(mask), len(dst))
 	}

@@ -299,17 +299,12 @@ func TestDittoPersonalModelsPersist(t *testing.T) {
 	if _, err := d.Train(context.Background(), rng, clients[0], global, 0); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	d.mu.Lock()
-	_, ok := d.personal[clients[0].ID]
-	d.mu.Unlock()
+	v, ok := method.Clients.Peek(clients[0].ID)
 	if !ok {
 		t.Fatal("ditto must persist the personal model")
 	}
 	// Personal model should differ from the global model (it trained with
 	// a proximal pull, not a copy).
-	d.mu.Lock()
-	v := append([]float64(nil), d.personal[clients[0].ID]...)
-	d.mu.Unlock()
 	same := true
 	for i := range v {
 		if v[i] != global[i] {
@@ -336,10 +331,7 @@ func TestAPFLMixtureUsed(t *testing.T) {
 	if _, err := a.Train(context.Background(), rng, clients[0], global, 0); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	a.mu.Lock()
-	_, ok := a.personal[clients[0].ID]
-	a.mu.Unlock()
-	if !ok {
+	if _, ok := method.Clients.Peek(clients[0].ID); !ok {
 		t.Fatal("apfl must persist the personal branch")
 	}
 	// Out-of-range alpha falls back to 0.5.
@@ -365,8 +357,8 @@ func TestFedEMAMergesDivergenceAware(t *testing.T) {
 	if _, err := f.Train(context.Background(), rng, clients[0], global, 0); err != nil {
 		t.Fatalf("Train r0: %v", err)
 	}
-	st, _ := f.states.Peek(clients[0].ID)
-	localAfterR0 := nn.Flatten(st)
+	row, _ := method.Clients.Peek(clients[0].ID)
+	localAfterR0 := row[:len(global)].Clone()
 	// Round 1 with a very different global: the merged start point must lie
 	// strictly between local and the new global.
 	shifted := make([]float64, len(global))
@@ -430,21 +422,21 @@ func TestNovelClientPersonalization(t *testing.T) {
 	}
 }
 
-// TestRegistryResumeClassification pins every registered method's
-// statefulness declaration: methods that accumulate cross-round state
-// beyond the global vector (merged local models, private parameter
-// halves, control variates, personal vectors) must report as
-// non-resumable so checkpoint resume refuses them instead of silently
-// diverging. Adding a method to the registry forces a classification
-// decision here.
+// TestRegistryResumeClassification pins every registered method's client
+// state: the methods whose clients carry cross-round state (merged local
+// models, private parameter halves, control variates, personal vectors,
+// SSL target and key networks) keep it in a client table, which
+// checkpoints carry, and only SCAFFOLD, whose server control variate lives
+// in its aggregator, reports as non-resumable. Adding a method to the
+// registry forces both decisions here.
 func TestRegistryResumeClassification(t *testing.T) {
-	stateful := map[string]bool{
-		"fedema":      true, // local model EMA-merged, not overwritten
-		"fedper":      true, // private head persists in memory
+	rows := map[string]bool{
+		"fedema":      true, // local model EMA-merged, not overwritten, and its BYOL target
+		"fedper":      true, // private head
 		"fedrep":      true,
 		"fedbabu":     true,
-		"lg-fedavg":   true, // private encoder persists in memory
-		"scaffold":    true, // client + server control variates
+		"lg-fedavg":   true, // private encoder
+		"scaffold":    true, // client control variates
 		"scaffold-ft": true,
 		"apfl":        true, // personal vectors read at personalization
 		"ditto":       true,
@@ -455,11 +447,15 @@ func TestRegistryResumeClassification(t *testing.T) {
 		"pfl-mocov2":     true,
 		"calibre-mocov2": true,
 	}
+	stateful := map[string]bool{"scaffold": true, "scaffold-ft": true} // the server control variate
 	cfg := testCfg()
 	for name, build := range Registry() {
 		m, err := build(cfg, 8)
 		if err != nil {
 			t.Fatalf("build %s: %v", name, err)
+		}
+		if got, want := m.Clients != nil, rows[name]; got != want {
+			t.Errorf("%s: has a client table = %v, want %v", name, got, want)
 		}
 		if got, want := !fl.Resumable(m), stateful[name]; got != want {
 			t.Errorf("%s: carries round state = %v, want %v", name, got, want)
@@ -494,7 +490,7 @@ func TestLoadMasked(t *testing.T) {
 		for i := range mask {
 			mask[i] = i%3 == 0
 		}
-		err := loadMasked(m, vec, mask)
+		err := loadMasked(nn.Values(m), vec, mask)
 		if (err == nil) != tc.ok {
 			t.Fatalf("%s: err = %v, want ok = %v", tc.name, err, tc.ok)
 		}

@@ -30,20 +30,16 @@ type fedEMA struct {
 	train  ssl.TrainConfig
 
 	factory ssl.Factory
-	states  fl.ClientStates[*ssl.Trainable]
+	// clients holds each client's row: its local model, then its BYOL
+	// target network.
+	clients *fl.ClientTable
+	spares  nn.Spares[*ssl.Trainable]
 }
 
 var (
 	_ fl.Trainer      = (*fedEMA)(nil)
 	_ fl.Personalizer = (*fedEMA)(nil)
-	_ fl.Stateful     = (*fedEMA)(nil)
 )
-
-// CarriesRoundState implements fl.Stateful: Train EMA-merges the incoming
-// global into the client's persisted local model instead of overwriting
-// it, so a cold-started process (empty states map) would adopt the global
-// outright and diverge. Resume paths refuse FedEMA.
-func (f *fedEMA) CarriesRoundState() bool { return true }
 
 // NewFedEMA builds FedEMA on BYOL.
 func NewFedEMA(cfg Config) *fl.Method {
@@ -61,6 +57,7 @@ func NewFedEMA(cfg Config) *fl.Method {
 		lambda:  lambda,
 		train:   trainCfg,
 		factory: ssl.NewBYOL(ssl.DefaultEMAMomentum),
+		clients: new(fl.ClientTable),
 	}
 	return &fl.Method{
 		Name:         "fedema",
@@ -68,6 +65,7 @@ func NewFedEMA(cfg Config) *fl.Method {
 		Aggregator:   fl.WeightedAverage{},
 		Personalizer: f,
 		InitGlobal:   f.initGlobal,
+		Clients:      f.clients,
 	}
 }
 
@@ -83,35 +81,51 @@ func (f *fedEMA) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	st, known, err := f.states.Get(rng, client.ID, func(initRNG *rand.Rand) (*ssl.Trainable, error) {
-		return ssl.NewTrainable(initRNG, f.arch, f.factory)
+	// First participation adopts the global model outright; the target
+	// network starts as the one a trainable built from the row's draw has.
+	row, known, err := f.clients.Row(rng, client.ID, func(initRNG *rand.Rand) (param.Vector, error) {
+		st, err := ssl.NewTrainable(initRNG, f.arch, f.factory)
+		if err != nil {
+			return nil, err
+		}
+		return append(global.Clone(), nn.Values(st.LocalState())...), nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: fedema client state: %w", err)
 	}
-	if !known {
-		// First participation: adopt the global model outright.
-		if err := nn.Unflatten(st, global); err != nil {
-			return nil, err
-		}
-	} else {
-		local := nn.Values(st)
+	if len(row) < len(global) {
+		return nil, fmt.Errorf("baselines: fedema client %d: row of %d values, shorter than the global's %d", client.ID, len(row), len(global))
+	}
+	local, target := row[:len(global):len(global)], row[len(global):]
+	if known {
 		div := param.L2Dist(global, local) / math.Max(nn.VecNorm2(global), 1e-12)
 		mu := math.Min(f.lambda*div, 1)
-		// local ← μ·local + (1-μ)·global, in the model itself
+		// local ← μ·local + (1-μ)·global, in the row itself
 		if err := nn.VecLerpInto(local, global, local, mu); err != nil {
 			return nil, fmt.Errorf("baselines: fedema client %d merge: %w", client.ID, err)
 		}
 	}
-	rows := client.Train.X
-	if f.cfg.UseUnlabeled && client.Unlabeled != nil {
-		rows = append(append([][]float64{}, rows...), client.Unlabeled.X...)
-	}
-	loss, err := ssl.Train(rng, st, rows, f.train, nil)
+	st, err := f.spares.Take(local, func() (*ssl.Trainable, error) {
+		return ssl.NewTrainable(rand.New(rand.NewSource(0)), f.arch, f.factory) // values never read
+	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: fedema client %d: %w", client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: nn.Values(st), NumSamples: len(rows), TrainLoss: loss}, nil
+	if err := st.BindLocal(target); err != nil {
+		f.spares.Give(st)
+		return nil, fmt.Errorf("baselines: fedema client %d: %w", client.ID, err)
+	}
+	rows := client.Train.X
+	if f.cfg.UseUnlabeled {
+		rows = client.SSLRows()
+	}
+	loss, err := ssl.Train(rng, st, rows, f.train, nil)
+	st.BindLocal(nil)
+	f.spares.Give(st)
+	if err != nil {
+		return nil, fmt.Errorf("baselines: fedema client %d: %w", client.ID, err)
+	}
+	return &fl.Update{ClientID: client.ID, Params: local, NumSamples: len(rows), TrainLoss: loss}, nil
 }
 
 func (f *fedEMA) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

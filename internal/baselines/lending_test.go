@@ -40,6 +40,7 @@ type witness struct {
 	pooled  map[*float64]param.Vector // the Lent payloads', by array
 	reused  int                       // payloads in an array an earlier payload was in
 	closes  int
+	vectors int // Lent vectors per update: 2 with SCAFFOLD's control delta
 }
 
 func newWitness(t *testing.T) *witness {
@@ -134,6 +135,11 @@ func (t witnessTrainer) Train(ctx context.Context, rng *rand.Rand, client *parti
 	t.w.arrays[array] = true
 	if u.Lent {
 		t.w.pooled[array] = u.Params
+		t.w.vectors = 1
+		if u.ControlDelta != nil {
+			t.w.pooled[&u.ControlDelta[0]] = u.ControlDelta
+			t.w.vectors = 2
+		}
 	}
 	t.w.storage[client.ID] = u.Params
 	t.w.lent[client.ID] = lentPayload{u.Params, u.Params.Clone(), u.Lent}
@@ -178,12 +184,12 @@ func (s witnessSink) Finish() (param.Vector, error) {
 // between Train's return and the round's close: a streaming sink, a
 // buffering one, the robust aggregators, every adversary kind around the
 // trainer, SCAFFOLD's second payload. The payload arrays are reused — a
-// client's model, or param's pool — so a payload written before its round
+// client's row, or param's pool — so a payload written before its round
 // closed would show. The pool's are all back in it after the run, and number
-// at most what the run holds at once — the round's payloads until it closes,
-// and the gradients and velocity of each running trainer, which share the
-// pool — fewer than the clients a run of a stateless method trains, each of
-// which kept a model of its own before.
+// at most what the run holds at once — the round's payloads until it closes
+// (SCAFFOLD's two vectors an update), and the gradients and velocity of each
+// running trainer, which share the pool — fewer than the clients a run of a
+// stateless method trains, each of which kept a model of its own before.
 func TestLentPayloadSurvivesTheRound(t *testing.T) {
 	clients := testClients(t, 16, 24)
 	type testCase struct {
@@ -238,7 +244,7 @@ func TestLentPayloadSurvivesTheRound(t *testing.T) {
 			if len(w.pooled) == 0 {
 				return
 			}
-			bound := cfg.ClientsPerRound + 2*cfg.Parallelism
+			bound := w.vectors*cfg.ClientsPerRound + 2*cfg.Parallelism
 			t.Logf("%d clients trained, their Lent payloads in %d arrays", len(w.storage), len(w.pooled))
 			if len(w.storage) <= bound {
 				t.Fatalf("the run trained %d clients, not more than the %d arrays its Lent payloads may come in: it shows nothing", len(w.storage), bound)
@@ -272,9 +278,9 @@ func TestPartialSharingKeepsThePrivateHalf(t *testing.T) {
 	kept := 0
 	wrapped := *m
 	wrapped.Trainer = trainerFunc(func(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*fl.Update, error) {
-		if model, known := p.states.Peek(client.ID); known {
+		if row, known := p.clients.Peek(client.ID); known {
 			mu.Lock()
-			if !bitsEqual(nn.Values(model.Head), heads[client.ID]) {
+			if !bitsEqual(row[len(row)-headLen:], heads[client.ID]) {
 				t.Errorf("round %d: client %d's private head is not the one its last round ended on", round, client.ID)
 			}
 			kept++
@@ -384,11 +390,11 @@ func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, va, err := f.lend(rng, global)
+	a, va, err := f.lendGlobal(global)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, vb, err := f.lend(rng, global)
+	b, vb, err := f.lendGlobal(global)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,8 +411,8 @@ func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 	held.Release()
 	opt.Release()
 	warmUp(a, clients[1]) // on the tape held until now
-	f.release(a)
-	f.release(b)
+	f.spares.Give(a)
+	f.spares.Give(b)
 	param.GiveBack(va)
 	param.GiveBack(vb)
 
@@ -493,4 +499,57 @@ func stepArenaBytes(cfg Config, batch int) uint64 {
 	}
 	cold := allocatedBytes(step)
 	return cold - allocatedBytes(step)
+}
+
+// TestSupervisedResidency: after a federation, fedavg's trainer holds no
+// client rows and no more models than updates ran at once; ditto's holds
+// one row — a personal model — per client it trained, and still no model
+// per client.
+func TestSupervisedResidency(t *testing.T) {
+	clients := testClients(t, 8, 24)
+	const parallelism = 2
+	for _, c := range []struct {
+		method string
+		rows   bool
+	}{{"fedavg", false}, {"ditto", true}} {
+		m, err := Build(c.method, testCfg(), len(clients))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		wrapped := *m
+		wrapped.Trainer = trainerFunc(func(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*fl.Update, error) {
+			mu.Lock()
+			seen[client.ID] = true
+			mu.Unlock()
+			return m.Trainer.Train(ctx, rng, client, global, round)
+		})
+		sim, err := fl.NewSimulator(fl.SimConfig{Rounds: 4, ClientsPerRound: 4, Seed: 9, Parallelism: parallelism}, &wrapped, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sim.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) <= parallelism {
+			t.Fatalf("%s: the federation trained %d clients, not more than its parallelism: it shows nothing", c.method, len(seen))
+		}
+		var base *supBase
+		switch tr := m.Trainer.(type) {
+		case *fedAvg:
+			base = tr.supBase
+		case *ditto:
+			base = tr.supBase
+		}
+		if n := base.spares.Len(); n < 1 || n > parallelism {
+			t.Errorf("%s: %d models kept after training %d clients, want 1 to %d", c.method, n, len(seen), parallelism)
+		}
+		switch {
+		case !c.rows && m.Clients != nil:
+			t.Errorf("%s: has a client table", c.method)
+		case c.rows && (m.Clients == nil || m.Clients.Len() != len(seen)):
+			t.Errorf("%s: client table %v, want one row for each of the %d clients trained", c.method, m.Clients, len(seen))
+		}
+	}
 }

@@ -38,23 +38,15 @@ const (
 type partial struct {
 	*supBase
 	name  string
-	kind  partialKind
-	babu  bool // freeze head during training (FedBABU)
-	split bool // FedRep's two-phase local update
+	mask  []bool // the federated half, the aggregator's mask
+	babu  bool   // freeze head during training (FedBABU)
+	split bool   // FedRep's two-phase local update
 }
 
 var (
 	_ fl.Trainer      = (*partial)(nil)
 	_ fl.Personalizer = (*partial)(nil)
-	_ fl.Stateful     = (*partial)(nil)
 )
-
-// CarriesRoundState implements fl.Stateful: the non-federated parameter
-// half (personal heads, or personal encoders for LG-FedAvg) lives only in
-// the in-memory client models, so a cold-started process would restart it
-// from the shared initialization and diverge. Resume paths refuse the
-// partial-personalization family.
-func (p *partial) CarriesRoundState() bool { return true }
 
 // NewFedPer builds FedPer.
 func NewFedPer(cfg Config) *fl.Method { return newPartial(cfg, "fedper", shareEncoder, false, false) }
@@ -68,47 +60,49 @@ func NewFedBABU(cfg Config) *fl.Method { return newPartial(cfg, "fedbabu", share
 // NewLGFedAvg builds LG-FedAvg.
 func NewLGFedAvg(cfg Config) *fl.Method { return newPartial(cfg, "lg-fedavg", shareHead, false, false) }
 
+// newPartial builds a method of the family. A client's row is its whole
+// model: the federated half is the global's, loaded at every update, and
+// the private half (personal heads, or personal encoders for LG-FedAvg)
+// the one its last update ended on.
 func newPartial(cfg Config, name string, kind partialKind, babu, split bool) *fl.Method {
-	p := &partial{supBase: newSupBase(cfg), name: name, kind: kind, babu: babu, split: split}
+	p := &partial{supBase: newSupBase(cfg), name: name, babu: babu, split: split}
+	p.clients = new(fl.ClientTable)
 	ref := p.newModel(rand.New(rand.NewSource(0)))
-	var mask []bool
 	if kind == shareEncoder {
-		mask = ref.EncoderMask()
+		p.mask = ref.EncoderMask()
 	} else {
-		mask = ref.HeadMask()
+		p.mask = ref.HeadMask()
 	}
 	return &fl.Method{
 		Name:         name,
 		Trainer:      p,
-		Aggregator:   &fl.MaskedAverage{Mask: mask},
+		Aggregator:   &fl.MaskedAverage{Mask: p.mask},
 		Personalizer: p,
 		InitGlobal:   p.initGlobal,
+		Clients:      p.clients,
 	}
-}
-
-func (p *partial) sharedMask(m *model.SupModel) []bool {
-	if p.kind == shareEncoder {
-		return m.EncoderMask()
-	}
-	return m.HeadMask()
 }
 
 func (p *partial) Train(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*fl.Update, error) {
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	m, known := p.state(rng, client.ID)
-	if !known {
-		// First contact: adopt the full global vector so the private half
-		// starts from the shared initialization (standard in these methods).
-		if err := nn.Unflatten(m, global); err != nil {
+	// First contact adopts the full global vector, so the private half
+	// starts from the shared initialization (standard in these methods).
+	row, known, err := p.clients.Row(rng, client.ID, cloneOf(global))
+	if err != nil {
+		return nil, err
+	}
+	if known {
+		if err := loadMasked(row, global, p.mask); err != nil {
 			return nil, err
 		}
-	} else if err := loadMasked(m, global, p.sharedMask(m)); err != nil {
+	}
+	m, err := p.bind(row)
+	if err != nil {
 		return nil, err
 	}
 	var loss float64
-	var err error
 	switch {
 	case p.babu:
 		cfg := p.cfg.Train
@@ -128,34 +122,42 @@ func (p *partial) Train(ctx context.Context, rng *rand.Rand, client *partition.C
 	default:
 		loss, err = model.TrainSupervised(rng, m, client.Train, p.cfg.Train)
 	}
+	p.spares.Give(m)
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %s client %d: %w", p.name, client.ID, err)
 	}
-	return &fl.Update{ClientID: client.ID, Params: nn.Values(m), NumSamples: client.Train.Len(), TrainLoss: loss}, nil
+	return &fl.Update{ClientID: client.ID, Params: row, NumSamples: client.Train.Len(), TrainLoss: loss}, nil
 }
 
 func (p *partial) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {
 	if err := ensureCtx(ctx); err != nil {
 		return 0, err
 	}
-	if p.babu {
+	row, known := p.clients.Peek(client.ID)
+	if p.babu || !known {
 		// FedBABU: global encoder + freshly trained head (linear probe).
+		// A novel client starts from the global vector entirely.
 		m := p.newModel(rng)
 		if err := nn.Unflatten(m, global); err != nil {
 			return 0, err
 		}
-		return p.probeAccuracy(rng, m, client)
-	}
-	m, known := p.states.Peek(client.ID)
-	if !known {
-		// Novel client: start from the global vector entirely.
-		m = p.newModel(rng)
-		if err := nn.Unflatten(m, global); err != nil {
-			return 0, err
+		if p.babu {
+			return p.probeAccuracy(rng, m, client)
 		}
-	} else if err := loadMasked(m, global, p.sharedMask(m)); err != nil {
+		return p.fineTuneHead(rng, m, client)
+	}
+	// Refresh the personal half on the local training set, in a copy of the
+	// row with the global's shared half, then evaluate.
+	v := param.Borrow(len(row))
+	defer param.GiveBack(v)
+	copy(v, row)
+	if err := loadMasked(v, global, p.mask); err != nil {
 		return 0, err
 	}
-	// Refresh the personal head on the local training set, then evaluate.
+	m, err := p.bind(v)
+	if err != nil {
+		return 0, err
+	}
+	defer p.spares.Give(m)
 	return p.fineTuneHead(rng, m, client)
 }

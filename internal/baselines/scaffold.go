@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"calibre/internal/fl"
 	"calibre/internal/model"
@@ -25,22 +24,12 @@ type scaffold struct {
 	*supBase
 	agg      *fl.ScaffoldAggregator
 	fineTune bool
-
-	mu       sync.Mutex
-	controls map[int][]float64 // client control variates c_i
 }
 
 var (
 	_ fl.Trainer      = (*scaffold)(nil)
 	_ fl.Personalizer = (*scaffold)(nil)
-	_ fl.Stateful     = (*scaffold)(nil)
 )
-
-// CarriesRoundState implements fl.Stateful: client control variates (and
-// the aggregator's server control, see fl.ScaffoldAggregator) accumulate
-// across rounds outside the global vector, so resume paths refuse
-// SCAFFOLD.
-func (s *scaffold) CarriesRoundState() bool { return true }
 
 // NewScaffold builds SCAFFOLD with direct global evaluation.
 func NewScaffold(cfg Config, numClients int) *fl.Method {
@@ -52,14 +41,13 @@ func NewScaffoldFT(cfg Config, numClients int) *fl.Method {
 	return newScaffold(cfg, numClients, true)
 }
 
+// newScaffold builds the method. A client's row is its control variate
+// c_i; the server control lives in the aggregator, which is fl.Stateful:
+// SCAFFOLD is the one family the resume paths refuse.
 func newScaffold(cfg Config, numClients int, fineTune bool) *fl.Method {
 	agg := &fl.ScaffoldAggregator{ServerLR: 1, NumClients: numClients}
-	s := &scaffold{
-		supBase:  newSupBase(cfg),
-		agg:      agg,
-		fineTune: fineTune,
-		controls: make(map[int][]float64),
-	}
+	s := &scaffold{supBase: newSupBase(cfg), agg: agg, fineTune: fineTune}
+	s.clients = new(fl.ClientTable)
 	name := "scaffold"
 	if fineTune {
 		name = "scaffold-ft"
@@ -70,44 +58,43 @@ func newScaffold(cfg Config, numClients int, fineTune bool) *fl.Method {
 		Aggregator:   agg,
 		Personalizer: s,
 		InitGlobal:   s.initGlobal,
+		Clients:      s.clients,
 	}
-}
-
-func (s *scaffold) control(id, dim int) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.controls[id]; ok {
-		return c
-	}
-	c := make([]float64, dim)
-	s.controls[id] = c
-	return c
 }
 
 func (s *scaffold) Train(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector, round int) (*fl.Update, error) {
 	if err := ensureCtx(ctx); err != nil {
 		return nil, err
 	}
-	m, _ := s.state(rng, client.ID)
-	if err := nn.Unflatten(m, global); err != nil {
+	ci, _, err := s.clients.Row(rng, client.ID, func(*rand.Rand) (param.Vector, error) {
+		return make(param.Vector, len(global)), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	ci := s.control(client.ID, len(global))
+	m, local, err := s.lendGlobal(global)
+	if err != nil {
+		return nil, err
+	}
 	serverC := s.agg.Control(len(global))
 	// Correction (c - c_i) is added to every local gradient step. It lives in
 	// the vector that leaves as the update's control delta afterwards.
-	delta := make([]float64, len(global))
+	delta := param.Borrow(len(global))
+	u := &fl.Update{ClientID: client.ID, Params: local, NumSamples: client.Train.Len(), ControlDelta: delta, Lent: true}
 	if err := nn.VecSubInto(delta, serverC, ci); err != nil {
+		s.spares.Give(m)
+		u.GiveBack()
 		return nil, fmt.Errorf("baselines: scaffold client %d control variates: %w", client.ID, err)
 	}
 	cfg := s.cfg.Train
 	cfg.GradCorrection = delta
-	loss, err := model.TrainSupervised(rng, m, client.Train, cfg)
+	u.TrainLoss, err = model.TrainSupervised(rng, m, client.Train, cfg)
+	s.spares.Give(m)
 	if err != nil {
+		u.GiveBack()
 		return nil, fmt.Errorf("baselines: scaffold client %d: %w", client.ID, err)
 	}
-	local := nn.Values(m)
-	// Option II control refresh, c_i updated in the storage it owns.
+	// Option II control refresh, c_i updated in the client's row.
 	stepsPerEpoch := (client.Train.Len() + cfg.BatchSize - 1) / cfg.BatchSize
 	k := cfg.Epochs * stepsPerEpoch
 	if k < 1 {
@@ -119,13 +106,7 @@ func (s *scaffold) Train(ctx context.Context, rng *rand.Rand, client *partition.
 		delta[i] = newC - c
 		ci[i] = newC
 	}
-	return &fl.Update{
-		ClientID:     client.ID,
-		Params:       local,
-		NumSamples:   client.Train.Len(),
-		TrainLoss:    loss,
-		ControlDelta: delta,
-	}, nil
+	return u, nil
 }
 
 func (s *scaffold) Personalize(ctx context.Context, rng *rand.Rand, client *partition.Client, global param.Vector) (float64, error) {

@@ -316,25 +316,41 @@ func TestPFLSSLHasNoDivergence(t *testing.T) {
 
 func TestSSLTrainerStatePersistsAcrossRounds(t *testing.T) {
 	clients := testClients(t, 1, 24)
-	factory, err := ssl.Lookup("mocov2")
+	cfg := DefaultConfig(testArch(), "mocov2", 10)
+	cfg.Train = shortTrainCfg()
+	method, err := NewPFLSSL(cfg)
 	if err != nil {
-		t.Fatalf("Lookup: %v", err)
+		t.Fatalf("NewPFLSSL: %v", err)
 	}
-	trainer := &SSLTrainer{Arch: testArch(), Factory: factory, Cfg: shortTrainCfg()}
 	rng := rand.New(rand.NewSource(12))
-	global, err := trainer.InitGlobal(rng)
+	global, err := method.InitGlobal(rng)
 	if err != nil {
 		t.Fatalf("InitGlobal: %v", err)
 	}
-	if _, err := trainer.Train(context.Background(), rng, clients[0], global, 0); err != nil {
-		t.Fatalf("Train r0: %v", err)
+	train := func(round int) {
+		u, err := method.Trainer.Train(context.Background(), rng, clients[0], global, round)
+		if err != nil {
+			t.Fatalf("Train r%d: %v", round, err)
+		}
+		u.GiveBack()
 	}
-	st, _ := trainer.states.Peek(clients[0].ID)
-	if _, err := trainer.Train(context.Background(), rng, clients[0], global, 1); err != nil {
-		t.Fatalf("Train r1: %v", err)
+	train(0)
+	row, ok := method.Clients.Peek(clients[0].ID)
+	if !ok {
+		t.Fatal("a mocov2 client must keep its key encoder and queue in a row")
 	}
-	if again, _ := trainer.states.Peek(clients[0].ID); again != st {
-		t.Fatal("client state must persist across rounds")
+	before := row.Clone()
+	train(1)
+	again, _ := method.Clients.Peek(clients[0].ID)
+	if &again[0] != &row[0] || method.Clients.Len() != 1 {
+		t.Fatal("client state must persist across rounds, in the one row")
+	}
+	moved := false
+	for i := range before {
+		moved = moved || before[i] != again[i]
+	}
+	if !moved {
+		t.Fatal("the second round left the key encoder and queue as the first left them")
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 )
 
 // SSLTrainer is the federated local trainer shared by plain pFL-SSL and
-// Calibre: each client keeps a Trainable (backbone + SSL method state),
-// loads the global vector into it, runs the local SSL loop (optionally with
+// Calibre: each local update borrows a Trainable (backbone + SSL method),
+// binds it to a borrowed copy of the global — and a Local flavour's state
+// (BYOL's target, MoCo's key encoder and queue) to the client's row of the
+// method's client table —, runs the local SSL loop (optionally with
 // Calibre's regularizer hook), and reports its updated parameters plus —
-// for Calibre — its prototype divergence rate.
+// for Calibre — its prototype divergence rate. New and NewPFLSSL build it.
 type SSLTrainer struct {
 	Arch    ssl.Arch
 	Factory ssl.Factory
@@ -35,37 +37,34 @@ type SSLTrainer struct {
 	// (STL-10's advantage for SSL methods).
 	UseUnlabeled bool
 
-	states fl.ClientStates[*clientState]
+	// clients holds each client's LocalState values, for a Local flavour
+	// (the method's fl.ClientTable); nil for one without local state.
+	clients *fl.ClientTable
+	spares  nn.Spares[*ssl.Trainable]
 }
 
-// clientState is what a client keeps from round to round: its trainable
-// (with the clustering workspace its training steps and divergence run in)
-// and the row table its local SSL loop draws batches from. Its step buffers
-// are not kept: each local update borrows a tape (nn.BorrowTape).
-type clientState struct {
-	*ssl.Trainable
-	rows [][]float64 // the client's labelled rows, then (UseUnlabeled) its unlabelled pool
-}
+var _ fl.Trainer = (*SSLTrainer)(nil)
 
-var (
-	_ fl.Trainer  = (*SSLTrainer)(nil)
-	_ fl.Stateful = (*SSLTrainer)(nil)
-)
-
-// CarriesRoundState implements fl.Stateful by asking the SSL method:
-// momentum flavors (BYOL, MoCo) keep an EMA target network or key queue
-// inside the cached per-client Trainable that nn.Unflatten does not
-// overwrite, so a cold-started process cannot resume them
-// bit-identically. The answer comes from a throwaway probe instance —
-// statefulness is a property of the flavor, not of any particular
-// weights. A factory that cannot even construct is reported stateful so
-// resume fails closed (the real error surfaces on the training path).
-func (t *SSLTrainer) CarriesRoundState() bool {
-	probe, err := ssl.NewTrainable(rand.New(rand.NewSource(0)), t.Arch, t.Factory)
+// newSSLTrainer builds the trainer for factory's flavour with the first of
+// its spare trainables, which says whether the flavour keeps local state
+// and so whether the method needs a client table.
+func newSSLTrainer(arch ssl.Arch, factory ssl.Factory) (*SSLTrainer, error) {
+	t := &SSLTrainer{Arch: arch, Factory: factory}
+	tr, err := t.spare()
 	if err != nil {
-		return true
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return probe.Method.CarriesLocalState()
+	if tr.LocalState() != nil {
+		t.clients = new(fl.ClientTable)
+	}
+	t.spares.Give(tr)
+	return t, nil
+}
+
+// spare builds a trainable for the spares: its values are never read, so
+// any seed does.
+func (t *SSLTrainer) spare() (*ssl.Trainable, error) {
+	return ssl.NewTrainable(rand.New(rand.NewSource(0)), t.Arch, t.Factory)
 }
 
 // Train implements fl.Trainer.
@@ -73,37 +72,70 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	st, _, err := t.states.Get(rng, client.ID, func(initRNG *rand.Rand) (*clientState, error) {
-		tr, err := ssl.NewTrainable(initRNG, t.Arch, t.Factory)
+	// A first contact's state is the LocalState of a trainable built from
+	// the row's draw, as the client's own trainable's would have been.
+	var row param.Vector
+	if t.clients != nil {
+		var err error
+		row, _, err = t.clients.Row(rng, client.ID, func(initRNG *rand.Rand) (param.Vector, error) {
+			tr, err := ssl.NewTrainable(initRNG, t.Arch, t.Factory)
+			if err != nil {
+				return nil, err
+			}
+			return nn.Flatten(tr.LocalState()), nil
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: method init for client %d: %w", client.ID, err)
 		}
-		rows := client.Train.X
-		if t.UseUnlabeled && client.Unlabeled != nil {
-			rows = append(append([][]float64{}, rows...), client.Unlabeled.X...)
-		}
-		return &clientState{Trainable: tr, rows: rows}, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: method init for client %d: %w", client.ID, err)
+	} else {
+		rng.Int63() // the row's draw: a flavour without local state has none to build
 	}
-	if err := nn.Unflatten(st, global); err != nil {
+	v := param.Borrow(len(global))
+	copy(v, global)
+	st, err := t.spares.Take(v, t.spare)
+	if err != nil {
+		param.GiveBack(v)
 		return nil, fmt.Errorf("core: load global into client %d: %w", client.ID, err)
+	}
+	switch {
+	case row != nil:
+		err = st.BindLocal(row)
+	case st.LocalState() != nil:
+		err = fmt.Errorf("the flavour keeps local state and the trainer has no client table (build it with New or NewPFLSSL)")
+	}
+	if err != nil {
+		t.spares.Give(st)
+		param.GiveBack(v)
+		return nil, fmt.Errorf("core: client %d: %w", client.ID, err)
+	}
+	update, err := t.train(rng, st, client, round)
+	if row != nil {
+		st.BindLocal(nil)
+	}
+	t.spares.Give(st)
+	if err != nil {
+		param.GiveBack(v)
+		return nil, err
+	}
+	update.Params, update.Lent = v, true // given back when the round closes (fl.Update)
+	return update, nil
+}
+
+// train is the local update on a bound trainable.
+func (t *SSLTrainer) train(rng *rand.Rand, st *ssl.Trainable, client *partition.Client, round int) (*fl.Update, error) {
+	rows := client.Train.X
+	if t.UseUnlabeled {
+		rows = client.SSLRows()
 	}
 	var hook ssl.LossHook
 	if t.Reg != nil && round >= t.Reg.Opts.WarmupRounds {
 		hook = t.Reg.Apply
 	}
-	loss, err := ssl.Train(rng, st.Trainable, st.rows, t.Cfg, hook)
+	loss, err := ssl.Train(rng, st, rows, t.Cfg, hook)
 	if err != nil {
 		return nil, fmt.Errorf("core: local SSL update for client %d: %w", client.ID, err)
 	}
-	update := &fl.Update{
-		ClientID:   client.ID,
-		Params:     nn.Values(st), // lent until the round closes (fl.Trainer)
-		NumSamples: len(st.rows),
-		TrainLoss:  loss,
-	}
+	update := &fl.Update{ClientID: client.ID, NumSamples: len(rows), TrainLoss: loss}
 	if t.ComputeDivergence {
 		k := t.DivergenceClusters
 		if k < 2 {
@@ -208,15 +240,12 @@ func New(cfg Config) (*fl.Method, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainer := &SSLTrainer{
-		Arch:               cfg.Arch,
-		Factory:            factory,
-		Cfg:                cfg.Train,
-		Reg:                reg,
-		ComputeDivergence:  true,
-		DivergenceClusters: cfg.Opts.NumClusters,
-		UseUnlabeled:       cfg.UseUnlabeled,
+	trainer, err := newSSLTrainer(cfg.Arch, factory)
+	if err != nil {
+		return nil, err
 	}
+	trainer.Cfg, trainer.Reg, trainer.UseUnlabeled = cfg.Train, reg, cfg.UseUnlabeled
+	trainer.ComputeDivergence, trainer.DivergenceClusters = true, cfg.Opts.NumClusters
 	return &fl.Method{
 		Name:       fmt.Sprintf("calibre-%s", cfg.SSLName),
 		Trainer:    trainer,
@@ -228,6 +257,7 @@ func New(cfg Config) (*fl.Method, error) {
 			Head:       cfg.Head,
 		},
 		InitGlobal: trainer.InitGlobal,
+		Clients:    trainer.clients,
 	}, nil
 }
 
@@ -238,12 +268,11 @@ func NewPFLSSL(cfg Config) (*fl.Method, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainer := &SSLTrainer{
-		Arch:         cfg.Arch,
-		Factory:      factory,
-		Cfg:          cfg.Train,
-		UseUnlabeled: cfg.UseUnlabeled,
+	trainer, err := newSSLTrainer(cfg.Arch, factory)
+	if err != nil {
+		return nil, err
 	}
+	trainer.Cfg, trainer.UseUnlabeled = cfg.Train, cfg.UseUnlabeled
 	return &fl.Method{
 		Name:       fmt.Sprintf("pfl-%s", cfg.SSLName),
 		Trainer:    trainer,
@@ -255,5 +284,6 @@ func NewPFLSSL(cfg Config) (*fl.Method, error) {
 			Head:       cfg.Head,
 		},
 		InitGlobal: trainer.InitGlobal,
+		Clients:    trainer.clients,
 	}, nil
 }

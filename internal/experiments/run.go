@@ -72,8 +72,9 @@ func RunMethod(ctx context.Context, env *Environment, name string) (*MethodOutco
 // long simulator runs. The snapshot fingerprint binds the directory to
 // this (method, setting, seed, preset, population) combination; resuming
 // under a different configuration fails with store.ErrFingerprintMismatch.
-// Methods carrying cross-round state are refused upfront (see
-// fl.ErrStatefulResume); run those with RunMethod.
+// The snapshots carry the method's client table. SCAFFOLD, whose server
+// control variate they do not, is refused upfront (fl.ErrStatefulResume);
+// run it with RunMethod.
 func RunMethodResumable(ctx context.Context, env *Environment, name, dir string, every int) (*MethodOutcome, error) {
 	m, err := BuildMethod(env, name)
 	if err != nil {

@@ -222,20 +222,26 @@ type Attached struct {
 	// fresh) and Version its store version.
 	ResumeFrom *fl.SimState
 	Version    int
-	// Stateful reports that the method carries cross-round state a
-	// snapshot does not capture: its snapshots stay inspectable but can
-	// never be resumed.
+	// Stateful reports that the run's snapshots miss cross-round state
+	// the method carries: state outside the global vector and the client
+	// table (fl.Resumable: SCAFFOLD's server control variate), or, on the
+	// "server" runtime, the client table itself, whose rows live in the
+	// join processes. Such snapshots stay inspectable but can never be
+	// resumed.
 	Stateful bool
 }
 
 // AttachCheckpoints opens c.Dir and returns the OnCheckpoint/ResumeFrom
-// pair for m. Resuming a method that keeps cross-round state beyond the
-// global vector would silently diverge, so it is refused with
-// fl.ErrStatefulResume before the directory is touched; the runtimes
-// cannot check this themselves, since trainer state is invisible to them.
+// pair for m. Resuming a run whose snapshots miss cross-round state
+// (Attached.Stateful) would silently diverge, so it is refused with
+// fl.ErrStatefulResume before the directory is touched.
 func AttachCheckpoints(m *fl.Method, c Checkpoints) (*Attached, error) {
-	a := &Attached{Every: c.Every, Stateful: !fl.Resumable(m)}
+	rowsElsewhere := c.Runtime == "server" && m.Clients != nil
+	a := &Attached{Every: c.Every, Stateful: !fl.Resumable(m) || rowsElsewhere}
 	if a.Stateful && c.Resume {
+		if rowsElsewhere {
+			return nil, fmt.Errorf("method %s keeps client rows in the join processes: %w", m.Name, fl.ErrStatefulResume)
+		}
 		return nil, fmt.Errorf("method %s: %w", m.Name, fl.ErrStatefulResume)
 	}
 	ckpt, err := store.Open(c.Dir)

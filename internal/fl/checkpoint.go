@@ -14,24 +14,30 @@ import (
 // accept it back through their ResumeFrom knobs; internal/store persists
 // it durably with the versioned binary codec.
 //
-// A state delivered to OnCheckpoint is an immutable view, not a copy: Global
-// is the closed round's aggregate (no Aggregator touches a vector it has
-// returned) and History / EligibleCounts are capacity-capped prefixes of the
-// loop's own slices, so the hand-off costs the same at round 10 and round
-// 1000. A hook may retain it for as long as it likes and must not write
-// through it.
+// A state delivered to OnCheckpoint is an immutable view: Global is the
+// closed round's aggregate (no Aggregator touches a vector it has returned)
+// and History / EligibleCounts are capacity-capped prefixes of the loop's
+// own slices, so their hand-off costs the same at round 10 and round 1000.
+// Rows alone is a copy — of the method's client table, whose rows the next
+// round trains in while a write-behind save still reads the state — so its
+// part of the hand-off grows with the clients the table has seen times the
+// row size (a whole model for the partial-personalization family). A hook
+// may retain the state for as long as it likes and must not write through
+// it.
 //
 // The master RNG is deliberately not part of the state. Both runtimes
 // consume it only for client sampling and dropout draws, so the resume
 // path restores it exactly by replaying those draws: the simulator re-runs
 // its deterministic sampling loop, and the networked server — whose
 // sampling-pool size depends on real-world join timing — replays against
-// the recorded EligibleCounts. Client-side training state is deliberately
-// not snapshotted: resume is only offered for methods whose local updates
-// are pure functions of (seed, round, client, global), which is what makes
-// a resumed federation bit-identical to an uninterrupted one. Methods that
-// accumulate cross-round state beyond the global vector declare it via
-// Stateful, and the resume paths refuse them (ErrStatefulResume).
+// the recorded EligibleCounts. A client's cross-round state is its row of
+// the method's ClientTable, carried as Rows, so a method's local updates
+// are pure functions of (seed, round, client, global, row) and a resumed
+// federation is bit-identical to an uninterrupted one. What a snapshot
+// still cannot hold is state kept elsewhere: a component that keeps it
+// declares so via Stateful (SCAFFOLD's server control variate), and the
+// resume paths refuse it (ErrStatefulResume). So does a networked server
+// for a method with a table, whose rows live in its clients' processes.
 type SimState struct {
 	// Round is the number of completed rounds; the resumed loop starts
 	// here.
@@ -45,6 +51,9 @@ type SimState struct {
 	// recorded counts as an integrity cross-check; the networked server
 	// replays Sample with them directly.
 	EligibleCounts []int
+	// Rows is the method's client table after Round rounds (Method.Clients),
+	// by client id; nil for a method without one.
+	Rows map[int]param.Vector
 
 	// behind is the delivering loop's checkpoint slot, set only for the
 	// duration of an OnCheckpoint call (see Defer).
@@ -121,16 +130,14 @@ func (st *SimState) Validate(rounds int) error {
 }
 
 // Stateful is an optional capability interface for Trainers, Aggregators
-// and Personalizers. Implementations whose behavior depends on in-memory
-// state accumulated across rounds beyond the global vector — per-client
-// models merged with the global rather than overwritten (FedEMA), a
-// privately kept parameter half (FedPer/FedRep/FedBABU/LG-FedAvg),
-// control variates (SCAFFOLD), or personal vectors read back at
-// personalization time (APFL, Ditto) — declare it by returning true.
-// SimState does not capture such state, so a cold-started process cannot
-// reconstruct it: a resumed run would silently diverge from the
-// uninterrupted one, with no fingerprint able to detect it. Resume paths
-// therefore refuse these methods with ErrStatefulResume.
+// and Personalizers. An implementation whose behavior depends on in-memory
+// state accumulated across rounds outside the global vector and the
+// method's ClientTable — SCAFFOLD's server control variate
+// (ScaffoldAggregator) — declares it by returning true. SimState does not
+// capture such state, so a cold-started process cannot reconstruct it: a
+// resumed run would silently diverge from the uninterrupted one, with no
+// fingerprint able to detect it. Resume paths therefore refuse these
+// methods with ErrStatefulResume.
 type Stateful interface {
 	CarriesRoundState() bool
 }

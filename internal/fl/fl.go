@@ -163,9 +163,10 @@ func (u *Update) CheckSize(global param.Vector) error {
 
 // Trainer performs one client's local update for a round.
 //
-// Implementations may keep per-client state across rounds (momentum
-// encoders, personalized models, control variates); they must be safe for
-// concurrent calls on distinct clients. global is read-only and lent for
+// Implementations keep per-client state across rounds (momentum encoders,
+// personalized models, control variates) in their method's ClientTable
+// rows and nowhere else; they must be safe for concurrent calls on
+// distinct clients. global is read-only and lent for
 // the call: a networked client receives each round's vector into one it
 // borrows from param's pool for the request and gives back once the reply
 // is sent, so an implementation that needs the global later copies it.
@@ -175,8 +176,8 @@ func (u *Update) CheckSize(global param.Vector) error {
 //   - Lent: vectors borrowed from param's pool for this update (a
 //     stateless method trains a model it borrows for the call), which the
 //     last consumer gives back (Update.GiveBack);
-//   - the client model's own value vector (nn.Values), which the client's
-//     next Train overwrites;
+//   - the client's own row of the method's ClientTable (or a window of
+//     it), which the client's next Train overwrites;
 //   - global itself, for a trainer that does not train (script): the
 //     runtimes keep global alive until the round closes, and a networked
 //     client until its reply is sent.
@@ -218,6 +219,12 @@ type Method struct {
 	Personalizer Personalizer
 	// InitGlobal produces the initial global parameter vector.
 	InitGlobal func(rng *rand.Rand) (param.Vector, error)
+	// Clients is the table the method keeps its clients' cross-round state
+	// in, shared with its trainer and personalizer; nil when a client's
+	// local update depends on nothing but (seed, round, client, global).
+	// The simulator checkpoints and restores it; a networked server cannot,
+	// since the rows live in the client processes.
+	Clients *ClientTable
 }
 
 // Validate checks that all required pieces are present.
@@ -393,47 +400,4 @@ func runParallel[T any](ctx context.Context, parallelism, n int, fn func(ctx con
 		return nil, err
 	}
 	return results, nil
-}
-
-// ClientStates keeps a trainer's long-lived per-client values (a client's
-// model, its SSL trainable) across rounds. The zero value is ready to use
-// and safe for concurrent use.
-//
-// Get consumes exactly ONE draw from rng whether or not the client is
-// already cached: the draw seeds the RNG handed to build, which runs only on
-// first use. The caller's downstream stream therefore never depends on
-// whether this process has seen the client before — the invariance that
-// lets a checkpoint-resumed process, whose caches start cold, train
-// bit-identically to one that was never restarted.
-type ClientStates[T any] struct {
-	mu sync.Mutex
-	m  map[int]T
-}
-
-// Get returns client id's value, building it on first use; the boolean
-// reports whether it was already cached (false = first contact).
-func (c *ClientStates[T]) Get(rng *rand.Rand, id int, build func(*rand.Rand) (T, error)) (T, bool, error) {
-	initSeed := rng.Int63()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.m[id]; ok {
-		return v, true, nil
-	}
-	v, err := build(rand.New(rand.NewSource(initSeed)))
-	if err != nil {
-		return v, false, err
-	}
-	if c.m == nil {
-		c.m = make(map[int]T)
-	}
-	c.m[id] = v
-	return v, false, nil
-}
-
-// Peek returns client id's value without building one.
-func (c *ClientStates[T]) Peek(id int) (T, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[id]
-	return v, ok
 }

@@ -37,6 +37,10 @@ type RoundConfig struct {
 	OnCheckpoint    func(*SimState) error
 	CheckpointEvery int
 	ResumeFrom      *SimState
+
+	// clients is the method's client table (Method.Clients), which the
+	// simulator hands in: checkpoints copy it and resume restores it.
+	clients *ClientTable
 }
 
 // Validate checks the shared half of a federation's configuration.
@@ -177,6 +181,12 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 				return nil, nil, fmt.Errorf("fl: resume: round %d: %w", r, err)
 			}
 		}
+		if len(st.Rows) > 0 && cfg.clients == nil {
+			return nil, nil, fmt.Errorf("fl: resume: checkpoint has %d client rows, the method keeps none", len(st.Rows))
+		}
+		if cfg.clients != nil {
+			cfg.clients.restore(st.Rows)
+		}
 		global = st.Global.Clone()
 		history = append(history, st.History...)
 		pools = append(pools, st.EligibleCounts...)
@@ -237,6 +247,10 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 	b := &c.behind
 	st.behind = b
 	t0 := c.now()
+	// The rows are copied once the previous write is done, so at most one
+	// copy is pending, and inside the hand-off's time: the copy grows with
+	// the clients the table has seen times the row size.
+	st.Rows = c.cfg.clients.snapshot()
 	err := c.cfg.OnCheckpoint(st)
 	st.behind = nil
 	if err != nil {

@@ -121,9 +121,10 @@ type SimConfig struct {
 	// after replaying the completed rounds' RNG draws so the continuation
 	// is bit-identical to a run that never stopped. The configuration
 	// must match the checkpointed run's (internal/store fingerprints
-	// guard this at the CLI layer), and the method must not carry
-	// cross-round state beyond the global vector (NewSimulator refuses
-	// methods declaring Stateful with ErrStatefulResume).
+	// guard this at the CLI layer). The method's client table is restored
+	// from ResumeFrom.Rows; a method keeping cross-round state anywhere
+	// else declares it via Stateful, and NewSimulator refuses it with
+	// ErrStatefulResume.
 	ResumeFrom *SimState
 }
 
@@ -141,7 +142,8 @@ func (c *SimConfig) round(m *Method) RoundConfig {
 		Quorum: c.Quorum, Straggler: c.Straggler, Trace: c.Trace, Adversary: c.Adversary,
 		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal, OnRound: c.OnRound,
 		OnCheckpoint: c.OnCheckpoint, CheckpointEvery: c.CheckpointEvery, ResumeFrom: c.ResumeFrom,
-		Planes: health.Fold{Recorder: c.Recorder, Obs: c.Obs, Monitor: c.Health, OnAlert: c.OnAlert},
+		Planes:  health.Fold{Recorder: c.Recorder, Obs: c.Obs, Monitor: c.Health, OnAlert: c.OnAlert},
+		clients: m.Clients,
 	}
 }
 

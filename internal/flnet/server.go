@@ -115,11 +115,11 @@ type ServerConfig struct {
 	// ResumeFrom.Round with the snapshot's global vector and history. A
 	// federation in which every participant responds resumes
 	// bit-identically to one that was never interrupted — provided the
-	// method is stateless across rounds. An Aggregator declaring
-	// fl.Stateful is refused at validation (fl.ErrStatefulResume);
-	// trainer-side state lives in the client processes where this server
+	// method keeps no client rows. An Aggregator declaring fl.Stateful is
+	// refused at validation (fl.ErrStatefulResume); a method's client table
+	// (fl.Method.Clients) lives in the client processes where this server
 	// cannot see it, so the CLI layer (`calibre serve`), which builds the
-	// full method, refuses stateful methods before configuring resume.
+	// full method, refuses a method with one before configuring resume.
 	ResumeFrom *fl.SimState
 }
 

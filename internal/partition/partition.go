@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"calibre/internal/data"
 )
@@ -19,6 +20,25 @@ type Client struct {
 	Train     *data.Dataset
 	Test      *data.Dataset
 	Unlabeled *data.Dataset // nil unless an unlabeled pool was distributed
+
+	sslOnce sync.Once
+	sslRows [][]float64
+}
+
+// SSLRows returns the rows a self-supervised local update draws its batches
+// from: the training rows, then the unlabeled pool's. It is built on the
+// first call and shared by every later one, which must not write to it; a
+// client without an unlabeled pool returns its training rows themselves.
+func (c *Client) SSLRows() [][]float64 {
+	c.sslOnce.Do(func() {
+		if c.Train != nil {
+			c.sslRows = c.Train.X
+		}
+		if c.Unlabeled != nil {
+			c.sslRows = append(c.sslRows[:len(c.sslRows):len(c.sslRows)], c.Unlabeled.X...)
+		}
+	})
+	return c.sslRows
 }
 
 // TrainFrac is the fraction of each client's local samples used for

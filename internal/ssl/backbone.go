@@ -136,7 +136,8 @@ func (ctx *StepContext) forward(view1, view2 *tensor.Tensor) {
 }
 
 // Method is a self-supervised objective over a pair of augmented views.
-// Implementations may own state (momentum targets, queues, prototypes).
+// Parameters it trains or federates are ExtraParams; state it keeps across
+// local updates without federating it is its LocalState (Local).
 type Method interface {
 	// Name identifies the method (e.g. "simclr").
 	Name() string
@@ -149,18 +150,25 @@ type Method interface {
 	// trained and federated together with the backbone (e.g. SwAV
 	// prototypes). May be nil.
 	ExtraParams() []*nn.Param
-	// CarriesLocalState reports whether the method owns cross-round state
-	// outside ExtraParams — EMA target networks (BYOL), momentum key
-	// encoders and key queues (MoCo). Such state is neither federated nor
-	// captured by checkpoints, so a cold-started process cannot
-	// reconstruct it: methods returning true cannot be bit-identically
-	// resumed from a snapshot (core.SSLTrainer surfaces this through
-	// fl.Stateful, and resume paths refuse them).
-	CarriesLocalState() bool
 }
 
-// Factory constructs a method bound to a backbone. Each federated client
-// owns one method instance; its state persists across rounds.
+// Local is a Method with state of its own that lasts from one local update
+// to the next and is not federated: BYOL's target network, MoCo's key
+// encoder and key queue. LocalState is the module that holds it, in
+// parameters no gradient reaches. A federated trainer keeps that state as
+// data — the client's row of the method's fl.ClientTable — and binds the
+// module to the row for each local update (nn.BindValues), as it binds the
+// trainable to the vector the update trains in; between updates the module
+// may have no storage at all.
+type Local interface {
+	Method
+	LocalState() nn.Module
+}
+
+// Factory constructs a method bound to a backbone. A federated trainer
+// lends one instance to each local update, whichever client it is for: a
+// method keeps nothing from one update to the next but its parameters and,
+// if it is Local, its LocalState.
 type Factory func(rng *rand.Rand, b *Backbone) (Method, error)
 
 // Trainable bundles the backbone with a method's extra learnable
@@ -199,9 +207,46 @@ func NewTrainable(rng *rand.Rand, arch Arch, factory Factory) (*Trainable, error
 func (t *Trainable) Arena() *tensor.Arena { return tensor.NewArena() }
 
 // KMeans returns the trainable's clustering workspace, which persists across
-// its local updates (its clusterings are sized by the client's batches and
-// rows) and, like a tape, serves one training step at a time.
+// the local updates the trainable is lent to, whichever client they are for
+// (its storage grows to the largest batches and rows it has clustered), and,
+// like a tape, serves one training step at a time.
 func (t *Trainable) KMeans() *kmeans.Workspace { return &t.kmeans }
+
+// LocalState returns the module holding the method's local state (Local),
+// nil for a method without any.
+func (t *Trainable) LocalState() nn.Module {
+	if l, ok := t.Method.(Local); ok {
+		return l.LocalState()
+	}
+	return nil
+}
+
+// BindLocal binds the method's LocalState to row (nn.BindValues), or
+// unbinds it when row is nil. A row read back from a snapshot is input
+// from outside the program, so one of another length, or one that breaks
+// an invariant of the flavour's state (MoCo's queue fill count), is an
+// error and leaves nothing bound.
+func (t *Trainable) BindLocal(row []float64) error {
+	ls := t.LocalState()
+	if ls == nil {
+		return fmt.Errorf("ssl: %s keeps no local state to bind", t.Method.Name())
+	}
+	if row == nil {
+		nn.BindValues(ls, nil)
+		return nil
+	}
+	if n := nn.ParamCount(ls); len(row) != n {
+		return fmt.Errorf("ssl: %s local state of %d values, its layout has %d", t.Method.Name(), len(row), n)
+	}
+	nn.BindValues(ls, row)
+	if c, ok := t.Method.(interface{ checkLocal() error }); ok {
+		if err := c.checkLocal(); err != nil {
+			nn.BindValues(ls, nil)
+			return err
+		}
+	}
+	return nil
+}
 
 // Params returns backbone params followed by method extras, in stable order.
 func (t *Trainable) Params() []*nn.Param {

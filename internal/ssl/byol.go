@@ -18,7 +18,7 @@ type BYOL struct {
 	target    *Backbone
 }
 
-var _ Method = (*BYOL)(nil)
+var _ Local = (*BYOL)(nil)
 
 // NewBYOL returns a factory producing BYOL with the given target momentum
 // (the paper uses 0.99-0.999).
@@ -67,10 +67,9 @@ func (b *BYOL) AfterStep(online *Backbone) {
 // ExtraParams exposes the predictor for training and federation.
 func (b *BYOL) ExtraParams() []*nn.Param { return b.predictor.Params() }
 
-// CarriesLocalState implements Method: the EMA target network evolves
-// across rounds and is never federated or checkpointed, so BYOL-based
-// methods cannot be bit-identically resumed.
-func (b *BYOL) CarriesLocalState() bool { return true }
+// LocalState implements Local: the EMA target network, which evolves
+// across a client's local updates and is never federated.
+func (b *BYOL) LocalState() nn.Module { return b.target }
 
 // SimSiam implements "Exploring Simple Siamese Representation Learning"
 // (Chen & He, CVPR 2021): BYOL without the momentum target — the stop-
@@ -106,7 +105,3 @@ func (s *SimSiam) AfterStep(*Backbone) {}
 
 // ExtraParams exposes the predictor.
 func (s *SimSiam) ExtraParams() []*nn.Param { return s.predictor.Params() }
-
-// CarriesLocalState implements Method: SimSiam has no momentum target;
-// its predictor is federated via ExtraParams.
-func (s *SimSiam) CarriesLocalState() bool { return false }

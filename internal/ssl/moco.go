@@ -2,6 +2,7 @@ package ssl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"calibre/internal/nn"
@@ -17,14 +18,24 @@ type MoCoV2 struct {
 	Momentum  float64
 	QueueSize int
 
-	key   *Backbone
-	queue [][]float64 // normalized key projections, FIFO
-	// pendingKeys are this step's keys, enqueued in AfterStep so the loss
-	// never contrasts a query against its own batch twice.
-	pendingKeys [][]float64
+	key *Backbone
+	// queue holds the normalized key projections, oldest first, in its
+	// first fill rows (QueueSize×ProjDim); fill is that count as one float.
+	// With the key encoder they are the method's local state (LocalState).
+	queue, fill *nn.Param
+	state       mocoState
+	// pending is this step's keys, enqueued in AfterStep so the loss never
+	// contrasts a query against its own batch twice.
+	pending *tensor.Tensor
 }
 
-var _ Method = (*MoCoV2)(nil)
+var _ Local = (*MoCoV2)(nil)
+
+// mocoState is MoCo's local state as one module: the key encoder's
+// parameters, then the queue and its fill count.
+type mocoState []*nn.Param
+
+func (s mocoState) Params() []*nn.Param { return s }
 
 // NewMoCoV2 returns a factory producing MoCo v2.
 func NewMoCoV2(tau, momentum float64, queueSize int) Factory {
@@ -36,12 +47,27 @@ func NewMoCoV2(tau, momentum float64, queueSize int) Factory {
 		if err != nil {
 			return nil, fmt.Errorf("ssl: moco key encoder init: %w", err)
 		}
-		return &MoCoV2{Tau: tau, Momentum: momentum, QueueSize: queueSize, key: key}, nil
+		m := &MoCoV2{Tau: tau, Momentum: momentum, QueueSize: queueSize, key: key,
+			queue: nn.NewParam("moco.queue", queueSize, b.Arch.ProjDim), fill: nn.NewParam("moco.fill", 1)}
+		m.state = append(append(mocoState(nil), key.Params()...), m.queue, m.fill)
+		return m, nil
 	}
 }
 
 // Name implements Method.
 func (m *MoCoV2) Name() string { return "mocov2" }
+
+// filled is the number of keys in the queue.
+func (m *MoCoV2) filled() int { return int(m.fill.Value.Data()[0]) }
+
+// checkLocal rejects bound local state whose fill count is not a whole
+// number of keys between 0 and QueueSize (Trainable.BindLocal).
+func (m *MoCoV2) checkLocal() error {
+	if f := m.fill.Value.Data()[0]; !(f >= 0 && f <= float64(m.QueueSize)) || f != math.Trunc(f) {
+		return fmt.Errorf("ssl: moco queue fill %v, want a whole count in [0, %d]", f, m.QueueSize)
+	}
+	return nil
+}
 
 // Loss computes the InfoNCE objective with queue negatives.
 func (m *MoCoV2) Loss(ctx *StepContext) *nn.Node {
@@ -54,15 +80,12 @@ func (m *MoCoV2) Loss(ctx *StepContext) *nn.Node {
 	// Positive logit: per-row dot(q_i, k_i).
 	pos := nn.RowDotConst(q, k)
 
-	// Stash keys for the post-step queue update.
-	m.pendingKeys = m.pendingKeys[:0]
-	for i := 0; i < n; i++ {
-		m.pendingKeys = append(m.pendingKeys, append([]float64(nil), k.Row(i)...))
-	}
+	// Stash keys for the post-step queue update (k is the step's own).
+	m.pending = k
 
 	targets := make([]int, n)
 	var logits *nn.Node
-	if len(m.queue) == 0 {
+	if fill := m.filled(); fill == 0 {
 		// Cold queue: fall back to in-batch negatives (other keys).
 		sim := nn.MatMulTransB(q, nn.Input(k))
 		logits = sim
@@ -70,10 +93,8 @@ func (m *MoCoV2) Loss(ctx *StepContext) *nn.Node {
 			targets[i] = i
 		}
 	} else {
-		negT, err := tensor.Stack(m.queue)
-		if err != nil {
-			panic(err) // queue rows share projDim by construction
-		}
+		d := m.queue.Value.Cols()
+		negT := tensor.View(m.queue.Value.Data()[:fill*d], fill, d)
 		neg := nn.MatMulTransB(q, nn.Input(negT))
 		logits = nn.ConcatCols(pos, neg)
 		// Positive is always column 0.
@@ -81,7 +102,8 @@ func (m *MoCoV2) Loss(ctx *StepContext) *nn.Node {
 	return nn.CrossEntropy(nn.Scale(logits, 1/m.Tau), targets)
 }
 
-// AfterStep EMA-updates the key encoder and pushes this step's keys.
+// AfterStep EMA-updates the key encoder and pushes this step's keys onto
+// the queue, dropping the oldest past QueueSize.
 func (m *MoCoV2) AfterStep(online *Backbone) {
 	if err := nn.EMAUpdate(m.key.Encoder, online.Encoder, m.Momentum); err != nil {
 		panic(err)
@@ -89,18 +111,27 @@ func (m *MoCoV2) AfterStep(online *Backbone) {
 	if err := nn.EMAUpdate(m.key.Projector, online.Projector, m.Momentum); err != nil {
 		panic(err)
 	}
-	m.queue = append(m.queue, m.pendingKeys...)
-	m.pendingKeys = m.pendingKeys[:0]
-	if excess := len(m.queue) - m.QueueSize; excess > 0 {
-		m.queue = append([][]float64(nil), m.queue[excess:]...)
+	queue, keys, d := m.queue.Value.Data(), m.pending.Data(), m.pending.Cols()
+	fill, n := m.filled(), m.pending.Rows()
+	if n >= m.QueueSize {
+		copy(queue, keys[(n-m.QueueSize)*d:])
+		fill = m.QueueSize
+	} else {
+		if drop := fill + n - m.QueueSize; drop > 0 {
+			copy(queue, queue[drop*d:fill*d])
+			fill -= drop
+		}
+		copy(queue[fill*d:], keys)
+		fill += n
 	}
+	m.fill.Value.Data()[0] = float64(fill)
+	m.pending = nil
 }
 
 // ExtraParams implements Method (the key encoder is not trained by
 // gradient).
 func (m *MoCoV2) ExtraParams() []*nn.Param { return nil }
 
-// CarriesLocalState implements Method: the momentum key encoder and the
-// FIFO key queue evolve across rounds and are never federated or
-// checkpointed, so MoCo-based methods cannot be bit-identically resumed.
-func (m *MoCoV2) CarriesLocalState() bool { return true }
+// LocalState implements Local: the momentum key encoder and the key queue,
+// which evolve across a client's local updates and are never federated.
+func (m *MoCoV2) LocalState() nn.Module { return m.state }

@@ -35,6 +35,3 @@ func (s *SimCLR) AfterStep(*Backbone) {}
 
 // ExtraParams implements Method (none).
 func (s *SimCLR) ExtraParams() []*nn.Param { return nil }
-
-// CarriesLocalState implements Method: SimCLR keeps no cross-round state.
-func (s *SimCLR) CarriesLocalState() bool { return false }

@@ -20,7 +20,6 @@ type SMoG struct {
 	Tau      float64
 	Momentum float64 // center update momentum
 	centers  *nn.Param
-	started  bool
 }
 
 var _ Method = (*SMoG)(nil)
@@ -98,7 +97,6 @@ func (s *SMoG) updateCenters(feats *tensor.Tensor, assign []int) {
 	}
 	normed := tensor.L2NormalizeRows(s.centers.Value, 1e-12)
 	copy(s.centers.Value.Data(), normed.Data())
-	s.started = true
 }
 
 // AfterStep implements Method (centers are updated inside Loss so the
@@ -108,8 +106,3 @@ func (s *SMoG) AfterStep(*Backbone) {}
 // ExtraParams exposes the group centers for federation (averaged across
 // clients even though they receive no gradient locally).
 func (s *SMoG) ExtraParams() []*nn.Param { return []*nn.Param{s.centers} }
-
-// CarriesLocalState implements Method: the momentum-updated centers are
-// federated via ExtraParams (overwritten by each incoming global), so no
-// method-local state survives across rounds.
-func (s *SMoG) CarriesLocalState() bool { return false }

@@ -217,8 +217,8 @@ func TestMoCoQueueGrowsAndCaps(t *testing.T) {
 		}
 		m.AfterStep(b)
 	}
-	if len(m.queue) != 20 {
-		t.Fatalf("queue len = %d, want capped at 20", len(m.queue))
+	if m.filled() != 20 {
+		t.Fatalf("queue len = %d, want capped at 20", m.filled())
 	}
 }
 

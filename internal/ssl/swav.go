@@ -61,10 +61,6 @@ func (s *SwAV) AfterStep(*Backbone) {
 // ExtraParams exposes the prototype matrix for training and federation.
 func (s *SwAV) ExtraParams() []*nn.Param { return []*nn.Param{s.prototypes} }
 
-// CarriesLocalState implements Method: the prototypes are federated via
-// ExtraParams, leaving no method-local cross-round state.
-func (s *SwAV) CarriesLocalState() bool { return false }
-
 // Sinkhorn computes the SwAV soft assignment matrix from a score matrix
 // (n×K): Q ∝ exp(scores/eps) balanced so columns (prototypes) receive equal
 // mass, with rows renormalized to distributions at the end.

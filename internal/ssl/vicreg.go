@@ -57,6 +57,3 @@ func (v *VICReg) AfterStep(*Backbone) {}
 
 // ExtraParams implements Method (none).
 func (v *VICReg) ExtraParams() []*nn.Param { return nil }
-
-// CarriesLocalState implements Method: VICReg keeps no cross-round state.
-func (v *VICReg) CarriesLocalState() bool { return false }

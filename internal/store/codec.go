@@ -38,13 +38,16 @@ const (
 // Section kinds of a snapshot frame. The numbers are the on-disk format:
 // 2 and 5 belonged to standalone vector and tensor blobs and stay
 // unassigned; 7 held an incremental snapshot's global and is refused with
-// ErrRetiredIncremental.
+// ErrRetiredIncremental; 8 is written only when the state has client rows,
+// so a snapshot of a method without a client table is the frame it was
+// before the kind existed.
 const (
 	secMeta        byte = 1 // JSON-encoded Meta
 	secHistory     byte = 3 // binary-encoded []fl.RoundStats
 	secCounts      byte = 4 // int64 count + count little-endian int64s
 	secState       byte = 6 // int64 round + vector payload (snapshot global)
 	secIncremental byte = 7 // retired: the global as an XOR-delta against an earlier version
+	secRows        byte = 8 // int64 count + (int64 client id + vector payload) per row, ids ascending
 )
 
 // Typed decode errors. All of them wrap into the error returned to the

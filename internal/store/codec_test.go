@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -12,6 +14,7 @@ import (
 	"testing/quick"
 
 	"calibre/internal/fl"
+	"calibre/internal/param"
 )
 
 // specialFloats are the payloads a lossless codec must not disturb: NaN
@@ -136,6 +139,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}{
 		{name: "every-field", snap: testSnapshot()},
 		{name: "random-4k", snap: randomSnapshot(4096), maxBytes: 8*4096 + 2048},
+		{name: "client-rows", snap: withRows(testSnapshot())},
 	} {
 		blob, err := EncodeSnapshot(c.snap)
 		if err != nil {
@@ -157,6 +161,85 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(blob, again) {
 			t.Fatalf("%s: snapshot encoding is not deterministic", c.name)
+		}
+	}
+}
+
+// withRows gives snap a client table's rows, in no particular map order.
+func withRows(snap *Snapshot) *Snapshot {
+	snap.State.Rows = map[int]param.Vector{17: {1.5, -2, 1e-300}, 0: {3}, 4: {}, 9: {0.25, 0.5}}
+	return snap
+}
+
+// TestRowlessSnapshotEncodesAsBefore: the rows section is written only when
+// the state has rows, so the snapshot of a method without a client table —
+// nil or empty Rows — is, byte for byte, the frame the build before the
+// section kind existed wrote (the digest is that build's encoding).
+func TestRowlessSnapshotEncodesAsBefore(t *testing.T) {
+	for _, rows := range []map[int]param.Vector{nil, {}} {
+		b, err := EncodeSnapshot(&Snapshot{
+			Meta: Meta{Seed: 7, Fingerprint: "abc", Runtime: "simulator"},
+			State: fl.SimState{
+				Round:  2,
+				Global: []float64{1, math.NaN(), math.Inf(-1), 0, 3.25},
+				History: []fl.RoundStats{
+					{Round: 0, Participants: []int{0, 1}, MeanLoss: 0.5},
+					{Round: 1, Participants: []int{1}, Responders: []int{1}, Stragglers: []int{}, DeadlineExpired: true},
+				},
+				EligibleCounts: []int{2, 2},
+				Rows:           rows,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = "edf1f972175f4da8a3acef3fcf160d7d07856b2ac3da2b69d4fbab6a03b8b098"
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != 324 || got != want {
+			t.Fatalf("rows %v: %d bytes, sha256 %s; want 324 bytes, %s", rows, len(b), got, want)
+		}
+	}
+}
+
+// TestDecodeRejectsMalformedRows: a rows section decodes to one table only
+// — ids strictly ascending, at least one row, every declared length there
+// and nothing after the last row.
+func TestDecodeRejectsMalformedRows(t *testing.T) {
+	build := func(rows func(e *encoder)) []byte {
+		e := newEncoder(nil, 64)
+		sec := e.begin(secMeta)
+		e.buf = append(e.buf, []byte(`{"seed":1}`)...)
+		e.end(sec)
+		sec = e.begin(secState)
+		e.i64(0)
+		appendVectorPayload(e, []float64{1})
+		e.end(sec)
+		sec = e.begin(secRows)
+		rows(e)
+		e.end(sec)
+		return e.finish().buf
+	}
+	row := func(e *encoder, id int64, v ...float64) {
+		e.i64(id)
+		e.i64(int64(len(v)))
+		for _, x := range v {
+			e.f64(x)
+		}
+	}
+	if s, err := DecodeSnapshot(build(func(e *encoder) { e.i64(2); row(e, 1, 0.5); row(e, 4) })); err != nil || len(s.State.Rows) != 2 {
+		t.Fatalf("well-formed rows: %v, %v", s, err)
+	}
+	for name, rows := range map[string]func(e *encoder){
+		"no rows":        func(e *encoder) { e.i64(0) },
+		"negative count": func(e *encoder) { e.i64(-1) },
+		"huge count":     func(e *encoder) { e.i64(1 << 60); row(e, 1, 0.5) },
+		"repeated id":    func(e *encoder) { e.i64(2); row(e, 3, 1); row(e, 3, 2) },
+		"descending ids": func(e *encoder) { e.i64(2); row(e, 3, 1); row(e, 2, 2) },
+		"short row":      func(e *encoder) { e.i64(1); e.i64(1); e.i64(2); e.f64(1) },
+		"huge row":       func(e *encoder) { e.i64(1); e.i64(1); e.i64(1 << 60) },
+		"trailing bytes": func(e *encoder) { e.i64(1); row(e, 1, 0.5); e.u8(0) },
+	} {
+		if _, err := DecodeSnapshot(build(rows)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
 		}
 	}
 }

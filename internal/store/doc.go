@@ -26,7 +26,10 @@
 // workloads' model sizes). A snapshot carries four sections: JSON metadata
 // (seed, config fingerprint, producing runtime), the round + global
 // vector, the binary-encoded RoundStats history, and the per-round
-// sampling-pool sizes the server replays its RNG against.
+// sampling-pool sizes the server replays its RNG against — and a fifth,
+// kind 8, when the method keeps a client table (fl.SimState.Rows): each
+// client's row by ascending id. A snapshot without rows has no such
+// section, so its bytes are what they were before the kind existed.
 //
 // The decoder is hardened for hostile input (it is fuzzed; the corpus is
 // committed): magic, version, flags and CRC are validated before any
@@ -51,7 +54,8 @@
 // version. Resume adds a configuration fingerprint check so an operator
 // cannot accidentally continue a differently-configured federation
 // (ErrFingerprintMismatch), and the runtimes additionally refuse to
-// resume methods carrying cross-round state a snapshot does not capture
+// resume a method with state a snapshot does not capture — SCAFFOLD's
+// server control variate, or client rows a networked server never holds
 // (fl.ErrStatefulResume).
 //
 // Save is synchronous: when it returns the version is durable. SaveHook,
@@ -62,8 +66,9 @@
 // with its error. So onSaved — not the hook call returning, and not the
 // round's OnRound — is what says a version is on disk; a kill -9 can lose
 // exactly the one version in flight, and Latest falls back to the one
-// before it. A steady-state save allocates nothing model-sized and keeps
-// nothing model-sized: a file is written from its vector's bytes, in three
+// before it. A steady-state save of a method without client rows
+// allocates nothing model-sized and keeps nothing model-sized (rows are
+// copied into the frame buffer): a file is written from its vector's bytes, in three
 // pieces — header, metadata and the state section's prefix from the
 // encoder's small buffer, then the global's own memory (param.Bytes), then
 // history, counts and the CRC trailer, the CRC taken over all three — so
@@ -88,6 +93,7 @@
 //	          and dropout draws are replayed (the simulator re-derives
 //	          the pool; the server replays the recorded EligibleCounts).
 //	continue  The round loop starts at State.Round with the snapshot's
-//	          global vector and history — bit-identical, from there on,
-//	          to a run that never stopped.
+//	          global vector and history, and the method's client table
+//	          restored from its rows — bit-identical, from there on, to a
+//	          run that never stopped.
 package store

@@ -25,7 +25,8 @@ func fuzzSeeds() [][]byte {
 			EligibleCounts: []int{2, 2},
 		},
 	})
-	seeds := [][]byte{snap, retiredKindBlob(7), hugeVectorBlob(), retiredKindBlob(2), retiredKindBlob(5), nil, []byte(Magic)}
+	rows, _ := EncodeSnapshot(withRows(testSnapshot()))
+	seeds := [][]byte{snap, rows, retiredKindBlob(7), hugeVectorBlob(), retiredKindBlob(2), retiredKindBlob(5), nil, []byte(Magic)}
 	// Truncations at interesting boundaries.
 	for _, cut := range []int{headerSize, headerSize + secHeaderSize, len(snap) / 2, len(snap) - 1} {
 		if cut < len(snap) {

@@ -3,8 +3,11 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 
 	"calibre/internal/fl"
+	"calibre/internal/param"
 )
 
 // Meta describes the federation a snapshot belongs to. It travels inside
@@ -52,6 +55,12 @@ func encodeSnapshot(buf []byte, s *Snapshot, lend bool) (pieces, error) {
 	}
 	st := &s.State
 	capacity := len(meta) + 96 + 8*len(st.EligibleCounts)
+	if len(st.Rows) > 0 {
+		capacity += 17
+		for _, row := range st.Rows {
+			capacity += 16 + 8*len(row)
+		}
+	}
 	if !lend {
 		capacity += 8 * len(st.Global)
 	}
@@ -96,7 +105,61 @@ func encodeSnapshot(buf []byte, s *Snapshot, lend bool) (pieces, error) {
 	}
 	e.end(sec)
 
+	if len(st.Rows) > 0 {
+		ids := make([]int, 0, len(st.Rows))
+		for id := range st.Rows {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		sec = e.begin(secRows)
+		e.i64(int64(len(ids)))
+		for _, id := range ids {
+			row := st.Rows[id]
+			e.i64(int64(id))
+			e.i64(int64(len(row)))
+			e.buf = append(e.buf, param.Bytes(row)...)
+		}
+		e.end(sec)
+	}
+
 	return e.finish(), nil
+}
+
+// readRowsPayload mirrors the rows section: a count, then each row's client
+// id — strictly ascending, so one table has one encoding — and its floats.
+func readRowsPayload(p []byte) (map[int]param.Vector, error) {
+	r := &reader{p: p}
+	n, err := r.i64()
+	if err != nil {
+		return nil, err
+	}
+	// Each row takes ≥ 16 bytes (id, length): against remaining/16, a
+	// hostile count can neither overflow nor over-allocate.
+	if n < 1 || n > int64(r.remaining()/16) {
+		return nil, fmt.Errorf("%w: rows section declares %d rows in %d bytes", ErrMalformed, n, r.remaining())
+	}
+	out := make(map[int]param.Vector, n)
+	for i, last := int64(0), int64(math.MinInt64); i < n; i++ {
+		id, err := r.i64()
+		if err != nil {
+			return nil, err
+		}
+		size, err := r.i64()
+		if err != nil {
+			return nil, err
+		}
+		if (i > 0 && id <= last) || size < 0 || size > int64(r.remaining()/8) {
+			return nil, fmt.Errorf("%w: row %d (after row %d) declares %d floats, %d bytes remain", ErrMalformed, id, last, size, r.remaining())
+		}
+		last = id
+		if out[int(id)], err = r.floats(int(size)); err != nil {
+			return nil, err
+		}
+	}
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after rows", ErrMalformed, r.remaining())
+	}
+	return out, nil
 }
 
 func readHistoryPayload(p []byte) ([]fl.RoundStats, error) {
@@ -207,6 +270,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		haveVector  bool
 		haveHistory bool
 		haveCounts  bool
+		haveRows    bool
 	)
 	for i := 0; i < f.sections; i++ {
 		kind, p, err := f.next()
@@ -252,6 +316,14 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			}
 			haveCounts = true
 			if s.State.EligibleCounts, err = readCountsPayload(p); err != nil {
+				return nil, err
+			}
+		case secRows:
+			if haveRows {
+				return nil, fmt.Errorf("%w: duplicate rows section", ErrMalformed)
+			}
+			haveRows = true
+			if s.State.Rows, err = readRowsPayload(p); err != nil {
 				return nil, err
 			}
 		default:

@@ -20,8 +20,9 @@
 //	          fingerprinted like checkpoint snapshots) records each
 //	          completed cell, so a killed sweep resumes by skipping
 //	          finished cells; per-cell durable checkpoints additionally
-//	          thread through fl's ResumeFrom machinery for resumable
-//	          methods (fl.Stateful ones run uncheckpointed, with a note).
+//	          thread through fl's ResumeFrom machinery, client rows
+//	          included (SCAFFOLD, fl.Stateful, runs uncheckpointed, with a
+//	          note).
 //	Report    fairness-first aggregation over eval.Summary: per-cell
 //	          mean/variance/Bottom10, cross-seed aggregates with
 //	          variance-of-variance, variance reduction versus a baseline

@@ -197,21 +197,15 @@ func TestFailedCellsRetriedOnResume(t *testing.T) {
 // — observable as strictly increasing snapshot rounds across the
 // kill/resume boundary, with the final summaries bit-identical to an
 // uninterrupted in-memory run.
-func TestPerCellCheckpointResume(t *testing.T) {
-	g := &Grid{Methods: []string{"fedavg-ft"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1}}
-	cells, err := g.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := cells[0]
-	dir := t.TempDir()
-
-	// Simulate a kill mid-cell: run the cell's federation directly, with
-	// the sweep's per-cell store wiring, canceling inside the second
-	// checkpoint hand-off. The hook only hands the save to the round loop,
-	// so at the cancel version 2 is not written yet — what makes round 2 the
-	// resume point is that the loop drains the accepted write before Run
-	// returns: onSaved has reported both versions by then, in order.
+// killMidCell runs cell's federation directly, with the sweep's per-cell
+// store wiring under dir, and kills it inside its second checkpoint
+// hand-off. The hook only hands the save to the round loop, so at the
+// cancel version 2 is not written yet — what makes round 2 the resume point
+// is that the loop drains the accepted write before Run returns: onSaved
+// has reported both versions by then, in order. It returns the cell's store
+// and the snapshot the kill left.
+func killMidCell(t *testing.T, dir string, cell Cell) (*store.Store, *store.Snapshot) {
+	t.Helper()
 	settings := experiments.Settings()
 	env, err := experiments.BuildEnvironment(settings[cell.Setting], cell.Scale, cell.EnvSeed())
 	if err != nil {
@@ -256,6 +250,32 @@ func TestPerCellCheckpointResume(t *testing.T) {
 	if snap.State.Round != 2 {
 		t.Fatalf("kill left checkpoint at round %d, want 2", snap.State.Round)
 	}
+	return ck, snap
+}
+
+// snapshotRounds lists the rounds of the store's snapshots, ascending.
+func snapshotRounds(t *testing.T, ck *store.Store) []int {
+	t.Helper()
+	entries, err := ck.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := make([]int, 0, len(entries))
+	for _, e := range entries {
+		rounds = append(rounds, e.Round)
+	}
+	return rounds
+}
+
+func TestPerCellCheckpointResume(t *testing.T) {
+	g := &Grid{Methods: []string{"fedavg-ft"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1}}
+	cells, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := cells[0]
+	dir := t.TempDir()
+	ck, snap := killMidCell(t, dir, cell)
 
 	// The sweep now runs the cell with checkpointing on: it must resume
 	// from round 2, appending snapshots for rounds 3..N only.
@@ -266,14 +286,7 @@ func TestPerCellCheckpointResume(t *testing.T) {
 	if res.Cells[0].Status != StatusOK || !res.Cells[0].Checkpointed {
 		t.Fatalf("checkpointed cell outcome: %+v", res.Cells[0])
 	}
-	entries, err := ck.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := make([]int, 0, len(entries))
-	for _, e := range entries {
-		rounds = append(rounds, e.Round)
-	}
+	rounds := snapshotRounds(t, ck)
 	want := []int{1, 2, 3, 4} // 2 pre-kill + continuation; a restart would re-write rounds 1,2
 	if len(rounds) != len(want) {
 		t.Fatalf("snapshot rounds %v, want %v", rounds, want)
@@ -311,11 +324,11 @@ func TestPerCellCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestStatefulMethodRefusesCheckpointCleanly: methods carrying
-// cross-round state run uncheckpointed with an explanatory note instead
-// of erroring or writing unusable snapshots.
+// TestStatefulMethodRefusesCheckpointCleanly: SCAFFOLD, whose server
+// control variate no snapshot holds, runs uncheckpointed with an
+// explanatory note instead of erroring or writing unusable snapshots.
 func TestStatefulMethodRefusesCheckpointCleanly(t *testing.T) {
-	g := &Grid{Methods: []string{"apfl"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1}}
+	g := &Grid{Methods: []string{"scaffold"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1}}
 	dir := t.TempDir()
 	res, err := Run(context.Background(), g, Config{Dir: dir, CheckpointEvery: 1})
 	if err != nil {
@@ -330,5 +343,40 @@ func TestStatefulMethodRefusesCheckpointCleanly(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "cells")); !os.IsNotExist(err) {
 		t.Fatalf("stateful cell left checkpoint stores behind: %v", err)
+	}
+}
+
+// TestClientRowsCellResumes: a calibre-byol cell — its BYOL target networks
+// are client rows — checkpoints with no skip note, a kill mid-cell resumes
+// from the snapshot's rows, and the report is byte-identical to an
+// uninterrupted checkpointed run's.
+func TestClientRowsCellResumes(t *testing.T) {
+	g := &Grid{Methods: []string{"calibre-byol"}, Settings: []string{"cifar10-q(2,500)"}, Seeds: []int64{1}}
+	cells, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Run(context.Background(), g, Config{Dir: t.TempDir(), CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	ck, snap := killMidCell(t, dir, cells[0])
+	if len(snap.State.Rows) == 0 {
+		t.Fatal("the kill's snapshot carries no client rows")
+	}
+	res, err := Run(context.Background(), g, Config{Dir: dir, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := res.Cells[0]; c.Status != StatusOK || !c.Checkpointed || c.Note != "" {
+		t.Fatalf("calibre-byol cell outcome: %+v", c)
+	}
+	if rounds := snapshotRounds(t, ck); len(rounds) != 4 || rounds[2] != 3 {
+		t.Fatalf("snapshot rounds %v, want [1 2 3 4] (cell restarted instead of resuming)", rounds)
+	}
+	if renderReport(t, res) != renderReport(t, clean) {
+		t.Fatal("resumed report is not byte-identical to the uninterrupted run")
 	}
 }

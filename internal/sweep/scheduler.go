@@ -65,9 +65,9 @@ type Config struct {
 	// CheckpointEvery, when >0 with Dir set, threads per-cell durable
 	// round checkpoints (stride CheckpointEvery) through fl's
 	// OnCheckpoint/ResumeFrom machinery, so a killed sweep resumes long
-	// cells mid-federation instead of from round 0. Methods that carry
-	// cross-round state a snapshot cannot capture (fl.Stateful) run
-	// uncheckpointed, with a note on their result.
+	// cells mid-federation instead of from round 0. A method with state a
+	// snapshot cannot capture (fl.Stateful: SCAFFOLD) runs uncheckpointed,
+	// with a note on its result.
 	CheckpointEvery int
 	// OnPlan, if set, is called once before execution starts with the
 	// grid's planned cell count and the number of cells actually pending

@@ -10,9 +10,8 @@
 // health planes. The Recorder buffers them in a preallocated bounded
 // ring and drains the ring into an append-only Sink as length-prefixed
 // JSONL ("<len> <json>\n"), batching writes so the hot path is one short
-// critical section with no allocation. FileSink adds size-bounded file
-// rotation using the same atomic same-directory rename discipline as
-// store.AtomicWriteFile.
+// critical section with no allocation. FileSink appends to one file per
+// run, which is what every reader reads.
 //
 // Determinism is a first-class contract, matching the rest of the repo:
 // timestamps come from an injectable Clock, field order in the encoding

@@ -1,33 +1,17 @@
 package trace
 
-import (
-	"fmt"
-	"os"
-	"strconv"
-)
+import "os"
 
-// FileSink is the production Sink: an append-only trace file with
-// optional size-bounded rotation. Rotation follows the same discipline as
-// store.AtomicWriteFile — the live file is synced, then moved aside with
-// same-directory renames (atomic on POSIX filesystems), so a crash during
-// rotation never leaves a half-written or missing generation. Writes
-// arrive from the Recorder as whole batches of framed records and a
-// rotation only ever happens between batches, so no record spans files.
+// FileSink is the production Sink: an append-only trace file. Writes
+// arrive from the Recorder as whole batches of framed records. One run's
+// trace is one file — every reader (Runs, `calibre doctor replay`, `calibre
+// trace`) reads one — so the file is never split or rotated.
 type FileSink struct {
-	path string
-	opts FileOptions
-	f    *os.File
-	size int64
+	f *os.File
 }
 
 // FileOptions tunes a FileSink.
 type FileOptions struct {
-	// RotateBytes rotates the live file once it would exceed this size
-	// (0 = never rotate; the file grows without bound).
-	RotateBytes int64
-	// Keep is how many rotated generations to retain (path.1 … path.Keep,
-	// newest first). 0 means 3 when rotation is enabled.
-	Keep int
 	// Truncate starts the trace fresh instead of appending to an
 	// existing file. Resumed runs leave it false so the kill-and-resume
 	// story keeps one continuous trace per output path.
@@ -36,9 +20,6 @@ type FileOptions struct {
 
 // OpenFile opens (creating if needed) the trace file at path.
 func OpenFile(path string, opts FileOptions) (*FileSink, error) {
-	if opts.RotateBytes > 0 && opts.Keep < 1 {
-		opts.Keep = 3
-	}
 	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if opts.Truncate {
 		flags |= os.O_TRUNC
@@ -47,57 +28,14 @@ func OpenFile(path string, opts FileOptions) (*FileSink, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileSink{path: path, opts: opts, f: f, size: st.Size()}, nil
+	return &FileSink{f: f}, nil
 }
 
-// Write appends one encoded batch, rotating first when the live file
-// would overflow the configured bound. Recorder serializes calls, so
-// FileSink needs no lock of its own.
-func (s *FileSink) Write(p []byte) (int, error) {
-	if s.opts.RotateBytes > 0 && s.size > 0 && s.size+int64(len(p)) > s.opts.RotateBytes {
-		if err := s.rotate(); err != nil {
-			return 0, err
-		}
-	}
-	n, err := s.f.Write(p)
-	s.size += int64(n)
-	return n, err
-}
+// Write appends one encoded batch. Recorder serializes calls, so FileSink
+// needs no lock of its own.
+func (s *FileSink) Write(p []byte) (int, error) { return s.f.Write(p) }
 
-// rotate moves the live file to path.1 after shifting older generations
-// up (path.i → path.i+1, dropping path.Keep), then reopens a fresh live
-// file. All renames stay within the trace file's directory.
-func (s *FileSink) rotate() error {
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("trace: sync before rotate: %w", err)
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("trace: close before rotate: %w", err)
-	}
-	gen := func(i int) string { return s.path + "." + strconv.Itoa(i) }
-	os.Remove(gen(s.opts.Keep)) // oldest generation falls off; absent is fine
-	for i := s.opts.Keep - 1; i >= 1; i-- {
-		if err := os.Rename(gen(i), gen(i+1)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("trace: shift generation %d: %w", i, err)
-		}
-	}
-	if err := os.Rename(s.path, gen(1)); err != nil {
-		return fmt.Errorf("trace: rotate live file: %w", err)
-	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("trace: reopen after rotate: %w", err)
-	}
-	s.f, s.size = f, 0
-	return nil
-}
-
-// Close syncs and closes the live file.
+// Close syncs and closes the file.
 func (s *FileSink) Close() error {
 	if err := s.f.Sync(); err != nil {
 		s.f.Close()

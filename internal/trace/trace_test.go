@@ -342,52 +342,6 @@ func TestFileSinkTruncate(t *testing.T) {
 	}
 }
 
-func TestFileSinkRotation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trace.jsonl")
-	s, err := OpenFile(path, FileOptions{RotateBytes: 256, Keep: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(s, Config{Clock: StepClock(1), RingSize: 1}) // flush every event
-	const total = 64
-	for i := 0; i < total; i++ {
-		r.Emit(Event{Kind: KindClientUpdate, TS: int64(i), Round: i, Client: i, Bytes: 1024})
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Live file plus at most Keep generations, each individually decodable,
-	// newest-first order path < path.1 < path.2 when read oldest-first.
-	var got []Event
-	for _, p := range []string{path + ".2", path + ".1", path} {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatalf("generation %s missing: %v", p, err)
-		}
-		if int64(len(b)) > 256+128 {
-			t.Fatalf("generation %s overflowed the bound: %d bytes", p, len(b))
-		}
-		events, err := ReadAll(bytes.NewReader(b))
-		if err != nil {
-			t.Fatalf("generation %s corrupt: %v", p, err)
-		}
-		got = append(got, events...)
-	}
-	if _, err := os.Stat(path + ".3"); !os.IsNotExist(err) {
-		t.Fatal("rotation kept more generations than Keep")
-	}
-	// The retained window is a contiguous, ordered suffix of the emission.
-	for i := 1; i < len(got); i++ {
-		if got[i].Round != got[i-1].Round+1 {
-			t.Fatalf("retained records not contiguous at %d: %+v then %+v", i, got[i-1], got[i])
-		}
-	}
-	if last := got[len(got)-1].Round; last != total-1 {
-		t.Fatalf("newest record is round %d, want %d", last, total-1)
-	}
-}
-
 func TestEmitAllocationDiscipline(t *testing.T) {
 	var sink memSink
 	r := New(&sink, Config{RingSize: 64})
