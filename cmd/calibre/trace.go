@@ -22,7 +22,8 @@ import (
 //
 // summary and timeline read the events trace.Runs says stand: per sweep
 // cell, and a file a killed run and its resumption appended to as the
-// uninterrupted run. grep filters everything that was written.
+// uninterrupted run. summary ends with the phase table, where the rounds'
+// time went. grep filters everything that was written.
 //
 // FILE may be "-" for stdin. A torn trailing record (a crash mid-write)
 // is tolerated everywhere: the decoded prefix is used and the truncation

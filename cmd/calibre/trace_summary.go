@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,9 +23,12 @@ type traceStats struct {
 	uplink   int64
 	drops    map[trace.DropReason]int
 	saves    int
-	stall    int64 // Σ checkpoint_save dur: time round loops were blocked on checkpoints
-	maxStall int64
 	resumes  int
+	// phases[p] and residue hold one entry per round that has phase
+	// events: its time in trace.Phases[p], and its iteration's wall time
+	// less the sum of its phases.
+	phases  [len(trace.Phases)][]int64
+	residue []int64
 }
 
 func newTraceStats() *traceStats {
@@ -34,8 +39,25 @@ func newTraceStats() *traceStats {
 	}
 }
 
-func (s *traceStats) add(events ...trace.Event) {
-	for _, e := range events {
+// add counts the events of one run that stand.
+func (s *traceStats) add(run trace.Run) {
+	spans := collectRounds(run)
+	for i, rs := range spans {
+		if !rs.phased {
+			continue
+		}
+		var next *roundSpan
+		if i+1 < len(spans) {
+			next = spans[i+1]
+		}
+		residue := rs.wall(next)
+		for p, d := range rs.phases {
+			s.phases[p] = append(s.phases[p], d)
+			residue -= d
+		}
+		s.residue = append(s.residue, residue)
+	}
+	for _, e := range run.Events {
 		s.events++
 		if e.Runtime != "" {
 			s.runtimes[e.Runtime] = true
@@ -55,37 +77,38 @@ func (s *traceStats) add(events ...trace.Event) {
 			s.uplink += e.Bytes // a rejected upload still crossed the uplink
 		case trace.KindCheckpointSave:
 			s.saves++
-			s.stall += e.Dur
-			s.maxStall = max(s.maxStall, e.Dur)
 		case trace.KindResume:
 			s.resumes++
 		}
 	}
 }
 
-// quantile returns the q-quantile (0..1) of ns by nearest-rank over a
-// sorted copy; 0 when empty.
+// quantile returns the q-quantile (0..1) of ns by nearest rank — the
+// ⌈q·n⌉-th smallest — over a sorted copy; 0 when empty.
 func quantile(ns []int64, q float64) int64 {
 	if len(ns) == 0 {
 		return 0
 	}
-	sorted := append([]int64(nil), ns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	sorted := slices.Clone(ns)
+	slices.Sort(sorted)
+	rank := int(math.Ceil(q*float64(len(sorted)) - 1e-9))
+	return sorted[max(rank, 1)-1]
+}
+
+func sum(ns []int64) (total int64) {
+	for _, d := range ns {
+		total += d
+	}
+	return total
 }
 
 func spanLine(name string, ns []int64) string {
 	if len(ns) == 0 {
 		return fmt.Sprintf("%s:   none", name)
 	}
-	var sum int64
-	for _, d := range ns {
-		sum += d
-	}
 	return fmt.Sprintf("%s:   %d spans  (mean %s  p50 %s  p95 %s  max %s)",
 		name, len(ns),
-		formatNS(sum/int64(len(ns))),
+		formatNS(sum(ns)/int64(len(ns))),
 		formatNS(quantile(ns, 0.50)),
 		formatNS(quantile(ns, 0.95)),
 		formatNS(quantile(ns, 1.0)))
@@ -132,9 +155,48 @@ func (s *traceStats) write(w io.Writer, indent string) {
 		fmt.Fprintf(w, "%sdrops:    %d  (%s)\n", indent, total, strings.Join(parts, ", "))
 	}
 	if s.saves > 0 || s.resumes > 0 {
-		fmt.Fprintf(w, "%sdurable:  %d checkpoint saves (loop stalled %s total, max %s), %d resumes\n",
-			indent, s.saves, formatNS(s.stall), formatNS(s.maxStall), s.resumes)
+		stall := ""
+		if len(s.residue) > 0 {
+			// What checkpoints cost the loop: each round's hand-off plus
+			// its wait on an earlier save (and the final drain).
+			ckpt, wait := s.phases[trace.KindPhaseCheckpoint.Phase()], s.phases[trace.KindPhaseCheckpointWait.Phase()]
+			var maxStall int64
+			for i := range ckpt {
+				maxStall = max(maxStall, ckpt[i]+wait[i])
+			}
+			stall = fmt.Sprintf(" (loop stalled %s total, max %s)", formatNS(sum(ckpt)+sum(wait)), formatNS(maxStall))
+		}
+		fmt.Fprintf(w, "%sdurable:  %d checkpoint saves%s, %d resumes\n", indent, s.saves, stall, s.resumes)
 	}
+	s.writePhases(w, indent)
+}
+
+// writePhases prints where the rounds' time went: per phase its total, its
+// share of the rounds' wall time, and its mean and max per round, then
+// the residue no phase accounts for. Nothing without phase events.
+func (s *traceStats) writePhases(w io.Writer, indent string) {
+	n := len(s.residue)
+	if n == 0 {
+		return
+	}
+	wall := sum(s.residue)
+	for _, ns := range s.phases {
+		wall += sum(ns)
+	}
+	fmt.Fprintf(w, "%sphases:   %d rounds, %s wall\n", indent, n, formatNS(wall))
+	fmt.Fprintf(w, "%s  %-16s %9s %7s %9s %9s\n", indent, "phase", "total", "share", "mean", "max")
+	row := func(name string, ns []int64) {
+		share := 0.0
+		if wall > 0 {
+			share = 100 * float64(sum(ns)) / float64(wall)
+		}
+		fmt.Fprintf(w, "%s  %-16s %9s %6.1f%% %9s %9s\n", indent, name,
+			formatNS(sum(ns)), share, formatNS(sum(ns)/int64(n)), formatNS(quantile(ns, 1)))
+	}
+	for p, k := range trace.Phases {
+		row(strings.TrimPrefix(string(k), "phase_"), s.phases[p])
+	}
+	row("residue", s.residue)
 }
 
 func runSummary(args []string, w io.Writer) error {
@@ -153,7 +215,7 @@ func runSummary(args []string, w io.Writer) error {
 	runs := trace.Runs(events)
 	total, cells := newTraceStats(), 0
 	for _, r := range runs {
-		total.add(r.Events...)
+		total.add(r)
 		if r.Cell != "" {
 			cells++
 		}
@@ -168,7 +230,7 @@ func runSummary(args []string, w io.Writer) error {
 	for _, r := range runs {
 		if *perCell && r.Cell != "" {
 			cs := newTraceStats()
-			cs.add(r.Events...)
+			cs.add(r)
 			fmt.Fprintf(w, "\ncell %s\n", r.Cell)
 			cs.write(w, "  ")
 		}

@@ -22,9 +22,16 @@ import (
 	"calibre/internal/trace"
 )
 
-// writeSyntheticTrace emits a small deterministic two-round trace (one
-// with a drop) to a temp file and returns its path.
+// writeSyntheticTrace emits a small deterministic two-round trace (each
+// round with a drop, each 5ms long) to a temp file and returns its path.
 func writeSyntheticTrace(t *testing.T) string {
+	t.Helper()
+	return writeSyntheticRounds(t, 5_000_000, 5_000_000)
+}
+
+// writeSyntheticRounds is writeSyntheticTrace with one round per span
+// length in spans.
+func writeSyntheticRounds(t *testing.T, spans ...int64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	sink, err := trace.OpenFile(path, trace.FileOptions{})
@@ -32,7 +39,7 @@ func writeSyntheticTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	rec := trace.New(sink, trace.Config{Clock: trace.StepClock(1_000_000)})
-	for round := 0; round < 2; round++ {
+	for round, span := range spans {
 		ts := rec.Now()
 		rec.Emit(trace.Event{Kind: trace.KindRoundStart, TS: ts, Runtime: "sim", Round: round, Client: -1, N: 2})
 		rec.Emit(trace.Event{Kind: trace.KindClientDispatch, TS: rec.Now(), Runtime: "sim", Round: round, Client: 0})
@@ -41,7 +48,7 @@ func writeSyntheticTrace(t *testing.T) string {
 		rec.Emit(trace.Event{Kind: trace.KindClientDrop, TS: rec.Now(), Runtime: "sim", Round: round, Client: 1,
 			Reason: trace.DropStraggler})
 		rec.Emit(trace.Event{Kind: trace.KindRoundEnd, TS: rec.Now(), Runtime: "sim", Round: round, Client: -1,
-			N: 1, Dur: 5_000_000, Loss: 0.5})
+			N: 1, Dur: span, Loss: 0.5})
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -68,27 +75,84 @@ func TestSummarySynthetic(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "phases:") {
+		t.Errorf("a trace without phase events printed a phase table:\n%s", out)
+	}
+	// Nearest rank: p95 of n spans is the ⌈0.95·n⌉-th smallest — the
+	// largest of 2 and of 10 — and p50 the ⌈n/2⌉-th.
+	ms := func(ns ...int64) []int64 {
+		for i := range ns {
+			ns[i] *= 1_000_000
+		}
+		return ns
+	}
+	for spans, want := range map[string]string{
+		"2":  "rounds:   2 spans  (mean 2.5ms  p50 2.0ms  p95 3.0ms  max 3.0ms)",
+		"10": "rounds:   10 spans  (mean 5.5ms  p50 5.0ms  p95 10.0ms  max 10.0ms)",
+	} {
+		durs := ms(3, 2)
+		if spans == "10" {
+			durs = ms(7, 1, 10, 4, 2, 9, 3, 8, 6, 5)
+		}
+		if out := runCLI(t, "summary", writeSyntheticRounds(t, durs...)); !strings.Contains(out, want) {
+			t.Errorf("%s spans: summary missing %q:\n%s", spans, want, out)
+		}
+	}
 }
 
 // TestSummaryCheckpointStall: the durable line answers "were rounds bounded
-// by their checkpoints?" — saves, and how long the loop was blocked on them.
+// by their checkpoints?" — saves, and how long the loop was blocked on
+// them: each round's checkpoint hand-off plus its checkpoint_wait, the two
+// checkpoint phases. A checkpoint_save's own dur_ns, which older traces
+// carry, is not read: without phase events the line names no stall.
 func TestSummaryCheckpointStall(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	sink, err := trace.OpenFile(path, trace.FileOptions{})
-	if err != nil {
-		t.Fatal(err)
+	write := func(phases bool) string {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		sink, err := trace.OpenFile(path, trace.FileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.New(sink, trace.Config{})
+		rec.Emit(trace.Event{Kind: trace.KindResume, Runtime: "server", Round: 0, Client: -1})
+		// Per round: hand-off and wait, 1+0ms, 0+0ms and 1+2ms.
+		for round, stall := range [][2]int64{{1_000_000, 0}, {0, 0}, {1_000_000, 2_000_000}} {
+			ts := int64(round) * 10_000_000
+			rec.Emit(trace.Event{Kind: trace.KindRoundStart, TS: ts, Runtime: "server", Round: round, Client: -1, N: 1})
+			at := func(k trace.Kind, dur int64) {
+				if phases {
+					rec.Emit(trace.Event{Kind: k, TS: ts, Runtime: "server", Round: round, Client: -1, Dur: dur})
+				}
+				ts += dur
+			}
+			at(trace.KindPhaseDraw, 1_000)
+			at(trace.KindPhaseCollect, 5_000_000)
+			at(trace.KindPhaseCheckpoint, stall[0])
+			rec.Emit(trace.Event{Kind: trace.KindCheckpointSave, TS: ts, Runtime: "server", Round: round, Client: -1, Dur: 7_000_000})
+			at(trace.KindPhaseHooks, 1_000)
+			at(trace.KindPhaseCheckpointWait, stall[1])
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	rec := trace.New(sink, trace.Config{Clock: trace.StepClock(1)})
-	rec.Emit(trace.Event{Kind: trace.KindResume, TS: rec.Now(), Runtime: "server", Round: 3, Client: -1})
-	for round, stall := range []int64{1_000_000, 0, 3_000_000} {
-		rec.Emit(trace.Event{Kind: trace.KindCheckpointSave, TS: rec.Now(), Runtime: "server", Round: round, Client: -1, Dur: stall})
+	out := runCLI(t, "summary", write(true))
+	for _, want := range []string{
+		"durable:  3 checkpoint saves (loop stalled 4.0ms total, max 3.0ms), 1 resumes",
+		// Rounds start 10ms apart: the first two leave 4 and 5ms no phase
+		// covers, the last ends with its last phase.
+		"phases:   3 rounds, 28.0ms wall",
+		"  checkpoint           2.0ms    7.1%   666.7µs     1.0ms",
+		"  checkpoint_wait      2.0ms    7.1%   666.7µs     2.0ms",
+		"  residue              9.0ms   32.1%     3.0ms     5.0ms",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary missing %q:\n%s", want, out)
+		}
 	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := "durable:  3 checkpoint saves (loop stalled 4.0ms total, max 3.0ms), 1 resumes"
-	if out := runCLI(t, "summary", path); !strings.Contains(out, want) {
-		t.Errorf("summary missing %q:\n%s", want, out)
+	want := "durable:  3 checkpoint saves, 1 resumes"
+	if out := runCLI(t, "summary", write(false)); !strings.Contains(out, want) {
+		t.Errorf("summary of a trace without phases missing %q:\n%s", want, out)
 	}
 }
 
@@ -303,11 +367,34 @@ func withoutLines(out string, prefixes ...string) string {
 	return strings.Join(keep, "\n")
 }
 
+// splitPhases cuts the top-level phase table out of a `trace summary`
+// output and returns its shape — the round count and the row names — and
+// the rest of the output.
+func splitPhases(out string) (shape []string, rest string) {
+	var keep []string
+	in := false
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "phases:"):
+			in = true
+			rounds, _, _ := strings.Cut(strings.TrimSpace(strings.TrimPrefix(line, "phases:")), ",")
+			shape = append(shape, rounds)
+		case in && strings.HasPrefix(line, "  "):
+			shape = append(shape, strings.Fields(line)[0])
+		default:
+			in = false
+			keep = append(keep, line)
+		}
+	}
+	return shape, strings.Join(keep, "\n")
+}
+
 // TestTraceReadsKillResumeAsUninterrupted: `trace timeline` of a trace a
 // killed run and its resumption appended to is the uninterrupted run's,
 // byte for byte, and `trace summary` differs only in the events that
-// record the kill (the event count, the durable line). `trace grep`
-// still shows everything written.
+// record the kill (the event count, the durable line) and in the phase
+// table's timings, not its shape: the same rows over the same rounds, a
+// re-run round counted once. `trace grep` still shows everything written.
 func TestTraceReadsKillResumeAsUninterrupted(t *testing.T) {
 	dir := t.TempDir()
 	full, _ := hostileTrace(t, dir)
@@ -324,6 +411,11 @@ func TestTraceReadsKillResumeAsUninterrupted(t *testing.T) {
 	got, want := runCLI(t, "summary", killed), runCLI(t, "summary", full)
 	if !strings.Contains(got, "1 resumes") {
 		t.Errorf("summary lost the resume:\n%s", got)
+	}
+	gotShape, got := splitPhases(got)
+	wantShape, want := splitPhases(want)
+	if !slices.Equal(gotShape, wantShape) || !slices.Contains(wantShape, "residue") || wantShape[0] != "8 rounds" {
+		t.Errorf("phase table of the kill+resume trace: %q, want the uninterrupted run's %q (8 rounds, down to residue)", gotShape, wantShape)
 	}
 	if g, w := withoutLines(got, "events:", "durable:"), withoutLines(want, "events:", "durable:"); g != w {
 		t.Errorf("summary of the kill+resume trace:\n%s\nwant the uninterrupted run's:\n%s", got, want)

@@ -8,8 +8,8 @@ import (
 	"calibre/internal/trace"
 )
 
-// roundSpan is one reconstructed round: its bracketing events plus every
-// client event that landed inside it.
+// roundSpan is one reconstructed round: its bracketing events, every
+// client event that landed inside it, and its phases.
 type roundSpan struct {
 	round   int
 	start   trace.Event
@@ -17,6 +17,14 @@ type roundSpan struct {
 	ended   bool
 	updates []trace.Event
 	drops   []trace.Event
+
+	phased bool                     // the round has phase events
+	phases [len(trace.Phases)]int64 // Σ Dur per phase, in trace.Phases order
+	from   int64                    // where the round's phase tiling starts: phase_draw's TS
+	to     int64                    // where it ends: the last phase's TS+Dur
+	// resumed: a resume came after the round, so the next one ran in
+	// another process, on another clock.
+	resumed bool
 }
 
 // collectRounds groups one run's events into round spans, in order of
@@ -25,9 +33,12 @@ type roundSpan struct {
 func collectRounds(run trace.Run) []*roundSpan {
 	var spans []*roundSpan
 	for _, e := range run.Events {
-		if e.Kind == trace.KindRoundStart {
+		switch {
+		case e.Kind == trace.KindRoundStart:
 			spans = append(spans, &roundSpan{round: e.Round, start: e})
 			continue
+		case e.Kind == trace.KindResume && len(spans) > 0:
+			spans[len(spans)-1].resumed = true
 		}
 		if len(spans) == 0 || spans[len(spans)-1].round != e.Round {
 			continue
@@ -39,9 +50,28 @@ func collectRounds(run trace.Run) []*roundSpan {
 			rs.updates = append(rs.updates, e)
 		case trace.KindClientDrop:
 			rs.drops = append(rs.drops, e)
+		default:
+			if p := e.Kind.Phase(); p >= 0 {
+				if e.Kind == trace.KindPhaseDraw {
+					rs.from = e.TS
+				}
+				rs.phased = true
+				rs.phases[p] += e.Dur
+				rs.to = e.TS + e.Dur // the phases tile the round in emission order
+			}
 		}
 	}
 	return spans
+}
+
+// wall is the round's iteration wall time: from the start of its draw to
+// the start of the next round's, or — for the last round its process ran —
+// to the end of its last phase.
+func (rs *roundSpan) wall(next *roundSpan) int64 {
+	if next != nil && next.phased && !rs.resumed && next.from >= rs.to {
+		return next.from - rs.from
+	}
+	return rs.to - rs.from
 }
 
 // gantt renders one client span as an ASCII bar inside the round's time

@@ -83,7 +83,6 @@ func (st *SimState) Defer(write func() error) error {
 type writeBehind struct {
 	pending []func() error // handed back by the current hook call, not started
 	round   int            // the closed round the pending / in-flight write saves
-	stall   int64          // span-clock time the loop has been blocked on it so far
 	done    chan error     // non-nil while a write is in flight
 }
 

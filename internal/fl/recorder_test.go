@@ -208,8 +208,10 @@ func TestTraceResumeEvent(t *testing.T) {
 // in the stream: right after its round for a hook that saved inline, and
 // for a deferring hook where the loop learns the outcome — at the next due
 // checkpoint's wait, or at the drain when Run ends — always on the loop
-// goroutine (the injected single-goroutine clock would race otherwise), with
-// Dur = the time the loop was blocked on it, at the same bytes every run.
+// goroutine (the injected single-goroutine clock would race otherwise), at
+// the same bytes every run. The save carries no Dur: the time the loop was
+// blocked is phase_checkpoint_wait's, which a round has when it waited on an
+// earlier write (or, the final round, drained its own).
 func TestTraceCheckpointSaveFollowsDurability(t *testing.T) {
 	clients := testClients(t, 6)
 	run := func(hook func(*SimState) error) (string, []byte) {
@@ -236,8 +238,12 @@ func TestTraceCheckpointSaveFollowsDurability(t *testing.T) {
 				order = append(order, fmt.Sprintf("end%d", e.Round))
 			case trace.KindCheckpointSave:
 				order = append(order, fmt.Sprintf("save%d", e.Round))
-				if e.Dur <= 0 {
-					t.Errorf("checkpoint_save without the loop's stall: %+v", e)
+				if e.Dur != 0 {
+					t.Errorf("checkpoint_save carries a Dur: %+v", e)
+				}
+			case trace.KindPhaseCheckpointWait:
+				if e.Dur > 0 {
+					order = append(order, fmt.Sprintf("wait%d", e.Round))
 				}
 			}
 		}
@@ -247,7 +253,7 @@ func TestTraceCheckpointSaveFollowsDurability(t *testing.T) {
 		t.Errorf("inline hook: %s", got)
 	}
 	got, bytes1 := run((&behindHook{}).hook)
-	if got != "end0 end1 save0 end2 save1 save2" {
+	if got != "end0 end1 save0 wait1 end2 save1 save2 wait2" {
 		t.Errorf("deferring hook: %s", got)
 	}
 	if _, bytes2 := run((&behindHook{delay: 2 * time.Millisecond}).hook); !bytes.Equal(bytes1, bytes2) {

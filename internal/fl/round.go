@@ -122,6 +122,19 @@ type roundCore struct {
 	normOn bool
 	round  Round
 	behind writeBehind
+	ph     phaseClock
+}
+
+// phaseClock lays one round-loop iteration's phase events (trace.Phases)
+// end to end in the order they are emitted: draw, collect, ingest,
+// reduce, planes, checkpoint, hooks, checkpoint_wait. tile is where the
+// next phase begins; unplaced is the time of the pieces timed inside other
+// phases and not yet laid down — ingest's until the round closes, then
+// checkpoint_wait's — so tile+unplaced is the span clock's last reading.
+// Each phase's Dur is the time it took; the tiling decides only its TS.
+type phaseClock struct {
+	on             bool // a Recorder is attached: the phases' only reader
+	tile, unplaced int64
 }
 
 // RunRounds is the round core: it runs cfg's federation over tr and
@@ -138,10 +151,15 @@ type roundCore struct {
 // due checkpoint waits for it first, and so does every return from
 // RunRounds, so an accepted checkpoint is durable (or its error reported)
 // before the caller sees the run end and no goroutine outlives it.
+//
+// With a Recorder attached, each iteration of the round loop also emits
+// its phases (trace.Phases): where the round's time went, laid end to end
+// so that they sum to the iteration (see phaseClock).
 func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param.Vector, history []RoundStats, err error) {
 	c := &roundCore{cfg: cfg, runtime: tr.Runtime(), now: func() int64 { return 0 }, malicious: make(map[int]bool)}
 	p := &c.cfg.Planes
 	c.normOn = p.Monitor != nil || p.Recorder != nil
+	c.ph.on = p.Recorder != nil
 	switch {
 	case p.Recorder != nil:
 		c.now = p.Recorder.Now
@@ -205,6 +223,7 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
 		}
+		c.ph.tile = c.tick() // the previous iteration left nothing unplaced
 		sampled, live, pool, err := tr.Draw(rng, round, -1)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
@@ -213,13 +232,16 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 		if err := r.open(round, global, sampled, live); err != nil {
 			return nil, nil, err
 		}
+		c.lap(trace.KindPhaseDraw, round)
 		if err := tr.Collect(ctx, r); err != nil {
 			return nil, nil, err
 		}
+		c.lap(trace.KindPhaseCollect, round)
 		next, stats, err := r.close()
 		if err != nil {
 			return nil, nil, err
 		}
+		c.lap(trace.KindPhasePlanes, round)
 		global = next
 		history = append(history, stats)
 		pools = append(pools, pool)
@@ -230,12 +252,64 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 				return nil, nil, err
 			}
 		}
+		c.lap(trace.KindPhaseCheckpoint, round)
 		if cfg.OnRound != nil {
 			cfg.OnRound(stats)
 		}
 		c.behind.start()
+		c.lap(trace.KindPhaseHooks, round)
+		if round == cfg.Rounds-1 {
+			// The end-of-run drain, inside the final round so that its
+			// checkpoint_wait takes it in.
+			if err := c.awaitCheckpoint(); err != nil {
+				return nil, nil, err
+			}
+		}
+		c.place(trace.KindPhaseCheckpointWait, round)
 	}
 	return global, history, nil
+}
+
+// lap ends round's phase kind at the span clock's reading: its Dur is the
+// time since the previous phase ended, less the pieces timed inside it.
+func (c *roundCore) lap(kind trace.Kind, round int) {
+	if c.ph.on {
+		c.tilePhase(kind, round, c.now()-c.ph.tile-c.ph.unplaced)
+	}
+}
+
+// place lays down round's phase kind, which ran in the pieces not yet
+// placed.
+func (c *roundCore) place(kind trace.Kind, round int) {
+	if c.ph.on {
+		c.tilePhase(kind, round, c.ph.unplaced)
+		c.ph.unplaced = 0
+	}
+}
+
+// piece ends a piece of a phase that runs inside others, begun when the
+// span clock read since.
+func (c *roundCore) piece(since int64) {
+	if c.ph.on {
+		c.ph.unplaced += c.now() - since
+	}
+}
+
+// tick reads the span clock for a phase boundary: 0, without a read, when
+// no phases are recorded — like lap, place and piece, which then do
+// nothing.
+func (c *roundCore) tick() int64 {
+	if !c.ph.on {
+		return 0
+	}
+	return c.now()
+}
+
+// tilePhase emits round's phase kind at the end of the tiling and extends
+// the tiling by dur.
+func (c *roundCore) tilePhase(kind trace.Kind, round int, dur int64) {
+	c.cfg.Planes.Emit(trace.Event{Kind: kind, TS: c.ph.tile, Runtime: c.runtime, Round: round, Client: -1, Dur: dur})
+	c.ph.tile += dur
 }
 
 // checkpoint waits out the write in flight (back-pressure: one at a time),
@@ -246,7 +320,6 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 	}
 	b := &c.behind
 	st.behind = b
-	t0 := c.now()
 	// The rows are copied once the previous write is done, so at most one
 	// copy is pending, and inside the hand-off's time: the copy grows with
 	// the clients the table has seen times the row size.
@@ -257,34 +330,31 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 		b.pending = nil
 		return fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
 	}
-	e := c.event(trace.KindCheckpointSave, round, -1)
-	e.Dur = e.TS - t0
 	if len(b.pending) == 0 {
-		c.cfg.Planes.Emit(e)
+		c.cfg.Planes.Emit(c.event(trace.KindCheckpointSave, round, -1))
 		return nil
 	}
-	b.round, b.stall = round, e.Dur
+	b.round = round
 	return nil
 }
 
 // awaitCheckpoint blocks until the write in flight, if any, has returned,
-// and is where the loop learns its outcome: a checkpoint_save event whose
-// Dur is the time the loop was blocked on that checkpoint (hand-off plus
-// this wait), or the error that aborts the run.
+// and is where the loop learns its outcome: a checkpoint_save event, or
+// the error that aborts the run. The time blocked is a piece of the
+// iteration's phase_checkpoint_wait.
 func (c *roundCore) awaitCheckpoint() error {
 	b := &c.behind
 	if b.done == nil {
 		return nil
 	}
-	t0 := c.now()
+	t0 := c.tick()
 	err := <-b.done
+	c.piece(t0)
 	b.done = nil
 	if err != nil {
 		return fmt.Errorf("fl: checkpoint after round %d: %w", b.round, err)
 	}
-	e := c.event(trace.KindCheckpointSave, b.round, -1)
-	e.Dur = b.stall + e.TS - t0
-	c.cfg.Planes.Emit(e)
+	c.cfg.Planes.Emit(c.event(trace.KindCheckpointSave, b.round, -1))
 	return nil
 }
 
@@ -530,7 +600,10 @@ func (r *Round) Advance() error {
 		if s.state == slotSkipped {
 			continue
 		}
-		if err := r.sink.Ingest(s.update); err != nil {
+		t0 := r.c.tick()
+		err := r.sink.Ingest(s.update)
+		r.c.piece(t0)
+		if err != nil {
 			return fmt.Errorf("fl: aggregate round %d: %w", r.Num, err)
 		}
 		r.lossSum += s.loss
@@ -582,6 +655,8 @@ func (r *Round) close() (param.Vector, RoundStats, error) {
 	if r.ingested > 0 {
 		stats.MeanLoss = r.lossSum / float64(r.ingested)
 	}
+	c.place(trace.KindPhaseIngest, r.Num)
+	c.lap(trace.KindPhaseReduce, r.Num)
 	e := c.event(trace.KindRoundEnd, r.Num, -1)
 	e.N, e.Dur, e.Loss = r.ingested, e.TS-r.tsStart, stats.MeanLoss
 	e.Adversarial, e.Rejected = stats.AdversarialUpdates, stats.RejectedUpdates

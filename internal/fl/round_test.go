@@ -96,7 +96,10 @@ func (a orderAgg) Aggregate(global param.Vector, updates []*Update) (param.Vecto
 // and pins, per scenario, the three things a round becomes — RoundStats,
 // the obs.RoundSample and the trace events — plus the canonical ingestion
 // order and the aggregate. The recorded events, folded offline, must give
-// back exactly the samples the live registry observed.
+// back exactly the samples the live registry observed. The phase events
+// are checked apart from the ledger's: a closed round carries every phase
+// once, in the order they tile the iteration, and a failed one only the
+// draw it got past.
 func TestRoundCoreLedger(t *testing.T) {
 	const seed = 5
 	adv := &Adversary{Kind: AdvSignFlip, Scale: 2, Frac: 0.5}
@@ -247,10 +250,14 @@ func TestRoundCoreLedger(t *testing.T) {
 			if rerr != nil {
 				t.Fatal(rerr)
 			}
-			var got []string
+			var got, phases []string
 			for _, e := range events {
 				if e.Runtime != "fake" || e.Round != 0 {
 					t.Errorf("event not stamped with the transport's runtime and round: %+v", e)
+				}
+				if e.Kind.Phase() >= 0 {
+					phases = append(phases, string(e.Kind))
+					continue
 				}
 				line := string(e.Kind)
 				switch e.Kind {
@@ -268,6 +275,17 @@ func TestRoundCoreLedger(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, tc.wantEvents) {
 				t.Errorf("events:\n got %q\nwant %q", got, tc.wantEvents)
+			}
+			wantPhases := []string{"phase_draw", "phase_collect", "phase_ingest", "phase_reduce", "phase_planes",
+				"phase_checkpoint", "phase_hooks", "phase_checkpoint_wait"}
+			switch {
+			case tc.metrics:
+				wantPhases = nil // no recorder: nothing reads the phases
+			case tc.wantErr != nil:
+				wantPhases = wantPhases[:1]
+			}
+			if !reflect.DeepEqual(phases, wantPhases) {
+				t.Errorf("phases:\n got %q\nwant %q", phases, wantPhases)
 			}
 			if !tc.metrics {
 				folded := obs.NewRegistryWithRing(4)

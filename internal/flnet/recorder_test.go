@@ -158,3 +158,71 @@ func TestNetTraceAvailabilityDrops(t *testing.T) {
 		t.Fatal("diurnal trace at base 0.4 produced no drops over 4 rounds (seed-dependent; adjust)")
 	}
 }
+
+// TestNetTracePhasesTileEachRound is the server's half of the phase
+// contract: over TCP, with write-behind checkpoints, every closed round
+// carries each phase once, its phases tile the iteration from the draw
+// on, and the residue — the draw-to-draw span (the final round: to its
+// last phase's end) less the phases — is never negative.
+func TestNetTracePhasesTileEachRound(t *testing.T) {
+	const rounds = 4
+	var sink bytes.Buffer
+	rec := trace.New(&sink, trace.Config{})
+	runTracedFederation(t, 4, rounds, 3, func(c *ServerConfig) {
+		c.Recorder = rec
+		c.OnCheckpoint = func(st *fl.SimState) error {
+			return st.Defer(func() error { time.Sleep(time.Millisecond); return nil })
+		}
+	})
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := trace.ReadAll(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := make([][]trace.Event, rounds)
+	closed := 0
+	for _, e := range events {
+		switch {
+		case e.Kind == trace.KindRoundEnd:
+			closed++
+		case e.Kind.Phase() >= 0:
+			phases[e.Round] = append(phases[e.Round], e)
+		}
+	}
+	if closed != rounds {
+		t.Fatalf("%d rounds closed, want %d", closed, rounds)
+	}
+	var waited int64
+	for r, evs := range phases {
+		seen := map[trace.Kind]int{}
+		var sum int64
+		for i, e := range evs {
+			seen[e.Kind]++
+			if e.Dur < 0 || i > 0 && e.TS != evs[i-1].TS+evs[i-1].Dur {
+				t.Errorf("round %d %s does not tile: %+v after %+v", r, e.Kind, e, evs[i-1])
+			}
+			if e.Kind == trace.KindPhaseCheckpointWait {
+				waited += e.Dur
+			}
+			sum += e.Dur
+		}
+		for _, k := range trace.Phases {
+			if seen[k] != 1 {
+				t.Errorf("round %d carries %s %d times, want once", r, k, seen[k])
+			}
+		}
+		last := evs[len(evs)-1]
+		end := last.TS + last.Dur
+		if r+1 < rounds {
+			end = phases[r+1][0].TS
+		}
+		if residue := end - evs[0].TS - sum; residue < 0 {
+			t.Errorf("round %d: negative residue %d", r, residue)
+		}
+	}
+	if waited <= 0 {
+		t.Error("no round waited on its predecessor's 1ms save, nor the run on its drain")
+	}
+}

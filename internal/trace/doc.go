@@ -4,8 +4,8 @@
 //
 // Producers — fl.Simulator, flnet.Server, and the sweep scheduler — emit
 // typed Events (round spans, per-client dispatch/update/drop/late with an
-// attributed drop reason, checkpoint/resume marks, sweep cell spans)
-// through a Recorder. The round core's events are its only observability
+// attributed drop reason, checkpoint/resume marks, sweep cell spans, and
+// the phases each round's time went to) through a Recorder. The round core's events are its only observability
 // output: health.Fold records them and folds them into the metrics and
 // health planes. The Recorder buffers them in a preallocated bounded
 // ring and drains the ring into an append-only Sink as length-prefixed

@@ -5,14 +5,35 @@ import (
 	"testing"
 )
 
-// round is one federation round's events, with loss telling executions
-// of the same round apart.
+// round is one federation round's events, phases among them where the
+// round core emits them, with loss telling executions of the same round
+// apart (and the phases' Dur, with it).
 func round(cell string, r int, loss float64) []Event {
+	phase := func(k Kind) Event {
+		return Event{Kind: k, Runtime: "sim", Cell: cell, Round: r, Client: -1, Dur: int64(loss)}
+	}
 	return []Event{
 		{Kind: KindRoundStart, Runtime: "sim", Cell: cell, Round: r, Client: -1, N: 1},
 		{Kind: KindClientDispatch, Runtime: "sim", Cell: cell, Round: r, Client: 0},
+		phase(KindPhaseDraw),
 		{Kind: KindClientUpdate, Runtime: "sim", Cell: cell, Round: r, Client: 0, Loss: loss},
+		phase(KindPhaseCollect),
 		{Kind: KindRoundEnd, Runtime: "sim", Cell: cell, Round: r, Client: -1, N: 1, Loss: loss},
+		phase(KindPhasePlanes), phase(KindPhaseHooks), phase(KindPhaseCheckpointWait),
+	}
+}
+
+// TestPhasesInTableOrder: Kind.Phase indexes trace.Phases and nothing else.
+func TestPhasesInTableOrder(t *testing.T) {
+	for i, k := range Phases {
+		if k.Phase() != i {
+			t.Errorf("%s.Phase() = %d, want %d", k, k.Phase(), i)
+		}
+	}
+	for _, k := range []Kind{KindRoundStart, KindRoundEnd, KindCheckpointSave, "phase_bogus"} {
+		if k.Phase() != -1 {
+			t.Errorf("%s.Phase() = %d, want -1", k, k.Phase())
+		}
 	}
 }
 
@@ -93,7 +114,7 @@ func TestRunsSplitInterleavedCells(t *testing.T) {
 			t.Errorf("cell %q interleaved reads %+v, alone %+v", r.Cell, r, got)
 		}
 	}
-	if n := len(runs[1].Events); n != 2*4+1 {
-		t.Errorf("cell a keeps %d events, want rounds 0 and 1 and the resume (9)", n)
+	if n, want := len(runs[1].Events), 2*len(round("a", 0, 0))+1; n != want {
+		t.Errorf("cell a keeps %d events, want rounds 0 and 1 and the resume (%d)", n, want)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -41,10 +42,11 @@ const (
 	// checkpoint_save is emitted when the round loop learns that Round's
 	// snapshot is persisted — straight after the hook for one that saved
 	// inline, at the next due checkpoint's wait or the end-of-run drain for
-	// a write-behind save — and Dur is how long the loop was blocked on it
-	// (hook call plus wait; what a hidden save costs is its hand-off).
-	// resume marks a run continuing from a snapshot (Round = the first
-	// round the continuation executes).
+	// a write-behind save. It carries no Dur: what checkpoints cost the loop
+	// is the phase_checkpoint and phase_checkpoint_wait events. (Traces
+	// written before the phases existed carry the loop's stall as its
+	// dur_ns.) resume marks a run continuing from a snapshot (Round = the
+	// first round the continuation executes).
 	KindCheckpointSave Kind = "checkpoint_save"
 	KindResume         Kind = "resume"
 	// KindCellStart / KindCellEnd bracket one sweep cell's span; Cell
@@ -53,7 +55,49 @@ const (
 	// cells run concurrently. cell_end carries Note = the cell status.
 	KindCellStart Kind = "cell_start"
 	KindCellEnd   Kind = "cell_end"
+
+	// The phase kinds split one iteration of the round loop into what its
+	// time went to, all timed on the loop's goroutine. Each is emitted once
+	// per round, Dur its length (zero when the phase did nothing that
+	// round) and TS its start in the round's tiling: the phases laid end to
+	// end in emission order — draw, collect, ingest, reduce, planes,
+	// checkpoint, hooks, checkpoint_wait — from the draw's start, so they
+	// sum to the iteration. ingest, timed inside collect and reduce, and
+	// checkpoint_wait, timed inside checkpoint and (the final round) in the
+	// end-of-run drain after hooks, are taken out of the phases they ran
+	// in. The round core records them only when a Recorder is attached.
+	//
+	//   - phase_draw: sampling the participants and opening the round
+	//     (emitted after round_start, whose supersede rule would otherwise
+	//     drop it).
+	//   - phase_collect: obtaining the updates, less the ingest inside it —
+	//     local training on the simulator, wire and remote training on the
+	//     server.
+	//   - phase_ingest: streaming the accepted updates into the aggregate.
+	//   - phase_reduce: finishing the aggregate, giving the round's payloads
+	//     back, the round's statistics.
+	//   - phase_planes: round_end's trip through the observability planes.
+	//   - phase_checkpoint: a due checkpoint's hand-off (the rows snapshot
+	//     and the hook call).
+	//   - phase_checkpoint_wait: the loop blocked on an earlier write-behind
+	//     save, and in the final round on the end-of-run drain.
+	//   - phase_hooks: OnRound and starting the write-behind save.
+	KindPhaseDraw           Kind = "phase_draw"
+	KindPhaseCollect        Kind = "phase_collect"
+	KindPhaseIngest         Kind = "phase_ingest"
+	KindPhaseReduce         Kind = "phase_reduce"
+	KindPhasePlanes         Kind = "phase_planes"
+	KindPhaseCheckpoint     Kind = "phase_checkpoint"
+	KindPhaseCheckpointWait Kind = "phase_checkpoint_wait"
+	KindPhaseHooks          Kind = "phase_hooks"
 )
+
+// Phases lists the phase kinds in table order.
+var Phases = [...]Kind{KindPhaseDraw, KindPhaseCollect, KindPhaseIngest, KindPhaseReduce,
+	KindPhasePlanes, KindPhaseCheckpoint, KindPhaseCheckpointWait, KindPhaseHooks}
+
+// Phase returns k's index in Phases, or -1 when k is not a phase kind.
+func (k Kind) Phase() int { return slices.Index(Phases[:], k) }
 
 // DropReason attributes a client_drop event.
 type DropReason string
@@ -123,7 +167,10 @@ func StepClock(step int64) Clock {
 	}
 }
 
-// defaultRing bounds the in-memory event buffer between sink writes.
+// defaultRing bounds the in-memory event buffer between sink writes. The
+// ring amortizes sink writes: events accumulate in place and are encoded
+// and written as one batch when the ring fills (or on Flush/Close), so no
+// event is ever dropped and file order always equals emission order.
 const defaultRing = 1024
 
 // Config tunes a Recorder.
@@ -131,11 +178,6 @@ type Config struct {
 	// Clock supplies timestamps; nil means monotonic nanoseconds since
 	// the recorder was built.
 	Clock Clock
-	// RingSize bounds the event buffer (default 1024). The ring amortizes
-	// sink writes: events accumulate in place and are encoded + written as
-	// one batch when the ring fills (or on Flush/Close), so no event is
-	// ever dropped and file order always equals emission order.
-	RingSize int
 }
 
 // Recorder is the flight recorder: a bounded ring of Events draining into
@@ -144,7 +186,7 @@ type Config struct {
 // so runtimes instrument unconditionally — the same contract as
 // obs.Registry. The hot path is allocation-disciplined: the ring and the
 // encode scratch are preallocated and reused, and one Emit costs a short
-// critical section plus, every RingSize events, one batched sink write.
+// critical section plus, every defaultRing events, one batched sink write.
 type Recorder struct {
 	c    *core
 	cell string
@@ -181,11 +223,7 @@ func New(sink Sink, cfg Config) *Recorder {
 		start := time.Now()
 		clock = func() int64 { return time.Since(start).Nanoseconds() }
 	}
-	size := cfg.RingSize
-	if size < 1 {
-		size = defaultRing
-	}
-	return &Recorder{c: &core{clock: clock, sink: sink, ring: make([]Event, size)}}
+	return &Recorder{c: &core{clock: clock, sink: sink, ring: make([]Event, defaultRing)}}
 }
 
 // WithCell returns a view of the recorder that stamps cell onto every

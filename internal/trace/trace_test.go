@@ -20,6 +20,12 @@ type memSink struct {
 
 func (m *memSink) Close() error { m.closed++; return nil }
 
+// withRing shrinks r's ring to size events, so a test sees it wrap.
+func withRing(r *Recorder, size int) *Recorder {
+	r.c.ring = make([]Event, size)
+	return r
+}
+
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Emit(Event{Kind: KindRoundStart})
@@ -83,7 +89,7 @@ func TestRoundTrip(t *testing.T) {
 func TestEncodingDeterministic(t *testing.T) {
 	run := func() []byte {
 		var sink memSink
-		r := New(&sink, Config{Clock: StepClock(7), RingSize: 3})
+		r := withRing(New(&sink, Config{Clock: StepClock(7)}), 3)
 		for round := 0; round < 4; round++ {
 			r.Emit(Event{Kind: KindRoundStart, TS: r.Now(), Round: round, Client: -1, N: 2})
 			r.Emit(Event{Kind: KindClientUpdate, TS: r.Now(), Round: round, Client: round % 2,
@@ -124,7 +130,7 @@ func TestCellStamping(t *testing.T) {
 
 func TestRingFlushPreservesOrder(t *testing.T) {
 	var sink memSink
-	r := New(&sink, Config{Clock: StepClock(1), RingSize: 4})
+	r := withRing(New(&sink, Config{Clock: StepClock(1)}), 4)
 	const total = 31 // not a multiple of the ring, exercises partial final flush
 	for i := 0; i < total; i++ {
 		r.Emit(Event{Kind: KindClientUpdate, TS: int64(i), Round: i, Client: i})
@@ -146,7 +152,7 @@ func TestRingFlushPreservesOrder(t *testing.T) {
 
 func TestConcurrentEmit(t *testing.T) {
 	var sink memSink
-	r := New(&sink, Config{RingSize: 8})
+	r := withRing(New(&sink, Config{}), 8)
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	for w := 0; w < workers; w++ {
@@ -194,7 +200,7 @@ func (s *errSink) Write(p []byte) (int, error) { s.calls++; return 0, errors.New
 
 func TestSinkErrorIsStickyNotFatal(t *testing.T) {
 	sink := &errSink{}
-	r := New(sink, Config{RingSize: 2})
+	r := withRing(New(sink, Config{}), 2)
 	for i := 0; i < 10; i++ {
 		r.Emit(Event{Kind: KindRoundStart, Round: i, Client: -1})
 	}
@@ -344,7 +350,7 @@ func TestFileSinkTruncate(t *testing.T) {
 
 func TestEmitAllocationDiscipline(t *testing.T) {
 	var sink memSink
-	r := New(&sink, Config{RingSize: 64})
+	r := withRing(New(&sink, Config{}), 64)
 	e := Event{Kind: KindClientUpdate, Runtime: "sim", Round: 1, Client: 2,
 		Wire: "delta", Bytes: 100, Dur: 5, Loss: 0.5}
 	// Warm up ring + scratch growth, then steady state must not allocate.

@@ -13,8 +13,9 @@
 //   - `calibre trace` parses both traces — the one appended across the kill
 //     may end a record short — and the uninterrupted trace holds one cell
 //     span per manifest cell and one round span per round the manifest ran.
-//     `calibre trace summary` counts exactly the manifest's rounds in both:
-//     the killed trace's re-run rounds are read once.
+//     `calibre trace summary` counts exactly the manifest's rounds in both,
+//     in its round spans and its phase table (down to the residue row): the
+//     killed trace's re-run rounds are read once.
 //
 // Last, in this process, a warmed calibre-simclr federation must stay under
 // the committed allocations-per-round ceiling (the same count on the
@@ -223,12 +224,18 @@ func (s *smoke) grepCount(tracePath, kind string) (int, error) {
 }
 
 // summary runs `calibre trace summary <trace>` and requires it to count
-// exactly wantRounds round spans: the manifest's, however many times a
-// kill made the sweep run a round.
+// exactly wantRounds round spans — the manifest's, however many times a
+// kill made the sweep run a round — and to print the phase table over as
+// many rounds, down to its residue row.
 func (s *smoke) summary(tracePath string, wantRounds int) error {
 	out, err := exec.Command(s.bin, "trace", "summary", tracePath).CombinedOutput()
-	if want := fmt.Sprintf("rounds:   %d spans", wantRounds); err != nil || !bytes.Contains(out, []byte(want)) {
-		return fmt.Errorf("calibre trace summary %s: %v; want %q:\n%s", tracePath, err, want, out)
+	if err != nil {
+		return fmt.Errorf("calibre trace summary %s: %v:\n%s", tracePath, err, out)
+	}
+	for _, want := range []string{fmt.Sprintf("rounds:   %d spans", wantRounds), fmt.Sprintf("phases:   %d rounds", wantRounds), "\n  residue "} {
+		if !bytes.Contains(out, []byte(want)) {
+			return fmt.Errorf("calibre trace summary %s: want %q:\n%s", tracePath, want, out)
+		}
 	}
 	return nil
 }
