@@ -75,7 +75,9 @@ type (
 
 	// SimState is a federation's complete resumable round state; both the
 	// simulator (SimConfig) and the TCP server (ServerConfig) emit it via
-	// OnCheckpoint and accept it back via ResumeFrom.
+	// OnCheckpoint and accept it back via ResumeFrom. Its Global is lent
+	// until the hook, or the write it defers, returns: a hook that keeps
+	// the state past then clones Global.
 	SimState = fl.SimState
 
 	// SweepGrid is a declarative scenario grid: methods × settings ×

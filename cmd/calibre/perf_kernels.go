@@ -295,7 +295,22 @@ func benchClients() []*partition.Client {
 // are ones it has trained before.
 func flRound() func() {
 	clients, method := benchClients(), flRoundMethod()
-	return func() { simulateRounds(method, clients) }
+	return func() { simulateRounds(method, clients, 2, 0) }
+}
+
+// flRoundsSerial runs eight rounds, one client training at a time. From
+// round 1 on each round gives the global it superseded back to param's
+// pool, where the next round's aggregate borrows it, and with one trainer
+// at a time the pool lends and takes back in the same order on every
+// call: bytes_op counts the two model-sized vectors a run keeps out of the
+// pool (its final global and the one its final round superseded), not one
+// a round. The two-round records cannot show that — their only superseded
+// globals are InitGlobal's and the final round's — and with trainers
+// overlapping, whether a call finds the pool short varies from call to
+// call.
+func flRoundsSerial() func() {
+	clients, method := benchClients(), flRoundMethod()
+	return func() { simulateRounds(method, clients, 8, 1) }
 }
 
 // flRoundNewClients is flRound with a new method on every call, so every
@@ -304,7 +319,7 @@ func flRound() func() {
 // buffers, say — shows in its bytes_op, where flRound's warm clients hide it.
 func flRoundNewClients() func() {
 	clients := benchClients()
-	return func() { simulateRounds(flRoundMethod(), clients) }
+	return func() { simulateRounds(flRoundMethod(), clients, 2, 0) }
 }
 
 // flRoundMethod is the small FedAvg method the round records federate.
@@ -317,10 +332,11 @@ func flRoundMethod() *fl.Method {
 	return baselines.NewFedAvg(cfg)
 }
 
-// simulateRounds runs two rounds of two clients of method in the simulator.
-func simulateRounds(method *fl.Method, clients []*partition.Client) {
+// simulateRounds runs rounds rounds of two clients of method in the
+// simulator, parallel of them training at once (0: the default).
+func simulateRounds(method *fl.Method, clients []*partition.Client, rounds, parallel int) {
 	sim, err := fl.NewSimulator(fl.SimConfig{
-		Rounds: 2, ClientsPerRound: 2, Seed: 7,
+		Rounds: rounds, ClientsPerRound: 2, Seed: 7, Parallelism: parallel,
 	}, method, clients)
 	if err != nil {
 		panic(err)
@@ -415,6 +431,7 @@ func runKernelBench(outDir string, quick bool) error {
 		benchSerialVsPool(minTime, workers, "calibre-step", "calibre-simclr-ci-1client", calibreStep),
 		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds", flRound),
 		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-2rounds-new-clients", flRoundNewClients),
+		benchSerialVsPool(minTime, workers, "fl-round", "fedavg-4clients-8rounds-serial", flRoundsSerial),
 		benchSerialVsPool(minTime, workers, "flnet-round", fmt.Sprintf("tcp-4clients-2rounds-%dparams", flnetRoundParams), flnetRound),
 	)
 

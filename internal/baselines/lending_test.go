@@ -29,7 +29,8 @@ import (
 // compare each lent vector with its copy when the round closes — after the
 // transport and the sink have had it, and while the round's other trainers
 // borrow from the pool — and to check that no global the round engine hands
-// out is a client's storage.
+// out is a client's live storage. The globals come from the same pool, so a
+// global may sit in an array a closed round's Lent payload was in.
 type witness struct {
 	t *testing.T
 
@@ -40,7 +41,8 @@ type witness struct {
 	pooled  map[*float64]param.Vector // the Lent payloads', by array
 	reused  int                       // payloads in an array an earlier payload was in
 	closes  int
-	vectors int // Lent vectors per update: 2 with SCAFFOLD's control delta
+	vectors int          // Lent vectors per update: 2 with SCAFFOLD's control delta
+	global  param.Vector // the last global a round trained on
 }
 
 func newWitness(t *testing.T) *witness {
@@ -86,21 +88,29 @@ func (w *witness) wrap(m *fl.Method) *fl.Method {
 	return &wrapped
 }
 
-// notAClient fails if global is (part of) a vector a client lent.
+// notAClient fails if global is (part of) a vector a client holds: its own
+// storage, or a Lent payload of the round not yet closed. A closed round's
+// Lent payloads are back in param's pool, which lends the globals too.
 func (w *witness) notAClient(global param.Vector, what string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for id, v := range w.storage {
+		_, pooled := w.pooled[&v[0]]
+		if _, lentNow := w.lent[id]; pooled && !lentNow {
+			continue
+		}
 		if overlap(global, v) {
 			w.t.Errorf("%s is client %d's own vector", what, id)
 		}
 	}
 }
 
-// roundCloses compares every payload lent this round with its copy, and
-// checks that no Lent one is back in param's pool yet: the round gives them
-// back after its sink has finished.
-func (w *witness) roundCloses() {
+// roundCloses compares every payload lent this round with its copy, checks
+// that no Lent one is back in param's pool yet — the round gives them back
+// after its sink has finished — and that the aggregate next is not a
+// client's.
+func (w *witness) roundCloses(next param.Vector) {
+	w.notAClient(next, "the aggregate")
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for id, p := range w.lent {
@@ -128,6 +138,7 @@ func (t witnessTrainer) Train(ctx context.Context, rng *rand.Rand, client *parti
 	}
 	t.w.mu.Lock()
 	defer t.w.mu.Unlock()
+	t.w.global = global
 	array := &u.Params[0]
 	if t.w.arrays[array] {
 		t.w.reused++
@@ -152,9 +163,8 @@ type witnessAggregator struct {
 }
 
 func (a witnessAggregator) Aggregate(global param.Vector, updates []*fl.Update) (param.Vector, error) {
-	a.w.roundCloses()
 	next, err := a.inner.Aggregate(global, updates)
-	a.w.notAClient(next, "the aggregate")
+	a.w.roundCloses(next)
 	return next, err
 }
 
@@ -173,9 +183,8 @@ type witnessSink struct {
 }
 
 func (s witnessSink) Finish() (param.Vector, error) {
-	s.w.roundCloses()
 	next, err := s.UpdateSink.Finish()
-	s.w.notAClient(next, "the aggregate")
+	s.w.roundCloses(next)
 	return next, err
 }
 
@@ -187,11 +196,12 @@ func (s witnessSink) Finish() (param.Vector, error) {
 // client's row, or param's pool — so a payload written before its round
 // closed would show. The pool's are all back in it after the run, and number
 // at most what the run holds at once — the round's payloads until it closes
-// (SCAFFOLD's two vectors an update), and the gradients and velocity of each
-// running trainer, which share the pool — fewer than the clients a run of a
-// stateless method trains, each of which kept a model of its own before.
+// (SCAFFOLD's two vectors an update), the gradients and velocity of each
+// running trainer, and the round's global and the aggregate that supersedes
+// it, which all share the pool — fewer than the clients a run of a stateless
+// method trains, each of which kept a model of its own before.
 func TestLentPayloadSurvivesTheRound(t *testing.T) {
-	clients := testClients(t, 16, 24)
+	clients := testClients(t, 24, 24)
 	type testCase struct {
 		name   string
 		method string
@@ -244,7 +254,7 @@ func TestLentPayloadSurvivesTheRound(t *testing.T) {
 			if len(w.pooled) == 0 {
 				return
 			}
-			bound := w.vectors*cfg.ClientsPerRound + 2*cfg.Parallelism
+			bound := w.vectors*cfg.ClientsPerRound + 2*cfg.Parallelism + 2
 			t.Logf("%d clients trained, their Lent payloads in %d arrays", len(w.storage), len(w.pooled))
 			if len(w.storage) <= bound {
 				t.Fatalf("the run trained %d clients, not more than the %d arrays its Lent payloads may come in: it shows nothing", len(w.storage), bound)
@@ -253,6 +263,12 @@ func TestLentPayloadSurvivesTheRound(t *testing.T) {
 				t.Errorf("Lent payloads came in %d distinct arrays, want at most %d", len(w.pooled), bound)
 			}
 			for _, v := range w.pooled {
+				// The round loop hands the final global to the caller and leaves
+				// the last one it superseded to the GC, arrays the pool may have
+				// lent a payload before.
+				if overlap(v, global) || overlap(v, w.global) {
+					continue
+				}
 				if !param.IsIdle(v) {
 					t.Errorf("a Lent payload array is not back in param's pool")
 				}
@@ -312,13 +328,14 @@ func (f trainerFunc) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	return f(ctx, rng, client, global, round)
 }
 
-// TestWarmedRoundAllocatesLessThanTwoParameterVectors: once every client has
-// its model, a simulator round of fedavg allocates the sink's accumulator
-// (the next global, which the Aggregator contract wants fresh) and small
-// change — no per-client copy of the global going in, of the update coming
-// out or of the optimizer's velocity — so the bytes a round allocates do not
-// grow with the number of clients it trains.
-func TestWarmedRoundAllocatesLessThanTwoParameterVectors(t *testing.T) {
+// TestWarmedRoundAllocatesLessThanHalfAParameterVector: once what a round
+// borrows is warm, a simulator round of fedavg allocates small change and
+// nothing model-sized — no per-client copy of the global going in, of the
+// update coming out or of the optimizer's velocity, and no fresh vector for
+// the sink's accumulator, the next global, which comes from param's pool
+// like the rest — so the bytes a round allocates do not grow with the
+// number of clients it trains.
+func TestWarmedRoundAllocatesLessThanHalfAParameterVector(t *testing.T) {
 	clients := testClients(t, 8, 24)
 	cfg := testCfg()
 	cfg.Arch.HiddenDim, cfg.Arch.FeatDim = 256, 64 // a vector that dwarfs a round's bookkeeping
@@ -347,8 +364,9 @@ func TestWarmedRoundAllocatesLessThanTwoParameterVectors(t *testing.T) {
 		for i := 3; i < len(marks); i++ {
 			least = min(least, marks[i]-marks[i-1])
 		}
-		if least >= 2*vector {
-			t.Errorf("%d clients a round: a warmed round allocates %d bytes, two parameter vectors are %d", perRound, least, 2*vector)
+		t.Logf("%d clients a round: a warmed round allocates %d bytes, a parameter vector is %d", perRound, least, vector)
+		if least >= vector/2 {
+			t.Errorf("%d clients a round: a warmed round allocates %d bytes, half a parameter vector is %d", perRound, least, vector/2)
 		}
 	}
 }
@@ -382,7 +400,9 @@ func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 	// At Parallelism 2 two local updates run at once. Warm what two
 	// overlapping updates hold — two lent models and their values, two tapes,
 	// two gradient vectors and two velocities — so that what the rounds meet
-	// does not depend on how closely the first round's two overlapped.
+	// does not depend on how closely the first round's two overlapped. From
+	// round 1 on the round core holds two vectors of the same pool besides:
+	// the round's global and the aggregate that will supersede it.
 	m := NewFedAvg(cfg)
 	f := m.Trainer.(*fedAvg)
 	rng := rand.New(rand.NewSource(5))
@@ -415,6 +435,13 @@ func TestNewClientsTrainInBorrowedStepBuffers(t *testing.T) {
 	f.spares.Give(b)
 	param.GiveBack(va)
 	param.GiveBack(vb)
+	peak := make([]param.Vector, 8) // values, gradients, velocities, globals
+	for i := range peak {
+		peak[i] = param.Borrow(len(va))
+	}
+	for _, v := range peak {
+		param.GiveBack(v)
+	}
 
 	var mu sync.Mutex
 	met := map[int]bool{}

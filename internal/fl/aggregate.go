@@ -15,7 +15,9 @@ import (
 // the identical order as a serial sweep — sharded aggregation is
 // bit-identical to the historical serial implementations for any pool
 // size. None of them mutate global or the update payloads they are
-// handed; the returned vector is always freshly allocated.
+// handed; the returned vector is borrowed from param's pool and handed
+// over to the caller (Aggregator), so an accumulator is cleared before it
+// is added into.
 
 // checkUpdateSizes validates every payload length up front (wrapping
 // ErrUpdateSize) so the sharded loops below can index without bounds
@@ -95,7 +97,8 @@ func (d *DivergenceWeighted) Aggregate(global param.Vector, updates []*Update) (
 	for i := range weights {
 		weights[i] /= wsum
 	}
-	out := make(param.Vector, len(global))
+	out := param.Borrow(len(global))
+	clear(out) // the sweep below adds into it
 	param.Shard(len(global), func(lo, hi int) {
 		for k, u := range updates {
 			w, p := weights[k], u.Params
@@ -126,7 +129,7 @@ func (m *MaskedAverage) Aggregate(global param.Vector, updates []*Update) (param
 	if err != nil {
 		return nil, err
 	}
-	out := make(param.Vector, len(global))
+	out := param.Borrow(len(global))
 	param.Shard(len(global), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if m.Mask[i] {
@@ -136,6 +139,7 @@ func (m *MaskedAverage) Aggregate(global param.Vector, updates []*Update) (param
 			}
 		}
 	})
+	param.GiveBack(avg)
 	return out, nil
 }
 
@@ -194,7 +198,7 @@ func (s *ScaffoldAggregator) Aggregate(global param.Vector, updates []*Update) (
 	if s.NumClients > 0 {
 		frac = 1 / float64(s.NumClients)
 	}
-	out := make(param.Vector, len(global))
+	out := param.Borrow(len(global))
 	param.Shard(len(global), func(lo, hi int) {
 		copy(out[lo:hi], global[lo:hi])
 		for _, u := range updates {

@@ -15,15 +15,17 @@ import (
 // it durably with the versioned binary codec.
 //
 // A state delivered to OnCheckpoint is an immutable view: Global is the
-// closed round's aggregate (no Aggregator touches a vector it has returned)
-// and History / EligibleCounts are capacity-capped prefixes of the loop's
-// own slices, so their hand-off costs the same at round 10 and round 1000.
-// Rows alone is a copy — of the method's client table, whose rows the next
-// round trains in while a write-behind save still reads the state — so its
-// part of the hand-off grows with the clients the table has seen times the
-// row size (a whole model for the partial-personalization family). A hook
-// may retain the state for as long as it likes and must not write through
-// it.
+// closed round's aggregate and History / EligibleCounts are
+// capacity-capped prefixes of the loop's own slices, so their hand-off
+// costs the same at round 10 and round 1000. Rows alone is a copy — of the
+// method's client table, whose rows the next round trains in while a
+// write-behind save still reads the state — so its part of the hand-off
+// grows with the clients the table has seen times the row size (a whole
+// model for the partial-personalization family). Global is lent: until
+// the hook returns or, when the hook hands its write back (Defer), until
+// that write returns; the round loop then gives it back to param's pool
+// for a later round's aggregate. A hook that keeps the state past then
+// clones Global, and no hook writes through the state.
 //
 // The master RNG is deliberately not part of the state. Both runtimes
 // consume it only for client sampling and dropout draws, so the resume
@@ -84,6 +86,9 @@ type writeBehind struct {
 	pending []func() error // handed back by the current hook call, not started
 	round   int            // the closed round the pending / in-flight write saves
 	done    chan error     // non-nil while a write is in flight
+	// retired is the global the write in flight reads, superseded since:
+	// the loop gives it back once the write has returned (retire).
+	retired param.Vector
 }
 
 // start runs the accepted writes, in order, on the checkpoint goroutine.

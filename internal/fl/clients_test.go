@@ -86,7 +86,9 @@ func TestCheckpointCarriesTheClientTable(t *testing.T) {
 	var at2 *SimState
 	cfg := SimConfig{Rounds: 5, ClientsPerRound: 3, Seed: 4, OnCheckpoint: func(st *SimState) error {
 		if st.Round == 2 {
-			at2 = st
+			// The round loop lends Global only for the call: keep a copy.
+			at2 = &SimState{Round: st.Round, Global: st.Global.Clone(), History: st.History,
+				EligibleCounts: st.EligibleCounts, Rows: st.Rows}
 		}
 		return nil
 	}}

@@ -193,13 +193,18 @@ type Trainer interface {
 
 // Aggregator merges one round's updates into the next global vector.
 // Implementations must treat global and every update payload as
-// read-only, and must return a vector they never touch again — freshly
-// allocated, not a buffer reused from an earlier round: a closed round's
-// global is shared as is with the next round's clients, with RoundStats
-// observers and with the checkpoint being written behind the next round,
-// so writing to any of them would silently corrupt resume bit-identity.
-// internal/flnet sends the returned vector as it is, straight from its
-// memory, and a straggler's send may still be reading it rounds later.
+// read-only, and must hand the returned vector over to the caller: one
+// borrowed from param's pool (param.Borrow, as every aggregator in this
+// package does) or freshly allocated, never global, a payload or a buffer
+// the aggregator keeps. The round core (RunRounds) owns it from then on:
+// it shares it with the next round's clients and with the checkpoint
+// written behind that round, and gives it back to the pool after its last
+// reader — the round that supersedes it, once that round's sink has
+// finished, or the write-behind save that still reads it then. A round
+// whose deadline expired leaves its global to the GC instead:
+// internal/flnet sends the global as it is, straight from its memory, and
+// a requeued or evicted straggler's send may still be reading it rounds
+// later. The final global is the caller's.
 type Aggregator interface {
 	Aggregate(global param.Vector, updates []*Update) (param.Vector, error)
 }

@@ -19,7 +19,8 @@ import (
 // sharded over element ranges (or, for Krum's pairwise distances, over
 // pairs) on the shared tensor kernel pool, bit-identical to a serial sweep
 // at any pool size, never mutating global or the update payloads, always
-// returning a freshly allocated vector.
+// returning a vector borrowed from param's pool that every element is
+// written into.
 //
 // Unlike WeightedAverage they deliberately ignore NumSamples: a
 // sample-count weight is attacker-controlled metadata (a malicious client
@@ -85,7 +86,7 @@ func (t TrimmedMean) Aggregate(global param.Vector, updates []*Update) (param.Ve
 	n := len(updates)
 	k := t.trimCount(n)
 	inv := 1 / float64(n-2*k)
-	out := make(param.Vector, len(global))
+	out := param.Borrow(len(global))
 	param.Shard(len(global), func(lo, hi int) {
 		// One scratch row per shard call: each coordinate's result depends
 		// only on that coordinate's sorted values, so shard boundaries can
@@ -139,7 +140,7 @@ func (CoordinateMedian) Aggregate(global param.Vector, updates []*Update) (param
 		return nil, err
 	}
 	n := len(updates)
-	out := make(param.Vector, len(global))
+	out := param.Borrow(len(global))
 	param.Shard(len(global), func(lo, hi int) {
 		vals := make([]float64, n)
 		for i := lo; i < hi; i++ {
@@ -249,7 +250,9 @@ func (k Krum) Aggregate(global param.Vector, updates []*Update) (param.Vector, e
 			best, bestScore = i, score
 		}
 	}
-	return updates[best].Params.Clone(), nil
+	out := param.Borrow(len(global))
+	copy(out, updates[best].Params)
+	return out, nil
 }
 
 // ParseAggregator parses an aggregator override spec: "mean" (the

@@ -61,7 +61,7 @@ func TestRobustAggregatorsShardedBitIdentical(t *testing.T) {
 
 // TestRobustAggregatorsNeverMutateInputs extends the read-only contract to
 // the robust rules: global and every update payload stay bit-identical, and
-// the result is freshly allocated (Krum returns a clone, not the winning
+// the result is a vector of its own (Krum returns a copy, not the winning
 // update's own slice).
 func TestRobustAggregatorsNeverMutateInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -120,6 +120,10 @@ type roundCore struct {
 	// feeds the health detectors and (so post-mortem replays can run the
 	// same detectors) the trace's client_update events.
 	normOn bool
+	// owned: the current global is the core's to give back (retire) — a
+	// sink's output or a resumed state's copy, not the method's InitGlobal
+	// vector.
+	owned  bool
 	round  Round
 	behind writeBehind
 	ph     phaseClock
@@ -151,6 +155,10 @@ type phaseClock struct {
 // due checkpoint waits for it first, and so does every return from
 // RunRounds, so an accepted checkpoint is durable (or its error reported)
 // before the caller sees the run end and no goroutine outlives it.
+//
+// Every global a round produces is the core's (Aggregator) and goes back
+// to param's pool after its last reader (retire); the final one is
+// returned to the caller.
 //
 // With a Recorder attached, each iteration of the round loop also emits
 // its phases (trace.Phases): where the round's time went, laid end to end
@@ -205,7 +213,7 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 		if cfg.clients != nil {
 			cfg.clients.restore(st.Rows)
 		}
-		global = st.Global.Clone()
+		global, c.owned = st.Global.Clone(), true
 		history = append(history, st.History...)
 		pools = append(pools, st.EligibleCounts...)
 		start = st.Round
@@ -242,7 +250,7 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 			return nil, nil, err
 		}
 		c.lap(trace.KindPhasePlanes, round)
-		global = next
+		global, c.owned = next, true
 		history = append(history, stats)
 		pools = append(pools, pool)
 		if cfg.OnCheckpoint != nil && CheckpointDue(round+1, cfg.CheckpointEvery, cfg.Rounds) {
@@ -338,6 +346,25 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 	return nil
 }
 
+// retire gives back the global round r superseded, now that r's sink has
+// finished reading it, unless it has a reader the round does not see
+// through: the method's InitGlobal vector is not the core's; after an
+// expired deadline a requeued or evicted straggler's send may read it
+// rounds later, and the engine learns that a send has finished only from
+// a reply that may never come; the write-behind save in flight may still
+// read it, and then awaitCheckpoint gives it back once the save returns.
+// The final round's is left to the GC too: no later sink borrows it.
+func (c *roundCore) retire(r *Round) {
+	if !c.owned || r.stats.DeadlineExpired || r.Num == c.cfg.Rounds-1 {
+		return
+	}
+	if b := &c.behind; b.done != nil && b.round == r.Num-1 {
+		b.retired = r.Global
+		return
+	}
+	param.GiveBack(r.Global)
+}
+
 // awaitCheckpoint blocks until the write in flight, if any, has returned,
 // and is where the loop learns its outcome: a checkpoint_save event, or
 // the error that aborts the run. The time blocked is a piece of the
@@ -351,6 +378,10 @@ func (c *roundCore) awaitCheckpoint() error {
 	err := <-b.done
 	c.piece(t0)
 	b.done = nil
+	if b.retired != nil {
+		param.GiveBack(b.retired)
+		b.retired = nil
+	}
 	if err != nil {
 		return fmt.Errorf("fl: checkpoint after round %d: %w", b.round, err)
 	}
@@ -625,13 +656,15 @@ func (r *Round) close() (param.Vector, RoundStats, error) {
 	if err != nil {
 		return nil, r.stats, fmt.Errorf("fl: aggregate round %d: %w", r.Num, err)
 	}
-	// The aggregate is a vector of the aggregator's own (Aggregator): no
-	// one reads the round's payloads any more.
+	// The aggregate is a vector of its own (Aggregator): no one reads the
+	// round's payloads any more, nor, but for the readers retire names, its
+	// global.
 	for i := range r.slots {
 		if u := r.slots[i].update; u != nil {
 			u.GiveBack()
 		}
 	}
+	c.retire(r)
 	stats := &r.stats
 	responders := r.ids
 	if stats.Stragglers != nil {

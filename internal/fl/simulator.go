@@ -102,7 +102,8 @@ type SimConfig struct {
 	// is nil.
 	OnAlert func(health.Alert)
 
-	// OnCheckpoint, if set, receives the SimState (an immutable view, see
+	// OnCheckpoint, if set, receives the SimState (an immutable view whose
+	// Global is lent until the hook, or the write it defers, returns: see
 	// SimState) after every CheckpointEvery-th completed round and after
 	// the final round, before OnRound for the same round. A hook that
 	// saves inline has persisted the round when it returns; a hook that

@@ -80,7 +80,9 @@ var _ StreamingAggregator = WeightedAverage{}
 
 // NewSink implements StreamingAggregator.
 func (WeightedAverage) NewSink(global param.Vector) UpdateSink {
-	return &weightedAverageSink{sum: make(param.Vector, len(global))}
+	sum := param.Borrow(len(global))
+	clear(sum) // Ingest adds into it
+	return &weightedAverageSink{sum: sum}
 }
 
 func (s *weightedAverageSink) Ingest(u *Update) error {

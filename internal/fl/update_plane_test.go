@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"calibre/internal/param"
@@ -76,7 +77,7 @@ func aggregatorsUnderTest(n int) map[string]Aggregator {
 // are shared with RoundStats and checkpoint paths, so an aggregator (or
 // sink) that wrote through a payload would corrupt resume bit-identity
 // silently. Every aggregator must leave global and all update payloads
-// bit-identical, and must return a freshly allocated vector.
+// bit-identical, and must return a vector of its own, never global.
 func TestAggregatorsNeverMutateInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 4*param.MinShard + 13 // large enough that sharding really engages
@@ -226,5 +227,65 @@ func TestSimulatorRejectsWrongSizeUpdate(t *testing.T) {
 	}
 	if _, _, err := sim.Run(context.Background()); !errors.Is(err, ErrUpdateSize) {
 		t.Fatalf("Run returned %v, want ErrUpdateSize", err)
+	}
+}
+
+// TestAggregatorsClearWhatTheyBorrow: every aggregator builds its result in
+// vectors borrowed from param's pool, which hold whatever their last
+// borrower left. With NaN-filled vectors the pool's best fits, every
+// aggregate — batch and through its round sink — comes out bit-identical
+// to the one built before, and holds no NaN.
+func TestAggregatorsClearWhatTheyBorrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	n := 3*param.MinShard + 11
+	global := planeVector(rng, n)
+	updates := planeUpdates(rng, n, 5, true)
+	aggs := aggregatorsUnderTest(n)
+	for name, agg := range robustAggregatorsUnderTest() {
+		aggs[name] = agg
+	}
+	dirty := func() {
+		for range 2 { // MaskedAverage borrows two
+			v := make(param.Vector, n)
+			for i := range v {
+				v[i] = math.NaN()
+			}
+			param.GiveBack(v)
+		}
+	}
+	viaSink := func(agg Aggregator) (param.Vector, error) {
+		sink := NewRoundSink(agg, global)
+		for _, u := range updates {
+			if err := sink.Ingest(u); err != nil {
+				return nil, err
+			}
+		}
+		return sink.Finish()
+	}
+	for name, agg := range aggs {
+		want, err := agg.Aggregate(global, updates)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wantBits := cloneBits(want)
+		for _, path := range []struct {
+			name string
+			run  func() (param.Vector, error)
+		}{
+			{"batch", func() (param.Vector, error) { return agg.Aggregate(global, updates) }},
+			{"sink", func() (param.Vector, error) { return viaSink(agg) }},
+		} {
+			dirty()
+			got, err := path.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, path.name, err)
+			}
+			if slices.ContainsFunc(got, math.IsNaN) {
+				t.Fatalf("%s %s: the aggregate kept what a borrowed vector held", name, path.name)
+			}
+			assertBitsUnchanged(t, name+" "+path.name+" aggregate", got, wantBits)
+			param.GiveBack(got)
+		}
+		param.GiveBack(want)
 	}
 }

@@ -3,6 +3,8 @@ package fl
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -329,46 +331,114 @@ func (addRoundTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.C
 	return &Update{ClientID: c.ID, Params: out, NumSamples: c.ID + 1, TrainLoss: 0.5}, nil
 }
 
-// TestClosedRoundGlobalIsNeverTouchedAgain pins what lets a checkpoint
-// share the closed round's global instead of copying it: whatever the
-// aggregator, the vector a round produced is bit-unchanged after the rounds
-// that follow, and every round produces its own.
-func TestClosedRoundGlobalIsNeverTouchedAgain(t *testing.T) {
+// TestLentGlobalHoldsUntilItsWriteReturns pins the lifetime of the global a
+// checkpoint lends: whatever the aggregator, a retained state's Global is
+// bit-unchanged, and not idle in param's pool, until its deferred write
+// returns — while the next round, whose aggregate is borrowed from the
+// pool, runs beside the write. Consecutive rounds never share a vector,
+// and the final checkpoint lends the very global the run returns.
+func TestLentGlobalHoldsUntilItsWriteReturns(t *testing.T) {
 	const rounds = 4
 	for name, agg := range robustAndBenign(t, 4) {
-		var states []*SimState
-		var bits [][]uint64
+		var mu sync.Mutex
+		var problems []string
+		var globals []param.Vector
 		m := fakeMethod(addRoundTrainer{})
 		m.Aggregator = agg
 		cfg := SimConfig{Rounds: rounds, ClientsPerRound: 5, Seed: 3,
 			OnCheckpoint: func(st *SimState) error {
-				states = append(states, st)
-				bits = append(bits, cloneBits(st.Global))
-				return nil
+				bits := cloneBits(st.Global)
+				globals = append(globals, st.Global)
+				return st.Defer(func() error {
+					time.Sleep(time.Millisecond) // the next round runs meanwhile
+					mu.Lock()
+					defer mu.Unlock()
+					for i, x := range st.Global {
+						if math.Float64bits(x) != bits[i] {
+							problems = append(problems, fmt.Sprintf("round %d: element %d of the lent global mutated", st.Round, i))
+							break
+						}
+					}
+					if param.IsIdle(st.Global) {
+						problems = append(problems, fmt.Sprintf("round %d: the lent global is idle in the pool before its write returned", st.Round))
+					}
+					return nil
+				})
 			}}
 		sim, err := NewSimulator(cfg, m, testClients(t, 6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		global, history, err := sim.Run(context.Background())
+		global, _, err := sim.Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(states) != rounds {
-			t.Fatalf("%s: %d checkpoints", name, len(states))
+		if len(problems) > 0 {
+			t.Fatalf("%s: %s", name, strings.Join(problems, "; "))
 		}
-		for i, st := range states {
-			assertBitsUnchanged(t, name+" closed global", st.Global, bits[i])
-			if i > 0 && &st.Global[0] == &states[i-1].Global[0] {
+		if len(globals) != rounds {
+			t.Fatalf("%s: %d checkpoints", name, len(globals))
+		}
+		for i := 1; i < rounds; i++ {
+			if &globals[i][0] == &globals[i-1][0] {
 				t.Fatalf("%s: rounds %d and %d share one vector", name, i-1, i)
 			}
-			if !reflect.DeepEqual(st.History, history[:i+1]) || len(st.EligibleCounts) != i+1 {
-				t.Fatalf("%s: retained state %d drifted from the run's history", name, i)
-			}
 		}
-		if &global[0] != &states[rounds-1].Global[0] {
+		if &global[0] != &globals[rounds-1][0] {
 			t.Fatalf("%s: the final checkpoint copied the global", name)
 		}
+		if param.IsIdle(global) {
+			t.Fatalf("%s: the returned global is idle in the pool", name)
+		}
+	}
+}
+
+// TestSlowWriteReadsItsGlobalAcrossRounds: a deferred write that takes
+// three rounds reads its global bit-unchanged while those rounds borrow
+// and give back their own, and the loop gives that global back once the
+// next checkpoint's wait has seen the write return.
+func TestSlowWriteReadsItsGlobalAcrossRounds(t *testing.T) {
+	const every, slow = 4, 3
+	gate := make(chan struct{})
+	var saved param.Vector
+	var mutated, idleAfterAwait bool
+	cfg := SimConfig{Rounds: 2 * every, ClientsPerRound: 2, Seed: 6, CheckpointEvery: every}
+	cfg.OnCheckpoint = func(st *SimState) error {
+		switch st.Round {
+		case every:
+			saved = st.Global
+			bits := cloneBits(saved)
+			return st.Defer(func() error {
+				<-gate
+				for i, x := range saved {
+					mutated = mutated || math.Float64bits(x) != bits[i]
+				}
+				return nil
+			})
+		case 2 * every:
+			// The loop awaited the slow write just before this call.
+			idleAfterAwait = param.IsIdle(saved)
+		}
+		return nil
+	}
+	cfg.OnRound = func(s RoundStats) {
+		if s.Round == every-1+slow {
+			close(gate)
+		}
+	}
+	m := fakeMethod(addRoundTrainer{})
+	sim, err := NewSimulator(cfg, m, testClients(t, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sim.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if mutated {
+		t.Fatal("the global a slow write read changed while later rounds ran")
+	}
+	if !idleAfterAwait {
+		t.Fatal("the slow write's global was not back in the pool after the wait that saw the write return")
 	}
 }
 

@@ -77,9 +77,10 @@
 // vector holds in memory on the little-endian hosts this package builds
 // for (param.Bytes), so a frame is written from its vector's memory and
 // read into it, with no conversion and no byte buffer at either end. The
-// server sends a round's global as it is to every participant: the
-// fl.Aggregator contract keeps a closed round's global unchanged, so a
-// straggler's send may still be reading it when the next round dispatches.
+// server sends a round's global as it is to every participant. The round
+// loop gives a global back to param's pool once the round that supersedes
+// it has closed, but never one whose round expired: a straggler's send may
+// still be reading it when later rounds dispatch (fl.Aggregator).
 // A message is decoded into its
 // connection's own envelope, reused from message to message, and every
 // vector into one borrowed from param's process-wide pool for whoever

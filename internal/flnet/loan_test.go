@@ -27,9 +27,16 @@ import (
 // its local update borrows, on the server the vectors its reply is received
 // into — and what a client whose reply is in may not have given back yet
 // when the next round starts; the bounds count every borrower of the
-// model's size, because the pool lends each what another gave back. Each
-// federation samples more clients than its bound, so a vector kept per
-// client, not per request, shows.
+// model's size, because the pool lends each what another gave back — the
+// server's round globals too (serverGlobals). Each federation samples more
+// clients than its bound, so a vector kept per client, not per request,
+// shows.
+
+// serverGlobals is what the server's round loop holds at once of the
+// pool's model-sized vectors: the round's global, the aggregate that will
+// supersede it, and a superseded one that a write-behind save or an
+// expired round's straggler may still read.
+const serverGlobals = 3
 
 // arrays records vectors by their backing array.
 type arrays map[*float64]param.Vector
@@ -41,12 +48,12 @@ func (a arrays) add(v param.Vector) {
 }
 
 // notGivenBack counts the arrays of the sets that are not free in param's
-// pool.
-func notGivenBack(sets ...arrays) int {
+// pool, but for those the round loop keeps (runLendingFederation).
+func notGivenBack(kept arrays, sets ...arrays) int {
 	n := 0
 	for _, set := range sets {
-		for _, v := range set {
-			if !param.IsIdle(v) {
+		for array, v := range set {
+			if _, k := kept[array]; !k && !param.IsIdle(v) {
 				n++
 			}
 		}
@@ -104,12 +111,28 @@ func (a *arrayTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.C
 	return u, err
 }
 
+// roundGlobals is the server's round engine, recording the global each
+// round collects over.
+type roundGlobals struct {
+	*roundEngine
+	globals []param.Vector
+}
+
+func (g *roundGlobals) Collect(ctx context.Context, r *fl.Round) error {
+	g.globals = append(g.globals, r.Global)
+	return g.roundEngine.Collect(ctx, r)
+}
+
 // runLendingFederation runs the training stage of an n-client federation;
 // slow, when set, delays a client's local update for a round. Every client
 // has returned when it does. It fails the test unless the run sampled more
 // than bound clients: a bound on the arrays it touches that as many clients
-// would meet shows nothing.
-func runLendingFederation(t *testing.T, n, bound int, cfg ServerConfig, m *fl.Method, slow func(id, round int) time.Duration) []fl.RoundStats {
+// would meet shows nothing. Besides the history it returns the arrays of
+// the globals the round loop does not give back to the pool, which may be
+// arrays a client or an update was lent before: the final global, which is
+// the caller's, the one the final round superseded, which no later round
+// borrows, and an expired round's, which a straggler's send may read.
+func runLendingFederation(t *testing.T, n, bound int, cfg ServerConfig, m *fl.Method, slow func(id, round int) time.Duration) (history []fl.RoundStats, kept arrays) {
 	t.Helper()
 	clients := netClients(t, n)
 	cfg.Addr, cfg.NumClients, cfg.Seed, cfg.IOTimeout = "127.0.0.1:0", n, 7, 20*time.Second
@@ -137,7 +160,8 @@ func runLendingFederation(t *testing.T, n, bound int, cfg ServerConfig, m *fl.Me
 	if err := srv.awaitQuorumJoin(ctx); err != nil {
 		t.Fatal(err)
 	}
-	_, history, err := fl.RunRounds(ctx, srv.cfg.round(), newRoundEngine(srv))
+	eng := &roundGlobals{roundEngine: newRoundEngine(srv)}
+	global, history, err := fl.RunRounds(ctx, srv.cfg.round(), eng)
 	srv.listener.Close()
 	srv.closeAll()
 	close(srv.done)
@@ -154,7 +178,15 @@ func runLendingFederation(t *testing.T, n, bound int, cfg ServerConfig, m *fl.Me
 	if len(sampled) <= bound {
 		t.Fatalf("the run sampled %d clients, not more than the %d arrays it may touch: it shows nothing", len(sampled), bound)
 	}
-	return history
+	kept = arrays{}
+	kept.add(global)
+	kept.add(eng.globals[len(eng.globals)-1])
+	for r, h := range history {
+		if h.DeadlineExpired {
+			kept.add(eng.globals[r])
+		}
+	}
+	return history, kept
 }
 
 // TestReceiveVectorsBoundedByUpdatesInFlight: a server receives each update
@@ -163,9 +195,10 @@ func runLendingFederation(t *testing.T, n, bound int, cfg ServerConfig, m *fl.Me
 // in the pool after the run, and the update vectors of twenty-four clients
 // sampled two a round over twenty rounds reach it in no more arrays than a
 // round's two requests hold at once, with the globals of the two clients
-// that may not have given theirs back yet: on a client its global (and,
-// SCAFFOLD's, the gradients and velocity its local update borrows), on the
-// server its Params (and ControlDelta) — not one per client.
+// that may not have given theirs back yet and the server's own: on a client
+// its global (and, SCAFFOLD's, the gradients and velocity its local update
+// borrows), on the server its Params (and ControlDelta) — not one per
+// client.
 func TestReceiveVectorsBoundedByUpdatesInFlight(t *testing.T) {
 	const n, rounds, perRound = 24, 20, 2
 	arch := ssl.Arch{InputDim: 16, HiddenDim: 24, FeatDim: 12, ProjDim: 8}
@@ -182,11 +215,11 @@ func TestReceiveVectorsBoundedByUpdatesInFlight(t *testing.T) {
 		{"scaffold", baselines.NewScaffold(bcfg, n), 3, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bound := perRound*(tc.client+tc.server) + perRound
+			bound := perRound*(tc.client+tc.server) + perRound + serverGlobals
 			w := newArrayWitness(tc.m.Aggregator)
-			runLendingFederation(t, n, bound, ServerConfig{Rounds: rounds, ClientsPerRound: perRound,
+			_, kept := runLendingFederation(t, n, bound, ServerConfig{Rounds: rounds, ClientsPerRound: perRound,
 				Aggregator: w, InitGlobal: tc.m.InitGlobal}, tc.m, nil)
-			if lost := notGivenBack(w.params, w.control); lost > 0 {
+			if lost := notGivenBack(kept, w.params, w.control); lost > 0 {
 				t.Errorf("%d update arrays the aggregator saw are not back in param's pool", lost)
 			}
 			if tc.server == 2 && len(w.control) == 0 {
@@ -226,17 +259,17 @@ func (a *aliasingTrainer) Train(_ context.Context, _ *rand.Rand, c *partition.Cl
 // train on no more arrays than the round's two requests hold at once — a
 // global on each client, the reply received into a vector on the server —
 // with the globals of the two clients that may not have given theirs back
-// yet, and the pool ends the run holding no more than that beyond what it
-// held before. A global kept per connection is one array per client, and
-// none of them in the pool.
+// yet and the server's own, and the pool ends the run holding no more than
+// that beyond what it held before. A global kept per connection is one
+// array per client, and none of them in the pool.
 func TestClientGlobalsPerRunningTrainer(t *testing.T) {
 	const n, rounds, perRound = 24, 20, 2
-	const bound = perRound*2 + perRound
+	const bound = perRound*2 + perRound + serverGlobals
 	trainer := &aliasingTrainer{globals: arrays{}}
 	m := &fl.Method{Trainer: trainer, Personalizer: idPersonalizer{}, Aggregator: fl.WeightedAverage{},
 		InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 64), nil }}
 	before := param.Idle()
-	history := runLendingFederation(t, n, bound, ServerConfig{Rounds: rounds, ClientsPerRound: perRound,
+	history, kept := runLendingFederation(t, n, bound, ServerConfig{Rounds: rounds, ClientsPerRound: perRound,
 		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal}, m, nil)
 	after := param.Idle()
 	if len(history) != rounds {
@@ -248,7 +281,7 @@ func TestClientGlobalsPerRunningTrainer(t *testing.T) {
 	if grew := after - before; grew > bound {
 		t.Errorf("the pool holds %d more vectors after the run, want at most %d", grew, bound)
 	}
-	if lost := notGivenBack(trainer.globals); lost > 0 {
+	if lost := notGivenBack(kept, trainer.globals); lost > 0 {
 		t.Errorf("%d global arrays are not back in param's pool", lost)
 	}
 }
@@ -259,10 +292,11 @@ func TestClientGlobalsPerRunningTrainer(t *testing.T) {
 // param's pool after it, and the updates reach the aggregator in no more
 // arrays than TestReceiveVectorsBoundedByUpdatesInFlight's drift federation
 // allows, plus the straggler's global and the vector its stale reply is
-// received into.
+// received into. The expired round's global is the one the round loop
+// leaves to the GC.
 func TestStaleReplyVectorsReclaimed(t *testing.T) {
 	const n, rounds, perRound = 24, 20, 2
-	const bound = perRound*2 + perRound + 2
+	const bound = perRound*2 + perRound + 2 + serverGlobals
 	var straggled atomic.Bool
 	slept := make(chan struct{})
 	slow := func(id, round int) time.Duration {
@@ -288,7 +322,7 @@ func TestStaleReplyVectorsReclaimed(t *testing.T) {
 				time.Sleep(100 * time.Millisecond)
 			}
 		}}
-	history := runLendingFederation(t, n, bound, cfg, m, slow)
+	history, kept := runLendingFederation(t, n, bound, cfg, m, slow)
 	late := 0
 	for _, h := range history {
 		late += h.LateUpdates
@@ -296,7 +330,7 @@ func TestStaleReplyVectorsReclaimed(t *testing.T) {
 	if !history[0].DeadlineExpired || late != 1 {
 		t.Fatalf("round 0 expired %v, %d late updates: want the straggler's one stale reply drained in a round", history[0].DeadlineExpired, late)
 	}
-	if lost := notGivenBack(trainer.globals, w.params); lost > 0 {
+	if lost := notGivenBack(kept, trainer.globals, w.params); lost > 0 {
 		t.Errorf("%d arrays the run received into are not back in param's pool", lost)
 	}
 	if len(w.params) > bound {
@@ -311,18 +345,19 @@ func TestStaleReplyVectorsReclaimed(t *testing.T) {
 // over twenty rounds, are bounded by the round's requests: each holds at
 // most its global, its model's values, gradients and velocity on its client
 // and its update on the server, and a lagging client's global and update
-// may overlap the next round — 2·5 + 2·2 arrays, fewer than the clients the
-// run samples, each of which kept a model of its own before.
+// may overlap the next round; the server's globals share the pool — 2·5 +
+// 2·2 + 3 arrays, fewer than the clients the run samples, each of which
+// kept a model of its own before.
 func TestClientModelsPerRunningTrainer(t *testing.T) {
 	const n, rounds, perRound = 24, 20, 2
-	const bound = perRound*5 + perRound*2
+	const bound = perRound*5 + perRound*2 + serverGlobals
 	arch := ssl.Arch{InputDim: 16, HiddenDim: 24, FeatDim: 12, ProjDim: 8}
 	bcfg := baselines.DefaultConfig(arch, 10)
 	bcfg.Train.Epochs, bcfg.Train.BatchSize = 1, 16
 	m := baselines.NewFedAvg(bcfg)
 	trainer := newArrayTrainer(m.Trainer)
 	m.Trainer = trainer
-	runLendingFederation(t, n, bound, ServerConfig{Rounds: rounds, ClientsPerRound: perRound,
+	_, kept := runLendingFederation(t, n, bound, ServerConfig{Rounds: rounds, ClientsPerRound: perRound,
 		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal}, m, nil)
 	t.Logf("updates left in %d arrays", len(trainer.params))
 	if trainer.notLent > 0 {
@@ -331,7 +366,7 @@ func TestClientModelsPerRunningTrainer(t *testing.T) {
 	if len(trainer.params) > bound {
 		t.Errorf("updates left the clients in %d distinct arrays, want at most %d", len(trainer.params), bound)
 	}
-	if lost := notGivenBack(trainer.params, trainer.globals); lost > 0 {
+	if lost := notGivenBack(kept, trainer.params, trainer.globals); lost > 0 {
 		t.Errorf("%d arrays the clients received or trained into are not back in param's pool", lost)
 	}
 }

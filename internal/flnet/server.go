@@ -95,7 +95,8 @@ type ServerConfig struct {
 	// bare one (pinned by TestTraceDoesNotPerturbNetRun).
 	Recorder *trace.Recorder
 
-	// OnCheckpoint, if set, receives the fl.SimState (an immutable view)
+	// OnCheckpoint, if set, receives the fl.SimState (an immutable view
+	// whose Global is lent until the hook, or the write it defers, returns)
 	// after every CheckpointEvery-th completed round and after the final
 	// round, before OnRound fires. A hook that saves inline has the round
 	// persisted when it returns; store.SaveHook hands its write back to the
@@ -165,9 +166,12 @@ type Result struct {
 // time into req and the worker delivers the matching reply (or a transport
 // error) to the server's event stream. The engine never sends a second
 // request before the first resolves, so req never blocks. A request's
-// Global is the round's global itself, sent from its memory: the
-// fl.Aggregator contract keeps a closed round's global unchanged, so a
-// straggler's send may still be reading it rounds later.
+// Global is the round's global itself, sent from its memory, which the
+// round loop gives back to param's pool once the round that supersedes it
+// has closed — unless that round's deadline expired: a requeued or evicted
+// straggler's send may still be reading it rounds later, and the engine
+// learns that a send has finished only from a reply that may never come,
+// so such a global is left to the GC (fl.Aggregator).
 type clientHandle struct {
 	id  int
 	c   *conn

@@ -86,12 +86,28 @@ func appendFrame(dst []byte, v param.Vector) []byte {
 	return dst
 }
 
+// roundGlobalsAggregator is FedAvg, still streaming, that records the global
+// each round aggregates over, and a copy of its bits.
+type roundGlobalsAggregator struct {
+	fl.WeightedAverage
+	globals, bits []param.Vector
+}
+
+func (a *roundGlobalsAggregator) NewSink(global param.Vector) fl.UpdateSink {
+	a.globals = append(a.globals, global)
+	a.bits = append(a.bits, global.Clone())
+	return a.WeightedAverage.NewSink(global)
+}
+
 // TestStragglerSendReadsClosedGlobal: the server sends a round's global from
 // the vector itself and keeps no count of the sends still reading it. A raw
-// peer that leaves its round-0 request unread until round 1 has been
-// dispatched and closed holds that send in flight the whole time (the frame
-// is larger than both sockets' buffers), and then still decodes round 0's
-// global bit for bit: nothing after the round wrote to the vector.
+// peer that answers round 0 and then leaves its round-1 request unread until
+// round 2 has been dispatched and closed holds that send in flight the whole
+// time (the frame is larger than both sockets' buffers), and then still
+// decodes round 1's global bit for bit. That global is an aggregate, borrowed
+// from param's pool: the round that supersedes it must not give it back
+// while a straggler's send may read it, so it is not idle in the pool while
+// the send is in flight, nor after the run.
 func TestStragglerSendReadsClosedGlobal(t *testing.T) {
 	const n = 1 << 20 // an 8 MiB frame
 	first := make(param.Vector, n)
@@ -99,15 +115,16 @@ func TestStragglerSendReadsClosedGlobal(t *testing.T) {
 		first[i] = math.Sqrt(float64(i)) - 512
 	}
 	want := first.Clone()
-	closed := make(chan struct{}) // closed when round 1 has
+	closed := make(chan struct{}) // closed when round 2 has
 	rounds := 0
+	agg := &roundGlobalsAggregator{}
 	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 2, ClientsPerRound: 2, Seed: 7,
+		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 3, ClientsPerRound: 2, Seed: 7,
 		Quorum: 1, RoundDeadline: 2 * time.Second, IOTimeout: 30 * time.Second,
-		Aggregator: fl.WeightedAverage{},
+		Aggregator: agg,
 		InitGlobal: func(*rand.Rand) (param.Vector, error) { return first, nil },
 		OnRound: func(fl.RoundStats) {
-			if rounds++; rounds == 2 {
+			if rounds++; rounds == 3 {
 				close(closed)
 			}
 		},
@@ -135,19 +152,34 @@ func TestStragglerSendReadsClosedGlobal(t *testing.T) {
 		done <- RunClient(ctx, ClientConfig{Addr: srv.Addr().String(), ClientID: 0, Data: data,
 			Trainer: addOneTrainer{}, Personalizer: idPersonalizer{}, Seed: 7, IOTimeout: 30 * time.Second})
 	}()
+	// Round 0: the peer trains in place on the global it received.
+	train := rc.recv(t)
+	if train.Type != MsgTrain || train.Round != 0 || !sameBits(train.Global, want) {
+		t.Fatalf("the peer read a %s for round %d whose global is not InitGlobal's", train.Type, train.Round)
+	}
+	g0 := train.Global
+	rc.send(t, &Envelope{Type: MsgTrainResult, ClientID: 1, Update: &fl.Update{ClientID: 1, Params: g0, NumSamples: 1}})
+	param.GiveBack(g0)
 
 	select {
 	case <-closed:
 	case out := <-ch:
-		t.Fatalf("the federation ended before round 1 closed: %v", out.err)
+		t.Fatalf("the federation ended before round 2 closed: %v", out.err)
 	}
-	// The worker's send of the round-0 request still holds the write lock.
+	// The worker's send of the round-1 request still holds the write lock.
 	if h := srv.handle(1); h == nil || h.c.wmu.TryLock() {
-		t.Fatal("the round-0 send to the peer was not in flight when round 1 closed: the test shows nothing")
+		t.Fatal("the round-1 send to the peer was not in flight when round 2 closed: the test shows nothing")
 	}
-	train := rc.recv(t)
-	if train.Type != MsgTrain || train.Round != 0 || !sameBits(train.Global, want) {
-		t.Fatalf("the peer read a %s for round %d whose global is not round 0's", train.Type, train.Round)
+	if len(agg.globals) != 3 {
+		t.Fatalf("%d rounds aggregated, want 3", len(agg.globals))
+	}
+	sent := agg.globals[1]
+	if param.IsIdle(sent) {
+		t.Fatal("round 1's global is idle in the pool while a send still reads it")
+	}
+	train = rc.recv(t)
+	if train.Type != MsgTrain || train.Round != 1 || !sameBits(train.Global, agg.bits[1]) {
+		t.Fatalf("the peer read a %s for round %d whose global is not round 1's", train.Type, train.Round)
 	}
 	param.GiveBack(train.Global)
 	rc.conn.Close() // the server evicts the straggler and finishes without it
@@ -159,11 +191,17 @@ func TestStragglerSendReadsClosedGlobal(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("client 0: %v", err)
 	}
-	if got := out.res.History[0].Stragglers; len(got) != 1 || got[0] != 1 {
-		t.Fatalf("round 0 stragglers = %v, want the peer [1]", got)
+	if got := out.res.History[1].Stragglers; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("round 1 stragglers = %v, want the peer [1]", got)
+	}
+	if out.res.History[0].Stragglers != nil {
+		t.Fatalf("round 0 stragglers = %v, want none", out.res.History[0].Stragglers)
+	}
+	if !sameBits(sent, agg.bits[1]) || param.IsIdle(sent) {
+		t.Fatal("round 1's global changed, or went back to the pool, after its round expired")
 	}
 	if !sameBits(first, want) {
-		t.Fatal("round 0's global changed after the round closed")
+		t.Fatal("InitGlobal's vector changed after round 0 closed")
 	}
 }
 
