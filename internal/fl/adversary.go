@@ -6,12 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"calibre/internal/param"
 	"calibre/internal/partition"
+	"calibre/internal/spec"
 )
 
 // AdversaryKind names one attack model.
@@ -78,6 +77,12 @@ func (a *Adversary) scale() float64 {
 	return a.Scale
 }
 
+// scaleArg is the spec's one optional argument, the attack scale; it is 0,
+// unset, when omitted.
+func (a *Adversary) scaleArg() spec.Slot {
+	return spec.Float("scale", &a.Scale, 0, func(v float64) bool { return v > 0 })
+}
+
 // String renders the kind+scale spec accepted by ParseAdversary (Frac is
 // carried separately — it is its own sweep axis).
 func (a *Adversary) String() string {
@@ -87,35 +92,31 @@ func (a *Adversary) String() string {
 	if a.Scale == 0 {
 		return string(a.Kind)
 	}
-	return fmt.Sprintf("%s(%s)", a.Kind, strconv.FormatFloat(a.Scale, 'g', -1, 64))
+	return spec.Format(string(a.Kind), a.scaleArg())
 }
 
-// ParseAdversary parses an attack spec: a kind name with an optional
-// parenthesized scale — "sign-flip", "sign-flip(3)", "noise(0.5)",
-// "collude", "label-flip". The empty string means no adversary (nil).
-// Frac is set separately by the caller. Parse∘String round-trips.
-func ParseAdversary(spec string) (*Adversary, error) {
-	if spec == "" {
+// ParseAdversary parses an attack spec (internal/spec grammar): a kind
+// name with an optional scale — "sign-flip", "sign-flip(3)",
+// "noise(0.5)", "collude", "label-flip". The empty string means no
+// adversary (nil). Frac is set separately by the caller. Parse∘String
+// round-trips.
+func ParseAdversary(s string) (*Adversary, error) {
+	if s == "" {
 		return nil, nil
 	}
-	kind, scale := spec, 0.0
-	if name, arg, found := strings.Cut(spec, "("); found {
-		if !strings.HasSuffix(arg, ")") {
-			return nil, fmt.Errorf("fl: malformed adversary spec %q", spec)
-		}
-		arg = strings.TrimSuffix(arg, ")")
-		v, err := strconv.ParseFloat(arg, 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return nil, fmt.Errorf("fl: adversary scale must be a finite value >0, got %q", arg)
-		}
-		kind, scale = name, v
+	name, args, err := spec.Split(s)
+	if err != nil {
+		return nil, fmt.Errorf("fl: adversary spec: %w", err)
 	}
-	a := &Adversary{Kind: AdversaryKind(kind), Scale: scale}
+	a := &Adversary{Kind: AdversaryKind(name)}
+	if err := spec.Bind(args, a.scaleArg()); err != nil {
+		return nil, fmt.Errorf("fl: adversary spec %q: %w", s, err)
+	}
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
 	if a.Kind == AdvLabelFlip && a.Scale != 0 {
-		return nil, fmt.Errorf("fl: label-flip takes no scale, got %q", spec)
+		return nil, fmt.Errorf("fl: label-flip takes no scale, got %q", s)
 	}
 	return a, nil
 }

@@ -238,7 +238,14 @@ func TestParseAdversaryRoundTrip(t *testing.T) {
 	if a, err := ParseAdversary(""); a != nil || err != nil {
 		t.Errorf("empty spec: %v, %v", a, err)
 	}
-	for _, bad := range []string{"sign-flip(0)", "sign-flip(-1)", "sign-flip(x)", "sign-flip(", "gradient-ascent", "label-flip(2)", "noise()"} {
+	// The spec grammar's spellings: spaces around arguments, and name()
+	// for name.
+	for spec, want := range map[string]string{"noise()": "noise", "sign-flip( 3)": "sign-flip(3)", " collude ( 2 ) ": "collude(2)"} {
+		if a, err := ParseAdversary(spec); err != nil || a.String() != want {
+			t.Errorf("ParseAdversary(%q) = %v, %v; want %s", spec, a, err, want)
+		}
+	}
+	for _, bad := range []string{"sign-flip(0)", "sign-flip(-1)", "sign-flip(x)", "sign-flip(", "gradient-ascent", "label-flip(2)", "noise(1,2)", "noise((1))"} {
 		if _, err := ParseAdversary(bad); err == nil {
 			t.Errorf("ParseAdversary(%q) accepted", bad)
 		}

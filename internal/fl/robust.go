@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"calibre/internal/param"
+	"calibre/internal/spec"
 )
 
 // The robust aggregators below defend the global model against byzantine
@@ -68,8 +67,10 @@ func (t TrimmedMean) trimCount(n int) int {
 func (t TrimmedMean) Rejected(n int) int { return 2 * t.trimCount(n) }
 
 // String renders the canonical spec accepted by ParseAggregator.
-func (t TrimmedMean) String() string {
-	return fmt.Sprintf("trimmed(%s)", strconv.FormatFloat(t.Frac, 'g', -1, 64))
+func (t TrimmedMean) String() string { return spec.Format("trimmed", t.arg()) }
+
+func (t *TrimmedMean) arg() spec.Slot {
+	return spec.Float("frac", &t.Frac, 0, func(f float64) bool { return f >= 0 && f < 0.5 })
 }
 
 // Aggregate implements Aggregator.
@@ -178,7 +179,9 @@ func (Krum) Rejected(n int) int {
 }
 
 // String renders the canonical spec accepted by ParseAggregator.
-func (k Krum) String() string { return fmt.Sprintf("krum(%d)", k.F) }
+func (k Krum) String() string { return spec.Format("krum", k.arg()) }
+
+func (k *Krum) arg() spec.Slot { return spec.Int("f", &k.F, 0, func(f int) bool { return f >= 0 }) }
 
 // Aggregate implements Aggregator.
 func (k Krum) Aggregate(global param.Vector, updates []*Update) (param.Vector, error) {
@@ -255,38 +258,30 @@ func (k Krum) Aggregate(global param.Vector, updates []*Update) (param.Vector, e
 	return out, nil
 }
 
-// ParseAggregator parses an aggregator override spec: "mean" (the
-// sample-weighted FedAvg mean; also the empty string), "median",
-// "trimmed(FRAC)" with FRAC in [0,0.5), or "krum(F)" with F ≥ 0. The
-// String methods of the returned aggregators render the canonical
-// spelling, so Parse∘String round-trips.
-func ParseAggregator(spec string) (Aggregator, error) {
-	switch spec {
-	case "", "mean":
+// ParseAggregator parses an aggregator override spec (internal/spec
+// grammar): "mean" (the sample-weighted FedAvg mean; also the empty
+// string), "median", "trimmed(FRAC)" with FRAC in [0,0.5), or "krum(F)"
+// with F ≥ 0. The String methods of the returned aggregators render the
+// canonical spelling, so Parse∘String round-trips.
+func ParseAggregator(s string) (Aggregator, error) {
+	if s == "" {
 		return WeightedAverage{}, nil
-	case "median":
+	}
+	name, args, err := spec.Split(s)
+	var t TrimmedMean
+	var k Krum
+	switch {
+	case err != nil:
+	case name == "mean" && len(args) == 0:
+		return WeightedAverage{}, nil
+	case name == "median" && len(args) == 0:
 		return CoordinateMedian{}, nil
+	case name == "trimmed" && len(args) == 1 && spec.Bind(args, t.arg()) == nil:
+		return t, nil
+	case name == "krum" && len(args) == 1 && spec.Bind(args, k.arg()) == nil:
+		return k, nil
 	}
-	name, arg, found := strings.Cut(spec, "(")
-	if !found || !strings.HasSuffix(arg, ")") {
-		return nil, fmt.Errorf("fl: unknown aggregator %q (want mean, median, trimmed(frac) or krum(f))", spec)
-	}
-	arg = strings.TrimSuffix(arg, ")")
-	switch name {
-	case "trimmed":
-		frac, err := strconv.ParseFloat(arg, 64)
-		if err != nil || math.IsNaN(frac) || frac < 0 || frac >= 0.5 {
-			return nil, fmt.Errorf("fl: trimmed mean frac must be in [0,0.5), got %q", arg)
-		}
-		return TrimmedMean{Frac: frac}, nil
-	case "krum":
-		f, err := strconv.Atoi(arg)
-		if err != nil || f < 0 {
-			return nil, fmt.Errorf("fl: krum f must be a non-negative integer, got %q", arg)
-		}
-		return Krum{F: f}, nil
-	}
-	return nil, fmt.Errorf("fl: unknown aggregator %q (want mean, median, trimmed(frac) or krum(f))", spec)
+	return nil, fmt.Errorf("fl: bad aggregator %q (want mean, median, trimmed(frac) with frac in [0,0.5), or krum(f) with f ≥ 0)", s)
 }
 
 // String renders the canonical spec accepted by ParseAggregator.

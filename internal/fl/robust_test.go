@@ -346,7 +346,12 @@ func TestParseAggregatorRoundTrip(t *testing.T) {
 	if agg, err := ParseAggregator(""); err != nil || fmt.Sprint(agg) != "mean" {
 		t.Errorf("empty spec: %v, %v", agg, err)
 	}
-	for _, bad := range []string{"average", "trimmed", "trimmed(0.5)", "trimmed(-1)", "trimmed(x)", "krum(-1)", "krum(1.5)", "krum", "median(2)", "mean(", "trimmed(0.2"} {
+	for spec, want := range map[string]string{"median()": "median", "mean()": "mean", "trimmed( 0.2)": "trimmed(0.2)", "krum( 1 )": "krum(1)"} {
+		if agg, err := ParseAggregator(spec); err != nil || fmt.Sprint(agg) != want {
+			t.Errorf("ParseAggregator(%q) = %v, %v; want %s", spec, agg, err, want)
+		}
+	}
+	for _, bad := range []string{"average", "trimmed", "trimmed()", "trimmed(0.5)", "trimmed(-1)", "trimmed(x)", "trimmed(0.1,0.2)", "krum(-1)", "krum(1.5)", "krum", "median(2)", "mean(", "trimmed(0.2", " "} {
 		if _, err := ParseAggregator(bad); err == nil {
 			t.Errorf("ParseAggregator(%q) accepted", bad)
 		}

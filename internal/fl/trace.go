@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
+
+	"calibre/internal/spec"
 )
 
 // TraceKind names one availability-trace generator.
@@ -103,95 +103,54 @@ func (c *TraceConfig) Validate() error {
 	return nil
 }
 
+// args lists the kind's spec arguments in order; nil for an unknown kind.
+func (c *TraceConfig) args() []spec.Slot {
+	base := spec.Float("base", &c.Base, 0, nil)
+	switch c.Kind {
+	case TraceDiurnal:
+		return []spec.Slot{base, spec.Float("amp", &c.Amp, 0, nil), spec.Int("period", &c.Period, 0, nil)}
+	case TraceFlash:
+		return []spec.Slot{base, spec.Float("amp", &c.Amp, 0, nil), spec.Int("start", &c.Period, 0, nil), spec.Int("width", &c.Width, 0, nil)}
+	case TraceMarkov:
+		return []spec.Slot{base, spec.Float("pdown", &c.PDown, 0, nil), spec.Float("pup", &c.PUp, 0, nil)}
+	}
+	return nil
+}
+
 // String renders the canonical spec accepted by ParseTrace.
 func (c *TraceConfig) String() string {
 	if c == nil {
 		return ""
 	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	switch c.Kind {
-	case TraceDiurnal:
-		return fmt.Sprintf("diurnal(%s,%s,%d)", g(c.Base), g(c.Amp), c.Period)
-	case TraceFlash:
-		return fmt.Sprintf("flash(%s,%s,%d,%d)", g(c.Base), g(c.Amp), c.Period, c.Width)
-	case TraceMarkov:
-		return fmt.Sprintf("markov(%s,%s,%s)", g(c.Base), g(c.PDown), g(c.PUp))
-	default:
-		return string(c.Kind)
-	}
+	return spec.Format(string(c.Kind), c.args()...)
 }
 
-// ParseTrace parses an availability-trace spec:
+// ParseTrace parses an availability-trace spec (internal/spec grammar;
+// every argument is required):
 //
 //	diurnal(base,amp,period)     — sine between base and base+amp
 //	flash(base,amp,start,width)  — base, spiking to base+amp in the burst
 //	markov(base,pdown,pup)       — paired correlated churn
 //
 // The empty string means no trace (nil). Parse∘String round-trips.
-func ParseTrace(spec string) (*TraceConfig, error) {
-	if spec == "" {
+func ParseTrace(s string) (*TraceConfig, error) {
+	if s == "" {
 		return nil, nil
 	}
-	name, rest, found := strings.Cut(spec, "(")
-	if !found || !strings.HasSuffix(rest, ")") {
-		return nil, fmt.Errorf("fl: malformed trace spec %q (want kind(args...))", spec)
-	}
-	args := strings.Split(strings.TrimSuffix(rest, ")"), ",")
-	argf := func(i int) (float64, error) {
-		v, err := strconv.ParseFloat(strings.TrimSpace(args[i]), 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("fl: trace spec %q: bad number %q", spec, args[i])
-		}
-		return v, nil
-	}
-	argi := func(i int) (int, error) {
-		v, err := strconv.Atoi(strings.TrimSpace(args[i]))
-		if err != nil {
-			return 0, fmt.Errorf("fl: trace spec %q: bad integer %q", spec, args[i])
-		}
-		return v, nil
+	name, args, err := spec.Split(s)
+	if err != nil {
+		return nil, fmt.Errorf("fl: trace spec: %w", err)
 	}
 	cfg := &TraceConfig{Kind: TraceKind(name)}
-	var wantArgs int
-	var err error
-	switch cfg.Kind {
-	case TraceDiurnal:
-		wantArgs = 3
-		if len(args) == wantArgs {
-			if cfg.Base, err = argf(0); err == nil {
-				if cfg.Amp, err = argf(1); err == nil {
-					cfg.Period, err = argi(2)
-				}
-			}
-		}
-	case TraceFlash:
-		wantArgs = 4
-		if len(args) == wantArgs {
-			if cfg.Base, err = argf(0); err == nil {
-				if cfg.Amp, err = argf(1); err == nil {
-					if cfg.Period, err = argi(2); err == nil {
-						cfg.Width, err = argi(3)
-					}
-				}
-			}
-		}
-	case TraceMarkov:
-		wantArgs = 3
-		if len(args) == wantArgs {
-			if cfg.Base, err = argf(0); err == nil {
-				if cfg.PDown, err = argf(1); err == nil {
-					cfg.PUp, err = argf(2)
-				}
-			}
-		}
-	default:
+	slots := cfg.args()
+	if slots == nil {
 		return nil, fmt.Errorf("fl: unknown trace kind %q (want diurnal, flash or markov)", name)
 	}
-	if err != nil {
-		return nil, err
+	if len(args) != len(slots) {
+		return nil, fmt.Errorf("fl: trace spec %q: want %d args, got %d", s, len(slots), len(args))
 	}
-	if len(args) != wantArgs {
-		return nil, fmt.Errorf("fl: trace spec %q: want %d args, got %d", spec, wantArgs, len(args))
+	if err := spec.Bind(args, slots...); err != nil {
+		return nil, fmt.Errorf("fl: trace spec %q: %w", s, err)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

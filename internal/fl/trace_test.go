@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -138,12 +139,19 @@ func TestParseTraceRoundTrip(t *testing.T) {
 		"diurnal(2,0.6,8)", "diurnal(0.1,x,8)", "diurnal(0.1,0.6,8",
 		"flash(0,0.8,2)", "flash(0,0.8,-1,2)", "flash(0,0.8,2,0)",
 		"markov(0,0.3,0)", "markov(0,0.3,1.5)", "markov(0,1.5,0.5)",
-		"weekly(1,2,3)", "markov 0,0.3,0.5",
+		"weekly(1,2,3)", "markov 0,0.3,0.5", "diurnal()", "markov(0,,0.5)",
 	}
 	for _, spec := range bad {
 		if _, err := ParseTrace(spec); err == nil {
 			t.Errorf("ParseTrace(%q) accepted", spec)
 		}
+	}
+	// name() is name: no arguments, where diurnal wants three.
+	if _, err := ParseTrace("diurnal()"); err == nil || !strings.Contains(err.Error(), "want 3 args, got 0") {
+		t.Errorf("ParseTrace(\"diurnal()\") = %v, want a count of 0 args", err)
+	}
+	if cfg, err := ParseTrace(" flash( 0 , 0.8 ,2, 2) "); err != nil || cfg.String() != "flash(0,0.8,2,2)" {
+		t.Errorf("spaces around arguments: %v, %v", cfg, err)
 	}
 }
 

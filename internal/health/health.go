@@ -182,8 +182,9 @@ type Monitor struct {
 }
 
 // NewMonitor returns a monitor for cfg; nil cfg (or an all-zero one)
-// means DefaultConfig. The config is copied and normalized (zero-valued
-// thresholds of enabled rules get their defaults), so a shared Config can
+// means DefaultConfig. The config is copied and normalized (thresholds
+// outside the range ParseRules accepts, zero included, get their
+// defaults), so a shared Config can
 // seed many independent monitors — the sweep scheduler builds one per
 // cell this way.
 func NewMonitor(cfg *Config) *Monitor {

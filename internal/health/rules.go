@@ -2,8 +2,9 @@ package health
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+
+	"calibre/internal/spec"
 )
 
 // Detector defaults. Enabled rules with zero-valued knobs are filled
@@ -84,38 +85,45 @@ func DefaultConfig() Config {
 	return c
 }
 
-// normalize fills zero-valued knobs of enabled rules and engine knobs
-// with their defaults.
+// rule is one detector of the spec grammar: its name, its Config switch
+// and its positional arguments, each bound to its Config field.
+type rule struct {
+	name string
+	on   *bool
+	args []spec.Slot
+}
+
+func positive(f float64) bool { return f > 0 }
+
+func atLeast(min int) func(int) bool { return func(n int) bool { return n >= min } }
+
+// rules is c's detector table, in canonical spec order.
+func (c *Config) rules() []rule {
+	return []rule{
+		{"non-finite", &c.NonFinite, nil},
+		{"loss-divergence", &c.Divergence, []spec.Slot{
+			spec.Float("factor", &c.DivergenceFactor, DefaultDivergenceFactor, positive),
+			spec.Int("warmup", &c.DivergenceWarmup, DefaultDivergenceWarmup, atLeast(1))}},
+		{"plateau", &c.Plateau, []spec.Slot{
+			spec.Int("window", &c.PlateauWindow, DefaultPlateauWindow, atLeast(2)),
+			spec.Float("eps", &c.PlateauEps, DefaultPlateauEps, positive)}},
+		{"fairness-drift", &c.Fairness, []spec.Slot{
+			spec.Float("factor", &c.FairnessFactor, DefaultFairnessFactor, positive),
+			spec.Int("warmup", &c.FairnessWarmup, DefaultFairnessWarmup, atLeast(1))}},
+		{"norm-z", &c.NormZ, []spec.Slot{
+			spec.Float("threshold", &c.NormZThreshold, DefaultNormZThreshold, positive),
+			spec.Int("suspect-after", &c.SuspectAfter, DefaultSuspectAfter, atLeast(1))}},
+		{"quorum", &c.Quorum, []spec.Slot{
+			spec.Float("straggler-rate", &c.QuorumStragglerRate, DefaultQuorumRate, func(f float64) bool { return f > 0 && f <= 1 }),
+			spec.Int("warmup", &c.QuorumWarmup, DefaultQuorumWarmup, atLeast(1))}},
+	}
+}
+
+// normalize gives every knob outside the range ParseRules accepts — a
+// zero-valued one included — its default, enabled rule or not.
 func (c *Config) normalize() {
-	if c.DivergenceFactor <= 0 {
-		c.DivergenceFactor = DefaultDivergenceFactor
-	}
-	if c.DivergenceWarmup <= 0 {
-		c.DivergenceWarmup = DefaultDivergenceWarmup
-	}
-	if c.PlateauWindow < 2 {
-		c.PlateauWindow = DefaultPlateauWindow
-	}
-	if c.PlateauEps <= 0 {
-		c.PlateauEps = DefaultPlateauEps
-	}
-	if c.FairnessFactor <= 0 {
-		c.FairnessFactor = DefaultFairnessFactor
-	}
-	if c.FairnessWarmup <= 0 {
-		c.FairnessWarmup = DefaultFairnessWarmup
-	}
-	if c.NormZThreshold <= 0 {
-		c.NormZThreshold = DefaultNormZThreshold
-	}
-	if c.SuspectAfter < 1 {
-		c.SuspectAfter = DefaultSuspectAfter
-	}
-	if c.QuorumStragglerRate <= 0 {
-		c.QuorumStragglerRate = DefaultQuorumRate
-	}
-	if c.QuorumWarmup <= 0 {
-		c.QuorumWarmup = DefaultQuorumWarmup
+	for _, r := range c.rules() {
+		spec.Default(r.args...)
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = DefaultAlpha
@@ -128,39 +136,24 @@ func (c *Config) normalize() {
 	}
 }
 
-func fnum(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
 // Rules renders the enabled rules as the canonical spec string —
 // ParseRules(c.Rules()) reproduces c's rule selection and thresholds
 // exactly (the round-trip the fuzz harness pins).
 func (c Config) Rules() string {
-	n := c
-	n.normalize()
+	c.normalize()
 	var parts []string
-	if n.NonFinite {
-		parts = append(parts, "non-finite")
-	}
-	if n.Divergence {
-		parts = append(parts, fmt.Sprintf("loss-divergence(%s,%d)", fnum(n.DivergenceFactor), n.DivergenceWarmup))
-	}
-	if n.Plateau {
-		parts = append(parts, fmt.Sprintf("plateau(%d,%s)", n.PlateauWindow, fnum(n.PlateauEps)))
-	}
-	if n.Fairness {
-		parts = append(parts, fmt.Sprintf("fairness-drift(%s,%d)", fnum(n.FairnessFactor), n.FairnessWarmup))
-	}
-	if n.NormZ {
-		parts = append(parts, fmt.Sprintf("norm-z(%s,%d)", fnum(n.NormZThreshold), n.SuspectAfter))
-	}
-	if n.Quorum {
-		parts = append(parts, fmt.Sprintf("quorum(%s,%d)", fnum(n.QuorumStragglerRate), n.QuorumWarmup))
+	for _, r := range c.rules() {
+		if *r.on {
+			parts = append(parts, spec.Format(r.name, r.args...))
+		}
 	}
 	return strings.Join(parts, ",")
 }
 
-// ParseRules parses a rule spec — a comma-separated list of rule names
-// with optional positional arguments — into a Config. The special spec
-// "default" (or "all") selects DefaultConfig. Grammar per rule:
+// ParseRules parses a rule spec — a comma-separated list of rules in the
+// spec grammar (internal/spec) — into a Config. The special spec
+// "default" (or "all") selects DefaultConfig. The rules and their
+// optional positional arguments:
 //
 //	non-finite
 //	loss-divergence(factor[,warmupRounds])
@@ -170,190 +163,42 @@ func (c Config) Rules() string {
 //	quorum(stragglerRate[,warmupRounds])
 //
 // Omitted arguments take the Default* values. ParseRules(c.Rules())
-// round-trips for every valid c.
-func ParseRules(spec string) (Config, error) {
-	var c Config
-	s := strings.TrimSpace(spec)
+// reproduces c, normalized, for every c with a rule enabled.
+func ParseRules(s string) (Config, error) {
+	s = strings.TrimSpace(s)
 	if s == "default" || s == "all" {
 		return DefaultConfig(), nil
 	}
-	if s == "" {
-		return c, fmt.Errorf("health: empty rule spec")
-	}
-	for _, item := range splitRules(s) {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			return c, fmt.Errorf("health: empty rule in spec %q", spec)
-		}
-		name, args, err := splitRule(item)
-		if err != nil {
-			return c, err
-		}
-		switch name {
-		case "non-finite":
-			if len(args) != 0 {
-				return c, fmt.Errorf("health: non-finite takes no arguments")
-			}
-			if c.NonFinite {
-				return c, fmt.Errorf("health: duplicate rule non-finite")
-			}
-			c.NonFinite = true
-		case "loss-divergence":
-			if c.Divergence {
-				return c, fmt.Errorf("health: duplicate rule loss-divergence")
-			}
-			c.Divergence = true
-			if err := takeFloat(args, 0, &c.DivergenceFactor, func(f float64) bool { return f > 0 }); err != nil {
-				return c, fmt.Errorf("loss-divergence factor: %w", err)
-			}
-			if err := takeInt(args, 1, &c.DivergenceWarmup, func(n int) bool { return n >= 1 }); err != nil {
-				return c, fmt.Errorf("loss-divergence warmup: %w", err)
-			}
-			if len(args) > 2 {
-				return c, fmt.Errorf("health: loss-divergence takes at most 2 arguments")
-			}
-		case "plateau":
-			if c.Plateau {
-				return c, fmt.Errorf("health: duplicate rule plateau")
-			}
-			c.Plateau = true
-			if err := takeInt(args, 0, &c.PlateauWindow, func(n int) bool { return n >= 2 }); err != nil {
-				return c, fmt.Errorf("plateau window: %w", err)
-			}
-			if err := takeFloat(args, 1, &c.PlateauEps, func(f float64) bool { return f > 0 }); err != nil {
-				return c, fmt.Errorf("plateau eps: %w", err)
-			}
-			if len(args) > 2 {
-				return c, fmt.Errorf("health: plateau takes at most 2 arguments")
-			}
-		case "fairness-drift":
-			if c.Fairness {
-				return c, fmt.Errorf("health: duplicate rule fairness-drift")
-			}
-			c.Fairness = true
-			if err := takeFloat(args, 0, &c.FairnessFactor, func(f float64) bool { return f > 0 }); err != nil {
-				return c, fmt.Errorf("fairness-drift factor: %w", err)
-			}
-			if err := takeInt(args, 1, &c.FairnessWarmup, func(n int) bool { return n >= 1 }); err != nil {
-				return c, fmt.Errorf("fairness-drift warmup: %w", err)
-			}
-			if len(args) > 2 {
-				return c, fmt.Errorf("health: fairness-drift takes at most 2 arguments")
-			}
-		case "norm-z":
-			if c.NormZ {
-				return c, fmt.Errorf("health: duplicate rule norm-z")
-			}
-			c.NormZ = true
-			if err := takeFloat(args, 0, &c.NormZThreshold, func(f float64) bool { return f > 0 }); err != nil {
-				return c, fmt.Errorf("norm-z threshold: %w", err)
-			}
-			if err := takeInt(args, 1, &c.SuspectAfter, func(n int) bool { return n >= 1 }); err != nil {
-				return c, fmt.Errorf("norm-z suspect-after: %w", err)
-			}
-			if len(args) > 2 {
-				return c, fmt.Errorf("health: norm-z takes at most 2 arguments")
-			}
-		case "quorum":
-			if c.Quorum {
-				return c, fmt.Errorf("health: duplicate rule quorum")
-			}
-			c.Quorum = true
-			if err := takeFloat(args, 0, &c.QuorumStragglerRate, func(f float64) bool { return f > 0 && f <= 1 }); err != nil {
-				return c, fmt.Errorf("quorum straggler-rate: %w", err)
-			}
-			if err := takeInt(args, 1, &c.QuorumWarmup, func(n int) bool { return n >= 1 }); err != nil {
-				return c, fmt.Errorf("quorum warmup: %w", err)
-			}
-			if len(args) > 2 {
-				return c, fmt.Errorf("health: quorum takes at most 2 arguments")
-			}
-		default:
-			return c, fmt.Errorf("health: unknown rule %q", name)
+	var c Config
+	table := c.rules()
+	for _, item := range spec.List(s) {
+		if err := bindRule(table, item); err != nil {
+			return Config{}, fmt.Errorf("health: rule spec %q: %w", s, err)
 		}
 	}
 	c.normalize()
 	return c, nil
 }
 
-// splitRules splits a spec on commas that are not inside parentheses.
-func splitRules(s string) []string {
-	var out []string
-	depth, start := 0, 0
-	for i, r := range s {
-		switch r {
-		case '(':
-			depth++
-		case ')':
-			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
+// bindRule enables the rule of table that item names and binds its
+// arguments.
+func bindRule(table []rule, item string) error {
+	name, args, err := spec.Split(item)
+	if err != nil {
+		return err
+	}
+	for _, r := range table {
+		if r.name != name {
+			continue
 		}
-	}
-	return append(out, s[start:])
-}
-
-// splitRule splits "name(a,b)" into name and trimmed argument strings.
-func splitRule(item string) (string, []string, error) {
-	open := strings.IndexByte(item, '(')
-	if open < 0 {
-		if strings.ContainsAny(item, ")") {
-			return "", nil, fmt.Errorf("health: malformed rule %q", item)
+		if *r.on {
+			return fmt.Errorf("duplicate rule %s", name)
 		}
-		return item, nil, nil
-	}
-	if !strings.HasSuffix(item, ")") {
-		return "", nil, fmt.Errorf("health: malformed rule %q (missing closing parenthesis)", item)
-	}
-	name := strings.TrimSpace(item[:open])
-	body := item[open+1 : len(item)-1]
-	if strings.ContainsAny(body, "()") {
-		return "", nil, fmt.Errorf("health: malformed rule %q", item)
-	}
-	if strings.TrimSpace(body) == "" {
-		return name, nil, nil
-	}
-	parts := strings.Split(body, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-		if parts[i] == "" {
-			return "", nil, fmt.Errorf("health: empty argument in rule %q", item)
+		*r.on = true
+		if err := spec.Bind(args, r.args...); err != nil {
+			return fmt.Errorf("%s %w", name, err)
 		}
-	}
-	return name, parts, nil
-}
-
-// takeFloat parses args[i] into *dst when present, enforcing ok.
-func takeFloat(args []string, i int, dst *float64, ok func(float64) bool) error {
-	if i >= len(args) {
 		return nil
 	}
-	f, err := strconv.ParseFloat(args[i], 64)
-	if err != nil {
-		return fmt.Errorf("bad number %q", args[i])
-	}
-	if !ok(f) || !isFinite(f) {
-		return fmt.Errorf("value %v out of range", f)
-	}
-	*dst = f
-	return nil
-}
-
-// takeInt parses args[i] into *dst when present, enforcing ok.
-func takeInt(args []string, i int, dst *int, ok func(int) bool) error {
-	if i >= len(args) {
-		return nil
-	}
-	n, err := strconv.Atoi(args[i])
-	if err != nil {
-		return fmt.Errorf("bad integer %q", args[i])
-	}
-	if !ok(n) {
-		return fmt.Errorf("value %d out of range", n)
-	}
-	*dst = n
-	return nil
+	return fmt.Errorf("unknown rule %q", name)
 }

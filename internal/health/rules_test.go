@@ -1,6 +1,7 @@
 package health
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,6 +92,33 @@ func TestParseRulesErrors(t *testing.T) {
 		}
 		if _, err := ParseRules(spec); err == nil {
 			t.Fatalf("ParseRules(%q) accepted", spec)
+		}
+	}
+}
+
+// TestNormalizeOutOfRange: normalize gives a knob outside the range
+// ParseRules accepts its default, so the Rules() of any Config re-parses
+// to the Config a monitor runs.
+func TestNormalizeOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Quorum: true, QuorumStragglerRate: 2}, "quorum(0.5,4)"},
+		{Config{Divergence: true, DivergenceFactor: math.NaN()}, "loss-divergence(1.5,3)"},
+		{Config{Plateau: true, PlateauWindow: 1, PlateauEps: math.Inf(1)}, "plateau(16,0.001)"},
+	} {
+		n := tc.cfg
+		n.normalize()
+		if got := tc.cfg.Rules(); got != tc.want {
+			t.Errorf("%+v.Rules() = %q, want %q", tc.cfg, got, tc.want)
+		}
+		again, err := ParseRules(tc.cfg.Rules())
+		if err != nil {
+			t.Fatalf("ParseRules(%q): %v", tc.cfg.Rules(), err)
+		}
+		if !reflect.DeepEqual(again, n) {
+			t.Errorf("round trip of %q: %+v != %+v", tc.want, again, n)
 		}
 	}
 }

@@ -42,8 +42,8 @@ type Grid struct {
 	// DropoutRates are per-round client dropout probabilities in [0,1);
 	// empty defaults to [0].
 	DropoutRates []float64 `json:"dropout_rates,omitempty"`
-	// Stragglers are straggler policies ("requeue" or "drop"); empty
-	// defaults to ["requeue"].
+	// Stragglers are straggler policies ("requeue" or "drop"; "" is
+	// requeue, and canonicalizes to it); empty defaults to ["requeue"].
 	Stragglers []string `json:"stragglers,omitempty"`
 	// Aggregators are aggregator override specs (fl.ParseAggregator:
 	// "mean", "median", "trimmed(0.2)", "krum(1)") replacing each method's
@@ -106,62 +106,45 @@ func (g *Grid) normalized() Grid {
 	return out
 }
 
-// canonicalSpecs parses every spec with parse and re-renders it with its
-// canonical String, so axis values that spell the same configuration
-// differently collapse before duplicate detection and key derivation.
-func canonicalSpecs(axis string, specs []string, parse func(string) (string, error)) ([]string, error) {
+// canonical returns the normalized grid with its spec axes — stragglers,
+// aggregators, adversaries, availability — parsed and re-rendered by
+// their canonical String, so axis values that spell the same
+// configuration differently collapse before duplicate detection and key
+// derivation.
+func (g *Grid) canonical() (n Grid, err error) {
+	n = g.normalized()
+	if n.Stragglers, err = canonicalSpecs("stragglers", n.Stragglers, fl.ParseStragglerPolicy); err != nil {
+		return n, err
+	}
+	if n.Aggregators, err = canonicalSpecs("aggregators", n.Aggregators, fl.ParseAggregator); err != nil {
+		return n, err
+	}
+	if n.Adversaries, err = canonicalSpecs("adversary", n.Adversaries, fl.ParseAdversary); err != nil {
+		return n, err
+	}
+	n.Availability, err = canonicalSpecs("availability", n.Availability, fl.ParseTrace)
+	return n, err
+}
+
+func canonicalSpecs[T any](axis string, specs []string, parse func(string) (T, error)) ([]string, error) {
 	out := make([]string, len(specs))
 	for i, s := range specs {
-		c, err := parse(s)
+		v, err := parse(s)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %s: %w", axis, err)
 		}
-		out[i] = c
+		out[i] = fmt.Sprint(v)
 	}
 	return out, nil
-}
-
-// hostileAxes canonicalizes the aggregator, adversary and availability
-// axes of a normalized grid.
-func (g *Grid) hostileAxes() (aggs, advs, avails []string, err error) {
-	n := g.normalized()
-	aggs, err = canonicalSpecs("aggregators", n.Aggregators, func(s string) (string, error) {
-		a, err := fl.ParseAggregator(s)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprint(a), nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	advs, err = canonicalSpecs("adversary", n.Adversaries, func(s string) (string, error) {
-		a, err := fl.ParseAdversary(s)
-		if err != nil {
-			return "", err
-		}
-		return a.String(), nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	avails, err = canonicalSpecs("availability", n.Availability, func(s string) (string, error) {
-		t, err := fl.ParseTrace(s)
-		if err != nil {
-			return "", err
-		}
-		return t.String(), nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return aggs, advs, avails, nil
 }
 
 // Validate checks every axis against the registries and presets, so a
 // bad grid fails at plan time instead of n cells into a sweep.
 func (g *Grid) Validate() error {
-	n := g.normalized()
+	n, err := g.canonical()
+	if err != nil {
+		return err
+	}
 	if len(n.Methods) == 0 {
 		return fmt.Errorf("sweep: grid has no methods")
 	}
@@ -204,13 +187,9 @@ func (g *Grid) Validate() error {
 			minClients = preset.Clients
 		}
 	}
-	aggs, advs, avails, err := g.hostileAxes()
-	if err != nil {
-		return err
-	}
 	// Krum needs F+3 updates per round so at least one scoreable
 	// neighborhood exists; catch impossible pairings at plan time.
-	for _, spec := range aggs {
+	for _, spec := range n.Aggregators {
 		a, _ := fl.ParseAggregator(spec)
 		if k, ok := a.(fl.Krum); ok && minPerRound < k.F+3 {
 			return fmt.Errorf("sweep: aggregator %s needs ≥ %d clients per round, smallest scale samples %d", spec, k.F+3, minPerRound)
@@ -221,7 +200,7 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("sweep: adversary_frac must be in [0,1], got %g", f)
 		}
 	}
-	for _, a := range avails {
+	for _, a := range n.Availability {
 		if a == "" {
 			continue
 		}
@@ -245,10 +224,10 @@ func (g *Grid) Validate() error {
 		{"quorums", asStrings(n.Quorums)},
 		{"dropout_rates", asStrings(n.DropoutRates)},
 		{"seeds", asStrings(n.Seeds)},
-		{"aggregators", aggs},
-		{"adversary", advs},
+		{"aggregators", n.Aggregators},
+		{"adversary", n.Adversaries},
 		{"adversary_frac", asStrings(n.AdversaryFracs)},
-		{"availability", avails},
+		{"availability", n.Availability},
 	} {
 		if dup := firstDuplicate(axis.values); dup != "" {
 			return fmt.Errorf("sweep: duplicate %s entry %v", axis.name, dup)
@@ -267,14 +246,9 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("sweep: dropout rate must be in [0,1), got %g", d)
 		}
 	}
-	for _, s := range n.Stragglers {
-		if _, err := fl.ParseStragglerPolicy(s); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
 	total := len(n.Methods) * len(n.Settings) * len(n.Scales) * len(n.Seeds) *
 		len(n.Quorums) * len(n.DropoutRates) * len(n.Stragglers) *
-		len(aggs) * len(advs) * len(n.AdversaryFracs) * len(avails)
+		len(n.Aggregators) * len(n.Adversaries) * len(n.AdversaryFracs) * len(n.Availability)
 	if total > maxCells {
 		return fmt.Errorf("sweep: grid expands to %d cells, above the %d-cell cap", total, maxCells)
 	}
@@ -291,8 +265,7 @@ func (g *Grid) Expand() ([]Cell, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	n := g.normalized()
-	aggs, advs, avails, err := g.hostileAxes()
+	n, err := g.canonical()
 	if err != nil {
 		return nil, err
 	}
@@ -305,10 +278,10 @@ func (g *Grid) Expand() ([]Cell, error) {
 					for _, q := range n.Quorums {
 						for _, d := range n.DropoutRates {
 							for _, st := range n.Stragglers {
-								for _, agg := range aggs {
-									for _, adv := range advs {
+								for _, agg := range n.Aggregators {
+									for _, adv := range n.Adversaries {
 										for _, frac := range n.AdversaryFracs {
-											for _, avail := range avails {
+											for _, avail := range n.Availability {
 												c := Cell{
 													Method: m, Setting: s, Scale: sc, Seed: seed,
 													Quorum: q, Dropout: d, Straggler: st,

@@ -149,6 +149,8 @@ func TestGridValidation(t *testing.T) {
 		{"dup dropout", func(g *Grid) { g.DropoutRates = []float64{0.1, 0.1} }, "duplicate dropout_rates"},
 		{"bad dropout", func(g *Grid) { g.DropoutRates = []float64{1.5} }, "dropout"},
 		{"bad straggler", func(g *Grid) { g.Stragglers = []string{"shrug"} }, "straggler"},
+		{"dup stragglers spelled apart", func(g *Grid) { g.Stragglers = []string{"", "requeue"} }, "duplicate stragglers entry requeue"},
+		{"dup aggregators spelled apart", func(g *Grid) { g.Aggregators = []string{"mean", ""} }, "duplicate aggregators entry mean"},
 		{"quorum too big", func(g *Grid) { g.Quorums = []int{99} }, "quorum"},
 		{"negative quorum", func(g *Grid) { g.Quorums = []int{-1} }, "quorum"},
 		{"baseline not in methods", func(g *Grid) { g.Baseline = "ditto" }, "baseline"},
