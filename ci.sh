@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + distance-tile + spec-grammar fuzz smokes, short kernel and sweep benches,
+#                    real-process smoke, wire + matmul + distance-tile + exp + spec-grammar fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -177,6 +177,11 @@ go test -run '^$' -fuzz '^FuzzMatMulMatchesNaive$' -fuzztime 5s ./internal/tenso
 # lengths, offsets, repeated rows and special values beyond the corpus.
 echo "== distance tile fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzSqDistTileMatchesSqDist$' -fuzztime 5s ./internal/tensor/
+
+# And for the vector exp against math.Exp itself: row lengths, offsets,
+# shifts and inputs in every lane class beyond the corpus, bit for bit.
+echo "== exp oracle fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzExpShiftMatchesMathExp$' -fuzztime 5s ./internal/tensor/
 
 # And for the spec grammar every text knob is read by: whatever
 # spec.Split accepts must render to a canonical form that splits back to it.

@@ -2,7 +2,7 @@ package main
 
 // The kernel harness (calibre perf kernels) is the reproducible perf gate for the
 // linear-algebra core: it times the MatMul kernel family, the k-means distance
-// primitives, an MLP train step, one Calibre local update, an end-to-end
+// primitives, the SimCLR loss, an MLP train step, one Calibre local update, an end-to-end
 // federated round and a loopback TCP federation, serial (one pool worker) versus
 // the configured pool, and emits BENCH_kernels.json so the perf trajectory
 // is tracked in-repo from PR to PR. The JSON schema is validated by this
@@ -233,6 +233,45 @@ func benchSqDist(minTime time.Duration) []KernelBenchRecord {
 	return records
 }
 
+// ntxentRows and ntxentDim are the shape the ntxent record measures: a
+// SimCLR step's projections of 32 samples, two views each, 24 wide.
+const (
+	ntxentRows = 64
+	ntxentDim  = 24
+)
+
+// benchNTXent times nn.NTXent forward and backward: the normalized
+// similarities and the masked log-softmax rows behind the SimCLR loss, on a
+// step tape reset after every call. The projections are a parameter added to
+// a taped input, so that the graph draws its buffers from the tape's arena
+// and the backward pass reaches every op, as in a training step. Its
+// products are below the pool's threshold, so the serial and pooled timings
+// are the same call.
+func benchNTXent(minTime time.Duration) KernelBenchRecord {
+	rng := rand.New(rand.NewSource(10))
+	tape := nn.NewTape(tensor.NewArena())
+	h := nn.NewParam("h", ntxentRows, ntxentDim)
+	grads := tape.LendGrads(paramSet{h})
+	x := tensor.RandN(rng, 1, ntxentRows, ntxentDim)
+	step := func() {
+		clear(grads)
+		loss := nn.NTXent(nn.Add(nn.InputOn(tape, x), h.Node()), 0.5)
+		if err := nn.Backward(loss); err != nil {
+			panic(err)
+		}
+		tape.Reset()
+	}
+	ns, allocs, _ := measure(minTime, step)
+	return KernelBenchRecord{
+		Op: "ntxent", Shape: fmt.Sprintf("%dx%d", ntxentRows, ntxentDim), NsOp: ns, AllocsOp: allocs, SerialNsOp: ns, SpeedupVsSerial: 1,
+	}
+}
+
+// paramSet is a module of loose parameters.
+type paramSet []*nn.Param
+
+func (p paramSet) Params() []*nn.Param { return p }
+
 // calibreStepSetting is the setting the calibre-step record trains in, the
 // one bench/'s workloads federate.
 const calibreStepSetting = "cifar10-q(2,500)"
@@ -426,6 +465,7 @@ func runKernelBench(outDir string, quick bool) error {
 	}
 	file.Records = benchKernels(minTime, []int{64, 128, 256})
 	file.Records = append(file.Records, benchSqDist(minTime)...)
+	file.Records = append(file.Records, benchNTXent(minTime))
 	file.Records = append(file.Records,
 		benchSerialVsPool(minTime, workers, "mlp-train-step", "batch128-256-256-128-10", mlpTrainStep),
 		benchSerialVsPool(minTime, workers, "calibre-step", "calibre-simclr-ci-1client", calibreStep),

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"calibre/internal/ssl"
@@ -15,6 +17,15 @@ import (
 // group tables). Measured: 31.5 (249.3 before, on this data; ≈ 440 on the
 // benchmark's).
 const calibreStepAllocCeiling = 40
+
+// calibreTrainOutsideAllocCeiling and calibreTrainOutsideByteCeiling bound
+// what a warmed Calibre update allocates besides its steps. Measured: 17
+// objects, 1.1 KB (26 and 22 KB with the divergence encoding a heap copy of
+// the client's rows outside any tape).
+const (
+	calibreTrainOutsideAllocCeiling = 20
+	calibreTrainOutsideByteCeiling  = 4096
+)
 
 // TestCalibreStepAllocations pins the steady-state allocation count of a
 // training step with Regularizer.Apply installed (the state of every round
@@ -50,5 +61,60 @@ func TestCalibreStepAllocations(t *testing.T) {
 	perStep := (testing.AllocsPerRun(5, train(9)) - testing.AllocsPerRun(5, train(1))) / float64(8*stepsPerEpoch)
 	if perStep > calibreStepAllocCeiling {
 		t.Errorf("a warmed Calibre step makes %.1f allocations, ceiling %d", perStep, calibreStepAllocCeiling)
+	}
+}
+
+// TestCalibreTrainAllocationsOutsideSteps pins what a warmed Calibre local
+// update (SSLTrainer.Train past the regularizer's warm-up) allocates outside
+// its training steps — binding the client's model, the update, and the
+// divergence clustering on the encodings of the client's train rows — in
+// objects and in bytes: a one-epoch call's total less its epoch of steps,
+// half the difference of a three-epoch and a one-epoch call. The encodings are taped
+// step values; encoding a heap copy of the rows instead shows here as
+// kilobytes per call.
+func TestCalibreTrainAllocationsOutsideSteps(t *testing.T) {
+	clients := testClients(t, 2, 60)
+	cfg := DefaultConfig(testArch(), "simclr", 10)
+	cfg.Train = shortTrainCfg()
+	method, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainer := method.Trainer.(*SSLTrainer)
+	global, err := method.InitGlobal(rand.New(rand.NewSource(84)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, rng := clients[0], rand.New(rand.NewSource(85))
+	train := func(epochs int) func() {
+		return func() {
+			trainer.Cfg.Epochs = epochs
+			rng.Seed(85)
+			u, err := trainer.Train(context.Background(), rng, client, global, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.GiveBack()
+		}
+	}
+	allocs := func(epochs int) (objects, bytes float64) {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects = testing.AllocsPerRun(runs, train(epochs))
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	}
+	train(3)() // warm the pooled tape, the client's row and its k-means workspace
+	objects1, bytes1 := allocs(1)
+	objects3, bytes3 := allocs(3)
+	objects := objects1 - (objects3-objects1)/2
+	bytes := bytes1 - (bytes3-bytes1)/2
+	t.Logf("outside the steps: %.1f objects, %.0f bytes", objects, bytes)
+	if objects > calibreTrainOutsideAllocCeiling {
+		t.Errorf("a warmed Calibre update makes %.1f allocations outside its steps, ceiling %d", objects, calibreTrainOutsideAllocCeiling)
+	}
+	if bytes > calibreTrainOutsideByteCeiling {
+		t.Errorf("a warmed Calibre update allocates %.0f bytes outside its steps, ceiling %d", bytes, calibreTrainOutsideByteCeiling)
 	}
 }

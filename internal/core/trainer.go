@@ -11,7 +11,6 @@ import (
 	"calibre/internal/param"
 	"calibre/internal/partition"
 	"calibre/internal/ssl"
-	"calibre/internal/tensor"
 )
 
 // SSLTrainer is the federated local trainer shared by plain pFL-SSL and
@@ -141,9 +140,13 @@ func (t *SSLTrainer) train(rng *rand.Rand, st *ssl.Trainable, client *partition.
 		if k < 2 {
 			k = 10
 		}
-		enc := st.Backbone.EncodeValue(batchOf(client.Train.X))
+		// The encodings are step values: on the tape, given back with it.
 		tape := nn.BorrowTape()
-		div, err := divergence(tape.Arena(), st.KMeans(), rng, enc, k)
+		x := tape.Tensor(len(client.Train.X), st.Backbone.Arch.InputDim)
+		for i, r := range client.Train.X {
+			x.SetRow(i, r)
+		}
+		div, err := divergence(tape.Arena(), st.KMeans(), rng, st.Backbone.EncodeOn(tape, x).Value, k)
 		tape.Release()
 		if err != nil {
 			return nil, fmt.Errorf("core: divergence for client %d: %w", client.ID, err)
@@ -151,17 +154,6 @@ func (t *SSLTrainer) train(rng *rand.Rand, st *ssl.Trainable, client *partition.
 		update.Divergence = div
 	}
 	return update, nil
-}
-
-func batchOf(rows [][]float64) *tensor.Tensor {
-	if len(rows) == 0 {
-		return tensor.New(0, 0)
-	}
-	out := tensor.New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		out.SetRow(i, r)
-	}
-	return out
 }
 
 // InitGlobal builds the initial flattened global vector for this trainer's

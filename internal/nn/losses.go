@@ -48,6 +48,11 @@ func MaskedCrossEntropy(logits *Node, targets []int, exclude [][]int) *Node {
 			panic(fmt.Sprintf("nn: CrossEntropy target %d out of range [0,%d)", t, n))
 		}
 		loss += lse - prow[t]
+		if !math.IsInf(lse, 0) && !math.IsNaN(lse) {
+			// exp(−Inf − lse) is the +0 a masked column gets.
+			tensor.ExpShiftInto(prow, prow, lse)
+			continue
+		}
 		for j := 0; j < n; j++ {
 			if math.IsInf(prow[j], -1) {
 				prow[j] = 0
@@ -95,8 +100,8 @@ func SoftCrossEntropy(logits *Node, q *tensor.Tensor) *Node {
 		prow := probs.Row(i)
 		for j := 0; j < n; j++ {
 			loss -= qrow[j] * (row[j] - lse)
-			prow[j] = math.Exp(row[j] - lse)
 		}
+		tensor.ExpShiftInto(prow, row, lse)
 	}
 	loss /= float64(m)
 	v := logits.tape.alloc(1, 1)

@@ -1,7 +1,6 @@
 package ssl
 
 import (
-	"math"
 	"math/rand"
 
 	"calibre/internal/nn"
@@ -76,8 +75,9 @@ func Sinkhorn(scores *tensor.Tensor, eps float64, iters int) *tensor.Tensor {
 		srow := scores.Row(i)
 		qrow := q.Row(i)
 		for j := 0; j < k; j++ {
-			qrow[j] = math.Exp((srow[j] - max) / eps)
+			qrow[j] = (srow[j] - max) / eps
 		}
+		tensor.ExpShiftInto(qrow, qrow, 0)
 	}
 	for it := 0; it < iters; it++ {
 		// Column normalization: each prototype gets total mass n/k.

@@ -7,9 +7,10 @@ import "math"
 // k-means and of the bias/ReLU sweeps of a fused layer: loop bodies over
 // contiguous float64 rows — axpyRows, which adds scaled rows to a row;
 // dotTile, a 4×4 tile of dot products; sqDistTile, a 4×4 tile of squared
-// distances; biasRows, a bias added to every row (then ReLU, if asked); and
-// reluMask, a gradient kept where an output is positive — each with two
-// implementations that agree bit for bit.
+// distances; biasRows, a bias added to every row (then ReLU, if asked);
+// reluMask, a gradient kept where an output is positive; and expShift, the
+// shifted exponential of a softmax row — each with two implementations that
+// agree bit for bit.
 //
 //   - The portable loops in this file are the scalar inner loops the kernels
 //     always had, and they are what runs on every build without the
@@ -28,9 +29,15 @@ import "math"
 // any one of them, so the assembly is held to the same oracle as the loops
 // it replaces (matmul_oracle_test.go, rowprim_test.go).
 //
+// expShift is the exception to "never FMA", because its oracle is math.Exp
+// and math.Exp's own amd64 body fuses: its vector lanes run the
+// instructions of math.Exp's FMA branch, and only where math.Exp takes that
+// branch (useAVX2 and hasFMA); everywhere else its portable loop is math.Exp
+// itself. TestExpShiftMatchesMathExp holds it to math.Exp at 0 ULP.
+//
 // The wrappers in rowprim_amd64.go or rowprim_noasm.go pick the
-// implementation through useAVX2, which is set once when the package
-// initialises, from CPUID and XGETBV. There is no flag or environment
+// implementation through useAVX2 (and expShift also through hasFMA), which
+// are set once when the package initialises, from CPUID and XGETBV. There is no flag or environment
 // variable behind it; a test that wants the portable path on an AVX2 host
 // sets useAVX2 = false for its duration (see eachImpl in rowprim_test.go),
 // and `go test -tags purego` builds the package without the assembly.
@@ -148,6 +155,15 @@ func biasRowsGeneric(y, bias []float64, relu bool) {
 				row[j] += b
 			}
 		}
+	}
+}
+
+// expShiftGeneric writes dst[i] = math.Exp(src[i] − shift) for every
+// i < len(dst), from a src at least as long.
+func expShiftGeneric(dst, src []float64, shift float64) {
+	src = src[:len(dst)]
+	for i, x := range src {
+		dst[i] = math.Exp(x - shift)
 	}
 }
 

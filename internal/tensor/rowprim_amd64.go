@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math"
+
 // useAVX2 selects the assembly row primitives. It is written once, here,
 // from the CPU probe; only tests assign it afterwards (to run the portable
 // loops and the assembly against the oracle in one binary).
@@ -9,6 +11,13 @@ var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state.
 func cpuHasAVX2() bool
+
+// hasFMA is whether the CPU reports FMA; with useAVX2 it is where math.Exp
+// runs its fused multiply-add branch, the one expShiftAVX2 repeats.
+var hasFMA = cpuHasFMA()
+
+// cpuHasFMA reports CPUID.1:ECX bit 12, FMA.
+func cpuHasFMA() bool
 
 //go:noescape
 func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64)
@@ -24,6 +33,9 @@ func biasRowsAVX2(y, bias []float64, relu bool)
 
 //go:noescape
 func reluMaskAVX2(dst, g, y []float64)
+
+//go:noescape
+func expShiftAVX2(dst, src []float64, shift float64) int
 
 // axpyRows computes, for q = 0 … len(offs)-1 in order,
 // o[j] += coefs[q]·b[offs[q]+j] for every j < len(o). The offsets must
@@ -81,4 +93,22 @@ func reluMask(dst, g, y []float64) {
 		return
 	}
 	reluMaskGeneric(dst, g, y)
+}
+
+// expShift writes dst[i] = math.Exp(src[i] − shift); the caller has checked
+// that src is at least as long as dst. The assembly stops at the first group of four
+// holding a lane it leaves to math.Exp, and the group runs here, one element
+// at a time, before the assembly resumes after it.
+func expShift(dst, src []float64, shift float64) {
+	if !useAVX2 || !hasFMA {
+		expShiftGeneric(dst, src, shift)
+		return
+	}
+	src = src[:len(dst)]
+	for i := 0; i < len(dst); {
+		i += expShiftAVX2(dst[i:], src[i:], shift)
+		for end := min(i+4, len(dst)); i < end; i++ {
+			dst[i] = math.Exp(src[i] - shift)
+		}
+	}
 }

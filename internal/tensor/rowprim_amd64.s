@@ -5,10 +5,13 @@
 // The AVX2 row primitives behind rowprim_amd64.go. Every lane is one output
 // element going through the roundings of the portable loop in rowprim.go:
 // VMULPD then VADDPD, never a fused multiply-add, and no sum is reassociated.
-// Loads and stores are unaligned (operands are arbitrary sub-slices), tails
-// shorter than a vector run the same instructions in their scalar form, and
-// every routine ends in VZEROUPPER because the Go code around it uses legacy
-// SSE encodings.
+// The one exception is expShiftAVX2, whose lanes go through the roundings of
+// math.Exp's own amd64 body, fused multiply-adds included, and which runs
+// only on CPUs where math.Exp takes that FMA branch. Loads and stores are
+// unaligned (operands are arbitrary sub-slices), tails shorter than a vector
+// run the same instructions in their scalar form (expShiftAVX2's, as a masked
+// group of four), and every routine ends in VZEROUPPER because the Go code
+// around it uses legacy SSE encodings.
 
 // func cpuHasAVX2() bool
 //
@@ -487,5 +490,152 @@ mask1:
 	JMP    mask1
 
 maskDone:
+	VZEROUPPER
+	RET
+
+// func cpuHasFMA() bool
+//
+// CPUID.1:ECX bit 12. math.Exp takes its fused multiply-add branch where the
+// CPU reports AVX and FMA and the OS saves YMM state; with cpuHasAVX2 this
+// probe says the same.
+TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	SHRL $12, CX
+	ANDL $1, CX
+	MOVB CX, ret+0(FP)
+	RET
+
+// The constants of math.Exp's amd64 body ($GOROOT/src/math/exp_amd64.s), as
+// the same decimal literals, each four times over for a 256-bit operand; then
+// the bounds of the lane classes and the tail's lane mask.
+#define EXPCONST(off, v) DATA expdata<>+(off)(SB)/8, v; DATA expdata<>+(off+8)(SB)/8, v; DATA expdata<>+(off+16)(SB)/8, v; DATA expdata<>+(off+24)(SB)/8, v
+
+EXPCONST(0, $1.4426950408889634073599246810018920)                  // LOG2E
+EXPCONST(32, $0.69314718055966295651160180568695068359375)          // LN2U
+EXPCONST(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXPCONST(96, $0.0625)
+EXPCONST(128, $2.4801587301587301587e-5)
+EXPCONST(160, $1.9841269841269841270e-4)
+EXPCONST(192, $1.3888888888888888889e-3)
+EXPCONST(224, $8.3333333333333333333e-3)
+EXPCONST(256, $4.1666666666666666667e-2)
+EXPCONST(288, $1.6666666666666666667e-1)
+EXPCONST(320, $0.5)
+EXPCONST(352, $1.0)
+EXPCONST(384, $2.0)
+EXPCONST(416, $0x3FF)  // the exponent bias
+EXPCONST(448, $-700.0) // the vector path's bounds
+EXPCONST(480, $700.0)
+EXPCONST(512, $-750.0) // below it math.Exp returns +0
+EXPCONST(544, $-1)     // lane mask: lanes j < r of the last r elements
+EXPCONST(576, $0)
+GLOBL expdata<>(SB), RODATA, $608
+
+// func expShiftAVX2(dst, src []float64, shift float64) int
+//
+// dst[i] = math.Exp(src[i] − shift), four elements at a time, from the start
+// of dst until a group holds a lane the vector path does not cover; it
+// returns how many elements it wrote (len(dst) when it covered them all).
+// Each lane repeats the instructions math.Exp runs on its FMA branch (the
+// avxfma label of exp_amd64.s) in their packed form: the same constants,
+// the same fused and unfused roundings, the same conversions under the same
+// MXCSR rounding mode. That branch takes x in [−700, 700] straight through
+// to the scaling by 2^e with no overflow or denormal detour, and returns +0
+// for every x < −750 (−Inf included), so a group whose lanes are all in
+// one of those two classes is computed here, the second class as +0; a
+// group with any other lane (NaN, x > 700, x in [−750, −700)) is left to
+// the caller's math.Exp. The last one to three elements are a four-lane
+// group under a mask (VMASKMOVPD), whose idle lanes are not classified. The
+// caller has checked that len(src) ≥ len(dst); dst and src are the same
+// slice or do not overlap.
+TEXT ·expShiftAVX2(SB), NOSPLIT, $0-64
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	VBROADCASTSD shift+48(FP), Y15
+	VMOVUPD      expdata<>+448(SB), Y14
+	VMOVUPD      expdata<>+480(SB), Y13
+	VMOVUPD      expdata<>+512(SB), Y12
+	VXORPD       Y10, Y10, Y10 // idle lanes: none but in the tail
+	XORQ         AX, AX        // elements written
+
+exp4:
+	MOVQ    CX, DX
+	SUBQ    AX, DX // elements left
+	CMPQ    DX, $4
+	JLT     expTail
+	VMOVUPD (SI)(AX*8), Y0
+
+expGroup:
+	VSUBPD    Y15, Y0, Y0        // x = src − shift
+	VCMPPD    $0x1D, Y14, Y0, Y1 // x ≥ −700: GE_OQ
+	VCMPPD    $0x12, Y13, Y0, Y2 // x ≤ 700: LE_OQ
+	VANDPD    Y2, Y1, Y1
+	VCMPPD    $0x11, Y12, Y0, Y9 // x < −750: LT_OQ
+	VORPD     Y9, Y1, Y1
+	VORPD     Y10, Y1, Y1
+	VMOVMSKPD Y1, R8
+	CMPQ      R8, $15
+	JNE       expDone
+
+	// x·LOG2E rounded to the nearest integer e, and x − e·ln 2 in two
+	// fused steps; then the Taylor series of exp(r/16), squared four times.
+	VMULPD       expdata<>+0(SB), Y0, Y1
+	VCVTPD2DQY   Y1, X3
+	VCVTDQ2PD    X3, Y1
+	VFNMADD231PD expdata<>+32(SB), Y1, Y0
+	VFNMADD231PD expdata<>+64(SB), Y1, Y0
+	VMULPD       expdata<>+96(SB), Y0, Y0
+	VMOVUPD      expdata<>+128(SB), Y1
+	VFMADD213PD  expdata<>+160(SB), Y0, Y1
+	VFMADD213PD  expdata<>+192(SB), Y0, Y1
+	VFMADD213PD  expdata<>+224(SB), Y0, Y1
+	VFMADD213PD  expdata<>+256(SB), Y0, Y1
+	VFMADD213PD  expdata<>+288(SB), Y0, Y1
+	VFMADD213PD  expdata<>+320(SB), Y0, Y1
+	VFMADD213PD  expdata<>+352(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expdata<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expdata<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expdata<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expdata<>+384(SB), Y0, Y1
+	VFMADD213PD  expdata<>+352(SB), Y1, Y0
+
+	// Times 2^e, built in the exponent field; then +0 where x < −750.
+	VPMOVSXDQ X3, Y1
+	VPADDQ    expdata<>+416(SB), Y1, Y1
+	VPSLLQ    $52, Y1, Y1
+	VMULPD    Y1, Y0, Y0
+	VANDNPD   Y0, Y9, Y0
+
+	CMPQ    DX, $4
+	JLT     expTailStore
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     exp4
+
+expTail:
+	TESTQ      DX, DX
+	JZ         expDone
+	MOVQ       $4, R8
+	SUBQ       DX, R8
+	LEAQ       expdata<>+544(SB), R9
+	VMOVUPD    (R9)(R8*8), Y11       // lanes j < DX
+	VXORPD     Y2, Y2, Y2
+	VPCMPEQQ   Y2, Y11, Y10          // the idle lanes
+	VMASKMOVPD (SI)(AX*8), Y11, Y0
+	JMP        expGroup
+
+expTailStore:
+	VMASKMOVPD Y0, Y11, (DI)(AX*8)
+	MOVQ       CX, AX
+
+expDone:
+	MOVQ AX, ret+56(FP)
 	VZEROUPPER
 	RET

@@ -16,3 +16,5 @@ func sqDistTile(o *[16]float64, a, b *[4][]float64) { sqDistTileGeneric(o, a, b)
 func biasRows(y, bias []float64, relu bool) { biasRowsGeneric(y, bias, relu) }
 
 func reluMask(dst, g, y []float64) { reluMaskGeneric(dst, g, y) }
+
+func expShift(dst, src []float64, shift float64) { expShiftGeneric(dst, src, shift) }

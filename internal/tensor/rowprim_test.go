@@ -467,3 +467,144 @@ func TestAddScaledRowsRejectsShortRows(t *testing.T) {
 		AddRows(make([]float64, 4), rows)
 	}()
 }
+
+// expShifts are the shifts the exp tests subtract: zero, finite values of
+// either sign (a softmax row's max, and shifts that move a row across the
+// lane classes), both infinities and NaN.
+var expShifts = []float64{0, 1.5, -2.25, 703.5, -701, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// expVal draws one input for the exp tests, from a lane class of
+// expShiftAVX2 chosen at random: the vector path's [−700, 700], the +0
+// class below −750, the [−750, −700) band math.Exp takes to its denormal
+// step, (700, 710] where it overflows or nearly does, NaN payloads of both
+// signs, ±Inf, ±0 and denormal inputs, and arbitrary bit patterns.
+func expVal(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return -750 + 50*rng.Float64()
+	case 1:
+		return 710 - 10*rng.Float64()
+	case 2:
+		return -750 - 1e3*rng.ExpFloat64()
+	case 3:
+		nan := math.Float64bits(math.NaN()) | rng.Uint64()&(1<<51-1)
+		if rng.Intn(2) == 0 {
+			nan |= signBit
+		}
+		return math.Float64frombits(nan)
+	case 4:
+		return [...]float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 0x1p-1060, -0x1p-1060}[rng.Intn(6)]
+	case 5:
+		return math.Float64frombits(rng.Uint64())
+	default:
+		return 1400*rng.Float64() - 700
+	}
+}
+
+// expRow draws n inputs: ordinary ones in [−30, 30], and, one in oneIn of
+// them (none when oneIn is 0), one of expVal's.
+func expRow(rng *rand.Rand, n, oneIn int) []float64 {
+	row := make([]float64, n)
+	for i := range row {
+		if oneIn > 0 && rng.Intn(oneIn) == 0 {
+			row[i] = expVal(rng)
+		} else {
+			row[i] = 60*rng.Float64() - 30
+		}
+	}
+	return row
+}
+
+// checkExpShift runs ExpShiftInto on src into dst and holds every element
+// to math.Exp(src[i] − shift), bit for bit, NaN payloads included.
+func checkExpShift(dst, src []float64, shift float64) error {
+	want := make([]float64, len(src))
+	for i, x := range src {
+		want[i] = math.Exp(x - shift)
+	}
+	ExpShiftInto(dst, src, shift)
+	for i, w := range want {
+		if math.Float64bits(w) != math.Float64bits(dst[i]) {
+			return fmt.Errorf("element %d: exp(%v − %v) = %v (%#x), got %v (%#x)",
+				i, src[i], shift, w, math.Float64bits(w), dst[i], math.Float64bits(dst[i]))
+		}
+	}
+	return nil
+}
+
+// TestExpShiftMatchesMathExp holds ExpShiftInto, under every
+// implementation, to math.Exp bit for bit: at lengths around the four-lane
+// groups and the masked tail, offsets 0–3, every shift of expShifts, rows
+// with no exceptional lane and with them at two rates, in place and into a
+// separate row whose neighbours must stay unwritten; then over a dense sweep
+// of [−800, 800] and over arbitrary bit patterns.
+func TestExpShiftMatchesMathExp(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65}
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(35))
+		for _, n := range lengths {
+			for off := 0; off < 4; off++ {
+				for _, shift := range expShifts {
+					for _, oneIn := range []int{0, 16, 3} {
+						src := expRow(rng, off+n, oneIn)[off:]
+						backing := make([]float64, off+n+4)
+						for i := range backing {
+							backing[i] = -1
+						}
+						dst := backing[off : off+n]
+						if err := checkExpShift(dst, src, shift); err != nil {
+							t.Fatalf("%s n=%d off=%d shift=%v specials 1 in %d: %v", impl, n, off, shift, oneIn, err)
+						}
+						for i, v := range backing {
+							if (i < off || i >= off+n) && v != -1 {
+								t.Fatalf("%s n=%d off=%d: element %d outside dst written", impl, n, off, i)
+							}
+						}
+						if err := checkExpShift(src, slices.Clone(src), shift); err != nil {
+							t.Fatalf("%s in place n=%d off=%d shift=%v specials 1 in %d: %v", impl, n, off, shift, oneIn, err)
+						}
+					}
+				}
+			}
+		}
+		sweep := make([]float64, 1<<16)
+		for _, shift := range []float64{0, 0.25, -3} {
+			for i := range sweep {
+				sweep[i] = -800 + 1600*float64(i)/float64(len(sweep)) + rng.Float64()*(1600.0/float64(len(sweep)))
+			}
+			if err := checkExpShift(make([]float64, len(sweep)), sweep, shift); err != nil {
+				t.Fatalf("%s sweep of [−800, 800] shift=%v: %v", impl, shift, err)
+			}
+		}
+		for i := range sweep {
+			sweep[i] = math.Float64frombits(rng.Uint64())
+		}
+		if err := checkExpShift(make([]float64, len(sweep)), sweep, 0); err != nil {
+			t.Fatalf("%s bit patterns: %v", impl, err)
+		}
+	})
+}
+
+// FuzzExpShiftMatchesMathExp is TestExpShiftMatchesMathExp over what the
+// fuzzer picks: the row length, the offset, the shift, and one input x
+// placed at position at, among draws of expRow.
+func FuzzExpShiftMatchesMathExp(f *testing.F) {
+	f.Add(uint8(0), uint8(0), int64(1), 0.0, 0.0, uint8(0))
+	f.Add(uint8(4), uint8(1), int64(2), 1.5, -749.5, uint8(2))
+	f.Add(uint8(7), uint8(2), int64(3), -700.0, 0.0, uint8(6))
+	f.Add(uint8(17), uint8(3), int64(4), math.Inf(-1), 709.8, uint8(16))
+	f.Add(uint8(65), uint8(0), int64(5), math.NaN(), math.Inf(1), uint8(64))
+	f.Fuzz(func(t *testing.T, n, off uint8, seed int64, shift, x float64, at uint8) {
+		eachImpl(t, func(impl string) {
+			rng := rand.New(rand.NewSource(seed))
+			o := int(off) % 4
+			src := expRow(rng, o+int(n), int(uint64(seed)%4)*4)[o:]
+			if n > 0 {
+				src[int(at)%int(n)] = x
+			}
+			if err := checkExpShift(make([]float64, n), src, shift); err != nil {
+				t.Fatalf("%s n=%d off=%d shift=%v: %v", impl, n, o, shift, err)
+			}
+		})
+	})
+}

@@ -621,7 +621,20 @@ func CosineSim(a, b []float64) float64 {
 	return Dot(a, b) / (na * nb)
 }
 
-// LogSumExp returns log(Σ exp(v_i)), stabilized.
+// ExpShiftInto writes dst[i] = math.Exp(src[i] − shift), bit for bit
+// whatever the inputs: the shifted exponential of a softmax row.
+// dst and src must be one length, and are the same slice or do not overlap.
+// On amd64 CPUs where math.Exp runs its FMA branch, four elements go
+// through that branch's instructions at a time (rowprim_amd64.s).
+func ExpShiftInto(dst, src []float64, shift float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: ExpShiftInto into %d elements from %d", len(dst), len(src)))
+	}
+	expShift(dst, src, shift)
+}
+
+// LogSumExp returns log(Σ exp(v_i)), stabilized: the terms exp(v_i − max)
+// are summed in order of i.
 func LogSumExp(v []float64) float64 {
 	if len(v) == 0 {
 		return math.Inf(-1)
@@ -633,8 +646,14 @@ func LogSumExp(v []float64) float64 {
 		}
 	}
 	var s float64
-	for _, x := range v {
-		s += math.Exp(x - m)
+	var terms [16]float64
+	for len(v) > 0 {
+		chunk := terms[:min(len(v), len(terms))]
+		expShift(chunk, v, m)
+		for _, e := range chunk {
+			s += e
+		}
+		v = v[len(chunk):]
 	}
 	return m + math.Log(s)
 }

@@ -325,6 +325,36 @@ func TestLogSumExp(t *testing.T) {
 	if !math.IsInf(LogSumExp(nil), -1) {
 		t.Fatal("LogSumExp(nil) should be -Inf")
 	}
+	// Bit for bit the scalar sum of math.Exp terms in order (any NaN for a
+	// NaN: the final addition's operand order is the compiler's), on rows
+	// shorter and longer than the stack chunk, with and without special
+	// values.
+	scalar := func(v []float64) float64 {
+		m := v[0]
+		for _, x := range v[1:] {
+			if x > m {
+				m = x
+			}
+		}
+		var s float64
+		for _, x := range v {
+			s += math.Exp(x - m)
+		}
+		return m + math.Log(s)
+	}
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(36))
+		for _, n := range []int{1, 2, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 65} {
+			for _, oneIn := range []int{0, 16, 3} {
+				for rep := 0; rep < 20; rep++ {
+					v := expRow(rng, n, oneIn)
+					if err := sameRow([]float64{scalar(v)}, []float64{LogSumExp(v)}); err != nil {
+						t.Fatalf("%s LogSumExp(%v): %v", impl, v, err)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestArgMax(t *testing.T) {
