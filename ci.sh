@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + distance-tile + exp + spec-grammar fuzz smokes, short kernel and sweep benches,
+#                    real-process smoke, wire + matmul + distance-tile + exp + sgd-step + spec-grammar fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -182,6 +182,11 @@ go test -run '^$' -fuzz '^FuzzSqDistTileMatchesSqDist$' -fuzztime 5s ./internal/
 # shifts and inputs in every lane class beyond the corpus, bit for bit.
 echo "== exp oracle fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzExpShiftMatchesMathExp$' -fuzztime 5s ./internal/tensor/
+
+# And for the optimizer's step primitive against SGD's scalar loop: lengths,
+# offsets, both forms, coefficients and special values beyond the corpus.
+echo "== sgd step oracle fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzSGDStepMatchesScalarLoop$' -fuzztime 5s ./internal/tensor/
 
 # And for the spec grammar every text knob is read by: whatever
 # spec.Split accepts must render to a canonical form that splits back to it.

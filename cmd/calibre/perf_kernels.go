@@ -2,8 +2,9 @@ package main
 
 // The kernel harness (calibre perf kernels) is the reproducible perf gate for the
 // linear-algebra core: it times the MatMul kernel family, the k-means distance
-// primitives, the SimCLR loss, an MLP train step, one Calibre local update, an end-to-end
-// federated round and a loopback TCP federation, serial (one pool worker) versus
+// primitives, the SimCLR loss, the optimizer's clip and step, an MLP train
+// step, one Calibre local update, an end-to-end federated round and a
+// loopback TCP federation, serial (one pool worker) versus
 // the configured pool, and emits BENCH_kernels.json so the perf trajectory
 // is tracked in-repo from PR to PR. The JSON schema is validated by this
 // package's tests against the committed golden file.
@@ -26,6 +27,7 @@ import (
 	"calibre/internal/experiments"
 	"calibre/internal/fl"
 	"calibre/internal/flnet"
+	"calibre/internal/model"
 	"calibre/internal/nn"
 	"calibre/internal/param"
 	"calibre/internal/partition"
@@ -74,6 +76,8 @@ type KernelBenchRecord struct {
 // allocs_op` and `-fail bytes_op` hold the counts to the committed ones.
 // The five run with the collector off, so at most the first follows a GC:
 // a call allocating megabytes would otherwise follow one nearly every time.
+// Each starts from the same state of param's pool (settle), so the five,
+// and the counts of one harness run and the next, are the same.
 func measure(minTime time.Duration, fn func()) (nsOp, allocsOp, bytesOp int64) {
 	fn() // warm up: pool spin-up, caches
 	var iters int64
@@ -87,10 +91,25 @@ func measure(minTime time.Duration, fn func()) (nsOp, allocsOp, bytesOp int64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocsOp, bytesOp = math.MaxInt64, math.MaxInt64
 	for i := 0; i < 5; i++ {
+		settle(fn)
 		objects, bytes := allocated(fn)
 		allocsOp, bytesOp = min(allocsOp, objects), min(bytesOp, bytes)
 	}
 	return int64(elapsed) / iters, allocsOp, bytesOp
+}
+
+// settle puts param's pool into one fixed state: it empties the pool, then
+// runs fn once on one P, uncounted, so that the pool holds what a call on
+// one P leaves idle — as the counted call runs. The timing loop runs fn on
+// every P, where trainers of one call overlap as the scheduler lets them,
+// and how many vectors it leaves idle varies from run to run; a counted
+// call that found one more idle borrowed one vector fewer.
+func settle(fn func()) {
+	for param.Idle() > 0 {
+		param.Borrow(0) // the idle vector of least capacity, dropped
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
 }
 
 // allocated runs fn once and reports the heap objects and bytes the process
@@ -265,6 +284,71 @@ func benchNTXent(minTime time.Duration) KernelBenchRecord {
 	return KernelBenchRecord{
 		Op: "ntxent", Shape: fmt.Sprintf("%dx%d", ntxentRows, ntxentDim), NsOp: ns, AllocsOp: allocs, SerialNsOp: ns, SpeedupVsSerial: 1,
 	}
+}
+
+// sgdStepClip is the clip norm of the supervised baselines' local update
+// (model.DefaultSupTrainConfig), which the sgd-step records run with.
+const sgdStepClip = 5
+
+// benchSGDStep times one optimizer step as nn.StepLoop runs it —
+// ClipGradNorm, then SGD.Step with momentum — over the supervised model
+// fedavg trains in a bench/ workload: sim-fedavg's (the ci scale's arch)
+// with gradients of norm 1, where the clip's bound decides and nothing is
+// scaled, and net-wide-ops' (the smoke scale's inputs, a 1024/256 encoder)
+// with gradients of norm 50, which clip. The clipping record copies its
+// gradients back before every step, as a backward pass rewrites them, so
+// that every call clips; its ns_op includes the copy. Neither splits across
+// the pool, so the serial and pooled timings are the same call.
+func benchSGDStep(minTime time.Duration) []KernelBenchRecord {
+	var records []KernelBenchRecord
+	for _, c := range []struct {
+		scale    experiments.Scale
+		wide     bool
+		gradNorm float64
+		what     string
+	}{
+		{experiments.ScaleCI, false, 1, "bound-decides"},
+		{experiments.ScaleSmoke, true, 50, "clips"},
+	} {
+		fn, n := sgdStep(c.scale, c.wide, c.gradNorm)
+		ns, allocs, bytes := measure(minTime, fn)
+		records = append(records, KernelBenchRecord{
+			Op: "sgd-step", Shape: fmt.Sprintf("fedavg-%dparams-%s", n, c.what), NsOp: ns, AllocsOp: allocs, BytesOp: bytes,
+			SerialNsOp: ns, SpeedupVsSerial: 1,
+		})
+	}
+	return records
+}
+
+// sgdStep returns a closure running ClipGradNorm and Step over the
+// supervised model of the scale's arch (wide: a 1024/256 encoder), with
+// gradients drawn once at norm gradNorm, and the model's parameter count.
+func sgdStep(scale experiments.Scale, wide bool, gradNorm float64) (func(), int) {
+	env, err := experiments.BuildEnvironment(experiments.Settings()[calibreStepSetting], scale, 42)
+	if err != nil {
+		panic(err)
+	}
+	if wide {
+		env.Arch.HiddenDim, env.Arch.FeatDim = 1024, 256
+	}
+	rng := rand.New(rand.NewSource(11))
+	m := model.NewSupModel(rng, env.Arch, env.NumClasses)
+	cfg := model.DefaultSupTrainConfig()
+	opt := nn.NewSGD(m, cfg.LR, cfg.Momentum, 0) // gives the model gradient storage of its own
+	grads := nn.Grads(m)
+	for i := range grads {
+		grads[i] = rng.NormFloat64()
+	}
+	tensor.ScaleSlice(grads, gradNorm/math.Sqrt(tensor.SumSquares(grads)))
+	drawn := append([]float64(nil), grads...)
+	clips := gradNorm > sgdStepClip
+	return func() {
+		if clips {
+			copy(grads, drawn)
+		}
+		opt.ClipGradNorm(sgdStepClip)
+		opt.Step()
+	}, len(grads)
 }
 
 // paramSet is a module of loose parameters.
@@ -466,6 +550,7 @@ func runKernelBench(outDir string, quick bool) error {
 	file.Records = benchKernels(minTime, []int{64, 128, 256})
 	file.Records = append(file.Records, benchSqDist(minTime)...)
 	file.Records = append(file.Records, benchNTXent(minTime))
+	file.Records = append(file.Records, benchSGDStep(minTime)...)
 	file.Records = append(file.Records,
 		benchSerialVsPool(minTime, workers, "mlp-train-step", "batch128-256-256-128-10", mlpTrainStep),
 		benchSerialVsPool(minTime, workers, "calibre-step", "calibre-simclr-ci-1client", calibreStep),

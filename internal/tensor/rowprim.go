@@ -8,9 +8,11 @@ import "math"
 // contiguous float64 rows — axpyRows, which adds scaled rows to a row;
 // dotTile, a 4×4 tile of dot products; sqDistTile, a 4×4 tile of squared
 // distances; biasRows, a bias added to every row (then ReLU, if asked);
-// reluMask, a gradient kept where an output is positive; and expShift, the
-// shifted exponential of a softmax row — each with two implementations that
-// agree bit for bit.
+// reluMask, a gradient kept where an output is positive; expShift, the
+// shifted exponential of a softmax row; and the optimizer's three sweeps,
+// sgdStep, SGD's update of a run of parameters, sumSquares, the gradients'
+// sum of squares, and scale, the clip's multiply — each with two
+// implementations that agree bit for bit.
 //
 //   - The portable loops in this file are the scalar inner loops the kernels
 //     always had, and they are what runs on every build without the
@@ -28,6 +30,13 @@ import "math"
 // which elements are in flight together, never the chain of roundings of
 // any one of them, so the assembly is held to the same oracle as the loops
 // it replaces (matmul_oracle_test.go, rowprim_test.go).
+//
+// sumSquares is the exception to "in the order the expression is written":
+// it sums in sixteen chains, the order spelled out in sumSquaresGeneric,
+// which both bodies follow, so they agree with each other bit for bit but
+// not with a serial sum of the same squares. Its one caller, SGD's clip,
+// uses it only where a bound on every summation order makes the
+// difference immaterial (nn's clipBoundDecides).
 //
 // expShift is the exception to "never FMA", because its oracle is math.Exp
 // and math.Exp's own amd64 body fuses: its vector lanes run the
@@ -155,6 +164,71 @@ func biasRowsGeneric(y, bias []float64, relu bool) {
 				row[j] += b
 			}
 		}
+	}
+}
+
+// sgdStepGeneric is an SGD step over v from its gradients g, one element
+// at a time. With vel it is the momentum form, each element in this order:
+//
+//	t = wd·v; grad = g + t; vel = mom·vel + grad; v = v − lr·vel
+//
+// and with vel nil the plain form, t = wd·v; grad = g + t; v = v − lr·grad;
+// every operation rounded to float64 on its own. g and a non-nil vel are as
+// long as v.
+func sgdStepGeneric(v, g, vel []float64, lr, mom, wd float64) {
+	g = g[:len(v)]
+	if vel == nil {
+		for j := range v {
+			grad := g[j] + wd*v[j]
+			v[j] -= lr * grad
+		}
+		return
+	}
+	vel = vel[:len(v)]
+	for j := range v {
+		grad := g[j] + wd*v[j]
+		vel[j] = mom*vel[j] + grad
+		v[j] -= lr * vel[j]
+	}
+}
+
+// sumSquaresGeneric returns Σ x[i]² in sixteen chains: the square of x[i]
+// is added to chain i mod 16 for every i below the last multiple of four,
+// the last one to three squares to a chain of their own, t, in order; then
+// with a[l] = (s[l] + s[4+l]) + (s[8+l] + s[12+l]) the sum is
+// ((a[0] + a[2]) + (a[1] + a[3])) + t. Every square is rounded before it is
+// added. This is the order the four-lane body sums in, not the serial one.
+func sumSquaresGeneric(x []float64) float64 {
+	var s [16]float64
+	i := 0
+	for ; i+16 <= len(x); i += 16 {
+		b := x[i:][:16]
+		for c, v := range b {
+			s[c] += v * v
+		}
+	}
+	for ; i+4 <= len(x); i += 4 {
+		b, c := x[i:][:4], i%16
+		s[c] += b[0] * b[0]
+		s[c+1] += b[1] * b[1]
+		s[c+2] += b[2] * b[2]
+		s[c+3] += b[3] * b[3]
+	}
+	var t float64
+	for _, v := range x[i:] {
+		t += v * v
+	}
+	var a [4]float64
+	for l := range a {
+		a[l] = (s[l] + s[4+l]) + (s[8+l] + s[12+l])
+	}
+	return ((a[0] + a[2]) + (a[1] + a[3])) + t
+}
+
+// scaleGeneric multiplies every element of x by c.
+func scaleGeneric(x []float64, c float64) {
+	for i := range x {
+		x[i] *= c
 	}
 }
 

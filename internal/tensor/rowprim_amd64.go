@@ -37,6 +37,15 @@ func reluMaskAVX2(dst, g, y []float64)
 //go:noescape
 func expShiftAVX2(dst, src []float64, shift float64) int
 
+//go:noescape
+func sgdStepAVX2(v, g, vel []float64, lr, mom, wd float64)
+
+//go:noescape
+func sumSquaresAVX2(x []float64) float64
+
+//go:noescape
+func scaleAVX2(x []float64, c float64)
+
 // axpyRows computes, for q = 0 … len(offs)-1 in order,
 // o[j] += coefs[q]·b[offs[q]+j] for every j < len(o). The offsets must
 // ascend, as every caller passes them: the first is then the lowest and the
@@ -111,4 +120,32 @@ func expShift(dst, src []float64, shift float64) {
 			dst[i] = math.Exp(src[i] - shift)
 		}
 	}
+}
+
+// sgdStep is one SGD step over v: the momentum form with vel, the plain
+// form with vel nil; the caller has checked that g, and vel when non-nil,
+// are as long as v.
+func sgdStep(v, g, vel []float64, lr, mom, wd float64) {
+	if useAVX2 {
+		sgdStepAVX2(v, g, vel, lr, mom, wd)
+		return
+	}
+	sgdStepGeneric(v, g, vel, lr, mom, wd)
+}
+
+// sumSquares is Σ x[i]² in sumSquaresGeneric's sixteen chains.
+func sumSquares(x []float64) float64 {
+	if useAVX2 {
+		return sumSquaresAVX2(x)
+	}
+	return sumSquaresGeneric(x)
+}
+
+// scale multiplies every element of x by c.
+func scale(x []float64, c float64) {
+	if useAVX2 {
+		scaleAVX2(x, c)
+		return
+	}
+	scaleGeneric(x, c)
 }

@@ -4,10 +4,12 @@
 
 // The AVX2 row primitives behind rowprim_amd64.go. Every lane is one output
 // element going through the roundings of the portable loop in rowprim.go:
-// VMULPD then VADDPD, never a fused multiply-add, and no sum is reassociated.
-// The one exception is expShiftAVX2, whose lanes go through the roundings of
-// math.Exp's own amd64 body, fused multiply-adds included, and which runs
-// only on CPUs where math.Exp takes that FMA branch. Loads and stores are
+// VMULPD then VADDPD, never a fused multiply-add, and no sum is reassociated
+// but sumSquaresAVX2's, which sums in the sixteen chains sumSquaresGeneric
+// spells out. The one exception to "never FMA" is expShiftAVX2, whose lanes
+// go through the roundings of math.Exp's own amd64 body, fused multiply-adds
+// included, and which runs only on CPUs where math.Exp takes that FMA
+// branch. Loads and stores are
 // unaligned (operands are arbitrary sub-slices), tails shorter than a vector
 // run the same instructions in their scalar form (expShiftAVX2's, as a masked
 // group of four), and every routine ends in VZEROUPPER because the Go code
@@ -637,5 +639,258 @@ expTailStore:
 
 expDone:
 	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func sgdStepAVX2(v, g, vel []float64, lr, mom, wd float64)
+//
+// One SGD step over v, four elements per instruction. With vel non-empty,
+// each lane runs the momentum form t = wd·v; grad = g + t;
+// vel = mom·vel + grad; v = v − lr·vel, and with vel empty the plain form
+// t = wd·v; grad = g + t; v = v − lr·grad: separate VMULPD, VADDPD and
+// VSUBPD, each rounded, in that order. Where a lane may meet two NaNs, the
+// first source operand is the one the scalar loop of SGD.Step puts first
+// (wd, t, mom, grad, lr or grad, v), so the NaN kept is that loop's too. The
+// caller has checked that g, and vel when non-empty, are as long as v.
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-96
+	MOVQ         v_base+0(FP), DI
+	MOVQ         v_len+8(FP), CX
+	MOVQ         g_base+24(FP), BX
+	MOVQ         vel_base+48(FP), DX
+	MOVQ         vel_len+56(FP), R8
+	VBROADCASTSD lr+72(FP), Y0
+	VBROADCASTSD mom+80(FP), Y1
+	VBROADCASTSD wd+88(FP), Y2
+	XORQ         SI, SI
+	TESTQ        R8, R8
+	JZ           plain8
+
+mom8:
+	CMPQ    CX, $8
+	JLT     mom4
+	VMOVUPD (DI)(SI*1), Y4
+	VMOVUPD 32(DI)(SI*1), Y5
+	VMULPD  Y4, Y2, Y6            // t = wd·v
+	VMULPD  Y5, Y2, Y7
+	VADDPD  (BX)(SI*1), Y6, Y6    // grad = t + g
+	VADDPD  32(BX)(SI*1), Y7, Y7
+	VMULPD  (DX)(SI*1), Y1, Y8    // mom·vel
+	VMULPD  32(DX)(SI*1), Y1, Y9
+	VADDPD  Y8, Y6, Y8            // vel = grad + mom·vel
+	VADDPD  Y9, Y7, Y9
+	VMOVUPD Y8, (DX)(SI*1)
+	VMOVUPD Y9, 32(DX)(SI*1)
+	VMULPD  Y8, Y0, Y8            // lr·vel
+	VMULPD  Y9, Y0, Y9
+	VSUBPD  Y8, Y4, Y4            // v − lr·vel
+	VSUBPD  Y9, Y5, Y5
+	VMOVUPD Y4, (DI)(SI*1)
+	VMOVUPD Y5, 32(DI)(SI*1)
+	ADDQ    $64, SI
+	SUBQ    $8, CX
+	JMP     mom8
+
+mom4:
+	CMPQ    CX, $4
+	JLT     mom1
+	VMOVUPD (DI)(SI*1), Y4
+	VMULPD  Y4, Y2, Y6
+	VADDPD  (BX)(SI*1), Y6, Y6
+	VMULPD  (DX)(SI*1), Y1, Y8
+	VADDPD  Y8, Y6, Y8
+	VMOVUPD Y8, (DX)(SI*1)
+	VMULPD  Y8, Y0, Y8
+	VSUBPD  Y8, Y4, Y4
+	VMOVUPD Y4, (DI)(SI*1)
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+
+mom1:
+	TESTQ  CX, CX
+	JZ     stepDone
+	VMOVSD (DI)(SI*1), X4
+	VMULSD X4, X2, X6
+	VADDSD (BX)(SI*1), X6, X6
+	VMULSD (DX)(SI*1), X1, X8
+	VADDSD X8, X6, X8
+	VMOVSD X8, (DX)(SI*1)
+	VMULSD X8, X0, X8
+	VSUBSD X8, X4, X4
+	VMOVSD X4, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    mom1
+
+plain8:
+	CMPQ    CX, $8
+	JLT     plain4
+	VMOVUPD (DI)(SI*1), Y4
+	VMOVUPD 32(DI)(SI*1), Y5
+	VMULPD  Y4, Y2, Y6            // t = wd·v
+	VMULPD  Y5, Y2, Y7
+	VADDPD  (BX)(SI*1), Y6, Y6    // grad = t + g
+	VADDPD  32(BX)(SI*1), Y7, Y7
+	VMULPD  Y0, Y6, Y6            // grad·lr
+	VMULPD  Y0, Y7, Y7
+	VSUBPD  Y6, Y4, Y4            // v − lr·grad
+	VSUBPD  Y7, Y5, Y5
+	VMOVUPD Y4, (DI)(SI*1)
+	VMOVUPD Y5, 32(DI)(SI*1)
+	ADDQ    $64, SI
+	SUBQ    $8, CX
+	JMP     plain8
+
+plain4:
+	CMPQ    CX, $4
+	JLT     plain1
+	VMOVUPD (DI)(SI*1), Y4
+	VMULPD  Y4, Y2, Y6
+	VADDPD  (BX)(SI*1), Y6, Y6
+	VMULPD  Y0, Y6, Y6
+	VSUBPD  Y6, Y4, Y4
+	VMOVUPD Y4, (DI)(SI*1)
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+
+plain1:
+	TESTQ  CX, CX
+	JZ     stepDone
+	VMOVSD (DI)(SI*1), X4
+	VMULSD X4, X2, X6
+	VADDSD (BX)(SI*1), X6, X6
+	VMULSD X0, X6, X6
+	VSUBSD X6, X4, X4
+	VMOVSD X4, (DI)(SI*1)
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    plain1
+
+stepDone:
+	VZEROUPPER
+	RET
+
+// func sumSquaresAVX2(x []float64) float64
+//
+// Σ x[i]² in sixteen chains, as sumSquaresGeneric spells out: lane l of
+// Y0…Y3 is chain l, 4+l, 8+l, 12+l, so four elements at a time go to the
+// accumulator their position selects, the last one to three to X5 in
+// order; then Y0 + Y1 and Y2 + Y3, their sum, its halves and its two lanes,
+// and X5 last. Every square is a VMULPD of its own, rounded before the add.
+TEXT ·sumSquaresAVX2(SB), NOSPLIT, $0-32
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD X5, X5, X5
+
+sq16:
+	CMPQ    CX, $16
+	JLT     sq4
+	VMOVUPD (SI), Y4
+	VMOVUPD 32(SI), Y6
+	VMOVUPD 64(SI), Y7
+	VMOVUPD 96(SI), Y8
+	VMULPD  Y4, Y4, Y4
+	VMULPD  Y6, Y6, Y6
+	VMULPD  Y7, Y7, Y7
+	VMULPD  Y8, Y8, Y8
+	VADDPD  Y4, Y0, Y0
+	VADDPD  Y6, Y1, Y1
+	VADDPD  Y7, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     sq16
+
+sq4:
+	// At most three groups of four are left: chains 0–3, 4–7, 8–11.
+	CMPQ    CX, $4
+	JLT     sq1
+	VMOVUPD (SI), Y4
+	VMULPD  Y4, Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	CMPQ    CX, $8
+	JLT     sq4done
+	VMOVUPD 32(SI), Y4
+	VMULPD  Y4, Y4, Y4
+	VADDPD  Y4, Y1, Y1
+	CMPQ    CX, $12
+	JLT     sq4done
+	VMOVUPD 64(SI), Y4
+	VMULPD  Y4, Y4, Y4
+	VADDPD  Y4, Y2, Y2
+
+sq4done:
+	MOVQ CX, AX
+	ANDQ $-4, AX
+	LEAQ (SI)(AX*8), SI
+	ANDQ $3, CX
+
+sq1:
+	TESTQ  CX, CX
+	JZ     sqReduce
+	VMOVSD (SI), X4
+	VMULSD X4, X4, X4
+	VADDSD X4, X5, X5
+	ADDQ   $8, SI
+	DECQ   CX
+	JMP    sq1
+
+sqReduce:
+	VADDPD       Y1, Y0, Y0 // s[l] + s[4+l]
+	VADDPD       Y3, Y2, Y2 // s[8+l] + s[12+l]
+	VADDPD       Y2, Y0, Y0 // a[l]
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0 // a[0] + a[2], a[1] + a[3]
+	VUNPCKHPD    X0, X0, X1
+	VADDSD       X1, X0, X0
+	VADDSD       X5, X0, X0
+	VMOVSD       X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(x []float64, c float64)
+//
+// x[i] = x[i]·c, x[i] the first source operand as in the scalar loop.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-32
+	MOVQ         x_base+0(FP), DI
+	MOVQ         x_len+8(FP), CX
+	VBROADCASTSD c+24(FP), Y0
+
+scale8:
+	CMPQ    CX, $8
+	JLT     scale4
+	VMOVUPD (DI), Y4
+	VMOVUPD 32(DI), Y5
+	VMULPD  Y0, Y4, Y4
+	VMULPD  Y0, Y5, Y5
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	ADDQ    $64, DI
+	SUBQ    $8, CX
+	JMP     scale8
+
+scale4:
+	CMPQ    CX, $4
+	JLT     scale1
+	VMOVUPD (DI), Y4
+	VMULPD  Y0, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+
+scale1:
+	TESTQ  CX, CX
+	JZ     scaleDone
+	VMOVSD (DI), X4
+	VMULSD X0, X4, X4
+	VMOVSD X4, (DI)
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    scale1
+
+scaleDone:
 	VZEROUPPER
 	RET

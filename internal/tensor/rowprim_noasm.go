@@ -18,3 +18,9 @@ func biasRows(y, bias []float64, relu bool) { biasRowsGeneric(y, bias, relu) }
 func reluMask(dst, g, y []float64) { reluMaskGeneric(dst, g, y) }
 
 func expShift(dst, src []float64, shift float64) { expShiftGeneric(dst, src, shift) }
+
+func sgdStep(v, g, vel []float64, lr, mom, wd float64) { sgdStepGeneric(v, g, vel, lr, mom, wd) }
+
+func sumSquares(x []float64) float64 { return sumSquaresGeneric(x) }
+
+func scale(x []float64, c float64) { scaleGeneric(x, c) }

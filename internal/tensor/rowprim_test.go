@@ -608,3 +608,188 @@ func FuzzExpShiftMatchesMathExp(f *testing.F) {
 		})
 	})
 }
+
+// stepVal draws one element of a step operand: one in four from specials
+// (±0, ±Inf, NaN, denormals), the rest ordinary numbers.
+func stepVal(rng *rand.Rand) float64 {
+	if rng.Intn(4) == 0 {
+		return specials[rng.Intn(len(specials))]
+	}
+	return rng.NormFloat64()
+}
+
+// refSGDStep is the optimizer's scalar loop, as SGD.Step ran it before the
+// step became a row primitive.
+func refSGDStep(v, g, vel []float64, lr, mom, wd float64) {
+	if vel == nil {
+		for j := range v {
+			grad := g[j] + wd*v[j]
+			v[j] -= lr * grad
+		}
+		return
+	}
+	for j := range v {
+		grad := g[j] + wd*v[j]
+		vel[j] = mom*vel[j] + grad
+		v[j] -= lr * vel[j]
+	}
+}
+
+// checkSGDStep runs SGDStep on n elements at offset off of arrays drawn
+// from rng, momentum form when withVel, and holds v and vel to refSGDStep
+// element for element (sameRow: any NaN for a NaN), and every element
+// outside the n to what it was.
+func checkSGDStep(rng *rand.Rand, n, off int, withVel bool, lr, mom, wd float64) error {
+	draw := func() []float64 {
+		row := make([]float64, off+n+3)
+		for i := range row {
+			row[i] = stepVal(rng)
+		}
+		return row
+	}
+	v, g, vel := draw(), draw(), draw()
+	wantV, wantVel := slices.Clone(v), slices.Clone(vel)
+	gotV, gotVel := slices.Clone(v), slices.Clone(vel)
+	var refVel, stepVel []float64
+	if withVel {
+		refVel, stepVel = wantVel[off:off+n], gotVel[off:off+n]
+	}
+	refSGDStep(wantV[off:off+n], g[off:off+n], refVel, lr, mom, wd)
+	SGDStep(gotV[off:off+n], g[off:off+n], stepVel, lr, mom, wd)
+	if err := sameRow(wantV, gotV); err != nil {
+		return fmt.Errorf("values: %w", err)
+	}
+	if err := sameRow(wantVel, gotVel); err != nil {
+		return fmt.Errorf("velocities: %w", err)
+	}
+	for i := range v {
+		if (i < off || i >= off+n) && (math.Float64bits(v[i]) != math.Float64bits(gotV[i]) || math.Float64bits(vel[i]) != math.Float64bits(gotVel[i])) {
+			return fmt.Errorf("element %d outside the step written", i)
+		}
+	}
+	return nil
+}
+
+// TestSGDStepMatchesScalarLoop holds SGDStep, under every implementation,
+// to the optimizer's scalar loop: lengths around the four- and eight-wide
+// bodies and their tails, offsets 0–3, both forms, momentum and weight
+// decay zero and not, and ±0, ±Inf, NaN and denormals in v, g and vel.
+func TestSGDStepMatchesScalarLoop(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65}
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(36))
+		for _, n := range lengths {
+			for off := 0; off < 4; off++ {
+				for _, withVel := range []bool{false, true} {
+					for _, h := range [][3]float64{{0.05, 0.9, 0}, {0.05, 0, 0}, {0.1, 0.9, 5e-4}, {0.1, 0, 5e-4}, {-1.5, 1e300, 1e-300}} {
+						if err := checkSGDStep(rng, n, off, withVel, h[0], h[1], h[2]); err != nil {
+							t.Fatalf("%s n=%d off=%d momentum form %v lr=%v mom=%v wd=%v: %v", impl, n, off, withVel, h[0], h[1], h[2], err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestSGDStepRejectsShortOperands: a gradient or velocity of another length
+// than the values is a caller's bug, not a shorter step.
+func TestSGDStepRejectsShortOperands(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		g, vel []float64
+	}{{"short g", make([]float64, 3), nil}, {"short vel", make([]float64, 4), make([]float64, 3)}, {"empty vel", make([]float64, 4), []float64{}}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: SGDStep did not panic", c.name)
+				}
+			}()
+			SGDStep(make([]float64, 4), c.g, c.vel, 0.1, 0.9, 0)
+		}()
+	}
+}
+
+// FuzzSGDStepMatchesScalarLoop is TestSGDStepMatchesScalarLoop over what the
+// fuzzer picks: the length, the offset, the form, the three coefficients
+// and one value placed in v, g and vel at position at.
+func FuzzSGDStepMatchesScalarLoop(f *testing.F) {
+	f.Add(uint8(0), uint8(0), false, int64(1), 0.05, 0.9, 0.0, 0.0, uint8(0))
+	f.Add(uint8(9), uint8(1), true, int64(2), 0.05, 0.9, 5e-4, math.Inf(1), uint8(8))
+	f.Add(uint8(17), uint8(2), true, int64(3), 0.1, 0.0, 0.0, math.NaN(), uint8(16))
+	f.Add(uint8(65), uint8(3), false, int64(4), -2.0, 1e300, 1e-300, math.SmallestNonzeroFloat64, uint8(64))
+	f.Fuzz(func(t *testing.T, n, off uint8, withVel bool, seed int64, lr, mom, wd, x float64, at uint8) {
+		eachImpl(t, func(impl string) {
+			o := int(off) % 4
+			rng := rand.New(rand.NewSource(seed))
+			v, g, vel := make([]float64, o+int(n)), make([]float64, o+int(n)), make([]float64, o+int(n))
+			for i := range v {
+				v[i], g[i], vel[i] = stepVal(rng), stepVal(rng), stepVal(rng)
+			}
+			if n > 0 {
+				i := o + int(at)%int(n)
+				v[i], g[i], vel[i] = x, -x, x
+			}
+			wantV, wantVel, gotV, gotVel := slices.Clone(v[o:]), slices.Clone(vel[o:]), slices.Clone(v[o:]), slices.Clone(vel[o:])
+			if !withVel {
+				wantVel, gotVel = nil, nil
+			}
+			refSGDStep(wantV, g[o:], wantVel, lr, mom, wd)
+			SGDStep(gotV, g[o:], gotVel, lr, mom, wd)
+			if err := sameRow(wantV, gotV); err != nil {
+				t.Fatalf("%s n=%d off=%d momentum form %v: values: %v", impl, n, o, withVel, err)
+			}
+			if err := sameRow(wantVel, gotVel); err != nil {
+				t.Fatalf("%s n=%d off=%d: velocities: %v", impl, n, o, err)
+			}
+		})
+	})
+}
+
+// refSumSquares is SumSquares' order written out one chain at a time.
+func refSumSquares(x []float64) float64 {
+	var s [16]float64
+	tail := len(x) % 4
+	for i, v := range x[:len(x)-tail] {
+		s[i%16] += v * v
+	}
+	var t float64
+	for _, v := range x[len(x)-tail:] {
+		t += v * v
+	}
+	a0 := (s[0] + s[4]) + (s[8] + s[12])
+	a1 := (s[1] + s[5]) + (s[9] + s[13])
+	a2 := (s[2] + s[6]) + (s[10] + s[14])
+	a3 := (s[3] + s[7]) + (s[11] + s[15])
+	return ((a0 + a2) + (a1 + a3)) + t
+}
+
+// TestSumSquaresAndScaleMatchScalarLoops holds SumSquares, under every
+// implementation, to its chain order written out (so the two
+// implementations return the same bits), and ScaleSlice to x[i] *= c, at
+// lengths around the sixteen-, eight- and four-wide bodies and offsets 0–3.
+func TestSumSquaresAndScaleMatchScalarLoops(t *testing.T) {
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(37))
+		for n := 0; n <= 70; n++ {
+			for off := 0; off < 4; off++ {
+				for _, oneIn := range []int{0, 5} {
+					row := mixedVals(rng, off+n+2, oneIn)
+					x := row[off : off+n]
+					if got, want := SumSquares(x), refSumSquares(x); math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("%s SumSquares n=%d off=%d: got %v, want %v", impl, n, off, got, want)
+					}
+					c := primValues[rng.Intn(len(primValues))]
+					want, got := slices.Clone(row), slices.Clone(row)
+					for i := off; i < off+n; i++ {
+						want[i] *= c
+					}
+					ScaleSlice(got[off:off+n], c)
+					if err := sameRow(want, got); err != nil {
+						t.Fatalf("%s ScaleSlice n=%d off=%d c=%v: %v", impl, n, off, c, err)
+					}
+				}
+			}
+		}
+	})
+}

@@ -633,6 +633,38 @@ func ExpShiftInto(dst, src []float64, shift float64) {
 	expShift(dst, src, shift)
 }
 
+// SGDStep applies one stochastic-gradient step to the values v from their
+// gradients g, in place. With a velocity vel it is the momentum form, each
+// element in this order:
+//
+//	t = weightDecay·v; grad = g + t; vel = momentum·vel + grad; v = v − lr·vel
+//
+// and with vel nil the plain form, t = weightDecay·v; grad = g + t;
+// v = v − lr·grad (momentum is not read). Every operation is rounded to
+// float64 on its own — never a fused multiply-add — so each element gets
+// exactly the roundings of that scalar loop, whichever implementation runs;
+// on amd64 with AVX2 four elements go through them at a time
+// (rowprim_amd64.s). It panics unless g, and vel when non-nil, are as long
+// as v.
+func SGDStep(v, g, vel []float64, lr, momentum, weightDecay float64) {
+	if len(g) != len(v) || (vel != nil && len(vel) != len(v)) {
+		panic(fmt.Sprintf("tensor: SGDStep of %d values with %d gradients and %d velocities", len(v), len(g), len(vel)))
+	}
+	sgdStep(v, g, vel, lr, momentum, weightDecay)
+}
+
+// SumSquares returns Σ x[i]², each square rounded before it is added, in
+// sixteen independent chains rather than left to right: the element at i
+// joins chain i mod 16 (the last one to three elements a chain of their
+// own), and the chains are added pairwise at the end. Both implementations
+// sum in exactly this order and return the same bits; a serial sum of the
+// same squares can differ from it in the last bits, by no more than the
+// bound of any summation order of non-negative terms.
+func SumSquares(x []float64) float64 { return sumSquares(x) }
+
+// ScaleSlice multiplies every element of x by c, in place.
+func ScaleSlice(x []float64, c float64) { scale(x, c) }
+
 // LogSumExp returns log(Σ exp(v_i)), stabilized: the terms exp(v_i − max)
 // are summed in order of i.
 func LogSumExp(v []float64) float64 {
