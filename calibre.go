@@ -50,8 +50,15 @@ type (
 	// assembles the World every runtime runs.
 	Scenario = experiments.Scenario
 	// World is a built Scenario: environment, method (aggregator override
-	// applied) and the parsed straggler/adversary/availability knobs.
+	// applied) and the parsed knobs as a Federation.
 	World = experiments.World
+	// Federation is what a federation runs under on either runtime: the
+	// quorum, straggler, availability and adversary knobs, the
+	// observability planes (Obs, Recorder, Health, OnAlert) and the
+	// checkpoint hooks. ServerConfig embeds it, so its fields are set on a
+	// ServerConfig directly or as one value: a World's, with planes and
+	// AttachCheckpoints' hooks added.
+	Federation = fl.Federation
 	// Checkpoints says where and how a run snapshots its round state; see
 	// AttachCheckpoints.
 	Checkpoints = experiments.Checkpoints
@@ -74,8 +81,8 @@ type (
 	Server = flnet.Server
 
 	// SimState is a federation's complete resumable round state; both the
-	// simulator (SimConfig) and the TCP server (ServerConfig) emit it via
-	// OnCheckpoint and accept it back via ResumeFrom. Its Global is lent
+	// simulator and the TCP server emit it via their Federation's
+	// OnCheckpoint and accept it back via its ResumeFrom. Its Global is lent
 	// until the hook, or the write it defers, returns: a hook that keeps
 	// the state past then clones Global.
 	SimState = fl.SimState
@@ -99,7 +106,7 @@ type (
 	SweepReport = sweep.Report
 
 	// MetricsRegistry is the live observability plane: attach one to
-	// SimConfig.Obs, ServerConfig.Obs or SweepConfig.Obs and every round
+	// Federation.Obs or SweepConfig.Obs and every round
 	// is counted (responders, stragglers, uplink bytes,
 	// per-client participation) without perturbing results — a run with a
 	// registry attached is bit-identical to one without. Snapshot is
@@ -112,7 +119,7 @@ type (
 	// ParseHealthRules.
 	HealthConfig = health.Config
 	// HealthMonitor is the streaming detector engine: attach one to
-	// SimConfig.Health or ServerConfig.Health (sweeps instead take a
+	// Federation.Health (sweeps instead take a
 	// *HealthConfig on SweepConfig.Health and build one fresh monitor
 	// per cell) and every completed round is judged without perturbing
 	// results — a run with a monitor attached is bit-identical to one
@@ -166,16 +173,17 @@ func RunResumable(ctx context.Context, env *Environment, methodName, dir string,
 
 // AttachCheckpoints opens the checkpoint directory c names (atomic
 // versioned snapshot files, CRC-validated, crash fallback to the previous
-// good version) and returns the wiring for a federation of m: the
-// OnCheckpoint hook and stride to set on a ServerConfig, and — with
-// c.Resume — the ResumeFrom state of the latest matching snapshot. It is
-// what RunResumable, every sweep cell and `calibre serve` use. With
+// good version) and sets the checkpoint hooks of f, the Federation of a
+// run of m: the OnCheckpoint hook and stride and — with c.Resume — the
+// ResumeFrom state of the latest matching snapshot, whose store version
+// the result reports. It is what RunResumable, every sweep cell and
+// `calibre serve` use. With
 // Runtime "server", a method with a client table (Method.Clients: ditto,
 // fedper, fedema, calibre-byol, …) keeps its rows in the client processes,
 // not in the server's snapshots, so Resume is refused with
 // fl.ErrStatefulResume, as it is for scaffold on any runtime.
-func AttachCheckpoints(m *Method, c Checkpoints) (*experiments.Attached, error) {
-	return experiments.AttachCheckpoints(m, c)
+func AttachCheckpoints(m *Method, c Checkpoints, f *Federation) (*experiments.Attached, error) {
+	return experiments.AttachCheckpoints(m, c, f)
 }
 
 // RunSweep executes a declarative scenario grid — every (method,
@@ -202,7 +210,7 @@ func Summarize(accs []float64) Summary { return eval.Summarize(accs) }
 func SSLMethodNames() []string { return ssl.MethodNames() }
 
 // NewMetricsRegistry builds an empty observability registry; attach it
-// via SimConfig.Obs / ServerConfig.Obs / SweepConfig.Obs and serve it
+// via Federation.Obs or SweepConfig.Obs and serve it
 // with ServeMetrics. All registry methods are nil-receiver-safe, so
 // instrumented code never needs to check whether metrics are enabled.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
@@ -214,7 +222,7 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func ParseHealthRules(spec string) (HealthConfig, error) { return health.ParseRules(spec) }
 
 // NewHealthMonitor builds a streaming health monitor; attach it via
-// SimConfig.Health or ServerConfig.Health (for sweeps, set the config on
+// Federation.Health (for sweeps, set the config on
 // SweepConfig.Health instead — one fresh monitor per cell), read the
 // verdict with its Diagnosis method, or serve it alongside the metrics
 // endpoints (calibre serve -health, calibre sweep run -health). `calibre

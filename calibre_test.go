@@ -141,18 +141,22 @@ func TestAttachCheckpointsRefusesServerResumeOfClientRows(t *testing.T) {
 		t.Fatalf("BuildOn: %v", err)
 	}
 	dir := t.TempDir()
-	_, err = AttachCheckpoints(world.Method, Checkpoints{Dir: dir, Resume: true, Fingerprint: "ditto", Runtime: "server"})
+	var f Federation
+	_, err = AttachCheckpoints(world.Method, Checkpoints{Dir: dir, Resume: true, Fingerprint: "ditto", Runtime: "server"}, &f)
 	if !errors.Is(err, fl.ErrStatefulResume) {
 		t.Fatalf("server resume of ditto: err = %v, want fl.ErrStatefulResume", err)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Fatalf("directory not left empty: entries=%v err=%v", entries, err)
 	}
-	a, err := AttachCheckpoints(world.Method, Checkpoints{Dir: dir, Fingerprint: "ditto", Runtime: "server"})
+	if f.OnCheckpoint != nil {
+		t.Fatal("a refused attach set the Federation's checkpoint hook")
+	}
+	a, err := AttachCheckpoints(world.Method, Checkpoints{Dir: dir, Fingerprint: "ditto", Runtime: "server"}, &f)
 	if err != nil || !a.Stateful {
 		t.Fatalf("server checkpoints of ditto: Stateful = %v, err = %v; want true, nil", a != nil && a.Stateful, err)
 	}
-	a, err = AttachCheckpoints(world.Method, Checkpoints{Dir: t.TempDir(), Resume: true, Fingerprint: "ditto", Runtime: "simulator"})
+	a, err = AttachCheckpoints(world.Method, Checkpoints{Dir: t.TempDir(), Resume: true, Fingerprint: "ditto", Runtime: "simulator"}, &f)
 	if err != nil || a.Stateful {
 		t.Fatalf("simulator resume of ditto: Stateful = %v, err = %v; want false, nil", a != nil && a.Stateful, err)
 	}

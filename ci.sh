@@ -151,6 +151,14 @@ echo "== bench module (vet + test) =="
 echo "== examples (build + vet) =="
 go build ./examples/...
 go vet ./examples/...
+# The examples are the calibre facade's only in-repo users: one that
+# imported an internal package to name a type would hide a missing alias.
+internal_imports=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./examples/... | grep 'calibre/internal/' || true)
+if [ -n "$internal_imports" ]; then
+    echo "an example imports calibre/internal/... (re-export what it needs from the calibre package):" >&2
+    echo "$internal_imports" >&2
+    exit 1
+fi
 
 echo "== doc gate =="
 go run ./tools/docgate

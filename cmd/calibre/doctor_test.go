@@ -120,11 +120,8 @@ func TestDoctorReplayKillResumeMatchesUninterrupted(t *testing.T) {
 	_, live := hostileTrace(t, dir)
 	path, ckptDir := filepath.Join(dir, "killed.trace"), filepath.Join(dir, "ckpt")
 	checkpoints := func(m *fl.Method, cfg *fl.SimConfig) error {
-		a, err := experiments.AttachCheckpoints(m, experiments.Checkpoints{
-			Dir: ckptDir, Every: 3, Resume: true, Seed: 7, Fingerprint: "doctor-kill-resume", Runtime: "simulator"})
-		if err == nil {
-			a.ConfigureSim(cfg)
-		}
+		_, err := experiments.AttachCheckpoints(m, experiments.Checkpoints{
+			Dir: ckptDir, Every: 3, Resume: true, Seed: 7, Fingerprint: "doctor-kill-resume", Runtime: "simulator"}, &cfg.Federation)
 		return err
 	}
 

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"calibre/internal/experiments"
+	"calibre/internal/fl"
 	"calibre/internal/param"
 	"calibre/internal/sweep"
 )
@@ -159,11 +161,10 @@ func TestServeAndSweepBuildTheSameFederation(t *testing.T) {
 	if a, b := fmt.Sprint(swept.Method.Aggregator), fmt.Sprint(served.Method.Aggregator); a != b || a != "median" {
 		t.Errorf("aggregators: sweep %s, serve %s, want median", a, b)
 	}
-	if a, b := swept.Availability.String(), served.Availability.String(); a != b || a == "" {
-		t.Errorf("availability: sweep %q, serve %q", a, b)
-	}
-	if swept.Straggler != served.Straggler || sc.Quorum != cell.Quorum {
-		t.Errorf("straggler %v vs %v, quorum %d vs %d", swept.Straggler, served.Straggler, cell.Quorum, sc.Quorum)
+	// The whole knob struct, so a knob added to it later cannot be missed.
+	if k := served.Federation; !reflect.DeepEqual(swept.Federation, k) ||
+		k.Quorum != 2 || k.Straggler != fl.StragglerDrop || k.Availability.String() == "" {
+		t.Errorf("knobs: sweep %+v, serve %+v", swept.Federation, k)
 	}
 	// Same scenario, same snapshots: a store one wrote, the other resumes.
 	if a, b := swept.ServerFingerprint(3, 2, 0), served.ServerFingerprint(3, 2, 0); a != b {

@@ -71,6 +71,7 @@ func runServe(args []string) error {
 		return err
 	}
 	cfg := flnet.ServerConfig{
+		Federation:      world.Federation,
 		Addr:            *addr,
 		NumClients:      *clients,
 		Rounds:          *rounds,
@@ -78,10 +79,7 @@ func runServe(args []string) error {
 		Seed:            sc.Seed,
 		Aggregator:      world.Method.Aggregator,
 		InitGlobal:      world.Method.InitGlobal,
-		Quorum:          sc.Quorum,
 		RoundDeadline:   *deadline,
-		Straggler:       world.Straggler,
-		Trace:           world.Availability,
 		OnRound: func(stats fl.RoundStats) {
 			fmt.Println(stats)
 		},
@@ -99,16 +97,15 @@ func runServe(args []string) error {
 			OnSaved: func(v int, state *fl.SimState) {
 				fmt.Printf("checkpoint v%d saved at round %d\n", v, state.Round)
 			},
-		})
+		}, &cfg.Federation)
 		if err != nil {
 			return err
 		}
-		cfg.CheckpointEvery, cfg.OnCheckpoint, cfg.ResumeFrom = ckpt.Every, ckpt.OnCheckpoint, ckpt.ResumeFrom
 		switch {
 		case ckpt.Stateful:
 			fmt.Printf("warning: method %s carries cross-round state; snapshots stay inspectable (calibre ckpt) but -resume will be refused\n", sc.Method)
-		case ckpt.ResumeFrom != nil:
-			fmt.Printf("resuming from checkpoint v%d (round %d/%d)\n", ckpt.Version, ckpt.ResumeFrom.Round, *rounds)
+		case cfg.ResumeFrom != nil:
+			fmt.Printf("resuming from checkpoint v%d (round %d/%d)\n", ckpt.Version, cfg.ResumeFrom.Round, *rounds)
 		case *resume:
 			fmt.Printf("no checkpoint in %s; starting fresh\n", *ckptDir)
 		}

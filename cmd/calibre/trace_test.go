@@ -255,9 +255,9 @@ func TestTimelineRendersRealFederation(t *testing.T) {
 		Aggregator: fl.WeightedAverage{},
 		InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return make([]float64, 4), nil },
 		IOTimeout:  20 * time.Second,
-		Quorum:     1, RoundDeadline: 400 * time.Millisecond, Straggler: fl.StragglerRequeue,
-		Trace:    &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.2, Amp: 0.15, Period: 4},
-		Recorder: rec,
+		Federation: fl.Federation{Quorum: 1, Straggler: fl.StragglerRequeue, Recorder: rec,
+			Availability: &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.2, Amp: 0.15, Period: 4}},
+		RoundDeadline: 400 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,11 +331,8 @@ func killResumeTrace(t *testing.T, dir string) string {
 	t.Helper()
 	path, ckptDir := filepath.Join(dir, "killed.trace"), filepath.Join(dir, "ckpt")
 	checkpoints := func(m *fl.Method, cfg *fl.SimConfig) error {
-		a, err := experiments.AttachCheckpoints(m, experiments.Checkpoints{
-			Dir: ckptDir, Every: 3, Resume: true, Seed: 7, Fingerprint: "trace-kill-resume", Runtime: "simulator"})
-		if err == nil {
-			a.ConfigureSim(cfg)
-		}
+		_, err := experiments.AttachCheckpoints(m, experiments.Checkpoints{
+			Dir: ckptDir, Every: 3, Resume: true, Seed: 7, Fingerprint: "trace-kill-resume", Runtime: "simulator"}, &cfg.Federation)
 		return err
 	}
 	ctx, kill := context.WithCancel(context.Background())

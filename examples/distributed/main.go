@@ -51,43 +51,41 @@ func runPhase(ctx context.Context, world *calibre.World, dir string, resume bool
 	// behind the next round; Run — killed or finished — returns only once
 	// the last accepted round is on disk, which is what phase 2 resumes
 	// from. The fingerprint binds the snapshots to this configuration.
+	// The world's knobs: a 3-of-4 quorum, requeued deadline-missers.
+	fed := world.Federation
+	// Observability: both phases feed one metrics registry, so the totals
+	// printed at the end span the crash. A registry never perturbs
+	// results — instrumented runs stay bit-identical.
+	fed.Obs = metrics
 	ckpt, err := calibre.AttachCheckpoints(world.Method, calibre.Checkpoints{
 		Dir: dir, Every: 1, Resume: resume,
 		Seed: seed, Fingerprint: world.ServerFingerprint(numClients, numClients, deadline), Runtime: "server",
 		OnSaved: func(v int, state *calibre.SimState) {
 			fmt.Printf("  [checkpoint v%d saved at round %d]\n", v, state.Round)
 		},
-	})
+	}, &fed)
 	if err != nil {
 		return nil, err
 	}
 	if resume {
-		if ckpt.ResumeFrom == nil {
+		if fed.ResumeFrom == nil {
 			return nil, errors.New("phase 1 left no checkpoint to resume from")
 		}
-		fmt.Printf("resuming from checkpoint v%d (round %d/%d)\n", ckpt.Version, ckpt.ResumeFrom.Round, rounds)
+		fmt.Printf("resuming from checkpoint v%d (round %d/%d)\n", ckpt.Version, fed.ResumeFrom.Round, rounds)
 	}
 	srv, err := calibre.NewServer(calibre.ServerConfig{
+		Federation:      fed,
 		Addr:            "127.0.0.1:0",
 		NumClients:      numClients,
 		Rounds:          rounds,
 		ClientsPerRound: numClients,
 		Seed:            seed,
-		// Observability: both phases feed one metrics registry, so the
-		// totals printed at the end span the crash. A registry never
-		// perturbs results — instrumented runs stay bit-identical.
-		Obs:        metrics,
-		Aggregator: world.Method.Aggregator,
-		InitGlobal: world.Method.InitGlobal,
-		IOTimeout:  2 * time.Minute,
-		// Asynchronous rounds: close on a 3-of-4 quorum once the deadline
-		// passes; deadline-missers are requeued for later rounds.
-		Quorum:          world.Scenario.Quorum,
-		RoundDeadline:   deadline,
-		Straggler:       world.Straggler,
-		CheckpointEvery: ckpt.Every,
-		OnCheckpoint:    ckpt.OnCheckpoint,
-		ResumeFrom:      ckpt.ResumeFrom,
+		Aggregator:      world.Method.Aggregator,
+		InitGlobal:      world.Method.InitGlobal,
+		IOTimeout:       2 * time.Minute,
+		// Asynchronous rounds: close on the quorum once the deadline
+		// passes.
+		RoundDeadline: deadline,
 		OnRound: func(stats calibre.RoundStats) {
 			fmt.Println(stats)
 			if kill != nil && stats.Round == killAfter {

@@ -80,14 +80,14 @@ func RunMethodResumable(ctx context.Context, env *Environment, name, dir string,
 	if err != nil {
 		return nil, err
 	}
-	ck, err := AttachCheckpoints(m, Checkpoints{
+	var f fl.Federation
+	if _, err := AttachCheckpoints(m, Checkpoints{
 		Dir: dir, Every: every, Resume: true,
 		Seed: env.Seed, Fingerprint: simulatorFingerprint(env, name), Runtime: "simulator",
-	})
-	if err != nil {
+	}, &f); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return RunBuiltMethodWith(ctx, env, m, ck.ConfigureSim)
+	return RunBuiltMethodWith(ctx, env, m, func(cfg *fl.SimConfig) { cfg.Federation = f })
 }
 
 // RunBuiltMethodWith drives the simulator and both personalization stages

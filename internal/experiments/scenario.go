@@ -130,10 +130,12 @@ type World struct {
 	Env      *Environment
 	// Method is the scenario's method with the aggregator override
 	// applied.
-	Method       *fl.Method
-	Straggler    fl.StragglerPolicy
-	Adversary    *fl.Adversary   // nil = honest
-	Availability *fl.TraceConfig // nil = always available
+	Method *fl.Method
+	// Federation holds the scenario's knobs — Quorum, Straggler,
+	// Adversary (nil = honest) and Availability (nil = always available)
+	// — for either runtime's config to embed; its planes and checkpoint
+	// hooks are the caller's to set.
+	Federation fl.Federation
 }
 
 // Build assembles the scenario's world and method.
@@ -151,8 +153,9 @@ func (s Scenario) BuildOn(env *Environment) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Scenario: s, Env: env, Method: m}
-	if w.Straggler, err = fl.ParseStragglerPolicy(s.Straggler); err != nil {
+	w := &World{Scenario: s, Env: env, Method: m, Federation: fl.Federation{Quorum: s.Quorum}}
+	f := &w.Federation
+	if f.Straggler, err = fl.ParseStragglerPolicy(s.Straggler); err != nil {
 		return nil, err
 	}
 	// The override replaces the method's own aggregator; "" and "mean"
@@ -163,13 +166,13 @@ func (s Scenario) BuildOn(env *Environment) (*World, error) {
 			return nil, err
 		}
 	}
-	if w.Adversary, err = fl.ParseAdversary(s.Adversary); err != nil {
+	if f.Adversary, err = fl.ParseAdversary(s.Adversary); err != nil {
 		return nil, err
 	}
-	if w.Adversary != nil {
-		w.Adversary.Frac = s.AdvFrac
+	if f.Adversary != nil {
+		f.Adversary.Frac = s.AdvFrac
 	}
-	if w.Availability, err = fl.ParseTrace(s.Availability); err != nil {
+	if f.Availability, err = fl.ParseTrace(s.Availability); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -183,8 +186,8 @@ func (w *World) ServerFingerprint(clients, perRound int, deadline time.Duration)
 	s := w.Scenario
 	return store.Fingerprint("server", s.Method, s.Setting, string(s.Scale),
 		fmt.Sprint(s.Seed), fmt.Sprint(clients), fmt.Sprint(perRound),
-		fmt.Sprint(s.Quorum), deadline.String(), w.Straggler.String(),
-		fmt.Sprint(w.Method.Aggregator), w.Availability.String())
+		fmt.Sprint(s.Quorum), deadline.String(), w.Federation.Straggler.String(),
+		fmt.Sprint(w.Method.Aggregator), w.Federation.Availability.String())
 }
 
 // simulatorFingerprint binds a simulator run's snapshots to every
@@ -214,14 +217,11 @@ type Checkpoints struct {
 	OnSaved func(version int, state *fl.SimState)
 }
 
-// Attached is checkpoint wiring ready to set on a runtime's config.
+// Attached is what AttachCheckpoints found besides the wiring it set.
 type Attached struct {
-	Every        int
-	OnCheckpoint func(*fl.SimState) error
-	// ResumeFrom is the snapshot state to continue from (nil: start
-	// fresh) and Version its store version.
-	ResumeFrom *fl.SimState
-	Version    int
+	// Version is the store version of the snapshot the run resumes from
+	// (the Federation's ResumeFrom; 0 when it starts fresh).
+	Version int
 	// Stateful reports that the run's snapshots miss cross-round state
 	// the method carries: state outside the global vector and the client
 	// table (fl.Resumable: SCAFFOLD's server control variate), or, on the
@@ -231,13 +231,16 @@ type Attached struct {
 	Stateful bool
 }
 
-// AttachCheckpoints opens c.Dir and returns the OnCheckpoint/ResumeFrom
-// pair for m. Resuming a run whose snapshots miss cross-round state
+// AttachCheckpoints opens c.Dir and sets the checkpoint hooks of f, the
+// Federation a run of m is about to be configured with: OnCheckpoint,
+// CheckpointEvery and — with c.Resume and a snapshot in the store —
+// ResumeFrom. Resuming a run whose snapshots miss cross-round state
 // (Attached.Stateful) would silently diverge, so it is refused with
-// fl.ErrStatefulResume before the directory is touched.
-func AttachCheckpoints(m *fl.Method, c Checkpoints) (*Attached, error) {
+// fl.ErrStatefulResume before the directory is touched; f is set only on
+// success.
+func AttachCheckpoints(m *fl.Method, c Checkpoints, f *fl.Federation) (*Attached, error) {
 	rowsElsewhere := c.Runtime == "server" && m.Clients != nil
-	a := &Attached{Every: c.Every, Stateful: !fl.Resumable(m) || rowsElsewhere}
+	a := &Attached{Stateful: !fl.Resumable(m) || rowsElsewhere}
 	if a.Stateful && c.Resume {
 		if rowsElsewhere {
 			return nil, fmt.Errorf("method %s keeps client rows in the join processes: %w", m.Name, fl.ErrStatefulResume)
@@ -248,22 +251,17 @@ func AttachCheckpoints(m *fl.Method, c Checkpoints) (*Attached, error) {
 	if err != nil {
 		return nil, err
 	}
+	var from *fl.SimState
 	if c.Resume {
 		snap, v, err := ckpt.Resume(c.Fingerprint)
 		if err != nil {
 			return nil, err
 		}
 		if snap != nil {
-			a.ResumeFrom, a.Version = &snap.State, v
+			from, a.Version = &snap.State, v
 		}
 	}
-	a.OnCheckpoint = ckpt.SaveHook(store.Meta{Seed: c.Seed, Fingerprint: c.Fingerprint, Runtime: c.Runtime}, c.OnSaved)
+	f.OnCheckpoint = ckpt.SaveHook(store.Meta{Seed: c.Seed, Fingerprint: c.Fingerprint, Runtime: c.Runtime}, c.OnSaved)
+	f.CheckpointEvery, f.ResumeFrom = c.Every, from
 	return a, nil
-}
-
-// ConfigureSim sets the wiring on a simulator config.
-func (a *Attached) ConfigureSim(cfg *fl.SimConfig) {
-	cfg.CheckpointEvery = a.Every
-	cfg.OnCheckpoint = a.OnCheckpoint
-	cfg.ResumeFrom = a.ResumeFrom
 }

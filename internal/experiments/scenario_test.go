@@ -56,14 +56,9 @@ func TestScenarioBuildMatchesHandAssembly(t *testing.T) {
 	if g, w := fmt.Sprint(got.Method.Aggregator), fmt.Sprint(agg); g != w || g != "median" {
 		t.Errorf("aggregator = %s, hand assembly %s, want median", g, w)
 	}
-	if !reflect.DeepEqual(got.Adversary, adv) {
-		t.Errorf("adversary = %+v, hand assembly %+v", got.Adversary, adv)
-	}
-	if !reflect.DeepEqual(got.Availability, avail) {
-		t.Errorf("availability = %+v, hand assembly %+v", got.Availability, avail)
-	}
-	if got.Straggler != policy || policy != fl.StragglerDrop {
-		t.Errorf("straggler = %v, hand assembly %v, want drop", got.Straggler, policy)
+	want := fl.Federation{Quorum: sc.Quorum, Straggler: policy, Adversary: adv, Availability: avail}
+	if !reflect.DeepEqual(got.Federation, want) || policy != fl.StragglerDrop {
+		t.Errorf("knobs = %+v, hand assembly %+v (want straggler drop)", got.Federation, want)
 	}
 	if got.Env.Seed != env.Seed || len(got.Env.Participants) != len(env.Participants) ||
 		!reflect.DeepEqual(got.Env.Participants[0].Train.X, env.Participants[0].Train.X) {
@@ -85,8 +80,8 @@ func TestScenarioBuildMatchesHandAssembly(t *testing.T) {
 			if reflect.TypeOf(w.Method.Aggregator) != reflect.TypeOf(own.Aggregator) {
 				t.Errorf("%s with aggregator %q: got %T, want the method's own %T", method, spec, w.Method.Aggregator, own.Aggregator)
 			}
-			if w.Adversary != nil || w.Availability != nil || w.Straggler != fl.StragglerRequeue {
-				t.Errorf("%s: zero knobs built %+v / %+v / %v, want honest, always available, requeue", method, w.Adversary, w.Availability, w.Straggler)
+			if !reflect.DeepEqual(w.Federation, fl.Federation{}) {
+				t.Errorf("%s: zero knobs built %+v, want the zero Federation (honest, always available, requeue)", method, w.Federation)
 			}
 		}
 	}

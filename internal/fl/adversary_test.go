@@ -282,10 +282,12 @@ func hostileConfig(rounds int) SimConfig {
 		Rounds:          rounds,
 		ClientsPerRound: 5,
 		Seed:            77,
-		Quorum:          4,
-		Straggler:       StragglerDrop,
-		Trace:           &TraceConfig{Kind: TraceMarkov, Base: 0.1, PDown: 0.3, PUp: 0.5},
-		Adversary:       &Adversary{Kind: AdvCollude, Scale: 2, Frac: 0.3},
+		Federation: Federation{
+			Quorum:       4,
+			Straggler:    StragglerDrop,
+			Availability: &TraceConfig{Kind: TraceMarkov, Base: 0.1, PDown: 0.3, PUp: 0.5},
+			Adversary:    &Adversary{Kind: AdvCollude, Scale: 2, Frac: 0.3},
+		},
 	}
 }
 

@@ -31,8 +31,7 @@ func stressedConfig(rounds int) SimConfig {
 		ClientsPerRound: 4,
 		Seed:            99,
 		DropoutRate:     0.45,
-		Quorum:          2,
-		Straggler:       StragglerDrop,
+		Federation:      Federation{Quorum: 2, Straggler: StragglerDrop},
 	}
 }
 
@@ -42,13 +41,15 @@ func TestCheckpointCadence(t *testing.T) {
 	var rounds []int
 	cfg := SimConfig{
 		Rounds: 5, ClientsPerRound: 2, Seed: 1,
-		CheckpointEvery: 2,
-		OnCheckpoint: func(st *SimState) error {
-			rounds = append(rounds, st.Round)
-			if err := st.Validate(5); err != nil {
-				t.Errorf("checkpoint state invalid: %v", err)
-			}
-			return nil
+		Federation: Federation{
+			CheckpointEvery: 2,
+			OnCheckpoint: func(st *SimState) error {
+				rounds = append(rounds, st.Round)
+				if err := st.Validate(5); err != nil {
+					t.Errorf("checkpoint state invalid: %v", err)
+				}
+				return nil
+			},
 		},
 	}
 	runToCompletion(t, cfg)
@@ -152,7 +153,7 @@ func TestCheckpointErrorAborts(t *testing.T) {
 	boom := errors.New("disk full")
 	cfg := SimConfig{
 		Rounds: 3, ClientsPerRound: 2, Seed: 1,
-		OnCheckpoint: func(*SimState) error { return boom },
+		Federation: Federation{OnCheckpoint: func(*SimState) error { return boom }},
 	}
 	sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), testClients(t, 6))
 	if err != nil {
@@ -206,7 +207,7 @@ func TestResumeRefusesStatefulMethods(t *testing.T) {
 			EligibleCounts: []int{6},
 		}
 	}
-	cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 1, ResumeFrom: resumeState()}
+	cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 1, Federation: Federation{ResumeFrom: resumeState()}}
 
 	if _, err := NewSimulator(cfg, fakeMethod(&statefulTrainer{carries: true}), testClients(t, 6)); !errors.Is(err, ErrStatefulResume) {
 		t.Fatalf("stateful trainer: err = %v, want ErrStatefulResume", err)

@@ -84,13 +84,15 @@ func TestCheckpointCarriesTheClientTable(t *testing.T) {
 	}
 	clients := testClients(t, 6)
 	var at2 *SimState
-	cfg := SimConfig{Rounds: 5, ClientsPerRound: 3, Seed: 4, OnCheckpoint: func(st *SimState) error {
-		if st.Round == 2 {
-			// The round loop lends Global only for the call: keep a copy.
-			at2 = &SimState{Round: st.Round, Global: st.Global.Clone(), History: st.History,
-				EligibleCounts: st.EligibleCounts, Rows: st.Rows}
-		}
-		return nil
+	cfg := SimConfig{Rounds: 5, ClientsPerRound: 3, Seed: 4, Federation: Federation{
+		OnCheckpoint: func(st *SimState) error {
+			if st.Round == 2 {
+				// The round loop lends Global only for the call: keep a copy.
+				at2 = &SimState{Round: st.Round, Global: st.Global.Clone(), History: st.History,
+					EligibleCounts: st.EligibleCounts, Rows: st.Rows}
+			}
+			return nil
+		},
 	}}
 	sim, err := NewSimulator(cfg, build(), clients)
 	if err != nil {

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -108,16 +109,19 @@ func TestSimulatorRejectsInvalidDropout(t *testing.T) {
 	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, DropoutRate: -0.1}, m, clients); err == nil {
 		t.Fatal("negative dropout rate should be rejected")
 	}
-	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 2, Quorum: 3}, m, clients); err == nil {
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, DropoutRate: math.NaN()}, m, clients); err == nil {
+		t.Fatal("NaN dropout rate should be rejected")
+	}
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 2, Federation: Federation{Quorum: 3}}, m, clients); err == nil {
 		t.Fatal("quorum above clientsPerRound should be rejected")
 	}
-	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 8, Quorum: 5}, m, clients); err == nil {
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 8, Federation: Federation{Quorum: 5}}, m, clients); err == nil {
 		t.Fatal("quorum above the client population should be rejected")
 	}
-	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, Quorum: -1}, m, clients); err == nil {
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, Federation: Federation{Quorum: -1}}, m, clients); err == nil {
 		t.Fatal("negative quorum should be rejected")
 	}
-	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, Straggler: StragglerPolicy(9)}, m, clients); err == nil {
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, Federation: Federation{Straggler: StragglerPolicy(9)}}, m, clients); err == nil {
 		t.Fatal("unknown straggler policy should be rejected")
 	}
 }
@@ -128,7 +132,7 @@ func TestSimulatorStragglerDropShrinksPopulation(t *testing.T) {
 	clients := testClients(t, 8)
 	tr := &fakeTrainer{}
 	sim, err := NewSimulator(SimConfig{
-		Rounds: 10, ClientsPerRound: 4, Seed: 11, DropoutRate: 0.4, Straggler: StragglerDrop,
+		Rounds: 10, ClientsPerRound: 4, Seed: 11, DropoutRate: 0.4, Federation: Federation{Straggler: StragglerDrop},
 	}, fakeMethod(tr), clients)
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)

@@ -9,8 +9,8 @@
 //     (Round: uplink accounting, ingress validation, canonical-order
 //     streaming aggregation, quorum checks) and the single place a round
 //     becomes RoundStats and trace events. The events are its only
-//     observability output: health.Fold (RoundConfig.Planes) folds them
-//     into the obs.RoundSample and the health verdicts.
+//     observability output: one health.Fold, built from the Federation's
+//     planes, folds them into the obs.RoundSample and the health verdicts.
 //   - A Transport supplies the two things that differ between runtimes:
 //     Draw (how a round's RNG draws become participants) and Collect (how
 //     their updates reach the ledger). Simulator is the in-process
@@ -271,8 +271,7 @@ type RoundStats struct {
 	// with a quorum of updates, rather than by every participant replying.
 	DeadlineExpired bool
 	// AdversarialUpdates counts aggregated updates that came from clients
-	// under adversarial control (SimConfig.Adversary / the server's seeded
-	// compromise trace).
+	// under adversarial control (Federation.Adversary).
 	AdversarialUpdates int
 	// RejectedUpdates counts updates a robust aggregator excluded from the
 	// aggregate by construction (RobustAggregator.Rejected).

@@ -86,7 +86,7 @@ func (s scheduleTrainer) Train(ctx context.Context, _ *rand.Rand, c *partition.C
 func hostileHealthConfig(rounds int) SimConfig {
 	return SimConfig{
 		Rounds: rounds, ClientsPerRound: 10, Seed: 7,
-		Adversary: &Adversary{Kind: AdvSignFlip, Scale: 6, Frac: 0.3},
+		Federation: Federation{Adversary: &Adversary{Kind: AdvSignFlip, Scale: 6, Frac: 0.3}},
 	}
 }
 

@@ -21,8 +21,7 @@ func TestObsRegistryDoesNotPerturbRun(t *testing.T) {
 		t.Helper()
 		cfg := SimConfig{
 			Rounds: 4, ClientsPerRound: 3, Seed: 99,
-			DropoutRate: 0.3, Quorum: 1,
-			Obs: reg,
+			DropoutRate: 0.3, Federation: Federation{Quorum: 1, Obs: reg},
 		}
 		sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
 		if err != nil {

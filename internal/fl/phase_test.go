@@ -48,10 +48,10 @@ func TestPhasesAttributeTheIteration(t *testing.T) {
 	m := fakeMethod(&clockTrainer{clock: &clock, step: train})
 	m.Aggregator = clockAggregator{&clock, finish}
 	var sink bytes.Buffer
-	cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 3, Parallelism: 1, CheckpointEvery: 2,
-		OnCheckpoint: func(*SimState) error { clock.Add(handOff); return nil },
-		OnRound:      func(RoundStats) { clock.Add(hooks) },
-		Recorder:     trace.New(&sink, trace.Config{Clock: clock.Load})}
+	cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 3, Parallelism: 1,
+		Federation: Federation{CheckpointEvery: 2, OnCheckpoint: func(*SimState) error { clock.Add(handOff); return nil },
+			Recorder: trace.New(&sink, trace.Config{Clock: clock.Load})},
+		OnRound: func(RoundStats) { clock.Add(hooks) }}
 	sim, err := NewSimulator(cfg, m, testClients(t, 6))
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,8 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 		t.Helper()
 		cfg := SimConfig{
 			Rounds: 4, ClientsPerRound: 3, Seed: 99,
-			DropoutRate: 0.3, Quorum: 1,
+			DropoutRate: 0.3, Federation: Federation{Quorum: 1, Recorder: rec},
 			Parallelism: 1, // injected StepClock is single-goroutine only
-			Recorder:    rec,
 		}
 		sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
 		if err != nil {
@@ -101,9 +100,10 @@ func TestTraceAvailabilityDropReason(t *testing.T) {
 	clients := testClients(t, 8)
 	var sink bytes.Buffer
 	cfg := SimConfig{
-		Rounds: 4, ClientsPerRound: 4, Seed: 5, Quorum: 1, Parallelism: 1,
-		Trace:    &TraceConfig{Kind: TraceDiurnal, Base: 0.4, Amp: 0.4, Period: 4},
-		Recorder: trace.New(&sink, trace.Config{Clock: trace.StepClock(1)}),
+		Rounds: 4, ClientsPerRound: 4, Seed: 5, Parallelism: 1,
+		Federation: Federation{Quorum: 1,
+			Availability: &TraceConfig{Kind: TraceDiurnal, Base: 0.4, Amp: 0.4, Period: 4},
+			Recorder:     trace.New(&sink, trace.Config{Clock: trace.StepClock(1)})},
 	}
 	sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
 	if err != nil {
@@ -217,8 +217,8 @@ func TestTraceCheckpointSaveFollowsDurability(t *testing.T) {
 	run := func(hook func(*SimState) error) (string, []byte) {
 		t.Helper()
 		var sink bytes.Buffer
-		cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 3, Parallelism: 1, OnCheckpoint: hook,
-			Recorder: trace.New(&sink, trace.Config{Clock: trace.StepClock(1)})}
+		cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 3, Parallelism: 1,
+			Federation: Federation{OnCheckpoint: hook, Recorder: trace.New(&sink, trace.Config{Clock: trace.StepClock(1)})}}
 		sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
 		if err != nil {
 			t.Fatal(err)

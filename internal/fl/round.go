@@ -9,34 +9,119 @@ import (
 	"time"
 
 	"calibre/internal/health"
+	"calibre/internal/obs"
 	"calibre/internal/param"
 	"calibre/internal/trace"
 )
 
-// RoundConfig is the runtime-independent half of a federation's
-// configuration: everything about a run that is not "how an update gets
-// from a client to here". SimConfig and flnet.ServerConfig each fill one
-// from their own (identically named) fields; see those for the per-field
-// documentation. It is exported only because flnet must build it.
+// Federation is what a federation runs under whichever runtime carries
+// it: the scenario's knobs, the observability planes and the checkpoint
+// hooks. SimConfig, flnet.ServerConfig and RoundConfig embed it, so each
+// field is declared, documented and validated (RoundConfig.Validate) once;
+// where the simulator and the TCP server treat a field differently, its
+// comment says how.
+type Federation struct {
+	// Quorum is K in K-of-N aggregation. The simulator keeps at least
+	// max(1, Quorum) of a round's sampled clients through its dropout
+	// draws. The server closes a round at RoundDeadline once it holds
+	// Quorum updates; 0 there means every participant must reply — the
+	// fully synchronous discipline. A round that cannot keep the floor
+	// fails with ErrQuorumNotMet.
+	Quorum int
+	// Straggler is the fate of a dropped participant: StragglerRequeue
+	// (the default) drops it for the round only, StragglerDrop evicts it
+	// from the federation for the rest of the run.
+	Straggler StragglerPolicy
+	// Availability, when set, drops each sampled participant from round r
+	// with the seeded probability Availability.DropProb(r, id) (diurnal
+	// sine, flash-crowd burst or correlated markov churn). The simulator
+	// keeps its quorum floor with rescue draws, and the trace replaces its
+	// flat DropoutRate (the two are mutually exclusive). The server makes
+	// exactly one draw per participant and no rescue draws: a round left
+	// below max(1, Quorum) available clients fails, so a resumed server
+	// replays the stream from recorded pool sizes alone.
+	Availability *TraceConfig
+	// Adversary, when set, places a seeded fraction of the client
+	// population under adversarial control; the compromised set and every
+	// hostile payload are pure functions of the seed, so hostile runs
+	// replay and resume bit-identically, and RoundStats.AdversarialUpdates
+	// and RejectedUpdates account for the attack. The simulator wraps the
+	// trainer with it. The server only uses it for that accounting — the
+	// federation's clients were launched under the same trace (same seed,
+	// population NumClients) — and defense lives in the Aggregator.
+	Adversary *Adversary
+
+	// Obs, Recorder, Health and OnAlert are the observability planes. The
+	// round core emits trace events and nothing else; RunRounds folds them
+	// into these four through one health.Fold — the fold `calibre doctor
+	// replay` runs over a recorded trace. Every plane is nil-safe and
+	// purely observational: an instrumented run is bit-identical to a
+	// bare one.
+	//
+	// Obs receives each completed round's obs.RoundSample (responders,
+	// stragglers, uplink bytes), per-client participation and the latency
+	// histograms.
+	Obs *obs.Registry
+	// Recorder receives the flight-recorder event stream: round spans,
+	// per-client dispatch/update/drop/late events with payload bytes and
+	// turnaround, checkpoint and resume marks, and each round's phases.
+	// Events are emitted from the round loop in canonical order and
+	// workers only record timestamps, so a non-thread-safe injected
+	// trace.Clock needs simulator Parallelism 1; the server's round
+	// engine is one goroutine.
+	Recorder *trace.Recorder
+	// Health streams every completed round through the detector layer:
+	// loss divergence/plateau, fairness-gap drift, per-client update-norm
+	// outliers (measured against the round's global), quorum regression.
+	// With Health set the round samples carry per-client detail, in Obs's
+	// ring too. On resume the monitor is warm-started from ResumeFrom's
+	// history (federation-level series only: replay a trace through
+	// `calibre doctor` for per-client windows).
+	Health *health.Monitor
+	// OnAlert receives every alert Health raises, from the round loop in
+	// round order. Ignored when Health is nil.
+	OnAlert func(health.Alert)
+
+	// OnCheckpoint, if set, receives the SimState (an immutable view whose
+	// Global is lent until the hook, or the write it defers, returns)
+	// after every CheckpointEvery-th completed round and after the final
+	// round, before OnRound for the same round. A hook that saves inline
+	// has persisted the round when it returns; a hook that hands its write
+	// back (SimState.Defer, as store.SaveHook does) has it persisted by
+	// the next due checkpoint and, whatever ends the run, before the run
+	// returns. A checkpoint error, from the hook or its deferred write,
+	// aborts the run: durability was requested.
+	OnCheckpoint func(*SimState) error
+	// CheckpointEvery is the round stride between checkpoints; ≤0 means
+	// every round. Ignored unless OnCheckpoint is set.
+	CheckpointEvery int
+	// ResumeFrom, if non-nil, continues a checkpointed federation from
+	// ResumeFrom.Round with its global vector and history, after replaying
+	// the completed rounds' RNG draws (the server's from the recorded pool
+	// sizes), so the continuation is bit-identical to a run that never
+	// stopped — on the server, when every participant responds. The
+	// configuration must match the checkpointed run's (store fingerprints
+	// guard this). The simulator restores the method's client table from
+	// ResumeFrom.Rows; the server cannot see one, as it lives in the
+	// client processes, so experiments.AttachCheckpoints refuses a server
+	// resume of a method with one. A method component keeping cross-round
+	// state anywhere else declares it via Stateful and is refused with
+	// ErrStatefulResume.
+	ResumeFrom *SimState
+}
+
+// RoundConfig is the round core's configuration: the Federation plus the
+// run's size and the method parts it aggregates with. SimConfig and
+// flnet.ServerConfig each fill one from their own fields. It is exported
+// only because flnet must build it.
 type RoundConfig struct {
+	Federation
 	Rounds          int
 	ClientsPerRound int
 	Seed            int64
-	Quorum          int
-	Straggler       StragglerPolicy
-	Trace           *TraceConfig
-	Adversary       *Adversary
 	Aggregator      Aggregator
 	InitGlobal      func(rng *rand.Rand) (param.Vector, error)
 	OnRound         func(RoundStats)
-	// Planes receives every trace event the round core produces — its
-	// only observability output; the recorder, the metrics registry, the
-	// health monitor and the alert hook all hang off it. The zero Fold is
-	// a bare run. RunRounds folds into its own copy.
-	Planes          health.Fold
-	OnCheckpoint    func(*SimState) error
-	CheckpointEvery int
-	ResumeFrom      *SimState
 
 	// clients is the method's client table (Method.Clients), which the
 	// simulator hands in: checkpoints copy it and resume restores it.
@@ -61,7 +146,7 @@ func (c RoundConfig) Validate(parts ...any) error {
 	if _, err := ParseStragglerPolicy(c.Straggler.String()); err != nil {
 		return err
 	}
-	if err := c.Trace.Validate(); err != nil {
+	if err := c.Availability.Validate(); err != nil {
 		return err
 	}
 	if err := c.Adversary.Validate(); err != nil {
@@ -108,22 +193,17 @@ type Transport interface {
 
 // roundCore is the per-federation state of RunRounds.
 type roundCore struct {
-	cfg       RoundConfig
-	runtime   string
+	cfg     RoundConfig
+	runtime string
+	// planes folds every event the core emits into cfg's observability
+	// planes: the core's only observability output.
+	planes    health.Fold
 	malicious map[int]bool
 	// now is the span clock: the recorder's when one is attached (injected
 	// clocks make the trace bytes deterministic), the wall clock when only
 	// the metrics registry wants durations, and a constant otherwise — a
 	// bare run reads no clock at all.
-	now func() int64
-	// normOn: the norm of each accepted update against the round's global
-	// feeds the health detectors and (so post-mortem replays can run the
-	// same detectors) the trace's client_update events.
-	normOn bool
-	// owned: the current global is the core's to give back (retire) — a
-	// sink's output or a resumed state's copy, not the method's InitGlobal
-	// vector.
-	owned  bool
+	now    func() int64
 	round  Round
 	behind writeBehind
 	ph     phaseClock
@@ -136,8 +216,8 @@ type roundCore struct {
 // phases and not yet laid down — ingest's until the round closes, then
 // checkpoint_wait's — so tile+unplaced is the span clock's last reading.
 // Each phase's Dur is the time it took; the tiling decides only its TS.
+// Phases are laid only with a Recorder attached, their only reader.
 type phaseClock struct {
-	on             bool // a Recorder is attached: the phases' only reader
 	tile, unplaced int64
 }
 
@@ -145,7 +225,7 @@ type phaseClock struct {
 // returns the final global vector and the per-round history. Both
 // runtimes are thin transports over it, so a (seed, method, config)
 // triple yields the same numbers, the same RoundStats and the same trace
-// events — and so the same obs.RoundSample stream, which cfg.Planes folds
+// events — and so the same obs.RoundSample stream, which the planes fold
 // from them — whichever one ran it.
 //
 // A due checkpoint costs its round a hand-off: OnCheckpoint is called
@@ -164,14 +244,12 @@ type phaseClock struct {
 // its phases (trace.Phases): where the round's time went, laid end to end
 // so that they sum to the iteration (see phaseClock).
 func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param.Vector, history []RoundStats, err error) {
-	c := &roundCore{cfg: cfg, runtime: tr.Runtime(), now: func() int64 { return 0 }, malicious: make(map[int]bool)}
-	p := &c.cfg.Planes
-	c.normOn = p.Monitor != nil || p.Recorder != nil
-	c.ph.on = p.Recorder != nil
+	c := &roundCore{cfg: cfg, runtime: tr.Runtime(), now: func() int64 { return 0 }, malicious: make(map[int]bool),
+		planes: health.Fold{Recorder: cfg.Recorder, Obs: cfg.Obs, Monitor: cfg.Health, OnAlert: cfg.OnAlert}}
 	switch {
-	case p.Recorder != nil:
-		c.now = p.Recorder.Now
-	case p.Obs != nil:
+	case cfg.Recorder != nil:
+		c.now = cfg.Recorder.Now
+	case cfg.Obs != nil:
 		clockStart := time.Now()
 		c.now = func() int64 { return time.Since(clockStart).Nanoseconds() }
 	}
@@ -213,19 +291,19 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 		if cfg.clients != nil {
 			cfg.clients.restore(st.Rows)
 		}
-		global, c.owned = st.Global.Clone(), true
+		global = st.Global.Clone()
 		history = append(history, st.History...)
 		pools = append(pools, st.EligibleCounts...)
 		start = st.Round
 		e := c.event(trace.KindResume, start, -1)
 		e.N = tr.Population()
-		p.Emit(e)
+		c.planes.Emit(e)
 		// Warm-start the detectors from the checkpointed history so a
 		// resumed run re-derives the federation-level verdicts an
 		// uninterrupted one would (re-announcing past alerts). Per-client
 		// loss/norm detail is not part of SimState — replay a trace
 		// through `calibre doctor` for per-client outlier windows.
-		p.Warm(c.historyEvents(st.History))
+		c.planes.Warm(c.historyEvents(st.History))
 	}
 	for round := start; round < cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -250,7 +328,7 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 			return nil, nil, err
 		}
 		c.lap(trace.KindPhasePlanes, round)
-		global, c.owned = next, true
+		global = next
 		history = append(history, stats)
 		pools = append(pools, pool)
 		if cfg.OnCheckpoint != nil && CheckpointDue(round+1, cfg.CheckpointEvery, cfg.Rounds) {
@@ -281,7 +359,7 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 // lap ends round's phase kind at the span clock's reading: its Dur is the
 // time since the previous phase ended, less the pieces timed inside it.
 func (c *roundCore) lap(kind trace.Kind, round int) {
-	if c.ph.on {
+	if c.planes.Recorder != nil {
 		c.tilePhase(kind, round, c.now()-c.ph.tile-c.ph.unplaced)
 	}
 }
@@ -289,7 +367,7 @@ func (c *roundCore) lap(kind trace.Kind, round int) {
 // place lays down round's phase kind, which ran in the pieces not yet
 // placed.
 func (c *roundCore) place(kind trace.Kind, round int) {
-	if c.ph.on {
+	if c.planes.Recorder != nil {
 		c.tilePhase(kind, round, c.ph.unplaced)
 		c.ph.unplaced = 0
 	}
@@ -298,7 +376,7 @@ func (c *roundCore) place(kind trace.Kind, round int) {
 // piece ends a piece of a phase that runs inside others, begun when the
 // span clock read since.
 func (c *roundCore) piece(since int64) {
-	if c.ph.on {
+	if c.planes.Recorder != nil {
 		c.ph.unplaced += c.now() - since
 	}
 }
@@ -307,7 +385,7 @@ func (c *roundCore) piece(since int64) {
 // no phases are recorded — like lap, place and piece, which then do
 // nothing.
 func (c *roundCore) tick() int64 {
-	if !c.ph.on {
+	if c.planes.Recorder == nil {
 		return 0
 	}
 	return c.now()
@@ -316,7 +394,7 @@ func (c *roundCore) tick() int64 {
 // tilePhase emits round's phase kind at the end of the tiling and extends
 // the tiling by dur.
 func (c *roundCore) tilePhase(kind trace.Kind, round int, dur int64) {
-	c.cfg.Planes.Emit(trace.Event{Kind: kind, TS: c.ph.tile, Runtime: c.runtime, Round: round, Client: -1, Dur: dur})
+	c.planes.Emit(trace.Event{Kind: kind, TS: c.ph.tile, Runtime: c.runtime, Round: round, Client: -1, Dur: dur})
 	c.ph.tile += dur
 }
 
@@ -339,7 +417,7 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 		return fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
 	}
 	if len(b.pending) == 0 {
-		c.cfg.Planes.Emit(c.event(trace.KindCheckpointSave, round, -1))
+		c.planes.Emit(c.event(trace.KindCheckpointSave, round, -1))
 		return nil
 	}
 	b.round = round
@@ -348,14 +426,15 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 
 // retire gives back the global round r superseded, now that r's sink has
 // finished reading it, unless it has a reader the round does not see
-// through: the method's InitGlobal vector is not the core's; after an
+// through: the method's InitGlobal vector, round 0's global unless the
+// run resumed, is not the core's; after an
 // expired deadline a requeued or evicted straggler's send may read it
 // rounds later, and the engine learns that a send has finished only from
 // a reply that may never come; the write-behind save in flight may still
 // read it, and then awaitCheckpoint gives it back once the save returns.
 // The final round's is left to the GC too: no later sink borrows it.
 func (c *roundCore) retire(r *Round) {
-	if !c.owned || r.stats.DeadlineExpired || r.Num == c.cfg.Rounds-1 {
+	if (r.Num == 0 && c.cfg.ResumeFrom == nil) || r.stats.DeadlineExpired || r.Num == c.cfg.Rounds-1 {
 		return
 	}
 	if b := &c.behind; b.done != nil && b.round == r.Num-1 {
@@ -385,7 +464,7 @@ func (c *roundCore) awaitCheckpoint() error {
 	if err != nil {
 		return fmt.Errorf("fl: checkpoint after round %d: %w", b.round, err)
 	}
-	c.cfg.Planes.Emit(c.event(trace.KindCheckpointSave, b.round, -1))
+	c.planes.Emit(c.event(trace.KindCheckpointSave, b.round, -1))
 	return nil
 }
 
@@ -477,9 +556,9 @@ func (r *Round) open(num int, global param.Vector, sampled, live []int) error {
 	e := c.event(trace.KindRoundStart, num, -1)
 	e.N = len(sampled)
 	r.tsStart = e.TS
-	c.cfg.Planes.Emit(e)
+	c.planes.Emit(e)
 	reason := trace.DropStraggler
-	if c.cfg.Trace != nil {
+	if c.cfg.Availability != nil {
 		reason = trace.DropTrace
 	}
 	j := 0
@@ -501,7 +580,7 @@ func (r *Round) open(num int, global param.Vector, sampled, live []int) error {
 		if r.slots[i].state == slotPending {
 			e := c.event(trace.KindClientDispatch, num, id)
 			r.slots[i].start = e.TS
-			c.cfg.Planes.Emit(e)
+			c.planes.Emit(e)
 		}
 	}
 	return nil
@@ -548,10 +627,12 @@ func (r *Round) Arrive(slot int, u *Update) error {
 		u.GiveBack()
 		return err
 	}
-	if r.c.normOn {
-		// Against the pre-aggregation global — the update the client
-		// actually shipped, before the aggregate can dilute an attack. A
-		// serial reduction, so identical at any worker count.
+	if p := &r.c.planes; p.Monitor != nil || p.Recorder != nil {
+		// The update's norm feeds the health detectors and (so post-mortem
+		// replays can run the same detectors) the trace's client_update
+		// events. Against the pre-aggregation global — the update the
+		// client actually shipped, before the aggregate can dilute an
+		// attack. A serial reduction, so identical at any worker count.
 		s.norm = param.L2Dist(u.Params, r.Global)
 	}
 	s.done = r.c.now()
@@ -572,7 +653,7 @@ func (r *Round) drop(slot int, reason trace.DropReason, note string) {
 	}
 	e := r.c.event(trace.KindClientDrop, r.Num, id)
 	e.Reason, e.Note, e.Bytes = reason, note, r.slots[slot].wire
-	r.c.cfg.Planes.Emit(e)
+	r.c.planes.Emit(e)
 }
 
 // Drop takes a pending slot out of the round because its client failed,
@@ -592,7 +673,7 @@ func (r *Round) Drop(slot int, note string) error {
 // vectors of its update, if it carried a Lent one: nothing reads it.
 func (r *Round) Late(client int, u *Update) {
 	r.stats.LateUpdates++
-	r.c.cfg.Planes.Emit(r.c.event(trace.KindClientLate, r.Num, client))
+	r.c.planes.Emit(r.c.event(trace.KindClientLate, r.Num, client))
 	if u != nil {
 		u.GiveBack()
 	}
@@ -639,7 +720,7 @@ func (r *Round) Advance() error {
 		}
 		r.lossSum += s.loss
 		r.ingested++
-		r.c.cfg.Planes.Emit(trace.Event{Kind: trace.KindClientUpdate, TS: s.done, Runtime: r.c.runtime, Round: r.Num,
+		r.c.planes.Emit(trace.Event{Kind: trace.KindClientUpdate, TS: s.done, Runtime: r.c.runtime, Round: r.Num,
 			Client: r.ids[r.cursor], Wire: "dense", Bytes: s.wire, Dur: s.done - s.start, Loss: s.loss, Norm: s.norm})
 	}
 	return nil
@@ -693,6 +774,6 @@ func (r *Round) close() (param.Vector, RoundStats, error) {
 	e := c.event(trace.KindRoundEnd, r.Num, -1)
 	e.N, e.Dur, e.Loss = r.ingested, e.TS-r.tsStart, stats.MeanLoss
 	e.Adversarial, e.Rejected = stats.AdversarialUpdates, stats.RejectedUpdates
-	c.cfg.Planes.Emit(e)
+	c.planes.Emit(e)
 	return next, *stats, nil
 }

@@ -226,17 +226,17 @@ func TestRoundCoreLedger(t *testing.T) {
 			reg := obs.NewRegistryWithRing(4)
 			var onRound []RoundStats
 			cfg := RoundConfig{
-				Rounds: 1, ClientsPerRound: 4, Seed: seed, Quorum: tc.quorum, Adversary: adv,
+				Rounds: 1, ClientsPerRound: 4, Seed: seed,
+				Federation: Federation{Quorum: tc.quorum, Adversary: adv, Obs: reg, Recorder: rec, Health: health.NewMonitor(nil)},
 				Aggregator: orderAgg{&order},
 				InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 4), nil },
 				OnRound:    func(s RoundStats) { onRound = append(onRound, s) },
-				Planes:     health.Fold{Obs: reg, Recorder: rec, Monitor: health.NewMonitor(nil)},
 			}
 			if tc.metrics {
-				cfg.Planes = health.Fold{Obs: reg}
+				cfg.Recorder, cfg.Health = nil, nil
 			}
 			if tc.availTrace {
-				cfg.Trace = &TraceConfig{Kind: TraceDiurnal, Base: 0.5, Amp: 0.1, Period: 4}
+				cfg.Availability = &TraceConfig{Kind: TraceDiurnal, Base: 0.5, Amp: 0.1, Period: 4}
 			}
 			tr := &scriptTransport{sampled: all, live: tc.live, script: tc.script}
 			if tr.live == nil {

@@ -7,16 +7,14 @@ import (
 	"runtime"
 	"sort"
 
-	"calibre/internal/health"
-	"calibre/internal/obs"
 	"calibre/internal/param"
 	"calibre/internal/partition"
 	"calibre/internal/tensor"
-	"calibre/internal/trace"
 )
 
 // SimConfig controls a federated training simulation.
 type SimConfig struct {
+	Federation
 	Rounds          int
 	ClientsPerRound int
 	Seed            int64
@@ -33,100 +31,13 @@ type SimConfig struct {
 	// server-side aggregation sweeps (param.Shard), so this knob governs
 	// both local training and aggregation parallelism.
 	KernelWorkers int
-	// DropoutRate simulates client failures/stragglers: each sampled
-	// client independently drops out of the round with this probability
-	// (its update is simply missing, as in production FL). At least
-	// max(1, Quorum) sampled clients always survive so every round
-	// aggregates something.
+	// DropoutRate simulates client failures: each sampled client
+	// independently drops out of the round with this probability (its
+	// update is simply missing, as in production FL), keeping at least
+	// max(1, Quorum) survivors so every round aggregates something.
 	DropoutRate float64
-	// Trace, when set, replaces the flat DropoutRate with a seeded
-	// availability trace (diurnal sine, flash-crowd burst or correlated
-	// markov churn): each sampled client drops out of round r with
-	// probability Trace.DropProb(r, id). Mutually exclusive with
-	// DropoutRate; the quorum-survivor guarantee still holds.
-	Trace *TraceConfig
-	// Adversary, when set, places a seeded fraction of the client
-	// population under adversarial control (see Adversary). The compromised
-	// set and every hostile payload are pure functions of Seed, so hostile
-	// runs replay and resume bit-identically; RoundStats.AdversarialUpdates
-	// and RejectedUpdates account for the attack per round.
-	Adversary *Adversary
-	// Quorum is the minimum number of surviving updates a round keeps
-	// under DropoutRate (K in K-of-N aggregation). 0 means 1 — the
-	// historical "at least one survivor" floor. It mirrors the flnet
-	// server's quorum knob: the networked server waits for K updates,
-	// the simulator guarantees K survivors.
-	Quorum int
-	// Straggler decides the fate of dropped clients: StragglerRequeue
-	// (default) drops them for the round only, StragglerDrop evicts them
-	// from the population for the rest of the simulation.
-	Straggler StragglerPolicy
 	// OnRound, if set, observes each completed round (single-goroutine).
 	OnRound func(RoundStats)
-	// Obs, if non-nil, receives live observability for every completed
-	// round (an obs.RoundSample plus per-client participation and the
-	// latency histograms). Obs, Recorder, Health and OnAlert are the four
-	// plane fields: Run hands them to the round core as one health.Fold,
-	// which folds the core's trace events into those samples — the same
-	// fold `calibre doctor replay` runs over a recorded trace. Purely
-	// additive: an attached registry never perturbs training —
-	// instrumented runs are bit-identical to uninstrumented ones (pinned
-	// by TestObsRegistryDoesNotPerturbRun).
-	Obs *obs.Registry
-	// Recorder, if non-nil, receives the flight-recorder event stream:
-	// round spans, per-client dispatch/update/drop events (with wire
-	// encoding and turnaround), checkpoint and resume marks. Like Obs it
-	// is purely observational — a traced run is bit-identical to a bare
-	// one (pinned by TestTraceDoesNotPerturbRun), and with an injected
-	// trace.Clock the emitted bytes are deterministic too. All events are
-	// emitted from the round loop in canonical order; workers only record
-	// timestamps, so a non-thread-safe injected clock requires
-	// Parallelism 1 (real-clock runs may parallelize freely).
-	Recorder *trace.Recorder
-	// Health, if non-nil, streams every completed round through the
-	// detector layer (internal/health): loss divergence/plateau,
-	// fairness-gap drift, per-client update-norm outliers, quorum
-	// regression. Like Obs and Recorder it is nil-safe and purely
-	// observational — detectors read the round stream and never feed
-	// back into training, so an instrumented run is bit-identical to a
-	// bare one (pinned by TestHealthMonitorDoesNotPerturbRun). With Health
-	// set the round samples carry per-client detail (losses, update norms,
-	// straggler and rejected IDs), in Obs's ring too. On resume the
-	// monitor is warm-started from the checkpoint's per-round history
-	// (health.Fold.Warm: federation-level series only; per-client norm
-	// windows are not part of SimState — replay a trace through `calibre
-	// doctor` for full-fidelity post-mortems).
-	Health *health.Monitor
-	// OnAlert, if set, receives every alert Health raises, from the
-	// round loop in round order (single-goroutine). Ignored when Health
-	// is nil.
-	OnAlert func(health.Alert)
-
-	// OnCheckpoint, if set, receives the SimState (an immutable view whose
-	// Global is lent until the hook, or the write it defers, returns: see
-	// SimState) after every CheckpointEvery-th completed round and after
-	// the final round, before OnRound for the same round. A hook that
-	// saves inline has persisted the round when it returns; a hook that
-	// hands its write back (SimState.Defer, as store.SaveHook does) has it
-	// persisted by the next due checkpoint and, whatever ends the run, by
-	// the time Run returns — so a callback that stops the run still finds
-	// that round's state on disk afterwards. A checkpoint error, from the
-	// hook or from its deferred write, aborts the run: durability was
-	// requested, so failing loudly beats training on without it.
-	OnCheckpoint func(*SimState) error
-	// CheckpointEvery is the round stride between checkpoints; ≤0 means
-	// every round. Ignored unless OnCheckpoint is set.
-	CheckpointEvery int
-	// ResumeFrom, if non-nil, continues a previous federation: the round
-	// loop starts at ResumeFrom.Round with its global vector and history,
-	// after replaying the completed rounds' RNG draws so the continuation
-	// is bit-identical to a run that never stopped. The configuration
-	// must match the checkpointed run's (internal/store fingerprints
-	// guard this at the CLI layer). The method's client table is restored
-	// from ResumeFrom.Rows; a method keeping cross-round state anywhere
-	// else declares it via Stateful, and NewSimulator refuses it with
-	// ErrStatefulResume.
-	ResumeFrom *SimState
 }
 
 func (c *SimConfig) parallelism() int {
@@ -138,14 +49,8 @@ func (c *SimConfig) parallelism() int {
 
 // round fills the round core's configuration from the simulator's.
 func (c *SimConfig) round(m *Method) RoundConfig {
-	return RoundConfig{
-		Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
-		Quorum: c.Quorum, Straggler: c.Straggler, Trace: c.Trace, Adversary: c.Adversary,
-		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal, OnRound: c.OnRound,
-		OnCheckpoint: c.OnCheckpoint, CheckpointEvery: c.CheckpointEvery, ResumeFrom: c.ResumeFrom,
-		Planes:  health.Fold{Recorder: c.Recorder, Obs: c.Obs, Monitor: c.Health, OnAlert: c.OnAlert},
-		clients: m.Clients,
-	}
+	return RoundConfig{Federation: c.Federation, Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
+		Aggregator: m.Aggregator, InitGlobal: m.InitGlobal, OnRound: c.OnRound, clients: m.Clients}
 }
 
 // Simulator drives federated training of one method over a fixed client
@@ -167,10 +72,10 @@ func NewSimulator(cfg SimConfig, method *Method, clients []*partition.Client) (*
 	switch {
 	case len(clients) == 0:
 		return nil, fmt.Errorf("fl: no clients")
-	case cfg.DropoutRate < 0 || cfg.DropoutRate >= 1:
+	case !(cfg.DropoutRate >= 0 && cfg.DropoutRate < 1):
 		return nil, fmt.Errorf("fl: dropout rate must be in [0,1), got %v", cfg.DropoutRate)
-	case cfg.Trace != nil && cfg.DropoutRate > 0:
-		return nil, fmt.Errorf("fl: Trace and DropoutRate are mutually exclusive")
+	case cfg.Availability != nil && cfg.DropoutRate > 0:
+		return nil, fmt.Errorf("fl: Availability and DropoutRate are mutually exclusive")
 	case cfg.Quorum > len(clients):
 		return nil, fmt.Errorf("fl: quorum %d exceeds client population %d", cfg.Quorum, len(clients))
 	}
@@ -218,7 +123,7 @@ func (s *Simulator) Run(ctx context.Context) (param.Vector, []RoundStats, error)
 	}
 	t := &simTransport{
 		Simulator: s,
-		trace:     cfg.Trace.Generator(cfg.Seed),
+		trace:     cfg.Availability.Generator(cfg.Seed),
 		// The adversary wraps the trainer rather than mutating the method, so
 		// a hostile run never leaks attack state into a shared Method value.
 		trainer: cfg.Adversary.WrapTrainer(s.Method.Trainer, cfg.Seed, len(s.Clients)),

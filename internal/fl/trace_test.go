@@ -182,12 +182,12 @@ func TestSimulatorRejectsTraceWithDropout(t *testing.T) {
 	cfg := SimConfig{
 		Rounds: 1, ClientsPerRound: 2, Seed: 1,
 		DropoutRate: 0.2,
-		Trace:       &TraceConfig{Kind: TraceDiurnal, Base: 0.1, Amp: 0.5, Period: 4},
+		Federation:  Federation{Availability: &TraceConfig{Kind: TraceDiurnal, Base: 0.1, Amp: 0.5, Period: 4}},
 	}
 	if _, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients); err == nil {
-		t.Fatal("Trace + DropoutRate must be rejected")
+		t.Fatal("Availability + DropoutRate must be rejected")
 	}
-	cfg.Trace = &TraceConfig{Kind: "weekly"}
+	cfg.Availability = &TraceConfig{Kind: "weekly"}
 	cfg.DropoutRate = 0
 	if _, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients); err == nil {
 		t.Fatal("invalid trace must be rejected at construction")
@@ -201,9 +201,9 @@ func TestSimulatorTraceDropsRounds(t *testing.T) {
 	clients := testClients(t, 6)
 	var stats []RoundStats
 	cfg := SimConfig{
-		Rounds: 4, ClientsPerRound: 4, Seed: 13, Quorum: 2,
-		Trace:   &TraceConfig{Kind: TraceFlash, Base: 0, Amp: 1, Period: 1, Width: 2},
-		OnRound: func(s RoundStats) { stats = append(stats, s) },
+		Rounds: 4, ClientsPerRound: 4, Seed: 13,
+		Federation: Federation{Quorum: 2, Availability: &TraceConfig{Kind: TraceFlash, Base: 0, Amp: 1, Period: 1, Width: 2}},
+		OnRound:    func(s RoundStats) { stats = append(stats, s) },
 	}
 	sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
 	if err != nil {

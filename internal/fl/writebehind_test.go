@@ -93,7 +93,7 @@ func TestWriteBehindOrderAndBackPressure(t *testing.T) {
 	const rounds = 6
 	h := &behindHook{delay: 5 * time.Millisecond}
 	overlapped := 0
-	cfg := SimConfig{Rounds: rounds, ClientsPerRound: 2, Seed: 1, OnCheckpoint: h.hook,
+	cfg := SimConfig{Rounds: rounds, ClientsPerRound: 2, Seed: 1, Federation: Federation{OnCheckpoint: h.hook},
 		OnRound: func(RoundStats) { overlapped += h.open() }}
 	runToCompletion(t, cfg)
 	if want := upTo(rounds); !reflect.DeepEqual(h.handoffs, want) || !reflect.DeepEqual(h.started, want) || !reflect.DeepEqual(h.finished, want) {
@@ -118,7 +118,7 @@ func TestWriteBehindOrderAndBackPressure(t *testing.T) {
 func TestWriteBehindInlineHookUnchanged(t *testing.T) {
 	var got []int
 	cfg := SimConfig{Rounds: 3, ClientsPerRound: 2, Seed: 1,
-		OnCheckpoint: func(st *SimState) error { got = append(got, st.Round); return nil }}
+		Federation: Federation{OnCheckpoint: func(st *SimState) error { got = append(got, st.Round); return nil }}}
 	before := goroutinesBeforeRun(t)
 	runToCompletion(t, cfg)
 	if !reflect.DeepEqual(got, upTo(3)) {
@@ -173,7 +173,7 @@ func TestWriteBehindDrainsOnEveryExit(t *testing.T) {
 			tr := &fakeTrainer{}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cfg := SimConfig{Rounds: tc.rounds, ClientsPerRound: 2, Seed: 1, Parallelism: 1, OnCheckpoint: h.hook}
+			cfg := SimConfig{Rounds: tc.rounds, ClientsPerRound: 2, Seed: 1, Parallelism: 1, Federation: Federation{OnCheckpoint: h.hook}}
 			if tc.prepare != nil {
 				tc.prepare(&cfg, h, tr, cancel)
 			}
@@ -245,8 +245,8 @@ func TestWriteBehindDrainsOnQuorumFailure(t *testing.T) {
 		script: []scriptOp{{"arrive", 0}, {"arrive", 1}, {"arrive", 2}, {"arrive", 3}}}
 	cfg := RoundConfig{
 		Rounds: 3, ClientsPerRound: 4, Seed: 5, Aggregator: WeightedAverage{},
-		InitGlobal:   func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 4), nil },
-		OnCheckpoint: h.hook,
+		InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 4), nil },
+		Federation: Federation{OnCheckpoint: h.hook},
 		// The second round loses a participant under full synchrony.
 		OnRound: func(RoundStats) { tr.script = []scriptOp{{"arrive", 0}, {"reject", 1}} },
 	}
@@ -280,7 +280,7 @@ func TestWriteBehindDrainsOnQuorumFailure(t *testing.T) {
 func TestWriteBehindErrorAbortsAtNextBoundary(t *testing.T) {
 	h := &behindHook{failAt: 2} // the state after rounds 0 and 1
 	observed := 0
-	cfg := SimConfig{Rounds: 5, ClientsPerRound: 2, Seed: 1, OnCheckpoint: h.hook,
+	cfg := SimConfig{Rounds: 5, ClientsPerRound: 2, Seed: 1, Federation: Federation{OnCheckpoint: h.hook},
 		OnRound: func(RoundStats) { observed++ }}
 	sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), testClients(t, 6))
 	if err != nil {
@@ -296,7 +296,7 @@ func TestWriteBehindErrorAbortsAtNextBoundary(t *testing.T) {
 
 	// The last round's write has no next boundary: the drain reports it.
 	h = &behindHook{failAt: 2}
-	cfg = SimConfig{Rounds: 2, ClientsPerRound: 2, Seed: 1, OnCheckpoint: h.hook}
+	cfg = SimConfig{Rounds: 2, ClientsPerRound: 2, Seed: 1, Federation: Federation{OnCheckpoint: h.hook}}
 	if sim, err = NewSimulator(cfg, fakeMethod(&fakeTrainer{}), testClients(t, 6)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,24 +346,26 @@ func TestLentGlobalHoldsUntilItsWriteReturns(t *testing.T) {
 		m := fakeMethod(addRoundTrainer{})
 		m.Aggregator = agg
 		cfg := SimConfig{Rounds: rounds, ClientsPerRound: 5, Seed: 3,
-			OnCheckpoint: func(st *SimState) error {
-				bits := cloneBits(st.Global)
-				globals = append(globals, st.Global)
-				return st.Defer(func() error {
-					time.Sleep(time.Millisecond) // the next round runs meanwhile
-					mu.Lock()
-					defer mu.Unlock()
-					for i, x := range st.Global {
-						if math.Float64bits(x) != bits[i] {
-							problems = append(problems, fmt.Sprintf("round %d: element %d of the lent global mutated", st.Round, i))
-							break
+			Federation: Federation{
+				OnCheckpoint: func(st *SimState) error {
+					bits := cloneBits(st.Global)
+					globals = append(globals, st.Global)
+					return st.Defer(func() error {
+						time.Sleep(time.Millisecond) // the next round runs meanwhile
+						mu.Lock()
+						defer mu.Unlock()
+						for i, x := range st.Global {
+							if math.Float64bits(x) != bits[i] {
+								problems = append(problems, fmt.Sprintf("round %d: element %d of the lent global mutated", st.Round, i))
+								break
+							}
 						}
-					}
-					if param.IsIdle(st.Global) {
-						problems = append(problems, fmt.Sprintf("round %d: the lent global is idle in the pool before its write returned", st.Round))
-					}
-					return nil
-				})
+						if param.IsIdle(st.Global) {
+							problems = append(problems, fmt.Sprintf("round %d: the lent global is idle in the pool before its write returned", st.Round))
+						}
+						return nil
+					})
+				},
 			}}
 		sim, err := NewSimulator(cfg, m, testClients(t, 6))
 		if err != nil {
@@ -402,7 +404,7 @@ func TestSlowWriteReadsItsGlobalAcrossRounds(t *testing.T) {
 	gate := make(chan struct{})
 	var saved param.Vector
 	var mutated, idleAfterAwait bool
-	cfg := SimConfig{Rounds: 2 * every, ClientsPerRound: 2, Seed: 6, CheckpointEvery: every}
+	cfg := SimConfig{Rounds: 2 * every, ClientsPerRound: 2, Seed: 6, Federation: Federation{CheckpointEvery: every}}
 	cfg.OnCheckpoint = func(st *SimState) error {
 		switch st.Round {
 		case every:

@@ -43,8 +43,7 @@ func runHostileFederation(t *testing.T, n, rounds int, adv *fl.Adversary, agg fl
 		Addr: "127.0.0.1:0", NumClients: n, Rounds: rounds, ClientsPerRound: n, Seed: seed,
 		Aggregator: agg,
 		InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return make([]float64, 4), nil },
-		Adversary:  adv,
-		Obs:        reg,
+		Federation: fl.Federation{Adversary: adv, Obs: reg},
 		IOTimeout:  20 * time.Second,
 	})
 	if err != nil {
@@ -142,7 +141,7 @@ func TestServerTraceDropsDeterministic(t *testing.T) {
 			Addr: "127.0.0.1:0", NumClients: 3, Rounds: 6, ClientsPerRound: 3, Seed: 11,
 			Aggregator: fl.WeightedAverage{},
 			InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return make([]float64, 3), nil },
-			Trace:      trace,
+			Federation: fl.Federation{Availability: trace},
 			IOTimeout:  20 * time.Second,
 		})
 		if err != nil {
@@ -198,7 +197,7 @@ func TestServerTraceTotalOutageFails(t *testing.T) {
 		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 2, ClientsPerRound: 2, Seed: 3,
 		Aggregator: fl.WeightedAverage{},
 		InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return make([]float64, 2), nil },
-		Trace:      &fl.TraceConfig{Kind: fl.TraceFlash, Base: 0, Amp: 1, Period: 0, Width: 1},
+		Federation: fl.Federation{Availability: &fl.TraceConfig{Kind: fl.TraceFlash, Base: 0, Amp: 1, Period: 0, Width: 1}},
 		IOTimeout:  10 * time.Second,
 	})
 	if err != nil {
@@ -235,7 +234,7 @@ func TestServerTraceKillResumeBitIdentical(t *testing.T) {
 	const n, total = 3, 4
 	base := ServerConfig{
 		NumClients: n, Rounds: total, ClientsPerRound: 2, Seed: 11,
-		Trace: &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.1, Amp: 0.3, Period: 3},
+		Federation: fl.Federation{Availability: &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.1, Amp: 0.3, Period: 3}},
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

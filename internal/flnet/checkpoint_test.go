@@ -179,7 +179,7 @@ func TestServerCheckpointErrorAborts(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	cfg := ServerConfig{NumClients: 1, Rounds: 2, ClientsPerRound: 1, Seed: 5,
-		OnCheckpoint: func(*fl.SimState) error { return boom }}
+		Federation: fl.Federation{OnCheckpoint: func(*fl.SimState) error { return boom }}}
 	_, err, _ := runCkptFederation(t, ctx, cfg, netClients(t, 1))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the sink's error", err)
@@ -193,7 +193,7 @@ func TestServerConfigValidatesResumeState(t *testing.T) {
 		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 2, ClientsPerRound: 1, Seed: 5,
 		Aggregator: fl.WeightedAverage{},
 		InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return []float64{0}, nil },
-		ResumeFrom: &fl.SimState{Round: 5, Global: []float64{0}},
+		Federation: fl.Federation{ResumeFrom: &fl.SimState{Round: 5, Global: []float64{0}}},
 	}
 	if _, err := NewServer(cfg); err == nil {
 		t.Fatal("resume state beyond the round budget accepted")
@@ -213,11 +213,13 @@ func TestServerRefusesStatefulAggregatorResume(t *testing.T) {
 		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 2, ClientsPerRound: 1, Seed: 5,
 		Aggregator: &fl.ScaffoldAggregator{ServerLR: 1},
 		InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return []float64{0}, nil },
-		ResumeFrom: &fl.SimState{
-			Round:          1,
-			Global:         []float64{0},
-			History:        []fl.RoundStats{{Round: 0, Participants: []int{0}}},
-			EligibleCounts: []int{1},
+		Federation: fl.Federation{
+			ResumeFrom: &fl.SimState{
+				Round:          1,
+				Global:         []float64{0},
+				History:        []fl.RoundStats{{Round: 0, Participants: []int{0}}},
+				EligibleCounts: []int{1},
+			},
 		},
 	}
 	if _, err := NewServer(cfg); !errors.Is(err, fl.ErrStatefulResume) {
@@ -293,7 +295,7 @@ func TestServerWriteBehindOrder(t *testing.T) {
 	defer cancel()
 	h := &deferHook{delay: 10 * time.Millisecond}
 	overlapped := 0
-	cfg := ServerConfig{NumClients: n, Rounds: rounds, ClientsPerRound: 2, Seed: 11, OnCheckpoint: h.hook,
+	cfg := ServerConfig{NumClients: n, Rounds: rounds, ClientsPerRound: 2, Seed: 11, Federation: fl.Federation{OnCheckpoint: h.hook},
 		OnRound: func(fl.RoundStats) { open, _ := h.writes(); overlapped += open }}
 	if _, err, _ := runCkptFederation(t, ctx, cfg, netClients(t, n)); err != nil {
 		t.Fatal(err)
@@ -351,7 +353,7 @@ func TestServerDrainsBeforeRunReturns(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			h := &deferHook{gate: make(chan struct{}), began: make(chan int, tc.rounds)} // a slot per write: none blocks on the test
-			cfg := ServerConfig{NumClients: n, Rounds: tc.rounds, ClientsPerRound: n, Seed: 11, OnCheckpoint: h.hook}
+			cfg := ServerConfig{NumClients: n, Rounds: tc.rounds, ClientsPerRound: n, Seed: 11, Federation: fl.Federation{OnCheckpoint: h.hook}}
 			if tc.kill {
 				cfg.OnRound = func(fl.RoundStats) { cancel() }
 			}

@@ -57,7 +57,7 @@ func TestSimulatorAndServerAgree(t *testing.T) {
 
 			m := build()
 			sim, err := fl.NewSimulator(fl.SimConfig{
-				Rounds: env.Preset.Rounds, ClientsPerRound: env.Preset.ClientsPerRound, Seed: seed, Adversary: tc.adv,
+				Rounds: env.Preset.Rounds, ClientsPerRound: env.Preset.ClientsPerRound, Seed: seed, Federation: fl.Federation{Adversary: tc.adv},
 			}, m, env.Participants)
 			if err != nil {
 				t.Fatalf("NewSimulator: %v", err)
@@ -74,7 +74,8 @@ func TestSimulatorAndServerAgree(t *testing.T) {
 			m = build()
 			srv, err := NewServer(ServerConfig{
 				Addr: "127.0.0.1:0", NumClients: n, Rounds: env.Preset.Rounds, ClientsPerRound: env.Preset.ClientsPerRound,
-				Seed: seed, Aggregator: m.Aggregator, InitGlobal: m.InitGlobal, Adversary: tc.adv, IOTimeout: 30 * time.Second,
+				Seed: seed, Aggregator: m.Aggregator, InitGlobal: m.InitGlobal, IOTimeout: 30 * time.Second,
+				Federation: fl.Federation{Adversary: tc.adv},
 			})
 			if err != nil {
 				t.Fatalf("NewServer: %v", err)

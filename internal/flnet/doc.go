@@ -182,8 +182,9 @@
 //
 // # Durability
 //
-// With ServerConfig.OnCheckpoint set (`calibre serve` wires it to an
-// internal/store.Store via -checkpoint-dir), the server hands the hook an
+// With the OnCheckpoint hook of the fl.Federation ServerConfig embeds set
+// (`calibre serve` wires it to an internal/store.Store via -checkpoint-dir
+// through experiments.AttachCheckpoints), the server hands the hook an
 // immutable view of its complete round state — round counter, global
 // vector, RoundStats history and the per-round sampling-pool sizes — after
 // every CheckpointEvery-th round, before OnRound fires. The store's hook

@@ -25,12 +25,12 @@ func TestEvictionReleasesEngineState(t *testing.T) {
 	}{
 		{
 			name: "trace", n: 8,
-			cfg: ServerConfig{Rounds: 3, Quorum: 1, Straggler: fl.StragglerDrop,
-				Trace: &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.25, Amp: 0.1, Period: 4}},
+			cfg: ServerConfig{Rounds: 3, Federation: fl.Federation{Quorum: 1, Straggler: fl.StragglerDrop,
+				Availability: &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.25, Amp: 0.1, Period: 4}}},
 		},
 		{
 			name: "deadline", n: 3,
-			cfg: ServerConfig{Rounds: 3, Quorum: 2, Straggler: fl.StragglerDrop,
+			cfg: ServerConfig{Rounds: 3, Federation: fl.Federation{Quorum: 2, Straggler: fl.StragglerDrop},
 				RoundDeadline: 300 * time.Millisecond},
 			latency: func(id, round int) time.Duration {
 				if id == 2 && round >= 1 {

@@ -335,7 +335,7 @@ func TestServerRejectsWrongSizeUpdate(t *testing.T) {
 	clients := netClients(t, n)
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: n, Rounds: 1, ClientsPerRound: n, Seed: 7,
-		Quorum:        1,
+		Federation:    fl.Federation{Quorum: 1},
 		RoundDeadline: 30 * time.Second,
 		Aggregator:    fl.WeightedAverage{},
 		InitGlobal: func(rng *rand.Rand) (param.Vector, error) {

@@ -36,11 +36,7 @@ func TestServerHealthSuspectsOverTCP(t *testing.T) {
 			Addr: "127.0.0.1:0", NumClients: n, Rounds: rounds, ClientsPerRound: n, Seed: seed,
 			Aggregator: fl.WeightedAverage{},
 			InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return make([]float64, 4), nil },
-			Adversary:  adv,
-			Obs:        reg,
-			Health:     mon,
-			OnAlert:    onAlert,
-			Recorder:   rec,
+			Federation: fl.Federation{Adversary: adv, Obs: reg, Health: mon, OnAlert: onAlert, Recorder: rec},
 			IOTimeout:  20 * time.Second,
 		})
 		if err != nil {

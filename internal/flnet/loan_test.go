@@ -313,7 +313,7 @@ func TestStaleReplyVectorsReclaimed(t *testing.T) {
 		InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, 64), nil }}
 	w := newArrayWitness(fl.WeightedAverage{})
 	cfg := ServerConfig{Rounds: rounds, ClientsPerRound: perRound, Aggregator: w, InitGlobal: m.InitGlobal,
-		Quorum: 1, RoundDeadline: 200 * time.Millisecond, Straggler: fl.StragglerRequeue,
+		Federation: fl.Federation{Quorum: 1, Straggler: fl.StragglerRequeue}, RoundDeadline: 200 * time.Millisecond,
 		OnRound: func(h fl.RoundStats) {
 			if h.DeadlineExpired {
 				// Hold the round boundary until the stale reply is queued, so

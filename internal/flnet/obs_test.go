@@ -27,7 +27,7 @@ func TestObsSnapshotRaceDuringFederation(t *testing.T) {
 		Aggregator: fl.WeightedAverage{},
 		InitGlobal: func(rng *rand.Rand) (param.Vector, error) { return make([]float64, 4), nil },
 		IOTimeout:  20 * time.Second,
-		Obs:        reg,
+		Federation: fl.Federation{Obs: reg},
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

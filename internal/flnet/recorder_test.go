@@ -132,7 +132,7 @@ func TestNetTraceAvailabilityDrops(t *testing.T) {
 	rec := trace.New(&sink, trace.Config{})
 	runTracedFederation(t, 4, 4, 3, func(c *ServerConfig) {
 		c.Recorder = rec
-		c.Trace = &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.4, Amp: 0.3, Period: 4}
+		c.Availability = &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.4, Amp: 0.3, Period: 4}
 		c.Quorum = 1
 	})
 	if err := rec.Close(); err != nil {

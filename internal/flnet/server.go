@@ -11,14 +11,12 @@ import (
 	"time"
 
 	"calibre/internal/fl"
-	"calibre/internal/health"
-	"calibre/internal/obs"
 	"calibre/internal/param"
-	"calibre/internal/trace"
 )
 
 // ServerConfig configures a federated server.
 type ServerConfig struct {
+	fl.Federation
 	// Addr is the listen address, e.g. ":9000" or "127.0.0.1:0".
 	Addr string
 	// NumClients is how many clients must join before training starts.
@@ -34,105 +32,20 @@ type ServerConfig struct {
 	InitGlobal func(rng *rand.Rand) (param.Vector, error)
 	// IOTimeout bounds each network operation (default 2 minutes).
 	IOTimeout time.Duration
-
-	// Quorum is the minimum number of client updates needed to close a
-	// round at its deadline (K in K-of-N aggregation). 0 means every
-	// participant must reply — the fully synchronous discipline.
-	Quorum int
 	// RoundDeadline bounds each round's collection window. 0 means wait
 	// for every participant (synchronous). When the deadline expires with
 	// at least Quorum updates the round closes and the missing
 	// participants become stragglers, handled per Straggler; with fewer
 	// updates the federation fails with fl.ErrQuorumNotMet.
 	RoundDeadline time.Duration
-	// Straggler is the fate of participants that miss the deadline:
-	// requeue (default) keeps them in the federation, drop evicts them.
-	Straggler fl.StragglerPolicy
-
-	// Trace, when set, applies a seeded availability trace server-side:
-	// each sampled participant is dropped from the round pre-dispatch with
-	// probability Trace.DropProb(round, id), becoming a straggler (evicted
-	// under StragglerDrop). Exactly one RNG draw is consumed per
-	// participant and a round left below max(1, Quorum) available clients
-	// fails with fl.ErrQuorumNotMet — no rescue draws — so a resumed
-	// server can replay the stream from recorded pool sizes alone.
-	Trace *fl.TraceConfig
-	// Adversary is accounting-only: it names the seeded compromise trace
-	// the federation's clients were launched under (same Seed, population
-	// NumClients) so RoundStats.AdversarialUpdates and the obs plane can
-	// attribute ingested updates. It does not alter server behavior —
-	// defense lives in the Aggregator.
-	Adversary *fl.Adversary
-
 	// OnRound observes completed rounds.
 	OnRound func(fl.RoundStats)
-	// Obs, if non-nil, receives live observability for every completed
-	// round: an obs.RoundSample carrying the straggler/quorum accounting
-	// plus the uplink payload bytes received, per-client participation and
-	// the latency histograms. Obs, Health, OnAlert and Recorder are the
-	// four plane fields: Run hands them to the round core as one
-	// health.Fold, which folds the core's trace events into those samples
-	// — the same fold `calibre doctor replay` runs over the recorded
-	// trace. Nil-safe and side-effect-free on training.
-	Obs *obs.Registry
-	// Health, if non-nil, streams every completed round through the
-	// anomaly detectors: per-client losses and update norms (measured
-	// against the round's pre-aggregation global) feed the norm-z and
-	// fairness rules, ingress rejections and stragglers feed the
-	// per-client health scores, and the federation loss series feeds the
-	// trend detectors. Purely observational — verdicts never alter
-	// training — and warm-started from ResumeFrom's history on resume.
-	Health *health.Monitor
-	// OnAlert receives every alert the monitor raises, in round order,
-	// from the round engine goroutine. Ignored when Health is nil.
-	OnAlert func(health.Alert)
-	// Recorder, if non-nil, receives the flight-recorder event stream:
-	// round spans, per-client dispatch/update/drop/late events carrying
-	// client IDs and payload bytes, checkpoint and resume marks. Every
-	// event is emitted from the single-goroutine round engine in
-	// state-machine order, so even an injected (non-thread-safe)
-	// trace.Clock is safe here. Purely observational: a traced federation is bit-identical to a
-	// bare one (pinned by TestTraceDoesNotPerturbNetRun).
-	Recorder *trace.Recorder
-
-	// OnCheckpoint, if set, receives the fl.SimState (an immutable view
-	// whose Global is lent until the hook, or the write it defers, returns)
-	// after every CheckpointEvery-th completed round and after the final
-	// round, before OnRound fires. A hook that saves inline has the round
-	// persisted when it returns; store.SaveHook hands its write back to the
-	// round loop (fl.SimState.Defer), which runs it behind the next round
-	// and waits for it at the next due checkpoint and before Run returns —
-	// a crash can lose exactly the version in flight. A checkpoint error,
-	// from the hook or its deferred write, aborts the federation. The state
-	// records the per-round sampling-pool sizes, which is what lets a
-	// restarted server replay its RNG draws exactly even though join
-	// timing and straggler business shaped the pool.
-	OnCheckpoint func(*fl.SimState) error
-	// CheckpointEvery is the round stride between checkpoints; ≤0 means
-	// every round. Ignored unless OnCheckpoint is set.
-	CheckpointEvery int
-	// ResumeFrom, if non-nil, continues a checkpointed federation: once
-	// NumClients have (re)joined, the round loop starts at
-	// ResumeFrom.Round with the snapshot's global vector and history. A
-	// federation in which every participant responds resumes
-	// bit-identically to one that was never interrupted — provided the
-	// method keeps no client rows. An Aggregator declaring fl.Stateful is
-	// refused at validation (fl.ErrStatefulResume); a method's client table
-	// (fl.Method.Clients) lives in the client processes where this server
-	// cannot see it, so the CLI layer (`calibre serve`), which builds the
-	// full method, refuses a method with one before configuring resume.
-	ResumeFrom *fl.SimState
 }
 
 // round fills the round core's configuration from the server's.
 func (c *ServerConfig) round() fl.RoundConfig {
-	return fl.RoundConfig{
-		Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
-		Quorum: c.Quorum, Straggler: c.Straggler, Trace: c.Trace, Adversary: c.Adversary,
-		Aggregator: c.Aggregator, InitGlobal: c.InitGlobal, OnRound: c.OnRound,
-		OnCheckpoint: c.OnCheckpoint, CheckpointEvery: c.CheckpointEvery, ResumeFrom: c.ResumeFrom,
-		Planes: health.Fold{Recorder: c.Recorder, Obs: c.Obs, Monitor: c.Health, OnAlert: c.OnAlert},
-	}
+	return fl.RoundConfig{Federation: c.Federation, Rounds: c.Rounds, ClientsPerRound: c.ClientsPerRound, Seed: c.Seed,
+		Aggregator: c.Aggregator, InitGlobal: c.InitGlobal, OnRound: c.OnRound}
 }
 
 func (c *ServerConfig) validate() error {
@@ -147,7 +60,7 @@ func (c *ServerConfig) validate() error {
 		return errors.New("flnet: round deadline must be ≥0")
 	}
 	// Only the aggregator's cross-round state is visible here; see
-	// ResumeFrom for the trainer side.
+	// fl.Federation.ResumeFrom for the trainer side.
 	return c.round().Validate(c.Aggregator)
 }
 
@@ -445,13 +358,13 @@ type roundEngine struct {
 	busy map[int]int
 	// slotOf maps the current round's participants to their ledger slots.
 	slotOf map[int]int
-	// trace is the seeded availability generator (nil without cfg.Trace).
+	// trace is the seeded availability generator (nil without cfg.Availability).
 	trace *fl.TraceGen
 }
 
 func newRoundEngine(s *Server) *roundEngine {
 	return &roundEngine{s: s, busy: make(map[int]int), slotOf: make(map[int]int),
-		trace: s.cfg.Trace.Generator(s.cfg.Seed)}
+		trace: s.cfg.Availability.Generator(s.cfg.Seed)}
 }
 
 func (e *roundEngine) Runtime() string { return "server" }

@@ -120,7 +120,7 @@ func TestStragglerSendReadsClosedGlobal(t *testing.T) {
 	agg := &roundGlobalsAggregator{}
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 3, ClientsPerRound: 2, Seed: 7,
-		Quorum: 1, RoundDeadline: 2 * time.Second, IOTimeout: 30 * time.Second,
+		Federation: fl.Federation{Quorum: 1}, RoundDeadline: 2 * time.Second, IOTimeout: 30 * time.Second,
 		Aggregator: agg,
 		InitGlobal: func(*rand.Rand) (param.Vector, error) { return first, nil },
 		OnRound: func(fl.RoundStats) {
@@ -483,7 +483,7 @@ func runBadFrameFederation(t *testing.T, reply hostileReply, quorum int) (*Resul
 	const n = 6
 	cfg := ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 2, ClientsPerRound: 2, Seed: 5,
-		Quorum: quorum, Aggregator: fl.WeightedAverage{}, IOTimeout: 10 * time.Second,
+		Federation: fl.Federation{Quorum: quorum}, Aggregator: fl.WeightedAverage{}, IOTimeout: 10 * time.Second,
 		InitGlobal: func(*rand.Rand) (param.Vector, error) { return make(param.Vector, n), nil },
 	}
 	if quorum > 0 {

@@ -44,8 +44,9 @@
 // # Wiring
 //
 // All three runtimes accept a *Monitor behind a nil-safe config field
-// (fl.SimConfig.Health, flnet.ServerConfig.Health, sweep.Config.Health)
-// and feed it one obs.RoundSample per completed round through a Fold:
+// (fl.Federation.Health, which fl.SimConfig and flnet.ServerConfig embed;
+// sweep.Config.Health) and feed it one obs.RoundSample per completed
+// round through a Fold, which fl.RunRounds builds from the Federation:
 // the one place a round's trace events become its sample, for the live
 // metrics registry and monitor and for Fold.Replay alike. Handler mounts
 // /healthz (JSON) and /healthz/prom next to the /metrics endpoints; and

@@ -55,7 +55,6 @@ type Fold struct {
 	// the first event folded: a bare run, which folds nothing, carries
 	// none.
 	*roundState
-	warm bool // folding Warm's rounds
 }
 
 type roundState struct {
@@ -71,7 +70,7 @@ type roundState struct {
 func (f *Fold) Emit(e trace.Event) {
 	f.Recorder.Emit(e)
 	if f.Obs != nil || f.Monitor != nil {
-		f.fold(e)
+		f.fold(e, false)
 	}
 }
 
@@ -83,7 +82,7 @@ func (f *Fold) Emit(e trace.Event) {
 func (f *Fold) Replay(events []trace.Event) {
 	for _, r := range trace.Runs(events) {
 		for _, e := range r.Events {
-			f.fold(e)
+			f.fold(e, false)
 		}
 	}
 }
@@ -94,16 +93,15 @@ func (f *Fold) Replay(events []trace.Event) {
 // the run that produced them. A checkpoint keeps federation-level facts
 // only, so no per-client detail is folded.
 func (f *Fold) Warm(events []trace.Event) {
-	f.warm = true
 	for _, e := range events {
-		f.fold(e)
+		f.fold(e, true)
 	}
-	f.warm = false
 }
 
 // fold advances the open round by one event and hands a closed one to
-// the planes.
-func (f *Fold) fold(e trace.Event) {
+// the planes — to the monitor only, without per-client detail, when warm
+// (folding Warm's rounds).
+func (f *Fold) fold(e trace.Event, warm bool) {
 	if f.roundState == nil {
 		f.roundState = new(roundState)
 	}
@@ -116,7 +114,7 @@ func (f *Fold) fold(e trace.Event) {
 	if !f.open || e.Round != f.cur.Round {
 		return
 	}
-	s, detail := &f.cur, f.Monitor != nil && !f.warm
+	s, detail := &f.cur, f.Monitor != nil && !warm
 	switch e.Kind {
 	case trace.KindClientDispatch:
 		f.dispatched = append(f.dispatched, e.Client)
@@ -159,7 +157,7 @@ func (f *Fold) fold(e trace.Event) {
 			s.Clients = slices.Clone(f.clients)
 			sort.Ints(s.RejectedIDs)
 		}
-		if !f.warm {
+		if !warm {
 			f.Obs.Histogram(obs.HistRoundLatency).Observe(e.Dur)
 			f.Obs.ObserveRound(*s)
 			f.Obs.AddParticipation(f.responders)

@@ -78,8 +78,7 @@ func TestSimulatorResumeFromDiskBitIdentical(t *testing.T) {
 		ClientsPerRound: 4,
 		Seed:            1234,
 		DropoutRate:     0.35,
-		Quorum:          2,
-		Straggler:       fl.StragglerDrop,
+		Federation:      fl.Federation{Quorum: 2, Straggler: fl.StragglerDrop},
 	}
 
 	// Reference: one uninterrupted run.

@@ -142,7 +142,7 @@ func TestSaveHookErrorAbortsRun(t *testing.T) {
 func TestKillAtEveryBoundaryResumesBitIdentical(t *testing.T) {
 	const total = 6
 	clients := diskClients(t, 7)
-	cfg := fl.SimConfig{Rounds: total, ClientsPerRound: 4, Seed: 4321, DropoutRate: 0.3, Quorum: 2}
+	cfg := fl.SimConfig{Rounds: total, ClientsPerRound: 4, Seed: 4321, DropoutRate: 0.3, Federation: fl.Federation{Quorum: 2}}
 	ref, err := fl.NewSimulator(cfg, sgdMethod(), clients)
 	if err != nil {
 		t.Fatal(err)

@@ -196,7 +196,7 @@ func (g *Grid) Validate() error {
 		}
 	}
 	for _, f := range n.AdversaryFracs {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("sweep: adversary_frac must be in [0,1], got %g", f)
 		}
 	}
@@ -242,7 +242,7 @@ func (g *Grid) Validate() error {
 		}
 	}
 	for _, d := range n.DropoutRates {
-		if d < 0 || d >= 1 {
+		if !(d >= 0 && d < 1) {
 			return fmt.Errorf("sweep: dropout rate must be in [0,1), got %g", d)
 		}
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -148,6 +149,9 @@ func TestGridValidation(t *testing.T) {
 		{"dup quorums", func(g *Grid) { g.Quorums = []int{2, 2} }, "duplicate quorums"},
 		{"dup dropout", func(g *Grid) { g.DropoutRates = []float64{0.1, 0.1} }, "duplicate dropout_rates"},
 		{"bad dropout", func(g *Grid) { g.DropoutRates = []float64{1.5} }, "dropout"},
+		{"NaN dropout", func(g *Grid) { g.DropoutRates = []float64{math.NaN()} }, "dropout"},
+		{"bad adversary frac", func(g *Grid) { g.AdversaryFracs = []float64{1.5} }, "adversary_frac"},
+		{"NaN adversary frac", func(g *Grid) { g.AdversaryFracs = []float64{math.NaN()} }, "adversary_frac"},
 		{"bad straggler", func(g *Grid) { g.Stragglers = []string{"shrug"} }, "straggler"},
 		{"dup stragglers spelled apart", func(g *Grid) { g.Stragglers = []string{"", "requeue"} }, "duplicate stragglers entry requeue"},
 		{"dup aggregators spelled apart", func(g *Grid) { g.Aggregators = []string{"mean", ""} }, "duplicate aggregators entry mean"},

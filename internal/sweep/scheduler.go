@@ -427,13 +427,22 @@ func (s *sweeper) runCell(ctx context.Context, c Cell) (res CellResult) {
 		return res
 	}
 
-	var ckpt *experiments.Attached
+	fed := built.Federation
+	// One registry across all cells: round/uplink counters accumulate
+	// sweep-wide, which is the live view `calibre sweep watch` polls.
+	fed.Obs = s.cfg.Obs
+	// The cell-scoped view stamps the cell key onto the simulator's
+	// round and client spans.
+	fed.Recorder = rec
+	// Each cell gets its own monitor (detector state is per-
+	// federation); the sim folds its alerts into the shared registry.
+	fed.Health = mon
 	if s.cfg.Dir != "" && s.cfg.CheckpointEvery > 0 {
-		ckpt, err = experiments.AttachCheckpoints(built.Method, experiments.Checkpoints{
+		_, err = experiments.AttachCheckpoints(built.Method, experiments.Checkpoints{
 			Dir:   filepath.Join(s.cfg.Dir, "cells", c.Fingerprint()),
 			Every: s.cfg.CheckpointEvery, Resume: true,
 			Seed: env.Seed, Fingerprint: c.Fingerprint(), Runtime: "sweep",
-		})
+		}, &fed)
 		switch {
 		case errors.Is(err, fl.ErrStatefulResume):
 			// Stateful methods cannot be checkpoint-resumed bit-identically;
@@ -448,24 +457,9 @@ func (s *sweeper) runCell(ctx context.Context, c Cell) (res CellResult) {
 	}
 
 	out, err := experiments.RunBuiltMethodWith(ctx, env, built.Method, func(cfg *fl.SimConfig) {
+		cfg.Federation = fed
 		cfg.Parallelism = s.simPar
-		cfg.Quorum = c.Quorum
 		cfg.DropoutRate = c.Dropout
-		cfg.Straggler = built.Straggler
-		cfg.Adversary = built.Adversary
-		cfg.Trace = built.Availability
-		// One registry across all cells: round/uplink counters accumulate
-		// sweep-wide, which is the live view `calibre sweep watch` polls.
-		cfg.Obs = s.cfg.Obs
-		// The cell-scoped view stamps the cell key onto the simulator's
-		// round and client spans.
-		cfg.Recorder = rec
-		// Each cell gets its own monitor (detector state is per-
-		// federation); the sim folds its alerts into the shared registry.
-		cfg.Health = mon
-		if ckpt != nil {
-			ckpt.ConfigureSim(cfg)
-		}
 	})
 	if err != nil {
 		res.Error = err.Error()
