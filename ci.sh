@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + distance-tile + exp + sgd-step + spec-grammar fuzz smokes, short kernel and sweep benches,
+#                    real-process smoke, wire + matmul + distance-tile + exp + sgd-step + spec-grammar + sweep-grid fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -200,6 +200,11 @@ go test -run '^$' -fuzz '^FuzzSGDStepMatchesScalarLoop$' -fuzztime 5s ./internal
 # spec.Split accepts must render to a canonical form that splits back to it.
 echo "== spec grammar fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzSplit$' -fuzztime 5s ./internal/spec/
+
+# And for the sweep grid decoder: whatever grid parses must expand within
+# the cell cap to unique keys, each cell one fl's simulator check accepts.
+echo "== sweep grid fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s ./internal/sweep/
 
 # The harness re-reads the file it wrote and exits non-zero if it does not
 # parse, does not record kernel_impl, or a serial-path shape reports

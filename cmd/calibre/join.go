@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"calibre/internal/experiments"
+	"calibre/internal/fl"
 	"calibre/internal/flnet"
 )
 
@@ -31,6 +32,12 @@ func runJoin(args []string) error {
 	world, err := sc.Build()
 	if err != nil {
 		return err
+	}
+	// A stateful aggregator's state (SCAFFOLD's server control variate)
+	// lives in the server's process and no message carries it here: this
+	// process's copy would stay zero and the client would train against it.
+	if s, ok := world.Method.Aggregator.(fl.Stateful); ok && s.CarriesRoundState() {
+		return fmt.Errorf("method %s keeps server state its clients train against, which no message carries to a join process; run it in one process (compare, sweep)", sc.Method)
 	}
 	if *id < 0 || *id >= len(world.Env.Participants) {
 		return fmt.Errorf("client id %d out of range [0,%d)", *id, len(world.Env.Participants))

@@ -84,4 +84,9 @@ func TestClientRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"join", "-sim-latency", "nope"}); err == nil {
 		t.Fatal("malformed sim-latency accepted")
 	}
+	// SCAFFOLD's clients train against the server's control variate, which
+	// stays in the server's process: refused before dialing.
+	if err := run([]string{"join", "-method", "scaffold", "-addr", "127.0.0.1:1"}); err == nil || !strings.Contains(err.Error(), "no message carries") {
+		t.Fatalf("join -method scaffold: %v, want a refusal saying its server state does not reach the client", err)
+	}
 }

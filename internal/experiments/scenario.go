@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"calibre/internal/baselines"
 	"calibre/internal/fl"
 	"calibre/internal/store"
 )
@@ -115,11 +116,20 @@ func SettingNames() []string {
 	return names
 }
 
-// Environment generates the scenario's world from (Setting, Scale, Seed).
-func (s Scenario) Environment() (*Environment, error) {
+// setting resolves the scenario's setting name.
+func (s Scenario) setting() (Setting, error) {
 	setting, ok := Settings()[s.Setting]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown setting %q (have %v)", s.Setting, SettingNames())
+		return setting, fmt.Errorf("experiments: unknown setting %q (have %v)", s.Setting, SettingNames())
+	}
+	return setting, nil
+}
+
+// Environment generates the scenario's world from (Setting, Scale, Seed).
+func (s Scenario) Environment() (*Environment, error) {
+	setting, err := s.setting()
+	if err != nil {
+		return nil, err
 	}
 	return BuildEnvironment(setting, s.Scale, s.Seed)
 }
@@ -149,33 +159,74 @@ func (s Scenario) Build() (*World, error) {
 
 // BuildOn is Build on an environment the caller already holds.
 func (s Scenario) BuildOn(env *Environment) (*World, error) {
+	f, agg, err := s.federation()
+	if err != nil {
+		return nil, err
+	}
 	m, err := BuildMethod(env, s.Method)
 	if err != nil {
 		return nil, err
 	}
-	w := &World{Scenario: s, Env: env, Method: m, Federation: fl.Federation{Quorum: s.Quorum}}
-	f := &w.Federation
-	if f.Straggler, err = fl.ParseStragglerPolicy(s.Straggler); err != nil {
-		return nil, err
+	if agg != nil {
+		// The method is built per call, so there is no sharing hazard.
+		m.Aggregator = agg
 	}
-	// The override replaces the method's own aggregator; "" and "mean"
-	// keep it, so prototype-weighted methods stay themselves in a benign
-	// cell. The method is built per call, so there is no sharing hazard.
+	return &World{Scenario: s, Env: env, Method: m, Federation: f}, nil
+}
+
+// federation parses the scenario's specs: the federation it trains under
+// and its aggregator override. The override replaces the method's own
+// aggregator; "" and "mean" keep it (a nil agg), so prototype-weighted
+// methods stay themselves in a benign cell.
+func (s Scenario) federation() (f fl.Federation, agg fl.Aggregator, err error) {
+	f.Quorum = s.Quorum
+	if f.Straggler, err = fl.ParseStragglerPolicy(s.Straggler); err != nil {
+		return f, nil, err
+	}
 	if s.Aggregator != "" && s.Aggregator != "mean" {
-		if m.Aggregator, err = fl.ParseAggregator(s.Aggregator); err != nil {
-			return nil, err
+		if agg, err = fl.ParseAggregator(s.Aggregator); err != nil {
+			return f, nil, err
 		}
 	}
 	if f.Adversary, err = fl.ParseAdversary(s.Adversary); err != nil {
-		return nil, err
+		return f, nil, err
 	}
 	if f.Adversary != nil {
 		f.Adversary.Frac = s.AdvFrac
 	}
-	if f.Availability, err = fl.ParseTrace(s.Availability); err != nil {
-		return nil, err
+	f.Availability, err = fl.ParseTrace(s.Availability)
+	return f, agg, err
+}
+
+// Validate checks the scenario without building its world: its specs
+// parse, its method, setting and scale are known, and the simulator would
+// accept its federation at the scale's rounds, clients per round and
+// population. Every federation rule is fl's (SimConfig.Validate, which
+// NewSimulator runs); a sweep grid asks it once per cell.
+func (s Scenario) Validate() error {
+	f, agg, err := s.federation()
+	if err != nil {
+		return err
 	}
-	return w, nil
+	if _, _, err := baselines.Resolve(s.Method); err != nil {
+		return err
+	}
+	if _, err := s.setting(); err != nil {
+		return err
+	}
+	p, err := PresetFor(s.Scale)
+	if err != nil {
+		return err
+	}
+	// An honest scenario's fraction is inert, but it must still be one.
+	if err := fl.CheckFrac(s.AdvFrac); err != nil {
+		return fmt.Errorf("experiments: adversary_frac: %w", err)
+	}
+	cfg := fl.SimConfig{Federation: f, Rounds: p.Rounds, ClientsPerRound: p.ClientsPerRound, DropoutRate: s.Dropout}
+	if err := cfg.Validate(&fl.Method{Aggregator: agg}, p.Clients); err != nil {
+		return fmt.Errorf("experiments: scale %s: %w", s.Scale, err)
+	}
+	return nil
 }
 
 // ServerFingerprint binds a networked federation's snapshots to its

@@ -63,8 +63,15 @@ func (a *Adversary) Validate() error {
 	if a.Scale < 0 || math.IsNaN(a.Scale) || math.IsInf(a.Scale, 0) {
 		return fmt.Errorf("fl: adversary scale must be a finite value ≥0, got %g", a.Scale)
 	}
-	if a.Frac < 0 || a.Frac > 1 || math.IsNaN(a.Frac) {
-		return fmt.Errorf("fl: adversary frac must be in [0,1], got %g", a.Frac)
+	return CheckFrac(a.Frac)
+}
+
+// CheckFrac is Validate's rule for a compromised fraction: in [0,1]. A
+// configuration that names a fraction without an attack (an honest sweep
+// cell) is held to it too.
+func CheckFrac(frac float64) error {
+	if !(frac >= 0 && frac <= 1) {
+		return fmt.Errorf("fl: adversary frac must be in [0,1], got %g", frac)
 	}
 	return nil
 }

@@ -143,6 +143,11 @@ func (c RoundConfig) Validate(parts ...any) error {
 	case c.Quorum > c.ClientsPerRound:
 		return fmt.Errorf("fl: quorum %d exceeds clientsPerRound %d", c.Quorum, c.ClientsPerRound)
 	}
+	// Krum scores each update against its nearest neighbours and needs F+3
+	// of them; a smaller round could only fail its aggregate.
+	if k, ok := c.Aggregator.(Krum); ok && c.ClientsPerRound < k.F+3 {
+		return fmt.Errorf("fl: aggregator %s needs ≥ %d clients per round, got %d", k, k.F+3, c.ClientsPerRound)
+	}
 	if _, err := ParseStragglerPolicy(c.Straggler.String()); err != nil {
 		return err
 	}

@@ -66,20 +66,32 @@ func NewSimulator(cfg SimConfig, method *Method, clients []*partition.Client) (*
 	if err := method.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.round(method).Validate(method.Trainer, method.Aggregator, method.Personalizer); err != nil {
+	if err := cfg.Validate(method, len(clients)); err != nil {
 		return nil, err
 	}
-	switch {
-	case len(clients) == 0:
-		return nil, fmt.Errorf("fl: no clients")
-	case !(cfg.DropoutRate >= 0 && cfg.DropoutRate < 1):
-		return nil, fmt.Errorf("fl: dropout rate must be in [0,1), got %v", cfg.DropoutRate)
-	case cfg.Availability != nil && cfg.DropoutRate > 0:
-		return nil, fmt.Errorf("fl: Availability and DropoutRate are mutually exclusive")
-	case cfg.Quorum > len(clients):
-		return nil, fmt.Errorf("fl: quorum %d exceeds client population %d", cfg.Quorum, len(clients))
-	}
 	return &Simulator{Config: cfg, Method: method, Clients: clients}, nil
+}
+
+// Validate checks c for a run of m over a population of n clients: the
+// round core's rules (RoundConfig.Validate) and the simulator's own — a
+// population, a dropout rate in [0,1) that no availability trace
+// replaces, a quorum the population can meet. NewSimulator runs it, and
+// a sweep grid runs it on every cell before planning.
+func (c *SimConfig) Validate(m *Method, n int) error {
+	if err := c.round(m).Validate(m.Trainer, m.Aggregator, m.Personalizer); err != nil {
+		return err
+	}
+	switch {
+	case n == 0:
+		return fmt.Errorf("fl: no clients")
+	case !(c.DropoutRate >= 0 && c.DropoutRate < 1):
+		return fmt.Errorf("fl: dropout rate must be in [0,1), got %v", c.DropoutRate)
+	case c.Availability != nil && c.DropoutRate > 0:
+		return fmt.Errorf("fl: Availability and DropoutRate are mutually exclusive")
+	case c.Quorum > n:
+		return fmt.Errorf("fl: quorum %d exceeds client population %d", c.Quorum, n)
+	}
+	return nil
 }
 
 // applyDropout removes each id with probability probOf(id), keeping at

@@ -18,10 +18,12 @@ func TestRuntimesRefuseTheSameFederation(t *testing.T) {
 	init := func(*rand.Rand) (param.Vector, error) { return []float64{0}, nil }
 	method := &fl.Method{Name: "add-one", Trainer: addOneTrainer{}, Aggregator: fl.WeightedAverage{},
 		Personalizer: idPersonalizer{}, InitGlobal: init}
-	build := func(f fl.Federation) (simErr, srvErr error) {
-		_, simErr = fl.NewSimulator(fl.SimConfig{Federation: f, Rounds: 2, ClientsPerRound: 2, Seed: 1}, method, clients)
+	build := func(f fl.Federation, agg fl.Aggregator) (simErr, srvErr error) {
+		m := *method
+		m.Aggregator = agg
+		_, simErr = fl.NewSimulator(fl.SimConfig{Federation: f, Rounds: 2, ClientsPerRound: 2, Seed: 1}, &m, clients)
 		srv, srvErr := NewServer(ServerConfig{Federation: f, Addr: "127.0.0.1:0", NumClients: 4, Rounds: 2,
-			ClientsPerRound: 2, Seed: 1, Aggregator: fl.WeightedAverage{}, InitGlobal: init})
+			ClientsPerRound: 2, Seed: 1, Aggregator: agg, InitGlobal: init})
 		if srvErr == nil {
 			_ = srv.listener.Close()
 		}
@@ -30,8 +32,13 @@ func TestRuntimesRefuseTheSameFederation(t *testing.T) {
 	valid := fl.Federation{Quorum: 2, Straggler: fl.StragglerDrop,
 		Availability: &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.1, Amp: 0.1, Period: 4},
 		Adversary:    &fl.Adversary{Kind: fl.AdvSignFlip, Scale: 1, Frac: 0.25}}
-	if simErr, srvErr := build(valid); simErr != nil || srvErr != nil {
+	if simErr, srvErr := build(valid, fl.WeightedAverage{}); simErr != nil || srvErr != nil {
 		t.Fatalf("valid federation refused: simulator %v, server %v", simErr, srvErr)
+	}
+	// Krum needs F+3 updates a round: two clients per round cannot give
+	// krum(0) its three, and both runtimes say so before round 0.
+	if simErr, srvErr := build(fl.Federation{}, fl.Krum{F: 0}); simErr == nil || srvErr == nil {
+		t.Errorf("krum(0) over 2 clients per round: simulator err %v, server err %v; want both refused", simErr, srvErr)
 	}
 	for name, f := range map[string]fl.Federation{
 		"negative quorum":          {Quorum: -1},
@@ -42,7 +49,7 @@ func TestRuntimesRefuseTheSameFederation(t *testing.T) {
 		"resume past rounds": {ResumeFrom: &fl.SimState{Round: 3, Global: []float64{0},
 			History: make([]fl.RoundStats, 3), EligibleCounts: []int{4, 4, 4}}},
 	} {
-		if simErr, srvErr := build(f); simErr == nil || srvErr == nil {
+		if simErr, srvErr := build(f, fl.WeightedAverage{}); simErr == nil || srvErr == nil {
 			t.Errorf("%s: simulator err %v, server err %v; want both refused", name, simErr, srvErr)
 		}
 	}

@@ -10,7 +10,10 @@
 //	          hash of its key, so results are independent of execution
 //	          order, and the environment sub-key excludes the method, so
 //	          every method in a scenario faces the identical federation
-//	          world.
+//	          world. Validation keeps only the grid's own rules (axes,
+//	          duplicates, baseline, cell cap) and asks every cell
+//	          experiments.Scenario.Validate — fl's rules, written once
+//	          there and run by fl.NewSimulator too — at plan time.
 //	Run       a bounded worker pool running whole fl simulations
 //	          concurrently — distinct from the intra-simulation client
 //	          pool; Config.SimBudget splits the hardware budget between

@@ -2,12 +2,16 @@ package sweep
 
 import (
 	"testing"
+
+	"calibre/internal/experiments"
+	"calibre/internal/fl"
 )
 
 // FuzzParseGrid hardens the grid decoder against arbitrary JSON: no input
 // may panic, and any grid that parses must expand within the cell cap with
-// every cell key unique — the invariant the manifest relies on. Discovered
-// seeds live in testdata/fuzz/FuzzParseGrid.
+// every cell key unique — the invariant the manifest relies on — and every
+// cell must pass the check fl.NewSimulator makes, at its scale's sizes.
+// Discovered seeds live in testdata/fuzz/FuzzParseGrid.
 func FuzzParseGrid(f *testing.F) {
 	for _, src := range []string{
 		`{"methods":["fedavg-ft"],"settings":["cifar10-q(2,500)"],"seeds":[1]}`,
@@ -53,6 +57,9 @@ func FuzzParseGrid(f *testing.F) {
 				t.Fatalf("duplicate cell key %q", k)
 			}
 			seen[k] = true
+			if err := simulatorCheck(c); err != nil {
+				t.Fatalf("validated cell %s fails the simulator's check: %v", k, err)
+			}
 		}
 		// The fingerprint — the manifest's identity — must be derivable from
 		// any grid that validates.
@@ -60,4 +67,35 @@ func FuzzParseGrid(f *testing.F) {
 			t.Fatalf("validated grid has no fingerprint: %v", err)
 		}
 	})
+}
+
+// simulatorCheck runs fl's check of a simulator configuration
+// (SimConfig.Validate, which fl.NewSimulator runs) on the federation a
+// cell describes, at its scale's rounds, clients per round and
+// population. It parses the cell's specs itself rather than through the
+// code under test.
+func simulatorCheck(c Cell) error {
+	p, err := experiments.PresetFor(c.Scale)
+	if err != nil {
+		return err
+	}
+	cfg := fl.SimConfig{Rounds: p.Rounds, ClientsPerRound: p.ClientsPerRound, DropoutRate: c.Dropout}
+	cfg.Quorum = c.Quorum
+	if cfg.Straggler, err = fl.ParseStragglerPolicy(c.Straggler); err != nil {
+		return err
+	}
+	agg, err := fl.ParseAggregator(c.Aggregator)
+	if err != nil {
+		return err
+	}
+	if cfg.Adversary, err = fl.ParseAdversary(c.Adversary); err != nil {
+		return err
+	}
+	if cfg.Adversary != nil {
+		cfg.Adversary.Frac = c.AdvFrac
+	}
+	if cfg.Availability, err = fl.ParseTrace(c.Availability); err != nil {
+		return err
+	}
+	return cfg.Validate(&fl.Method{Aggregator: agg}, p.Clients)
 }

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
-	"calibre/internal/baselines"
 	"calibre/internal/experiments"
 	"calibre/internal/fl"
 	"calibre/internal/store"
@@ -21,7 +21,8 @@ const maxCells = 4096
 // sweep runs the full cross product. Zero-valued optional axes default to
 // a single neutral value (no quorum, no dropout, requeue), so
 // the minimal grid is methods × settings × seeds. Grids load from JSON
-// via LoadGrid/ParseGrid or are built directly in Go.
+// via LoadGrid/ParseGrid or are built directly in Go. The ranges the
+// knob axes below name are fl's rules, which Validate asks of each cell.
 type Grid struct {
 	// Name labels the sweep in reports; it does not enter the
 	// fingerprint, so renaming a sweep does not orphan its manifest.
@@ -79,31 +80,22 @@ type Cell = experiments.Scenario
 // normalized returns a copy with optional axes defaulted.
 func (g *Grid) normalized() Grid {
 	out := *g
-	if len(out.Scales) == 0 {
-		out.Scales = []experiments.Scale{experiments.ScaleSmoke}
-	}
-	if len(out.Quorums) == 0 {
-		out.Quorums = []int{0}
-	}
-	if len(out.DropoutRates) == 0 {
-		out.DropoutRates = []float64{0}
-	}
-	if len(out.Stragglers) == 0 {
-		out.Stragglers = []string{fl.StragglerRequeue.String()}
-	}
-	if len(out.Aggregators) == 0 {
-		out.Aggregators = []string{"mean"}
-	}
-	if len(out.Adversaries) == 0 {
-		out.Adversaries = []string{""}
-	}
-	if len(out.AdversaryFracs) == 0 {
-		out.AdversaryFracs = []float64{0}
-	}
-	if len(out.Availability) == 0 {
-		out.Availability = []string{""}
-	}
+	out.Scales = orDefault(out.Scales, experiments.ScaleSmoke)
+	out.Quorums = orDefault(out.Quorums, 0)
+	out.DropoutRates = orDefault(out.DropoutRates, 0)
+	out.Stragglers = orDefault(out.Stragglers, fl.StragglerRequeue.String())
+	out.Aggregators = orDefault(out.Aggregators, "mean")
+	out.Adversaries = orDefault(out.Adversaries, "")
+	out.AdversaryFracs = orDefault(out.AdversaryFracs, 0)
+	out.Availability = orDefault(out.Availability, "")
 	return out
+}
+
+func orDefault[T any](values []T, def T) []T {
+	if len(values) == 0 {
+		return []T{def}
+	}
+	return values
 }
 
 // canonical returns the normalized grid with its spec axes — stragglers,
@@ -138,81 +130,39 @@ func canonicalSpecs[T any](axis string, specs []string, parse func(string) (T, e
 	return out, nil
 }
 
-// Validate checks every axis against the registries and presets, so a
-// bad grid fails at plan time instead of n cells into a sweep.
+// Validate checks the grid's own rules — non-empty axes, no axis entry
+// twice once spelled canonically, a baseline among the methods, the cell
+// cap — and then every cell of the raw cross product, before inert
+// adversary pairings collapse, through Scenario.Validate: the method,
+// setting and scale must be known and the federation one fl accepts at
+// the scale's sizes. So a bad grid fails at plan time instead of n cells
+// into a sweep, on the cells fl.NewSimulator would refuse.
 func (g *Grid) Validate() error {
+	_, err := g.product()
+	return err
+}
+
+// product validates the grid and returns its raw cross product in
+// canonical axis order.
+func (g *Grid) product() ([]Cell, error) {
 	n, err := g.canonical()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(n.Methods) == 0 {
-		return fmt.Errorf("sweep: grid has no methods")
+		return nil, fmt.Errorf("sweep: grid has no methods")
 	}
 	if len(n.Settings) == 0 {
-		return fmt.Errorf("sweep: grid has no settings")
+		return nil, fmt.Errorf("sweep: grid has no settings")
 	}
 	if len(n.Seeds) == 0 {
-		return fmt.Errorf("sweep: grid has no seeds")
-	}
-	for _, m := range n.Methods {
-		if _, _, err := baselines.Resolve(m); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	if n.Baseline != "" {
-		found := false
-		for _, m := range n.Methods {
-			found = found || m == n.Baseline
-		}
-		if !found {
-			return fmt.Errorf("sweep: baseline %q is not one of the grid's methods", n.Baseline)
-		}
-	}
-	settings := experiments.Settings()
-	for _, s := range n.Settings {
-		if _, ok := settings[s]; !ok {
-			return fmt.Errorf("sweep: unknown setting %q (have %v)", s, experiments.SettingNames())
-		}
-	}
-	minPerRound, minClients := -1, -1
-	for _, sc := range n.Scales {
-		preset, err := experiments.PresetFor(sc)
-		if err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-		if minPerRound < 0 || preset.ClientsPerRound < minPerRound {
-			minPerRound = preset.ClientsPerRound
-		}
-		if minClients < 0 || preset.Clients < minClients {
-			minClients = preset.Clients
-		}
-	}
-	// Krum needs F+3 updates per round so at least one scoreable
-	// neighborhood exists; catch impossible pairings at plan time.
-	for _, spec := range n.Aggregators {
-		a, _ := fl.ParseAggregator(spec)
-		if k, ok := a.(fl.Krum); ok && minPerRound < k.F+3 {
-			return fmt.Errorf("sweep: aggregator %s needs ≥ %d clients per round, smallest scale samples %d", spec, k.F+3, minPerRound)
-		}
-	}
-	for _, f := range n.AdversaryFracs {
-		if !(f >= 0 && f <= 1) {
-			return fmt.Errorf("sweep: adversary_frac must be in [0,1], got %g", f)
-		}
-	}
-	for _, a := range n.Availability {
-		if a == "" {
-			continue
-		}
-		for _, d := range n.DropoutRates {
-			if d > 0 {
-				return fmt.Errorf("sweep: availability traces and non-zero dropout_rates are mutually exclusive")
-			}
-		}
+		return nil, fmt.Errorf("sweep: grid has no seeds")
 	}
 	// Duplicate axis entries would expand into cells with identical keys
 	// that each get scheduled (and then collide in the manifest), so every
-	// axis rejects them.
+	// axis rejects them. The axes' sizes multiply to the cell count, kept
+	// in floating point, which cannot wrap around to a small count.
+	total := 1.0
 	for _, axis := range []struct {
 		name   string
 		values []string
@@ -230,29 +180,47 @@ func (g *Grid) Validate() error {
 		{"availability", n.Availability},
 	} {
 		if dup := firstDuplicate(axis.values); dup != "" {
-			return fmt.Errorf("sweep: duplicate %s entry %v", axis.name, dup)
+			return nil, fmt.Errorf("sweep: duplicate %s entry %v", axis.name, dup)
 		}
+		total *= float64(len(axis.values))
 	}
-	for _, q := range n.Quorums {
-		if q < 0 {
-			return fmt.Errorf("sweep: quorum must be ≥0, got %d", q)
-		}
-		if q > minPerRound || q > minClients {
-			return fmt.Errorf("sweep: quorum %d exceeds the smallest scale's clients-per-round (%d) or population (%d)", q, minPerRound, minClients)
-		}
-	}
-	for _, d := range n.DropoutRates {
-		if !(d >= 0 && d < 1) {
-			return fmt.Errorf("sweep: dropout rate must be in [0,1), got %g", d)
-		}
-	}
-	total := len(n.Methods) * len(n.Settings) * len(n.Scales) * len(n.Seeds) *
-		len(n.Quorums) * len(n.DropoutRates) * len(n.Stragglers) *
-		len(n.Aggregators) * len(n.Adversaries) * len(n.AdversaryFracs) * len(n.Availability)
 	if total > maxCells {
-		return fmt.Errorf("sweep: grid expands to %d cells, above the %d-cell cap", total, maxCells)
+		return nil, fmt.Errorf("sweep: grid expands to %.0f cells, above the %d-cell cap", total, maxCells)
 	}
-	return nil
+	cells := []Cell{{}}
+	cells = across(cells, n.Methods, func(c *Cell, v string) { c.Method = v })
+	cells = across(cells, n.Settings, func(c *Cell, v string) { c.Setting = v })
+	cells = across(cells, n.Scales, func(c *Cell, v experiments.Scale) { c.Scale = v })
+	cells = across(cells, n.Seeds, func(c *Cell, v int64) { c.Seed = v })
+	cells = across(cells, n.Quorums, func(c *Cell, v int) { c.Quorum = v })
+	cells = across(cells, n.DropoutRates, func(c *Cell, v float64) { c.Dropout = v })
+	cells = across(cells, n.Stragglers, func(c *Cell, v string) { c.Straggler = v })
+	cells = across(cells, n.Aggregators, func(c *Cell, v string) { c.Aggregator = v })
+	cells = across(cells, n.Adversaries, func(c *Cell, v string) { c.Adversary = v })
+	cells = across(cells, n.AdversaryFracs, func(c *Cell, v float64) { c.AdvFrac = v })
+	cells = across(cells, n.Availability, func(c *Cell, v string) { c.Availability = v })
+	for _, c := range cells {
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+	}
+	if n.Baseline != "" && !slices.Contains(n.Methods, n.Baseline) {
+		return nil, fmt.Errorf("sweep: baseline %q is not one of the grid's methods", n.Baseline)
+	}
+	return cells, nil
+}
+
+// across extends the product by one inner axis: each cell so far, once
+// per value, in order.
+func across[T any](cells []Cell, values []T, set func(*Cell, T)) []Cell {
+	out := make([]Cell, 0, len(cells)*len(values))
+	for _, c := range cells {
+		for _, v := range values {
+			set(&c, v)
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // Expand validates the grid and returns its cells in canonical axis order
@@ -262,49 +230,19 @@ func (g *Grid) Validate() error {
 // to the honest cell, and the resulting duplicates collapse, so the
 // expansion is a pure, duplicate-free function of the grid.
 func (g *Grid) Expand() ([]Cell, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	n, err := g.canonical()
+	product, err := g.product()
 	if err != nil {
 		return nil, err
 	}
 	var cells []Cell
 	seen := make(map[string]bool)
-	for _, m := range n.Methods {
-		for _, s := range n.Settings {
-			for _, sc := range n.Scales {
-				for _, seed := range n.Seeds {
-					for _, q := range n.Quorums {
-						for _, d := range n.DropoutRates {
-							for _, st := range n.Stragglers {
-								for _, agg := range n.Aggregators {
-									for _, adv := range n.Adversaries {
-										for _, frac := range n.AdversaryFracs {
-											for _, avail := range n.Availability {
-												c := Cell{
-													Method: m, Setting: s, Scale: sc, Seed: seed,
-													Quorum: q, Dropout: d, Straggler: st,
-													Aggregator: agg, Adversary: adv, AdvFrac: frac,
-													Availability: avail,
-												}
-												if c.Adversary == "" || c.AdvFrac == 0 {
-													c.Adversary, c.AdvFrac = "", 0
-												}
-												if seen[c.Key()] {
-													continue
-												}
-												seen[c.Key()] = true
-												cells = append(cells, c)
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
+	for _, c := range product {
+		if c.Adversary == "" || c.AdvFrac == 0 {
+			c.Adversary, c.AdvFrac = "", 0
+		}
+		if !seen[c.Key()] {
+			seen[c.Key()] = true
+			cells = append(cells, c)
 		}
 	}
 	return cells, nil
@@ -319,12 +257,17 @@ func (g *Grid) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return fingerprint(cells), nil
+}
+
+// fingerprint digests an expansion's cell keys.
+func fingerprint(cells []Cell) string {
 	keys := make([]string, 0, len(cells)+1)
 	keys = append(keys, "sweep-grid")
 	for _, c := range cells {
 		keys = append(keys, c.Key())
 	}
-	return store.Fingerprint(keys...), nil
+	return store.Fingerprint(keys...)
 }
 
 // ParseGrid decodes a grid from JSON, rejecting unknown fields and

@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"calibre/internal/experiments"
+	"calibre/internal/fl"
 )
 
 // testGrid is the acceptance grid: 3 methods × 2 partitions × 2 seeds =
@@ -178,6 +180,57 @@ func TestGridValidation(t *testing.T) {
 	}
 }
 
+// TestGridAndSimulatorRefuseTheSameCell: a grid asks fl's own rules of
+// each cell, so every bad federation knob a one-cell grid refuses at plan
+// time is one fl.NewSimulator refuses for the World Build makes of that
+// cell, and a valid cell passes both.
+func TestGridAndSimulatorRefuseTheSameCell(t *testing.T) {
+	base := Cell{Method: "fedavg-ft", Setting: "cifar10-q(2,500)", Scale: experiments.ScaleSmoke, Seed: 1, Straggler: "requeue"}
+	env, err := base.Environment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(c Cell) (gridErr, simErr error) {
+		g := &Grid{Methods: []string{c.Method}, Settings: []string{c.Setting}, Scales: []experiments.Scale{c.Scale},
+			Seeds: []int64{c.Seed}, Quorums: []int{c.Quorum}, DropoutRates: []float64{c.Dropout},
+			Stragglers: []string{c.Straggler}, Aggregators: []string{c.Aggregator}, Adversaries: []string{c.Adversary},
+			AdversaryFracs: []float64{c.AdvFrac}, Availability: []string{c.Availability}}
+		w, err := c.BuildOn(env)
+		if err != nil {
+			t.Fatalf("Build %s: %v", c.Key(), err)
+		}
+		cfg := fl.SimConfig{Federation: w.Federation, Rounds: env.Preset.Rounds,
+			ClientsPerRound: env.Preset.ClientsPerRound, Seed: env.Seed, DropoutRate: c.Dropout}
+		_, simErr = fl.NewSimulator(cfg, w.Method, env.Participants)
+		return g.Validate(), simErr
+	}
+	valid := base
+	valid.Quorum, valid.Dropout, valid.Straggler, valid.Aggregator = 2, 0.2, "drop", "krum(0)"
+	valid.Adversary, valid.AdvFrac = "sign-flip", 0.25
+	if gridErr, simErr := check(valid); gridErr != nil || simErr != nil {
+		t.Fatalf("valid cell refused: grid %v, simulator %v", gridErr, simErr)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Cell)
+	}{
+		{"negative quorum", func(c *Cell) { c.Quorum = -1 }},
+		{"quorum above clients per round", func(c *Cell) { c.Quorum = env.Preset.ClientsPerRound + 1 }},
+		{"dropout 1.5", func(c *Cell) { c.Dropout = 1.5 }},
+		{"NaN dropout", func(c *Cell) { c.Dropout = math.NaN() }},
+		{"adversary frac 1.5", func(c *Cell) { c.Adversary, c.AdvFrac = "sign-flip", 1.5 }},
+		{"NaN adversary frac", func(c *Cell) { c.Adversary, c.AdvFrac = "sign-flip", math.NaN() }},
+		{"availability with dropout", func(c *Cell) { c.Availability, c.Dropout = "diurnal(0.1,0.6,8)", 0.2 }},
+		{"krum(f) below f+3 clients per round", func(c *Cell) { c.Aggregator = "krum(1)" }},
+	} {
+		c := base
+		tc.mut(&c)
+		if gridErr, simErr := check(c); gridErr == nil || simErr == nil {
+			t.Errorf("%s: grid err %v, simulator err %v; want both refused", tc.name, gridErr, simErr)
+		}
+	}
+}
+
 func TestGridCellCap(t *testing.T) {
 	g := testGrid()
 	for i := int64(10); i < 2000; i++ {
@@ -185,6 +238,28 @@ func TestGridCellCap(t *testing.T) {
 	}
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized grid accepted: %v", err)
+	}
+}
+
+// TestGridCellCapCannotWrap: ten axes of 128 entries make 2^70 cells, a
+// count an int product wraps around to 0; the grid must still be refused
+// at the cap rather than planned.
+func TestGridCellCapCannotWrap(t *testing.T) {
+	g := &Grid{}
+	for i := 0; i < 128; i++ {
+		g.Methods = append(g.Methods, fmt.Sprintf("m%d", i))
+		g.Settings = append(g.Settings, fmt.Sprintf("s%d", i))
+		g.Scales = append(g.Scales, experiments.Scale(fmt.Sprintf("x%d", i)))
+		g.Seeds = append(g.Seeds, int64(i))
+		g.Quorums = append(g.Quorums, i)
+		g.DropoutRates = append(g.DropoutRates, float64(i)/1000)
+		g.Aggregators = append(g.Aggregators, fmt.Sprintf("krum(%d)", i))
+		g.Adversaries = append(g.Adversaries, fmt.Sprintf("noise(%d)", i+1))
+		g.AdversaryFracs = append(g.AdversaryFracs, float64(i)/1000)
+		g.Availability = append(g.Availability, fmt.Sprintf("markov(0,0.3,%g)", float64(i+1)/1000))
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("a 2^70-cell grid: %v, want the cell cap", err)
 	}
 }
 

@@ -171,10 +171,7 @@ func Run(ctx context.Context, g *Grid, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp, err := g.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
+	fp := fingerprint(cells)
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -323,18 +320,25 @@ func Run(ctx context.Context, g *Grid, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 
-	res := &Result{Grid: *g, Fingerprint: fp, Notes: notes}
+	res := newResult(g, fp, cells, outcomes)
+	res.Notes = notes
+	return res, nil
+}
+
+// newResult files each of the grid's cells as an outcome or, without one,
+// a pending key, both in key order.
+func newResult(g *Grid, fp string, cells []Cell, outcomes map[string]CellResult) *Result {
+	res := &Result{Grid: *g, Fingerprint: fp}
 	for _, c := range cells {
-		out, ok := outcomes[c.Key()]
-		if !ok {
+		if out, ok := outcomes[c.Key()]; ok {
+			res.Cells = append(res.Cells, out)
+		} else {
 			res.Pending = append(res.Pending, c.Key())
-			continue
 		}
-		res.Cells = append(res.Cells, out)
 	}
 	sort.Slice(res.Cells, func(i, j int) bool { return res.Cells[i].Key < res.Cells[j].Key })
 	sort.Strings(res.Pending)
-	return res, nil
+	return res
 }
 
 // Load rebuilds a Result from a sweep directory's manifest without
@@ -345,10 +349,7 @@ func Load(g *Grid, dir string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp, err := g.Fingerprint()
-	if err != nil {
-		return nil, err
-	}
+	fp := fingerprint(cells)
 	man, err := loadManifest(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
@@ -356,18 +357,10 @@ func Load(g *Grid, dir string) (*Result, error) {
 	if man.Fingerprint != fp {
 		return nil, fmt.Errorf("%w: manifest fingerprint %s, grid %s", ErrManifestMismatch, man.Fingerprint, fp)
 	}
-	res := &Result{Grid: *g, Fingerprint: fp}
-	for _, c := range cells {
-		out, ok := man.Cells[c.Key()]
-		if !ok {
-			res.Pending = append(res.Pending, c.Key())
-			continue
-		}
-		out.FromManifest = true
-		res.Cells = append(res.Cells, out)
+	res := newResult(g, fp, cells, man.Cells)
+	for i := range res.Cells {
+		res.Cells[i].FromManifest = true
 	}
-	sort.Slice(res.Cells, func(i, j int) bool { return res.Cells[i].Key < res.Cells[j].Key })
-	sort.Strings(res.Pending)
 	return res, nil
 }
 
