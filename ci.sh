@@ -3,7 +3,8 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + distance-tile + exp + sgd-step + spec-grammar + sweep-grid fuzz smokes, short kernel and sweep benches,
+#                    real-process smoke, wire + matmul + distance-tile + exp + sgd-step + spec-grammar + sweep-grid +
+#                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -205,6 +206,14 @@ go test -run '^$' -fuzz '^FuzzSplit$' -fuzztime 5s ./internal/spec/
 # the cell cap to unique keys, each cell one fl's simulator check accepts.
 echo "== sweep grid fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s ./internal/sweep/
+
+# And for the two file formats a run leaves behind and later reads back: a
+# checkpoint file (store.Decode) and a trace file (trace.ReadAll), torn or
+# corrupted ones included.
+echo "== checkpoint decoder fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/store/
+echo "== trace reader fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 5s ./internal/trace/
 
 # The harness re-reads the file it wrote and exits non-zero if it does not
 # parse, does not record kernel_impl, or a serial-path shape reports

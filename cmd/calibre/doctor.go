@@ -128,7 +128,7 @@ func runReplay(args []string, w io.Writer) error {
 func runLive(args []string, w io.Writer) error {
 	fs := newFlagSet("doctor live")
 	var (
-		p       = addPollFlags(fs, "127.0.0.1:9100", "diagnose one snapshot and exit")
+		p       = addPollFlags(fs, "127.0.0.1:9801", "diagnose one snapshot and exit")
 		spec    = doctorHealthFlag(fs)
 		jsonOut = fs.Bool("json", false, "emit the final diagnosis as JSON (suppresses live alert lines)")
 	)

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -169,5 +172,42 @@ func TestServeAndSweepBuildTheSameFederation(t *testing.T) {
 	// Same scenario, same snapshots: a store one wrote, the other resumes.
 	if a, b := swept.ServerFingerprint(3, 2, 0), served.ServerFingerprint(3, 2, 0); a != b {
 		t.Errorf("server fingerprints differ: %s vs %s", a, b)
+	}
+}
+
+// flagDefault returns the default of flag name as `calibre <path> -h`
+// prints it.
+func flagDefault(t *testing.T, name string, path ...string) string {
+	t.Helper()
+	usage, runErr := capture(t, &os.Stderr, func() error { return run(append(path, "-h")) })
+	if !errors.Is(runErr, flag.ErrHelp) {
+		t.Fatalf("calibre %s -h = %v, want flag.ErrHelp", strings.Join(path, " "), runErr)
+	}
+	m := regexp.MustCompile(`(?m)^\s+-` + regexp.QuoteMeta(name) + ` string\n.*\(default "([^"]*)"\)$`).FindStringSubmatch(usage)
+	if m == nil {
+		t.Fatalf("calibre %s -h prints no default for -%s:\n%s", strings.Join(path, " "), name, usage)
+	}
+	return m[1]
+}
+
+// TestPollDefaultsAreNotTheFederationAddress: `doctor live` and `sweep
+// watch` poll a metrics endpoint by default, never the wire-protocol port
+// `serve` listens on and `join` dials.
+func TestPollDefaultsAreNotTheFederationAddress(t *testing.T) {
+	port := func(addr string) string {
+		_, p, err := net.SplitHostPort(addr)
+		if err != nil {
+			t.Fatalf("default address %q: %v", addr, err)
+		}
+		return p
+	}
+	federation := map[string]bool{
+		port(flagDefault(t, "addr", "serve")): true,
+		port(flagDefault(t, "addr", "join")):  true,
+	}
+	for _, path := range [][]string{{"doctor", "live"}, {"sweep", "watch"}} {
+		if addr := flagDefault(t, "addr", path...); federation[port(addr)] {
+			t.Errorf("calibre %s polls %s by default: the federation's own port", strings.Join(path, " "), addr)
+		}
 	}
 }

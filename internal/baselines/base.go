@@ -26,19 +26,9 @@ type Config struct {
 	Train      model.SupTrainConfig
 	Head       model.HeadConfig
 
-	// DittoLambda is Ditto's proximal strength (default 0.5).
-	DittoLambda float64
-	// APFLAlpha is APFL's personal/global mixture weight (default 0.5).
-	APFLAlpha float64
-	// EMAMomentum is FedEMA's client-side merge momentum scale (default
-	// handled in fedema.go).
-	EMAMomentum float64
 	// ScriptEpochs is the local-only training budget: Script-Fair uses
-	// Head.Epochs, Script-Convergent uses ScriptEpochs (default 80).
+	// Head.Epochs, Script-Convergent uses ScriptEpochs (80 when 0).
 	ScriptEpochs int
-	// UseUnlabeled lets SSL-based baselines (FedEMA) consume unlabeled
-	// pools.
-	UseUnlabeled bool
 	// Augment is the SSL augmentation pipeline (style-aware when the
 	// environment provides generator style directions).
 	Augment data.Augmenter
@@ -51,15 +41,11 @@ type Config struct {
 // DefaultConfig returns baseline settings aligned with the paper.
 func DefaultConfig(arch ssl.Arch, numClasses int) Config {
 	return Config{
-		Arch:         arch,
-		NumClasses:   numClasses,
-		Train:        model.DefaultSupTrainConfig(),
-		Head:         model.DefaultHeadConfig(),
-		DittoLambda:  0.5,
-		APFLAlpha:    0.5,
-		ScriptEpochs: 80,
-		UseUnlabeled: true,
-		Augment:      data.DefaultAugmenter(),
+		Arch:       arch,
+		NumClasses: numClasses,
+		Train:      model.DefaultSupTrainConfig(),
+		Head:       model.DefaultHeadConfig(),
+		Augment:    data.DefaultAugmenter(),
 	}
 }
 

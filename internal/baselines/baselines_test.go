@@ -319,9 +319,7 @@ func TestDittoPersonalModelsPersist(t *testing.T) {
 
 func TestAPFLMixtureUsed(t *testing.T) {
 	clients := testClients(t, 2, 24)
-	cfg := testCfg()
-	cfg.APFLAlpha = 0.5
-	method := NewAPFL(cfg)
+	method := NewAPFL(testCfg())
 	a := method.Trainer.(*apfl)
 	rng := rand.New(rand.NewSource(14))
 	global, err := method.InitGlobal(rng)
@@ -333,13 +331,6 @@ func TestAPFLMixtureUsed(t *testing.T) {
 	}
 	if _, ok := method.Clients.Peek(clients[0].ID); !ok {
 		t.Fatal("apfl must persist the personal branch")
-	}
-	// Out-of-range alpha falls back to 0.5.
-	bad := testCfg()
-	bad.APFLAlpha = 7
-	m2 := NewAPFL(bad)
-	if m2.Trainer.(*apfl).alpha != 0.5 {
-		t.Fatal("alpha out of range should default to 0.5")
 	}
 }
 
@@ -449,7 +440,7 @@ func TestRegistryResumeClassification(t *testing.T) {
 	}
 	stateful := map[string]bool{"scaffold": true, "scaffold-ft": true} // the server control variate
 	cfg := testCfg()
-	for name, build := range Registry() {
+	for name, build := range registry {
 		m, err := build(cfg, 8)
 		if err != nil {
 			t.Fatalf("build %s: %v", name, err)

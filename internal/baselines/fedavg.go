@@ -164,11 +164,15 @@ func NewScriptFair(cfg Config) *fl.Method {
 	}
 }
 
+// scriptConvergentEpochs is Script-Convergent's training budget unless
+// Config.ScriptEpochs sets one.
+const scriptConvergentEpochs = 80
+
 // NewScriptConvergent builds the trained-to-convergence local-only baseline.
 func NewScriptConvergent(cfg Config) *fl.Method {
 	epochs := cfg.ScriptEpochs
 	if epochs < 1 {
-		epochs = 80
+		epochs = scriptConvergentEpochs
 	}
 	s := &script{supBase: newSupBase(cfg), epochs: epochs}
 	return &fl.Method{

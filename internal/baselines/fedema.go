@@ -24,10 +24,9 @@ import (
 // so clients whose models drifted far from the global adopt more of their
 // own weights. Personalization is the standard linear probe.
 type fedEMA struct {
-	cfg    Config
-	arch   ssl.Arch
-	lambda float64
-	train  ssl.TrainConfig
+	cfg   Config
+	arch  ssl.Arch
+	train ssl.TrainConfig
 
 	factory ssl.Factory
 	// clients holds each client's row: its local model, then its BYOL
@@ -41,12 +40,12 @@ var (
 	_ fl.Personalizer = (*fedEMA)(nil)
 )
 
+// emaLambda is the λ of the merge's μ: the paper's autoscaler targets
+// μ≈λ‖Δw‖.
+const emaLambda = 1.0
+
 // NewFedEMA builds FedEMA on BYOL.
 func NewFedEMA(cfg Config) *fl.Method {
-	lambda := cfg.EMAMomentum
-	if lambda <= 0 {
-		lambda = 1.0 // the paper's autoscaler targets μ≈λ‖Δw‖; λ=1 by default
-	}
 	trainCfg := ssl.DefaultTrainConfig()
 	trainCfg.Epochs = 2 * cfg.Train.Epochs // same SSL compute budget as the pfl-*/calibre-* family
 	trainCfg.BatchSize = cfg.Train.BatchSize
@@ -54,7 +53,6 @@ func NewFedEMA(cfg Config) *fl.Method {
 	f := &fedEMA{
 		cfg:     cfg,
 		arch:    cfg.Arch,
-		lambda:  lambda,
 		train:   trainCfg,
 		factory: ssl.NewBYOL(ssl.DefaultEMAMomentum),
 		clients: new(fl.ClientTable),
@@ -99,7 +97,7 @@ func (f *fedEMA) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 	local, target := row[:len(global):len(global)], row[len(global):]
 	if known {
 		div := param.L2Dist(global, local) / math.Max(nn.VecNorm2(global), 1e-12)
-		mu := math.Min(f.lambda*div, 1)
+		mu := math.Min(emaLambda*div, 1)
 		// local ← μ·local + (1-μ)·global, in the row itself
 		if err := nn.VecLerpInto(local, global, local, mu); err != nil {
 			return nil, fmt.Errorf("baselines: fedema client %d merge: %w", client.ID, err)
@@ -115,10 +113,7 @@ func (f *fedEMA) Train(ctx context.Context, rng *rand.Rand, client *partition.Cl
 		f.spares.Give(st)
 		return nil, fmt.Errorf("baselines: fedema client %d: %w", client.ID, err)
 	}
-	rows := client.Train.X
-	if f.cfg.UseUnlabeled {
-		rows = client.SSLRows()
-	}
+	rows := client.SSLRows()
 	loss, err := ssl.Train(rng, st, rows, f.train, nil)
 	st.BindLocal(nil)
 	f.spares.Give(st)

@@ -26,12 +26,16 @@ var (
 	_ fl.Personalizer = (*fedProx)(nil)
 )
 
-// NewFedProx builds FedProx with proximal strength mu (default 0.1 when
+// defaultProxMu is FedProx's proximal strength when NewFedProx is given
+// none: the registry's "fedprox".
+const defaultProxMu = 0.1
+
+// NewFedProx builds FedProx with proximal strength mu (defaultProxMu when
 // non-positive). Personalization fine-tunes the head like FedAvg-FT so the
 // comparison against the personalized methods is fair.
 func NewFedProx(cfg Config, mu float64) *fl.Method {
 	if mu <= 0 {
-		mu = 0.1
+		mu = defaultProxMu
 	}
 	f := &fedProx{supBase: newSupBase(cfg), mu: mu}
 	return &fl.Method{

@@ -20,22 +20,20 @@ import (
 // data, the standard first-order simplification).
 type apfl struct {
 	*supBase
-	alpha float64
 }
+
+// apflAlpha is APFL's mixture weight ᾱ of the personal model.
+const apflAlpha = 0.5
 
 var (
 	_ fl.Trainer      = (*apfl)(nil)
 	_ fl.Personalizer = (*apfl)(nil)
 )
 
-// NewAPFL builds APFL with mixture weight cfg.APFLAlpha. A client's row is
-// its personal model v, read back at personalization time.
+// NewAPFL builds APFL with mixture weight apflAlpha. A client's row is its
+// personal model v, read back at personalization time.
 func NewAPFL(cfg Config) *fl.Method {
-	alpha := cfg.APFLAlpha
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.5
-	}
-	a := &apfl{supBase: newSupBase(cfg), alpha: alpha}
+	a := &apfl{supBase: newSupBase(cfg)}
 	a.clients = new(fl.ClientTable)
 	return &fl.Method{
 		Name:         "apfl",
@@ -79,7 +77,7 @@ func (a *apfl) Train(ctx context.Context, rng *rand.Rand, client *partition.Clie
 	// Personal branch: one local pass updating v from the mixed point
 	// α·v + (1-α)·w, then v takes the result.
 	pm := a.newModel(rng)
-	if err := nn.VecLerpInto(nn.Values(pm), w, v, a.alpha); err != nil {
+	if err := nn.VecLerpInto(nn.Values(pm), w, v, apflAlpha); err != nil {
 		u.GiveBack()
 		return nil, fmt.Errorf("baselines: apfl personal branch: %w", err)
 	}
@@ -98,7 +96,7 @@ func (a *apfl) Personalize(ctx context.Context, rng *rand.Rand, client *partitio
 		return 0, err
 	}
 	m := a.newModel(rng)
-	if err := nn.VecLerpInto(nn.Values(m), global, a.personal(client.ID, global), a.alpha); err != nil {
+	if err := nn.VecLerpInto(nn.Values(m), global, a.personal(client.ID, global), apflAlpha); err != nil {
 		return 0, fmt.Errorf("baselines: apfl mixture: %w", err)
 	}
 	// Light head refresh so novel clients (whose v is the global model) are
@@ -112,22 +110,20 @@ func (a *apfl) Personalize(ctx context.Context, rng *rand.Rand, client *partitio
 // Fairness comes from evaluating the personal models.
 type ditto struct {
 	*supBase
-	lambda float64
 }
+
+// dittoLambda is Ditto's proximal strength λ.
+const dittoLambda = 0.5
 
 var (
 	_ fl.Trainer      = (*ditto)(nil)
 	_ fl.Personalizer = (*ditto)(nil)
 )
 
-// NewDitto builds Ditto with proximal strength cfg.DittoLambda. A client's
-// row is its personal model, which seeds the personalization stage.
+// NewDitto builds Ditto with proximal strength dittoLambda. A client's row
+// is its personal model, which seeds the personalization stage.
 func NewDitto(cfg Config) *fl.Method {
-	lambda := cfg.DittoLambda
-	if lambda <= 0 {
-		lambda = 0.5
-	}
-	d := &ditto{supBase: newSupBase(cfg), lambda: lambda}
+	d := &ditto{supBase: newSupBase(cfg)}
 	d.clients = new(fl.ClientTable)
 	return &fl.Method{
 		Name:         "ditto",
@@ -148,7 +144,7 @@ func (d *ditto) trainPersonal(rng *rand.Rand, client *partition.Client, v, globa
 	}
 	cfg := d.cfg.Train
 	cfg.Epochs = epochs
-	cfg.ProxMu = d.lambda
+	cfg.ProxMu = dittoLambda
 	cfg.ProxTarget = global
 	if _, err := model.TrainSupervised(rng, pm, client.Train, cfg); err != nil {
 		return nil, fmt.Errorf("baselines: ditto personal: %w", err)

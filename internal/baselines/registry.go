@@ -7,19 +7,21 @@ import (
 
 	"calibre/internal/core"
 	"calibre/internal/fl"
+	"calibre/internal/ssl"
 )
 
 // Builder constructs a method given the shared baseline configuration and
 // the total client population size (needed by SCAFFOLD's control update).
 type Builder func(cfg Config, numClients int) (*fl.Method, error)
 
-// Registry returns every baseline and pFL-SSL/Calibre variant evaluated in
-// the paper, keyed by the names used in the figures.
-func Registry() map[string]Builder {
+// registry holds every baseline and pFL-SSL/Calibre variant evaluated in
+// the paper, keyed by the names used in the figures: a pfl-<ssl> and a
+// calibre-<ssl> for every flavour ssl registers. Built once; read only.
+var registry = func() map[string]Builder {
 	reg := map[string]Builder{
 		"fedavg":            wrap(NewFedAvg),
 		"fedavg-ft":         wrap(NewFedAvgFT),
-		"fedprox":           func(cfg Config, _ int) (*fl.Method, error) { return NewFedProx(cfg, 0.1), nil },
+		"fedprox":           func(cfg Config, _ int) (*fl.Method, error) { return NewFedProx(cfg, defaultProxMu), nil },
 		"scaffold":          func(cfg Config, n int) (*fl.Method, error) { return NewScaffold(cfg, n), nil },
 		"scaffold-ft":       func(cfg Config, n int) (*fl.Method, error) { return NewScaffoldFT(cfg, n), nil },
 		"fedper":            wrap(NewFedPer),
@@ -33,8 +35,7 @@ func Registry() map[string]Builder {
 		"script-fair":       wrap(NewScriptFair),
 		"script-convergent": wrap(NewScriptConvergent),
 	}
-	for _, sslName := range []string{"simclr", "byol", "simsiam", "mocov2", "swav", "smog", "vicreg"} {
-		sslName := sslName
+	for _, sslName := range ssl.MethodNames() {
 		reg["pfl-"+sslName] = func(cfg Config, _ int) (*fl.Method, error) {
 			return core.NewPFLSSL(sslConfig(cfg, sslName))
 		}
@@ -43,7 +44,7 @@ func Registry() map[string]Builder {
 		}
 	}
 	return reg
-}
+}()
 
 func wrap(f func(Config) *fl.Method) Builder {
 	return func(cfg Config, _ int) (*fl.Method, error) { return f(cfg), nil }
@@ -58,7 +59,6 @@ func sslConfig(cfg Config, sslName string) core.Config {
 	c.Train.BatchSize = cfg.Train.BatchSize
 	c.Train.Augment = cfg.Augment
 	c.Head = cfg.Head
-	c.UseUnlabeled = cfg.UseUnlabeled
 	if cfg.WarmupRounds > 0 {
 		c.Opts.WarmupRounds = cfg.WarmupRounds
 	}
@@ -69,9 +69,8 @@ func sslConfig(cfg Config, sslName string) core.Config {
 // (see Resolve) are not listed: they are the calibre-<ssl> names with a
 // suffix.
 func MethodNames() []string {
-	reg := Registry()
-	names := make([]string, 0, len(reg))
-	for n := range reg {
+	names := make([]string, 0, len(registry))
+	for n := range registry {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -112,12 +111,11 @@ func VariantSuffixes() []string {
 // exactly as requested. It also reports the SSL flavour the method trains,
 // "" for a supervised one.
 func Resolve(name string) (Builder, string, error) {
-	reg := Registry()
 	base, suffix := name, ""
 	if i := strings.IndexAny(name, "[{"); i > 0 {
 		base, suffix = name[:i], name[i:]
 	}
-	b, ok := reg[base]
+	b, ok := registry[base]
 	if !ok {
 		return nil, "", fmt.Errorf("baselines: unknown method %q (have %v)", name, MethodNames())
 	}

@@ -114,3 +114,18 @@ func TestAllOnVariantsTrainAsCalibre(t *testing.T) {
 		}
 	}
 }
+
+// Resolving a registry name reads a table built once: a sweep resolves
+// every cell's method while it plans, so the lookup allocates nothing.
+func TestResolveRegistryNameAllocatesNothing(t *testing.T) {
+	for _, name := range []string{"fedavg", "calibre-simclr", "pfl-byol"} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, _, err := baselines.Resolve(name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Resolve(%q) allocates %v times a call, want 0", name, allocs)
+		}
+	}
+}

@@ -25,16 +25,10 @@ type SSLTrainer struct {
 	Factory ssl.Factory
 	Cfg     ssl.TrainConfig
 
-	// Reg, when non-nil, applies Calibre's prototype regularizers.
+	// Reg, when non-nil, applies Calibre's prototype regularizers, and
+	// updates report their divergence rate (for fl.DivergenceWeighted
+	// aggregation) over Reg.Opts.NumClusters clusters.
 	Reg *Regularizer
-	// ComputeDivergence reports the divergence rate in updates (used with
-	// fl.DivergenceWeighted aggregation).
-	ComputeDivergence bool
-	// DivergenceClusters is K for the divergence KMeans (defaults to 10).
-	DivergenceClusters int
-	// UseUnlabeled includes the client's unlabeled pool in SSL training
-	// (STL-10's advantage for SSL methods).
-	UseUnlabeled bool
 
 	// clients holds each client's LocalState values, for a Local flavour
 	// (the method's fl.ClientTable); nil for one without local state.
@@ -120,12 +114,11 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	return update, nil
 }
 
-// train is the local update on a bound trainable.
+// train is the local update on a bound trainable. It trains on the
+// client's labeled rows and its unlabeled pool (STL-10's advantage for SSL
+// methods).
 func (t *SSLTrainer) train(rng *rand.Rand, st *ssl.Trainable, client *partition.Client, round int) (*fl.Update, error) {
-	rows := client.Train.X
-	if t.UseUnlabeled {
-		rows = client.SSLRows()
-	}
+	rows := client.SSLRows()
 	var hook ssl.LossHook
 	if t.Reg != nil && round >= t.Reg.Opts.WarmupRounds {
 		hook = t.Reg.Apply
@@ -135,18 +128,14 @@ func (t *SSLTrainer) train(rng *rand.Rand, st *ssl.Trainable, client *partition.
 		return nil, fmt.Errorf("core: local SSL update for client %d: %w", client.ID, err)
 	}
 	update := &fl.Update{ClientID: client.ID, NumSamples: len(rows), TrainLoss: loss}
-	if t.ComputeDivergence {
-		k := t.DivergenceClusters
-		if k < 2 {
-			k = 10
-		}
+	if t.Reg != nil {
 		// The encodings are step values: on the tape, given back with it.
 		tape := nn.BorrowTape()
 		x := tape.Tensor(len(client.Train.X), st.Backbone.Arch.InputDim)
 		for i, r := range client.Train.X {
 			x.SetRow(i, r)
 		}
-		div, err := divergence(tape.Arena(), st.KMeans(), rng, st.Backbone.EncodeOn(tape, x).Value, k)
+		div, err := divergence(tape.Arena(), st.KMeans(), rng, st.Backbone.EncodeOn(tape, x).Value, t.Reg.Opts.NumClusters)
 		tape.Release()
 		if err != nil {
 			return nil, fmt.Errorf("core: divergence for client %d: %w", client.ID, err)
@@ -202,21 +191,18 @@ type Config struct {
 	Train      ssl.TrainConfig
 	Head       model.HeadConfig
 	Opts       Options
-	// UseUnlabeled lets SSL training consume clients' unlabeled pools.
-	UseUnlabeled bool
 }
 
 // DefaultConfig returns a ready-to-run configuration for the given
 // architecture, SSL flavor and class count.
 func DefaultConfig(arch ssl.Arch, sslName string, numClasses int) Config {
 	return Config{
-		Arch:         arch,
-		NumClasses:   numClasses,
-		SSLName:      sslName,
-		Train:        ssl.DefaultTrainConfig(),
-		Head:         model.DefaultHeadConfig(),
-		Opts:         DefaultOptions(),
-		UseUnlabeled: true,
+		Arch:       arch,
+		NumClasses: numClasses,
+		SSLName:    sslName,
+		Train:      ssl.DefaultTrainConfig(),
+		Head:       model.DefaultHeadConfig(),
+		Opts:       DefaultOptions(),
 	}
 }
 
@@ -236,8 +222,7 @@ func New(cfg Config) (*fl.Method, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainer.Cfg, trainer.Reg, trainer.UseUnlabeled = cfg.Train, reg, cfg.UseUnlabeled
-	trainer.ComputeDivergence, trainer.DivergenceClusters = true, cfg.Opts.NumClusters
+	trainer.Cfg, trainer.Reg = cfg.Train, reg
 	return &fl.Method{
 		Name:       fmt.Sprintf("calibre-%s", cfg.SSLName),
 		Trainer:    trainer,
@@ -264,7 +249,7 @@ func NewPFLSSL(cfg Config) (*fl.Method, error) {
 	if err != nil {
 		return nil, err
 	}
-	trainer.Cfg, trainer.UseUnlabeled = cfg.Train, cfg.UseUnlabeled
+	trainer.Cfg = cfg.Train
 	return &fl.Method{
 		Name:       fmt.Sprintf("pfl-%s", cfg.SSLName),
 		Trainer:    trainer,

@@ -155,14 +155,6 @@ func TestSubsetAndLabels(t *testing.T) {
 	if &sub.X[0][0] != &d.X[0][0] {
 		t.Fatal("Subset should share feature storage")
 	}
-	rows := d.Rows([]int{1, 2})
-	if &rows[0][0] != &d.X[1][0] {
-		t.Fatal("Rows should share storage")
-	}
-	labels := d.Labels([]int{1, 2})
-	if labels[0] != d.Y[1] {
-		t.Fatal("Labels mismatch")
-	}
 }
 
 func TestSplitFractions(t *testing.T) {

@@ -110,21 +110,3 @@ func (b *Batcher) Next() ([]int, bool) {
 	b.start = end
 	return batch, true
 }
-
-// Rows gathers the feature rows at idx into a contiguous [][]float64.
-func (d *Dataset) Rows(idx []int) [][]float64 {
-	out := make([][]float64, len(idx))
-	for i, j := range idx {
-		out[i] = d.X[j]
-	}
-	return out
-}
-
-// Labels gathers the labels at idx.
-func (d *Dataset) Labels(idx []int) []int {
-	out := make([]int, len(idx))
-	for i, j := range idx {
-		out[i] = d.Y[j]
-	}
-	return out
-}

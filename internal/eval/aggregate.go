@@ -112,10 +112,10 @@ func ParetoFront(points []ParetoPoint) []ParetoPoint {
 	return front
 }
 
-// VarianceReductionOf is VarianceReduction on raw variance values: the
-// relative reduction of a vs b in percent (positive = a fairer). The
-// sweep report uses it on cross-seed mean variances, where no full
-// Summary exists.
+// VarianceReductionOf is the relative reduction of variance a vs variance
+// b in percent (positive = a fairer), e.g. the paper's "23.8% reduction in
+// variance compared to FedAvg-FT". The sweep report uses it on cross-seed
+// mean variances.
 func VarianceReductionOf(a, b float64) float64 {
 	if b == 0 {
 		return 0

@@ -148,17 +148,3 @@ func IntraInterRatio(feats *tensor.Tensor, labels []int) float64 {
 	}
 	return (intra / float64(nIntra)) / (inter / float64(nInter))
 }
-
-// Improvement returns the percentage-point difference in mean accuracy of a
-// over b (positive = a better), matching how the paper reports margins
-// ("outperforms by 1.71%").
-func Improvement(a, b Summary) float64 {
-	return (a.Mean - b.Mean) * 100
-}
-
-// VarianceReduction returns the relative variance reduction of a vs b in
-// percent (positive = a fairer), e.g. the paper's "23.8% reduction in
-// variance compared to FedAvg-FT".
-func VarianceReduction(a, b Summary) float64 {
-	return VarianceReductionOf(a.Variance, b.Variance)
-}

@@ -114,20 +114,6 @@ func TestIntraInterRatio(t *testing.T) {
 	}
 }
 
-func TestImprovementAndVarianceReduction(t *testing.T) {
-	a := Summary{Mean: 0.75, Variance: 0.01}
-	b := Summary{Mean: 0.70, Variance: 0.02}
-	if got := Improvement(a, b); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("Improvement = %v", got)
-	}
-	if got := VarianceReduction(a, b); math.Abs(got-50) > 1e-9 {
-		t.Fatalf("VarianceReduction = %v", got)
-	}
-	if VarianceReduction(a, Summary{}) != 0 {
-		t.Fatal("zero-variance base should return 0")
-	}
-}
-
 // Property: variance is non-negative and mean lies within [min, max].
 func TestSummaryInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -331,7 +331,7 @@ func TestHealthWarmStartResume(t *testing.T) {
 // monitor's diagnosis exactly.
 func TestHealthRingReplayMatchesLive(t *testing.T) {
 	clients := testClients(t, 10)
-	reg := obs.NewRegistryWithRing(16)
+	reg := obs.NewRegistry()
 	live := health.NewMonitor(nil)
 	cfg := hostileHealthConfig(6)
 	cfg.Obs = reg

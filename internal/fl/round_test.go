@@ -223,7 +223,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			var order []int
 			var sink bytes.Buffer
 			rec := trace.New(&sink, trace.Config{Clock: trace.StepClock(1)})
-			reg := obs.NewRegistryWithRing(4)
+			reg := obs.NewRegistry()
 			var onRound []RoundStats
 			cfg := RoundConfig{
 				Rounds: 1, ClientsPerRound: 4, Seed: seed,
@@ -288,7 +288,7 @@ func TestRoundCoreLedger(t *testing.T) {
 				t.Errorf("phases:\n got %q\nwant %q", phases, wantPhases)
 			}
 			if !tc.metrics {
-				folded := obs.NewRegistryWithRing(4)
+				folded := obs.NewRegistry()
 				(&health.Fold{Obs: folded, Monitor: health.NewMonitor(nil)}).Replay(events)
 				if f, l := folded.Snapshot().Rounds, reg.Snapshot().Rounds; !reflect.DeepEqual(f, l) {
 					t.Errorf("folded trace:\n got %+v\nlive %+v", f, l)

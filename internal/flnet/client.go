@@ -62,7 +62,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) error {
 		return err
 	}
 	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = 2 * time.Minute
+		cfg.IOTimeout = defaultIOTimeout
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second

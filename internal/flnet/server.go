@@ -114,6 +114,10 @@ type Server struct {
 	done   chan struct{} // closed when Run returns; releases workers
 }
 
+// defaultIOTimeout is a connection's IOTimeout, server's and client's
+// alike, when the config sets none.
+const defaultIOTimeout = 2 * time.Minute
+
 // NewServer validates the config and starts listening (so callers can read
 // Addr before clients connect).
 func NewServer(cfg ServerConfig) (*Server, error) {
@@ -121,7 +125,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = 2 * time.Minute
+		cfg.IOTimeout = defaultIOTimeout
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

@@ -139,6 +139,10 @@ type clientState struct {
 // fully stale.
 const decayRounds = 8
 
+// ewmaAlpha is the smoothing factor of every trend detector's EWMA: the
+// loss, the worst-decile loss gap and the straggler rate.
+const ewmaAlpha = 0.3
+
 // Monitor is the streaming detector engine. Feed it one obs.RoundSample
 // per completed round via ObserveRound; read verdicts via Diagnosis. All
 // methods are safe for concurrent use and safe on a nil receiver
@@ -291,8 +295,7 @@ func (m *Monitor) ObserveRound(s obs.RoundSample) []Alert {
 			m.lossEWMA = s.MeanLoss
 			m.bestLoss = s.MeanLoss
 		} else {
-			a := m.cfg.Alpha
-			m.lossEWMA = a*s.MeanLoss + (1-a)*m.lossEWMA
+			m.lossEWMA = ewmaAlpha*s.MeanLoss + (1-ewmaAlpha)*m.lossEWMA
 		}
 		if m.lossEWMA < m.bestLoss {
 			m.bestLoss = m.lossEWMA
@@ -359,8 +362,7 @@ func (m *Monitor) ObserveRound(s obs.RoundSample) []Alert {
 				m.gapInit = true
 				m.gapEWMA = gap
 			} else {
-				a := m.cfg.Alpha
-				m.gapEWMA = a*gap + (1-a)*m.gapEWMA
+				m.gapEWMA = ewmaAlpha*gap + (1-ewmaAlpha)*m.gapEWMA
 			}
 			thr := m.cfg.FairnessFactor * math.Max(math.Abs(m.lossEWMA), 1e-9)
 			firing := m.rounds > m.cfg.FairnessWarmup && m.gapEWMA > thr
@@ -440,8 +442,7 @@ func (m *Monitor) ObserveRound(s obs.RoundSample) []Alert {
 				m.stragInit = true
 				m.stragEWMA = rate
 			} else {
-				a := m.cfg.Alpha
-				m.stragEWMA = a*rate + (1-a)*m.stragEWMA
+				m.stragEWMA = ewmaAlpha*rate + (1-ewmaAlpha)*m.stragEWMA
 			}
 			firing := m.rounds > m.cfg.QuorumWarmup && m.stragEWMA > m.cfg.QuorumStragglerRate
 			edge("quorum-rate", firing, func() Alert {

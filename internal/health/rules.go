@@ -11,7 +11,6 @@ import (
 // from these by NewMonitor, so Config{Divergence: true} means "the
 // divergence rule at stock thresholds".
 const (
-	DefaultAlpha            = 0.3
 	DefaultDivergenceFactor = 1.5
 	DefaultDivergenceWarmup = 3
 	DefaultPlateauWindow    = 16
@@ -32,8 +31,8 @@ const (
 //
 //	non-finite,loss-divergence(1.5,3),norm-z(3.5,2)
 //
-// Rule knobs are positional and optional; Alpha, MaxClients and
-// MaxAlerts are engine-level knobs outside the rule grammar.
+// Rule knobs are positional and optional; MaxClients and MaxAlerts are
+// engine-level knobs outside the rule grammar.
 type Config struct {
 	// NonFinite raises SevCrit when a NaN/Inf appears in the loss or
 	// update-norm stream.
@@ -68,9 +67,6 @@ type Config struct {
 	QuorumStragglerRate float64
 	QuorumWarmup        int
 
-	// Alpha is the EWMA smoothing factor shared by every trend detector
-	// (0 < Alpha ≤ 1; default 0.3).
-	Alpha float64
 	// MaxClients bounds the per-client LRU table (default 4096);
 	// MaxAlerts bounds retained alerts (default 1024, oldest dropped).
 	MaxClients int
@@ -124,9 +120,6 @@ func (c *Config) rules() []rule {
 func (c *Config) normalize() {
 	for _, r := range c.rules() {
 		spec.Default(r.args...)
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
 	}
 	if c.MaxClients < 1 {
 		c.MaxClients = DefaultMaxClients

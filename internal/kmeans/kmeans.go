@@ -27,10 +27,16 @@ type Result struct {
 
 // Config controls a Run.
 type Config struct {
-	K        int
-	MaxIters int     // default 25
-	Tol      float64 // relative inertia improvement to stop; default 1e-4
+	K int
 }
+
+// Lloyd's loop stops after maxIters iterations, or earlier once an
+// iteration lowers the inertia by no more than tol times the previous
+// inertia (times 1 when that is below 1).
+const (
+	maxIters = 25
+	tol      = 1e-4
+)
 
 // Run clusters the rows of x (n×d). K is clamped to n when the batch is
 // smaller than the requested number of clusters; it must be ≥1. The result
@@ -100,14 +106,6 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 	k := cfg.K
 	if k > n {
 		k = n
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 25
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-4
 	}
 
 	// The seeding's distances, every point's to its nearest centre.

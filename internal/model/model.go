@@ -207,8 +207,8 @@ func TrainSupervised(rng *rand.Rand, m *SupModel, ds *data.Dataset, cfg SupTrain
 // gatherBatch assembles the batch idx picks — row(idx[i]) as row i of x,
 // labels[idx[i]] as y[i] — in a (len(idx) × dim) tensor and a label slice
 // borrowed from tape until its next Reset (a nil tape allocates them): what
-// data.Batch(ds.Rows(idx)) and ds.Labels(idx) hold, without the row table or
-// a heap copy.
+// data.Batch of ds.Subset(idx)'s rows and its labels hold, without the row
+// table or a heap copy.
 func gatherBatch(tape *nn.Tape, dim int, row func(int) []float64, labels, idx []int) (x *tensor.Tensor, y []int) {
 	x, y = tape.Tensor(len(idx), dim), tape.Ints(len(idx))
 	for i, j := range idx {

@@ -308,8 +308,8 @@ func TestLocalUpdateAllocatesLessThanOneParameterVector(t *testing.T) {
 }
 
 // TestGatherBatchEqualsTheHeapBatch: the batch a step borrows from its tape
-// is the one data.Batch(ds.Rows(idx)) and ds.Labels(idx) assembled on the
-// heap, on a tape that has lent and taken back other batches and on none.
+// is the one data.Batch and ds.Subset(idx) assemble on the heap, on a tape
+// that has lent and taken back other batches and on none.
 func TestGatherBatchEqualsTheHeapBatch(t *testing.T) {
 	ds := testDataset(t, 3)
 	row := func(j int) []float64 { return ds.X[j] }
@@ -317,7 +317,8 @@ func TestGatherBatchEqualsTheHeapBatch(t *testing.T) {
 	for _, tp := range []*nn.Tape{tape, nil} {
 		for _, idx := range [][]int{{0}, {7, 3, 3, 29}, seq(ds.Len()), {5, 1}} {
 			x, y := gatherBatch(tp, ds.Dim, row, ds.Y, idx)
-			wantX, wantY := data.Batch(ds.Rows(idx)), ds.Labels(idx)
+			sub := ds.Subset(idx)
+			wantX, wantY := data.Batch(sub.X), sub.Y
 			if !tensor.SameShape(x, wantX) || len(y) != len(wantY) {
 				t.Fatalf("batch %v: shape %v and %d labels, want %v and %d", idx, x.Shape(), len(y), wantX.Shape(), len(wantY))
 			}

@@ -19,11 +19,10 @@
 //     accounting from fl.RoundStats, uplink bytes, round
 //     wall-clock), plus a per-client participation table
 //
-// The round ring keeps the most recent 256 samples by default — enough
-// recent history for a scraper while a million-round run holds live
-// memory constant. NewRegistryWithRing(n) widens or narrows the window;
-// counters, histograms and the participation table are unbounded-by-name
-// and unaffected by the ring size.
+// The round ring keeps the most recent 256 samples — enough recent
+// history for a scraper while a million-round run holds live memory
+// constant; counters, histograms and the participation table are
+// unbounded-by-name and unaffected by the ring size.
 //
 // Counter and Gauge handles are lock-free atomics once obtained, so the
 // training hot path never blocks on a scraper: instrumentation costs one

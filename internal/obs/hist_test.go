@@ -128,30 +128,25 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestRegistryWithRing(t *testing.T) {
-	r := NewRegistryWithRing(8)
-	for i := 0; i < 20; i++ {
+// TestRoundRingKeepsLastWindow: the ring holds the last roundWindow
+// samples, oldest first, while the rounds counter sees every one.
+func TestRoundRingKeepsLastWindow(t *testing.T) {
+	r := NewRegistry()
+	if got := len(r.rounds); got != 0 {
+		t.Fatalf("unexpected preallocation: %d", got)
+	}
+	total := roundWindow + 5
+	for i := 0; i < total; i++ {
 		r.ObserveRound(RoundSample{Round: i})
 	}
 	snap := r.Snapshot()
-	if len(snap.Rounds) != 8 {
-		t.Fatalf("custom ring len = %d, want 8", len(snap.Rounds))
+	if len(snap.Rounds) != roundWindow {
+		t.Fatalf("ring len = %d, want %d", len(snap.Rounds), roundWindow)
 	}
-	if snap.Rounds[0].Round != 12 || snap.Rounds[7].Round != 19 {
-		t.Fatalf("custom ring window wrong: %+v", snap.Rounds)
+	if snap.Rounds[0].Round != 5 || snap.Rounds[roundWindow-1].Round != total-1 {
+		t.Fatalf("ring window is rounds %d..%d, want 5..%d", snap.Rounds[0].Round, snap.Rounds[roundWindow-1].Round, total-1)
 	}
-	if snap.Counters[CounterRounds] != 20 {
+	if snap.Counters[CounterRounds] != int64(total) {
 		t.Fatalf("rounds_total = %d", snap.Counters[CounterRounds])
-	}
-	if got := len(NewRegistryWithRing(0).rounds); got != 0 {
-		t.Fatalf("unexpected preallocation: %d", got)
-	}
-	// n < 1 falls back to the 256 default.
-	rd := NewRegistryWithRing(-3)
-	for i := 0; i < roundWindow+5; i++ {
-		rd.ObserveRound(RoundSample{Round: i})
-	}
-	if got := len(rd.Snapshot().Rounds); got != roundWindow {
-		t.Fatalf("fallback ring len = %d, want %d", got, roundWindow)
 	}
 }

@@ -75,9 +75,8 @@ const (
 	HistClientTurnaround = "client_turnaround_ns"
 )
 
-// roundWindow is the default bound on the per-round sample ring: a
-// million-round run keeps live memory constant while the scraper still
-// sees recent history. NewRegistryWithRing overrides it.
+// roundWindow bounds the per-round sample ring: a million-round run keeps
+// live memory constant while the scraper still sees recent history.
 const roundWindow = 256
 
 // clientWindow is the default bound on the per-client participation
@@ -251,7 +250,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 	rounds     []RoundSample
-	ringCap    int
 	// participation is a bounded LRU over client IDs: the map indexes
 	// list elements whose values are *partEntry, with the
 	// most-recently-seen client at the list front. Touch order is the
@@ -268,29 +266,19 @@ type partEntry struct {
 	count int64
 }
 
-// NewRegistry returns an empty registry with the default 256-sample
-// round ring and 4096-client participation table.
+// NewRegistry returns an empty registry with the 256-sample round ring
+// and 4096-client participation table.
 func NewRegistry() *Registry {
-	return newRegistry(roundWindow, clientWindow)
+	return newRegistry(clientWindow)
 }
 
-// NewRegistryWithRing returns an empty registry whose round-sample ring
-// keeps the last n samples (n < 1 falls back to the 256 default). Larger
-// rings give scrapers deeper history at proportional memory cost; the
-// counters and participation table are unaffected.
-func NewRegistryWithRing(n int) *Registry {
-	if n < 1 {
-		n = roundWindow
-	}
-	return newRegistry(n, clientWindow)
-}
-
-func newRegistry(ring, clients int) *Registry {
+// newRegistry is NewRegistry with a participation table of the given
+// size.
+func newRegistry(clients int) *Registry {
 	return &Registry{
 		counters:      make(map[string]*Counter),
 		gauges:        make(map[string]*Gauge),
 		histograms:    make(map[string]*Histogram),
-		ringCap:       ring,
 		participation: make(map[int]*list.Element),
 		partOrder:     list.New(),
 		clientsCap:    clients,
@@ -354,13 +342,9 @@ func (r *Registry) ObserveRound(s RoundSample) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	window := r.ringCap
-	if window < 1 {
-		window = roundWindow
-	}
 	r.rounds = append(r.rounds, s)
-	if len(r.rounds) > window {
-		r.rounds = r.rounds[len(r.rounds)-window:]
+	if len(r.rounds) > roundWindow {
+		r.rounds = r.rounds[len(r.rounds)-roundWindow:]
 	}
 	r.counterLocked(CounterRounds).Add(1)
 	r.counterLocked(CounterResponders).Add(int64(s.Responders))
@@ -395,11 +379,7 @@ func (r *Registry) AddParticipation(ids []int) {
 		}
 		r.participation[id] = r.partOrder.PushFront(&partEntry{id: id, count: 1})
 	}
-	cap := r.clientsCap
-	if cap < 1 {
-		cap = clientWindow
-	}
-	for len(r.participation) > cap {
+	for len(r.participation) > r.clientsCap {
 		back := r.partOrder.Back()
 		delete(r.participation, back.Value.(*partEntry).id)
 		r.partOrder.Remove(back)

@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 func TestParticipationLRUBound(t *testing.T) {
-	r := newRegistry(roundWindow, 3)
+	r := newRegistry(3)
 	r.AddParticipation([]int{1, 2, 3})
 	r.AddParticipation([]int{1, 2, 3})
 	snap := r.Snapshot()

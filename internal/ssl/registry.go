@@ -19,28 +19,25 @@ const (
 	DefaultSMoGMomentum = 0.99
 )
 
-// Factories returns the named standard factories for every SSL method the
-// paper evaluates.
-func Factories() map[string]Factory {
-	return map[string]Factory{
-		"simclr":  NewSimCLR(DefaultTau),
-		"byol":    NewBYOL(DefaultEMAMomentum),
-		"simsiam": NewSimSiam(),
-		"mocov2":  NewMoCoV2(DefaultTau, DefaultEMAMomentum, DefaultQueueSize),
-		"swav":    NewSwAV(DefaultSwAVProtos, DefaultTau),
-		"smog":    NewSMoG(DefaultSMoGGroups, DefaultTau, DefaultSMoGMomentum),
-		// vicreg extends beyond the paper's six methods (see vicreg.go);
-		// it is not part of the figure rosters but plugs into the same
-		// pfl-*/calibre-* pipelines.
-		"vicreg": NewVICReg(),
-	}
+// factories holds the named standard factories for every SSL method the
+// paper evaluates. Built once; read only.
+var factories = map[string]Factory{
+	"simclr":  NewSimCLR(DefaultTau),
+	"byol":    NewBYOL(DefaultEMAMomentum),
+	"simsiam": NewSimSiam(),
+	"mocov2":  NewMoCoV2(DefaultTau, DefaultEMAMomentum, DefaultQueueSize),
+	"swav":    NewSwAV(DefaultSwAVProtos, DefaultTau),
+	"smog":    NewSMoG(DefaultSMoGGroups, DefaultTau, DefaultSMoGMomentum),
+	// vicreg extends beyond the paper's six methods (see vicreg.go);
+	// it is not part of the figure rosters but plugs into the same
+	// pfl-*/calibre-* pipelines.
+	"vicreg": NewVICReg(),
 }
 
 // MethodNames lists the registered method names in sorted order.
 func MethodNames() []string {
-	fs := Factories()
-	names := make([]string, 0, len(fs))
-	for n := range fs {
+	names := make([]string, 0, len(factories))
+	for n := range factories {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -49,7 +46,7 @@ func MethodNames() []string {
 
 // Lookup returns the standard factory for name.
 func Lookup(name string) (Factory, error) {
-	f, ok := Factories()[name]
+	f, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("ssl: unknown method %q (have %v)", name, MethodNames())
 	}

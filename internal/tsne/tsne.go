@@ -15,22 +15,25 @@ import (
 
 // Config controls an embedding run.
 type Config struct {
-	// OutputDims is almost always 2.
-	OutputDims int
 	// Perplexity balances local/global structure (typical 5-50).
 	Perplexity float64
-	// Iters is the number of gradient steps (default 300).
+	// Iters is the number of gradient steps (300 when < 1).
 	Iters int
-	// LearningRate defaults to 100.
-	LearningRate float64
-	// EarlyExaggeration multiplies affinities for the first quarter of the
-	// iterations (default 4).
-	EarlyExaggeration float64
 }
+
+// The embedding is two-dimensional; its gradient steps run at a fixed
+// learning rate, with the affinities multiplied by earlyExaggeration for
+// the first quarter of the iterations.
+const (
+	outputDims        = 2
+	learningRate      = 100
+	earlyExaggeration = 4
+	defaultIters      = 300
+)
 
 // DefaultConfig returns sensible settings for figure-scale inputs.
 func DefaultConfig() Config {
-	return Config{OutputDims: 2, Perplexity: 20, Iters: 300, LearningRate: 100, EarlyExaggeration: 4}
+	return Config{Perplexity: 20, Iters: defaultIters}
 }
 
 // Embed computes a low-dimensional embedding of the rows of x.
@@ -39,17 +42,8 @@ func Embed(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*tensor.Tensor, error)
 	if n < 2 {
 		return nil, fmt.Errorf("tsne: need ≥2 points, got %d", n)
 	}
-	if cfg.OutputDims < 1 {
-		cfg.OutputDims = 2
-	}
 	if cfg.Iters < 1 {
-		cfg.Iters = 300
-	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = 100
-	}
-	if cfg.EarlyExaggeration <= 0 {
-		cfg.EarlyExaggeration = 4
+		cfg.Iters = defaultIters
 	}
 	perp := cfg.Perplexity
 	maxPerp := float64(n-1) / 3
@@ -64,18 +58,18 @@ func Embed(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*tensor.Tensor, error)
 	// Early exaggeration.
 	exagIters := cfg.Iters / 4
 	for i := range p {
-		p[i] *= cfg.EarlyExaggeration
+		p[i] *= earlyExaggeration
 	}
 
-	y := tensor.RandN(rng, 1e-2, n, cfg.OutputDims)
-	vel := tensor.New(n, cfg.OutputDims)
-	grad := tensor.New(n, cfg.OutputDims)
+	y := tensor.RandN(rng, 1e-2, n, outputDims)
+	vel := tensor.New(n, outputDims)
+	grad := tensor.New(n, outputDims)
 	q := make([]float64, n*n)
 	num := make([]float64, n*n)
 
 	for iter := 0; iter < cfg.Iters; iter++ {
 		if iter == exagIters {
-			inv := 1 / cfg.EarlyExaggeration
+			inv := 1.0 / earlyExaggeration
 			for i := range p {
 				p[i] *= inv
 			}
@@ -122,7 +116,7 @@ func Embed(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*tensor.Tensor, error)
 			yi := y.Row(i)
 			gi := grad.Row(i)
 			for d := range yi {
-				vi[d] = momentum*vi[d] - cfg.LearningRate*gi[d]
+				vi[d] = momentum*vi[d] - learningRate*gi[d]
 				yi[d] += vi[d]
 			}
 		}
