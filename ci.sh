@@ -3,7 +3,7 @@
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + distance-tile + exp + sgd-step + spec-grammar + sweep-grid +
+#                    real-process smoke, wire + matmul + compaction + distance-tile + exp + sgd-step + spec-grammar + sweep-grid +
 #                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
@@ -181,6 +181,12 @@ go test -run '^$' -fuzz '^FuzzWireDecoder$' -fuzztime 5s ./internal/flnet/
 # not hold, on both implementations of the row primitives.
 echo "== matmul oracle fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzMatMulMatchesNaive$' -fuzztime 5s ./internal/tensor/
+
+# And for the row kernel's left-pack against the loop it replaced: lengths,
+# start offsets, keep ratios, special values and offset steps beyond the
+# corpus, on both implementations.
+echo "== compaction fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzCompactRowMatchesScalar$' -fuzztime 5s ./internal/tensor/
 
 # And for the k-means distance tile against the scalar SqDist loop: row
 # lengths, offsets, repeated rows and special values beyond the corpus.

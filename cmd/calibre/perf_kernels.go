@@ -137,6 +137,9 @@ func kernelOps() []kernelOp {
 	}
 }
 
+// benchKernels times every kernel op on dense size³ cubes, which skip no
+// coefficient, and then matmul and matmul-transa at the federation's
+// ReLU-sparse layer (benchReLULayer).
 func benchKernels(minTime time.Duration, sizes []int) []KernelBenchRecord {
 	rng := rand.New(rand.NewSource(1))
 	var records []KernelBenchRecord
@@ -145,19 +148,63 @@ func benchKernels(minTime time.Duration, sizes []int) []KernelBenchRecord {
 			a := tensor.RandN(rng, 1, size, size)
 			b := tensor.RandN(rng, 1, size, size)
 			out := tensor.New(size, size)
-			serialNs, _, _ := measure(minTime, func() { op.serial(out, a, b) })
-			pooledNs, allocs, _ := measure(minTime, func() { op.pooled(out, a, b) })
-			records = append(records, KernelBenchRecord{
-				Op:              op.name,
-				Shape:           fmt.Sprintf("%dx%dx%d", size, size, size),
-				NsOp:            pooledNs,
-				AllocsOp:        allocs,
-				SerialNsOp:      serialNs,
-				SpeedupVsSerial: float64(serialNs) / float64(pooledNs),
-			})
+			records = append(records, kernelRecord(minTime, op.name, fmt.Sprintf("%dx%dx%d", size, size, size),
+				func() { op.serial(out, a, b) }, func() { op.pooled(out, a, b) }))
 		}
 	}
-	return records
+	return append(records, benchReLULayer(minTime)...)
+}
+
+// kernelRecord times one kernel op at one shape, serial and pooled.
+func kernelRecord(minTime time.Duration, op, shape string, serial, pooled func()) KernelBenchRecord {
+	serialNs, _, _ := measure(minTime, serial)
+	pooledNs, allocs, _ := measure(minTime, pooled)
+	return KernelBenchRecord{
+		Op:              op,
+		Shape:           shape,
+		NsOp:            pooledNs,
+		AllocsOp:        allocs,
+		SerialNsOp:      serialNs,
+		SpeedupVsSerial: float64(serialNs) / float64(pooledNs),
+	}
+}
+
+// The federation's ReLU-sparse layer: a batch of reluBatch activations of
+// width reluIn behind a ReLU, multiplied into reluOut outputs — the small
+// model's hidden layer that every bench/ workload but net-wide-ops trains.
+const reluBatch, reluIn, reluOut = 32, 96, 48
+
+// benchReLULayer times the two products of that layer that skip zero
+// coefficients: the forward x·W (matmul) and the weight gradient xᵀ·g
+// (matmul-transa). About half of every x is +0, as behind a ReLU, and
+// sixteen such x rotate from call to call, as in tensor's
+// BenchmarkFederationShapes: with one repeated x the branch predictor
+// learns where its zeros are, and a cost that depends on them reads as
+// smaller than it is in training.
+func benchReLULayer(minTime time.Duration) []KernelBenchRecord {
+	rng := rand.New(rand.NewSource(2))
+	xs := make([]*tensor.Tensor, 16)
+	for i := range xs {
+		xs[i] = tensor.RandN(rng, 1, reluBatch, reluIn)
+		d := xs[i].Data()
+		for j, v := range d {
+			d[j] = max(v, 0)
+		}
+	}
+	w, g := tensor.RandN(rng, 1, reluIn, reluOut), tensor.RandN(rng, 1, reluBatch, reluOut)
+	y, dw := tensor.New(reluBatch, reluOut), tensor.New(reluIn, reluOut)
+	calls := 0
+	x := func() *tensor.Tensor {
+		calls++
+		return xs[calls%len(xs)]
+	}
+	shape := fmt.Sprintf("%dx%dx%d-relu", reluBatch, reluIn, reluOut)
+	return []KernelBenchRecord{
+		kernelRecord(minTime, "matmul", shape,
+			func() { tensor.MatMulSerialInto(y, x(), w) }, func() { tensor.MatMulInto(y, x(), w) }),
+		kernelRecord(minTime, "matmul-transa", shape,
+			func() { tensor.MatMulTransASerialInto(dw, x(), g) }, func() { tensor.MatMulTransAInto(dw, x(), g) }),
+	}
 }
 
 // benchSerialVsPool times fn with a one-worker pool and with the configured

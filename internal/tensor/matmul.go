@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // The MatMul family is the hot path of every SSL forward/backward pass.
 // All three products run on two micro-kernels, each restricted to a
@@ -13,12 +10,14 @@ import (
 //  1. mulRowsRange, the fused row kernel behind a·b and aᵀ·b. Both products
 //     are, per output row, orow += Σ_p coef_p·b[p,:] with coef_p = a[i,p]
 //     resp. a[p,i], and both skip coef_p == 0 (ReLU activations make a
-//     sparse, and 0·Inf must never be formed). The kernel compresses the
-//     non-zero coefficients of a block of blockK values of p once, without
-//     a branch (behind a ReLU the zero test is a coin flip, and as a
-//     mispredicted branch per (i,p) it cost as much as the arithmetic it
-//     guards), and then streams orow with four b rows fused per pass
-//     (axpyRows),
+//     sparse, and 0·Inf must never be formed). The kernel left-packs the
+//     non-zero coefficients of a block of blockK values of p once, with
+//     their b-row offsets and without a branch (compactRow: behind a ReLU
+//     the zero test is a coin flip, and as a mispredicted branch per (i,p)
+//     it cost as much as the arithmetic it guards) — for aᵀ·b, whose
+//     coefficients are a column of a, after gathering four output rows'
+//     coefficients per pass, one contiguous load of four per p — and then
+//     streams orow with four b rows fused per pass (axpyRows),
 //     orow[j] = (((orow[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) + c3·b3[j],
 //     which is the same left-to-right chain of roundings as four separate
 //     orow[j] += c·b[j] sweeps (what a remainder under four gets) but
@@ -27,12 +26,13 @@ import (
 //     contiguous, so four a rows meet four b rows in sixteen accumulators
 //     (dotTile), each a plain dot product over ascending p.
 //
-// What is Go and what is not: blocking, coefficient compression, tiling,
-// row splitting and the clear are here, once, for every platform. Only the
-// innermost loops over j (axpyRows) and p (dotTile) are primitives, with
+// What is Go and what is not: blocking, the aᵀ·b gather, tiling, row
+// splitting and the clear are here, once, for every platform. The innermost
+// loops over j (axpyRows) and p (compactRow, dotTile) are primitives, with
 // a portable Go body and, on amd64 with AVX2, an assembly body that runs
-// the same multiply-then-add per element four elements at a time — see
-// rowprim.go for why that is bit-identical and how the choice is made.
+// the same multiply-then-add per element four elements at a time, or packs
+// four coefficients per compare — see rowprim.go for why that is
+// bit-identical and how the choice is made.
 //
 // The serial entries (MatMulSerialInto and friends) are those kernels over
 // the full row range; the public entries (MatMulInto and friends) split the
@@ -69,7 +69,8 @@ const (
 	// blockK is how many values of the inner index p the row kernel
 	// compresses per pass: blockK rows of b stay hot while every output
 	// row of the range consumes them, and the non-zero coefficients of one
-	// pass live in a fixed-size stack buffer.
+	// pass (and aᵀ·b's gathered coefficients of four rows) live in
+	// fixed-size stack buffers.
 	blockK = 64
 
 	// minRowsPerTask bounds how finely parallelRows may split the output,
@@ -165,33 +166,55 @@ func matMulTransARange(out, a, b *Tensor, lo, hi int) {
 
 // mulRowsRange is the fused row kernel: for every output row i in [lo, hi),
 // out[i,:] = Σ_p coef(i,p)·b[p,:] over ascending p, skipping zero
-// coefficients, where coef(i,p) = a[i·strideI + p·strideP] and b is k×n.
-// p advances in blocks of blockK so that a block of b rows is reused by the
-// whole row range while hot; within a block each row's non-zero
-// coefficients are compressed once and then applied by axpyRows, four b
-// rows per pass over the output row. Every out[i,j] still receives its
-// terms one at a time, in ascending p, through a single accumulator. The
-// offsets p·n ascend, as axpyRows requires.
+// coefficients, where coef(i,p) = a[i·strideI + p·strideP] and b is k×n;
+// one of the strides is 1. p advances in blocks of blockK so that a block
+// of b rows is reused by the whole row range while hot; within a block each
+// row's non-zero coefficients are left-packed once (compactRow) and then
+// applied by axpyRows, four b rows per pass over the output row. For a·b
+// (strideP == 1) a row's coefficients are contiguous and are packed where
+// they lie; for aᵀ·b (strideI == 1) they are a column of a, so four output
+// rows' coefficients are gathered per pass over the block, one contiguous
+// load of four per p, into a stack buffer the pack reads, and the last one
+// to three rows one at a time. Every out[i,j] still receives its terms one
+// at a time, in ascending p, through a single accumulator. The offsets p·n
+// ascend, as axpyRows requires.
 func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
 	clear(out[lo*n : hi*n])
 	var (
 		coef [blockK]float64
 		brow [blockK]int // offset of the coefficient's b row
+		col  [4][blockK]float64
 	)
+	apply := func(i int, src []float64, p0 int) {
+		nz := compactRow(coef[:], brow[:], src, p0*n, n)
+		axpyRows(out[i*n:(i+1)*n], b, brow[:nz], coef[:nz])
+	}
 	for p0 := 0; p0 < k; p0 += blockK {
 		p1 := min(p0+blockK, k)
-		for i := lo; i < hi; i++ {
-			nz := 0
-			for p, at := p0, i*strideI+p0*strideP; p < p1; p, at = p+1, at+strideP {
-				// Store unconditionally, keep the slot only if c != 0: shifting
-				// the sign bit out leaves zero for exactly ±0, and u|−u has its
-				// top bit set for every other pattern (NaN and Inf included).
-				c := a[at]
-				coef[nz], brow[nz] = c, p*n
-				u := math.Float64bits(c) << 1
-				nz += int((u | -u) >> 63)
+		if strideP == 1 {
+			for i := lo; i < hi; i++ {
+				apply(i, a[i*strideI+p0:i*strideI+p1], p0)
 			}
-			axpyRows(out[i*n:(i+1)*n], b, brow[:nz], coef[:nz])
+			continue
+		}
+		c0 := col[0][:p1-p0]
+		c1, c2, c3 := col[1][:len(c0)], col[2][:len(c0)], col[3][:len(c0)]
+		i := lo
+		for ; i+4 <= hi; i += 4 {
+			for q, at := 0, p0*strideP+i; q < len(c0); q, at = q+1, at+strideP {
+				g := a[at : at+4]
+				c0[q], c1[q], c2[q], c3[q] = g[0], g[1], g[2], g[3]
+			}
+			apply(i, c0, p0)
+			apply(i+1, c1, p0)
+			apply(i+2, c2, p0)
+			apply(i+3, c3, p0)
+		}
+		for ; i < hi; i++ {
+			for q, at := 0, p0*strideP+i; q < len(c0); q, at = q+1, at+strideP {
+				c0[q] = a[at]
+			}
+			apply(i, c0, p0)
 		}
 	}
 }

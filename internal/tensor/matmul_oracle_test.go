@@ -219,15 +219,17 @@ func TestKernelsMatchNaive(t *testing.T) {
 // the buffer's length, at k on both sides of one block and into a third;
 // all-zero rows, which keep none; and rows that hold −0, NaN and ±Inf as
 // coefficients next to kept and skipped neighbours — −0 must be skipped
-// (0·Inf must not be formed with the Infs in b), NaN and ±Inf kept.
+// (0·Inf must not be formed with the Infs in b), NaN and ±Inf kept. m = 9,
+// 10 and 11 leave one to three rows after aᵀ·b's four-row gathers, and
+// k = blockK+1 and blockK+2 a last block of one or two coefficients.
 func TestCompactionEdgesMatchNaive(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	coefSpecials := []float64{negZero, math.NaN(), math.Inf(1), math.Inf(-1), 0}
 	forceWorkers(t, 2)
-	for _, k := range []int{blockK - 1, blockK, blockK + 1, 2*blockK + 3} {
-		for _, n := range []int{1, 5, 8} {
+	for _, k := range []int{blockK - 1, blockK, blockK + 1, blockK + 2, 2*blockK + 3} {
+		for _, mn := range [...]struct{ m, n int }{{9, 1}, {9, 5}, {9, 8}, {10, 1}, {10, 5}, {10, 8}, {11, 1}, {11, 5}, {11, 8}} {
+			m, n := mn.m, mn.n
 			rng := rand.New(rand.NewSource(int64(29 + k)))
-			const m = 9
 			a := New(m, k)
 			for i, v := range RandN(rng, 1, m, k).data {
 				a.data[i] = v + math.Copysign(0.5, v) // never zero

@@ -6,8 +6,10 @@ import "math"
 // (matmul.go), of AddScaled and AddScaledRows, of the distance tile behind
 // k-means and of the bias/ReLU sweeps of a fused layer: loop bodies over
 // contiguous float64 rows — axpyRows, which adds scaled rows to a row;
-// dotTile, a 4×4 tile of dot products; sqDistTile, a 4×4 tile of squared
-// distances; biasRows, a bias added to every row (then ReLU, if asked);
+// compactRow, which left-packs a row's non-zero coefficients with their
+// b-row offsets for axpyRows; dotTile, a 4×4 tile of dot products;
+// sqDistTile, a 4×4 tile of squared distances; biasRows, a bias added to
+// every row (then ReLU, if asked);
 // reluMask, a gradient kept where an output is positive; expShift, the
 // shifted exponential of a softmax row; and the optimizer's three sweeps,
 // sgdStep, SGD's update of a run of parameters, sumSquares, the gradients'
@@ -30,6 +32,11 @@ import "math"
 // which elements are in flight together, never the chain of roundings of
 // any one of them, so the assembly is held to the same oracle as the loops
 // it replaces (matmul_oracle_test.go, rowprim_test.go).
+//
+// compactRow does no arithmetic: it moves the bits of the entries that are
+// not ±0, and both bodies keep exactly those, in order
+// (TestCompactRowEveryLaneMask holds them to the loop mulRowsRange ran
+// inline before).
 //
 // sumSquares is the exception to "in the order the expression is written":
 // it sums in sixteen chains, the order spelled out in sumSquaresGeneric,
@@ -87,6 +94,25 @@ func axpyRowsGeneric(o, b []float64, offs []int, coefs []float64) {
 			o[j] += c0 * b0[j]
 		}
 	}
+}
+
+// compactRowGeneric left-packs the coefficients of src that are not ±0 into
+// coef, in order, each with its offset off0 + p·step (p its index in src)
+// at the same index of off, and returns how many it kept: NaN, ±Inf and
+// subnormals are kept. coef and off are at least as long as src. Every
+// entry is stored and its slot kept only if its bits are not ±0 — shifting
+// the sign bit out leaves zero for exactly ±0, and u|−u has its top bit set
+// for every other pattern — because behind a ReLU the zero test is a coin
+// flip, and as a mispredicted branch per entry it cost as much as the
+// arithmetic it guards.
+func compactRowGeneric(coef []float64, off []int, src []float64, off0, step int) int {
+	nz := 0
+	for p, c := range src {
+		coef[nz], off[nz] = c, off0+p*step
+		u := math.Float64bits(c) << 1
+		nz += int((u | -u) >> 63)
+	}
+	return nz
 }
 
 // dotTileGeneric is the a·bᵀ tile: o[r·ldo + j] = Σ_p a[r·k + p]·b[j·k + p]

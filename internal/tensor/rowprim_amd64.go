@@ -23,6 +23,9 @@ func cpuHasFMA() bool
 func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64)
 
 //go:noescape
+func compactRowAVX2(coef []float64, off []int, src []float64, off0, step int) int
+
+//go:noescape
 func dotTileAVX2(o []float64, ldo int, a, b []float64, k int)
 
 //go:noescape
@@ -60,6 +63,18 @@ func axpyRows(o, b []float64, offs []int, coefs []float64) {
 		return
 	}
 	axpyRowsGeneric(o, b, offs, coefs)
+}
+
+// compactRow left-packs the entries of src whose bits are not ±0 into coef,
+// each with its offset off0 + p·step into off, and returns how many it kept.
+// The assembly stores whole groups of four lanes at the next free slot, so
+// coef and off must be at least as long as src.
+func compactRow(coef []float64, off []int, src []float64, off0, step int) int {
+	if useAVX2 {
+		_, _ = coef[:len(src)], off[:len(src)] // the assembly trusts these extents
+		return compactRowAVX2(coef, off, src, off0, step)
+	}
+	return compactRowGeneric(coef, off, src, off0, step)
 }
 
 // dotTile computes the 4×4 tile o[r·ldo + j] = Σ_p a[r·k + p]·b[j·k + p]

@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // The AVX2 row primitives behind rowprim_amd64.go. Every lane is one output
-// element going through the roundings of the portable loop in rowprim.go:
+// element going through the roundings of the portable loop in rowprim.go
+// (compactRowAVX2, which only moves bits, aside):
 // VMULPD then VADDPD, never a fused multiply-add, and no sum is reassociated
 // but sumSquaresAVX2's, which sums in the sixteen chains sumSquaresGeneric
 // spells out. The one exception to "never FMA" is expShiftAVX2, whose lanes
@@ -12,8 +13,11 @@
 // branch. Loads and stores are
 // unaligned (operands are arbitrary sub-slices), tails shorter than a vector
 // run the same instructions in their scalar form (expShiftAVX2's, as a masked
-// group of four), and every routine ends in VZEROUPPER because the Go code
-// around it uses legacy SSE encodings.
+// group of four; compactRowAVX2's in integer registers), and every routine
+// ends in VZEROUPPER because the Go code around it uses legacy SSE
+// encodings. Inside a routine every instruction on a vector register is
+// VEX-encoded: a legacy-SSE one next to dirty upper YMM halves costs a
+// state transition or a false dependency on every execution.
 
 // func cpuHasAVX2() bool
 //
@@ -190,6 +194,120 @@ single1:
 	JMP    single1
 
 rowsDone:
+	VZEROUPPER
+	RET
+
+// The left-pack tables of compactRowAVX2, indexed by the keep mask m of a
+// group of four (bit l set: lane l kept). PERM(m, …) lists the source lanes
+// of the four output lanes, kept lanes first in ascending order, then the
+// dropped ones; each 64-bit lane l is VPERMPS's pair of 32-bit indices
+// 2l, 2l+1, so one table moves both the coefficients and their offsets.
+// compactcount holds the number of kept lanes, a byte per mask: cpuHasAVX2
+// does not probe for POPCNT.
+#define PERM(m, l0, l1, l2, l3) DATA compactperm<>+(m*32)(SB)/8, $(((2*l0+1)<<32)+2*l0); DATA compactperm<>+(m*32+8)(SB)/8, $(((2*l1+1)<<32)+2*l1); DATA compactperm<>+(m*32+16)(SB)/8, $(((2*l2+1)<<32)+2*l2); DATA compactperm<>+(m*32+24)(SB)/8, $(((2*l3+1)<<32)+2*l3)
+
+PERM(0, 0, 1, 2, 3)
+PERM(1, 0, 1, 2, 3)
+PERM(2, 1, 0, 2, 3)
+PERM(3, 0, 1, 2, 3)
+PERM(4, 2, 0, 1, 3)
+PERM(5, 0, 2, 1, 3)
+PERM(6, 1, 2, 0, 3)
+PERM(7, 0, 1, 2, 3)
+PERM(8, 3, 0, 1, 2)
+PERM(9, 0, 3, 1, 2)
+PERM(10, 1, 3, 0, 2)
+PERM(11, 0, 1, 3, 2)
+PERM(12, 2, 3, 0, 1)
+PERM(13, 0, 2, 3, 1)
+PERM(14, 1, 2, 3, 0)
+PERM(15, 0, 1, 2, 3)
+GLOBL compactperm<>(SB), RODATA, $512
+
+DATA compactcount<>+0(SB)/8, $0x0302020102010100 // masks 0–7
+DATA compactcount<>+8(SB)/8, $0x0403030203020201 // masks 8–15
+GLOBL compactcount<>(SB), RODATA, $16
+
+// func compactRowAVX2(coef []float64, off []int, src []float64, off0, step int) int
+//
+// Left-packs the entries of src whose bits are not ±0 into coef, each with
+// its offset off0 + p·step into off, and returns how many it kept. Four
+// lanes at a time: VCMPPD's not-equal, unordered predicate is false for
+// exactly ±0 (NaN is unordered, so kept; MXCSR's DAZ is clear, so
+// subnormals compare non-zero), VMOVMSKPD makes the keep mask, and VPERMPS
+// moves the kept coefficients and their offsets to the group's front, both
+// stored whole at the next free slot — the dropped lanes land past it and
+// are overwritten or never read. The last one to three entries take the
+// portable loop's branch-free form in integer registers. Every instruction
+// that touches a vector register is VEX-encoded: one legacy-SSE form here
+// (a MOVQ into an X register) made the routine slower than the portable
+// loop. The caller has checked that coef and off are at least as long as
+// src.
+TEXT ·compactRowAVX2(SB), NOSPLIT, $0-96
+	MOVQ coef_base+0(FP), DI
+	MOVQ off_base+24(FP), DX
+	MOVQ src_base+48(FP), SI
+	MOVQ src_len+56(FP), CX
+	MOVQ off0+72(FP), R8
+	MOVQ step+80(FP), R9
+	XORQ BX, BX // entries kept
+	CMPQ CX, $4
+	JLT  packTail
+
+	// Y14: the offsets of the group's four lanes, off0 + {0, 1, 2, 3}·step;
+	// Y13: 4·step in every lane.
+	LEAQ         (R8)(R9*1), AX
+	LEAQ         (R8)(R9*2), R10
+	LEAQ         (R10)(R9*1), R11
+	VMOVQ        R8, X14
+	VPINSRQ      $1, AX, X14, X14
+	VMOVQ        R10, X12
+	VPINSRQ      $1, R11, X12, X12
+	VINSERTI128  $1, X12, Y14, Y14
+	MOVQ         R9, AX
+	SHLQ         $2, AX
+	VMOVQ        AX, X13
+	VPBROADCASTQ X13, Y13
+	VXORPD       Y15, Y15, Y15
+	LEAQ         compactperm<>(SB), R10
+	LEAQ         compactcount<>(SB), R11
+
+pack4:
+	VMOVUPD   (SI), Y0
+	VCMPPD    $4, Y15, Y0, Y1 // c != 0: NEQ_UQ
+	VMOVMSKPD Y1, AX
+	MOVQ      AX, R12
+	SHLQ      $5, R12
+	VMOVDQU   (R10)(R12*1), Y2
+	VPERMPS   Y0, Y2, Y3
+	VPERMPS   Y14, Y2, Y4
+	VMOVUPD   Y3, (DI)(BX*8)
+	VMOVDQU   Y4, (DX)(BX*8)
+	MOVBQZX   (R11)(AX*1), AX
+	ADDQ      AX, BX
+	VPADDQ    Y13, Y14, Y14
+	ADDQ      $32, SI
+	SUBQ      $4, CX
+	CMPQ      CX, $4
+	JGE       pack4
+	VMOVQ     X14, R8 // the next entry's offset
+
+packTail:
+	TESTQ CX, CX
+	JZ    packDone
+	MOVQ  (SI), AX
+	MOVQ  AX, (DI)(BX*8)
+	MOVQ  R8, (DX)(BX*8)
+	SHLQ  $1, AX // zero for exactly ±0
+	NEGQ  AX     // carry set for every other pattern
+	ADCQ  $0, BX
+	ADDQ  R9, R8
+	ADDQ  $8, SI
+	DECQ  CX
+	JMP   packTail
+
+packDone:
+	MOVQ BX, ret+88(FP)
 	VZEROUPPER
 	RET
 

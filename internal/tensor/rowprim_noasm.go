@@ -9,6 +9,10 @@ var useAVX2 = false
 
 func axpyRows(o, b []float64, offs []int, coefs []float64) { axpyRowsGeneric(o, b, offs, coefs) }
 
+func compactRow(coef []float64, off []int, src []float64, off0, step int) int {
+	return compactRowGeneric(coef, off, src, off0, step)
+}
+
 func dotTile(o []float64, ldo int, a, b []float64, k int) { dotTileGeneric(o, ldo, a, b, k) }
 
 func sqDistTile(o *[16]float64, a, b *[4][]float64) { sqDistTileGeneric(o, a, b) }

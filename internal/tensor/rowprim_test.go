@@ -793,3 +793,151 @@ func TestSumSquaresAndScaleMatchScalarLoops(t *testing.T) {
 		}
 	})
 }
+
+// refCompactRow is the compaction loop mulRowsRange ran inline before it
+// became a primitive, kept as compactRow's oracle: store every entry, keep
+// its slot only where the bits are not ±0.
+func refCompactRow(coef []float64, off []int, src []float64, off0, step int) int {
+	nz := 0
+	for p, c := range src {
+		coef[nz], off[nz] = c, off0+p*step
+		u := math.Float64bits(c) << 1
+		nz += int((u | -u) >> 63)
+	}
+	return nz
+}
+
+// compactKeeps are the entries compactRow must keep however they compare:
+// NaN with two payloads, both infinities, both smallest subnormals and
+// ordinary values. compactDrops are the two it must drop.
+var (
+	compactKeeps = []float64{
+		math.NaN(), math.Float64frombits(0xFFF0_0000_0000_0BAD), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1.5, -2.25, 1e-300,
+	}
+	compactDrops = []float64{0, math.Copysign(0, -1)}
+)
+
+// checkCompactRow runs compactRow on src into buffers two slots longer than
+// src, whose spare slots hold a sentinel, and holds the count, the kept
+// coefficients' bits (payloads included: the pack moves bits, it computes
+// nothing) and their offsets to refCompactRow, and the spare slots to their
+// sentinel.
+func checkCompactRow(src []float64, off0, step int) error {
+	const sentinel = 12345
+	wantCoef, wantOff := make([]float64, len(src)), make([]int, len(src))
+	want := refCompactRow(wantCoef, wantOff, src, off0, step)
+	coef, off := make([]float64, len(src)+2), make([]int, len(src)+2)
+	for i := range coef {
+		coef[i], off[i] = sentinel, sentinel
+	}
+	got := compactRow(coef, off, src, off0, step)
+	if got != want {
+		return fmt.Errorf("kept %d entries, want %d", got, want)
+	}
+	for q := 0; q < want; q++ {
+		if math.Float64bits(coef[q]) != math.Float64bits(wantCoef[q]) || off[q] != wantOff[q] {
+			return fmt.Errorf("slot %d: coefficient %#x at offset %d, want %#x at %d",
+				q, math.Float64bits(coef[q]), off[q], math.Float64bits(wantCoef[q]), wantOff[q])
+		}
+	}
+	for q := len(src); q < len(coef); q++ {
+		if coef[q] != sentinel || off[q] != sentinel {
+			return fmt.Errorf("slot %d past the source's %d entries was written", q, len(src))
+		}
+	}
+	return nil
+}
+
+// TestCompactRowEveryLaneMask holds compactRow, under every implementation,
+// to refCompactRow for every keep/drop pattern of a four-lane group — the
+// sixteen masks the assembly's tables index — at lengths 0–11, so that
+// groups are followed by tails of zero to three entries, with the mask the
+// same in every group and shifting from group to group.
+func TestCompactRowEveryLaneMask(t *testing.T) {
+	eachImpl(t, func(impl string) {
+		for n := 0; n <= 11; n++ {
+			for mask := 0; mask < 16; mask++ {
+				for _, shift := range []int{0, 7} {
+					src := make([]float64, n)
+					for p := range src {
+						if m := (mask + shift*(p/4)) % 16; m>>(p%4)&1 == 1 {
+							src[p] = compactKeeps[(p+mask)%len(compactKeeps)]
+						} else {
+							src[p] = compactDrops[(p+mask)%len(compactDrops)]
+						}
+					}
+					for _, o := range []struct{ off0, step int }{{0, 1}, {7, 48}, {-3, 1 << 28}} {
+						if err := checkCompactRow(src, o.off0, o.step); err != nil {
+							t.Fatalf("%s n=%d mask=%04b shift=%d off0=%d step=%d: %v", impl, n, mask, shift, o.off0, o.step, err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// FuzzCompactRowMatchesScalar is TestCompactRowEveryLaneMask over what the
+// fuzzer picks: the length, the start of the source in its backing array,
+// the share of kept entries, how many of the kept ones are special values,
+// and the offsets' start and step.
+func FuzzCompactRowMatchesScalar(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(50), uint8(0), int32(0), int16(1), int64(1))
+	f.Add(uint8(5), uint8(1), uint8(100), uint8(255), int32(7), int16(48), int64(2))
+	f.Add(uint8(64), uint8(3), uint8(50), uint8(32), int32(0), int16(96), int64(3))
+	f.Add(uint8(67), uint8(2), uint8(0), uint8(0), int32(-5), int16(-3), int64(4))
+	f.Add(uint8(255), uint8(7), uint8(90), uint8(128), int32(1<<30), int16(1<<14), int64(5))
+	f.Fuzz(func(t *testing.T, n, start, keepPct, special uint8, off0 int32, step int16, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		at := int(start) % 8
+		backing := make([]float64, at+int(n))
+		for i := range backing {
+			switch {
+			case rng.Intn(100) >= int(keepPct):
+				backing[i] = compactDrops[rng.Intn(len(compactDrops))]
+			case rng.Intn(256) < int(special):
+				backing[i] = compactKeeps[rng.Intn(len(compactKeeps))]
+			default:
+				backing[i] = rng.NormFloat64()
+			}
+		}
+		eachImpl(t, func(impl string) {
+			if err := checkCompactRow(backing[at:], int(off0), int(step)); err != nil {
+				t.Fatalf("%s n=%d start=%d: %v", impl, n, at, err)
+			}
+		})
+	})
+}
+
+// BenchmarkCompactRow times compactRow per implementation over 48 blocks of
+// blockK ReLU-sparse coefficients (3,072, half of them +0), one op packing
+// them all, rotating 16 such inputs so that no keep pattern repeats within
+// the branch predictor's reach.
+func BenchmarkCompactRow(b *testing.B) {
+	const rows = 48
+	rng := rand.New(rand.NewSource(12))
+	srcs := make([][]float64, 16)
+	for i := range srcs {
+		srcs[i] = make([]float64, rows*blockK)
+		for j := range srcs[i] {
+			srcs[i][j] = max(rng.NormFloat64(), 0)
+		}
+	}
+	var coef [blockK]float64
+	var off [blockK]int
+	eachImpl(b, func(impl string) {
+		b.Run(impl, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				src := srcs[i%len(srcs)]
+				for r := 0; r < rows; r++ {
+					compactKept += compactRow(coef[:], off[:], src[r*blockK:(r+1)*blockK], 0, 48)
+				}
+			}
+		})
+	})
+}
+
+// compactKept sinks BenchmarkCompactRow's counts, so that no call is
+// optimised away.
+var compactKept int
