@@ -2,6 +2,7 @@
 # ci.sh — the full verification gate for this repo.
 #
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
+#                    row-primitive tiers (avx512, avx2, generic: which ran, which this host skipped),
 #                    portable-kernel tests, cross builds, bench module, doc gate,
 #                    real-process smoke, wire + matmul + compaction + distance-tile + exp + sgd-step + spec-grammar + sweep-grid +
 #                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
@@ -109,9 +110,12 @@ go test -race -shuffle=on ./...
 echo "== flake pass: go test -count=3 -shuffle=on (flnet, param, fl, store, nn, baselines) =="
 go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ ./internal/store/ ./internal/nn/ ./internal/baselines/
 
-# The row primitives of internal/tensor have an AVX2 assembly body and a
-# portable Go body that must agree bit for bit. On an AVX2 host the default
-# build tests both (the tests flip the package's switch); the purego tag
+# The row primitives of internal/tensor have up to three tiers that must
+# agree bit for bit: AVX-512 bodies (axpyRows and the 8×8 dot tile), AVX2
+# assembly bodies and portable Go bodies. The default build tests every tier
+# the host can run (eachImpl flips the package's switches, and every fuzz
+# smoke below runs through it); this step logs KernelImpl() and which legs
+# ran, so a log from a host without AVX-512 or AVX2 shows the skip. The purego tag
 # builds the package without the assembly, so the portable path is also held
 # to the oracle as the only path, nn's bit-identity tests run on it, kmeans'
 # and core's distance loops are held to their naive references on it, data's
@@ -120,6 +124,9 @@ go test -count=3 -shuffle=on ./internal/flnet/ ./internal/param/ ./internal/fl/ 
 # and core's borrowed-vs-heap step identities hold on it, and the
 # golden ledger of internal/baselines (every registry method's final bits)
 # and model's pinned loops must come out the same from the portable kernels.
+echo "== row-primitive tiers =="
+go test -count=1 -v -run '^TestRowPrimitiveTiers$' ./internal/tensor/ | grep -E 'KernelImpl|leg skipped'
+go test -tags purego -count=1 -v -run '^TestRowPrimitiveTiers$' ./internal/tensor/ | grep -E 'KernelImpl|leg skipped'
 echo "== go test -tags purego (portable kernels) =="
 go test -tags purego ./internal/tensor/... ./internal/nn/... ./internal/kmeans/... ./internal/data/... ./internal/ssl/... ./internal/core/... ./internal/model/... ./internal/baselines/...
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -63,5 +64,9 @@ func TestEnvMismatch(t *testing.T) {
 	b.KernelImpl = "generic"
 	if warns := benchEnvMismatch(a, b); len(warns) != 3 {
 		t.Fatalf("want schema + gomaxprocs + kernel_impl warnings, got %v", warns)
+	}
+	a.KernelImpl, b.KernelImpl = "avx512", "avx2"
+	if warns := benchEnvMismatch(a, b); len(warns) != 3 || !strings.Contains(warns[2], "avx512 vs avx2") {
+		t.Fatalf("want schema + gomaxprocs + an avx512 vs avx2 kernel_impl warning, got %v", warns)
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"calibre/internal/tensor"
 )
 
 // warnEnvMismatch surfaces recording-environment differences between a
@@ -208,7 +211,8 @@ func TestSweepHarnessEmitsGoldenSchema(t *testing.T) {
 
 // TestKernelBenchFileNamesItsImplementation pins the kernel_impl field: the
 // re-read the harness ends on rejects a file that does not say which row
-// primitives it timed, and the committed BENCH_kernels.json passes it.
+// primitives it timed or names one KernelImpl never returns, accepts every
+// name it does return, and the committed BENCH_kernels.json passes it.
 func TestKernelBenchFileNamesItsImplementation(t *testing.T) {
 	committed := filepath.Join("..", "..", "BENCH_kernels.json")
 	if err := checkKernelBenchFile(committed); err != nil {
@@ -222,16 +226,33 @@ func TestKernelBenchFileNamesItsImplementation(t *testing.T) {
 	if err := json.Unmarshal(raw, &fields); err != nil {
 		t.Fatal(err)
 	}
-	delete(fields, "kernel_impl")
-	stripped, err := json.Marshal(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "BENCH_kernels.json")
-	if err := os.WriteFile(path, stripped, 0o644); err != nil {
-		t.Fatal(err)
+	write := func(impl string) {
+		t.Helper()
+		if impl == "" {
+			delete(fields, "kernel_impl")
+		} else {
+			fields["kernel_impl"] = json.RawMessage(strconv.Quote(impl))
+		}
+		buf, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := checkKernelBenchFile(path); err == nil || !strings.Contains(err.Error(), "kernel_impl") {
-		t.Fatalf("file without kernel_impl: err = %v, want a kernel_impl error", err)
+	// Every name tensor.KernelImpl can return is one a file may record.
+	for _, impl := range tensor.KernelImpls() {
+		write(impl)
+		if err := checkKernelBenchFile(path); err != nil {
+			t.Fatalf("file recording %q: %v", impl, err)
+		}
+	}
+	for _, impl := range []string{"", "avx3"} {
+		write(impl)
+		if err := checkKernelBenchFile(path); err == nil || !strings.Contains(err.Error(), "kernel_impl") {
+			t.Fatalf("file with kernel_impl %q: err = %v, want a kernel_impl error", impl, err)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -660,8 +661,8 @@ func checkKernelBenchFile(path string) error {
 	if file.Schema != KernelBenchSchema || len(file.Records) == 0 {
 		return fmt.Errorf("%s: schema %q with %d records, want %q and at least one", path, file.Schema, len(file.Records), KernelBenchSchema)
 	}
-	if file.KernelImpl != "avx2" && file.KernelImpl != "generic" {
-		return fmt.Errorf("%s: kernel_impl is %q, want \"avx2\" or \"generic\": the file must say which row primitives it timed", path, file.KernelImpl)
+	if impls := tensor.KernelImpls(); !slices.Contains(impls, file.KernelImpl) {
+		return fmt.Errorf("%s: kernel_impl is %q, want one of %q: the file must say which row primitives it timed", path, file.KernelImpl, impls)
 	}
 	for _, r := range file.Records {
 		if r.Shape == serialPathShape && r.AllocsOp > 0 {

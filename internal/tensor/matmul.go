@@ -24,15 +24,17 @@ import "fmt"
 //     loads and stores orow once instead of four times.
 //  2. matMulTransBRange, a 4×4 tile behind a·bᵀ. Rows of both operands are
 //     contiguous, so four a rows meet four b rows in sixteen accumulators
-//     (dotTile), each a plain dot product over ascending p.
+//     (dotTile), each a plain dot product over ascending p. Rows go eight
+//     at a time first, each block of eight columns one dotTile8: sixty-four
+//     accumulators under AVX-512, four dotTiles on the other tiers.
 //
 // What is Go and what is not: blocking, the aᵀ·b gather, tiling, row
 // splitting and the clear are here, once, for every platform. The innermost
-// loops over j (axpyRows) and p (compactRow, dotTile) are primitives, with
-// a portable Go body and, on amd64 with AVX2, an assembly body that runs
-// the same multiply-then-add per element four elements at a time, or packs
-// four coefficients per compare — see rowprim.go for why that is
-// bit-identical and how the choice is made.
+// loops over j (axpyRows) and p (compactRow, dotTile, dotTile8) are
+// primitives, with a portable Go body and, on amd64 with AVX2, an assembly
+// body that runs the same multiply-then-add per element four elements at a
+// time (eight with AVX-512), or packs four coefficients per compare — see
+// rowprim.go for why that is bit-identical and how the choice is made.
 //
 // The serial entries (MatMulSerialInto and friends) are those kernels over
 // the full row range; the public entries (MatMulInto and friends) split the
@@ -46,7 +48,7 @@ import "fmt"
 // loops, which live on in matmul_oracle_test.go as the oracle. Fusing,
 // tiling, vectorising and row splitting only change which elements are in
 // flight together, never the order of one element's roundings, so results
-// are bit-identical for any worker count, for either implementation of the
+// are bit-identical for any worker count, for every tier of the
 // primitives, and to the naive loops (0 ULP, special values included),
 // which the property and fuzz tests assert exactly.
 
@@ -60,7 +62,15 @@ const (
 	// it breaks even (0.98–1.07×), and it pays from 2.1M up (1.03–1.3× at
 	// 128³ and 32×256×256, 1.4–1.6× at the wide model's 32×1024×256,
 	// 1.7–1.9× at 256³). The constant sits at the low edge of that band —
-	// three times the value the scalar kernels had. The federation's
+	// three times the value the scalar kernels had. Re-measured with the
+	// AVX-512 tier (same method, both tiers in one process, two runs): the
+	// split loses or breaks even up to 2.1M (0.67–1.30×, mostly 0.87–1.0×),
+	// is even to slightly ahead at 2.6M (1.03–1.25×) and pays from 3.1M
+	// (1.1–1.65×; 1.16–1.61× at 32×1024×256, 1.35–1.84× at 256³). The
+	// AVX2 tier, timed in the same runs, read almost the same band (0.91–
+	// 1.36× at 2.1M, paying from 2.6M): the edge moved by less than this
+	// host's run-to-run spread, and no workload runs a product between
+	// 1.6M and 8.4M, so the constant stays. The federation's
 	// small-batch products (32 rows by at most 96×48) stay serial and
 	// allocation-free. Compared in int64 so the product cannot wrap on
 	// 32-bit architectures.
@@ -223,14 +233,30 @@ func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
 // out[i,j] = Σ_p a[i,p]·b[j,p] with a m×k and b n×k. Rows of both operands
 // are contiguous, so four a rows meet four b rows in one dotTile, sixteen
 // accumulators that are each one output element's plain dot product over
-// ascending p (no zero skip — this product never had one). Trailing rows
-// and trailing <4 columns fall to dotRow, the same dot product one element
-// at a time.
+// ascending p (no zero skip — this product never had one). The rows go
+// eight at a time first, dotTile8 over each block of eight columns and a
+// pair of dotTiles over a last four to seven; four to seven trailing rows
+// take dotTiles alone. Trailing rows and trailing <4 columns fall to
+// dotRow, the same dot product one element at a time.
 func matMulTransBRange(outT, aT, bT *Tensor, lo, hi int) {
 	out, a, b := outT.data, aT.data, bT.data
 	k, n := aT.shape[1], bT.shape[0]
 	i := lo
-	for ; i+4 <= hi; i += 4 {
+	for ; i+8 <= hi; i += 8 {
+		j := 0
+		for ; j+8 <= n; j += 8 {
+			dotTile8(out[i*n+j:(i+7)*n+j+8], n, a[i*k:(i+8)*k], b[j*k:(j+8)*k], k)
+		}
+		if j+4 <= n {
+			dotTile(out[i*n+j:(i+3)*n+j+4], n, a[i*k:(i+4)*k], b[j*k:(j+4)*k], k)
+			dotTile(out[(i+4)*n+j:(i+7)*n+j+4], n, a[(i+4)*k:(i+8)*k], b[j*k:(j+4)*k], k)
+			j += 4
+		}
+		for r := i; r < i+8 && j < n; r++ {
+			dotRow(out[r*n:(r+1)*n], a[r*k:(r+1)*k], b, j)
+		}
+	}
+	if i+4 <= hi {
 		j := 0
 		for ; j+4 <= n; j += 4 {
 			dotTile(out[i*n+j:(i+3)*n+j+4], n, a[i*k:(i+4)*k], b[j*k:(j+4)*k], k)
@@ -238,6 +264,7 @@ func matMulTransBRange(outT, aT, bT *Tensor, lo, hi int) {
 		for r := i; r < i+4 && j < n; r++ {
 			dotRow(out[r*n:(r+1)*n], a[r*k:(r+1)*k], b, j)
 		}
+		i += 4
 	}
 	for ; i < hi; i++ {
 		dotRow(out[i*n:(i+1)*n], a[i*k:(i+1)*k], b, 0)

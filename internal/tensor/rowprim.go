@@ -1,20 +1,23 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // The row primitives are the innermost loops of the matmul micro-kernels
 // (matmul.go), of AddScaled and AddScaledRows, of the distance tile behind
 // k-means and of the bias/ReLU sweeps of a fused layer: loop bodies over
 // contiguous float64 rows — axpyRows, which adds scaled rows to a row;
 // compactRow, which left-packs a row's non-zero coefficients with their
-// b-row offsets for axpyRows; dotTile, a 4×4 tile of dot products;
-// sqDistTile, a 4×4 tile of squared distances; biasRows, a bias added to
-// every row (then ReLU, if asked);
+// b-row offsets for axpyRows; dotTile and dotTile8, a 4×4 and an 8×8 tile
+// of dot products; sqDistTile, a 4×4 tile of squared distances; biasRows, a
+// bias added to every row (then ReLU, if asked);
 // reluMask, a gradient kept where an output is positive; expShift, the
 // shifted exponential of a softmax row; and the optimizer's three sweeps,
 // sgdStep, SGD's update of a run of parameters, sumSquares, the gradients'
-// sum of squares, and scale, the clip's multiply — each with two
-// implementations that agree bit for bit.
+// sum of squares, and scale, the clip's multiply — each in up to three
+// tiers that agree bit for bit.
 //
 //   - The portable loops in this file are the scalar inner loops the kernels
 //     always had, and they are what runs on every build without the
@@ -22,9 +25,16 @@ import "math"
 //     CPU without AVX2 (or whose OS does not save YMM state).
 //   - rowprim_amd64.s holds the same loops as AVX2 vector loops, four
 //     elements per instruction, each lane one output element.
+//   - On a CPU with AVX-512F whose OS saves the opmask and ZMM state,
+//     axpyRows and dotTile8 run AVX-512 bodies from the same file: eight
+//     lanes per instruction, and a tail shorter than a vector as one group
+//     under an opmask instead of a scalar loop. The other primitives keep
+//     their AVX2 bodies there: an AVX-512 compaction measured flat, and
+//     AVX-512 optimizer sweeps gained too little to show in a round
+//     (ARCHITECTURE.md, "The AVX-512 tier").
 //
-// Both run one element's arithmetic as a multiply rounded to float64 and
-// then an add rounded to float64, in the order the expression is written.
+// Every tier runs one element's arithmetic as a multiply rounded to float64
+// and then an add rounded to float64, in the order the expression is written.
 // That is why the vector loops use VMULPD and VADDPD and never a fused
 // multiply-add: an FMA skips the product's rounding, which would change the
 // low bits of almost every sum and break every 0-ULP contract in
@@ -51,21 +61,32 @@ import "math"
 // branch (useAVX2 and hasFMA); everywhere else its portable loop is math.Exp
 // itself. TestExpShiftMatchesMathExp holds it to math.Exp at 0 ULP.
 //
-// The wrappers in rowprim_amd64.go or rowprim_noasm.go pick the
-// implementation through useAVX2 (and expShift also through hasFMA), which
-// are set once when the package initialises, from CPUID and XGETBV. There is no flag or environment
-// variable behind it; a test that wants the portable path on an AVX2 host
-// sets useAVX2 = false for its duration (see eachImpl in rowprim_test.go),
-// and `go test -tags purego` builds the package without the assembly.
+// The wrappers in rowprim_amd64.go or rowprim_noasm.go pick the tier
+// through useAVX512 and useAVX2 (and expShift also through hasFMA), which
+// are set once when the package initialises, from CPUID and XGETBV;
+// useAVX512 implies useAVX2. There is no flag, environment variable or
+// build tag behind them but purego; a test that wants another tier on this
+// host sets them for its duration (see eachImpl in rowprim_test.go), and
+// `go test -tags purego` builds the package without the assembly.
 
-// KernelImpl names the implementation of the row primitives this process
-// runs, "avx2" or "generic", for benchmark files to record next to their
-// timings. It reports the choice; nothing sets it.
+// kernelImpls names the tiers of the row primitives, widest first: what
+// KernelImpl returns and what a benchmark file may record.
+var kernelImpls = [...]string{"avx512", "avx2", "generic"}
+
+// KernelImpls lists every name KernelImpl can return, widest tier first.
+func KernelImpls() []string { return slices.Clone(kernelImpls[:]) }
+
+// KernelImpl names the tier of the row primitives this process runs, one of
+// KernelImpls, for benchmark files to record next to their timings. It
+// reports the choice; nothing sets it.
 func KernelImpl() string {
-	if useAVX2 {
-		return "avx2"
+	switch {
+	case useAVX512:
+		return kernelImpls[0]
+	case useAVX2:
+		return kernelImpls[1]
 	}
-	return "generic"
+	return kernelImpls[2]
 }
 
 // axpyRowsGeneric adds rows of b, scaled, to o: for q = 0 … len(offs)-1 in
@@ -140,6 +161,18 @@ func dotTileGeneric(o []float64, ldo int, a, b []float64, k int) {
 		o0, o1 := o[r*ldo:r*ldo+4], o[(r+1)*ldo:(r+1)*ldo+4]
 		o0[0], o0[1], o0[2], o0[3] = s00, s01, s02, s03
 		o1[0], o1[1], o1[2], o1[3] = s10, s11, s12, s13
+	}
+}
+
+// dotTile8Generic is the 8×8 a·bᵀ tile, o[r·ldo + j] = Σ_p a[r·k + p]·b[j·k
+// + p] for eight rows of a against eight rows of b, as four dotTile calls:
+// every output is its own chain, so how the tile is cut does not move a bit.
+// It is dotTile8 on every tier without an 8×8 body of its own.
+func dotTile8Generic(o []float64, ldo int, a, b []float64, k int) {
+	for r := 0; r < 8; r += 4 {
+		for j := 0; j < 8; j += 4 {
+			dotTile(o[r*ldo+j:], ldo, a[r*k:], b[j*k:], k)
+		}
 	}
 }
 

@@ -4,13 +4,21 @@ package tensor
 
 import "math"
 
-// useAVX2 selects the assembly row primitives. It is written once, here,
-// from the CPU probe; only tests assign it afterwards (to run the portable
-// loops and the assembly against the oracle in one binary).
-var useAVX2 = cpuHasAVX2()
+// useAVX2 selects the assembly row primitives, and useAVX512 their AVX-512
+// bodies where a primitive has one; useAVX512 implies useAVX2. Both are
+// written once, here, from the CPU probe; only tests assign them afterwards
+// (to run every tier against the oracle in one binary).
+var (
+	useAVX2   = cpuHasAVX2()
+	useAVX512 = useAVX2 && cpuHasAVX512()
+)
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state.
 func cpuHasAVX2() bool
+
+// cpuHasAVX512 reports whether the CPU has AVX512F and the OS saves opmask
+// and ZMM state.
+func cpuHasAVX512() bool
 
 // hasFMA is whether the CPU reports FMA; with useAVX2 it is where math.Exp
 // runs its fused multiply-add branch, the one expShiftAVX2 repeats.
@@ -23,10 +31,16 @@ func cpuHasFMA() bool
 func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64)
 
 //go:noescape
+func axpyRowsAVX512(o, b []float64, offs []int, coefs []float64)
+
+//go:noescape
 func compactRowAVX2(coef []float64, off []int, src []float64, off0, step int) int
 
 //go:noescape
 func dotTileAVX2(o []float64, ldo int, a, b []float64, k int)
+
+//go:noescape
+func dotTile8AVX512(o []float64, ldo int, a, b []float64, k int)
 
 //go:noescape
 func sqDistTileAVX2(o *[16]float64, a, b *[4][]float64)
@@ -59,6 +73,10 @@ func axpyRows(o, b []float64, offs []int, coefs []float64) {
 			_ = coefs[:len(offs)]
 			_, _ = b[offs[0]:], b[offs[len(offs)-1]:][:len(o)] // the assembly trusts these extents
 		}
+		if useAVX512 {
+			axpyRowsAVX512(o, b, offs, coefs)
+			return
+		}
 		axpyRowsAVX2(o, b, offs, coefs)
 		return
 	}
@@ -87,6 +105,19 @@ func dotTile(o []float64, ldo int, a, b []float64, k int) {
 		return
 	}
 	dotTileGeneric(o, ldo, a, b, k)
+}
+
+// dotTile8 computes the 8×8 tile o[r·ldo + j] = Σ_p a[r·k + p]·b[j·k + p]
+// over ascending p: a and b each hold eight rows of length k, and o reaches
+// from the tile's first element to at least its last (ldo ≥ 8). Only the
+// AVX-512 tier has a body of its own.
+func dotTile8(o []float64, ldo int, a, b []float64, k int) {
+	if useAVX512 {
+		_, _, _ = o[7*ldo+7], a[:8*k], b[:8*k] // the assembly trusts these extents
+		dotTile8AVX512(o, ldo, a, b, k)
+		return
+	}
+	dotTile8Generic(o, ldo, a, b, k)
 }
 
 // sqDistTile computes o[r·4 + j] = Σ_i (a[r][i] − b[j][i])² over ascending

@@ -1012,3 +1012,384 @@ scale1:
 scaleDone:
 	VZEROUPPER
 	RET
+
+// The AVX-512 tier. Its routines run where cpuHasAVX512 holds as well as
+// cpuHasAVX2, eight lanes per instruction, under the rules above: VMULPD
+// then VADDPD, never a fused multiply-add, each lane one output element.
+// A tail shorter than a vector is one group under an opmask: its loads
+// zero the idle lanes and its store writes only the live ones, and a masked
+// lane is neither read through a fault nor written. Z16–Z31, which only
+// the dot tile uses, have no VEX or legacy-SSE alias, so the dirty upper
+// state that costs the Go code around a routine is Z0–Z15's alone, and the
+// VZEROUPPER at each exit clears it.
+
+// func cpuHasAVX512() bool
+//
+// AVX-512F is usable when CPUID.1:ECX reports OSXSAVE, XCR0 says the OS
+// saves XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state (bits 1, 2, 5, 6
+// and 7: 0xE6), and CPUID.7.0:EBX reports AVX512F (bit 16). The routines
+// below use no instruction beyond AVX512F (KMOVW, not DQ's KMOVB; VPXORQ,
+// not DQ's 512-bit VXORPD).
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  probed
+	MOVL $1, AX
+	CPUID
+	ANDL $0x08000000, CX // OSXSAVE
+	CMPL CX, $0x08000000
+	JNE  probed
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX // XMM | YMM | opmask | ZMM_Hi256 | Hi16_ZMM state
+	CMPL AX, $0xE6
+	JNE  probed
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $16, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+probed:
+	RET
+
+// func axpyRowsAVX512(o, b []float64, offs []int, coefs []float64)
+//
+// axpyRowsAVX2 with eight lanes per instruction: four rows at a time share
+// one sweep over o, o[j] = (((o[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) +
+// c3·b3[j], sixteen then eight elements per pass, and the last one to
+// three rows are single sweeps. The last len(o) mod 8 elements of every
+// sweep are one group under K1. The caller has checked that every
+// offs[q]+len(o) ≤ len(b) and len(coefs) ≥ len(offs).
+TEXT ·axpyRowsAVX512(SB), NOSPLIT, $0-96
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), R12
+	MOVQ b_base+24(FP), BX
+	MOVQ offs_base+48(FP), DX
+	MOVQ offs_len+56(FP), R13 // rows left
+	MOVQ coefs_base+72(FP), AX
+
+	// K1: lanes j < len(o) mod 8.
+	MOVQ  R12, CX
+	ANDQ  $7, CX
+	MOVL  $1, SI
+	SHLL  CX, SI
+	DECL  SI
+	KMOVW SI, K1
+
+zrows4:
+	CMPQ         R13, $4
+	JLT          zrows1
+	MOVQ         (DX), R8
+	MOVQ         8(DX), R9
+	MOVQ         16(DX), R10
+	MOVQ         24(DX), R11
+	LEAQ         (BX)(R8*8), R8
+	LEAQ         (BX)(R9*8), R9
+	LEAQ         (BX)(R10*8), R10
+	LEAQ         (BX)(R11*8), R11
+	VBROADCASTSD (AX), Z0
+	VBROADCASTSD 8(AX), Z1
+	VBROADCASTSD 16(AX), Z2
+	VBROADCASTSD 24(AX), Z3
+	ADDQ         $32, DX
+	ADDQ         $32, AX
+	SUBQ         $4, R13
+	MOVQ         R12, CX // elements left
+	XORQ         SI, SI  // byte offset into the rows
+
+zfused16:
+	CMPQ    CX, $16
+	JLT     zfused8
+	VMOVUPD (DI)(SI*1), Z4
+	VMOVUPD 64(DI)(SI*1), Z5
+	VMULPD  (R8)(SI*1), Z0, Z6
+	VMULPD  64(R8)(SI*1), Z0, Z7
+	VADDPD  Z6, Z4, Z4
+	VADDPD  Z7, Z5, Z5
+	VMULPD  (R9)(SI*1), Z1, Z8
+	VMULPD  64(R9)(SI*1), Z1, Z9
+	VADDPD  Z8, Z4, Z4
+	VADDPD  Z9, Z5, Z5
+	VMULPD  (R10)(SI*1), Z2, Z6
+	VMULPD  64(R10)(SI*1), Z2, Z7
+	VADDPD  Z6, Z4, Z4
+	VADDPD  Z7, Z5, Z5
+	VMULPD  (R11)(SI*1), Z3, Z8
+	VMULPD  64(R11)(SI*1), Z3, Z9
+	VADDPD  Z8, Z4, Z4
+	VADDPD  Z9, Z5, Z5
+	VMOVUPD Z4, (DI)(SI*1)
+	VMOVUPD Z5, 64(DI)(SI*1)
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     zfused16
+
+zfused8:
+	CMPQ    CX, $8
+	JLT     zfusedTail
+	VMOVUPD (DI)(SI*1), Z4
+	VMULPD  (R8)(SI*1), Z0, Z6
+	VADDPD  Z6, Z4, Z4
+	VMULPD  (R9)(SI*1), Z1, Z7
+	VADDPD  Z7, Z4, Z4
+	VMULPD  (R10)(SI*1), Z2, Z8
+	VADDPD  Z8, Z4, Z4
+	VMULPD  (R11)(SI*1), Z3, Z9
+	VADDPD  Z9, Z4, Z4
+	VMOVUPD Z4, (DI)(SI*1)
+	ADDQ    $64, SI
+	SUBQ    $8, CX
+
+zfusedTail:
+	TESTQ     CX, CX
+	JZ        zrows4
+	VMOVUPD.Z (DI)(SI*1), K1, Z4
+	VMOVUPD.Z (R8)(SI*1), K1, Z6
+	VMOVUPD.Z (R9)(SI*1), K1, Z7
+	VMOVUPD.Z (R10)(SI*1), K1, Z8
+	VMOVUPD.Z (R11)(SI*1), K1, Z9
+	VMULPD    Z6, Z0, Z6
+	VADDPD    Z6, Z4, Z4
+	VMULPD    Z7, Z1, Z7
+	VADDPD    Z7, Z4, Z4
+	VMULPD    Z8, Z2, Z8
+	VADDPD    Z8, Z4, Z4
+	VMULPD    Z9, Z3, Z9
+	VADDPD    Z9, Z4, Z4
+	VMOVUPD   Z4, K1, (DI)(SI*1)
+	JMP       zrows4
+
+zrows1:
+	TESTQ        R13, R13
+	JZ           zrowsDone
+	MOVQ         (DX), R8
+	LEAQ         (BX)(R8*8), R8
+	VBROADCASTSD (AX), Z0
+	ADDQ         $8, DX
+	ADDQ         $8, AX
+	DECQ         R13
+	MOVQ         R12, CX
+	XORQ         SI, SI
+
+zsingle16:
+	CMPQ    CX, $16
+	JLT     zsingle8
+	VMOVUPD (DI)(SI*1), Z4
+	VMOVUPD 64(DI)(SI*1), Z5
+	VMULPD  (R8)(SI*1), Z0, Z6
+	VMULPD  64(R8)(SI*1), Z0, Z7
+	VADDPD  Z6, Z4, Z4
+	VADDPD  Z7, Z5, Z5
+	VMOVUPD Z4, (DI)(SI*1)
+	VMOVUPD Z5, 64(DI)(SI*1)
+	ADDQ    $128, SI
+	SUBQ    $16, CX
+	JMP     zsingle16
+
+zsingle8:
+	CMPQ    CX, $8
+	JLT     zsingleTail
+	VMOVUPD (DI)(SI*1), Z4
+	VMULPD  (R8)(SI*1), Z0, Z6
+	VADDPD  Z6, Z4, Z4
+	VMOVUPD Z4, (DI)(SI*1)
+	ADDQ    $64, SI
+	SUBQ    $8, CX
+
+zsingleTail:
+	TESTQ     CX, CX
+	JZ        zrows1
+	VMOVUPD.Z (DI)(SI*1), K1, Z4
+	VMOVUPD.Z (R8)(SI*1), K1, Z6
+	VMULPD    Z6, Z0, Z6
+	VADDPD    Z6, Z4, Z4
+	VMOVUPD   Z4, K1, (DI)(SI*1)
+	JMP       zrows1
+
+zrowsDone:
+	VZEROUPPER
+	RET
+
+// ZCOLS8 transposes eight values of p of the eight b rows — Z8…Z15, row j
+// in Z(8+j) — into Z16…Z23, where lane j of Z(16+q) is b row j at the q-th
+// of the eight values: unpacking pairs of rows, then two rounds of 128-bit
+// lane shuffles. It writes Z8…Z23.
+#define ZCOLS8 \
+	VUNPCKLPD  Z9, Z8, Z16; \
+	VUNPCKHPD  Z9, Z8, Z17; \
+	VUNPCKLPD  Z11, Z10, Z18; \
+	VUNPCKHPD  Z11, Z10, Z19; \
+	VUNPCKLPD  Z13, Z12, Z20; \
+	VUNPCKHPD  Z13, Z12, Z21; \
+	VUNPCKLPD  Z15, Z14, Z22; \
+	VUNPCKHPD  Z15, Z14, Z23; \
+	VSHUFF64X2 $0x88, Z18, Z16, Z8; \
+	VSHUFF64X2 $0xDD, Z18, Z16, Z9; \
+	VSHUFF64X2 $0x88, Z19, Z17, Z10; \
+	VSHUFF64X2 $0xDD, Z19, Z17, Z11; \
+	VSHUFF64X2 $0x88, Z22, Z20, Z12; \
+	VSHUFF64X2 $0xDD, Z22, Z20, Z13; \
+	VSHUFF64X2 $0x88, Z23, Z21, Z14; \
+	VSHUFF64X2 $0xDD, Z23, Z21, Z15; \
+	VSHUFF64X2 $0x88, Z12, Z8, Z16; \
+	VSHUFF64X2 $0xDD, Z12, Z8, Z20; \
+	VSHUFF64X2 $0x88, Z13, Z9, Z18; \
+	VSHUFF64X2 $0xDD, Z13, Z9, Z22; \
+	VSHUFF64X2 $0x88, Z14, Z10, Z17; \
+	VSHUFF64X2 $0xDD, Z14, Z10, Z21; \
+	VSHUFF64X2 $0x88, Z15, Z11, Z19; \
+	VSHUFF64X2 $0xDD, Z15, Z11, Z23
+
+// ZDOTSTEP adds one value of p, at byte offset off into the a rows, to the
+// eight accumulators: bcol holds b0[p] … b7[p], and lane j of Z(r) is the
+// running dot product of a row r with b row j. a row r is at AX, AX+L,
+// AX+2L, BX, BX+L, BX+2L, CX, CX+L (R12 = L, the row length in bytes).
+// As in DOTSTEP, a[r][p] is broadcast into a register and is the product's
+// first operand, so where both factors are NaN the lane keeps a's payload,
+// as dotTileAVX2's does.
+#define ZDOTSTEP(off, bcol) \
+	VBROADCASTSD off(AX), Z24; \
+	VBROADCASTSD off(AX)(R12*1), Z25; \
+	VBROADCASTSD off(AX)(R12*2), Z26; \
+	VBROADCASTSD off(BX), Z27; \
+	VBROADCASTSD off(BX)(R12*1), Z28; \
+	VBROADCASTSD off(BX)(R12*2), Z29; \
+	VBROADCASTSD off(CX), Z30; \
+	VBROADCASTSD off(CX)(R12*1), Z31; \
+	VMULPD       bcol, Z24, Z24; \
+	VMULPD       bcol, Z25, Z25; \
+	VMULPD       bcol, Z26, Z26; \
+	VMULPD       bcol, Z27, Z27; \
+	VMULPD       bcol, Z28, Z28; \
+	VMULPD       bcol, Z29, Z29; \
+	VMULPD       bcol, Z30, Z30; \
+	VMULPD       bcol, Z31, Z31; \
+	VADDPD       Z24, Z0, Z0; \
+	VADDPD       Z25, Z1, Z1; \
+	VADDPD       Z26, Z2, Z2; \
+	VADDPD       Z27, Z3, Z3; \
+	VADDPD       Z28, Z4, Z4; \
+	VADDPD       Z29, Z5, Z5; \
+	VADDPD       Z30, Z6, Z6; \
+	VADDPD       Z31, Z7, Z7
+
+// func dotTile8AVX512(o []float64, ldo int, a, b []float64, k int)
+//
+// o[r·ldo + j] = Σ_p a[r·k + p]·b[j·k + p] for r, j < 8: eight rows of a
+// against eight rows of b (all of length k), each of the sixty-four sums
+// one lane's own accumulator over ascending p, starting from +0 — eight
+// independent chains where dotTileAVX2 has four. Eight values of p at a
+// time, the b rows are loaded whole and transposed (ZCOLS8); the last
+// k mod 8 are loaded under K1 and only their steps run.
+TEXT ·dotTile8AVX512(SB), NOSPLIT, $0-88
+	MOVQ   k+80(FP), DI
+	MOVQ   DI, R12
+	SHLQ   $3, R12 // row length in bytes
+	MOVQ   a_base+32(FP), AX
+	LEAQ   (AX)(R12*2), BX
+	ADDQ   R12, BX // a row 3
+	LEAQ   (BX)(R12*2), CX
+	ADDQ   R12, CX // a row 6
+	MOVQ   b_base+56(FP), DX
+	LEAQ   (DX)(R12*2), R8
+	ADDQ   R12, R8 // b row 3
+	LEAQ   (R8)(R12*2), R9
+	ADDQ   R12, R9 // b row 6
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+zdot8:
+	CMPQ    DI, $8
+	JLT     zdotTail
+	VMOVUPD (DX), Z8
+	VMOVUPD (DX)(R12*1), Z9
+	VMOVUPD (DX)(R12*2), Z10
+	VMOVUPD (R8), Z11
+	VMOVUPD (R8)(R12*1), Z12
+	VMOVUPD (R8)(R12*2), Z13
+	VMOVUPD (R9), Z14
+	VMOVUPD (R9)(R12*1), Z15
+	ZCOLS8
+	ZDOTSTEP(0, Z16)
+	ZDOTSTEP(8, Z17)
+	ZDOTSTEP(16, Z18)
+	ZDOTSTEP(24, Z19)
+	ZDOTSTEP(32, Z20)
+	ZDOTSTEP(40, Z21)
+	ZDOTSTEP(48, Z22)
+	ZDOTSTEP(56, Z23)
+	ADDQ    $64, AX
+	ADDQ    $64, BX
+	ADDQ    $64, CX
+	ADDQ    $64, DX
+	ADDQ    $64, R8
+	ADDQ    $64, R9
+	SUBQ    $8, DI
+	JMP     zdot8
+
+zdotTail:
+	TESTQ     DI, DI
+	JZ        zdotStore
+	MOVL      $1, R10
+	MOVQ      DI, CX
+	SHLL      CX, R10
+	DECL      R10
+	KMOVW     R10, K1 // lanes p < k mod 8
+	LEAQ      (BX)(R12*2), CX
+	ADDQ      R12, CX // a row 6 again
+	VMOVUPD.Z (DX), K1, Z8
+	VMOVUPD.Z (DX)(R12*1), K1, Z9
+	VMOVUPD.Z (DX)(R12*2), K1, Z10
+	VMOVUPD.Z (R8), K1, Z11
+	VMOVUPD.Z (R8)(R12*1), K1, Z12
+	VMOVUPD.Z (R8)(R12*2), K1, Z13
+	VMOVUPD.Z (R9), K1, Z14
+	VMOVUPD.Z (R9)(R12*1), K1, Z15
+	ZCOLS8
+	ZDOTSTEP(0, Z16)
+	CMPQ      DI, $2
+	JLT       zdotStore
+	ZDOTSTEP(8, Z17)
+	CMPQ      DI, $3
+	JLT       zdotStore
+	ZDOTSTEP(16, Z18)
+	CMPQ      DI, $4
+	JLT       zdotStore
+	ZDOTSTEP(24, Z19)
+	CMPQ      DI, $5
+	JLT       zdotStore
+	ZDOTSTEP(32, Z20)
+	CMPQ      DI, $6
+	JLT       zdotStore
+	ZDOTSTEP(40, Z21)
+	CMPQ      DI, $7
+	JLT       zdotStore
+	ZDOTSTEP(48, Z22)
+
+zdotStore:
+	MOVQ    o_base+0(FP), DI
+	MOVQ    ldo+24(FP), R12
+	SHLQ    $3, R12
+	LEAQ    (DI)(R12*2), BX
+	ADDQ    R12, BX // o row 3
+	LEAQ    (BX)(R12*2), CX
+	ADDQ    R12, CX // o row 6
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, (DI)(R12*1)
+	VMOVUPD Z2, (DI)(R12*2)
+	VMOVUPD Z3, (BX)
+	VMOVUPD Z4, (BX)(R12*1)
+	VMOVUPD Z5, (BX)(R12*2)
+	VMOVUPD Z6, (CX)
+	VMOVUPD Z7, (CX)(R12*1)
+	VZEROUPPER
+	RET

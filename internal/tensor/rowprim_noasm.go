@@ -2,10 +2,10 @@
 
 package tensor
 
-// useAVX2 is never true on a build without the assembly; it exists so that
-// KernelImpl and the tests that run every implementation compile here too
-// (the tests skip the assembly leg).
-var useAVX2 = false
+// useAVX2 and useAVX512 are never true on a build without the assembly;
+// they exist so that KernelImpl and the tests that run every implementation
+// compile here too (the tests skip the assembly legs).
+var useAVX2, useAVX512 = false, false
 
 func axpyRows(o, b []float64, offs []int, coefs []float64) { axpyRowsGeneric(o, b, offs, coefs) }
 
@@ -14,6 +14,8 @@ func compactRow(coef []float64, off []int, src []float64, off0, step int) int {
 }
 
 func dotTile(o []float64, ldo int, a, b []float64, k int) { dotTileGeneric(o, ldo, a, b, k) }
+
+func dotTile8(o []float64, ldo int, a, b []float64, k int) { dotTile8Generic(o, ldo, a, b, k) }
 
 func sqDistTile(o *[16]float64, a, b *[4][]float64) { sqDistTileGeneric(o, a, b) }
 

@@ -8,26 +8,52 @@ import (
 	"testing"
 )
 
-// asmAvailable is useAVX2 as the package initialised it: whether this build
-// and this CPU run the assembly row primitives at all.
-var asmAvailable = useAVX2
+// asmAvailable and avx512Available are useAVX2 and useAVX512 as the package
+// initialised them: whether this build and this CPU run each assembly tier
+// of the row primitives at all.
+var asmAvailable, avx512Available = useAVX2, useAVX512
 
-// eachImpl runs f once per implementation of the row primitives — the AVX2
+// eachImpl runs f once per tier of the row primitives — the AVX-512 bodies
+// (with the AVX2 ones where a primitive has no AVX-512 body), the AVX2
 // assembly, then the portable loops — by flipping the package's unexported
-// switch, and restores the switch afterwards. Where the assembly cannot run
-// (not amd64, the purego tag, no AVX2) that leg is skipped with a logged
-// reason and f runs on the portable loops alone.
+// switches, and restores them afterwards. A tier this build or CPU cannot
+// run (not amd64, the purego tag, no AVX2 or no AVX-512F, or the OS not
+// saving the state) is skipped with a logged line naming it, and f runs on
+// the tiers that remain; the portable loops always run.
 func eachImpl(t testing.TB, f func(impl string)) {
 	t.Helper()
-	defer func() { useAVX2 = asmAvailable }()
-	if asmAvailable {
-		useAVX2 = true
-		f("avx2")
-	} else {
-		t.Log("assembly leg skipped: no AVX2 row primitives on this build or CPU (GOARCH, purego tag, CPUID/XGETBV)")
+	defer func() { useAVX2, useAVX512 = asmAvailable, avx512Available }()
+	available := [len(kernelImpls)]bool{avx512Available, asmAvailable, true}
+	for i, impl := range kernelImpls {
+		if !available[i] {
+			t.Logf("%s leg skipped: no %s row primitives on this build or CPU (GOARCH, purego tag, CPUID/XGETBV)", impl, impl)
+			continue
+		}
+		useAVX512, useAVX2 = i == 0, i <= 1
+		f(impl)
 	}
-	useAVX2 = false
-	f("generic")
+}
+
+// TestRowPrimitiveTiers holds KernelImpl to the widest tier the CPU probe
+// selected, one of KernelImpls, and logs which tiers eachImpl runs on this
+// build and host, so that a test log from a host without AVX-512 (or
+// without AVX2, or a purego build) shows the legs it skipped.
+func TestRowPrimitiveTiers(t *testing.T) {
+	want := "generic"
+	switch {
+	case avx512Available && !asmAvailable:
+		t.Fatal("the AVX-512 tier was selected without the AVX2 one it falls back on")
+	case avx512Available:
+		want = "avx512"
+	case asmAvailable:
+		want = "avx2"
+	}
+	if got := KernelImpl(); got != want || !slices.Contains(KernelImpls(), got) {
+		t.Fatalf("KernelImpl() = %q, want %q, one of %q", got, want, KernelImpls())
+	}
+	var ran []string
+	eachImpl(t, func(impl string) { ran = append(ran, impl) })
+	t.Logf("KernelImpl() = %s; eachImpl ran the legs %v of %v", KernelImpl(), ran, KernelImpls())
 }
 
 // primValues are what the primitive tests draw coefficients and row elements
@@ -37,8 +63,9 @@ var primValues = append([]float64{1e300, -1e300, 1e-300, -1e-300, 1, -1, 0.1, -3
 
 // primLengths are row lengths around every boundary of the vector loops:
 // empty, shorter than a vector, one vector, the eight-element unrolled body
-// with and without each tail, and long rows.
-var primLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 23, 24, 25, 96, 97, 1024}
+// with and without each tail, the sixteen-element AVX-512 body with every
+// masked tail of one to seven lanes after it, and long rows.
+var primLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 31, 32, 33, 48, 96, 97, 1024}
 
 // primVals draws n values, about a third of them from primValues. The
 // tests slice operands out of such arrays at element offsets 0–3, so that
@@ -93,38 +120,85 @@ func TestAxpyRowsMatchesScalarLoops(t *testing.T) {
 	})
 }
 
-// TestDotTileMatchesScalarLoops holds dotTile, under every implementation,
-// to sixteen plain dot products: inner lengths from primLengths (so the
-// four-wide body, its scalar tail and k = 0), misaligned operands, a
-// destination stride wider than the tile, and special values.
+// TestDotTileMatchesScalarLoops holds dotTile and dotTile8, under every
+// implementation, to plain dot products: inner lengths from primLengths (so
+// the four- and eight-wide bodies, their tails and k = 0), misaligned
+// operands, a destination stride wider than the tile, and special values.
 func TestDotTileMatchesScalarLoops(t *testing.T) {
+	tiles := []struct {
+		rows int
+		tile func(o []float64, ldo int, a, b []float64, k int)
+	}{{4, dotTile}, {8, dotTile8}}
 	eachImpl(t, func(impl string) {
 		rng := rand.New(rand.NewSource(32))
-		for _, k := range primLengths {
-			for off := 0; off < 4; off++ {
-				for _, ldo := range []int{4, 5, 11} {
-					a := primVals(rng, off+4*k)[off:]
-					b := primVals(rng, (off+1)%4+4*k)[(off+1)%4:]
-					oBacking := primVals(rng, off+3*ldo+4+4)
-					want := append([]float64(nil), oBacking...)
-					for r := 0; r < 4; r++ {
-						for j := 0; j < 4; j++ {
-							var s float64
-							for p := 0; p < k; p++ {
-								s += a[r*k+p] * b[j*k+p]
+		for _, tl := range tiles {
+			w := tl.rows
+			for _, k := range primLengths {
+				for off := 0; off < 4; off++ {
+					for _, ldo := range []int{w, w + 1, w + 7} {
+						a := primVals(rng, off+w*k)[off:]
+						b := primVals(rng, (off+1)%4+w*k)[(off+1)%4:]
+						oBacking := primVals(rng, off+(w-1)*ldo+w+4)
+						want := append([]float64(nil), oBacking...)
+						for r := 0; r < w; r++ {
+							for j := 0; j < w; j++ {
+								var s float64
+								for p := 0; p < k; p++ {
+									s += a[r*k+p] * b[j*k+p]
+								}
+								want[off+r*ldo+j] = s
 							}
-							want[off+r*ldo+j] = s
 						}
-					}
-					got := append([]float64(nil), oBacking...)
-					dotTile(got[off:off+3*ldo+4], ldo, a, b, k)
-					if err := sameRow(want, got); err != nil {
-						t.Fatalf("%s dotTile k=%d off=%d ldo=%d: %v", impl, k, off, ldo, err)
+						got := append([]float64(nil), oBacking...)
+						tl.tile(got[off:off+(w-1)*ldo+w], ldo, a, b, k)
+						if err := sameRow(want, got); err != nil {
+							t.Fatalf("%s %d×%d dotTile k=%d off=%d ldo=%d: %v", impl, w, w, k, off, ldo, err)
+						}
 					}
 				}
 			}
 		}
 	})
+}
+
+// TestDotTileNaNPayloadsAgreeAcrossTiers holds the AVX-512 dotTile8 to the
+// AVX2 tier's exact bits where NaNs meet, which sameRow lets pass as
+// NaN ≡ NaN: every a and b element is a NaN with a payload of its own (a's
+// positive, b's negative) or an ordinary number, so a lane's result shows
+// which factor of its first NaN product it kept — a's, in both assembly
+// tiers. The portable loops are not held to it: which operand of x*y the Go
+// compiler puts first, and so which payload survives, is its own choice
+// (dotTileGeneric keeps b's in places).
+func TestDotTileNaNPayloadsAgreeAcrossTiers(t *testing.T) {
+	if !avx512Available {
+		t.Skip("avx512 leg skipped: no avx512 row primitives on this build or CPU (GOARCH, purego tag, CPUID/XGETBV)")
+	}
+	defer func() { useAVX512 = true }()
+	rng := rand.New(rand.NewSource(33))
+	vals := func(n int, sign uint64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.Intn(4) == 0 {
+				v[i] = rng.NormFloat64()
+			} else {
+				v[i] = math.Float64frombits(sign | 0x7FF8_0000_0000_0000 | uint64(i+1))
+			}
+		}
+		return v
+	}
+	for _, k := range []int{1, 3, 8, 13} {
+		a, b := vals(8*k, 0), vals(8*k, 1<<63)
+		avx512, avx2 := make([]float64, 64), make([]float64, 64)
+		useAVX512 = true
+		dotTile8(avx512, 8, a, b, k)
+		useAVX512 = false
+		dotTile8(avx2, 8, a, b, k)
+		for e := range avx2 {
+			if math.Float64bits(avx512[e]) != math.Float64bits(avx2[e]) {
+				t.Fatalf("avx512 8×8 dotTile k=%d element %d: %#x, avx2 %#x", k, e, math.Float64bits(avx512[e]), math.Float64bits(avx2[e]))
+			}
+		}
+	}
 }
 
 // TestAddScaledMatchesScalarLoop pins AddScaled, whose body is a one-row
@@ -165,6 +239,25 @@ func BenchmarkAxpyRows(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, impl), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					axpyRows(o, rows, offs, coefs)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkTransBTiles times the a·bᵀ kernel per implementation at the
+// (m × k × n) shapes the workloads run it at: NT-Xent's similarity of 64
+// embeddings of 24, the input gradients of the small model's two dense
+// layers, and the head's ten outputs, which leave a ragged column edge.
+func BenchmarkTransBTiles(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	for _, s := range [][3]int{{64, 24, 64}, {32, 96, 32}, {32, 48, 96}, {32, 24, 10}} {
+		m, k, n := s[0], s[1], s[2]
+		x, y, out := RandN(rng, 1, m, k), RandN(rng, 1, n, k), New(m, n)
+		eachImpl(b, func(impl string) {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, impl), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatMulTransBSerialInto(out, x, y)
 				}
 			})
 		})

@@ -14,17 +14,20 @@
 // on two order-preserving micro-kernels — a fused row kernel for a·b and
 // aᵀ·b, a 4×4 tile of dot products for a·bᵀ (see matmul.go). Their
 // blocking, zero-skipping and tiling are Go; their innermost loops are the
-// two row primitives of rowprim.go, axpyRows (add scaled rows to a row,
-// also the body of AddScaled) and dotTile. Each primitive has a portable Go
-// loop and, on amd64, an AVX2 assembly loop (rowprim_amd64.s) that does the
-// same multiply-then-add per element, four elements per instruction —
-// never a fused multiply-add, which would drop the product's rounding. The
-// package picks once, at initialisation, from CPUID and XGETBV (AVX2
-// present, YMM state saved by the OS); other architectures, the purego
-// build tag and CPUs without AVX2 run the portable loops. There is nothing
-// to configure: KernelImpl reports which one runs, and a test that needs
-// the portable loops on an AVX2 host flips the unexported useAVX2 switch
-// (eachImpl in rowprim_test.go) or builds with -tags purego.
+// row primitives of rowprim.go, axpyRows (add scaled rows to a row, also
+// the body of AddScaled) and the dotTile tiles. Each primitive has a
+// portable Go loop and, on amd64, an AVX2 assembly loop (rowprim_amd64.s)
+// that does the same multiply-then-add per element, four elements per
+// instruction — never a fused multiply-add, which would drop the product's
+// rounding — and axpyRows and the 8×8 dot tile an AVX-512 loop, eight
+// elements per instruction. The package picks once, at initialisation,
+// from CPUID and XGETBV (AVX2 present and YMM state saved by the OS; for
+// the AVX-512 tier also AVX512F and opmask and ZMM state saved); other
+// architectures, the purego build tag and CPUs without AVX2 run the
+// portable loops. There is nothing to configure: KernelImpl reports which
+// tier runs, and a test that needs another tier on this host flips the
+// unexported useAVX512 and useAVX2 switches (eachImpl in rowprim_test.go)
+// or builds with -tags purego.
 //
 // Large products split their output rows across a package-level worker
 // pool (see pool.go). The pool is shared by every kernel call in the
