@@ -4,7 +4,7 @@
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    row-primitive tiers (avx512, avx2, generic: which ran, which this host skipped),
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + compaction + distance-tile + exp + sgd-step + spec-grammar + sweep-grid +
+#                    real-process smoke, wire + matmul + compaction + sweep + distance-tile + exp + sgd-step + spec-grammar + sweep-grid +
 #                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
@@ -194,6 +194,12 @@ go test -run '^$' -fuzz '^FuzzMatMulMatchesNaive$' -fuzztime 5s ./internal/tenso
 # corpus, on both implementations.
 echo "== compaction fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzCompactRowMatchesScalar$' -fuzztime 5s ./internal/tensor/
+
+# And for the row kernel's sweep against one scalar loop per row: widths
+# around the AVX-512 sweep's 64-element strips, row counts up to a block,
+# misaligned operands and special values beyond the corpus, on every tier.
+echo "== sweep fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzAxpyRowsMatchesScalar$' -fuzztime 5s ./internal/tensor/
 
 # And for the k-means distance tile against the scalar SqDist loop: row
 # lengths, offsets, repeated rows and special values beyond the corpus.

@@ -140,7 +140,7 @@ func kernelOps() []kernelOp {
 
 // benchKernels times every kernel op on dense size³ cubes, which skip no
 // coefficient, and then matmul and matmul-transa at the federation's
-// ReLU-sparse layer (benchReLULayer).
+// ReLU-sparse layers (benchReLULayer).
 func benchKernels(minTime time.Duration, sizes []int) []KernelBenchRecord {
 	rng := rand.New(rand.NewSource(1))
 	var records []KernelBenchRecord
@@ -153,7 +153,10 @@ func benchKernels(minTime time.Duration, sizes []int) []KernelBenchRecord {
 				func() { op.serial(out, a, b) }, func() { op.pooled(out, a, b) }))
 		}
 	}
-	return append(records, benchReLULayer(minTime)...)
+	for _, l := range reluLayers {
+		records = append(records, benchReLULayer(minTime, l[0], l[1], l[2])...)
+	}
+	return records
 }
 
 // kernelRecord times one kernel op at one shape, serial and pooled.
@@ -170,36 +173,38 @@ func kernelRecord(minTime time.Duration, op, shape string, serial, pooled func()
 	}
 }
 
-// The federation's ReLU-sparse layer: a batch of reluBatch activations of
-// width reluIn behind a ReLU, multiplied into reluOut outputs — the small
-// model's hidden layer that every bench/ workload but net-wide-ops trains.
-const reluBatch, reluIn, reluOut = 32, 96, 48
+// reluLayers are the federation's ReLU-sparse layers as (batch, inputs,
+// outputs): a batch of activations behind a ReLU multiplied into a layer's
+// outputs. The small model's hidden layer, 32 × 96 → 48, is trained by
+// every bench/ workload but net-wide-ops; the supervised head, 32 × 48 →
+// 10, sweeps the narrowest output rows the row kernel has.
+var reluLayers = [][3]int{{32, 96, 48}, {32, 48, 10}}
 
-// benchReLULayer times the two products of that layer that skip zero
+// benchReLULayer times the two products of one such layer that skip zero
 // coefficients: the forward x·W (matmul) and the weight gradient xᵀ·g
 // (matmul-transa). About half of every x is +0, as behind a ReLU, and
 // sixteen such x rotate from call to call, as in tensor's
 // BenchmarkFederationShapes: with one repeated x the branch predictor
 // learns where its zeros are, and a cost that depends on them reads as
 // smaller than it is in training.
-func benchReLULayer(minTime time.Duration) []KernelBenchRecord {
+func benchReLULayer(minTime time.Duration, batch, in, out int) []KernelBenchRecord {
 	rng := rand.New(rand.NewSource(2))
 	xs := make([]*tensor.Tensor, 16)
 	for i := range xs {
-		xs[i] = tensor.RandN(rng, 1, reluBatch, reluIn)
+		xs[i] = tensor.RandN(rng, 1, batch, in)
 		d := xs[i].Data()
 		for j, v := range d {
 			d[j] = max(v, 0)
 		}
 	}
-	w, g := tensor.RandN(rng, 1, reluIn, reluOut), tensor.RandN(rng, 1, reluBatch, reluOut)
-	y, dw := tensor.New(reluBatch, reluOut), tensor.New(reluIn, reluOut)
+	w, g := tensor.RandN(rng, 1, in, out), tensor.RandN(rng, 1, batch, out)
+	y, dw := tensor.New(batch, out), tensor.New(in, out)
 	calls := 0
 	x := func() *tensor.Tensor {
 		calls++
 		return xs[calls%len(xs)]
 	}
-	shape := fmt.Sprintf("%dx%dx%d-relu", reluBatch, reluIn, reluOut)
+	shape := fmt.Sprintf("%dx%dx%d-relu", batch, in, out)
 	return []KernelBenchRecord{
 		kernelRecord(minTime, "matmul", shape,
 			func() { tensor.MatMulSerialInto(y, x(), w) }, func() { tensor.MatMulInto(y, x(), w) }),

@@ -109,10 +109,12 @@ func SelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error)
 
 // selectK is SelectK that also returns the winner's silhouette score. The
 // score depends on x only through its pairwise distances, so they are
-// computed once — into a buffer borrowed from arena (nil: the heap) — and
-// every candidate is scored from them. The candidates are clustered in ws
-// (nil: each on the heap), which holds the best so far while the later ones
-// run; the result is valid until the next clustering in ws.
+// computed once — squared, then their square roots, into buffers borrowed
+// from arena (nil: the heap) — and every candidate is scored from them. The
+// candidates are clustered in ws (nil: each on the heap), which holds the
+// best so far while the later ones run, and read the squares for their
+// seeding and first assignment; the result is valid until the next
+// clustering in ws.
 func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64, error) {
 	n := x.Rows()
 	if maxK > n {
@@ -121,8 +123,13 @@ func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tenso
 	if maxK < 2 {
 		maxK = 2
 	}
-	dist := kmeans.PairDistances(arena, x)
+	sq := kmeans.PairSqDistances(arena, x)
+	defer arena.Put(sq)
+	dist := arena.GetUninit(len(sq))
 	defer arena.Put(dist)
+	for p, v := range sq {
+		dist[p] = math.Sqrt(v)
+	}
 	var best *kmeans.Result
 	bestScore := math.Inf(-1)
 	// The grid ascends up to its last entry, so maxK repeats a grid value
@@ -133,7 +140,7 @@ func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tenso
 			continue
 		}
 		tried = k
-		res, err := ws.Run(rng, x, kmeans.Config{K: k})
+		res, err := ws.Run(rng, x, kmeans.Config{K: k, PairSq: sq})
 		if err != nil {
 			return nil, 0, err
 		}

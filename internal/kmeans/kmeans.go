@@ -28,6 +28,12 @@ type Result struct {
 // Config controls a Run.
 type Config struct {
 	K int
+	// PairSq, when not nil, is x's PairSqDistances, which the Run reads
+	// instead of computing a distance between two points of x: the
+	// seeding's, from each picked centre to every point, and the first
+	// assignment's, whose centres are still points. The result and the
+	// draws from rng are the same bit for bit either way.
+	PairSq []float64
 }
 
 // Lloyd's loop stops after maxIters iterations, or earlier once an
@@ -57,6 +63,7 @@ func Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
 type Workspace struct {
 	scratch []float64
 	counts  []int
+	picks   []int // the seeding's centres, as indices of points
 	slots   [2]slot
 	cur     int // the slot the next Run writes; the other one is held
 }
@@ -100,6 +107,9 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 	if n == 0 {
 		return nil, fmt.Errorf("kmeans: empty input")
 	}
+	if cfg.PairSq != nil && len(cfg.PairSq) != n*(n-1)/2 {
+		return nil, fmt.Errorf("kmeans: PairSq holds %d squared distances, want %d for %d points", len(cfg.PairSq), n*(n-1)/2, n)
+	}
 	if w == nil {
 		w = new(Workspace)
 	}
@@ -109,17 +119,21 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 	}
 
 	// The seeding's distances, every point's to its nearest centre.
-	w.scratch, w.counts = grow(w.scratch, n), grow(w.counts, k)
+	w.scratch, w.counts, w.picks = grow(w.scratch, n), grow(w.counts, k), grow(w.picks, k)
 	s := &w.slots[w.cur]
 	centers := s.centersFor(k, d)
-	seedPlusPlus(rng, x, centers, w.scratch)
+	seedPlusPlus(rng, x, centers, w.scratch, w.picks, cfg.PairSq)
 	s.res.Assign = grow(s.res.Assign, n)
 	assign := s.res.Assign
 	prev := math.Inf(1)
 	var inertia float64
 	var iters int
 	for iters = 1; iters <= maxIters; iters++ {
-		inertia = assignPoints(x, centers, assign)
+		if iters == 1 && cfg.PairSq != nil {
+			inertia = assignToPoints(x, cfg.PairSq, w.picks, assign)
+		} else {
+			inertia = assignPoints(x, centers, assign)
+		}
 		updateCenters(rng, x, centers, assign, w.counts)
 		if prev-inertia <= tol*math.Max(prev, 1) {
 			break
@@ -164,15 +178,16 @@ func groupMembers(groups [][]int, backing, assign, counts []int) {
 }
 
 // seedPlusPlus picks the initial centers — every row of centers — with the
-// k-means++ D² weighting. scratch holds n values. Distances run from the
-// centre to the points, the rows that lie consecutively; (c−x)² and (x−c)²
-// are the same float.
-func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64) {
-	n, d, k := x.Rows(), x.Cols(), centers.Rows()
+// k-means++ D² weighting, and records in picks the point each one copies.
+// scratch holds n values. A picked centre's distances to the points come
+// from centreDistances, computed or read from sq.
+func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64, picks []int, sq []float64) {
+	n, k := x.Rows(), centers.Rows()
 	first := rng.Intn(n)
+	picks[0] = first
 	centers.SetRow(0, x.Row(first))
-	dist, xd := scratch[:n], x.Data()
-	tensor.SqDistRows(dist, centers.Row(0), xd)
+	dist := scratch[:n]
+	centreDistances(dist, x, first, 0, sq)
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, v := range dist {
@@ -192,11 +207,12 @@ func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64) 
 				}
 			}
 		}
+		picks[c] = pick
 		centers.SetRow(c, x.Row(pick))
 		var next [16]float64 // distances to the new centre, a stack chunk at a time
 		for lo := 0; lo < n; lo += len(next) {
 			chunk := next[:min(len(next), n-lo)]
-			tensor.SqDistRows(chunk, centers.Row(c), xd[lo*d:(lo+len(chunk))*d])
+			centreDistances(chunk, x, pick, lo, sq)
 			for i, nd := range chunk {
 				if nd < dist[lo+i] {
 					dist[lo+i] = nd
@@ -204,6 +220,51 @@ func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64) 
 			}
 		}
 	}
+}
+
+// centreDistances writes SqDist(x_p, x_(lo+i)) to dst[i] for every i < len(dst):
+// read from sq (pairSqDist) when it is not nil, computed from the centre to
+// the points, the rows that lie consecutively, otherwise.
+func centreDistances(dst []float64, x *tensor.Tensor, p, lo int, sq []float64) {
+	if sq == nil {
+		d := x.Cols()
+		tensor.SqDistRows(dst, x.Row(p), x.Data()[lo*d:(lo+len(dst))*d])
+		return
+	}
+	for i := range dst {
+		dst[i] = pairSqDist(sq, x, p, lo+i)
+	}
+}
+
+// pairSqDist is SqDist(x_i, x_j) read from sq, x's PairSqDistances, bit
+// for bit: (x_i − x_j)² and (x_j − x_i)² are the same float. The diagonal,
+// which sq does not hold, is computed: it is 0 only for a finite row.
+func pairSqDist(sq []float64, x *tensor.Tensor, i, j int) float64 {
+	switch {
+	case i > j:
+		return sq[i*(i-1)/2+j]
+	case i < j:
+		return sq[j*(j-1)/2+i]
+	}
+	return tensor.SqDist(x.Row(i), x.Row(i))
+}
+
+// assignToPoints is assignPoints while the centres are still the points
+// picks of x, with every distance read from sq (pairSqDist): the same
+// assignment and inertia, bit for bit.
+func assignToPoints(x *tensor.Tensor, sq []float64, picks, assign []int) float64 {
+	var inertia float64
+	for i := range assign {
+		best, bestD := 0, math.Inf(1)
+		for c, p := range picks {
+			if d := pairSqDist(sq, x, i, p); d < bestD {
+				best, bestD = c, d
+			}
+		}
+		assign[i] = best
+		inertia += bestD
+	}
+	return inertia
 }
 
 // assignPoints assigns every point to its nearest centre (the lowest index
@@ -298,8 +359,19 @@ func Silhouette(x *tensor.Tensor, labels []int) float64 {
 // arena (nil: the heap) and is the caller's to arena.Put. Only the strict
 // lower triangle is stored — pair (i, j), i > j, at i(i−1)/2 + j — because
 // (a−b)² and (b−a)² are the same float, so distance (j, i) is bit-identical
-// to distance (i, j).
+// to distance (i, j). It is the square root of PairSqDistances.
 func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
+	dist := PairSqDistances(arena, x)
+	for p, sq := range dist {
+		dist[p] = math.Sqrt(sq)
+	}
+	return dist
+}
+
+// PairSqDistances returns SqDist between every two rows of x, laid out as
+// PairDistances lays out their square roots, in a buffer borrowed from
+// arena (nil: the heap): what Config.PairSq takes.
+func PairSqDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
 	n := x.Rows()
 	dist := arena.Get(n * (n - 1) / 2)
 	// Rows i0…i0+3 meet rows j0…j0+3 in one tensor.SqDistTile, (x_i − x_j)²
@@ -328,9 +400,6 @@ func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
 				}
 			}
 		}
-	}
-	for p, sq := range dist {
-		dist[p] = math.Sqrt(sq)
 	}
 	return dist
 }

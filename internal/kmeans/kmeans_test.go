@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -548,60 +549,73 @@ func TestAssignPointsMatchesNaiveLoop(t *testing.T) {
 // TestSeedPlusPlusMatchesNaiveLoop holds the k-means++ seeding to a
 // reference that measures every distance with naiveSqDist from the point
 // to the centre, for K ∈ {1, 2, 3, 5, 10} and point counts on both sides
-// of the sixteen-point chunks: the same centres, the same draws from rng,
-// and every point's distance to its nearest centre, bit for bit.
+// of the sixteen-point chunks, with the distances computed and read from
+// the PairSqDistances table: the same centres, each a copy of the point it
+// records as picked, the same draws from rng, and every point's distance to
+// its nearest centre, bit for bit.
 func TestSeedPlusPlusMatchesNaiveLoop(t *testing.T) {
 	for _, n := range []int{1, 5, 15, 16, 17, 30, 33, 37, 64} {
 		for _, k := range []int{1, 2, 3, 5, 10} {
 			if k > n {
 				continue
 			}
-			x := tensor.RandN(rand.New(rand.NewSource(int64(n*16+k))), 1, n, 7)
-			rng, refRNG := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-			centers, dist := tensor.New(k, 7), make([]float64, n)
-			seedPlusPlus(rng, x, centers, dist)
-
-			want, wantDist := tensor.New(k, 7), make([]float64, n)
-			want.SetRow(0, x.Row(refRNG.Intn(n)))
-			for i := range wantDist {
-				wantDist[i] = naiveSqDist(x.Row(i), want.Row(0))
-			}
-			for c := 1; c < k; c++ {
-				var total float64
-				for _, v := range wantDist {
-					total += v
+			for _, table := range []bool{false, true} {
+				x := tensor.RandN(rand.New(rand.NewSource(int64(n*16+k))), 1, n, 7)
+				var sq []float64
+				if table {
+					sq = PairSqDistances(nil, x)
 				}
-				pick := 0
-				if total <= 0 {
-					pick = refRNG.Intn(n)
-				} else {
-					u, acc := refRNG.Float64()*total, 0.0
-					for i, v := range wantDist {
-						if acc += v; u <= acc {
-							pick = i
-							break
+				rng, refRNG := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+				centers, dist, picks := tensor.New(k, 7), make([]float64, n), make([]int, k)
+				seedPlusPlus(rng, x, centers, dist, picks, sq)
+				for c, p := range picks {
+					if !slices.Equal(centers.Row(c), x.Row(p)) {
+						t.Fatalf("n=%d K=%d table=%v: centre %d is not point %d, its recorded pick", n, k, table, c, p)
+					}
+				}
+
+				want, wantDist := tensor.New(k, 7), make([]float64, n)
+				want.SetRow(0, x.Row(refRNG.Intn(n)))
+				for i := range wantDist {
+					wantDist[i] = naiveSqDist(x.Row(i), want.Row(0))
+				}
+				for c := 1; c < k; c++ {
+					var total float64
+					for _, v := range wantDist {
+						total += v
+					}
+					pick := 0
+					if total <= 0 {
+						pick = refRNG.Intn(n)
+					} else {
+						u, acc := refRNG.Float64()*total, 0.0
+						for i, v := range wantDist {
+							if acc += v; u <= acc {
+								pick = i
+								break
+							}
+						}
+					}
+					want.SetRow(c, x.Row(pick))
+					for i := range wantDist {
+						if nd := naiveSqDist(x.Row(i), want.Row(c)); nd < wantDist[i] {
+							wantDist[i] = nd
 						}
 					}
 				}
-				want.SetRow(c, x.Row(pick))
-				for i := range wantDist {
-					if nd := naiveSqDist(x.Row(i), want.Row(c)); nd < wantDist[i] {
-						wantDist[i] = nd
+				for i, w := range want.Data() {
+					if math.Float64bits(centers.Data()[i]) != math.Float64bits(w) {
+						t.Fatalf("n=%d K=%d table=%v: centre element %d is %v, reference %v", n, k, table, i, centers.Data()[i], w)
 					}
 				}
-			}
-			for i, w := range want.Data() {
-				if math.Float64bits(centers.Data()[i]) != math.Float64bits(w) {
-					t.Fatalf("n=%d K=%d: centre element %d is %v, reference %v", n, k, i, centers.Data()[i], w)
+				for i, w := range wantDist {
+					if math.Float64bits(dist[i]) != math.Float64bits(w) {
+						t.Fatalf("n=%d K=%d table=%v: point %d is %v from its nearest centre, reference %v", n, k, table, i, dist[i], w)
+					}
 				}
-			}
-			for i, w := range wantDist {
-				if math.Float64bits(dist[i]) != math.Float64bits(w) {
-					t.Fatalf("n=%d K=%d: point %d is %v from its nearest centre, reference %v", n, k, i, dist[i], w)
+				if rng.Int63() != refRNG.Int63() {
+					t.Fatalf("n=%d K=%d table=%v: seeding consumed a different number of rng draws", n, k, table)
 				}
-			}
-			if rng.Int63() != refRNG.Int63() {
-				t.Fatalf("n=%d K=%d: seeding consumed a different number of rng draws", n, k)
 			}
 		}
 	}

@@ -95,6 +95,66 @@ func TestNilWorkspaceResultsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestPairSqTableMatchesOnTheFly: a Run given x's PairSqDistances returns
+// what a Run that computes every distance returns — every field of the
+// result, the inertia by bits, and the rng left in the same state — fresh
+// and on a reused workspace, over random points, duplicated points (empty
+// clusters and their reseeding draws), identical points (the seeding's
+// total ≤ 0 draw), K above the point count, and rows holding NaN, +Inf or
+// −Inf, whose distances to themselves are NaN rather than 0.
+func TestPairSqTableMatchesOnTheFly(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	cases := map[string]*tensor.Tensor{
+		"random":    tensor.RandN(rng, 1, 32, 24),
+		"duplicate": tensor.RandN(rng, 1, 32, 24),
+		"identical": tensor.RandN(rng, 1, 10, 5),
+		"few":       tensor.RandN(rng, 1, 3, 4),
+		"one":       tensor.RandN(rng, 1, 1, 4),
+		"nonfinite": tensor.RandN(rng, 1, 20, 6),
+		"all-nan":   tensor.RandN(rng, 1, 9, 3),
+	}
+	for i := 3; i < 32; i++ {
+		cases["duplicate"].SetRow(i, cases["duplicate"].Row(i%3))
+	}
+	for i := 1; i < 10; i++ {
+		cases["identical"].SetRow(i, cases["identical"].Row(0))
+	}
+	nf := cases["nonfinite"]
+	nf.Row(3)[2], nf.Row(7)[0], nf.Row(11)[5] = math.NaN(), math.Inf(1), math.Inf(-1)
+	nf.Row(12)[1], nf.Row(12)[4] = math.Inf(1), math.Inf(-1)
+	nf.SetRow(15, nf.Row(7))
+	for i := range 9 {
+		cases["all-nan"].Row(i)[i%3] = math.NaN()
+	}
+	ws := new(Workspace)
+	for name, x := range cases {
+		sq := PairSqDistances(nil, x)
+		for _, k := range []int{1, 2, 3, 4, 6, 8, 10} {
+			for _, w := range []*Workspace{nil, ws} {
+				rng, refRNG := rand.New(rand.NewSource(int64(k))), rand.New(rand.NewSource(int64(k)))
+				want, err := Run(refRNG, x, Config{K: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := w.Run(rng, x, Config{K: k, PairSq: sq})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameResult(got, want); diff != "" {
+					t.Fatalf("%s K=%d workspace=%v: the Run with the table differs in %s", name, k, w != nil, diff)
+				}
+				if rng.Int63() != refRNG.Int63() {
+					t.Fatalf("%s K=%d workspace=%v: the Run with the table left the rng in a different state", name, k, w != nil)
+				}
+			}
+		}
+	}
+	x := cases["few"]
+	if _, err := Run(rng, x, Config{K: 2, PairSq: make([]float64, 2)}); err == nil {
+		t.Fatal("a PairSq of 2 values for 3 points was accepted")
+	}
+}
+
 // TestWarmedClusteringAllocatesNothing: Run on a workspace that has seen the
 // shape, and SilhouetteFrom on a k-means assignment, are allocation-free —
 // what lets core's regularized training step allocate nothing but its ops'
@@ -103,17 +163,21 @@ func TestWarmedClusteringAllocatesNothing(t *testing.T) {
 	x := tensor.RandN(rand.New(rand.NewSource(61)), 1, 32, 24)
 	rng := rand.New(rand.NewSource(62))
 	ws := new(Workspace)
+	sq := PairSqDistances(nil, x)
 	run := func() {
 		for _, k := range []int{2, 3, 4, 6, 8, 10} {
 			if _, err := ws.Run(rng, x, Config{K: k}); err != nil {
 				t.Fatal(err)
 			}
 			ws.Hold()
+			if _, err := ws.Run(rng, x, Config{K: k, PairSq: sq}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	run() // both slots see every K
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Errorf("six Runs on a warmed workspace make %v allocations, want 0", allocs)
+		t.Errorf("twelve Runs on a warmed workspace, half of them reading a PairSq table, make %v allocations, want 0", allocs)
 	}
 	res, err := ws.Run(rng, x, Config{K: 10})
 	if err != nil {

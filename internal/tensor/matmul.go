@@ -21,7 +21,9 @@ import "fmt"
 //     orow[j] = (((orow[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) + c3·b3[j],
 //     which is the same left-to-right chain of roundings as four separate
 //     orow[j] += c·b[j] sweeps (what a remainder under four gets) but
-//     loads and stores orow once instead of four times.
+//     loads and stores orow once instead of four times — and, in the
+//     AVX-512 body, once per block: it holds orow in registers, 64
+//     elements at a time, while every row of the block is added.
 //  2. matMulTransBRange, a 4×4 tile behind a·bᵀ. Rows of both operands are
 //     contiguous, so four a rows meet four b rows in sixteen accumulators
 //     (dotTile), each a plain dot product over ascending p. Rows go eight

@@ -28,7 +28,10 @@ import (
 //   - On a CPU with AVX-512F whose OS saves the opmask and ZMM state,
 //     axpyRows and dotTile8 run AVX-512 bodies from the same file: eight
 //     lanes per instruction, and a tail shorter than a vector as one group
-//     under an opmask instead of a scalar loop. The other primitives keep
+//     under an opmask instead of a scalar loop. axpyRows's holds the output
+//     row in registers, 64 elements at a time, while every row is added to
+//     it, where the other tiers store and reload it every four rows. The
+//     other primitives keep
 //     their AVX2 bodies there: an AVX-512 compaction measured flat, and
 //     AVX-512 optimizer sweeps gained too little to show in a round
 //     (ARCHITECTURE.md, "The AVX-512 tier").

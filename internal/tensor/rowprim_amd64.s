@@ -1055,161 +1055,133 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 probed:
 	RET
 
+// ZLOAD, ZSTEP and ZSTORE are one whole vector of a strip of axpyRowsAVX512,
+// at byte offset off into the strip, in accumulator z with product register
+// t: load z from o (DI), add c·b[off] of one row (R8) to it, store it back.
+// The coefficient, broadcast in Z8, is the product's first operand and the
+// accumulator the sum's, as in axpyRowsAVX2, so where NaNs meet a lane keeps
+// the payload the AVX2 tier keeps.
+#define ZLOAD(off, z, t) VMOVUPD off(DI), z
+#define ZSTEP(off, z, t) VMULPD off(R8), Z8, t; VADDPD t, z, z
+#define ZSTORE(off, z, t) VMOVUPD z, off(DI)
+
+// ZVv applies OP to the whole vectors of a strip of v vectors, every one
+// but the last: vector i in Z(i), its products in Z(9+i).
+#define ZV1(OP)
+#define ZV2(OP) OP(0, Z0, Z9)
+#define ZV3(OP) ZV2(OP); OP(64, Z1, Z10)
+#define ZV4(OP) ZV3(OP); OP(128, Z2, Z11)
+#define ZV5(OP) ZV4(OP); OP(192, Z3, Z12)
+#define ZV6(OP) ZV5(OP); OP(256, Z4, Z13)
+#define ZV7(OP) ZV6(OP); OP(320, Z5, Z14)
+#define ZV8(OP) ZV7(OP); OP(384, Z6, Z15)
+
+// ZSTRIP is the body for a strip of v vectors, ZV = ZVv: the whole vectors,
+// then the last one, at byte offset off in accumulator z (products in t),
+// under K1. It loads the strip, adds every row to it in order (the loop
+// over q at label row, R9 = q) and stores it, then goes on to the next
+// strip. The eighth vector's products share Z9 with the first's: each
+// product register is written whole before it is read, so renaming keeps
+// the two apart.
+#define ZSTRIP(ZV, off, z, t, row) \
+	ZV(ZLOAD); \
+	VMOVUPD.Z off(DI), K1, z; \
+	XORQ      R9, R9; \
+row: \
+	MOVQ         (DX)(R9*8), R8; \
+	LEAQ         (BX)(R8*8), R8; \
+	VBROADCASTSD (AX)(R9*8), Z8; \
+	ZV(ZSTEP); \
+	VMULPD.Z     off(R8), Z8, K1, t; \
+	VADDPD       t, z, z; \
+	INCQ         R9; \
+	CMPQ         R9, R13; \
+	JLT          row; \
+	ZV(ZSTORE); \
+	VMOVUPD      z, K1, off(DI); \
+	JMP          znext
+
 // func axpyRowsAVX512(o, b []float64, offs []int, coefs []float64)
 //
-// axpyRowsAVX2 with eight lanes per instruction: four rows at a time share
-// one sweep over o, o[j] = (((o[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) +
-// c3·b3[j], sixteen then eight elements per pass, and the last one to
-// three rows are single sweeps. The last len(o) mod 8 elements of every
-// sweep are one group under K1. The caller has checked that every
-// offs[q]+len(o) ≤ len(b) and len(coefs) ≥ len(offs).
+// For q = 0 … len(offs)-1 in order, o[j] += coefs[q]·b[offs[q]+j] for
+// every j < len(o), with o held in registers: o is cut into strips of 64
+// elements, and a strip's up to eight vectors are loaded once, have every
+// row added to them, o[j] = ((o[j] + c0·b0[j]) + c1·b1[j]) + …, and are
+// stored once. Each product and each sum is rounded as in one sweep per
+// row, in the same order; what is gone is the store and reload of o
+// between rows, whose forwarding latency was the whole chain on a narrow
+// row. A strip of v vectors runs ZSTRIP with ZVv. K1 keeps every lane of
+// its last vector but in the last strip, where it keeps lanes
+// j < ((len(o)−1) mod 8) + 1: the masked loads read nothing past o or a
+// row, and the masked store writes nothing past o. The caller has checked
+// that every offs[q]+len(o) ≤ len(b) and len(coefs) ≥ len(offs).
 TEXT ·axpyRowsAVX512(SB), NOSPLIT, $0-96
-	MOVQ o_base+0(FP), DI
-	MOVQ o_len+8(FP), R12
-	MOVQ b_base+24(FP), BX
-	MOVQ offs_base+48(FP), DX
-	MOVQ offs_len+56(FP), R13 // rows left
-	MOVQ coefs_base+72(FP), AX
+	MOVQ  o_base+0(FP), DI
+	MOVQ  o_len+8(FP), R12 // elements left
+	MOVQ  b_base+24(FP), BX
+	MOVQ  offs_base+48(FP), DX
+	MOVQ  offs_len+56(FP), R13
+	MOVQ  coefs_base+72(FP), AX
+	TESTQ R12, R12
+	JZ    zdone
+	TESTQ R13, R13
+	JZ    zdone
+	MOVL  $0xFF, SI
+	KMOVW SI, K1
 
-	// K1: lanes j < len(o) mod 8.
-	MOVQ  R12, CX
-	ANDQ  $7, CX
-	MOVL  $1, SI
+zstrip:
+	CMPQ  R12, $64
+	JGT   zstrip8
+	LEAQ  -1(R12), CX // the last strip: K1 keeps lanes j < ((R12−1) mod 8) + 1
+	ANDL  $7, CX
+	MOVL  $2, SI
 	SHLL  CX, SI
 	DECL  SI
 	KMOVW SI, K1
+	CMPQ  R12, $56
+	JGT   zstrip8
+	CMPQ  R12, $48
+	JGT   zstrip7
+	CMPQ  R12, $40
+	JGT   zstrip6
+	CMPQ  R12, $32
+	JGT   zstrip5
+	CMPQ  R12, $24
+	JGT   zstrip4
+	CMPQ  R12, $16
+	JGT   zstrip3
+	CMPQ  R12, $8
+	JGT   zstrip2
+	ZSTRIP(ZV1, 0, Z0, Z9, zrows1)
 
-zrows4:
-	CMPQ         R13, $4
-	JLT          zrows1
-	MOVQ         (DX), R8
-	MOVQ         8(DX), R9
-	MOVQ         16(DX), R10
-	MOVQ         24(DX), R11
-	LEAQ         (BX)(R8*8), R8
-	LEAQ         (BX)(R9*8), R9
-	LEAQ         (BX)(R10*8), R10
-	LEAQ         (BX)(R11*8), R11
-	VBROADCASTSD (AX), Z0
-	VBROADCASTSD 8(AX), Z1
-	VBROADCASTSD 16(AX), Z2
-	VBROADCASTSD 24(AX), Z3
-	ADDQ         $32, DX
-	ADDQ         $32, AX
-	SUBQ         $4, R13
-	MOVQ         R12, CX // elements left
-	XORQ         SI, SI  // byte offset into the rows
+zstrip2:
+	ZSTRIP(ZV2, 64, Z1, Z10, zrows2)
 
-zfused16:
-	CMPQ    CX, $16
-	JLT     zfused8
-	VMOVUPD (DI)(SI*1), Z4
-	VMOVUPD 64(DI)(SI*1), Z5
-	VMULPD  (R8)(SI*1), Z0, Z6
-	VMULPD  64(R8)(SI*1), Z0, Z7
-	VADDPD  Z6, Z4, Z4
-	VADDPD  Z7, Z5, Z5
-	VMULPD  (R9)(SI*1), Z1, Z8
-	VMULPD  64(R9)(SI*1), Z1, Z9
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-	VMULPD  (R10)(SI*1), Z2, Z6
-	VMULPD  64(R10)(SI*1), Z2, Z7
-	VADDPD  Z6, Z4, Z4
-	VADDPD  Z7, Z5, Z5
-	VMULPD  (R11)(SI*1), Z3, Z8
-	VMULPD  64(R11)(SI*1), Z3, Z9
-	VADDPD  Z8, Z4, Z4
-	VADDPD  Z9, Z5, Z5
-	VMOVUPD Z4, (DI)(SI*1)
-	VMOVUPD Z5, 64(DI)(SI*1)
-	ADDQ    $128, SI
-	SUBQ    $16, CX
-	JMP     zfused16
+zstrip3:
+	ZSTRIP(ZV3, 128, Z2, Z11, zrows3)
 
-zfused8:
-	CMPQ    CX, $8
-	JLT     zfusedTail
-	VMOVUPD (DI)(SI*1), Z4
-	VMULPD  (R8)(SI*1), Z0, Z6
-	VADDPD  Z6, Z4, Z4
-	VMULPD  (R9)(SI*1), Z1, Z7
-	VADDPD  Z7, Z4, Z4
-	VMULPD  (R10)(SI*1), Z2, Z8
-	VADDPD  Z8, Z4, Z4
-	VMULPD  (R11)(SI*1), Z3, Z9
-	VADDPD  Z9, Z4, Z4
-	VMOVUPD Z4, (DI)(SI*1)
-	ADDQ    $64, SI
-	SUBQ    $8, CX
+zstrip4:
+	ZSTRIP(ZV4, 192, Z3, Z12, zrows4)
 
-zfusedTail:
-	TESTQ     CX, CX
-	JZ        zrows4
-	VMOVUPD.Z (DI)(SI*1), K1, Z4
-	VMOVUPD.Z (R8)(SI*1), K1, Z6
-	VMOVUPD.Z (R9)(SI*1), K1, Z7
-	VMOVUPD.Z (R10)(SI*1), K1, Z8
-	VMOVUPD.Z (R11)(SI*1), K1, Z9
-	VMULPD    Z6, Z0, Z6
-	VADDPD    Z6, Z4, Z4
-	VMULPD    Z7, Z1, Z7
-	VADDPD    Z7, Z4, Z4
-	VMULPD    Z8, Z2, Z8
-	VADDPD    Z8, Z4, Z4
-	VMULPD    Z9, Z3, Z9
-	VADDPD    Z9, Z4, Z4
-	VMOVUPD   Z4, K1, (DI)(SI*1)
-	JMP       zrows4
+zstrip5:
+	ZSTRIP(ZV5, 256, Z4, Z13, zrows5)
 
-zrows1:
-	TESTQ        R13, R13
-	JZ           zrowsDone
-	MOVQ         (DX), R8
-	LEAQ         (BX)(R8*8), R8
-	VBROADCASTSD (AX), Z0
-	ADDQ         $8, DX
-	ADDQ         $8, AX
-	DECQ         R13
-	MOVQ         R12, CX
-	XORQ         SI, SI
+zstrip6:
+	ZSTRIP(ZV6, 320, Z5, Z14, zrows6)
 
-zsingle16:
-	CMPQ    CX, $16
-	JLT     zsingle8
-	VMOVUPD (DI)(SI*1), Z4
-	VMOVUPD 64(DI)(SI*1), Z5
-	VMULPD  (R8)(SI*1), Z0, Z6
-	VMULPD  64(R8)(SI*1), Z0, Z7
-	VADDPD  Z6, Z4, Z4
-	VADDPD  Z7, Z5, Z5
-	VMOVUPD Z4, (DI)(SI*1)
-	VMOVUPD Z5, 64(DI)(SI*1)
-	ADDQ    $128, SI
-	SUBQ    $16, CX
-	JMP     zsingle16
+zstrip7:
+	ZSTRIP(ZV7, 384, Z6, Z15, zrows7)
 
-zsingle8:
-	CMPQ    CX, $8
-	JLT     zsingleTail
-	VMOVUPD (DI)(SI*1), Z4
-	VMULPD  (R8)(SI*1), Z0, Z6
-	VADDPD  Z6, Z4, Z4
-	VMOVUPD Z4, (DI)(SI*1)
-	ADDQ    $64, SI
-	SUBQ    $8, CX
+zstrip8:
+	ZSTRIP(ZV8, 448, Z7, Z9, zrows8)
 
-zsingleTail:
-	TESTQ     CX, CX
-	JZ        zrows1
-	VMOVUPD.Z (DI)(SI*1), K1, Z4
-	VMOVUPD.Z (R8)(SI*1), K1, Z6
-	VMULPD    Z6, Z0, Z6
-	VADDPD    Z6, Z4, Z4
-	VMOVUPD   Z4, K1, (DI)(SI*1)
-	JMP       zrows1
+znext:
+	ADDQ $512, DI
+	ADDQ $512, BX
+	SUBQ $64, R12
+	JGT  zstrip
 
-zrowsDone:
+zdone:
 	VZEROUPPER
 	RET
 

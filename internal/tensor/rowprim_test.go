@@ -63,9 +63,10 @@ var primValues = append([]float64{1e300, -1e300, 1e-300, -1e-300, 1, -1, 0.1, -3
 
 // primLengths are row lengths around every boundary of the vector loops:
 // empty, shorter than a vector, one vector, the eight-element unrolled body
-// with and without each tail, the sixteen-element AVX-512 body with every
-// masked tail of one to seven lanes after it, and long rows.
-var primLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 31, 32, 33, 48, 96, 97, 1024}
+// with and without each tail, the sixteen-element AVX-512 bodies with every
+// masked tail of one to seven lanes after them, both sides of one and two
+// of the AVX-512 sweep's 64-element strips, and long rows.
+var primLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 31, 32, 33, 48, 63, 64, 65, 96, 97, 127, 128, 129, 1024}
 
 // primVals draws n values, about a third of them from primValues. The
 // tests slice operands out of such arrays at element offsets 0–3, so that
@@ -83,40 +84,136 @@ func primVals(rng *rand.Rand, n int) []float64 {
 	return vals
 }
 
+// checkAxpyRows runs axpyRows over a row of n elements at element offset
+// off of its backing array, with rows rows of b at ascending offsets drawn
+// from rng — overlapping, repeated and ending flush with b — elements
+// drawn from val and coefficients from coef, and holds the whole backing
+// array to one plain o[j] += c·b[off+j] sweep per row (sameRow: NaN ≡ NaN),
+// so that a write past o shows too. b starts at element offset boff of its
+// own backing.
+func checkAxpyRows(rng *rand.Rand, n, rows, off, boff int, val, coef func() float64) error {
+	draw := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = val()
+		}
+		return v
+	}
+	oBacking := draw(off + n + 8)
+	b := draw(boff + 12*(n+3))[boff:]
+	offs, coefs := make([]int, rows), make([]float64, rows+1) // coefs longer than offs is legal
+	for q := range offs {
+		offs[q] = rng.Intn(len(b) - n + 1)
+		coefs[q] = coef()
+	}
+	if rows > 0 {
+		offs[rng.Intn(rows)] = len(b) - n
+	}
+	slices.Sort(offs) // axpyRows requires ascending offsets
+	want := append([]float64(nil), oBacking...)
+	for q, at := range offs {
+		for j := 0; j < n; j++ {
+			want[off+j] += coefs[q] * b[at+j]
+		}
+	}
+	got := append([]float64(nil), oBacking...)
+	axpyRows(got[off:off+n], b, offs, coefs)
+	if err := sameRow(want, got); err != nil {
+		return fmt.Errorf("offs=%v coefs=%v: %w", offs, coefs, err)
+	}
+	return nil
+}
+
 // TestAxpyRowsMatchesScalarLoops holds axpyRows, under every
 // implementation, to one plain o[j] += c·b[off+j] sweep per row — so the
-// fused four-row pass is also held to the unfused order — at every row
-// length in primLengths, row counts on both sides of the four-row fusion,
-// misaligned operands and special values in coefficients and rows, and
-// checks that nothing outside o is written.
+// fused four-row passes and the AVX-512 sweep's register-held strips are
+// also held to the unfused order — at every row length in primLengths, row
+// counts on both sides of the four-row fusion up to blockK, the most the
+// row kernel passes, misaligned operands and special values in
+// coefficients and rows, and checks that nothing outside o is written.
 func TestAxpyRowsMatchesScalarLoops(t *testing.T) {
 	eachImpl(t, func(impl string) {
 		rng := rand.New(rand.NewSource(31))
+		val := func() float64 { return primVals(rng, 1)[0] }
+		coef := func() float64 { return primValues[rng.Intn(len(primValues))] }
 		for _, n := range primLengths {
-			for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9} {
+			for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, blockK} {
 				for off := 0; off < 4; off++ {
-					oBacking := primVals(rng, off+n+4)
-					b := primVals(rng, 12*(n+3))
-					offs, coefs := make([]int, rows), make([]float64, rows+1) // coefs longer than offs is legal
-					for q := range offs {
-						offs[q] = rng.Intn(len(b) - n + 1) // rows may overlap, repeat and end flush with b
-						coefs[q] = primValues[rng.Intn(len(primValues))]
-					}
-					slices.Sort(offs) // axpyRows requires ascending offsets
-					want := append([]float64(nil), oBacking...)
-					for q, at := range offs {
-						for j := 0; j < n; j++ {
-							want[off+j] += coefs[q] * b[at+j]
-						}
-					}
-					got := append([]float64(nil), oBacking...)
-					axpyRows(got[off:off+n], b, offs, coefs)
-					if err := sameRow(want, got); err != nil {
-						t.Fatalf("%s axpyRows n=%d rows=%d off=%d offs=%v coefs=%v: %v", impl, n, rows, off, offs, coefs, err)
+					if err := checkAxpyRows(rng, n, rows, off, (off+1)%4, val, coef); err != nil {
+						t.Fatalf("%s axpyRows n=%d rows=%d off=%d: %v", impl, n, rows, off, err)
 					}
 				}
 			}
 		}
+	})
+}
+
+// TestAxpyRowsNaNPayloadsAgreeAcrossTiers holds the AVX-512 sweep to the
+// AVX2 tier's exact bits where NaNs meet, which sameRow lets pass as
+// NaN ≡ NaN: o's elements, the coefficients and the row elements are each
+// NaNs with payloads of their own kind or ordinary numbers, so a lane shows
+// which operand of each product and each sum it kept — the coefficient's
+// and the running sum's, in both assembly tiers. The portable loops are not
+// held to it (see TestDotTileNaNPayloadsAgreeAcrossTiers).
+func TestAxpyRowsNaNPayloadsAgreeAcrossTiers(t *testing.T) {
+	if !avx512Available {
+		t.Skip("avx512 leg skipped: no avx512 row primitives on this build or CPU (GOARCH, purego tag, CPUID/XGETBV)")
+	}
+	defer func() { useAVX512 = true }()
+	rng := rand.New(rand.NewSource(34))
+	vals := func(n int, kind uint64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			if rng.Intn(2) == 0 {
+				v[i] = rng.NormFloat64()
+			} else {
+				v[i] = math.Float64frombits(kind | 0x7FF8_0000_0000_0000 | uint64(i+1))
+			}
+		}
+		return v
+	}
+	for _, n := range primLengths {
+		for _, rows := range []int{1, 3, 4, 5, 16, blockK} {
+			o, b := vals(n, 1<<48), vals(rows*n+3, signBit|1<<49)
+			coefs, offs := vals(rows, 1<<50), make([]int, rows)
+			for q := range offs {
+				offs[q] = q*n + rng.Intn(4)
+			}
+			avx512, avx2 := slices.Clone(o), slices.Clone(o)
+			useAVX512 = true
+			axpyRows(avx512, b, offs, coefs)
+			useAVX512 = false
+			axpyRows(avx2, b, offs, coefs)
+			for j := range avx2 {
+				if math.Float64bits(avx512[j]) != math.Float64bits(avx2[j]) {
+					t.Fatalf("avx512 axpyRows n=%d rows=%d element %d: %#x, avx2 %#x", n, rows, j, math.Float64bits(avx512[j]), math.Float64bits(avx2[j]))
+				}
+			}
+		}
+	}
+}
+
+// FuzzAxpyRowsMatchesScalar is TestAxpyRowsMatchesScalarLoops over what the
+// fuzzer picks: the row length (0–300), the row count (0–blockK), o's and
+// b's offsets into their backing arrays, and the share of special values,
+// drawn from sweepValues (NaN payloads included) one in oneIn times and
+// none for oneIn = 0.
+func FuzzAxpyRowsMatchesScalar(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint16(10), uint8(4), uint8(1), uint8(2), uint8(3), int64(2))
+	f.Add(uint16(24), uint8(33), uint8(3), uint8(1), uint8(16), int64(3))
+	f.Add(uint16(63), uint8(64), uint8(2), uint8(0), uint8(0), int64(4))
+	f.Add(uint16(129), uint8(17), uint8(5), uint8(7), uint8(2), int64(5))
+	f.Add(uint16(300), uint8(64), uint8(7), uint8(3), uint8(1), int64(6))
+	f.Fuzz(func(t *testing.T, n uint16, rows, off, boff, oneIn uint8, seed int64) {
+		w, r, o, bo := int(n)%301, int(rows)%(blockK+1), int(off)%8, int(boff)%8
+		eachImpl(t, func(impl string) {
+			rng := rand.New(rand.NewSource(seed))
+			val := func() float64 { return mixedVals(rng, 1, int(oneIn))[0] }
+			if err := checkAxpyRows(rng, w, r, o, bo, val, val); err != nil {
+				t.Fatalf("%s axpyRows n=%d rows=%d off=%d boff=%d: %v", impl, w, r, o, bo, err)
+			}
+		})
 	})
 }
 
@@ -227,21 +324,28 @@ func TestAddScaledMatchesScalarLoop(t *testing.T) {
 	})
 }
 
-// BenchmarkAxpyRows times the fused four-row pass per implementation at the
-// row lengths the federation's layers have.
+// BenchmarkAxpyRows times axpyRows per implementation at the row lengths
+// the federation's layers have — the supervised head's 10 classes, the
+// projector's 24, the hidden layers' 48 and 96, and 256 — and at the row
+// counts the row kernel hands it: one four-row pass, and 16, 32 and blockK
+// rows, the non-zero coefficients of a block.
 func BenchmarkAxpyRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{24, 48, 96, 256} {
-		o := RandN(rng, 1, 1, n).data
-		rows := RandN(rng, 1, 4, n).data
-		offs, coefs := []int{0, n, 2 * n, 3 * n}, []float64{0.5, -0.25, 0.125, 2}
-		eachImpl(b, func(impl string) {
-			b.Run(fmt.Sprintf("n=%d/%s", n, impl), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					axpyRows(o, rows, offs, coefs)
-				}
+	for _, n := range []int{10, 24, 48, 96, 256} {
+		for _, rows := range []int{4, 16, 32, blockK} {
+			o, bs := RandN(rng, 1, 1, n).data, RandN(rng, 1, rows, n).data
+			offs, coefs := make([]int, rows), make([]float64, rows)
+			for q := range offs {
+				offs[q], coefs[q] = q*n, rng.NormFloat64()/float64(rows)
+			}
+			eachImpl(b, func(impl string) {
+				b.Run(fmt.Sprintf("n=%d/rows=%d/%s", n, rows, impl), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						axpyRows(o, bs, offs, coefs)
+					}
+				})
 			})
-		})
+		}
 	}
 }
 
