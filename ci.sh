@@ -4,8 +4,8 @@
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    row-primitive tiers (avx512, avx2, generic: which ran, which this host skipped),
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + compaction + sweep + distance-tile + exp + sgd-step + spec-grammar + sweep-grid +
-#                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
+#                    real-process smoke, wire + matmul + compaction + sweep + distance-tile + exp + sgd-step + fedavg-sink +
+#                    spec-grammar + sweep-grid + checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -197,7 +197,8 @@ go test -run '^$' -fuzz '^FuzzCompactRowMatchesScalar$' -fuzztime 5s ./internal/
 
 # And for the row kernel's sweep against one scalar loop per row: widths
 # around the AVX-512 sweep's 64-element strips, row counts up to a block,
-# misaligned operands and special values beyond the corpus, on every tier.
+# misaligned operands, both forms (adding to o, and writing o from +0) and
+# special values beyond the corpus, on every tier.
 echo "== sweep fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzAxpyRowsMatchesScalar$' -fuzztime 5s ./internal/tensor/
 
@@ -212,9 +213,16 @@ echo "== exp oracle fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzExpShiftMatchesMathExp$' -fuzztime 5s ./internal/tensor/
 
 # And for the optimizer's step primitive against SGD's scalar loop: lengths,
-# offsets, both forms, coefficients and special values beyond the corpus.
+# offsets, both forms and a fresh velocity's first step, coefficients and
+# special values beyond the corpus.
 echo "== sgd step oracle fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzSGDStepMatchesScalarLoop$' -fuzztime 5s ./internal/tensor/
+
+# And for FedAvg's streaming sink against one serial sweep: 1–5 updates,
+# lengths across param.Shard's boundaries, −0, NaN payloads and the other
+# special values, bit for bit (any NaN for a NaN).
+echo "== fedavg sink fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzWeightedAverageSinkMatchesBatch$' -fuzztime 5s ./internal/fl/
 
 # And for the spec grammar every text knob is read by: whatever
 # spec.Split accepts must render to a canonical form that splits back to it.

@@ -2,7 +2,8 @@ package main
 
 // The kernel harness (calibre perf kernels) is the reproducible perf gate for the
 // linear-algebra core: it times the MatMul kernel family, the k-means distance
-// primitives, the SimCLR loss, the optimizer's clip and step, an MLP train
+// primitives, the SimCLR loss, the optimizer's clip and step, FedAvg's
+// streaming sink, an MLP train
 // step, one Calibre local update, an end-to-end federated round and a
 // loopback TCP federation, serial (one pool worker) versus
 // the configured pool, and emits BENCH_kernels.json so the perf trajectory
@@ -348,22 +349,28 @@ const sgdStepClip = 5
 // fedavg trains in a bench/ workload: sim-fedavg's (the ci scale's arch)
 // with gradients of norm 1, where the clip's bound decides and nothing is
 // scaled, and net-wide-ops' (the smoke scale's inputs, a 1024/256 encoder)
-// with gradients of norm 50, which clip. The clipping record copies its
+// with gradients of norm 50, which clip. The clipping records copy their
 // gradients back before every step, as a backward pass rewrites them, so
-// that every call clips; its ns_op includes the copy. Neither splits across
-// the pool, so the serial and pooled timings are the same call.
+// that every call clips; their ns_op includes the copy. The first of them
+// is every later step of a local update (the velocity held, the clip past
+// its first scaling), the second a local update's first step: the
+// optimizer is released after each, so the clip tries its bound and the
+// step borrows a velocity it does not read. None splits across the pool,
+// so the serial and pooled timings are the same call.
 func benchSGDStep(minTime time.Duration) []KernelBenchRecord {
 	var records []KernelBenchRecord
 	for _, c := range []struct {
 		scale    experiments.Scale
 		wide     bool
 		gradNorm float64
+		first    bool
 		what     string
 	}{
-		{experiments.ScaleCI, false, 1, "bound-decides"},
-		{experiments.ScaleSmoke, true, 50, "clips"},
+		{experiments.ScaleCI, false, 1, false, "bound-decides"},
+		{experiments.ScaleSmoke, true, 50, false, "clips"},
+		{experiments.ScaleSmoke, true, 50, true, "clips-first-step"},
 	} {
-		fn, n := sgdStep(c.scale, c.wide, c.gradNorm)
+		fn, n := sgdStep(c.scale, c.wide, c.gradNorm, c.first)
 		ns, allocs, bytes := measure(minTime, fn)
 		records = append(records, KernelBenchRecord{
 			Op: "sgd-step", Shape: fmt.Sprintf("fedavg-%dparams-%s", n, c.what), NsOp: ns, AllocsOp: allocs, BytesOp: bytes,
@@ -375,17 +382,12 @@ func benchSGDStep(minTime time.Duration) []KernelBenchRecord {
 
 // sgdStep returns a closure running ClipGradNorm and Step over the
 // supervised model of the scale's arch (wide: a 1024/256 encoder), with
-// gradients drawn once at norm gradNorm, and the model's parameter count.
-func sgdStep(scale experiments.Scale, wide bool, gradNorm float64) (func(), int) {
-	env, err := experiments.BuildEnvironment(experiments.Settings()[calibreStepSetting], scale, 42)
-	if err != nil {
-		panic(err)
-	}
-	if wide {
-		env.Arch.HiddenDim, env.Arch.FeatDim = 1024, 256
-	}
+// gradients drawn once at norm gradNorm, and the model's parameter count;
+// with first, the closure releases the optimizer after its step, so that
+// every call is a local update's first step.
+func sgdStep(scale experiments.Scale, wide bool, gradNorm float64, first bool) (func(), int) {
 	rng := rand.New(rand.NewSource(11))
-	m := model.NewSupModel(rng, env.Arch, env.NumClasses)
+	m := wideSupModel(rng, scale, wide)
 	cfg := model.DefaultSupTrainConfig()
 	opt := nn.NewSGD(m, cfg.LR, cfg.Momentum, 0) // gives the model gradient storage of its own
 	grads := nn.Grads(m)
@@ -401,7 +403,71 @@ func sgdStep(scale experiments.Scale, wide bool, gradNorm float64) (func(), int)
 		}
 		opt.ClipGradNorm(sgdStepClip)
 		opt.Step()
+		if first {
+			opt.Release()
+		}
 	}, len(grads)
+}
+
+// wideSupModel is the supervised model of the scale's arch (wide: a
+// 1024/256 encoder, net-wide-ops' model), initialised from rng.
+func wideSupModel(rng *rand.Rand, scale experiments.Scale, wide bool) *model.SupModel {
+	env, err := experiments.BuildEnvironment(experiments.Settings()[calibreStepSetting], scale, 42)
+	if err != nil {
+		panic(err)
+	}
+	if wide {
+		env.Arch.HiddenDim, env.Arch.FeatDim = 1024, 256
+	}
+	return model.NewSupModel(rng, env.Arch, env.NumClasses)
+}
+
+// sinkUpdates is how many updates the fedavg-sink round record aggregates:
+// net-wide-ops' clients per round.
+const sinkUpdates = 2
+
+// benchSink times FedAvg's streaming sink over net-wide-ops' model: one
+// Ingest into a running sink (an add), and a whole round — NewSink, the
+// first update written and the rest added, Finish's scaling — whose
+// aggregate goes back to param's pool. Both shard over the pool as the
+// round core runs them, so the serial and pooled timings are the same call.
+func benchSink(minTime time.Duration) []KernelBenchRecord {
+	rng := rand.New(rand.NewSource(12))
+	global := nn.Flatten(wideSupModel(rng, experiments.ScaleSmoke, true))
+	updates := make([]*fl.Update, sinkUpdates)
+	for i := range updates {
+		p := make([]float64, len(global))
+		for j := range p {
+			p[j] = global[j] + 0.01*rng.NormFloat64()
+		}
+		updates[i] = &fl.Update{ClientID: i, Params: p, NumSamples: 20 + i}
+	}
+	running := fl.WeightedAverage{}.NewSink(global)
+	var records []KernelBenchRecord
+	for _, c := range []struct {
+		what string
+		fn   func()
+	}{
+		{"ingest", func() {
+			if err := running.Ingest(updates[0]); err != nil {
+				panic(err)
+			}
+		}},
+		{fmt.Sprintf("%dupdates", sinkUpdates), func() {
+			agg, err := fl.WeightedAverage{}.Aggregate(global, updates)
+			if err != nil {
+				panic(err)
+			}
+			param.GiveBack(agg)
+		}},
+	} {
+		ns, allocs, _ := measure(minTime, c.fn)
+		records = append(records, KernelBenchRecord{
+			Op: "fedavg-sink", Shape: fmt.Sprintf("%dparams-%s", len(global), c.what), NsOp: ns, AllocsOp: allocs,
+			SerialNsOp: ns, SpeedupVsSerial: 1,
+		})
+	}
+	return records
 }
 
 // paramSet is a module of loose parameters.
@@ -604,6 +670,7 @@ func runKernelBench(outDir string, quick bool) error {
 	file.Records = append(file.Records, benchSqDist(minTime)...)
 	file.Records = append(file.Records, benchNTXent(minTime))
 	file.Records = append(file.Records, benchSGDStep(minTime)...)
+	file.Records = append(file.Records, benchSink(minTime)...)
 	file.Records = append(file.Records,
 		benchSerialVsPool(minTime, workers, "mlp-train-step", "batch128-256-256-128-10", mlpTrainStep),
 		benchSerialVsPool(minTime, workers, "calibre-step", "calibre-simclr-ci-1client", calibreStep),

@@ -17,7 +17,7 @@ import (
 // size. None of them mutate global or the update payloads they are
 // handed; the returned vector is borrowed from param's pool and handed
 // over to the caller (Aggregator), so an accumulator is cleared before it
-// is added into.
+// is added into, or written by its first term (FedAvg's sink, stream.go).
 
 // checkUpdateSizes validates every payload length up front (wrapping
 // ErrUpdateSize) so the sharded loops below can index without bounds

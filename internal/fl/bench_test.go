@@ -109,3 +109,32 @@ func BenchmarkDivergenceWeighted(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWeightedAverageSink times one round of FedAvg's streaming
+// aggregation as net-wide-ops runs it, two updates of 282,378 parameters:
+// NewSink, the first update written into the borrowed sum and the second
+// added, Finish's scaling, and the aggregate given back to param's pool.
+// SetBytes counts the updates' payload, so MB/s reads as the rate updates
+// are folded in.
+func BenchmarkWeightedAverageSink(b *testing.B) {
+	const dim, clients = 282378, 2
+	rng := rand.New(rand.NewSource(3))
+	global := make(param.Vector, dim)
+	updates := randomUpdates(rng, clients, dim)
+	b.SetBytes(8 * dim * clients)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink := WeightedAverage{}.NewSink(global)
+		for _, u := range updates {
+			if err := sink.Ingest(u); err != nil {
+				b.Fatal(err)
+			}
+		}
+		agg, err := sink.Finish()
+		if err != nil {
+			b.Fatal(err)
+		}
+		param.GiveBack(agg)
+	}
+}

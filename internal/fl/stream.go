@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"calibre/internal/param"
+	"calibre/internal/tensor"
 )
 
 // UpdateSink accumulates one round's client updates incrementally. It is
@@ -69,7 +70,9 @@ func (b *bufferSink) Finish() (param.Vector, error) {
 // weighted sum and total weight. Each Ingest folds its update over shard
 // ranges (param.Shard): sharding is by element range, so every output
 // element sees the float operations of a serial sweep over the updates, in
-// ingestion order.
+// ingestion order. The sum is borrowed and never cleared: the first update
+// writes it, sum[i] = +0 + w·p[i] (tensor.AddScaledSlice's write form, the
+// bits a cleared sum would get), and the later ones add to it.
 type weightedAverageSink struct {
 	sum   param.Vector
 	total float64
@@ -80,9 +83,7 @@ var _ StreamingAggregator = WeightedAverage{}
 
 // NewSink implements StreamingAggregator.
 func (WeightedAverage) NewSink(global param.Vector) UpdateSink {
-	sum := param.Borrow(len(global))
-	clear(sum) // Ingest adds into it
-	return &weightedAverageSink{sum: sum}
+	return &weightedAverageSink{sum: param.Borrow(len(global))}
 }
 
 func (s *weightedAverageSink) Ingest(u *Update) error {
@@ -94,11 +95,9 @@ func (s *weightedAverageSink) Ingest(u *Update) error {
 		w = 1
 	}
 	s.total += w
-	sum, p := s.sum, u.Params
+	sum, first := s.sum, s.n == 0
 	param.Shard(len(sum), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum[i] += w * p[i]
-		}
+		tensor.AddScaledSlice(sum[lo:hi], u.Params[lo:hi], w, first)
 	})
 	s.n++
 	return nil
@@ -111,9 +110,7 @@ func (s *weightedAverageSink) Finish() (param.Vector, error) {
 	inv := 1 / s.total
 	sum := s.sum
 	param.Shard(len(sum), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum[i] *= inv
-		}
+		tensor.ScaleSlice(sum[lo:hi], inv)
 	})
 	return sum, nil
 }

@@ -1,11 +1,13 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
+
+	"calibre/internal/param"
 )
 
 func randomUpdates(rng *rand.Rand, n, dim int) []*Update {
@@ -47,11 +49,71 @@ func serialWeightedAverage(dim int, updates []*Update) []float64 {
 	return out
 }
 
+// sinkValues are the parameters that make a sink's bits differ where a
+// cleared sum and a written one could: both zeros (w·−0 is −0, and only
+// +0 + −0 turns it into the +0 a cleared sum gave), NaNs with payloads of
+// their own, infinities and denormals.
+var sinkValues = []float64{
+	0, math.Copysign(0, -1), math.Float64frombits(0x7FF8_0000_0000_0A01), math.Float64frombits(0xFFF8_0000_0000_0B02),
+	math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+}
+
+// withSinkValues replaces about one parameter in oneIn with a sinkValues
+// entry, and makes one element −0 in every update, so that the aggregate
+// there is +0·(1/total) = +0 only if the first update was added to +0.
+func withSinkValues(rng *rand.Rand, updates []*Update, oneIn int) {
+	for _, u := range updates {
+		for j := range u.Params {
+			if oneIn > 0 && rng.Intn(oneIn) == 0 {
+				u.Params[j] = sinkValues[rng.Intn(len(sinkValues))]
+			}
+		}
+		u.Params[len(u.Params)-1] = math.Copysign(0, -1)
+	}
+}
+
+// sameAggregate is bitwise equality of two aggregates, except that any NaN
+// equals any NaN: which of two NaN operands a sum keeps depends on the
+// operand order a compiler picked for the scalar reference.
+func sameAggregate(want, got []float64) bool {
+	if len(want) != len(got) {
+		return false
+	}
+	for i, w := range want {
+		if math.Float64bits(w) != math.Float64bits(got[i]) && !(math.IsNaN(w) && math.IsNaN(got[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSinkMatchesBatch holds FedAvg's batch Aggregate and its streaming
+// sink, fed one update at a time, to serialWeightedAverage.
+func checkSinkMatchesBatch(global []float64, updates []*Update) error {
+	batch := serialWeightedAverage(len(global), updates)
+	viaAggregate, err := (WeightedAverage{}).Aggregate(global, updates)
+	if err != nil || !sameAggregate(batch, viaAggregate) {
+		return fmt.Errorf("Aggregate differs from the serial sweep (err %v)", err)
+	}
+	sink := NewRoundSink(WeightedAverage{}, global)
+	for _, u := range updates {
+		if err := sink.Ingest(u); err != nil {
+			return err
+		}
+	}
+	streamed, err := sink.Finish()
+	if err != nil || !sameAggregate(batch, streamed) {
+		return fmt.Errorf("the streamed aggregate differs from the serial sweep (err %v)", err)
+	}
+	return nil
+}
+
 // TestWeightedAverageSinkMatchesBatchBitwise is the streaming-aggregation
 // determinism gate: folding updates one at a time (in canonical order),
 // each over shard ranges, must produce the exact float operations of a
 // serial batch sweep, hence bit-identical output — and batch Aggregate is
-// that sink.
+// that sink. Half the draws carry −0, NaN payloads, infinities and
+// denormals among the parameters.
 func TestWeightedAverageSinkMatchesBatchBitwise(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -59,31 +121,35 @@ func TestWeightedAverageSinkMatchesBatchBitwise(t *testing.T) {
 		dim := 1 + rng.Intn(64)
 		global := make([]float64, dim)
 		updates := randomUpdates(rng, n, dim)
-
-		batch := serialWeightedAverage(dim, updates)
-		if viaAggregate, err := (WeightedAverage{}).Aggregate(global, updates); err != nil || !reflect.DeepEqual([]float64(viaAggregate), batch) {
-			return false
+		if seed%2 == 0 {
+			withSinkValues(rng, updates, 4)
 		}
-		sink := NewRoundSink(WeightedAverage{}, global)
-		for _, u := range updates {
-			if err := sink.Ingest(u); err != nil {
-				return false
-			}
-		}
-		streamed, err := sink.Finish()
-		if err != nil || len(streamed) != len(batch) {
-			return false
-		}
-		for i := range batch {
-			if math.Float64bits(streamed[i]) != math.Float64bits(batch[i]) {
-				return false
-			}
-		}
-		return true
+		return checkSinkMatchesBatch(global, updates) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzWeightedAverageSinkMatchesBatch is TestWeightedAverageSinkMatchesBatchBitwise
+// over what the fuzzer picks: 1–5 updates, lengths 1 … 3·param.MinShard+64
+// (so one shard, and ranges cut at shard boundaries on a pool of two or
+// more workers), and special values one in oneIn times (none for 0).
+func FuzzWeightedAverageSinkMatchesBatch(f *testing.F) {
+	f.Add(uint8(0), uint16(1), uint8(0), int64(1))
+	f.Add(uint8(1), uint16(7), uint8(2), int64(2))
+	f.Add(uint8(4), uint16(param.MinShard), uint8(5), int64(3))
+	f.Add(uint8(2), uint16(2*param.MinShard+1), uint8(3), int64(4))
+	f.Add(uint8(3), uint16(3*param.MinShard+63), uint8(1), int64(5))
+	f.Fuzz(func(t *testing.T, updates uint8, n uint16, oneIn uint8, seed int64) {
+		k, dim := 1+int(updates)%5, 1+int(n)%(3*param.MinShard+64)
+		rng := rand.New(rand.NewSource(seed))
+		us := randomUpdates(rng, k, dim)
+		withSinkValues(rng, us, int(oneIn))
+		if err := checkSinkMatchesBatch(make([]float64, dim), us); err != nil {
+			t.Fatalf("%d updates of %d params: %v", k, dim, err)
+		}
+	})
 }
 
 // TestWeightedAverageIsStreaming pins that FedAvg aggregation advertises

@@ -20,8 +20,13 @@ type SGD struct {
 	// clip's passes are one sweep per run.
 	spans []span
 	// velocity is one vector over all spans, borrowed on the first momentum
-	// step (param.Borrow) and handed back by Release.
+	// step (param.Borrow) and handed back by Release. That first step reads
+	// none of it (tensor.SGDStep's fresh velocity), so it is never cleared.
 	velocity []float64
+	// clipped is set once ClipGradNorm has scaled: from then on, until
+	// Release, it runs the serial sum without first trying the chained bound
+	// (see ClipGradNorm).
+	clipped bool
 }
 
 // span is one run of parameters: their values and their gradients, element
@@ -82,13 +87,13 @@ func ownGrads(ps []*Param) {
 
 // Step applies one update using the currently accumulated gradients.
 func (s *SGD) Step() {
-	if s.Momentum != 0 && s.velocity == nil {
+	fresh := s.Momentum != 0 && s.velocity == nil
+	if fresh {
 		n := 0
 		for _, sp := range s.spans {
 			n += len(sp.value)
 		}
 		s.velocity = param.Borrow(n)
-		clear(s.velocity)
 	}
 	off := 0
 	for _, sp := range s.spans {
@@ -100,23 +105,25 @@ func (s *SGD) Step() {
 			panic("nn: SGD.Step on gradients its parameters no longer have: build the optimizer after the update's gradients are lent (Tape.LendGrads)")
 		}
 		if s.Momentum != 0 {
-			tensor.SGDStep(v, g, s.velocity[off:][:len(v)], s.LR, s.Momentum, s.WeightDecay)
+			tensor.SGDStep(v, g, s.velocity[off:][:len(v)], s.LR, s.Momentum, s.WeightDecay, fresh)
 			off += len(v)
 			continue
 		}
-		tensor.SGDStep(v, g, nil, s.LR, 0, s.WeightDecay)
+		tensor.SGDStep(v, g, nil, s.LR, 0, s.WeightDecay, false)
 	}
 }
 
 // Release hands the velocity back for another optimizer to borrow: call it
-// when the local update is over (StepLoop.Run does). Momentum restarts from
-// zero if the optimizer steps again. An optimizer that is never released
+// when the local update is over (StepLoop.Run does). If the optimizer steps
+// again it starts over as a new one: momentum from zero, and the clip
+// trying its bound until it scales. An optimizer that is never released
 // leaves its velocity to the garbage collector.
 func (s *SGD) Release() {
 	if s.velocity != nil {
 		param.GiveBack(s.velocity)
 		s.velocity = nil
 	}
+	s.clipped = false
 }
 
 // ZeroGrad clears all parameter gradients.
@@ -131,14 +138,21 @@ func (s *SGD) ZeroGrad() {
 // training; clipping keeps the small-batch runs stable.
 //
 // Which gradients it scales, and by what, is decided by the serial norm:
-// the square root of the squares summed left to right over the spans. It
-// first sums the same squares in independent chains (tensor.SumSquares);
-// when that sum proves the serial norm is at most maxNorm (see
-// clipBoundDecides), nothing is scaled and it returns the chained sum's
-// square root: an estimate of the serial norm, within a relative n·2⁻⁵³ of
-// it for n gradients. Otherwise it runs the serial sum and returns the exact
-// pre-clip norm, scaling every gradient by maxNorm/norm when that exceeds
-// maxNorm.
+// the square root of the squares summed left to right over the spans. Until
+// the optimizer has clipped once, it first sums the same squares in
+// independent chains (tensor.SumSquares); when that sum proves the serial
+// norm is at most maxNorm (see clipBoundDecides), nothing is scaled and it
+// returns the chained sum's square root: an estimate of the serial norm,
+// within a relative n·2⁻⁵³ of it for n gradients. Otherwise it runs the
+// serial sum and returns the exact pre-clip norm, scaling every gradient by
+// maxNorm/norm when that exceeds maxNorm. Once it has scaled, later calls
+// (until Release) skip the bound and go straight to the serial sum: an
+// update that clipped tends to clip again (the wide model's steps clip
+// nearly every time), and there the bound is a pass that can only fail. The
+// bound only ever decides "nothing to scale", so which gradients are
+// scaled, and by what, does not depend on whether it ran; only the value
+// returned on a call that scales nothing does, an estimate before the first
+// clip and exact after.
 //
 // Finite gradients whose squares sum past the float64 range are scaled to
 // maxNorm through a norm taken relative to their largest magnitude, as
@@ -147,14 +161,16 @@ func (s *SGD) ZeroGrad() {
 // holding ±Inf have an infinite norm, the finite ones become zero and the
 // infinite ones NaN.
 func (s *SGD) ClipGradNorm(maxNorm float64) float64 {
-	var est float64
-	n := 0
-	for _, sp := range s.spans {
-		est += tensor.SumSquares(sp.grad)
-		n += len(sp.grad)
-	}
-	if clipBoundDecides(est, n, maxNorm) {
-		return math.Sqrt(est)
+	if !s.clipped {
+		var est float64
+		n := 0
+		for _, sp := range s.spans {
+			est += tensor.SumSquares(sp.grad)
+			n += len(sp.grad)
+		}
+		if clipBoundDecides(est, n, maxNorm) {
+			return math.Sqrt(est)
+		}
 	}
 	var ss float64
 	for _, sp := range s.spans {
@@ -166,6 +182,7 @@ func (s *SGD) ClipGradNorm(maxNorm float64) float64 {
 	if norm <= maxNorm || norm == 0 {
 		return norm
 	}
+	s.clipped = true
 	if math.IsInf(ss, 1) {
 		if norm, ok := s.clipOverflowed(maxNorm); ok {
 			return norm

@@ -126,8 +126,10 @@ func serialNorm(s *SGD) float64 {
 // bound's margin on either side of, at, just above and far above the
 // gradients' norm, all-zero gradients (maxNorm 1 and 0), NaN and ±Inf
 // gradients — on three spans and on one, with momentum and with weight
-// decay. The returned norm is the serial one whenever gradients are scaled,
-// and within a few units in the last place of it otherwise.
+// decay; then clip, no clip, clip on gradients redrawn at every step
+// (clipNoClipClip). The returned norm is the serial one whenever gradients
+// are scaled or the optimizer has clipped before, and within a few units in
+// the last place of it otherwise.
 func TestClipAndStepMatchSerialLoops(t *testing.T) {
 	cases := []struct {
 		name string
@@ -223,8 +225,55 @@ func TestClipAndStepMatchSerialLoops(t *testing.T) {
 				}
 				opt.Release()
 			}
+			clipNoClipClip(t, spans, hyper)
 		}
 	}
+}
+
+// clipNoClipClip is TestClipAndStepMatchSerialLoops over a sequence whose
+// gradients are redrawn before every step: a clip, then a step whose norm
+// is just below maxNorm, then one just above. After its first clip the
+// optimizer skips the bound, so the serial sum alone decides the second
+// step, and every returned norm is the serial one, bit for bit.
+func clipNoClipClip(t *testing.T, spans int, hyper [3]float64) {
+	t.Helper()
+	opt := NewSGD(clipModule(spans, 99), hyper[0], hyper[1], hyper[2])
+	ref := newSerialSGD(opt)
+	rng := rand.New(rand.NewSource(99))
+	for step, clip := range []func(float64) float64{
+		func(n float64) float64 { return n / 10 },
+		func(n float64) float64 { return math.Nextafter(n, math.Inf(1)) },
+		func(n float64) float64 { return math.Nextafter(n, 0) },
+	} {
+		for k, sp := range opt.spans {
+			for i := range sp.grad {
+				sp.grad[i] = rng.NormFloat64()
+				ref.grads[k][i] = sp.grad[i]
+			}
+		}
+		maxNorm := clip(serialNorm(opt))
+		name := fmt.Sprintf("clip, no clip, clip/%d spans/lr=%v mom=%v wd=%v step %d", spans, hyper[0], hyper[1], hyper[2], step)
+		want := ref.clip(maxNorm)
+		if got := opt.ClipGradNorm(maxNorm); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: ClipGradNorm = %v, the serial norm is %v", name, got, want)
+		}
+		opt.Step()
+		ref.step()
+		for k, sp := range opt.spans {
+			if err := sameFloats(ref.grads[k], sp.grad); err != nil {
+				t.Fatalf("%s span %d gradients: %v", name, k, err)
+			}
+			if err := sameFloats(ref.values[k], sp.value); err != nil {
+				t.Fatalf("%s span %d values: %v", name, k, err)
+			}
+		}
+		if opt.velocity != nil {
+			if err := sameFloats(ref.velocity, opt.velocity); err != nil {
+				t.Fatalf("%s velocity: %v", name, err)
+			}
+		}
+	}
+	opt.Release()
 }
 
 func normal(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() }

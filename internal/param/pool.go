@@ -54,8 +54,18 @@ func (p *pool) borrow(n int) Vector {
 	if v == nil {
 		return make(Vector, n)
 	}
-	return v[:n]
+	v = v[:n]
+	if onRelend != nil {
+		onRelend(v)
+	}
+	return v
 }
+
+// onRelend, when set, sees every vector Borrow lends again before its
+// borrower does. Only tests set it: filled with NaN there, a borrower that
+// reads what it has not written changes a run's result instead of silently
+// depending on what the last borrower left.
+var onRelend func(Vector)
 
 func (p *pool) giveBack(v Vector) {
 	p.mu.Lock()

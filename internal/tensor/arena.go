@@ -14,9 +14,9 @@ import (
 // Semantics are identical to make([]float64, n): Get always returns a zeroed
 // buffer, so code paths are bit-identical whether or not an arena is in use.
 // The Uninit forms skip the zeroing for a borrower that overwrites every
-// element before reading any — a matmul output, which the kernel clears or
-// fills itself — and are interchangeable with the zeroed forms for exactly
-// those borrowers.
+// element before reading any — a matmul output, which the kernel writes
+// whole, every element from +0 — and are interchangeable with the zeroed
+// forms for exactly those borrowers.
 //
 // Ownership rules:
 //

@@ -30,8 +30,8 @@ import "fmt"
 //     at a time first, each block of eight columns one dotTile8: sixty-four
 //     accumulators under AVX-512, four dotTiles on the other tiers.
 //
-// What is Go and what is not: blocking, the aᵀ·b gather, tiling, row
-// splitting and the clear are here, once, for every platform. The innermost
+// What is Go and what is not: blocking, the aᵀ·b gather, tiling and row
+// splitting are here, once, for every platform. The innermost
 // loops over j (axpyRows) and p (compactRow, dotTile, dotTile8) are
 // primitives, with a portable Go body and, on amd64 with AVX2, an assembly
 // body that runs the same multiply-then-add per element four elements at a
@@ -188,10 +188,12 @@ func matMulTransARange(out, a, b *Tensor, lo, hi int) {
 // rows' coefficients are gathered per pass over the block, one contiguous
 // load of four per p, into a stack buffer the pack reads, and the last one
 // to three rows one at a time. Every out[i,j] still receives its terms one
-// at a time, in ascending p, through a single accumulator. The offsets p·n
-// ascend, as axpyRows requires.
+// at a time, in ascending p, through a single accumulator, which starts at
+// +0: the first block writes each row (axpyRows' write form, which reads
+// nothing of out, so out need not be cleared) and the later ones add. The
+// first block runs even when k is 0, and then writes +0 rows. The offsets
+// p·n ascend, as axpyRows requires.
 func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
-	clear(out[lo*n : hi*n])
 	var (
 		coef [blockK]float64
 		brow [blockK]int // offset of the coefficient's b row
@@ -199,9 +201,9 @@ func mulRowsRange(out, a, b []float64, k, n, strideI, strideP, lo, hi int) {
 	)
 	apply := func(i int, src []float64, p0 int) {
 		nz := compactRow(coef[:], brow[:], src, p0*n, n)
-		axpyRows(out[i*n:(i+1)*n], b, brow[:nz], coef[:nz])
+		axpyRows(out[i*n:(i+1)*n], b, brow[:nz], coef[:nz], p0 == 0)
 	}
-	for p0 := 0; p0 < k; p0 += blockK {
+	for p0 := 0; p0 == 0 || p0 < k; p0 += blockK {
 		p1 := min(p0+blockK, k)
 		if strideP == 1 {
 			for i := lo; i < hi; i++ {

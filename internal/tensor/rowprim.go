@@ -6,18 +6,20 @@ import (
 )
 
 // The row primitives are the innermost loops of the matmul micro-kernels
-// (matmul.go), of AddScaled and AddScaledRows, of the distance tile behind
-// k-means and of the bias/ReLU sweeps of a fused layer: loop bodies over
-// contiguous float64 rows — axpyRows, which adds scaled rows to a row;
-// compactRow, which left-packs a row's non-zero coefficients with their
-// b-row offsets for axpyRows; dotTile and dotTile8, a 4×4 and an 8×8 tile
-// of dot products; sqDistTile, a 4×4 tile of squared distances; biasRows, a
-// bias added to every row (then ReLU, if asked);
+// (matmul.go), of AddScaled, AddScaledSlice and AddScaledRows, of the
+// distance tile behind k-means and of the bias/ReLU sweeps of a fused
+// layer: loop bodies over contiguous float64 rows — axpyRows, which adds
+// scaled rows to a row (or, in its write form, writes their sum from +0
+// without reading the row); compactRow, which left-packs a row's non-zero
+// coefficients with their b-row offsets for axpyRows; dotTile and dotTile8,
+// a 4×4 and an 8×8 tile of dot products; sqDistTile, a 4×4 tile of squared
+// distances; biasRows, a bias added to every row (then ReLU, if asked);
 // reluMask, a gradient kept where an output is positive; expShift, the
 // shifted exponential of a softmax row; and the optimizer's three sweeps,
-// sgdStep, SGD's update of a run of parameters, sumSquares, the gradients'
-// sum of squares, and scale, the clip's multiply — each in up to three
-// tiers that agree bit for bit.
+// sgdStep, SGD's update of a run of parameters (a fresh velocity's first
+// step reads no velocity), sumSquares, the gradients' sum of squares, and
+// scale, the clip's multiply — each in up to three tiers that agree bit for
+// bit.
 //
 //   - The portable loops in this file are the scalar inner loops the kernels
 //     always had, and they are what runs on every build without the
@@ -98,8 +100,24 @@ func KernelImpl() string {
 // right — the same chain of roundings as four single sweeps, with o loaded
 // and stored once instead of four times; the last one to three rows are
 // single sweeps.
-func axpyRowsGeneric(o, b []float64, offs []int, coefs []float64) {
+//
+// With write, o is not read: every o[j] starts at +0, as if o had been
+// cleared first. The first row then writes o[j] = 0 + coefs[0]·b[offs[0]+j]
+// — the literal 0 + turns a −0 product into +0, as a cleared o did — and
+// the rest are added; with no rows o becomes +0s.
+func axpyRowsGeneric(o, b []float64, offs []int, coefs []float64, write bool) {
 	coefs = coefs[:len(offs)]
+	if write {
+		if len(offs) == 0 {
+			clear(o)
+			return
+		}
+		c0, b0 := coefs[0], b[offs[0]:][:len(o)]
+		for j := range o {
+			o[j] = 0 + c0*b0[j]
+		}
+		offs, coefs = offs[1:], coefs[1:]
+	}
 	q := 0
 	for ; q+4 <= len(offs); q += 4 {
 		c0, c1, c2, c3 := coefs[q], coefs[q+1], coefs[q+2], coefs[q+3]
@@ -236,8 +254,10 @@ func biasRowsGeneric(y, bias []float64, relu bool) {
 //
 // and with vel nil the plain form, t = wd·v; grad = g + t; v = v − lr·grad;
 // every operation rounded to float64 on its own. g and a non-nil vel are as
-// long as v.
-func sgdStepGeneric(v, g, vel []float64, lr, mom, wd float64) {
+// long as v. With fresh, vel is not read but taken as +0 everywhere, as if
+// it had been cleared: mom·(+0), the same product for every element, is
+// computed once and added where mom·vel was.
+func sgdStepGeneric(v, g, vel []float64, lr, mom, wd float64, fresh bool) {
 	g = g[:len(v)]
 	if vel == nil {
 		for j := range v {
@@ -247,6 +267,15 @@ func sgdStepGeneric(v, g, vel []float64, lr, mom, wd float64) {
 		return
 	}
 	vel = vel[:len(v)]
+	if fresh {
+		m0 := mom * 0
+		for j := range v {
+			grad := g[j] + wd*v[j]
+			vel[j] = m0 + grad
+			v[j] -= lr * vel[j]
+		}
+		return
+	}
 	for j := range v {
 		grad := g[j] + wd*v[j]
 		vel[j] = mom*vel[j] + grad

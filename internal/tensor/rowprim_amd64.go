@@ -28,10 +28,10 @@ var hasFMA = cpuHasFMA()
 func cpuHasFMA() bool
 
 //go:noescape
-func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64)
+func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64, write bool)
 
 //go:noescape
-func axpyRowsAVX512(o, b []float64, offs []int, coefs []float64)
+func axpyRowsAVX512(o, b []float64, offs []int, coefs []float64, write bool)
 
 //go:noescape
 func compactRowAVX2(coef []float64, off []int, src []float64, off0, step int) int
@@ -55,7 +55,7 @@ func reluMaskAVX2(dst, g, y []float64)
 func expShiftAVX2(dst, src []float64, shift float64) int
 
 //go:noescape
-func sgdStepAVX2(v, g, vel []float64, lr, mom, wd float64)
+func sgdStepAVX2(v, g, vel []float64, lr, mom, wd float64, fresh bool)
 
 //go:noescape
 func sumSquaresAVX2(x []float64) float64
@@ -64,23 +64,24 @@ func sumSquaresAVX2(x []float64) float64
 func scaleAVX2(x []float64, c float64)
 
 // axpyRows computes, for q = 0 … len(offs)-1 in order,
-// o[j] += coefs[q]·b[offs[q]+j] for every j < len(o). The offsets must
+// o[j] += coefs[q]·b[offs[q]+j] for every j < len(o); with write, o is not
+// read and every o[j] starts at +0 (axpyRowsGeneric). The offsets must
 // ascend, as every caller passes them: the first is then the lowest and the
-// last row ends furthest into b, so checking those two covers every row.
-func axpyRows(o, b []float64, offs []int, coefs []float64) {
-	if useAVX2 {
-		if len(offs) > 0 {
-			_ = coefs[:len(offs)]
-			_, _ = b[offs[0]:], b[offs[len(offs)-1]:][:len(o)] // the assembly trusts these extents
-		}
+// last row ends furthest into b, so checking those two covers every row. A
+// call without rows, which only a write form stores anything for, takes the
+// portable loop on every tier.
+func axpyRows(o, b []float64, offs []int, coefs []float64, write bool) {
+	if useAVX2 && len(offs) > 0 {
+		_ = coefs[:len(offs)]
+		_, _ = b[offs[0]:], b[offs[len(offs)-1]:][:len(o)] // the assembly trusts these extents
 		if useAVX512 {
-			axpyRowsAVX512(o, b, offs, coefs)
+			axpyRowsAVX512(o, b, offs, coefs, write)
 			return
 		}
-		axpyRowsAVX2(o, b, offs, coefs)
+		axpyRowsAVX2(o, b, offs, coefs, write)
 		return
 	}
-	axpyRowsGeneric(o, b, offs, coefs)
+	axpyRowsGeneric(o, b, offs, coefs, write)
 }
 
 // compactRow left-packs the entries of src whose bits are not ±0 into coef,
@@ -169,14 +170,15 @@ func expShift(dst, src []float64, shift float64) {
 }
 
 // sgdStep is one SGD step over v: the momentum form with vel, the plain
-// form with vel nil; the caller has checked that g, and vel when non-nil,
+// form with vel nil; with fresh, vel is written but not read, taken as +0
+// (sgdStepGeneric). The caller has checked that g, and vel when non-nil,
 // are as long as v.
-func sgdStep(v, g, vel []float64, lr, mom, wd float64) {
+func sgdStep(v, g, vel []float64, lr, mom, wd float64, fresh bool) {
 	if useAVX2 {
-		sgdStepAVX2(v, g, vel, lr, mom, wd)
+		sgdStepAVX2(v, g, vel, lr, mom, wd, fresh)
 		return
 	}
-	sgdStepGeneric(v, g, vel, lr, mom, wd)
+	sgdStepGeneric(v, g, vel, lr, mom, wd, fresh)
 }
 
 // sumSquares is Σ x[i]² in sumSquaresGeneric's sixteen chains.

@@ -48,150 +48,184 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 probed:
 	RET
 
-// func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64)
+// ROWS4 and ROWS1 start a sweep of axpyRowsAVX2 over four rows, resp. one:
+// they point R8…R11 at the rows, broadcast the coefficients into Y0…Y3,
+// advance offs (DX) and coefs (AX), count the rows off R13 and start CX and
+// SI at the first element.
+#define ROWS4 \
+	MOVQ         (DX), R8; \
+	MOVQ         8(DX), R9; \
+	MOVQ         16(DX), R10; \
+	MOVQ         24(DX), R11; \
+	LEAQ         (BX)(R8*8), R8; \
+	LEAQ         (BX)(R9*8), R9; \
+	LEAQ         (BX)(R10*8), R10; \
+	LEAQ         (BX)(R11*8), R11; \
+	VBROADCASTSD (AX), Y0; \
+	VBROADCASTSD 8(AX), Y1; \
+	VBROADCASTSD 16(AX), Y2; \
+	VBROADCASTSD 24(AX), Y3; \
+	ADDQ         $32, DX; \
+	ADDQ         $32, AX; \
+	SUBQ         $4, R13; \
+	MOVQ         R12, CX; \
+	XORQ         SI, SI
+
+#define ROWS1 \
+	MOVQ         (DX), R8; \
+	LEAQ         (BX)(R8*8), R8; \
+	VBROADCASTSD (AX), Y0; \
+	ADDQ         $8, DX; \
+	ADDQ         $8, AX; \
+	DECQ         R13; \
+	MOVQ         R12, CX; \
+	XORQ         SI, SI
+
+// OLOAD and OLOAD1 start a group of o's elements from o: a vector at byte
+// offset off, or the one element of a tail. OZERO and OZERO1 start it from
+// +0 instead, reading nothing: the write form's first sweep.
+#define OLOAD(off, y) VMOVUPD off(DI)(SI*1), y
+#define OLOAD1(x) VMOVSD (DI)(SI*1), x
+#define OZERO(off, y) VXORPD y, y, y
+#define OZERO1(x) VXORPD x, x, x
+
+// FUSED is a four-row sweep over o, at labels l8, l4 and l1 (eight, four,
+// then one element at a time), starting each group of o through START and
+// START1; it jumps to next when o is done.
+#define FUSED(START, START1, l8, l4, l1, next) \
+l8: \
+	CMPQ    CX, $8; \
+	JLT     l4; \
+	START(0, Y4); \
+	START(32, Y5); \
+	VMULPD  (R8)(SI*1), Y0, Y6; \
+	VMULPD  32(R8)(SI*1), Y0, Y7; \
+	VADDPD  Y6, Y4, Y4; \
+	VADDPD  Y7, Y5, Y5; \
+	VMULPD  (R9)(SI*1), Y1, Y8; \
+	VMULPD  32(R9)(SI*1), Y1, Y9; \
+	VADDPD  Y8, Y4, Y4; \
+	VADDPD  Y9, Y5, Y5; \
+	VMULPD  (R10)(SI*1), Y2, Y6; \
+	VMULPD  32(R10)(SI*1), Y2, Y7; \
+	VADDPD  Y6, Y4, Y4; \
+	VADDPD  Y7, Y5, Y5; \
+	VMULPD  (R11)(SI*1), Y3, Y8; \
+	VMULPD  32(R11)(SI*1), Y3, Y9; \
+	VADDPD  Y8, Y4, Y4; \
+	VADDPD  Y9, Y5, Y5; \
+	VMOVUPD Y4, (DI)(SI*1); \
+	VMOVUPD Y5, 32(DI)(SI*1); \
+	ADDQ    $64, SI; \
+	SUBQ    $8, CX; \
+	JMP     l8; \
+l4: \
+	CMPQ    CX, $4; \
+	JLT     l1; \
+	START(0, Y4); \
+	VMULPD  (R8)(SI*1), Y0, Y6; \
+	VADDPD  Y6, Y4, Y4; \
+	VMULPD  (R9)(SI*1), Y1, Y7; \
+	VADDPD  Y7, Y4, Y4; \
+	VMULPD  (R10)(SI*1), Y2, Y8; \
+	VADDPD  Y8, Y4, Y4; \
+	VMULPD  (R11)(SI*1), Y3, Y9; \
+	VADDPD  Y9, Y4, Y4; \
+	VMOVUPD Y4, (DI)(SI*1); \
+	ADDQ    $32, SI; \
+	SUBQ    $4, CX; \
+l1: \
+	TESTQ  CX, CX; \
+	JZ     next; \
+	START1(X4); \
+	VMULSD (R8)(SI*1), X0, X6; \
+	VADDSD X6, X4, X4; \
+	VMULSD (R9)(SI*1), X1, X7; \
+	VADDSD X7, X4, X4; \
+	VMULSD (R10)(SI*1), X2, X8; \
+	VADDSD X8, X4, X4; \
+	VMULSD (R11)(SI*1), X3, X9; \
+	VADDSD X9, X4, X4; \
+	VMOVSD X4, (DI)(SI*1); \
+	ADDQ   $8, SI; \
+	DECQ   CX; \
+	JMP    l1
+
+// SINGLE is FUSED for one row.
+#define SINGLE(START, START1, l8, l4, l1, next) \
+l8: \
+	CMPQ    CX, $8; \
+	JLT     l4; \
+	START(0, Y4); \
+	START(32, Y5); \
+	VMULPD  (R8)(SI*1), Y0, Y6; \
+	VMULPD  32(R8)(SI*1), Y0, Y7; \
+	VADDPD  Y6, Y4, Y4; \
+	VADDPD  Y7, Y5, Y5; \
+	VMOVUPD Y4, (DI)(SI*1); \
+	VMOVUPD Y5, 32(DI)(SI*1); \
+	ADDQ    $64, SI; \
+	SUBQ    $8, CX; \
+	JMP     l8; \
+l4: \
+	CMPQ    CX, $4; \
+	JLT     l1; \
+	START(0, Y4); \
+	VMULPD  (R8)(SI*1), Y0, Y6; \
+	VADDPD  Y6, Y4, Y4; \
+	VMOVUPD Y4, (DI)(SI*1); \
+	ADDQ    $32, SI; \
+	SUBQ    $4, CX; \
+l1: \
+	TESTQ  CX, CX; \
+	JZ     next; \
+	START1(X4); \
+	VMULSD (R8)(SI*1), X0, X6; \
+	VADDSD X6, X4, X4; \
+	VMOVSD X4, (DI)(SI*1); \
+	ADDQ   $8, SI; \
+	DECQ   CX; \
+	JMP    l1
+
+// func axpyRowsAVX2(o, b []float64, offs []int, coefs []float64, write bool)
 //
 // For q = 0 … len(offs)-1 in order, o[j] += coefs[q]·b[offs[q]+j] for every
 // j < len(o). Four rows at a time share one sweep over o,
 // o[j] = (((o[j] + c0·b0[j]) + c1·b1[j]) + c2·b2[j]) + c3·b3[j], which gives
 // each o[j] the same terms in the same order as four single sweeps; the last
-// one to three rows are single sweeps. The caller has checked that every
-// offs[q]+len(o) ≤ len(b) and len(coefs) ≥ len(offs).
-TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-96
+// one to three rows are single sweeps. In the write form the first sweep
+// starts every element at +0 in a register (OZERO) and reads nothing of o:
+// +0 + c0·b0[j] is what a cleared o gave. The caller has checked that
+// len(offs) > 0, every offs[q]+len(o) ≤ len(b) and len(coefs) ≥ len(offs).
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-97
 	MOVQ o_base+0(FP), DI
 	MOVQ o_len+8(FP), R12
 	MOVQ b_base+24(FP), BX
 	MOVQ offs_base+48(FP), DX
 	MOVQ offs_len+56(FP), R13 // rows left
 	MOVQ coefs_base+72(FP), AX
+	CMPB write+96(FP), $0
+	JEQ  rows4
+	CMPQ R13, $4
+	JLT  write1
+	ROWS4
+	FUSED(OZERO, OZERO1, wfused8, wfused4, wfused1, rows4)
+
+write1:
+	ROWS1
+	SINGLE(OZERO, OZERO1, wsingle8, wsingle4, wsingle1, rows1)
 
 rows4:
-	CMPQ         R13, $4
-	JLT          rows1
-	MOVQ         (DX), R8
-	MOVQ         8(DX), R9
-	MOVQ         16(DX), R10
-	MOVQ         24(DX), R11
-	LEAQ         (BX)(R8*8), R8
-	LEAQ         (BX)(R9*8), R9
-	LEAQ         (BX)(R10*8), R10
-	LEAQ         (BX)(R11*8), R11
-	VBROADCASTSD (AX), Y0
-	VBROADCASTSD 8(AX), Y1
-	VBROADCASTSD 16(AX), Y2
-	VBROADCASTSD 24(AX), Y3
-	ADDQ         $32, DX
-	ADDQ         $32, AX
-	SUBQ         $4, R13
-	MOVQ         R12, CX // elements left
-	XORQ         SI, SI  // byte offset into the rows
-
-fused8:
-	CMPQ    CX, $8
-	JLT     fused4
-	VMOVUPD (DI)(SI*1), Y4
-	VMOVUPD 32(DI)(SI*1), Y5
-	VMULPD  (R8)(SI*1), Y0, Y6
-	VMULPD  32(R8)(SI*1), Y0, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R9)(SI*1), Y1, Y8
-	VMULPD  32(R9)(SI*1), Y1, Y9
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VMULPD  (R10)(SI*1), Y2, Y6
-	VMULPD  32(R10)(SI*1), Y2, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R11)(SI*1), Y3, Y8
-	VMULPD  32(R11)(SI*1), Y3, Y9
-	VADDPD  Y8, Y4, Y4
-	VADDPD  Y9, Y5, Y5
-	VMOVUPD Y4, (DI)(SI*1)
-	VMOVUPD Y5, 32(DI)(SI*1)
-	ADDQ    $64, SI
-	SUBQ    $8, CX
-	JMP     fused8
-
-fused4:
-	CMPQ    CX, $4
-	JLT     fused1
-	VMOVUPD (DI)(SI*1), Y4
-	VMULPD  (R8)(SI*1), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  (R9)(SI*1), Y1, Y7
-	VADDPD  Y7, Y4, Y4
-	VMULPD  (R10)(SI*1), Y2, Y8
-	VADDPD  Y8, Y4, Y4
-	VMULPD  (R11)(SI*1), Y3, Y9
-	VADDPD  Y9, Y4, Y4
-	VMOVUPD Y4, (DI)(SI*1)
-	ADDQ    $32, SI
-	SUBQ    $4, CX
-
-fused1:
-	TESTQ  CX, CX
-	JZ     rows4
-	VMOVSD (DI)(SI*1), X4
-	VMULSD (R8)(SI*1), X0, X6
-	VADDSD X6, X4, X4
-	VMULSD (R9)(SI*1), X1, X7
-	VADDSD X7, X4, X4
-	VMULSD (R10)(SI*1), X2, X8
-	VADDSD X8, X4, X4
-	VMULSD (R11)(SI*1), X3, X9
-	VADDSD X9, X4, X4
-	VMOVSD X4, (DI)(SI*1)
-	ADDQ   $8, SI
-	DECQ   CX
-	JMP    fused1
+	CMPQ R13, $4
+	JLT  rows1
+	ROWS4
+	FUSED(OLOAD, OLOAD1, fused8, fused4, fused1, rows4)
 
 rows1:
-	TESTQ        R13, R13
-	JZ           rowsDone
-	MOVQ         (DX), R8
-	LEAQ         (BX)(R8*8), R8
-	VBROADCASTSD (AX), Y0
-	ADDQ         $8, DX
-	ADDQ         $8, AX
-	DECQ         R13
-	MOVQ         R12, CX
-	XORQ         SI, SI
-
-single8:
-	CMPQ    CX, $8
-	JLT     single4
-	VMOVUPD (DI)(SI*1), Y4
-	VMOVUPD 32(DI)(SI*1), Y5
-	VMULPD  (R8)(SI*1), Y0, Y6
-	VMULPD  32(R8)(SI*1), Y0, Y7
-	VADDPD  Y6, Y4, Y4
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)(SI*1)
-	VMOVUPD Y5, 32(DI)(SI*1)
-	ADDQ    $64, SI
-	SUBQ    $8, CX
-	JMP     single8
-
-single4:
-	CMPQ    CX, $4
-	JLT     single1
-	VMOVUPD (DI)(SI*1), Y4
-	VMULPD  (R8)(SI*1), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(SI*1)
-	ADDQ    $32, SI
-	SUBQ    $4, CX
-
-single1:
-	TESTQ  CX, CX
-	JZ     rows1
-	VMOVSD (DI)(SI*1), X4
-	VMULSD (R8)(SI*1), X0, X6
-	VADDSD X6, X4, X4
-	VMOVSD X4, (DI)(SI*1)
-	ADDQ   $8, SI
-	DECQ   CX
-	JMP    single1
+	TESTQ R13, R13
+	JZ    rowsDone
+	ROWS1
+	SINGLE(OLOAD, OLOAD1, single8, single4, single1, rows1)
 
 rowsDone:
 	VZEROUPPER
@@ -760,7 +794,73 @@ expDone:
 	VZEROUPPER
 	RET
 
-// func sgdStepAVX2(v, g, vel []float64, lr, mom, wd float64)
+// MOMSTEP is the momentum form of sgdStepAVX2, its eight-, four- and
+// one-element loops at labels l8, l4 and l1: VEL(off, t) puts mom·vel of the
+// group at byte offset off into t, VEL1 the one-element tail's into tx, and
+// t0, t1, tx are the registers the sums read it from.
+#define MOMSTEP(VEL, VEL1, t0, t1, tx, l8, l4, l1) \
+l8: \
+	CMPQ    CX, $8; \
+	JLT     l4; \
+	VMOVUPD (DI)(SI*1), Y4; \
+	VMOVUPD 32(DI)(SI*1), Y5; \
+	VMULPD  Y4, Y2, Y6; \
+	VMULPD  Y5, Y2, Y7; \
+	VADDPD  (BX)(SI*1), Y6, Y6; \
+	VADDPD  32(BX)(SI*1), Y7, Y7; \
+	VEL(0, t0); \
+	VEL(32, t1); \
+	VADDPD  t0, Y6, Y8; \
+	VADDPD  t1, Y7, Y9; \
+	VMOVUPD Y8, (DX)(SI*1); \
+	VMOVUPD Y9, 32(DX)(SI*1); \
+	VMULPD  Y8, Y0, Y8; \
+	VMULPD  Y9, Y0, Y9; \
+	VSUBPD  Y8, Y4, Y4; \
+	VSUBPD  Y9, Y5, Y5; \
+	VMOVUPD Y4, (DI)(SI*1); \
+	VMOVUPD Y5, 32(DI)(SI*1); \
+	ADDQ    $64, SI; \
+	SUBQ    $8, CX; \
+	JMP     l8; \
+l4: \
+	CMPQ    CX, $4; \
+	JLT     l1; \
+	VMOVUPD (DI)(SI*1), Y4; \
+	VMULPD  Y4, Y2, Y6; \
+	VADDPD  (BX)(SI*1), Y6, Y6; \
+	VEL(0, t0); \
+	VADDPD  t0, Y6, Y8; \
+	VMOVUPD Y8, (DX)(SI*1); \
+	VMULPD  Y8, Y0, Y8; \
+	VSUBPD  Y8, Y4, Y4; \
+	VMOVUPD Y4, (DI)(SI*1); \
+	ADDQ    $32, SI; \
+	SUBQ    $4, CX; \
+l1: \
+	TESTQ  CX, CX; \
+	JZ     stepDone; \
+	VMOVSD (DI)(SI*1), X4; \
+	VMULSD X4, X2, X6; \
+	VADDSD (BX)(SI*1), X6, X6; \
+	VEL1(tx); \
+	VADDSD tx, X6, X8; \
+	VMOVSD X8, (DX)(SI*1); \
+	VMULSD X8, X0, X8; \
+	VSUBSD X8, X4, X4; \
+	VMOVSD X4, (DI)(SI*1); \
+	ADDQ   $8, SI; \
+	DECQ   CX; \
+	JMP    l1
+
+// VELMUL and VELMUL1 load the velocity and multiply it by mom; FRESH and
+// FRESH1 leave the sums to read mom·(+0), broadcast in Y3, instead.
+#define VELMUL(off, t) VMULPD off(DX)(SI*1), Y1, t
+#define VELMUL1(t) VMULSD (DX)(SI*1), X1, t
+#define FRESH(off, t)
+#define FRESH1(t)
+
+// func sgdStepAVX2(v, g, vel []float64, lr, mom, wd float64, fresh bool)
 //
 // One SGD step over v, four elements per instruction. With vel non-empty,
 // each lane runs the momentum form t = wd·v; grad = g + t;
@@ -768,9 +868,12 @@ expDone:
 // t = wd·v; grad = g + t; v = v − lr·grad: separate VMULPD, VADDPD and
 // VSUBPD, each rounded, in that order. Where a lane may meet two NaNs, the
 // first source operand is the one the scalar loop of SGD.Step puts first
-// (wd, t, mom, grad, lr or grad, v), so the NaN kept is that loop's too. The
-// caller has checked that g, and vel when non-empty, are as long as v.
-TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-96
+// (wd, t, mom, grad, lr or grad, v), so the NaN kept is that loop's too.
+// With fresh, the momentum form reads no velocity: mom·(+0), one product
+// broadcast in Y3, takes the place of every mom·vel, which is the value a
+// cleared vel gave each lane. The caller has checked that g, and vel when
+// non-empty, are as long as v.
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-97
 	MOVQ         v_base+0(FP), DI
 	MOVQ         v_len+8(FP), CX
 	MOVQ         g_base+24(FP), BX
@@ -782,62 +885,14 @@ TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-96
 	XORQ         SI, SI
 	TESTQ        R8, R8
 	JZ           plain8
+	CMPB         fresh+96(FP), $0
+	JEQ          mom8
+	VXORPD       Y3, Y3, Y3
+	VMULPD       Y3, Y1, Y3 // mom·(+0)
+	JMP          fresh8
 
-mom8:
-	CMPQ    CX, $8
-	JLT     mom4
-	VMOVUPD (DI)(SI*1), Y4
-	VMOVUPD 32(DI)(SI*1), Y5
-	VMULPD  Y4, Y2, Y6            // t = wd·v
-	VMULPD  Y5, Y2, Y7
-	VADDPD  (BX)(SI*1), Y6, Y6    // grad = t + g
-	VADDPD  32(BX)(SI*1), Y7, Y7
-	VMULPD  (DX)(SI*1), Y1, Y8    // mom·vel
-	VMULPD  32(DX)(SI*1), Y1, Y9
-	VADDPD  Y8, Y6, Y8            // vel = grad + mom·vel
-	VADDPD  Y9, Y7, Y9
-	VMOVUPD Y8, (DX)(SI*1)
-	VMOVUPD Y9, 32(DX)(SI*1)
-	VMULPD  Y8, Y0, Y8            // lr·vel
-	VMULPD  Y9, Y0, Y9
-	VSUBPD  Y8, Y4, Y4            // v − lr·vel
-	VSUBPD  Y9, Y5, Y5
-	VMOVUPD Y4, (DI)(SI*1)
-	VMOVUPD Y5, 32(DI)(SI*1)
-	ADDQ    $64, SI
-	SUBQ    $8, CX
-	JMP     mom8
-
-mom4:
-	CMPQ    CX, $4
-	JLT     mom1
-	VMOVUPD (DI)(SI*1), Y4
-	VMULPD  Y4, Y2, Y6
-	VADDPD  (BX)(SI*1), Y6, Y6
-	VMULPD  (DX)(SI*1), Y1, Y8
-	VADDPD  Y8, Y6, Y8
-	VMOVUPD Y8, (DX)(SI*1)
-	VMULPD  Y8, Y0, Y8
-	VSUBPD  Y8, Y4, Y4
-	VMOVUPD Y4, (DI)(SI*1)
-	ADDQ    $32, SI
-	SUBQ    $4, CX
-
-mom1:
-	TESTQ  CX, CX
-	JZ     stepDone
-	VMOVSD (DI)(SI*1), X4
-	VMULSD X4, X2, X6
-	VADDSD (BX)(SI*1), X6, X6
-	VMULSD (DX)(SI*1), X1, X8
-	VADDSD X8, X6, X8
-	VMOVSD X8, (DX)(SI*1)
-	VMULSD X8, X0, X8
-	VSUBSD X8, X4, X4
-	VMOVSD X4, (DI)(SI*1)
-	ADDQ   $8, SI
-	DECQ   CX
-	JMP    mom1
+	MOMSTEP(VELMUL, VELMUL1, Y8, Y9, X8, mom8, mom4, mom1)
+	MOMSTEP(FRESH, FRESH1, Y3, Y3, X3, fresh8, fresh4, fresh1)
 
 plain8:
 	CMPQ    CX, $8
@@ -1057,11 +1112,12 @@ probed:
 
 // ZLOAD, ZSTEP and ZSTORE are one whole vector of a strip of axpyRowsAVX512,
 // at byte offset off into the strip, in accumulator z with product register
-// t: load z from o (DI), add c·b[off] of one row (R8) to it, store it back.
-// The coefficient, broadcast in Z8, is the product's first operand and the
-// accumulator the sum's, as in axpyRowsAVX2, so where NaNs meet a lane keeps
-// the payload the AVX2 tier keeps.
-#define ZLOAD(off, z, t) VMOVUPD off(DI), z
+// t: load z from o (DI) under K2 — every lane, or none in the write form,
+// which zeroes z and reads nothing —, add c·b[off] of one row (R8) to it,
+// store it back. The coefficient, broadcast in Z8, is the product's first
+// operand and the accumulator the sum's, as in axpyRowsAVX2, so where NaNs
+// meet a lane keeps the payload the AVX2 tier keeps.
+#define ZLOAD(off, z, t) VMOVUPD.Z off(DI), K2, z
 #define ZSTEP(off, z, t) VMULPD off(R8), Z8, t; VADDPD t, z, z
 #define ZSTORE(off, z, t) VMOVUPD z, off(DI)
 
@@ -1078,14 +1134,15 @@ probed:
 
 // ZSTRIP is the body for a strip of v vectors, ZV = ZVv: the whole vectors,
 // then the last one, at byte offset off in accumulator z (products in t),
-// under K1. It loads the strip, adds every row to it in order (the loop
+// stored under K1 and loaded under K3 = K1 ∧ K2. It loads the strip (or, in
+// the write form, zeroes it), adds every row to it in order (the loop
 // over q at label row, R9 = q) and stores it, then goes on to the next
 // strip. The eighth vector's products share Z9 with the first's: each
 // product register is written whole before it is read, so renaming keeps
 // the two apart.
 #define ZSTRIP(ZV, off, z, t, row) \
 	ZV(ZLOAD); \
-	VMOVUPD.Z off(DI), K1, z; \
+	VMOVUPD.Z off(DI), K3, z; \
 	XORQ      R9, R9; \
 row: \
 	MOVQ         (DX)(R9*8), R8; \
@@ -1101,7 +1158,7 @@ row: \
 	VMOVUPD      z, K1, off(DI); \
 	JMP          znext
 
-// func axpyRowsAVX512(o, b []float64, offs []int, coefs []float64)
+// func axpyRowsAVX512(o, b []float64, offs []int, coefs []float64, write bool)
 //
 // For q = 0 … len(offs)-1 in order, o[j] += coefs[q]·b[offs[q]+j] for
 // every j < len(o), with o held in registers: o is cut into strips of 64
@@ -1113,21 +1170,27 @@ row: \
 // row. A strip of v vectors runs ZSTRIP with ZVv. K1 keeps every lane of
 // its last vector but in the last strip, where it keeps lanes
 // j < ((len(o)−1) mod 8) + 1: the masked loads read nothing past o or a
-// row, and the masked store writes nothing past o. The caller has checked
-// that every offs[q]+len(o) ≤ len(b) and len(coefs) ≥ len(offs).
-TEXT ·axpyRowsAVX512(SB), NOSPLIT, $0-96
-	MOVQ  o_base+0(FP), DI
-	MOVQ  o_len+8(FP), R12 // elements left
-	MOVQ  b_base+24(FP), BX
-	MOVQ  offs_base+48(FP), DX
-	MOVQ  offs_len+56(FP), R13
-	MOVQ  coefs_base+72(FP), AX
-	TESTQ R12, R12
-	JZ    zdone
-	TESTQ R13, R13
-	JZ    zdone
-	MOVL  $0xFF, SI
-	KMOVW SI, K1
+// row, and the masked store writes nothing past o. In the write form K2,
+// and with it K3, keeps no lane: the strip's loads read nothing of o and
+// zero the accumulators, so every element starts at +0 in a register, and
+// +0 + c0·b0[j] is what a cleared o gave. The caller has checked that
+// len(offs) > 0, every offs[q]+len(o) ≤ len(b) and len(coefs) ≥ len(offs).
+TEXT ·axpyRowsAVX512(SB), NOSPLIT, $0-97
+	MOVQ    o_base+0(FP), DI
+	MOVQ    o_len+8(FP), R12 // elements left
+	MOVQ    b_base+24(FP), BX
+	MOVQ    offs_base+48(FP), DX
+	MOVQ    offs_len+56(FP), R13
+	MOVQ    coefs_base+72(FP), AX
+	MOVBQZX write+96(FP), R14
+	DECQ    R14 // the load mask: all lanes, or none in the write form
+	TESTQ   R12, R12
+	JZ      zdone
+	KMOVW   R14, K2
+	MOVL    $0xFF, SI
+	KMOVW   SI, K1
+	ANDL    R14, SI
+	KMOVW   SI, K3
 
 zstrip:
 	CMPQ  R12, $64
@@ -1138,6 +1201,8 @@ zstrip:
 	SHLL  CX, SI
 	DECL  SI
 	KMOVW SI, K1
+	ANDL  R14, SI
+	KMOVW SI, K3
 	CMPQ  R12, $56
 	JGT   zstrip8
 	CMPQ  R12, $48

@@ -7,7 +7,9 @@ package tensor
 // compile here too (the tests skip the assembly legs).
 var useAVX2, useAVX512 = false, false
 
-func axpyRows(o, b []float64, offs []int, coefs []float64) { axpyRowsGeneric(o, b, offs, coefs) }
+func axpyRows(o, b []float64, offs []int, coefs []float64, write bool) {
+	axpyRowsGeneric(o, b, offs, coefs, write)
+}
 
 func compactRow(coef []float64, off []int, src []float64, off0, step int) int {
 	return compactRowGeneric(coef, off, src, off0, step)
@@ -25,7 +27,9 @@ func reluMask(dst, g, y []float64) { reluMaskGeneric(dst, g, y) }
 
 func expShift(dst, src []float64, shift float64) { expShiftGeneric(dst, src, shift) }
 
-func sgdStep(v, g, vel []float64, lr, mom, wd float64) { sgdStepGeneric(v, g, vel, lr, mom, wd) }
+func sgdStep(v, g, vel []float64, lr, mom, wd float64, fresh bool) {
+	sgdStepGeneric(v, g, vel, lr, mom, wd, fresh)
+}
 
 func sumSquares(x []float64) float64 { return sumSquaresGeneric(x) }
 

@@ -90,8 +90,9 @@ func primVals(rng *rand.Rand, n int) []float64 {
 // drawn from val and coefficients from coef, and holds the whole backing
 // array to one plain o[j] += c·b[off+j] sweep per row (sameRow: NaN ≡ NaN),
 // so that a write past o shows too. b starts at element offset boff of its
-// own backing.
-func checkAxpyRows(rng *rand.Rand, n, rows, off, boff int, val, coef func() float64) error {
+// own backing. In the write form o is NaN, which must not show, and the
+// sweeps start from a cleared o.
+func checkAxpyRows(rng *rand.Rand, n, rows, off, boff int, write bool, val, coef func() float64) error {
 	draw := func(n int) []float64 {
 		v := make([]float64, n)
 		for i := range v {
@@ -111,37 +112,85 @@ func checkAxpyRows(rng *rand.Rand, n, rows, off, boff int, val, coef func() floa
 	}
 	slices.Sort(offs) // axpyRows requires ascending offsets
 	want := append([]float64(nil), oBacking...)
+	if write {
+		for j := off; j < off+n; j++ {
+			oBacking[j], want[j] = math.NaN(), 0
+		}
+	}
 	for q, at := range offs {
 		for j := 0; j < n; j++ {
 			want[off+j] += coefs[q] * b[at+j]
 		}
 	}
 	got := append([]float64(nil), oBacking...)
-	axpyRows(got[off:off+n], b, offs, coefs)
+	axpyRows(got[off:off+n], b, offs, coefs, write)
 	if err := sameRow(want, got); err != nil {
-		return fmt.Errorf("offs=%v coefs=%v: %w", offs, coefs, err)
+		return fmt.Errorf("offs=%v coefs=%v write=%v: %w", offs, coefs, write, err)
 	}
 	return nil
 }
 
 // TestAxpyRowsMatchesScalarLoops holds axpyRows, under every
-// implementation, to one plain o[j] += c·b[off+j] sweep per row — so the
-// fused four-row passes and the AVX-512 sweep's register-held strips are
-// also held to the unfused order — at every row length in primLengths, row
-// counts on both sides of the four-row fusion up to blockK, the most the
-// row kernel passes, misaligned operands and special values in
-// coefficients and rows, and checks that nothing outside o is written.
+// implementation and in both forms, to one plain o[j] += c·b[off+j] sweep
+// per row, after a clear in the write form — so the fused four-row passes
+// and the AVX-512 sweep's register-held strips are also held to the unfused
+// order — at every row length in primLengths, row counts on both sides of
+// the four-row fusion up to blockK, the most the row kernel passes,
+// misaligned operands and special values in coefficients and rows, and
+// checks that nothing outside o is written.
 func TestAxpyRowsMatchesScalarLoops(t *testing.T) {
 	eachImpl(t, func(impl string) {
 		rng := rand.New(rand.NewSource(31))
 		val := func() float64 { return primVals(rng, 1)[0] }
 		coef := func() float64 { return primValues[rng.Intn(len(primValues))] }
-		for _, n := range primLengths {
-			for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, blockK} {
-				for off := 0; off < 4; off++ {
-					if err := checkAxpyRows(rng, n, rows, off, (off+1)%4, val, coef); err != nil {
-						t.Fatalf("%s axpyRows n=%d rows=%d off=%d: %v", impl, n, rows, off, err)
+		for _, write := range []bool{false, true} {
+			for _, n := range primLengths {
+				for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33, blockK} {
+					for off := 0; off < 4; off++ {
+						if err := checkAxpyRows(rng, n, rows, off, (off+1)%4, write, val, coef); err != nil {
+							t.Fatalf("%s axpyRows n=%d rows=%d off=%d: %v", impl, n, rows, off, err)
+						}
 					}
+				}
+			}
+		}
+	})
+}
+
+// TestAxpyRowsWriteFormStartsAtPositiveZero pins the write form's bits
+// where sameRow is lenient or a NaN o could hide: a call without rows
+// stores +0 over o; a −0 product, the only term of an element, becomes
+// +0 + −0 = +0, as it did in a cleared o; and an element whose product is
+// a NaN keeps that product's payload, never o's.
+func TestAxpyRowsWriteFormStartsAtPositiveZero(t *testing.T) {
+	oNaN := math.Float64frombits(0x7FF8_0000_0000_0BAD)
+	bNaN := math.Float64frombits(0x7FF8_0000_0000_0C0D)
+	eachImpl(t, func(impl string) {
+		for _, n := range primLengths {
+			o := make([]float64, n+1)
+			b := make([]float64, n)
+			for j := range b {
+				b[j] = [...]float64{0, math.Copysign(0, -1), bNaN, 2}[j%4]
+			}
+			for _, rows := range []int{0, 1, 4, 5} {
+				for j := range o {
+					o[j] = oNaN
+				}
+				axpyRows(o[:n], b, make([]int, rows), slices.Repeat([]float64{-1}, rows), true)
+				for j, x := range o[:n] {
+					want := math.Float64bits(0)
+					switch {
+					case rows > 0 && j%4 == 2:
+						want = math.Float64bits(bNaN)
+					case rows > 0 && j%4 == 3:
+						want = math.Float64bits(-2 * float64(rows))
+					}
+					if math.Float64bits(x) != want {
+						t.Fatalf("%s n=%d rows=%d element %d: %#x, want %#x", impl, n, rows, j, math.Float64bits(x), want)
+					}
+				}
+				if math.Float64bits(o[n]) != math.Float64bits(oNaN) {
+					t.Fatalf("%s n=%d rows=%d: the write form stored past o", impl, n, rows)
 				}
 			}
 		}
@@ -181,9 +230,9 @@ func TestAxpyRowsNaNPayloadsAgreeAcrossTiers(t *testing.T) {
 			}
 			avx512, avx2 := slices.Clone(o), slices.Clone(o)
 			useAVX512 = true
-			axpyRows(avx512, b, offs, coefs)
+			axpyRows(avx512, b, offs, coefs, false)
 			useAVX512 = false
-			axpyRows(avx2, b, offs, coefs)
+			axpyRows(avx2, b, offs, coefs, false)
 			for j := range avx2 {
 				if math.Float64bits(avx512[j]) != math.Float64bits(avx2[j]) {
 					t.Fatalf("avx512 axpyRows n=%d rows=%d element %d: %#x, avx2 %#x", n, rows, j, math.Float64bits(avx512[j]), math.Float64bits(avx2[j]))
@@ -195,9 +244,10 @@ func TestAxpyRowsNaNPayloadsAgreeAcrossTiers(t *testing.T) {
 
 // FuzzAxpyRowsMatchesScalar is TestAxpyRowsMatchesScalarLoops over what the
 // fuzzer picks: the row length (0–300), the row count (0–blockK), o's and
-// b's offsets into their backing arrays, and the share of special values,
-// drawn from sweepValues (NaN payloads included) one in oneIn times and
-// none for oneIn = 0.
+// b's offsets into their backing arrays (off's low three bits; its bit 3
+// picks the write form), and the share of special values, drawn from
+// sweepValues (NaN payloads included) one in oneIn times and none for
+// oneIn = 0.
 func FuzzAxpyRowsMatchesScalar(f *testing.F) {
 	f.Add(uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
 	f.Add(uint16(10), uint8(4), uint8(1), uint8(2), uint8(3), int64(2))
@@ -205,12 +255,15 @@ func FuzzAxpyRowsMatchesScalar(f *testing.F) {
 	f.Add(uint16(63), uint8(64), uint8(2), uint8(0), uint8(0), int64(4))
 	f.Add(uint16(129), uint8(17), uint8(5), uint8(7), uint8(2), int64(5))
 	f.Add(uint16(300), uint8(64), uint8(7), uint8(3), uint8(1), int64(6))
+	f.Add(uint16(17), uint8(0), uint8(8), uint8(1), uint8(3), int64(7))
+	f.Add(uint16(70), uint8(5), uint8(13), uint8(2), uint8(2), int64(8))
 	f.Fuzz(func(t *testing.T, n uint16, rows, off, boff, oneIn uint8, seed int64) {
 		w, r, o, bo := int(n)%301, int(rows)%(blockK+1), int(off)%8, int(boff)%8
+		write := off&8 != 0
 		eachImpl(t, func(impl string) {
 			rng := rand.New(rand.NewSource(seed))
 			val := func() float64 { return mixedVals(rng, 1, int(oneIn))[0] }
-			if err := checkAxpyRows(rng, w, r, o, bo, val, val); err != nil {
+			if err := checkAxpyRows(rng, w, r, o, bo, write, val, val); err != nil {
 				t.Fatalf("%s axpyRows n=%d rows=%d off=%d boff=%d: %v", impl, w, r, o, bo, err)
 			}
 		})
@@ -341,7 +394,7 @@ func BenchmarkAxpyRows(b *testing.B) {
 			eachImpl(b, func(impl string) {
 				b.Run(fmt.Sprintf("n=%d/rows=%d/%s", n, rows, impl), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						axpyRows(o, bs, offs, coefs)
+						axpyRows(o, bs, offs, coefs, false)
 					}
 				})
 			})
@@ -833,10 +886,11 @@ func refSGDStep(v, g, vel []float64, lr, mom, wd float64) {
 }
 
 // checkSGDStep runs SGDStep on n elements at offset off of arrays drawn
-// from rng, momentum form when withVel, and holds v and vel to refSGDStep
-// element for element (sameRow: any NaN for a NaN), and every element
-// outside the n to what it was.
-func checkSGDStep(rng *rand.Rand, n, off int, withVel bool, lr, mom, wd float64) error {
+// from rng, momentum form when withVel — a fresh velocity's first step when
+// fresh, on a NaN vel that must not show, against a cleared one — and holds
+// v and vel to refSGDStep element for element (sameRow: any NaN for a NaN),
+// and every element outside the n to what it was.
+func checkSGDStep(rng *rand.Rand, n, off int, withVel, fresh bool, lr, mom, wd float64) error {
 	draw := func() []float64 {
 		row := make([]float64, off+n+3)
 		for i := range row {
@@ -850,9 +904,15 @@ func checkSGDStep(rng *rand.Rand, n, off int, withVel bool, lr, mom, wd float64)
 	var refVel, stepVel []float64
 	if withVel {
 		refVel, stepVel = wantVel[off:off+n], gotVel[off:off+n]
+		if fresh {
+			clear(refVel)
+			for i := range stepVel {
+				stepVel[i] = math.NaN()
+			}
+		}
 	}
 	refSGDStep(wantV[off:off+n], g[off:off+n], refVel, lr, mom, wd)
-	SGDStep(gotV[off:off+n], g[off:off+n], stepVel, lr, mom, wd)
+	SGDStep(gotV[off:off+n], g[off:off+n], stepVel, lr, mom, wd, fresh)
 	if err := sameRow(wantV, gotV); err != nil {
 		return fmt.Errorf("values: %w", err)
 	}
@@ -869,20 +929,51 @@ func checkSGDStep(rng *rand.Rand, n, off int, withVel bool, lr, mom, wd float64)
 
 // TestSGDStepMatchesScalarLoop holds SGDStep, under every implementation,
 // to the optimizer's scalar loop: lengths around the four- and eight-wide
-// bodies and their tails, offsets 0–3, both forms, momentum and weight
-// decay zero and not, and ±0, ±Inf, NaN and denormals in v, g and vel.
+// bodies and their tails, offsets 0–3, both forms and a fresh velocity's
+// first step (against clear, then step), momentum and weight decay zero and
+// not, negative and NaN momentum, and ±0, ±Inf, NaN and denormals in v, g
+// and vel.
 func TestSGDStepMatchesScalarLoop(t *testing.T) {
 	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65}
+	hypers := [][3]float64{{0.05, 0.9, 0}, {0.05, 0, 0}, {0.1, 0.9, 5e-4}, {0.1, 0, 5e-4}, {-1.5, 1e300, 1e-300}, {0.05, -0.9, 0}, {0.05, math.NaN(), 0}}
 	eachImpl(t, func(impl string) {
 		rng := rand.New(rand.NewSource(36))
 		for _, n := range lengths {
 			for off := 0; off < 4; off++ {
-				for _, withVel := range []bool{false, true} {
-					for _, h := range [][3]float64{{0.05, 0.9, 0}, {0.05, 0, 0}, {0.1, 0.9, 5e-4}, {0.1, 0, 5e-4}, {-1.5, 1e300, 1e-300}} {
-						if err := checkSGDStep(rng, n, off, withVel, h[0], h[1], h[2]); err != nil {
-							t.Fatalf("%s n=%d off=%d momentum form %v lr=%v mom=%v wd=%v: %v", impl, n, off, withVel, h[0], h[1], h[2], err)
+				for _, form := range []struct{ withVel, fresh bool }{{false, false}, {true, false}, {true, true}} {
+					for _, h := range hypers {
+						if err := checkSGDStep(rng, n, off, form.withVel, form.fresh, h[0], h[1], h[2]); err != nil {
+							t.Fatalf("%s n=%d off=%d momentum form %v fresh %v lr=%v mom=%v wd=%v: %v", impl, n, off, form.withVel, form.fresh, h[0], h[1], h[2], err)
 						}
 					}
+				}
+			}
+		}
+	})
+}
+
+// TestSGDStepFreshVelocitySignedZeros pins the fresh step where sameRow
+// cannot be lenient: with g = −0 and v = −0 every grad is −0, so the new
+// velocity is mom·(+0) + −0 — +0 for a positive momentum, −0 for a negative
+// one — exactly as after clearing vel; and a NaN momentum makes it NaN.
+func TestSGDStepFreshVelocitySignedZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	eachImpl(t, func(impl string) {
+		for _, n := range []int{1, 3, 4, 7, 8, 9, 17} {
+			for _, mom := range []float64{0.9, -0.9, math.NaN()} {
+				v, g := slices.Repeat([]float64{negZero}, n), slices.Repeat([]float64{negZero}, n)
+				wantV, wantVel := slices.Clone(v), make([]float64, n)
+				refSGDStep(wantV, g, wantVel, 0.05, mom, 0)
+				gotVel := slices.Repeat([]float64{math.NaN()}, n)
+				SGDStep(v, g, gotVel, 0.05, mom, 0, true)
+				for j := range v {
+					if math.Float64bits(v[j]) != math.Float64bits(wantV[j]) && !(math.IsNaN(v[j]) && math.IsNaN(wantV[j])) ||
+						math.Float64bits(gotVel[j]) != math.Float64bits(wantVel[j]) && !(math.IsNaN(gotVel[j]) && math.IsNaN(wantVel[j])) {
+						t.Fatalf("%s n=%d mom=%v element %d: v %v vel %v, want v %v vel %v", impl, n, mom, j, v[j], gotVel[j], wantV[j], wantVel[j])
+					}
+				}
+				if mom < 0 && math.Float64bits(gotVel[0]) != math.Float64bits(negZero) {
+					t.Fatalf("%s n=%d: mom=%v gave vel %v, want −0", impl, n, mom, gotVel[0])
 				}
 			}
 		}
@@ -902,20 +993,25 @@ func TestSGDStepRejectsShortOperands(t *testing.T) {
 					t.Errorf("%s: SGDStep did not panic", c.name)
 				}
 			}()
-			SGDStep(make([]float64, 4), c.g, c.vel, 0.1, 0.9, 0)
+			SGDStep(make([]float64, 4), c.g, c.vel, 0.1, 0.9, 0, false)
 		}()
 	}
 }
 
 // FuzzSGDStepMatchesScalarLoop is TestSGDStepMatchesScalarLoop over what the
-// fuzzer picks: the length, the offset, the form, the three coefficients
-// and one value placed in v, g and vel at position at.
+// fuzzer picks: the length, the offset (off's low two bits; its bit 2 makes
+// a momentum step a fresh velocity's first, against clear, then step), the
+// form, the three coefficients and one value placed in v, g and vel at
+// position at.
 func FuzzSGDStepMatchesScalarLoop(f *testing.F) {
 	f.Add(uint8(0), uint8(0), false, int64(1), 0.05, 0.9, 0.0, 0.0, uint8(0))
 	f.Add(uint8(9), uint8(1), true, int64(2), 0.05, 0.9, 5e-4, math.Inf(1), uint8(8))
 	f.Add(uint8(17), uint8(2), true, int64(3), 0.1, 0.0, 0.0, math.NaN(), uint8(16))
 	f.Add(uint8(65), uint8(3), false, int64(4), -2.0, 1e300, 1e-300, math.SmallestNonzeroFloat64, uint8(64))
+	f.Add(uint8(13), uint8(5), true, int64(5), 0.05, -0.9, 0.0, math.Copysign(0, -1), uint8(12))
+	f.Add(uint8(6), uint8(6), true, int64(6), 0.05, math.NaN(), 5e-4, 1.0, uint8(2))
 	f.Fuzz(func(t *testing.T, n, off uint8, withVel bool, seed int64, lr, mom, wd, x float64, at uint8) {
+		fresh := withVel && off&4 != 0
 		eachImpl(t, func(impl string) {
 			o := int(off) % 4
 			rng := rand.New(rand.NewSource(seed))
@@ -931,13 +1027,19 @@ func FuzzSGDStepMatchesScalarLoop(f *testing.F) {
 			if !withVel {
 				wantVel, gotVel = nil, nil
 			}
+			if fresh {
+				clear(wantVel)
+				for i := range gotVel {
+					gotVel[i] = math.NaN()
+				}
+			}
 			refSGDStep(wantV, g[o:], wantVel, lr, mom, wd)
-			SGDStep(gotV, g[o:], gotVel, lr, mom, wd)
+			SGDStep(gotV, g[o:], gotVel, lr, mom, wd, fresh)
 			if err := sameRow(wantV, gotV); err != nil {
-				t.Fatalf("%s n=%d off=%d momentum form %v: values: %v", impl, n, o, withVel, err)
+				t.Fatalf("%s n=%d off=%d momentum form %v fresh %v: values: %v", impl, n, o, withVel, fresh, err)
 			}
 			if err := sameRow(wantVel, gotVel); err != nil {
-				t.Fatalf("%s n=%d off=%d: velocities: %v", impl, n, o, err)
+				t.Fatalf("%s n=%d off=%d fresh %v: velocities: %v", impl, n, o, fresh, err)
 			}
 		})
 	})

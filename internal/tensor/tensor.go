@@ -14,8 +14,9 @@
 // on two order-preserving micro-kernels — a fused row kernel for a·b and
 // aᵀ·b, a 4×4 tile of dot products for a·bᵀ (see matmul.go). Their
 // blocking, zero-skipping and tiling are Go; their innermost loops are the
-// row primitives of rowprim.go, axpyRows (add scaled rows to a row, also
-// the body of AddScaled) and the dotTile tiles. Each primitive has a
+// row primitives of rowprim.go, axpyRows (add scaled rows to a row, or
+// write their sum from +0; also the body of AddScaled and AddScaledSlice)
+// and the dotTile tiles. Each primitive has a
 // portable Go loop and, on amd64, an AVX2 assembly loop (rowprim_amd64.s)
 // that does the same multiply-then-add per element, four elements per
 // instruction — never a fused multiply-add, which would drop the product's
@@ -274,8 +275,20 @@ func AddScaled(dst, src *Tensor, s float64) error {
 	if !SameShape(dst, src) {
 		return fmt.Errorf("%w: AddScaled %v vs %v", ErrShape, dst.shape, src.shape)
 	}
-	axpyRows(dst.data, src.data, []int{0}, []float64{s})
+	axpyRows(dst.data, src.data, []int{0}, []float64{s}, false)
 	return nil
+}
+
+// AddScaledSlice computes dst[i] += s·src[i] for every i, each element one
+// rounded product and one rounded sum, as AddScaled does. With write it is
+// the first term of such a sum: dst is not read, and dst[i] = +0 + s·src[i],
+// the bits a cleared dst would get, a −0 product included. It panics unless
+// dst and src are one length.
+func AddScaledSlice(dst, src []float64, s float64, write bool) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: AddScaledSlice of %d values into %d", len(src), len(dst)))
+	}
+	axpyRows(dst, src, []int{0}, []float64{s}, write)
 }
 
 // AddScaledRows is AddScaled over consecutive rows of a matrix:
@@ -324,7 +337,7 @@ func addScaledRows(dst, rows, coefs []float64) {
 		for q := range chunk {
 			offs[q] = (q0 + q) * len(dst)
 		}
-		axpyRows(dst, rows, offs[:len(chunk)], chunk)
+		axpyRows(dst, rows, offs[:len(chunk)], chunk, false)
 	}
 }
 
@@ -643,17 +656,19 @@ func ExpShiftInto(dst, src []float64, shift float64) {
 //	t = weightDecay·v; grad = g + t; vel = momentum·vel + grad; v = v − lr·vel
 //
 // and with vel nil the plain form, t = weightDecay·v; grad = g + t;
-// v = v − lr·grad (momentum is not read). Every operation is rounded to
-// float64 on its own — never a fused multiply-add — so each element gets
-// exactly the roundings of that scalar loop, whichever implementation runs;
-// on amd64 with AVX2 four elements go through them at a time
-// (rowprim_amd64.s). It panics unless g, and vel when non-nil, are as long
-// as v.
-func SGDStep(v, g, vel []float64, lr, momentum, weightDecay float64) {
+// v = v − lr·grad (momentum is not read). freshVel makes the momentum form
+// the first step of a velocity: vel is written but not read, every element
+// taken as +0 — the bits a cleared vel gives, without the clear. Every
+// operation is rounded to float64 on its own — never a fused multiply-add —
+// so each element gets exactly the roundings of that scalar loop, whichever
+// implementation runs; on amd64 with AVX2 four elements go through them at
+// a time (rowprim_amd64.s). It panics unless g, and vel when non-nil, are
+// as long as v.
+func SGDStep(v, g, vel []float64, lr, momentum, weightDecay float64, freshVel bool) {
 	if len(g) != len(v) || (vel != nil && len(vel) != len(v)) {
 		panic(fmt.Sprintf("tensor: SGDStep of %d values with %d gradients and %d velocities", len(v), len(g), len(vel)))
 	}
-	sgdStep(v, g, vel, lr, momentum, weightDecay)
+	sgdStep(v, g, vel, lr, momentum, weightDecay, freshVel)
 }
 
 // SumSquares returns Σ x[i]², each square rounded before it is added, in
