@@ -5,7 +5,8 @@
 #                    row-primitive tiers (avx512, avx2, generic: which ran, which this host skipped),
 #                    portable-kernel tests, cross builds, bench module, doc gate,
 #                    real-process smoke, wire + matmul + compaction + sweep + distance-tile + exp + sgd-step + fedavg-sink +
-#                    spec-grammar + sweep-grid + checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
+#                    spec-grammar + availability-trace + aggregator + adversary + alert-rules + sweep-grid +
+#                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -228,6 +229,18 @@ go test -run '^$' -fuzz '^FuzzWeightedAverageSinkMatchesBatch$' -fuzztime 5s ./i
 # spec.Split accepts must render to a canonical form that splits back to it.
 echo "== spec grammar fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzSplit$' -fuzztime 5s ./internal/spec/
+
+# And for the four grammars built on it — availability traces (flat(p)
+# among them), aggregators, adversaries and alert rules: whatever parses
+# must validate and render to a canonical spec that parses back to it.
+echo "== availability trace fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzParseTrace$' -fuzztime 5s ./internal/fl/
+echo "== aggregator spec fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzParseAggregator$' -fuzztime 5s ./internal/fl/
+echo "== adversary spec fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzParseAdversary$' -fuzztime 5s ./internal/fl/
+echo "== alert rules fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 5s ./internal/health/
 
 # And for the sweep grid decoder: whatever grid parses must expand within
 # the cell cap to unique keys, each cell one fl's simulator check accepts.

@@ -163,5 +163,5 @@ func serveScenarioFlags(fs *flag.FlagSet, sc *experiments.Scenario) {
 	fs.IntVar(&sc.Quorum, "quorum", 0, "min updates to close a round at the deadline (K of N); 0 waits for all")
 	fs.StringVar(&sc.Straggler, "straggler", "requeue", "straggler policy at the deadline: requeue | drop")
 	fs.StringVar(&sc.Aggregator, "aggregator", "", "robust aggregator override: mean | median | trimmed(frac) | krum(f); empty keeps the method's own")
-	fs.StringVar(&sc.Availability, "availability", "", "seeded availability trace, e.g. diurnal(0.1,0.6,8) | flash(0,0.8,2,2) | markov(0,0.3,0.5); empty means always available")
+	fs.StringVar(&sc.Availability, "availability", "", "seeded availability trace, e.g. flat(0.1) | diurnal(0.1,0.6,8) | flash(0,0.8,2,2) | markov(0,0.3,0.5); empty means always available")
 }

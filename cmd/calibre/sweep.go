@@ -51,7 +51,6 @@ func runSweep(verb string, args []string) error {
 		simBudget = fs.Int("sim-budget", 0, "total concurrent client-training goroutines across cells; 0 = GOMAXPROCS")
 		timeout   = fs.Duration("timeout", 0, "per-cell wall-clock budget; 0 = unbounded")
 		ckptEvery = fs.Int("checkpoint-every", 0, "per-cell durable checkpoint stride in rounds; 0 = off")
-		kernels   = fs.Int("kernel-workers", 0, "resize the process-wide tensor kernel pool; 0 = leave as is")
 		quiet     = fs.Bool("quiet", false, "suppress per-cell progress lines")
 		planes    = addPlaneFlags(fs)
 	)
@@ -85,7 +84,6 @@ func runSweep(verb string, args []string) error {
 		Workers:         *workers,
 		SimBudget:       *simBudget,
 		CellTimeout:     *timeout,
-		KernelWorkers:   *kernels,
 		CheckpointEvery: *ckptEvery,
 		Dir:             *out,
 		Resume:          verb == "resume",

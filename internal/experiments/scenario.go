@@ -40,7 +40,8 @@ type Scenario struct {
 	Adversary string  `json:"adversary,omitempty"`
 	AdvFrac   float64 `json:"adversary_frac,omitempty"`
 	// Availability is the availability-trace spec (fl.ParseTrace; "" =
-	// flat Dropout governs).
+	// none). A non-zero Dropout is the flat(Dropout) trace, so a scenario
+	// sets at most one of the two.
 	Availability string `json:"availability,omitempty"`
 }
 
@@ -194,8 +195,16 @@ func (s Scenario) federation() (f fl.Federation, agg fl.Aggregator, err error) {
 	if f.Adversary != nil {
 		f.Adversary.Frac = s.AdvFrac
 	}
-	f.Availability, err = fl.ParseTrace(s.Availability)
-	return f, agg, err
+	if s.Dropout == 0 {
+		f.Availability, err = fl.ParseTrace(s.Availability)
+		return f, agg, err
+	}
+	if s.Availability != "" {
+		return f, nil, fmt.Errorf("experiments: dropout %g and availability %q are one knob; set one", s.Dropout, s.Availability)
+	}
+	// fl's RoundConfig.Validate checks the rate's range.
+	f.Availability = &fl.TraceConfig{Kind: fl.TraceFlat, Base: s.Dropout}
+	return f, agg, nil
 }
 
 // Validate checks the scenario without building its world: its specs
@@ -222,7 +231,7 @@ func (s Scenario) Validate() error {
 	if err := fl.CheckFrac(s.AdvFrac); err != nil {
 		return fmt.Errorf("experiments: adversary_frac: %w", err)
 	}
-	cfg := fl.SimConfig{Federation: f, Rounds: p.Rounds, ClientsPerRound: p.ClientsPerRound, DropoutRate: s.Dropout}
+	cfg := fl.SimConfig{Federation: f, Rounds: p.Rounds, ClientsPerRound: p.ClientsPerRound}
 	if err := cfg.Validate(&fl.Method{Aggregator: agg}, p.Clients); err != nil {
 		return fmt.Errorf("experiments: scale %s: %w", s.Scale, err)
 	}

@@ -111,6 +111,37 @@ func TestScenarioBuildRejectsBadNames(t *testing.T) {
 	}
 }
 
+// TestScenarioDropoutIsTheFlatTrace: a scenario's Dropout reaches the
+// World it builds as the flat(p) availability trace, so either runtime
+// that embeds the Federation runs it. A zero Dropout builds no trace, so
+// the run makes no dropout draws, and a Dropout beside an Availability
+// spec sets one knob twice, which Build and Validate both refuse.
+func TestScenarioDropoutIsTheFlatTrace(t *testing.T) {
+	sc := Scenario{Method: "fedavg-ft", Setting: "cifar10-q(2,500)", Scale: ScaleSmoke, Seed: 1, Straggler: "requeue", Dropout: 0.3}
+	w, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Federation.Availability.String(); got != "flat(0.3)" {
+		t.Errorf("Dropout 0.3 built availability %q, want flat(0.3)", got)
+	}
+	env := w.Env
+	sc.Dropout = 0
+	if w, err = sc.BuildOn(env); err != nil {
+		t.Fatal(err)
+	}
+	if w.Federation.Availability != nil {
+		t.Errorf("Dropout 0 built availability %v, want none", w.Federation.Availability)
+	}
+	sc.Dropout, sc.Availability = 0.3, "diurnal(0.1,0.6,8)"
+	if _, err := sc.BuildOn(env); err == nil {
+		t.Error("Build accepted Dropout beside an availability spec")
+	}
+	if err := sc.Validate(); err == nil {
+		t.Error("Validate accepted Dropout beside an availability spec")
+	}
+}
+
 // TestFingerprintRecipesPinned pins the three snapshot-fingerprint recipes
 // to the values the commit before the Scenario type existed computed for
 // hostileScenario (server: 3 clients, 2 per round, 5 s deadline). Stores

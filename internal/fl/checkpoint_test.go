@@ -30,8 +30,8 @@ func stressedConfig(rounds int) SimConfig {
 		Rounds:          rounds,
 		ClientsPerRound: 4,
 		Seed:            99,
-		DropoutRate:     0.45,
-		Federation:      Federation{Quorum: 2, Straggler: StragglerDrop},
+		Federation: Federation{Quorum: 2, Straggler: StragglerDrop,
+			Availability: &TraceConfig{Kind: TraceFlat, Base: 0.45}},
 	}
 }
 

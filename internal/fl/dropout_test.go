@@ -2,11 +2,16 @@ package fl
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"calibre/internal/param"
+	"calibre/internal/partition"
 )
 
 func TestApplyDropoutKeepsAtLeastOne(t *testing.T) {
@@ -64,7 +69,7 @@ func TestApplyDropoutRespectsQuorum(t *testing.T) {
 func TestSimulatorWithDropoutStillCompletes(t *testing.T) {
 	clients := testClients(t, 10)
 	tr := &fakeTrainer{}
-	sim, err := NewSimulator(SimConfig{Rounds: 8, ClientsPerRound: 4, Seed: 7, DropoutRate: 0.5}, fakeMethod(tr), clients)
+	sim, err := NewSimulator(SimConfig{Rounds: 8, ClientsPerRound: 4, Seed: 7, Federation: Federation{Availability: &TraceConfig{Kind: TraceFlat, Base: 0.5}}}, fakeMethod(tr), clients)
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
 	}
@@ -103,13 +108,13 @@ func TestSimulatorWithDropoutStillCompletes(t *testing.T) {
 func TestSimulatorRejectsInvalidDropout(t *testing.T) {
 	clients := testClients(t, 4)
 	m := fakeMethod(&fakeTrainer{})
-	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, DropoutRate: 1}, m, clients); err == nil {
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, Federation: Federation{Availability: &TraceConfig{Kind: TraceFlat, Base: 1}}}, m, clients); err == nil {
 		t.Fatal("dropout rate 1 should be rejected")
 	}
-	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, DropoutRate: -0.1}, m, clients); err == nil {
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, Federation: Federation{Availability: &TraceConfig{Kind: TraceFlat, Base: -0.1}}}, m, clients); err == nil {
 		t.Fatal("negative dropout rate should be rejected")
 	}
-	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, DropoutRate: math.NaN()}, m, clients); err == nil {
+	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 1, Federation: Federation{Availability: &TraceConfig{Kind: TraceFlat, Base: math.NaN()}}}, m, clients); err == nil {
 		t.Fatal("NaN dropout rate should be rejected")
 	}
 	if _, err := NewSimulator(SimConfig{Rounds: 1, ClientsPerRound: 2, Federation: Federation{Quorum: 3}}, m, clients); err == nil {
@@ -132,7 +137,8 @@ func TestSimulatorStragglerDropShrinksPopulation(t *testing.T) {
 	clients := testClients(t, 8)
 	tr := &fakeTrainer{}
 	sim, err := NewSimulator(SimConfig{
-		Rounds: 10, ClientsPerRound: 4, Seed: 11, DropoutRate: 0.4, Federation: Federation{Straggler: StragglerDrop},
+		Rounds: 10, ClientsPerRound: 4, Seed: 11,
+		Federation: Federation{Straggler: StragglerDrop, Availability: &TraceConfig{Kind: TraceFlat, Base: 0.4}},
 	}, fakeMethod(tr), clients)
 	if err != nil {
 		t.Fatalf("NewSimulator: %v", err)
@@ -154,5 +160,62 @@ func TestSimulatorStragglerDropShrinksPopulation(t *testing.T) {
 	}
 	if len(evicted) == 0 {
 		t.Fatal("40% dropout over 10 rounds should evict someone")
+	}
+}
+
+// noisyTrainer's update depends on the client, its RNG stream and the
+// global, and reports a drawn loss and a client-sized sample count, so
+// a run's global vector and history tell apart every dropout outcome.
+type noisyTrainer struct{}
+
+func (noisyTrainer) Train(ctx context.Context, rng *rand.Rand, c *partition.Client, global param.Vector, round int) (*Update, error) {
+	params := make([]float64, len(global))
+	for i, v := range global {
+		params[i] = v/2 + rng.NormFloat64() + float64(c.ID)/10
+	}
+	return &Update{ClientID: c.ID, Params: params, NumSamples: 1 + c.ID, TrainLoss: rng.Float64()}, nil
+}
+
+// runDigest hashes a run's global bits and its RoundStats history.
+func runDigest(global param.Vector, history []RoundStats) string {
+	h := fnv.New64a()
+	for _, v := range global {
+		fmt.Fprintf(h, "%x,", math.Float64bits(v))
+	}
+	for _, s := range history {
+		fmt.Fprintf(h, "|%d %v %x %v %v %d %t %d %d", s.Round, s.Participants, math.Float64bits(s.MeanLoss),
+			s.Responders, s.Stragglers, s.LateUpdates, s.DeadlineExpired, s.AdversarialUpdates, s.RejectedUpdates)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestFlatTracePinsDropoutRunBits pins the bits of flat-rate dropout
+// runs — rescue draws, quorum refills and evictions — to digests taken
+// when the flat rate was a simulator option of its own (SimConfig's
+// DropoutRate), before it became the flat(p) availability trace.
+func TestFlatTracePinsDropoutRunBits(t *testing.T) {
+	for _, tc := range []struct {
+		p         float64
+		straggler StragglerPolicy
+		want      string
+	}{
+		{0.1, StragglerRequeue, "49aa372693ada10c"},
+		{0.3, StragglerRequeue, "37a11a866207324c"},
+		{0.45, StragglerDrop, "ea025c92c85c9339"},
+		{0.9, StragglerRequeue, "795719cdb5be2093"},
+	} {
+		cfg := SimConfig{Rounds: 9, ClientsPerRound: 4, Seed: 21,
+			Federation: Federation{Quorum: 2, Straggler: tc.straggler, Availability: &TraceConfig{Kind: TraceFlat, Base: tc.p}}}
+		sim, err := NewSimulator(cfg, fakeMethod(noisyTrainer{}), testClients(t, 10))
+		if err != nil {
+			t.Fatalf("NewSimulator: %v", err)
+		}
+		global, history, err := sim.Run(context.Background())
+		if err != nil {
+			t.Fatalf("p=%g: Run: %v", tc.p, err)
+		}
+		if got := runDigest(global, history); got != tc.want {
+			t.Errorf("p=%g %s: digest %s, want %s", tc.p, tc.straggler, got, tc.want)
+		}
 	}
 }

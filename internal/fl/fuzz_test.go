@@ -83,6 +83,7 @@ func FuzzParseTrace(f *testing.F) {
 		"diurnal(0.1,0.6,0)", "diurnal(0.1,0.6,8,9)", "flash(0,0.8,2)",
 		"markov(0,0.3,0)", "markov(2,0.3,0.5)", "diurnal(,,)", "diurnal(1e999,0,1)",
 		"flash(0,0.8,-2,2)", "markov(0,0.3,0.5", "diurnal (0.1,0.6,8)",
+		"flat(0.3)", "flat(1)", "flat(0.1,2)",
 	} {
 		f.Add(spec)
 	}

@@ -24,7 +24,7 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 		t.Helper()
 		cfg := SimConfig{
 			Rounds: 4, ClientsPerRound: 3, Seed: 99,
-			DropoutRate: 0.3, Federation: Federation{Quorum: 1, Recorder: rec},
+			Federation:  Federation{Quorum: 1, Recorder: rec, Availability: &TraceConfig{Kind: TraceFlat, Base: 0.3}},
 			Parallelism: 1, // injected StepClock is single-goroutine only
 		}
 		sim, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients)
@@ -61,7 +61,7 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 	}
 
 	// And the trace actually describes the run: 4 round spans, every
-	// client span inside one, drops attributed to the dropout model.
+	// client span inside one, drops attributed to the availability trace.
 	events, err := trace.ReadAll(bytes.NewReader(sink1.Bytes()))
 	if err != nil {
 		t.Fatalf("decode trace: %v", err)
@@ -78,7 +78,7 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 				t.Errorf("implausible client_update: %+v", e)
 			}
 		case trace.KindClientDrop:
-			if e.Reason != trace.DropStraggler {
+			if e.Reason != trace.DropTrace {
 				t.Errorf("dropout drop misattributed: %+v", e)
 			}
 		}

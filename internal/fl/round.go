@@ -33,13 +33,12 @@ type Federation struct {
 	// from the federation for the rest of the run.
 	Straggler StragglerPolicy
 	// Availability, when set, drops each sampled participant from round r
-	// with the seeded probability Availability.DropProb(r, id) (diurnal
-	// sine, flash-crowd burst or correlated markov churn). The simulator
-	// keeps its quorum floor with rescue draws, and the trace replaces its
-	// flat DropoutRate (the two are mutually exclusive). The server makes
-	// exactly one draw per participant and no rescue draws: a round left
-	// below max(1, Quorum) available clients fails, so a resumed server
-	// replays the stream from recorded pool sizes alone.
+	// with the seeded probability Availability.DropProb(r, id) (a flat
+	// rate, diurnal sine, flash-crowd burst or correlated markov churn).
+	// The simulator keeps its quorum floor with rescue draws. The server
+	// makes exactly one draw per participant and no rescue draws: a round
+	// left below max(1, Quorum) available clients fails, so a resumed
+	// server replays the stream from recorded pool sizes alone.
 	Availability *TraceConfig
 	// Adversary, when set, places a seeded fraction of the client
 	// population under adversarial control; the compromised set and every
@@ -562,16 +561,12 @@ func (r *Round) open(num int, global param.Vector, sampled, live []int) error {
 	e.N = len(sampled)
 	r.tsStart = e.TS
 	c.planes.Emit(e)
-	reason := trace.DropStraggler
-	if c.cfg.Availability != nil {
-		reason = trace.DropTrace
-	}
 	j := 0
 	for i, id := range sampled {
 		if j < len(live) && live[j] == id {
 			j++
 		} else {
-			r.drop(i, reason, "")
+			r.drop(i, trace.DropTrace, "")
 		}
 	}
 	// Guard the K-of-N contract loudly: a round that cannot keep Quorum

@@ -133,7 +133,6 @@ func TestRoundCoreLedger(t *testing.T) {
 	cases := []struct {
 		name       string
 		quorum     int
-		availTrace bool
 		metrics    bool // the registry alone: no recorder, no monitor
 		live       []int
 		script     []scriptOp
@@ -199,7 +198,7 @@ func TestRoundCoreLedger(t *testing.T) {
 			wantEvents: []string{"round_start n=4", "client_dispatch 1", "client_dispatch 3", "client_dispatch 4", "client_dispatch 6"},
 		},
 		{
-			name: "availability drop never dispatches", quorum: 1, availTrace: true, live: []int{1, 4, 6},
+			name: "availability drop never dispatches", quorum: 1, live: []int{1, 4, 6},
 			script: []scriptOp{{"arrive", 3}, {"arrive", 2}, {"arrive", 0}},
 			wantStats: RoundStats{Participants: all, Responders: []int{1, 4, 6}, Stragglers: []int{3},
 				MeanLoss: 11.0 / 3, AdversarialUpdates: countMal(1, 4, 6)},
@@ -208,6 +207,17 @@ func TestRoundCoreLedger(t *testing.T) {
 			wantEvents: []string{"round_start n=4", "client_drop 3 trace", "client_dispatch 1", "client_dispatch 4", "client_dispatch 6",
 				"client_update 1", "client_update 4", "client_update 6", "round_end n=3"},
 			wantOrder: []int{1, 4, 6}, wantGlobal: 11.0 / 3,
+		},
+		{
+			name: "availability drops are trace, deadline drops straggler", quorum: 1, live: []int{1, 4, 6},
+			script: []scriptOp{{"arrive", 0}, {"expire", 0}},
+			wantStats: RoundStats{Participants: all, Responders: []int{1}, Stragglers: []int{3, 4, 6}, DeadlineExpired: true,
+				MeanLoss: 1, AdversarialUpdates: countMal(1)},
+			wantSample: obs.RoundSample{Participants: 4, Responders: 1, Stragglers: 3, DeadlineExpired: true,
+				UplinkWireBytes: 32, Clients: clientsOf(1), StragglerIDs: []int{3, 4, 6}},
+			wantEvents: []string{"round_start n=4", "client_drop 3 trace", "client_dispatch 1", "client_dispatch 4", "client_dispatch 6",
+				"client_update 1", "client_drop 4 straggler", "client_drop 6 straggler", "round_end n=1"},
+			wantOrder: []int{1}, wantGlobal: 1, wantExpire: []int{4, 6},
 		},
 		{
 			name: "a metrics-only sample carries no per-client detail", quorum: 2, metrics: true,
@@ -234,9 +244,6 @@ func TestRoundCoreLedger(t *testing.T) {
 			}
 			if tc.metrics {
 				cfg.Recorder, cfg.Health = nil, nil
-			}
-			if tc.availTrace {
-				cfg.Availability = &TraceConfig{Kind: TraceDiurnal, Base: 0.5, Amp: 0.1, Period: 4}
 			}
 			tr := &scriptTransport{sampled: all, live: tc.live, script: tc.script}
 			if tr.live == nil {

@@ -31,11 +31,6 @@ type SimConfig struct {
 	// server-side aggregation sweeps (param.Shard), so this knob governs
 	// both local training and aggregation parallelism.
 	KernelWorkers int
-	// DropoutRate simulates client failures: each sampled client
-	// independently drops out of the round with this probability (its
-	// update is simply missing, as in production FL), keeping at least
-	// max(1, Quorum) survivors so every round aggregates something.
-	DropoutRate float64
 	// OnRound, if set, observes each completed round (single-goroutine).
 	OnRound func(RoundStats)
 }
@@ -74,9 +69,8 @@ func NewSimulator(cfg SimConfig, method *Method, clients []*partition.Client) (*
 
 // Validate checks c for a run of m over a population of n clients: the
 // round core's rules (RoundConfig.Validate) and the simulator's own — a
-// population, a dropout rate in [0,1) that no availability trace
-// replaces, a quorum the population can meet. NewSimulator runs it, and
-// a sweep grid runs it on every cell before planning.
+// population and a quorum it can meet. NewSimulator runs it, and a sweep
+// grid runs it on every cell before planning.
 func (c *SimConfig) Validate(m *Method, n int) error {
 	if err := c.round(m).Validate(m.Trainer, m.Aggregator, m.Personalizer); err != nil {
 		return err
@@ -84,10 +78,6 @@ func (c *SimConfig) Validate(m *Method, n int) error {
 	switch {
 	case n == 0:
 		return fmt.Errorf("fl: no clients")
-	case !(c.DropoutRate >= 0 && c.DropoutRate < 1):
-		return fmt.Errorf("fl: dropout rate must be in [0,1), got %v", c.DropoutRate)
-	case c.Availability != nil && c.DropoutRate > 0:
-		return fmt.Errorf("fl: Availability and DropoutRate are mutually exclusive")
 	case c.Quorum > n:
 		return fmt.Errorf("fl: quorum %d exceeds client population %d", c.Quorum, n)
 	}
@@ -97,7 +87,7 @@ func (c *SimConfig) Validate(m *Method, n int) error {
 // applyDropout removes each id with probability probOf(id), keeping at
 // least max(1, quorum) survivors (preferring random survivors when too
 // many would drop). A nil probOf means no dropout and consumes no RNG
-// draws — the stream contract flat-rate runs have always had.
+// draws, so a run without an availability trace draws nothing here.
 func applyDropout(rng *rand.Rand, ids []int, probOf func(id int) float64, quorum int) []int {
 	if probOf == nil {
 		return ids
@@ -150,7 +140,7 @@ func (s *Simulator) Run(ctx context.Context) (param.Vector, []RoundStats, error)
 // simTransport is one Run's in-process Transport state.
 type simTransport struct {
 	*Simulator
-	trace   *TraceGen // seeded availability generator; nil under flat DropoutRate
+	trace   *TraceGen // seeded availability generator; nil without a trace
 	trainer Trainer
 	// alive is the sampleable population; StragglerDrop shrinks it.
 	alive []int
@@ -176,11 +166,8 @@ func (t *simTransport) Draw(rng *rand.Rand, round, replayPool int) (sampled, liv
 		sampled[i] = t.alive[p]
 	}
 	var probOf func(id int) float64
-	switch {
-	case t.trace != nil:
+	if t.trace != nil {
 		probOf = func(id int) float64 { return t.trace.DropProb(round, id) }
-	case t.Config.DropoutRate > 0:
-		probOf = func(int) float64 { return t.Config.DropoutRate }
 	}
 	live = applyDropout(rng, sampled, probOf, t.Config.Quorum)
 	if len(live) != len(sampled) && t.Config.Straggler == StragglerDrop {

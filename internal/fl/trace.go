@@ -13,9 +13,12 @@ import (
 type TraceKind string
 
 // The availability models. Each maps (round, client) to a dropout
-// probability, replacing the flat DropoutRate with the correlated churn
-// real federations exhibit.
+// probability: one flat rate, or the correlated churn real federations
+// exhibit.
 const (
+	// TraceFlat is independent dropout: every client drops out of every
+	// round with probability Base, which must be below 1.
+	TraceFlat TraceKind = "flat"
 	// TraceDiurnal is the day/night sine: the drop probability oscillates
 	// between Base and Base+Amp with period Period rounds.
 	TraceDiurnal TraceKind = "diurnal"
@@ -60,10 +63,17 @@ func (c *TraceConfig) Validate() error {
 	bad := func(field string, v float64) error {
 		return fmt.Errorf("fl: trace %s must be a probability in [0,1], got %g", field, v)
 	}
+	if c.Kind == TraceFlat && !(c.Base >= 0 && c.Base < 1) {
+		return fmt.Errorf("fl: flat trace dropout rate must be in [0,1), got %v", c.Base)
+	}
 	if c.Base < 0 || c.Base > 1 || math.IsNaN(c.Base) {
 		return bad("base", c.Base)
 	}
 	switch c.Kind {
+	case TraceFlat:
+		if c.Amp != 0 || c.Period != 0 || c.Width != 0 || c.PDown != 0 || c.PUp != 0 {
+			return fmt.Errorf("fl: flat trace uses only base")
+		}
 	case TraceDiurnal:
 		if c.Amp < 0 || c.Amp > 1 || math.IsNaN(c.Amp) {
 			return bad("amp", c.Amp)
@@ -98,7 +108,7 @@ func (c *TraceConfig) Validate() error {
 			return fmt.Errorf("fl: markov trace uses only base, pdown and pup")
 		}
 	default:
-		return fmt.Errorf("fl: unknown trace kind %q (want diurnal, flash or markov)", c.Kind)
+		return fmt.Errorf("fl: unknown trace kind %q (want flat, diurnal, flash or markov)", c.Kind)
 	}
 	return nil
 }
@@ -107,6 +117,8 @@ func (c *TraceConfig) Validate() error {
 func (c *TraceConfig) args() []spec.Slot {
 	base := spec.Float("base", &c.Base, 0, nil)
 	switch c.Kind {
+	case TraceFlat:
+		return []spec.Slot{base}
 	case TraceDiurnal:
 		return []spec.Slot{base, spec.Float("amp", &c.Amp, 0, nil), spec.Int("period", &c.Period, 0, nil)}
 	case TraceFlash:
@@ -128,6 +140,7 @@ func (c *TraceConfig) String() string {
 // ParseTrace parses an availability-trace spec (internal/spec grammar;
 // every argument is required):
 //
+//	flat(base)                   — every client, every round, base < 1
 //	diurnal(base,amp,period)     — sine between base and base+amp
 //	flash(base,amp,start,width)  — base, spiking to base+amp in the burst
 //	markov(base,pdown,pup)       — paired correlated churn
@@ -144,7 +157,7 @@ func ParseTrace(s string) (*TraceConfig, error) {
 	cfg := &TraceConfig{Kind: TraceKind(name)}
 	slots := cfg.args()
 	if slots == nil {
-		return nil, fmt.Errorf("fl: unknown trace kind %q (want diurnal, flash or markov)", name)
+		return nil, fmt.Errorf("fl: unknown trace kind %q (want flat, diurnal, flash or markov)", name)
 	}
 	if len(args) != len(slots) {
 		return nil, fmt.Errorf("fl: trace spec %q: want %d args, got %d", s, len(slots), len(args))
@@ -199,6 +212,8 @@ func (g *TraceGen) DropProb(round, client int) float64 {
 		return math.Min(1, math.Max(0, p))
 	}
 	switch g.cfg.Kind {
+	case TraceFlat:
+		return g.cfg.Base
 	case TraceDiurnal:
 		phase := 2 * math.Pi * float64(round) / float64(g.cfg.Period)
 		return clamp(g.cfg.Base + g.cfg.Amp*(1+math.Sin(phase))/2)

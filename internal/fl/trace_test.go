@@ -122,7 +122,7 @@ func TestNilTraceGen(t *testing.T) {
 // TestParseTraceRoundTrip: Parse∘String is the identity on canonical specs;
 // malformed specs are rejected.
 func TestParseTraceRoundTrip(t *testing.T) {
-	for _, spec := range []string{"diurnal(0.1,0.6,8)", "flash(0,0.8,2,2)", "markov(0,0.3,0.5)", "diurnal(0,1,1)", "markov(0.25,0,1)"} {
+	for _, spec := range []string{"flat(0.3)", "flat(0)", "diurnal(0.1,0.6,8)", "flash(0,0.8,2,2)", "markov(0,0.3,0.5)", "diurnal(0,1,1)", "markov(0.25,0,1)"} {
 		cfg, err := ParseTrace(spec)
 		if err != nil {
 			t.Fatalf("ParseTrace(%q): %v", spec, err)
@@ -140,6 +140,7 @@ func TestParseTraceRoundTrip(t *testing.T) {
 		"flash(0,0.8,2)", "flash(0,0.8,-1,2)", "flash(0,0.8,2,0)",
 		"markov(0,0.3,0)", "markov(0,0.3,1.5)", "markov(0,1.5,0.5)",
 		"weekly(1,2,3)", "markov 0,0.3,0.5", "diurnal()", "markov(0,,0.5)",
+		"flat(1)", "flat(-0.1)", "flat(NaN)", "flat(0.1,2)", "flat()",
 	}
 	for _, spec := range bad {
 		if _, err := ParseTrace(spec); err == nil {
@@ -159,6 +160,7 @@ func TestParseTraceRoundTrip(t *testing.T) {
 // zero so specs stay canonical.
 func TestTraceValidateUnusedFields(t *testing.T) {
 	bad := []TraceConfig{
+		{Kind: TraceFlat, Base: 0.1, PUp: 0.5},
 		{Kind: TraceDiurnal, Base: 0.1, Amp: 0.5, Period: 4, Width: 2},
 		{Kind: TraceFlash, Base: 0.1, Amp: 0.5, Period: 2, Width: 1, PUp: 0.5},
 		{Kind: TraceMarkov, Base: 0.1, PDown: 0.3, PUp: 0.5, Period: 2},
@@ -175,20 +177,18 @@ func TestTraceValidateUnusedFields(t *testing.T) {
 	}
 }
 
-// TestSimulatorRejectsTraceWithDropout: the flat rate and the trace are
-// mutually exclusive knobs.
+// TestSimulatorRejectsTraceWithDropout: the flat rate is one trace kind
+// among the others, so one availability config cannot be both.
 func TestSimulatorRejectsTraceWithDropout(t *testing.T) {
 	clients := testClients(t, 4)
 	cfg := SimConfig{
 		Rounds: 1, ClientsPerRound: 2, Seed: 1,
-		DropoutRate: 0.2,
-		Federation:  Federation{Availability: &TraceConfig{Kind: TraceDiurnal, Base: 0.1, Amp: 0.5, Period: 4}},
+		Federation: Federation{Availability: &TraceConfig{Kind: TraceFlat, Base: 0.2, Amp: 0.5, Period: 4}},
 	}
 	if _, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients); err == nil {
-		t.Fatal("Availability + DropoutRate must be rejected")
+		t.Fatal("a flat rate with a diurnal shape must be rejected")
 	}
 	cfg.Availability = &TraceConfig{Kind: "weekly"}
-	cfg.DropoutRate = 0
 	if _, err := NewSimulator(cfg, fakeMethod(&fakeTrainer{}), clients); err == nil {
 		t.Fatal("invalid trace must be rejected at construction")
 	}

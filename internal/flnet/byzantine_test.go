@@ -131,11 +131,11 @@ func TestByzantineSurvivalOverTCP(t *testing.T) {
 }
 
 // TestServerTraceDropsDeterministic: an availability trace on the networked
-// server drops participants pre-dispatch (they surface as stragglers), and
-// two federations from the same seed agree bit-for-bit.
+// server — a diurnal one, and the flat rate — drops participants
+// pre-dispatch (they surface as stragglers), and two federations from the
+// same seed agree bit-for-bit.
 func TestServerTraceDropsDeterministic(t *testing.T) {
-	trace := &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.1, Amp: 0.3, Period: 3}
-	run := func() *Result {
+	run := func(trace *fl.TraceConfig) *Result {
 		clients := netClients(t, 3)
 		srv, err := NewServer(ServerConfig{
 			Addr: "127.0.0.1:0", NumClients: 3, Rounds: 6, ClientsPerRound: 3, Seed: 11,
@@ -174,16 +174,21 @@ func TestServerTraceDropsDeterministic(t *testing.T) {
 		}
 		return res
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a.History, b.History) {
-		t.Fatalf("traced federations diverge:\n%+v\nvs\n%+v", a.History, b.History)
-	}
-	dropped := 0
-	for _, h := range a.History {
-		dropped += len(h.Stragglers)
-	}
-	if dropped == 0 {
-		t.Fatal("a 0.1–0.4 diurnal trace over 6 rounds never dropped anyone — trace not engaged")
+	for _, trace := range []*fl.TraceConfig{
+		{Kind: fl.TraceDiurnal, Base: 0.1, Amp: 0.3, Period: 3},
+		{Kind: fl.TraceFlat, Base: 0.3},
+	} {
+		a, b := run(trace), run(trace)
+		if !reflect.DeepEqual(a.History, b.History) {
+			t.Fatalf("%s: traced federations diverge:\n%+v\nvs\n%+v", trace, a.History, b.History)
+		}
+		dropped := 0
+		for _, h := range a.History {
+			dropped += len(h.Stragglers)
+		}
+		if dropped == 0 {
+			t.Fatalf("%s over 6 rounds never dropped anyone — trace not engaged", trace)
+		}
 	}
 }
 
@@ -227,14 +232,23 @@ func TestServerTraceTotalOutageFails(t *testing.T) {
 }
 
 // TestServerTraceKillResumeBitIdentical extends the networked durability
-// gate to traced federations: the resumed server must burn the completed
-// rounds' trace draws blindly so the continuation is bit-identical to a
-// federation that never stopped.
+// gate to traced federations, a diurnal one and the flat rate: the resumed
+// server must burn the completed rounds' trace draws blindly so the
+// continuation is bit-identical to a federation that never stopped.
 func TestServerTraceKillResumeBitIdentical(t *testing.T) {
+	for _, trace := range []*fl.TraceConfig{
+		{Kind: fl.TraceDiurnal, Base: 0.1, Amp: 0.3, Period: 3},
+		{Kind: fl.TraceFlat, Base: 0.3},
+	} {
+		t.Run(trace.String(), func(t *testing.T) { traceKillResume(t, trace) })
+	}
+}
+
+func traceKillResume(t *testing.T, trace *fl.TraceConfig) {
 	const n, total = 3, 4
 	base := ServerConfig{
 		NumClients: n, Rounds: total, ClientsPerRound: 2, Seed: 11,
-		Federation: fl.Federation{Availability: &fl.TraceConfig{Kind: fl.TraceDiurnal, Base: 0.1, Amp: 0.3, Period: 3}},
+		Federation: fl.Federation{Availability: trace},
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -26,8 +26,10 @@ import (
 //     Dur to the client-turnaround histogram.
 //   - client_drop is a straggler: Bytes (a rejected upload) adds to
 //     UplinkWireBytes. A straggler-reason drop after the round dispatched
-//     means its deadline expired — availability drops come before any
-//     dispatch, and a deadline only ever drops dispatched clients.
+//     means its deadline expired. Availability drops are trace-reason and
+//     come before any dispatch, but traces written before the flat dropout
+//     rate became a trace kind label its drops straggler, and a deadline
+//     only ever drops dispatched clients.
 //   - client_late is a stale reply counted in LateUpdates.
 //   - round_end closes the round: N responders (the other participants
 //     are its stragglers), Loss the mean training loss, Dur the round

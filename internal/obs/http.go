@@ -61,17 +61,11 @@ func ServeHandler(addr string, h http.Handler) (*http.Server, net.Addr, error) {
 // metrics one. `calibre serve` and `calibre sweep run` expose it
 // behind -pprof-addr.
 func ServePprof(addr string) (*http.Server, net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr(), nil
+	return ServeHandler(addr, mux)
 }

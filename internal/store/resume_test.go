@@ -77,8 +77,8 @@ func TestSimulatorResumeFromDiskBitIdentical(t *testing.T) {
 		Rounds:          total,
 		ClientsPerRound: 4,
 		Seed:            1234,
-		DropoutRate:     0.35,
-		Federation:      fl.Federation{Quorum: 2, Straggler: fl.StragglerDrop},
+		Federation: fl.Federation{Quorum: 2, Straggler: fl.StragglerDrop,
+			Availability: &fl.TraceConfig{Kind: fl.TraceFlat, Base: 0.35}},
 	}
 
 	// Reference: one uninterrupted run.

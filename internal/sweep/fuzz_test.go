@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"testing"
 
 	"calibre/internal/experiments"
@@ -73,13 +74,14 @@ func FuzzParseGrid(f *testing.F) {
 // (SimConfig.Validate, which fl.NewSimulator runs) on the federation a
 // cell describes, at its scale's rounds, clients per round and
 // population. It parses the cell's specs itself rather than through the
-// code under test.
+// code under test: a non-zero dropout is the flat(dropout) trace, and
+// refused beside an availability spec.
 func simulatorCheck(c Cell) error {
 	p, err := experiments.PresetFor(c.Scale)
 	if err != nil {
 		return err
 	}
-	cfg := fl.SimConfig{Rounds: p.Rounds, ClientsPerRound: p.ClientsPerRound, DropoutRate: c.Dropout}
+	cfg := fl.SimConfig{Rounds: p.Rounds, ClientsPerRound: p.ClientsPerRound}
 	cfg.Quorum = c.Quorum
 	if cfg.Straggler, err = fl.ParseStragglerPolicy(c.Straggler); err != nil {
 		return err
@@ -96,6 +98,12 @@ func simulatorCheck(c Cell) error {
 	}
 	if cfg.Availability, err = fl.ParseTrace(c.Availability); err != nil {
 		return err
+	}
+	if c.Dropout != 0 {
+		if cfg.Availability != nil {
+			return fmt.Errorf("dropout %g beside availability %s", c.Dropout, cfg.Availability)
+		}
+		cfg.Availability = &fl.TraceConfig{Kind: fl.TraceFlat, Base: c.Dropout}
 	}
 	return cfg.Validate(&fl.Method{Aggregator: agg}, p.Clients)
 }

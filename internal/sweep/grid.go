@@ -40,8 +40,8 @@ type Grid struct {
 	Seeds []int64 `json:"seeds"`
 	// Quorums are K-of-N aggregation floors; empty defaults to [0].
 	Quorums []int `json:"quorums,omitempty"`
-	// DropoutRates are per-round client dropout probabilities in [0,1);
-	// empty defaults to [0].
+	// DropoutRates are per-round client dropout probabilities in [0,1),
+	// each run as the flat(p) availability trace; empty defaults to [0].
 	DropoutRates []float64 `json:"dropout_rates,omitempty"`
 	// Stragglers are straggler policies ("requeue" or "drop"; "" is
 	// requeue, and canonicalizes to it); empty defaults to ["requeue"].
@@ -63,9 +63,9 @@ type Grid struct {
 	AdversaryFracs []float64 `json:"adversary_frac,omitempty"`
 	// Availability are availability-trace specs (fl.ParseTrace:
 	// "diurnal(0.1,0.6,8)", "flash(0,0.8,2,2)", "markov(0,0.3,0.5)"; ""
-	// means flat DropoutRates govern); empty defaults to [""]. A grid
-	// mixing non-"" availability with non-zero dropout_rates is rejected —
-	// the two churn models are mutually exclusive.
+	// means DropoutRates govern); empty defaults to [""]. A grid mixing
+	// non-"" availability with non-zero dropout_rates is rejected — a
+	// dropout rate is itself a trace, flat(p).
 	Availability []string `json:"availability,omitempty"`
 	// Baseline, when set, must be one of Methods; the report computes
 	// every method's variance reduction against it.

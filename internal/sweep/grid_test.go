@@ -183,50 +183,54 @@ func TestGridValidation(t *testing.T) {
 // TestGridAndSimulatorRefuseTheSameCell: a grid asks fl's own rules of
 // each cell, so every bad federation knob a one-cell grid refuses at plan
 // time is one fl.NewSimulator refuses for the World Build makes of that
-// cell, and a valid cell passes both.
+// cell — or, for a dropout beside an availability spec, one Build itself
+// refuses — and a valid cell passes all three.
 func TestGridAndSimulatorRefuseTheSameCell(t *testing.T) {
 	base := Cell{Method: "fedavg-ft", Setting: "cifar10-q(2,500)", Scale: experiments.ScaleSmoke, Seed: 1, Straggler: "requeue"}
 	env, err := base.Environment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(c Cell) (gridErr, simErr error) {
+	check := func(c Cell) (gridErr, buildErr, simErr error) {
 		g := &Grid{Methods: []string{c.Method}, Settings: []string{c.Setting}, Scales: []experiments.Scale{c.Scale},
 			Seeds: []int64{c.Seed}, Quorums: []int{c.Quorum}, DropoutRates: []float64{c.Dropout},
 			Stragglers: []string{c.Straggler}, Aggregators: []string{c.Aggregator}, Adversaries: []string{c.Adversary},
 			AdversaryFracs: []float64{c.AdvFrac}, Availability: []string{c.Availability}}
-		w, err := c.BuildOn(env)
-		if err != nil {
-			t.Fatalf("Build %s: %v", c.Key(), err)
+		w, buildErr := c.BuildOn(env)
+		if buildErr != nil {
+			return g.Validate(), buildErr, nil
 		}
 		cfg := fl.SimConfig{Federation: w.Federation, Rounds: env.Preset.Rounds,
-			ClientsPerRound: env.Preset.ClientsPerRound, Seed: env.Seed, DropoutRate: c.Dropout}
+			ClientsPerRound: env.Preset.ClientsPerRound, Seed: env.Seed}
 		_, simErr = fl.NewSimulator(cfg, w.Method, env.Participants)
-		return g.Validate(), simErr
+		return g.Validate(), nil, simErr
 	}
 	valid := base
 	valid.Quorum, valid.Dropout, valid.Straggler, valid.Aggregator = 2, 0.2, "drop", "krum(0)"
 	valid.Adversary, valid.AdvFrac = "sign-flip", 0.25
-	if gridErr, simErr := check(valid); gridErr != nil || simErr != nil {
-		t.Fatalf("valid cell refused: grid %v, simulator %v", gridErr, simErr)
+	if gridErr, buildErr, simErr := check(valid); gridErr != nil || buildErr != nil || simErr != nil {
+		t.Fatalf("valid cell refused: grid %v, build %v, simulator %v", gridErr, buildErr, simErr)
 	}
 	for _, tc := range []struct {
-		name string
-		mut  func(*Cell)
+		name  string
+		mut   func(*Cell)
+		build bool // refused by Build rather than by fl
 	}{
-		{"negative quorum", func(c *Cell) { c.Quorum = -1 }},
-		{"quorum above clients per round", func(c *Cell) { c.Quorum = env.Preset.ClientsPerRound + 1 }},
-		{"dropout 1.5", func(c *Cell) { c.Dropout = 1.5 }},
-		{"NaN dropout", func(c *Cell) { c.Dropout = math.NaN() }},
-		{"adversary frac 1.5", func(c *Cell) { c.Adversary, c.AdvFrac = "sign-flip", 1.5 }},
-		{"NaN adversary frac", func(c *Cell) { c.Adversary, c.AdvFrac = "sign-flip", math.NaN() }},
-		{"availability with dropout", func(c *Cell) { c.Availability, c.Dropout = "diurnal(0.1,0.6,8)", 0.2 }},
-		{"krum(f) below f+3 clients per round", func(c *Cell) { c.Aggregator = "krum(1)" }},
+		{"negative quorum", func(c *Cell) { c.Quorum = -1 }, false},
+		{"quorum above clients per round", func(c *Cell) { c.Quorum = env.Preset.ClientsPerRound + 1 }, false},
+		{"dropout 1.5", func(c *Cell) { c.Dropout = 1.5 }, false},
+		{"NaN dropout", func(c *Cell) { c.Dropout = math.NaN() }, false},
+		{"adversary frac 1.5", func(c *Cell) { c.Adversary, c.AdvFrac = "sign-flip", 1.5 }, false},
+		{"NaN adversary frac", func(c *Cell) { c.Adversary, c.AdvFrac = "sign-flip", math.NaN() }, false},
+		{"availability with dropout", func(c *Cell) { c.Availability, c.Dropout = "diurnal(0.1,0.6,8)", 0.2 }, true},
+		{"krum(f) below f+3 clients per round", func(c *Cell) { c.Aggregator = "krum(1)" }, false},
 	} {
 		c := base
 		tc.mut(&c)
-		if gridErr, simErr := check(c); gridErr == nil || simErr == nil {
-			t.Errorf("%s: grid err %v, simulator err %v; want both refused", tc.name, gridErr, simErr)
+		gridErr, buildErr, simErr := check(c)
+		if gridErr == nil || (buildErr != nil) != tc.build || (simErr != nil) == tc.build {
+			t.Errorf("%s: grid err %v, build err %v, simulator err %v; want the grid and one of the others to refuse (Build: %t)",
+				tc.name, gridErr, buildErr, simErr, tc.build)
 		}
 	}
 }

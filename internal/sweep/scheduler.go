@@ -17,7 +17,6 @@ import (
 	"calibre/internal/fl"
 	"calibre/internal/health"
 	"calibre/internal/obs"
-	"calibre/internal/tensor"
 	"calibre/internal/trace"
 )
 
@@ -46,12 +45,6 @@ type Config struct {
 	// is recorded as failed (context.DeadlineExceeded) and the sweep
 	// moves on. 0 means unbounded.
 	CellTimeout time.Duration
-	// KernelWorkers, when >0, resizes the process-wide tensor kernel
-	// pool once before the sweep starts. It is deliberately not a grid
-	// axis: the pool is process-global, so per-cell values would race
-	// across concurrent cells. Kernels are bit-identical at any pool
-	// size, so this only affects throughput.
-	KernelWorkers int
 	// Dir is the sweep directory: the manifest lives at Dir/ManifestName
 	// and per-cell checkpoint stores under Dir/cells/. Empty runs the
 	// sweep in memory, with no durability and no resume.
@@ -177,9 +170,6 @@ func Run(ctx context.Context, g *Grid, cfg Config) (*Result, error) {
 	}
 	if cfg.SimBudget < 1 {
 		cfg.SimBudget = runtime.GOMAXPROCS(0)
-	}
-	if cfg.KernelWorkers > 0 {
-		tensor.SetWorkers(cfg.KernelWorkers)
 	}
 	s := &sweeper{cfg: cfg}
 
@@ -452,7 +442,6 @@ func (s *sweeper) runCell(ctx context.Context, c Cell) (res CellResult) {
 	out, err := experiments.RunBuiltMethodWith(ctx, env, built.Method, func(cfg *fl.SimConfig) {
 		cfg.Federation = fed
 		cfg.Parallelism = s.simPar
-		cfg.DropoutRate = c.Dropout
 	})
 	if err != nil {
 		res.Error = err.Error()

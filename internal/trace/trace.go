@@ -103,11 +103,12 @@ func (k Kind) Phase() int { return slices.Index(Phases[:], k) }
 type DropReason string
 
 const (
-	// DropTrace: a seeded availability trace made the client unavailable
-	// before it could train (fl.TraceConfig).
+	// DropTrace: a seeded availability trace — a flat rate among them —
+	// made the client unavailable before it could train (fl.TraceConfig).
 	DropTrace DropReason = "trace"
-	// DropStraggler: the client was dropped by the flat dropout model or
-	// missed the round deadline under quorum aggregation.
+	// DropStraggler: the client missed the round deadline under quorum
+	// aggregation. Traces written before the flat rate became a trace
+	// kind also label its pre-dispatch drops so.
 	DropStraggler DropReason = "straggler"
 	// DropRejected: the runtime rejected the client at ingress (wrong-size
 	// or corrupt payload, protocol violation, transport failure).
