@@ -4,7 +4,7 @@
 #   ./ci.sh          format check, vet, build, shuffled race tests, wire + checkpoint flake pass,
 #                    row-primitive tiers (avx512, avx2, generic: which ran, which this host skipped),
 #                    portable-kernel tests, cross builds, bench module, doc gate,
-#                    real-process smoke, wire + matmul + compaction + sweep + distance-tile + exp + sgd-step + fedavg-sink +
+#                    real-process smoke, wire + matmul + compaction + sweep + group-sum + distance-tile + exp + sgd-step + fedavg-sink +
 #                    spec-grammar + availability-trace + aggregator + adversary + alert-rules + sweep-grid +
 #                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
@@ -202,6 +202,13 @@ go test -run '^$' -fuzz '^FuzzCompactRowMatchesScalar$' -fuzztime 5s ./internal/
 # special values beyond the corpus, on every tier.
 echo "== sweep fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzAxpyRowsMatchesScalar$' -fuzztime 5s ./internal/tensor/
+
+# And for the group sums (tensor.AddRowsAt: centroids, prototypes, the
+# silhouette's per-cluster distance sums) against one scalar sweep per
+# picked row: widths, index counts across the blockK chunks, repeated
+# indices, both forms and special values beyond the corpus.
+echo "== group-sum fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzAddRowsAtMatchesScalar$' -fuzztime 5s ./internal/tensor/
 
 # And for the k-means distance tile against the scalar SqDist loop: row
 # lengths, offsets, repeated rows and special values beyond the corpus.

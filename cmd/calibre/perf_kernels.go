@@ -25,10 +25,12 @@ import (
 	"time"
 
 	"calibre/internal/baselines"
+	"calibre/internal/core"
 	"calibre/internal/data"
 	"calibre/internal/experiments"
 	"calibre/internal/fl"
 	"calibre/internal/flnet"
+	"calibre/internal/kmeans"
 	"calibre/internal/model"
 	"calibre/internal/nn"
 	"calibre/internal/param"
@@ -301,6 +303,35 @@ func benchSqDist(minTime time.Duration) []KernelBenchRecord {
 		ns, allocs, _ := measure(minTime, c.fn)
 		records = append(records, KernelBenchRecord{
 			Op: "sqdist", Shape: c.shape, NsOp: ns, AllocsOp: allocs, SerialNsOp: ns, SpeedupVsSerial: 1,
+		})
+	}
+	return records
+}
+
+// benchSelectK times Calibre's cluster-count search (core.SelectKIn, the
+// grid up to K = 10: six k-means runs and six silhouettes over one batch's
+// distance tables) at the two shapes it meets: a SimCLR step's 32 pair
+// means of the 24-wide projector output, and a client's divergence search
+// over 125 encodings 48 wide. The calls draw on from one rng — reseeding
+// would cost a third of a small search — so they cluster the same batch
+// from different draws, and ns_op is their mean; each runs in a workspace
+// and an arena warm from the calls before, so allocs_op is 0. The search
+// does not split across the pool, so the serial and pooled timings are the
+// same call.
+func benchSelectK(minTime time.Duration) []KernelBenchRecord {
+	var records []KernelBenchRecord
+	for i, shape := range [][2]int{{32, 24}, {125, 48}} {
+		x := tensor.RandN(rand.New(rand.NewSource(int64(11+i))), 1, shape[0], shape[1])
+		arena, ws, rng := tensor.NewArena(), new(kmeans.Workspace), rand.New(rand.NewSource(12))
+		search := func() {
+			if _, err := core.SelectKIn(arena, ws, rng, x, 10); err != nil {
+				panic(err)
+			}
+		}
+		ns, allocs, _ := measure(minTime, search)
+		records = append(records, KernelBenchRecord{
+			Op: "select-k", Shape: fmt.Sprintf("%dx%d-maxK10", shape[0], shape[1]), NsOp: ns, AllocsOp: allocs,
+			SerialNsOp: ns, SpeedupVsSerial: 1,
 		})
 	}
 	return records
@@ -668,6 +699,7 @@ func runKernelBench(outDir string, quick bool) error {
 	}
 	file.Records = benchKernels(minTime, []int{64, 128, 256})
 	file.Records = append(file.Records, benchSqDist(minTime)...)
+	file.Records = append(file.Records, benchSelectK(minTime)...)
 	file.Records = append(file.Records, benchNTXent(minTime))
 	file.Records = append(file.Records, benchSGDStep(minTime)...)
 	file.Records = append(file.Records, benchSink(minTime)...)

@@ -103,18 +103,25 @@ func (o Options) Validate() error {
 // local data spans two classes gets two prototypes, not ten fragmented
 // ones — fragmentation would push same-class samples apart.
 func SelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error) {
-	res, _, err := selectK(nil, nil, rng, x, maxK)
+	return SelectKIn(nil, nil, rng, x, maxK)
+}
+
+// SelectKIn is SelectK with its distance tables borrowed from arena and its
+// clusterings run in ws (either nil: the heap), which it leaves holding the
+// result until the next clustering in ws: the same result, bit for bit,
+// allocation-free once arena and ws have seen x's shape.
+func SelectKIn(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error) {
+	res, _, err := selectK(arena, ws, rng, x, maxK)
 	return res, err
 }
 
-// selectK is SelectK that also returns the winner's silhouette score. The
-// score depends on x only through its pairwise distances, so they are
-// computed once — squared, then their square roots, into buffers borrowed
-// from arena (nil: the heap) — and every candidate is scored from them. The
-// candidates are clustered in ws (nil: each on the heap), which holds the
-// best so far while the later ones run, and read the squares for their
-// seeding and first assignment; the result is valid until the next
-// clustering in ws.
+// selectK is SelectKIn that also returns the winner's silhouette score. The
+// score depends on x only through its pairwise distances, so their two
+// square tables — squared, and their square roots — are filled once and
+// every candidate is scored from them; both, and the silhouette's sums, lie
+// in one buffer borrowed from arena. The candidates are clustered in ws,
+// which holds the best so far while the later ones run, and read the
+// squares for their seeding and first assignment.
 func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64, error) {
 	n := x.Rows()
 	if maxK > n {
@@ -123,13 +130,10 @@ func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tenso
 	if maxK < 2 {
 		maxK = 2
 	}
-	sq := kmeans.PairSqDistances(arena, x)
-	defer arena.Put(sq)
-	dist := arena.GetUninit(len(sq))
-	defer arena.Put(dist)
-	for p, v := range sq {
-		dist[p] = math.Sqrt(v)
-	}
+	buf := arena.GetUninit(2*n*n + 4*n)
+	defer arena.Put(buf)
+	sq, dist, sums := buf[:n*n], buf[n*n:2*n*n], buf[2*n*n:]
+	kmeans.PairTablesInto(sq, dist, x)
 	var best *kmeans.Result
 	bestScore := math.Inf(-1)
 	// The grid ascends up to its last entry, so maxK repeats a grid value
@@ -144,7 +148,7 @@ func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tenso
 		if err != nil {
 			return nil, 0, err
 		}
-		if score := kmeans.SilhouetteFrom(dist, res.Assign); score > bestScore {
+		if score := res.Silhouette(dist, sums); score > bestScore {
 			bestScore = score
 			best = res
 			ws.Hold()
@@ -405,7 +409,7 @@ func Divergence(rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error
 	return divergence(nil, nil, rng, encodings, k)
 }
 
-// divergence is Divergence with SelectK's distance buffer borrowed from
+// divergence is Divergence with SelectK's distance tables borrowed from
 // arena and its clusterings run in ws (nil: the heap).
 func divergence(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error) {
 	if encodings.Rows() == 0 {

@@ -59,7 +59,7 @@ func BenchmarkAssignPoints(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d/table", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				assignToPoints(x, sq, picks, assign)
+				assignToPoints(sq, picks, assign)
 			}
 		})
 	}

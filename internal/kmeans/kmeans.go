@@ -30,15 +30,20 @@ type Config struct {
 	K int
 	// PairSq, when not nil, is x's PairSqDistances, which the Run reads
 	// instead of computing a distance between two points of x: the
-	// seeding's, from each picked centre to every point, and the first
+	// seeding's, a picked centre's row of the table, and the first
 	// assignment's, whose centres are still points. The result and the
 	// draws from rng are the same bit for bit either way.
 	PairSq []float64
 }
 
-// Lloyd's loop stops after maxIters iterations, or earlier once an
-// iteration lowers the inertia by no more than tol times the previous
-// inertia (times 1 when that is below 1).
+// Lloyd's loop is meant to stop after maxIters iterations, or earlier once
+// an iteration lowers the inertia by no more than tol times the previous
+// inertia (times 1 when that is below 1). It does neither: the previous
+// inertia starts at +Inf, and Inf − inertia ≤ tol·Inf holds for every
+// finite inertia, so every Run on finite points stops after its first
+// iteration (TestLloydStopsAfterOneIteration) and neither constant is ever
+// reached. Every result this package has produced is that one-iteration
+// clustering; ROADMAP.md holds the fix, which moves every Calibre result.
 const (
 	maxIters = 25
 	tol      = 1e-4
@@ -99,6 +104,9 @@ func grow[T any](buf []T, n int) []T {
 // Run is the package's Run into the workspace's current slot: same result,
 // bit for bit, same draws from rng. The result is valid until the next Run
 // on w, or — after Hold — until the Run that follows the next Hold.
+//
+// Lloyd's loop runs one iteration on finite points, whatever maxIters and
+// tol say: see their comment.
 func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, error) {
 	n, d := x.Rows(), x.Cols()
 	if cfg.K < 1 {
@@ -107,8 +115,8 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 	if n == 0 {
 		return nil, fmt.Errorf("kmeans: empty input")
 	}
-	if cfg.PairSq != nil && len(cfg.PairSq) != n*(n-1)/2 {
-		return nil, fmt.Errorf("kmeans: PairSq holds %d squared distances, want %d for %d points", len(cfg.PairSq), n*(n-1)/2, n)
+	if cfg.PairSq != nil && len(cfg.PairSq) != n*n {
+		return nil, fmt.Errorf("kmeans: PairSq holds %d squared distances, want %d for %d points", len(cfg.PairSq), n*n, n)
 	}
 	if w == nil {
 		w = new(Workspace)
@@ -125,16 +133,19 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 	seedPlusPlus(rng, x, centers, w.scratch, w.picks, cfg.PairSq)
 	s.res.Assign = grow(s.res.Assign, n)
 	assign := s.res.Assign
-	prev := math.Inf(1)
+	// The member lists are the centroid update's scratch until the final
+	// assignment fills them.
+	s.members, s.res.Groups = grow(s.members, n), grow(s.res.Groups, k)
+	prev := math.Inf(1) // makes the stop test below pass on iteration 1
 	var inertia float64
 	var iters int
 	for iters = 1; iters <= maxIters; iters++ {
 		if iters == 1 && cfg.PairSq != nil {
-			inertia = assignToPoints(x, cfg.PairSq, w.picks, assign)
+			inertia = assignToPoints(cfg.PairSq, w.picks, assign)
 		} else {
 			inertia = assignPoints(x, centers, assign)
 		}
-		updateCenters(rng, x, centers, assign, w.counts)
+		updateCenters(rng, x, centers, assign, s.res.Groups, s.members, w.counts)
 		if prev-inertia <= tol*math.Max(prev, 1) {
 			break
 		}
@@ -142,7 +153,6 @@ func (w *Workspace) Run(rng *rand.Rand, x *tensor.Tensor, cfg Config) (*Result, 
 	}
 	// Final assignment against the last centers.
 	inertia = assignPoints(x, centers, assign)
-	s.members, s.res.Groups = grow(s.members, n), grow(s.res.Groups, k)
 	groupMembers(s.res.Groups, s.members, assign, w.counts)
 	s.res.Centers, s.res.Inertia, s.res.Iters = centers, inertia, iters
 	return &s.res, nil
@@ -179,15 +189,20 @@ func groupMembers(groups [][]int, backing, assign, counts []int) {
 
 // seedPlusPlus picks the initial centers — every row of centers — with the
 // k-means++ D² weighting, and records in picks the point each one copies.
-// scratch holds n values. A picked centre's distances to the points come
-// from centreDistances, computed or read from sq.
+// scratch holds n values. A picked centre's distances to the points are
+// computed, from the centre to the points, or read from sq, x's
+// PairSqDistances, as the centre's row of the table when sq is not nil.
 func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64, picks []int, sq []float64) {
 	n, k := x.Rows(), centers.Rows()
 	first := rng.Intn(n)
 	picks[0] = first
 	centers.SetRow(0, x.Row(first))
 	dist := scratch[:n]
-	centreDistances(dist, x, first, 0, sq)
+	if sq != nil {
+		copy(dist, sq[first*n:][:n])
+	} else {
+		tensor.SqDistRows(dist, x.Row(first), x.Data())
+	}
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, v := range dist {
@@ -209,10 +224,19 @@ func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64, 
 		}
 		picks[c] = pick
 		centers.SetRow(c, x.Row(pick))
+		if sq != nil {
+			for i, nd := range sq[pick*n:][:n] {
+				if nd < dist[i] {
+					dist[i] = nd
+				}
+			}
+			continue
+		}
 		var next [16]float64 // distances to the new centre, a stack chunk at a time
+		d := x.Cols()
 		for lo := 0; lo < n; lo += len(next) {
 			chunk := next[:min(len(next), n-lo)]
-			centreDistances(chunk, x, pick, lo, sq)
+			tensor.SqDistRows(chunk, x.Row(pick), x.Data()[lo*d:(lo+len(chunk))*d])
 			for i, nd := range chunk {
 				if nd < dist[lo+i] {
 					dist[lo+i] = nd
@@ -222,42 +246,17 @@ func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64, 
 	}
 }
 
-// centreDistances writes SqDist(x_p, x_(lo+i)) to dst[i] for every i < len(dst):
-// read from sq (pairSqDist) when it is not nil, computed from the centre to
-// the points, the rows that lie consecutively, otherwise.
-func centreDistances(dst []float64, x *tensor.Tensor, p, lo int, sq []float64) {
-	if sq == nil {
-		d := x.Cols()
-		tensor.SqDistRows(dst, x.Row(p), x.Data()[lo*d:(lo+len(dst))*d])
-		return
-	}
-	for i := range dst {
-		dst[i] = pairSqDist(sq, x, p, lo+i)
-	}
-}
-
-// pairSqDist is SqDist(x_i, x_j) read from sq, x's PairSqDistances, bit
-// for bit: (x_i − x_j)² and (x_j − x_i)² are the same float. The diagonal,
-// which sq does not hold, is computed: it is 0 only for a finite row.
-func pairSqDist(sq []float64, x *tensor.Tensor, i, j int) float64 {
-	switch {
-	case i > j:
-		return sq[i*(i-1)/2+j]
-	case i < j:
-		return sq[j*(j-1)/2+i]
-	}
-	return tensor.SqDist(x.Row(i), x.Row(i))
-}
-
 // assignToPoints is assignPoints while the centres are still the points
-// picks of x, with every distance read from sq (pairSqDist): the same
+// picks, with every distance read from sq, their PairSqDistances: the same
 // assignment and inertia, bit for bit.
-func assignToPoints(x *tensor.Tensor, sq []float64, picks, assign []int) float64 {
+func assignToPoints(sq []float64, picks, assign []int) float64 {
+	n := len(assign)
 	var inertia float64
 	for i := range assign {
+		row := sq[i*n:][:n]
 		best, bestD := 0, math.Inf(1)
 		for c, p := range picks {
-			if d := pairSqDist(sq, x, i, p); d < bestD {
+			if d := row[p]; d < bestD {
 				best, bestD = c, d
 			}
 		}
@@ -306,35 +305,21 @@ func assignPoints(x, centers *tensor.Tensor, assign []int) float64 {
 	return inertia
 }
 
-// updateCenters recomputes centroids; an empty cluster is reseeded to a
-// random point so K stays constant. counts is caller-owned scratch of
-// length k, overwritten on every call.
-func updateCenters(rng *rand.Rand, x, centers *tensor.Tensor, assign []int, counts []int) {
-	n, d := x.Rows(), x.Cols()
-	k := centers.Rows()
-	for c := 0; c < k; c++ {
-		counts[c] = 0
-	}
-	centers.Zero()
-	for i := 0; i < n; i++ {
-		c := assign[i]
-		counts[c]++
-		crow := centers.Row(c)
-		xrow := x.Row(i)
-		for j := 0; j < d; j++ {
-			crow[j] += xrow[j]
-		}
-	}
-	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			centers.SetRow(c, x.Row(rng.Intn(n)))
+// updateCenters recomputes centroids, each the mean of its members: their
+// rows summed in ascending order from +0 (tensor.AddRowsAt), then scaled by
+// the inverse of their count. An empty cluster is reseeded to a random
+// point so K stays constant. groups, backing and counts are caller-owned
+// scratch for groupMembers, overwritten on every call.
+func updateCenters(rng *rand.Rand, x, centers *tensor.Tensor, assign []int, groups [][]int, backing, counts []int) {
+	groupMembers(groups, backing, assign, counts)
+	for c, members := range groups {
+		if len(members) == 0 {
+			centers.SetRow(c, x.Row(rng.Intn(x.Rows())))
 			continue
 		}
-		inv := 1 / float64(counts[c])
 		crow := centers.Row(c)
-		for j := 0; j < d; j++ {
-			crow[j] *= inv
-		}
+		tensor.AddRowsAt(crow, x.Data(), members, true)
+		tensor.ScaleSlice(crow, 1/float64(len(members)))
 	}
 }
 
@@ -355,75 +340,114 @@ func Silhouette(x *tensor.Tensor, labels []int) float64 {
 
 // PairDistances returns the Euclidean distance between every two rows of x,
 // for SilhouetteFrom: callers that score several labelings of one point set
-// (core.SelectK) compute the distances once. The buffer is borrowed from
-// arena (nil: the heap) and is the caller's to arena.Put. Only the strict
-// lower triangle is stored — pair (i, j), i > j, at i(i−1)/2 + j — because
-// (a−b)² and (b−a)² are the same float, so distance (j, i) is bit-identical
-// to distance (i, j). It is the square root of PairSqDistances.
+// (core's SelectK) compute the distances once. The table is square and
+// row-major, n×n for n rows: distance (i, j) at i·n + j and again at
+// j·n + i, the same float because (a−b)² and (b−a)² are, so that row i
+// holds point i's distances to every point in order. The diagonal is +0,
+// which a sum of distances may add for free (see SilhouetteFrom). Square,
+// the table is twice the strict triangle that holds every pair once: 2 MB
+// at the 500 points of the largest set any caller clusters. The buffer is
+// borrowed from arena (nil: the heap) and is the caller's to arena.Put.
+// Off the diagonal it is the square root of PairSqDistances.
 func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
-	dist := PairSqDistances(arena, x)
-	for p, sq := range dist {
-		dist[p] = math.Sqrt(sq)
-	}
+	n := x.Rows()
+	dist := arena.GetUninit(n * n)
+	pairTables(nil, dist, x)
 	return dist
 }
 
 // PairSqDistances returns SqDist between every two rows of x, laid out as
 // PairDistances lays out their square roots, in a buffer borrowed from
-// arena (nil: the heap): what Config.PairSq takes.
+// arena (nil: the heap): what Config.PairSq takes. Its diagonal is each
+// row's SqDist to itself, as computed: 0 for a finite row, NaN for one
+// holding ±Inf or NaN.
 func PairSqDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
 	n := x.Rows()
-	dist := arena.Get(n * (n - 1) / 2)
-	// Rows i0…i0+3 meet rows j0…j0+3 in one tensor.SqDistTile, (x_i − x_j)²
-	// as SqDistRows summed it; starting at row 1 puts ten of the sixteen
-	// pairs of a block on the diagonal below it. Rows past the end repeat
-	// the last one and pairs with j ≥ i are dropped.
+	sq := arena.GetUninit(n * n)
+	pairTables(sq, nil, x)
+	return sq
+}
+
+// PairTablesInto fills sq with x's PairSqDistances and dist with its
+// PairDistances, n×n values each for n rows, from one pass over the pairs:
+// each square root is taken once, for the pair, not once per position. It
+// panics unless both hold n×n values.
+func PairTablesInto(sq, dist []float64, x *tensor.Tensor) {
+	n := x.Rows()
+	if len(sq) != n*n || len(dist) != n*n {
+		panic(fmt.Sprintf("kmeans: PairTablesInto of %d points into tables of %d and %d values", n, len(sq), len(dist)))
+	}
+	pairTables(sq, dist, x)
+}
+
+// pairTables fills x's n×n squared-distance table into sq and its root
+// table into dist, either of them nil to skip it. Rows i0…i0+3 meet rows
+// j0…j0+3, j0 ≤ i0, in one tensor.SqDistTile, (x_i − x_j)² as SqDistRows
+// sums it, and each pair (i, j), j ≤ i, is stored at (i, j) and (j, i);
+// rows past the end repeat the last one and are dropped.
+func pairTables(sq, dist []float64, x *tensor.Tensor) {
+	n := x.Rows()
 	var (
 		a, b [4][]float64
 		tile [16]float64
 	)
-	for i0 := 1; i0 < n; i0 += 4 {
-		rows := min(4, n-i0)
+	for i0 := 0; i0 < n; i0 += 4 {
 		for r := range a {
 			a[r] = x.Row(min(i0+r, n-1))
 		}
-		for j0 := 0; j0 < i0+rows-1; j0 += 4 {
+		for j0 := 0; j0 <= i0; j0 += 4 {
 			for c := range b {
 				b[c] = x.Row(min(j0+c, n-1))
 			}
 			tensor.SqDistTile(&tile, &a, &b)
-			for r := range rows {
+			for r := range min(4, n-i0) {
 				i := i0 + r
-				row := dist[i*(i-1)/2:][:i]
-				for c := range min(4, i-j0) {
-					row[j0+c] = tile[r*4+c]
+				for c := range min(4, i-j0+1) {
+					j, v := j0+c, tile[r*4+c]
+					if sq != nil {
+						sq[i*n+j], sq[j*n+i] = v, v
+					}
+					if dist != nil {
+						root := 0.0
+						if i != j {
+							root = math.Sqrt(v)
+						}
+						dist[i*n+j], dist[j*n+i] = root, root
+					}
 				}
 			}
 		}
 	}
-	return dist
 }
 
 // SilhouetteFrom is Silhouette over the PairDistances of the labeled point
-// set: same value, bit for bit. It allocates nothing for labels spanning at
-// most silhouetteStackGroups values (a k-means assignment of K ≤ 32).
+// set: same value, bit for bit. It allocates nothing for up to
+// silhouetteStackPoints points whose labels span at most
+// silhouetteStackGroups values (a k-means assignment of K ≤ 32), and
+// panics unless dist holds the n×n distances of n labels.
 func SilhouetteFrom(dist []float64, labels []int) float64 {
 	n := len(labels)
-	if len(dist) != n*(n-1)/2 {
-		panic(fmt.Sprintf("kmeans: SilhouetteFrom needs the %d pair distances of %d points, got %d", n*(n-1)/2, n, len(dist)))
+	if len(dist) != n*n {
+		panic(fmt.Sprintf("kmeans: SilhouetteFrom needs the %d pair distances of %d points, got %d", n*n, n, len(dist)))
 	}
 	if n == 0 {
 		return 0
 	}
-	// Groups are indexed by label − minL; label values too spread out for a
-	// table are first renumbered densely through a map.
+	var (
+		fBuf           [4 * silhouetteStackPoints]float64
+		denseBuf, mBuf [silhouetteStackPoints]int
+		endBuf         [silhouetteStackGroups]int
+	)
+	dense, members := grow(denseBuf[:], n), grow(mBuf[:], n)
+	// Groups are numbered label − minL; label values too spread out for a
+	// table are renumbered densely through a map instead.
 	minL, maxL := labels[0], labels[0]
 	for _, l := range labels {
 		minL, maxL = min(minL, l), max(maxL, l)
 	}
 	span := maxL - minL + 1
 	if span <= 0 || span > 4*n+16 {
-		dense, ids := make([]int, n), make(map[int]int, n)
+		ids := make(map[int]int, n)
 		for i, l := range labels {
 			id, ok := ids[l]
 			if !ok {
@@ -432,64 +456,127 @@ func SilhouetteFrom(dist []float64, labels []int) float64 {
 			}
 			dense[i] = id
 		}
-		labels, minL, span = dense, 0, len(ids)
-	}
-	var sizesBuf [silhouetteStackGroups]int
-	var sumsBuf [silhouetteStackGroups]float64
-	sizes, sums := sizesBuf[:], sumsBuf[:]
-	if span > silhouetteStackGroups {
-		sizes, sums = make([]int, span), make([]float64, span)
-	}
-	sizes, sums = sizes[:span], sums[:span]
-	populated := 0
-	for _, l := range labels {
-		if sizes[l-minL] == 0 {
-			populated++
+		span = len(ids)
+	} else {
+		for i, l := range labels {
+			dense[i] = l - minL
 		}
-		sizes[l-minL]++
 	}
-	if populated < 2 {
+	// A counting sort: group g is members[end[g−1]:end[g]], ascending.
+	end := grow(endBuf[:], span)
+	clear(end)
+	for _, g := range dense {
+		end[g]++
+	}
+	at := 0
+	for g, size := range end {
+		end[g], at = at, at+size // the group's start, until it is filled
+	}
+	for i, g := range dense {
+		members[end[g]] = i
+		end[g]++
+	}
+	sums := newSilhouetteSums(grow(fBuf[:], 4*n))
+	start := 0
+	for _, stop := range end {
+		sums.add(dist, members[start:stop])
+		start = stop
+	}
+	return sums.score()
+}
+
+// Silhouette is SilhouetteFrom(dist, r.Assign) for r, a clustering of the
+// points whose PairDistances dist holds: the same value, bit for bit, read
+// off r's member lists. Its sums take the first 4n floats of scratch (n
+// points), and it allocates nothing.
+func (r *Result) Silhouette(dist, scratch []float64) float64 {
+	n := len(r.Assign)
+	if len(dist) != n*n || len(scratch) < 4*n {
+		panic(fmt.Sprintf("kmeans: Silhouette of %d points needs %d pair distances and %d floats of scratch, got %d and %d", n, n*n, 4*n, len(dist), len(scratch)))
+	}
+	sums := newSilhouetteSums(scratch[:4*n])
+	for _, group := range r.Groups {
+		sums.add(dist, group)
+	}
+	return sums.score()
+}
+
+// silhouetteSums scores n points from their n×n PairDistances, one group
+// of them at a time (add), in 4n floats of scratch: per point, its summed
+// distance to the group being added, its mean distance to its own group
+// (a), the least of its mean distances to the other groups (b), and its own
+// group's size.
+//
+// Point i's total distance to group g is lane i of the sum of g's rows of
+// dist (tensor.AddRowsAt), each lane its own chain over g's members in
+// ascending order — the order Silhouette defines — so one sum per group
+// serves every point. In i's own group the chain also adds dist's +0
+// diagonal where j = i would be skipped, which changes nothing: a sum of
+// square roots is never −0, and x + (+0) is x for every other x, NaN and
+// ±Inf included.
+type silhouetteSums struct {
+	sum, a, b, own []float64
+	populated      int
+}
+
+func newSilhouetteSums(scratch []float64) silhouetteSums {
+	n := len(scratch) / 4
+	s := silhouetteSums{sum: scratch[:n], a: scratch[n : 2*n], b: scratch[2*n : 3*n], own: scratch[3*n:]}
+	for i := range s.b {
+		s.b[i] = math.Inf(1)
+	}
+	return s
+}
+
+// add takes in one group, its members ascending; an empty one is skipped.
+func (s *silhouetteSums) add(dist []float64, group []int) {
+	if len(group) == 0 {
+		return
+	}
+	s.populated++
+	tensor.AddRowsAt(s.sum, dist, group, true)
+	// b[i] is the least of point i's mean distances to the other groups that
+	// is not NaN: a minimum over a set, whatever order the groups come in.
+	// Every lane takes this group's mean here, its own members' too, whose b
+	// is kept in a beforehand and put back after.
+	for _, i := range group {
+		s.a[i] = s.b[i]
+	}
+	for i, sum := range s.sum {
+		if m := sum / float64(len(group)); m < s.b[i] {
+			s.b[i] = m
+		}
+	}
+	for _, i := range group {
+		s.a[i], s.b[i] = s.sum[i]/float64(len(group)-1), s.a[i]
+		s.own[i] = float64(len(group))
+	}
+}
+
+// score is the mean silhouette over every point added, 0 with fewer than two
+// groups populated.
+func (s *silhouetteSums) score() float64 {
+	if s.populated < 2 {
 		return 0
 	}
 	var total float64
-	for i, l := range labels {
-		own := l - minL
-		if sizes[own] <= 1 {
+	for i, size := range s.own {
+		if size <= 1 {
 			continue // silhouette defined as 0 for singletons
 		}
-		// One pass over the other points, ascending: sums[g] is point i's
-		// total distance to group g, each group's own addition chain in
-		// member order. Pair (i, j) is stored at hi(hi−1)/2 + lo.
-		clear(sums)
-		row := dist[i*(i-1)/2:]
-		for j, lj := range labels[:i] {
-			sums[lj-minL] += row[j]
-		}
-		at := i*(i+1)/2 + i // pair (i+1, i)
-		for j := i + 1; j < n; j++ {
-			sums[labels[j]-minL] += dist[at]
-			at += j
-		}
-		a := sums[own] / float64(sizes[own]-1)
-		b := math.Inf(1)
-		for g, size := range sizes {
-			if g == own || size == 0 {
-				continue
-			}
-			if m := sums[g] / float64(size); m < b {
-				b = m
-			}
-		}
-		if denom := math.Max(a, b); denom > 0 {
-			total += (b - a) / denom
+		if denom := math.Max(s.a[i], s.b[i]); denom > 0 {
+			total += (s.b[i] - s.a[i]) / denom
 		}
 	}
-	return total / float64(n)
+	return total / float64(len(s.own))
 }
 
-// silhouetteStackGroups is the label span SilhouetteFrom serves from its
-// stack frame.
-const silhouetteStackGroups = 32
+// silhouetteStackPoints and silhouetteStackGroups are the point count and
+// label span SilhouetteFrom serves from its stack frame.
+const (
+	silhouetteStackPoints = 64
+	silhouetteStackGroups = 32
+)
 
 // MeanDistanceToAssigned returns the average Euclidean distance between each
 // point and its assigned center. Calibre uses this quantity as the client's

@@ -321,6 +321,67 @@ func TestSilhouetteSharedDistancesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSilhouetteNonFiniteRowsMatchNaive holds SilhouetteFrom — on the
+// stack up to 64 points and on the heap past them — and Result.Silhouette,
+// which reads a clustering's member lists, to naiveSilhouette, the per-pair
+// loop that skips j = i, on rows holding +Inf, −Inf or NaN among dense,
+// sparse and singleton labels. Where the operands are random, two NaNs may
+// meet in a sum, and which payload an addition keeps is the compiler's
+// choice in the naive loop, so any NaN matches any NaN there. The fixed
+// case is compared by its bits: its first non-finite point, holding +Inf,
+// shares a group with a later one holding a NaN with a payload of its own,
+// so that point's chain is that payload — unless the +0 diagonal of the
+// root table is anything else, such as its own distance, the NaN of
+// Inf − Inf, which would come first in the chain and be kept.
+func TestSilhouetteNonFiniteRowsMatchNaive(t *testing.T) {
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+	}
+	check := func(what string, x *tensor.Tensor, labels []int, exact bool) {
+		t.Helper()
+		want := naiveSilhouette(x, labels)
+		dist := PairDistances(nil, x)
+		scores := map[string]float64{
+			"Silhouette":     Silhouette(x, labels),
+			"SilhouetteFrom": SilhouetteFrom(dist, labels),
+		}
+		if res := resultOf(labels); res != nil {
+			scores["Result.Silhouette"] = res.Silhouette(dist, slices.Repeat([]float64{math.NaN()}, 4*x.Rows()+1))
+		}
+		for name, got := range scores {
+			if exact && math.Float64bits(got) != math.Float64bits(want) || !same(got, want) {
+				t.Fatalf("%s: %s = %v (%#x), naive = %v (%#x)", what, name, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+
+	payload := math.Float64frombits(0x7FF8_0000_0000_ABCD)
+	x := tensor.RandN(rand.New(rand.NewSource(35)), 1, 12, 4)
+	x.Set(1, 0, math.Inf(1))
+	x.Set(3, 2, payload)
+	labels := []int{0, 1, 0, 1, 0, 1, 2, 2, 2, 2, 0, 1}
+	check("+Inf before a NaN payload in its group", x, labels, true)
+
+	rng := rand.New(rand.NewSource(36))
+	specials := []float64{math.Inf(1), math.Inf(-1), payload, math.NaN()}
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + rng.Intn(90)
+		x := tensor.RandN(rng, 1, n, 1+rng.Intn(8))
+		for range 1 + rng.Intn(3) {
+			x.Set(rng.Intn(n), rng.Intn(x.Cols()), specials[rng.Intn(len(specials))])
+		}
+		values := [][]int{{0, 1, 2, 3}, {-5, 7, 40, 3}, {1 << 40, -1, 9, 0}, {0, 5, 2, 7}}[trial%4]
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = values[rng.Intn(1+rng.Intn(len(values)))]
+		}
+		if trial%5 == 0 { // a singleton
+			labels[rng.Intn(n)] = 1000
+		}
+		check(fmt.Sprintf("trial %d (n=%d)", trial, n), x, labels, false)
+	}
+}
+
 // TestSilhouetteRejectsLabelCountMismatch: too few labels used to die on a
 // bare index error deep in the grouping loop, too many silently scored a
 // prefix; both are now refused at entry, naming the two lengths.
@@ -340,6 +401,46 @@ func TestSilhouetteRejectsLabelCountMismatch(t *testing.T) {
 	}
 }
 
+// resultOf is the Result whose clustering labels is — member lists
+// ascending, one per label value, empty ones included — when the labels
+// are dense enough for it (0 … 99), and nil otherwise.
+func resultOf(labels []int) *Result {
+	k := 0
+	for _, l := range labels {
+		if l < 0 || l >= 100 {
+			return nil
+		}
+		k = max(k, l+1)
+	}
+	res := &Result{Assign: labels, Groups: make([][]int, k)}
+	for i, l := range labels {
+		res.Groups[l] = append(res.Groups[l], i)
+	}
+	return res
+}
+
+// TestLloydStopsAfterOneIteration records a defect, not a design: the
+// stop test of Run's loop passes on its first iteration for every finite
+// inertia, because the previous inertia starts at +Inf (see maxIters), so
+// every Run on finite points reports one iteration. A fix of the loop
+// makes this test fail, and must turn it around.
+func TestLloydStopsAfterOneIteration(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	ws := new(Workspace)
+	for trial := 0; trial < 40; trial++ {
+		x := tensor.RandN(rng, 1, 32, 24)
+		for _, k := range []int{2, 3, 4, 6, 8, 10} {
+			res, err := ws.Run(rng, x, Config{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iters != 1 {
+				t.Fatalf("trial %d K=%d: %d Lloyd iterations; the stop test no longer passes on the first one", trial, k, res.Iters)
+			}
+		}
+	}
+}
+
 // naiveSqDist is the squared distance as SqDist defines it, restated here
 // so that the references below do not run the code they check.
 func naiveSqDist(a, b []float64) float64 {
@@ -351,11 +452,38 @@ func naiveSqDist(a, b []float64) float64 {
 	return s
 }
 
+// naiveUpdateCenters is the centroid update as a scalar loop: every point's
+// row added to its cluster's centre in point order, from a cleared centre,
+// then each centre multiplied by the inverse of its count; an empty
+// cluster is reseeded to a random point, in cluster order.
+func naiveUpdateCenters(rng *rand.Rand, x, centers *tensor.Tensor, assign []int) {
+	n, d, k := x.Rows(), x.Cols(), centers.Rows()
+	counts := make([]int, k)
+	centers.Zero()
+	for i := 0; i < n; i++ {
+		c := assign[i]
+		counts[c]++
+		for j := 0; j < d; j++ {
+			centers.Row(c)[j] += x.Row(i)[j]
+		}
+	}
+	for c := 0; c < k; c++ {
+		if counts[c] == 0 {
+			centers.SetRow(c, x.Row(rng.Intn(n)))
+			continue
+		}
+		inv := 1 / float64(counts[c])
+		for j := 0; j < d; j++ {
+			centers.Row(c)[j] *= inv
+		}
+	}
+}
+
 // naiveRun is Run with every distance computed where it is used, one
 // naiveSqDist per (point, centre) pair in the point-minus-centre
-// orientation: the definition the distance tiles and rows must reproduce
-// bit for bit, rng draws included. Only the centroid update is shared with
-// Run.
+// orientation, and the centroids updated by naiveUpdateCenters: the
+// definition the distance tiles and rows and the row kernel's group sums
+// must reproduce bit for bit, rng draws included.
 func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, assign []int, inertia float64) {
 	n := x.Rows()
 	centers = tensor.New(k, x.Cols())
@@ -403,10 +531,10 @@ func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, 
 		}
 		return inertia
 	}
-	counts, prev := make([]int, k), math.Inf(1)
+	prev := math.Inf(1)
 	for iters := 1; iters <= 25; iters++ {
 		inertia = assignAll()
-		updateCenters(rng, x, centers, assign, counts)
+		naiveUpdateCenters(rng, x, centers, assign)
 		if prev-inertia <= 1e-4*math.Max(prev, 1) {
 			break
 		}
@@ -470,27 +598,57 @@ func TestDistancesMatchNaiveReference(t *testing.T) {
 	}
 }
 
-// checkPairDistances holds every PairDistances entry of x to the square
-// root of a naiveSqDist loop, bit for bit.
+// checkPairDistances holds every entry of x's square tables to per-pair
+// naiveSqDist loops, bit for bit, in both places a pair is stored:
+// PairSqDistances' (i, j) and (j, i) are naiveSqDist(x_i, x_j), its
+// diagonal naiveSqDist(x_i, x_i) (NaN for a row holding ±Inf or NaN);
+// PairDistances' are its square roots off the diagonal and +0 on it; and
+// PairTablesInto fills the same two tables over whatever its destinations
+// held.
 func checkPairDistances(t *testing.T, what string, x *tensor.Tensor) {
 	t.Helper()
-	dist := PairDistances(nil, x)
-	if n := x.Rows(); len(dist) != n*(n-1)/2 {
-		t.Fatalf("%s: %d pair distances for %d points", what, len(dist), n)
+	n := x.Rows()
+	sq, dist := PairSqDistances(nil, x), PairDistances(nil, x)
+	if len(sq) != n*n || len(dist) != n*n {
+		t.Fatalf("%s: %d squared and %d pair distances for %d points", what, len(sq), len(dist), n)
 	}
-	for i, at := 1, 0; i < x.Rows(); i++ {
-		for j := 0; j < i; j, at = j+1, at+1 {
-			if want := math.Sqrt(naiveSqDist(x.Row(i), x.Row(j))); math.Float64bits(dist[at]) != math.Float64bits(want) {
-				t.Fatalf("%s: distance (%d,%d) is %v, reference %v", what, i, j, dist[at], want)
+	for i := range n {
+		for j := range n {
+			wantSq := naiveSqDist(x.Row(i), x.Row(j))
+			want := math.Sqrt(wantSq)
+			if i == j {
+				want = 0
+			}
+			if got := sq[i*n+j]; math.Float64bits(got) != math.Float64bits(wantSq) {
+				t.Fatalf("%s: squared distance (%d,%d) is %v, reference %v", what, i, j, got, wantSq)
+			}
+			if got := dist[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: distance (%d,%d) is %v, reference %v", what, i, j, got, want)
 			}
 		}
 	}
+	poisoned := func() []float64 { return slices.Repeat([]float64{math.NaN()}, n*n) }
+	gotSq, gotDist := poisoned(), poisoned()
+	PairTablesInto(gotSq, gotDist, x)
+	if !slices.Equal(bitsOf(gotSq), bitsOf(sq)) || !slices.Equal(bitsOf(gotDist), bitsOf(dist)) {
+		t.Fatalf("%s: PairTablesInto differs from PairSqDistances and PairDistances", what)
+	}
+}
+
+// bitsOf returns the bit patterns of v.
+func bitsOf(v []float64) []uint64 {
+	bits := make([]uint64, len(v))
+	for i, f := range v {
+		bits[i] = math.Float64bits(f)
+	}
+	return bits
 }
 
 // TestPairDistancesEveryTileEdge runs PairDistances at every point count
 // from 0 to 21 — each way the four-row blocks and their diagonal can end —
 // and at the federation's 32 and 64, with infinities among the features so
-// that Inf−Inf reaches some pairs.
+// that Inf−Inf reaches some pairs and the diagonal of some rows, and a NaN
+// in one row, whose every distance is NaN.
 func TestPairDistancesEveryTileEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for _, n := range append([]int{32, 64}, func() (ns []int) {
@@ -503,6 +661,7 @@ func TestPairDistancesEveryTileEdge(t *testing.T) {
 		if n > 3 {
 			x.Set(1, 2, math.Inf(1))
 			x.Set(n-1, 2, math.Inf(1))
+			x.Set(n-2, 4, math.NaN())
 		}
 		checkPairDistances(t, fmt.Sprintf("n=%d", n), x)
 	}

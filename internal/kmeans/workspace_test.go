@@ -188,3 +188,26 @@ func TestWarmedClusteringAllocatesNothing(t *testing.T) {
 		t.Errorf("SilhouetteFrom makes %v allocations, want 0", allocs)
 	}
 }
+
+// TestTablesAndResultSilhouetteAllocateNothing: filling a batch's distance
+// tables and scoring a clustering of it from its member lists allocate
+// nothing, given the tables and the sums' scratch, at a step's 32 points
+// and at the 125 of a client's divergence search, which SilhouetteFrom
+// would serve from the heap.
+func TestTablesAndResultSilhouetteAllocateNothing(t *testing.T) {
+	for _, n := range []int{125, 32} {
+		x := tensor.RandN(rand.New(rand.NewSource(int64(n))), 1, n, 48)
+		res, err := Run(rand.New(rand.NewSource(1)), x, Config{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, dist, sums := make([]float64, n*n), make([]float64, n*n), make([]float64, 4*n)
+		score := func() {
+			PairTablesInto(sq, dist, x)
+			res.Silhouette(dist, sums)
+		}
+		if allocs := testing.AllocsPerRun(10, score); allocs != 0 {
+			t.Errorf("n=%d: PairTablesInto and Result.Silhouette make %v allocations, want 0", n, allocs)
+		}
+	}
+}

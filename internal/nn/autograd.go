@@ -504,24 +504,17 @@ func GatherRows(x *Node, idx []int) *Node {
 // GroupMean averages the rows of x within each group, producing a
 // (len(groups)×n) node. Empty groups yield a zero row. This is the
 // prototype-construction primitive: prototypes are differentiable means of
-// member encodings.
+// member encodings. Each group's members must ascend; a mean is its rows
+// summed in that order from +0 (tensor.AddRowsAt), then scaled by the
+// inverse of their count.
 func GroupMean(x *Node, groups [][]int) *Node {
 	n := x.Value.Cols()
-	v := x.tape.alloc(len(groups), n)
+	v := x.tape.allocUninit(len(groups), n)
 	for k, grp := range groups {
-		if len(grp) == 0 {
-			continue
-		}
 		row := v.Row(k)
-		for _, r := range grp {
-			xr := x.Value.Row(r)
-			for j := 0; j < n; j++ {
-				row[j] += xr[j]
-			}
-		}
-		inv := 1 / float64(len(grp))
-		for j := 0; j < n; j++ {
-			row[j] *= inv
+		tensor.AddRowsAt(row, x.Value.Data(), grp, true)
+		if len(grp) > 0 {
+			tensor.ScaleSlice(row, 1/float64(len(grp)))
 		}
 	}
 	captured := x.tape.IntRows(len(groups))
@@ -539,12 +532,8 @@ func GroupMean(x *Node, groups [][]int) *Node {
 				continue
 			}
 			inv := 1 / float64(len(grp))
-			grow := g.Row(k)
 			for _, r := range grp {
-				gxrow := gx.Row(r)
-				for j := 0; j < n; j++ {
-					gxrow[j] += grow[j] * inv
-				}
+				tensor.AddScaledSlice(gx.Row(r), g.Row(k), inv, false)
 			}
 		}
 	}, x)

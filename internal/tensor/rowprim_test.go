@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -688,6 +689,122 @@ func TestAddScaledRowsMatchesScalarLoops(t *testing.T) {
 				}
 			}
 		}
+	})
+}
+
+// checkAddRowsAt runs AddRowsAt over a row of n elements at element offset
+// off of its backing array, with count ascending indices (repeats likely)
+// into a matrix of m rows drawn from val, and holds the whole backing array
+// to one plain dst[j] += row[j] sweep per index, in order (sameRow: NaN ≡
+// NaN), so that a write past dst shows too. In the write form dst is NaN,
+// which must not show, and the sweeps start from a cleared dst.
+func checkAddRowsAt(rng *rand.Rand, n, count, m, off int, write bool, val func() float64) error {
+	draw := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = val()
+		}
+		return v
+	}
+	rows := draw((off+1)%4 + m*n)[(off+1)%4:]
+	idx := make([]int, count)
+	for q := range idx {
+		idx[q] = rng.Intn(m)
+	}
+	slices.Sort(idx)
+	dstBacking := draw(off + n + 4)
+	want := append([]float64(nil), dstBacking...)
+	if write {
+		for j := off; j < off+n; j++ {
+			dstBacking[j], want[j] = math.NaN(), 0
+		}
+	}
+	for _, i := range idx {
+		for j := 0; j < n; j++ {
+			want[off+j] += rows[i*n+j]
+		}
+	}
+	got := append([]float64(nil), dstBacking...)
+	AddRowsAt(got[off:off+n], rows, idx, write)
+	if err := sameRow(want, got); err != nil {
+		return fmt.Errorf("idx=%v write=%v: %w", idx, write, err)
+	}
+	return nil
+}
+
+// TestAddRowsAtMatchesScalarLoop holds AddRowsAt, under every
+// implementation and in both forms, to one plain dst[j] += row[j] sweep per
+// picked row after a clear in the write form: row lengths from
+// sweepLengths, 0, 1, 63, 64, 65 and 130 indices (the last three cross the
+// blockK-row chunks, where only the first may write), misaligned operands
+// and special values (−0, NaN payloads, ±Inf, subnormals).
+func TestAddRowsAtMatchesScalarLoop(t *testing.T) {
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(38))
+		val := func() float64 { return sweepVals(rng, 1)[0] }
+		for _, write := range []bool{false, true} {
+			for _, n := range sweepLengths {
+				for _, count := range []int{0, 1, 63, 64, 65, 130} {
+					for off := 0; off < 4; off++ {
+						m := 1 + rng.Intn(2*count+1)
+						if err := checkAddRowsAt(rng, n, count, m, off, write, val); err != nil {
+							t.Fatalf("%s AddRowsAt n=%d count=%d rows=%d off=%d: %v", impl, n, count, m, off, err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestAddRowsAtRejectsBadIndices: an index below its predecessor (within a
+// chunk or across the blockK boundary), a negative one and one at or past
+// the matrix's last row panic with AddRowsAt's own message, naming the
+// index, before the sweep sums out of order or reads past the rows;
+// repeats do not.
+func TestAddRowsAtRejectsBadIndices(t *testing.T) {
+	rows := make([]float64, 3*5)
+	ascending := make([]int, 2*blockK)
+	for q := range ascending {
+		ascending[q] = q * 3 / len(ascending)
+	}
+	across := slices.Clone(ascending)
+	across[blockK] = 0
+	for _, idx := range [][]int{{1, 0}, {0, 2, 1}, {-1}, {3}, {0, 1, 2, 3}, {2, 2, 7}, across} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "tensor: AddRowsAt index ") {
+					t.Errorf("AddRowsAt of indices %v into a 3×5 matrix: panic %q, want AddRowsAt's own", idx, msg)
+				}
+			}()
+			AddRowsAt(make([]float64, 5), rows, idx, false)
+		}()
+	}
+	AddRowsAt(make([]float64, 5), rows, ascending, true)
+	AddRowsAt(make([]float64, 5), rows, []int{0, 0, 2, 2}, false)
+}
+
+// FuzzAddRowsAtMatchesScalar is TestAddRowsAtMatchesScalarLoop over what
+// the fuzzer picks: the row length (0–300), the index count (0–2·blockK+2),
+// the matrix's row count (1–64), dst's offset (off's low two bits; its bit
+// 2 picks the write form), and the share of special values, drawn from
+// sweepValues (NaN payloads included) one in oneIn times and none for
+// oneIn = 0.
+func FuzzAddRowsAtMatchesScalar(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint8(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint16(24), uint8(33), uint8(9), uint8(5), uint8(3), int64(2))
+	f.Add(uint16(32), uint8(130), uint8(31), uint8(4), uint8(16), int64(3))
+	f.Add(uint16(65), uint8(65), uint8(63), uint8(2), uint8(2), int64(4))
+	f.Fuzz(func(t *testing.T, n uint16, count, m, off, oneIn uint8, seed int64) {
+		w, c, r, o := int(n)%301, int(count)%(2*blockK+3), 1+int(m)%64, int(off)%4
+		write := off&4 != 0
+		eachImpl(t, func(impl string) {
+			rng := rand.New(rand.NewSource(seed))
+			val := func() float64 { return mixedVals(rng, 1, int(oneIn))[0] }
+			if err := checkAddRowsAt(rng, w, c, r, o, write, val); err != nil {
+				t.Fatalf("%s AddRowsAt n=%d count=%d rows=%d off=%d: %v", impl, w, c, r, o, err)
+			}
+		})
 	})
 }
 

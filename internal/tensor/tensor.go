@@ -15,8 +15,9 @@
 // aᵀ·b, a 4×4 tile of dot products for a·bᵀ (see matmul.go). Their
 // blocking, zero-skipping and tiling are Go; their innermost loops are the
 // row primitives of rowprim.go, axpyRows (add scaled rows to a row, or
-// write their sum from +0; also the body of AddScaled and AddScaledSlice)
-// and the dotTile tiles. Each primitive has a
+// write their sum from +0; also the body of AddScaled, AddScaledSlice, and
+// with unit coefficients of AddRows and AddRowsAt, every group sum) and the
+// dotTile tiles. Each primitive has a
 // portable Go loop and, on amd64, an AVX2 assembly loop (rowprim_amd64.s)
 // that does the same multiply-then-add per element, four elements per
 // instruction — never a fused multiply-add, which would drop the product's
@@ -316,6 +317,36 @@ func AddRows(dst []float64, rows *Tensor) {
 	d := len(dst)
 	for q0 := 0; q0 < rows.shape[0]; q0 += blockK {
 		addScaledRows(dst, rows.data[q0*d:], unitCoefs[:min(blockK, rows.shape[0]-q0)])
+	}
+}
+
+// AddRowsAt adds the rows idx picks out of rows, a row-major matrix of
+// len(dst) columns, to dst in the order idx lists them: dst[j] receives
+// rows[idx[0]·d + j], then rows[idx[1]·d + j], … one rounded addition at a
+// time, which is how a group's members are summed (a centroid, a prototype,
+// a point's distances to a cluster). It is the row kernel's sweep with every
+// coefficient 1, the same floats because 1·v is v. With write, dst is not
+// read but starts at +0: the bits a cleared dst would get, +0s for no rows
+// and +0 for a lone −0. The indices must ascend (repeats allowed), as the
+// sweep's offsets do; it panics on one below its predecessor or past the
+// last row of rows.
+func AddRowsAt(dst, rows []float64, idx []int, write bool) {
+	d := len(dst)
+	limit := math.MaxInt
+	if d > 0 {
+		limit = len(rows) / d
+	}
+	var offs [blockK]int
+	prev := 0
+	for q0 := 0; q0 == 0 || q0 < len(idx); q0 += blockK {
+		chunk := idx[q0:min(q0+blockK, len(idx))]
+		for q, i := range chunk {
+			if i < prev || i >= limit {
+				panic(fmt.Sprintf("tensor: AddRowsAt index %d at position %d: indices must ascend within the %d rows of %d columns", i, q0+q, len(rows)/max(d, 1), d))
+			}
+			offs[q], prev = i*d, i
+		}
+		axpyRows(dst, rows, offs[:len(chunk)], unitCoefs[:len(chunk)], write && q0 == 0)
 	}
 }
 
