@@ -5,7 +5,7 @@
 #                    row-primitive tiers (avx512, avx2, generic: which ran, which this host skipped),
 #                    portable-kernel tests, cross builds, bench module, doc gate,
 #                    real-process smoke, wire + matmul + compaction + sweep + group-sum + distance-tile + exp + sgd-step + fedavg-sink +
-#                    spec-grammar + availability-trace + aggregator + adversary + alert-rules + sweep-grid +
+#                    pair-ntxent + prototype-ce + spec-grammar + availability-trace + aggregator + adversary + alert-rules + sweep-grid +
 #                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
@@ -225,6 +225,16 @@ go test -run '^$' -fuzz '^FuzzExpShiftMatchesMathExp$' -fuzztime 5s ./internal/t
 # special values beyond the corpus.
 echo "== sgd step oracle fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzSGDStepMatchesScalarLoop$' -fuzztime 5s ./internal/tensor/
+
+# And for the fused softmax losses against the chains of nodes they
+# replaced (NTXent and PairNTXent; PrototypeCE): batch sizes, widths,
+# temperatures and special values beyond the corpus in
+# internal/nn/testdata/fuzz, loss and every gradient bit for bit (any NaN
+# for a NaN), a Calibre step's graph among them.
+echo "== pair-ntxent oracle fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzPairNTXentMatchesUnfused$' -fuzztime 5s ./internal/nn/
+echo "== prototype-ce oracle fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzPrototypeCEMatchesUnfused$' -fuzztime 5s ./internal/nn/
 
 # And for FedAvg's streaming sink against one serial sweep: 1–5 updates,
 # lengths across param.Shard's boundaries, −0, NaN payloads and the other

@@ -337,38 +337,71 @@ func benchSelectK(minTime time.Duration) []KernelBenchRecord {
 	return records
 }
 
-// ntxentRows and ntxentDim are the shape the ntxent record measures: a
-// SimCLR step's projections of 32 samples, two views each, 24 wide.
+// The softmax-loss records' shapes: a SimCLR step's projections of 32
+// samples, two views each, 24 wide (ntxent stacked, pair-ntxent as two
+// views); and Calibre's L_n, 32 encodings 48 wide against 4 prototypes.
 const (
-	ntxentRows = 64
-	ntxentDim  = 24
+	lossSamples = 32
+	lossProjDim = 24
+	lossFeatDim = 48
+	lossProtos  = 4
+	lossTau     = 0.5
 )
 
-// benchNTXent times nn.NTXent forward and backward: the normalized
-// similarities and the masked log-softmax rows behind the SimCLR loss, on a
-// step tape reset after every call. The projections are a parameter added to
-// a taped input, so that the graph draws its buffers from the tape's arena
-// and the backward pass reaches every op, as in a training step. Its
-// products are below the pool's threshold, so the serial and pooled timings
-// are the same call.
-func benchNTXent(minTime time.Duration) KernelBenchRecord {
+// benchSoftmaxLosses times the three softmax losses forward and backward —
+// nn.NTXent, nn.PairNTXent and nn.PrototypeCE, each one node: the
+// normalized similarities and the softmax rows behind SimCLR's loss and
+// Calibre's prototype losses — on a step tape reset after every call.
+func benchSoftmaxLosses(minTime time.Duration) []KernelBenchRecord {
+	assign := make([]int, lossSamples)
+	for i := range assign {
+		assign[i] = i % lossProtos
+	}
+	return []KernelBenchRecord{
+		benchTapedLoss(minTime, "ntxent", fmt.Sprintf("%dx%d", 2*lossSamples, lossProjDim),
+			[][2]int{{2 * lossSamples, lossProjDim}}, func(in []*nn.Node) *nn.Node {
+				return nn.NTXent(in[0], lossTau)
+			}),
+		benchTapedLoss(minTime, "pair-ntxent", fmt.Sprintf("%d+%dx%d", lossSamples, lossSamples, lossProjDim),
+			[][2]int{{lossSamples, lossProjDim}, {lossSamples, lossProjDim}}, func(in []*nn.Node) *nn.Node {
+				return nn.PairNTXent(in[0], in[1], lossTau)
+			}),
+		benchTapedLoss(minTime, "prototype-ce", fmt.Sprintf("%dx%d-%dprotos", lossSamples, lossFeatDim, lossProtos),
+			[][2]int{{lossSamples, lossFeatDim}, {lossProtos, lossFeatDim}}, func(in []*nn.Node) *nn.Node {
+				return nn.PrototypeCE(in[0], in[1], assign, lossTau)
+			}),
+	}
+}
+
+// benchTapedLoss times loss forward and backward on a step tape reset
+// after every call. Each operand is a parameter added to a taped input of
+// its shape, so that the graph draws its buffers from the tape's arena and
+// the backward pass reaches every op, as in a training step. The products
+// are below the pool's threshold, so the serial and pooled timings are the
+// same call.
+func benchTapedLoss(minTime time.Duration, op, shape string, shapes [][2]int, loss func(in []*nn.Node) *nn.Node) KernelBenchRecord {
 	rng := rand.New(rand.NewSource(10))
 	tape := nn.NewTape(tensor.NewArena())
-	h := nn.NewParam("h", ntxentRows, ntxentDim)
-	grads := tape.LendGrads(paramSet{h})
-	x := tensor.RandN(rng, 1, ntxentRows, ntxentDim)
+	params := make(paramSet, len(shapes))
+	xs := make([]*tensor.Tensor, len(shapes))
+	for i, s := range shapes {
+		params[i] = nn.NewParam(fmt.Sprintf("in%d", i), s[0], s[1])
+		xs[i] = tensor.RandN(rng, 1, s[0], s[1])
+	}
+	grads := tape.LendGrads(params)
+	in := make([]*nn.Node, len(shapes))
 	step := func() {
 		clear(grads)
-		loss := nn.NTXent(nn.Add(nn.InputOn(tape, x), h.Node()), 0.5)
-		if err := nn.Backward(loss); err != nil {
+		for i, x := range xs {
+			in[i] = nn.Add(nn.InputOn(tape, x), params[i].Node())
+		}
+		if err := nn.Backward(loss(in)); err != nil {
 			panic(err)
 		}
 		tape.Reset()
 	}
 	ns, allocs, _ := measure(minTime, step)
-	return KernelBenchRecord{
-		Op: "ntxent", Shape: fmt.Sprintf("%dx%d", ntxentRows, ntxentDim), NsOp: ns, AllocsOp: allocs, SerialNsOp: ns, SpeedupVsSerial: 1,
-	}
+	return KernelBenchRecord{Op: op, Shape: shape, NsOp: ns, AllocsOp: allocs, SerialNsOp: ns, SpeedupVsSerial: 1}
 }
 
 // sgdStepClip is the clip norm of the supervised baselines' local update
@@ -700,7 +733,7 @@ func runKernelBench(outDir string, quick bool) error {
 	file.Records = benchKernels(minTime, []int{64, 128, 256})
 	file.Records = append(file.Records, benchSqDist(minTime)...)
 	file.Records = append(file.Records, benchSelectK(minTime)...)
-	file.Records = append(file.Records, benchNTXent(minTime))
+	file.Records = append(file.Records, benchSoftmaxLosses(minTime)...)
 	file.Records = append(file.Records, benchSGDStep(minTime)...)
 	file.Records = append(file.Records, benchSink(minTime)...)
 	file.Records = append(file.Records,

@@ -229,7 +229,7 @@ func topoSort(root *Node) []*Node {
 
 // Add returns a + b (same shapes).
 func Add(a, b *Node) *Node {
-	v := tapeOf(a, b).allocLike(a.Value)
+	v := tapeOf(a, b).allocLikeUninit(a.Value)
 	if err := tensor.AddInto(v, a.Value, b.Value); err != nil {
 		panic(err) // shape bugs are programming errors inside the engine
 	}
@@ -245,7 +245,7 @@ func Add(a, b *Node) *Node {
 
 // Sub returns a - b.
 func Sub(a, b *Node) *Node {
-	v := tapeOf(a, b).allocLike(a.Value)
+	v := tapeOf(a, b).allocLikeUninit(a.Value)
 	if err := tensor.SubInto(v, a.Value, b.Value); err != nil {
 		panic(err)
 	}
@@ -261,7 +261,7 @@ func Sub(a, b *Node) *Node {
 
 // Scale returns a*c for scalar constant c.
 func Scale(a *Node, c float64) *Node {
-	v := a.tape.allocLike(a.Value)
+	v := a.tape.allocLikeUninit(a.Value)
 	if err := tensor.ScaleInto(v, a.Value, c); err != nil {
 		panic(err)
 	}
@@ -317,7 +317,7 @@ func MatMulTransB(a, b *Node) *Node {
 // (m×n).
 func AddBias(x, bias *Node) *Node {
 	bv := bias.Value.Data()
-	v := tapeOf(x, bias).allocLike(x.Value)
+	v := tapeOf(x, bias).allocLikeUninit(x.Value)
 	if err := tensor.AddRowVecInto(v, x.Value, bv); err != nil {
 		panic(err)
 	}
@@ -344,7 +344,7 @@ func AddBias(x, bias *Node) *Node {
 // ReLU applies max(0, x) elementwise. A NaN stays a NaN, as in LinearAct:
 // a poisoned activation must reach the finite-value checks, not turn into 0.
 func ReLU(x *Node) *Node {
-	v := x.tape.allocLike(x.Value)
+	v := x.tape.allocLikeUninit(x.Value)
 	mustApplyInto(v, x.Value, func(f float64) float64 {
 		if f <= 0 {
 			return 0
@@ -366,7 +366,7 @@ func ReLU(x *Node) *Node {
 
 // Tanh applies tanh elementwise.
 func Tanh(x *Node) *Node {
-	v := x.tape.allocLike(x.Value)
+	v := x.tape.allocLikeUninit(x.Value)
 	mustApplyInto(v, x.Value, math.Tanh)
 	return newOp(v, func(g *tensor.Tensor) {
 		if !x.requiresGrad {
@@ -386,35 +386,54 @@ const normEps = 1e-12
 // L2NormalizeRows scales each row of x to unit Euclidean norm (rows with
 // norm < 1e-12 pass through unchanged).
 func L2NormalizeRows(x *Node) *Node {
-	v := x.tape.allocLike(x.Value)
-	if err := tensor.L2NormalizeRowsInto(v, x.Value, normEps); err != nil {
-		panic(err)
+	if x.Value.Dims() != 2 {
+		panic(fmt.Sprintf("nn: L2NormalizeRows of a %v tensor", x.Value.Shape()))
+	}
+	v := x.tape.allocLikeUninit(x.Value)
+	norms := x.tape.allocUninit(x.Value.Rows()).Data()
+	for i := range norms {
+		norms[i] = tensor.L2NormalizeRowInto(v.Row(i), x.Value.Row(i), normEps)
 	}
 	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
-		}
-		m, n := x.Value.Rows(), x.Value.Cols()
-		gx := x.Grad()
-		for i := 0; i < m; i++ {
-			xrow := x.Value.Row(i)
-			yrow := v.Row(i)
-			grow := g.Row(i)
-			gxrow := gx.Row(i)
-			norm := tensor.Norm2(xrow)
-			if norm < normEps {
-				for j := 0; j < n; j++ {
-					gxrow[j] += grow[j]
-				}
-				continue
-			}
-			gy := tensor.Dot(grow, yrow)
-			inv := 1 / norm
-			for j := 0; j < n; j++ {
-				gxrow[j] += (grow[j] - gy*yrow[j]) * inv
-			}
+		if x.requiresGrad {
+			normalizeBackward(x.Grad().Data(), g.Data(), v.Data(), norms, false)
 		}
 	}, x)
+}
+
+// normalizeBackward adds to dst, the gradient of rows x, what the gradient
+// g of their L2-normalized rows y hands on, given norms[i] = ‖x_i‖: per
+// element t = (g − (g·y)·y)/‖x‖, or g itself for a row whose norm was below
+// normEps (it passed through unchanged). With plusZero each element adds
+// +0 + t, as a ConcatRows gradient in between, which starts at +0, would.
+func normalizeBackward(dst, g, y, norms []float64, plusZero bool) {
+	if len(norms) == 0 {
+		return
+	}
+	n := len(dst) / len(norms)
+	for i, norm := range norms {
+		grow, yrow, drow := g[i*n:][:n], y[i*n:][:n], dst[i*n:][:n]
+		switch {
+		case norm < normEps:
+			// Where plusZero is set, g is a matrix product's element
+			// (PairNTXent's), never −0, so +0 + g is g.
+			for j := range drow {
+				drow[j] += grow[j]
+			}
+		case plusZero:
+			gy := tensor.Dot(grow, yrow)
+			inv := 1 / norm
+			for j := range drow {
+				drow[j] += 0 + (grow[j]-gy*yrow[j])*inv
+			}
+		default:
+			gy := tensor.Dot(grow, yrow)
+			inv := 1 / norm
+			for j := range drow {
+				drow[j] += (grow[j] - gy*yrow[j]) * inv
+			}
+		}
+	}
 }
 
 // --- Structural ops ---------------------------------------------------------
@@ -425,7 +444,7 @@ func ConcatRows(a, b *Node) *Node {
 		panic(fmt.Sprintf("nn: ConcatRows col mismatch %d vs %d", a.Value.Cols(), b.Value.Cols()))
 	}
 	ma, mb, n := a.Value.Rows(), b.Value.Rows(), a.Value.Cols()
-	v := tapeOf(a, b).alloc(ma+mb, n)
+	v := tapeOf(a, b).allocUninit(ma+mb, n)
 	copy(v.Data()[:ma*n], a.Value.Data())
 	copy(v.Data()[ma*n:], b.Value.Data())
 	return newOp(v, func(g *tensor.Tensor) {
@@ -452,7 +471,7 @@ func ConcatCols(a, b *Node) *Node {
 		panic(fmt.Sprintf("nn: ConcatCols row mismatch %d vs %d", a.Value.Rows(), b.Value.Rows()))
 	}
 	m, na, nb := a.Value.Rows(), a.Value.Cols(), b.Value.Cols()
-	v := tapeOf(a, b).alloc(m, na+nb)
+	v := tapeOf(a, b).allocUninit(m, na+nb)
 	for i := 0; i < m; i++ {
 		copy(v.Row(i)[:na], a.Value.Row(i))
 		copy(v.Row(i)[na:], b.Value.Row(i))
@@ -480,7 +499,7 @@ func ConcatCols(a, b *Node) *Node {
 // Duplicate indices are allowed; gradients accumulate.
 func GatherRows(x *Node, idx []int) *Node {
 	n := x.Value.Cols()
-	v := x.tape.alloc(len(idx), n)
+	v := x.tape.allocUninit(len(idx), n)
 	for i, r := range idx {
 		copy(v.Row(i), x.Value.Row(r))
 	}

@@ -25,8 +25,8 @@ func MaskedCrossEntropy(logits *Node, targets []int, exclude [][]int) *Node {
 		panic(fmt.Sprintf("nn: CrossEntropy %d targets for %d rows", len(targets), m))
 	}
 	// Forward: per-row masked log-softmax; store softmax probabilities for
-	// the backward pass.
-	probs := logits.tape.alloc(m, n)
+	// the backward pass. Every row is copied in, then overwritten whole.
+	probs := logits.tape.allocUninit(m, n)
 	var loss float64
 	excluded := func(i int) []int {
 		if exclude == nil || i >= len(exclude) {
@@ -48,18 +48,7 @@ func MaskedCrossEntropy(logits *Node, targets []int, exclude [][]int) *Node {
 			panic(fmt.Sprintf("nn: CrossEntropy target %d out of range [0,%d)", t, n))
 		}
 		loss += lse - prow[t]
-		if !math.IsInf(lse, 0) && !math.IsNaN(lse) {
-			// exp(−Inf − lse) is the +0 a masked column gets.
-			tensor.ExpShiftInto(prow, prow, lse)
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if math.IsInf(prow[j], -1) {
-				prow[j] = 0
-				continue
-			}
-			prow[j] = math.Exp(prow[j] - lse)
-		}
+		softmaxInPlace(prow, lse)
 	}
 	loss /= float64(m)
 	v := logits.tape.alloc(1, 1)
@@ -91,7 +80,7 @@ func SoftCrossEntropy(logits *Node, q *tensor.Tensor) *Node {
 	if q.Rows() != m || q.Cols() != n {
 		panic(fmt.Sprintf("nn: SoftCrossEntropy q shape %v vs logits %v", q.Shape(), logits.Value.Shape()))
 	}
-	probs := logits.tape.alloc(m, n)
+	probs := logits.tape.allocUninit(m, n) // every row written by ExpShiftInto
 	var loss float64
 	for i := 0; i < m; i++ {
 		row := logits.Value.Row(i)
@@ -172,30 +161,19 @@ func NegCosineConst(x *Node, t *tensor.Tensor) *Node {
 // NTXent computes the normalized-temperature cross-entropy (SimCLR) loss
 // over a stacked batch of 2N projections, where row i and row i+N (mod 2N)
 // are the two augmented views of the same sample. h is L2-normalized
-// internally; temperature tau scales similarities.
+// internally; temperature tau scales similarities. It is one graph node
+// (cosineSoftmaxCE) with the bits of the chain L2NormalizeRows, MatMulTransB
+// of the rows with themselves, Scale by 1/tau, and MaskedCrossEntropy with
+// each row's own column masked.
 func NTXent(h *Node, tau float64) *Node {
-	total := h.Value.Rows()
-	if total%2 != 0 || total < 4 {
-		panic(fmt.Sprintf("nn: NTXent needs an even batch of ≥4 rows, got %d", total))
-	}
-	n := total / 2
-	z := L2NormalizeRows(h)
-	sim := Scale(MatMulTransB(z, z), 1/tau)
-	targets := h.tape.Ints(total)
-	exclude := h.tape.IntRows(total)
-	selfIdx := h.tape.Ints(total) // shared backing for the per-row masks
-	for i := 0; i < total; i++ {
-		targets[i] = (i + n) % total
-		selfIdx[i] = i
-		exclude[i] = selfIdx[i : i+1] // mask self-similarity
-	}
-	return MaskedCrossEntropy(sim, targets, exclude)
+	return cosineSoftmaxCE(h, nil, nil, nil, tau)
 }
 
-// PairNTXent is NTXent for two separate view matrices (each N×d): it stacks
-// them so row i of a pairs with row i of b.
+// PairNTXent is NTXent for two separate view matrices (each N×d): row i of
+// a pairs with row i of b. It is one node with the bits of NTXent over
+// ConcatRows(a, b).
 func PairNTXent(a, b *Node, tau float64) *Node {
-	return NTXent(ConcatRows(a, b), tau)
+	return cosineSoftmaxCE(a, b, nil, nil, tau)
 }
 
 // PrototypeCE computes the prototypical-network cross-entropy: each encoding
@@ -203,12 +181,172 @@ func PairNTXent(a, b *Node, tau float64) *Node {
 // scaled dot product, with assign[i] the index of its prototype. Both sides
 // are L2-normalized. Gradients flow into z and protos (when protos is a
 // graph node built with GroupMean, this implements the paper's L_n
-// regularizer).
+// regularizer). It is one node with the bits of the chain L2NormalizeRows on
+// both sides, MatMulTransB, Scale by 1/tau and CrossEntropy — except that
+// z's gradient receives its term before, not after, the backward passes of
+// the ops protos was built with: when those also add to z's gradient (protos
+// a GroupMean of z itself), the terms reach it in another order.
 func PrototypeCE(z, protos *Node, assign []int, tau float64) *Node {
-	zn := L2NormalizeRows(z)
-	pn := L2NormalizeRows(protos)
-	logits := Scale(MatMulTransB(zn, pn), 1/tau)
-	return CrossEntropy(logits, assign)
+	return cosineSoftmaxCE(z, nil, protos, assign, tau)
+}
+
+// cosineSoftmaxCE is the one node behind NTXent, PairNTXent and
+// PrototypeCE: the mean cross-entropy of the softmax rows of S = ẑ·b̂ᵀ/τ,
+// where ẑ stacks the L2-normalized rows of a and then of a2 (when not nil),
+// and b̂ holds the L2-normalized rows of b — or is ẑ itself when b is nil,
+// which masks S's diagonal and targets row i at column (i + M/2) mod M; with
+// b, row i's target is targets[i].
+//
+// It runs the unfused chain's arithmetic in the chain's order, so its loss
+// and every gradient it adds are that chain's bits. Forward: every row is
+// normalized straight into ẑ (or b̂), its norm kept for the backward pass;
+// S is a·bᵀ's kernel once, then ×(1/τ) in one pass; the row log-sum-exps
+// come four rows at a time (tensor.LogSumExpRows); the loss sums
+// lse − S[i][target] in row order, and S becomes the softmax in place.
+// Backward, with gv the loss gradient over M:
+//
+//	gS   = (+0 + gv·p, gv taken off at the target), then +0 + (1/τ)·that
+//	gẑ   = gS·b̂                      (written)
+//	     + gSᵀ·ẑ when b is nil        (through scratch, added)
+//	gb̂   = gSᵀ·ẑ                      (written)
+//	gx  += t, t = (gŷ − (gŷ·ŷ)·ŷ)/‖x‖ per row (gŷ itself below normEps)
+//
+// b's rows are done before a's, as the chain's topological order runs its
+// two normalize nodes. Where the chain stacked two views (ConcatRows, a2
+// not nil), each row adds +0 + t — the stacked gradient's +0 start — not t.
+// The chain's intermediate nodes were reachable only through its loss, so
+// removing them moves no other node's backward pass in the order Backward
+// runs them: the terms reach a, a2 and b in the order they did.
+func cosineSoftmaxCE(a, a2, b *Node, targets []int, tau float64) *Node {
+	tp := tapeOf(a, a2, b)
+	d := a.Value.Cols()
+	ma, m := a.Value.Rows(), a.Value.Rows()
+	if a2 != nil {
+		if a2.Value.Cols() != d {
+			panic(fmt.Sprintf("nn: ConcatRows col mismatch %d vs %d", d, a2.Value.Cols()))
+		}
+		m += a2.Value.Rows()
+	}
+	k, kb := m, 0 // S's columns; b's rows
+	if b != nil {
+		if b.Value.Cols() != d {
+			panic(fmt.Sprintf("nn: MatMulTransB inner dims %d vs %d", d, b.Value.Cols()))
+		}
+		k, kb = b.Value.Rows(), b.Value.Rows()
+		if len(targets) != m {
+			panic(fmt.Sprintf("nn: CrossEntropy %d targets for %d rows", len(targets), m))
+		}
+		for _, t := range targets {
+			if t < 0 || t >= k {
+				panic(fmt.Sprintf("nn: CrossEntropy target %d out of range [0,%d)", t, k))
+			}
+		}
+	} else if m%2 != 0 || m < 4 {
+		panic(fmt.Sprintf("nn: NTXent needs an even batch of ≥4 rows, got %d", m))
+	}
+	z := tp.allocUninit(m, d)
+	zb := z
+	norms := tp.allocUninit(m + kb).Data()
+	for i := 0; i < ma; i++ {
+		norms[i] = tensor.L2NormalizeRowInto(z.Row(i), a.Value.Row(i), normEps)
+	}
+	for i := ma; i < m; i++ {
+		norms[i] = tensor.L2NormalizeRowInto(z.Row(i), a2.Value.Row(i-ma), normEps)
+	}
+	if b != nil {
+		zb = tp.allocUninit(k, d)
+		for i := 0; i < k; i++ {
+			norms[m+i] = tensor.L2NormalizeRowInto(zb.Row(i), b.Value.Row(i), normEps)
+		}
+	}
+	tgt := tp.Ints(m)
+	for i := range tgt {
+		if b != nil {
+			tgt[i] = targets[i]
+		} else {
+			tgt[i] = (i + m/2) % m
+		}
+	}
+	inv := 1 / tau
+	s := tp.allocUninit(m, k)
+	tensor.MatMulTransBInto(s, z, zb)
+	sd := s.Data()
+	tensor.ScaleSlice(sd, inv)
+	if b == nil {
+		for i := 0; i < m; i++ {
+			sd[i*k+i] = math.Inf(-1)
+		}
+	}
+	lse := tp.allocUninit(m).Data()
+	tensor.LogSumExpRows(lse, sd)
+	var loss float64
+	for i := 0; i < m; i++ {
+		row := sd[i*k:][:k]
+		loss += lse[i] - row[tgt[i]]
+		softmaxInPlace(row, lse[i])
+	}
+	loss /= float64(m)
+	v := tp.allocUninit(1, 1)
+	v.Data()[0] = loss
+	back := func(g *tensor.Tensor) {
+		gv := g.At(0, 0) / float64(m)
+		gs := tp.allocUninit(m, k)
+		row := tp.allocUninit(k).Data()
+		for i := 0; i < m; i++ {
+			for j, p := range sd[i*k:][:k] {
+				row[j] = 0 + gv*p
+			}
+			row[tgt[i]] -= gv
+			tensor.AddScaledSlice(gs.Row(i), row, inv, true)
+		}
+		var gz *tensor.Tensor
+		if b == nil || a.requiresGrad {
+			gz = tp.allocUninit(m, d)
+			tensor.MatMulInto(gz, gs, zb) // gS·b̂
+		}
+		if b == nil {
+			tmp := tp.allocUninit(m, d)
+			tensor.MatMulTransAInto(tmp, gs, z) // gSᵀ·ẑ
+			mustAddScaled(gz, tmp, 1)
+		} else if b.requiresGrad {
+			gzb := tp.allocUninit(k, d)
+			tensor.MatMulTransAInto(gzb, gs, z) // gSᵀ·ẑ
+			normalizeBackward(b.Grad().Data(), gzb.Data(), zb.Data(), norms[m:], false)
+		}
+		stacked := a2 != nil
+		if a.requiresGrad {
+			normalizeBackward(a.Grad().Data(), gz.Data()[:ma*d], z.Data()[:ma*d], norms[:ma], stacked)
+		}
+		if stacked && a2.requiresGrad {
+			normalizeBackward(a2.Grad().Data(), gz.Data()[ma*d:], z.Data()[ma*d:], norms[ma:m], stacked)
+		}
+	}
+	switch {
+	case a2 != nil:
+		return newOp(v, back, a, a2)
+	case b != nil:
+		return newOp(v, back, a, b)
+	}
+	return newOp(v, back, a)
+}
+
+// softmaxInPlace overwrites a row of logits with its softmax, given the
+// row's log-sum-exp: exp(x − lse) on the vector path when lse is finite,
+// and otherwise one element at a time, where a −Inf logit (a masked column)
+// gives +0.
+func softmaxInPlace(row []float64, lse float64) {
+	if !math.IsInf(lse, 0) && !math.IsNaN(lse) {
+		// exp(−Inf − lse) is the +0 a masked column gets.
+		tensor.ExpShiftInto(row, row, lse)
+		return
+	}
+	for j, x := range row {
+		if math.IsInf(x, -1) {
+			row[j] = 0
+			continue
+		}
+		row[j] = math.Exp(x - lse)
+	}
 }
 
 // Accuracy returns the fraction of rows of logits whose argmax equals the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"calibre/internal/data"
@@ -172,6 +173,94 @@ func TestPoisonedUninitSupervisedBitIdentical(t *testing.T) {
 			want := run()
 			tensor.PoisonUninit(t)
 			sameVector(t, "final global and accuracies", want, run())
+		})
+	}
+}
+
+// paramList is a hand-assembled nn.Module.
+type paramList []*nn.Param
+
+func (p paramList) Params() []*nn.Param { return p }
+
+// TestPoisonedUninitOpsBitIdentical runs every graph op that draws its
+// output uninitialised because it writes every element — and the softmax
+// losses' fused nodes, which draw all their buffers so — directly on a step
+// tape, forward and backward, once as it is and once with the arena's
+// recycled uninitialised buffers poisoned: the op's value, the loss and the
+// parameter gradients must keep their bits.
+func TestPoisonedUninitOpsBitIdentical(t *testing.T) {
+	const m, n = 6, 5
+	rng := rand.New(rand.NewSource(67))
+	ps := paramList{nn.NewParam("a", m, n), nn.NewParam("b", m, n), nn.NewParam("bias", 1, n), nn.NewParam("protos", 3, n)}
+	xs := make([]*tensor.Tensor, len(ps))
+	for i, p := range ps {
+		xs[i] = tensor.New(p.Value.Shape()...)
+		for j := range p.Value.Data() {
+			p.Value.Data()[j] = 2 * rng.NormFloat64()
+			xs[i].Data()[j] = rng.NormFloat64()
+		}
+	}
+	q := tensor.New(m, n)
+	for i := range q.Data() {
+		q.Data()[i] = rng.Float64() / n
+	}
+	targets := []int{0, 4, 2, 2, 1, 3}
+	exclude := [][]int{{1}, {0, 2}, nil, {4}}
+	assign := []int{0, 1, 2, 0, 1, 2}
+	ops := []struct {
+		name string
+		op   func(in []*nn.Node) *nn.Node
+	}{
+		{"Add", func(in []*nn.Node) *nn.Node { return nn.Add(in[0], in[1]) }},
+		{"Sub", func(in []*nn.Node) *nn.Node { return nn.Sub(in[0], in[1]) }},
+		{"Scale", func(in []*nn.Node) *nn.Node { return nn.Scale(in[0], 0.3) }},
+		{"AddBias", func(in []*nn.Node) *nn.Node { return nn.AddBias(in[0], in[2]) }},
+		{"ReLU", func(in []*nn.Node) *nn.Node { return nn.ReLU(in[0]) }},
+		{"Tanh", func(in []*nn.Node) *nn.Node { return nn.Tanh(in[0]) }},
+		{"L2NormalizeRows", func(in []*nn.Node) *nn.Node { return nn.L2NormalizeRows(in[0]) }},
+		{"ConcatRows", func(in []*nn.Node) *nn.Node { return nn.ConcatRows(in[0], in[1]) }},
+		{"ConcatCols", func(in []*nn.Node) *nn.Node { return nn.ConcatCols(in[0], in[1]) }},
+		{"GatherRows", func(in []*nn.Node) *nn.Node { return nn.GatherRows(in[0], []int{0, 2, 2, 5}) }},
+		{"MaskedCrossEntropy", func(in []*nn.Node) *nn.Node { return nn.MaskedCrossEntropy(in[0], targets, exclude) }},
+		{"SoftCrossEntropy", func(in []*nn.Node) *nn.Node { return nn.SoftCrossEntropy(in[0], q) }},
+		{"NTXent", func(in []*nn.Node) *nn.Node { return nn.NTXent(in[0], 0.5) }},
+		{"PairNTXent", func(in []*nn.Node) *nn.Node { return nn.PairNTXent(in[0], in[1], 0.5) }},
+		{"PrototypeCE", func(in []*nn.Node) *nn.Node { return nn.PrototypeCE(in[0], in[3], assign, 0.5) }},
+	}
+	tape := nn.NewTape(tensor.NewArena())
+	grads := tape.LendGrads(ps)
+	defer tape.Release()
+	// run builds op over parameters added to taped inputs, so that every
+	// buffer comes from the tape's arena and the gradient reaches the
+	// parameters, and returns the op's value, the loss and the gradients.
+	run := func(op func(in []*nn.Node) *nn.Node) []float64 {
+		defer tape.Reset()
+		clear(grads)
+		in := make([]*nn.Node, len(ps))
+		for i, p := range ps {
+			in[i] = nn.Add(nn.InputOn(tape, xs[i]), p.Node())
+		}
+		out := op(in)
+		loss := out
+		if out.Value.Len() != 1 {
+			loss = nn.SumSquares(out)
+		}
+		if err := nn.Backward(loss); err != nil {
+			t.Fatal(err)
+		}
+		return append(append(slices.Clone(out.Value.Data()), loss.Value.Data()...), grads...)
+	}
+	for _, c := range ops {
+		t.Run(c.name, func(t *testing.T) {
+			run(c.op) // fills the arena's free lists with this op's buffers
+			want := run(c.op)
+			before := tape.Arena().Stats()
+			tensor.PoisonUninit(t)
+			got := run(c.op)
+			if after := tape.Arena().Stats(); after.Hits == before.Hits {
+				t.Fatal("the arena never recycled a buffer: the poison was not exercised")
+			}
+			sameVector(t, c.name+" value, loss and gradients", want, got)
 		})
 	}
 }

@@ -564,23 +564,33 @@ func L2NormalizeRowsInto(dst, a *Tensor, eps float64) error {
 	}
 	m, n := a.shape[0], a.shape[1]
 	for i := 0; i < m; i++ {
-		row := a.data[i*n : (i+1)*n]
-		var ss float64
-		for _, v := range row {
-			ss += v * v
-		}
-		norm := math.Sqrt(ss)
-		orow := dst.data[i*n : (i+1)*n]
-		if norm < eps {
-			copy(orow, row)
-			continue
-		}
-		inv := 1 / norm
-		for j, v := range row {
-			orow[j] = v * inv
-		}
+		L2NormalizeRowInto(dst.data[i*n:(i+1)*n], a.data[i*n:(i+1)*n], eps)
 	}
 	return nil
+}
+
+// L2NormalizeRowInto is one row of L2NormalizeRowsInto: it writes src
+// scaled to unit Euclidean norm into dst (src itself when its norm is below
+// eps) and returns that norm, Norm2(src)'s bits. dst may alias src; it
+// panics unless the two are one length.
+func L2NormalizeRowInto(dst, src []float64, eps float64) float64 {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: L2NormalizeRowInto of %d values into %d", len(src), len(dst)))
+	}
+	var ss float64
+	for _, v := range src {
+		ss += v * v
+	}
+	norm := math.Sqrt(ss)
+	if norm < eps {
+		copy(dst, src)
+		return norm
+	}
+	inv := 1 / norm
+	for j, v := range src {
+		dst[j] = v * inv
+	}
+	return norm
 }
 
 // Dot returns the dot product of two equal-length vectors.
@@ -736,7 +746,72 @@ func LogSumExp(v []float64) float64 {
 		}
 		v = v[len(chunk):]
 	}
-	return m + math.Log(s)
+	return shiftedLog(m, s)
+}
+
+// shiftedLog is a log-sum-exp's last step, m + log(s). It is one compiled
+// body for LogSumExp and LogSumExpRows alike: where m and log(s) are both
+// NaN, which payload the sum keeps is the operand order the compiler picked
+// for it, and an inlined copy could pick another.
+//
+//go:noinline
+func shiftedLog(m, s float64) float64 { return m + math.Log(s) }
+
+// LogSumExpRows writes dst[r] = LogSumExp(row r) for the len(dst) rows of
+// the row-major matrix x, bit for bit, NaN payloads included: each row's
+// max and its sum of exp(x − max) are chains of their own over ascending
+// elements, as LogSumExp runs them. Four rows go through each pass, so four
+// comparisons and four additions are in flight where one LogSumExp waits
+// out the latency of each. It panics unless len(x) is a multiple of
+// len(dst).
+func LogSumExpRows(dst, x []float64) {
+	m := len(dst)
+	if m == 0 && len(x) == 0 {
+		return
+	}
+	if m == 0 || len(x)%m != 0 {
+		panic(fmt.Sprintf("tensor: LogSumExpRows of %d values in %d rows", len(x), m))
+	}
+	n := len(x) / m
+	r := 0
+	for ; n > 0 && r+4 <= m; r += 4 {
+		v0, v1, v2, v3 := x[r*n:][:n], x[(r+1)*n:][:n], x[(r+2)*n:][:n], x[(r+3)*n:][:n]
+		m0, m1, m2, m3 := v0[0], v1[0], v2[0], v3[0]
+		for j := 1; j < n; j++ {
+			if v0[j] > m0 {
+				m0 = v0[j]
+			}
+			if v1[j] > m1 {
+				m1 = v1[j]
+			}
+			if v2[j] > m2 {
+				m2 = v2[j]
+			}
+			if v3[j] > m3 {
+				m3 = v3[j]
+			}
+		}
+		var s0, s1, s2, s3 float64
+		var terms [4][64]float64
+		for j := 0; j < n; j += len(terms[0]) {
+			c := min(n-j, len(terms[0]))
+			t0, t1, t2, t3 := terms[0][:c], terms[1][:c], terms[2][:c], terms[3][:c]
+			expShift(t0, v0[j:], m0)
+			expShift(t1, v1[j:], m1)
+			expShift(t2, v2[j:], m2)
+			expShift(t3, v3[j:], m3)
+			for e := range t0 {
+				s0 += t0[e]
+				s1 += t1[e]
+				s2 += t2[e]
+				s3 += t3[e]
+			}
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = shiftedLog(m0, s0), shiftedLog(m1, s1), shiftedLog(m2, s2), shiftedLog(m3, s3)
+	}
+	for ; r < m; r++ {
+		dst[r] = LogSumExp(x[r*n:][:n])
+	}
 }
 
 // ArgMax returns the index of the largest element of v (-1 for empty v).

@@ -357,6 +357,50 @@ func TestLogSumExp(t *testing.T) {
 	})
 }
 
+// TestLogSumExpRowsMatchesLogSumExp holds every row of LogSumExpRows to
+// LogSumExp of that row, bit for bit, NaN payloads included, under every
+// implementation: row counts on both sides of the four-row passes, widths
+// around the vector groups and the 64-element term chunks (and empty rows,
+// which are −Inf), rows with no special value and with expVal's classes at
+// two rates.
+func TestLogSumExpRowsMatchesLogSumExp(t *testing.T) {
+	eachImpl(t, func(impl string) {
+		rng := rand.New(rand.NewSource(38))
+		for _, m := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 129} {
+				for _, oneIn := range []int{0, 16, 3} {
+					if err := checkLogSumExpRows(rng, m, n, oneIn); err != nil {
+						t.Fatalf("%s %d rows of %d, specials 1 in %d: %v", impl, m, n, oneIn, err)
+					}
+				}
+			}
+		}
+	})
+	LogSumExpRows(nil, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LogSumExpRows took 7 values for 2 rows")
+		}
+	}()
+	LogSumExpRows(make([]float64, 2), make([]float64, 7))
+}
+
+// checkLogSumExpRows runs LogSumExpRows over m rows of n drawn by expRow
+// and holds each result to LogSumExp of its row, bit for bit.
+func checkLogSumExpRows(rng *rand.Rand, m, n, oneIn int) error {
+	x := expRow(rng, m*n, oneIn)
+	got := make([]float64, m)
+	LogSumExpRows(got, x)
+	for r := range got {
+		want := LogSumExp(x[r*n : (r+1)*n])
+		if math.Float64bits(want) != math.Float64bits(got[r]) {
+			return fmt.Errorf("row %d: LogSumExp %v (%#x), LogSumExpRows %v (%#x)",
+				r, want, math.Float64bits(want), got[r], math.Float64bits(got[r]))
+		}
+	}
+	return nil
+}
+
 func TestArgMax(t *testing.T) {
 	if ArgMax([]float64{1, 5, 3}) != 1 {
 		t.Fatal("ArgMax basic")
