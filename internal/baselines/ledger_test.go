@@ -17,7 +17,8 @@ import (
 	"calibre/internal/fl"
 )
 
-// TestGoldenLedger pins the bits every registry method ends on: two
+// TestGoldenLedger pins the bits every registry method ends on, and every
+// design-choice variant of calibre-simclr (the design figure's five): two
 // simulator rounds at smoke scale, then personalization of participants and
 // novel clients, one line per method holding the FNV-64a digest of the final
 // global vector's IEEE-754 bits and the fairness summary (shortest
@@ -36,6 +37,9 @@ func TestGoldenLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := baselines.MethodNames()
+	for _, v := range []string{"full", "fixed-k", "no-gate", "no-filter", "no-warmup"} {
+		names = append(names, "calibre-simclr{"+v+"}")
+	}
 	lines := make([]string, len(names))
 	// The group returns once its parallel subtests have all finished.
 	t.Run("methods", func(t *testing.T) {
@@ -78,7 +82,7 @@ func TestGoldenLedger(t *testing.T) {
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
 	if len(wantLines) != len(lines) {
-		t.Errorf("%s has %d lines, the registry %d methods", golden, len(wantLines), len(lines))
+		t.Errorf("%s has %d lines, want one per method: %d", golden, len(wantLines), len(lines))
 	}
 	for i, l := range lines {
 		if i >= len(wantLines) || l != wantLines[i] {
