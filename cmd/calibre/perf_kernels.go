@@ -324,7 +324,7 @@ func benchSelectK(minTime time.Duration) []KernelBenchRecord {
 		x := tensor.RandN(rand.New(rand.NewSource(int64(11+i))), 1, shape[0], shape[1])
 		arena, ws, rng := tensor.NewArena(), new(kmeans.Workspace), rand.New(rand.NewSource(12))
 		search := func() {
-			if _, err := core.SelectKIn(arena, ws, rng, x, 10); err != nil {
+			if _, _, err := core.SelectKIn(arena, ws, rng, x, 10); err != nil {
 				panic(err)
 			}
 		}

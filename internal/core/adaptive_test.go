@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -277,9 +278,9 @@ func TestSelectKMatchesNaive(t *testing.T) {
 				seed := int64(100*maxK + shape.d)
 				wantRNG, gotRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				want, wantScore := naiveSelectK(wantRNG, x, maxK)
-				got, gotScore, err := selectK(a, mem.ws, gotRNG, x, maxK)
+				got, gotScore, err := SelectKIn(a, mem.ws, gotRNG, x, maxK)
 				if err != nil {
-					t.Fatalf("selectK(n=%d, maxK=%d): %v", x.Rows(), maxK, err)
+					t.Fatalf("SelectKIn(n=%d, maxK=%d): %v", x.Rows(), maxK, err)
 				}
 				if math.Float64bits(gotScore) != math.Float64bits(wantScore) ||
 					math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
@@ -299,6 +300,65 @@ func TestSelectKMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+	}
+	if out := arena.Stats().Outstanding; out != 0 {
+		t.Fatalf("%d distance buffers never returned to the arena", out)
+	}
+}
+
+// TestFixedKMatchesNaive: the fixed-K rule, which clusters through the
+// squared table and scores from the root table, returns what a Run that
+// computes every distance and a full kmeans.Silhouette over x return — the
+// clustering, the score by bits and the rng state afterwards — with its
+// tables on the heap and in an arena, and its clustering on the heap and in
+// a workspace. A batch with NaN in two rows scores NaN at every K (their
+// group's other members' mean distance to it is NaN): the fixed rule
+// keeps its clustering and hands the NaN on (which the quality gate lets
+// through, as it always has), while the search finds no viable count.
+func TestFixedKMatchesNaive(t *testing.T) {
+	arena, ws := tensor.NewArena(), new(kmeans.Workspace)
+	nanBatch, _ := blobs(rand.New(rand.NewSource(43)), 3, 8, 24, 3, 1)
+	nanBatch.Set(5, 7, math.NaN())
+	nanBatch.Set(9, 7, math.NaN())
+	for _, shape := range []struct{ k, per, d int }{{4, 8, 24}, {5, 25, 48}} { // n = 32, n = 125
+		x, _ := blobs(rand.New(rand.NewSource(42)), shape.k, shape.per, shape.d, 3, 1)
+		for _, c := range []struct {
+			x *tensor.Tensor
+			k int
+		}{{x, 10}, {x, 4}, {x, 1}, {nanBatch, 6}} {
+			for _, mem := range []struct {
+				a  *tensor.Arena
+				ws *kmeans.Workspace
+			}{{nil, nil}, {arena, nil}, {arena, ws}, {nil, ws}} {
+				seed := int64(10*c.k + shape.d)
+				wantRNG, gotRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want, err := kmeans.Run(wantRNG, c.x, kmeans.Config{K: c.k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantScore := kmeans.Silhouette(c.x, want.Assign)
+				got, gotScore, err := fixedK(mem.a, mem.ws, gotRNG, c.x, c.k)
+				if err != nil {
+					t.Fatalf("fixedK(n=%d, K=%d): %v", c.x.Rows(), c.k, err)
+				}
+				what := fmt.Sprintf("n=%d K=%d arena=%v workspace=%v", c.x.Rows(), c.k, mem.a != nil, mem.ws != nil)
+				if math.Float64bits(gotScore) != math.Float64bits(wantScore) && !(math.IsNaN(gotScore) && math.IsNaN(wantScore)) {
+					t.Fatalf("%s: score %v, want %v", what, gotScore, wantScore)
+				}
+				if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) || !reflect.DeepEqual(got.Assign, want.Assign) {
+					t.Fatalf("%s: clustering differs", what)
+				}
+				if gotRNG.Int63() != wantRNG.Int63() {
+					t.Fatalf("%s: RNG consumed differently", what)
+				}
+				if c.x == nanBatch && !math.IsNaN(gotScore) {
+					t.Fatalf("%s: score %v on a batch with two NaN rows, want NaN", what, gotScore)
+				}
+			}
+		}
+	}
+	if _, _, err := SelectKIn(arena, ws, rand.New(rand.NewSource(44)), nanBatch, 6); err == nil {
+		t.Fatal("SelectKIn found a viable cluster count on a batch with two NaN rows")
 	}
 	if out := arena.Stats().Outstanding; out != 0 {
 		t.Fatalf("%d distance buffers never returned to the arena", out)

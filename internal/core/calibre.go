@@ -103,26 +103,18 @@ func (o Options) Validate() error {
 // local data spans two classes gets two prototypes, not ten fragmented
 // ones — fragmentation would push same-class samples apart.
 func SelectK(rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error) {
-	return SelectKIn(nil, nil, rng, x, maxK)
+	res, _, err := SelectKIn(nil, nil, rng, x, maxK)
+	return res, err
 }
 
 // SelectKIn is SelectK with its distance tables borrowed from arena and its
 // clusterings run in ws (either nil: the heap), which it leaves holding the
 // result until the next clustering in ws: the same result, bit for bit,
-// allocation-free once arena and ws have seen x's shape.
-func SelectKIn(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, error) {
-	res, _, err := selectK(arena, ws, rng, x, maxK)
-	return res, err
-}
-
-// selectK is SelectKIn that also returns the winner's silhouette score. The
-// score depends on x only through its pairwise distances, so their two
-// square tables — squared, and their square roots — are filled once and
-// every candidate is scored from them; both, and the silhouette's sums, lie
-// in one buffer borrowed from arena. The candidates are clustered in ws,
-// which holds the best so far while the later ones run, and read the
-// squares for their seeding and first assignment.
-func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64, error) {
+// allocation-free once arena and ws have seen x's shape. It also returns the
+// winner's silhouette score. The candidates are clustered in ws, which holds
+// the best so far while the later ones run, and all scored from one fill of
+// borrowTables.
+func SelectKIn(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, maxK int) (*kmeans.Result, float64, error) {
 	n := x.Rows()
 	if maxK > n {
 		maxK = n
@@ -130,10 +122,8 @@ func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tenso
 	if maxK < 2 {
 		maxK = 2
 	}
-	buf := arena.GetUninit(2*n*n + 4*n)
+	buf, sq, dist, sums := borrowTables(arena, x)
 	defer arena.Put(buf)
-	sq, dist, sums := buf[:n*n], buf[n*n:2*n*n], buf[2*n*n:]
-	kmeans.PairTablesInto(sq, dist, x)
 	var best *kmeans.Result
 	bestScore := math.Inf(-1)
 	// The grid ascends up to its last entry, so maxK repeats a grid value
@@ -158,6 +148,34 @@ func selectK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tenso
 		return nil, 0, fmt.Errorf("core: no viable cluster count up to %d", maxK)
 	}
 	return best, bestScore, nil
+}
+
+// fixedK clusters x into k groups in ws and returns the clustering with its
+// silhouette score, whatever the score is: a NaN one included, which
+// SelectKIn's search would refuse. Its tables come from one borrowTables.
+func fixedK(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, x *tensor.Tensor, k int) (*kmeans.Result, float64, error) {
+	buf, sq, dist, sums := borrowTables(arena, x)
+	defer arena.Put(buf)
+	res, err := ws.Run(rng, x, kmeans.Config{K: k, PairSq: sq})
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, res.Silhouette(dist, sums), nil
+}
+
+// borrowTables borrows one buffer of 2n²+4n floats from arena (nil: the
+// heap) for the n rows of x, to be handed back with arena.Put(buf), and fills
+// the two square tables at its head with kmeans.PairTablesInto: sq, which a
+// clustering of x reads for its seeding and first assignment, and dist, from
+// which Result.Silhouette scores it in sums, the last 4n floats. A
+// clustering's score depends on x only through these distances, so every
+// candidate clustering of x is scored from one fill.
+func borrowTables(arena *tensor.Arena, x *tensor.Tensor) (buf, sq, dist, sums []float64) {
+	n := x.Rows()
+	buf = arena.GetUninit(2*n*n + 4*n)
+	sq, dist, sums = buf[:n*n], buf[n*n:2*n*n], buf[2*n*n:]
+	kmeans.PairTablesInto(sq, dist, x)
+	return buf, sq, dist, sums
 }
 
 // Regularizer computes the Calibre loss terms for one step.
@@ -226,12 +244,12 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) (*nn.Node, error) {
 		}
 	}
 	var res *kmeans.Result
-	var score float64 // SelectK's silhouette of res on pairMean
+	var score float64 // the silhouette of res on pairMean
 	var err error
 	if r.Opts.FixedK {
-		res, err = ctx.KMeans.Run(ctx.RNG, pairMean, kmeans.Config{K: min(r.Opts.NumClusters, n)})
+		res, score, err = fixedK(ctx.Arena, ctx.KMeans, ctx.RNG, pairMean, min(r.Opts.NumClusters, n))
 	} else {
-		res, score, err = selectK(ctx.Arena, ctx.KMeans, ctx.RNG, pairMean, r.Opts.NumClusters)
+		res, score, err = SelectKIn(ctx.Arena, ctx.KMeans, ctx.RNG, pairMean, r.Opts.NumClusters)
 	}
 	if err != nil {
 		return nil, err
@@ -245,11 +263,6 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) (*nn.Node, error) {
 	gate := 1.0
 	if !r.Opts.NoQualityGate {
 		gate = score
-		if r.Opts.FixedK {
-			dist := kmeans.PairDistances(ctx.Arena, pairMean)
-			gate = kmeans.SilhouetteFrom(dist, res.Assign)
-			ctx.Arena.Put(dist)
-		}
 		if gate <= 0 {
 			return nil, nil
 		}
@@ -409,13 +422,13 @@ func Divergence(rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error
 	return divergence(nil, nil, rng, encodings, k)
 }
 
-// divergence is Divergence with SelectK's distance tables borrowed from
+// divergence is Divergence with SelectKIn's distance tables borrowed from
 // arena and its clusterings run in ws (nil: the heap).
 func divergence(arena *tensor.Arena, ws *kmeans.Workspace, rng *rand.Rand, encodings *tensor.Tensor, k int) (float64, error) {
 	if encodings.Rows() == 0 {
 		return 0, fmt.Errorf("core: no encodings for divergence")
 	}
-	res, _, err := selectK(arena, ws, rng, encodings, k)
+	res, _, err := SelectKIn(arena, ws, rng, encodings, k)
 	if err != nil {
 		return 0, fmt.Errorf("core: divergence clustering: %w", err)
 	}

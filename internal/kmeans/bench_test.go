@@ -42,7 +42,7 @@ func BenchmarkSilhouette64(b *testing.B) {
 func BenchmarkAssignPoints(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.RandN(rng, 1, 32, 48)
-	sq := PairSqDistances(nil, x)
+	sq, _ := pairTablesOf(x)
 	assign := make([]int, 32)
 	for _, k := range []int{2, 3, 4, 6, 8, 10} {
 		picks := rng.Perm(32)[:k]

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"calibre/internal/tensor"
 )
@@ -28,8 +29,9 @@ type Result struct {
 // Config controls a Run.
 type Config struct {
 	K int
-	// PairSq, when not nil, is x's PairSqDistances, which the Run reads
-	// instead of computing a distance between two points of x: the
+	// PairSq, when not nil, is x's squared-distance table as PairTablesInto
+	// fills it, which the Run reads instead of computing a distance between
+	// two points of x: the
 	// seeding's, a picked centre's row of the table, and the first
 	// assignment's, whose centres are still points. The result and the
 	// draws from rng are the same bit for bit either way.
@@ -191,7 +193,8 @@ func groupMembers(groups [][]int, backing, assign, counts []int) {
 // k-means++ D² weighting, and records in picks the point each one copies.
 // scratch holds n values. A picked centre's distances to the points are
 // computed, from the centre to the points, or read from sq, x's
-// PairSqDistances, as the centre's row of the table when sq is not nil.
+// squared-distance table (PairTablesInto), as the centre's row of the table
+// when sq is not nil.
 func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64, picks []int, sq []float64) {
 	n, k := x.Rows(), centers.Rows()
 	first := rng.Intn(n)
@@ -247,8 +250,8 @@ func seedPlusPlus(rng *rand.Rand, x, centers *tensor.Tensor, scratch []float64, 
 }
 
 // assignToPoints is assignPoints while the centres are still the points
-// picks, with every distance read from sq, their PairSqDistances: the same
-// assignment and inertia, bit for bit.
+// picks, with every distance read from sq, the points' squared-distance
+// table (PairTablesInto): the same assignment and inertia, bit for bit.
 func assignToPoints(sq []float64, picks, assign []int) float64 {
 	n := len(assign)
 	var inertia float64
@@ -330,48 +333,43 @@ func updateCenters(rng *rand.Rand, x, centers *tensor.Tensor, assign []int, grou
 // Points in singleton clusters contribute 0. Returns 0 when fewer than two
 // clusters are populated. It panics when labels does not hold exactly one
 // label per row of x.
+//
+// The labels are renumbered densely, each by its rank among the distinct
+// values, and the groups scored by Result.Silhouette over x's root table:
+// the score does not depend on how the groups are numbered, since b is a
+// minimum over a set and each group's members stay ascending.
 func Silhouette(x *tensor.Tensor, labels []int) float64 {
 	n := x.Rows()
 	if len(labels) != n {
 		panic(fmt.Sprintf("kmeans: Silhouette needs one label per point, got %d labels for %d points", len(labels), n))
 	}
-	return SilhouetteFrom(PairDistances(nil, x), labels)
+	values := slices.Clone(labels)
+	slices.Sort(values)
+	values = slices.Compact(values)
+	ints := make([]int, 2*n+len(values)) // assignment, member lists, counts
+	r := Result{Assign: ints[:n], Groups: make([][]int, len(values))}
+	for i, l := range labels {
+		r.Assign[i], _ = slices.BinarySearch(values, l)
+	}
+	groupMembers(r.Groups, ints[n:2*n], r.Assign, ints[2*n:])
+	buf := make([]float64, n*n+4*n) // the root table, then the sums
+	pairTables(nil, buf[:n*n], x)
+	return r.Silhouette(buf[:n*n], buf[n*n:])
 }
 
-// PairDistances returns the Euclidean distance between every two rows of x,
-// for SilhouetteFrom: callers that score several labelings of one point set
-// (core's SelectK) compute the distances once. The table is square and
-// row-major, n×n for n rows: distance (i, j) at i·n + j and again at
-// j·n + i, the same float because (a−b)² and (b−a)² are, so that row i
-// holds point i's distances to every point in order. The diagonal is +0,
-// which a sum of distances may add for free (see SilhouetteFrom). Square,
-// the table is twice the strict triangle that holds every pair once: 2 MB
-// at the 500 points of the largest set any caller clusters. The buffer is
-// borrowed from arena (nil: the heap) and is the caller's to arena.Put.
-// Off the diagonal it is the square root of PairSqDistances.
-func PairDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
-	n := x.Rows()
-	dist := arena.GetUninit(n * n)
-	pairTables(nil, dist, x)
-	return dist
-}
-
-// PairSqDistances returns SqDist between every two rows of x, laid out as
-// PairDistances lays out their square roots, in a buffer borrowed from
-// arena (nil: the heap): what Config.PairSq takes. Its diagonal is each
-// row's SqDist to itself, as computed: 0 for a finite row, NaN for one
-// holding ±Inf or NaN.
-func PairSqDistances(arena *tensor.Arena, x *tensor.Tensor) []float64 {
-	n := x.Rows()
-	sq := arena.GetUninit(n * n)
-	pairTables(sq, nil, x)
-	return sq
-}
-
-// PairTablesInto fills sq with x's PairSqDistances and dist with its
-// PairDistances, n×n values each for n rows, from one pass over the pairs:
-// each square root is taken once, for the pair, not once per position. It
-// panics unless both hold n×n values.
+// PairTablesInto fills x's two square distance tables from one pass over the
+// pairs of its n rows: sq with SqDist between every two rows, what
+// Config.PairSq takes, and dist with their Euclidean distances, what
+// Result.Silhouette takes. Each is n×n and row-major: the value for (i, j)
+// at i·n + j and again at j·n + i, the same float because (a−b)² and (b−a)²
+// are, so that row i holds point i's distances to every point in order.
+// Each square root is taken once, for the pair, not once per position. sq's
+// diagonal is each row's SqDist to itself, as computed: 0 for a finite row,
+// NaN for one holding ±Inf or NaN. dist's diagonal is +0, which a sum of
+// distances may add for free (see silhouetteSums); off it, dist is the
+// square root of sq. Square, each table is twice the strict triangle that
+// holds every pair once: 2 MB at the 500 points of the largest set any
+// caller clusters. It panics unless both hold n×n values.
 func PairTablesInto(sq, dist []float64, x *tensor.Tensor) {
 	n := x.Rows()
 	if len(sq) != n*n || len(dist) != n*n {
@@ -420,75 +418,10 @@ func pairTables(sq, dist []float64, x *tensor.Tensor) {
 	}
 }
 
-// SilhouetteFrom is Silhouette over the PairDistances of the labeled point
-// set: same value, bit for bit. It allocates nothing for up to
-// silhouetteStackPoints points whose labels span at most
-// silhouetteStackGroups values (a k-means assignment of K ≤ 32), and
-// panics unless dist holds the n×n distances of n labels.
-func SilhouetteFrom(dist []float64, labels []int) float64 {
-	n := len(labels)
-	if len(dist) != n*n {
-		panic(fmt.Sprintf("kmeans: SilhouetteFrom needs the %d pair distances of %d points, got %d", n*n, n, len(dist)))
-	}
-	if n == 0 {
-		return 0
-	}
-	var (
-		fBuf           [4 * silhouetteStackPoints]float64
-		denseBuf, mBuf [silhouetteStackPoints]int
-		endBuf         [silhouetteStackGroups]int
-	)
-	dense, members := grow(denseBuf[:], n), grow(mBuf[:], n)
-	// Groups are numbered label − minL; label values too spread out for a
-	// table are renumbered densely through a map instead.
-	minL, maxL := labels[0], labels[0]
-	for _, l := range labels {
-		minL, maxL = min(minL, l), max(maxL, l)
-	}
-	span := maxL - minL + 1
-	if span <= 0 || span > 4*n+16 {
-		ids := make(map[int]int, n)
-		for i, l := range labels {
-			id, ok := ids[l]
-			if !ok {
-				id = len(ids)
-				ids[l] = id
-			}
-			dense[i] = id
-		}
-		span = len(ids)
-	} else {
-		for i, l := range labels {
-			dense[i] = l - minL
-		}
-	}
-	// A counting sort: group g is members[end[g−1]:end[g]], ascending.
-	end := grow(endBuf[:], span)
-	clear(end)
-	for _, g := range dense {
-		end[g]++
-	}
-	at := 0
-	for g, size := range end {
-		end[g], at = at, at+size // the group's start, until it is filled
-	}
-	for i, g := range dense {
-		members[end[g]] = i
-		end[g]++
-	}
-	sums := newSilhouetteSums(grow(fBuf[:], 4*n))
-	start := 0
-	for _, stop := range end {
-		sums.add(dist, members[start:stop])
-		start = stop
-	}
-	return sums.score()
-}
-
-// Silhouette is SilhouetteFrom(dist, r.Assign) for r, a clustering of the
-// points whose PairDistances dist holds: the same value, bit for bit, read
-// off r's member lists. Its sums take the first 4n floats of scratch (n
-// points), and it allocates nothing.
+// Silhouette is the package's Silhouette of r's points labeled by r.Assign,
+// read off r's member lists, from dist, the points' root table as
+// PairTablesInto fills it. Its sums take the first 4n floats
+// of scratch (n points), and it allocates nothing.
 func (r *Result) Silhouette(dist, scratch []float64) float64 {
 	n := len(r.Assign)
 	if len(dist) != n*n || len(scratch) < 4*n {
@@ -501,7 +434,7 @@ func (r *Result) Silhouette(dist, scratch []float64) float64 {
 	return sums.score()
 }
 
-// silhouetteSums scores n points from their n×n PairDistances, one group
+// silhouetteSums scores n points from their n×n root table, one group
 // of them at a time (add), in 4n floats of scratch: per point, its summed
 // distance to the group being added, its mean distance to its own group
 // (a), the least of its mean distances to the other groups (b), and its own
@@ -570,13 +503,6 @@ func (s *silhouetteSums) score() float64 {
 	}
 	return total / float64(len(s.own))
 }
-
-// silhouetteStackPoints and silhouetteStackGroups are the point count and
-// label span SilhouetteFrom serves from its stack frame.
-const (
-	silhouetteStackPoints = 64
-	silhouetteStackGroups = 32
-)
 
 // MeanDistanceToAssigned returns the average Euclidean distance between each
 // point and its assigned center. Calibre uses this quantity as the client's

@@ -225,8 +225,7 @@ func TestInertiaConsistencyProperty(t *testing.T) {
 	}
 }
 
-// naiveSilhouette is the definition SilhouetteFrom must reproduce bit for
-// bit: every distance computed where it is used, groups in order of first
+// naiveSilhouette is the definition Silhouette must reproduce bit for bit: every distance computed where it is used, groups in order of first
 // appearance, members in ascending index order.
 func naiveSilhouette(x *tensor.Tensor, labels []int) float64 {
 	n := x.Rows()
@@ -277,14 +276,14 @@ func naiveSilhouette(x *tensor.Tensor, labels []int) float64 {
 }
 
 // TestSilhouetteSharedDistancesBitIdentical: scoring from distances computed
-// once (heap or arena buffer), one pass per point, equals computing every
-// distance in place group by group — for dense labels (the table on the
-// stack), for small negative ones with gaps, for a span past the stack
-// table, and for sparse, negative and huge ones (the map fallback); with one
-// group only (k = 1), and with singleton groups among the others.
+// once, one pass per point — Silhouette, and Result.Silhouette on the
+// clustering the labels are where they are dense enough for one — equals
+// computing every distance in place group by group, for dense labels, for
+// small negative ones with gaps, for a wide span of small ones, and for
+// sparse, negative and huge ones; with one group only (k = 1), and with
+// singleton groups among the others.
 func TestSilhouetteSharedDistancesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	arena := tensor.NewArena()
 	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.Intn(60)
 		x := tensor.RandN(rng, 1, n, 1+rng.Intn(24))
@@ -309,21 +308,18 @@ func TestSilhouetteSharedDistancesBitIdentical(t *testing.T) {
 		if got := Silhouette(x, labels); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: Silhouette = %v, naive = %v", trial, got, want)
 		}
-		dist := PairDistances(arena, x)
-		got := SilhouetteFrom(dist, labels)
-		arena.Put(dist)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: SilhouetteFrom = %v, naive = %v", trial, got, want)
+		if res := resultOf(labels); res != nil {
+			_, dist := pairTablesOf(x)
+			if got := res.Silhouette(dist, make([]float64, 4*n)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: Result.Silhouette = %v, naive = %v", trial, got, want)
+			}
 		}
-	}
-	if out := arena.Stats().Outstanding; out != 0 {
-		t.Fatalf("%d distance buffers never returned", out)
 	}
 }
 
-// TestSilhouetteNonFiniteRowsMatchNaive holds SilhouetteFrom — on the
-// stack up to 64 points and on the heap past them — and Result.Silhouette,
-// which reads a clustering's member lists, to naiveSilhouette, the per-pair
+// TestSilhouetteNonFiniteRowsMatchNaive holds Silhouette, and
+// Result.Silhouette, which reads a clustering's member lists, to
+// naiveSilhouette, the per-pair
 // loop that skips j = i, on rows holding +Inf, −Inf or NaN among dense,
 // sparse and singleton labels. Where the operands are random, two NaNs may
 // meet in a sum, and which payload an addition keeps is the compiler's
@@ -340,11 +336,8 @@ func TestSilhouetteNonFiniteRowsMatchNaive(t *testing.T) {
 	check := func(what string, x *tensor.Tensor, labels []int, exact bool) {
 		t.Helper()
 		want := naiveSilhouette(x, labels)
-		dist := PairDistances(nil, x)
-		scores := map[string]float64{
-			"Silhouette":     Silhouette(x, labels),
-			"SilhouetteFrom": SilhouetteFrom(dist, labels),
-		}
+		_, dist := pairTablesOf(x)
+		scores := map[string]float64{"Silhouette": Silhouette(x, labels)}
 		if res := resultOf(labels); res != nil {
 			scores["Result.Silhouette"] = res.Silhouette(dist, slices.Repeat([]float64{math.NaN()}, 4*x.Rows()+1))
 		}
@@ -544,13 +537,13 @@ func naiveRun(rng *rand.Rand, x *tensor.Tensor, k int) (centers *tensor.Tensor, 
 }
 
 // TestDistancesMatchNaiveReference pins the distance users of this package
-// — seeding, assignment and PairDistances — to per-pair naiveSqDist loops
+// — seeding, assignment and PairTablesInto — to per-pair naiveSqDist loops
 // on the shapes the federation clusters (32 points of 48 features) and on
 // point counts that are not a multiple of four (37 of 5, 30 of 7), which end
 // on partial tiles and a partial sixteen-point seeding chunk, for K on both
 // sides of the four-centre tile: Run's centres, assignment, inertia and
 // rng consumption (seeding measures from the centre to the points, the
-// reference from the point to the centre), and every PairDistances entry.
+// reference from the point to the centre), and every entry of both tables.
 // Some batches repeat points, so that equidistant centres, zero D² mass
 // and emptied clusters occur.
 func TestDistancesMatchNaiveReference(t *testing.T) {
@@ -594,24 +587,21 @@ func TestDistancesMatchNaiveReference(t *testing.T) {
 				t.Fatalf("seed %d K=%d: Run consumed a different number of rng draws", seed, k)
 			}
 		}
-		checkPairDistances(t, fmt.Sprintf("seed %d", seed), x)
+		checkPairTables(t, fmt.Sprintf("seed %d", seed), x)
 	}
 }
 
-// checkPairDistances holds every entry of x's square tables to per-pair
-// naiveSqDist loops, bit for bit, in both places a pair is stored:
-// PairSqDistances' (i, j) and (j, i) are naiveSqDist(x_i, x_j), its
-// diagonal naiveSqDist(x_i, x_i) (NaN for a row holding ±Inf or NaN);
-// PairDistances' are its square roots off the diagonal and +0 on it; and
-// PairTablesInto fills the same two tables over whatever its destinations
-// held.
-func checkPairDistances(t *testing.T, what string, x *tensor.Tensor) {
+// checkPairTables holds every entry of x's square tables, as
+// PairTablesInto fills them over poisoned destinations, to per-pair
+// naiveSqDist loops, bit for bit, in both places a pair is stored: the
+// squared table's (i, j) and (j, i) are naiveSqDist(x_i, x_j), its diagonal
+// naiveSqDist(x_i, x_i) (NaN for a row holding ±Inf or NaN); the root
+// table's are their square roots off the diagonal and +0 on it. The root
+// table filled alone, as Silhouette fills it, is the same.
+func checkPairTables(t *testing.T, what string, x *tensor.Tensor) {
 	t.Helper()
 	n := x.Rows()
-	sq, dist := PairSqDistances(nil, x), PairDistances(nil, x)
-	if len(sq) != n*n || len(dist) != n*n {
-		t.Fatalf("%s: %d squared and %d pair distances for %d points", what, len(sq), len(dist), n)
-	}
+	sq, dist := pairTablesOf(x)
 	for i := range n {
 		for j := range n {
 			wantSq := naiveSqDist(x.Row(i), x.Row(j))
@@ -627,12 +617,20 @@ func checkPairDistances(t *testing.T, what string, x *tensor.Tensor) {
 			}
 		}
 	}
-	poisoned := func() []float64 { return slices.Repeat([]float64{math.NaN()}, n*n) }
-	gotSq, gotDist := poisoned(), poisoned()
-	PairTablesInto(gotSq, gotDist, x)
-	if !slices.Equal(bitsOf(gotSq), bitsOf(sq)) || !slices.Equal(bitsOf(gotDist), bitsOf(dist)) {
-		t.Fatalf("%s: PairTablesInto differs from PairSqDistances and PairDistances", what)
+	alone := slices.Repeat([]float64{math.NaN()}, n*n)
+	pairTables(nil, alone, x)
+	if !slices.Equal(bitsOf(alone), bitsOf(dist)) {
+		t.Fatalf("%s: the root table filled alone differs from PairTablesInto's", what)
 	}
+}
+
+// pairTablesOf returns x's squared and root tables, filled by PairTablesInto
+// over destinations poisoned with NaN.
+func pairTablesOf(x *tensor.Tensor) (sq, dist []float64) {
+	n := x.Rows()
+	sq, dist = slices.Repeat([]float64{math.NaN()}, n*n), slices.Repeat([]float64{math.NaN()}, n*n)
+	PairTablesInto(sq, dist, x)
+	return sq, dist
 }
 
 // bitsOf returns the bit patterns of v.
@@ -644,7 +642,7 @@ func bitsOf(v []float64) []uint64 {
 	return bits
 }
 
-// TestPairDistancesEveryTileEdge runs PairDistances at every point count
+// TestPairDistancesEveryTileEdge runs PairTablesInto at every point count
 // from 0 to 21 — each way the four-row blocks and their diagonal can end —
 // and at the federation's 32 and 64, with infinities among the features so
 // that Inf−Inf reaches some pairs and the diagonal of some rows, and a NaN
@@ -663,7 +661,7 @@ func TestPairDistancesEveryTileEdge(t *testing.T) {
 			x.Set(n-1, 2, math.Inf(1))
 			x.Set(n-2, 4, math.NaN())
 		}
-		checkPairDistances(t, fmt.Sprintf("n=%d", n), x)
+		checkPairTables(t, fmt.Sprintf("n=%d", n), x)
 	}
 }
 
@@ -709,7 +707,7 @@ func TestAssignPointsMatchesNaiveLoop(t *testing.T) {
 // reference that measures every distance with naiveSqDist from the point
 // to the centre, for K ∈ {1, 2, 3, 5, 10} and point counts on both sides
 // of the sixteen-point chunks, with the distances computed and read from
-// the PairSqDistances table: the same centres, each a copy of the point it
+// the squared-distance table: the same centres, each a copy of the point it
 // records as picked, the same draws from rng, and every point's distance to
 // its nearest centre, bit for bit.
 func TestSeedPlusPlusMatchesNaiveLoop(t *testing.T) {
@@ -722,7 +720,7 @@ func TestSeedPlusPlusMatchesNaiveLoop(t *testing.T) {
 				x := tensor.RandN(rand.New(rand.NewSource(int64(n*16+k))), 1, n, 7)
 				var sq []float64
 				if table {
-					sq = PairSqDistances(nil, x)
+					sq, _ = pairTablesOf(x)
 				}
 				rng, refRNG := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 				centers, dist, picks := tensor.New(k, 7), make([]float64, n), make([]int, k)

@@ -34,10 +34,10 @@ func sameResult(got, want *Result) string {
 
 // TestWorkspaceRunMatchesFresh: one workspace, dragged through the shapes a
 // client clusters (the step's 32 × 24 and tail batches, its 125 × 48
-// encodings) and core.selectK's candidate grid on each, returns what a fresh
+// encodings) and core.SelectKIn's candidate grid on each, returns what a fresh
 // Run returns — every field of the result, and the rng left in the same
 // state — with whatever the case before left in its buffers. The first
-// candidate's result is held, as selectK holds its best so far, and must
+// candidate's result is held, as SelectKIn holds its best so far, and must
 // still be intact after the five Runs that follow it.
 func TestWorkspaceRunMatchesFresh(t *testing.T) {
 	ws := new(Workspace)
@@ -95,7 +95,8 @@ func TestNilWorkspaceResultsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestPairSqTableMatchesOnTheFly: a Run given x's PairSqDistances returns
+// TestPairSqTableMatchesOnTheFly: a Run given x's squared-distance table
+// (PairTablesInto) returns
 // what a Run that computes every distance returns — every field of the
 // result, the inertia by bits, and the rng left in the same state — fresh
 // and on a reused workspace, over random points, duplicated points (empty
@@ -128,7 +129,7 @@ func TestPairSqTableMatchesOnTheFly(t *testing.T) {
 	}
 	ws := new(Workspace)
 	for name, x := range cases {
-		sq := PairSqDistances(nil, x)
+		sq, _ := pairTablesOf(x)
 		for _, k := range []int{1, 2, 3, 4, 6, 8, 10} {
 			for _, w := range []*Workspace{nil, ws} {
 				rng, refRNG := rand.New(rand.NewSource(int64(k))), rand.New(rand.NewSource(int64(k)))
@@ -156,14 +157,14 @@ func TestPairSqTableMatchesOnTheFly(t *testing.T) {
 }
 
 // TestWarmedClusteringAllocatesNothing: Run on a workspace that has seen the
-// shape, and SilhouetteFrom on a k-means assignment, are allocation-free —
+// shape is allocation-free — with TestTablesAndResultSilhouetteAllocateNothing,
 // what lets core's regularized training step allocate nothing but its ops'
 // closures.
 func TestWarmedClusteringAllocatesNothing(t *testing.T) {
 	x := tensor.RandN(rand.New(rand.NewSource(61)), 1, 32, 24)
 	rng := rand.New(rand.NewSource(62))
 	ws := new(Workspace)
-	sq := PairSqDistances(nil, x)
+	sq, _ := pairTablesOf(x)
 	run := func() {
 		for _, k := range []int{2, 3, 4, 6, 8, 10} {
 			if _, err := ws.Run(rng, x, Config{K: k}); err != nil {
@@ -179,21 +180,12 @@ func TestWarmedClusteringAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		t.Errorf("twelve Runs on a warmed workspace, half of them reading a PairSq table, make %v allocations, want 0", allocs)
 	}
-	res, err := ws.Run(rng, x, Config{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := PairDistances(nil, x)
-	if allocs := testing.AllocsPerRun(10, func() { SilhouetteFrom(dist, res.Assign) }); allocs != 0 {
-		t.Errorf("SilhouetteFrom makes %v allocations, want 0", allocs)
-	}
 }
 
 // TestTablesAndResultSilhouetteAllocateNothing: filling a batch's distance
 // tables and scoring a clustering of it from its member lists allocate
 // nothing, given the tables and the sums' scratch, at a step's 32 points
-// and at the 125 of a client's divergence search, which SilhouetteFrom
-// would serve from the heap.
+// and at the 125 of a client's divergence search.
 func TestTablesAndResultSilhouetteAllocateNothing(t *testing.T) {
 	for _, n := range []int{125, 32} {
 		x := tensor.RandN(rand.New(rand.NewSource(int64(n))), 1, n, 48)
