@@ -6,7 +6,7 @@
 #                    portable-kernel tests, cross builds, bench module, doc gate,
 #                    real-process smoke, wire + matmul + compaction + sweep + group-sum + distance-tile + exp + sgd-step + fedavg-sink +
 #                    pair-ntxent + prototype-ce + spec-grammar + availability-trace + aggregator + adversary + alert-rules + sweep-grid +
-#                    checkpoint-decoder + trace-reader fuzz smokes, short kernel and sweep benches,
+#                    checkpoint-decoder + checkpoint-round-trip + trace-reader fuzz smokes, short kernel and sweep benches,
 #                    allocs_op and bytes_op of the kernel bench held to the committed BENCH_kernels.json
 #
 # The quick kernel and sweep benches write their BENCH_*.json to temp
@@ -266,9 +266,12 @@ go test -run '^$' -fuzz '^FuzzParseGrid$' -fuzztime 5s ./internal/sweep/
 
 # And for the two file formats a run leaves behind and later reads back: a
 # checkpoint file (store.Decode) and a trace file (trace.ReadAll), torn or
-# corrupted ones included.
+# corrupted ones included; and a checkpoint written from any snapshot the
+# fuzzer describes must decode back to it, bit for bit.
 echo "== checkpoint decoder fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/store/
+echo "== checkpoint round-trip fuzz (5s) =="
+go test -run '^$' -fuzz '^FuzzSnapshotRoundTrip$' -fuzztime 5s ./internal/store/
 echo "== trace reader fuzz (5s) =="
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 5s ./internal/trace/
 
