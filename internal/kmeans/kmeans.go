@@ -31,10 +31,9 @@ type Config struct {
 	K int
 	// PairSq, when not nil, is x's squared-distance table as PairTablesInto
 	// fills it, which the Run reads instead of computing a distance between
-	// two points of x: the
-	// seeding's, a picked centre's row of the table, and the first
-	// assignment's, whose centres are still points. The result and the
-	// draws from rng are the same bit for bit either way.
+	// two points of x: the seeding's, a picked centre's row of the table,
+	// and the first assignment's, whose centres are still points. The
+	// result and the draws from rng are the same bit for bit either way.
 	PairSq []float64
 }
 
