@@ -4,8 +4,10 @@
 // learning framework used by the Calibre paper (see ARCHITECTURE.md
 // "Synthetic substitutions").
 //
-// The engine is define-by-run: every operation on *Node values records a
-// backward closure; calling Backward on a scalar loss node topologically
+// The engine is define-by-run: every operation on *Node values records its
+// backward pass — a package-level function of the node, which reads what it
+// needs from the node's parents, value and saved fields, so recording it
+// costs no heap object; calling Backward on a scalar loss node topologically
 // sorts the reachable graph and accumulates gradients into the participating
 // Params. Nodes derived only from constants (Input) are skipped.
 // StepLoop sequences a whole training step around Backward — loss, gradient
@@ -24,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"calibre/internal/tensor"
 )
@@ -37,14 +40,31 @@ type Node struct {
 	parents []*Node
 	// inline backs parents: no op has more than three, so a node and its
 	// parent list are one object (one slab slot, on a tape).
-	inline       [3]*Node
-	back         func(grad *tensor.Tensor)
+	inline [3]*Node
+	// back distributes the node's gradient g to its parents. It is a
+	// package-level function, never a func literal: what it needs beyond
+	// the parents and Value the op stores in the fields below, so a node
+	// and its backward pass are one slab slot and no heap object.
+	back         func(n *Node, g *tensor.Tensor)
 	tape         *Tape
 	requiresGrad bool
 	// cleared marks a parameter leaf whose gradient holds +0 everywhere and
 	// has had nothing added to it yet in this backward pass (see backward);
 	// any Grad call takes the mark away.
 	cleared bool
+	// mark is the number of the last topological sort that reached the
+	// node (sortEpochs).
+	mark uint64
+
+	// What the op's backward pass reads besides the parents and Value:
+	// tensors it kept from the forward pass, an index table, a constant and
+	// a small selector (an activation kind, a loss's form). Each op's doc
+	// or backward says which it uses.
+	saved   [4]*tensor.Tensor
+	ints    []int
+	intRows [][]int
+	scalar  float64
+	kind    int
 }
 
 // Input wraps a constant tensor as a graph leaf through which no gradient
@@ -118,7 +138,10 @@ func tapeOf(nodes ...*Node) *Tape {
 	return nil
 }
 
-func newOp(value *tensor.Tensor, back func(g *tensor.Tensor), parents ...*Node) *Node {
+// newOp records an op node over parents with backward pass back. An op that
+// needs more than its parents and value in back sets the node's saved
+// fields on the returned node.
+func newOp(value *tensor.Tensor, back func(n *Node, g *tensor.Tensor), parents ...*Node) *Node {
 	tp := tapeOf(parents...)
 	n := tp.node()
 	n.Value = value
@@ -166,11 +189,11 @@ func backward(loss *Node, cleared []float64) error {
 	}
 	loss.Grad().Data()[0] = 1
 	// Reverse topological order: each node's grad is complete before its
-	// backward closure distributes it to parents.
+	// backward pass distributes it to parents.
 	for i := len(order) - 1; i >= 0; i-- {
 		n := order[i]
 		if n.back != nil {
-			n.back(n.Grad())
+			n.back(n, n.Grad())
 		}
 	}
 	return nil
@@ -183,33 +206,31 @@ type sortFrame struct {
 	next int
 }
 
+// sortEpochs numbers the topological sorts of the process. A sort marks
+// each node it reaches with its own number, so nothing is cleared between
+// sorts and a mark left by another sort never reads as this one's — a
+// parameter leaf is shared by the graphs of every tape that trains it.
+var sortEpochs atomic.Uint64
+
 func topoSort(root *Node) []*Node {
-	// On a taped graph the visited map and the order/stack slices are tape
-	// scratch, reused across steps; untaped graphs allocate fresh.
+	// On a taped graph the order/stack slices are tape scratch, reused
+	// across steps; untaped graphs allocate fresh.
 	tp := root.tape
-	var visited map[*Node]bool
 	var order []*Node
 	var stack []sortFrame
 	if tp != nil {
-		if tp.visited == nil {
-			tp.visited = make(map[*Node]bool)
-		} else {
-			clear(tp.visited)
-		}
-		visited = tp.visited
 		order, stack = tp.order[:0], tp.stack[:0]
-	} else {
-		visited = make(map[*Node]bool)
 	}
+	epoch := sortEpochs.Add(1)
 	stack = append(stack, sortFrame{n: root})
-	visited[root] = true
+	root.mark = epoch
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		if top.next < len(top.n.parents) {
 			p := top.n.parents[top.next]
 			top.next++
-			if !visited[p] && p.requiresGrad {
-				visited[p] = true
+			if p.mark != epoch && p.requiresGrad {
+				p.mark = epoch
 				stack = append(stack, sortFrame{n: p})
 			}
 			continue
@@ -233,14 +254,17 @@ func Add(a, b *Node) *Node {
 	if err := tensor.AddInto(v, a.Value, b.Value); err != nil {
 		panic(err) // shape bugs are programming errors inside the engine
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if a.requiresGrad {
-			mustAddScaled(a.Grad(), g, 1)
-		}
-		if b.requiresGrad {
-			mustAddScaled(b.Grad(), g, 1)
-		}
-	}, a, b)
+	return newOp(v, addBackward, a, b)
+}
+
+func addBackward(n *Node, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	if a.requiresGrad {
+		mustAddScaled(a.Grad(), g, 1)
+	}
+	if b.requiresGrad {
+		mustAddScaled(b.Grad(), g, 1)
+	}
 }
 
 // Sub returns a - b.
@@ -249,14 +273,17 @@ func Sub(a, b *Node) *Node {
 	if err := tensor.SubInto(v, a.Value, b.Value); err != nil {
 		panic(err)
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if a.requiresGrad {
-			mustAddScaled(a.Grad(), g, 1)
-		}
-		if b.requiresGrad {
-			mustAddScaled(b.Grad(), g, -1)
-		}
-	}, a, b)
+	return newOp(v, subBackward, a, b)
+}
+
+func subBackward(n *Node, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	if a.requiresGrad {
+		mustAddScaled(a.Grad(), g, 1)
+	}
+	if b.requiresGrad {
+		mustAddScaled(b.Grad(), g, -1)
+	}
 }
 
 // Scale returns a*c for scalar constant c.
@@ -265,11 +292,15 @@ func Scale(a *Node, c float64) *Node {
 	if err := tensor.ScaleInto(v, a.Value, c); err != nil {
 		panic(err)
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if a.requiresGrad {
-			mustAddScaled(a.Grad(), g, c)
-		}
-	}, a)
+	n := newOp(v, scaleBackward, a)
+	n.scalar = c
+	return n
+}
+
+func scaleBackward(n *Node, g *tensor.Tensor) {
+	if a := n.parents[0]; a.requiresGrad {
+		mustAddScaled(a.Grad(), g, n.scalar)
+	}
 }
 
 // MatMul returns a·b for 2-D nodes.
@@ -277,17 +308,19 @@ func MatMul(a, b *Node) *Node {
 	if a.Value.Dims() != 2 || b.Value.Dims() != 2 || a.Value.Cols() != b.Value.Rows() {
 		panic(fmt.Sprintf("nn: MatMul shape %v · %v", a.Value.Shape(), b.Value.Shape()))
 	}
-	tp := tapeOf(a, b)
-	v := tp.allocUninit(a.Value.Rows(), b.Value.Cols())
+	v := tapeOf(a, b).allocUninit(a.Value.Rows(), b.Value.Cols())
 	tensor.MatMulInto(v, a.Value, b.Value)
-	return newOp(v, func(g *tensor.Tensor) {
-		if a.requiresGrad {
-			addProduct(tp, a, tensor.MatMulTransBInto, g, b.Value) // g·bᵀ
-		}
-		if b.requiresGrad {
-			addProduct(tp, b, tensor.MatMulTransAInto, a.Value, g) // aᵀ·g
-		}
-	}, a, b)
+	return newOp(v, matMulBackward, a, b)
+}
+
+func matMulBackward(n *Node, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	if a.requiresGrad {
+		addProduct(n.tape, a, tensor.MatMulTransBInto, g, b.Value) // g·bᵀ
+	}
+	if b.requiresGrad {
+		addProduct(n.tape, b, tensor.MatMulTransAInto, a.Value, g) // aᵀ·g
+	}
 }
 
 // MatMulTransB returns a·bᵀ where a is (m×k) and b is (n×k), producing (m×n).
@@ -298,19 +331,21 @@ func MatMulTransB(a, b *Node) *Node {
 	if a.Value.Cols() != b.Value.Cols() {
 		panic(fmt.Sprintf("nn: MatMulTransB inner dims %d vs %d", a.Value.Cols(), b.Value.Cols()))
 	}
-	tp := tapeOf(a, b)
-	v := tp.allocUninit(m, n)
+	v := tapeOf(a, b).allocUninit(m, n)
 	tensor.MatMulTransBInto(v, a.Value, b.Value)
-	return newOp(v, func(g *tensor.Tensor) {
-		// For MatMulTransB(z, z) the first branch writes z's gradient and
-		// the second adds to it.
-		if a.requiresGrad {
-			addProduct(tp, a, tensor.MatMulInto, g, b.Value) // g·b
-		}
-		if b.requiresGrad {
-			addProduct(tp, b, tensor.MatMulTransAInto, g, a.Value) // gᵀ·a
-		}
-	}, a, b)
+	return newOp(v, matMulTransBBackward, a, b)
+}
+
+func matMulTransBBackward(n *Node, g *tensor.Tensor) {
+	// For MatMulTransB(z, z) the first branch writes z's gradient and the
+	// second adds to it.
+	a, b := n.parents[0], n.parents[1]
+	if a.requiresGrad {
+		addProduct(n.tape, a, tensor.MatMulInto, g, b.Value) // g·b
+	}
+	if b.requiresGrad {
+		addProduct(n.tape, b, tensor.MatMulTransAInto, g, a.Value) // gᵀ·a
+	}
 }
 
 // AddBias adds bias vector b (a 1×n or n-element node) to every row of x
@@ -321,22 +356,25 @@ func AddBias(x, bias *Node) *Node {
 	if err := tensor.AddRowVecInto(v, x.Value, bv); err != nil {
 		panic(err)
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if x.requiresGrad {
-			mustAddScaled(x.Grad(), g, 1)
-		}
-		if bias.requiresGrad {
-			gb := bias.Grad().Data()
-			m, n := g.Rows(), g.Cols()
-			gd := g.Data()
-			for i := 0; i < m; i++ {
-				row := gd[i*n : (i+1)*n]
-				for j := 0; j < n; j++ {
-					gb[j] += row[j]
-				}
+	return newOp(v, addBiasBackward, x, bias)
+}
+
+func addBiasBackward(n *Node, g *tensor.Tensor) {
+	x, bias := n.parents[0], n.parents[1]
+	if x.requiresGrad {
+		mustAddScaled(x.Grad(), g, 1)
+	}
+	if bias.requiresGrad {
+		gb := bias.Grad().Data()
+		m, cols := g.Rows(), g.Cols()
+		gd := g.Data()
+		for i := 0; i < m; i++ {
+			row := gd[i*cols : (i+1)*cols]
+			for j := 0; j < cols; j++ {
+				gb[j] += row[j]
 			}
 		}
-	}, x, bias)
+	}
 }
 
 // --- Activations ------------------------------------------------------------
@@ -351,32 +389,38 @@ func ReLU(x *Node) *Node {
 		}
 		return f
 	})
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
+	return newOp(v, reluBackward, x)
+}
+
+func reluBackward(n *Node, g *tensor.Tensor) {
+	x := n.parents[0]
+	if !x.requiresGrad {
+		return
+	}
+	gx, xd, gd := x.Grad().Data(), x.Value.Data(), g.Data()
+	for i := range gx {
+		if xd[i] > 0 {
+			gx[i] += gd[i]
 		}
-		gx, xd, gd := x.Grad().Data(), x.Value.Data(), g.Data()
-		for i := range gx {
-			if xd[i] > 0 {
-				gx[i] += gd[i]
-			}
-		}
-	}, x)
+	}
 }
 
 // Tanh applies tanh elementwise.
 func Tanh(x *Node) *Node {
 	v := x.tape.allocLikeUninit(x.Value)
 	mustApplyInto(v, x.Value, math.Tanh)
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
-		}
-		gx, vd, gd := x.Grad().Data(), v.Data(), g.Data()
-		for i := range gx {
-			gx[i] += gd[i] * (1 - vd[i]*vd[i])
-		}
-	}, x)
+	return newOp(v, tanhBackward, x)
+}
+
+func tanhBackward(n *Node, g *tensor.Tensor) {
+	x := n.parents[0]
+	if !x.requiresGrad {
+		return
+	}
+	gx, vd, gd := x.Grad().Data(), n.Value.Data(), g.Data()
+	for i := range gx {
+		gx[i] += gd[i] * (1 - vd[i]*vd[i])
+	}
 }
 
 // --- Row-wise geometry ------------------------------------------------------
@@ -390,15 +434,21 @@ func L2NormalizeRows(x *Node) *Node {
 		panic(fmt.Sprintf("nn: L2NormalizeRows of a %v tensor", x.Value.Shape()))
 	}
 	v := x.tape.allocLikeUninit(x.Value)
-	norms := x.tape.allocUninit(x.Value.Rows()).Data()
-	for i := range norms {
-		norms[i] = tensor.L2NormalizeRowInto(v.Row(i), x.Value.Row(i), normEps)
+	norms := x.tape.allocUninit(x.Value.Rows())
+	nd := norms.Data()
+	for i := range nd {
+		nd[i] = tensor.L2NormalizeRowInto(v.Row(i), x.Value.Row(i), normEps)
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if x.requiresGrad {
-			normalizeBackward(x.Grad().Data(), g.Data(), v.Data(), norms, false)
-		}
-	}, x)
+	n := newOp(v, l2NormalizeRowsBackward, x)
+	n.saved[0] = norms
+	return n
+}
+
+// l2NormalizeRowsBackward reads the row norms from saved[0].
+func l2NormalizeRowsBackward(n *Node, g *tensor.Tensor) {
+	if x := n.parents[0]; x.requiresGrad {
+		normalizeBackward(x.Grad().Data(), g.Data(), n.Value.Data(), n.saved[0].Data(), false)
+	}
 }
 
 // normalizeBackward adds to dst, the gradient of rows x, what the gradient
@@ -447,22 +497,25 @@ func ConcatRows(a, b *Node) *Node {
 	v := tapeOf(a, b).allocUninit(ma+mb, n)
 	copy(v.Data()[:ma*n], a.Value.Data())
 	copy(v.Data()[ma*n:], b.Value.Data())
-	return newOp(v, func(g *tensor.Tensor) {
-		gd := g.Data()
-		if a.requiresGrad {
-			ga := a.Grad().Data()
-			for i := range ga {
-				ga[i] += gd[i]
-			}
+	return newOp(v, concatRowsBackward, a, b)
+}
+
+func concatRowsBackward(n *Node, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	gd := g.Data()
+	if a.requiresGrad {
+		ga := a.Grad().Data()
+		for i := range ga {
+			ga[i] += gd[i]
 		}
-		if b.requiresGrad {
-			gb := b.Grad().Data()
-			off := ma * n
-			for i := range gb {
-				gb[i] += gd[off+i]
-			}
+	}
+	if b.requiresGrad {
+		gb := b.Grad().Data()
+		off := a.Value.Len()
+		for i := range gb {
+			gb[i] += gd[off+i]
 		}
-	}, a, b)
+	}
 }
 
 // ConcatCols places a (m×na) to the left of b (m×nb), producing (m×(na+nb)).
@@ -476,48 +529,56 @@ func ConcatCols(a, b *Node) *Node {
 		copy(v.Row(i)[:na], a.Value.Row(i))
 		copy(v.Row(i)[na:], b.Value.Row(i))
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		for i := 0; i < m; i++ {
-			grow := g.Row(i)
-			if a.requiresGrad {
-				garow := a.Grad().Row(i)
-				for j := 0; j < na; j++ {
-					garow[j] += grow[j]
-				}
-			}
-			if b.requiresGrad {
-				gbrow := b.Grad().Row(i)
-				for j := 0; j < nb; j++ {
-					gbrow[j] += grow[na+j]
-				}
+	return newOp(v, concatColsBackward, a, b)
+}
+
+func concatColsBackward(n *Node, g *tensor.Tensor) {
+	a, b := n.parents[0], n.parents[1]
+	m, na, nb := a.Value.Rows(), a.Value.Cols(), b.Value.Cols()
+	for i := 0; i < m; i++ {
+		grow := g.Row(i)
+		if a.requiresGrad {
+			garow := a.Grad().Row(i)
+			for j := 0; j < na; j++ {
+				garow[j] += grow[j]
 			}
 		}
-	}, a, b)
+		if b.requiresGrad {
+			gbrow := b.Grad().Row(i)
+			for j := 0; j < nb; j++ {
+				gbrow[j] += grow[na+j]
+			}
+		}
+	}
 }
 
 // GatherRows selects the given rows of x into a new (len(idx)×n) node.
 // Duplicate indices are allowed; gradients accumulate.
 func GatherRows(x *Node, idx []int) *Node {
-	n := x.Value.Cols()
-	v := x.tape.allocUninit(len(idx), n)
+	v := x.tape.allocUninit(len(idx), x.Value.Cols())
 	for i, r := range idx {
 		copy(v.Row(i), x.Value.Row(r))
 	}
-	rows := x.tape.Ints(len(idx))
-	copy(rows, idx)
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
+	n := newOp(v, gatherRowsBackward, x)
+	n.ints = x.tape.Ints(len(idx))
+	copy(n.ints, idx)
+	return n
+}
+
+// gatherRowsBackward reads the gathered rows from ints.
+func gatherRowsBackward(n *Node, g *tensor.Tensor) {
+	x := n.parents[0]
+	if !x.requiresGrad {
+		return
+	}
+	gx, cols := x.Grad(), x.Value.Cols()
+	for i, r := range n.ints {
+		grow := g.Row(i)
+		gxrow := gx.Row(r)
+		for j := 0; j < cols; j++ {
+			gxrow[j] += grow[j]
 		}
-		gx := x.Grad()
-		for i, r := range rows {
-			grow := g.Row(i)
-			gxrow := gx.Row(r)
-			for j := 0; j < n; j++ {
-				gxrow[j] += grow[j]
-			}
-		}
-	}, x)
+	}
 }
 
 // GroupMean averages the rows of x within each group, producing a
@@ -527,8 +588,7 @@ func GatherRows(x *Node, idx []int) *Node {
 // summed in that order from +0 (tensor.AddRowsAt), then scaled by the
 // inverse of their count.
 func GroupMean(x *Node, groups [][]int) *Node {
-	n := x.Value.Cols()
-	v := x.tape.allocUninit(len(groups), n)
+	v := x.tape.allocUninit(len(groups), x.Value.Cols())
 	for k, grp := range groups {
 		row := v.Row(k)
 		tensor.AddRowsAt(row, x.Value.Data(), grp, true)
@@ -536,26 +596,31 @@ func GroupMean(x *Node, groups [][]int) *Node {
 			tensor.ScaleSlice(row, 1/float64(len(grp)))
 		}
 	}
-	captured := x.tape.IntRows(len(groups))
+	n := newOp(v, groupMeanBackward, x)
+	n.intRows = x.tape.IntRows(len(groups))
 	for k, grp := range groups {
-		captured[k] = x.tape.Ints(len(grp))
-		copy(captured[k], grp)
+		n.intRows[k] = x.tape.Ints(len(grp))
+		copy(n.intRows[k], grp)
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
+	return n
+}
+
+// groupMeanBackward reads the groups from intRows.
+func groupMeanBackward(n *Node, g *tensor.Tensor) {
+	x := n.parents[0]
+	if !x.requiresGrad {
+		return
+	}
+	gx := x.Grad()
+	for k, grp := range n.intRows {
+		if len(grp) == 0 {
+			continue
 		}
-		gx := x.Grad()
-		for k, grp := range captured {
-			if len(grp) == 0 {
-				continue
-			}
-			inv := 1 / float64(len(grp))
-			for _, r := range grp {
-				tensor.AddScaledSlice(gx.Row(r), g.Row(k), inv, false)
-			}
+		inv := 1 / float64(len(grp))
+		for _, r := range grp {
+			tensor.AddScaledSlice(gx.Row(r), g.Row(k), inv, false)
 		}
-	}, x)
+	}
 }
 
 // RowDotConst returns the per-row dot product of x with constant rows c,
@@ -569,38 +634,47 @@ func RowDotConst(x *Node, c *tensor.Tensor) *Node {
 	for i := 0; i < m; i++ {
 		v.Set(i, 0, tensor.Dot(x.Value.Row(i), c.Row(i)))
 	}
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
+	n := newOp(v, rowDotConstBackward, x)
+	n.saved[0] = c
+	return n
+}
+
+// rowDotConstBackward reads the constant rows from saved[0].
+func rowDotConstBackward(n *Node, g *tensor.Tensor) {
+	x, c := n.parents[0], n.saved[0]
+	if !x.requiresGrad {
+		return
+	}
+	gx := x.Grad()
+	m, cols := x.Value.Rows(), x.Value.Cols()
+	for i := 0; i < m; i++ {
+		gi := g.At(i, 0)
+		crow := c.Row(i)
+		gxrow := gx.Row(i)
+		for j := 0; j < cols; j++ {
+			gxrow[j] += gi * crow[j]
 		}
-		gx := x.Grad()
-		n := x.Value.Cols()
-		for i := 0; i < m; i++ {
-			gi := g.At(i, 0)
-			crow := c.Row(i)
-			gxrow := gx.Row(i)
-			for j := 0; j < n; j++ {
-				gxrow[j] += gi * crow[j]
-			}
-		}
-	}, x)
+	}
 }
 
 // Mean reduces all elements of x to their arithmetic mean (1×1 node).
 func Mean(x *Node) *Node {
 	v := x.tape.alloc(1, 1)
 	v.Set(0, 0, x.Value.Mean())
+	return newOp(v, meanBackward, x)
+}
+
+func meanBackward(n *Node, g *tensor.Tensor) {
+	x := n.parents[0]
 	cnt := float64(x.Value.Len())
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad || cnt == 0 {
-			return
-		}
-		gv := g.At(0, 0) / cnt
-		gx := x.Grad().Data()
-		for i := range gx {
-			gx[i] += gv
-		}
-	}, x)
+	if !x.requiresGrad || cnt == 0 {
+		return
+	}
+	gv := g.At(0, 0) / cnt
+	gx := x.Grad().Data()
+	for i := range gx {
+		gx[i] += gv
+	}
 }
 
 // SumSquares returns Σ x² as a scalar node.
@@ -611,16 +685,19 @@ func SumSquares(x *Node) *Node {
 	}
 	v := x.tape.alloc(1, 1)
 	v.Set(0, 0, s)
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
-		}
-		gv := g.At(0, 0)
-		gx, xd := x.Grad().Data(), x.Value.Data()
-		for i := range gx {
-			gx[i] += 2 * gv * xd[i]
-		}
-	}, x)
+	return newOp(v, sumSquaresBackward, x)
+}
+
+func sumSquaresBackward(n *Node, g *tensor.Tensor) {
+	x := n.parents[0]
+	if !x.requiresGrad {
+		return
+	}
+	gv := g.At(0, 0)
+	gx, xd := x.Grad().Data(), x.Value.Data()
+	for i := range gx {
+		gx[i] += 2 * gv * xd[i]
+	}
 }
 
 // within reports whether d is a window of v, as bind carves a vector into

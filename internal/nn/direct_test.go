@@ -62,8 +62,8 @@ func target(tp *Tape, v *tensor.Tensor, s gradTarget) *Node {
 	return n
 }
 
-// back runs op's backward closure on g after filling tp's arena with spare
-// buffers of n's size full of garbage, so that whatever the closure borrows
+// back runs op's backward pass on g after filling tp's arena with spare
+// buffers of n's size full of garbage, so that whatever the pass borrows
 // at that size — an unallocated gradient included — comes back dirty.
 func back(tp *Tape, op, n *Node, g *tensor.Tensor) []float64 {
 	spare := make([][]float64, 4)
@@ -76,7 +76,7 @@ func back(tp *Tape, op, n *Node, g *tensor.Tensor) []float64 {
 	for _, b := range spare {
 		tp.arena.Put(b)
 	}
-	op.back(g)
+	op.back(op, g)
 	return n.grad.Data()
 }
 
@@ -90,7 +90,7 @@ func back(tp *Tape, op, n *Node, g *tensor.Tensor) []float64 {
 func TestDirectGradientWritesMatchScratchThenAdd(t *testing.T) {
 	defer tensor.SetWorkers(tensor.Workers())
 	tensor.SetWorkers(2)
-	// A site runs its op's backward closure on upstream gradient g with the
+	// A site runs its op's backward pass on upstream gradient g with the
 	// other operand taking no gradient, and returns the target's gradient.
 	type site struct {
 		name string

@@ -20,8 +20,8 @@ var fused = true
 // (MatMul, AddBias, ReLU/Tanh) with two intermediate tensors; the fused node
 // computes bias-add and activation in place on the MatMul output, in one
 // sweep with no branch on an element's sign (tensor.AddRowVecReLU), and runs
-// a single backward closure (tensor.ReLUGradInto, then tensor.AddRows for
-// the bias gradient):
+// a single backward pass, linearActBackward (tensor.ReLUGradInto, then
+// tensor.AddRows for the bias gradient):
 //
 //	gPre    = g ∘ act'(y)     (activation gradient, from the output y)
 //	b.grad += column-sums of gPre
@@ -41,8 +41,7 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 	if bias.Value.Len() != n {
 		panic(fmt.Sprintf("nn: LinearAct bias has %d elements, want %d", bias.Value.Len(), n))
 	}
-	tp := tapeOf(x, w, bias)
-	y := tp.allocUninit(m, n)
+	y := tapeOf(x, w, bias).allocUninit(m, n)
 	tensor.MatMulInto(y, x.Value, w.Value)
 	bd := bias.Value.Data()[:n]
 	// Bias and activation in one sweep over y: tensor's vector row
@@ -64,32 +63,40 @@ func LinearAct(x, w, bias *Node, act ActKind) *Node {
 	default:
 		panic(fmt.Sprintf("nn: unknown activation kind %d", act))
 	}
-	return newOp(y, func(g *tensor.Tensor) {
-		// ReLU's pre-activation sign is recoverable from the output
-		// (y>0 ⇔ pre>0) and Tanh's derivative uses the output, so no
-		// pre-activation tensor needs to be kept. gPre is written whole
-		// (hence uninit) and then added to the bias gradient, rows
-		// ascending: the order AddBias's backward sums them in. A bias
-		// that takes no gradient still gets a (dead) one — no shipped layer
-		// has such a bias, and a second sweep shape for it is not worth it.
-		gPre := g
-		switch act {
-		case ActReLU:
-			gPre = tp.allocUninit(m, n)
-			tensor.ReLUGradInto(gPre, g, y)
-		case ActTanh:
-			gPre = tp.allocUninit(m, n)
-			pd, gd, yd := gPre.Data(), g.Data(), y.Data()
-			for i, v := range gd[:m*n] {
-				pd[i] = v * (1 - yd[i]*yd[i])
-			}
+	node := newOp(y, linearActBackward, x, w, bias)
+	node.kind = int(act)
+	return node
+}
+
+// linearActBackward reads the activation kind from kind.
+func linearActBackward(node *Node, g *tensor.Tensor) {
+	// ReLU's pre-activation sign is recoverable from the output (y>0 ⇔
+	// pre>0) and Tanh's derivative uses the output, so no pre-activation
+	// tensor needs to be kept. gPre is written whole (hence uninit) and then
+	// added to the bias gradient, rows ascending: the order AddBias's
+	// backward sums them in. A bias that takes no gradient still gets a
+	// (dead) one — no shipped layer has such a bias, and a second sweep
+	// shape for it is not worth it.
+	x, w, bias := node.parents[0], node.parents[1], node.parents[2]
+	tp, y := node.tape, node.Value
+	m, n := y.Rows(), y.Cols()
+	gPre := g
+	switch ActKind(node.kind) {
+	case ActReLU:
+		gPre = tp.allocUninit(m, n)
+		tensor.ReLUGradInto(gPre, g, y)
+	case ActTanh:
+		gPre = tp.allocUninit(m, n)
+		pd, gd, yd := gPre.Data(), g.Data(), y.Data()
+		for i, v := range gd[:m*n] {
+			pd[i] = v * (1 - yd[i]*yd[i])
 		}
-		tensor.AddRows(bias.Grad().Data()[:n], gPre)
-		if x.requiresGrad {
-			addProduct(tp, x, tensor.MatMulTransBInto, gPre, w.Value) // gPre·Wᵀ
-		}
-		if w.requiresGrad {
-			addProduct(tp, w, tensor.MatMulTransAInto, x.Value, gPre) // xᵀ·gPre
-		}
-	}, x, w, bias)
+	}
+	tensor.AddRows(bias.Grad().Data()[:n], gPre)
+	if x.requiresGrad {
+		addProduct(tp, x, tensor.MatMulTransBInto, gPre, w.Value) // gPre·Wᵀ
+	}
+	if w.requiresGrad {
+		addProduct(tp, w, tensor.MatMulTransAInto, x.Value, gPre) // xᵀ·gPre
+	}
 }

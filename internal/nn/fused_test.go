@@ -303,7 +303,7 @@ func TestReLUSpecialValues(t *testing.T) {
 		w.ZeroGrad()
 		b.ZeroGrad()
 		out := LinearAct(Input(x), w.Node(), b.Node(), ActReLU)
-		out.back(g)
+		out.back(out, g)
 		check("fused", out)
 
 		w.ZeroGrad()
@@ -311,9 +311,9 @@ func TestReLUSpecialValues(t *testing.T) {
 		prod := MatMul(Input(x), w.Node())
 		pre := AddBias(prod, b.Node())
 		out = ReLU(pre)
-		out.back(g)
-		pre.back(pre.Grad())
-		prod.back(prod.Grad())
+		out.back(out, g)
+		pre.back(pre, pre.Grad())
+		prod.back(prod, prod.Grad())
 		check("unfused", out)
 	}
 }

@@ -53,23 +53,31 @@ func MaskedCrossEntropy(logits *Node, targets []int, exclude [][]int) *Node {
 	loss /= float64(m)
 	v := logits.tape.alloc(1, 1)
 	v.Set(0, 0, loss)
-	tgt := logits.tape.Ints(m)
-	copy(tgt, targets)
-	return newOp(v, func(g *tensor.Tensor) {
-		if !logits.requiresGrad {
-			return
+	node := newOp(v, crossEntropyBackward, logits)
+	node.saved[0] = probs
+	node.ints = logits.tape.Ints(m)
+	copy(node.ints, targets)
+	return node
+}
+
+// crossEntropyBackward reads the softmax rows from saved[0] and the targets
+// from ints.
+func crossEntropyBackward(node *Node, g *tensor.Tensor) {
+	logits, probs, tgt := node.parents[0], node.saved[0], node.ints
+	if !logits.requiresGrad {
+		return
+	}
+	m, n := probs.Rows(), probs.Cols()
+	gv := g.At(0, 0) / float64(m)
+	gl := logits.Grad()
+	for i := 0; i < m; i++ {
+		prow := probs.Row(i)
+		grow := gl.Row(i)
+		for j := 0; j < n; j++ {
+			grow[j] += gv * prow[j]
 		}
-		gv := g.At(0, 0) / float64(m)
-		gl := logits.Grad()
-		for i := 0; i < m; i++ {
-			prow := probs.Row(i)
-			grow := gl.Row(i)
-			for j := 0; j < n; j++ {
-				grow[j] += gv * prow[j]
-			}
-			grow[tgt[i]] -= gv
-		}
-	}, logits)
+		grow[tgt[i]] -= gv
+	}
 }
 
 // SoftCrossEntropy returns -mean_i Σ_j q[i][j]·logsoftmax(logits)[i][j] for a
@@ -95,26 +103,34 @@ func SoftCrossEntropy(logits *Node, q *tensor.Tensor) *Node {
 	loss /= float64(m)
 	v := logits.tape.alloc(1, 1)
 	v.Set(0, 0, loss)
-	return newOp(v, func(g *tensor.Tensor) {
-		if !logits.requiresGrad {
-			return
+	node := newOp(v, softCrossEntropyBackward, logits)
+	node.saved[0], node.saved[1] = probs, q
+	return node
+}
+
+// softCrossEntropyBackward reads the softmax rows from saved[0] and the
+// target distribution from saved[1].
+func softCrossEntropyBackward(node *Node, g *tensor.Tensor) {
+	logits, probs, q := node.parents[0], node.saved[0], node.saved[1]
+	if !logits.requiresGrad {
+		return
+	}
+	m, n := probs.Rows(), probs.Cols()
+	gv := g.At(0, 0) / float64(m)
+	gl := logits.Grad()
+	for i := 0; i < m; i++ {
+		prow := probs.Row(i)
+		qrow := q.Row(i)
+		grow := gl.Row(i)
+		// Rows of q may sum to s ≤ 1; gradient is (s·p - q).
+		var s float64
+		for j := 0; j < n; j++ {
+			s += qrow[j]
 		}
-		gv := g.At(0, 0) / float64(m)
-		gl := logits.Grad()
-		for i := 0; i < m; i++ {
-			prow := probs.Row(i)
-			qrow := q.Row(i)
-			grow := gl.Row(i)
-			// Rows of q may sum to s ≤ 1; gradient is (s·p - q).
-			var s float64
-			for j := 0; j < n; j++ {
-				s += qrow[j]
-			}
-			for j := 0; j < n; j++ {
-				grow[j] += gv * (s*prow[j] - qrow[j])
-			}
+		for j := 0; j < n; j++ {
+			grow[j] += gv * (s*prow[j] - qrow[j])
 		}
-	}, logits)
+	}
 }
 
 // NegCosineConst returns mean_i (1 - cos(x_i, t_i)) where t is a constant
@@ -126,7 +142,8 @@ func NegCosineConst(x *Node, t *tensor.Tensor) *Node {
 		panic(fmt.Sprintf("nn: NegCosineConst target shape %v vs %v", t.Shape(), x.Value.Shape()))
 	}
 	var loss float64
-	coss := x.tape.alloc(m, 1).Data()
+	cosT := x.tape.alloc(m, 1)
+	coss := cosT.Data()
 	for i := 0; i < m; i++ {
 		coss[i] = tensor.CosineSim(x.Value.Row(i), t.Row(i))
 		loss += 1 - coss[i]
@@ -134,28 +151,36 @@ func NegCosineConst(x *Node, t *tensor.Tensor) *Node {
 	loss /= float64(m)
 	v := x.tape.alloc(1, 1)
 	v.Set(0, 0, loss)
-	return newOp(v, func(g *tensor.Tensor) {
-		if !x.requiresGrad {
-			return
+	node := newOp(v, negCosineConstBackward, x)
+	node.saved[0], node.saved[1] = t, cosT
+	return node
+}
+
+// negCosineConstBackward reads the target from saved[0] and the rows'
+// cosines from saved[1].
+func negCosineConstBackward(node *Node, g *tensor.Tensor) {
+	x, t, coss := node.parents[0], node.saved[0], node.saved[1].Data()
+	if !x.requiresGrad {
+		return
+	}
+	m, n := x.Value.Rows(), x.Value.Cols()
+	gv := g.At(0, 0) / float64(m)
+	gx := x.Grad()
+	for i := 0; i < m; i++ {
+		xrow := x.Value.Row(i)
+		trow := t.Row(i)
+		nx := tensor.Norm2(xrow)
+		nt := tensor.Norm2(trow)
+		if nx < normEps || nt < normEps {
+			continue
 		}
-		gv := g.At(0, 0) / float64(m)
-		gx := x.Grad()
-		for i := 0; i < m; i++ {
-			xrow := x.Value.Row(i)
-			trow := t.Row(i)
-			nx := tensor.Norm2(xrow)
-			nt := tensor.Norm2(trow)
-			if nx < normEps || nt < normEps {
-				continue
-			}
-			grow := gx.Row(i)
-			c := coss[i]
-			for j := 0; j < n; j++ {
-				// d(1-cos)/dx_j = -(t̂_j - cos·x̂_j)/|x|
-				grow[j] += gv * -((trow[j] / nt) - c*(xrow[j]/nx)) / nx
-			}
+		grow := gx.Row(i)
+		c := coss[i]
+		for j := 0; j < n; j++ {
+			// d(1-cos)/dx_j = -(t̂_j - cos·x̂_j)/|x|
+			grow[j] += gv * -((trow[j] / nt) - c*(xrow[j]/nx)) / nx
 		}
-	}, x)
+	}
 }
 
 // NTXent computes the normalized-temperature cross-entropy (SimCLR) loss
@@ -246,7 +271,8 @@ func cosineSoftmaxCE(a, a2, b *Node, targets []int, tau float64) *Node {
 	}
 	z := tp.allocUninit(m, d)
 	zb := z
-	norms := tp.allocUninit(m + kb).Data()
+	normsT := tp.allocUninit(m + kb)
+	norms := normsT.Data()
 	for i := 0; i < ma; i++ {
 		norms[i] = tensor.L2NormalizeRowInto(z.Row(i), a.Value.Row(i), normEps)
 	}
@@ -288,46 +314,81 @@ func cosineSoftmaxCE(a, a2, b *Node, targets []int, tau float64) *Node {
 	loss /= float64(m)
 	v := tp.allocUninit(1, 1)
 	v.Data()[0] = loss
-	back := func(g *tensor.Tensor) {
-		gv := g.At(0, 0) / float64(m)
-		gs := tp.allocUninit(m, k)
-		row := tp.allocUninit(k).Data()
-		for i := 0; i < m; i++ {
-			for j, p := range sd[i*k:][:k] {
-				row[j] = 0 + gv*p
-			}
-			row[tgt[i]] -= gv
-			tensor.AddScaledSlice(gs.Row(i), row, inv, true)
-		}
-		var gz *tensor.Tensor
-		if b == nil || a.requiresGrad {
-			gz = tp.allocUninit(m, d)
-			tensor.MatMulInto(gz, gs, zb) // gS·b̂
-		}
-		if b == nil {
-			tmp := tp.allocUninit(m, d)
-			tensor.MatMulTransAInto(tmp, gs, z) // gSᵀ·ẑ
-			mustAddScaled(gz, tmp, 1)
-		} else if b.requiresGrad {
-			gzb := tp.allocUninit(k, d)
-			tensor.MatMulTransAInto(gzb, gs, z) // gSᵀ·ẑ
-			normalizeBackward(b.Grad().Data(), gzb.Data(), zb.Data(), norms[m:], false)
-		}
-		stacked := a2 != nil
-		if a.requiresGrad {
-			normalizeBackward(a.Grad().Data(), gz.Data()[:ma*d], z.Data()[:ma*d], norms[:ma], stacked)
-		}
-		if stacked && a2.requiresGrad {
-			normalizeBackward(a2.Grad().Data(), gz.Data()[ma*d:], z.Data()[ma*d:], norms[ma:m], stacked)
-		}
-	}
+	var node *Node
 	switch {
 	case a2 != nil:
-		return newOp(v, back, a, a2)
+		node = newOp(v, cosineSoftmaxCEBackward, a, a2)
+		node.kind = stackedViews
 	case b != nil:
-		return newOp(v, back, a, b)
+		node = newOp(v, cosineSoftmaxCEBackward, a, b)
+		node.kind = againstRows
+	default:
+		node = newOp(v, cosineSoftmaxCEBackward, a)
+		node.kind = ownViews
 	}
-	return newOp(v, back, a)
+	node.saved = [4]*tensor.Tensor{s, z, zb, normsT}
+	node.ints = tgt
+	node.scalar = inv
+	return node
+}
+
+// The forms of cosineSoftmaxCE, which its node's kind records: NTXent's,
+// PairNTXent's (a second parent stacked under the first) and PrototypeCE's
+// (a second parent whose rows are S's columns).
+const (
+	ownViews = iota
+	stackedViews
+	againstRows
+)
+
+// cosineSoftmaxCEBackward reads the softmax of S from saved[0], ẑ from
+// saved[1], b̂ (ẑ itself but for againstRows) from saved[2], the rows' norms
+// — a's, a2's, then b's — from saved[3], the targets from ints and 1/τ from
+// scalar.
+func cosineSoftmaxCEBackward(node *Node, g *tensor.Tensor) {
+	tp, a := node.tape, node.parents[0]
+	var a2, b *Node
+	switch node.kind {
+	case stackedViews:
+		a2 = node.parents[1]
+	case againstRows:
+		b = node.parents[1]
+	}
+	s, z, zb, norms := node.saved[0], node.saved[1], node.saved[2], node.saved[3].Data()
+	tgt, inv := node.ints, node.scalar
+	m, k, d, ma := s.Rows(), s.Cols(), z.Cols(), a.Value.Rows()
+	sd := s.Data()
+	gv := g.At(0, 0) / float64(m)
+	gs := tp.allocUninit(m, k)
+	row := tp.allocUninit(k).Data()
+	for i := 0; i < m; i++ {
+		for j, p := range sd[i*k:][:k] {
+			row[j] = 0 + gv*p
+		}
+		row[tgt[i]] -= gv
+		tensor.AddScaledSlice(gs.Row(i), row, inv, true)
+	}
+	var gz *tensor.Tensor
+	if b == nil || a.requiresGrad {
+		gz = tp.allocUninit(m, d)
+		tensor.MatMulInto(gz, gs, zb) // gS·b̂
+	}
+	if b == nil {
+		tmp := tp.allocUninit(m, d)
+		tensor.MatMulTransAInto(tmp, gs, z) // gSᵀ·ẑ
+		mustAddScaled(gz, tmp, 1)
+	} else if b.requiresGrad {
+		gzb := tp.allocUninit(k, d)
+		tensor.MatMulTransAInto(gzb, gs, z) // gSᵀ·ẑ
+		normalizeBackward(b.Grad().Data(), gzb.Data(), zb.Data(), norms[m:], false)
+	}
+	stacked := a2 != nil
+	if a.requiresGrad {
+		normalizeBackward(a.Grad().Data(), gz.Data()[:ma*d], z.Data()[:ma*d], norms[:ma], stacked)
+	}
+	if stacked && a2.requiresGrad {
+		normalizeBackward(a2.Grad().Data(), gz.Data()[ma*d:], z.Data()[ma*d:], norms[ma:m], stacked)
+	}
 }
 
 // softmaxInPlace overwrites a row of logits with its softmax, given the

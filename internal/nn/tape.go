@@ -41,19 +41,20 @@ type Tape struct {
 	gradsOf []*Param
 
 	// nodes is a recycled Node slab: ops on a taped graph draw their Node
-	// headers from here instead of the heap, and Reset reclaims the slots.
-	// Like taped tensors, slab nodes must not be used after Reset.
+	// headers — backward pass and what it reads included — from here
+	// instead of the heap, and Reset reclaims the slots. Like taped
+	// tensors, slab nodes must not be used after Reset.
 	nodes []Node
 
-	// Index scratch lent until Reset: op captures (targets, masks, group
-	// tables) and a loss hook's pseudo-label bookkeeping.
+	// Index scratch lent until Reset: what ops keep for their backward
+	// passes (targets, gathered rows, group tables) and a loss hook's
+	// pseudo-label bookkeeping.
 	ints    scratch[int]
 	intRows scratch[[]int]
 
 	// Backward scratch, reused across steps by topoSort.
-	visited map[*Node]bool
-	order   []*Node
-	stack   []sortFrame
+	order []*Node
+	stack []sortFrame
 }
 
 // NewTape returns a tape drawing from arena (which may be nil for plain
@@ -147,8 +148,9 @@ func (p *tapePool) giveBack(tp *Tape) {
 
 // node returns a zeroed *Node drawn from the tape's slab, recycling slots
 // freed by the last Reset. After the first step has grown the slab, a
-// steady-state step allocates no Node headers at all. Nil-safe: a nil tape
-// heap-allocates.
+// steady-state step allocates no Node headers at all, and since every
+// backward pass is a package-level function of its node, no closures
+// either. Nil-safe: a nil tape heap-allocates.
 func (tp *Tape) node() *Node {
 	if tp == nil {
 		return &Node{}
@@ -269,7 +271,7 @@ func (tp *Tape) Reset() {
 	}
 	tp.taken = tp.taken[:0]
 	// Zero the slab so recycled Nodes hold no references to dead tensors or
-	// closures, then make every slot reusable by the next step.
+	// index scratch, then make every slot reusable by the next step.
 	for i := range tp.nodes {
 		tp.nodes[i] = Node{}
 	}

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -86,5 +89,121 @@ func TestBorrowTapeLendsTheLastReleased(t *testing.T) {
 	var none *Tape
 	if none.Arena() != nil {
 		t.Fatal("a nil tape's arena must be nil: the heap")
+	}
+}
+
+// TestWarmedOpsAllocateNothing: every op that builds a node — the ones
+// only BYOL, SwAV or VICReg run included — costs no heap object on a warmed
+// tape, forward, backward and Reset: its node, its backward pass and what
+// that pass reads all live in the tape's slab, arena and scratch. Each
+// node's backward pass is a package-level function, never a func literal.
+func TestWarmedOpsAllocateNothing(t *testing.T) {
+	const m, k, n = 8, 6, 5
+	rng := rand.New(rand.NewSource(101))
+	a, b := randParam(rng, "a", m, k), randParam(rng, "b", m, k)
+	w, bias := randParam(rng, "w", k, n), randParam(rng, "bias", 1, n)
+	protos := randParam(rng, "protos", 3, k)
+	lendGrads(t, a, b, w, bias, protos)
+	tp := NewTape(tensor.NewArena())
+	zeros := map[*Param]*tensor.Tensor{}
+	for _, p := range []*Param{a, b, w, bias, protos} {
+		zeros[p] = tensor.NewLike(p.Value)
+	}
+	// on puts p on the tape as a step's first layer does: a taped node
+	// that takes a gradient.
+	on := func(p *Param) *Node { return Add(InputOn(tp, zeros[p]), p.Node()) }
+
+	idx := []int{7, 0, 3, 3, 5}
+	groups := [][]int{{0, 2, 4}, {1, 3}, {}, {5, 6, 7}}
+	assign := []int{0, 1, 2, 0, 1, 2, 0, 1}
+	targets := []int{0, 5, 2, 3, 1, 4, 0, 2}
+	exclude := [][]int{{1}, nil, {0, 4}}
+	c := tensor.RandN(rng, 1, m, k)
+	q := tensor.New(m, k)
+	for i := 0; i < m; i++ {
+		q.Set(i, i%k, 0.75)
+		q.Set(i, (i+1)%k, 0.25)
+	}
+	rows := []struct {
+		op   string
+		loss func() *Node
+	}{
+		{"Add", func() *Node { return Mean(Add(on(a), on(b))) }},
+		{"Sub", func() *Node { return Mean(Sub(on(a), on(b))) }},
+		{"Scale", func() *Node { return Mean(Scale(on(a), 0.5)) }},
+		{"MatMul", func() *Node { return Mean(MatMul(on(a), w.Node())) }},
+		{"MatMulTransB", func() *Node { return Mean(MatMulTransB(on(a), on(b))) }},
+		{"AddBias", func() *Node { return Mean(AddBias(MatMul(on(a), w.Node()), bias.Node())) }},
+		{"ReLU", func() *Node { return Mean(ReLU(on(a))) }},
+		{"Tanh", func() *Node { return Mean(Tanh(on(a))) }},
+		{"L2NormalizeRows", func() *Node { return Mean(L2NormalizeRows(on(a))) }},
+		{"ConcatRows", func() *Node { return Mean(ConcatRows(on(a), on(b))) }},
+		{"ConcatCols", func() *Node { return Mean(ConcatCols(on(a), on(b))) }},
+		{"GatherRows", func() *Node { return Mean(GatherRows(on(a), idx)) }},
+		{"GroupMean", func() *Node { return Mean(GroupMean(on(a), groups)) }},
+		{"RowDotConst", func() *Node { return Mean(RowDotConst(on(a), c)) }},
+		{"Mean", func() *Node { return Mean(on(a)) }},
+		{"SumSquares", func() *Node { return SumSquares(on(a)) }},
+		{"LinearAct none", func() *Node { return Mean(LinearAct(on(a), w.Node(), bias.Node(), ActNone)) }},
+		{"LinearAct relu", func() *Node { return Mean(LinearAct(on(a), w.Node(), bias.Node(), ActReLU)) }},
+		{"LinearAct tanh", func() *Node { return Mean(LinearAct(on(a), w.Node(), bias.Node(), ActTanh)) }},
+		{"MaskedCrossEntropy", func() *Node { return MaskedCrossEntropy(on(a), targets, exclude) }},
+		{"SoftCrossEntropy", func() *Node { return SoftCrossEntropy(on(a), q) }},
+		{"NegCosineConst", func() *Node { return NegCosineConst(on(a), c) }},
+		{"NTXent", func() *Node { return NTXent(on(a), 0.5) }},
+		{"PairNTXent", func() *Node { return PairNTXent(on(a), on(b), 0.5) }},
+		{"PrototypeCE", func() *Node { return PrototypeCE(on(a), on(protos), assign, 0.5) }},
+		{"VarianceHinge", func() *Node { return VarianceHinge(on(a), 1, 1e-4) }},
+		{"CovariancePenalty", func() *Node { return CovariancePenalty(on(a)) }},
+	}
+	for _, row := range rows {
+		loss := row.loss()
+		if !loss.requiresGrad || loss.tape != tp {
+			t.Fatalf("%s: the loss is not a taped node that takes a gradient", row.op)
+		}
+		for _, node := range topoSort(loss) {
+			if node.back == nil {
+				continue
+			}
+			// A package-level function is named pkgpath.name; a func
+			// literal pkgpath.Outer.funcN.
+			name := runtime.FuncForPC(reflect.ValueOf(node.back).Pointer()).Name()
+			if strings.Count(name[strings.LastIndex(name, "/")+1:], ".") != 1 {
+				t.Errorf("%s: a node's backward pass is the func literal %s", row.op, name)
+			}
+		}
+		tp.Reset()
+		step := func() {
+			if err := Backward(row.loss()); err != nil {
+				t.Fatalf("%s: %v", row.op, err)
+			}
+			tp.Reset()
+		}
+		step() // grows the arena, slab and scratch to the op's shapes
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("%s: a warmed forward, backward and Reset make %.1f allocations, want 0", row.op, allocs)
+		}
+	}
+}
+
+// TestSortMarksHoldAcrossTapes: a parameter leaf is shared by the graphs of
+// every tape that trains it, so the mark a topological sort leaves on it
+// must never read as another sort's — not even the first sort of a fresh
+// tape after the first sort of another. Every sort reaches the shared
+// leaves (backward marks them cleared from there).
+func TestSortMarksHoldAcrossTapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(102))
+	layer := NewLinear(rng, 4, 3, "shared")
+	x := tensor.RandN(rng, 1, 5, 4)
+	for i := 0; i < 3; i++ {
+		tp := NewTape(tensor.NewArena())
+		reached := map[*Node]bool{}
+		for _, n := range topoSort(Mean(layer.Forward(InputOn(tp, x)))) {
+			reached[n] = true
+		}
+		if !reached[layer.W.Node()] || !reached[layer.B.Node()] {
+			t.Fatalf("tape %d's sort did not reach the layer's parameter leaves", i)
+		}
+		tp.Reset()
 	}
 }

@@ -527,10 +527,20 @@ func (t *Tensor) Max() float64 {
 
 // ColMeans returns the per-column mean of a 2-D tensor as a length-n slice.
 func (t *Tensor) ColMeans() []float64 {
+	out := make([]float64, t.shape[1])
+	t.ColMeansInto(out)
+	return out
+}
+
+// ColMeansInto writes ColMeans into out, which must hold one element per
+// column: each column summed from +0 in row order, then scaled by the
+// inverse of the row count (all +0 when there are no rows).
+func (t *Tensor) ColMeansInto(out []float64) {
 	m, n := t.shape[0], t.shape[1]
-	out := make([]float64, n)
+	out = out[:n]
+	clear(out)
 	if m == 0 {
-		return out
+		return
 	}
 	for i := 0; i < m; i++ {
 		row := t.data[i*n : (i+1)*n]
@@ -542,7 +552,6 @@ func (t *Tensor) ColMeans() []float64 {
 	for j := range out {
 		out[j] *= inv
 	}
-	return out
 }
 
 // --- Row-wise vector math used by SSL losses --------------------------------
