@@ -201,6 +201,58 @@ func TestBatcherCoversEpoch(t *testing.T) {
 	}
 }
 
+// TestPermIntoMatchesRandPerm: PermInto gives the permutation rand.Perm
+// gives from the same state, and leaves the generator where Perm does,
+// whatever dst held before.
+func TestPermIntoMatchesRandPerm(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		for _, n := range []int{0, 1, 2, 3, 31, 32, 33, 300} {
+			want, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			perm := want.Perm(n)
+			dst := make([]int, n)
+			for i := range dst {
+				dst[i] = -7 * i // stale contents must not show
+			}
+			PermInto(got, dst)
+			for i := range perm {
+				if dst[i] != perm[i] {
+					t.Fatalf("seed %d n %d: PermInto = %v, rand.Perm = %v", seed, n, dst, perm)
+				}
+			}
+			if got.Int63() != want.Int63() {
+				t.Fatalf("seed %d n %d: PermInto left the generator in another state than rand.Perm", seed, n)
+			}
+		}
+	}
+}
+
+// TestBatcherReshufflesInPlace: a batcher yields, epoch after epoch, the
+// batches of a fresh rand.Perm per epoch, and past its first permutation
+// reshuffles without allocating.
+func TestBatcherReshufflesInPlace(t *testing.T) {
+	const n, size = 33, 8
+	b := NewBatcher(rand.New(rand.NewSource(11)), n, size)
+	ref := rand.New(rand.NewSource(11))
+	for epoch := 0; epoch < 5; epoch++ {
+		perm := ref.Perm(n)
+		for start := 0; n-start >= 2; start += size {
+			batch, _ := b.Next()
+			want := perm[start:min(start+size, n)]
+			if len(batch) != len(want) {
+				t.Fatalf("epoch %d: batch %v, want %v", epoch, batch, want)
+			}
+			for i := range want {
+				if batch[i] != want[i] {
+					t.Fatalf("epoch %d: batch %v, want %v", epoch, batch, want)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { b.Next() }); allocs != 0 {
+		t.Fatalf("Next allocates %.1f objects across epochs, want 0", allocs)
+	}
+}
+
 func TestBatcherSkipsSingletonTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	b := NewBatcher(rng, 5, 4)

@@ -88,13 +88,31 @@ func NewBatcher(rng *rand.Rand, n, size int) *Batcher {
 	return b
 }
 
+// reshuffle draws the next epoch's order into the batcher's one
+// permutation buffer: the batch an earlier Next returned is overwritten, so
+// a caller uses each batch only until its next call.
 func (b *Batcher) reshuffle() {
-	b.perm = b.rng.Perm(b.n)
+	if b.perm == nil {
+		b.perm = make([]int, b.n)
+	}
+	PermInto(b.rng, b.perm)
 	b.start = 0
+}
+
+// PermInto fills dst with a pseudo-random permutation of 0..len(dst)-1: the
+// permutation rng.Perm(len(dst)) returns, drawn the same way (so rng ends in
+// the same state), without allocating.
+func PermInto(rng *rand.Rand, dst []int) {
+	for i := range dst {
+		j := rng.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
+	}
 }
 
 // Next returns the next batch of sample indices, reshuffling at epoch
 // boundaries. It returns false when the dataset has fewer than 2 samples.
+// The batch is valid until the next call to Next.
 func (b *Batcher) Next() ([]int, bool) {
 	if b.n < 2 {
 		return nil, false

@@ -52,7 +52,7 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 		Grads: grads,
 		Loss: func() (*nn.Node, error) {
 			if cur >= n {
-				perm = rng.Perm(n)
+				data.PermInto(rng, perm)
 				cur = 0
 			}
 			idx := perm[cur:min(cur+cfg.BatchSize, n)]
