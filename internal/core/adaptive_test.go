@@ -313,8 +313,9 @@ func TestSelectKMatchesNaive(t *testing.T) {
 // tables on the heap and in an arena, and its clustering on the heap and in
 // a workspace. A batch with NaN in two rows scores NaN at every K (their
 // group's other members' mean distance to it is NaN): the fixed rule
-// keeps its clustering and hands the NaN on (which the quality gate lets
-// through, as it always has), while the search finds no viable count.
+// keeps its clustering and hands the NaN on, which the quality gate turns
+// away (TestFixedKNaNScoreSkipsTheTerms), while the search finds no viable
+// count.
 func TestFixedKMatchesNaive(t *testing.T) {
 	arena, ws := tensor.NewArena(), new(kmeans.Workspace)
 	nanBatch, _ := blobs(rand.New(rand.NewSource(43)), 3, 8, 24, 3, 1)
@@ -362,5 +363,40 @@ func TestFixedKMatchesNaive(t *testing.T) {
 	}
 	if out := arena.Stats().Outstanding; out != 0 {
 		t.Fatalf("%d distance buffers never returned to the arena", out)
+	}
+}
+
+// TestFixedKNaNScoreSkipsTheTerms: under the fixed-K rule a clustering whose
+// silhouette is NaN — TestFixedKMatchesNaive's batch with NaN in two rows —
+// fails the quality gate as a score ≤ 0 does: Apply hands back the base
+// loss untouched instead of scaling the terms, and with them the step's
+// loss and every gradient, by NaN.
+func TestFixedKNaNScoreSkipsTheTerms(t *testing.T) {
+	nanBatch, _ := blobs(rand.New(rand.NewSource(43)), 3, 8, 24, 3, 1)
+	nanBatch.Set(5, 7, math.NaN())
+	nanBatch.Set(9, 7, math.NaN())
+	opts := DefaultOptions()
+	opts.FixedK = true
+	reg, err := NewRegularizer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The views agree, so the pair means lossTerms clusters are the
+	// normalized rows.
+	pairMean := tensor.NewLike(nanBatch)
+	mustNormalizeRows(pairMean, nanBatch)
+	const seed = 45
+	if _, score, err := fixedK(nil, nil, rand.New(rand.NewSource(seed)), pairMean, min(opts.NumClusters, nanBatch.Rows())); err != nil || !math.IsNaN(score) {
+		t.Fatalf("the batch's fixed-K clustering scores %v (err %v), want NaN", score, err)
+	}
+	v := nn.Input(nanBatch)
+	ctx := &ssl.StepContext{RNG: rand.New(rand.NewSource(seed)), Z1: v, Z2: v, H1: v, H2: v}
+	base := nn.Input(tensor.New(1, 1))
+	got, err := reg.Apply(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != base {
+		t.Fatalf("a NaN silhouette let the terms through: loss %v, want the base loss", got.Value.At(0, 0))
 	}
 }

@@ -192,7 +192,7 @@ func NewRegularizer(opts Options) (*Regularizer, error) {
 }
 
 // Apply returns methodLoss + α(L_p + L_n) for the step. When the batch is
-// too small, the clustering is not trusted (silhouette ≤ 0) or it
+// too small, the clustering is not trusted (silhouette ≤ 0 or NaN) or it
 // degenerates (fewer than two clusters keep a confident member), the terms
 // are skipped — the base SSL loss always remains. An error is a clustering
 // that could not run at all, and fails the step.
@@ -259,11 +259,13 @@ func (r *Regularizer) lossTerms(ctx *ssl.StepContext) (*nn.Node, error) {
 	// (high silhouette); nuisance style is continuous and cannot, so a low
 	// score means the pseudo-labels are untrustworthy and the calibration
 	// signal is attenuated. This keeps the prototype losses client- and
-	// batch-adaptive, per the paper's design intent.
+	// batch-adaptive, per the paper's design intent. A NaN score (the
+	// fixed-K rule keeps whatever its one clustering scores) is no trust
+	// either: only a positive gate lets the terms through.
 	gate := 1.0
 	if !r.Opts.NoQualityGate {
 		gate = score
-		if gate <= 0 {
+		if !(gate > 0) {
 			return nil, nil
 		}
 	}
