@@ -10,21 +10,24 @@ import (
 )
 
 // calibreStepAllocCeiling bounds the objects a warmed, regularized SimCLR
-// step allocates: the backward closures of the base loss's ops and of the
-// L_n / L_p / scaling ops on top, plus half an epoch's reshuffle — and
-// nothing from the pseudo-label pipeline (normalized pair means, up to six
-// k-means runs, silhouettes, the confidence filter, the group tables), with
-// the adaptive cluster count or a fixed one. Measured: 19.5 either way since
-// the softmax losses became one node each (31.5 before; 249.3 before the
-// pipeline was pooled, on this data; ≈ 440 on the benchmark's).
-const calibreStepAllocCeiling = 40
+// step allocates: none — not the base loss's ops or the L_n / L_p / scaling
+// ops on top (each node's backward pass is a function of its slab node, not
+// a closure), not the epoch's reshuffle (in place) and nothing from the
+// pseudo-label pipeline (normalized pair means, up to six k-means runs,
+// silhouettes, the confidence filter, the group tables), with the adaptive
+// cluster count or a fixed one. Measured: 0 either way (19.5 with a closure
+// per op and a fresh permutation per epoch; 31.5 before the softmax losses
+// became one node each; 249.3 before the pipeline was pooled, on this data;
+// ≈ 440 on the benchmark's).
+const calibreStepAllocCeiling = 0
 
 // calibreTrainOutsideAllocCeiling and calibreTrainOutsideByteCeiling bound
-// what a warmed Calibre update allocates besides its steps. Measured: 17
-// objects, 1.1 KB (26 and 22 KB with the divergence encoding a heap copy of
-// the client's rows outside any tape).
+// what a warmed Calibre update allocates besides its steps. Measured: 7
+// objects, 1.1 KB (13 while the encoding's ops and the first permutation's
+// reshuffles made closures and slices, 17 before; 26 and 22 KB with the
+// divergence encoding a heap copy of the client's rows outside any tape).
 const (
-	calibreTrainOutsideAllocCeiling = 20
+	calibreTrainOutsideAllocCeiling = 10
 	calibreTrainOutsideByteCeiling  = 4096
 )
 

@@ -158,8 +158,7 @@ func TestPairSqTableMatchesOnTheFly(t *testing.T) {
 
 // TestWarmedClusteringAllocatesNothing: Run on a workspace that has seen the
 // shape is allocation-free — with TestTablesAndResultSilhouetteAllocateNothing,
-// what lets core's regularized training step allocate nothing but its ops'
-// closures.
+// what lets core's regularized training step allocate nothing.
 func TestWarmedClusteringAllocatesNothing(t *testing.T) {
 	x := tensor.RandN(rand.New(rand.NewSource(61)), 1, 32, 24)
 	rng := rand.New(rand.NewSource(62))

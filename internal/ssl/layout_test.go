@@ -82,7 +82,7 @@ func TestLiteralTrainableTrainsLikeAConstructedOne(t *testing.T) {
 // TestLocalUpdateAllocatesLessThanOneParameterVector: a warmed Train call
 // holds the model in place and borrows its gradients and velocity, so what
 // it allocates —
-// the batcher, the loop's closures, the ops' — stays under the size of one
+// the batcher, the loop's closures — stays under the size of one
 // parameter vector; a gradient vector, a velocity or a flattened copy made
 // per call is at least that.
 func TestLocalUpdateAllocatesLessThanOneParameterVector(t *testing.T) {

@@ -68,15 +68,18 @@ const gridCells = 8
 var artifacts = []string{"sweep-report.md", "sweep-cells.csv", "sweep-methods.csv"}
 
 // allocBudgetPerRound is the committed ceiling on heap allocations per
-// federation round: 50% headroom over the measured steady state (536,
-// 534–537 over four runs; the "ok" line prints it), so drift passes but a
-// dropped arena, an unfused layer, a per-round wire copy or a pseudo-label
-// pipeline back on the heap trips the gate. The smoke preset warms up for
-// one round, so the two metered rounds are one plain SSL round and one with
-// Calibre's regularizer on: both kinds of step are under the ceiling. (It
-// stood at 4,800 over a measured 3,224, of which ≈ 440 objects per
-// regularized step were the regularizer's own, then at 1,250 over 832.)
-const allocBudgetPerRound = 804
+// federation round: 50% headroom over the measured steady state (130 on
+// average, 104–153 over twelve runs; the "ok" line prints it), so drift
+// passes but a dropped arena, an unfused layer, a per-round wire copy, a
+// pseudo-label pipeline back on the heap or backward closures back on the
+// ops trip the gate. The smoke preset warms up for one round, so the two
+// metered rounds are one plain SSL round and one with Calibre's regularizer
+// on: both kinds of step are under the ceiling. (It stood at 4,800 over a
+// measured 3,224, of which ≈ 440 objects per regularized step were the
+// regularizer's own, then at 1,250 over 832, then at 804 over 536 — 340–382
+// by the time every op's backward pass was a closure per node and the
+// reshuffle a fresh permutation per epoch.)
+const allocBudgetPerRound = 196
 
 func main() {
 	if err := run(); err != nil {
