@@ -241,8 +241,11 @@ type phaseClock struct {
 // before the caller sees the run end and no goroutine outlives it.
 //
 // Every global a round produces is the core's (Aggregator) and goes back
-// to param's pool after its last reader (retire); the final one is
-// returned to the caller.
+// to param's pool after its last reader (retire); the caller gets a copy of
+// the final one, which goes back too, so a run that ends gives back every
+// global it borrowed and the next run in the process borrows the same
+// vectors instead of allocating as many anew at whatever point its
+// trainers first find the pool short.
 //
 // With a Recorder attached, each iteration of the round loop also emits
 // its phases (trace.Phases): where the round's time went, laid end to end
@@ -332,7 +335,13 @@ func RunRounds(ctx context.Context, cfg RoundConfig, tr Transport) (global param
 			return nil, nil, err
 		}
 		c.lap(trace.KindPhasePlanes, round)
-		global = next
+		if round == cfg.Rounds-1 {
+			// The caller keeps the final global.
+			global = next.Clone()
+			param.GiveBack(next)
+		} else {
+			global = next
+		}
 		history = append(history, stats)
 		pools = append(pools, pool)
 		if cfg.OnCheckpoint != nil && CheckpointDue(round+1, cfg.CheckpointEvery, cfg.Rounds) {
@@ -436,9 +445,8 @@ func (c *roundCore) checkpoint(round int, st *SimState) error {
 // rounds later, and the engine learns that a send has finished only from
 // a reply that may never come; the write-behind save in flight may still
 // read it, and then awaitCheckpoint gives it back once the save returns.
-// The final round's is left to the GC too: no later sink borrows it.
 func (c *roundCore) retire(r *Round) {
-	if (r.Num == 0 && c.cfg.ResumeFrom == nil) || r.stats.DeadlineExpired || r.Num == c.cfg.Rounds-1 {
+	if (r.Num == 0 && c.cfg.ResumeFrom == nil) || r.stats.DeadlineExpired {
 		return
 	}
 	if b := &c.behind; b.done != nil && b.round == r.Num-1 {

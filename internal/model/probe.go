@@ -23,6 +23,12 @@ func DefaultHeadConfig() HeadConfig {
 	return HeadConfig{Epochs: 10, BatchSize: 32, LR: 0.05, Momentum: 0}
 }
 
+// probeTapes lends the probes their step tapes. A probe's steps share no
+// shapes with a local update's, and personalization runs every client's
+// probe at once, so in nn's pool for local updates (nn.BorrowTape) its tapes
+// would outnumber the trainers' and be lent to them cold.
+var probeTapes nn.TapePool
+
 // TrainLinearHead fits a linear classifier on frozen features. feats is
 // (n×d), labels are class indices. This is the personalized model ϕ of the
 // paper: deliberately lightweight.
@@ -38,7 +44,7 @@ func TrainLinearHead(rng *rand.Rand, feats *tensor.Tensor, labels []int, numClas
 		return nil, fmt.Errorf("model: bad head config %+v", cfg)
 	}
 	head := nn.NewLinear(rng, feats.Cols(), numClasses, "probe")
-	tape := nn.BorrowTape()
+	tape := probeTapes.Borrow()
 	defer tape.Release()
 	grads := tape.LendGrads(head)
 	stepsPerEpoch := (n + cfg.BatchSize - 1) / cfg.BatchSize

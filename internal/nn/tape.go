@@ -26,9 +26,10 @@ import (
 // allocation, as does a Tape over a nil arena. A Tape is NOT safe for
 // concurrent use: one serves one training worker at a time. The trainers
 // borrow theirs from a process-wide pool for the length of one local update
-// (BorrowTape, Release), so the process keeps one tape, and the arena under
-// it, per trainer running at once — not one per client model it ever
-// trained. A tape built with NewTape belongs to its caller. The tape also
+// (BorrowTape, or a TapePool of their own; Release), so the process keeps
+// one tape, and the arena under it, per trainer running at once — not one
+// per client model it ever trained. A tape built with NewTape belongs to
+// its caller. The tape also
 // lends the update its model's gradients (LendGrads), which Release gives
 // back with it.
 type Tape struct {
@@ -55,6 +56,10 @@ type Tape struct {
 	// Backward scratch, reused across steps by topoSort.
 	order []*Node
 	stack []sortFrame
+
+	// pool is the pool Release gives the tape back to: the one that lent
+	// it, or the local updates' pool for a tape built with NewTape.
+	pool *TapePool
 }
 
 // NewTape returns a tape drawing from arena (which may be nil for plain
@@ -71,20 +76,22 @@ func (tp *Tape) Arena() *tensor.Arena {
 	return tp.arena
 }
 
-// BorrowTape lends a tape over an arena of its own for one local update: the
-// one released last, whose buffers are the warmest, or a new one. Hand it
-// back with Release when the update is over. Which tape a trainer gets never
-// shows in its results: an arena's Get is make, and what it lends
-// uninitialised is only for borrowers that overwrite it whole.
-func BorrowTape() *Tape { return tapes.borrow() }
+// BorrowTape lends a tape from the process's pool for local updates (see
+// TapePool) for one local update. Hand it back with Release when the update
+// is over.
+func BorrowTape() *Tape { return tapes.Borrow() }
 
 // Release gives back the gradients the tape lent (LendGrads), then resets
-// the tape, which BorrowTape lent, and gives it back for another local update
-// to borrow; the tape must not be used after. It keeps the buffers of every
+// the tape and gives it back to the pool that lent it, for another call to
+// borrow; the tape must not be used after. It keeps the buffers of every
 // shape it has served.
 func (tp *Tape) Release() {
 	tp.returnGrads()
-	tapes.giveBack(tp)
+	pool := tp.pool
+	if pool == nil {
+		pool = &tapes
+	}
+	pool.giveBack(tp)
 }
 
 // LendGrads binds m's gradients, in Params() order, to one vector borrowed
@@ -119,19 +126,32 @@ func (tp *Tape) returnGrads() {
 // tapes lends local updates their step tapes, as param's pool lends their
 // gradients and momentum vectors: a tape lives for one local update, so the
 // process keeps one per trainer running at once.
-var tapes tapePool
+var tapes TapePool
 
-type tapePool struct {
+// TapePool lends step tapes, each over an arena of its own: the one released
+// last, whose buffers are the warmest, or a new one. An arena keeps a buffer
+// of every length it has served, so a tape serves the steps of one kind
+// best: a kind of step that shares no shapes with the local updates (a
+// linear probe on frozen features) keeps a pool of its own, or the local
+// updates would borrow tapes whose arenas hold none of their buffers, and
+// allocate a step's worth whenever they did. Which tape a trainer gets never
+// shows in its results: an arena's Get is make, and what it lends
+// uninitialised is only for borrowers that overwrite it whole. The zero
+// TapePool is empty and ready to use; it is safe for concurrent use.
+type TapePool struct {
 	mu   sync.Mutex
 	free []*Tape
 }
 
-func (p *tapePool) borrow() *Tape {
+// Borrow lends a tape from the pool for one call; Release gives it back.
+func (p *TapePool) Borrow() *Tape {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	last := len(p.free) - 1
 	if last < 0 {
-		return NewTape(tensor.NewArena())
+		tp := NewTape(tensor.NewArena())
+		tp.pool = p
+		return tp
 	}
 	tp := p.free[last]
 	p.free[last] = nil
@@ -139,7 +159,7 @@ func (p *tapePool) borrow() *Tape {
 	return tp
 }
 
-func (p *tapePool) giveBack(tp *Tape) {
+func (p *TapePool) giveBack(tp *Tape) {
 	tp.Reset()
 	p.mu.Lock()
 	p.free = append(p.free, tp)

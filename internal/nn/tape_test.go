@@ -18,7 +18,7 @@ import (
 // slab is empty. The pool serves every trainer of a process, so this is a
 // test to run under -race.
 func TestTapePoolLendsOneTapePerBorrower(t *testing.T) {
-	var pool tapePool
+	var pool TapePool
 	pool.giveBack(NewTape(tensor.NewArena()))
 	pool.giveBack(NewTape(tensor.NewArena()))
 	const borrowers = 4
@@ -30,7 +30,7 @@ func TestTapePoolLendsOneTapePerBorrower(t *testing.T) {
 	for i := range lent {
 		go func() {
 			defer done.Done()
-			tp := pool.borrow()
+			tp := pool.Borrow()
 			lent[i] = tp
 			rng := rand.New(rand.NewSource(int64(i)))
 			layer := NewLinear(rng, 6, 3, "pool")
@@ -90,6 +90,39 @@ func TestBorrowTapeLendsTheLastReleased(t *testing.T) {
 	if none.Arena() != nil {
 		t.Fatal("a nil tape's arena must be nil: the heap")
 	}
+}
+
+// TestTapePoolsKeepTheirTapes: a tape goes back to the pool that lent it, so
+// a kind of step with a pool of its own never hands the local updates' pool
+// (BorrowTape) a tape warmed only by its own shapes, nor takes theirs; a tape
+// built with NewTape goes to the local updates' pool.
+func TestTapePoolsKeepTheirTapes(t *testing.T) {
+	var own TapePool
+	local := BorrowTape()
+	mine := own.Borrow()
+	if mine == local || mine.Arena() == nil || mine.Arena() == local.Arena() {
+		t.Fatal("a pool of its own must lend a tape of its own, over an arena of its own")
+	}
+	local.Release()
+	mine.Release()
+	if got := BorrowTape(); got != local {
+		t.Fatal("BorrowTape lent a tape another pool was given back, or not the one it lent last")
+	}
+	local.Release()
+	if got := own.Borrow(); got != mine {
+		t.Fatal("a pool did not lend back the tape it lent")
+	}
+	mine.Release()
+	built := NewTape(tensor.NewArena())
+	built.Release()
+	if got := BorrowTape(); got != built {
+		t.Fatal("a tape built with NewTape did not go back to the local updates' pool")
+	}
+	built.Release()
+	if got := own.Borrow(); got != mine {
+		t.Fatal("a pool lent something other than the one tape it holds")
+	}
+	mine.Release()
 }
 
 // TestWarmedOpsAllocateNothing: every op that builds a node — the ones
