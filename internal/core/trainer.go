@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"calibre/internal/fl"
 	"calibre/internal/model"
@@ -65,6 +67,8 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	updates.acquire()
+	defer updates.release()
 	// A first contact's state is the LocalState of a trainable built from
 	// the row's draw, as the client's own trainable's would have been.
 	var row param.Vector
@@ -112,6 +116,44 @@ func (t *SSLTrainer) Train(ctx context.Context, rng *rand.Rand, client *partitio
 	}
 	update.Params, update.Lent = v, true // given back when the round closes (fl.Update)
 	return update, nil
+}
+
+// updates holds a process to GOMAXPROCS local updates at once. Clients that
+// share a process (flnet clients dialed from one process, a simulator with
+// more workers than CPUs) would otherwise train as many at once as the server
+// samples: the extra ones only time-slice the same CPUs, and each holds a
+// spare trainable, an update vector and a step tape, so the process would
+// keep as many of each as the scheduler happened to run at once.
+var updates = newUpdateSlots()
+
+type updateSlots struct {
+	mu   sync.Mutex
+	free sync.Cond
+	busy int
+}
+
+func newUpdateSlots() *updateSlots {
+	s := &updateSlots{}
+	s.free.L = &s.mu
+	return s
+}
+
+// acquire waits until fewer than GOMAXPROCS local updates run, then counts
+// the caller's. A local update is compute only, so every wait ends.
+func (s *updateSlots) acquire() {
+	s.mu.Lock()
+	for s.busy >= runtime.GOMAXPROCS(0) {
+		s.free.Wait()
+	}
+	s.busy++
+	s.mu.Unlock()
+}
+
+func (s *updateSlots) release() {
+	s.mu.Lock()
+	s.busy--
+	s.mu.Unlock()
+	s.free.Signal()
 }
 
 // train is the local update on a bound trainable. It trains on the
